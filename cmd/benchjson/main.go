@@ -5,7 +5,9 @@
 // of uploading a hollow record). It parses the standard benchmark metrics (ns/op,
 // B/op, allocs/op, MB/s) plus every custom gauge the harness reports
 // (CR:*, beta:*, R2:*, ratio, …) into one metrics map per benchmark,
-// so two runs can be diffed with nothing more than jq.
+// so two runs can be diffed with nothing more than jq. Rows repeated by
+// `go test -count N` fold into one record: the row with the median
+// ns/op, with "samples": N.
 //
 // Usage:
 //
@@ -24,7 +26,8 @@
 // With -baseline, every benchmark present in both records is compared
 // by ns/op; any current result slower than baseline by more than the
 // threshold fraction fails the run. Benchmarks only in one record are
-// listed but never fail the gate — PRs add and retire benchmarks.
+// listed as retired or added but never fail the gate — PRs add and
+// retire benchmarks.
 // B/op and custom-gauge deltas are printed alongside for trend
 // visibility but are informational only: the failing gate considers
 // ns/op and nothing else.
@@ -55,6 +58,9 @@ type Benchmark struct {
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	MBPerS      float64            `json:"mb_per_s,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// Samples is how many -count rows the record stands for (omitted
+	// for one); the row kept is the one with the median ns/op.
+	Samples int `json:"samples,omitempty"`
 }
 
 // Report is the top-level JSON document.
@@ -104,7 +110,38 @@ func parse(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	rep.Benchmarks = foldRepeats(rep.Benchmarks)
 	return rep, nil
+}
+
+// foldRepeats collapses the repeated rows of a `-count N` run: each
+// (package, name) keeps its row with the median ns/op (the lower
+// median for even N), gauges included, and Samples records how many
+// rows it stands for. Rows keep their first-appearance order.
+func foldRepeats(bs []Benchmark) []Benchmark {
+	type key struct{ pkg, name string }
+	groups := map[key][]Benchmark{}
+	var order []key
+	for _, b := range bs {
+		k := key{b.Pkg, b.Name}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		if len(g) == 1 {
+			out = append(out, g[0])
+			continue
+		}
+		sort.SliceStable(g, func(i, j int) bool { return g[i].NsPerOp < g[j].NsPerOp })
+		m := g[(len(g)-1)/2]
+		m.Samples = len(g)
+		out = append(out, m)
+	}
+	return out
 }
 
 // parseLine parses one result line: name, iteration count, then
@@ -208,6 +245,33 @@ func compareBaseline(cur, base *Report, threshold float64) (diffs, regressed []d
 	return diffs, regressed
 }
 
+// oneSided returns the benchmark names only the baseline has (retired)
+// and only the current record has (added), each sorted. They are
+// listed beside the gate and never fail it.
+func oneSided(cur, base *Report) (retired, added []string) {
+	in := func(r *Report) map[string]bool {
+		m := make(map[string]bool, len(r.Benchmarks))
+		for _, b := range r.Benchmarks {
+			m[b.Name] = true
+		}
+		return m
+	}
+	inCur, inBase := in(cur), in(base)
+	for name := range inBase {
+		if !inCur[name] {
+			retired = append(retired, name)
+		}
+	}
+	for name := range inCur {
+		if !inBase[name] {
+			added = append(added, name)
+		}
+	}
+	sort.Strings(retired)
+	sort.Strings(added)
+	return retired, added
+}
+
 // compareInfo lists B/op and custom-gauge deltas between name-matched
 // benchmarks. These are printed for trend visibility but never gated:
 // allocation accounting and gauge semantics shift too easily across
@@ -293,6 +357,13 @@ func main() {
 		}
 		for _, line := range compareInfo(rep, base) {
 			fmt.Fprintf(os.Stderr, "benchjson: info %s\n", line)
+		}
+		retired, added := oneSided(rep, base)
+		for _, name := range retired {
+			fmt.Fprintf(os.Stderr, "benchjson: retired %s (baseline only, not gated)\n", name)
+		}
+		for _, name := range added {
+			fmt.Fprintf(os.Stderr, "benchjson: added %s (no baseline, not gated)\n", name)
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: gated %d benchmarks against %s at %.0f%% threshold, %d regressed (B/op and gauge lines informational)\n",
 			len(diffs), *baseline, *threshold*100, len(regressed))

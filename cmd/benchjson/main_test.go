@@ -126,6 +126,52 @@ func TestCompareBaseline(t *testing.T) {
 	}
 }
 
+// TestParseFoldsCount pins the -count folding: repeated rows of one
+// benchmark become its median-ns/op row (gauges from that same row)
+// with the sample count, the same name in another package stays apart,
+// and order follows first appearance.
+func TestParseFoldsCount(t *testing.T) {
+	rep, err := parse(strings.NewReader(`pkg: a
+BenchmarkX 	3	 300 ns/op	 3 peakMB
+BenchmarkY 	3	 50 ns/op
+BenchmarkX 	3	 100 ns/op	 1 peakMB
+BenchmarkX 	3	 200 ns/op	 2 peakMB
+BenchmarkX 	3	 900 ns/op	 9 peakMB
+pkg: b
+BenchmarkX 	3	 7 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("%d records, want 3: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	x := rep.Benchmarks[0]
+	if x.Name != "BenchmarkX" || x.Pkg != "a" || x.NsPerOp != 200 || x.Metrics["peakMB"] != 2 || x.Samples != 4 {
+		t.Fatalf("folded X: %+v", x)
+	}
+	if y := rep.Benchmarks[1]; y.Name != "BenchmarkY" || y.Samples != 0 {
+		t.Fatalf("single Y: %+v", y)
+	}
+	if xb := rep.Benchmarks[2]; xb.Pkg != "b" || xb.NsPerOp != 7 {
+		t.Fatalf("package-b X: %+v", xb)
+	}
+}
+
+// TestOneSided pins the listing of benchmarks present in only one
+// record: retired rows (baseline only) and added rows (current only).
+func TestOneSided(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{{Name: "BenchmarkA"}, {Name: "BenchmarkGoneB"}, {Name: "BenchmarkGoneA"}}}
+	cur := &Report{Benchmarks: []Benchmark{{Name: "BenchmarkA"}, {Name: "BenchmarkNew"}}}
+	retired, added := oneSided(cur, base)
+	if len(retired) != 2 || retired[0] != "BenchmarkGoneA" || retired[1] != "BenchmarkGoneB" {
+		t.Fatalf("retired %v", retired)
+	}
+	if len(added) != 1 || added[0] != "BenchmarkNew" {
+		t.Fatalf("added %v", added)
+	}
+}
+
 func TestParseSkipsMalformed(t *testing.T) {
 	rep, err := parse(strings.NewReader("BenchmarkBroken-8\nBenchmarkAlso --- FAIL\nnot a line\n"))
 	if err != nil {

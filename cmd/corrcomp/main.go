@@ -293,7 +293,7 @@ func cmdAnalyze(args []string) error {
 	window := fs.Int("window", 32, "local statistics window H")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all cores)")
 	gram := fs.Bool("gram", true, "Gram-matrix fast path for the local SVD statistic (-gram=false restores the full-SVD reference path)")
-	vfft := fs.Bool("vfft", false, "FFT exact engine for the global variogram scan (real-input half-spectrum transforms; ~40% of the former complex-path memory)")
+	vfft := fs.Bool("vfft", false, "FFT exact engine for the global variogram scan (one real-input forward + inverse transform over the padded field)")
 	f32 := fs.Bool("f32", false, "run the float32 compute lane (a float64 input is narrowed first; float32 files use it automatically)")
 	membudget := fs.String("membudget", "", "out-of-core memory budget with optional k/m/g suffix (e.g. 64m); fields that do not fit are streamed in budget-sized tiles, bit-identical windowed statistics")
 	statsSel := fs.String("stats", "", "comma-separated statistic kernels to compute (e.g. variogram,svd); empty = all registered")

@@ -131,15 +131,13 @@ type AnalysisOptions struct {
 	// arithmetic bit-identically.
 	SVDGram svdstat.GramMode
 	// VariogramFFT selects the FFT exact engine for the global
-	// variogram scan (variogram.Options.FFT): all lag cross-products
-	// and pair counts at once from zero-padded autocorrelations,
-	// O(P log P) instead of O(N·L^d). The engine runs real-input
-	// transforms in half-spectrum form over FastLen-padded (not
-	// power-of-two) extents, so its transform buffers are ~4 real
-	// planes of the padded size — under half the old complex-path
-	// footprint. Pair counts match the direct scan exactly and Gamma
-	// to ~1e-12 relative; windowed statistics keep the direct
-	// per-window scan either way.
+	// variogram scan (variogram.Options.FFT): every lag at once from
+	// one zero-padded autocorrelation of the mean-centered field,
+	// O(P log P) instead of O(N·L^d), one real-input forward and one
+	// inverse transform over FastLen-padded extents on either lane
+	// (working set variogram.FFTPeakBytes). Pair counts match the
+	// direct scan exactly and Gamma to ~1e-14 relative; windowed
+	// statistics keep the direct per-window scan either way.
 	VariogramFFT bool
 	// Workers sizes each worker pool of the analysis rather than capping
 	// total goroutines: the three statistics run concurrently on one

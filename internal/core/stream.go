@@ -16,16 +16,15 @@ import (
 	"context"
 	"fmt"
 
-	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
 	"lossycorr/internal/stat"
+	"lossycorr/internal/variogram"
 )
 
 // inRAMBytes estimates the working set of an in-RAM analysis of the
 // reader's field: the stored lane itself, plus the full-field spectral
-// engine's padded correlation planes when the FFT variogram is on
-// (~four real planes of the FastLen-padded size, the documented
-// footprint of the half-spectrum engine).
+// engine's transform working set (variogram.FFTPeakBytes on the stored
+// lane) when the FFT variogram is on.
 func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
 	est := int64(tr.Len()) * int64(tr.ElemBytes())
 	if o.VariogramFFT {
@@ -36,11 +35,7 @@ func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
 				lag = 1
 			}
 		}
-		total := int64(1)
-		for _, d := range tr.Shape() {
-			total *= int64(fft.FastLen(d + lag))
-		}
-		est += 4 * 8 * total
+		est += variogram.FFTPeakBytes(tr.Shape(), lag, tr.ElemBytes())
 	}
 	return est
 }

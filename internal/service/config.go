@@ -46,12 +46,13 @@ type Config struct {
 	// executor; further submissions get 429. Env CORRCOMPD_MAX_QUEUE;
 	// default 64.
 	MaxQueue int
-	// MemBudget caps the summed predicted transform peak (the
-	// Π FastLen(dimₖ+L) plane formula, per lane) of admitted async jobs:
-	// a submission whose prediction does not fit in the remaining budget
-	// is rejected with 429 and the prediction in the response body, so a
-	// client can shrink maxlag or split the field instead of OOMing the
-	// server. 0 disables the check. Env CORRCOMPD_MEM_BUDGET (bytes).
+	// MemBudget caps the summed predicted transform peak of admitted
+	// async jobs (variogram.FFTPeakBytes at the lane's width for vfft
+	// jobs, the field bytes otherwise): a submission whose prediction
+	// does not fit in the remaining budget is rejected with 429 and the
+	// prediction in the response body, so a client can shrink maxlag or
+	// split the field instead of OOMing the server. 0 disables the
+	// check. Env CORRCOMPD_MEM_BUDGET (bytes).
 	MemBudget int64
 	// StreamBudget turns on out-of-core analysis: analyze requests
 	// whose payload exceeds this many bytes run through the

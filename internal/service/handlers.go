@@ -19,11 +19,11 @@ import (
 
 	"lossycorr/internal/compress"
 	"lossycorr/internal/core"
-	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/stat"
 	"lossycorr/internal/svdstat"
+	"lossycorr/internal/variogram"
 )
 
 // runSpec is one executable request: the pipeline kind, its content
@@ -465,13 +465,13 @@ func validateMaxLag(maxLag, minDim int) error {
 }
 
 // predictedPeakBytes estimates the transform working set of one
-// pipeline run on u before it is admitted: the FFT exact engine holds
-// at most four padded planes of Π_k FastLen(dim_k + L) elements at the
-// lane's width (the float64 engine peaks at 2 real + 2 half-spectrum
-// planes; the float32 engine at one fewer, so four is an upper bound
-// for both). Without the FFT engine the working set is the windowed
-// extraction's, bounded by the field itself — which the body cap
-// already limits — so the prediction degenerates to the field bytes.
+// pipeline run on u before it is admitted: with vfft it is the FFT
+// exact engine's variogram.FFTPeakBytes at the lane's width — one
+// padded real plane of Π_k FastLen(dim_k + L) elements plus the larger
+// of its half-spectrum and the float64 summed-area table. Without the
+// FFT engine the working set is the windowed extraction's, bounded by
+// the field itself — which the body cap already limits — so the
+// prediction degenerates to the field bytes.
 func predictedPeakBytes(u uploadField, p analysisParams) int64 {
 	dims := u.shape()
 	lag := p.maxLag
@@ -488,11 +488,7 @@ func predictedPeakBytes(u uploadField, p analysisParams) int64 {
 		}
 		return total
 	}
-	plane := u.elemBytes()
-	for _, d := range dims {
-		plane *= int64(fft.FastLen(d + lag))
-	}
-	return 4 * plane
+	return variogram.FFTPeakBytes(dims, lag, int(u.elemBytes()))
 }
 
 func (p analysisParams) canon() string {

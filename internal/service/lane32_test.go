@@ -147,7 +147,7 @@ func TestMemBudgetAdmission(t *testing.T) {
 }
 
 // TestMemBudgetFFTPrediction pins the transform plane formula: with
-// vfft the prediction is 4·Π FastLen(dim+L) planes at the lane width —
+// vfft the prediction is variogram.FFTPeakBytes at the lane width —
 // far above the raw field bytes — so a budget sized to the field alone
 // rejects the FFT job while still admitting the direct-scan one.
 func TestMemBudgetFFTPrediction(t *testing.T) {
@@ -166,9 +166,10 @@ func TestMemBudgetFFTPrediction(t *testing.T) {
 		PredictedPeakBytes int64 `json:"predictedPeakBytes"`
 	}
 	mustJSON(t, data, &rej)
-	// Each padded extent is at least edge+16, so the four-plane formula
-	// predicts at least 4·48²·8 bytes.
-	if min := int64(4 * 48 * 48 * 8); rej.PredictedPeakBytes < min {
+	// Each padded extent is at least edge+16, so the formula predicts at
+	// least one 48² float64 plane plus its 48×25-bin complex128
+	// half-spectrum.
+	if min := int64(48*48*8 + 48*25*16); rej.PredictedPeakBytes < min {
 		t.Fatalf("FFT prediction %d < plane-formula floor %d", rej.PredictedPeakBytes, min)
 	}
 }

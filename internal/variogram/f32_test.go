@@ -172,11 +172,12 @@ func TestLocalRanges32MatchOracle(t *testing.T) {
 }
 
 // TestFFT32PoisonedPools re-runs the float32 equivalence suite with
-// the float32-lane pool buckets pre-filled with NaN-poisoned buffers,
-// extending TestFFTPoisonedPools' no-assumed-zero contract to the new
-// buckets.
+// the float32-lane pool buckets — and the float64 real buckets the
+// summed-area table comes from — pre-filled with NaN-poisoned buffers,
+// extending TestFFTPoisonedPools' no-assumed-zero contract to the lane.
 func TestFFT32PoisonedPools(t *testing.T) {
 	poison := func(maxElems int) {
+		poisonPools(maxElems)
 		const perBucket = 6
 		for n := 1; n <= maxElems; n *= 2 {
 			cbufs := make([][]complex64, perBucket)

@@ -1,14 +1,16 @@
 package variogram
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
-	"lossycorr/internal/field"
 	"lossycorr/internal/fft"
+	"lossycorr/internal/field"
 	"lossycorr/internal/xrand"
 )
 
@@ -77,8 +79,8 @@ func TestFFTMatchesExactScan(t *testing.T) {
 }
 
 // TestFFTLagBeyondExtent covers offsets larger than an extent: the
-// direct scan skips them (no valid base points) and the FFT mask
-// autocorrelation must count zero pairs for them, leaving the binned
+// direct scan skips them (no valid base points) and the FFT engine's
+// closed-form count must give them zero pairs, leaving the binned
 // results identical.
 func TestFFTLagBeyondExtent(t *testing.T) {
 	f := randomField([]int{8, 64}, 9)
@@ -118,8 +120,8 @@ func TestFFTGlobalRangeField(t *testing.T) {
 }
 
 // TestFFTConstantField covers the roundoff clamp: a constant field has
-// zero semi-variance in every bin, which the cancellation in
-// c_wm(h)+c_wm(−h)−2·c_zz(h) must not turn negative.
+// zero semi-variance in every bin, which the cancellation between the
+// box sums and 2·c_zz(h) must not turn negative.
 func TestFFTConstantField(t *testing.T) {
 	f := field.New(20, 20)
 	for i := range f.Data {
@@ -203,23 +205,106 @@ func TestFFTBluesteinPadding(t *testing.T) {
 	}
 }
 
-// TestFFTComplexRefMatches keeps the retained PR 3 all-complex engine
-// honest as a second oracle: it must still agree with the direct scan,
-// so the before/after memory and speed comparisons compare like with
-// like.
-func TestFFTComplexRefMatches(t *testing.T) {
-	for ci, tc := range equivalenceCases {
-		f := randomField(tc.shape, uint64(700+ci))
-		ex, err := ComputeField(f, Options{Exact: true, MaxLag: tc.maxLag})
+// withOffset returns a copy of f with off added to every sample.
+func withOffset(f *field.Field, off float64) *field.Field {
+	g := field.New(f.Shape...)
+	for i, v := range f.Data {
+		g.Data[i] = v + off
+	}
+	return g
+}
+
+// TestFFTDCOffset pins the spectral engines' accuracy contract on a
+// unit-variance field under a constant offset: the transforms must not
+// see the DC mass, or it cancels in S(h) and takes the low bits of
+// Gamma with it. The in-RAM engine holds the 1e-9 equivalence bound at
+// every offset; the streamed engine, at a one-shard and a multi-shard
+// budget, holds 1e-6.
+func TestFFTDCOffset(t *testing.T) {
+	ctx := context.Background()
+	base := randomField([]int{64, 72}, 4242)
+	if shard, err := fftShardSize(base.Shape, 32, 1<<20); err != nil || shard >= 64 {
+		t.Fatalf("1 MiB budget: shard extent %d (%v), want a split of the 64 rows", shard, err)
+	}
+	for _, off := range []float64{0, 1e3, 1e5, 1e7} {
+		f := withOffset(base, off)
+		ex, err := ComputeField(f, Options{Exact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := (&Options{MaxLag: tc.maxLag}).withFieldDefaults(f)
-		ff, err := fftScanFieldComplexRef(f, o)
+		ff, err := ComputeField(f, Options{FFT: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstExact(t, "complexref", f, ex, ff)
+		checkAgainstExact(t, fmt.Sprintf("offset %g", off), f, ex, ff)
+
+		tr := writeTempField(t, f.WriteBinary)
+		// 0 is one shard; 1 MiB splits the rows (checked above).
+		for _, budget := range []int64{0, 1 << 20} {
+			st, err := ComputeReaderCtx(ctx, tr, Options{FFT: true}, field.StreamOptions{BudgetBytes: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ex.H {
+				if st.N[i] != ex.N[i] {
+					t.Fatalf("offset %g budget %d bin h=%v: count %d vs exact %d", off, budget, ex.H[i], st.N[i], ex.N[i])
+				}
+				if rel := math.Abs(st.Gamma[i]-ex.Gamma[i]) / ex.Gamma[i]; rel > 1e-6 {
+					t.Fatalf("offset %g budget %d bin h=%v: gamma %v vs exact %v (rel %g)",
+						off, budget, ex.H[i], st.Gamma[i], ex.Gamma[i], rel)
+				}
+			}
+		}
+	}
+}
+
+// TestFFTLaneDifferential runs the one engine's two lanes on the same
+// values — the float64 lane over the exactly widened field against the
+// float32 lane — across ranks, odd extents, worker counts, and exact
+// (Bluestein) padding. Pair counts must be equal and Gamma within the
+// float32 lane's existing tolerances: 5e-4 relative on FastLen padding,
+// 2e-3 on exact padding.
+func TestFFTLaneDifferential(t *testing.T) {
+	for _, pm := range []struct {
+		name string
+		fn   func(int) int
+		tol  float64
+	}{
+		{"fastlen", fft.FastLen, 5e-4},
+		{"exact", func(n int) int { return n }, 2e-3},
+	} {
+		t.Run(pm.name, func(t *testing.T) {
+			orig := padLenFn
+			padLenFn = pm.fn
+			defer func() { padLenFn = orig }()
+			for ci, tc := range equivalenceCases {
+				f32, f64 := randomField32(tc.shape, uint64(2100+ci))
+				for _, workers := range []int{1, 4} {
+					o := Options{FFT: true, MaxLag: tc.maxLag, Workers: workers}
+					wide, err := ComputeField(f64, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					narrow, err := ComputeField32(f32, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(narrow.H) != len(wide.H) {
+						t.Fatalf("shape %v workers %d: %d bins vs %d", tc.shape, workers, len(narrow.H), len(wide.H))
+					}
+					for i := range wide.H {
+						if narrow.N[i] != wide.N[i] {
+							t.Fatalf("shape %v workers %d bin h=%v: count %d vs float64 lane %d",
+								tc.shape, workers, wide.H[i], narrow.N[i], wide.N[i])
+						}
+						if rel := math.Abs(narrow.Gamma[i]-wide.Gamma[i]) / wide.Gamma[i]; rel > pm.tol {
+							t.Fatalf("shape %v workers %d bin h=%v: gamma %v vs float64 lane %v (rel %g)",
+								tc.shape, workers, wide.H[i], narrow.Gamma[i], wide.Gamma[i], rel)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -254,8 +339,9 @@ func poisonPools(maxElems int) {
 // TestFFTPoisonedPools re-runs the 2D/3D equivalence suite with every
 // pool bucket pre-filled with NaN-poisoned buffers: AcquireComplex/
 // AcquireReal return unspecified contents, and the engine must
-// overwrite every element it reads (padding fill, mask embed, spectrum
-// stages) rather than assume zeroed scratch.
+// overwrite every element it reads (padding fill, spectrum stages, and
+// the summed-area table, which is an AcquireReal buffer) rather than
+// assume zeroed scratch.
 func TestFFTPoisonedPools(t *testing.T) {
 	for ci, tc := range equivalenceCases {
 		f := randomField(tc.shape, uint64(900+ci))
@@ -284,24 +370,38 @@ func TestFFTPoisonedPools(t *testing.T) {
 	}
 }
 
-// TestFFTMemorySmoke pins the tentpole's memory claim: the real-input
-// engine's peak transform-buffer bytes on a 512² field (default
-// cutoff 256) must be at most 55% of the PR 3 complex-path engine's
-// working set — three complex NextPow2(512+256)² buffers, ~50 MiB.
-// (Measured: ~19 MiB ≈ 38%.)
+// TestFFTMemorySmoke pins FFTPeakBytes as the engine's transform
+// working set on both lanes: on a 512² field (default cutoff 256) the
+// measured pool peak stays within the formula, first on a drained pool
+// (every buffer a fresh exact-size allocation) and then warm, with the
+// engine's own buffers recycled.
 func TestFFTMemorySmoke(t *testing.T) {
-	f := randomField([]int{512, 512}, 77)
-	fft.ResetPeakBytes()
-	base := fft.LiveBytes()
-	if _, err := ComputeField(f, Options{FFT: true}); err != nil {
-		t.Fatal(err)
-	}
-	peak := fft.PeakBytes() - base
-	ref := complexRefPeakBytes(f.Shape, 256)
-	t.Logf("peak %d bytes (%.1f MiB), complex-path ref %d bytes (%.1f MiB), ratio %.1f%%",
-		peak, float64(peak)/(1<<20), ref, float64(ref)/(1<<20), 100*float64(peak)/float64(ref))
-	if peak > ref*55/100 {
-		t.Fatalf("peak transform-buffer bytes %d > 55%% of complex-path %d", peak, ref)
+	f32, f := randomField32([]int{512, 512}, 77)
+	for _, lane := range []struct {
+		name      string
+		elemBytes int
+		run       func() error
+	}{
+		{"float64", 8, func() error { _, err := ComputeField(f, Options{FFT: true}); return err }},
+		{"float32", 4, func() error { _, err := ComputeField32(f32, Options{FFT: true}); return err }},
+	} {
+		want := FFTPeakBytes(f.Shape, 256, lane.elemBytes)
+		// Two collections empty every sync.Pool, buckets included.
+		runtime.GC()
+		runtime.GC()
+		for _, pass := range []string{"cold", "warm"} {
+			fft.ResetPeakBytes()
+			base := fft.LiveBytes()
+			if err := lane.run(); err != nil {
+				t.Fatal(err)
+			}
+			peak := fft.PeakBytes() - base
+			t.Logf("%s %s: peak %d bytes (%.2f MiB), FFTPeakBytes %d (%.2f MiB)",
+				lane.name, pass, peak, float64(peak)/(1<<20), want, float64(want)/(1<<20))
+			if peak > want {
+				t.Fatalf("%s %s: peak transform-buffer bytes %d > FFTPeakBytes %d", lane.name, pass, peak, want)
+			}
+		}
 	}
 }
 
@@ -355,31 +455,10 @@ func BenchmarkVariogramExact(b *testing.B) {
 	}
 }
 
-// reportFFTPeak publishes the transform-buffer peak (MiB) of the last
-// run plus the PR 3 complex-path working set for the same shape — the
-// before/after pair the perf record tracks.
-func reportFFTPeak(b *testing.B, shape []int, maxLag int) {
-	b.Helper()
-	b.ReportMetric(float64(fft.PeakBytes())/(1<<20), "fftPeakMB")
-	b.ReportMetric(float64(complexRefPeakBytes(shape, maxLag))/(1<<20), "fftComplexRefMB")
-}
-
-// defaultCutoff mirrors withFieldDefaults: MaxLag 0 means min extent/2.
-func defaultCutoff(shape []int) int {
-	m := shape[0]
-	for _, d := range shape {
-		if d < m {
-			m = d
-		}
-	}
-	return m / 2
-}
-
-// BenchmarkVariogramFFT measures the (real-input, half-spectrum) FFT
-// exact engine on the same fields; the ns/op ratio against
-// BenchmarkVariogramExact is the speedup, and against
-// BenchmarkVariogramFFTComplexRef the cost of the memory halving, that
-// the perf harness tracks.
+// BenchmarkVariogramFFT measures the FFT exact engine's float64 lane on
+// the same fields; the ns/op ratio against BenchmarkVariogramExact is
+// the speedup the perf record tracks, and fftPeakMB the transform-pool
+// peak of the last run.
 func BenchmarkVariogramFFT(b *testing.B) {
 	for _, n := range benchScanSizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -388,25 +467,6 @@ func BenchmarkVariogramFFT(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fft.ResetPeakBytes()
 				if _, err := ComputeField(f, Options{FFT: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportFFTPeak(b, f.Shape, defaultCutoff(f.Shape))
-		})
-	}
-}
-
-// BenchmarkVariogramFFTComplexRef measures the retained PR 3
-// all-complex engine — the "before" row of the memory/speed record.
-func BenchmarkVariogramFFTComplexRef(b *testing.B) {
-	for _, n := range benchScanSizes() {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			f := randomField([]int{n, n}, 11)
-			o := (&Options{}).withFieldDefaults(f)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fft.ResetPeakBytes()
-				if _, err := fftScanFieldComplexRef(f, o); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -436,5 +496,5 @@ func BenchmarkVariogramFFT3D(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	reportFFTPeak(b, f.Shape, defaultCutoff(f.Shape))
+	b.ReportMetric(float64(fft.PeakBytes())/(1<<20), "fftPeakMB")
 }

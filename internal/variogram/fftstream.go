@@ -1,7 +1,10 @@
 package variogram
 
-// Sharded spectral engine: the fftscan.go transform identities, run
+// Sharded spectral engine: the spectral variogram of fftscan.go, run
 // slab-by-slab along axis 0 so the padded planes fit a memory budget.
+// The in-RAM engine's closed forms need a field-sized summed-area
+// table, which would break the budget, so each slab keeps the masked
+// correlation form instead.
 //
 // Canonical offsets (first nonzero component positive) always have
 // h₀ ≥ 0, so partitioning pairs by the axis-0 coordinate of the BASE
@@ -20,6 +23,12 @@ package variogram
 // Cross-correlations come from conj(A)·B spectra; padding axis 0 to
 // FastLen(B+L) (h₀ ∈ [0,L] never wraps a (B+L)-support signal) and the
 // other axes to FastLen(n_k+L) exactly as in the full-field engine.
+//
+// Every block is shifted by one reference value, the field's first
+// element, as it is read. S(h) is shift-invariant and the mask terms
+// do not see values, so counts stay exact; without the shift a large
+// DC offset dominates the spectra and cancels in S, which cost ~1e-3
+// relative at an offset of 1e7 on a unit-variance field.
 //
 // The slab loop is serial and each slab's bin fold runs on the worker
 // pool with whole-bin ownership, so results are independent of the
@@ -79,8 +88,8 @@ func fftShardSize(dims []int, nb int, budgetBytes int64) (int, error) {
 	return b, nil
 }
 
-// fftScanReader is the out-of-core fftScanField: identical transform
-// identities, evaluated in axis-0 slabs sized by the byte budget.
+// fftScanReader is the out-of-core spectral variogram, evaluated in
+// axis-0 slabs sized by the byte budget.
 func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so field.StreamOptions) (*Empirical, error) {
 	stage := func() error {
 		if ctx == nil {
@@ -95,6 +104,10 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 	}
 	nb := o.MaxLag
 	shard, err := fftShardSize(dims, nb, so.BudgetBytes)
+	if err != nil {
+		return nil, err
+	}
+	ref, err := tr.At(0)
 	if err != nil {
 		return nil, err
 	}
@@ -143,6 +156,9 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			blk := &field.Field{Data: blkBuf}
 			if err := tr.ReadBlock(blk, blo, bhi); err != nil {
 				return err
+			}
+			for i := range blk.Data {
+				blk.Data[i] -= ref
 			}
 			r := fft.AcquireRealTight(total)
 			defer fft.ReleaseReal(r)

@@ -83,7 +83,7 @@ func ComputeFieldCtx(ctx context.Context, f *field.Field, opts Options) (*Empiri
 	}
 	o := opts.withFieldDefaults(f)
 	if o.FFT {
-		return fftScanField(ctx, f, o)
+		return fftScan(ctx, f.Data, f.Shape, f.Summary().Mean, o, lane64)
 	}
 	if o.Exact || f.Len() <= exactThresholdFor(f.NDim()) {
 		return exactScanField(ctx, f, o)

@@ -2,9 +2,9 @@ package variogram
 
 // Float32-lane entry points. The direct estimators reuse the
 // element-generic scan cores (accumulation is float64 either way, and
-// the sampler's draw order is lane-independent); the FFT engine has
-// its own float32 plane pipeline in fftscan32.go. The windowed
-// statistic delegates to the stat engine, whose float32 lane widens
+// the sampler's draw order is lane-independent); the FFT engine is the
+// generic fftScan on float32 planes and complex64 spectra. The
+// windowed statistic delegates to the stat engine, whose float32 lane widens
 // each small window into oracle precision on the fly (WindowIntoWide)
 // — the per-window fits are exactly the float64 code path over
 // exactly-widened samples, and no full-size float64 copy of the field
@@ -47,7 +47,7 @@ func ComputeField32Ctx(ctx context.Context, f *field.Field32, opts Options) (*Em
 	}
 	o := opts.withField32Defaults(f)
 	if o.FFT {
-		return fftScanField32(ctx, f, o)
+		return fftScan(ctx, f.Data, f.Shape, f.Summary().Mean, o, lane32)
 	}
 	if o.Exact || f.Len() <= exactThresholdFor(f.NDim()) {
 		return exactScanData(ctx, f.Data, f.Shape, o)
