@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-
 )
 
 // naiveIDFT is the O(n²) unnormalized inverse reference (naiveDFT, the

@@ -1,14 +1,16 @@
 // Package linalg supplies the small dense linear-algebra kernels the
 // analysis pipeline needs: least-squares solvers (Householder QR),
-// polynomial fitting in the style of numpy.polyfit, a symmetric Jacobi
-// eigensolver, and singular values for the local-SVD statistic.
+// polynomial fitting in the style of numpy.polyfit, a values-only
+// symmetric eigensolver (Householder tridiagonalization + implicit-shift
+// QL, rejecting non-finite input with ErrNonFinite), and singular
+// values for the local-SVD statistic built on it.
 package linalg
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Matrix is a dense row-major matrix.
@@ -156,65 +158,199 @@ func PolyVal(coeffs []float64, x float64) float64 {
 	return v
 }
 
-// SymEigen computes all eigenvalues of the symmetric n×n matrix a by
-// the cyclic Jacobi method. a is destroyed. Eigenvalues are returned in
-// descending order. Only values (not vectors) are computed, which is
-// all the truncation-level statistic requires.
+// ErrNonFinite reports a NaN or ±Inf entry in a matrix handed to
+// SymEigen (and so to SingularValues): its eigenvalues are undefined.
+var ErrNonFinite = errors.New("linalg: matrix has a non-finite entry")
+
+// ErrNoConvergence reports an eigenvalue the QL iteration did not
+// isolate within its iteration budget.
+var ErrNoConvergence = errors.New("linalg: eigenvalue iteration did not converge")
+
+// qlMaxIter bounds the implicit-shift QL sweeps spent isolating one
+// eigenvalue; EISPACK's tql1 uses the same budget, and convergence is
+// cubic, so finite input needs two or three.
+const qlMaxIter = 30
+
+// SymEigen computes all eigenvalues of the symmetric n×n matrix a; only
+// its lower triangle enters the arithmetic. a is destroyed. Eigenvalues
+// are returned in descending order.
+//
+// The algorithm is the values-only textbook route (Golub & Van Loan,
+// Matrix Computations §8.3; EISPACK tred1/tql1): Householder
+// reflections reduce a to tridiagonal form in 4n³/3 flops, then
+// implicit-shift QL iteration with Wilkinson shifts isolates each
+// eigenvalue, O(n) flops per sweep. Both steps are backward stable: the
+// returned values are the exact eigenvalues of a matrix within a small
+// multiple of n·ε·‖a‖ of a, so every value lies that close to the true
+// one.
+//
+// A NaN or ±Inf entry returns ErrNonFinite before any arithmetic (the
+// check is O(n²)); an eigenvalue still unresolved after qlMaxIter
+// sweeps returns ErrNoConvergence.
 func SymEigen(a *Matrix) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n {
 		return nil, fmt.Errorf("linalg: SymEigen needs square matrix, got %dx%d", n, a.Cols)
 	}
-	const maxSweeps = 64
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
+	for _, v := range a.Data {
+		if math.IsNaN(v - v) { // NaN for NaN and ±Inf alone
+			return nil, ErrNonFinite
+		}
+	}
+	d := make([]float64, n)
+	e := make([]float64, n)
+	tridiagonalize(a, d, e)
+	if err := tridiagonalQL(d, e); err != nil {
+		return nil, err
+	}
+	slices.Sort(d)
+	slices.Reverse(d)
+	return d, nil
+}
+
+// tridiagonalize reduces the symmetric matrix a (lower triangle) to a
+// tridiagonal matrix with diagonal d and off-diagonal e, where e[i]
+// couples d[i] and d[i+1] and e[n-1] = 0. Rows are reduced from the
+// last upward, so each Householder vector is a contiguous row slice
+// a[i][0:i] and the update touches the leading i×i lower triangle row
+// by row.
+func tridiagonalize(a *Matrix, d, e []float64) {
+	n := a.Rows
+	row := func(i int) []float64 { return a.Data[i*n : i*n+i+1] } // a[i][0..i]
+	// While row i is reduced its coupling goes to e[i] (shifted down one
+	// slot at the end), leaving e[0:i] free as scratch for p and q.
+	for i := n - 1; i >= 1; i-- {
+		u := row(i)[:i]
+		l := i - 1
+		var scale float64
+		for _, v := range u {
+			scale += math.Abs(v)
+		}
+		if i == 1 || scale == 0 {
+			e[i] = u[l]
+			continue
+		}
+		// Scale the row to avoid over/underflow in the squared norm; the
+		// reflector I − u·uᵀ/h is invariant to the scale of u.
+		var h float64
+		for k := range u {
+			u[k] /= scale
+			h += u[k] * u[k]
+		}
+		f := u[l]
+		g := math.Sqrt(h)
+		if f >= 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		u[l] = f - g
+		// p = A·u/h over the leading i×i block, read from its lower
+		// triangle one row at a time.
+		p := e[:i]
+		clear(p)
+		for j := 0; j < i; j++ {
+			rj := row(j)
+			uj := u[j]
+			s := rj[j] * uj
+			for k, v := range rj[:j] {
+				s += v * u[k]
+				p[k] += v * uj
 			}
+			p[j] += s
 		}
-		if off < 1e-24*float64(n*n) {
-			break
+		var up float64
+		for j := range p {
+			p[j] /= h
+			up += u[j] * p[j]
 		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
-				if apq == 0 {
-					continue
-				}
-				app, aqq := a.At(p, p), a.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					akp, akq := a.At(k, p), a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a.At(p, k), a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
-				}
+		// A ← A − u·qᵀ − q·uᵀ with q = p − (uᵀp/2h)·u.
+		hh := up / (h + h)
+		for j := range p {
+			p[j] -= hh * u[j]
+		}
+		for j := 0; j < i; j++ {
+			rj := row(j)
+			uj, qj := u[j], p[j]
+			for k := range rj {
+				rj[k] -= uj*p[k] + qj*u[k]
 			}
 		}
 	}
-	eig := make([]float64, n)
-	for i := range eig {
-		eig[i] = a.At(i, i)
+	for i := range d {
+		d[i] = a.Data[i*n+i]
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
-	return eig, nil
+	if n > 0 {
+		copy(e, e[1:])
+		e[n-1] = 0
+	}
+}
+
+// tridiagonalQL overwrites d with the eigenvalues (unordered) of the
+// symmetric tridiagonal matrix (d, e), e[i] coupling d[i] and d[i+1],
+// by implicit-shift QL; e is destroyed.
+func tridiagonalQL(d, e []float64) error {
+	n := len(d)
+	for l := 0; l < n; l++ {
+		for iter := 0; ; iter++ {
+			// Find the first negligible off-diagonal at or below l.
+			m := l
+			for ; m < n-1; m++ {
+				dd := math.Abs(d[m]) + math.Abs(d[m+1])
+				if math.Abs(e[m])+dd == dd {
+					break
+				}
+			}
+			if m == l {
+				break // d[l] is isolated
+			}
+			if iter == qlMaxIter {
+				return ErrNoConvergence
+			}
+			// Wilkinson shift from the leading 2×2 block, then chase the
+			// bulge from m up to l with Givens rotations.
+			g := (d[l+1] - d[l]) / (2 * e[l])
+			r := math.Hypot(g, 1)
+			if g < 0 {
+				r = -r
+			}
+			g = d[m] - d[l] + e[l]/(g+r)
+			s, c, p := 1.0, 1.0, 0.0
+			i := m - 1
+			for ; i >= l; i-- {
+				f, b := s*e[i], c*e[i]
+				r = math.Hypot(f, g)
+				e[i+1] = r
+				if r == 0 {
+					// Underflow: the rotation split the matrix; restart
+					// the search with d[i+1] corrected.
+					d[i+1] -= p
+					e[m] = 0
+					break
+				}
+				s, c = f/r, g/r
+				g = d[i+1] - p
+				r = (d[i]-g)*s + 2*c*b
+				p = s * r
+				d[i+1] = g + p
+				g = c*r - b
+			}
+			if r == 0 && i >= l {
+				continue
+			}
+			d[l] -= p
+			e[l] = g
+			e[m] = 0
+		}
+	}
+	return nil
 }
 
 // SingularValues returns the singular values of the m×n matrix a in
 // descending order, computed as sqrt of the eigenvalues of AᵀA (or AAᵀ,
 // whichever is smaller). Adequate accuracy for the 32×32 windows of the
 // local-SVD statistic; tiny negative eigenvalues from roundoff clamp to 0.
+// Non-finite input returns SymEigen's ErrNonFinite.
 func SingularValues(a *Matrix) ([]float64, error) {
 	m, n := a.Rows, a.Cols
 	// gram = smaller of AᵀA (n×n) and AAᵀ (m×m)

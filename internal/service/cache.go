@@ -139,19 +139,28 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)
 // concurrent identical requests through the flight group; the winning
 // computation stores its result for every later byte-identical
 // request. The cache write happens inside the flight, before the
-// flight is torn down, so at every instant a byte-identical request
-// either joins the live flight or hits the cache — the pipeline can
-// never run twice for one content address except after eviction or a
-// failure. The bool reports a cache hit (a flight join is a
-// deduplication, not a hit — the pipeline still ran, just not for
-// this caller).
+// flight is torn down, but a caller can miss the cache just before
+// that write and reach the flight group just after the teardown. So a
+// new leader looks in the cache once more before running: with that
+// second look the pipeline never runs twice for one content address
+// except after eviction or a failure. The bool reports a cache hit,
+// either look's (a flight join is a deduplication, not a hit — the
+// pipeline still ran, just not for this caller).
 func (s *Server) runCached(ctx context.Context, spec runSpec) (any, bool, error) {
 	for {
 		if v, ok := s.cache.get(spec.key); ok {
 			s.ctrCacheHits.Add(1)
 			return v, true, nil
 		}
+		if s.afterCacheMiss != nil {
+			s.afterCacheMiss()
+		}
+		hit := false // written only by this caller's own flight function
 		v, err, leader := s.flights.do(ctx, spec.key, func() (any, error) {
+			if v, ok := s.cache.get(spec.key); ok {
+				hit = true
+				return v, nil
+			}
 			s.countRun(spec.kind)
 			v, err := spec.run(ctx)
 			if err == nil {
@@ -160,6 +169,10 @@ func (s *Server) runCached(ctx context.Context, spec runSpec) (any, bool, error)
 			return v, err
 		})
 		if err == nil {
+			if hit {
+				s.ctrCacheHits.Add(1)
+				return v, true, nil
+			}
 			if !leader {
 				s.ctrFlightsJoined.Add(1)
 			}

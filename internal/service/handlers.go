@@ -21,6 +21,7 @@ import (
 	"lossycorr/internal/core"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
+	"lossycorr/internal/linalg"
 	"lossycorr/internal/stat"
 	"lossycorr/internal/svdstat"
 	"lossycorr/internal/variogram"
@@ -78,11 +79,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(append(buf, '\n'))
 }
 
+// writeError answers with the status an apiError carries; a non-finite
+// field value reaching the local-SVD eigensolve is the client's input,
+// so it is a 400, and anything else is a 500.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var ae *apiError
-	if errors.As(err, &ae) {
+	switch {
+	case errors.As(err, &ae):
 		status = ae.status
+	case errors.Is(err, linalg.ErrNonFinite):
+		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

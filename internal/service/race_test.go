@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -105,5 +106,38 @@ func TestConcurrentJobMix(t *testing.T) {
 	}
 	if st.JobsCompleted != int64(len(ids)) {
 		t.Fatalf("completed %d of %d jobs", st.JobsCompleted, len(ids))
+	}
+}
+
+// TestRunCachedRecheckAfterTeardown forces the interleaving behind a
+// duplicate pipeline run: caller B misses the cache, and before B
+// reaches the flight group caller A misses too, leads, writes the
+// cache and tears its flight down. B then leads a fresh flight and must
+// find A's result there, as a cache hit, instead of running again.
+func TestRunCachedRecheckAfterTeardown(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	runs := 0
+	spec := runSpec{kind: "analyze", key: "k", run: func(context.Context) (any, error) {
+		runs++
+		return "result", nil
+	}}
+	var aCached bool
+	var aErr error
+	s.afterCacheMiss = func() {
+		s.afterCacheMiss = nil
+		_, aCached, aErr = s.runCached(context.Background(), spec) // A, inside B's gap
+	}
+	v, cached, err := s.runCached(context.Background(), spec) // B
+	if aErr != nil || aCached {
+		t.Fatalf("caller A: cached=%v err=%v, want a fresh run", aCached, aErr)
+	}
+	if err != nil || v != "result" || !cached {
+		t.Fatalf("caller B: %v cached=%v err=%v, want A's result as a cache hit", v, cached, err)
+	}
+	st := s.Stats()
+	if runs != 1 || st.AnalyzeRuns != 1 || st.CacheHits != 1 || st.FlightsJoined != 0 {
+		t.Fatalf("runs=%d analyzeRuns=%d cacheHits=%d flightsJoined=%d, want 1/1/1/0",
+			runs, st.AnalyzeRuns, st.CacheHits, st.FlightsJoined)
 	}
 }

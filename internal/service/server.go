@@ -50,6 +50,11 @@ type Server struct {
 
 	inFlight atomic.Int64
 
+	// afterCacheMiss, when set, runs in runCached between a cache miss
+	// and the flight group, so a test can interleave another request
+	// there. Nil outside tests.
+	afterCacheMiss func()
+
 	ctrSubmitted, ctrRejected             atomic.Int64
 	ctrCompleted, ctrFailed, ctrCancelled atomic.Int64
 	ctrCacheHits, ctrFlightsJoined        atomic.Int64

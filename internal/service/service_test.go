@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -44,6 +45,28 @@ func gaussBody(t testing.TB, edge int, rang float64, seed uint64) []byte {
 	}
 	var buf bytes.Buffer
 	if err := field.FromGrid(g).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// nonFiniteBody is a 64² Gaussian upload, on the float32 lane when
+// narrow is set, with one value replaced by v.
+func nonFiniteBody(t testing.TB, v float64, narrow bool) []byte {
+	t.Helper()
+	g, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 8, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Data[40*64+50] = v
+	var buf bytes.Buffer
+	f := field.FromGrid(g)
+	if narrow {
+		err = f.Narrow().WriteBinary(&buf)
+	} else {
+		err = f.WriteBinary(&buf)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -275,6 +298,7 @@ func legacyHeader(rows, cols uint32) []byte {
 func TestRejectsMalformedRequests(t *testing.T) {
 	_, hs := testServer(t, Config{})
 	valid := gaussBody(t, 16, 4, 3)
+	withNaN := nonFiniteBody(t, math.NaN(), false)
 
 	cases := []struct {
 		name string
@@ -298,6 +322,9 @@ func TestRejectsMalformedRequests(t *testing.T) {
 		{"bad bool", "/v1/analyze?vfft=maybe", valid, http.StatusBadRequest},
 		{"bad error bound", "/v1/measure?eb=-3", valid, http.StatusBadRequest},
 		{"unknown codec", "/v1/measure?codec=nope", valid, http.StatusBadRequest},
+		{"NaN value", "/v1/analyze", withNaN, http.StatusBadRequest},
+		{"NaN value, full-SVD path", "/v1/analyze?stats=svd&gram=false", withNaN, http.StatusBadRequest},
+		{"+Inf value, float32", "/v1/analyze?stats=svd", nonFiniteBody(t, math.Inf(1), true), http.StatusBadRequest},
 		{"unknown kind", "/v1/jobs/transmogrify", valid, http.StatusNotFound},
 		{"dataset unconfigured", "/v1/analyze?dataset=x", nil, http.StatusNotFound},
 	}

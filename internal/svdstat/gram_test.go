@@ -1,6 +1,8 @@
 package svdstat
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"lossycorr/internal/field"
@@ -173,6 +175,25 @@ func TestLocalStd3DSerialParallelIdentical(t *testing.T) {
 	}
 }
 
+// TestNonFiniteWindowErrors pins the non-finite contract: one NaN or
+// ±Inf in a window is linalg.ErrNonFinite on both level paths and both
+// lanes, never a level.
+func TestNonFiniteWindowErrors(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g := gramRandomGrid(64, 64, 5)
+		g.Data[40*64+50] = bad // inside the last window
+		for _, gram := range []GramMode{GramOn, GramOff} {
+			opts := Options{Gram: gram, Workers: 1}
+			if _, err := LocalStdWith(g, 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
+				t.Errorf("%v, gram=%v: err %v, want ErrNonFinite", bad, gram, err)
+			}
+			if _, err := LocalStdField32(field.FromGrid(g).Narrow(), 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
+				t.Errorf("%v, gram=%v, float32: err %v, want ErrNonFinite", bad, gram, err)
+			}
+		}
+	}
+}
+
 func benchLevel(b *testing.B, rows, cols int, gram bool) {
 	g := gramRandomGrid(rows, cols, 7)
 	mean := g.Summary().Mean
@@ -194,6 +215,19 @@ func BenchmarkTruncationLevelFull(b *testing.B)       { benchLevel(b, 32, 32, fa
 func BenchmarkTruncationLevelGram(b *testing.B)       { benchLevel(b, 32, 32, true) }
 func BenchmarkTruncationLevelFullUnfold(b *testing.B) { benchLevel(b, 32, 1024, false) }
 func BenchmarkTruncationLevelGramUnfold(b *testing.B) { benchLevel(b, 32, 1024, true) }
+
+// BenchmarkLocalSVD is the kernel's cost inside one analyze-cold
+// request: the default Gram path over a 256² field at H=32 (64
+// windows), serial so ns/op is the summed per-window cost.
+func BenchmarkLocalSVD(b *testing.B) {
+	f := field.FromGrid(gramRandomGrid(256, 256, 13))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LocalStdField(f, 32, Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkLocalStdFull3D(b *testing.B) {
 	rng := xrand.New(3)
