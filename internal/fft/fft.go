@@ -1,19 +1,41 @@
 // Package fft implements complex and real-input fast Fourier transforms
 // of any rank and any length. It is the numerical engine behind the
-// exact circulant-embedding Gaussian field sampler, the variogram FFT
-// fast path, and the spectral diagnostics. Power-of-two lengths run the
-// radix-2 butterfly core, 7-smooth lengths a mixed-radix Cooley–Tukey
-// plan, and everything else Bluestein's chirp-z algorithm (plan.go) —
-// so padding can be exact (or FastLen-rounded) instead of doubling to
-// NextPow2. Real-input fields additionally transform in half-spectrum
-// form (realnd.go), halving the storage of every hermitian workload.
+// exact circulant-embedding Gaussian field sampler and the variogram FFT
+// fast path. Power-of-two lengths run the radix-2 butterfly core,
+// 7-smooth lengths a mixed-radix Cooley–Tukey plan, and everything else
+// Bluestein's chirp-z algorithm (plan.go) — so padding can be exact (or
+// FastLen-rounded) instead of doubling to NextPow2. Real-input fields
+// additionally transform in half-spectrum form (realnd.go), halving the
+// storage of every hermitian workload.
+//
+// The code is written once, generic over the element lane: C is
+// complex64 or complex128, F the matching float32 or float64. Every
+// twiddle table, chirp and unpack factor is computed in float64 and
+// narrowed once when its plan is built, so a float32-lane table entry
+// carries only its representation error, never an accumulated sin/cos
+// drift. Go's real/imag/complex builtins do not accept type-parameter
+// operands, so parts are read through an exact widening to complex128
+// (conj, re, im below). On the complex64 lane that is a widen, negate
+// and narrow per conjugate, too much for the innermost loop, so every
+// table is stored as a forward/conjugate pair (twiddle): an inverse
+// pass reads the conjugate table and no butterfly conjugates anything.
+// Plans are cached per (length, element size).
 package fft
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/cmplx"
+
+	"lossycorr/internal/parallel"
 )
+
+// Float is a real element lane.
+type Float interface{ float32 | float64 }
+
+// Complex is a spectrum element lane.
+type Complex interface{ complex64 | complex128 }
 
 // NextPow2 returns the smallest power of two >= n (and 1 for n <= 1).
 func NextPow2(n int) int {
@@ -26,54 +48,43 @@ func NextPow2(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// twiddles returns the first half of the n-th roots of unity,
-// exp(-2πik/n) for k in [0, n/2), the set used by a forward transform.
-func twiddles(n int) []complex128 {
-	w := make([]complex128, n/2)
-	for k := range w {
+// conj returns the complex conjugate of v; the widening is exact.
+func conj[C Complex](v C) C { return C(cmplx.Conj(complex128(v))) }
+
+// re and im return the parts of v in the lane's float type, exactly.
+func re[F Float, C Complex](v C) F { return F(real(complex128(v))) }
+func im[F Float, C Complex](v C) F { return F(imag(complex128(v))) }
+
+// cplx builds a lane complex from lane floats, exactly.
+func cplx[C Complex, F Float](r, i F) C { return C(complex(float64(r), float64(i))) }
+
+// twiddle is a table of roots of unity exp(-2πik/n) for k in [0, count)
+// beside its conjugate: forward passes read fwd, inverse passes inv.
+type twiddle[C Complex] struct{ fwd, inv []C }
+
+func newTwiddle[C Complex](n, count int) twiddle[C] {
+	t := twiddle[C]{make([]C, count), make([]C, count)}
+	for k := range count {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		w[k] = complex(c, s)
+		t.fwd[k] = C(complex(c, s))
+		t.inv[k] = C(complex(c, -s))
 	}
-	return w
+	return t
 }
 
-// Forward computes the in-place unnormalized forward DFT of x, of any
-// length (see the package comment for how lengths map to algorithms):
-//
-//	X[k] = Σ_j x[j]·exp(-2πi jk/n)
-func Forward(x []complex128) error {
-	return transform(x, false)
+// dir returns the table for one transform direction.
+func (t twiddle[C]) dir(inverse bool) []C {
+	if inverse {
+		return t.inv
+	}
+	return t.fwd
 }
 
-// Inverse computes the in-place inverse DFT of x with the 1/n
-// normalization so that Inverse(Forward(x)) == x.
-func Inverse(x []complex128) error {
-	if err := transform(x, true); err != nil {
-		return err
-	}
-	inv := 1 / float64(len(x))
-	for i := range x {
-		x[i] *= complex(inv, 0)
-	}
-	return nil
-}
-
-func transform(x []complex128, inverse bool) error {
-	n := len(x)
-	if n == 0 {
-		return fmt.Errorf("fft: empty input")
-	}
-	if n == 1 {
-		return nil
-	}
-	planFor(n).transform(x, inverse)
-	return nil
-}
-
-// transformTw is the radix-2 butterfly core over a precomputed twiddle
-// table (len(w) == len(x)/2). Factoring the table out lets an axis pass
-// of an ND transform share one table across all of its lines.
-func transformTw(x []complex128, w []complex128, inverse bool) {
+// transformTw is the radix-2 butterfly core over a precomputed half
+// twiddle table (len(w) == len(x)/2; the conjugate table for an
+// inverse). Factoring the table out lets an axis pass of an ND
+// transform share one table across all of its lines.
+func transformTw[C Complex](x, w []C) {
 	n := len(x)
 	// bit-reversal permutation
 	shift := 64 - uint(bits.Len(uint(n-1)))
@@ -88,12 +99,8 @@ func transformTw(x []complex128, w []complex128, inverse bool) {
 		step := n / size
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
-				tw := w[k*step]
-				if inverse {
-					tw = complex(real(tw), -imag(tw))
-				}
 				a := x[start+k]
-				b := x[start+k+half] * tw
+				b := x[start+k+half] * w[k*step]
 				x[start+k] = a + b
 				x[start+k+half] = a - b
 			}
@@ -101,128 +108,110 @@ func transformTw(x []complex128, w []complex128, inverse bool) {
 	}
 }
 
-// Forward2D computes the in-place forward DFT of a rows×cols row-major
-// complex grid; any extents.
-func Forward2D(x []complex128, rows, cols int) error {
-	return transform2D(x, rows, cols, Forward)
+// ForwardND computes the in-place unnormalized forward DFT of a
+// row-major buffer of any rank and any extents. Each axis pass runs its
+// independent lines on the shared worker pool (workers <= 0 means
+// GOMAXPROCS); line transforms write disjoint regions, so the result is
+// bit-identical at any worker count.
+func ForwardND[C Complex](x []C, dims []int, workers int) error {
+	return transformND(x, dims, workers, false)
 }
 
-// Inverse2D computes the normalized in-place inverse 2D DFT.
-func Inverse2D(x []complex128, rows, cols int) error {
-	return transform2D(x, rows, cols, Inverse)
-}
-
-func transform2D(x []complex128, rows, cols int, f func([]complex128) error) error {
-	if len(x) != rows*cols {
-		return fmt.Errorf("fft: buffer length %d != %d*%d", len(x), rows, cols)
+// InverseND computes the normalized in-place inverse ND DFT so that
+// InverseND(ForwardND(x)) == x.
+func InverseND[C Complex](x []C, dims []int, workers int) error {
+	if err := transformND(x, dims, workers, true); err != nil {
+		return err
 	}
-	for r := 0; r < rows; r++ {
-		if err := f(x[r*cols : (r+1)*cols]); err != nil {
-			return err
-		}
-	}
-	col := make([]complex128, rows)
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			col[r] = x[r*cols+c]
-		}
-		if err := f(col); err != nil {
-			return err
-		}
-		for r := 0; r < rows; r++ {
-			x[r*cols+c] = col[r]
-		}
+	inv := C(complex(1/float64(len(x)), 0))
+	for i := range x {
+		x[i] *= inv
 	}
 	return nil
 }
 
-// Forward3D computes the in-place forward DFT of an (nz, ny, nx)
-// row-major complex volume (x fastest); any extents.
-func Forward3D(x []complex128, nz, ny, nx int) error {
-	return transform3D(x, nz, ny, nx, Forward)
-}
-
-// Inverse3D computes the normalized in-place inverse 3D DFT.
-func Inverse3D(x []complex128, nz, ny, nx int) error {
-	return transform3D(x, nz, ny, nx, Inverse)
-}
-
-func transform3D(x []complex128, nz, ny, nx int, f func([]complex128) error) error {
-	if len(x) != nz*ny*nx {
-		return fmt.Errorf("fft: buffer length %d != %d*%d*%d", len(x), nz, ny, nx)
+func transformND[C Complex](x []C, dims []int, workers int, inverse bool) error {
+	n, err := product(dims)
+	if err != nil {
+		return err
 	}
-	// x lines
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			off := (z*ny + y) * nx
-			if err := f(x[off : off+nx]); err != nil {
-				return err
-			}
-		}
+	if len(x) != n {
+		return fmt.Errorf("fft: buffer length %d != product of %v", len(x), dims)
 	}
-	// y lines
-	line := make([]complex128, ny)
-	for z := 0; z < nz; z++ {
-		for c := 0; c < nx; c++ {
-			for y := 0; y < ny; y++ {
-				line[y] = x[(z*ny+y)*nx+c]
-			}
-			if err := f(line); err != nil {
-				return err
-			}
-			for y := 0; y < ny; y++ {
-				x[(z*ny+y)*nx+c] = line[y]
-			}
-		}
-	}
-	// z lines
-	if cap(line) < nz {
-		line = make([]complex128, nz)
-	}
-	line = line[:nz]
-	for y := 0; y < ny; y++ {
-		for c := 0; c < nx; c++ {
-			for z := 0; z < nz; z++ {
-				line[z] = x[(z*ny+y)*nx+c]
-			}
-			if err := f(line); err != nil {
-				return err
-			}
-			for z := 0; z < nz; z++ {
-				x[(z*ny+y)*nx+c] = line[z]
-			}
-		}
+	for axis := len(dims) - 1; axis >= 0; axis-- {
+		axisPass(x, dims, axis, workers, inverse)
 	}
 	return nil
 }
 
-// RealForward computes the DFT of a real sequence, returning a full
-// complex spectrum (convenience; no half-spectrum packing).
-func RealForward(x []float64) ([]complex128, error) {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = complex(v, 0)
+// product returns the element count of dims, rejecting non-positive
+// extents.
+func product(dims []int) (int, error) {
+	n := 1
+	for _, d := range dims {
+		if d < 1 {
+			return 0, fmt.Errorf("fft: extent %d is not positive", d)
+		}
+		n *= d
 	}
-	if err := Forward(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return n, nil
 }
 
-// PowerSpectrum2D returns |FFT2(x)|²/n for a real rows×cols field, a
-// cheap diagnostic used in tests of field generators.
-func PowerSpectrum2D(x []float64, rows, cols int) ([]float64, error) {
-	buf := make([]complex128, len(x))
-	for i, v := range x {
-		buf[i] = complex(v, 0)
+// axisPass transforms every line of x along the given axis. The plan
+// (twiddle tables, factorization, chirp filter) is cached per length
+// and lane and shared (read-only) by all lines. Lines along the last axis are
+// contiguous and transform in place; other axes gather each strided
+// line into a per-span scratch.
+func axisPass[C Complex](x []C, dims []int, axis, workers int, inverse bool) {
+	d := dims[axis]
+	if d <= 1 {
+		return
 	}
-	if err := Forward2D(buf, rows, cols); err != nil {
-		return nil, err
+	p := planFor[C](d)
+	stride := 1
+	for k := axis + 1; k < len(dims); k++ {
+		stride *= dims[k]
 	}
-	out := make([]float64, len(x))
-	n := float64(len(x))
-	for i, v := range buf {
-		out[i] = (real(v)*real(v) + imag(v)*imag(v)) / n
+	lines := len(x) / d
+	if axis == len(dims)-1 {
+		parallel.For(lines, workers, func(i int) {
+			p.transform(x[i*d:(i+1)*d], inverse)
+		})
+		return
 	}
-	return out, nil
+	// Strided lines: line (o, i) starts at o*d*stride + i, elements
+	// stride apart.
+	forLineSpans(lines, workers, d, func(scratch []C, line int) {
+		o, i := line/stride, line%stride
+		base := o*d*stride + i
+		for k := 0; k < d; k++ {
+			scratch[k] = x[base+k*stride]
+		}
+		p.transform(scratch, inverse)
+		for k := 0; k < d; k++ {
+			x[base+k*stride] = scratch[k]
+		}
+	})
+}
+
+// forLineSpans splits `lines` into at most `workers` contiguous spans
+// on the shared pool, hands each span one pooled complex scratch of
+// length scratchLen, and calls fn once per line — the fan-out of every
+// strided axis pass and last-axis real<->complex pass. Per-line work is
+// independent and span boundaries don't affect arithmetic, so results
+// are bit-identical at any worker count.
+func forLineSpans[C Complex](lines, workers, scratchLen int, fn func(y []C, line int)) {
+	spans := parallel.Resolve(workers, lines)
+	per := (lines + spans - 1) / spans
+	parallel.For(spans, spans, func(s int) {
+		lo, hi := s*per, min((s+1)*per, lines)
+		if lo >= hi {
+			return
+		}
+		y := Acquire[C](scratchLen)
+		defer Release(y)
+		for line := lo; line < hi; line++ {
+			fn(y, line)
+		}
+	})
 }

@@ -22,6 +22,10 @@ func naiveDFT(x []complex128) []complex128 {
 	return out
 }
 
+// forward1D and inverse1D are the rank-1 ND transforms.
+func forward1D(x []complex128) error { return ForwardND(x, []int{len(x)}, 1) }
+func inverse1D(x []complex128) error { return InverseND(x, []int{len(x)}, 1) }
+
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024, 1024: 1024}
 	for in, want := range cases {
@@ -53,7 +57,7 @@ func TestForwardMatchesNaive(t *testing.T) {
 		}
 		want := naiveDFT(x)
 		got := append([]complex128(nil), x...)
-		if err := Forward(got); err != nil {
+		if err := forward1D(got); err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
@@ -72,10 +76,10 @@ func TestInverseRoundtrip(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		y := append([]complex128(nil), x...)
-		if err := Forward(y); err != nil {
+		if err := forward1D(y); err != nil {
 			t.Fatal(err)
 		}
-		if err := Inverse(y); err != nil {
+		if err := inverse1D(y); err != nil {
 			t.Fatal(err)
 		}
 		for i := range y {
@@ -95,7 +99,7 @@ func TestParseval(t *testing.T) {
 		x[i] = complex(rng.NormFloat64(), 0)
 		tEnergy += real(x[i]) * real(x[i])
 	}
-	if err := Forward(x); err != nil {
+	if err := forward1D(x); err != nil {
 		t.Fatal(err)
 	}
 	var fEnergy float64
@@ -114,33 +118,33 @@ func TestNonPow2Accepted(t *testing.T) {
 	for _, n := range []int{3, 12} {
 		x := randComplex(n, uint64(n))
 		y := append([]complex128(nil), x...)
-		if err := Forward(y); err != nil {
+		if err := forward1D(y); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if err := Inverse(y); err != nil {
+		if err := inverse1D(y); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if d := maxDiff(y, x); d > 1e-9 {
 			t.Fatalf("n=%d: round trip off by %g", n, d)
 		}
 	}
-	if err := Forward(nil); err == nil {
+	if err := forward1D(nil); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 }
 
 func TestForward2DRoundtrip(t *testing.T) {
 	rng := xrand.New(41)
-	rows, cols := 8, 16
-	x := make([]complex128, rows*cols)
+	dims := []int{8, 16}
+	x := make([]complex128, dims[0]*dims[1])
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	y := append([]complex128(nil), x...)
-	if err := Forward2D(y, rows, cols); err != nil {
+	if err := ForwardND(y, dims, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := Inverse2D(y, rows, cols); err != nil {
+	if err := InverseND(y, dims, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range y {
@@ -153,29 +157,26 @@ func TestForward2DRoundtrip(t *testing.T) {
 func TestForward2DSeparability(t *testing.T) {
 	// DFT of a separable function is the product of 1D DFTs.
 	rows, cols := 4, 8
-	fr := []float64{1, -2, 3, 0.5}
-	fc := []float64{2, 0, -1, 4, 0.25, 1, -3, 0}
+	fr := []complex128{1, -2, 3, 0.5}
+	fc := []complex128{2, 0, -1, 4, 0.25, 1, -3, 0}
 	x := make([]complex128, rows*cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			x[r*cols+c] = complex(fr[r]*fc[c], 0)
+			x[r*cols+c] = fr[r] * fc[c]
 		}
 	}
-	if err := Forward2D(x, rows, cols); err != nil {
+	if err := ForwardND(x, []int{rows, cols}, 1); err != nil {
 		t.Fatal(err)
 	}
-	fhr, err := RealForward(fr)
-	if err != nil {
+	if err := forward1D(fr); err != nil {
 		t.Fatal(err)
 	}
-	fhc, err := RealForward(fc)
-	if err != nil {
+	if err := forward1D(fc); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			want := fhr[r] * fhc[c]
-			if cmplx.Abs(x[r*cols+c]-want) > 1e-9 {
+			if cmplx.Abs(x[r*cols+c]-fr[r]*fc[c]) > 1e-9 {
 				t.Fatalf("separability fails at (%d,%d)", r, c)
 			}
 		}
@@ -184,16 +185,16 @@ func TestForward2DSeparability(t *testing.T) {
 
 func TestForward3DRoundtrip(t *testing.T) {
 	rng := xrand.New(51)
-	nz, ny, nx := 4, 8, 16
-	x := make([]complex128, nz*ny*nx)
+	dims := []int{4, 8, 16}
+	x := make([]complex128, dims[0]*dims[1]*dims[2])
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	y := append([]complex128(nil), x...)
-	if err := Forward3D(y, nz, ny, nx); err != nil {
+	if err := ForwardND(y, dims, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := Inverse3D(y, nz, ny, nx); err != nil {
+	if err := InverseND(y, dims, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range y {
@@ -204,12 +205,11 @@ func TestForward3DRoundtrip(t *testing.T) {
 }
 
 func TestForward3DDCBin(t *testing.T) {
-	nz, ny, nx := 4, 4, 4
-	x := make([]complex128, nz*ny*nx)
+	x := make([]complex128, 4*4*4)
 	for i := range x {
 		x[i] = 3
 	}
-	if err := Forward3D(x, nz, ny, nx); err != nil {
+	if err := ForwardND(x, []int{4, 4, 4}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if cmplx.Abs(x[0]-complex(3*64, 0)) > 1e-9 {
@@ -223,34 +223,44 @@ func TestForward3DDCBin(t *testing.T) {
 }
 
 func TestForward3DBadShape(t *testing.T) {
-	if err := Forward3D(make([]complex128, 9), 2, 2, 2); err == nil {
+	if err := ForwardND(make([]complex128, 9), []int{2, 2, 2}, 1); err == nil {
 		t.Fatal("expected length error")
 	}
 }
 
 func TestForward2DBadShape(t *testing.T) {
-	if err := Forward2D(make([]complex128, 7), 2, 4); err == nil {
+	if err := ForwardND(make([]complex128, 7), []int{2, 4}, 1); err == nil {
 		t.Fatal("expected length error")
 	}
 }
 
+// TestPowerSpectrum2D checks |FFT2(x)|²/n of a real field through the
+// half-spectrum path on both lanes: a constant field puts all energy in
+// the DC bin.
 func TestPowerSpectrum2D(t *testing.T) {
-	// constant field: all energy in DC bin
-	rows, cols := 4, 4
-	x := make([]float64, rows*cols)
+	dims := []int{4, 4}
+	t.Run("f64", func(t *testing.T) { checkConstantPower[float64, complex128](t, dims) })
+	t.Run("f32", func(t *testing.T) { checkConstantPower[float32, complex64](t, dims) })
+}
+
+func checkConstantPower[F Float, C Complex](t *testing.T, dims []int) {
+	x := make([]F, dims[0]*dims[1])
 	for i := range x {
 		x[i] = 2
 	}
-	ps, err := PowerSpectrum2D(x, rows, cols)
-	if err != nil {
+	ps := make([]C, HalfLen(dims))
+	if err := ForwardRealND(x, dims, ps, 1); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(ps[0]-4*16) > 1e-9 {
-		t.Fatalf("DC power %v", ps[0])
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i] > 1e-9 {
-			t.Fatalf("non-DC power at %d: %v", i, ps[i])
+	AbsSq[F](ps)
+	n := float64(len(x))
+	for i, v := range ps {
+		want := 0.0
+		if i == 0 {
+			want = 4 * 16
+		}
+		if got := real(complex128(v)) / n; math.Abs(got-want) > 1e-9 {
+			t.Fatalf("bin %d power %v, want %v", i, got, want)
 		}
 	}
 }

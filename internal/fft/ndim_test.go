@@ -27,33 +27,46 @@ func maxDiff(a, b []complex128) float64 {
 	return m
 }
 
-// TestForwardNDMatches2D3D pins the ND engine against the existing
-// fixed-rank transforms.
-func TestForwardNDMatches2D3D(t *testing.T) {
-	x := randComplex(16*32, 1)
-	ref := append([]complex128(nil), x...)
-	if err := Forward2D(ref, 16, 32); err != nil {
-		t.Fatal(err)
+// naiveND is the separable O(n²)-per-line reference: naiveDFT along
+// every line of every axis.
+func naiveND(x []complex128, dims []int) []complex128 {
+	out := append([]complex128(nil), x...)
+	for axis := range dims {
+		d := dims[axis]
+		stride := 1
+		for k := axis + 1; k < len(dims); k++ {
+			stride *= dims[k]
+		}
+		line := make([]complex128, d)
+		for l := 0; l < len(out)/d; l++ {
+			base := (l/stride)*d*stride + l%stride
+			for k := range line {
+				line[k] = out[base+k*stride]
+			}
+			for k, v := range naiveDFT(line) {
+				out[base+k*stride] = v
+			}
+		}
 	}
-	got := append([]complex128(nil), x...)
-	if err := ForwardND(got, []int{16, 32}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxDiff(ref, got); d > 1e-9 {
-		t.Fatalf("2D mismatch %g", d)
-	}
+	return out
+}
 
-	y := randComplex(8*16*4, 2)
-	ref3 := append([]complex128(nil), y...)
-	if err := Forward3D(ref3, 8, 16, 4); err != nil {
-		t.Fatal(err)
-	}
-	got3 := append([]complex128(nil), y...)
-	if err := ForwardND(got3, []int{8, 16, 4}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxDiff(ref3, got3); d > 1e-9 {
-		t.Fatalf("3D mismatch %g", d)
+// TestForwardNDMatches2D3D pins the rank-2 and rank-3 ND transforms
+// against the separable naive DFT.
+func TestForwardNDMatches2D3D(t *testing.T) {
+	for _, dims := range [][]int{{16, 32}, {8, 16, 4}} {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		x := randComplex(n, uint64(len(dims)))
+		got := append([]complex128(nil), x...)
+		if err := ForwardND(got, dims, 1); err != nil {
+			t.Fatal(err)
+		}
+		if d := maxDiff(naiveND(x, dims), got); d > 1e-9*float64(n) {
+			t.Fatalf("dims %v: mismatch %g", dims, d)
+		}
 	}
 }
 
@@ -105,70 +118,39 @@ func TestNDRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// TestPadReal checks the zero-padded corner embedding and its bounds
-// checks.
-func TestPadReal(t *testing.T) {
-	src := []float64{1, 2, 3, 4, 5, 6} // 2×3
-	dst := make([]complex128, 4*4)
-	for i := range dst {
-		dst[i] = complex(9, 9) // must be cleared
-	}
-	if err := PadReal(dst, []int{4, 4}, src, []int{2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			want := 0.0
-			if r < 2 && c < 3 {
-				want = src[r*3+c]
-			}
-			if got := dst[r*4+c]; real(got) != want || imag(got) != 0 {
-				t.Fatalf("dst[%d,%d] = %v, want %v", r, c, got, want)
-			}
-		}
-	}
-	if err := PadReal(dst, []int{4, 4}, src, []int{2, 5}); err == nil {
-		t.Fatal("expected extent error")
-	}
-	if err := PadReal(dst, []int{4}, src, []int{2, 3}); err == nil {
-		t.Fatal("expected rank error")
-	}
-}
-
 // TestComplexPoolReuse checks the buffer pool hands back released
 // buffers instead of allocating fresh ones.
 func TestComplexPoolReuse(t *testing.T) {
-	a := AcquireComplex(1000) // allocates at exact size now, no 1024 rounding
+	a := Acquire[complex128](1000) // allocates at exact size, no 1024 rounding
 	if len(a) != 1000 || cap(a) < 1000 {
 		t.Fatalf("len %d cap %d", len(a), cap(a))
 	}
 	a[0] = 42
-	ReleaseComplex(a)
+	Release(a)
 	// Exact-size caps are filed one bucket down (floor log2) and must be
 	// found again by a same-or-smaller request. sync.Pool randomly drops
 	// Puts under the race detector, so allow a few attempts (a failed
 	// attempt's undersized buffer is deliberately not re-pooled).
 	reused := false
 	for attempt := 0; attempt < 20 && !reused; attempt++ {
-		b := AcquireComplex(900)
+		b := Acquire[complex128](900)
 		reused = cap(b) >= 1000
 		if reused {
-			ReleaseComplex(b)
+			Release(b)
 		} else {
-			ReleaseComplex(AcquireComplex(1000))
+			Release(Acquire[complex128](1000))
 		}
 	}
 	if !reused {
 		t.Fatal("pooled buffer never came back")
 	}
-	if AcquireComplex(0) != nil {
-		t.Fatal("AcquireComplex(0) should be nil")
+	if Acquire[complex128](0) != nil {
+		t.Fatal("Acquire(0) should be nil")
 	}
-	ReleaseComplex(nil) // must not panic
+	Release[complex128](nil) // must not panic
 
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := AcquireComplex(512)
-		ReleaseComplex(buf)
+		Release(Acquire[complex128](512))
 	})
 	// One interface-boxing alloc per Put is the sync.Pool floor; a
 	// fresh 512-element buffer per run would cost far more.

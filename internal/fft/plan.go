@@ -12,8 +12,8 @@ package fft
 //     DFT becomes a length-M power-of-two circular convolution
 //     (M >= 2n−1) with a precomputed chirp filter spectrum
 //
-// Plans are immutable once built and cached per length, so repeated
-// axis passes over the same extents (the variogram engine, the
+// Plans are immutable once built and cached per (length, lane), so
+// repeated axis passes over the same extents (the variogram engine, the
 // samplers) pay the trigonometry once. Per-line scratch comes from the
 // shared buffer pool.
 
@@ -62,51 +62,47 @@ const (
 )
 
 // linePlan holds everything needed to transform one line of its length.
-type linePlan struct {
+type linePlan[C Complex] struct {
 	n    int
 	kind planKind
 
-	// pow2: w is the half twiddle table of transformTw.
+	// pow2: w is the half table of transformTw.
 	// mixed: w is the full table w[t] = exp(-2πi t/n); pw is the half
 	// table of the residual power-of-two block.
-	w       []complex128
+	w       twiddle[C]
 	factors []int // mixed: odd prime factors, in dividing order
 	pow2    int   // mixed: residual power-of-two block length
-	pw      []complex128
+	pw      twiddle[C]
 
 	// bluestein
-	m     int          // power-of-two convolution length >= 2n-1
-	wm    []complex128 // half twiddle table for length m
-	chirp []complex128 // a_j = exp(-iπ j²/n)
-	bfft  []complex128 // forward FFT_m of the chirp filter
+	m     int        // power-of-two convolution length >= 2n-1
+	wm    twiddle[C] // half table for length m
+	chirp []C        // a_j = exp(-iπ j²/n)
+	bfft  []C        // forward FFT_m of the chirp filter
 }
 
-var planCache sync.Map // int -> *linePlan
-
-func planFor(n int) *linePlan {
-	if v, ok := planCache.Load(n); ok {
-		return v.(*linePlan)
-	}
-	p := newPlan(n)
-	if v, loaded := planCache.LoadOrStore(n, p); loaded {
-		return v.(*linePlan)
-	}
-	return p
+// planKey tells the lanes' plans apart: a complex64 plan of length n
+// has 8-byte elements, a complex128 one 16.
+type planKey struct {
+	n    int
+	size int64
 }
 
-// fullTwiddles returns w[t] = exp(-2πi t/n) for t in [0, n).
-func fullTwiddles(n int) []complex128 {
-	w := make([]complex128, n)
-	for t := range w {
-		s, c := math.Sincos(-2 * math.Pi * float64(t) / float64(n))
-		w[t] = complex(c, s)
+var planCache sync.Map // planKey -> *linePlan[C]
+
+func planFor[C Complex](n int) *linePlan[C] {
+	_, size := laneOf[C]()
+	key := planKey{n, size}
+	if v, ok := planCache.Load(key); ok {
+		return v.(*linePlan[C])
 	}
-	return w
+	v, _ := planCache.LoadOrStore(key, newPlan[C](n))
+	return v.(*linePlan[C])
 }
 
-func newPlan(n int) *linePlan {
+func newPlan[C Complex](n int) *linePlan[C] {
 	if IsPow2(n) {
-		return &linePlan{n: n, kind: planPow2, w: twiddles(n)}
+		return &linePlan[C]{n: n, kind: planPow2, w: newTwiddle[C](n, n/2)}
 	}
 	// Peel 7-smooth factors: odd primes first, the power-of-two residue
 	// last, so every recursion path bottoms out in one contiguous
@@ -125,93 +121,84 @@ func newPlan(n int) *linePlan {
 		}
 	}
 	if rest == 1 {
-		return &linePlan{
+		return &linePlan[C]{
 			n: n, kind: planMixed,
-			w: fullTwiddles(n), factors: odd,
-			pow2: pow2, pw: twiddles(pow2),
+			w: newTwiddle[C](n, n), factors: odd,
+			pow2: pow2, pw: newTwiddle[C](pow2, pow2/2),
 		}
 	}
 	// Bluestein: X[k] = a_k · (u ⊛ b)[k] with u_j = x_j·a_j,
 	// a_j = exp(-iπ j²/n), b_l = exp(+iπ l²/n) embedded circularly.
 	m := NextPow2(2*n - 1)
-	p := &linePlan{n: n, kind: planBluestein, m: m, wm: twiddles(m)}
-	p.chirp = make([]complex128, n)
+	p := &linePlan[C]{n: n, kind: planBluestein, m: m, wm: newTwiddle[C](m, m/2)}
+	p.chirp = make([]C, n)
 	for j := 0; j < n; j++ {
 		t := (j * j) % (2 * n) // exp(-iπ j²/n) has period 2n in j²
 		s, c := math.Sincos(-math.Pi * float64(t) / float64(n))
-		p.chirp[j] = complex(c, s)
+		p.chirp[j] = C(complex(c, s))
 	}
-	b := make([]complex128, m)
+	b := make([]C, m)
 	for j := 0; j < n; j++ {
-		v := complex(real(p.chirp[j]), -imag(p.chirp[j]))
+		v := conj(p.chirp[j])
 		b[j] = v
 		if j > 0 {
 			b[m-j] = v
 		}
 	}
-	transformTw(b, p.wm, false)
+	transformTw(b, p.wm.fwd)
 	p.bfft = b
 	return p
 }
 
 // transform runs the unnormalized DFT (or unnormalized inverse DFT) of
 // one line in place. len(x) must equal p.n.
-func (p *linePlan) transform(x []complex128, inverse bool) {
+func (p *linePlan[C]) transform(x []C, inverse bool) {
 	switch p.kind {
 	case planPow2:
-		transformTw(x, p.w, inverse)
+		transformTw(x, p.w.dir(inverse))
 	case planMixed:
-		scratch := AcquireComplex(p.n)
+		scratch := Acquire[C](p.n)
 		copy(scratch, x)
-		p.mixedRec(x, scratch, p.n, 1, 1, p.factors, inverse)
-		ReleaseComplex(scratch)
+		p.mixedRec(x, scratch, p.n, 1, 1, p.factors, p.w.dir(inverse), p.pw.dir(inverse))
+		Release(scratch)
 	default:
 		p.bluestein(x, inverse)
 	}
 }
 
-// tw returns the table twiddle at index t (conjugated for inverses).
-func (p *linePlan) tw(t int, inverse bool) complex128 {
-	v := p.w[t]
-	if inverse {
-		return complex(real(v), -imag(v))
-	}
-	return v
-}
-
 // mixedRec computes dst[0:n] = DFT_n of the strided sequence src[0],
 // src[stride], …, peeling factors[0] by decimation in time; mult is
-// p.n/n, the spacing of this level's twiddles in the full table. With
+// p.n/n, the spacing of this level's twiddles in the full table w. With
 // factors exhausted, n is the residual power-of-two block: gather and
-// run the radix-2 core.
-func (p *linePlan) mixedRec(dst, src []complex128, n, stride, mult int, factors []int, inverse bool) {
+// run the radix-2 core over its half table pw.
+func (p *linePlan[C]) mixedRec(dst, src []C, n, stride, mult int, factors []int, w, pw []C) {
 	if len(factors) == 0 {
 		for j := 0; j < n; j++ {
 			dst[j] = src[j*stride]
 		}
 		if n > 1 {
-			transformTw(dst, p.pw, inverse)
+			transformTw(dst, pw)
 		}
 		return
 	}
 	r := factors[0]
 	m := n / r
 	for j2 := 0; j2 < r; j2++ {
-		p.mixedRec(dst[j2*m:(j2+1)*m], src[j2*stride:], m, stride*r, mult*r, factors[1:], inverse)
+		p.mixedRec(dst[j2*m:(j2+1)*m], src[j2*stride:], m, stride*r, mult*r, factors[1:], w, pw)
 	}
 	// Combine: for each residue k2, an r-point DFT of the twiddled
 	// sub-spectra u_{j2} = S_{j2}[k2]·w_n^{j2·k2} lands in the slots
 	// k2 + m·k1.
-	var u [8]complex128
+	var u [8]C
 	rs := p.n / r
 	for k2 := 0; k2 < m; k2++ {
 		for j2 := 0; j2 < r; j2++ {
-			u[j2] = dst[j2*m+k2] * p.tw(mult*j2*k2, inverse)
+			u[j2] = dst[j2*m+k2] * w[mult*j2*k2]
 		}
 		for k1 := 0; k1 < r; k1++ {
 			s := u[0]
 			for j2 := 1; j2 < r; j2++ {
-				s += u[j2] * p.tw((j2*k1%r)*rs, inverse)
+				s += u[j2] * w[(j2*k1%r)*rs]
 			}
 			dst[k1*m+k2] = s
 		}
@@ -220,33 +207,31 @@ func (p *linePlan) mixedRec(dst, src []complex128, n, stride, mult int, factors 
 
 // bluestein runs the chirp-z transform. The unnormalized inverse DFT is
 // the conjugate of the forward on conjugated input.
-func (p *linePlan) bluestein(x []complex128, inverse bool) {
+func (p *linePlan[C]) bluestein(x []C, inverse bool) {
 	n, m := p.n, p.m
 	if inverse {
 		for i, v := range x {
-			x[i] = complex(real(v), -imag(v))
+			x[i] = conj(v)
 		}
 	}
-	u := AcquireComplex(m)
+	u := Acquire[C](m)
 	for j := 0; j < n; j++ {
 		u[j] = x[j] * p.chirp[j]
 	}
-	for j := n; j < m; j++ {
-		u[j] = 0
-	}
-	transformTw(u, p.wm, false)
+	clear(u[n:])
+	transformTw(u, p.wm.fwd)
 	for i := range u {
 		u[i] *= p.bfft[i]
 	}
-	transformTw(u, p.wm, true)
-	s := complex(1/float64(m), 0)
+	transformTw(u, p.wm.inv)
+	s := C(complex(1/float64(m), 0))
 	for k := 0; k < n; k++ {
 		x[k] = p.chirp[k] * u[k] * s
 	}
-	ReleaseComplex(u)
+	Release(u)
 	if inverse {
 		for i, v := range x {
-			x[i] = complex(real(v), -imag(v))
+			x[i] = conj(v)
 		}
 	}
 }

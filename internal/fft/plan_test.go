@@ -41,7 +41,7 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 		x := randComplex(n, uint64(1000+n))
 		want := naiveDFT(x)
 		got := append([]complex128(nil), x...)
-		if err := Forward(got); err != nil {
+		if err := forward1D(got); err != nil {
 			t.Fatal(err)
 		}
 		scale := math.Sqrt(float64(n)) // spectrum magnitudes grow ~ sqrt(n)·|x|
@@ -53,7 +53,7 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 			wantInv[i] /= complex(float64(n), 0)
 		}
 		gotInv := append([]complex128(nil), x...)
-		if err := Inverse(gotInv); err != nil {
+		if err := inverse1D(gotInv); err != nil {
 			t.Fatal(err)
 		}
 		if d := maxDiff(gotInv, wantInv); d > 1e-9 {
@@ -62,17 +62,17 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
-// TestPlanRoundTrip checks Inverse(Forward(x)) == x for every plan
+// TestPlanRoundTrip checks the rank-1 inverse(forward(x)) == x for every plan
 // kind, including the large mixed-radix and Bluestein lengths the
 // naive-DFT test skips.
 func TestPlanRoundTrip(t *testing.T) {
 	for _, n := range planLengths {
 		x := randComplex(n, uint64(2000+n))
 		got := append([]complex128(nil), x...)
-		if err := Forward(got); err != nil {
+		if err := forward1D(got); err != nil {
 			t.Fatal(err)
 		}
-		if err := Inverse(got); err != nil {
+		if err := inverse1D(got); err != nil {
 			t.Fatal(err)
 		}
 		if d := maxDiff(got, x); d > 1e-9 {
@@ -92,7 +92,7 @@ func TestPlanKinds(t *testing.T) {
 		{11, planBluestein}, {127, planBluestein}, {1542, planBluestein},
 	}
 	for _, tc := range cases {
-		if p := planFor(tc.n); p.kind != tc.kind {
+		if p := planFor[complex128](tc.n); p.kind != tc.kind {
 			t.Fatalf("planFor(%d).kind = %d, want %d", tc.n, p.kind, tc.kind)
 		}
 	}
@@ -165,7 +165,7 @@ func BenchmarkLineFFT(b *testing.B) {
 	for _, n := range []int{768, 1024, 1542, 1600} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			x := randComplex(n, 9)
-			p := planFor(n)
+			p := planFor[complex128](n)
 			b.SetBytes(int64(16 * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

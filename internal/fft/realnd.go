@@ -20,9 +20,7 @@ package fft
 
 import (
 	"fmt"
-	"math"
-
-	"lossycorr/internal/parallel"
+	"math/cmplx"
 )
 
 // HalfLen returns the element count of the half-spectrum of a real
@@ -48,11 +46,63 @@ func halfDims(dims []int) []int {
 	return hd
 }
 
+// ForEachEmbeddedRow visits the contiguous last-dimension runs of a
+// srcDims-shaped field embedded in the leading corner of a
+// dstDims-shaped buffer, yielding (srcOff, dstOff, n) per run — the
+// one odometer walk beneath EmbedReal and the variogram engine's
+// indicator-mask fill. Extents of srcDims must not exceed dstDims.
+func ForEachEmbeddedRow(srcDims, dstDims []int, fn func(srcOff, dstOff, n int)) error {
+	if len(dstDims) != len(srcDims) {
+		return fmt.Errorf("fft: embed rank mismatch %v vs %v", srcDims, dstDims)
+	}
+	total := 1
+	for k, d := range dstDims {
+		if srcDims[k] > d {
+			return fmt.Errorf("fft: embed extent %d exceeds padded extent %d", srcDims[k], d)
+		}
+		total *= srcDims[k]
+	}
+	nd := len(srcDims)
+	if nd == 0 || total == 0 {
+		return nil
+	}
+	// Destination strides.
+	strides := make([]int, nd)
+	acc := 1
+	for k := nd - 1; k >= 0; k-- {
+		strides[k] = acc
+		acc *= dstDims[k]
+	}
+	inner := srcDims[nd-1]
+	outer := make([]int, nd-1)
+	srcOff := 0
+	for {
+		dstOff := 0
+		for k := 0; k < nd-1; k++ {
+			dstOff += outer[k] * strides[k]
+		}
+		fn(srcOff, dstOff, inner)
+		srcOff += inner
+		k := nd - 2
+		for ; k >= 0; k-- {
+			outer[k]++
+			if outer[k] < srcDims[k] {
+				break
+			}
+			outer[k] = 0
+		}
+		if k < 0 {
+			break
+		}
+	}
+	return nil
+}
+
 // EmbedReal zero-fills dst (shape dstDims) and copies the real field
 // src (shape srcDims, same rank, extents <= dstDims) into its leading
-// corner — the real-typed sibling of PadReal, feeding ForwardRealND
-// without a complex-widened staging buffer.
-func EmbedReal(dst []float64, dstDims []int, src []float64, srcDims []int) error {
+// corner — the zero-padding step of a linear (non-circular)
+// correlation, feeding ForwardRealND.
+func EmbedReal[F Float](dst []F, dstDims []int, src []F, srcDims []int) error {
 	n := 1
 	for _, d := range dstDims {
 		n *= d
@@ -60,48 +110,30 @@ func EmbedReal(dst []float64, dstDims []int, src []float64, srcDims []int) error
 	if len(dst) != n {
 		return fmt.Errorf("fft: pad buffer length %d != product of %v", len(dst), dstDims)
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	return ForEachEmbeddedRow(srcDims, dstDims, func(srcOff, dstOff, n int) {
 		copy(dst[dstOff:dstOff+n], src[srcOff:srcOff+n])
 	})
 }
 
-// realTwiddles returns exp(-2πik/n) for k = 0..n/2, the unpack/repack
-// factors of the even-length real last-axis transform.
-func realTwiddles(n int) []complex128 {
-	w := make([]complex128, n/2+1)
-	for k := range w {
-		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		w[k] = complex(c, s)
+// checkReal validates a real<->half-spectrum transform's buffers and
+// returns its last extent and line count.
+func checkReal(dims []int, realLen, halfLen int) (nx, lines int, err error) {
+	if len(dims) == 0 {
+		return 0, 0, fmt.Errorf("fft: rank-0 transform")
 	}
-	return w
-}
-
-// forLineSpans splits `lines` into at most `workers` contiguous spans
-// on the shared pool, hands each span one pooled complex scratch of
-// length scratchLen, and calls fn once per line — the fan-out pattern
-// of every last-axis real<->complex pass. Per-line work is independent
-// and span boundaries don't affect arithmetic, so results are
-// bit-identical at any worker count.
-func forLineSpans(lines, workers, scratchLen int, fn func(y []complex128, line int)) {
-	spans := parallel.Resolve(workers, lines)
-	per := (lines + spans - 1) / spans
-	parallel.For(spans, spans, func(s int) {
-		lo, hi := s*per, (s+1)*per
-		if hi > lines {
-			hi = lines
-		}
-		if lo >= hi {
-			return
-		}
-		y := AcquireComplex(scratchLen)
-		defer ReleaseComplex(y)
-		for line := lo; line < hi; line++ {
-			fn(y, line)
-		}
-	})
+	total, err := product(dims)
+	if err != nil {
+		return 0, 0, err
+	}
+	if realLen != total {
+		return 0, 0, fmt.Errorf("fft: real buffer length %d != product of %v", realLen, dims)
+	}
+	if halfLen != HalfLen(dims) {
+		return 0, 0, fmt.Errorf("fft: half-spectrum length %d != HalfLen %d", halfLen, HalfLen(dims))
+	}
+	nx = dims[len(dims)-1]
+	return nx, total / nx, nil
 }
 
 // ForwardRealND computes the unnormalized forward DFT of the real
@@ -109,45 +141,28 @@ func forLineSpans(lines, workers, scratchLen int, fn func(y []complex128, line i
 // half-spectrum form; len(dst) must be HalfLen(dims). dst is fully
 // overwritten (its prior contents are irrelevant, so pooled buffers
 // need no zeroing). The result is bit-identical at any worker count.
-func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) error {
-	nd := len(dims)
-	if nd == 0 {
-		return fmt.Errorf("fft: rank-0 transform")
+func ForwardRealND[F Float, C Complex](src []F, dims []int, dst []C, workers int) error {
+	nx, lines, err := checkReal(dims, len(src), len(dst))
+	if err != nil {
+		return err
 	}
-	total := 1
-	for _, d := range dims {
-		if d < 1 {
-			return fmt.Errorf("fft: extent %d is not positive", d)
-		}
-		total *= d
-	}
-	if len(src) != total {
-		return fmt.Errorf("fft: real buffer length %d != product of %v", len(src), dims)
-	}
-	if len(dst) != HalfLen(dims) {
-		return fmt.Errorf("fft: half-spectrum length %d != HalfLen %d", len(dst), HalfLen(dims))
-	}
-	nx := dims[nd-1]
 	hc := nx/2 + 1
-	lines := total / nx
-
 	if nx%2 == 0 && nx > 1 {
 		// Even last axis: pack pairs into an nx/2-point complex FFT,
 		// then unpick the hermitian bins.
 		N := nx / 2
-		p := planFor(N)
-		rw := realTwiddles(nx)
-		forLineSpans(lines, workers, N, func(y []complex128, li int) {
+		p := planFor[C](N)
+		rw := newTwiddle[C](nx, N+1).fwd
+		forLineSpans(lines, workers, N, func(y []C, li int) {
 			in := src[li*nx : (li+1)*nx]
 			out := dst[li*hc : (li+1)*hc]
 			for j := 0; j < N; j++ {
-				y[j] = complex(in[2*j], in[2*j+1])
+				y[j] = cplx[C](in[2*j], in[2*j+1])
 			}
 			p.transform(y, false)
 			for k := 0; k <= N; k++ {
 				yk := y[k%N]
-				ynk := y[(N-k)%N]
-				cynk := complex(real(ynk), -imag(ynk))
+				cynk := conj(y[(N-k)%N])
 				e := (yk + cynk) * 0.5
 				o := (yk - cynk) * complex(0, -0.5)
 				out[k] = e + rw[k]*o
@@ -156,11 +171,10 @@ func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) err
 	} else {
 		// Odd (or unit) last axis: full complex line transform, keep
 		// the first hc bins.
-		p := planFor(nx)
-		forLineSpans(lines, workers, nx, func(y []complex128, li int) {
-			in := src[li*nx : (li+1)*nx]
-			for j, v := range in {
-				y[j] = complex(v, 0)
+		p := planFor[C](nx)
+		forLineSpans(lines, workers, nx, func(y []C, li int) {
+			for j, v := range src[li*nx : (li+1)*nx] {
+				y[j] = cplx[C](v, 0)
 			}
 			p.transform(y, false)
 			copy(dst[li*hc:(li+1)*hc], y[:hc])
@@ -169,7 +183,7 @@ func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) err
 
 	// Remaining axes: ordinary complex passes over the half-width array.
 	hd := halfDims(dims)
-	for axis := nd - 2; axis >= 0; axis-- {
+	for axis := len(dims) - 2; axis >= 0; axis-- {
 		axisPass(dst, hd, axis, workers, false)
 	}
 	return nil
@@ -177,36 +191,23 @@ func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) err
 
 // InverseRealND inverts ForwardRealND: spec is a half-spectrum of shape
 // dims (it is clobbered), dst receives the real field and must have
-// length = product of dims. The normalization matches Inverse/InverseND:
-// InverseRealND(ForwardRealND(x)) == x. Bit-identical at any worker
+// length = product of dims. The normalization matches InverseND:
+// InverseRealND(ForwardRealND(x)) == x up to roundoff. The scale factor
+// is computed in float64 and narrowed once, so only the final
+// per-element multiply rounds in the lane. Bit-identical at any worker
 // count.
-func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) error {
-	nd := len(dims)
-	if nd == 0 {
-		return fmt.Errorf("fft: rank-0 transform")
+func InverseRealND[C Complex, F Float](spec []C, dims []int, dst []F, workers int) error {
+	nx, lines, err := checkReal(dims, len(dst), len(spec))
+	if err != nil {
+		return err
 	}
-	total := 1
-	for _, d := range dims {
-		if d < 1 {
-			return fmt.Errorf("fft: extent %d is not positive", d)
-		}
-		total *= d
-	}
-	if len(dst) != total {
-		return fmt.Errorf("fft: real buffer length %d != product of %v", len(dst), dims)
-	}
-	if len(spec) != HalfLen(dims) {
-		return fmt.Errorf("fft: half-spectrum length %d != HalfLen %d", len(spec), HalfLen(dims))
-	}
-	nx := dims[nd-1]
 	hc := nx/2 + 1
-	lines := total / nx
 	lead := lines // product of leading extents
 
 	// Leading axes first: unnormalized inverse passes at fixed last-axis
 	// bin; per-line hermitian symmetry along the last axis survives them.
 	hd := halfDims(dims)
-	for axis := 0; axis < nd-1; axis++ {
+	for axis := 0; axis < len(dims)-1; axis++ {
 		axisPass(spec, hd, axis, workers, true)
 	}
 
@@ -215,46 +216,54 @@ func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) er
 		// hermitian bins, one unnormalized inverse FFT of length N per
 		// line, then unpack interleaved reals.
 		N := nx / 2
-		p := planFor(N)
-		rw := realTwiddles(nx)
-		scale := 1 / (float64(N) * float64(lead))
-		forLineSpans(lines, workers, N, func(y []complex128, li int) {
+		p := planFor[C](N)
+		rw := newTwiddle[C](nx, N+1).inv
+		scale := F(1 / (float64(N) * float64(lead)))
+		forLineSpans(lines, workers, N, func(y []C, li int) {
 			in := spec[li*hc : (li+1)*hc]
 			out := dst[li*nx : (li+1)*nx]
 			for k := 0; k < N; k++ {
 				xk := in[k]
-				xnk := in[N-k]
-				cxnk := complex(real(xnk), -imag(xnk))
+				cxnk := conj(in[N-k])
 				e := (xk + cxnk) * 0.5
-				o := (xk - cxnk) * 0.5 * complex(real(rw[k]), -imag(rw[k]))
+				o := (xk - cxnk) * 0.5 * rw[k]
 				y[k] = e + o*complex(0, 1)
 			}
 			p.transform(y, true)
 			for j := 0; j < N; j++ {
-				out[2*j] = real(y[j]) * scale
-				out[2*j+1] = imag(y[j]) * scale
+				out[2*j] = re[F](y[j]) * scale
+				out[2*j+1] = im[F](y[j]) * scale
 			}
 		})
 	} else {
 		// Odd (or unit) last axis: mirror the hermitian bins into a full
 		// line, one unnormalized complex inverse, keep the real parts.
-		p := planFor(nx)
-		scale := 1 / (float64(nx) * float64(lead))
-		forLineSpans(lines, workers, nx, func(y []complex128, li int) {
+		p := planFor[C](nx)
+		scale := F(1 / (float64(nx) * float64(lead)))
+		forLineSpans(lines, workers, nx, func(y []C, li int) {
 			in := spec[li*hc : (li+1)*hc]
 			out := dst[li*nx : (li+1)*nx]
 			copy(y[:hc], in)
 			for k := hc; k < nx; k++ {
-				v := in[nx-k]
-				y[k] = complex(real(v), -imag(v))
+				y[k] = conj(in[nx-k])
 			}
 			p.transform(y, true)
 			for j := 0; j < nx; j++ {
-				out[j] = real(y[j]) * scale
+				out[j] = re[F](y[j]) * scale
 			}
 		})
 	}
 	return nil
+}
+
+// AbsSq sets a[i] = |a[i]|², squaring and summing the parts in F — the
+// autocorrelation spectrum of the real signal whose half-spectrum a
+// holds. Real and even, hence hermitian: a valid InverseRealND input.
+func AbsSq[F Float, C Complex](a []C) {
+	for i, v := range a {
+		r, j := re[F](v), im[F](v)
+		a[i] = cplx[C](r*r+j*j, 0)
+	}
 }
 
 // MulConj sets a[i] = conj(a[i])·b[i] — the cross-correlation spectrum
@@ -263,16 +272,7 @@ func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) er
 // hermitian, so the result is a valid InverseRealND input.
 func MulConj(a, b []complex128) {
 	for i, v := range a {
-		a[i] = complex(real(v), -imag(v)) * b[i]
-	}
-}
-
-// AbsSq sets a[i] = |a[i]|² — the autocorrelation spectrum of the real
-// signal whose half-spectrum a holds. Real and even, hence hermitian: a
-// valid InverseRealND input.
-func AbsSq(a []complex128) {
-	for i, v := range a {
-		a[i] = complex(real(v)*real(v)+imag(v)*imag(v), 0)
+		a[i] = cmplx.Conj(v) * b[i]
 	}
 }
 
@@ -283,7 +283,7 @@ func AbsSq(a []complex128) {
 func MulConjScale(a, b []complex128, s float64) {
 	cs := complex(s, 0)
 	for i, v := range a {
-		a[i] = cs * complex(real(v), -imag(v)) * b[i]
+		a[i] = cs * cmplx.Conj(v) * b[i]
 	}
 }
 
@@ -294,6 +294,6 @@ func MulConjScale(a, b []complex128, s float64) {
 func AddMulConjScale(acc, a, b []complex128, s float64) {
 	cs := complex(s, 0)
 	for i, v := range a {
-		acc[i] += cs * complex(real(v), -imag(v)) * b[i]
+		acc[i] += cs * cmplx.Conj(v) * b[i]
 	}
 }

@@ -1,6 +1,8 @@
 package fft
 
 import (
+	"fmt"
+	"math"
 	"math/cmplx"
 	"testing"
 
@@ -20,9 +22,9 @@ func randReal(n int, seed uint64) []float64 {
 // full-line) and every plan kind per axis: pow2, mixed-radix, Bluestein
 // (prime extents), across ranks 1–3.
 var realShapes = [][]int{
-	{8}, {10}, {7}, {1}, {2}, {37},
-	{4, 8}, {6, 10}, {5, 7}, {9, 12}, {11, 13}, {3, 1},
-	{4, 6, 10}, {3, 5, 7}, {2, 3, 4},
+	{8}, {10}, {7}, {1}, {2}, {37}, {30}, {13},
+	{4, 8}, {6, 10}, {5, 7}, {9, 12}, {11, 13}, {3, 1}, {12, 10},
+	{4, 6, 10}, {3, 5, 7}, {2, 3, 4}, {5, 7, 13},
 }
 
 // TestForwardRealNDMatchesComplex pins the half-spectrum forward
@@ -68,31 +70,39 @@ func TestForwardRealNDMatchesComplex(t *testing.T) {
 	}
 }
 
-// TestRealNDRoundTrip checks InverseRealND(ForwardRealND(x)) == x for
-// every shape, and that both directions are bit-identical at any
-// worker count.
+// TestRealNDRoundTrip checks InverseRealND(ForwardRealND(x)) == x to
+// each lane's roundoff for every shape, and that both directions are
+// bit-identical at any worker count.
 func TestRealNDRoundTrip(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { checkRealRoundTrip[float64, complex128](t, 1e-9) })
+	t.Run("f32", func(t *testing.T) { checkRealRoundTrip[float32, complex64](t, 2e-5) })
+}
+
+func checkRealRoundTrip[F Float, C Complex](t *testing.T, tol float64) {
 	for _, dims := range realShapes {
 		total := 1
 		for _, d := range dims {
 			total *= d
 		}
-		src := randReal(total, uint64(200+total))
-
-		var refSpec []complex128
-		var refOut []float64
+		src := make([]F, total)
+		for i, v := range randReal(total, uint64(200+total)) {
+			src[i] = F(v)
+		}
+		var refSpec []C
+		var refOut []F
 		for _, workers := range []int{1, 3, 8} {
-			spec := make([]complex128, HalfLen(dims))
+			spec := Acquire[C](HalfLen(dims))
 			if err := ForwardRealND(src, dims, spec, workers); err != nil {
 				t.Fatal(err)
 			}
-			specCopy := append([]complex128(nil), spec...)
-			out := make([]float64, total)
+			specCopy := append([]C(nil), spec...)
+			out := make([]F, total)
 			if err := InverseRealND(spec, dims, out, workers); err != nil {
 				t.Fatal(err)
 			}
+			Release(spec)
 			for i := range out {
-				if d := out[i] - src[i]; d > 1e-9 || d < -1e-9 {
+				if d := math.Abs(float64(out[i] - src[i])); d > tol {
 					t.Fatalf("dims %v workers %d: round trip off by %g at %d", dims, workers, d, i)
 				}
 			}
@@ -114,6 +124,42 @@ func TestRealNDRoundTrip(t *testing.T) {
 	}
 }
 
+// TestForwardRealND32MatchesOracle pins the float32 forward transform
+// against the float64 half-spectrum oracle on identical (exactly
+// representable) inputs: every bin within a few ulps of the spectrum
+// magnitude.
+func TestForwardRealND32MatchesOracle(t *testing.T) {
+	for _, dims := range [][]int{{24, 18}, {15, 20}, {11, 13}, {6, 10, 12}} {
+		total := 1
+		for _, d := range dims {
+			total *= d
+		}
+		src32 := make([]float32, total)
+		src64 := make([]float64, total)
+		for i, v := range randReal(total, 11) {
+			src32[i] = float32(v)
+			src64[i] = float64(src32[i])
+		}
+		spec32 := make([]complex64, HalfLen(dims))
+		spec64 := make([]complex128, HalfLen(dims))
+		if err := ForwardRealND(src32, dims, spec32, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := ForwardRealND(src64, dims, spec64, 2); err != nil {
+			t.Fatal(err)
+		}
+		var norm float64
+		for _, v := range spec64 {
+			norm = max(norm, cmplx.Abs(v))
+		}
+		for i := range spec64 {
+			if err := cmplx.Abs(complex128(spec32[i])-spec64[i]) / norm; err > 1e-5 {
+				t.Fatalf("dims %v bin %d: rel error %g vs oracle", dims, i, err)
+			}
+		}
+	}
+}
+
 // TestRealNDAutocorrelation checks the end-to-end identity the
 // variogram engine relies on: AbsSq of the half-spectrum followed by a
 // real inverse is the circular autocorrelation, on an odd (Bluestein)
@@ -126,7 +172,7 @@ func TestRealNDAutocorrelation(t *testing.T) {
 		if err := ForwardRealND(src, dims, spec, 0); err != nil {
 			t.Fatal(err)
 		}
-		AbsSq(spec)
+		AbsSq[float64](spec)
 		got := make([]float64, total)
 		if err := InverseRealND(spec, dims, got, 0); err != nil {
 			t.Fatal(err)
@@ -185,7 +231,8 @@ func TestMulConjCrossCorrelation(t *testing.T) {
 	}
 }
 
-// TestEmbedReal mirrors TestPadReal for the real-typed padding.
+// TestEmbedReal checks the zero-padded corner embedding and its
+// length, extent and rank checks.
 func TestEmbedReal(t *testing.T) {
 	src := []float64{1, 2, 3, 4, 5, 6} // 2×3
 	dst := make([]float64, 4*4)
@@ -212,6 +259,47 @@ func TestEmbedReal(t *testing.T) {
 	if err := EmbedReal(dst[:3], []int{4, 4}, src, []int{2, 3}); err == nil {
 		t.Fatal("expected length error")
 	}
+	if err := EmbedReal(dst, []int{16}, src, []int{2, 3}); err == nil {
+		t.Fatal("expected rank error")
+	}
+}
+
+// TestPadReal checks the zero-padding step of a linear correlation on
+// the float32 lane and in 3-D: a 2×2×3 field lands in the leading
+// corner of a 3×4×4 buffer, every other cell (stale pooled data
+// included) is cleared, and mismatched extents or ranks are rejected.
+func TestPadReal(t *testing.T) {
+	srcDims, dstDims := []int{2, 2, 3}, []int{3, 4, 4}
+	src := make([]float32, 2*2*3)
+	for i := range src {
+		src[i] = float32(i + 1)
+	}
+	dst := make([]float32, 3*4*4)
+	for i := range dst {
+		dst[i] = 9 // must be cleared
+	}
+	if err := EmbedReal(dst, dstDims, src, srcDims); err != nil {
+		t.Fatal(err)
+	}
+	for z := 0; z < 3; z++ {
+		for y := 0; y < 4; y++ {
+			for x := 0; x < 4; x++ {
+				var want float32
+				if z < 2 && y < 2 && x < 3 {
+					want = src[(z*2+y)*3+x]
+				}
+				if got := dst[(z*4+y)*4+x]; got != want {
+					t.Fatalf("dst[%d,%d,%d] = %v, want %v", z, y, x, got, want)
+				}
+			}
+		}
+	}
+	if err := EmbedReal(dst, dstDims, src, []int{2, 2, 5}); err == nil {
+		t.Fatal("expected extent error")
+	}
+	if err := EmbedReal(dst, []int{12, 4}, src, srcDims); err == nil {
+		t.Fatal("expected rank error")
+	}
 }
 
 // TestHalfLen pins the half-spectrum sizing.
@@ -227,5 +315,43 @@ func TestHalfLen(t *testing.T) {
 		if got := HalfLen(tc.dims); got != tc.want {
 			t.Fatalf("HalfLen(%v) = %d, want %d", tc.dims, got, tc.want)
 		}
+	}
+}
+
+// BenchmarkRealND is the transform layer beneath BenchmarkVariogramFFT:
+// one forward and one inverse real transform over the padded planes of
+// the 512² field (768², FastLen(512+256)) and the 64³ volume (96³), on
+// each lane.
+func BenchmarkRealND(b *testing.B) {
+	b.Run("f64", func(b *testing.B) { benchRealND[float64, complex128](b) })
+	b.Run("f32", func(b *testing.B) { benchRealND[float32, complex64](b) })
+}
+
+func benchRealND[F Float, C Complex](b *testing.B) {
+	for _, dims := range [][]int{{768, 768}, {96, 96, 96}} {
+		name := fmt.Sprint(dims[0])
+		for _, d := range dims[1:] {
+			name += fmt.Sprintf("x%d", d)
+		}
+		b.Run(name, func(b *testing.B) {
+			total := 1
+			for _, d := range dims {
+				total *= d
+			}
+			src := make([]F, total)
+			for i, v := range randReal(total, 5) {
+				src[i] = F(v)
+			}
+			spec := make([]C, HalfLen(dims))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ForwardRealND(src, dims, spec, 0); err != nil {
+					b.Fatal(err)
+				}
+				if err := InverseRealND(spec, dims, src, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -35,17 +35,49 @@ type Params struct {
 	Seed       uint64
 }
 
-func (p Params) validate() error {
+// validate checks p and returns the extents of its embedding torus.
+func (p Params) validate() ([]int, error) {
 	if p.Rows <= 0 || p.Cols <= 0 {
-		return fmt.Errorf("gaussian: non-positive field size %dx%d", p.Rows, p.Cols)
+		return nil, fmt.Errorf("gaussian: non-positive field size %dx%d", p.Rows, p.Cols)
 	}
-	if p.Range <= 0 {
-		return fmt.Errorf("gaussian: non-positive range %v", p.Range)
+	return torus(p.Range, p.Sigma2, p.Rows, p.Cols)
+}
+
+// maxTorusLen caps the embedding's element count so its complex128
+// buffer's byte size fits in an int.
+const maxTorusLen = math.MaxInt / 16
+
+// torus checks the covariance parameters and returns the power-of-two
+// embedding extent of every axis, NextPow2(max(2n, 6·range)): at least
+// twice the field, padded further when the range is comparable to the
+// field size so the kernel wraps negligibly. Non-finite parameters, a
+// range whose 1/range² overflows, and an extent or torus size that
+// overflows are errors, reported before anything is allocated.
+func torus(rang, sigma2 float64, dims ...int) ([]int, error) {
+	if !(rang > 0 && rang <= math.MaxFloat64) {
+		return nil, fmt.Errorf("gaussian: range %v is not positive and finite", rang)
 	}
-	if p.Sigma2 < 0 {
-		return fmt.Errorf("gaussian: negative variance %v", p.Sigma2)
+	if math.IsInf(1/(rang*rang), 0) {
+		return nil, fmt.Errorf("gaussian: range %v too small: 1/range² overflows", rang)
 	}
-	return nil
+	if !(sigma2 >= 0 && sigma2 <= math.MaxFloat64) {
+		return nil, fmt.Errorf("gaussian: variance %v is not non-negative and finite", sigma2)
+	}
+	const maxPad = 1 << 62 // NextPow2 of anything larger overflows int
+	ext := make([]int, len(dims))
+	total := 1
+	for k, n := range dims {
+		ok := n <= maxPad/2 && 6*rang <= maxPad
+		if ok {
+			ext[k] = fft.NextPow2(max(2*n, int(6*rang)))
+			ok = ext[k] <= maxTorusLen/total
+		}
+		if !ok {
+			return nil, fmt.Errorf("gaussian: embedding torus for size %v, range %v overflows", dims, rang)
+		}
+		total *= ext[k]
+	}
+	return ext, nil
 }
 
 // Sampler holds the precomputed embedding spectrum for one covariance
@@ -60,26 +92,15 @@ type Sampler struct {
 
 // NewSampler builds the embedding for the given parameters.
 func NewSampler(p Params) (*Sampler, error) {
-	if err := p.validate(); err != nil {
+	ext, err := p.validate()
+	if err != nil {
 		return nil, err
 	}
 	sigma2 := p.Sigma2
 	if sigma2 == 0 {
 		sigma2 = 1
 	}
-	// Torus at least 2× each dimension, rounded to powers of two. For
-	// ranges comparable to the field size, pad further so the kernel
-	// wraps negligibly.
-	pad := 2 * p.Rows
-	if need := int(6 * p.Range); need > pad {
-		pad = need
-	}
-	m := fft.NextPow2(pad)
-	pad = 2 * p.Cols
-	if need := int(6 * p.Range); need > pad {
-		pad = need
-	}
-	n := fft.NextPow2(pad)
+	m, n := ext[0], ext[1]
 
 	// Kernel first row on the torus: distance is the wrapped distance.
 	buf := make([]complex128, m*n)
@@ -97,7 +118,7 @@ func NewSampler(p Params) (*Sampler, error) {
 			buf[r*n+c] = complex(math.Exp(-(dr*dr+dc*dc)*inv2), 0)
 		}
 	}
-	if err := fft.Forward2D(buf, m, n); err != nil {
+	if err := fft.ForwardND(buf, ext, 1); err != nil {
 		return nil, err
 	}
 	sqrtLam := make([]float64, m*n)
@@ -139,7 +160,7 @@ func (s *Sampler) SamplePair(rng *xrand.Rand) (*grid.Grid, *grid.Grid, error) {
 		// with g1, g2 ~ N(0,1).
 		buf[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * complex(s.sqrtLam[i], 0)
 	}
-	if err := fft.Inverse2D(buf, s.m, s.n); err != nil {
+	if err := fft.InverseND(buf, []int{s.m, s.n}, 1); err != nil {
 		return nil, nil, err
 	}
 	// z = sqrt(MN) · IFFT2(sqrt(λ)·ξ) has Re, Im ~ N(0, C) independent.
@@ -186,6 +207,11 @@ type MultiParams struct {
 func GenerateMulti(p MultiParams) (*grid.Grid, error) {
 	if len(p.Ranges) == 0 {
 		return nil, fmt.Errorf("gaussian: no ranges given")
+	}
+	for _, a := range p.Ranges {
+		if _, err := (Params{Rows: p.Rows, Cols: p.Cols, Range: a, Sigma2: p.Sigma2}).validate(); err != nil {
+			return nil, err
+		}
 	}
 	rng := xrand.New(p.Seed)
 	total := grid.New(p.Rows, p.Cols)

@@ -19,42 +19,27 @@ type Params3D struct {
 	Seed       uint64
 }
 
-func (p Params3D) validate() error {
+// validate checks p and returns the extents of its embedding torus.
+func (p Params3D) validate() ([]int, error) {
 	if p.Nz <= 0 || p.Ny <= 0 || p.Nx <= 0 {
-		return fmt.Errorf("gaussian: non-positive volume size %dx%dx%d", p.Nz, p.Ny, p.Nx)
+		return nil, fmt.Errorf("gaussian: non-positive volume size %dx%dx%d", p.Nz, p.Ny, p.Nx)
 	}
-	if p.Range <= 0 {
-		return fmt.Errorf("gaussian: non-positive range %v", p.Range)
-	}
-	if p.Sigma2 < 0 {
-		return fmt.Errorf("gaussian: negative variance %v", p.Sigma2)
-	}
-	return nil
-}
-
-// embedDim returns the power-of-two torus size for one dimension.
-func embedDim(n int, rang float64) int {
-	pad := 2 * n
-	if need := int(6 * rang); need > pad {
-		pad = need
-	}
-	return fft.NextPow2(pad)
+	return torus(p.Range, p.Sigma2, p.Nz, p.Ny, p.Nx)
 }
 
 // Generate3D draws a stationary 3D Gaussian field with
 // squared-exponential covariance Σ(d)=σ²·exp(−|d|²/a²) by circulant
 // embedding on a 3D torus (the direct extension of the 2D sampler).
 func Generate3D(p Params3D) (*grid.Volume, error) {
-	if err := p.validate(); err != nil {
+	ext, err := p.validate()
+	if err != nil {
 		return nil, err
 	}
 	sigma2 := p.Sigma2
 	if sigma2 == 0 {
 		sigma2 = 1
 	}
-	m := embedDim(p.Nz, p.Range)
-	n := embedDim(p.Ny, p.Range)
-	q := embedDim(p.Nx, p.Range)
+	m, n, q := ext[0], ext[1], ext[2]
 	buf := make([]complex128, m*n*q)
 	inv2 := 1 / (p.Range * p.Range)
 	for z := 0; z < m; z++ {
@@ -77,7 +62,7 @@ func Generate3D(p Params3D) (*grid.Volume, error) {
 			}
 		}
 	}
-	if err := fft.Forward3D(buf, m, n, q); err != nil {
+	if err := fft.ForwardND(buf, ext, 1); err != nil {
 		return nil, err
 	}
 	sqrtLam := make([]float64, len(buf))
@@ -92,7 +77,7 @@ func Generate3D(p Params3D) (*grid.Volume, error) {
 	for i := range buf {
 		buf[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * complex(sqrtLam[i], 0)
 	}
-	if err := fft.Inverse3D(buf, m, n, q); err != nil {
+	if err := fft.InverseND(buf, ext, 1); err != nil {
 		return nil, err
 	}
 	scale := math.Sqrt(sigma2) * math.Sqrt(float64(len(buf)))

@@ -220,3 +220,53 @@ func TestTheoreticalVariogram(t *testing.T) {
 		t.Fatalf("default sill %v", v)
 	}
 }
+
+// TestHostileParamsRejected pins that non-finite parameters, ranges
+// whose kernel underflows to NaN, and embedding tori whose extents or
+// size overflow are errors before anything is allocated — never a NaN
+// field, a panic, or an unbounded allocation.
+func TestHostileParamsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	huge := 1 << 40
+	cases := []struct {
+		name string
+		gen  func() error
+	}{
+		{"2d/range=NaN", func() error { _, err := Generate(Params{Rows: 8, Cols: 8, Range: nan}); return err }},
+		{"2d/range=+Inf", func() error { _, err := Generate(Params{Rows: 8, Cols: 8, Range: inf}); return err }},
+		{"2d/range=1e18", func() error { _, err := Generate(Params{Rows: 8, Cols: 8, Range: 1e18}); return err }},
+		{"2d/range=1e-200", func() error { _, err := Generate(Params{Rows: 8, Cols: 8, Range: 1e-200}); return err }},
+		{"2d/sigma2=NaN", func() error { _, err := Generate(Params{Rows: 8, Cols: 8, Range: 2, Sigma2: nan}); return err }},
+		{"2d/sigma2=+Inf", func() error { _, err := Generate(Params{Rows: 8, Cols: 8, Range: 2, Sigma2: inf}); return err }},
+		{"2d/rows=MaxInt", func() error { _, err := Generate(Params{Rows: math.MaxInt, Cols: 8, Range: 2}); return err }},
+		{"2d/size-overflow", func() error { _, err := Generate(Params{Rows: huge, Cols: huge, Range: 2}); return err }},
+		{"3d/range=NaN", func() error { _, err := Generate3D(Params3D{Nz: 4, Ny: 4, Nx: 4, Range: nan}); return err }},
+		{"3d/range=1e18", func() error { _, err := Generate3D(Params3D{Nz: 4, Ny: 4, Nx: 4, Range: 1e18}); return err }},
+		{"3d/sigma2=+Inf", func() error { _, err := Generate3D(Params3D{Nz: 4, Ny: 4, Nx: 4, Range: 2, Sigma2: inf}); return err }},
+		{"3d/size-overflow", func() error {
+			_, err := Generate3D(Params3D{Nz: 1 << 22, Ny: 1 << 22, Nx: 1 << 22, Range: 2})
+			return err
+		}},
+		{"multi/range=NaN", func() error {
+			_, err := GenerateMulti(MultiParams{Rows: 8, Cols: 8, Ranges: []float64{2, nan}})
+			return err
+		}},
+		{"multi/range=1e18", func() error {
+			_, err := GenerateMulti(MultiParams{Rows: 8, Cols: 8, Ranges: []float64{2, 1e18}})
+			return err
+		}},
+		{"multi/sigma2=NaN", func() error {
+			_, err := GenerateMulti(MultiParams{Rows: 8, Cols: 8, Ranges: []float64{2}, Sigma2: nan})
+			return err
+		}},
+		{"multi/rows=MaxInt", func() error {
+			_, err := GenerateMulti(MultiParams{Rows: math.MaxInt, Cols: 8, Ranges: []float64{2}})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		if err := tc.gen(); err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+		}
+	}
+}

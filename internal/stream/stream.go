@@ -80,8 +80,8 @@ func Windows(ctx context.Context, tr *field.TileReader, h, workers int, o field.
 			maxBlock = n
 		}
 	}
-	buf := fft.AcquireRealTight(maxBlock)
-	defer fft.ReleaseReal(buf)
+	buf := fft.AcquireTight[float64](maxBlock)
+	defer fft.Release(buf)
 	block := &field.Field{Data: buf}
 
 	for _, t := range tiles {

@@ -183,20 +183,20 @@ func TestFFT32PoisonedPools(t *testing.T) {
 			cbufs := make([][]complex64, perBucket)
 			rbufs := make([][]float32, perBucket)
 			for i := 0; i < perBucket; i++ {
-				c := fft.AcquireComplex64(n)
+				c := fft.Acquire[complex64](n)
 				for j := range c {
 					c[j] = complex(float32(math.NaN()), float32(math.NaN()))
 				}
 				cbufs[i] = c
-				r := fft.AcquireReal32(n)
+				r := fft.Acquire[float32](n)
 				for j := range r {
 					r[j] = float32(math.NaN())
 				}
 				rbufs[i] = r
 			}
 			for i := 0; i < perBucket; i++ {
-				fft.ReleaseComplex64(cbufs[i])
-				fft.ReleaseReal32(rbufs[i])
+				fft.Release(cbufs[i])
+				fft.Release(rbufs[i])
 			}
 		}
 	}

@@ -33,10 +33,10 @@ package variogram
 // half-spectrum. Padding each extent to at least dim + MaxLag makes the
 // circular autocorrelation linear for every |h_k| <= MaxLag. The lanes
 // differ only in plane width — float64/complex128 or float32/complex64,
-// supplied as a spectralLane; the mean, the summed-area table, and every
-// per-bin fold are float64 for both. The table is built after the
-// spectrum is released, so the peak is one plane plus the larger of the
-// spectrum and the table (FFTPeakBytes).
+// the type parameters of the generic transforms; the mean, the
+// summed-area table, and every per-bin fold are float64 for both. The
+// table is built after the spectrum is released, so the peak is one
+// plane plus the larger of the spectrum and the table (FFTPeakBytes).
 //
 // The per-offset results are folded into the same rounded-distance
 // bins, in the same canonical enumeration order, as the direct scan:
@@ -59,25 +59,6 @@ import (
 // percent of slack; tests swap in an identity to drive the exact
 // (Bluestein) lengths through the full engine.
 var padLenFn = fft.FastLen
-
-// spectralLane is one element lane's transform plumbing: pooled real
-// planes and half-spectra, and the real-input transform pair.
-type spectralLane[T field.Elem, C complex64 | complex128] struct {
-	acquireReal func(int) []T
-	releaseReal func([]T)
-	acquireHalf func(int) []C
-	releaseHalf func([]C)
-	forward     func(src []T, dims []int, dst []C, workers int) error
-	absSq       func([]C)
-	inverse     func(spec []C, dims []int, dst []T, workers int) error
-}
-
-var (
-	lane64 = spectralLane[float64, complex128]{fft.AcquireReal, fft.ReleaseReal,
-		fft.AcquireComplex, fft.ReleaseComplex, fft.ForwardRealND, fft.AbsSq, fft.InverseRealND}
-	lane32 = spectralLane[float32, complex64]{fft.AcquireReal32, fft.ReleaseReal32,
-		fft.AcquireComplex64, fft.ReleaseComplex64, fft.ForwardRealND32, fft.AbsSq32, fft.InverseRealND32}
-)
 
 // FFTPeakBytes is the transform working set of the FFT exact engine on
 // a field of the given shape and lag cutoff (maxLag >= 1), for a lane
@@ -114,7 +95,7 @@ func FFTPeakBytes(shape []int, maxLag, elemBytes int) int64 {
 // before the table build, and per bin in the fold — so a dead context
 // abandons the pipeline within one transform's duration, and every
 // pooled buffer is released on the way out through the defers.
-func fftScan[T field.Elem, C complex64 | complex128](ctx context.Context, data []T, dims []int, mean float64, o Options, ln spectralLane[T, C]) (*Empirical, error) {
+func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []int, mean float64, o Options) (*Empirical, error) {
 	stage := func() error {
 		if ctx == nil {
 			return nil
@@ -138,8 +119,8 @@ func fftScan[T field.Elem, C complex64 | complex128](ctx context.Context, data [
 
 	// r is the one real staging plane: padded centered z in, the c_zz
 	// autocorrelation out.
-	r := ln.acquireReal(total)
-	defer ln.releaseReal(r)
+	r := fft.Acquire[T](total)
+	defer fft.Release(r)
 	clear(r)
 	if err := fft.ForEachEmbeddedRow(dims, pad, func(srcOff, dstOff, n int) {
 		dst := r[dstOff : dstOff+n]
@@ -152,20 +133,20 @@ func fftScan[T field.Elem, C complex64 | complex128](ctx context.Context, data [
 	if err := stage(); err != nil {
 		return nil, err
 	}
-	spZ := ln.acquireHalf(fft.HalfLen(pad))
-	defer func() { ln.releaseHalf(spZ) }()
-	if err := ln.forward(r, pad, spZ, o.Workers); err != nil {
+	spZ := fft.Acquire[C](fft.HalfLen(pad))
+	defer func() { fft.Release(spZ) }()
+	if err := fft.ForwardRealND(r, pad, spZ, o.Workers); err != nil {
 		return nil, err
 	}
-	ln.absSq(spZ)
+	fft.AbsSq[T](spZ)
 	if err := stage(); err != nil {
 		return nil, err
 	}
 	czz := r // the padded field is spent; the autocorrelation lands in place
-	if err := ln.inverse(spZ, pad, czz, o.Workers); err != nil {
+	if err := fft.InverseRealND(spZ, pad, czz, o.Workers); err != nil {
 		return nil, err
 	}
-	ln.releaseHalf(spZ)
+	fft.Release(spZ)
 	spZ = nil
 	if err := stage(); err != nil {
 		return nil, err
@@ -181,8 +162,8 @@ func fftScan[T field.Elem, C complex64 | complex128](ctx context.Context, data [
 		satStride[k] = satTotal
 		satTotal *= satDims[k]
 	}
-	sat := fft.AcquireReal(satTotal)
-	defer fft.ReleaseReal(sat)
+	sat := fft.Acquire[float64](satTotal)
+	defer fft.Release(sat)
 	buildCenteredSqSAT(data, dims, mean, sat, satDims, satStride)
 
 	// Fold per-offset correlations into distance bins, in the same

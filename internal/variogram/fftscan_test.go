@@ -318,30 +318,30 @@ func poisonPools(maxElems int) {
 		cbufs := make([][]complex128, perBucket)
 		rbufs := make([][]float64, perBucket)
 		for i := 0; i < perBucket; i++ {
-			c := fft.AcquireComplex(n)
+			c := fft.Acquire[complex128](n)
 			for j := range c {
 				c[j] = complex(math.NaN(), math.NaN())
 			}
 			cbufs[i] = c
-			r := fft.AcquireReal(n)
+			r := fft.Acquire[float64](n)
 			for j := range r {
 				r[j] = math.NaN()
 			}
 			rbufs[i] = r
 		}
 		for i := 0; i < perBucket; i++ {
-			fft.ReleaseComplex(cbufs[i])
-			fft.ReleaseReal(rbufs[i])
+			fft.Release(cbufs[i])
+			fft.Release(rbufs[i])
 		}
 	}
 }
 
 // TestFFTPoisonedPools re-runs the 2D/3D equivalence suite with every
-// pool bucket pre-filled with NaN-poisoned buffers: AcquireComplex/
-// AcquireReal return unspecified contents, and the engine must
-// overwrite every element it reads (padding fill, spectrum stages, and
-// the summed-area table, which is an AcquireReal buffer) rather than
-// assume zeroed scratch.
+// pool bucket pre-filled with NaN-poisoned buffers: fft.Acquire
+// returns unspecified contents, and the engine must overwrite every
+// element it reads (padding fill, spectrum stages, and the summed-area
+// table, which is an Acquire[float64] buffer) rather than assume zeroed
+// scratch.
 func TestFFTPoisonedPools(t *testing.T) {
 	for ci, tc := range equivalenceCases {
 		f := randomField(tc.shape, uint64(900+ci))

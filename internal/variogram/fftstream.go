@@ -144,11 +144,11 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			blo := make([]int, nd)
 			blo[0] = z0
 			bhi := append([]int{z2}, dims[1:]...)
-			blkBuf := fft.AcquireRealTight((z2 - z0) * rest)
+			blkBuf := fft.AcquireTight[float64]((z2 - z0) * rest)
 			blkDone := false
 			releaseBlk := func() {
 				if !blkDone {
-					fft.ReleaseReal(blkBuf)
+					fft.Release(blkBuf)
 					blkDone = true
 				}
 			}
@@ -160,8 +160,8 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			for i := range blk.Data {
 				blk.Data[i] -= ref
 			}
-			r := fft.AcquireRealTight(total)
-			defer fft.ReleaseReal(r)
+			r := fft.AcquireTight[float64](total)
+			defer fft.Release(r)
 			// Base-region z: the base block is a prefix of the extended
 			// block (axis 0 is slowest).
 			baseLen := (z1 - z0) * rest
@@ -171,16 +171,16 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spZa := fft.AcquireComplexTight(half)
-			defer func() { fft.ReleaseComplex(spZa) }()
+			spZa := fft.AcquireTight[complex128](half)
+			defer func() { fft.Release(spZa) }()
 			if err := fft.ForwardRealND(r, pad, spZa, o.Workers); err != nil {
 				return err
 			}
 			for i, v := range r { // w_a = z²·m_a: zero padding stays zero
 				r[i] = v * v
 			}
-			spWa := fft.AcquireComplexTight(half)
-			defer func() { fft.ReleaseComplex(spWa) }()
+			spWa := fft.AcquireTight[complex128](half)
+			defer func() { fft.Release(spWa) }()
 			if err := fft.ForwardRealND(r, pad, spWa, o.Workers); err != nil {
 				return err
 			}
@@ -197,8 +197,8 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spMa := fft.AcquireComplexTight(half)
-			defer func() { fft.ReleaseComplex(spMa) }()
+			spMa := fft.AcquireTight[complex128](half)
+			defer func() { fft.Release(spMa) }()
 			if err := fft.ForwardRealND(r, pad, spMa, o.Workers); err != nil {
 				return err
 			}
@@ -210,14 +210,14 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spZb := fft.AcquireComplexTight(half)
+			spZb := fft.AcquireTight[complex128](half)
 			if err := fft.ForwardRealND(r, pad, spZb, o.Workers); err != nil {
-				fft.ReleaseComplex(spZb)
+				fft.Release(spZb)
 				return err
 			}
 			// accS = −2·conj(Z_a)·Z_b, accumulated in spZa.
 			fft.MulConjScale(spZa, spZb, -2)
-			fft.ReleaseComplex(spZb)
+			fft.Release(spZb)
 			accS := spZa
 			for i, v := range r { // w_b = z²·m_b
 				r[i] = v * v
@@ -225,13 +225,13 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spWb := fft.AcquireComplexTight(half)
+			spWb := fft.AcquireTight[complex128](half)
 			if err := fft.ForwardRealND(r, pad, spWb, o.Workers); err != nil {
-				fft.ReleaseComplex(spWb)
+				fft.Release(spWb)
 				return err
 			}
 			fft.AddMulConjScale(accS, spMa, spWb, 1) // + conj(M_a)·W_b
-			fft.ReleaseComplex(spWb)
+			fft.Release(spWb)
 			for i := range r {
 				r[i] = 0
 			}
@@ -245,14 +245,14 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spMb := fft.AcquireComplexTight(half)
+			spMb := fft.AcquireTight[complex128](half)
 			if err := fft.ForwardRealND(r, pad, spMb, o.Workers); err != nil {
-				fft.ReleaseComplex(spMb)
+				fft.Release(spMb)
 				return err
 			}
 			fft.AddMulConjScale(accS, spWa, spMb, 1) // + conj(W_a)·M_b
 			fft.MulConj(spMa, spMb)                  // accN = conj(M_a)·M_b
-			fft.ReleaseComplex(spMb)
+			fft.Release(spMb)
 			if err := stage(); err != nil {
 				return err
 			}
@@ -260,8 +260,8 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := fft.InverseRealND(accS, pad, r, o.Workers); err != nil {
 				return err
 			}
-			cn := fft.AcquireRealTight(total)
-			defer fft.ReleaseReal(cn)
+			cn := fft.AcquireTight[float64](total)
+			defer fft.Release(cn)
 			if err := fft.InverseRealND(spMa, pad, cn, o.Workers); err != nil {
 				return err
 			}

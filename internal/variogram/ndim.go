@@ -83,7 +83,7 @@ func ComputeFieldCtx(ctx context.Context, f *field.Field, opts Options) (*Empiri
 	}
 	o := opts.withFieldDefaults(f)
 	if o.FFT {
-		return fftScan(ctx, f.Data, f.Shape, f.Summary().Mean, o, lane64)
+		return fftScan[float64, complex128](ctx, f.Data, f.Shape, f.Summary().Mean, o)
 	}
 	if o.Exact || f.Len() <= exactThresholdFor(f.NDim()) {
 		return exactScanField(ctx, f, o)

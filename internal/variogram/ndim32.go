@@ -47,7 +47,7 @@ func ComputeField32Ctx(ctx context.Context, f *field.Field32, opts Options) (*Em
 	}
 	o := opts.withField32Defaults(f)
 	if o.FFT {
-		return fftScan(ctx, f.Data, f.Shape, f.Summary().Mean, o, lane32)
+		return fftScan[float32, complex64](ctx, f.Data, f.Shape, f.Summary().Mean, o)
 	}
 	if o.Exact || f.Len() <= exactThresholdFor(f.NDim()) {
 		return exactScanData(ctx, f.Data, f.Shape, o)

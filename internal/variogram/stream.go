@@ -76,8 +76,8 @@ func GlobalRangeReaderCtx(ctx context.Context, tr *field.TileReader, opts Option
 // in a pooled transform buffer, so the peak-bytes gauge reports it.
 func exactScanReader(ctx context.Context, tr *field.TileReader, o Options) (*Empirical, error) {
 	shape := tr.Shape()
-	buf := fft.AcquireRealTight(tr.Len())
-	defer fft.ReleaseReal(buf)
+	buf := fft.AcquireTight[float64](tr.Len())
+	defer fft.Release(buf)
 	blk := &field.Field{Data: buf}
 	lo := make([]int, len(shape))
 	if err := tr.ReadBlock(blk, lo, shape); err != nil {
