@@ -185,8 +185,8 @@ func benchField(b *testing.B, rang float64) *grid.Grid {
 }
 
 func benchCompress(b *testing.B, name string, eb float64) {
-	f := benchField(b, 16)
-	c, err := Compressors().Get(name)
+	f := field.FromGrid(benchField(b, 16))
+	c, err := Compressors().GetFor(name, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func benchCompress(b *testing.B, name string, eb float64) {
 	b.ResetTimer()
 	var size int
 	for i := 0; i < b.N; i++ {
-		data, err := c.Compress(f, eb)
+		data, err := c.CompressField(f, eb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,19 +204,19 @@ func benchCompress(b *testing.B, name string, eb float64) {
 }
 
 func benchDecompress(b *testing.B, name string, eb float64) {
-	f := benchField(b, 16)
-	c, err := Compressors().Get(name)
+	f := field.FromGrid(benchField(b, 16))
+	c, err := Compressors().GetFor(name, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	data, err := c.Compress(f, eb)
+	data, err := c.CompressField(f, eb)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(f.SizeBytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decompress(data); err != nil {
+		if _, err := c.DecompressField(data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -317,11 +317,11 @@ func BenchmarkExt3DPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		est = m.Range
-		r, _, err := Measure3D(vol, 1e-3)
+		r, err := MeasureField("sz-like-3d", FieldFromVolume(vol), 1e-3)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ratio = r
+		ratio = r.Ratio
 	}
 	b.ReportMetric(est, "estRange")
 	b.ReportMetric(ratio, "ratio")
@@ -364,7 +364,7 @@ func BenchmarkUnified3DPipeline(b *testing.B) {
 // codec's two predictors contributes: auto selection vs Lorenzo-only vs
 // regression-only on the same field (DESIGN.md §3).
 func BenchmarkAblationSZPredictors(b *testing.B) {
-	f := benchField(b, 16)
+	f := field.FromGrid(benchField(b, 16))
 	for _, c := range []szlike.Compressor{
 		{Mode: szlike.PredictorAuto},
 		{Mode: szlike.PredictorLorenzoOnly},
@@ -375,7 +375,7 @@ func BenchmarkAblationSZPredictors(b *testing.B) {
 			b.SetBytes(int64(f.SizeBytes()))
 			var size int
 			for i := 0; i < b.N; i++ {
-				data, err := c.Compress(f, 1e-3)
+				data, err := c.CompressField(f, 1e-3)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -97,7 +97,7 @@ func cmdEntropy(args []string) error {
 	}
 	fmt.Printf("quantized entropy at eb=%.0e: %.4f bits/value\n", *eb, h)
 	fmt.Printf("entropy-bound compression ratio: %.3f\n", lossycorr.EstimateEntropyRatio(h))
-	for _, name := range lossycorr.Compressors().Names() {
+	for _, name := range lossycorr.CompressorsFor(2) {
 		res, err := lossycorr.Measure(name, g, *eb)
 		if err != nil {
 			return err

@@ -2,6 +2,11 @@
 // interface and the measurement harness (compression ratio, maximum
 // error, PSNR, bound verification) — the role Libpressio plays in the
 // paper's experimental setup.
+//
+// FieldCompressor is the one codec interface: every codec compresses
+// fields of the ranks it declares, and may add a native float32 lane
+// (Lane32Compressor). The Registry serves lookups filtered by the rank
+// of the field being measured.
 package compress
 
 import (
@@ -11,18 +16,44 @@ import (
 	"sort"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 )
 
-// Compressor is an error-bounded lossy compressor for 2D float64
-// fields. Compress must guarantee max|x−x̂| <= absErr for every element.
-type Compressor interface {
+// FieldCompressor is an error-bounded lossy compressor for dense
+// fields. CompressField must guarantee max|x−x̂| <= absErr for every
+// element of any field whose rank it supports.
+type FieldCompressor interface {
 	// Name identifies the compressor in experiment output.
 	Name() string
-	// Compress encodes g under the absolute error bound absErr.
-	Compress(g *grid.Grid, absErr float64) ([]byte, error)
-	// Decompress reconstructs the field from Compress's output.
-	Decompress(data []byte) (*grid.Grid, error)
+	// Ranks lists the field ranks the codec accepts (e.g. {2} or {3}).
+	Ranks() []int
+	// CompressField encodes f under the absolute error bound absErr.
+	CompressField(f *field.Field, absErr float64) ([]byte, error)
+	// DecompressField reconstructs the field from CompressField's output.
+	DecompressField(data []byte) (*field.Field, error)
+}
+
+// Lane32Compressor is the optional native float32 lane of a
+// FieldCompressor: CompressField32 must guarantee max|x−x̂| <= absErr
+// over the float32 samples without a float64 staging copy of the
+// field.
+type Lane32Compressor interface {
+	FieldCompressor
+	// CompressField32 encodes f under the absolute error bound absErr,
+	// quantizing directly from float32 samples.
+	CompressField32(f *field.Field32, absErr float64) ([]byte, error)
+	// DecompressField32 reconstructs the float32 field from
+	// CompressField32's output.
+	DecompressField32(data []byte) (*field.Field32, error)
+}
+
+// SupportsRank reports whether c accepts fields of the given rank.
+func SupportsRank(c FieldCompressor, ndim int) bool {
+	for _, r := range c.Ranks() {
+		if r == ndim {
+			return true
+		}
+	}
+	return false
 }
 
 // Result reports one compression measurement. The JSON field names
@@ -58,84 +89,26 @@ func (r Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// Run compresses, decompresses, and measures g with c at absErr — the
-// rank-2 view of RunField.
-func Run(c Compressor, g *grid.Grid, absErr float64) (Result, error) {
-	return RunField(WrapGrid(c), field.FromGrid(g), absErr)
-}
-
-// RunRelative measures g under a value-range-relative error bound: the
-// absolute bound is relErr times the field's value range. The paper
-// notes the formal equivalence between the absolute mode and this mode
-// (used natively by SZ); constant fields fall back to relErr itself.
-func RunRelative(c Compressor, g *grid.Grid, relErr float64) (Result, error) {
-	return RunRelativeField(WrapGrid(c), field.FromGrid(g), relErr)
-}
-
-// PSNR computes the peak signal-to-noise ratio in dB using the field's
-// value range as peak, the convention of the lossy-compression
-// community (+Inf for a perfect reconstruction).
-func PSNR(g *grid.Grid, mse float64) float64 {
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	vr := g.Summary().ValueRange
-	if vr == 0 {
-		return 0
-	}
-	return 20*math.Log10(vr) - 10*math.Log10(mse)
-}
-
-// Registry holds named compressors for CLI and experiment lookup. It
-// is dimension-aware: every entry is a FieldCompressor with a declared
-// set of supported ranks, and lookups can be filtered by the rank of
-// the field being measured. Plain 2D codecs register through Register
-// (auto-wrapped) and stay visible through the historical 2D accessors.
+// Registry holds named codecs for CLI and experiment lookup, each with
+// its declared set of supported ranks; lookups can be filtered by the
+// rank of the field being measured.
 type Registry struct {
-	byName map[string]Compressor      // 2D codecs, as registered
-	fields map[string]FieldCompressor // every codec, rank-generic view
+	fields map[string]FieldCompressor
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byName: make(map[string]Compressor),
-		fields: make(map[string]FieldCompressor),
-	}
+	return &Registry{fields: make(map[string]FieldCompressor)}
 }
 
-// Register adds a 2D codec; registering a duplicate name is an error.
-func (r *Registry) Register(c Compressor) error {
-	if err := r.RegisterField(WrapGrid(c)); err != nil {
-		return err
-	}
-	r.byName[c.Name()] = c
-	return nil
-}
-
-// RegisterField adds a rank-generic codec; registering a duplicate
-// name is an error.
+// RegisterField adds a codec; registering a duplicate name is an
+// error.
 func (r *Registry) RegisterField(c FieldCompressor) error {
 	if _, dup := r.fields[c.Name()]; dup {
 		return fmt.Errorf("compress: duplicate compressor %q", c.Name())
 	}
 	r.fields[c.Name()] = c
 	return nil
-}
-
-// RegisterVolume adds a native 3D codec (wrapped to rank {3});
-// registering a duplicate name is an error.
-func (r *Registry) RegisterVolume(c VolumeCompressor) error {
-	return r.RegisterField(WrapVolume(c))
-}
-
-// Get looks a 2D compressor up by name.
-func (r *Registry) Get(name string) (Compressor, error) {
-	c, ok := r.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("compress: unknown compressor %q (have %v)", name, r.Names())
-	}
-	return c, nil
 }
 
 // GetField looks any registered codec up by name.
@@ -161,16 +134,6 @@ func (r *Registry) GetFor(name string, ndim int) (FieldCompressor, error) {
 	return c, nil
 }
 
-// Names lists registered 2D compressors in sorted order.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NamesFor lists the codecs accepting the given rank in sorted order;
 // rank 0 lists every codec.
 func (r *Registry) NamesFor(ndim int) []string {
@@ -181,15 +144,6 @@ func (r *Registry) NamesFor(ndim int) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// All returns the 2D compressors in name order.
-func (r *Registry) All() []Compressor {
-	out := make([]Compressor, 0, len(r.byName))
-	for _, n := range r.Names() {
-		out = append(out, r.byName[n])
-	}
 	return out
 }
 

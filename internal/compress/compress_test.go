@@ -6,18 +6,19 @@ import (
 	"math"
 	"testing"
 
-	"lossycorr/internal/grid"
+	"lossycorr/internal/field"
 )
 
-// roundingCompressor is a trivial test codec: rounds to multiples of eb
-// and stores everything verbatim (after an 8-byte header per value).
+// roundingCompressor is a trivial rank-2 test codec: rounds to
+// multiples of eb and stores everything verbatim.
 type roundingCompressor struct{ name string }
 
 func (c roundingCompressor) Name() string { return c.name }
+func (c roundingCompressor) Ranks() []int { return []int{2} }
 
-func (c roundingCompressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
+func (c roundingCompressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
 	var buf bytes.Buffer
-	q := g.Clone()
+	q := f.Clone()
 	for i, v := range q.Data {
 		q.Data[i] = math.Round(v/absErr) * absErr
 	}
@@ -27,26 +28,29 @@ func (c roundingCompressor) Compress(g *grid.Grid, absErr float64) ([]byte, erro
 	return buf.Bytes(), nil
 }
 
-func (c roundingCompressor) Decompress(data []byte) (*grid.Grid, error) {
-	return grid.ReadBinary(bytes.NewReader(data))
+func (c roundingCompressor) DecompressField(data []byte) (*field.Field, error) {
+	return field.ReadBinary(bytes.NewReader(data))
 }
 
 // brokenCompressor violates its bound.
 type brokenCompressor struct{ roundingCompressor }
 
-func (c brokenCompressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
-	return c.roundingCompressor.Compress(g, absErr*100)
+func (c brokenCompressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	return c.roundingCompressor.CompressField(f, absErr*100)
 }
 
-func testField() *grid.Grid {
-	return grid.FromFunc(16, 16, func(r, c int) float64 {
-		return math.Sin(float64(r)/3) * math.Cos(float64(c)/5)
-	})
+func testField() *field.Field {
+	f := field.New(16, 16)
+	for r := range 16 {
+		for c := range 16 {
+			f.Set(math.Sin(float64(r)/3)*math.Cos(float64(c)/5), r, c)
+		}
+	}
+	return f
 }
 
 func TestRunMetrics(t *testing.T) {
-	g := testField()
-	res, err := Run(roundingCompressor{"round"}, g, 0.01)
+	res, err := RunField(roundingCompressor{"round"}, testField(), 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +75,7 @@ func TestRunMetrics(t *testing.T) {
 }
 
 func TestRunDetectsBoundViolation(t *testing.T) {
-	res, err := Run(brokenCompressor{roundingCompressor{"broken"}}, testField(), 1e-6)
+	res, err := RunField(brokenCompressor{roundingCompressor{"broken"}}, testField(), 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,60 +85,63 @@ func TestRunDetectsBoundViolation(t *testing.T) {
 }
 
 func TestRunRejectsBadBound(t *testing.T) {
-	if _, err := Run(roundingCompressor{"r"}, testField(), 0); err == nil {
+	if _, err := RunField(roundingCompressor{"r"}, testField(), 0); err == nil {
 		t.Fatal("expected error for eb=0")
 	}
-	if _, err := Run(roundingCompressor{"r"}, testField(), -1); err == nil {
+	if _, err := RunField(roundingCompressor{"r"}, testField(), -1); err == nil {
 		t.Fatal("expected error for eb<0")
+	}
+	if _, err := RunField32(roundingCompressor{"r"}, testField().Narrow(), 0); err == nil {
+		t.Fatal("expected error for eb=0 on the float32 lane")
 	}
 }
 
 func TestPSNR(t *testing.T) {
-	g := testField()
-	if !math.IsInf(PSNR(g, 0), 1) {
+	f := testField()
+	if !math.IsInf(PSNRField(f, 0), 1) {
 		t.Fatal("zero MSE should give +Inf PSNR")
 	}
-	vr := g.Summary().ValueRange
+	vr := f.Summary().ValueRange
 	// mse = vr² gives 0 dB
-	if p := PSNR(g, vr*vr); math.Abs(p) > 1e-9 {
+	if p := PSNRField(f, vr*vr); math.Abs(p) > 1e-9 {
 		t.Fatalf("PSNR(vr²)=%v want 0", p)
 	}
-	if p := PSNR(grid.New(4, 4), 1); p != 0 {
+	if p := PSNRField(field.New(4, 4), 1); p != 0 {
 		t.Fatalf("constant-field PSNR %v", p)
 	}
 }
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Register(roundingCompressor{"a"}); err != nil {
+	if err := r.RegisterField(roundingCompressor{"a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(roundingCompressor{"a"}); err == nil {
+	if err := r.RegisterField(roundingCompressor{"a"}); err == nil {
 		t.Fatal("duplicate registration must error")
 	}
-	if err := r.Register(roundingCompressor{"b"}); err != nil {
+	if err := r.RegisterField(roundingCompressor{"b"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Get("a"); err != nil {
+	if _, err := r.GetField("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Get("zzz"); err == nil {
+	if _, err := r.GetField("zzz"); err == nil {
 		t.Fatal("unknown lookup must error")
 	}
-	names := r.Names()
+	names := r.NamesFor(0)
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names %v", names)
 	}
-	all := r.All()
+	all := r.AllFor(2)
 	if len(all) != 2 || all[0].Name() != "a" {
-		t.Fatalf("All() wrong order")
+		t.Fatalf("AllFor(2) wrong order")
 	}
 }
 
 func TestRunRelative(t *testing.T) {
-	g := testField() // value range ~2
-	vr := g.Summary().ValueRange
-	res, err := RunRelative(roundingCompressor{"round"}, g, 1e-2)
+	f := testField() // value range ~2
+	vr := f.Summary().ValueRange
+	res, err := RunRelativeField(roundingCompressor{"round"}, f, 1e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,15 +152,14 @@ func TestRunRelative(t *testing.T) {
 		t.Fatalf("bound violated: %+v", res)
 	}
 	// constant field falls back to the relative value as absolute
-	c := grid.New(4, 4)
-	res, err = RunRelative(roundingCompressor{"round"}, c, 0.5)
+	res, err = RunRelativeField(roundingCompressor{"round"}, field.New(4, 4), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ErrorBound != 0.5 {
 		t.Fatalf("constant-field bound %v", res.ErrorBound)
 	}
-	if _, err := RunRelative(roundingCompressor{"round"}, g, 0); err == nil {
+	if _, err := RunRelativeField(roundingCompressor{"round"}, f, 0); err == nil {
 		t.Fatal("expected error for rel=0")
 	}
 }
@@ -171,9 +177,11 @@ func TestPaperErrorBounds(t *testing.T) {
 }
 
 func TestRunPropagatesErrors(t *testing.T) {
-	_, err := Run(failingCompressor{}, testField(), 1e-3)
-	if err == nil || !errors.Is(err, errBoom) {
+	if _, err := RunField(failingCompressor{}, testField(), 1e-3); !errors.Is(err, errBoom) {
 		t.Fatalf("error not propagated: %v", err)
+	}
+	if _, err := RunField32(failingCompressor{}, testField().Narrow(), 1e-3); !errors.Is(err, errBoom) {
+		t.Fatalf("float32 lane error not propagated: %v", err)
 	}
 }
 
@@ -182,7 +190,8 @@ var errBoom = errors.New("boom")
 type failingCompressor struct{}
 
 func (failingCompressor) Name() string { return "fail" }
-func (failingCompressor) Compress(*grid.Grid, float64) ([]byte, error) {
+func (failingCompressor) Ranks() []int { return []int{2} }
+func (failingCompressor) CompressField(*field.Field, float64) ([]byte, error) {
 	return nil, errBoom
 }
-func (failingCompressor) Decompress([]byte) (*grid.Grid, error) { return nil, errBoom }
+func (failingCompressor) DecompressField([]byte) (*field.Field, error) { return nil, errBoom }

@@ -1,135 +1,20 @@
 package compress
 
-// Dimension-aware compression. FieldCompressor is the rank-generic
-// codec interface the measurement pipeline runs on; existing 2D codecs
-// and 3D volume codecs plug in through O(1) adapters, and the Registry
-// serves lookups filtered by the rank of the field being measured.
+// The measurement harness: round-trip a field through a codec and
+// report ratio, error, and PSNR. Float32 fields run through the codec's
+// native float32 lane when it has one and a widen→compress→narrow
+// fallback otherwise; either way the measurement compares the
+// reconstruction against the float32 original, because that is the
+// data the caller actually has.
 
 import (
 	"fmt"
 	"math"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 )
 
-// FieldCompressor is an error-bounded lossy compressor for dense
-// fields. CompressField must guarantee max|x−x̂| <= absErr for every
-// element of any field whose rank it supports.
-type FieldCompressor interface {
-	// Name identifies the compressor in experiment output.
-	Name() string
-	// Ranks lists the field ranks the codec accepts (e.g. {2} or {3}).
-	Ranks() []int
-	// CompressField encodes f under the absolute error bound absErr.
-	CompressField(f *field.Field, absErr float64) ([]byte, error)
-	// DecompressField reconstructs the field from CompressField's output.
-	DecompressField(data []byte) (*field.Field, error)
-}
-
-// VolumeCompressor is the shape of a native 3D codec
-// (szlike.Compressor3D and friends); WrapVolume adapts it to
-// FieldCompressor.
-type VolumeCompressor interface {
-	Name() string
-	Compress(v *grid.Volume, absErr float64) ([]byte, error)
-	Decompress(data []byte) (*grid.Volume, error)
-}
-
-// SupportsRank reports whether c accepts fields of the given rank.
-func SupportsRank(c FieldCompressor, ndim int) bool {
-	for _, r := range c.Ranks() {
-		if r == ndim {
-			return true
-		}
-	}
-	return false
-}
-
-type gridAdapter struct{ c Compressor }
-
-func (a gridAdapter) Name() string { return a.c.Name() }
-func (a gridAdapter) Ranks() []int { return []int{2} }
-
-func (a gridAdapter) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	g, err := f.AsGrid()
-	if err != nil {
-		return nil, err
-	}
-	return a.c.Compress(g, absErr)
-}
-
-func (a gridAdapter) DecompressField(data []byte) (*field.Field, error) {
-	g, err := a.c.Decompress(data)
-	if err != nil {
-		return nil, err
-	}
-	return field.FromGrid(g), nil
-}
-
-// Lane32Grid is the optional float32 lane of a 2D codec: Compress32
-// must honor the bound on the float32 samples directly, without a
-// float64 staging copy of the field.
-type Lane32Grid interface {
-	Compress32(f *field.Field32, absErr float64) ([]byte, error)
-	Decompress32(data []byte) (*field.Field32, error)
-}
-
-// lane32GridAdapter forwards the float32 lane of codecs that have one,
-// so WrapGrid's result satisfies Lane32Compressor exactly when the
-// wrapped codec implements Lane32Grid.
-type lane32GridAdapter struct {
-	gridAdapter
-	l Lane32Grid
-}
-
-func (a lane32GridAdapter) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
-	if len(f.Shape) != 2 {
-		return nil, fmt.Errorf("compress: %s float32 lane needs rank 2, got %d", a.Name(), len(f.Shape))
-	}
-	return a.l.Compress32(f, absErr)
-}
-
-func (a lane32GridAdapter) DecompressField32(data []byte) (*field.Field32, error) {
-	return a.l.Decompress32(data)
-}
-
-// WrapGrid adapts a 2D codec to the rank-generic interface (rank {2}),
-// preserving a native float32 lane when the codec offers one.
-func WrapGrid(c Compressor) FieldCompressor {
-	g := gridAdapter{c}
-	if l, ok := c.(Lane32Grid); ok {
-		return lane32GridAdapter{g, l}
-	}
-	return g
-}
-
-type volumeAdapter struct{ c VolumeCompressor }
-
-func (a volumeAdapter) Name() string { return a.c.Name() }
-func (a volumeAdapter) Ranks() []int { return []int{3} }
-
-func (a volumeAdapter) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	v, err := f.AsVolume()
-	if err != nil {
-		return nil, err
-	}
-	return a.c.Compress(v, absErr)
-}
-
-func (a volumeAdapter) DecompressField(data []byte) (*field.Field, error) {
-	v, err := a.c.Decompress(data)
-	if err != nil {
-		return nil, err
-	}
-	return field.FromVolume(v), nil
-}
-
-// WrapVolume adapts a 3D codec to the rank-generic interface (rank {3}).
-func WrapVolume(c VolumeCompressor) FieldCompressor { return volumeAdapter{c} }
-
-// RunField compresses, decompresses, and measures f with c at absErr —
-// the rank-generic measurement harness behind Run.
+// RunField compresses, decompresses, and measures f with c at absErr.
 func RunField(c FieldCompressor, f *field.Field, absErr float64) (Result, error) {
 	if absErr <= 0 {
 		return Result{}, fmt.Errorf("compress: non-positive error bound %v", absErr)
@@ -167,7 +52,10 @@ func RunField(c FieldCompressor, f *field.Field, absErr float64) (Result, error)
 }
 
 // RunRelativeField measures f under a value-range-relative error
-// bound, the rank-generic form of RunRelative.
+// bound: the absolute bound is relErr times the field's value range.
+// The paper notes the formal equivalence between the absolute mode and
+// this mode (used natively by SZ); constant fields fall back to relErr
+// itself.
 func RunRelativeField(c FieldCompressor, f *field.Field, relErr float64) (Result, error) {
 	if relErr <= 0 {
 		return Result{}, fmt.Errorf("compress: non-positive relative bound %v", relErr)
@@ -181,12 +69,89 @@ func RunRelativeField(c FieldCompressor, f *field.Field, relErr float64) (Result
 }
 
 // PSNRField computes the peak signal-to-noise ratio in dB using the
-// field's value range as peak (+Inf for a perfect reconstruction).
+// field's value range as peak, the convention of the lossy-compression
+// community (+Inf for a perfect reconstruction).
 func PSNRField(f *field.Field, mse float64) float64 {
+	return psnrRange(f.Summary().ValueRange, mse)
+}
+
+// RunField32 compresses, decompresses, and measures the float32 field
+// f with c at absErr. Native Lane32Compressors run without any
+// full-field widening; other codecs measure through the widen→narrow
+// fallback (float32→float64 is exact and the reconstruction is
+// re-narrowed before comparison, so the bound check still reflects
+// what a float32 consumer would see — with the bound slackened by one
+// narrow-rounding ulp for the fallback path).
+func RunField32(c FieldCompressor, f *field.Field32, absErr float64) (Result, error) {
+	if absErr <= 0 {
+		return Result{}, fmt.Errorf("compress: non-positive error bound %v", absErr)
+	}
+	var (
+		data []byte
+		dec  *field.Field32
+		err  error
+	)
+	l32, native := c.(Lane32Compressor)
+	if native {
+		data, err = l32.CompressField32(f, absErr)
+		if err != nil {
+			return Result{}, fmt.Errorf("compress: %s: %w", c.Name(), err)
+		}
+		dec, err = l32.DecompressField32(data)
+		if err != nil {
+			return Result{}, fmt.Errorf("compress: %s decode: %w", c.Name(), err)
+		}
+	} else {
+		wide := f.Widen()
+		data, err = c.CompressField(wide, absErr)
+		if err != nil {
+			return Result{}, fmt.Errorf("compress: %s: %w", c.Name(), err)
+		}
+		decWide, derr := c.DecompressField(data)
+		if derr != nil {
+			return Result{}, fmt.Errorf("compress: %s decode: %w", c.Name(), derr)
+		}
+		dec = decWide.Narrow()
+	}
+	maxErr, err := f.MaxAbsDiff(dec)
+	if err != nil {
+		return Result{}, fmt.Errorf("compress: %s: %w", c.Name(), err)
+	}
+	mse, err := f.MSE(dec)
+	if err != nil {
+		return Result{}, err
+	}
+	// Bound slack: native lanes enforce the bound on float32 values
+	// directly; the fallback's reconstruction picks up at most half a
+	// float32 ulp of the reconstructed magnitude when narrowed.
+	s := f.Summary()
+	slack := absErr * 1e-12
+	if !native {
+		peak := math.Max(math.Abs(s.Min), math.Abs(s.Max)) + absErr
+		slack += peak * 1.2e-7
+	}
+	res := Result{
+		Compressor:     c.Name(),
+		ErrorBound:     absErr,
+		OriginalSize:   f.SizeBytes(),
+		CompressedSize: len(data),
+		MaxAbsError:    maxErr,
+		MSE:            mse,
+		PSNR:           psnrRange(s.ValueRange, mse),
+		BoundOK:        maxErr <= absErr+slack,
+	}
+	if len(data) > 0 {
+		res.Ratio = float64(res.OriginalSize) / float64(len(data))
+	}
+	return res, nil
+}
+
+// psnrRange is the PSNR of an error with mean square mse on a field of
+// value range vr.
+func psnrRange(vr, mse float64) float64 {
 	if mse == 0 {
 		return math.Inf(1)
 	}
-	vr := f.Summary().ValueRange
 	if vr == 0 {
 		return 0
 	}

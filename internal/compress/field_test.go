@@ -5,49 +5,46 @@ import (
 	"testing"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 )
 
-// stub codecs for registry dispatch tests
-
-type stub2D struct{ name string }
-
-func (s stub2D) Name() string { return s.name }
-func (s stub2D) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
-	return []byte{byte(g.Rows), byte(g.Cols)}, nil
-}
-func (s stub2D) Decompress(data []byte) (*grid.Grid, error) {
-	return grid.New(int(data[0]), int(data[1])), nil
+// stub is a shape-only codec of one rank for registry dispatch tests.
+type stub struct {
+	name string
+	rank int
 }
 
-type stub3D struct{ name string }
-
-func (s stub3D) Name() string { return s.name }
-func (s stub3D) Compress(v *grid.Volume, absErr float64) ([]byte, error) {
-	return []byte{byte(v.Nz), byte(v.Ny), byte(v.Nx)}, nil
+func (s stub) Name() string { return s.name }
+func (s stub) Ranks() []int { return []int{s.rank} }
+func (s stub) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	out := make([]byte, len(f.Shape))
+	for k, n := range f.Shape {
+		out[k] = byte(n)
+	}
+	return out, nil
 }
-func (s stub3D) Decompress(data []byte) (*grid.Volume, error) {
-	return grid.NewVolume(int(data[0]), int(data[1]), int(data[2])), nil
+func (s stub) DecompressField(data []byte) (*field.Field, error) {
+	shape := make([]int, len(data))
+	for k, b := range data {
+		shape[k] = int(b)
+	}
+	return field.New(shape...), nil
 }
 
 func TestRegistryRankDispatch(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Register(stub2D{"flat"}); err != nil {
+	if err := r.RegisterField(stub{"flat", 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RegisterVolume(stub3D{"deep"}); err != nil {
+	if err := r.RegisterField(stub{"deep", 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RegisterVolume(stub3D{"deep"}); err == nil {
-		t.Fatal("expected duplicate error across views")
+	if err := r.RegisterField(stub{"deep", 3}); err == nil {
+		t.Fatal("expected duplicate error")
 	}
-	if err := r.Register(stub2D{"deep"}); err == nil {
+	if err := r.RegisterField(stub{"deep", 2}); err == nil {
 		t.Fatal("expected duplicate error between 2D and 3D names")
 	}
 
-	if got := r.Names(); len(got) != 1 || got[0] != "flat" {
-		t.Fatalf("Names() = %v want [flat]", got)
-	}
 	if got := r.NamesFor(2); len(got) != 1 || got[0] != "flat" {
 		t.Fatalf("NamesFor(2) = %v", got)
 	}
@@ -80,31 +77,32 @@ func TestRegistryRankDispatch(t *testing.T) {
 type boundedVol struct{}
 
 func (boundedVol) Name() string { return "raw-3d" }
-func (boundedVol) Compress(v *grid.Volume, absErr float64) ([]byte, error) {
-	out := []byte{byte(v.Nz), byte(v.Ny), byte(v.Nx)}
-	for _, val := range v.Data {
+func (boundedVol) Ranks() []int { return []int{3} }
+func (boundedVol) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	out := []byte{byte(f.Shape[0]), byte(f.Shape[1]), byte(f.Shape[2])}
+	for _, val := range f.Data {
 		out = append(out, fmt.Sprintf("%016x", uint64(val*1000))...)
 	}
 	return out, nil
 }
-func (boundedVol) Decompress(data []byte) (*grid.Volume, error) {
-	v := grid.NewVolume(int(data[0]), int(data[1]), int(data[2]))
+func (boundedVol) DecompressField(data []byte) (*field.Field, error) {
+	f := field.New(int(data[0]), int(data[1]), int(data[2]))
 	pos := 3
-	for i := range v.Data {
+	for i := range f.Data {
 		var u uint64
 		fmt.Sscanf(string(data[pos:pos+16]), "%016x", &u)
-		v.Data[i] = float64(u) / 1000
+		f.Data[i] = float64(u) / 1000
 		pos += 16
 	}
-	return v, nil
+	return f, nil
 }
 
 func TestRunFieldVolume(t *testing.T) {
-	v := grid.NewVolume(2, 3, 4)
-	for i := range v.Data {
-		v.Data[i] = float64(i) / 8
+	f := field.New(2, 3, 4)
+	for i := range f.Data {
+		f.Data[i] = float64(i) / 8
 	}
-	res, err := RunField(WrapVolume(boundedVol{}), field.FromVolume(v), 1e-3)
+	res, err := RunField(boundedVol{}, f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,24 +112,13 @@ func TestRunFieldVolume(t *testing.T) {
 	if res.MaxAbsError > 1e-3 {
 		t.Fatalf("max error %v", res.MaxAbsError)
 	}
-}
-
-// TestRunFieldMatchesRun2D checks the 2D harness and the generic
-// harness agree field-for-field on a real measurement.
-func TestRunFieldMatchesRun2D(t *testing.T) {
-	g := grid.FromFunc(24, 24, func(r, c int) float64 {
-		return float64(r)*0.1 + float64(c)*0.05
-	})
-	c := roundingCompressor{name: "round"}
-	want, err := Run(c, g, 1e-3)
+	// The float32 lane of a codec without one runs the widen→narrow
+	// fallback and is measured against the float32 samples.
+	res, err = RunField32(boundedVol{}, f.Narrow(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunField(WrapGrid(c), field.FromGrid(g), 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want != got {
-		t.Fatalf("Run %+v != RunField %+v", want, got)
+	if !res.BoundOK || res.OriginalSize != 24*4 {
+		t.Fatalf("unexpected float32 result %+v", res)
 	}
 }

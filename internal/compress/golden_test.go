@@ -61,8 +61,8 @@ func goldenCodecs(rank int) []compress.FieldCompressor {
 	cs := core.DefaultRegistry().AllFor(rank)
 	if rank == 2 {
 		cs = append(cs,
-			compress.WrapGrid(szlike.Compressor{Mode: szlike.PredictorLorenzoOnly}),
-			compress.WrapGrid(szlike.Compressor{Mode: szlike.PredictorRegressionOnly}))
+			szlike.Compressor{Mode: szlike.PredictorLorenzoOnly},
+			szlike.Compressor{Mode: szlike.PredictorRegressionOnly})
 	}
 	return cs
 }

@@ -111,11 +111,11 @@ func TestPredictFieldEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DefaultRegistry().Get("sz-like")
+	c, err := DefaultRegistry().GetFor("sz-like", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := compress.Run(c, f, 1e-3)
+	res, err := compress.RunField(c, field.FromGrid(f), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/grid"
 	"lossycorr/internal/szlike"
@@ -100,7 +101,7 @@ func TestEntropyTracksCompressibility(t *testing.T) {
 		}
 		entropies = append(entropies, h)
 		c := szlike.Compressor{}
-		data, err := c.Compress(f, 1e-3)
+		data, err := c.CompressField(field.FromGrid(f), 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,10 +18,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"lossycorr/internal/compress"
+	"lossycorr/internal/field"
 	"lossycorr/internal/grid"
 	"lossycorr/internal/huffman"
 	"lossycorr/internal/lossless"
@@ -34,13 +34,17 @@ var symbolPool = sync.Pool{New: func() any { return new([]uint16) }}
 
 var magic = [4]byte{'M', 'G', 'L', '1'}
 
-// Compressor is the MGARD-like codec. The zero value is ready to use.
+// Compressor is the MGARD-like codec for 2D fields. The zero value is
+// ready to use.
 type Compressor struct{}
 
-var _ compress.Compressor = Compressor{}
+var _ compress.FieldCompressor = Compressor{}
 
-// Name implements compress.Compressor.
+// Name implements compress.FieldCompressor.
 func (Compressor) Name() string { return "mgard-like" }
+
+// Ranks implements compress.FieldCompressor.
+func (Compressor) Ranks() []int { return []int{2} }
 
 // numLevels picks the number of dyadic refinement levels: the coarsest
 // lattice has stride 2^L and still at least two nodes along the longer
@@ -121,10 +125,14 @@ func forEachLevelNode(rows, cols, s int, fn func(r, c int)) {
 	}
 }
 
-// Compress implements compress.Compressor.
-func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
+// CompressField implements compress.FieldCompressor.
+func (Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
 	if absErr <= 0 {
 		return nil, fmt.Errorf("mgardlike: non-positive error bound %v", absErr)
+	}
+	g, err := f.AsGrid()
+	if err != nil {
+		return nil, err
 	}
 	if g.Len() == 0 {
 		return nil, errors.New("mgardlike: empty field")
@@ -179,19 +187,10 @@ func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
 
 	huff := huffman.Encode(symbols)
 	*sp = symbols // retain grown capacity for reuse
-	var buf []byte
-	buf = append(buf, magic[:]...)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[0:], uint32(g.Rows))
-	binary.LittleEndian.PutUint32(tmp[4:], uint32(g.Cols))
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(absErr))
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(exact)))
-	buf = append(buf, tmp[:4]...)
+	buf := compress.AppendHeader(nil, magic, f.Shape, absErr)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(exact)))
 	for _, v := range exact {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		buf = append(buf, tmp[:]...)
+		buf = compress.AppendValue(buf, v)
 	}
 	buf = append(buf, huff...)
 	return lossless.Compress(buf)
@@ -200,33 +199,27 @@ func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
 // ErrCorrupt reports a malformed stream.
 var ErrCorrupt = errors.New("mgardlike: corrupt stream")
 
-// Decompress implements compress.Compressor.
-func (Compressor) Decompress(data []byte) (*grid.Grid, error) {
+// DecompressField implements compress.FieldCompressor.
+func (Compressor) DecompressField(data []byte) (*field.Field, error) {
 	raw, err := lossless.Decompress(data)
 	if err != nil {
 		return nil, fmt.Errorf("mgardlike: %w", err)
 	}
-	if len(raw) < 24 || raw[0] != magic[0] || raw[1] != magic[1] || raw[2] != magic[2] || raw[3] != magic[3] {
+	h, body, ok := compress.ParseHeader(raw, magic, 2)
+	if !ok || h.AbsErr <= 0 || len(body) < 4 {
 		return nil, ErrCorrupt
 	}
-	rows := int(binary.LittleEndian.Uint32(raw[4:]))
-	cols := int(binary.LittleEndian.Uint32(raw[8:]))
-	absErr := math.Float64frombits(binary.LittleEndian.Uint64(raw[12:]))
-	if rows <= 0 || cols <= 0 || absErr <= 0 || rows*cols > 1<<30 {
-		return nil, ErrCorrupt
-	}
-	pos := 20
-	nExact := int(binary.LittleEndian.Uint32(raw[pos:]))
-	pos += 4
-	if nExact < 0 || len(raw) < pos+8*nExact {
+	rows, cols, absErr := h.Shape[0], h.Shape[1], h.AbsErr
+	nExact := int(binary.LittleEndian.Uint32(body))
+	body = body[4:]
+	if nExact < 0 || len(body) < 8*nExact {
 		return nil, ErrCorrupt
 	}
 	exact := make([]float64, nExact)
 	for i := range exact {
-		exact[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
-		pos += 8
+		exact[i] = compress.Value[float64](body[8*i:])
 	}
-	symbols, err := huffman.Decode(raw[pos:])
+	symbols, err := huffman.Decode(body[8*nExact:])
 	if err != nil {
 		return nil, fmt.Errorf("mgardlike: %w", err)
 	}
@@ -296,5 +289,5 @@ func (Compressor) Decompress(data []byte) (*grid.Grid, error) {
 	if si != len(symbols) || ei != len(exact) {
 		return nil, ErrCorrupt
 	}
-	return recon, nil
+	return field.FromGrid(recon), nil
 }

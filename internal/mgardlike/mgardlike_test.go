@@ -5,19 +5,31 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/grid"
 	"lossycorr/internal/xrand"
 )
 
+func compressGrid(g *grid.Grid, eb float64) ([]byte, error) {
+	return Compressor{}.CompressField(field.FromGrid(g), eb)
+}
+
+func decompressGrid(data []byte) (*grid.Grid, error) {
+	f, err := Compressor{}.DecompressField(data)
+	if err != nil {
+		return nil, err
+	}
+	return f.AsGrid()
+}
+
 func roundtrip(t *testing.T, g *grid.Grid, eb float64) *grid.Grid {
 	t.Helper()
-	c := Compressor{}
-	data, err := c.Compress(g, eb)
+	data, err := compressGrid(g, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(data)
+	dec, err := decompressGrid(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,28 +140,26 @@ func TestExtremeValues(t *testing.T) {
 }
 
 func TestEmptyAndBadBound(t *testing.T) {
-	c := Compressor{}
-	if _, err := c.Compress(grid.New(0, 0), 1e-3); err == nil {
+	if _, err := compressGrid(grid.New(0, 0), 1e-3); err == nil {
 		t.Fatal("empty field must error")
 	}
-	if _, err := c.Compress(grid.New(4, 4), 0); err == nil {
+	if _, err := compressGrid(grid.New(4, 4), 0); err == nil {
 		t.Fatal("eb=0 must error")
 	}
 }
 
 func TestSmoothBeatsNoise(t *testing.T) {
-	c := Compressor{}
 	smooth, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 16, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := xrand.New(12)
 	noise := grid.FromFunc(64, 64, func(r, cc int) float64 { return rng.NormFloat64() })
-	ds, err := c.Compress(smooth, 1e-3)
+	ds, err := compressGrid(smooth, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dn, err := c.Compress(noise, 1e-3)
+	dn, err := compressGrid(noise, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +173,9 @@ func TestRatioIncreasesWithBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Compressor{}
 	var sizes []int
 	for _, eb := range []float64{1e-6, 1e-4, 1e-2} {
-		d, err := c.Compress(f, eb)
+		d, err := compressGrid(f, eb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,21 +187,19 @@ func TestRatioIncreasesWithBound(t *testing.T) {
 }
 
 func TestDecompressCorrupt(t *testing.T) {
-	c := Compressor{}
-	if _, err := c.Decompress([]byte{3, 1, 4}); err == nil {
+	if _, err := decompressGrid([]byte{3, 1, 4}); err == nil {
 		t.Fatal("garbage must error")
 	}
-	data, err := c.Compress(grid.FromFunc(9, 9, func(r, cc int) float64 { return float64(r * cc) }), 1e-3)
+	data, err := compressGrid(grid.FromFunc(9, 9, func(r, cc int) float64 { return float64(r * cc) }), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Decompress(data[:len(data)/2]); err == nil {
+	if _, err := decompressGrid(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated stream must error")
 	}
 }
 
 func TestQuickBoundProperty(t *testing.T) {
-	c := Compressor{}
 	f := func(seed uint64, ebExp uint8, rough bool) bool {
 		eb := math.Pow(10, -1-float64(ebExp%6))
 		rng := xrand.New(seed)
@@ -207,11 +214,11 @@ func TestQuickBoundProperty(t *testing.T) {
 				return math.Sin(float64(r)/fr) + math.Cos(float64(cc)/fr)
 			})
 		}
-		data, err := c.Compress(g, eb)
+		data, err := compressGrid(g, eb)
 		if err != nil {
 			return false
 		}
-		dec, err := c.Decompress(data)
+		dec, err := decompressGrid(data)
 		if err != nil {
 			return false
 		}

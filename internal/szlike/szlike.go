@@ -1,12 +1,21 @@
 // Package szlike implements an SZ-style error-bounded lossy compressor
-// (Liang et al., IEEE Big Data 2018) in pure Go. Like SZ 2.x for 2D
-// data it works block by block (16×16), choosing per block between a
-// Lorenzo predictor (reconstructed-neighbor extrapolation) and a
-// regression predictor (least-squares plane through the block), then
-// linearly quantizes prediction residuals into 2·eb bins with an escape
-// path that stores unpredictable values exactly. The symbol stream is
-// entropy coded with canonical Huffman and the whole payload passes
-// through DEFLATE, standing in for SZ's Zstd stage.
+// (Liang et al., IEEE Big Data 2018) in pure Go. Like SZ 2.x it works
+// block by block — 16×16 blocks for 2D fields, 8×8×8 for 3D — choosing
+// per block between a Lorenzo predictor (reconstructed-neighbour
+// extrapolation) and a regression predictor (least-squares hyperplane
+// through the block), then linearly quantizes prediction residuals into
+// 2·eb bins with an escape path that stores unpredictable values
+// exactly. The symbol stream is entropy coded with canonical Huffman
+// and the whole payload passes through DEFLATE, standing in for SZ's
+// Zstd stage.
+//
+// The codec is written once over the rank (2 or 3) and the element
+// lane (float64 or float32). Prediction arithmetic runs in float64 on
+// either lane (widening a float32 is exact); the float32 lane keeps its
+// reconstruction mirror, escapes and output in float32 and re-checks
+// every quantized sample after narrowing: a sample whose float32
+// rounding would leave the bound escapes to exact storage, so the bound
+// holds on the values a float32 consumer reads.
 //
 // Because the predictor only sees local context, the compressor
 // exploits local correlation structure — the property the paper links
@@ -21,45 +30,32 @@ import (
 	"sync"
 
 	"lossycorr/internal/compress"
-	"lossycorr/internal/grid"
+	"lossycorr/internal/field"
 	"lossycorr/internal/huffman"
 	"lossycorr/internal/lossless"
 	"lossycorr/internal/quant"
 )
 
-// compressScratch is the per-call working set of Compress — the
-// reconstruction mirror, symbol stream, and block-mode list — recycled
-// through a pool so batch measurement (every field × error bound)
-// stops re-allocating a full field's worth of scratch per run.
-type compressScratch struct {
-	recon   []float64
-	symbols []uint16
-	modes   []byte
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(compressScratch) }}
-
-// grow returns s[:n] reusing capacity, zeroed.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // BlockSize is the 2D prediction block edge, matching SZ's 16×16.
 const BlockSize = 16
+
+// BlockSize3D is the 3D prediction block edge (SZ uses 8×8×8).
+const BlockSize3D = 8
 
 const (
 	modeLorenzo byte = iota
 	modeRegression
 )
 
-var magic = [4]byte{'S', 'Z', 'L', '1'}
+// magic tags a stream by rank and lane: magic[rank-2][lane], lane 0
+// float64 and lane 1 float32.
+var magic = [2][2][4]byte{
+	{{'S', 'Z', 'L', '1'}, {'S', 'Z', 'L', 'f'}},
+	{{'S', 'Z', 'L', '3'}, {'S', 'Z', '3', 'f'}},
+}
+
+// ErrCorrupt reports a malformed stream.
+var ErrCorrupt = errors.New("szlike: corrupt stream")
 
 // PredictorMode restricts which block predictor Compress may choose —
 // an ablation knob for quantifying what each of SZ's two predictors
@@ -75,16 +71,23 @@ const (
 	PredictorRegressionOnly
 )
 
-// Compressor is the SZ-like codec. The zero value (auto predictor
-// selection) is ready to use.
+// Compressor is the SZ-like codec for 2D fields. The zero value (auto
+// predictor selection) is ready to use.
 type Compressor struct {
 	// Mode restricts predictor choice; zero means auto.
 	Mode PredictorMode
 }
 
-var _ compress.Compressor = Compressor{}
+// Compressor3D is the SZ-like codec for 3D fields, with auto predictor
+// selection. The zero value is ready to use.
+type Compressor3D struct{}
 
-// Name implements compress.Compressor.
+var (
+	_ compress.Lane32Compressor = Compressor{}
+	_ compress.FieldCompressor  = Compressor3D{}
+)
+
+// Name implements compress.FieldCompressor.
 func (c Compressor) Name() string {
 	switch c.Mode {
 	case PredictorLorenzoOnly:
@@ -96,269 +99,341 @@ func (c Compressor) Name() string {
 	}
 }
 
-// regressionCoeffs fits v ≈ b0 + b1·r + b2·c over the block by
-// closed-form least squares on the (separable, integer) design. Returns
-// coefficients rounded through float32, the representation stored in
-// the stream, so compressor and decompressor predict identically.
-func regressionCoeffs(g *grid.Grid, r0, c0, rows, cols int) (b0, b1, b2 float64) {
-	n := float64(rows * cols)
-	var sr, sc, sv, srv, scv float64
-	for r := 0; r < rows; r++ {
-		base := (r0+r)*g.Cols + c0
-		row := g.Data[base : base+cols]
-		for c, v := range row {
-			sr += float64(r)
-			sc += float64(c)
-			sv += v
-			srv += float64(r) * v
-			scv += float64(c) * v
-		}
-	}
-	mr, mc, mv := sr/n, sc/n, sv/n
-	// For a full integer lattice the design is orthogonal after
-	// centering: Σ(r−mr)(c−mc) = 0, so the two slopes decouple.
-	var srr, scc, srvC, scvC float64
-	for r := 0; r < rows; r++ {
-		dr := float64(r) - mr
-		srr += dr * dr * float64(cols)
-	}
-	for c := 0; c < cols; c++ {
-		dc := float64(c) - mc
-		scc += dc * dc * float64(rows)
-	}
-	srvC = srv - mr*sv
-	scvC = scv - mc*sv
-	if srr > 0 {
-		b1 = srvC / srr
-	}
-	if scc > 0 {
-		b2 = scvC / scc
-	}
-	b0 = mv - b1*mr - b2*mc
-	b0 = float64(float32(b0))
-	b1 = float64(float32(b1))
-	b2 = float64(float32(b2))
-	return
+// Ranks implements compress.FieldCompressor.
+func (Compressor) Ranks() []int { return []int{2} }
+
+// CompressField implements compress.FieldCompressor.
+func (c Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 2, c.Mode, absErr)
 }
 
-// lorenzoPredict extrapolates from already-reconstructed neighbors
-// (out-of-grid neighbors read as 0, SZ's convention for borders).
-func lorenzoPredict(recon *grid.Grid, r, c int) float64 {
-	var a, b, d float64
-	if r > 0 {
-		a = recon.At(r-1, c)
-	}
-	if c > 0 {
-		b = recon.At(r, c-1)
-	}
-	if r > 0 && c > 0 {
-		d = recon.At(r-1, c-1)
-	}
-	return a + b - d
+// DecompressField implements compress.FieldCompressor.
+func (Compressor) DecompressField(data []byte) (*field.Field, error) {
+	return compress.FieldOf(decode[float64](data, 2))
 }
 
-// estimateBlockErrors scores both predictors on original data (SZ
-// samples; we evaluate exactly) so the cheaper mode wins per block.
-// The sweep walks row slices of the grid (current row, row above)
-// instead of per-element At calls, so the inner loop is two streaming
-// reads with the bounds checks hoisted to the slice headers.
-func estimateBlockErrors(g *grid.Grid, r0, c0, rows, cols int, b0, b1, b2 float64) (lorenzo, regression float64) {
-	for r := 0; r < rows; r++ {
-		gr := r0 + r
-		base := gr*g.Cols + c0
-		cur := g.Data[base : base+cols]
-		var up []float64
-		if gr > 0 {
-			up = g.Data[base-g.Cols : base-g.Cols+cols]
-		}
-		rowPred := b0 + b1*float64(r)
-		for c, v := range cur {
-			var a, b, d float64
-			if gr > 0 {
-				a = up[c]
+// CompressField32 implements compress.Lane32Compressor.
+func (c Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 2, c.Mode, absErr)
+}
+
+// DecompressField32 implements compress.Lane32Compressor.
+func (Compressor) DecompressField32(data []byte) (*field.Field32, error) {
+	return compress.Field32Of(decode[float32](data, 2))
+}
+
+// Name implements compress.FieldCompressor.
+func (Compressor3D) Name() string { return "sz-like-3d" }
+
+// Ranks implements compress.FieldCompressor.
+func (Compressor3D) Ranks() []int { return []int{3} }
+
+// CompressField implements compress.FieldCompressor.
+func (Compressor3D) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 3, PredictorAuto, absErr)
+}
+
+// DecompressField implements compress.FieldCompressor.
+func (Compressor3D) DecompressField(data []byte) (*field.Field, error) {
+	return compress.FieldOf(decode[float64](data, 3))
+}
+
+// geom is a field's shape seen as rank 3 — a 2D field gets a unit
+// leading axis — with one zero ghost layer before each real axis, so
+// every Lorenzo neighbour of an in-field sample exists in the padded
+// buffers and out-of-field neighbours read 0 (SZ's border convention).
+type geom struct {
+	rank   int
+	dims   [3]int // nz, ny, nx (nz = 1 at rank 2)
+	block  [3]int // block edges: {1, 16, 16} or {8, 8, 8}
+	sy, sz int    // padded strides of the y and z axes
+	padded int    // padded element count
+}
+
+func newGeom(shape []int) geom {
+	g := geom{rank: len(shape), dims: [3]int{1, 1, 1}, block: [3]int{1, BlockSize, BlockSize}}
+	copy(g.dims[3-g.rank:], shape)
+	g.sy = g.dims[2] + 1
+	g.sz = (g.dims[1] + 1) * g.sy
+	g.padded = g.dims[0] * g.sz
+	if g.rank == 3 {
+		g.block = [3]int{BlockSize3D, BlockSize3D, BlockSize3D}
+		g.padded += g.sz
+	}
+	return g
+}
+
+// at returns the padded index of sample (z, y, x).
+func (g *geom) at(z, y, x int) int { return (z+g.rank-2)*g.sz + (y+1)*g.sy + x + 1 }
+
+// numBlocks counts the blocks covering the field.
+func (g *geom) numBlocks() int {
+	n := 1
+	for k, d := range g.dims {
+		n *= (d + g.block[k] - 1) / g.block[k]
+	}
+	return n
+}
+
+// blockAt returns the origin and clipped extents of block bi, blocks
+// numbered in row-major order.
+func (g *geom) blockAt(bi int) (o, n [3]int) {
+	for k := 2; k >= 0; k-- {
+		nb := (g.dims[k] + g.block[k] - 1) / g.block[k]
+		o[k] = bi % nb * g.block[k]
+		n[k] = min(g.block[k], g.dims[k]-o[k])
+		bi /= nb
+	}
+	return o, n
+}
+
+// rowPred is the regression hyperplane's offset for block row (z, y),
+// summed in the stored coefficient order.
+func (g *geom) rowPred(b *[4]float64, z, y int) float64 {
+	p := b[0]
+	if g.rank == 3 {
+		p += b[1] * float64(z)
+	}
+	return p + b[2]*float64(y)
+}
+
+// lorenzo is the Lorenzo prediction at padded index i: the
+// inclusion–exclusion over the 2^d−1 lower neighbours, summed by
+// popcount and then by mask (bit 0 = last axis). That is a+b−d in 2D
+// and SZ's seven-term order in 3D.
+func lorenzo[T field.Elem](a []T, g *geom, i int) float64 {
+	x, y := float64(a[i-1]), float64(a[i-g.sy])
+	if g.rank == 2 {
+		return x + y - float64(a[i-g.sy-1])
+	}
+	return x + y + float64(a[i-g.sz]) -
+		float64(a[i-g.sy-1]) - float64(a[i-g.sz-1]) - float64(a[i-g.sz-g.sy]) +
+		float64(a[i-g.sz-g.sy-1])
+}
+
+// fit returns the least-squares hyperplane v ≈ b[0] + b[1]·z + b[2]·y
+// + b[3]·x through a block, coordinates relative to its origin, in
+// closed form: on the integer lattice the centred design is orthogonal,
+// so the slopes decouple (a 2D field's unit z axis gets slope 0). The
+// coefficients are rounded through float32, the stored representation,
+// so compressor and decompressor predict identically.
+func fit[T field.Elem](src []T, g *geom, o, n [3]int) (b [4]float64) {
+	var sv, szv, syv, sxv float64
+	for z := range n[0] {
+		for y := range n[1] {
+			i := g.at(o[0]+z, o[1]+y, o[2])
+			zf, yf := float64(z), float64(y)
+			for x, e := range src[i : i+n[2]] {
+				v := float64(e)
+				sv += v
+				szv += zf * v
+				syv += yf * v
+				sxv += float64(x) * v
 			}
-			if c > 0 {
-				b = cur[c-1]
-				if gr > 0 {
-					d = up[c-1]
-				}
-			} else if c0 > 0 {
-				b = g.Data[base-1]
-				if gr > 0 {
-					d = g.Data[base-g.Cols-1]
-				}
-			}
-			le := v - (a + b - d)
-			lorenzo += le * le
-			re := v - (rowPred + b2*float64(c))
-			regression += re * re
 		}
 	}
-	return
+	cnt := n[0] * n[1] * n[2]
+	total := float64(cnt)
+	sums := [3]float64{szv, syv, sxv}
+	var mean [3]float64
+	b[0] = sv / total
+	for k := range 3 {
+		other := cnt / n[k]
+		mean[k] = float64(other*n[k]*(n[k]-1)/2) / total
+		var skk float64
+		for i := range n[k] {
+			d := float64(i) - mean[k]
+			skk += d * d * float64(other)
+		}
+		if skk > 0 {
+			b[1+k] = (sums[k] - mean[k]*sv) / skk
+		}
+	}
+	for k := range 3 {
+		b[0] -= b[1+k] * mean[k]
+	}
+	for k := range b {
+		b[k] = float64(float32(b[k]))
+	}
+	return b
 }
 
-// Compress implements compress.Compressor.
-func (cc Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
+// estimate scores both predictors on a block's original samples (SZ
+// samples; this evaluates exactly) as sums of squared residuals, so the
+// cheaper mode wins.
+func estimate[T field.Elem](src []T, g *geom, o, n [3]int, b *[4]float64) (lorenzoErr, regressionErr float64) {
+	for z := range n[0] {
+		for y := range n[1] {
+			i := g.at(o[0]+z, o[1]+y, o[2])
+			rowPred := g.rowPred(b, z, y)
+			for x := range n[2] {
+				v := float64(src[i+x])
+				le := v - lorenzo(src, g, i+x)
+				lorenzoErr += le * le
+				re := v - (rowPred + b[3]*float64(x))
+				regressionErr += re * re
+			}
+		}
+	}
+	return lorenzoErr, regressionErr
+}
+
+// interior copies every row between a field's flat samples and the
+// interior of a padded buffer, into the buffer when toPadded is set.
+func interior[T field.Elem](g *geom, flat, padded []T, toPadded bool) {
+	nx := g.dims[2]
+	for z := range g.dims[0] {
+		for y := range g.dims[1] {
+			f, p := (z*g.dims[1]+y)*nx, g.at(z, y, 0)
+			if toPadded {
+				copy(padded[p:p+nx], flat[f:f+nx])
+			} else {
+				copy(flat[f:f+nx], padded[p:p+nx])
+			}
+		}
+	}
+}
+
+// scratch is the per-call working set — the padded source and
+// reconstruction, the symbol stream, the block modes — recycled per
+// lane so batch measurement (every field × error bound) stops
+// re-allocating a field's worth of scratch per run.
+type scratch[T field.Elem] struct {
+	src, rec []T
+	symbols  []uint16
+	modes    []byte
+}
+
+var pools = [2]sync.Pool{
+	{New: func() any { return new(scratch[float64]) }},
+	{New: func() any { return new(scratch[float32]) }},
+}
+
+// laneIndex is 0 for float64 and 1 for float32, the index of pools and of
+// magic's inner dimension.
+func laneIndex[T field.Elem]() int { return 2 - compress.ValueBytes[T]()/4 }
+
+// zeroed returns s[:n] reusing capacity, zero-filled.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// encode compresses a rank-`rank` field on either lane.
+func encode[T field.Elem](shape []int, data []T, rank int, mode PredictorMode, absErr float64) ([]byte, error) {
 	if absErr <= 0 {
 		return nil, fmt.Errorf("szlike: non-positive error bound %v", absErr)
 	}
-	if g.Len() == 0 {
+	if len(shape) != rank {
+		return nil, fmt.Errorf("szlike: rank-%d codec got a rank-%d field", rank, len(shape))
+	}
+	if len(data) == 0 {
 		return nil, errors.New("szlike: empty field")
 	}
+	l := laneIndex[T]()
+	sc := pools[l].Get().(*scratch[T])
+	defer pools[l].Put(sc)
+	g := newGeom(shape)
+	src := zeroed(sc.src, g.padded)
+	rec := zeroed(sc.rec, g.padded)
+	interior(&g, data, src, true)
+	narrow := l == 1
 	q := quant.New(absErr)
-	sc := scratchPool.Get().(*compressScratch)
-	defer scratchPool.Put(sc)
-	sc.recon = growFloats(sc.recon, g.Len())
-	recon := &grid.Grid{Rows: g.Rows, Cols: g.Cols, Data: sc.recon}
-
-	nbr := (g.Rows + BlockSize - 1) / BlockSize
-	nbc := (g.Cols + BlockSize - 1) / BlockSize
+	nBlocks := g.numBlocks()
 	modes := sc.modes[:0]
-	var coeffs []float32 // 3 per regression block
 	symbols := sc.symbols[:0]
-	var exact []float64
+	var coeffs []float32 // rank+1 per regression block
+	var exact []T
 
-	for br := 0; br < nbr; br++ {
-		for bc := 0; bc < nbc; bc++ {
-			r0, c0 := br*BlockSize, bc*BlockSize
-			rows, cols := BlockSize, BlockSize
-			if r0+rows > g.Rows {
-				rows = g.Rows - r0
+	for bi := range nBlocks {
+		o, n := g.blockAt(bi)
+		var b [4]float64
+		m := modeLorenzo
+		switch mode {
+		case PredictorRegressionOnly:
+			b, m = fit(src, &g, o, n), modeRegression
+		case PredictorAuto:
+			b = fit(src, &g, o, n)
+			if le, re := estimate(src, &g, o, n, &b); re < le {
+				m = modeRegression
 			}
-			if c0+cols > g.Cols {
-				cols = g.Cols - c0
+		}
+		modes = append(modes, m)
+		if m == modeRegression {
+			coeffs = append(coeffs, float32(b[0]))
+			for _, s := range b[4-rank:] {
+				coeffs = append(coeffs, float32(s))
 			}
-			b0, b1, b2 := regressionCoeffs(g, r0, c0, rows, cols)
-			var mode byte
-			switch cc.Mode {
-			case PredictorLorenzoOnly:
-				mode = modeLorenzo
-			case PredictorRegressionOnly:
-				mode = modeRegression
-			default:
-				le, re := estimateBlockErrors(g, r0, c0, rows, cols, b0, b1, b2)
-				mode = modeLorenzo
-				if re < le {
-					mode = modeRegression
-				}
-			}
-			modes = append(modes, mode)
-			if mode == modeRegression {
-				coeffs = append(coeffs, float32(b0), float32(b1), float32(b2))
-			}
-			// Row-sliced quantize kernel: one streaming pass per block
-			// row over the source and reconstruction rows, specialized
-			// per predictor so the inner loops carry no mode branch.
-			for r := 0; r < rows; r++ {
-				gr := r0 + r
-				base := gr*g.Cols + c0
-				src := g.Data[base : base+cols]
-				rec := recon.Data[base : base+cols]
-				if mode == modeRegression {
-					rowPred := b0 + b1*float64(r)
-					for c, v := range src {
-						pred := rowPred + b2*float64(c)
-						sym, delta, ok := q.Encode(v - pred)
-						if !ok {
-							symbols = append(symbols, quant.Escape)
-							exact = append(exact, v)
-							rec[c] = v
+		}
+		for z := range n[0] {
+			for y := range n[1] {
+				i := g.at(o[0]+z, o[1]+y, o[2])
+				rowPred := g.rowPred(&b, z, y)
+				for x, v := range src[i : i+n[2]] {
+					var pred float64
+					if m == modeLorenzo {
+						pred = lorenzo(rec, &g, i+x)
+					} else {
+						pred = rowPred + b[3]*float64(x)
+					}
+					if sym, delta, ok := q.Encode(float64(v) - pred); ok {
+						// On the float32 lane the bound must hold on the
+						// narrowed value the consumer will read.
+						if r := T(pred + delta); !narrow || math.Abs(float64(r)-float64(v)) <= absErr {
+							symbols = append(symbols, sym)
+							rec[i+x] = r
 							continue
 						}
-						symbols = append(symbols, sym)
-						rec[c] = pred + delta
 					}
-					continue
-				}
-				var up []float64
-				if gr > 0 {
-					up = recon.Data[base-g.Cols : base-g.Cols+cols]
-				}
-				for c, v := range src {
-					var a, b, d float64
-					if gr > 0 {
-						a = up[c]
-					}
-					if c > 0 {
-						b = rec[c-1]
-						if gr > 0 {
-							d = up[c-1]
-						}
-					} else if c0 > 0 {
-						b = recon.Data[base-1]
-						if gr > 0 {
-							d = recon.Data[base-g.Cols-1]
-						}
-					}
-					pred := a + b - d
-					sym, delta, ok := q.Encode(v - pred)
-					if !ok {
-						symbols = append(symbols, quant.Escape)
-						exact = append(exact, v)
-						rec[c] = v
-						continue
-					}
-					symbols = append(symbols, sym)
-					rec[c] = pred + delta
+					symbols = append(symbols, quant.Escape)
+					exact = append(exact, v)
+					rec[i+x] = v
 				}
 			}
 		}
 	}
 
 	huff := huffman.Encode(symbols)
-	sc.modes, sc.symbols = modes, symbols // retain grown capacity for reuse
+	sc.src, sc.rec, sc.modes, sc.symbols = src, rec, modes, symbols // retain grown capacity
 
-	// assemble payload: header | modes | coeffs | exactCount | exact | huff
-	var buf []byte
-	buf = append(buf, magic[:]...)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[0:], uint32(g.Rows))
-	binary.LittleEndian.PutUint32(tmp[4:], uint32(g.Cols))
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(absErr))
-	buf = append(buf, tmp[:]...)
+	// payload: header | modes | coeffs | exactCount | exact | huff
+	buf := compress.AppendHeader(nil, magic[rank-2][l], shape, absErr)
 	buf = append(buf, modes...)
 	for _, cf := range coeffs {
-		binary.LittleEndian.PutUint32(tmp[:4], math.Float32bits(cf))
-		buf = append(buf, tmp[:4]...)
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(cf))
 	}
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(exact)))
-	buf = append(buf, tmp[:4]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(exact)))
 	for _, v := range exact {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		buf = append(buf, tmp[:]...)
+		buf = compress.AppendValue(buf, v)
 	}
 	buf = append(buf, huff...)
 	return lossless.Compress(buf)
 }
 
-// ErrCorrupt reports a malformed stream.
-var ErrCorrupt = errors.New("szlike: corrupt stream")
-
-// Decompress implements compress.Compressor.
-func (Compressor) Decompress(data []byte) (*grid.Grid, error) {
+// decode reconstructs a rank-`rank` field on lane T, rejecting streams
+// of another rank or lane. It replays encode's reconstruction mirror
+// exactly — same padded layout, same predictor arithmetic — so the
+// output equals the compressor's mirror bit for bit.
+func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 	raw, err := lossless.Decompress(data)
 	if err != nil {
-		return nil, fmt.Errorf("szlike: %w", err)
+		return nil, nil, fmt.Errorf("szlike: %w", err)
 	}
-	if len(raw) < 20 || raw[0] != magic[0] || raw[1] != magic[1] || raw[2] != magic[2] || raw[3] != magic[3] {
-		return nil, ErrCorrupt
+	l := laneIndex[T]()
+	h, body, ok := compress.ParseHeader(raw, magic[rank-2][l], rank)
+	if !ok || h.AbsErr <= 0 {
+		return nil, nil, ErrCorrupt
 	}
-	rows := int(binary.LittleEndian.Uint32(raw[4:]))
-	cols := int(binary.LittleEndian.Uint32(raw[8:]))
-	absErr := math.Float64frombits(binary.LittleEndian.Uint64(raw[12:]))
-	if rows <= 0 || cols <= 0 || absErr <= 0 || rows*cols > 1<<30 {
-		return nil, ErrCorrupt
+	g := newGeom(h.Shape)
+	nBlocks := g.numBlocks()
+	if len(body) < nBlocks {
+		return nil, nil, ErrCorrupt
 	}
-	pos := 20
-	nbr := (rows + BlockSize - 1) / BlockSize
-	nbc := (cols + BlockSize - 1) / BlockSize
-	nBlocks := nbr * nbc
-	if len(raw) < pos+nBlocks {
-		return nil, ErrCorrupt
-	}
-	modes := raw[pos : pos+nBlocks]
-	pos += nBlocks
+	modes, body := body[:nBlocks], body[nBlocks:]
 	nReg := 0
 	for _, m := range modes {
 		switch m {
@@ -366,114 +441,80 @@ func (Compressor) Decompress(data []byte) (*grid.Grid, error) {
 			nReg++
 		case modeLorenzo:
 		default:
-			return nil, ErrCorrupt
+			return nil, nil, ErrCorrupt
 		}
 	}
-	if len(raw) < pos+12*nReg+4 {
-		return nil, ErrCorrupt
+	nc := rank + 1
+	if len(body) < 4*nc*nReg+4 {
+		return nil, nil, ErrCorrupt
 	}
-	coeffs := make([]float64, 0, 3*nReg)
-	for i := 0; i < 3*nReg; i++ {
-		coeffs = append(coeffs, float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[pos:]))))
-		pos += 4
+	coeffs := make([]float64, nc*nReg)
+	for i := range coeffs {
+		coeffs[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
 	}
-	nExact := int(binary.LittleEndian.Uint32(raw[pos:]))
-	pos += 4
-	if nExact < 0 || len(raw) < pos+8*nExact {
-		return nil, ErrCorrupt
+	body = body[4*len(coeffs):]
+	nExact := int(binary.LittleEndian.Uint32(body))
+	body = body[4:]
+	w := compress.ValueBytes[T]()
+	if nExact < 0 || len(body) < w*nExact {
+		return nil, nil, ErrCorrupt
 	}
-	exact := make([]float64, nExact)
+	exact := make([]T, nExact)
 	for i := range exact {
-		exact[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
-		pos += 8
+		exact[i] = compress.Value[T](body[w*i:])
 	}
-	symbols, err := huffman.Decode(raw[pos:])
+	symbols, err := huffman.Decode(body[w*nExact:])
 	if err != nil {
-		return nil, fmt.Errorf("szlike: %w", err)
+		return nil, nil, fmt.Errorf("szlike: %w", err)
 	}
-	if len(symbols) != rows*cols {
-		return nil, ErrCorrupt
+	if len(symbols) != h.Len {
+		return nil, nil, ErrCorrupt
 	}
 
-	q := quant.New(absErr)
-	recon := grid.New(rows, cols)
-	si, ei, ci, bi := 0, 0, 0, 0
-	for br := 0; br < nbr; br++ {
-		for bc := 0; bc < nbc; bc++ {
-			r0, c0 := br*BlockSize, bc*BlockSize
-			brows, bcols := BlockSize, BlockSize
-			if r0+brows > rows {
-				brows = rows - r0
-			}
-			if c0+bcols > cols {
-				bcols = cols - c0
-			}
-			mode := modes[bi]
-			bi++
-			var b0, b1, b2 float64
-			if mode == modeRegression {
-				b0, b1, b2 = coeffs[ci], coeffs[ci+1], coeffs[ci+2]
-				ci += 3
-			}
-			// Mirror of Compress's row-sliced kernel: same slices, same
-			// predictor arithmetic, so reconstruction tracks the
-			// compressor's mirror exactly.
-			for r := 0; r < brows; r++ {
-				gr := r0 + r
-				base := gr*cols + c0
-				rec := recon.Data[base : base+bcols]
-				syms := symbols[si : si+bcols]
-				si += bcols
-				if mode == modeRegression {
-					rowPred := b0 + b1*float64(r)
-					for c, sym := range syms {
-						if sym == quant.Escape {
-							if ei >= len(exact) {
-								return nil, ErrCorrupt
-							}
-							rec[c] = exact[ei]
-							ei++
-							continue
-						}
-						rec[c] = rowPred + b2*float64(c) + q.Decode(sym)
-					}
-					continue
-				}
-				var up []float64
-				if gr > 0 {
-					up = recon.Data[base-cols : base-cols+bcols]
-				}
-				for c, sym := range syms {
+	q := quant.New(h.AbsErr)
+	sc := pools[l].Get().(*scratch[T])
+	defer pools[l].Put(sc)
+	rec := zeroed(sc.rec, g.padded)
+	sc.rec = rec
+	si, ei, ci := 0, 0, 0
+	for bi := range nBlocks {
+		o, n := g.blockAt(bi)
+		var b [4]float64
+		m := modes[bi]
+		if m == modeRegression {
+			b[0] = coeffs[ci]
+			copy(b[4-rank:], coeffs[ci+1:ci+nc])
+			ci += nc
+		}
+		for z := range n[0] {
+			for y := range n[1] {
+				i := g.at(o[0]+z, o[1]+y, o[2])
+				rowPred := g.rowPred(&b, z, y)
+				for x, sym := range symbols[si : si+n[2]] {
 					if sym == quant.Escape {
 						if ei >= len(exact) {
-							return nil, ErrCorrupt
+							return nil, nil, ErrCorrupt
 						}
-						rec[c] = exact[ei]
+						rec[i+x] = exact[ei]
 						ei++
 						continue
 					}
-					var a, b, d float64
-					if gr > 0 {
-						a = up[c]
+					var pred float64
+					if m == modeLorenzo {
+						pred = lorenzo(rec, &g, i+x)
+					} else {
+						pred = rowPred + b[3]*float64(x)
 					}
-					if c > 0 {
-						b = rec[c-1]
-						if gr > 0 {
-							d = up[c-1]
-						}
-					} else if c0 > 0 {
-						b = recon.Data[base-1]
-						if gr > 0 {
-							d = recon.Data[base-cols-1]
-						}
-					}
-					rec[c] = a + b - d + q.Decode(sym)
+					rec[i+x] = T(pred + q.Decode(sym))
 				}
+				si += n[2]
 			}
 		}
 	}
 	if ei != len(exact) {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
-	return recon, nil
+	out := make([]T, h.Len)
+	interior(&g, out, rec, false)
+	return h.Shape, out, nil
 }

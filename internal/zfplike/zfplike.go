@@ -1,13 +1,24 @@
 // Package zfplike implements a ZFP-style transform compressor
-// (Lindstrom & Isenburg, TVCG 2006 / ZFP 0.5) in pure Go. Like ZFP for
-// 2D data it partitions the field into 4×4 blocks, aligns each block to
-// a common exponent in integer fixed point, applies an invertible
-// integer multiresolution transform, converts coefficients to
-// negabinary (ZFP's truncation-friendly sign representation), and
-// encodes coefficient bit planes from most to least significant,
-// truncating at a plane derived from the absolute tolerance. The
-// transposed bit-plane layout is highly compressible and the stream
-// finishes with a DEFLATE pass.
+// (Lindstrom & Isenburg, TVCG 2006 / ZFP 0.5) in pure Go. Like ZFP it
+// partitions the field into 4^d blocks (4×4 in 2D, 4×4×4 in 3D), aligns
+// each block to a common exponent in integer fixed point, applies an
+// invertible integer multiresolution transform one axis at a time,
+// converts coefficients to negabinary (ZFP's truncation-friendly sign
+// representation), and encodes coefficient bit planes from most to
+// least significant, truncating at a plane derived from the absolute
+// tolerance. The transposed bit-plane layout is highly compressible and
+// the stream finishes with a DEFLATE pass.
+//
+// The codec is written once over the rank (2 or 3) and the element
+// lane (float64 or float32). The float32 lane gathers blocks straight
+// from float32 samples (widened exactly into the unchanged fixed-point
+// transform), stores raw blocks as 4-byte floats, and narrows the
+// reconstruction at scatter time. Its bound argument: every original
+// sample v is a float32, so rounding a float64 reconstruction x̂ to the
+// nearest float32 satisfies |f32(x̂) − v| ≤ 2·|x̂ − v| (v itself is a
+// rounding candidate). The coded path therefore runs at tolerance
+// absErr/2 — one extra bit plane — and the raw-block threshold doubles,
+// pinning max|f32(x̂) − v| ≤ absErr with no per-element check.
 //
 // Deviation from real ZFP (documented in DESIGN.md): the block
 // transform is a two-level integer Haar S-transform rather than ZFP's
@@ -27,46 +38,89 @@ import (
 
 	"lossycorr/internal/bitstream"
 	"lossycorr/internal/compress"
-	"lossycorr/internal/grid"
+	"lossycorr/internal/field"
 	"lossycorr/internal/lossless"
 )
-
-// compressScratch recycles the per-call stream builders of Compress —
-// block modes, coded-block metadata, raw escapes, and the bit-plane
-// writer — across batch measurement runs.
-type compressScratch struct {
-	modes, meta, rawVals []byte
-	w                    *bitstream.Writer
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &compressScratch{w: bitstream.NewWriter()}
-}}
 
 // BlockSize is the block edge (ZFP uses 4 in each dimension).
 const BlockSize = 4
 
 // fixedPointBits positions the fixed-point scaling: values are scaled
 // by 2^(fixedPointBits − emax) so |q| < 2^fixedPointBits before the
-// transform, whose two levels grow magnitudes by at most 4×, keeping
+// transform, which grows magnitudes by at most 2× per axis, keeping
 // everything far inside int64.
 const fixedPointBits = 50
 
 const (
 	blockZero  byte = iota // all-zero block, no payload
 	blockCoded             // bit-plane payload
-	blockRaw               // 16 exact float64 (tolerance finer than fixed point)
+	blockRaw               // 4^d exact samples (tolerance finer than fixed point)
 )
 
-var magic = [4]byte{'Z', 'F', 'L', '1'}
+// magic tags a stream by rank and lane: magic[rank-2][lane], lane 0
+// float64 and lane 1 float32.
+var magic = [2][2][4]byte{
+	{{'Z', 'F', 'L', '1'}, {'Z', 'F', 'L', 'f'}},
+	{{'Z', 'F', 'L', '3'}, {'Z', 'F', '3', 'f'}},
+}
 
-// Compressor is the ZFP-like codec. The zero value is ready to use.
+// ErrCorrupt reports a malformed stream.
+var ErrCorrupt = errors.New("zfplike: corrupt stream")
+
+// Compressor is the ZFP-like codec for 2D fields. The zero value is
+// ready to use.
 type Compressor struct{}
 
-var _ compress.Compressor = Compressor{}
+// Compressor3D is the ZFP-like codec for 3D fields. The zero value is
+// ready to use.
+type Compressor3D struct{}
 
-// Name implements compress.Compressor.
+var (
+	_ compress.Lane32Compressor = Compressor{}
+	_ compress.FieldCompressor  = Compressor3D{}
+)
+
+// Name implements compress.FieldCompressor.
 func (Compressor) Name() string { return "zfp-like" }
+
+// Ranks implements compress.FieldCompressor.
+func (Compressor) Ranks() []int { return []int{2} }
+
+// CompressField implements compress.FieldCompressor.
+func (Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 2, absErr)
+}
+
+// DecompressField implements compress.FieldCompressor.
+func (Compressor) DecompressField(data []byte) (*field.Field, error) {
+	return compress.FieldOf(decode[float64](data, 2))
+}
+
+// CompressField32 implements compress.Lane32Compressor.
+func (Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 2, absErr)
+}
+
+// DecompressField32 implements compress.Lane32Compressor.
+func (Compressor) DecompressField32(data []byte) (*field.Field32, error) {
+	return compress.Field32Of(decode[float32](data, 2))
+}
+
+// Name implements compress.FieldCompressor.
+func (Compressor3D) Name() string { return "zfp-like-3d" }
+
+// Ranks implements compress.FieldCompressor.
+func (Compressor3D) Ranks() []int { return []int{3} }
+
+// CompressField implements compress.FieldCompressor.
+func (Compressor3D) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 3, absErr)
+}
+
+// DecompressField implements compress.FieldCompressor.
+func (Compressor3D) DecompressField(data []byte) (*field.Field, error) {
+	return compress.FieldOf(decode[float64](data, 3))
+}
 
 // fwd4 applies the two-level integer Haar S-transform to a stride-s
 // 4-vector in place: output order (coarse mean, coarse detail, fine
@@ -91,23 +145,26 @@ func inv4(p []int64, s int) {
 	p[0], p[s], p[2*s], p[3*s] = a, b, c, d
 }
 
-// forwardBlock transforms rows then columns of a 4×4 block.
-func forwardBlock(q *[16]int64) {
-	for r := 0; r < 4; r++ {
-		fwd4(q[4*r:4*r+4], 1)
-	}
-	for c := 0; c < 4; c++ {
-		fwd4(q[c:], 4)
+// forward transforms a 4^d block stored last-axis-fastest one axis at
+// a time, last axis (stride 1) first.
+func forward(q []int64) {
+	for s := 1; s < len(q); s *= 4 {
+		for hi := 0; hi < len(q); hi += 4 * s {
+			for lo := range s {
+				fwd4(q[hi+lo:], s)
+			}
+		}
 	}
 }
 
-// inverseBlock inverts forwardBlock (columns then rows).
-func inverseBlock(q *[16]int64) {
-	for c := 0; c < 4; c++ {
-		inv4(q[c:], 4)
-	}
-	for r := 0; r < 4; r++ {
-		inv4(q[4*r:4*r+4], 1)
+// inverse inverts forward, first axis first.
+func inverse(q []int64) {
+	for s := len(q) / 4; s >= 1; s /= 4 {
+		for hi := 0; hi < len(q); hi += 4 * s {
+			for lo := range s {
+				inv4(q[hi+lo:], s)
+			}
+		}
 	}
 }
 
@@ -125,7 +182,7 @@ func fromNegabinary(u uint64) int64 { return int64((u ^ nbMask) - nbMask) }
 
 // blockExponent returns e such that every |v| in the block is < 2^e,
 // and whether the block is entirely zero.
-func blockExponent(vals *[16]float64) (int, bool) {
+func blockExponent(vals []float64) (int, bool) {
 	maxAbs := 0.0
 	for _, v := range vals {
 		a := math.Abs(v)
@@ -142,8 +199,8 @@ func blockExponent(vals *[16]float64) (int, bool) {
 
 // blockFinite reports whether every value is finite; non-finite blocks
 // must bypass the fixed-point transform (which would smear NaN/Inf
-// across all sixteen coefficients) and be stored raw.
-func blockFinite(vals *[16]float64) bool {
+// across every coefficient) and be stored raw.
+func blockFinite(vals []float64) bool {
 	for _, v := range vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
@@ -153,44 +210,120 @@ func blockFinite(vals *[16]float64) bool {
 }
 
 // planeCutoff returns the lowest bit-plane index kept so that the
-// worst-case reconstruction error stays within tol. Zeroing the low k
-// negabinary digits perturbs a coefficient by at most (2/3)·2^k; each
-// inverse S-transform stage maps per-coefficient error E to at most
-// 2E+1, so the 2D inverse (two stages) yields ≤ 4E+3 plus the 0.5-unit
-// fixed-point rounding, i.e. ≤ (8/3)·2^k + 5 ≤ 2^(k+2) + 8 fixed-point
-// units. Choosing k = floor(log2(tol·scale)) − 3 puts the 2^(k+2) term
-// under tol·scale/2, and the raw-block fallback guarantees
-// tol·scale ≥ 16 so the +8 fits in the other half.
-func planeCutoff(tol float64, emax int) int {
+// worst-case reconstruction error of a rank-d block stays within tol.
+// Zeroing the low k negabinary digits perturbs a coefficient by at
+// most (2/3)·2^k; each inverse S-transform stage maps per-coefficient
+// error E to at most 2E+1, so the d-stage inverse plus the 0.5-unit
+// fixed-point rounding stays within 2^(k+d) + 2^(d+1) fixed-point
+// units. Choosing k = floor(log2(tol·scale)) − (d+1) puts the 2^(k+d)
+// term under tol·scale/2, and the raw-block fallback guarantees
+// tol·scale ≥ 2^(d+2) so the rest fits in the other half.
+func planeCutoff(tol float64, emax, rank int) int {
 	if tol <= 0 {
 		return 0
 	}
-	k := int(math.Floor(math.Log2(tol))) + fixedPointBits - emax - 3
-	if k < 0 {
-		k = 0
-	}
-	return k
+	return max(int(math.Floor(math.Log2(tol)))+fixedPointBits-emax-(rank+1), 0)
 }
 
-// Compress implements compress.Compressor.
-func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
+// geom is a field's shape seen as rank 3 (a 2D field gets a unit
+// leading axis) with its block edges: {1, 4, 4} or {4, 4, 4}.
+type geom struct {
+	dims, block [3]int
+}
+
+func newGeom(shape []int) geom {
+	g := geom{dims: [3]int{1, 1, 1}, block: [3]int{1, BlockSize, BlockSize}}
+	copy(g.dims[3-len(shape):], shape)
+	if len(shape) == 3 {
+		g.block[0] = BlockSize
+	}
+	return g
+}
+
+// numBlocks counts the blocks covering the field.
+func (g *geom) numBlocks() int {
+	n := 1
+	for k, d := range g.dims {
+		n *= (d + g.block[k] - 1) / g.block[k]
+	}
+	return n
+}
+
+// blockOrigin returns the origin of block bi, blocks numbered in
+// row-major order.
+func (g *geom) blockOrigin(bi int) (o [3]int) {
+	for k := 2; k >= 0; k-- {
+		nb := (g.dims[k] + g.block[k] - 1) / g.block[k]
+		o[k] = bi % nb * g.block[k]
+		bi /= nb
+	}
+	return o
+}
+
+// gather widens the block at o into vals (last axis fastest),
+// replicating edge samples into clipped blocks; replicated samples are
+// real samples, so their reconstruction error is bounded too.
+func gather[T field.Elem](data []T, g *geom, o [3]int, vals []float64) {
+	j := 0
+	for z := range g.block[0] {
+		gz := min(o[0]+z, g.dims[0]-1)
+		for y := range BlockSize {
+			row := (gz*g.dims[1] + min(o[1]+y, g.dims[1]-1)) * g.dims[2]
+			for x := range BlockSize {
+				vals[j] = float64(data[row+min(o[2]+x, g.dims[2]-1)])
+				j++
+			}
+		}
+	}
+}
+
+// scatter narrows the in-range portion of a block back to T.
+func scatter[T field.Elem](data []T, g *geom, o [3]int, vals []float64) {
+	for z := range min(g.block[0], g.dims[0]-o[0]) {
+		for y := range min(BlockSize, g.dims[1]-o[1]) {
+			row := ((o[0]+z)*g.dims[1]+o[1]+y)*g.dims[2] + o[2]
+			j := (z*BlockSize + y) * BlockSize
+			for x := range min(BlockSize, g.dims[2]-o[2]) {
+				data[row+x] = T(vals[j+x])
+			}
+		}
+	}
+}
+
+// compressScratch holds the per-call stream builders of encode — block
+// modes, coded-block metadata, raw escapes, and the bit-plane writer —
+// recycled across batch measurement runs on either lane.
+type compressScratch struct {
+	modes, meta, rawVals []byte
+	w                    *bitstream.Writer
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &compressScratch{w: bitstream.NewWriter()}
+}}
+
+// encode compresses a rank-`rank` field on either lane.
+func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]byte, error) {
 	if absErr <= 0 {
 		return nil, fmt.Errorf("zfplike: non-positive error bound %v", absErr)
 	}
-	if g.Len() == 0 {
+	if len(shape) != rank {
+		return nil, fmt.Errorf("zfplike: rank-%d codec got a rank-%d field", rank, len(shape))
+	}
+	if len(data) == 0 {
 		return nil, errors.New("zfplike: empty field")
 	}
-	nbr := (g.Rows + BlockSize - 1) / BlockSize
-	nbc := (g.Cols + BlockSize - 1) / BlockSize
-
-	var head []byte
-	head = append(head, magic[:]...)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[0:], uint32(g.Rows))
-	binary.LittleEndian.PutUint32(tmp[4:], uint32(g.Cols))
-	head = append(head, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(absErr))
-	head = append(head, tmp[:]...)
+	g := newGeom(shape)
+	// The fixed-point grid has spacing 2^(emax−fixedPointBits); rounding
+	// into it (0.5 ulp) amplified by the rank-d inverse transform costs
+	// < 2^(emax−fixedPointBits+d+1), which must fit inside half the
+	// tolerance, so blocks with fpErr = 2^(emax−fixedPointBits+d+2) above
+	// the bound are stored raw. The float32 lane codes at half the
+	// tolerance, so its floor doubles.
+	l, tol, fpShift := 0, absErr, rank+2
+	if compress.ValueBytes[T]() == 4 {
+		l, tol, fpShift = 1, 0.5*absErr, rank+3
+	}
 
 	sc := scratchPool.Get().(*compressScratch)
 	defer scratchPool.Put(sc)
@@ -200,226 +333,150 @@ func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
 	w := sc.w
 	w.Reset()
 
-	var vals [16]float64
-	var q [16]int64
-	for br := 0; br < nbr; br++ {
-		for bc := 0; bc < nbc; bc++ {
-			gatherBlock(g, br*BlockSize, bc*BlockSize, &vals)
-			emax, zero := blockExponent(&vals)
-			if zero {
-				modes = append(modes, blockZero)
-				continue
+	nv := 1 << (2 * rank) // samples per block
+	var valsBuf [64]float64
+	var qBuf [64]int64
+	var zzBuf [64]uint64
+	vals, q, zz := valsBuf[:nv], qBuf[:nv], zzBuf[:nv]
+	for bi := range g.numBlocks() {
+		gather(data, &g, g.blockOrigin(bi), vals)
+		emax, zero := blockExponent(vals)
+		if zero {
+			modes = append(modes, blockZero)
+			continue
+		}
+		if fpErr := math.Ldexp(1, emax-fixedPointBits+fpShift); absErr < fpErr || !blockFinite(vals) {
+			modes = append(modes, blockRaw)
+			for _, v := range vals {
+				rawVals = compress.AppendValue(rawVals, T(v))
 			}
-			// The fixed-point grid itself has spacing 2^(emax-fixedPointBits);
-			// rounding into it (0.5 ulp) amplified by the 9× inverse
-			// transform costs < 2^(emax-fixedPointBits+3), which must fit
-			// inside half the tolerance. If the tolerance is finer than
-			// that, bit planes cannot honor it: store the block raw.
-			fpErr := math.Ldexp(1, emax-fixedPointBits+4)
-			if absErr < fpErr || !blockFinite(&vals) {
-				modes = append(modes, blockRaw)
-				for _, v := range vals {
-					binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-					rawVals = append(rawVals, tmp[:]...)
-				}
-				continue
+			continue
+		}
+		scale := math.Ldexp(1, fixedPointBits-emax)
+		for i, v := range vals {
+			q[i] = int64(math.Round(v * scale))
+		}
+		forward(q)
+		top := 0 // number of planes needed: position of highest set bit
+		for i, v := range q {
+			zz[i] = toNegabinary(v)
+			top = max(top, bits.Len64(zz[i]))
+		}
+		cutoff := min(planeCutoff(tol, emax, rank), top)
+		modes = append(modes, blockCoded)
+		meta = binary.LittleEndian.AppendUint16(meta, uint16(int16(emax)))
+		meta = append(meta, byte(top), byte(cutoff))
+		// Transposed bit planes, MSB first: each plane's nv bits are
+		// gathered into one word (coefficient 0 at the high bit) and
+		// emitted with a single batched write.
+		for plane := top - 1; plane >= cutoff; plane-- {
+			var pb uint64
+			for _, u := range zz {
+				pb = pb<<1 | (u>>uint(plane))&1
 			}
-			scale := math.Ldexp(1, fixedPointBits-emax)
-			for i, v := range vals {
-				q[i] = int64(math.Round(v * scale))
-			}
-			forwardBlock(&q)
-			var zz [16]uint64
-			top := 0 // number of planes needed: position of highest set bit
-			for i, v := range q {
-				zz[i] = toNegabinary(v)
-				if b := bits.Len64(zz[i]); b > top {
-					top = b
-				}
-			}
-			cutoff := planeCutoff(absErr, emax)
-			if cutoff > top {
-				cutoff = top
-			}
-			modes = append(modes, blockCoded)
-			binary.LittleEndian.PutUint16(tmp[:2], uint16(int16(emax)))
-			meta = append(meta, tmp[0], tmp[1], byte(top), byte(cutoff))
-			// Transposed bit planes, MSB first: each 16-coefficient
-			// plane is gathered into one uint16 (coefficient 0 at the
-			// high bit, preserving the bit order of per-bit writes) and
-			// emitted with a single batched write.
-			for plane := top - 1; plane >= cutoff; plane-- {
-				var pb uint64
-				for i := 0; i < 16; i++ {
-					pb = pb<<1 | (zz[i]>>uint(plane))&1
-				}
-				w.WriteBits(pb, 16)
-			}
+			w.WriteBits(pb, uint(nv))
 		}
 	}
 
 	sc.modes, sc.meta, sc.rawVals = modes, meta, rawVals // retain capacity
-	payload := head
+	payload := compress.AppendHeader(nil, magic[rank-2][l], shape, absErr)
 	payload = append(payload, modes...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(meta)))
-	payload = append(payload, tmp[:4]...)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(meta)))
 	payload = append(payload, meta...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(rawVals)))
-	payload = append(payload, tmp[:4]...)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rawVals)))
 	payload = append(payload, rawVals...)
 	payload = append(payload, w.Bytes()...)
 	return lossless.Compress(payload)
 }
 
-// gatherBlock copies a 4×4 block with edge replication for clipped
-// blocks; replicated samples are real samples, so their reconstruction
-// error is bounded too. Interior blocks (the vast majority) take a
-// four-row streaming copy; only clipped edge blocks pay the
-// per-element replication arithmetic.
-func gatherBlock(g *grid.Grid, r0, c0 int, vals *[16]float64) {
-	if r0+BlockSize <= g.Rows && c0+BlockSize <= g.Cols {
-		for r := 0; r < BlockSize; r++ {
-			base := (r0+r)*g.Cols + c0
-			copy(vals[4*r:4*r+4], g.Data[base:base+4])
-		}
-		return
-	}
-	for r := 0; r < BlockSize; r++ {
-		gr := r0 + r
-		if gr >= g.Rows {
-			gr = g.Rows - 1
-		}
-		for c := 0; c < BlockSize; c++ {
-			gc := c0 + c
-			if gc >= g.Cols {
-				gc = g.Cols - 1
-			}
-			vals[4*r+c] = g.At(gr, gc)
-		}
-	}
-}
-
-// ErrCorrupt reports a malformed stream.
-var ErrCorrupt = errors.New("zfplike: corrupt stream")
-
-// Decompress implements compress.Compressor.
-func (Compressor) Decompress(data []byte) (*grid.Grid, error) {
+// decode reconstructs a rank-`rank` field on lane T, rejecting streams
+// of another rank or lane.
+func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 	raw, err := lossless.Decompress(data)
 	if err != nil {
-		return nil, fmt.Errorf("zfplike: %w", err)
+		return nil, nil, fmt.Errorf("zfplike: %w", err)
 	}
-	if len(raw) < 20 || raw[0] != magic[0] || raw[1] != magic[1] || raw[2] != magic[2] || raw[3] != magic[3] {
-		return nil, ErrCorrupt
+	l, vw := 0, compress.ValueBytes[T]()
+	if vw == 4 {
+		l = 1
 	}
-	rows := int(binary.LittleEndian.Uint32(raw[4:]))
-	cols := int(binary.LittleEndian.Uint32(raw[8:]))
-	if rows <= 0 || cols <= 0 || rows*cols > 1<<30 {
-		return nil, ErrCorrupt
+	h, body, ok := compress.ParseHeader(raw, magic[rank-2][l], rank)
+	if !ok {
+		return nil, nil, ErrCorrupt
 	}
-	pos := 20
-	nbr := (rows + BlockSize - 1) / BlockSize
-	nbc := (cols + BlockSize - 1) / BlockSize
-	nBlocks := nbr * nbc
-	if len(raw) < pos+nBlocks+4 {
-		return nil, ErrCorrupt
+	g := newGeom(h.Shape)
+	nBlocks := g.numBlocks()
+	if len(body) < nBlocks+4 {
+		return nil, nil, ErrCorrupt
 	}
-	modes := raw[pos : pos+nBlocks]
-	pos += nBlocks
-	metaLen := int(binary.LittleEndian.Uint32(raw[pos:]))
-	pos += 4
-	if metaLen < 0 || len(raw) < pos+metaLen+4 {
-		return nil, ErrCorrupt
+	modes, body := body[:nBlocks], body[nBlocks:]
+	metaLen := int(binary.LittleEndian.Uint32(body))
+	body = body[4:]
+	if metaLen < 0 || len(body) < metaLen+4 {
+		return nil, nil, ErrCorrupt
 	}
-	meta := raw[pos : pos+metaLen]
-	pos += metaLen
-	rawLen := int(binary.LittleEndian.Uint32(raw[pos:]))
-	pos += 4
-	if rawLen < 0 || len(raw) < pos+rawLen {
-		return nil, ErrCorrupt
+	meta, body := body[:metaLen], body[metaLen:]
+	rawLen := int(binary.LittleEndian.Uint32(body))
+	body = body[4:]
+	if rawLen < 0 || len(body) < rawLen {
+		return nil, nil, ErrCorrupt
 	}
-	rawVals := raw[pos : pos+rawLen]
-	pos += rawLen
-	r := bitstream.NewReader(raw[pos:])
+	rawVals := body[:rawLen]
+	r := bitstream.NewReader(body[rawLen:])
 
-	out := grid.New(rows, cols)
+	out := make([]T, h.Len)
+	nv := 1 << (2 * rank)
+	var valsBuf [64]float64
+	var qBuf [64]int64
+	var zzBuf [64]uint64
+	vals, q, zz := valsBuf[:nv], qBuf[:nv], zzBuf[:nv]
 	mi, ri := 0, 0
-	var q [16]int64
-	var vals [16]float64
-	for br := 0; br < nbr; br++ {
-		for bc := 0; bc < nbc; bc++ {
-			mode := modes[br*nbc+bc]
-			switch mode {
-			case blockZero:
-				for i := range vals {
-					vals[i] = 0
-				}
-			case blockRaw:
-				if ri+128 > len(rawVals) {
-					return nil, ErrCorrupt
-				}
-				for i := 0; i < 16; i++ {
-					vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(rawVals[ri:]))
-					ri += 8
-				}
-			case blockCoded:
-				if mi+4 > len(meta) {
-					return nil, ErrCorrupt
-				}
-				emax := int(int16(binary.LittleEndian.Uint16(meta[mi:])))
-				top := int(meta[mi+2])
-				cutoff := int(meta[mi+3])
-				mi += 4
-				if top > 64 || cutoff > top {
-					return nil, ErrCorrupt
-				}
-				var zz [16]uint64
-				for plane := top - 1; plane >= cutoff; plane-- {
-					pb, err := r.ReadBits(16)
-					if err != nil {
-						return nil, fmt.Errorf("zfplike: truncated planes: %w", err)
-					}
-					for i := 0; i < 16; i++ {
-						zz[i] |= (pb >> uint(15-i) & 1) << uint(plane)
-					}
-				}
-				for i := range q {
-					q[i] = fromNegabinary(zz[i])
-				}
-				inverseBlock(&q)
-				scale := math.Ldexp(1, emax-fixedPointBits)
-				for i := range vals {
-					vals[i] = float64(q[i]) * scale
-				}
-			default:
-				return nil, ErrCorrupt
+	for bi, mode := range modes {
+		switch mode {
+		case blockZero:
+			clear(vals)
+		case blockRaw:
+			if ri+vw*nv > len(rawVals) {
+				return nil, nil, ErrCorrupt
 			}
-			scatterBlock(out, br*BlockSize, bc*BlockSize, &vals)
-		}
-	}
-	return out, nil
-}
-
-// scatterBlock writes the in-range portion of a block; interior blocks
-// stream out four row copies.
-func scatterBlock(g *grid.Grid, r0, c0 int, vals *[16]float64) {
-	if r0+BlockSize <= g.Rows && c0+BlockSize <= g.Cols {
-		for r := 0; r < BlockSize; r++ {
-			base := (r0+r)*g.Cols + c0
-			copy(g.Data[base:base+4], vals[4*r:4*r+4])
-		}
-		return
-	}
-	for r := 0; r < BlockSize; r++ {
-		gr := r0 + r
-		if gr >= g.Rows {
-			break
-		}
-		for c := 0; c < BlockSize; c++ {
-			gc := c0 + c
-			if gc >= g.Cols {
-				break
+			for i := range vals {
+				vals[i] = float64(compress.Value[T](rawVals[ri:]))
+				ri += vw
 			}
-			g.Set(gr, gc, vals[4*r+c])
+		case blockCoded:
+			if mi+4 > len(meta) {
+				return nil, nil, ErrCorrupt
+			}
+			emax := int(int16(binary.LittleEndian.Uint16(meta[mi:])))
+			top := int(meta[mi+2])
+			cutoff := int(meta[mi+3])
+			mi += 4
+			if top > 64 || cutoff > top {
+				return nil, nil, ErrCorrupt
+			}
+			clear(zz)
+			for plane := top - 1; plane >= cutoff; plane-- {
+				pb, err := r.ReadBits(uint(nv))
+				if err != nil {
+					return nil, nil, fmt.Errorf("zfplike: truncated planes: %w", err)
+				}
+				for i := len(zz) - 1; i >= 0; i-- { // coefficient 0 at the high bit
+					zz[i] |= (pb & 1) << uint(plane)
+					pb >>= 1
+				}
+			}
+			for i := range q {
+				q[i] = fromNegabinary(zz[i])
+			}
+			inverse(q)
+			scale := math.Ldexp(1, emax-fixedPointBits)
+			for i := range vals {
+				vals[i] = float64(q[i]) * scale
+			}
+		default:
+			return nil, nil, ErrCorrupt
 		}
+		scatter(out, &g, g.blockOrigin(bi), vals)
 	}
+	return h.Shape, out, nil
 }

@@ -43,7 +43,6 @@ import (
 	"lossycorr/internal/sampling"
 	"lossycorr/internal/stat"
 	"lossycorr/internal/svdstat"
-	"lossycorr/internal/szlike"
 	"lossycorr/internal/variogram"
 )
 
@@ -277,36 +276,6 @@ func EstimateVariogramRange3D(v *Volume, opts VariogramOptions) (VariogramModel,
 	return variogram.GlobalRange3D(v, opts)
 }
 
-// Compressor3D is the 3D SZ-like codec (8×8×8 blocks, 3D Lorenzo +
-// hyperplane regression). The zero value is ready to use.
-type Compressor3D = szlike.Compressor3D
-
-// Measure3D compresses, decompresses, and measures a volume with the
-// 3D SZ-like codec under an absolute error bound, returning the ratio
-// and the observed maximum error.
-func Measure3D(v *Volume, absErr float64) (ratio, maxErr float64, err error) {
-	c := Compressor3D{}
-	data, err := c.Compress(v, absErr)
-	if err != nil {
-		return 0, 0, err
-	}
-	dec, err := c.Decompress(data)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := range v.Data {
-		d := v.Data[i] - dec.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > maxErr {
-			maxErr = d
-		}
-	}
-	orig := len(v.Data) * 8
-	return float64(orig) / float64(len(data)), maxErr, nil
-}
-
 // Statistics is the keyed result set of an analysis: one entry per
 // output of each statistic kernel that ran (absent ≠ zero — a
 // deselected statistic has no entry). The paper's three statistics
@@ -354,8 +323,9 @@ func AnalyzeVolume(v *Volume, opts AnalysisOptions) (Statistics, error) {
 	return core.AnalyzeField(field.FromVolume(v), opts)
 }
 
-// Compressor is an error-bounded lossy compressor.
-type Compressor = compress.Compressor
+// Compressor is an error-bounded lossy compressor for the field ranks
+// it declares, optionally with a native float32 lane.
+type Compressor = compress.FieldCompressor
 
 // Result is one compression measurement.
 type Result = compress.Result
@@ -376,11 +346,11 @@ func CompressorsFor(ndim int) []string { return core.DefaultRegistry().NamesFor(
 // Measure compresses, decompresses, and measures a field with the named
 // built-in compressor under an absolute error bound.
 func Measure(name string, g *Grid, absErr float64) (Result, error) {
-	c, err := core.DefaultRegistry().Get(name)
+	c, err := core.DefaultRegistry().GetFor(name, 2)
 	if err != nil {
 		return Result{}, err
 	}
-	return compress.Run(c, g, absErr)
+	return compress.RunField(c, field.FromGrid(g), absErr)
 }
 
 // MeasureField compresses, decompresses, and measures a field of any
@@ -399,11 +369,11 @@ func MeasureField(name string, f *Field, absErr float64) (Result, error) {
 // SZ exposes natively; the paper relies on the formal equivalence of
 // the two modes.
 func MeasureRelative(name string, g *Grid, relErr float64) (Result, error) {
-	c, err := core.DefaultRegistry().Get(name)
+	c, err := core.DefaultRegistry().GetFor(name, 2)
 	if err != nil {
 		return Result{}, err
 	}
-	return compress.RunRelative(c, g, relErr)
+	return compress.RunRelativeField(c, field.FromGrid(g), relErr)
 }
 
 // LogFit is a fitted CR = α + β·log(x) model.

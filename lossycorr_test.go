@@ -50,7 +50,7 @@ func TestMeasureRelative(t *testing.T) {
 }
 
 func TestCompressorsRegistry(t *testing.T) {
-	names := Compressors().Names()
+	names := Compressors().NamesFor(2)
 	if len(names) != 3 {
 		t.Fatalf("names %v", names)
 	}
@@ -118,15 +118,15 @@ func Test3DFacade(t *testing.T) {
 	if m.Range < 1 || m.Range > 9 {
 		t.Fatalf("3D range %v far from 3", m.Range)
 	}
-	ratio, maxErr, err := Measure3D(vol, 1e-3)
+	res, err := MeasureField("sz-like-3d", FieldFromVolume(vol), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio <= 1 {
-		t.Fatalf("3D ratio %v", ratio)
+	if res.Ratio <= 1 {
+		t.Fatalf("3D ratio %v", res.Ratio)
 	}
-	if maxErr > 1e-3*(1+1e-12) {
-		t.Fatalf("3D bound violated: %v", maxErr)
+	if !res.BoundOK || res.MaxAbsError > 1e-3*(1+1e-12) {
+		t.Fatalf("3D bound violated: %v", res.MaxAbsError)
 	}
 }
 
