@@ -67,8 +67,9 @@ func goldenCodecs(rank int) []compress.FieldCompressor {
 	return cs
 }
 
-// goldenDigests is keyed "codec/lane". Rank-3 float32 cells hash the
-// path RunField32 takes for the codec.
+// goldenDigests is keyed "codec/lane". Float32 cells hash the path
+// RunField32 takes for the codec: its native lane, or the widen→narrow
+// fallback for codecs without one.
 var goldenDigests = map[string]string{
 	"mgard-like/f64":         "8fda95f76d66f4d8f7d0ccb414c3ab07d9825f684637012132442e9e0a10a437",
 	"mgard-like/f32":         "f20909bb9486606dc0d3cd183227059e9b2d742dc1cc72eb79314b55e42b35e8",
@@ -81,9 +82,9 @@ var goldenDigests = map[string]string{
 	"sz-like-regression/f64": "7905f2692a0f9a6ef1e07b74956b35b13bc9c5eeff4437f1fe397c8abeee1de1",
 	"sz-like-regression/f32": "cec84566dd0d8891f2e0084221ddfa2f88ac8e5389212110f428e2ce89815661",
 	"sz-like-3d/f64":         "a21fe08879bc9ee7e9b263180699670c4026c21545d389a13343b073d4c66d12",
-	"sz-like-3d/f32":         "5325a13d0b0a39eceb4c3eed17c75cc4f63fc678d80b380bf4fa5ee54d7cb489",
+	"sz-like-3d/f32":         "875026ae6828341ee2014c406d886b9cabf27b9725ff107bb1ad8602bc83b7a9",
 	"zfp-like-3d/f64":        "47e8b1cc6f2a2468586fc63b8184f0018b702321669bd897806ff2b217d271e5",
-	"zfp-like-3d/f32":        "1e02890df1e22845dbd5c438a4a1c172b209a8b0549599f8a8d6838838865140",
+	"zfp-like-3d/f32":        "deaec874304af01c0ae516bf28ec44ef489ccde0d3fb5b608ec2b654cd73b85c",
 }
 
 func TestCodecGoldenDigest(t *testing.T) {

@@ -522,7 +522,7 @@ func TestLane32NonFinite(t *testing.T) {
 // TestLane32ThroughRegistry pins the codec's own float32 lane as a
 // compress.Lane32Compressor that RunField32 runs with BoundOK.
 func TestLane32ThroughRegistry(t *testing.T) {
-	for _, c := range []compress.FieldCompressor{Compressor{}} {
+	for _, c := range []compress.FieldCompressor{Compressor{}, Compressor3D{}} {
 		l, ok := c.(compress.Lane32Compressor)
 		if !ok {
 			t.Fatalf("%s does not expose the float32 lane", c.Name())

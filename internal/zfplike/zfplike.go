@@ -77,7 +77,7 @@ type Compressor3D struct{}
 
 var (
 	_ compress.Lane32Compressor = Compressor{}
-	_ compress.FieldCompressor  = Compressor3D{}
+	_ compress.Lane32Compressor = Compressor3D{}
 )
 
 // Name implements compress.FieldCompressor.
@@ -120,6 +120,16 @@ func (Compressor3D) CompressField(f *field.Field, absErr float64) ([]byte, error
 // DecompressField implements compress.FieldCompressor.
 func (Compressor3D) DecompressField(data []byte) (*field.Field, error) {
 	return compress.FieldOf(decode[float64](data, 3))
+}
+
+// CompressField32 implements compress.Lane32Compressor.
+func (Compressor3D) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 3, absErr)
+}
+
+// DecompressField32 implements compress.Lane32Compressor.
+func (Compressor3D) DecompressField32(data []byte) (*field.Field32, error) {
+	return compress.Field32Of(decode[float32](data, 3))
 }
 
 // fwd4 applies the two-level integer Haar S-transform to a stride-s
