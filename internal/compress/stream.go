@@ -13,8 +13,8 @@ import (
 	"lossycorr/internal/field"
 )
 
-// MaxElements caps the element count a stream header may declare.
-const MaxElements = 1 << 30
+// maxElements caps the element count a stream header may declare.
+const maxElements = 1 << 30
 
 // Header is the decoded common prefix of a codec stream.
 type Header struct {
@@ -34,7 +34,7 @@ func AppendHeader(buf []byte, magic [4]byte, shape []int, absErr float64) []byte
 
 // ParseHeader reads the header of a rank-`rank` stream tagged magic and
 // returns it with the bytes that follow. It fails on a short stream,
-// another magic, a zero extent, or more than MaxElements elements; the
+// another magic, a zero extent, or more than maxElements elements; the
 // element count is checked as it is formed, so hostile extents cannot
 // overflow it before a decoder sizes anything from it.
 func ParseHeader(raw []byte, magic [4]byte, rank int) (Header, []byte, bool) {
@@ -45,7 +45,7 @@ func ParseHeader(raw []byte, magic [4]byte, rank int) (Header, []byte, bool) {
 	h := Header{Shape: make([]int, rank), Len: 1}
 	for k := range h.Shape {
 		s := int(binary.LittleEndian.Uint32(raw[4+4*k:]))
-		if s <= 0 || s > MaxElements/h.Len {
+		if s <= 0 || s > maxElements/h.Len {
 			return Header{}, nil, false
 		}
 		h.Shape[k] = s

@@ -242,6 +242,8 @@ func fit[T field.Elem](src []T, g *geom, o, n [3]int) (b [4]float64) {
 			}
 		}
 	}
+	// Each axis's coordinate sum is an exact integer, so its closed form
+	// gives the same mean as summing per sample.
 	cnt := n[0] * n[1] * n[2]
 	total := float64(cnt)
 	sums := [3]float64{szv, syv, sxv}
@@ -319,9 +321,14 @@ var pools = [2]sync.Pool{
 	{New: func() any { return new(scratch[float32]) }},
 }
 
-// laneIndex is 0 for float64 and 1 for float32, the index of pools and of
-// magic's inner dimension.
-func laneIndex[T field.Elem]() int { return 2 - compress.ValueBytes[T]()/4 }
+// laneIndex is 0 for float64 and 1 for float32, the index of pools and
+// of magic's inner dimension.
+func laneIndex[T field.Elem]() int {
+	if compress.ValueBytes[T]() == 4 {
+		return 1
+	}
+	return 0
+}
 
 // zeroed returns s[:n] reusing capacity, zero-filled.
 func zeroed[T any](s []T, n int) []T {

@@ -12,7 +12,9 @@
 //   - correlation statistics: global and windowed variogram ranges and
 //     windowed SVD truncation levels;
 //   - error-bounded lossy compressors in the styles of SZ, ZFP, and
-//     MGARD, measured by compression ratio under absolute error bounds.
+//     MGARD, measured by compression ratio under absolute error bounds;
+//     the SZ- and ZFP-style codecs are each written once for 2D and 3D
+//     fields on both element lanes (MeasureField, MeasureField32).
 //
 // The headline API mirrors the paper's workflow:
 //
@@ -154,9 +156,9 @@ func AnalyzeField32Ctx(ctx context.Context, f *Field32, opts AnalysisOptions) (S
 
 // MeasureField32 compresses, decompresses, and measures a float32
 // field with the named built-in compressor. Codecs with a native
-// float32 lane (sz-like, zfp-like) quantize directly from the float32
-// samples; the rest run the widen→compress→narrow fallback. Either
-// way the error bound is checked on float32 values.
+// float32 lane (sz-like, zfp-like and their 3D forms) quantize directly
+// from the float32 samples; the rest run the widen→compress→narrow
+// fallback. Either way the error bound is checked on float32 values.
 func MeasureField32(name string, f *Field32, absErr float64) (Result, error) {
 	c, err := core.DefaultRegistry().GetFor(name, f.NDim())
 	if err != nil {
