@@ -13,6 +13,7 @@ package lossycorr
 // visible straight from `go test -bench`.
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -30,6 +31,7 @@ import (
 	"lossycorr/internal/hydro"
 	"lossycorr/internal/lossless"
 	"lossycorr/internal/parallel"
+	"lossycorr/internal/stat"
 	"lossycorr/internal/svdstat"
 	"lossycorr/internal/szlike"
 	"lossycorr/internal/variogram"
@@ -443,10 +445,10 @@ func BenchmarkGaussianGenerate(b *testing.B) {
 
 // BenchmarkVariogramGlobal measures global range estimation.
 func BenchmarkVariogramGlobal(b *testing.B) {
-	f := benchField(b, 16)
+	src := gridSource(benchField(b, 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := variogram.GlobalRange(f, variogram.Options{Seed: uint64(i)}); err != nil {
+		if _, err := variogram.GlobalRange(context.Background(), src, variogram.Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -454,10 +456,10 @@ func BenchmarkVariogramGlobal(b *testing.B) {
 
 // BenchmarkLocalRangeStd measures the windowed variogram statistic.
 func BenchmarkLocalRangeStd(b *testing.B) {
-	f := benchField(b, 16)
+	src := gridSource(benchField(b, 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := variogram.LocalRangeStd(f, 32, variogram.Options{}); err != nil {
+		if _, err := variogram.LocalRangeStd(context.Background(), src, 32, variogram.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -465,10 +467,10 @@ func BenchmarkLocalRangeStd(b *testing.B) {
 
 // BenchmarkLocalSVDStd measures the windowed SVD statistic.
 func BenchmarkLocalSVDStd(b *testing.B) {
-	f := benchField(b, 16)
+	src := gridSource(benchField(b, 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svdstat.LocalStd(f, 32, 0.99); err != nil {
+		if _, err := svdstat.LocalStd(context.Background(), src, 32, svdstat.Options{Frac: 0.99}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -495,12 +497,12 @@ func bench512Field(b *testing.B) *grid.Grid {
 // and windows are independent, so throughput should scale near-linearly
 // until the core count is exhausted.
 func BenchmarkLocalRangeStdParallel(b *testing.B) {
-	f := bench512Field(b)
+	src := gridSource(bench512Field(b))
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var ref float64
 			for i := 0; i < b.N; i++ {
-				v, err := variogram.LocalRangeStd(f, 32, variogram.Options{Workers: w})
+				v, err := variogram.LocalRangeStd(context.Background(), src, 32, variogram.Options{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -518,11 +520,11 @@ func BenchmarkLocalRangeStdParallel(b *testing.B) {
 // BenchmarkLocalSVDStdParallel sweeps worker counts over the windowed
 // SVD statistic on a 512×512 field.
 func BenchmarkLocalSVDStdParallel(b *testing.B) {
-	f := bench512Field(b)
+	src := gridSource(bench512Field(b))
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := svdstat.LocalStdWith(f, 32, svdstat.Options{Workers: w}); err != nil {
+				if _, err := svdstat.LocalStd(context.Background(), src, 32, svdstat.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -532,13 +534,13 @@ func BenchmarkLocalSVDStdParallel(b *testing.B) {
 
 // BenchmarkAnalyzeParallel sweeps worker counts over the full analysis
 // (global range concurrent with both windowed statistics) on a 512×512
-// field — the orchestration-layer speedup of core.Analyze.
+// field — the orchestration-layer speedup of core.AnalyzeFieldCtx.
 func BenchmarkAnalyzeParallel(b *testing.B) {
-	f := bench512Field(b)
+	f := field.FromGrid(bench512Field(b))
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(f, core.AnalysisOptions{Workers: w}); err != nil {
+				if _, err := core.AnalyzeFieldCtx(context.Background(), f, core.AnalysisOptions{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -547,7 +549,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 }
 
 // BenchmarkAnalyzeField pits the registry-driven kernel engine
-// (core.AnalyzeField: registry selection, Request.Opt maps, interface
+// (core.AnalyzeFieldCtx: registry selection, Request.Opt maps, interface
 // dispatch per kernel, keyed result assembly) against a hand-wired
 // composition of the same three statistics through their direct
 // package entry points. The engine/direct ns/op ratio is the
@@ -558,20 +560,21 @@ func BenchmarkAnalyzeField(b *testing.B) {
 	w := runtime.NumCPU()
 	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeField(f, core.AnalysisOptions{Workers: w}); err != nil {
+			if _, err := core.AnalyzeFieldCtx(context.Background(), f, core.AnalysisOptions{Workers: w}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("direct", func(b *testing.B) {
+		ctx, src := context.Background(), stat.Source{F64: f}
 		vo := variogram.Options{Workers: w}
 		so := svdstat.Options{Frac: svdstat.DefaultVarianceFraction, Workers: w}
 		for i := 0; i < b.N; i++ {
 			var errG, errL, errS error
 			parallel.Do(w,
-				func() { _, errG = variogram.GlobalRangeField(f, vo) },
-				func() { _, errL = variogram.LocalRangeStdField(f, core.DefaultWindow, vo) },
-				func() { _, errS = svdstat.LocalStdField(f, core.DefaultWindow, so) },
+				func() { _, errG = variogram.GlobalRange(ctx, src, vo) },
+				func() { _, errL = variogram.LocalRangeStd(ctx, src, core.DefaultWindow, vo) },
+				func() { _, errS = svdstat.LocalStd(ctx, src, core.DefaultWindow, so) },
 			)
 			for _, err := range []error{errG, errL, errS} {
 				if err != nil {
@@ -627,7 +630,7 @@ func BenchmarkVariogramFFTMiranda(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fft.ResetPeakBytes()
-		if _, err := variogram.ComputeField(f, variogram.Options{FFT: true}); err != nil {
+		if _, err := variogram.Compute(context.Background(), stat.Source{F64: f}, variogram.Options{FFT: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

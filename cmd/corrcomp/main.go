@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -395,8 +396,10 @@ func printStats(stats lossycorr.Statistics, window int) {
 }
 
 // parseBytes parses a byte count with an optional k/m/g suffix
-// (powers of 1024, case-insensitive).
+// (powers of 1024, case-insensitive). Counts that overflow int64 are
+// rejected rather than wrapped.
 func parseBytes(s string) (int64, error) {
+	in := s
 	mult := int64(1)
 	if n := len(s); n > 0 {
 		switch s[n-1] {
@@ -414,6 +417,9 @@ func parseBytes(s string) (int64, error) {
 	}
 	if v <= 0 {
 		return 0, fmt.Errorf("byte count must be positive, got %q", s)
+	}
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte count %q overflows int64", in)
 	}
 	return v * mult, nil
 }

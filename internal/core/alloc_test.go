@@ -21,11 +21,11 @@ func TestAnalyzeFieldAllocs(t *testing.T) {
 		f.Data[i] = rng.NormFloat64()
 	}
 	opts := AnalysisOptions{Workers: 1}
-	if _, err := AnalyzeField(f, opts); err != nil { // warm pools and caches
+	if _, err := AnalyzeFieldCtx(bg, f, opts); err != nil { // warm pools and caches
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := AnalyzeField(f, opts); err != nil {
+		if _, err := AnalyzeFieldCtx(bg, f, opts); err != nil {
 			t.Fatal(err)
 		}
 	})

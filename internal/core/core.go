@@ -17,7 +17,6 @@ import (
 
 	"lossycorr/internal/compress"
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/mgardlike"
 	"lossycorr/internal/parallel"
 	"lossycorr/internal/stat"
@@ -178,34 +177,35 @@ func (o AnalysisOptions) withDefaults() AnalysisOptions {
 	return o
 }
 
-// Analyze extracts the correlation statistics of a 2D field — the
-// rank-2 view of AnalyzeField.
-func Analyze(g *grid.Grid, opts AnalysisOptions) (Statistics, error) {
-	return AnalyzeField(field.FromGrid(g), opts)
-}
-
-// AnalyzeField extracts the correlation statistics of a field of any
-// rank (H×H windows for grids, H×H×H windows for volumes; the SVD
+// AnalyzeFieldCtx extracts the correlation statistics of a field of
+// any rank (H×H windows for grids, H×H×H windows for volumes; the SVD
 // statistic unfolds higher-rank windows along their first extent). The
-// three statistics are independent and run concurrently on the shared
-// worker pool; each windowed statistic additionally fans its windows
-// out over the same pool. Error precedence is fixed (global, then
-// local variogram, then local SVD) so failures are reported
-// identically at any worker count.
-func AnalyzeField(f *field.Field, opts AnalysisOptions) (Statistics, error) {
-	return AnalyzeFieldCtx(context.Background(), f, opts)
-}
-
-// AnalyzeFieldCtx is AnalyzeField with cooperative cancellation
-// threaded through every statistic: the variogram scans check ctx per
-// offset (direct) or per transform stage (FFT), and both windowed
-// statistics check it per window, so a long-running analysis stops
-// within roughly one unit of work of the cancel and returns ctx.Err().
-// Cancellation dominates the fixed statistic error precedence — once
-// the context is dead the per-statistic errors are all cancellations
-// anyway, and reporting ctx.Err() keeps the outcome deterministic.
+// statistics are independent and run concurrently on the shared worker
+// pool; each windowed statistic additionally fans its windows out over
+// the same pool. Error precedence is fixed (global, then local
+// variogram, then local SVD) so failures are reported identically at
+// any worker count.
+//
+// Cancellation is threaded through every statistic: the variogram
+// scans check ctx per offset (direct) or per transform stage (FFT), and
+// both windowed statistics check it per window, so a long-running
+// analysis stops within roughly one unit of work of the cancel and
+// returns ctx.Err(). Cancellation dominates the fixed statistic error
+// precedence — once the context is dead the per-statistic errors are
+// all cancellations anyway, and reporting ctx.Err() keeps the outcome
+// deterministic.
 func AnalyzeFieldCtx(ctx context.Context, f *field.Field, opts AnalysisOptions) (Statistics, error) {
 	return analyzeSource(ctx, stat.Source{F64: f}, opts)
+}
+
+// AnalyzeField32Ctx is AnalyzeFieldCtx on the float32 compute lane,
+// with the same statistic set, worker semantics, cancellation and
+// error precedence. Windowed statistics widen each window exactly into
+// oracle precision during extraction (bit-identical to the float64
+// lane on the widened field), the direct variogram scans accumulate in
+// float64, and the FFT engine runs float32 planes.
+func AnalyzeField32Ctx(ctx context.Context, f *field.Field32, opts AnalysisOptions) (Statistics, error) {
+	return analyzeSource(ctx, stat.Source{F32: f}, opts)
 }
 
 // selectKernels resolves the options' statistic selection against the
@@ -241,8 +241,8 @@ func selectKernels(o AnalysisOptions) ([]stat.Kernel, error) {
 	return ks, nil
 }
 
-// analyzeSource is the one analysis call behind every Analyze*
-// variant: it resolves the kernel selection, assembles per-kernel
+// analyzeSource is the one analysis call behind every Analyze*Ctx
+// entry point: it resolves the kernel selection, assembles per-kernel
 // options from AnalysisOptions, and hands the source to the stat
 // engine, which owns lane handling, streaming, cancellation, and
 // worker fan-out. Every (lane, source, ctx) combination of the old
@@ -306,7 +306,7 @@ type Measurement struct {
 	Results []compress.Result `json:"results"`
 }
 
-// MeasureOptions configures MeasureFields.
+// MeasureOptions configures MeasureFieldSetCtx and MeasureFieldSet32Ctx.
 type MeasureOptions struct {
 	Analysis    AnalysisOptions
 	ErrorBounds []float64 // nil means compress.PaperErrorBounds
@@ -316,37 +316,28 @@ type MeasureOptions struct {
 	Workers int
 }
 
-// MeasureFields analyzes and compresses every 2D field — the rank-2
-// view of MeasureFieldSet.
-func MeasureFields(name string, fields []*grid.Grid, labels []float64,
-	reg *compress.Registry, opts MeasureOptions) ([]Measurement, error) {
-
-	fs := make([]*field.Field, len(fields))
-	for i, g := range fields {
-		fs[i] = field.FromGrid(g)
-	}
-	return MeasureFieldSet(name, fs, labels, reg, opts)
-}
-
-// MeasureFieldSet analyzes and compresses every field with every
+// MeasureFieldSetCtx analyzes and compresses every field with every
 // registered compressor accepting its rank, at every error bound,
 // fanning fields out over the shared worker pool. Grids and volumes
 // can be mixed in one set — each field sweeps the codecs of its own
 // rank. Results keep the input field order; on failure the error of
 // the lowest-indexed failing field is returned, independent of
-// scheduling.
-func MeasureFieldSet(name string, fields []*field.Field, labels []float64,
-	reg *compress.Registry, opts MeasureOptions) ([]Measurement, error) {
-	return MeasureFieldSetCtx(context.Background(), name, fields, labels, reg, opts)
-}
-
-// MeasureFieldSetCtx is MeasureFieldSet with cooperative cancellation:
-// the field fan-out, each field's statistics, and the per-codec sweep
-// all check ctx, so a dead context abandons the batch within one
-// codec run or statistic unit and returns ctx.Err().
+// scheduling. The field fan-out, each field's statistics, and the
+// per-codec sweep all check ctx, so a dead context abandons the batch
+// within one codec run or statistic unit and returns ctx.Err().
 func MeasureFieldSetCtx(ctx context.Context, name string, fields []*field.Field, labels []float64,
 	reg *compress.Registry, opts MeasureOptions) ([]Measurement, error) {
 	return measureSet(ctx, name, fields, labels, reg, opts, AnalyzeFieldCtx, compress.RunField)
+}
+
+// MeasureFieldSet32Ctx is MeasureFieldSetCtx on the float32 compute
+// lane, with the same ordering and error-precedence contract. Codecs
+// run through their native float32 lanes when they have one
+// (compress.Lane32Compressor) and through the widen→narrow fallback
+// otherwise — either way the bound is checked on float32 values.
+func MeasureFieldSet32Ctx(ctx context.Context, name string, fields []*field.Field32, labels []float64,
+	reg *compress.Registry, opts MeasureOptions) ([]Measurement, error) {
+	return measureSet(ctx, name, fields, labels, reg, opts, AnalyzeField32Ctx, compress.RunField32)
 }
 
 // measureLane is the compute lane of a measurement: either the

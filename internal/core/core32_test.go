@@ -31,11 +31,11 @@ func laneField(t *testing.T, rang float64, seed uint64) (*field.Field32, *field.
 func TestAnalyzeField32MatchesOracle(t *testing.T) {
 	f32, f64 := laneField(t, 12, 5)
 	opts := AnalysisOptions{VariogramOpts: variogram.Options{Exact: true}, Workers: 3}
-	ex, err := AnalyzeField(f64, opts)
+	ex, err := AnalyzeFieldCtx(bg, f64, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeField32(f32, opts)
+	got, err := AnalyzeField32Ctx(bg, f32, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestAnalyzeField32MatchesOracle(t *testing.T) {
 // transform tolerance.
 func TestAnalyzeField32FFT(t *testing.T) {
 	f32, f64 := laneField(t, 10, 9)
-	ex, err := AnalyzeField(f64, AnalysisOptions{VariogramFFT: true, SkipLocal: true})
+	ex, err := AnalyzeFieldCtx(bg, f64, AnalysisOptions{VariogramFFT: true, SkipLocal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeField32(f32, AnalysisOptions{VariogramFFT: true, SkipLocal: true})
+	got, err := AnalyzeField32Ctx(bg, f32, AnalysisOptions{VariogramFFT: true, SkipLocal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAnalyzeField32FFT(t *testing.T) {
 // hold its bound on float32 values at every paper error bound.
 func TestMeasureFieldSet32EndToEnd(t *testing.T) {
 	f32, _ := laneField(t, 16, 11)
-	ms, err := MeasureFieldSet32("lane32", []*field.Field32{f32}, []float64{16},
+	ms, err := MeasureFieldSet32Ctx(bg, "lane32", []*field.Field32{f32}, []float64{16},
 		DefaultRegistry(), MeasureOptions{
 			Analysis:    AnalysisOptions{VariogramOpts: variogram.Options{Exact: true}},
 			ErrorBounds: []float64{1e-2, 1e-4},
@@ -109,7 +109,7 @@ func TestPredictField32(t *testing.T) {
 		Analysis:    AnalysisOptions{VariogramOpts: variogram.Options{Exact: true}},
 		ErrorBounds: []float64{1e-3},
 	}
-	ms, err := MeasureFieldSet("train", fields, labels, DefaultRegistry(), opts)
+	ms, err := MeasureFieldSetCtx(bg, "train", fields, labels, DefaultRegistry(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,19 @@ func TestPredictField32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := p.PredictField(fields[0], "sz-like", 1e-3, opts.Analysis)
+	exStats, err := AnalyzeFieldCtx(bg, fields[0], opts.Analysis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.PredictField32(f32s[0], "sz-like", 1e-3, opts.Analysis)
+	ex, err := p.PredictRatio("sz-like", 1e-3, exStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotStats, err := AnalyzeField32Ctx(bg, f32s[0], opts.Analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.PredictRatio("sz-like", 1e-3, gotStats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,19 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
 	"lossycorr/internal/compress"
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/grid"
 )
+
+var bg = context.Background()
 
 func smallField(t *testing.T, rang float64, seed uint64) *grid.Grid {
 	t.Helper()
@@ -23,7 +27,7 @@ func smallField(t *testing.T, rang float64, seed uint64) *grid.Grid {
 
 func TestAnalyzeProducesAllStatistics(t *testing.T) {
 	f := smallField(t, 8, 1)
-	s, err := Analyze(f, AnalysisOptions{Window: 16})
+	s, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +44,7 @@ func TestAnalyzeProducesAllStatistics(t *testing.T) {
 
 func TestAnalyzeSkipLocal(t *testing.T) {
 	f := smallField(t, 4, 2)
-	s, err := Analyze(f, AnalysisOptions{SkipLocal: true})
+	s, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{SkipLocal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestDefaultRegistryHasAllThree(t *testing.T) {
 func TestMeasureFieldsEndToEnd(t *testing.T) {
 	fields := []*grid.Grid{smallField(t, 4, 3), smallField(t, 16, 4)}
 	labels := []float64{4, 16}
-	ms, err := MeasureFields("test", fields, labels, DefaultRegistry(), MeasureOptions{
+	ms, err := MeasureFieldSetCtx(bg, "test", fieldsOf(fields), labels, DefaultRegistry(), MeasureOptions{
 		Analysis:    AnalysisOptions{Window: 16},
 		ErrorBounds: []float64{1e-3},
 		Workers:     2,
@@ -116,11 +120,11 @@ func TestMeasureFieldsDeterministicAcrossWorkerCounts(t *testing.T) {
 			Workers:     w,
 		}
 	}
-	a, err := MeasureFields("d", fields, nil, DefaultRegistry(), opts(1))
+	a, err := MeasureFieldSetCtx(bg, "d", fieldsOf(fields), nil, DefaultRegistry(), opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasureFields("d", fields, nil, DefaultRegistry(), opts(3))
+	b, err := MeasureFieldSetCtx(bg, "d", fieldsOf(fields), nil, DefaultRegistry(), opts(3))
 	if err != nil {
 		t.Fatal(err)
 	}

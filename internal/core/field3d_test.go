@@ -25,7 +25,7 @@ func testVolume(t testing.TB, n int, rang float64, seed uint64) *field.Field {
 func TestAnalyzeVolumeSerialParallelIdentical(t *testing.T) {
 	f := testVolume(t, 24, 3, 11)
 	opts := AnalysisOptions{Window: 8, Workers: 1, VariogramOpts: variogram.Options{Exact: true}}
-	ref, err := AnalyzeField(f, opts)
+	ref, err := AnalyzeFieldCtx(bg, f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestAnalyzeVolumeSerialParallelIdentical(t *testing.T) {
 	}
 	for _, w := range []int{2, 4, 16} {
 		opts.Workers = w
-		got, err := AnalyzeField(f, opts)
+		got, err := AnalyzeFieldCtx(bg, f, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestMeasureFieldSetMixedRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	fields := []*field.Field{field.FromGrid(g), testVolume(t, 16, 2, 3)}
-	ms, err := MeasureFieldSet("mixed", fields, []float64{6, 2}, DefaultRegistry(), MeasureOptions{
+	ms, err := MeasureFieldSetCtx(bg, "mixed", fields, []float64{6, 2}, DefaultRegistry(), MeasureOptions{
 		Analysis:    AnalysisOptions{Window: 8},
 		ErrorBounds: []float64{1e-3},
 	})
@@ -99,12 +99,12 @@ func TestMeasureFieldSetSerialParallelIdentical(t *testing.T) {
 		ErrorBounds: []float64{1e-3},
 		Workers:     1,
 	}
-	ref, err := MeasureFieldSet("vols", fields, nil, DefaultRegistry(), opts)
+	ref, err := MeasureFieldSetCtx(bg, "vols", fields, nil, DefaultRegistry(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 8
-	got, err := MeasureFieldSet("vols", fields, nil, DefaultRegistry(), opts)
+	got, err := MeasureFieldSetCtx(bg, "vols", fields, nil, DefaultRegistry(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPredictorFromVolumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := testVolume(t, 16, 3, 99)
-	stats, err := AnalyzeField(target, AnalysisOptions{SkipLocal: true})
+	stats, err := AnalyzeFieldCtx(bg, target, AnalysisOptions{SkipLocal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPredictorFromVolumes(t *testing.T) {
 	if sel.Compressor != "sz-like-3d" && sel.Compressor != "zfp-like-3d" {
 		t.Fatalf("selected non-3D codec %q", sel.Compressor)
 	}
-	if _, err := p.PredictField(target, sel.Compressor, 1e-3, AnalysisOptions{SkipLocal: true}); err != nil {
+	if _, err := p.PredictRatio(sel.Compressor, 1e-3, stats); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,7 +159,7 @@ func BenchmarkAnalyze3D(b *testing.B) {
 	f := testVolume(b, 32, 4, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeField(f, AnalysisOptions{Window: 16}); err != nil {
+		if _, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{Window: 16}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"lossycorr/internal/compress"
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/grid"
+	"lossycorr/internal/stat"
 	"lossycorr/internal/variogram"
 	"lossycorr/internal/xrand"
 )
@@ -85,6 +88,20 @@ func (s *Suite) measureOpts() MeasureOptions {
 	}
 }
 
+// fieldsOf views 2D grids as rank-2 fields without copying.
+func fieldsOf(gs []*grid.Grid) []*field.Field {
+	fs := make([]*field.Field, len(gs))
+	for i, g := range gs {
+		fs[i] = field.FromGrid(g)
+	}
+	return fs
+}
+
+// measure analyzes and compresses every field of a 2D dataset.
+func (s *Suite) measure(ds *Dataset) ([]Measurement, error) {
+	return MeasureFieldSetCtx(context.Background(), ds.Name, fieldsOf(ds.Fields), ds.Labels, s.reg, s.measureOpts())
+}
+
 // SingleRangeMeasurements measures (once) the single-range dataset.
 func (s *Suite) SingleRangeMeasurements() ([]Measurement, error) {
 	if s.singleMS != nil {
@@ -100,7 +117,7 @@ func (s *Suite) SingleRangeMeasurements() ([]Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.singleMS, err = MeasureFields(ds.Name, ds.Fields, ds.Labels, s.reg, s.measureOpts())
+	s.singleMS, err = s.measure(ds)
 	return s.singleMS, err
 }
 
@@ -119,7 +136,7 @@ func (s *Suite) MultiRangeMeasurements() ([]Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.multiMS, err = MeasureFields(ds.Name, ds.Fields, ds.Labels, s.reg, s.measureOpts())
+	s.multiMS, err = s.measure(ds)
 	return s.multiMS, err
 }
 
@@ -142,7 +159,7 @@ func (s *Suite) MirandaMeasurements() ([]Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mirandaMS, err = MeasureFields(ds.Name, ds.Fields, ds.Labels, s.reg, s.measureOpts())
+	s.mirandaMS, err = s.measure(ds)
 	return s.mirandaMS, err
 }
 
@@ -157,7 +174,7 @@ func (s *Suite) Figure1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	emp, err := variogram.Compute(f, variogram.Options{Seed: s.cfg.Seed})
+	emp, err := variogram.Compute(context.Background(), stat.Source{F64: field.FromGrid(f)}, variogram.Options{Seed: s.cfg.Seed})
 	if err != nil {
 		return err
 	}

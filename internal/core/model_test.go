@@ -287,7 +287,7 @@ func TestCVDeterministicAcrossWorkers(t *testing.T) {
 			g := smallField(t, rang, uint64(40+i))
 			fields = append(fields, field.FromGrid(g))
 		}
-		ms, err := MeasureFieldSet("cvdet", fields, nil, DefaultRegistry(), MeasureOptions{
+		ms, err := MeasureFieldSetCtx(bg, "cvdet", fields, nil, DefaultRegistry(), MeasureOptions{
 			Analysis:    AnalysisOptions{SkipLocal: true},
 			ErrorBounds: []float64{1e-3},
 			Workers:     workers,

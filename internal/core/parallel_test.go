@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/grid"
 )
@@ -15,12 +16,12 @@ func TestAnalyzeSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Analyze(f, AnalysisOptions{Window: 16, Workers: 1})
+	serial, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{Window: 16, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := Analyze(f, AnalysisOptions{Window: 16, Workers: workers})
+		par, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{Window: 16, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,11 +36,11 @@ func TestAnalyzeSkipLocalHonorsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Analyze(f, AnalysisOptions{SkipLocal: true, Workers: 1})
+	serial, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{SkipLocal: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Analyze(f, AnalysisOptions{SkipLocal: true, Workers: 4})
+	par, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{SkipLocal: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +70,13 @@ func TestMeasureFieldsSerialParallelIdentical(t *testing.T) {
 	}
 	optsSerial := opts
 	optsSerial.Workers = 1
-	serial, err := MeasureFields("eq", fields, labels, reg, optsSerial)
+	serial, err := MeasureFieldSetCtx(bg, "eq", fieldsOf(fields), labels, reg, optsSerial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	optsPar := opts
 	optsPar.Workers = 8
-	par, err := MeasureFields("eq", fields, labels, reg, optsPar)
+	par, err := MeasureFieldSetCtx(bg, "eq", fieldsOf(fields), labels, reg, optsPar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestMeasureFieldsErrorDeterministic(t *testing.T) {
 	reg := DefaultRegistry()
 	var msgs []string
 	for _, workers := range []int{1, 4} {
-		_, err := MeasureFields("bad", fields, nil, reg, MeasureOptions{
+		_, err := MeasureFieldSetCtx(bg, "bad", fieldsOf(fields), nil, reg, MeasureOptions{
 			Analysis: AnalysisOptions{Window: 16},
 			Workers:  workers,
 		})

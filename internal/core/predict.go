@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
-	"lossycorr/internal/field"
 	"lossycorr/internal/regression"
 )
 
@@ -217,20 +215,4 @@ func (p *Predictor) SelectCompressor(eb float64, stats Statistics) (Selection, e
 		}
 	}
 	return best, nil
-}
-
-// PredictField is a convenience that analyzes a field of any rank and
-// predicts its CR for a compressor and bound in one call.
-func (p *Predictor) PredictField(f *field.Field, compressor string, eb float64, opts AnalysisOptions) (float64, error) {
-	return p.PredictFieldCtx(context.Background(), f, compressor, eb, opts)
-}
-
-// PredictFieldCtx is PredictField with cooperative cancellation of the
-// underlying analysis.
-func (p *Predictor) PredictFieldCtx(ctx context.Context, f *field.Field, compressor string, eb float64, opts AnalysisOptions) (float64, error) {
-	stats, err := AnalyzeFieldCtx(ctx, f, opts)
-	if err != nil {
-		return 0, err
-	}
-	return p.PredictRatio(compressor, eb, stats)
 }

@@ -107,7 +107,11 @@ func TestPredictFieldEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := smallField(t, 12, 20)
-	pred, err := p.PredictField(field.FromGrid(f), "sz-like", 1e-3, AnalysisOptions{SkipLocal: true})
+	stats, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{SkipLocal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := p.PredictRatio("sz-like", 1e-3, stats)
 	if err != nil {
 		t.Fatal(err)
 	}

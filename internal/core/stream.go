@@ -3,14 +3,14 @@ package core
 // Dataset-backed analysis under a memory budget. AnalyzeReaderCtx is
 // the out-of-core sibling of AnalyzeFieldCtx: when the field (plus the
 // spectral engine's padded planes, if requested) fits
-// AnalysisOptions.MemBudget it slurps the file and delegates to the
-// in-RAM pipeline on the stored lane; otherwise it streams every
-// statistic through the TileReader. The streaming statistics run
-// sequentially — the transform-pool budget bounds PEAK bytes, and
-// running the three stats concurrently would sum their working sets —
-// and their error wrapping follows the same fixed precedence as the
-// in-RAM path (global variogram, local variogram, local SVD), so
-// failures are reported identically either way.
+// AnalysisOptions.MemBudget it slurps the file and analyzes it in RAM
+// on the stored lane; otherwise it streams every statistic through the
+// TileReader. The streaming statistics run sequentially — the
+// transform-pool budget bounds PEAK bytes, and running the three stats
+// concurrently would sum their working sets — and their error wrapping
+// follows the same fixed precedence as the in-RAM path (global
+// variogram, local variogram, local SVD), so failures are reported
+// identically either way.
 
 import (
 	"context"
@@ -40,11 +40,6 @@ func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
 	return est
 }
 
-// AnalyzeReader is AnalyzeReaderCtx without cancellation.
-func AnalyzeReader(tr *field.TileReader, opts AnalysisOptions) (Statistics, error) {
-	return AnalyzeReaderCtx(context.Background(), tr, opts)
-}
-
 // AnalyzeReaderCtx extracts the correlation statistics of a
 // dataset-backed field under opts.MemBudget. Fits-in-budget files (and
 // every file when the budget is <= 0) take the in-RAM path on their
@@ -60,10 +55,8 @@ func AnalyzeReaderCtx(ctx context.Context, tr *field.TileReader, opts AnalysisOp
 		if err != nil {
 			return Statistics{}, fmt.Errorf("core: read field: %w", err)
 		}
-		if f32 != nil {
-			return AnalyzeField32Ctx(ctx, f32, o)
-		}
-		return AnalyzeFieldCtx(ctx, f64, o)
+		// ReadAll sets exactly one lane, as a Source requires.
+		return analyzeSource(ctx, stat.Source{F64: f64, F32: f32}, o)
 	}
 	return analyzeSource(ctx, stat.Source{
 		Reader: tr,

@@ -45,7 +45,7 @@ func BenchmarkAnalyzeReaderStream(b *testing.B) {
 	fft.ResetPeakBytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeReader(tr, opts); err != nil {
+		if _, err := AnalyzeReaderCtx(bg, tr, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func BenchmarkAnalyzeReaderSlurp(b *testing.B) {
 	b.SetBytes(int64(tr.Len()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeReader(tr, opts); err != nil {
+		if _, err := AnalyzeReaderCtx(bg, tr, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -143,11 +143,11 @@ func TestAnalyzeReaderSlurp(t *testing.T) {
 	opts := AnalysisOptions{Window: 16, MemBudget: 1 << 30}
 
 	tr := tempReader(t, f.WriteBinary)
-	want, err := AnalyzeField(f, opts)
+	want, err := AnalyzeFieldCtx(bg, f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeReader(tr, opts)
+	got, err := AnalyzeReaderCtx(bg, tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestAnalyzeReaderSlurp(t *testing.T) {
 	}
 
 	tr32 := tempReader(t, f32.WriteBinary)
-	want32, err := AnalyzeField32(f32, opts)
+	want32, err := AnalyzeField32Ctx(bg, f32, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got32, err := AnalyzeReader(tr32, opts)
+	got32, err := AnalyzeReaderCtx(bg, tr32, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestAnalyzeReaderStreamF32(t *testing.T) {
 	}
 	tr := tempReader(t, f32.WriteBinary)
 	const budget = int64(200 << 10)
-	want, err := AnalyzeField32(f32, AnalysisOptions{Window: 16})
+	want, err := AnalyzeField32Ctx(bg, f32, AnalysisOptions{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeReader(tr, AnalysisOptions{Window: 16, MemBudget: budget})
+	got, err := AnalyzeReaderCtx(bg, tr, AnalysisOptions{Window: 16, MemBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestAnalyzeReaderBudgetTooSmall(t *testing.T) {
 		f.Data[i] = rng.NormFloat64()
 	}
 	tr := tempReader(t, f.WriteBinary)
-	_, err := AnalyzeReader(tr, AnalysisOptions{
+	_, err := AnalyzeReaderCtx(bg, tr, AnalysisOptions{
 		Window: 32, MemBudget: 4 << 10,
 		VariogramOpts: variogram.Options{MaxPairs: 100},
 	})

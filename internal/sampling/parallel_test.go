@@ -11,23 +11,23 @@ import (
 func TestSampledStatsSerialParallelIdentical(t *testing.T) {
 	f := heterogeneousField(t)
 	for _, frac := range []float64{0.5, 1} {
-		serialRange, err := LocalRangeStd(f, 32, Options{Fraction: frac, Seed: 9, Workers: 1})
+		serialRange, err := LocalRangeStd(bg, f, 32, Options{Fraction: frac, Seed: 9, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialSVD, err := LocalSVDStd(f, 32, 0.99, Options{Fraction: frac, Seed: 9, Workers: 1})
+		serialSVD, err := LocalSVDStd(bg, f, 32, 0.99, Options{Fraction: frac, Seed: 9, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
-			parRange, err := LocalRangeStd(f, 32, Options{Fraction: frac, Seed: 9, Workers: workers})
+			parRange, err := LocalRangeStd(bg, f, 32, Options{Fraction: frac, Seed: 9, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if parRange != serialRange {
 				t.Fatalf("frac=%v workers=%d: range std %v != serial %v", frac, workers, parRange, serialRange)
 			}
-			parSVD, err := LocalSVDStd(f, 32, 0.99, Options{Fraction: frac, Seed: 9, Workers: workers})
+			parSVD, err := LocalSVDStd(bg, f, 32, 0.99, Options{Fraction: frac, Seed: 9, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,11 +40,11 @@ func TestSampledStatsSerialParallelIdentical(t *testing.T) {
 
 func TestSweepFractionsSerialParallelIdentical(t *testing.T) {
 	f := heterogeneousField(t)
-	serial, err := SweepFractions(f, 32, "range", []float64{0.25, 1}, Options{Seed: 17, Workers: 1})
+	serial, err := SweepFractions(bg, f, 32, "range", []float64{0.25, 1}, Options{Seed: 17, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepFractions(f, 32, "range", []float64{0.25, 1}, Options{Seed: 17, Workers: 8})
+	par, err := SweepFractions(bg, f, 32, "range", []float64{0.25, 1}, Options{Seed: 17, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,12 @@
 // the registered kernels', so the sampled estimators stay bit-aligned
 // with the full sweeps by construction. SweepFractions quantifies the
 // accuracy-versus-cost trade-off so users can pick an operating point.
+//
+// Each estimator has one entry point taking (ctx, stat.Source, h, …,
+// Options): LocalRangeStd, LocalSVDStd and SweepFractions. The window
+// selection depends only on the window count and seed, so an in-RAM
+// field on either lane and an out-of-core TileReader select — and
+// evaluate — the same windows in the same order.
 package sampling
 
 import (
@@ -19,7 +25,6 @@ import (
 	"math"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/linalg"
 	"lossycorr/internal/stat"
 	"lossycorr/internal/svdstat"
@@ -64,9 +69,17 @@ func sampleIndices(total int, frac float64, seed uint64) []int {
 }
 
 // sampledStd sweeps the selected windows of src through k and folds
-// the kept values with sampling's own empty-set error.
+// the kept values with sampling's own empty-set error. The window edge
+// is checked before any selection is drawn.
 func sampledStd(ctx context.Context, src stat.Source, k stat.WindowKernel, h int, opts Options, kOpt any) (float64, error) {
-	sel := sampleIndices(field.NewWindowGrid(src.Shape(), h).Total(), opts.fraction(), opts.Seed)
+	if err := k.CheckWindow(h); err != nil {
+		return 0, err
+	}
+	shape := src.Shape()
+	if len(shape) != 2 {
+		return 0, fmt.Errorf("sampling: rank-%d field; sampled estimators are 2D", len(shape))
+	}
+	sel := sampleIndices(field.NewWindowGrid(shape, h).Total(), opts.fraction(), opts.Seed)
 	vals, err := stat.Windows(ctx, src, k, h, opts.Workers, sel, kOpt)
 	if err != nil {
 		return 0, err
@@ -77,44 +90,27 @@ func sampledStd(ctx context.Context, src stat.Source, k stat.WindowKernel, h int
 	return linalg.Std(vals), nil
 }
 
-// LocalRangeStd estimates the std of local variogram ranges from a
-// sampled subset of windows. Sampled windows are evaluated on the
-// shared worker pool in sampling order (which depends only on the
-// seed), so results match the serial path bit for bit.
-func LocalRangeStd(g *grid.Grid, h int, opts Options) (float64, error) {
-	return LocalRangeStdCtx(context.Background(), g, h, opts)
-}
-
-// LocalRangeStdCtx is LocalRangeStd with cooperative cancellation of
-// the sampled-window fan-out.
-func LocalRangeStdCtx(ctx context.Context, g *grid.Grid, h int, opts Options) (float64, error) {
-	if h < 4 {
-		return 0, fmt.Errorf("sampling: window %d too small", h)
-	}
+// LocalRangeStd estimates the std of local variogram ranges of a 2D
+// source from a sampled subset of windows. Sampled windows are
+// evaluated on the shared worker pool in sampling order (which depends
+// only on the seed), so results match the serial path bit for bit —
+// and, for a Reader source, the in-RAM estimator: the engine reads only
+// the tiles holding sampled windows.
+func LocalRangeStd(ctx context.Context, src stat.Source, h int, opts Options) (float64, error) {
 	// The zero Options give the kernel's per-window solve: exact scan,
 	// serial (the sampled windows are the parallel axis), MaxLag from
 	// the clipped window's own extents.
-	return sampledStd(ctx, stat.Source{F64: field.FromGrid(g)}, variogram.LocalRangeKernel{}, h, opts, variogram.Options{})
+	return sampledStd(ctx, src, variogram.LocalRangeKernel{}, h, opts, variogram.Options{})
 }
 
-// LocalSVDStd estimates the std of local SVD truncation levels from a
-// sampled subset of windows.
-func LocalSVDStd(g *grid.Grid, h int, frac float64, opts Options) (float64, error) {
-	return LocalSVDStdCtx(context.Background(), g, h, frac, opts)
-}
-
-// LocalSVDStdCtx is LocalSVDStd with cooperative cancellation of the
-// sampled-window fan-out.
-func LocalSVDStdCtx(ctx context.Context, g *grid.Grid, h int, frac float64, opts Options) (float64, error) {
-	if h < 2 {
-		return 0, fmt.Errorf("sampling: window %d too small", h)
-	}
-	if frac <= 0 || frac > 1 {
-		frac = svdstat.DefaultVarianceFraction
-	}
+// LocalSVDStd estimates the std of local SVD truncation levels of a 2D
+// source from a sampled subset of windows. frac 0 means
+// svdstat.DefaultVarianceFraction; a frac outside (0,1] fails with
+// svdstat's error.
+func LocalSVDStd(ctx context.Context, src stat.Source, h int, frac float64, opts Options) (float64, error) {
 	// GramOff pins the historical full-SVD arithmetic of the sampled
-	// estimator (TruncationLevel's reference path).
-	return sampledStd(ctx, stat.Source{F64: field.FromGrid(g)}, svdstat.LevelKernel{}, h, opts,
+	// estimator.
+	return sampledStd(ctx, src, svdstat.LevelKernel{}, h, opts,
 		svdstat.Options{Frac: frac, Gram: svdstat.GramOff})
 }
 
@@ -128,30 +124,24 @@ type SweepPoint struct {
 
 // SweepFractions evaluates a sampled statistic at increasing sampling
 // fractions against its full evaluation — the "increasing levels of
-// sampling by block" experiment of the paper's future work. stat is
+// sampling by block" experiment of the paper's future work. which is
 // either "range" (local variogram range std) or "svd". Seed and Workers
 // come from opts (Fraction is ignored; the sweep supplies its own), and
-// each fraction's windows are evaluated on the worker pool.
-func SweepFractions(g *grid.Grid, h int, stat string, fractions []float64, opts Options) ([]SweepPoint, error) {
-	return SweepFractionsCtx(context.Background(), g, h, stat, fractions, opts)
-}
-
-// SweepFractionsCtx is SweepFractions with cooperative cancellation:
-// each fraction evaluation checks ctx through its window fan-out, so a
-// dead context abandons the sweep within one window's statistic.
-func SweepFractionsCtx(ctx context.Context, g *grid.Grid, h int, stat string, fractions []float64, opts Options) ([]SweepPoint, error) {
+// each fraction's windows are evaluated on the worker pool, checking
+// ctx per window.
+func SweepFractions(ctx context.Context, src stat.Source, h int, which string, fractions []float64, opts Options) ([]SweepPoint, error) {
 	if len(fractions) == 0 {
 		fractions = []float64{0.1, 0.25, 0.5, 0.75, 1}
 	}
 	eval := func(frac float64) (float64, error) {
 		o := Options{Fraction: frac, Seed: opts.Seed, Workers: opts.Workers}
-		switch stat {
+		switch which {
 		case "range":
-			return LocalRangeStdCtx(ctx, g, h, o)
+			return LocalRangeStd(ctx, src, h, o)
 		case "svd":
-			return LocalSVDStdCtx(ctx, g, h, svdstat.DefaultVarianceFraction, o)
+			return LocalSVDStd(ctx, src, h, svdstat.DefaultVarianceFraction, o)
 		default:
-			return 0, fmt.Errorf("sampling: unknown statistic %q (want range|svd)", stat)
+			return 0, fmt.Errorf("sampling: unknown statistic %q (want range|svd)", which)
 		}
 	}
 	ref, err := eval(1)

@@ -7,18 +7,18 @@ import (
 	"testing"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
+	"lossycorr/internal/stat"
 	"lossycorr/internal/xrand"
 )
 
-func tempReader(t *testing.T, g *grid.Grid) *field.TileReader {
+func tempReader(t *testing.T, g *field.Field) *field.TileReader {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "field.lcf")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := field.FromGrid(g).WriteBinary(f); err != nil {
+	if err := g.WriteBinary(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -39,26 +39,30 @@ func tempReader(t *testing.T, g *grid.Grid) *field.TileReader {
 func TestSampledReaderBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	rng := xrand.New(600)
-	g := grid.FromFunc(61, 53, func(r, c int) float64 { return rng.NormFloat64() })
+	g := field.New(61, 53)
+	for i := range g.Data {
+		g.Data[i] = rng.NormFloat64()
+	}
 	tr := tempReader(t, g)
+	ram := stat.Source{F64: g}
 	const h = 8
 	winBytes := int64(8 * h * h)
 	for _, frac := range []float64{0.1, 0.5, 1} {
 		for _, seed := range []uint64{1, 77} {
 			opts := Options{Fraction: frac, Seed: seed}
-			wantR, err := LocalRangeStdCtx(ctx, g, h, opts)
+			wantR, err := LocalRangeStd(ctx, ram, h, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantS, err := LocalSVDStdCtx(ctx, g, h, 0.99, opts)
+			wantS, err := LocalSVDStd(ctx, ram, h, 0.99, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, budget := range []int64{2 * winBytes, 0} {
-				so := field.StreamOptions{BudgetBytes: budget}
+				src := stat.Source{Reader: tr, Stream: field.StreamOptions{BudgetBytes: budget}}
 				for _, workers := range []int{1, 3} {
 					o := Options{Fraction: frac, Seed: seed, Workers: workers}
-					gotR, err := LocalRangeStdReaderCtx(ctx, tr, h, o, so)
+					gotR, err := LocalRangeStd(ctx, src, h, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -66,7 +70,7 @@ func TestSampledReaderBitIdentity(t *testing.T) {
 						t.Fatalf("frac %v seed %d budget %d workers %d: range std %v, want %v",
 							frac, seed, budget, workers, gotR, wantR)
 					}
-					gotS, err := LocalSVDStdReaderCtx(ctx, tr, h, 0.99, o, so)
+					gotS, err := LocalSVDStd(ctx, src, h, 0.99, o)
 					if err != nil {
 						t.Fatal(err)
 					}

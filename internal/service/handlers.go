@@ -449,6 +449,11 @@ func parseAnalysisParams(q url.Values) (analysisParams, error) {
 	if p.maxLag < 0 {
 		return p, apiErrorf(http.StatusBadRequest, "maxlag must be >= 0, got %d", p.maxLag)
 	}
+	// Written so NaN fails too: it would otherwise pass the level
+	// check, answer 200 with garbage, and be cached.
+	if !(p.frac > 0 && p.frac <= 1) {
+		return p, apiErrorf(http.StatusBadRequest, "frac must be in (0,1], got %v", p.frac)
+	}
 	return p, nil
 }
 

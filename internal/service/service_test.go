@@ -319,6 +319,12 @@ func TestRejectsMalformedRequests(t *testing.T) {
 		{"maxlag fft padding bomb", "/v1/analyze?vfft=true&maxlag=100000", valid, http.StatusBadRequest},
 		{"maxlag bomb via measure", "/v1/measure?maxlag=100000", valid, http.StatusBadRequest},
 		{"maxlag bomb via async job", "/v1/jobs/analyze?maxlag=100000", valid, http.StatusBadRequest},
+		{"NaN frac", "/v1/analyze?frac=NaN", valid, http.StatusBadRequest},
+		{"+Inf frac", "/v1/analyze?frac=Inf", valid, http.StatusBadRequest},
+		{"-Inf frac", "/v1/analyze?frac=-Inf", valid, http.StatusBadRequest},
+		{"zero frac", "/v1/analyze?frac=0", valid, http.StatusBadRequest},
+		{"frac above 1", "/v1/analyze?frac=2", valid, http.StatusBadRequest},
+		{"NaN frac via async job", "/v1/jobs/analyze?frac=NaN", valid, http.StatusBadRequest},
 		{"bad bool", "/v1/analyze?vfft=maybe", valid, http.StatusBadRequest},
 		{"bad error bound", "/v1/measure?eb=-3", valid, http.StatusBadRequest},
 		{"unknown codec", "/v1/measure?codec=nope", valid, http.StatusBadRequest},

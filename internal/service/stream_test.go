@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -55,7 +56,7 @@ func TestStreamingAnalyzeUpload(t *testing.T) {
 	if int64(len(body)) <= s.Config().StreamBudget {
 		t.Fatalf("test body %d B does not exceed the %d B stream budget", len(body), s.Config().StreamBudget)
 	}
-	want, err := core.AnalyzeField(f, core.AnalysisOptions{Window: 16})
+	want, err := core.AnalyzeFieldCtx(context.Background(), f, core.AnalysisOptions{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestStreamingDatasetOverBodyCap(t *testing.T) {
 		MaxBodyBytes: int64(len(body)) / 2,
 		StreamBudget: 128 << 10,
 	})
-	want, err := core.AnalyzeField(f, core.AnalysisOptions{Window: 16})
+	want, err := core.AnalyzeFieldCtx(context.Background(), f, core.AnalysisOptions{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestStreamingDatasetOverBodyCap(t *testing.T) {
 func TestStreamingAnalyzeJob(t *testing.T) {
 	_, hs := testServer(t, Config{StreamBudget: 128 << 10})
 	f, body := volumeBody(t, []int{32, 48, 48}, 17)
-	want, err := core.AnalyzeField(f, core.AnalysisOptions{Window: 16})
+	want, err := core.AnalyzeFieldCtx(context.Background(), f, core.AnalysisOptions{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,22 +6,22 @@ import (
 	"testing"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/linalg"
+	"lossycorr/internal/stat"
 	"lossycorr/internal/xrand"
 )
 
-func gramRandomGrid(rows, cols int, seed uint64) *grid.Grid {
+func gramRandomGrid(rows, cols int, seed uint64) *field.Field {
 	rng := xrand.New(seed)
-	g := grid.New(rows, cols)
+	g := field.New(rows, cols)
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
 	return g
 }
 
-func gramSmoothGrid(rows, cols int) *grid.Grid {
-	return grid.FromFunc(rows, cols, func(r, c int) float64 {
+func gramSmoothGrid(rows, cols int) *field.Field {
+	return fromFunc(rows, cols, func(r, c int) float64 {
 		return float64(r)*0.3 + float64(c)*0.7 + 0.01*float64(r*c)
 	})
 }
@@ -74,7 +74,7 @@ func TestGramMatchesFullSVDLevels(t *testing.T) {
 }
 
 func TestGramConstantWindowZero(t *testing.T) {
-	g := grid.New(16, 16)
+	g := field.New(16, 16)
 	for i := range g.Data {
 		g.Data[i] = 3.25
 	}
@@ -92,24 +92,23 @@ func TestGramConstantWindowZero(t *testing.T) {
 // GramOff must reproduce the historical full-SVD arithmetic (compared
 // against levelFull directly, the verbatim legacy path).
 func TestGramDefaultPinsBothDirections(t *testing.T) {
-	g := gramRandomGrid(96, 96, 11)
-	def, err := LocalStdWith(g, 32, Options{})
+	f := gramRandomGrid(96, 96, 11)
+	def, err := LocalStd(bg, in64(f), 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := LocalStdWith(g, 32, Options{Gram: GramOn})
+	fast, err := LocalStd(bg, in64(f), 32, Options{Gram: GramOn})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if def != fast {
 		t.Fatalf("default %x != GramOn %x: the zero value must be the fast path", def, fast)
 	}
-	full, err := LocalStdWith(g, 32, Options{Gram: GramOff})
+	full, err := LocalStd(bg, in64(f), 32, Options{Gram: GramOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Recompute the escape hatch through the legacy per-window path.
-	f := field.FromGrid(g)
 	var legacy []float64
 	for _, origin := range f.TileOrigins(32) {
 		w := f.Window(origin, 32)
@@ -131,12 +130,12 @@ func TestGramDefaultPinsBothDirections(t *testing.T) {
 // TestLocalStdGramCloseToFull checks the statistic built on the fast
 // path tracks the full-SVD path closely on a realistic field.
 func TestLocalStdGramCloseToFull(t *testing.T) {
-	g := gramRandomGrid(128, 128, 42)
-	full, err := LocalStdWith(g, 32, Options{Gram: GramOff})
+	f := in64(gramRandomGrid(128, 128, 42))
+	full, err := LocalStd(bg, f, 32, Options{Gram: GramOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := LocalStdWith(g, 32, Options{Gram: GramOn})
+	fast, err := LocalStd(bg, f, 32, Options{Gram: GramOn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +152,18 @@ func TestLocalStdGramCloseToFull(t *testing.T) {
 // under the determinism contract, on both paths.
 func TestLocalStd3DSerialParallelIdentical(t *testing.T) {
 	rng := xrand.New(9)
-	v := grid.NewVolume(24, 24, 24)
+	v := field.New(24, 24, 24)
 	for i := range v.Data {
 		v.Data[i] = rng.NormFloat64()
 	}
-	f := field.FromVolume(v)
+	f := in64(v)
 	for _, gram := range []GramMode{GramOff, GramOn} {
-		ref, err := LocalStdField(f, 8, Options{Workers: 1, Gram: gram})
+		ref, err := LocalStd(bg, f, 8, Options{Workers: 1, Gram: gram})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{3, 16} {
-			got, err := LocalStdField(f, 8, Options{Workers: w, Gram: gram})
+			got, err := LocalStd(bg, f, 8, Options{Workers: w, Gram: gram})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,10 +183,10 @@ func TestNonFiniteWindowErrors(t *testing.T) {
 		g.Data[40*64+50] = bad // inside the last window
 		for _, gram := range []GramMode{GramOn, GramOff} {
 			opts := Options{Gram: gram, Workers: 1}
-			if _, err := LocalStdWith(g, 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
+			if _, err := LocalStd(bg, in64(g), 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
 				t.Errorf("%v, gram=%v: err %v, want ErrNonFinite", bad, gram, err)
 			}
-			if _, err := LocalStdField32(field.FromGrid(g).Narrow(), 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
+			if _, err := LocalStd(bg, stat.Source{F32: g.Narrow()}, 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
 				t.Errorf("%v, gram=%v, float32: err %v, want ErrNonFinite", bad, gram, err)
 			}
 		}
@@ -220,10 +219,10 @@ func BenchmarkTruncationLevelGramUnfold(b *testing.B) { benchLevel(b, 32, 1024, 
 // request: the default Gram path over a 256² field at H=32 (64
 // windows), serial so ns/op is the summed per-window cost.
 func BenchmarkLocalSVD(b *testing.B) {
-	f := field.FromGrid(gramRandomGrid(256, 256, 13))
+	f := in64(gramRandomGrid(256, 256, 13))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LocalStdField(f, 32, Options{Workers: 1}); err != nil {
+		if _, err := LocalStd(bg, f, 32, Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,14 +230,14 @@ func BenchmarkLocalSVD(b *testing.B) {
 
 func BenchmarkLocalStdFull3D(b *testing.B) {
 	rng := xrand.New(3)
-	v := grid.NewVolume(32, 32, 32)
+	v := field.New(32, 32, 32)
 	for i := range v.Data {
 		v.Data[i] = rng.NormFloat64()
 	}
-	f := field.FromVolume(v)
+	f := in64(v)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LocalStdField(f, 16, Options{}); err != nil {
+		if _, err := LocalStd(bg, f, 16, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

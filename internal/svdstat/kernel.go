@@ -64,13 +64,3 @@ func (LevelKernel) Fold(vals []float64, info stat.FoldInfo, opt any) ([]float64,
 	}
 	return []float64{linalg.Std(vals)}, nil
 }
-
-// foldStd runs the kernel's fold for the thin Std delegates,
-// unwrapping the single output.
-func foldStd(vals []float64, h int, shape []int) (float64, error) {
-	out, err := LevelKernel{}.Fold(vals, stat.FoldInfo{Window: h, Shape: shape}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}

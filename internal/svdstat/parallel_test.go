@@ -10,16 +10,13 @@ import (
 // contract: per-window truncation levels are bit-identical at any
 // worker count, in tile order.
 func TestLocalLevelsSerialParallelIdentical(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 96, Cols: 96, Range: 8, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := LocalLevelsWith(f, 16, Options{Workers: 1})
+	f := in64(gaussField(t, gaussian.Params{Rows: 96, Cols: 96, Range: 8, Seed: 31}))
+	serial, err := LocalLevels(bg, f, 16, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := LocalLevelsWith(f, 16, Options{Workers: workers})
+		par, err := LocalLevels(bg, f, 16, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,15 +32,12 @@ func TestLocalLevelsSerialParallelIdentical(t *testing.T) {
 }
 
 func TestLocalStdSerialParallelIdentical(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 96, Cols: 96, Range: 12, Seed: 32})
+	f := in64(gaussField(t, gaussian.Params{Rows: 96, Cols: 96, Range: 12, Seed: 32}))
+	serial, err := LocalStd(bg, f, 16, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := LocalStdWith(f, 16, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := LocalStdWith(f, 16, Options{Workers: 8})
+	par, err := LocalStd(bg, f, 16, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,19 +47,16 @@ func TestLocalStdSerialParallelIdentical(t *testing.T) {
 }
 
 func TestLocalStdWithDefaultsMatchLocalStd(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 8, Seed: 33})
+	f := in64(gaussField(t, gaussian.Params{Rows: 64, Cols: 64, Range: 8, Seed: 33}))
+	a, err := LocalStd(bg, f, 32, Options{Frac: DefaultVarianceFraction})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := LocalStd(f, 32, DefaultVarianceFraction)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LocalStdWith(f, 32, Options{})
+	b, err := LocalStd(bg, f, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("LocalStdWith zero options %v != LocalStd default %v", b, a)
+		t.Fatalf("LocalStd zero options %v != explicit default fraction %v", b, a)
 	}
 }

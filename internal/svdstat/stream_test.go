@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lossycorr/internal/field"
+	"lossycorr/internal/stat"
 	"lossycorr/internal/xrand"
 )
 
@@ -62,11 +63,11 @@ func TestLocalLevelsReaderBitIdentity(t *testing.T) {
 		}
 		for _, gram := range []GramMode{GramDefault, GramOff} {
 			opts := Options{Gram: gram}
-			want, err := LocalLevelsFieldCtx(ctx, f, tc.h, opts)
+			want, err := LocalLevels(ctx, in64(f), tc.h, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want32, err := LocalLevelsField32Ctx(ctx, f32, tc.h, opts)
+			want32, err := LocalLevels(ctx, stat.Source{F32: f32}, tc.h, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,11 +76,11 @@ func TestLocalLevelsReaderBitIdentity(t *testing.T) {
 					so := field.StreamOptions{BudgetBytes: budget, Halo: halo}
 					for _, workers := range []int{1, 3} {
 						o := Options{Gram: gram, Workers: workers}
-						got, err := LocalLevelsReaderCtx(ctx, tr, tc.h, o, so)
+						got, err := LocalLevels(ctx, stat.Source{Reader: tr, Stream: so}, tc.h, o)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got32, err := LocalLevelsReaderCtx(ctx, tr32, tc.h, o, so)
+						got32, err := LocalLevels(ctx, stat.Source{Reader: tr32, Stream: so}, tc.h, o)
 						if err != nil {
 							t.Fatal(err)
 						}

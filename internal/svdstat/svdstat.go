@@ -8,6 +8,12 @@
 // H×H×H window is mode-1 unfolded into an H×H² matrix (the window's
 // flat data viewed as first-extent rows), whose singular spectrum
 // plays the same role the 2D window's spectrum does.
+//
+// Each statistic has one entry point taking (ctx, stat.Source, h,
+// Options): LocalLevels and LocalStd. The sweep over the source — an
+// in-RAM field on either lane or an out-of-core TileReader — is the
+// stat engine's; this package owns only the per-window level
+// arithmetic (LevelKernel).
 package svdstat
 
 import (
@@ -15,7 +21,6 @@ import (
 	"fmt"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/linalg"
 	"lossycorr/internal/stat"
 )
@@ -69,23 +74,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// TruncationLevel returns the smallest k such that the top-k singular
-// values of the mean-centered window capture at least frac of its total
-// squared singular-value mass. Centering implements the paper's
-// "variance" reading: without it the DC component swallows the energy
-// budget of smooth windows and the statistic degenerates to 1
-// everywhere. A constant window reports 0.
-func TruncationLevel(w *grid.Grid, frac float64) (int, error) {
-	return levelFull(w.Data, w.Rows, w.Cols, w.Summary().Mean, frac)
-}
-
-// levelFull is the reference path (GramOff, and TruncationLevel's
-// arithmetic): center, take singular values, and accumulate their
-// squares. The arithmetic is kept exactly as the historical 2D
-// implementation so the escape hatch reproduces pre-Gram statistics
-// bit-identically.
+// levelFull is the reference path (GramOff): the smallest k such that
+// the top-k singular values of the mean-centered window capture at
+// least frac of its total squared singular-value mass. Centering
+// implements the paper's "variance" reading: without it the DC
+// component swallows the energy budget of smooth windows and the
+// statistic degenerates to 1 everywhere. A constant window reports 0.
+// The arithmetic — center, take singular values, accumulate their
+// squares — is kept exactly as the historical 2D implementation so the
+// escape hatch reproduces pre-Gram statistics bit-identically.
 func levelFull(data []float64, rows, cols int, mean, frac float64) (int, error) {
-	if frac <= 0 || frac > 1 {
+	if !(frac > 0 && frac <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("svdstat: variance fraction %v outside (0,1]", frac)
 	}
 	m := linalg.NewMatrix(rows, cols)
@@ -126,7 +125,7 @@ func levelFull(data []float64, rows, cols int, mean, frac float64) (int, error) 
 // centered copy, the per-value sqrt, and the re-squaring of the
 // default path all disappear.
 func levelGram(data []float64, rows, cols int, frac float64) (int, error) {
-	if frac <= 0 || frac > 1 {
+	if !(frac > 0 && frac <= 1) {
 		return 0, fmt.Errorf("svdstat: variance fraction %v outside (0,1]", frac)
 	}
 	n := rows * cols
@@ -219,60 +218,27 @@ func windowLevel(w *field.Field, o Options) (int, error) {
 	return levelFull(w.Data, rows, cols, w.Summary().Mean, o.Frac)
 }
 
-// LocalLevelsField tiles a field of any rank with h-edged hypercube
-// windows and returns the truncation level of every window — the stat
-// engine's sweep over LevelKernel, collected in tile order so the
-// result is independent of scheduling. Windows with any extent below 2
-// after clipping are skipped.
-func LocalLevelsField(f *field.Field, h int, opts Options) ([]float64, error) {
-	return LocalLevelsFieldCtx(context.Background(), f, h, opts)
-}
-
-// LocalLevelsFieldCtx is LocalLevelsField with cooperative
-// cancellation: the tile fan-out checks ctx before each window, so a
-// dead context abandons the sweep within one window's eigensolve.
-func LocalLevelsFieldCtx(ctx context.Context, f *field.Field, h int, opts Options) ([]float64, error) {
-	return stat.Windows(ctx, stat.Source{F64: f}, LevelKernel{}, h, opts.Workers, nil, opts)
-}
-
-// LocalLevelsWith tiles the field with h×h windows and returns the
-// truncation level of every window — the rank-2 view of
-// LocalLevelsField.
-func LocalLevelsWith(g *grid.Grid, h int, opts Options) ([]float64, error) {
-	return LocalLevelsField(field.FromGrid(g), h, opts)
-}
-
-// LocalLevels tiles the field with h×h windows and returns the
-// truncation level of every window.
-func LocalLevels(g *grid.Grid, h int, frac float64) ([]float64, error) {
-	return LocalLevelsWith(g, h, Options{Frac: frac})
-}
-
-// LocalStdField is the paper's statistic for a field of any rank: the
-// standard deviation of local truncation levels over h-edged windows.
-func LocalStdField(f *field.Field, h int, opts Options) (float64, error) {
-	return LocalStdFieldCtx(context.Background(), f, h, opts)
-}
-
-// LocalStdFieldCtx is LocalStdField with cooperative cancellation of
-// the window sweep.
-func LocalStdFieldCtx(ctx context.Context, f *field.Field, h int, opts Options) (float64, error) {
-	levels, err := LocalLevelsFieldCtx(ctx, f, h, opts)
-	if err != nil {
-		return 0, err
-	}
-	return foldStd(levels, h, f.Shape)
-}
-
-// LocalStdWith is the paper's statistic — the standard deviation of
-// local SVD truncation levels over h×h windows — with explicit control
-// over the variance fraction and worker count.
-func LocalStdWith(g *grid.Grid, h int, opts Options) (float64, error) {
-	return LocalStdField(field.FromGrid(g), h, opts)
+// LocalLevels tiles the field with h-edged hypercube windows and
+// returns the truncation level of every window. The sweep — extraction
+// (widened exactly on the float32 lane), tile streaming for a Reader
+// source, fan-out over opts.Workers, cancellation per window — is the
+// stat engine's over LevelKernel; levels come back in window order,
+// bit-identical for every source, worker count, tile budget and halo.
+// Windows with any extent below 2 after clipping are skipped.
+func LocalLevels(ctx context.Context, src stat.Source, h int, opts Options) ([]float64, error) {
+	return stat.Windows(ctx, src, LevelKernel{}, h, opts.Workers, nil, opts)
 }
 
 // LocalStd is the paper's statistic: the standard deviation of local
-// SVD truncation levels over h×h windows.
-func LocalStd(g *grid.Grid, h int, frac float64) (float64, error) {
-	return LocalStdWith(g, h, Options{Frac: frac})
+// SVD truncation levels over h-edged windows.
+func LocalStd(ctx context.Context, src stat.Source, h int, opts Options) (float64, error) {
+	levels, err := LocalLevels(ctx, src, h, opts)
+	if err != nil {
+		return 0, err
+	}
+	out, err := LevelKernel{}.Fold(levels, stat.FoldInfo{Window: h, Shape: src.Shape()}, opts)
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }

@@ -1,19 +1,55 @@
 package svdstat
 
 import (
+	"context"
+	"math"
 	"testing"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
+	"lossycorr/internal/stat"
 	"lossycorr/internal/xrand"
 )
 
+var bg = context.Background()
+
+// in64 wraps an in-RAM float64 field as a statistic source.
+func in64(f *field.Field) stat.Source { return stat.Source{F64: f} }
+
+// fromFunc builds a rows×cols field from fn, in row-major order.
+func fromFunc(rows, cols int, fn func(r, c int) float64) *field.Field {
+	f := field.New(rows, cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			f.Data[r*cols+c] = fn(r, c)
+		}
+	}
+	return f
+}
+
+// gaussField draws a seeded 2D Gaussian field.
+func gaussField(t *testing.T, p gaussian.Params) *field.Field {
+	t.Helper()
+	g, err := gaussian.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return field.FromGrid(g)
+}
+
+// truncationLevel is the full-SVD (GramOff) truncation level of one 2D
+// window: the smallest k whose top-k singular values of the centered
+// window capture at least frac of its squared singular-value mass.
+func truncationLevel(w *field.Field, frac float64) (int, error) {
+	return windowLevel(w, Options{Frac: frac, Gram: GramOff})
+}
+
 func TestTruncationLevelRankOne(t *testing.T) {
 	// outer product of zero-mean factors stays rank 1 after centering
-	w := grid.FromFunc(8, 8, func(r, c int) float64 {
+	w := fromFunc(8, 8, func(r, c int) float64 {
 		return (float64(r) - 3.5) * (float64(c) - 3.5)
 	})
-	k, err := TruncationLevel(w, 0.99)
+	k, err := truncationLevel(w, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,13 +62,13 @@ func TestTruncationLevelIdentityLike(t *testing.T) {
 	// centered identity I − J/n has n−1 equal singular values, so 99%
 	// of the variance needs ceil(0.99·(n−1)) = 9 modes for n = 10
 	n := 10
-	w := grid.FromFunc(n, n, func(r, c int) float64 {
+	w := fromFunc(n, n, func(r, c int) float64 {
 		if r == c {
 			return 1
 		}
 		return 0
 	})
-	k, err := TruncationLevel(w, 0.99)
+	k, err := truncationLevel(w, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +78,7 @@ func TestTruncationLevelIdentityLike(t *testing.T) {
 }
 
 func TestTruncationLevelConstantZero(t *testing.T) {
-	k, err := TruncationLevel(grid.New(6, 6), 0.99)
+	k, err := truncationLevel(field.New(6, 6), 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,22 +88,38 @@ func TestTruncationLevelConstantZero(t *testing.T) {
 }
 
 func TestTruncationLevelFracValidation(t *testing.T) {
-	if _, err := TruncationLevel(grid.New(4, 4), 0); err == nil {
+	if _, err := truncationLevel(field.New(4, 4), 0); err == nil {
 		t.Fatal("expected frac error")
 	}
-	if _, err := TruncationLevel(grid.New(4, 4), 1.2); err == nil {
+	if _, err := truncationLevel(field.New(4, 4), 1.2); err == nil {
 		t.Fatal("expected frac error")
+	}
+}
+
+// TestNaNFractionRejected pins the fraction check against NaN, which
+// slips through a `frac <= 0 || frac > 1` test: both level paths, and
+// the statistic over a field, must fail instead of reporting a level.
+func TestNaNFractionRejected(t *testing.T) {
+	w := fromFunc(8, 8, func(r, c int) float64 { return float64(r * c % 5) })
+	for _, gram := range []GramMode{GramDefault, GramOff} {
+		o := Options{Frac: math.NaN(), Gram: gram}
+		if k, err := windowLevel(w, o); err == nil {
+			t.Errorf("gram=%v: level %d for a NaN fraction, want error", gram, k)
+		}
+		if v, err := LocalStd(bg, in64(w), 4, o); err == nil {
+			t.Errorf("gram=%v: LocalStd %v for a NaN fraction, want error", gram, v)
+		}
 	}
 }
 
 func TestTruncationLevelMonotoneInFraction(t *testing.T) {
 	rng := xrand.New(6)
-	w := grid.FromFunc(12, 12, func(r, c int) float64 { return rng.NormFloat64() })
-	k50, err := TruncationLevel(w, 0.5)
+	w := fromFunc(12, 12, func(r, c int) float64 { return rng.NormFloat64() })
+	k50, err := truncationLevel(w, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k99, err := TruncationLevel(w, 0.99)
+	k99, err := truncationLevel(w, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +132,14 @@ func TestTruncationLevelMonotoneInFraction(t *testing.T) {
 }
 
 func TestSmoothNeedsFewerModesThanNoise(t *testing.T) {
-	smooth, err := gaussian.Generate(gaussian.Params{Rows: 32, Cols: 32, Range: 16, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	smooth := gaussField(t, gaussian.Params{Rows: 32, Cols: 32, Range: 16, Seed: 2})
 	rng := xrand.New(2)
-	noise := grid.FromFunc(32, 32, func(r, c int) float64 { return rng.NormFloat64() })
-	ks, err := TruncationLevel(smooth, 0.99)
+	noise := fromFunc(32, 32, func(r, c int) float64 { return rng.NormFloat64() })
+	ks, err := truncationLevel(smooth, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kn, err := TruncationLevel(noise, 0.99)
+	kn, err := truncationLevel(noise, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +149,8 @@ func TestSmoothNeedsFewerModesThanNoise(t *testing.T) {
 }
 
 func TestLocalLevelsCount(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 8, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	levels, err := LocalLevels(f, 32, 0.99)
+	f := gaussField(t, gaussian.Params{Rows: 64, Cols: 64, Range: 8, Seed: 4})
+	levels, err := LocalLevels(bg, in64(f), 32, Options{Frac: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,28 +165,25 @@ func TestLocalLevelsCount(t *testing.T) {
 }
 
 func TestLocalLevelsWindowValidation(t *testing.T) {
-	if _, err := LocalLevels(grid.New(8, 8), 1, 0.99); err == nil {
+	if _, err := LocalLevels(bg, in64(field.New(8, 8)), 1, Options{Frac: 0.99}); err == nil {
 		t.Fatal("expected window error")
 	}
 }
 
 func TestLocalStdHomogeneousVsHeterogeneous(t *testing.T) {
-	smooth, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 16, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	smooth := gaussField(t, gaussian.Params{Rows: 64, Cols: 64, Range: 16, Seed: 5})
 	rng := xrand.New(5)
 	mixed := smooth.Clone()
 	for r := 0; r < 64; r++ {
 		for c := 32; c < 64; c++ {
-			mixed.Set(r, c, rng.NormFloat64())
+			mixed.Set(rng.NormFloat64(), r, c)
 		}
 	}
-	sSmooth, err := LocalStd(smooth, 16, 0.99)
+	sSmooth, err := LocalStd(bg, in64(smooth), 16, Options{Frac: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sMixed, err := LocalStd(mixed, 16, 0.99)
+	sMixed, err := LocalStd(bg, in64(mixed), 16, Options{Frac: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}

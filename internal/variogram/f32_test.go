@@ -29,13 +29,13 @@ func randomField32(shape []int, seed uint64) (*field.Field32, *field.Field) {
 func TestFFT32MatchesExactScan(t *testing.T) {
 	for ci, tc := range equivalenceCases {
 		f32, f64 := randomField32(tc.shape, uint64(1300+ci))
-		ex, err := ComputeField(f64, Options{Exact: true, MaxLag: tc.maxLag})
+		ex, err := Compute(bg, in64(f64), Options{Exact: true, MaxLag: tc.maxLag})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ref *Empirical
 		for _, workers := range []int{1, 3, 8} {
-			ff, err := ComputeField32(f32, Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
+			ff, err := Compute(bg, in32(f32), Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,11 +76,11 @@ func TestFFT32LargeMean(t *testing.T) {
 	for i := range f32.Data {
 		f32.Data[i] = float32(10000 + rng.NormFloat64())
 	}
-	ex, err := ComputeField(f32.Widen(), Options{Exact: true})
+	ex, err := Compute(bg, in64(f32.Widen()), Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := ComputeField32(f32, Options{FFT: true})
+	ff, err := Compute(bg, in32(f32), Options{FFT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestFFT32LargeMean(t *testing.T) {
 // than an extent: zero pairs, same bins as the direct scan.
 func TestFFT32LagBeyondExtent(t *testing.T) {
 	f32, f64 := randomField32([]int{8, 64}, 9)
-	ex, err := ComputeField(f64, Options{Exact: true, MaxLag: 16})
+	ex, err := Compute(bg, in64(f64), Options{Exact: true, MaxLag: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := ComputeField32(f32, Options{FFT: true, MaxLag: 16})
+	ff, err := Compute(bg, in32(f32), Options{FFT: true, MaxLag: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestDirectScans32MatchOracle(t *testing.T) {
 		{Exact: true, MaxLag: 11},
 		{Seed: 5, MaxPairs: 20000},
 	} {
-		ex, err := ComputeField(f64, opts)
+		ex, err := Compute(bg, in64(f64), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ff, err := ComputeField32(f32, opts)
+		ff, err := Compute(bg, in32(f32), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestDirectScans32MatchOracle(t *testing.T) {
 // the same values).
 func TestLocalRanges32MatchOracle(t *testing.T) {
 	f32, f64 := randomField32([]int{64, 48}, 33)
-	ex, err := LocalRangesField(f64, 16, Options{})
+	ex, err := LocalRanges(bg, in64(f64), 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := LocalRangesField32(f32, 16, Options{Workers: 3})
+	ff, err := LocalRanges(bg, in32(f32), 16, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +202,12 @@ func TestFFT32PoisonedPools(t *testing.T) {
 	}
 	for ci, tc := range equivalenceCases {
 		f32, f64 := randomField32(tc.shape, uint64(1700+ci))
-		ex, err := ComputeField(f64, Options{Exact: true, MaxLag: tc.maxLag})
+		ex, err := Compute(bg, in64(f64), Options{Exact: true, MaxLag: tc.maxLag})
 		if err != nil {
 			t.Fatal(err)
 		}
 		poison(1 << 18)
-		ff, err := ComputeField32(f32, Options{FFT: true, MaxLag: tc.maxLag})
+		ff, err := Compute(bg, in32(f32), Options{FFT: true, MaxLag: tc.maxLag})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestFFT32PoisonedPools(t *testing.T) {
 		orig := padLenFn
 		padLenFn = func(n int) int { return n }
 		poison(1 << 18)
-		fb, err := ComputeField32(f32, Options{FFT: true, MaxLag: tc.maxLag})
+		fb, err := Compute(bg, in32(f32), Options{FFT: true, MaxLag: tc.maxLag})
 		padLenFn = orig
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +251,7 @@ func BenchmarkVariogramFFT32(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fft.ResetPeakBytes()
-				if _, err := ComputeField32(f32, Options{FFT: true}); err != nil {
+				if _, err := Compute(bg, in32(f32), Options{FFT: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -265,7 +265,7 @@ func BenchmarkVariogramFFT32_3D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fft.ResetPeakBytes()
-		if _, err := ComputeField32(f32, Options{FFT: true}); err != nil {
+		if _, err := Compute(bg, in32(f32), Options{FFT: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

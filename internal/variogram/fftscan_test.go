@@ -40,13 +40,13 @@ func TestFFTMatchesExactScan(t *testing.T) {
 	}
 	for ci, tc := range cases {
 		f := randomField(tc.shape, uint64(100+ci))
-		ex, err := ComputeField(f, Options{Exact: true, MaxLag: tc.maxLag})
+		ex, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: tc.maxLag})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ref *Empirical
 		for _, workers := range []int{1, 3, 8} {
-			ff, err := ComputeField(f, Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
+			ff, err := Compute(bg, in64(f), Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,11 +84,11 @@ func TestFFTMatchesExactScan(t *testing.T) {
 // results identical.
 func TestFFTLagBeyondExtent(t *testing.T) {
 	f := randomField([]int{8, 64}, 9)
-	ex, err := ComputeField(f, Options{Exact: true, MaxLag: 16})
+	ex, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := ComputeField(f, Options{FFT: true, MaxLag: 16})
+	ff, err := Compute(bg, in64(f), Options{FFT: true, MaxLag: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestFFTLagBeyondExtent(t *testing.T) {
 // model entry point and lands near the direct estimate.
 func TestFFTGlobalRangeField(t *testing.T) {
 	f := randomField([]int{48, 48}, 3)
-	mEx, err := GlobalRangeField(f, Options{Exact: true})
+	mEx, err := GlobalRange(bg, in64(f), Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mFF, err := GlobalRangeField(f, Options{FFT: true})
+	mFF, err := GlobalRange(bg, in64(f), Options{FFT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFFTConstantField(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = 4.5
 	}
-	ff, err := ComputeField(f, Options{FFT: true})
+	ff, err := Compute(bg, in64(f), Options{FFT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +181,13 @@ func TestFFTBluesteinPadding(t *testing.T) {
 
 	for ci, tc := range equivalenceCases {
 		f := randomField(tc.shape, uint64(500+ci))
-		ex, err := ComputeField(f, Options{Exact: true, MaxLag: tc.maxLag})
+		ex, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: tc.maxLag})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ref *Empirical
 		for _, workers := range []int{1, 4} {
-			ff, err := ComputeField(f, Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
+			ff, err := Compute(bg, in64(f), Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,11 +228,11 @@ func TestFFTDCOffset(t *testing.T) {
 	}
 	for _, off := range []float64{0, 1e3, 1e5, 1e7} {
 		f := withOffset(base, off)
-		ex, err := ComputeField(f, Options{Exact: true})
+		ex, err := Compute(bg, in64(f), Options{Exact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ff, err := ComputeField(f, Options{FFT: true})
+		ff, err := Compute(bg, in64(f), Options{FFT: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestFFTDCOffset(t *testing.T) {
 		tr := writeTempField(t, f.WriteBinary)
 		// 0 is one shard; 1 MiB splits the rows (checked above).
 		for _, budget := range []int64{0, 1 << 20} {
-			st, err := ComputeReaderCtx(ctx, tr, Options{FFT: true}, field.StreamOptions{BudgetBytes: budget})
+			st, err := Compute(ctx, onDisk(tr, field.StreamOptions{BudgetBytes: budget}), Options{FFT: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,11 +281,11 @@ func TestFFTLaneDifferential(t *testing.T) {
 				f32, f64 := randomField32(tc.shape, uint64(2100+ci))
 				for _, workers := range []int{1, 4} {
 					o := Options{FFT: true, MaxLag: tc.maxLag, Workers: workers}
-					wide, err := ComputeField(f64, o)
+					wide, err := Compute(bg, in64(f64), o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					narrow, err := ComputeField32(f32, o)
+					narrow, err := Compute(bg, in32(f32), o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -345,12 +345,12 @@ func poisonPools(maxElems int) {
 func TestFFTPoisonedPools(t *testing.T) {
 	for ci, tc := range equivalenceCases {
 		f := randomField(tc.shape, uint64(900+ci))
-		ex, err := ComputeField(f, Options{Exact: true, MaxLag: tc.maxLag})
+		ex, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: tc.maxLag})
 		if err != nil {
 			t.Fatal(err)
 		}
 		poisonPools(1 << 18)
-		ff, err := ComputeField(f, Options{FFT: true, MaxLag: tc.maxLag})
+		ff, err := Compute(bg, in64(f), Options{FFT: true, MaxLag: tc.maxLag})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestFFTPoisonedPools(t *testing.T) {
 		orig := padLenFn
 		padLenFn = func(n int) int { return n }
 		poisonPools(1 << 18)
-		fb, err := ComputeField(f, Options{FFT: true, MaxLag: tc.maxLag})
+		fb, err := Compute(bg, in64(f), Options{FFT: true, MaxLag: tc.maxLag})
 		padLenFn = orig
 		if err != nil {
 			t.Fatal(err)
@@ -382,8 +382,8 @@ func TestFFTMemorySmoke(t *testing.T) {
 		elemBytes int
 		run       func() error
 	}{
-		{"float64", 8, func() error { _, err := ComputeField(f, Options{FFT: true}); return err }},
-		{"float32", 4, func() error { _, err := ComputeField32(f32, Options{FFT: true}); return err }},
+		{"float64", 8, func() error { _, err := Compute(bg, in64(f), Options{FFT: true}); return err }},
+		{"float32", 4, func() error { _, err := Compute(bg, in32(f32), Options{FFT: true}); return err }},
 	} {
 		want := FFTPeakBytes(f.Shape, 256, lane.elemBytes)
 		// Two collections empty every sync.Pool, buckets included.
@@ -447,7 +447,7 @@ func BenchmarkVariogramExact(b *testing.B) {
 			f := randomField([]int{n, n}, 11)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ComputeField(f, Options{Exact: true}); err != nil {
+				if _, err := Compute(bg, in64(f), Options{Exact: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -466,7 +466,7 @@ func BenchmarkVariogramFFT(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fft.ResetPeakBytes()
-				if _, err := ComputeField(f, Options{FFT: true}); err != nil {
+				if _, err := Compute(bg, in64(f), Options{FFT: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -481,7 +481,7 @@ func BenchmarkVariogramExact3D(b *testing.B) {
 	f := randomField([]int{64, 64, 64}, 13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ComputeField(f, Options{Exact: true}); err != nil {
+		if _, err := Compute(bg, in64(f), Options{Exact: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,7 +492,7 @@ func BenchmarkVariogramFFT3D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fft.ResetPeakBytes()
-		if _, err := ComputeField(f, Options{FFT: true}); err != nil {
+		if _, err := Compute(bg, in64(f), Options{FFT: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

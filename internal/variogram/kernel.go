@@ -42,28 +42,14 @@ func (RangeKernel) Caps() stat.Caps {
 // ErrLabel preserves the historical "global variogram" error prefix.
 func (RangeKernel) ErrLabel() string { return "global variogram" }
 
-// EvalGlobal implements stat.GlobalKernel, dispatching on the source:
-// in-RAM fields run ComputeField(32)Ctx's estimator selection; Reader
-// sources run the out-of-core dispatch (sampled scan bit-identical,
-// spectral shards tolerance-equivalent, exact scan materialized on the
-// transform-pool gauge).
+// EvalGlobal implements stat.GlobalKernel: GlobalRange, whose Compute
+// picks the estimator and dispatches on the source.
 func (RangeKernel) EvalGlobal(ctx context.Context, src stat.Source, req stat.Request, opt any) ([]float64, error) {
 	o, _ := opt.(Options)
 	if o.Workers == 0 {
 		o.Workers = req.Workers
 	}
-	var m Model
-	var err error
-	switch {
-	case src.Reader != nil:
-		m, err = GlobalRangeReaderCtx(ctx, src.Reader, o, src.Stream)
-	case src.F32 != nil:
-		m, err = GlobalRangeField32Ctx(ctx, src.F32, o)
-	case src.F64 != nil:
-		m, err = GlobalRangeFieldCtx(ctx, src.F64, o)
-	default:
-		err = fmt.Errorf("variogram: empty source")
-	}
+	m, err := GlobalRange(ctx, src, o)
 	if err != nil {
 		return nil, err
 	}

@@ -17,31 +17,14 @@ package variogram
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 
+	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
 	"lossycorr/internal/parallel"
-	"lossycorr/internal/stat"
 	"lossycorr/internal/xrand"
 )
-
-// withFieldDefaults is the rank-generic form of the Options defaults:
-// the lag cutoff falls back to half the smallest extent.
-func (o *Options) withFieldDefaults(f *field.Field) Options {
-	out := *o
-	if out.MaxLag <= 0 {
-		out.MaxLag = f.MinDim() / 2
-		if out.MaxLag < 1 {
-			out.MaxLag = 1
-		}
-	}
-	if out.MaxPairs <= 0 {
-		out.MaxPairs = 400_000
-	}
-	return out
-}
 
 // exactThresholdFor is the element count below which the exhaustive
 // scan is used by default, preserving the historical per-rank cutoffs.
@@ -63,32 +46,16 @@ func sampleSalt(ndim int) uint64 {
 	}
 }
 
-// ComputeField estimates the empirical semi-variogram of a field of
-// any rank: the exhaustive offset scan for small fields (or when
-// opts.Exact is set), pair sampling otherwise. The exact scan fans
-// distance bins out over opts.Workers; results are bit-identical at
-// any worker count.
-func ComputeField(f *field.Field, opts Options) (*Empirical, error) {
-	return ComputeFieldCtx(context.Background(), f, opts)
-}
-
-// ComputeFieldCtx is ComputeField with cooperative cancellation: every
-// estimator checks ctx between units of work (per offset for the exact
-// scan, per transform stage and per bin for the FFT engine, every few
-// thousand draws for the sampler) and returns ctx.Err() promptly once
-// the context dies, handing any borrowed worker-pool tokens back.
-func ComputeFieldCtx(ctx context.Context, f *field.Field, opts Options) (*Empirical, error) {
-	if f.NDim() < 1 || f.Len() < 2 {
-		return nil, fmt.Errorf("variogram: field too small (shape %v)", f.Shape)
+// scanData runs the chosen estimator over an in-RAM lane; mean supplies
+// the field mean the spectral engine's embed subtracts.
+func scanData[T fft.Float, C fft.Complex](ctx context.Context, data []T, shape []int, mean func() float64, est estimator, o Options) (*Empirical, error) {
+	switch est {
+	case spectral:
+		return fftScan[T, C](ctx, data, shape, mean(), o)
+	case exact:
+		return exactScanData(ctx, data, shape, o)
 	}
-	o := opts.withFieldDefaults(f)
-	if o.FFT {
-		return fftScan[float64, complex128](ctx, f.Data, f.Shape, f.Summary().Mean, o)
-	}
-	if o.Exact || f.Len() <= exactThresholdFor(f.NDim()) {
-		return exactScanField(ctx, f, o)
-	}
-	return sampledScanField(ctx, f, o)
+	return sampledScanData(ctx, data, shape, o)
 }
 
 // offsetsByBin enumerates every lag vector with 0 < |v| <= maxLag and
@@ -169,7 +136,7 @@ func offsetsByBinCached(ndim, maxLag int) [][]int32 {
 }
 
 // scanScratch is the odometer state of scanOffset, allocated once per
-// distance bin by exactScanField and reused across that bin's offsets,
+// distance bin by exactScanData and reused across that bin's offsets,
 // so the exact scan's inner loop allocates nothing per offset (pinned
 // by TestScanOffsetAllocs).
 type scanScratch struct {
@@ -235,18 +202,12 @@ func scanOffset[T field.Elem](data []T, dims, strides []int, off []int32, sc *sc
 	*sum, *cnt = s, c
 }
 
-// exactScanField accumulates every pair with offset magnitude <=
-// MaxLag. Distance bins are independent, so they are the parallel
-// axis: each worker owns whole bins and folds that bin's offsets (in
-// canonical order) into one accumulation chain, making the result
-// independent of the worker count — and bitwise equal to the legacy
-// serial 2D/3D scans.
-func exactScanField(ctx context.Context, f *field.Field, o Options) (*Empirical, error) {
-	return exactScanData(ctx, f.Data, f.Shape, o)
-}
-
-// exactScanData is the element-generic core of the exact scan, shared
-// by both compute lanes.
+// exactScanData accumulates every pair with offset magnitude <=
+// MaxLag, on either compute lane. Distance bins are independent, so
+// they are the parallel axis: each worker owns whole bins and folds
+// that bin's offsets (in canonical order) into one accumulation chain,
+// making the result independent of the worker count — and bitwise
+// equal to the legacy serial 2D/3D scans.
 func exactScanData[T field.Elem](ctx context.Context, data []T, shape []int, o Options) (*Empirical, error) {
 	nb := o.MaxLag
 	nd := len(shape)
@@ -292,18 +253,12 @@ func exactScanData[T field.Elem](ctx context.Context, data []T, shape []int, o O
 	return collect(sum, cnt), nil
 }
 
-// sampledScanField draws random pairs: a random anchor point and a
+// sampledScanData draws random pairs: a random anchor point and a
 // random offset within the cutoff ball. Component draw order (anchor
 // components, then offset components, slowest dimension first) matches
-// the legacy 2D and 3D samplers, so seeded results are unchanged.
-func sampledScanField(ctx context.Context, f *field.Field, o Options) (*Empirical, error) {
-	return sampledScanData(ctx, f.Data, f.Shape, o)
-}
-
-// sampledScanData is the element-generic core of the pair sampler,
-// shared by both compute lanes; draw order and seeding are lane-
-// independent, so the float32 lane samples exactly the pairs the
-// oracle lane would.
+// the legacy 2D and 3D samplers, so seeded results are unchanged; draw
+// order and seeding are lane-independent, so the float32 lane samples
+// exactly the pairs the oracle lane would.
 func sampledScanData[T field.Elem](ctx context.Context, data []T, shape []int, o Options) (*Empirical, error) {
 	return sampledScanAt(ctx, func(i int) float64 { return float64(data[i]) }, shape, o)
 }
@@ -380,26 +335,11 @@ func sampledScanAt(ctx context.Context, at func(int) float64, shape []int, o Opt
 	return collect(sum, cnt), nil
 }
 
-// GlobalRangeField estimates the variogram range of an entire field of
-// any rank.
-func GlobalRangeField(f *field.Field, opts Options) (Model, error) {
-	return GlobalRangeFieldCtx(context.Background(), f, opts)
-}
-
-// GlobalRangeFieldCtx is GlobalRangeField with cooperative
-// cancellation of the underlying scan.
-func GlobalRangeFieldCtx(ctx context.Context, f *field.Field, opts Options) (Model, error) {
-	e, err := ComputeFieldCtx(ctx, f, opts)
-	if err != nil {
-		return Model{}, err
-	}
-	return Fit(e)
-}
-
 // windowRangeField estimates the variogram range of one window,
 // mirroring the per-tile branch of the historical 2D implementation:
 // clipped (any extent < 4) or constant windows are skipped (ok ==
-// false without error). Per-window scans run serially — the tiles
+// false without error). Windows always take the exact scan (they are
+// small; the direct scan wins and is bit-stable), serially — the tiles
 // themselves are the parallel axis.
 func windowRangeField(w *field.Field, opts Options) (rang float64, ok bool, err error) {
 	if w.MinDim() < 4 {
@@ -409,13 +349,11 @@ func windowRangeField(w *field.Field, opts Options) (rang float64, ok bool, err 
 		return 0, false, nil
 	}
 	o := opts
-	o.Exact = true
-	o.FFT = false // windows are small; the direct scan wins and is bit-stable
 	o.Workers = 1
 	if o.MaxLag <= 0 || o.MaxLag > w.Shape[0]/2 {
 		o.MaxLag = w.MinDim() / 2
 	}
-	e, err := ComputeField(w, o)
+	e, err := exactScanData(context.Background(), w.Data, w.Shape, o)
 	if err != nil {
 		return 0, false, err
 	}
@@ -424,48 +362,4 @@ func windowRangeField(w *field.Field, opts Options) (rang float64, ok bool, err 
 		return 0, false, err
 	}
 	return m.Range, true, nil
-}
-
-// LocalRangesField tiles a field of any rank with h-edged hypercube
-// windows and estimates a variogram range per window (exact scan;
-// windows are small). Windows with any extent below 4 after clipping,
-// or constant windows, are skipped. The sweep — extraction, fan-out,
-// fold order — is the stat engine's, with LocalRangeKernel supplying
-// the per-window solve; results are independent of scheduling.
-func LocalRangesField(f *field.Field, h int, opts Options) ([]float64, error) {
-	return LocalRangesFieldCtx(context.Background(), f, h, opts)
-}
-
-// LocalRangesFieldCtx is LocalRangesField with cooperative
-// cancellation: the tile fan-out checks ctx before each window, so a
-// dead context abandons the sweep within one window's scan.
-func LocalRangesFieldCtx(ctx context.Context, f *field.Field, h int, opts Options) ([]float64, error) {
-	return stat.Windows(ctx, stat.Source{F64: f}, LocalRangeKernel{}, h, opts.Workers, nil, opts)
-}
-
-// LocalRangeStdField is the std of per-window variogram ranges for a
-// field of any rank — the paper's heterogeneity statistic, extended to
-// H×H×H windows for volumes.
-func LocalRangeStdField(f *field.Field, h int, opts Options) (float64, error) {
-	return LocalRangeStdFieldCtx(context.Background(), f, h, opts)
-}
-
-// LocalRangeStdFieldCtx is LocalRangeStdField with cooperative
-// cancellation of the window sweep.
-func LocalRangeStdFieldCtx(ctx context.Context, f *field.Field, h int, opts Options) (float64, error) {
-	ranges, err := LocalRangesFieldCtx(ctx, f, h, opts)
-	if err != nil {
-		return 0, err
-	}
-	return foldStd(LocalRangeKernel{}, ranges, h, f.Shape, opts)
-}
-
-// foldStd runs a window kernel's fold for the thin Std delegates,
-// unwrapping the single output.
-func foldStd(k stat.WindowKernel, vals []float64, h int, shape []int, opt any) (float64, error) {
-	out, err := k.Fold(vals, stat.FoldInfo{Window: h, Shape: shape}, opt)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
 }

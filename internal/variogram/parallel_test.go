@@ -9,16 +9,13 @@ import (
 // TestLocalRangesSerialParallelIdentical asserts the determinism
 // contract: per-window ranges are bit-identical at any worker count.
 func TestLocalRangesSerialParallelIdentical(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 96, Cols: 96, Range: 8, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := LocalRanges(f, 16, Options{Workers: 1})
+	f := in64(gaussField(t, gaussian.Params{Rows: 96, Cols: 96, Range: 8, Seed: 21}))
+	serial, err := LocalRanges(bg, f, 16, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		par, err := LocalRanges(f, 16, Options{Workers: workers})
+		par, err := LocalRanges(bg, f, 16, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,15 +31,12 @@ func TestLocalRangesSerialParallelIdentical(t *testing.T) {
 }
 
 func TestLocalRangeStdSerialParallelIdentical(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 96, Cols: 96, Range: 12, Seed: 22})
+	f := in64(gaussField(t, gaussian.Params{Rows: 96, Cols: 96, Range: 12, Seed: 22}))
+	serial, err := LocalRangeStd(bg, f, 16, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := LocalRangeStd(f, 16, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := LocalRangeStd(f, 16, Options{Workers: 8})
+	par, err := LocalRangeStd(bg, f, 16, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,16 +48,13 @@ func TestLocalRangeStdSerialParallelIdentical(t *testing.T) {
 // TestLocalRangesParallelStress repeats the parallel evaluation so the
 // race detector sees many pool lifecycles over shared windows.
 func TestLocalRangesParallelStress(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 6, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := LocalRanges(f, 16, Options{Workers: 1})
+	f := in64(gaussField(t, gaussian.Params{Rows: 64, Cols: 64, Range: 6, Seed: 23}))
+	ref, err := LocalRanges(bg, f, 16, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for it := 0; it < 8; it++ {
-		got, err := LocalRanges(f, 16, Options{Workers: 4})
+		got, err := LocalRanges(bg, f, 16, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

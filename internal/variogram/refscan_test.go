@@ -1,9 +1,10 @@
 package variogram
 
 // The generic engine in ndim.go claims bitwise equality with the
-// historical rank-specific scans. This file keeps verbatim copies of
-// the pre-refactor 2D and 3D implementations as references and asserts
-// the claim, serially and at several worker counts.
+// historical rank-specific scans. This file keeps copies of the
+// pre-refactor 2D and 3D implementations as references — their loops
+// and arithmetic verbatim, only their extents now read from the field's
+// shape — and asserts the claim, serially and at several worker counts.
 
 import (
 	"context"
@@ -11,12 +12,12 @@ import (
 	"testing"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/xrand"
 )
 
 // legacyExactScan2D is the pre-refactor serial 2D offset scan.
-func legacyExactScan2D(g *grid.Grid, o Options) *Empirical {
+func legacyExactScan2D(g *field.Field, o Options) *Empirical {
+	rows, cols := g.Shape[0], g.Shape[1]
 	nb := o.MaxLag
 	sum := make([]float64, nb+1)
 	cnt := make([]int64, nb+1)
@@ -35,16 +36,16 @@ func legacyExactScan2D(g *grid.Grid, o Options) *Empirical {
 			if bin > nb {
 				continue
 			}
-			r0, r1 := 0, g.Rows-dr
+			r0, r1 := 0, rows-dr
 			for r := r0; r < r1; r++ {
-				c0, c1 := 0, g.Cols
+				c0, c1 := 0, cols
 				if dc > 0 {
-					c1 = g.Cols - dc
+					c1 = cols - dc
 				} else {
 					c0 = -dc
 				}
-				base := r * g.Cols
-				off := (r+dr)*g.Cols + dc
+				base := r * cols
+				off := (r+dr)*cols + dc
 				for c := c0; c < c1; c++ {
 					d := g.Data[base+c] - g.Data[off+c]
 					sum[bin] += d * d
@@ -57,11 +58,12 @@ func legacyExactScan2D(g *grid.Grid, o Options) *Empirical {
 }
 
 // legacyExactScan3D is the pre-refactor serial 3D offset scan.
-func legacyExactScan3D(v *grid.Volume, maxLag int) *Empirical {
+func legacyExactScan3D(v *field.Field, maxLag int) *Empirical {
+	nz, ny, nx := v.Shape[0], v.Shape[1], v.Shape[2]
 	sum := make([]float64, maxLag+1)
 	cnt := make([]int64, maxLag+1)
 	maxSq := float64(maxLag * maxLag)
-	at := func(z, y, x int) float64 { return v.Data[(z*v.Ny+y)*v.Nx+x] }
+	at := func(z, y, x int) float64 { return v.Data[(z*ny+y)*nx+x] }
 	for dz := 0; dz <= maxLag; dz++ {
 		yMin := -maxLag
 		if dz == 0 {
@@ -81,18 +83,18 @@ func legacyExactScan3D(v *grid.Volume, maxLag int) *Empirical {
 				if bin > maxLag {
 					continue
 				}
-				z1 := v.Nz - dz
+				z1 := nz - dz
 				for z := 0; z < z1; z++ {
-					y0, y1 := 0, v.Ny
+					y0, y1 := 0, ny
 					if dy > 0 {
-						y1 = v.Ny - dy
+						y1 = ny - dy
 					} else {
 						y0 = -dy
 					}
 					for y := y0; y < y1; y++ {
-						x0, x1 := 0, v.Nx
+						x0, x1 := 0, nx
 						if dx > 0 {
-							x1 = v.Nx - dx
+							x1 = nx - dx
 						} else {
 							x0 = -dx
 						}
@@ -110,15 +112,16 @@ func legacyExactScan3D(v *grid.Volume, maxLag int) *Empirical {
 }
 
 // legacySampledScan2D is the pre-refactor 2D pair sampler.
-func legacySampledScan2D(g *grid.Grid, o Options) *Empirical {
+func legacySampledScan2D(g *field.Field, o Options) *Empirical {
+	rows, cols := g.Shape[0], g.Shape[1]
 	rng := xrand.New(o.Seed ^ 0x5eed5eed5eed5eed)
 	nb := o.MaxLag
 	sum := make([]float64, nb+1)
 	cnt := make([]int64, nb+1)
 	maxSq := o.MaxLag * o.MaxLag
 	for p := 0; p < o.MaxPairs; p++ {
-		r := rng.Intn(g.Rows)
-		c := rng.Intn(g.Cols)
+		r := rng.Intn(rows)
+		c := rng.Intn(cols)
 		dr := rng.Intn(2*o.MaxLag+1) - o.MaxLag
 		dc := rng.Intn(2*o.MaxLag+1) - o.MaxLag
 		d2 := dr*dr + dc*dc
@@ -126,7 +129,7 @@ func legacySampledScan2D(g *grid.Grid, o Options) *Empirical {
 			continue
 		}
 		r2, c2 := r+dr, c+dc
-		if r2 < 0 || r2 >= g.Rows || c2 < 0 || c2 >= g.Cols {
+		if r2 < 0 || r2 >= rows || c2 < 0 || c2 >= cols {
 			continue
 		}
 		bin := int(math.Round(math.Sqrt(float64(d2))))
@@ -140,22 +143,12 @@ func legacySampledScan2D(g *grid.Grid, o Options) *Empirical {
 	return collect(sum, cnt)
 }
 
-func randomGrid(rows, cols int, seed uint64) *grid.Grid {
-	rng := xrand.New(seed)
-	g := grid.New(rows, cols)
-	for i := range g.Data {
-		g.Data[i] = rng.NormFloat64()
-	}
-	return g
+func randomGrid(rows, cols int, seed uint64) *field.Field {
+	return randomField([]int{rows, cols}, seed)
 }
 
-func randomVolume(nz, ny, nx int, seed uint64) *grid.Volume {
-	rng := xrand.New(seed)
-	v := grid.NewVolume(nz, ny, nx)
-	for i := range v.Data {
-		v.Data[i] = rng.NormFloat64()
-	}
-	return v
+func randomVolume(nz, ny, nx int, seed uint64) *field.Field {
+	return randomField([]int{nz, ny, nx}, seed)
 }
 
 func assertEmpiricalIdentical(t *testing.T, got, want *Empirical, label string) {
@@ -180,12 +173,12 @@ func TestExactScanMatchesLegacy2DBitwise(t *testing.T) {
 		{40, 40, 0}, {33, 57, 11}, {64, 16, 8}, {5, 5, 2},
 	} {
 		g := randomGrid(tc.rows, tc.cols, uint64(tc.rows*1000+tc.cols))
-		o := (&Options{MaxLag: tc.maxLag, Exact: true}).withDefaults(g)
+		o := Options{MaxLag: tc.maxLag, Exact: true}.withDefaults(g.Shape)
 		want := legacyExactScan2D(g, o)
 		for _, w := range []int{1, 2, 7} {
 			ow := o
 			ow.Workers = w
-			got, err := exactScanField(context.Background(), field.FromGrid(g), ow)
+			got, err := exactScanData(context.Background(), g.Data, g.Shape, ow)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +195,7 @@ func TestExactScanMatchesLegacy3DBitwise(t *testing.T) {
 		v := randomVolume(tc.nz, tc.ny, tc.nx, uint64(tc.nz*100+tc.nx))
 		want := legacyExactScan3D(v, tc.maxLag)
 		for _, w := range []int{1, 3, 16} {
-			got, err := exactScanField(context.Background(), field.FromVolume(v),
+			got, err := exactScanData(context.Background(), v.Data, v.Shape,
 				Options{MaxLag: tc.maxLag, MaxPairs: 1, Workers: w})
 			if err != nil {
 				t.Fatal(err)
@@ -214,9 +207,9 @@ func TestExactScanMatchesLegacy3DBitwise(t *testing.T) {
 
 func TestSampledScanMatchesLegacy2DBitwise(t *testing.T) {
 	g := randomGrid(80, 70, 99)
-	o := (&Options{MaxPairs: 50_000, Seed: 1234}).withDefaults(g)
+	o := Options{MaxPairs: 50_000, Seed: 1234}.withDefaults(g.Shape)
 	want := legacySampledScan2D(g, o)
-	got, err := sampledScanField(context.Background(), field.FromGrid(g), o)
+	got, err := sampledScanData(context.Background(), g.Data, g.Shape, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +221,12 @@ func TestSampledScanMatchesLegacy2DBitwise(t *testing.T) {
 // any worker count.
 func TestGlobalExactScanParallelIdentical(t *testing.T) {
 	g := randomGrid(96, 96, 7)
-	ref, err := Compute(g, Options{Exact: true, Workers: 1})
+	ref, err := Compute(bg, in64(g), Options{Exact: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 32} {
-		e, err := Compute(g, Options{Exact: true, Workers: w})
+		e, err := Compute(bg, in64(g), Options{Exact: true, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,12 +238,12 @@ func TestGlobalExactScanParallelIdentical(t *testing.T) {
 // windowed statistic under the determinism contract.
 func TestLocalRangeStd3DSerialParallelIdentical(t *testing.T) {
 	v := randomVolume(16, 16, 16, 5)
-	ref, err := LocalRangeStd3D(v, 8, Options{Workers: 1})
+	ref, err := LocalRangeStd(bg, in64(v), 8, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		got, err := LocalRangeStd3D(v, 8, Options{Workers: w})
+		got, err := LocalRangeStd(bg, in64(v), 8, Options{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,10 +255,10 @@ func TestLocalRangeStd3DSerialParallelIdentical(t *testing.T) {
 
 func BenchmarkExactScanSerial(b *testing.B) {
 	g := randomGrid(128, 128, 3)
-	o := (&Options{Exact: true, Workers: 1}).withDefaults(g)
+	o := Options{Exact: true, Workers: 1}.withDefaults(g.Shape)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exactScanField(context.Background(), field.FromGrid(g), o); err != nil {
+		if _, err := exactScanData(context.Background(), g.Data, g.Shape, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,10 +266,10 @@ func BenchmarkExactScanSerial(b *testing.B) {
 
 func BenchmarkExactScanParallel(b *testing.B) {
 	g := randomGrid(128, 128, 3)
-	o := (&Options{Exact: true, Workers: 0}).withDefaults(g)
+	o := Options{Exact: true, Workers: 0}.withDefaults(g.Shape)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exactScanField(context.Background(), field.FromGrid(g), o); err != nil {
+		if _, err := exactScanData(context.Background(), g.Data, g.Shape, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,7 +279,7 @@ func BenchmarkLocalRangeStd3D(b *testing.B) {
 	v := randomVolume(32, 32, 32, 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LocalRangeStd3D(v, 16, Options{}); err != nil {
+		if _, err := LocalRangeStd(bg, in64(v), 16, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,12 +51,12 @@ func TestLocalRangesReaderBitIdentity(t *testing.T) {
 	}
 	for ci, tc := range cases {
 		f := randomField(tc.shape, uint64(300+ci))
-		want, err := LocalRangesFieldCtx(ctx, f, tc.h, Options{})
+		want, err := LocalRanges(ctx, in64(f), tc.h, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		f32, _ := randomField32(tc.shape, uint64(700+ci))
-		want32, err := LocalRangesField32Ctx(ctx, f32, tc.h, Options{})
+		want32, err := LocalRanges(ctx, in32(f32), tc.h, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestLocalRangesReaderBitIdentity(t *testing.T) {
 			for _, halo := range []int{0, 3, tc.h + 2} {
 				so := field.StreamOptions{BudgetBytes: budget, Halo: halo}
 				for _, workers := range []int{1, 3} {
-					got, err := LocalRangesReaderCtx(ctx, tr, tc.h, Options{Workers: workers}, so)
+					got, err := LocalRanges(ctx, onDisk(tr, so), tc.h, Options{Workers: workers})
 					if err != nil {
 						t.Fatalf("shape %v budget %d halo %d: %v", tc.shape, budget, halo, err)
 					}
@@ -85,7 +85,7 @@ func TestLocalRangesReaderBitIdentity(t *testing.T) {
 								tc.shape, budget, halo, workers, i, got[i], want[i])
 						}
 					}
-					got32, err := LocalRangesReaderCtx(ctx, tr32, tc.h, Options{Workers: workers}, so)
+					got32, err := LocalRanges(ctx, onDisk(tr32, so), tc.h, Options{Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -113,24 +113,24 @@ func TestSampledScanReaderBitIdentity(t *testing.T) {
 	shape := []int{70, 61} // above the rank-2 exact threshold
 	opts := Options{Seed: 42, MaxPairs: 20_000}
 	f := randomField(shape, 901)
-	want, err := ComputeFieldCtx(ctx, f, opts)
+	want, err := Compute(ctx, in64(f), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := writeTempField(t, f.WriteBinary)
-	got, err := ComputeReaderCtx(ctx, tr, opts, field.StreamOptions{BudgetBytes: 1 << 12})
+	got, err := Compute(ctx, onDisk(tr, field.StreamOptions{BudgetBytes: 1 << 12}), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertEmpiricalEqual(t, got, want)
 
 	f32, _ := randomField32(shape, 902)
-	want32, err := ComputeField32Ctx(ctx, f32, opts)
+	want32, err := Compute(ctx, in32(f32), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr32 := writeTempField(t, f32.WriteBinary)
-	got32, err := ComputeReaderCtx(ctx, tr32, opts, field.StreamOptions{BudgetBytes: 1 << 12})
+	got32, err := Compute(ctx, onDisk(tr32, field.StreamOptions{BudgetBytes: 1 << 12}), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +157,12 @@ func TestExactScanReaderBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	shape := []int{23, 21}
 	f := randomField(shape, 903)
-	want, err := ComputeFieldCtx(ctx, f, Options{})
+	want, err := Compute(ctx, in64(f), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := writeTempField(t, f.WriteBinary)
-	got, err := ComputeReaderCtx(ctx, tr, Options{}, field.StreamOptions{})
+	got, err := Compute(ctx, onDisk(tr, field.StreamOptions{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFFTScanReaderMatchesExact(t *testing.T) {
 	}
 	for ci, tc := range cases {
 		f := randomField(tc.shape, uint64(400+ci))
-		ex, err := ComputeField(f, Options{Exact: true, MaxLag: tc.maxLag})
+		ex, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: tc.maxLag})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,8 +195,8 @@ func TestFFTScanReaderMatchesExact(t *testing.T) {
 		for _, budget := range []int64{0, 1 << 22, 1 << 25} {
 			var ref *Empirical
 			for _, workers := range []int{1, 3} {
-				got, err := ComputeReaderCtx(ctx, tr, Options{FFT: true, MaxLag: tc.maxLag, Workers: workers},
-					field.StreamOptions{BudgetBytes: budget})
+				got, err := Compute(ctx, onDisk(tr, field.StreamOptions{BudgetBytes: budget}),
+					Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
 				if err != nil {
 					t.Fatalf("shape %v budget %d: %v", tc.shape, budget, err)
 				}
@@ -233,8 +233,7 @@ func TestFFTScanReaderMatchesExact(t *testing.T) {
 func TestFFTShardBudgetTooSmall(t *testing.T) {
 	f := randomField([]int{48, 96, 96}, 905)
 	tr := writeTempField(t, f.WriteBinary)
-	_, err := ComputeReaderCtx(context.Background(), tr, Options{FFT: true},
-		field.StreamOptions{BudgetBytes: 1 << 12})
+	_, err := Compute(bg, onDisk(tr, field.StreamOptions{BudgetBytes: 1 << 12}), Options{FFT: true})
 	if err == nil {
 		t.Fatal("expected budget error")
 	}

@@ -1,27 +1,34 @@
-// Package variogram estimates empirical semi-variograms of 2D fields
-// and fits the squared-exponential parametric model the paper uses to
-// extract the correlation range — globally (whole field) and locally
-// (tiled windows, whose range standard deviation is the heterogeneity
-// statistic of Section V-B).
+// Package variogram estimates empirical semi-variograms of fields of
+// any rank and fits the squared-exponential parametric model the paper
+// uses to extract the correlation range — globally (whole field) and
+// locally (tiled windows, whose range standard deviation is the
+// heterogeneity statistic of Section V-B).
 //
 // The empirical semi-variogram of a field z over grid points x_i is
 //
 //	γ(h) = 1/(2N(h)) · Σ_{|x_i−x_j|≈h} (z(x_i) − z(x_j))²
 //
 // computed here with Euclidean inter-point distances binned to unit
-// lags. Two estimators are provided: an exact offset scan (every pair
-// within the cutoff; cost O(cutoff²·n)) for small fields/windows, and a
-// pair-sampling Monte Carlo estimator for large fields, the same
-// trade-off practical geostatistics packages (gstat) make internally.
+// lags. Three estimators are provided: an exact offset scan (every pair
+// within the cutoff; cost O(cutoff^d·n)) for small fields/windows, a
+// pair-sampling Monte Carlo estimator for large fields — the same
+// trade-off practical geostatistics packages (gstat) make internally —
+// and an FFT engine that computes every lag exactly at once.
+//
+// Each statistic has one entry point taking (ctx, stat.Source, …,
+// Options): Compute, GlobalRange, LocalRanges and LocalRangeStd. The
+// source is an in-RAM field on either lane or an out-of-core
+// TileReader; the estimator, not the source, decides the arithmetic.
 package variogram
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 
-	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/linalg"
+	"lossycorr/internal/stat"
 )
 
 // Empirical holds a binned empirical semi-variogram.
@@ -33,7 +40,7 @@ type Empirical struct {
 
 // Options controls estimation.
 type Options struct {
-	// MaxLag is the distance cutoff. 0 means min(rows, cols)/2,
+	// MaxLag is the distance cutoff. 0 means half the smallest extent,
 	// the usual geostatistical rule of thumb.
 	MaxLag int
 	// MaxPairs caps the number of sampled pairs for the Monte Carlo
@@ -52,21 +59,81 @@ type Options struct {
 	// Seed feeds the pair sampler (ignored for exact scans).
 	Seed uint64
 	// Workers bounds the goroutines used by the windowed estimators
-	// (LocalRanges and friends) and by the global exact scan, which
+	// (LocalRanges, LocalRangeStd) and by the global exact scan, which
 	// fans distance bins out over the pool. 0 means GOMAXPROCS; 1
 	// forces the serial path. Results are bit-identical for every
 	// value.
 	Workers int
 }
 
-func (o *Options) withDefaults(g *grid.Grid) Options {
-	return o.withFieldDefaults(field.FromGrid(g))
+// withDefaults fills the zero options from the field's shape: the lag
+// cutoff falls back to half the smallest extent, the pair budget to
+// 400,000 draws.
+func (o Options) withDefaults(shape []int) Options {
+	if o.MaxLag <= 0 {
+		o.MaxLag = max(slices.Min(shape)/2, 1)
+	}
+	if o.MaxPairs <= 0 {
+		o.MaxPairs = 400_000
+	}
+	return o
 }
 
-// Compute estimates the empirical semi-variogram of g. It is the
-// rank-2 view of ComputeField; see ndim.go for the generic engine.
-func Compute(g *grid.Grid, opts Options) (*Empirical, error) {
-	return ComputeField(field.FromGrid(g), opts)
+// estimator is the global scan Compute picks for a request.
+type estimator int
+
+const (
+	sampled estimator = iota
+	exact
+	spectral
+)
+
+// Compute estimates the empirical semi-variogram of src. The estimator
+// is picked once: opts.FFT selects the spectral engine, small fields
+// (or opts.Exact) the exhaustive offset scan, everything else the
+// seeded pair sampler. Each then runs on the source as given:
+//
+//   - in-RAM fields scan their own lane (the direct scans accumulate in
+//     float64, so the float32 lane is bit-identical to the float64 lane
+//     over the widened field; the spectral engine runs float32 planes);
+//   - a Reader source runs the sampled scan through point access
+//     (bit-identical to in-RAM), the spectral engine in budget-sized
+//     shards (pair counts exact, Gamma tolerance-equivalent), and the
+//     exact scan over a copy materialized on the transform-pool gauge.
+//
+// The exact scan fans distance bins out over opts.Workers; results are
+// bit-identical at any worker count. Every estimator checks ctx between
+// units of work (per offset, per transform stage, every few thousand
+// draws) and returns ctx.Err() promptly once the context dies.
+func Compute(ctx context.Context, src stat.Source, opts Options) (*Empirical, error) {
+	if src.F64 == nil && src.F32 == nil && src.Reader == nil {
+		return nil, fmt.Errorf("variogram: empty source")
+	}
+	shape := src.Shape()
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if len(shape) < 1 || n < 2 {
+		return nil, fmt.Errorf("variogram: field too small (shape %v)", shape)
+	}
+	o := opts.withDefaults(shape)
+	est := sampled
+	switch {
+	case o.FFT:
+		est = spectral
+	case o.Exact || n <= exactThresholdFor(len(shape)):
+		est = exact
+	}
+	switch {
+	case src.Reader != nil:
+		return scanReader(ctx, src.Reader, src.Stream, est, o)
+	case src.F32 != nil:
+		f := src.F32
+		return scanData[float32, complex64](ctx, f.Data, shape, func() float64 { return f.Summary().Mean }, est, o)
+	}
+	f := src.F64
+	return scanData[float64, complex128](ctx, f.Data, shape, func() float64 { return f.Summary().Mean }, est, o)
 }
 
 func collect(sum []float64, cnt []int64) *Empirical {
@@ -139,25 +206,41 @@ func Fit(e *Empirical) (Model, error) {
 	return Model{Sill: sill, Range: r, RangePaper: r * r, RSS: rss}, nil
 }
 
-// GlobalRange estimates the variogram range of the entire field: the
-// "Estimated global variogram range" axis of Figures 3 and 4.
-func GlobalRange(g *grid.Grid, opts Options) (Model, error) {
-	return GlobalRangeField(field.FromGrid(g), opts)
+// GlobalRange fits the model to the empirical variogram of the entire
+// field: the "Estimated global variogram range" axis of Figures 3 and
+// 4.
+func GlobalRange(ctx context.Context, src stat.Source, opts Options) (Model, error) {
+	e, err := Compute(ctx, src, opts)
+	if err != nil {
+		return Model{}, err
+	}
+	return Fit(e)
 }
 
-// LocalRanges tiles the field with h×h windows and estimates a
-// variogram range per window (exact scan; windows are small). Windows
-// smaller than 4×4 after clipping, or constant windows, are skipped.
-// Tiles are evaluated on the shared worker pool (opts.Workers) — each
-// worker extracts its window lazily, so only ~Workers windows are live
-// at once — and collected in tile order, so the result is independent
-// of scheduling.
-func LocalRanges(g *grid.Grid, h int, opts Options) ([]float64, error) {
-	return LocalRangesField(field.FromGrid(g), h, opts)
+// LocalRanges tiles the field with h-edged hypercube windows and
+// estimates a variogram range per window (exact scan; windows are
+// small). Windows with any extent below 4 after clipping, or constant
+// windows, are skipped. The sweep — extraction (widened exactly on the
+// float32 lane), tile streaming for a Reader source, fan-out over
+// opts.Workers, cancellation per window — is the stat engine's, with
+// LocalRangeKernel supplying the per-window solve; ranges come back in
+// window order, bit-identical for every source, worker count, tile
+// budget and halo.
+func LocalRanges(ctx context.Context, src stat.Source, h int, opts Options) ([]float64, error) {
+	return stat.Windows(ctx, src, LocalRangeKernel{}, h, opts.Workers, nil, opts)
 }
 
 // LocalRangeStd is the "Std estimated of local variogram range (H=h)"
-// statistic: the standard deviation of per-window ranges.
-func LocalRangeStd(g *grid.Grid, h int, opts Options) (float64, error) {
-	return LocalRangeStdField(field.FromGrid(g), h, opts)
+// statistic: the standard deviation of per-window ranges, extended to
+// H×H×H windows for volumes.
+func LocalRangeStd(ctx context.Context, src stat.Source, h int, opts Options) (float64, error) {
+	ranges, err := LocalRanges(ctx, src, h, opts)
+	if err != nil {
+		return 0, err
+	}
+	out, err := LocalRangeKernel{}.Fold(ranges, stat.FoldInfo{Window: h, Shape: src.Shape()}, opts)
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }

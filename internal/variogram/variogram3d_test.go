@@ -4,27 +4,37 @@ import (
 	"math"
 	"testing"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/xrand"
 )
 
+// gaussVolume draws a seeded 3D Gaussian field.
+func gaussVolume(t *testing.T, p gaussian.Params3D) *field.Field {
+	t.Helper()
+	v, err := gaussian.Generate3D(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return field.FromVolume(v)
+}
+
 func TestCompute3DTooSmall(t *testing.T) {
-	if _, err := Compute3D(grid.NewVolume(1, 1, 1), Options{}); err == nil {
+	if _, err := Compute(bg, in64(field.New(1, 1, 1)), Options{}); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestCompute3DWhiteNoiseFlat(t *testing.T) {
 	rng := xrand.New(2)
-	v := grid.NewVolume(16, 16, 16)
+	v := field.New(16, 16, 16)
 	var variance float64
 	for i := range v.Data {
 		v.Data[i] = rng.NormFloat64()
 		variance += v.Data[i] * v.Data[i]
 	}
 	variance /= float64(len(v.Data))
-	e, err := Compute3D(v, Options{Exact: true})
+	e, err := Compute(bg, in64(v), Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +49,12 @@ func TestCompute3DPairCountExact(t *testing.T) {
 	// total pair count over all bins must equal the number of unordered
 	// pairs within the cutoff; check the lag-1 bin exactly: axis
 	// neighbors only (3 directions)
-	v := grid.NewVolume(4, 4, 4)
+	v := field.New(4, 4, 4)
 	rng := xrand.New(3)
 	for i := range v.Data {
 		v.Data[i] = rng.NormFloat64()
 	}
-	e, err := Compute3D(v, Options{Exact: true, MaxLag: 1})
+	e, err := Compute(bg, in64(v), Options{Exact: true, MaxLag: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +68,8 @@ func TestCompute3DPairCountExact(t *testing.T) {
 }
 
 func TestGlobalRange3DRecoversGeneratingRange(t *testing.T) {
-	v, err := gaussian.Generate3D(gaussian.Params3D{Nz: 24, Ny: 24, Nx: 24, Range: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := GlobalRange3D(v, Options{Exact: true})
+	v := gaussVolume(t, gaussian.Params3D{Nz: 24, Ny: 24, Nx: 24, Range: 4, Seed: 5})
+	m, err := GlobalRange(bg, in64(v), Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +81,8 @@ func TestGlobalRange3DRecoversGeneratingRange(t *testing.T) {
 func TestGlobalRange3DOrdering(t *testing.T) {
 	est := make([]float64, 0, 2)
 	for _, rang := range []float64{1.5, 5} {
-		v, err := gaussian.Generate3D(gaussian.Params3D{Nz: 20, Ny: 20, Nx: 20, Range: rang, Seed: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := GlobalRange3D(v, Options{Exact: true})
+		v := gaussVolume(t, gaussian.Params3D{Nz: 20, Ny: 20, Nx: 20, Range: rang, Seed: 6})
+		m, err := GlobalRange(bg, in64(v), Options{Exact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,15 +94,12 @@ func TestGlobalRange3DOrdering(t *testing.T) {
 }
 
 func TestSampled3DMatchesExact(t *testing.T) {
-	v, err := gaussian.Generate3D(gaussian.Params3D{Nz: 32, Ny: 32, Nx: 32, Range: 3, Seed: 8})
+	v := gaussVolume(t, gaussian.Params3D{Nz: 32, Ny: 32, Nx: 32, Range: 3, Seed: 8})
+	exact, err := Compute(bg, in64(v), Options{Exact: true, MaxLag: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Compute3D(v, Options{Exact: true, MaxLag: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := Compute3D(v, Options{MaxLag: 8, MaxPairs: 500000, Seed: 4})
+	sampled, err := Compute(bg, in64(v), Options{MaxLag: 8, MaxPairs: 500000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

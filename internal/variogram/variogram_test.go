@@ -1,28 +1,51 @@
 package variogram
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
-	"lossycorr/internal/xrand"
+	"lossycorr/internal/stat"
 )
 
-func whiteNoise(rows, cols int, seed uint64) *grid.Grid {
-	rng := xrand.New(seed)
-	return grid.FromFunc(rows, cols, func(r, c int) float64 { return rng.NormFloat64() })
+var bg = context.Background()
+
+// in64, in32 and onDisk wrap an in-RAM field of either lane, or an
+// out-of-core reader, as a statistic source.
+func in64(f *field.Field) stat.Source   { return stat.Source{F64: f} }
+func in32(f *field.Field32) stat.Source { return stat.Source{F32: f} }
+func onDisk(tr *field.TileReader, so field.StreamOptions) stat.Source {
+	return stat.Source{Reader: tr, Stream: so}
+}
+
+// gaussField draws a seeded 2D Gaussian field.
+func gaussField(t *testing.T, p gaussian.Params) *field.Field {
+	t.Helper()
+	g, err := gaussian.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return field.FromGrid(g)
+}
+
+func whiteNoise(rows, cols int, seed uint64) *field.Field {
+	return randomField([]int{rows, cols}, seed)
 }
 
 func TestComputeTooSmall(t *testing.T) {
-	if _, err := Compute(grid.New(1, 1), Options{}); err == nil {
+	if _, err := Compute(bg, in64(field.New(1, 1)), Options{}); err == nil {
 		t.Fatal("expected error for 1x1 field")
+	}
+	if _, err := Compute(bg, stat.Source{}, Options{}); err == nil {
+		t.Fatal("expected error for an empty source")
 	}
 }
 
 func TestWhiteNoiseFlatVariogram(t *testing.T) {
 	g := whiteNoise(64, 64, 1)
-	e, err := Compute(g, Options{Exact: true})
+	e, err := Compute(bg, in64(g), Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +60,8 @@ func TestWhiteNoiseFlatVariogram(t *testing.T) {
 
 func TestEmpiricalMatchesTheoryOnGaussianField(t *testing.T) {
 	const rang = 8.0
-	f, err := gaussian.Generate(gaussian.Params{Rows: 96, Cols: 96, Range: rang, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Compute(f, Options{Exact: true, MaxLag: 24})
+	f := gaussField(t, gaussian.Params{Rows: 96, Cols: 96, Range: rang, Seed: 5})
+	e, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +105,8 @@ func TestFitTooFewBins(t *testing.T) {
 
 func TestGlobalRangeRecoversGeneratingRange(t *testing.T) {
 	for _, rang := range []float64{4, 10} {
-		f, err := gaussian.Generate(gaussian.Params{Rows: 128, Cols: 128, Range: rang, Seed: uint64(rang)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := GlobalRange(f, Options{Seed: 1})
+		f := gaussField(t, gaussian.Params{Rows: 128, Cols: 128, Range: rang, Seed: uint64(rang)})
+		m, err := GlobalRange(bg, in64(f), Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +120,8 @@ func TestGlobalRangeOrdering(t *testing.T) {
 	// larger generating range must yield larger estimated range
 	est := make([]float64, 0, 3)
 	for _, rang := range []float64{3, 9, 27} {
-		f, err := gaussian.Generate(gaussian.Params{Rows: 128, Cols: 128, Range: rang, Seed: 77})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := GlobalRange(f, Options{Seed: 2})
+		f := gaussField(t, gaussian.Params{Rows: 128, Cols: 128, Range: rang, Seed: 77})
+		m, err := GlobalRange(bg, in64(f), Options{Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,15 +133,12 @@ func TestGlobalRangeOrdering(t *testing.T) {
 }
 
 func TestSampledMatchesExact(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 80, Cols: 80, Range: 6, Seed: 9})
+	f := gaussField(t, gaussian.Params{Rows: 80, Cols: 80, Range: 6, Seed: 9})
+	exact, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Compute(f, Options{Exact: true, MaxLag: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := Compute(f, Options{MaxLag: 16, MaxPairs: 600000, Seed: 3})
+	sampled, err := Compute(bg, in64(f), Options{MaxLag: 16, MaxPairs: 600000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,26 +165,23 @@ func TestModelGammaZeroRange(t *testing.T) {
 func TestLocalRangesHeterogeneousField(t *testing.T) {
 	// left half smooth (long range), right half rough: local ranges must
 	// spread more than on a homogeneous field
-	smooth, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 12, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	smooth := gaussField(t, gaussian.Params{Rows: 64, Cols: 64, Range: 12, Seed: 1})
 	rough := whiteNoise(64, 64, 2)
-	mixed := grid.New(64, 64)
+	mixed := field.New(64, 64)
 	for r := 0; r < 64; r++ {
 		for c := 0; c < 64; c++ {
 			if c < 32 {
-				mixed.Set(r, c, smooth.At(r, c))
+				mixed.Set(smooth.At(r, c), r, c)
 			} else {
-				mixed.Set(r, c, rough.At(r, c))
+				mixed.Set(rough.At(r, c), r, c)
 			}
 		}
 	}
-	stdMixed, err := LocalRangeStd(mixed, 16, Options{})
+	stdMixed, err := LocalRangeStd(bg, in64(mixed), 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdSmooth, err := LocalRangeStd(smooth, 16, Options{})
+	stdSmooth, err := LocalRangeStd(bg, in64(smooth), 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +191,8 @@ func TestLocalRangesHeterogeneousField(t *testing.T) {
 }
 
 func TestLocalRangesCount(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranges, err := LocalRanges(f, 32, Options{})
+	f := gaussField(t, gaussian.Params{Rows: 64, Cols: 64, Range: 6, Seed: 3})
+	ranges, err := LocalRanges(bg, in64(f), 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,20 +202,19 @@ func TestLocalRangesCount(t *testing.T) {
 }
 
 func TestLocalRangesWindowTooSmall(t *testing.T) {
-	if _, err := LocalRanges(grid.New(8, 8), 2, Options{}); err == nil {
+	if _, err := LocalRanges(bg, in64(field.New(8, 8)), 2, Options{}); err == nil {
 		t.Fatal("expected window error")
 	}
 }
 
 func TestLocalRangeStdConstantField(t *testing.T) {
-	if _, err := LocalRangeStd(grid.New(64, 64), 32, Options{}); err == nil {
+	if _, err := LocalRangeStd(bg, in64(field.New(64, 64)), 32, Options{}); err == nil {
 		t.Fatal("constant field has no usable windows; expected error")
 	}
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	g := grid.New(10, 20)
-	o := (&Options{}).withDefaults(g)
+	o := Options{}.withDefaults([]int{10, 20})
 	if o.MaxLag != 5 {
 		t.Fatalf("default MaxLag %d want 5", o.MaxLag)
 	}

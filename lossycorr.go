@@ -126,7 +126,7 @@ func OpenFieldTilesMapped(path string, maxElements int) (*TileReader, error) {
 // bit-identical to the in-RAM pipeline and the transform pool's peak
 // gauge (TransformPeakBytes) staying under the budget.
 func AnalyzeReader(tr *TileReader, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeReader(tr, opts)
+	return core.AnalyzeReaderCtx(context.Background(), tr, opts)
 }
 
 // AnalyzeReaderCtx is AnalyzeReader with cooperative cancellation.
@@ -145,7 +145,7 @@ func ResetTransformPeakBytes() { fft.ResetPeakBytes() }
 // AnalyzeField32 extracts all correlation statistics of a field on the
 // float32 compute lane.
 func AnalyzeField32(f *Field32, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeField32(f, opts)
+	return core.AnalyzeField32Ctx(context.Background(), f, opts)
 }
 
 // AnalyzeField32Ctx is AnalyzeField32 with cooperative cancellation —
@@ -170,7 +170,7 @@ func MeasureField32(name string, f *Field32, absErr float64) (Result, error) {
 // MeasureFieldSet32 measures many float32 fields concurrently — the
 // compute-lane mirror of MeasureFieldSet.
 func MeasureFieldSet32(name string, fields []*Field32, labels []float64, opts MeasureOptions) ([]Measurement, error) {
-	return core.MeasureFieldSet32(name, fields, labels, core.DefaultRegistry(), opts)
+	return core.MeasureFieldSet32Ctx(context.Background(), name, fields, labels, core.DefaultRegistry(), opts)
 }
 
 // Grid is a dense row-major 2D field.
@@ -186,6 +186,9 @@ func GridFromData(rows, cols int, data []float64) (*Grid, error) {
 
 // ReadGrid reads a field written by (*Grid).WriteBinary.
 func ReadGrid(r io.Reader) (*Grid, error) { return grid.ReadBinary(r) }
+
+// gridSource views a grid as an in-RAM statistic source.
+func gridSource(g *Grid) stat.Source { return stat.Source{F64: field.FromGrid(g)} }
 
 // GaussianParams configures a single-range Gaussian random field.
 type GaussianParams = gaussian.Params
@@ -220,18 +223,18 @@ type VariogramModel = variogram.Model
 
 // EstimateVariogramRange fits the global variogram range of a field.
 func EstimateVariogramRange(g *Grid, opts VariogramOptions) (VariogramModel, error) {
-	return variogram.GlobalRange(g, opts)
+	return variogram.GlobalRange(context.Background(), gridSource(g), opts)
 }
 
 // LocalVariogramRangeStd is the std of per-window variogram ranges.
 func LocalVariogramRangeStd(g *Grid, window int, opts VariogramOptions) (float64, error) {
-	return variogram.LocalRangeStd(g, window, opts)
+	return variogram.LocalRangeStd(context.Background(), gridSource(g), window, opts)
 }
 
 // LocalSVDStd is the std of per-window SVD truncation levels at the
 // given variance fraction (use 0.99 for the paper's statistic).
 func LocalSVDStd(g *Grid, window int, frac float64) (float64, error) {
-	return svdstat.LocalStd(g, window, frac)
+	return svdstat.LocalStd(context.Background(), gridSource(g), window, SVDOptions{Frac: frac})
 }
 
 // SVDOptions controls windowed SVD statistics (variance fraction,
@@ -255,7 +258,7 @@ const (
 // variance fraction and the worker pool; results are bit-identical at
 // any worker count.
 func LocalSVDStdWith(g *Grid, window int, opts SVDOptions) (float64, error) {
-	return svdstat.LocalStdWith(g, window, opts)
+	return svdstat.LocalStd(context.Background(), gridSource(g), window, opts)
 }
 
 // Volume is a dense 3D scalar field with x fastest (Miranda layout).
@@ -275,7 +278,7 @@ func GenerateGaussian3D(p Gaussian3DParams) (*Volume, error) { return gaussian.G
 // EstimateVariogramRange3D fits the isotropic variogram range of a
 // volume.
 func EstimateVariogramRange3D(v *Volume, opts VariogramOptions) (VariogramModel, error) {
-	return variogram.GlobalRange3D(v, opts)
+	return variogram.GlobalRange(context.Background(), stat.Source{F64: field.FromVolume(v)}, opts)
 }
 
 // Statistics is the keyed result set of an analysis: one entry per
@@ -302,12 +305,14 @@ func StatNames() []string { return stat.Names() }
 type AnalysisOptions = core.AnalysisOptions
 
 // Analyze extracts all correlation statistics of a field.
-func Analyze(g *Grid, opts AnalysisOptions) (Statistics, error) { return core.Analyze(g, opts) }
+func Analyze(g *Grid, opts AnalysisOptions) (Statistics, error) {
+	return core.AnalyzeFieldCtx(context.Background(), field.FromGrid(g), opts)
+}
 
 // AnalyzeField extracts all correlation statistics of a field of any
 // rank: H×H windows for grids, H×H×H windows for volumes.
 func AnalyzeField(f *Field, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeField(f, opts)
+	return core.AnalyzeFieldCtx(context.Background(), f, opts)
 }
 
 // AnalyzeFieldCtx is AnalyzeField with cooperative cancellation
@@ -322,7 +327,7 @@ func AnalyzeFieldCtx(ctx context.Context, f *Field, opts AnalysisOptions) (Stati
 // AnalyzeVolume extracts all correlation statistics of a 3D volume —
 // the paper's future-work 3D context on the same pipeline.
 func AnalyzeVolume(v *Volume, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeField(field.FromVolume(v), opts)
+	return core.AnalyzeFieldCtx(context.Background(), field.FromVolume(v), opts)
 }
 
 // Compressor is an error-bounded lossy compressor for the field ranks
@@ -392,13 +397,17 @@ type MeasureOptions = core.MeasureOptions
 
 // MeasureFields measures many 2D fields concurrently.
 func MeasureFields(name string, fields []*Grid, labels []float64, opts MeasureOptions) ([]Measurement, error) {
-	return core.MeasureFields(name, fields, labels, core.DefaultRegistry(), opts)
+	fs := make([]*Field, len(fields))
+	for i, g := range fields {
+		fs[i] = field.FromGrid(g)
+	}
+	return MeasureFieldSet(name, fs, labels, opts)
 }
 
 // MeasureFieldSet measures many fields of any rank (grids and volumes
 // can mix) concurrently; each field sweeps the codecs of its own rank.
 func MeasureFieldSet(name string, fields []*Field, labels []float64, opts MeasureOptions) ([]Measurement, error) {
-	return core.MeasureFieldSet(name, fields, labels, core.DefaultRegistry(), opts)
+	return core.MeasureFieldSetCtx(context.Background(), name, fields, labels, core.DefaultRegistry(), opts)
 }
 
 // MeasureFieldSetCtx is MeasureFieldSet with cooperative cancellation
@@ -461,13 +470,13 @@ type SamplingOptions = sampling.Options
 // SampledLocalRangeStd estimates the local-variogram-range std from a
 // random fraction of windows (the paper's future-work fast proxy).
 func SampledLocalRangeStd(g *Grid, window int, opts SamplingOptions) (float64, error) {
-	return sampling.LocalRangeStd(g, window, opts)
+	return sampling.LocalRangeStd(context.Background(), gridSource(g), window, opts)
 }
 
 // SampledLocalSVDStd estimates the local-SVD-truncation std from a
 // random fraction of windows.
 func SampledLocalSVDStd(g *Grid, window int, frac float64, opts SamplingOptions) (float64, error) {
-	return sampling.LocalSVDStd(g, window, frac, opts)
+	return sampling.LocalSVDStd(context.Background(), gridSource(g), window, frac, opts)
 }
 
 // SamplingSweepPoint is one accuracy point of the sampling sweep.
@@ -478,7 +487,7 @@ type SamplingSweepPoint = sampling.SweepPoint
 // from opts; its Fraction field is ignored (the sweep supplies its
 // own).
 func SweepSamplingFractions(g *Grid, window int, stat string, fractions []float64, opts SamplingOptions) ([]SamplingSweepPoint, error) {
-	return sampling.SweepFractions(g, window, stat, fractions, opts)
+	return sampling.SweepFractions(context.Background(), gridSource(g), window, stat, fractions, opts)
 }
 
 // Predictor estimates CR from correlation statistics.
