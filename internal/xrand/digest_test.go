@@ -19,12 +19,12 @@ func streamDigest(n int, draw func() uint64) uint64 {
 	return h.Sum64()
 }
 
-// TestStreamGolden pins every variate stream the repository's seeded
+// TestStreamDigest pins every variate stream the repository's seeded
 // results rest on: the first 10⁵ outputs of Uint64, Float64,
 // NormFloat64 and Intn (small, odd, power-of-two, and huge bounds)
 // from fixed seeds. Any change to the generator's arithmetic that
 // alters one output changes a digest.
-func TestStreamGolden(t *testing.T) {
+func TestStreamDigest(t *testing.T) {
 	const n = 100_000
 	cases := []struct {
 		name string

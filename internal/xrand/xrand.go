@@ -5,7 +5,10 @@
 // explicitly seeded instances of this generator.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a xoshiro256** generator. It is not safe for concurrent use;
 // create one per goroutine (see Split).
@@ -42,18 +45,19 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64())
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly random bits.
+// Uint64 returns the next 64 uniformly random bits. The state is
+// stepped through local copies, which keeps the method under the
+// inlining budget for the hot draw loops.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -63,36 +67,32 @@ func (r *Rand) Float64() float64 {
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
+//
+// It uses Lemire's multiply-shift method, bias-free: the high word of
+// the 128-bit product v·n is the variate, and a draw whose low word
+// falls below 2⁶⁴ mod n is rejected. The rejection test only matters
+// when the low word is below n, so the common case is one draw and
+// one multiply; the rare retry loop lives out of line in intnRetry.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
 	}
-	// Lemire's multiply-shift rejection method, bias-free.
 	bound := uint64(n)
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, bound)
-		if lo >= bound || lo >= (-bound)%bound {
-			return int(hi)
-		}
+	hi, lo := bits.Mul64(r.Uint64(), bound)
+	if lo < bound {
+		return r.intnRetry(bound, hi, lo)
 	}
+	return int(hi)
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	carry := t >> 32
-	t = aHi*bLo + carry
-	t1 := t & mask
-	carry = t >> 32
-	t = aLo*bHi + t1
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + carry + (t >> 32)
-	return hi, lo
+// intnRetry finishes an Intn draw whose low word fell below the bound:
+// it redraws while the low word is below 2⁶⁴ mod bound.
+func (r *Rand) intnRetry(bound, hi, lo uint64) int {
+	thresh := -bound % bound
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), bound)
+	}
+	return int(hi)
 }
 
 // NormFloat64 returns a standard Gaussian variate using the Marsaglia
