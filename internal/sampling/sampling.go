@@ -34,7 +34,9 @@ import (
 
 // Options configures sampled estimation.
 type Options struct {
-	Fraction float64 // fraction of windows evaluated; 0 means 0.25
+	// Fraction of windows evaluated: ≤ 0 means 0.25, above 1 means 1,
+	// and NaN is an error.
+	Fraction float64
 	Seed     uint64
 	// Workers bounds the goroutines evaluating sampled windows. 0 means
 	// GOMAXPROCS; 1 forces serial evaluation. Results are bit-identical
@@ -42,15 +44,18 @@ type Options struct {
 	Workers int
 }
 
-func (o Options) fraction() float64 {
-	f := o.Fraction
-	if f <= 0 {
-		f = 0.25
+// fraction resolves Fraction to the share of windows evaluated.
+func (o Options) fraction() (float64, error) {
+	switch f := o.Fraction; {
+	case math.IsNaN(f):
+		return 0, fmt.Errorf("sampling: window fraction is NaN")
+	case f <= 0:
+		return 0.25, nil
+	case f > 1:
+		return 1, nil
+	default:
+		return f, nil
 	}
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 // sampleIndices picks ceil(frac·total) global window indices: the
@@ -79,13 +84,17 @@ func sampledStd(ctx context.Context, src stat.Source, k stat.WindowKernel, h int
 	if len(shape) != 2 {
 		return 0, fmt.Errorf("sampling: rank-%d field; sampled estimators are 2D", len(shape))
 	}
-	sel := sampleIndices(field.NewWindowGrid(shape, h).Total(), opts.fraction(), opts.Seed)
+	frac, err := opts.fraction()
+	if err != nil {
+		return 0, err
+	}
+	sel := sampleIndices(field.NewWindowGrid(shape, h).Total(), frac, opts.Seed)
 	vals, err := stat.Windows(ctx, src, k, h, opts.Workers, sel, kOpt)
 	if err != nil {
 		return 0, err
 	}
 	if len(vals) == 0 {
-		return 0, fmt.Errorf("sampling: no usable windows at fraction %v", opts.fraction())
+		return 0, fmt.Errorf("sampling: no usable windows at fraction %v", frac)
 	}
 	return linalg.Std(vals), nil
 }

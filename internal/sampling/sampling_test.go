@@ -114,6 +114,35 @@ func TestSVDFractionValidation(t *testing.T) {
 	}
 }
 
+// TestWindowFractionValidation: a NaN window fraction is an error from
+// every estimator (it used to reach the selection's slice bound and
+// panic), while ≤ 0 still means the default and > 1 means every window.
+func TestWindowFractionValidation(t *testing.T) {
+	f := heterogeneousField(t)
+	nan := Options{Fraction: math.NaN(), Seed: 5}
+	if got, err := LocalRangeStd(bg, f, 32, nan); err == nil {
+		t.Errorf("LocalRangeStd: %v, want an error", got)
+	}
+	if got, err := LocalSVDStd(bg, f, 32, 0.99, nan); err == nil {
+		t.Errorf("LocalSVDStd: %v, want an error", got)
+	}
+	for _, which := range []string{"range", "svd"} {
+		if got, err := SweepFractions(bg, f, 32, which, []float64{0.5, math.NaN()}, Options{Seed: 5}); err == nil {
+			t.Errorf("SweepFractions %s: %v, want an error", which, got)
+		}
+	}
+	clamps := []struct{ given, means float64 }{{0, 0.25}, {-3, 0.25}, {2, 1}, {math.Inf(1), 1}}
+	for _, c := range clamps {
+		want, err := LocalRangeStd(bg, f, 32, Options{Fraction: c.means, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LocalRangeStd(bg, f, 32, Options{Fraction: c.given, Seed: 5}); err != nil || got != want {
+			t.Errorf("fraction %v: %v (%v), want fraction %v's %v", c.given, got, err, c.means, want)
+		}
+	}
+}
+
 func TestSweepFractions(t *testing.T) {
 	f := heterogeneousField(t)
 	points, err := SweepFractions(bg, f, 32, "range", []float64{0.25, 0.5, 1}, Options{Seed: 11})
