@@ -253,13 +253,19 @@ func exactScanData[T field.Elem](ctx context.Context, data []T, shape []int, o O
 	return collect(sum, cnt), nil
 }
 
-// sampledScanData draws random pairs: a random anchor point and a
-// random offset within the cutoff ball. Component draw order (anchor
-// components, then offset components, slowest dimension first) matches
-// the legacy 2D and 3D samplers, so seeded results are unchanged; draw
-// order and seeding are lane-independent, so the float32 lane samples
-// exactly the pairs the oracle lane would.
+// sampledScanData runs the seeded pair sampler over an in-RAM lane.
+// The draws depend only on (shape, Seed, MaxLag, MaxPairs), never on
+// the data, so a key requested repeatedly is served from a cached pair
+// plan (pairplan.go): the draws are replayed once and every later call
+// only gathers the planned pairs, bit-identical to the direct scan.
 func sampledScanData[T field.Elem](ctx context.Context, data []T, shape []int, o Options) (*Empirical, error) {
+	p, err := sampledPlans.plan(ctx, shape, o)
+	if err != nil {
+		return nil, err
+	}
+	if p != nil {
+		return gatherPlan(ctx, p, data)
+	}
 	return sampledScanAt(ctx, func(i int) float64 { return float64(data[i]) }, shape, o)
 }
 
@@ -269,6 +275,28 @@ func sampledScanData[T field.Elem](ctx context.Context, data []T, shape []int, o
 // (exactly, for the float32 lane), so the accumulation arithmetic —
 // and therefore the seeded result — is byte-for-byte the in-RAM scan's.
 func sampledScanAt(ctx context.Context, at func(int) float64, shape []int, o Options) (*Empirical, error) {
+	sum := make([]float64, o.MaxLag+1)
+	cnt := make([]int64, o.MaxLag+1)
+	if err := drawPairs(ctx, shape, o, func(bin, i, j int, _ []int) {
+		d := at(i) - at(j)
+		sum[bin] += d * d
+		cnt[bin]++
+	}); err != nil {
+		return nil, err
+	}
+	return collect(sum, cnt), nil
+}
+
+// drawPairs is the pair sampler's one draw loop: o.MaxPairs seeded
+// draws of a random anchor point and a random offset within the cutoff
+// ball. Component draw order (anchor components, then offset
+// components, slowest dimension first) matches the legacy 2D and 3D
+// samplers, so seeded results are unchanged; draw order and seeding
+// are lane-independent, so the float32 lane samples exactly the pairs
+// the oracle lane would. visit is called, in draw order, for every
+// kept pair with its distance bin, its flat end indices i and j, and
+// its lag vector off (valid only during the call).
+func drawPairs(ctx context.Context, shape []int, o Options, visit func(bin, i, j int, off []int)) error {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -276,8 +304,6 @@ func sampledScanAt(ctx context.Context, at func(int) float64, shape []int, o Opt
 	nd := len(shape)
 	rng := xrand.New(o.Seed ^ sampleSalt(nd))
 	nb := o.MaxLag
-	sum := make([]float64, nb+1)
-	cnt := make([]int64, nb+1)
 	maxSq := o.MaxLag * o.MaxLag
 	dims := shape
 	strides := make([]int, nd)
@@ -292,7 +318,7 @@ func sampledScanAt(ctx context.Context, at func(int) float64, shape []int, o Opt
 		if done != nil && p&0xfff == 0 {
 			select {
 			case <-done:
-				return nil, ctx.Err()
+				return ctx.Err()
 			default:
 			}
 		}
@@ -328,11 +354,9 @@ func sampledScanAt(ctx context.Context, at func(int) float64, shape []int, o Opt
 			i += pos[k] * strides[k]
 			j += (pos[k] + off[k]) * strides[k]
 		}
-		d := at(i) - at(j)
-		sum[bin] += d * d
-		cnt[bin]++
+		visit(bin, i, j, off)
 	}
-	return collect(sum, cnt), nil
+	return nil
 }
 
 // windowRangeField estimates the variogram range of one window,
