@@ -41,8 +41,8 @@ const (
 	maxPlanCells = 1 << 20
 )
 
-// planKey is everything the sampler's draws depend on. Ranks above
-// len(shape) are not planned; unused extents stay zero.
+// planKey is everything the sampler's draws depend on. Ranks above 3
+// are not planned; a lower rank leaves the trailing extents zero.
 type planKey struct {
 	shape            [3]int
 	seed             uint64
@@ -67,7 +67,7 @@ type pairPlan struct {
 // overflow 32 bits.
 func planKeyOf(shape []int, o Options) (k planKey, shift uint, ok bool) {
 	nd := len(shape)
-	if nd > len(k.shape) || o.MaxPairs > maxPlanDraws {
+	if nd > len(k.shape) || o.MaxPairs > maxPlanDraws || o.MaxLag > maxPlanCells {
 		return k, 0, false
 	}
 	cells, n := 1, 1
