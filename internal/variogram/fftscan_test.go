@@ -223,9 +223,9 @@ func withOffset(f *field.Field, off float64) *field.Field {
 func TestFFTDCOffset(t *testing.T) {
 	ctx := context.Background()
 	base := randomField([]int{64, 72}, 4242)
-	if shard, err := fftShardSize(base.Shape, 32, 1<<20); err != nil || shard >= 64 {
-		t.Fatalf("1 MiB budget: shard extent %d (%v), want a split of the 64 rows", shard, err)
-	}
+	// A budget derived to give 16-row shards splits the 64 rows under
+	// any slab sizing (shardBudget asserts the extent).
+	split := shardBudget(t, base.Shape, 32, 16)
 	for _, off := range []float64{0, 1e3, 1e5, 1e7} {
 		f := withOffset(base, off)
 		ex, err := Compute(bg, in64(f), Options{Exact: true})
@@ -239,8 +239,8 @@ func TestFFTDCOffset(t *testing.T) {
 		checkAgainstExact(t, fmt.Sprintf("offset %g", off), f, ex, ff)
 
 		tr := writeTempField(t, f.WriteBinary)
-		// 0 is one shard; 1 MiB splits the rows (checked above).
-		for _, budget := range []int64{0, 1 << 20} {
+		// 0 is one shard; split cuts the rows into four.
+		for _, budget := range []int64{0, split} {
 			st, err := Compute(ctx, onDisk(tr, field.StreamOptions{BudgetBytes: budget}), Options{FFT: true})
 			if err != nil {
 				t.Fatal(err)

@@ -169,10 +169,25 @@ func TestExactScanReaderBitIdentity(t *testing.T) {
 	assertEmpiricalEqual(t, got, want)
 }
 
+// shardBudget returns the memory budget at which the sharded spectral
+// engine picks base extent s for a field of shape dims at lag cutoff
+// nb — twice the slab bound, since shards are planned against half the
+// budget — and fails the test unless fftShardSize confirms that extent.
+func shardBudget(t *testing.T, dims []int, nb, s int) int64 {
+	t.Helper()
+	budget := 2 * shardBytes(s, dims, nb)
+	if got, err := fftShardSize(dims, nb, budget); err != nil || got != s {
+		t.Fatalf("shape %v lag %d budget %d: shard extent %d (%v), want %d", dims, nb, budget, got, err, s)
+	}
+	return budget
+}
+
 // TestFFTScanReaderMatchesExact pins the sharded spectral engine's
 // contract: pair counts exactly equal the direct scan's at every shard
 // size, Gamma to 1e-9 relative, and the result is bit-stable across
-// worker counts at a fixed budget.
+// worker counts at a fixed budget. Each case runs at budgets derived to
+// force shard extent 1 (below the lag cutoff, so every pair block spans
+// many slabs), a middle extent, and n₀ (one slab), plus unbounded.
 func TestFFTScanReaderMatchesExact(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -183,6 +198,8 @@ func TestFFTScanReaderMatchesExact(t *testing.T) {
 		{[]int{96, 40}, 13},
 		{[]int{17, 19, 23}, 0},
 		{[]int{24, 24, 24}, 7},
+		{[]int{300}, 40},
+		{[]int{20, 1, 30}, 6},
 	}
 	for ci, tc := range cases {
 		f := randomField(tc.shape, uint64(400+ci))
@@ -191,8 +208,13 @@ func TestFFTScanReaderMatchesExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := writeTempField(t, f.WriteBinary)
-		// Budgets that force many slabs, a few slabs, and one slab.
-		for _, budget := range []int64{0, 1 << 22, 1 << 25} {
+		nb := Options{MaxLag: tc.maxLag}.withDefaults(tc.shape).MaxLag
+		n0 := tc.shape[0]
+		budgets := []int64{0}
+		for _, s := range []int{1, max(2, (n0-nb)/2), n0} {
+			budgets = append(budgets, shardBudget(t, tc.shape, nb, s))
+		}
+		for _, budget := range budgets {
 			var ref *Empirical
 			for _, workers := range []int{1, 3} {
 				got, err := Compute(ctx, onDisk(tr, field.StreamOptions{BudgetBytes: budget}),
