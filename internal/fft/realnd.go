@@ -18,10 +18,7 @@ package fft
 // pipeline inherits the plan layer's any-length support and the
 // bit-identical-at-any-worker-count property of axisPass.
 
-import (
-	"fmt"
-	"math/cmplx"
-)
+import "fmt"
 
 // HalfLen returns the element count of the half-spectrum of a real
 // field with the given dims: the last axis stores dims[last]/2+1 bins,
@@ -49,8 +46,9 @@ func halfDims(dims []int) []int {
 // ForEachEmbeddedRow visits the contiguous last-dimension runs of a
 // srcDims-shaped field embedded in the leading corner of a
 // dstDims-shaped buffer, yielding (srcOff, dstOff, n) per run — the
-// one odometer walk beneath EmbedReal and the variogram engine's
-// indicator-mask fill. Extents of srcDims must not exceed dstDims.
+// zero-padding step of a linear (non-circular) correlation, feeding
+// ForwardRealND once the caller has cleared the buffer. Extents of
+// srcDims must not exceed dstDims, and the ranks must match.
 func ForEachEmbeddedRow(srcDims, dstDims []int, fn func(srcOff, dstOff, n int)) error {
 	if len(dstDims) != len(srcDims) {
 		return fmt.Errorf("fft: embed rank mismatch %v vs %v", srcDims, dstDims)
@@ -96,24 +94,6 @@ func ForEachEmbeddedRow(srcDims, dstDims []int, fn func(srcOff, dstOff, n int)) 
 		}
 	}
 	return nil
-}
-
-// EmbedReal zero-fills dst (shape dstDims) and copies the real field
-// src (shape srcDims, same rank, extents <= dstDims) into its leading
-// corner — the zero-padding step of a linear (non-circular)
-// correlation, feeding ForwardRealND.
-func EmbedReal[F Float](dst []F, dstDims []int, src []F, srcDims []int) error {
-	n := 1
-	for _, d := range dstDims {
-		n *= d
-	}
-	if len(dst) != n {
-		return fmt.Errorf("fft: pad buffer length %d != product of %v", len(dst), dstDims)
-	}
-	clear(dst)
-	return ForEachEmbeddedRow(srcDims, dstDims, func(srcOff, dstOff, n int) {
-		copy(dst[dstOff:dstOff+n], src[srcOff:srcOff+n])
-	})
 }
 
 // checkReal validates a real<->half-spectrum transform's buffers and
@@ -270,30 +250,8 @@ func AbsSq[F Float, C Complex](a []C) {
 // of the two real signals whose half-spectra a and b hold. The product
 // of a conjugated hermitian spectrum with a hermitian spectrum is
 // hermitian, so the result is a valid InverseRealND input.
-func MulConj(a, b []complex128) {
+func MulConj[C Complex](a, b []C) {
 	for i, v := range a {
-		a[i] = cmplx.Conj(v) * b[i]
-	}
-}
-
-// MulConjScale sets a[i] = s·conj(a[i])·b[i] — a scaled cross-spectrum,
-// hermitian for the same reason MulConj's result is. The sharded
-// streaming variogram uses it to seed its structure-function
-// accumulator with the −2·c_zz term in place.
-func MulConjScale(a, b []complex128, s float64) {
-	cs := complex(s, 0)
-	for i, v := range a {
-		a[i] = cs * cmplx.Conj(v) * b[i]
-	}
-}
-
-// AddMulConjScale accumulates acc[i] += s·conj(a[i])·b[i] without
-// disturbing a or b — the fold step of the sharded streaming variogram,
-// which sums three cross-spectra into one accumulator so only one
-// inverse transform is needed per shard.
-func AddMulConjScale(acc, a, b []complex128, s float64) {
-	cs := complex(s, 0)
-	for i, v := range a {
-		acc[i] += cs * cmplx.Conj(v) * b[i]
+		a[i] = conj(v) * b[i]
 	}
 }

@@ -1,6 +1,7 @@
 package variogram
 
-// FFT exact engine, one algorithm for both element lanes (Marcotte,
+// FFT exact engine, one algorithm for both element lanes and both
+// sources (Marcotte,
 // "Fast variogram computation with FFT", Computers & Geosciences 22(10),
 // 1996). The exhaustive scan costs O(N·L^d): every lag offset re-sweeps
 // the whole array. Its per-offset sums are correlations, so they can be
@@ -38,6 +39,12 @@ package variogram
 // table is built after the spectrum is released, so the peak is one
 // plane plus the larger of the spectrum and the table (FFTPeakBytes).
 //
+// All of this is one slab kernel, fftSlab: the pairs whose base point
+// lies in the first rows of a block. In RAM the block is the field and
+// every row is a base row; the sharded engine (fftstream.go) runs the
+// same kernel per axis-0 slab of a file, where the base rows and the
+// block each take a forward and their cross-spectrum replaces |Z|².
+//
 // The per-offset results are folded into the same rounded-distance
 // bins, in the same canonical enumeration order, as the direct scan:
 // pair counts agree exactly, float64 Gamma to roundoff (the equivalence
@@ -46,7 +53,6 @@ package variogram
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"lossycorr/internal/fft"
@@ -60,42 +66,95 @@ import (
 // (Bluestein) lengths through the full engine.
 var padLenFn = fft.FastLen
 
-// FFTPeakBytes is the transform working set of the FFT exact engine on
-// a field of the given shape and lag cutoff (maxLag >= 1), for a lane
-// whose real planes hold elemBytes-byte elements (8 for float64, 4 for
-// float32). The engine holds one padded real plane of
-// P = Π FastLen(dim_k + maxLag) elements throughout, and beside it first
-// the half-spectrum (complex, 2·elemBytes per bin) with the transform
-// workers' line scratch, then the float64 summed-area table of
-// Π (dim_k + 1) entries — never both. Line scratch is at most two
-// complex lines of the longest padded extent per worker (span buffer
-// plus mixed-radix scratch), GOMAXPROCS workers, each line counted at
-// twice its length for pool-bucket slack. The planes themselves are
-// counted at their exact lengths: that is what a cold pool, or one
-// recycling the engine's own buffers, accounts.
-func FFTPeakBytes(shape []int, maxLag, elemBytes int) int64 {
-	pad := make([]int, len(shape))
+// slabPad returns the padded extents of an fftSlab call: base + maxLag
+// on axis 0 (a base point's partner lies at most maxLag rows on),
+// dim_k + maxLag on every other axis, each rounded up by padLenFn.
+func slabPad(dims []int, base, maxLag int) []int {
+	pad := make([]int, len(dims))
+	pad[0] = padLenFn(base + maxLag)
+	for k := 1; k < len(dims); k++ {
+		pad[k] = padLenFn(dims[k] + maxLag)
+	}
+	return pad
+}
+
+// slabPeakBytes is the transform working set of one fftSlab call on a
+// block of the given shape whose first base rows are the base points,
+// for a lane whose real planes hold elemBytes-byte elements (8 for
+// float64, 4 for float32). The kernel holds one padded real plane
+// (slabPad) throughout, and beside it first the half-spectra (complex,
+// 2·elemBytes per bin; one when base == dims[0], two otherwise) with
+// the transform workers' line scratch, then the float64 summed-area
+// table of Π (dim_k + 1) entries — never both. Line scratch is at most
+// two complex lines of the longest padded extent per worker (span
+// buffer plus mixed-radix scratch), GOMAXPROCS workers, each line
+// counted at twice its length for pool-bucket slack. The planes
+// themselves are counted at their exact lengths: that is what a cold
+// pool, or one recycling the kernel's own buffers, accounts.
+func slabPeakBytes(dims []int, base, maxLag, elemBytes int) int64 {
+	pad := slabPad(dims, base, maxLag)
 	plane, table, longest := int64(1), int64(1), 0
-	for k, d := range shape {
-		pad[k] = padLenFn(d + maxLag)
+	for k, d := range dims {
 		plane *= int64(pad[k])
 		table *= int64(d + 1)
 		longest = max(longest, pad[k])
 	}
+	spectra := int64(1)
+	if base < dims[0] {
+		spectra = 2
+	}
 	eb := int64(elemBytes)
 	spectrum := 2 * eb * int64(fft.HalfLen(pad))
 	lines := int64(runtime.GOMAXPROCS(0)) * 2 * (2 * int64(longest)) * 2 * eb
-	return eb*plane + max(spectrum+lines, 8*table)
+	return eb*plane + max(spectra*spectrum+lines, 8*table)
 }
 
-// fftScan computes the exact binned variogram through the identities
-// above for either lane; mean is the field mean the embed subtracts.
+// FFTPeakBytes is the transform working set of the in-RAM FFT exact
+// engine on a field of the given shape and lag cutoff (maxLag >= 1),
+// for a lane whose real planes hold elemBytes-byte elements: one slab
+// whose base rows are the whole field (slabPeakBytes), padded to
+// P = Π FastLen(dim_k + maxLag) elements.
+func FFTPeakBytes(shape []int, maxLag, elemBytes int) int64 {
+	return slabPeakBytes(shape, shape[0], maxLag, elemBytes)
+}
+
+// fftScan computes the exact binned variogram of an in-RAM field
+// through the identities above for either lane: one slab whose base
+// rows are the whole field, shifted by the field mean.
+func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []int, mean float64, o Options) (*Empirical, error) {
+	sum := make([]float64, o.MaxLag+1)
+	cnt := make([]int64, o.MaxLag+1)
+	if err := fftSlab[T, C](ctx, data, dims, dims[0], mean, o, sum, cnt); err != nil {
+		return nil, err
+	}
+	return collect(sum, cnt), nil
+}
+
+// fftSlab adds to sum and cnt, per distance bin, every pair whose base
+// point lies in the first base rows (along axis 0) of the block data
+// (shape dims) and whose partner lies anywhere in the block; shift is
+// subtracted from every value at embed. Canonical offsets have h₀ ≥ 0,
+// so with z_a the block restricted to its base rows and z_b the whole
+// block,
+//
+//	S(h) = w(A) + w(A+h) − 2·c_{z_a,z_b}(h)
+//	N(h) = m · Π_{k>0} (dim_k − |h_k|),   m = min(base, dim₀ − h₀)
+//
+// where A is the box of base points with a partner at offset h (axis 0
+// rows [0, m)). When base == dims[0] the cross-correlation is the
+// autocorrelation: one forward transform, |Z|², one inverse — the
+// in-RAM engine. Otherwise the base rows and the block take one
+// forward each, conj(Z_a)·Z_b, one inverse. Axis 0 pads to
+// padLenFn(base + MaxLag): a base point's partner is at most MaxLag
+// rows on, so the correlation never wraps.
 //
 // Cancellation is observed at stage boundaries — before each transform,
 // before the table build, and per bin in the fold — so a dead context
 // abandons the pipeline within one transform's duration, and every
-// pooled buffer is released on the way out through the defers.
-func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []int, mean float64, o Options) (*Empirical, error) {
+// pooled buffer is released on the way out through the defers. Buffers
+// are tight acquisitions, so a budgeted caller's accounting stays
+// within twice slabPeakBytes even on a warm pool.
+func fftSlab[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []int, base int, shift float64, o Options, sum []float64, cnt []int64) error {
 	stage := func() error {
 		if ctx == nil {
 			return nil
@@ -103,57 +162,73 @@ func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 		return ctx.Err()
 	}
 	nd := len(dims)
-	if nd < 1 {
-		return nil, fmt.Errorf("variogram: rank-0 field")
-	}
 	nb := o.MaxLag
-	pad := make([]int, nd)
+	pad := slabPad(dims, base, nb)
 	total := 1
-	for k, d := range dims {
-		pad[k] = padLenFn(d + nb)
-		if pad[k] < d+nb {
-			return nil, fmt.Errorf("variogram: padded extent %d < %d", pad[k], d+nb)
-		}
-		total *= pad[k]
+	for _, p := range pad {
+		total *= p
 	}
 
-	// r is the one real staging plane: padded centered z in, the c_zz
-	// autocorrelation out.
-	r := fft.Acquire[T](total)
+	// r is the one real staging plane: padded centered z in, the
+	// correlation out.
+	r := fft.AcquireTight[T](total)
 	defer fft.Release(r)
-	clear(r)
-	if err := fft.ForEachEmbeddedRow(dims, pad, func(srcOff, dstOff, n int) {
-		dst := r[dstOff : dstOff+n]
-		for i, v := range data[srcOff : srcOff+n] {
-			dst[i] = T(float64(v) - mean)
+	embed := func(rows int) error {
+		clear(r)
+		return fft.ForEachEmbeddedRow(append([]int{rows}, dims[1:]...), pad, func(srcOff, dstOff, n int) {
+			dst := r[dstOff : dstOff+n]
+			for i, v := range data[srcOff : srcOff+n] {
+				dst[i] = T(float64(v) - shift)
+			}
+		})
+	}
+	if err := embed(base); err != nil {
+		return err
+	}
+	if err := stage(); err != nil {
+		return err
+	}
+	half := fft.HalfLen(pad)
+	spA := fft.AcquireTight[C](half)
+	defer func() { fft.Release(spA) }()
+	if err := fft.ForwardRealND(r, pad, spA, o.Workers); err != nil {
+		return err
+	}
+	if base == dims[0] {
+		fft.AbsSq[T](spA)
+	} else {
+		if err := embed(dims[0]); err != nil {
+			return err
 		}
-	}); err != nil {
-		return nil, err
+		if err := stage(); err != nil {
+			return err
+		}
+		spB := fft.AcquireTight[C](half)
+		err := fft.ForwardRealND(r, pad, spB, o.Workers)
+		if err == nil {
+			fft.MulConj(spA, spB)
+		}
+		fft.Release(spB)
+		if err != nil {
+			return err
+		}
 	}
 	if err := stage(); err != nil {
-		return nil, err
+		return err
 	}
-	spZ := fft.Acquire[C](fft.HalfLen(pad))
-	defer func() { fft.Release(spZ) }()
-	if err := fft.ForwardRealND(r, pad, spZ, o.Workers); err != nil {
-		return nil, err
+	czz := r // the padded field is spent; the correlation lands in place
+	if err := fft.InverseRealND(spA, pad, czz, o.Workers); err != nil {
+		return err
 	}
-	fft.AbsSq[T](spZ)
+	fft.Release(spA)
+	spA = nil
 	if err := stage(); err != nil {
-		return nil, err
-	}
-	czz := r // the padded field is spent; the autocorrelation lands in place
-	if err := fft.InverseRealND(spZ, pad, czz, o.Workers); err != nil {
-		return nil, err
-	}
-	fft.Release(spZ)
-	spZ = nil
-	if err := stage(); err != nil {
-		return nil, err
+		return err
 	}
 
-	// Summed-area table of centered z², extents dims[k]+1 with zero
-	// borders at index 0 — the closed form for every box sum.
+	// Summed-area table of centered z² over the block, extents
+	// dims[k]+1 with zero borders at index 0 — the closed form for
+	// every box sum.
 	satDims := make([]int, nd)
 	satStride := make([]int, nd)
 	satTotal := 1
@@ -162,9 +237,9 @@ func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 		satStride[k] = satTotal
 		satTotal *= satDims[k]
 	}
-	sat := fft.Acquire[float64](satTotal)
+	sat := fft.AcquireTight[float64](satTotal)
 	defer fft.Release(sat)
-	buildCenteredSqSAT(data, dims, mean, sat, satDims, satStride)
+	buildCenteredSqSAT(data, dims, shift, sat, satDims, satStride)
 
 	// Fold per-offset correlations into distance bins, in the same
 	// canonical order as the direct scan, accumulating in float64.
@@ -175,9 +250,7 @@ func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 		acc *= pad[k]
 	}
 	bins := offsetsByBinCached(nd, nb)
-	sum := make([]float64, nb+1)
-	cnt := make([]int64, nb+1)
-	if err := parallel.ForCtx(ctx, nb+1, o.Workers, func(b int) {
+	return parallel.ForCtx(ctx, nb+1, o.Workers, func(b int) {
 		offs := bins[b]
 		lo1 := make([]int, nd)
 		hi1 := make([]int, nd)
@@ -186,9 +259,18 @@ func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 		var s float64
 		var c int64
 		for p := 0; p < len(offs); p += nd {
-			idx := 0
-			n := int64(1)
-			for k := 0; k < nd; k++ {
+			// Axis 0: h₀ ≥ 0, base points in rows [0, m), partners
+			// in [h₀, h₀+m).
+			h0 := int(offs[p])
+			m := min(base, dims[0]-h0)
+			if m <= 0 {
+				continue
+			}
+			idx := h0 * pStride[0]
+			n := int64(m)
+			lo1[0], hi1[0] = 0, m
+			lo2[0], hi2[0] = h0, h0+m
+			for k := 1; k < nd; k++ {
 				h := int(offs[p+k])
 				a := h
 				if a < 0 {
@@ -199,8 +281,7 @@ func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 					break
 				}
 				n *= int64(dims[k] - a)
-				// Axis ranges of the two overlap boxes: B∩(B−h) and
-				// B∩(B+h).
+				// Axis ranges of the two overlap boxes: A and A+h.
 				if h >= 0 {
 					idx += h * pStride[k]
 					lo1[k], hi1[k] = 0, dims[k]-h
@@ -222,11 +303,9 @@ func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 			s += d
 			c += n
 		}
-		sum[b], cnt[b] = s, c
-	}); err != nil {
-		return nil, err
-	}
-	return collect(sum, cnt), nil
+		sum[b] += s
+		cnt[b] += c
+	})
 }
 
 // buildCenteredSqSAT fills sat (extents satDims[k] = dims[k]+1, with

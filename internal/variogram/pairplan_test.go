@@ -239,7 +239,9 @@ func TestPlanUncacheableKeysDrawDirectly(t *testing.T) {
 	}{
 		{"rank 4", []int{9, 8, 8, 9}, Options{MaxPairs: 4096}},
 		{"pair budget", []int{70, 61}, Options{MaxPairs: maxPlanDraws + 1}},
-		{"lag table", []int{70, 61}, Options{MaxLag: 600, MaxPairs: 4096}},
+		// MaxLag is clamped to the diagonal, so the field must be
+		// long enough to keep a 600 cutoff.
+		{"lag table", []int{70, 610}, Options{MaxLag: 600, MaxPairs: 4096}},
 		{"32-bit code", []int{64, 64, 64}, Options{MaxPairs: 4096}},
 	}
 	for _, tc := range cases {

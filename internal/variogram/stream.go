@@ -3,8 +3,8 @@ package variogram
 // The global estimators over an out-of-core field (a Reader source).
 // The windowed sweep needs nothing here: the stat engine streams
 // h-aligned tiles itself, bit-identical to the in-RAM sweep. The
-// spectral estimator runs the sharded engine (fftstream.go; pair counts
-// exact, Gamma tolerance-equivalent), the sampled one aims the
+// spectral estimator runs the in-RAM kernel slab by slab (fftstream.go;
+// pair counts exact, Gamma tolerance-equivalent), the sampled one aims the
 // identical seeded draw sequence at the reader's point-access lane and
 // is bit-identical, and the exact scan — which by construction touches
 // every element pair — materializes the field through the transform

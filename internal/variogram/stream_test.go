@@ -2,18 +2,21 @@ package variogram
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
 )
 
 // writeTempField serializes a field (either lane's WriteBinary) and
 // returns a TileReader over the file, closed with the test.
-func writeTempField(t *testing.T, write func(w io.Writer) error) *field.TileReader {
+func writeTempField(t testing.TB, write func(w io.Writer) error) *field.TileReader {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "field.lcf")
 	f, err := os.Create(path)
@@ -258,5 +261,93 @@ func TestFFTShardBudgetTooSmall(t *testing.T) {
 	_, err := Compute(bg, onDisk(tr, field.StreamOptions{BudgetBytes: 1 << 12}), Options{FFT: true})
 	if err == nil {
 		t.Fatal("expected budget error")
+	}
+}
+
+// TestFFTShardPeakWithinBudget: the sharded spectral engine's
+// transform-pool peak stays inside the memory budget on both stored
+// lanes, at shard extents 1, middle and n₀, on a drained pool and on a
+// warm one. The slab bound behind the shard size holds the measured
+// peak of every slab's kernel call on a drained pool; across a run,
+// slabs recycle each other's buffers at up to twice their length,
+// which the budget's factor of two absorbs.
+func TestFFTShardPeakWithinBudget(t *testing.T) {
+	ctx := context.Background()
+	shape := []int{72, 20, 18}
+	o := Options{FFT: true}.withDefaults(shape)
+	nb := o.MaxLag
+	rest := shape[1] * shape[2]
+	f32, f := randomField32(shape, 911)
+	drain := func() { // two collections empty every sync.Pool
+		runtime.GC()
+		runtime.GC()
+	}
+	lanes := []struct {
+		name string
+		tr   *field.TileReader
+	}{
+		{"float64", writeTempField(t, f.WriteBinary)},
+		{"float32", writeTempField(t, f32.WriteBinary)},
+	}
+	for _, s := range []int{1, (shape[0] - nb) / 2, shape[0]} {
+		budget := shardBudget(t, shape, nb, s)
+		for _, lane := range lanes {
+			drain()
+			for _, pass := range []string{"drained", "warm"} {
+				fft.ResetPeakBytes()
+				base := fft.LiveBytes()
+				if _, err := Compute(ctx, onDisk(lane.tr, field.StreamOptions{BudgetBytes: budget}), o); err != nil {
+					t.Fatal(err)
+				}
+				peak := fft.PeakBytes() - base
+				t.Logf("%s shard %d %s: peak %d bytes, budget %d", lane.name, s, pass, peak, budget)
+				if peak > budget {
+					t.Fatalf("%s shard %d %s: peak %d bytes > budget %d", lane.name, s, pass, peak, budget)
+				}
+			}
+		}
+		// Every slab's kernel call, block outside the pool, on a
+		// drained pool: within the kernel's share of the slab bound.
+		sum := make([]float64, nb+1)
+		cnt := make([]int64, nb+1)
+		for z0 := 0; z0 < shape[0]; z0 += s {
+			z1 := min(z0+s, shape[0])
+			z2 := min(z1+nb, shape[0])
+			blk := append([]int{z2 - z0}, shape[1:]...)
+			want := slabPeakBytes(blk, z1-z0, nb, 8)
+			drain()
+			fft.ResetPeakBytes()
+			base := fft.LiveBytes()
+			if err := fftSlab[float64, complex128](ctx, f.Data[z0*rest:z2*rest], blk, z1-z0, 0, o, sum, cnt); err != nil {
+				t.Fatal(err)
+			}
+			if peak := fft.PeakBytes() - base; peak > want {
+				t.Fatalf("shard %d slab at row %d: kernel peak %d bytes > slabPeakBytes %d", s, z0, peak, want)
+			}
+		}
+	}
+}
+
+// BenchmarkVariogramFFTReader measures the sharded spectral engine over
+// a stored field at a 12 MiB budget, which splits both shapes into
+// several slabs; peakMB is the transform-pool peak of the last run.
+func BenchmarkVariogramFFTReader(b *testing.B) {
+	for _, shape := range [][]int{{256, 32, 32}, {512, 256}} {
+		name := fmt.Sprint(shape[0])
+		for _, d := range shape[1:] {
+			name += fmt.Sprintf("x%d", d)
+		}
+		b.Run(name, func(b *testing.B) {
+			tr := writeTempField(b, randomField(shape, 17).WriteBinary)
+			src := onDisk(tr, field.StreamOptions{BudgetBytes: 12 << 20})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fft.ResetPeakBytes()
+				if _, err := Compute(bg, src, Options{FFT: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(fft.PeakBytes())/(1<<20), "peakMB")
+		})
 	}
 }

@@ -41,7 +41,8 @@ type Empirical struct {
 // Options controls estimation.
 type Options struct {
 	// MaxLag is the distance cutoff. 0 means half the smallest extent,
-	// the usual geostatistical rule of thumb.
+	// the usual geostatistical rule of thumb; a cutoff past the field's
+	// diagonal is clamped to it.
 	MaxLag int
 	// MaxPairs caps the number of sampled pairs for the Monte Carlo
 	// estimator. 0 means 400_000.
@@ -68,11 +69,24 @@ type Options struct {
 
 // withDefaults fills the zero options from the field's shape: the lag
 // cutoff falls back to half the smallest extent, the pair budget to
-// 400,000 draws.
+// 400,000 draws. A cutoff past the field's diagonal is clamped to the
+// smallest L with L² ≥ Σ(dim_k−1)²: no pair lies beyond it, and every
+// estimator's cost grows with the cutoff (MaxLag+1 bins; O(MaxLag^d)
+// offsets for the exact and spectral scans, which also pad each axis
+// by it).
 func (o Options) withDefaults(shape []int) Options {
 	if o.MaxLag <= 0 {
 		o.MaxLag = max(slices.Min(shape)/2, 1)
 	}
+	diag := 0
+	for _, d := range shape {
+		diag += (d - 1) * (d - 1)
+	}
+	l := int(math.Sqrt(float64(diag)))
+	for l*l < diag {
+		l++
+	}
+	o.MaxLag = min(o.MaxLag, max(l, 1))
 	if o.MaxPairs <= 0 {
 		o.MaxPairs = 400_000
 	}
@@ -97,9 +111,10 @@ const (
 //     float64, so the float32 lane is bit-identical to the float64 lane
 //     over the widened field; the spectral engine runs float32 planes);
 //   - a Reader source runs the sampled scan through point access
-//     (bit-identical to in-RAM), the spectral engine in budget-sized
-//     shards (pair counts exact, Gamma tolerance-equivalent), and the
-//     exact scan over a copy materialized on the transform-pool gauge.
+//     (bit-identical to in-RAM), the in-RAM spectral kernel over
+//     budget-sized axis-0 slabs (pair counts exact, Gamma
+//     tolerance-equivalent), and the exact scan over a copy
+//     materialized on the transform-pool gauge.
 //
 // The exact scan fans distance bins out over opts.Workers; results are
 // bit-identical at any worker count. Every estimator checks ctx between

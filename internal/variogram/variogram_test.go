@@ -2,8 +2,10 @@ package variogram
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
@@ -220,5 +222,57 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.MaxPairs != 400000 {
 		t.Fatalf("default MaxPairs %d", o.MaxPairs)
+	}
+}
+
+// TestMaxLagClampedToDiagonal: a cutoff past the field's diagonal is
+// clamped to the smallest L with L² ≥ Σ(dim_k−1)² — 56 on a 40×40
+// field — so an oversized MaxLag costs what L costs. The exact scan is
+// bit-identical to an explicit lag of L, the spectral engine's pair
+// counts are the exact scan's, the sampler draws as at L, and all of
+// them return well inside a deadline at lags whose unclamped bin
+// arrays alone would not fit in memory.
+func TestMaxLagClampedToDiagonal(t *testing.T) {
+	for _, tc := range []struct {
+		shape []int
+		want  int
+	}{
+		{[]int{40, 40}, 56},
+		{[]int{2}, 1},
+		{[]int{20, 1, 30}, 35},
+		{[]int{5, 5, 5}, 7},
+	} {
+		if got := (Options{MaxLag: 5000}).withDefaults(tc.shape).MaxLag; got != tc.want {
+			t.Fatalf("shape %v: clamped MaxLag %d, want %d", tc.shape, got, tc.want)
+		}
+	}
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	f := randomField([]int{40, 40}, 61)
+	ref, err := Compute(ctx, in64(f), Options{Exact: true, MaxLag: 56})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := randomField([]int{90, 90}, 62)
+	refSampled, err := Compute(ctx, in64(big), Options{MaxLag: 126, Seed: 3, MaxPairs: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lag := range []int{5000, 1 << 40} {
+		ex, err := Compute(ctx, in64(f), Options{Exact: true, MaxLag: lag})
+		if err != nil {
+			t.Fatalf("exact lag %d: %v", lag, err)
+		}
+		assertEmpiricalEqual(t, ex, ref)
+		ff, err := Compute(ctx, in64(f), Options{FFT: true, MaxLag: lag})
+		if err != nil {
+			t.Fatalf("spectral lag %d: %v", lag, err)
+		}
+		checkAgainstExact(t, fmt.Sprintf("lag %d", lag), f, ref, ff)
+		sm, err := Compute(ctx, in64(big), Options{MaxLag: lag, Seed: 3, MaxPairs: 20_000})
+		if err != nil {
+			t.Fatalf("sampled lag %d: %v", lag, err)
+		}
+		assertEmpiricalEqual(t, sm, refSampled)
 	}
 }
