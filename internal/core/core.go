@@ -188,12 +188,12 @@ func (o AnalysisOptions) withDefaults() AnalysisOptions {
 //
 // Cancellation is threaded through every statistic: the variogram
 // scans check ctx per offset (direct) or per transform stage (FFT), and
-// both windowed statistics check it per window, so a long-running
-// analysis stops within roughly one unit of work of the cancel and
-// returns ctx.Err(). Cancellation dominates the fixed statistic error
-// precedence — once the context is dead the per-statistic errors are
-// all cancellations anyway, and reporting ctx.Err() keeps the outcome
-// deterministic.
+// both windowed statistics check it per batch of windows, so a
+// long-running analysis stops within roughly one unit of work of the
+// cancel and returns ctx.Err(). Cancellation dominates the fixed
+// statistic error precedence — once the context is dead the
+// per-statistic errors are all cancellations anyway, and reporting
+// ctx.Err() keeps the outcome deterministic.
 func AnalyzeFieldCtx(ctx context.Context, f *field.Field, opts AnalysisOptions) (Statistics, error) {
 	return analyzeSource(ctx, stat.Source{F64: f}, opts)
 }

@@ -137,31 +137,3 @@ func TestForErrCtxBodyErrors(t *testing.T) {
 		t.Fatalf("err = %v, want idx 17", err)
 	}
 }
-
-// TestFilterMapErrCtx checks collection order and the cancellation
-// path of the windowed-statistic skeleton.
-func TestFilterMapErrCtx(t *testing.T) {
-	got, err := FilterMapErrCtx(context.Background(), 10, 3, func(i int) (int, bool, error) {
-		return i * i, i%2 == 0, nil
-	})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	want := []int{0, 4, 16, 36, 64}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := FilterMapErrCtx(ctx, 10, 3, func(i int) (int, bool, error) {
-		return 0, true, nil
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled err = %v, want context.Canceled", err)
-	}
-}

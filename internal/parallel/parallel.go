@@ -276,35 +276,6 @@ func ForErrCtx(ctx context.Context, n, workers int, fn func(i int) error) error 
 	return lowestErr
 }
 
-// FilterMapErrCtx is FilterMapErr with cooperative cancellation: on a
-// cancelled context it returns (nil, ctx.Err()) promptly instead of
-// finishing the index space. Body errors keep the lowest-failing-index
-// determinism whenever the loop ran to completion.
-func FilterMapErrCtx[T any](ctx context.Context, n, workers int, fn func(i int) (v T, ok bool, err error)) ([]T, error) {
-	type result struct {
-		v   T
-		ok  bool
-		err error
-	}
-	results := make([]result, n)
-	if err := ForCtx(ctx, n, workers, func(i int) {
-		v, ok, err := fn(i)
-		results[i] = result{v, ok, err}
-	}); err != nil {
-		return nil, err
-	}
-	out := make([]T, 0, len(results))
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.ok {
-			out = append(out, r.v)
-		}
-	}
-	return out, nil
-}
-
 // ForErr is For over a fallible body. Every index runs (no early
 // cancellation, matching a serial loop that records the first error and
 // keeps going); the returned error is the one from the lowest failing
@@ -333,33 +304,6 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
 	For(n, workers, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// FilterMapErr evaluates fn over [0, n) on the pool and collects, in
-// index order, the values for which fn reported ok. If any index fails,
-// the error of the lowest failing index is returned (every index still
-// runs). This is the skeleton shared by the windowed statistics: map
-// windows, drop the skipped ones, fail deterministically.
-func FilterMapErr[T any](n, workers int, fn func(i int) (v T, ok bool, err error)) ([]T, error) {
-	type result struct {
-		v   T
-		ok  bool
-		err error
-	}
-	results := Map(n, workers, func(i int) result {
-		v, ok, err := fn(i)
-		return result{v, ok, err}
-	})
-	out := make([]T, 0, len(results))
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.ok {
-			out = append(out, r.v)
-		}
-	}
-	return out, nil
 }
 
 // MapReduce evaluates mapFn over [0, n) in parallel, then folds the

@@ -110,40 +110,6 @@ func TestForErrRunsEveryIndexDespiteFailures(t *testing.T) {
 	}
 }
 
-func TestFilterMapErr(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		// keep even indices, fail nothing
-		vals, err := FilterMapErr(10, workers, func(i int) (int, bool, error) {
-			return i, i%2 == 0, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []int{0, 2, 4, 6, 8}
-		if len(vals) != len(want) {
-			t.Fatalf("workers=%d: got %v want %v", workers, vals, want)
-		}
-		for i := range want {
-			if vals[i] != want[i] {
-				t.Fatalf("workers=%d: got %v want %v", workers, vals, want)
-			}
-		}
-		// lowest-index error wins even when ok values precede it
-		_, err = FilterMapErr(20, workers, func(i int) (int, bool, error) {
-			if i >= 5 {
-				return 0, false, fmt.Errorf("fail at %d", i)
-			}
-			return i, true, nil
-		})
-		if err == nil || err.Error() != "fail at 5" {
-			t.Fatalf("workers=%d: got %v want fail at 5", workers, err)
-		}
-	}
-	if vals, err := FilterMapErr(0, 4, func(int) (int, bool, error) { return 0, true, nil }); err != nil || len(vals) != 0 {
-		t.Fatalf("empty space: %v %v", vals, err)
-	}
-}
-
 func TestDoRunsAllTasks(t *testing.T) {
 	var a, b, c atomic.Bool
 	Do(4,

@@ -137,7 +137,7 @@ type SweepPoint struct {
 // either "range" (local variogram range std) or "svd". Seed and Workers
 // come from opts (Fraction is ignored; the sweep supplies its own), and
 // each fraction's windows are evaluated on the worker pool, checking
-// ctx per window.
+// ctx per batch of windows.
 func SweepFractions(ctx context.Context, src stat.Source, h int, which string, fractions []float64, opts Options) ([]SweepPoint, error) {
 	if len(fractions) == 0 {
 		fractions = []float64{0.1, 0.25, 0.5, 0.75, 1}

@@ -8,14 +8,17 @@
 // variant matrix of float64/float32 × in-RAM/streamed × plain/Ctx
 // entry points.
 //
-// The bit-identity contract every kernel must honor: EvalWindow sees
-// one freshly extracted window (WindowInto for the float64 lane and
-// streamed tiles, WindowIntoWide for the float32 lane — widening is
-// exact) and must not depend on evaluation order or shared mutable
-// state; the engine guarantees the kept values reach Fold in global
-// window order (or selection order, for sampled sweeps) at any worker
-// count, tile budget, and halo. GlobalKernel implementations carry the
-// same obligation internally for each source they accept.
+// The bit-identity contract every kernel must honor: EvalWindows sees
+// a run of freshly extracted windows (WindowInto for the float64 lane
+// and streamed tiles, WindowIntoWide for the float32 lane — widening
+// is exact), and each window's value must depend on that window alone,
+// never on its batch companions, the evaluation order, or shared
+// mutable state. The engine hands kernels runs of up to
+// stream.BatchWidth consecutive windows and guarantees the kept values
+// reach Fold in global window order (or selection order, for sampled
+// sweeps) at any worker count, tile budget, and halo. GlobalKernel
+// implementations carry the same obligation internally for each source
+// they accept.
 package stat
 
 import (
@@ -70,11 +73,13 @@ type WindowKernel interface {
 	// CheckWindow validates the window edge before any sweep; its error
 	// is returned verbatim.
 	CheckWindow(h int) error
-	// EvalWindow evaluates one extracted window. opt is the kernel's
-	// per-run options (nil means defaults). The (value, keep, error)
-	// contract matches parallel.FilterMapErrCtx: skipped windows return
-	// keep == false without error.
-	EvalWindow(w *field.Field, opt any) (float64, bool, error)
+	// EvalWindows evaluates a batch of extracted windows, writing
+	// window i's value to vals[i] and whether to keep it to keep[i];
+	// skipped windows set keep[i] false without error. opt is the
+	// kernel's per-run options (nil means defaults). On failure it
+	// returns the error of the lowest failing index in ws, so the
+	// engine can report the lowest failing window of a whole sweep.
+	EvalWindows(ws []*field.Field, vals []float64, keep []bool, opt any) error
 	// Fold reduces the kept values (in window order) into the kernel's
 	// outputs, parallel to Outputs().
 	Fold(vals []float64, info FoldInfo, opt any) ([]float64, error)
@@ -143,42 +148,57 @@ type Request struct {
 	Opt map[string]any
 }
 
-// windowPool recycles the per-tile extraction buffers of every window
-// sweep: each worker borrows a *field.Field, refills it in place, and
-// returns it — steady state allocates no window storage.
-var windowPool = sync.Pool{New: func() any { return new(field.Field) }}
+// windowBatch is one batch's extraction buffers: each worker borrows
+// a batch from batchPool, refills its windows in place, and returns it
+// — steady state allocates no window storage.
+type windowBatch struct {
+	fields [stream.BatchWidth]field.Field
+	ws     [stream.BatchWidth]*field.Field
+}
+
+var batchPool = sync.Pool{New: func() any {
+	b := new(windowBatch)
+	for i := range b.ws {
+		b.ws[i] = &b.fields[i]
+	}
+	return b
+}}
 
 // Windows sweeps the h-windows of src through k, supplying everything
 // the historical per-variant loops duplicated: lane handling (exact
 // widening on the float32 lane), cancellation, worker fan-out, and —
-// for Reader sources — tile streaming under the byte budget. sel
-// selects a subset of global window indices (nil means all); kept
-// values come back in window order, or in sel order, which are exactly
-// the fold orders of the historical full and sampled sweeps.
+// for Reader sources — tile streaming under the byte budget. Windows
+// reach the kernel in runs of up to stream.BatchWidth consecutive
+// windows (within one tile, for Reader sources). sel selects a subset
+// of global window indices (nil means all); kept values come back in
+// window order, or in sel order, which are exactly the fold orders of
+// the historical full and sampled sweeps. A failing sweep returns the
+// error of its lowest failing window (in sweep order), with ctx
+// cancellation dominating.
 func Windows(ctx context.Context, src Source, k WindowKernel, h, workers int, sel []int, opt any) ([]float64, error) {
 	if err := k.CheckWindow(h); err != nil {
 		return nil, err
 	}
 	if src.Reader != nil {
 		return stream.Windows(ctx, src.Reader, h, workers, src.Stream, sel,
-			func(block *field.Field, rel []int, hh int) (float64, bool, error) {
-				w := windowPool.Get().(*field.Field)
-				defer windowPool.Put(w)
-				return k.EvalWindow(block.WindowInto(w, rel, hh), opt)
+			func(block *field.Field, rels [][]int, hh int, vals []float64, keep []bool) error {
+				b := batchPool.Get().(*windowBatch)
+				defer batchPool.Put(b)
+				ws := b.ws[:len(rels)]
+				for i, rel := range rels {
+					block.WindowInto(ws[i], rel, hh)
+				}
+				return k.EvalWindows(ws, vals, keep, opt)
 			})
 	}
-	var extract func(dst *field.Field, origin []int) *field.Field
+	var extract func(dst *field.Field, origin []int)
 	var origins [][]int
 	if s32 := src.F32; s32 != nil {
 		origins = s32.TileOrigins(h)
-		extract = func(dst *field.Field, origin []int) *field.Field {
-			return s32.WindowIntoWide(dst, origin, h)
-		}
+		extract = func(dst *field.Field, origin []int) { s32.WindowIntoWide(dst, origin, h) }
 	} else if f := src.F64; f != nil {
 		origins = f.TileOrigins(h)
-		extract = func(dst *field.Field, origin []int) *field.Field {
-			return f.WindowInto(dst, origin, h)
-		}
+		extract = func(dst *field.Field, origin []int) { f.WindowInto(dst, origin, h) }
 	} else {
 		return nil, fmt.Errorf("stat: empty source")
 	}
@@ -191,15 +211,26 @@ func Windows(ctx context.Context, src Source, k WindowKernel, h, workers int, se
 			}
 		}
 	}
-	return parallel.FilterMapErrCtx(ctx, n, workers, func(i int) (float64, bool, error) {
-		idx := i
-		if sel != nil {
-			idx = sel[i]
+	vals := make([]float64, n)
+	keep := make([]bool, n)
+	const bw = stream.BatchWidth
+	if err := parallel.ForErrCtx(ctx, (n+bw-1)/bw, workers, func(j int) error {
+		lo, hi := j*bw, min(j*bw+bw, n)
+		b := batchPool.Get().(*windowBatch)
+		defer batchPool.Put(b)
+		ws := b.ws[:hi-lo]
+		for i := lo; i < hi; i++ {
+			idx := i
+			if sel != nil {
+				idx = sel[i]
+			}
+			extract(ws[i-lo], origins[idx])
 		}
-		w := windowPool.Get().(*field.Field)
-		defer windowPool.Put(w)
-		return k.EvalWindow(extract(w, origins[idx]), opt)
-	})
+		return k.EvalWindows(ws, vals[lo:hi], keep[lo:hi], opt)
+	}); err != nil {
+		return nil, err
+	}
+	return stream.Compact(vals, keep), nil
 }
 
 // Run evaluates kernels over src into a keyed result set. In-RAM

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lossycorr/internal/field"
+	"lossycorr/internal/stream"
 )
 
 // winKernel is a WindowKernel whose window value is the window's first
@@ -24,11 +28,14 @@ func (k winKernel) Outputs() []string       { return []string{k.name} }
 func (k winKernel) Caps() Caps              { return Caps{Windowed: true, Streaming: true} }
 func (k winKernel) CheckWindow(h int) error { return nil }
 
-func (k winKernel) EvalWindow(w *field.Field, opt any) (float64, bool, error) {
+func (k winKernel) EvalWindows(ws []*field.Field, vals []float64, keep []bool, opt any) error {
 	if k.evalErr != nil {
-		return 0, false, k.evalErr
+		return k.evalErr
 	}
-	return w.Data[0], true, nil
+	for i, w := range ws {
+		vals[i], keep[i] = w.Data[0], true
+	}
+	return nil
 }
 
 func (k winKernel) Fold(vals []float64, info FoldInfo, opt any) ([]float64, error) {
@@ -231,6 +238,158 @@ func TestRunOutputCountMismatch(t *testing.T) {
 		_, err := Run(context.Background(), src, []Kernel{tc.k}, Request{Window: 2})
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err %v, want %q", tc.k.Name(), err, tc.want)
+		}
+	}
+}
+
+// batchKernel is a WindowKernel whose value is a position-weighted
+// checksum of the whole window. It skips windows whose first element
+// is a multiple of 7, fails on windows whose first element is in fail
+// (naming that element), and records the largest batch it was handed.
+type batchKernel struct {
+	fail     map[float64]bool
+	maxBatch *atomic.Int64
+}
+
+func (batchKernel) Name() string            { return "batch" }
+func (batchKernel) Outputs() []string       { return []string{"batch"} }
+func (batchKernel) Caps() Caps              { return Caps{Windowed: true, Streaming: true} }
+func (batchKernel) CheckWindow(h int) error { return nil }
+
+func (k batchKernel) EvalWindows(ws []*field.Field, vals []float64, keep []bool, opt any) error {
+	for n := k.maxBatch.Load(); int64(len(ws)) > n && !k.maxBatch.CompareAndSwap(n, int64(len(ws))); n = k.maxBatch.Load() {
+	}
+	for i, w := range ws {
+		first := w.Data[0]
+		if k.fail[first] {
+			return fmt.Errorf("window at element %v failed", first)
+		}
+		sum := float64(len(w.Shape))
+		for j, v := range w.Data {
+			sum += float64(j+1) * v
+		}
+		vals[i], keep[i] = sum, int(first)%7 != 0
+	}
+	return nil
+}
+
+func (batchKernel) Fold(vals []float64, info FoldInfo, opt any) ([]float64, error) {
+	return vals, nil
+}
+
+// iotaSources holds the iota field over shape as every source
+// kind: float64, float32 (exact, the values are small integers), and a
+// Reader under budget (0 means one tile).
+func iotaSources(t *testing.T, budget int64, shape ...int) []Source {
+	f := iota64(shape...)
+	f32 := field.New32(shape...)
+	for i, v := range f.Data {
+		f32.Data[i] = float32(v)
+	}
+	return []Source{{F64: f}, {F32: f32}, {Reader: readerOf(t, f), Stream: field.StreamOptions{BudgetBytes: budget}}}
+}
+
+// oneByOne is the reference sweep: every selected window extracted and
+// evaluated alone, kept values in sweep order.
+func oneByOne(t *testing.T, k WindowKernel, f *field.Field, h int, sel []int) []float64 {
+	t.Helper()
+	origins := f.TileOrigins(h)
+	if sel == nil {
+		sel = make([]int, len(origins))
+		for i := range sel {
+			sel[i] = i
+		}
+	}
+	var out []float64
+	for _, g := range sel {
+		var v [1]float64
+		var keep [1]bool
+		if err := k.EvalWindows([]*field.Field{f.Window(origins[g], h)}, v[:], keep[:], nil); err != nil {
+			t.Fatal(err)
+		}
+		if keep[0] {
+			out = append(out, v[0])
+		}
+	}
+	return out
+}
+
+// TestWindowsBatchedMatchesOneByOne pins the batched sweep to the
+// one-window-at-a-time reference on every source kind: at worker
+// counts {1, 4, 8}, with Reader budgets whose tiles hold window counts
+// that are not multiples of the batch width, and under a selection
+// whose length is not a multiple of it. Batches never exceed
+// stream.BatchWidth, and full batches do occur.
+func TestWindowsBatchedMatchesOneByOne(t *testing.T) {
+	ctx := context.Background()
+	const h = 3
+	shape := []int{16, 20} // 6×7 = 42 windows, 2 of them clipped to 1 row
+	f := iota64(shape...)
+	sel := []int{41, 3, 17, 0, 22, 9, 30}
+	var maxBatch atomic.Int64
+	k := batchKernel{maxBatch: &maxBatch}
+	for _, s := range [][]int{nil, sel} {
+		want := oneByOne(t, k, f, h, s)
+		for _, budget := range []int64{0, 16 * 3 * 9, 16 * 3 * 15} {
+			for _, src := range iotaSources(t, budget, shape...) {
+				for _, workers := range []int{1, 4, 8} {
+					got, err := Windows(ctx, src, k, h, workers, s, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(want) == 0 || !slices.Equal(got, want) {
+						t.Fatalf("sel %v streaming=%v budget %d workers %d: %v, want %v",
+							s, src.Streaming(), budget, workers, got, want)
+					}
+				}
+			}
+		}
+	}
+	if got := maxBatch.Load(); got != stream.BatchWidth {
+		t.Errorf("largest batch %d, want %d", got, stream.BatchWidth)
+	}
+}
+
+// TestWindowsLowestFailingWindow pins the sweep's error contract:
+// when windows in several batches fail, the error of the lowest
+// failing window (in sweep order: window order, or sel order) is
+// returned at any worker count, just as when windows were evaluated
+// one at a time.
+func TestWindowsLowestFailingWindow(t *testing.T) {
+	ctx := context.Background()
+	const h = 2
+	shape := []int{12, 10} // 6×5 = 30 windows, origin element 20·r + 2·c
+	first := func(g int) float64 { return float64(20*(g/5) + 2*(g%5)) }
+	var maxBatch atomic.Int64
+	for _, tc := range []struct {
+		sel    []int
+		fail   []int // failing windows, by global index
+		lowest int
+	}{
+		{nil, []int{27, 13, 6, 7}, 6},
+		{nil, []int{29, 1}, 1},
+		// sel order, not window order: window 25 sits at position 1.
+		{[]int{8, 25, 2, 19, 4, 11, 0}, []int{2, 11, 25}, 25},
+	} {
+		k := batchKernel{fail: map[float64]bool{}, maxBatch: &maxBatch}
+		for _, g := range tc.fail {
+			k.fail[first(g)] = true
+		}
+		want := fmt.Sprintf("window at element %v failed", first(tc.lowest))
+		srcs := iotaSources(t, 0, shape...)
+		if tc.sel != nil {
+			srcs = srcs[:2] // a Reader sweep reports in tile order
+		}
+		for _, src := range srcs {
+			for _, workers := range []int{1, 4, 8} {
+				for rep := 0; rep < 5; rep++ {
+					_, err := Windows(ctx, src, k, h, workers, tc.sel, nil)
+					if err == nil || err.Error() != want {
+						t.Fatalf("fail %v sel %v streaming=%v workers %d: err %v, want %q",
+							tc.fail, tc.sel, src.Streaming(), workers, err, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -42,17 +42,21 @@ func (MeanStdKernel) CheckWindow(h int) error {
 	return nil
 }
 
-// EvalWindow implements stat.WindowKernel: the arithmetic mean of one
-// extracted window. Empty (fully clipped) windows are skipped.
-func (MeanStdKernel) EvalWindow(w *field.Field, opt any) (float64, bool, error) {
-	if len(w.Data) == 0 {
-		return 0, false, nil
+// EvalWindows implements stat.WindowKernel: the arithmetic mean of
+// each extracted window. Empty (fully clipped) windows are skipped.
+func (MeanStdKernel) EvalWindows(ws []*field.Field, vals []float64, keep []bool, opt any) error {
+	for i, w := range ws {
+		vals[i], keep[i] = 0, len(w.Data) > 0
+		if !keep[i] {
+			continue
+		}
+		sum := 0.0
+		for _, v := range w.Data {
+			sum += v
+		}
+		vals[i] = sum / float64(len(w.Data))
 	}
-	sum := 0.0
-	for _, v := range w.Data {
-		sum += v
-	}
-	return sum / float64(len(w.Data)), true, nil
+	return nil
 }
 
 // Fold implements stat.WindowKernel: the std over kept window means.

@@ -16,25 +16,46 @@ package stream
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
 	"lossycorr/internal/parallel"
 )
 
-// WindowEval evaluates one window: block is the tile's element data,
-// rel the window origin relative to the block, h the window edge. The
-// (value, keep, error) contract matches parallel.FilterMapErrCtx.
-type WindowEval func(block *field.Field, rel []int, h int) (float64, bool, error)
+// BatchWidth is the number of windows a sweep hands its evaluator at
+// once: runs of up to BatchWidth windows let a kernel evaluate several
+// equal-shaped windows in one pass. It is fixed; results do not depend
+// on it.
+const BatchWidth = 4
+
+// BatchEval evaluates a run of at most BatchWidth windows of one tile:
+// block is the tile's element data, rels[i] the i-th window's origin
+// relative to the block, h the window edge. It writes window i's value
+// to vals[i] and whether to keep it to keep[i], and on failure returns
+// the error of its lowest failing window.
+type BatchEval func(block *field.Field, rels [][]int, h int, vals []float64, keep []bool) error
+
+// batch is the pooled per-run scratch of one BatchEval call.
+type batch struct {
+	org  [BatchWidth][8]int
+	rels [BatchWidth][]int
+	vals [BatchWidth]float64
+	keep [BatchWidth]bool
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // Windows streams every h-window of tr (sel == nil), or exactly the
 // windows whose global lexicographic indices appear in sel, through
-// eval, one budget-sized tile at a time. Results come back compacted —
-// kept values only — ordered by global window index (sel == nil) or by
-// position in sel, which are precisely the fold orders of the in-RAM
-// full and sampled window sweeps. Tiles holding no selected window are
-// never read.
-func Windows(ctx context.Context, tr *field.TileReader, h, workers int, o field.StreamOptions, sel []int, eval WindowEval) ([]float64, error) {
+// eval, one budget-sized tile at a time; within a tile, the selected
+// windows go to eval in runs of up to BatchWidth, in tile order.
+// Results come back compacted — kept values only — ordered by global
+// window index (sel == nil) or by position in sel, which are precisely
+// the fold orders of the in-RAM full and sampled window sweeps. Tiles
+// holding no selected window are never read. A failing sweep returns
+// the error of the first failing run, tiles taken in plan order.
+func Windows(ctx context.Context, tr *field.TileReader, h, workers int, o field.StreamOptions, sel []int, eval BatchEval) ([]float64, error) {
 	shape := tr.Shape()
 	d := len(shape)
 	if d > 8 {
@@ -84,52 +105,65 @@ func Windows(ctx context.Context, tr *field.TileReader, h, workers int, o field.
 	defer fft.Release(buf)
 	block := &field.Field{Data: buf}
 
+	// run lists the current tile's selected windows: their index
+	// within the tile and their result slot.
+	type pick struct{ j, slot int }
+	var run []pick
 	for _, t := range tiles {
 		tw := wg.TileWindows(t)
-		if pos != nil {
-			any := false
-			var cbuf [8]int
-			for j := 0; j < tw.Len() && !any; j++ {
-				g, _ := tw.Window(j, cbuf[:d])
-				any = pos[g] != 0
+		run = run[:0]
+		var cbuf [8]int
+		for j := 0; j < tw.Len(); j++ {
+			g, _ := tw.Window(j, cbuf[:d])
+			slot := g
+			if pos != nil {
+				if pos[g] == 0 {
+					continue
+				}
+				slot = int(pos[g]) - 1
 			}
-			if !any {
-				continue
-			}
+			run = append(run, pick{j, slot})
+		}
+		if len(run) == 0 {
+			continue
 		}
 		blo, bhi := field.ExpandHalo(t.Lo, t.Hi, shape, o.Halo)
 		if err := tr.ReadBlock(block, blo, bhi); err != nil {
 			return nil, err
 		}
-		if err := parallel.ForErrCtx(ctx, tw.Len(), workers, func(j int) error {
-			var obuf [8]int
-			g, origin := tw.Window(j, obuf[:d])
-			slot := g
-			if pos != nil {
-				p := pos[g]
-				if p == 0 {
-					return nil
+		if err := parallel.ForErrCtx(ctx, (len(run)+BatchWidth-1)/BatchWidth, workers, func(r int) error {
+			picks := run[r*BatchWidth : min(r*BatchWidth+BatchWidth, len(run))]
+			b := batchPool.Get().(*batch)
+			defer batchPool.Put(b)
+			for i, p := range picks {
+				_, origin := tw.Window(p.j, b.org[i][:d])
+				for k := 0; k < d; k++ {
+					origin[k] -= blo[k]
 				}
-				slot = int(p) - 1
+				b.rels[i] = origin
 			}
-			for k := 0; k < d; k++ {
-				origin[k] -= blo[k]
-			}
-			v, ok, err := eval(block, origin, h)
-			if err != nil {
+			m := len(picks)
+			if err := eval(block, b.rels[:m], h, b.vals[:m], b.keep[:m]); err != nil {
 				return err
 			}
-			vals[slot], kept[slot] = v, ok
+			for i, p := range picks {
+				vals[p.slot], kept[p.slot] = b.vals[i], b.keep[i]
+			}
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 	}
-	out := make([]float64, 0, nres)
-	for i, ok := range kept {
+	return Compact(vals, kept), nil
+}
+
+// Compact returns the values whose keep flag is set, in order.
+func Compact(vals []float64, keep []bool) []float64 {
+	out := make([]float64, 0, len(vals))
+	for i, ok := range keep {
 		if ok {
 			out = append(out, vals[i])
 		}
 	}
-	return out, nil
+	return out
 }

@@ -41,20 +41,24 @@ func (LevelKernel) CheckWindow(h int) error {
 	return nil
 }
 
-// EvalWindow implements stat.WindowKernel: one window's truncation
+// EvalWindows implements stat.WindowKernel: each window's truncation
 // level through its mode-1 unfolding, skipping windows clipped below
 // 2 in any extent.
-func (LevelKernel) EvalWindow(w *field.Field, opt any) (float64, bool, error) {
+func (LevelKernel) EvalWindows(ws []*field.Field, vals []float64, keep []bool, opt any) error {
 	o, _ := opt.(Options)
 	o = o.withDefaults()
-	if w.MinDim() < 2 {
-		return 0, false, nil
+	for i, w := range ws {
+		vals[i], keep[i] = 0, false
+		if w.MinDim() < 2 {
+			continue
+		}
+		k, err := windowLevel(w, o)
+		if err != nil {
+			return err
+		}
+		vals[i], keep[i] = float64(k), true
 	}
-	k, err := windowLevel(w, o)
-	if err != nil {
-		return 0, false, err
-	}
-	return float64(k), true, nil
+	return nil
 }
 
 // Fold implements stat.WindowKernel: the std over kept window levels.

@@ -221,9 +221,10 @@ func windowLevel(w *field.Field, o Options) (int, error) {
 // LocalLevels tiles the field with h-edged hypercube windows and
 // returns the truncation level of every window. The sweep — extraction
 // (widened exactly on the float32 lane), tile streaming for a Reader
-// source, fan-out over opts.Workers, cancellation per window — is the
-// stat engine's over LevelKernel; levels come back in window order,
-// bit-identical for every source, worker count, tile budget and halo.
+// source, fan-out over opts.Workers, cancellation per batch of
+// windows — is the stat engine's over LevelKernel; levels come back in
+// window order, bit-identical for every source, worker count, tile
+// budget and halo.
 // Windows with any extent below 2 after clipping are skipped.
 func LocalLevels(ctx context.Context, src stat.Source, h int, opts Options) ([]float64, error) {
 	return stat.Windows(ctx, src, LevelKernel{}, h, opts.Workers, nil, opts)

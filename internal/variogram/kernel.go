@@ -82,12 +82,12 @@ func (LocalRangeKernel) CheckWindow(h int) error {
 	return nil
 }
 
-// EvalWindow implements stat.WindowKernel: one clipped window's exact
-// scan and fit, skipping degenerate windows (any extent < 4, or
-// constant).
-func (LocalRangeKernel) EvalWindow(w *field.Field, opt any) (float64, bool, error) {
+// EvalWindows implements stat.WindowKernel: each clipped window's
+// exact scan and fit, skipping degenerate windows (any extent < 4, or
+// constant). Equal-shaped windows share one lockstep scan.
+func (LocalRangeKernel) EvalWindows(ws []*field.Field, vals []float64, keep []bool, opt any) error {
 	o, _ := opt.(Options)
-	return windowRangeField(w, o)
+	return windowRanges(ws, vals, keep, o)
 }
 
 // Fold implements stat.WindowKernel: the std over kept window ranges.

@@ -1,0 +1,220 @@
+package variogram
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"lossycorr/internal/field"
+	"lossycorr/internal/gaussian"
+)
+
+// singleLaneRange is windowRanges' oracle for one window: the skip
+// rule, the lag clamp, then the single-lane exactScanData on the
+// window's own element lane and Fit.
+func singleLaneRange[T field.Elem](t *testing.T, data []T, shape []int, minDim int, variance float64, o Options) (float64, bool, *Empirical) {
+	t.Helper()
+	if minDim < 4 || variance == 0 {
+		return 0, false, nil
+	}
+	if o.MaxLag <= 0 || o.MaxLag > minDim/2 {
+		o.MaxLag = minDim / 2
+	}
+	o.Workers = 1
+	e, err := exactScanData(bg, data, shape, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Fit(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Range, true, e
+}
+
+// lockstepCase is one field whose window lattice mixes full, clipped,
+// too-small and constant windows.
+type lockstepCase struct {
+	name  string
+	shape []int
+	h     int
+}
+
+var lockstepCases = []lockstepCase{
+	// 45×38 at H=16: 16×16, 16×6, 13×16 and 13×6 windows.
+	{"rank2", []int{45, 38}, 16},
+	// 21×19×14 at H=8: the last window column is 3 wide (too small).
+	{"rank3", []int{21, 19, 14}, 8},
+}
+
+// flatten makes the window at origin constant, so every sweep carries
+// a constant window between kept ones.
+func flatten(f *field.Field32, origin []int, h int) {
+	idx := make([]int, len(origin))
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(origin) {
+			f.Set(1.5, idx...)
+			return
+		}
+		for v := origin[k]; v < min(origin[k]+h, f.Shape[k]); v++ {
+			idx[k] = v
+			rec(k + 1)
+		}
+	}
+	rec(0)
+}
+
+// TestLockstepScanMatchesSingleLane pins the lockstep window scan to
+// the single-lane exact scan bit for bit: at ranks 2 and 3, for batch
+// sizes 1–4 (and one batch holding every window), over batches that
+// mix shapes (clipped edge windows), constant and too-small windows,
+// on float32 windows widened exactly into the float64 lane, at the
+// default and an explicit lag cutoff. Both the per-lane Empirical and
+// the fitted range must match.
+func TestLockstepScanMatchesSingleLane(t *testing.T) {
+	for ci, tc := range lockstepCases {
+		f32, _ := randomField32(tc.shape, uint64(40+ci))
+		origins := f32.TileOrigins(tc.h)
+		flatten(f32, origins[1], tc.h)
+		for _, o := range []Options{{}, {MaxLag: 3}} {
+			type ref struct {
+				v    float64
+				keep bool
+				e    *Empirical
+			}
+			refs := make([]ref, len(origins))
+			ws := make([]*field.Field, len(origins))
+			for i, org := range origins {
+				w32 := f32.Window(org, tc.h)
+				v, keep, e := singleLaneRange(t, w32.Data, w32.Shape, w32.MinDim(), w32.Summary().Variance, o)
+				refs[i] = ref{v, keep, e}
+				ws[i] = f32.WindowIntoWide(new(field.Field), org, tc.h)
+			}
+			kept := 0
+			for _, r := range refs {
+				if r.keep {
+					kept++
+				}
+			}
+			if kept == 0 || kept == len(refs) {
+				t.Fatalf("%s: %d of %d windows kept; the case must mix kept and skipped windows", tc.name, kept, len(refs))
+			}
+			for _, bs := range []int{1, 2, 3, 4, len(ws)} {
+				vals := make([]float64, len(ws))
+				keep := make([]bool, len(ws))
+				for lo := 0; lo < len(ws); lo += bs {
+					hi := min(lo+bs, len(ws))
+					if err := windowRanges(ws[lo:hi], vals[lo:hi], keep[lo:hi], o); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, r := range refs {
+					if keep[i] != r.keep || math.Float64bits(vals[i]) != math.Float64bits(r.v) {
+						t.Fatalf("%s MaxLag %d batch %d window %d (shape %v): (%v, %v), single lane (%v, %v)",
+							tc.name, o.MaxLag, bs, i, ws[i].Shape, vals[i], keep[i], r.v, r.keep)
+					}
+				}
+			}
+			// The lanes' Empiricals themselves, for every run of up to
+			// scanLanes kept windows of one shape.
+			ls := new(laneScratch)
+			for i := 0; i < len(ws); i++ {
+				if !refs[i].keep {
+					continue
+				}
+				var lanes [][]float64
+				var idx []int
+				for j := i; j < len(ws) && len(lanes) < scanLanes; j++ {
+					if refs[j].keep && slices.Equal(ws[j].Shape, ws[i].Shape) {
+						lanes = append(lanes, ws[j].Data)
+						idx = append(idx, j)
+					}
+				}
+				maxLag := o.MaxLag
+				if maxLag <= 0 || maxLag > ws[i].MinDim()/2 {
+					maxLag = ws[i].MinDim() / 2
+				}
+				exactScanLanes(lanes, ws[i].Shape, maxLag, ls)
+				for l, j := range idx {
+					assertEmpiricalIdentical(t, collect(ls.sum[l], ls.cnt), refs[j].e, tc.name)
+				}
+			}
+		}
+	}
+}
+
+// TestLockstepPaddedLanesIgnored: a short group's padding lanes repeat
+// a kept window's data, so they can never leak into the real lanes —
+// a one-window scan equals that window's lane in a full group.
+func TestLockstepPaddedLanesIgnored(t *testing.T) {
+	f := randomField([]int{4, 24, 24}, 9)
+	var lanes [][]float64
+	for z := 0; z < 4; z++ {
+		lanes = append(lanes, f.Window([]int{z, 0, 0}, 24).Data)
+	}
+	full, one := new(laneScratch), new(laneScratch)
+	exactScanLanes(lanes, []int{1, 24, 24}, 8, full)
+	for l := range lanes {
+		exactScanLanes(lanes[l:l+1], []int{1, 24, 24}, 8, one)
+		assertEmpiricalIdentical(t, collect(one.sum[0], one.cnt), collect(full.sum[l], full.cnt), "padded")
+	}
+}
+
+// TestScanOffsetLanesAllocs pins the zero-allocation contract of the
+// lockstep scan's inner loop, like TestScanOffsetAllocs for the single
+// lane.
+func TestScanOffsetLanesAllocs(t *testing.T) {
+	var data [scanLanes][]float64
+	for l := range data {
+		data[l] = randomField([]int{32, 32}, uint64(5+l)).Data
+	}
+	dims := []int{32, 32}
+	strides := []int{32, 1}
+	sc := newScanScratch(2)
+	off := []int32{3, -2}
+	var sum [scanLanes]float64
+	var cnt int64
+	allocs := testing.AllocsPerRun(200, func() {
+		scanOffsetLanes(&data, dims, strides, off, sc, &sum, &cnt)
+	})
+	if allocs != 0 {
+		t.Fatalf("scanOffsetLanes allocates %v per visit, want 0", allocs)
+	}
+}
+
+// transpose2D returns f with its two axes swapped.
+func transpose2D(f *field.Field) *field.Field {
+	r, c := f.Shape[0], f.Shape[1]
+	out := field.New(c, r)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			out.Data[j*r+i] = f.Data[i*c+j]
+		}
+	}
+	return out
+}
+
+// TestLocalRangeStdTransposeInvariant pins the clipped-window lag
+// clamp: an explicit MaxLag beyond half a clipped window's smallest
+// extent is cut to it whichever axis is clipped, so a field and its
+// transpose give the same statistic. (The clamp used to test the first
+// axis only, so an 8×32 edge window scanned lags up to 4 while its
+// 32×8 transpose scanned up to 10.)
+func TestLocalRangeStdTransposeInvariant(t *testing.T) {
+	f := gaussField(t, gaussian.Params{Rows: 40, Cols: 96, Range: 6, Seed: 21})
+	ft := transpose2D(f)
+	for _, o := range []Options{{MaxLag: 10}, {}} {
+		a, err := LocalRangeStd(bg, in64(f), 32, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := LocalRangeStd(bg, in64(ft), 32, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(a-b) > 1e-9*math.Abs(a) {
+			t.Errorf("MaxLag %d: LocalRangeStd %v, transposed %v", o.MaxLag, a, b)
+		}
+	}
+}

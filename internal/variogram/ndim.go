@@ -358,32 +358,3 @@ func drawPairs(ctx context.Context, shape []int, o Options, visit func(bin, i, j
 	}
 	return nil
 }
-
-// windowRangeField estimates the variogram range of one window,
-// mirroring the per-tile branch of the historical 2D implementation:
-// clipped (any extent < 4) or constant windows are skipped (ok ==
-// false without error). Windows always take the exact scan (they are
-// small; the direct scan wins and is bit-stable), serially — the tiles
-// themselves are the parallel axis.
-func windowRangeField(w *field.Field, opts Options) (rang float64, ok bool, err error) {
-	if w.MinDim() < 4 {
-		return 0, false, nil
-	}
-	if w.Summary().Variance == 0 {
-		return 0, false, nil
-	}
-	o := opts
-	o.Workers = 1
-	if o.MaxLag <= 0 || o.MaxLag > w.Shape[0]/2 {
-		o.MaxLag = w.MinDim() / 2
-	}
-	e, err := exactScanData(context.Background(), w.Data, w.Shape, o)
-	if err != nil {
-		return 0, false, err
-	}
-	m, err := Fit(e)
-	if err != nil {
-		return 0, false, err
-	}
-	return m.Range, true, nil
-}

@@ -237,8 +237,9 @@ func GlobalRange(ctx context.Context, src stat.Source, opts Options) (Model, err
 // small). Windows with any extent below 4 after clipping, or constant
 // windows, are skipped. The sweep — extraction (widened exactly on the
 // float32 lane), tile streaming for a Reader source, fan-out over
-// opts.Workers, cancellation per window — is the stat engine's, with
-// LocalRangeKernel supplying the per-window solve; ranges come back in
+// opts.Workers, cancellation per batch of windows — is the stat
+// engine's, with LocalRangeKernel supplying the per-window solve (equal
+// windows of a batch scanned in lockstep); ranges come back in
 // window order, bit-identical for every source, worker count, tile
 // budget and halo.
 func LocalRanges(ctx context.Context, src stat.Source, h int, opts Options) ([]float64, error) {
