@@ -152,10 +152,11 @@ type AnalysisOptions struct {
 	// budget, the file is slurped and analyzed in RAM; otherwise the
 	// analysis streams: windowed statistics run tile-by-tile (results
 	// bit-identical to in-RAM at any tile size and worker count), the
-	// global variogram runs its sampled scan through point access
-	// (bit-identical) or, with VariogramFFT, the sharded spectral engine
-	// (pair counts exact, Gamma tolerance-equivalent). <= 0 means no
-	// budget: always slurp. In-RAM entry points ignore this field.
+	// global variogram runs its sampled scan in budget-sized chunks
+	// of span reads (bit-identical) or, with VariogramFFT, the sharded
+	// spectral engine (pair counts exact, Gamma tolerance-equivalent).
+	// <= 0 means no budget: always slurp. In-RAM entry points ignore
+	// this field.
 	MemBudget int64
 	// Stats selects the statistics to compute, by registered kernel
 	// name (stat.Names; built-ins: "variogram", "localrange", "svd").

@@ -393,3 +393,22 @@ func TestWindowsLowestFailingWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowsTinyBudget: a positive budget below 16 bytes (half of it
+// under one 8-byte element) is a budget of one element, not "no
+// budget", so it fails to hold a window exactly as 16 bytes does.
+func TestWindowsTinyBudget(t *testing.T) {
+	ctx := context.Background()
+	tr := readerOf(t, iota64(6, 6))
+	for _, budget := range []int64{1, 8, 15, 16} {
+		src := Source{Reader: tr, Stream: field.StreamOptions{BudgetBytes: budget}}
+		_, err := Windows(ctx, src, winKernel{name: "w"}, 2, 1, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), "cannot hold one 2-window") {
+			t.Errorf("budget %d: err %v, want a cannot-hold-one-window error", budget, err)
+		}
+	}
+	src := Source{Reader: tr, Stream: field.StreamOptions{BudgetBytes: 2 * 16 * 4}}
+	if _, err := Windows(ctx, src, winKernel{name: "w"}, 2, 1, nil, nil); err != nil {
+		t.Errorf("budget of two windows: %v", err)
+	}
+}

@@ -64,10 +64,11 @@ func Windows(ctx context.Context, tr *field.TileReader, h, workers int, o field.
 	// Plan against HALF the byte budget: pooled buffers are accounted by
 	// capacity, and a tight acquisition can still carry up to 2× slack
 	// from a warm pool — half-budget tiles keep worst-case accounted
-	// bytes at the budget, and fresh-pool runs at half of it.
+	// bytes at the budget, and fresh-pool runs at half of it. A positive
+	// budget under 16 bytes is one element, not "no budget".
 	var budgetElems int64
 	if o.BudgetBytes > 0 {
-		budgetElems = o.BudgetBytes / 16
+		budgetElems = max(1, o.BudgetBytes/16)
 	}
 	tiles, err := field.PlanWindowTiles(shape, h, budgetElems)
 	if err != nil {

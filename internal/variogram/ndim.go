@@ -269,18 +269,20 @@ func sampledScanData[T field.Elem](ctx context.Context, data []T, shape []int, o
 	return sampledScanAt(ctx, func(i int) float64 { return float64(data[i]) }, shape, o)
 }
 
-// sampledScanAt is the accessor form of the pair sampler: elements are
-// fetched through at, which lets the out-of-core path aim the identical
-// draw sequence at a TileReader. Widening happens inside the accessor
+// sampledScanAt is the direct pair sampler: it draws and folds every
+// pair as it goes, fetching elements through at. It serves an in-RAM
+// key's first request and is the oracle the planned and streamed
+// samplers are tested against. Widening happens inside the accessor
 // (exactly, for the float32 lane), so the accumulation arithmetic —
-// and therefore the seeded result — is byte-for-byte the in-RAM scan's.
+// and therefore the seeded result — is the same on either lane.
 func sampledScanAt(ctx context.Context, at func(int) float64, shape []int, o Options) (*Empirical, error) {
 	sum := make([]float64, o.MaxLag+1)
 	cnt := make([]int64, o.MaxLag+1)
-	if err := drawPairs(ctx, shape, o, func(bin, i, j int, _ []int) {
+	if err := drawPairs(ctx, shape, o, func(bin, i, j int, _ []int) error {
 		d := at(i) - at(j)
 		sum[bin] += d * d
 		cnt[bin]++
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -295,8 +297,9 @@ func sampledScanAt(ctx context.Context, at func(int) float64, shape []int, o Opt
 // are lane-independent, so the float32 lane samples exactly the pairs
 // the oracle lane would. visit is called, in draw order, for every
 // kept pair with its distance bin, its flat end indices i and j, and
-// its lag vector off (valid only during the call).
-func drawPairs(ctx context.Context, shape []int, o Options, visit func(bin, i, j int, off []int)) error {
+// its lag vector off (valid only during the call); the first error
+// visit returns stops the draws and is returned.
+func drawPairs(ctx context.Context, shape []int, o Options, visit func(bin, i, j int, off []int) error) error {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -354,7 +357,9 @@ func drawPairs(ctx context.Context, shape []int, o Options, visit func(bin, i, j
 			i += pos[k] * strides[k]
 			j += (pos[k] + off[k]) * strides[k]
 		}
-		visit(bin, i, j, off)
+		if err := visit(bin, i, j, off); err != nil {
+			return err
+		}
 	}
 	return nil
 }

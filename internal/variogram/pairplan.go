@@ -1,6 +1,6 @@
 package variogram
 
-// The pair plan of the in-RAM sampled scan. The sampler's draws depend
+// The pair plan of the sampled scan. The sampler's draws depend
 // only on (shape, Seed, MaxLag, MaxPairs), never on the data, and every
 // default analysis repeats the same key, so re-drawing them (tens of
 // milliseconds of Intn calls) dominates a scan whose arithmetic — one
@@ -12,9 +12,13 @@ package variogram
 //
 // Plans are admitted on a key's second request: the first runs the
 // direct scan and is only remembered, so a caller that varies Seed on
-// every call never pays for a build. The Reader path (stream.go)
-// always draws directly: a plan outweighs the tile budget an
-// out-of-core source is given.
+// every call never pays for a build. In-RAM and Reader sources share
+// the one cache: the streamed sampler (stream.go) walks a plan's codes
+// chunk by chunk instead of gathering from memory. A plan is a
+// process-wide cache entry — at most planCacheSlots of them, ≈1 MB
+// each at the default 400,000 draws whatever the field size — not the
+// working memory of a request, so a Reader's tile budget does not
+// count it.
 
 import (
 	"context"
@@ -58,6 +62,15 @@ type pairPlan struct {
 	shift  uint
 	bins   [][]uint32
 	deltas [][]int32
+}
+
+// pairs returns the number of planned pairs.
+func (p *pairPlan) pairs() int {
+	n := 0
+	for _, codes := range p.bins {
+		n += len(codes)
+	}
+	return n
 }
 
 // planKeyOf returns the cache key of the sampled scan of (shape, o)
@@ -124,7 +137,7 @@ func buildPlan(ctx context.Context, shape []int, o Options, shift uint) (*pairPl
 	deltas := make([][]int32, o.MaxLag+1)
 	counts := make([]int, o.MaxLag+1)
 	total := 0
-	if err := drawPairs(ctx, shape, o, func(bin, i, j int, off []int) {
+	if err := drawPairs(ctx, shape, o, func(bin, i, j int, off []int) error {
 		c := cell(off)
 		if slot[c] == 0 {
 			deltas[bin] = append(deltas[bin], int32(j-i))
@@ -132,6 +145,7 @@ func buildPlan(ctx context.Context, shape []int, o Options, shift uint) (*pairPl
 		}
 		counts[bin]++
 		total++
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -140,8 +154,9 @@ func buildPlan(ctx context.Context, shape []int, o Options, shift uint) (*pairPl
 	for b, n := range counts {
 		bins[b], codes = codes[:0:n], codes[n:]
 	}
-	if err := drawPairs(ctx, shape, o, func(bin, i, _ int, off []int) {
+	if err := drawPairs(ctx, shape, o, func(bin, i, _ int, off []int) error {
 		bins[bin] = append(bins[bin], uint32(i)<<shift|(slot[cell(off)]-1))
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -192,8 +207,8 @@ type planEntry struct {
 	plan *pairPlan
 }
 
-// sampledPlans is the process-wide pair-plan cache of the in-RAM
-// sampled scan.
+// sampledPlans is the process-wide pair-plan cache of the sampled
+// scan, shared by in-RAM and Reader sources.
 var sampledPlans = &planCache{slots: planCacheSlots}
 
 // plan returns the pair plan of the sampled scan of (shape, o),

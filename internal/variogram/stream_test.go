@@ -1,6 +1,7 @@
 package variogram
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
+	"lossycorr/internal/stat"
 )
 
 // writeTempField serializes a field (either lane's WriteBinary) and
@@ -349,5 +351,59 @@ func BenchmarkVariogramFFTReader(b *testing.B) {
 			}
 			b.ReportMetric(float64(fft.PeakBytes())/(1<<20), "peakMB")
 		})
+	}
+}
+
+// BenchmarkSampledScanReader times the streamed sampled scan of a 48³
+// float32 volume at a 221,184-byte budget (half the payload), over a
+// bytes.Reader (mem) and a temp file (file), with the in-RAM scan of
+// the same field as the reference (ram). cold draws a fresh seed every
+// iteration, so every call draws directly; warm repeats one key, so
+// every call after the first two walks its cached plan.
+func BenchmarkSampledScanReader(b *testing.B) {
+	shape := []int{48, 48, 48}
+	f32, _ := randomField32(shape, 21)
+	var raw bytes.Buffer
+	if err := f32.WriteBinary(&raw); err != nil {
+		b.Fatal(err)
+	}
+	mem, err := field.NewTileReader(bytes.NewReader(raw.Bytes()), int64(raw.Len()), 1<<30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	so := field.StreamOptions{BudgetBytes: 221_184}
+	srcs := []struct {
+		name string
+		src  stat.Source
+	}{
+		{"ram", in32(f32)},
+		{"mem", onDisk(mem, so)},
+		{"file", onDisk(writeTempField(b, f32.WriteBinary), so)},
+	}
+	coldSeed := uint64(3) << 32 // never repeats across runs, so never planned
+	for _, s := range srcs {
+		for _, mode := range []string{"cold", "warm"} {
+			b.Run(s.name+"/"+mode, func(b *testing.B) {
+				o := Options{Seed: 0x5ca1ab1e}
+				for i := 0; i < 2; i++ { // admit the warm key
+					if _, err := Compute(bg, s.src, o); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if mode == "cold" {
+						coldSeed++
+						o.Seed = coldSeed
+					}
+					e, err := Compute(bg, s.src, o)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkEmpirical = e
+				}
+			})
+		}
 	}
 }

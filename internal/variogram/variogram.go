@@ -110,11 +110,14 @@ const (
 //   - in-RAM fields scan their own lane (the direct scans accumulate in
 //     float64, so the float32 lane is bit-identical to the float64 lane
 //     over the widened field; the spectral engine runs float32 planes);
-//   - a Reader source runs the sampled scan through point access
-//     (bit-identical to in-RAM), the in-RAM spectral kernel over
-//     budget-sized axis-0 slabs (pair counts exact, Gamma
-//     tolerance-equivalent), and the exact scan over a copy
-//     materialized on the transform-pool gauge.
+//   - a Reader source runs the sampled scan over the in-RAM sampler's
+//     pairs (the shared plan cache, or the draw loop) in budget-sized
+//     chunks whose endpoints are read span by span (bit-identical to
+//     in-RAM), the in-RAM spectral kernel over budget-sized axis-0
+//     slabs (pair counts exact, Gamma tolerance-equivalent), and the
+//     exact scan over a copy materialized on the transform-pool gauge.
+//     The sampled and spectral scans return an error for a budget too
+//     small to hold one span or one slab.
 //
 // The exact scan fans distance bins out over opts.Workers; results are
 // bit-identical at any worker count. Every estimator checks ctx between
