@@ -27,7 +27,6 @@ import (
 	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/hydro"
 	"lossycorr/internal/lossless"
 	"lossycorr/internal/parallel"
@@ -177,7 +176,7 @@ func BenchmarkFig7MirandaLocalStats(b *testing.B) {
 
 // ---- component throughput -------------------------------------------------
 
-func benchField(b *testing.B, rang float64) *grid.Grid {
+func benchField(b *testing.B, rang float64) *field.Field {
 	b.Helper()
 	f, err := gaussian.Generate(gaussian.Params{Rows: 256, Cols: 256, Range: rang, Seed: 3})
 	if err != nil {
@@ -187,7 +186,7 @@ func benchField(b *testing.B, rang float64) *grid.Grid {
 }
 
 func benchCompress(b *testing.B, name string, eb float64) {
-	f := field.FromGrid(benchField(b, 16))
+	f := benchField(b, 16)
 	c, err := Compressors().GetFor(name, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -206,7 +205,7 @@ func benchCompress(b *testing.B, name string, eb float64) {
 }
 
 func benchDecompress(b *testing.B, name string, eb float64) {
-	f := field.FromGrid(benchField(b, 16))
+	f := benchField(b, 16)
 	c, err := Compressors().GetFor(name, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -269,7 +268,7 @@ func BenchmarkExtEntropyEstimator(b *testing.B) {
 			b.Fatal(err)
 		}
 		entropyRatio = EstimateEntropyRatio(h)
-		res, err := Measure("sz-like", f, 1e-3)
+		res, err := MeasureField("sz-like", f, 1e-3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,12 +313,12 @@ func BenchmarkExt3DPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := EstimateVariogramRange3D(vol, VariogramOptions{MaxPairs: 200000})
+		m, err := EstimateVariogramRange(vol, VariogramOptions{MaxPairs: 200000})
 		if err != nil {
 			b.Fatal(err)
 		}
 		est = m.Range
-		r, err := MeasureField("sz-like-3d", FieldFromVolume(vol), 1e-3)
+		r, err := MeasureField("sz-like-3d", vol, 1e-3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,15 +329,14 @@ func BenchmarkExt3DPipeline(b *testing.B) {
 }
 
 // BenchmarkUnified3DPipeline exercises the dimension-generic pipeline
-// end to end on a volume: AnalyzeVolume (all three statistics over
+// end to end on a volume: AnalyzeField (all three statistics over
 // H×H×H windows) plus a registry-dispatched 3D codec sweep — the same
 // code path the 2D benchmarks above exercise, through the field layer.
 func BenchmarkUnified3DPipeline(b *testing.B) {
-	vol, err := GenerateGaussian3D(Gaussian3DParams{Nz: 32, Ny: 32, Nx: 32, Range: 4, Seed: 1})
+	f, err := GenerateGaussian3D(Gaussian3DParams{Nz: 32, Ny: 32, Nx: 32, Range: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := FieldFromVolume(vol)
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -366,7 +364,7 @@ func BenchmarkUnified3DPipeline(b *testing.B) {
 // codec's two predictors contributes: auto selection vs Lorenzo-only vs
 // regression-only on the same field (DESIGN.md §3).
 func BenchmarkAblationSZPredictors(b *testing.B) {
-	f := field.FromGrid(benchField(b, 16))
+	f := benchField(b, 16)
 	for _, c := range []szlike.Compressor{
 		{Mode: szlike.PredictorAuto},
 		{Mode: szlike.PredictorLorenzoOnly},
@@ -445,7 +443,7 @@ func BenchmarkGaussianGenerate(b *testing.B) {
 
 // BenchmarkVariogramGlobal measures global range estimation.
 func BenchmarkVariogramGlobal(b *testing.B) {
-	src := gridSource(benchField(b, 16))
+	src := stat.Source{F64: benchField(b, 16)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := variogram.GlobalRange(context.Background(), src, variogram.Options{Seed: uint64(i)}); err != nil {
@@ -456,7 +454,7 @@ func BenchmarkVariogramGlobal(b *testing.B) {
 
 // BenchmarkLocalRangeStd measures the windowed variogram statistic.
 func BenchmarkLocalRangeStd(b *testing.B) {
-	src := gridSource(benchField(b, 16))
+	src := stat.Source{F64: benchField(b, 16)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := variogram.LocalRangeStd(context.Background(), src, 32, variogram.Options{}); err != nil {
@@ -467,7 +465,7 @@ func BenchmarkLocalRangeStd(b *testing.B) {
 
 // BenchmarkLocalSVDStd measures the windowed SVD statistic.
 func BenchmarkLocalSVDStd(b *testing.B) {
-	src := gridSource(benchField(b, 16))
+	src := stat.Source{F64: benchField(b, 16)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svdstat.LocalStd(context.Background(), src, 32, svdstat.Options{Frac: 0.99}); err != nil {
@@ -483,7 +481,7 @@ var benchWorkerCounts = []int{1, 2, 4, 8}
 
 // bench512Field draws the 512×512 field the parallel-scaling
 // benchmarks share (generation happens outside the timed region).
-func bench512Field(b *testing.B) *grid.Grid {
+func bench512Field(b *testing.B) *field.Field {
 	b.Helper()
 	f, err := gaussian.Generate(gaussian.Params{Rows: 512, Cols: 512, Range: 32, Seed: 7})
 	if err != nil {
@@ -497,7 +495,7 @@ func bench512Field(b *testing.B) *grid.Grid {
 // and windows are independent, so throughput should scale near-linearly
 // until the core count is exhausted.
 func BenchmarkLocalRangeStdParallel(b *testing.B) {
-	src := gridSource(bench512Field(b))
+	src := stat.Source{F64: bench512Field(b)}
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var ref float64
@@ -520,7 +518,7 @@ func BenchmarkLocalRangeStdParallel(b *testing.B) {
 // BenchmarkLocalSVDStdParallel sweeps worker counts over the windowed
 // SVD statistic on a 512×512 field.
 func BenchmarkLocalSVDStdParallel(b *testing.B) {
-	src := gridSource(bench512Field(b))
+	src := stat.Source{F64: bench512Field(b)}
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -536,7 +534,7 @@ func BenchmarkLocalSVDStdParallel(b *testing.B) {
 // (global range concurrent with both windowed statistics) on a 512×512
 // field — the orchestration-layer speedup of core.AnalyzeFieldCtx.
 func BenchmarkAnalyzeParallel(b *testing.B) {
-	f := field.FromGrid(bench512Field(b))
+	f := bench512Field(b)
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -555,8 +553,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // package entry points. The engine/direct ns/op ratio is the
 // indirection cost the kernel refactor is allowed to add: under 2%.
 func BenchmarkAnalyzeField(b *testing.B) {
-	g := bench512Field(b)
-	f := field.FromGrid(g)
+	f := bench512Field(b)
 	w := runtime.NumCPU()
 	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -588,7 +585,7 @@ func BenchmarkAnalyzeField(b *testing.B) {
 // BenchmarkMeasureFieldsParallel sweeps worker counts over the batch
 // measurement pipeline (analysis + three codecs × one bound per field).
 func BenchmarkMeasureFieldsParallel(b *testing.B) {
-	var fields []*grid.Grid
+	var fields []*field.Field
 	var labels []float64
 	for i, rang := range []float64{8, 16, 32, 64} {
 		f, err := gaussian.Generate(gaussian.Params{Rows: 256, Cols: 256, Range: rang, Seed: uint64(60 + i)})
@@ -601,7 +598,7 @@ func BenchmarkMeasureFieldsParallel(b *testing.B) {
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := MeasureFields("bench", fields, labels, MeasureOptions{
+				if _, err := MeasureFieldSet("bench", fields, labels, MeasureOptions{
 					ErrorBounds: []float64{1e-3},
 					Workers:     w,
 				}); err != nil {

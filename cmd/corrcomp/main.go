@@ -1,5 +1,5 @@
 // Command corrcomp is the command-line front end of the lossycorr
-// library: it generates correlated fields (2D grids or 3D volumes),
+// library: it generates correlated fields (2D or 3D),
 // extracts their correlation statistics, runs error-bounded lossy
 // compressors over them, and fits the paper's CR = α + β·log(x)
 // regressions.
@@ -88,18 +88,18 @@ func cmdEntropy(args []string) error {
 	eb := fs.Float64("eb", 1e-3, "absolute error bound")
 	fs.Parse(args)
 
-	g, err := readField2D(*in)
+	fld, err := readField(*in)
 	if err != nil {
 		return err
 	}
-	h, err := lossycorr.QuantizedEntropy(g, *eb)
+	h, err := lossycorr.QuantizedEntropy(fld, *eb)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("quantized entropy at eb=%.0e: %.4f bits/value\n", *eb, h)
 	fmt.Printf("entropy-bound compression ratio: %.3f\n", lossycorr.EstimateEntropyRatio(h))
-	for _, name := range lossycorr.CompressorsFor(2) {
-		res, err := lossycorr.Measure(name, g, *eb)
+	for _, name := range lossycorr.CompressorsFor(fld.NDim()) {
+		res, err := lossycorr.MeasureField(name, fld, *eb)
 		if err != nil {
 			return err
 		}
@@ -117,11 +117,11 @@ func cmdSample(args []string) error {
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all cores)")
 	fs.Parse(args)
 
-	g, err := readField2D(*in)
+	fld, err := readField(*in)
 	if err != nil {
 		return err
 	}
-	points, err := lossycorr.SweepSamplingFractions(g, *window, *stat, nil,
+	points, err := lossycorr.SweepSamplingFractions(fld, *window, *stat, nil,
 		lossycorr.SamplingOptions{Seed: *seed, Workers: *workers})
 	if err != nil {
 		return err
@@ -177,22 +177,17 @@ func cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	var g *lossycorr.Grid
 	var fld *lossycorr.Field
 	switch *kind {
 	case "gaussian":
 		if len(d3) == 3 {
-			var v *lossycorr.Volume
-			v, err = lossycorr.GenerateGaussian3D(lossycorr.Gaussian3DParams{
+			fld, err = lossycorr.GenerateGaussian3D(lossycorr.Gaussian3DParams{
 				Nz: d3[0], Ny: d3[1], Nx: d3[2], Range: *rang, Seed: *seed,
 			})
-			if err == nil {
-				fld = lossycorr.FieldFromVolume(v)
-			}
 		} else if len(d3) != 0 {
 			return fmt.Errorf("-dims wants 3 extents (nz,ny,nx), got %d", len(d3))
 		} else {
-			g, err = lossycorr.GenerateGaussian(lossycorr.GaussianParams{
+			fld, err = lossycorr.GenerateGaussian(lossycorr.GaussianParams{
 				Rows: *rows, Cols: *cols, Range: *rang, Seed: *seed,
 			})
 		}
@@ -205,23 +200,20 @@ func cmdGen(args []string) error {
 			}
 			rs = append(rs, v)
 		}
-		g, err = lossycorr.GenerateMultiGaussian(lossycorr.MultiGaussianParams{
+		fld, err = lossycorr.GenerateMultiGaussian(lossycorr.MultiGaussianParams{
 			Rows: *rows, Cols: *cols, Ranges: rs, Seed: *seed,
 		})
 	case "turbulence":
-		var slices []*lossycorr.Grid
+		var slices []*lossycorr.Field
 		slices, _, err = lossycorr.TurbulenceSlices(*rows, 1, 1.6, *seed)
 		if err == nil {
-			g = slices[0]
+			fld = slices[0]
 		}
 	default:
 		return fmt.Errorf("unknown -kind %q", *kind)
 	}
 	if err != nil {
 		return err
-	}
-	if fld == nil {
-		fld = lossycorr.FieldFromGrid(g)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
@@ -237,7 +229,7 @@ func cmdGen(args []string) error {
 		return err
 	}
 	if *pgm {
-		if g == nil {
+		if fld.NDim() != 2 {
 			return fmt.Errorf("-pgm previews are 2D only")
 		}
 		p, err := os.Create(*out + ".pgm")
@@ -245,7 +237,7 @@ func cmdGen(args []string) error {
 			return err
 		}
 		defer p.Close()
-		if err := g.WritePGM(p); err != nil {
+		if err := fld.WritePGM(p); err != nil {
 			return err
 		}
 	}
@@ -274,18 +266,6 @@ func readFieldAny(path string) (*lossycorr.Field, *lossycorr.Field32, error) {
 	}
 	defer f.Close()
 	return lossycorr.ReadFieldAny(f, 1<<31)
-}
-
-func readField2D(path string) (*lossycorr.Grid, error) {
-	fld, err := readField(path)
-	if err != nil {
-		return nil, err
-	}
-	g, err := fld.AsGrid()
-	if err != nil {
-		return nil, fmt.Errorf("%s: this subcommand is 2D only (%w)", path, err)
-	}
-	return g, nil
 }
 
 func cmdAnalyze(args []string) error {
@@ -606,27 +586,25 @@ func cmdPredict(args []string) error {
 	} else {
 		var labels []float64
 		for i := 0; i < *train; i++ {
+			var f *lossycorr.Field
+			var rang float64
+			var err error
 			if rank == 2 {
-				rang := float64(edge) / 64 * float64(int(2)<<uint(i%6))
-				f, err := lossycorr.GenerateGaussian(lossycorr.GaussianParams{
+				rang = float64(edge) / 64 * float64(int(2)<<uint(i%6))
+				f, err = lossycorr.GenerateGaussian(lossycorr.GaussianParams{
 					Rows: edge, Cols: edge, Range: rang, Seed: *seed + uint64(i),
 				})
-				if err != nil {
-					return err
-				}
-				fields = append(fields, lossycorr.FieldFromGrid(f))
-				labels = append(labels, rang)
 			} else {
-				rang := float64(edge) / 16 * float64(int(1)<<uint(i%3))
-				v, err := lossycorr.GenerateGaussian3D(lossycorr.Gaussian3DParams{
+				rang = float64(edge) / 16 * float64(int(1)<<uint(i%3))
+				f, err = lossycorr.GenerateGaussian3D(lossycorr.Gaussian3DParams{
 					Nz: edge, Ny: edge, Nx: edge, Range: rang, Seed: *seed + uint64(i),
 				})
-				if err != nil {
-					return err
-				}
-				fields = append(fields, lossycorr.FieldFromVolume(v))
-				labels = append(labels, rang)
 			}
+			if err != nil {
+				return err
+			}
+			fields = append(fields, f)
+			labels = append(labels, rang)
 		}
 		ms, err := lossycorr.MeasureFieldSet("train", fields, labels, lossycorr.MeasureOptions{
 			Analysis:    lossycorr.AnalysisOptions{SkipLocal: true},

@@ -17,7 +17,7 @@ func main() {
 	const eb = 1e-3
 
 	// training sweep: one field per range
-	var fields []*lossycorr.Grid
+	var fields []*lossycorr.Field
 	var labels []float64
 	for i, rang := range []float64{2, 4, 8, 12, 16, 24} {
 		f, err := lossycorr.GenerateGaussian(lossycorr.GaussianParams{
@@ -29,7 +29,7 @@ func main() {
 		fields = append(fields, f)
 		labels = append(labels, rang)
 	}
-	ms, err := lossycorr.MeasureFields("train", fields, labels, lossycorr.MeasureOptions{
+	ms, err := lossycorr.MeasureFieldSet("train", fields, labels, lossycorr.MeasureOptions{
 		Analysis:    lossycorr.AnalysisOptions{SkipLocal: true},
 		ErrorBounds: []float64{eb},
 	})
@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stats, err := lossycorr.Analyze(f, lossycorr.AnalysisOptions{SkipLocal: true})
+		stats, err := lossycorr.AnalyzeField(f, lossycorr.AnalysisOptions{SkipLocal: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		actual, err := lossycorr.Measure(sel.Compressor, f, eb)
+		actual, err := lossycorr.MeasureField(sel.Compressor, f, eb)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func main() {
 	// the global variogram range barely separates them, while the local
 	// statistics track the mixture — the paper's Section V-B point.
 	pairs := [][2]float64{{8, 8}, {7, 9}, {6, 11}, {5, 13}, {4, 16}, {3, 21}, {2, 32}, {1.5, 43}}
-	var fields []*lossycorr.Grid
+	var fields []*lossycorr.Field
 	for i, p := range pairs {
 		f, err := lossycorr.GenerateMultiGaussian(lossycorr.MultiGaussianParams{
 			Rows: size, Cols: size, Ranges: p[:], Seed: uint64(i + 1),
@@ -29,7 +29,7 @@ func main() {
 		}
 		fields = append(fields, f)
 	}
-	ms, err := lossycorr.MeasureFields("multi", fields, nil, lossycorr.MeasureOptions{
+	ms, err := lossycorr.MeasureFieldSet("multi", fields, nil, lossycorr.MeasureOptions{
 		ErrorBounds: []float64{eb},
 	})
 	if err != nil {

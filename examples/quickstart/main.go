@@ -21,7 +21,7 @@ func main() {
 	}
 
 	// 2. The three correlation statistics of the paper.
-	stats, err := lossycorr.Analyze(field, lossycorr.AnalysisOptions{})
+	stats, err := lossycorr.AnalyzeField(field, lossycorr.AnalysisOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func main() {
 	for _, eb := range lossycorr.PaperErrorBounds {
 		fmt.Printf("%-11.0e", eb)
 		for _, name := range lossycorr.CompressorsFor(2) {
-			res, err := lossycorr.Measure(name, field, eb)
+			res, err := lossycorr.MeasureField(name, field, eb)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -22,15 +22,15 @@ func main() {
 	fmt.Printf("%8s %10s %10s %10s %12s %12s\n",
 		"time", "globRange", "locRngStd", "locSVDStd", "sz-like CR", "zfp-like CR")
 	for i, f := range slices {
-		stats, err := lossycorr.Analyze(f, lossycorr.AnalysisOptions{})
+		stats, err := lossycorr.AnalyzeField(f, lossycorr.AnalysisOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		sz, err := lossycorr.Measure("sz-like", f, 1e-3)
+		sz, err := lossycorr.MeasureField("sz-like", f, 1e-3)
 		if err != nil {
 			log.Fatal(err)
 		}
-		zfp, err := lossycorr.Measure("zfp-like", f, 1e-3)
+		zfp, err := lossycorr.MeasureField("zfp-like", f, 1e-3)
 		if err != nil {
 			log.Fatal(err)
 		}

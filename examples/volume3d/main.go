@@ -23,16 +23,15 @@ func main() {
 	fmt.Printf("%10s %12s %12s %12s %12s %14s\n",
 		"trueRange", "est3DRange", "locRngStd", "locSVDStd", "szCR", "slice2DRange")
 	for i, rang := range []float64{1.5, 3, 6, 10} {
-		vol, err := lossycorr.GenerateGaussian3D(lossycorr.Gaussian3DParams{
+		f, err := lossycorr.GenerateGaussian3D(lossycorr.Gaussian3DParams{
 			Nz: n, Ny: n, Nx: n, Range: rang, Seed: uint64(i + 1),
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		f := lossycorr.FieldFromVolume(vol)
 
-		// the full statistics vector of the volume, one Analyze call
-		stats, err := lossycorr.AnalyzeVolume(vol, lossycorr.AnalysisOptions{Window: h})
+		// the full statistics vector of the volume, one AnalyzeField call
+		stats, err := lossycorr.AnalyzeField(f, lossycorr.AnalysisOptions{Window: h})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -41,8 +40,10 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// the paper's per-slice 2D view of the same volume
-		m2, err := lossycorr.EstimateVariogramRange(vol.SliceZ(n/2), lossycorr.VariogramOptions{Exact: true})
+		// the paper's per-slice 2D view of the same volume: the mid-z
+		// slice, a rank-2 view over the volume's data
+		mid := &lossycorr.Field{Shape: []int{n, n}, Data: f.Data[n/2*n*n : (n/2+1)*n*n]}
+		m2, err := lossycorr.EstimateVariogramRange(mid, lossycorr.VariogramOptions{Exact: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats, err := lossycorr.AnalyzeVolume(probe, lossycorr.AnalysisOptions{SkipLocal: true})
+	stats, err := lossycorr.AnalyzeField(probe, lossycorr.AnalysisOptions{SkipLocal: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	actual, err := lossycorr.MeasureField(sel.Compressor, lossycorr.FieldFromVolume(probe), eb)
+	actual, err := lossycorr.MeasureField(sel.Compressor, probe, eb)
 	if err != nil {
 		log.Fatal(err)
 	}

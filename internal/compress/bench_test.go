@@ -25,7 +25,7 @@ func BenchmarkCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fields := map[int]*field.Field{2: field.FromGrid(g), 3: field.FromVolume(v)}
+	fields := map[int]*field.Field{2: g, 3: v}
 	const eb = 1e-3
 	for _, rank := range []int{2, 3} {
 		f := fields[rank]

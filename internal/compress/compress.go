@@ -148,7 +148,7 @@ func (r *Registry) NamesFor(ndim int) []string {
 }
 
 // AllFor returns the codecs accepting the given rank in name order,
-// the set MeasureFields sweeps for a field of that rank.
+// the set MeasureFieldSet sweeps for a field of that rank.
 func (r *Registry) AllFor(ndim int) []FieldCompressor {
 	names := r.NamesFor(ndim)
 	out := make([]FieldCompressor, 0, len(names))

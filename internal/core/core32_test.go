@@ -18,8 +18,7 @@ func laneField(t *testing.T, rang float64, seed uint64) (*field.Field32, *field.
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := field.FromGrid(g)
-	f32 := wide.Narrow()
+	f32 := g.Narrow()
 	return f32, f32.Widen()
 }
 

@@ -11,12 +11,11 @@ import (
 	"lossycorr/internal/compress"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
 )
 
 var bg = context.Background()
 
-func smallField(t *testing.T, rang float64, seed uint64) *grid.Grid {
+func smallField(t *testing.T, rang float64, seed uint64) *field.Field {
 	t.Helper()
 	f, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: rang, Seed: seed})
 	if err != nil {
@@ -27,7 +26,7 @@ func smallField(t *testing.T, rang float64, seed uint64) *grid.Grid {
 
 func TestAnalyzeProducesAllStatistics(t *testing.T) {
 	f := smallField(t, 8, 1)
-	s, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{Window: 16})
+	s, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +43,7 @@ func TestAnalyzeProducesAllStatistics(t *testing.T) {
 
 func TestAnalyzeSkipLocal(t *testing.T) {
 	f := smallField(t, 4, 2)
-	s, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{SkipLocal: true})
+	s, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{SkipLocal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +66,9 @@ func TestDefaultRegistryHasAllThree(t *testing.T) {
 }
 
 func TestMeasureFieldsEndToEnd(t *testing.T) {
-	fields := []*grid.Grid{smallField(t, 4, 3), smallField(t, 16, 4)}
+	fields := []*field.Field{smallField(t, 4, 3), smallField(t, 16, 4)}
 	labels := []float64{4, 16}
-	ms, err := MeasureFieldSetCtx(bg, "test", fieldsOf(fields), labels, DefaultRegistry(), MeasureOptions{
+	ms, err := MeasureFieldSetCtx(bg, "test", fields, labels, DefaultRegistry(), MeasureOptions{
 		Analysis:    AnalysisOptions{Window: 16},
 		ErrorBounds: []float64{1e-3},
 		Workers:     2,
@@ -112,7 +111,7 @@ func TestMeasureFieldsEndToEnd(t *testing.T) {
 }
 
 func TestMeasureFieldsDeterministicAcrossWorkerCounts(t *testing.T) {
-	fields := []*grid.Grid{smallField(t, 4, 5), smallField(t, 8, 6), smallField(t, 12, 7)}
+	fields := []*field.Field{smallField(t, 4, 5), smallField(t, 8, 6), smallField(t, 12, 7)}
 	opts := func(w int) MeasureOptions {
 		return MeasureOptions{
 			Analysis:    AnalysisOptions{SkipLocal: true},
@@ -120,11 +119,11 @@ func TestMeasureFieldsDeterministicAcrossWorkerCounts(t *testing.T) {
 			Workers:     w,
 		}
 	}
-	a, err := MeasureFieldSetCtx(bg, "d", fieldsOf(fields), nil, DefaultRegistry(), opts(1))
+	a, err := MeasureFieldSetCtx(bg, "d", fields, nil, DefaultRegistry(), opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasureFieldSetCtx(bg, "d", fieldsOf(fields), nil, DefaultRegistry(), opts(3))
+	b, err := MeasureFieldSetCtx(bg, "d", fields, nil, DefaultRegistry(), opts(3))
 	if err != nil {
 		t.Fatal(err)
 	}

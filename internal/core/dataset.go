@@ -4,19 +4,19 @@ import (
 	"fmt"
 	"math"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/hydro"
 	"lossycorr/internal/parallel"
 	"lossycorr/internal/xrand"
 )
 
-// Dataset is a named collection of 2D fields with optional generating
+// Dataset is a named collection of rank-2 fields with optional generating
 // labels (true correlation range for synthetic fields, snapshot time
 // for hydro slices).
 type Dataset struct {
 	Name   string
-	Fields []*grid.Grid
+	Fields []*field.Field
 	Labels []float64
 }
 
@@ -69,7 +69,7 @@ func GenerateSingleRange(cfg SingleRangeConfig) (*Dataset, error) {
 		return nil, err
 	}
 	ds := &Dataset{Name: "gaussian-single",
-		Fields: make([]*grid.Grid, total), Labels: make([]float64, total)}
+		Fields: make([]*field.Field, total), Labels: make([]float64, total)}
 	if err := parallel.ForErr(total, cfg.Workers, func(i int) error {
 		k := i / reps
 		f, err := samplers[k].Sample(rngs[i])
@@ -121,7 +121,7 @@ func GenerateMultiRange(cfg MultiRangeConfig) (*Dataset, error) {
 		seeds[i] = rng.Uint64()
 	}
 	ds := &Dataset{Name: "gaussian-multi",
-		Fields: make([]*grid.Grid, total), Labels: make([]float64, total)}
+		Fields: make([]*field.Field, total), Labels: make([]float64, total)}
 	if err := parallel.ForErr(total, cfg.Workers, func(i int) error {
 		pair := cfg.RangePairs[i/reps]
 		f, err := gaussian.GenerateMulti(gaussian.MultiParams{

@@ -16,7 +16,7 @@ func testVolume(t testing.TB, n int, rang float64, seed uint64) *field.Field {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return field.FromVolume(v)
+	return v
 }
 
 // TestAnalyzeVolumeSerialParallelIdentical extends the determinism
@@ -51,7 +51,7 @@ func TestMeasureFieldSetMixedRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := []*field.Field{field.FromGrid(g), testVolume(t, 16, 2, 3)}
+	fields := []*field.Field{g, testVolume(t, 16, 2, 3)}
 	ms, err := MeasureFieldSetCtx(bg, "mixed", fields, []float64{6, 2}, DefaultRegistry(), MeasureOptions{
 		Analysis:    AnalysisOptions{Window: 8},
 		ErrorBounds: []float64{1e-3},
@@ -87,7 +87,7 @@ func TestMeasureFieldSetMixedRanks(t *testing.T) {
 	}
 }
 
-// TestMeasureFieldSetSerialParallelIdentical extends the MeasureFields
+// TestMeasureFieldSetSerialParallelIdentical extends the 2D MeasureFieldSet
 // determinism test to volumes.
 func TestMeasureFieldSetSerialParallelIdentical(t *testing.T) {
 	fields := []*field.Field{

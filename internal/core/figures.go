@@ -8,7 +8,6 @@ import (
 	"lossycorr/internal/compress"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/stat"
 	"lossycorr/internal/variogram"
 	"lossycorr/internal/xrand"
@@ -88,18 +87,9 @@ func (s *Suite) measureOpts() MeasureOptions {
 	}
 }
 
-// fieldsOf views 2D grids as rank-2 fields without copying.
-func fieldsOf(gs []*grid.Grid) []*field.Field {
-	fs := make([]*field.Field, len(gs))
-	for i, g := range gs {
-		fs[i] = field.FromGrid(g)
-	}
-	return fs
-}
-
 // measure analyzes and compresses every field of a 2D dataset.
 func (s *Suite) measure(ds *Dataset) ([]Measurement, error) {
-	return MeasureFieldSetCtx(context.Background(), ds.Name, fieldsOf(ds.Fields), ds.Labels, s.reg, s.measureOpts())
+	return MeasureFieldSetCtx(context.Background(), ds.Name, ds.Fields, ds.Labels, s.reg, s.measureOpts())
 }
 
 // SingleRangeMeasurements measures (once) the single-range dataset.
@@ -174,7 +164,7 @@ func (s *Suite) Figure1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	emp, err := variogram.Compute(context.Background(), stat.Source{F64: field.FromGrid(f)}, variogram.Options{Seed: s.cfg.Seed})
+	emp, err := variogram.Compute(context.Background(), stat.Source{F64: f}, variogram.Options{Seed: s.cfg.Seed})
 	if err != nil {
 		return err
 	}
@@ -198,10 +188,10 @@ func (s *Suite) Figure1(w io.Writer) error {
 // paper's Figure 2 gallery.
 func (s *Suite) Figure2(w io.Writer, pgmSink func(name string) (io.WriteCloser, error)) error {
 	fmt.Fprintf(w, "== fig2: original images (summary statistics) ==\n")
-	emit := func(name string, g *grid.Grid) error {
+	emit := func(name string, g *field.Field) error {
 		st := g.Summary()
 		fmt.Fprintf(w, "%-24s %4dx%-4d min=%9.4f max=%9.4f mean=%9.4f var=%9.4f\n",
-			name, g.Rows, g.Cols, st.Min, st.Max, st.Mean, st.Variance)
+			name, g.Shape[0], g.Shape[1], st.Min, st.Max, st.Mean, st.Variance)
 		if pgmSink == nil {
 			return nil
 		}

@@ -45,7 +45,7 @@ func datasetsIdentical(t *testing.T, a, b *Dataset, label string) {
 			t.Fatalf("%s: label %d: %v vs %v", label, i, a.Labels[i], b.Labels[i])
 		}
 		fa, fb := a.Fields[i], b.Fields[i]
-		if fa.Rows != fb.Rows || fa.Cols != fb.Cols {
+		if !fa.SameShape(fb) {
 			t.Fatalf("%s: field %d shape mismatch", label, i)
 		}
 		for j := range fa.Data {

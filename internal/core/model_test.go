@@ -285,7 +285,7 @@ func TestCVDeterministicAcrossWorkers(t *testing.T) {
 		var fields []*field.Field
 		for i, rang := range []float64{3, 5, 8, 12, 20, 32} {
 			g := smallField(t, rang, uint64(40+i))
-			fields = append(fields, field.FromGrid(g))
+			fields = append(fields, g)
 		}
 		ms, err := MeasureFieldSetCtx(bg, "cvdet", fields, nil, DefaultRegistry(), MeasureOptions{
 			Analysis:    AnalysisOptions{SkipLocal: true},

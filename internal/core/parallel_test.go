@@ -5,7 +5,6 @@ import (
 
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
 )
 
 // TestAnalyzeSerialParallelIdentical asserts the orchestration-layer
@@ -16,12 +15,12 @@ func TestAnalyzeSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{Window: 16, Workers: 1})
+	serial, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{Window: 16, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{Window: 16, Workers: workers})
+		par, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{Window: 16, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,11 +35,11 @@ func TestAnalyzeSkipLocalHonorsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{SkipLocal: true, Workers: 1})
+	serial, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{SkipLocal: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{SkipLocal: true, Workers: 4})
+	par, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{SkipLocal: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestAnalyzeSkipLocalHonorsWorkers(t *testing.T) {
 // analyze+compress pipeline over several fields and requires identical
 // measurements from the serial and parallel pools.
 func TestMeasureFieldsSerialParallelIdentical(t *testing.T) {
-	var fields []*grid.Grid
+	var fields []*field.Field
 	var labels []float64
 	for i, rang := range []float64{4, 8, 16} {
 		f, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: rang, Seed: uint64(50 + i)})
@@ -70,13 +69,13 @@ func TestMeasureFieldsSerialParallelIdentical(t *testing.T) {
 	}
 	optsSerial := opts
 	optsSerial.Workers = 1
-	serial, err := MeasureFieldSetCtx(bg, "eq", fieldsOf(fields), labels, reg, optsSerial)
+	serial, err := MeasureFieldSetCtx(bg, "eq", fields, labels, reg, optsSerial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	optsPar := opts
 	optsPar.Workers = 8
-	par, err := MeasureFieldSetCtx(bg, "eq", fieldsOf(fields), labels, reg, optsPar)
+	par, err := MeasureFieldSetCtx(bg, "eq", fields, labels, reg, optsPar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +102,11 @@ func TestMeasureFieldsSerialParallelIdentical(t *testing.T) {
 // reported error must belong to the lowest index at any worker count.
 func TestMeasureFieldsErrorDeterministic(t *testing.T) {
 	// Constant fields make Analyze fail (no usable windows).
-	fields := []*grid.Grid{grid.New(64, 64), grid.New(64, 64), grid.New(64, 64)}
+	fields := []*field.Field{field.New(64, 64), field.New(64, 64), field.New(64, 64)}
 	reg := DefaultRegistry()
 	var msgs []string
 	for _, workers := range []int{1, 4} {
-		_, err := MeasureFieldSetCtx(bg, "bad", fieldsOf(fields), nil, reg, MeasureOptions{
+		_, err := MeasureFieldSetCtx(bg, "bad", fields, nil, reg, MeasureOptions{
 			Analysis: AnalysisOptions{Window: 16},
 			Workers:  workers,
 		})

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lossycorr/internal/compress"
-	"lossycorr/internal/field"
 )
 
 func syntheticMeasurements() []Measurement {
@@ -95,7 +94,7 @@ func TestPredictFieldEndToEnd(t *testing.T) {
 	var train []Measurement
 	for i, rang := range []float64{4, 8, 16, 32} {
 		g := smallField(t, rang, uint64(30+i))
-		m, err := measureOne(context.Background(), "train", i, field.FromGrid(g), nil, DefaultRegistry(),
+		m, err := measureOne(context.Background(), "train", i, g, nil, DefaultRegistry(),
 			[]float64{1e-3}, AnalysisOptions{SkipLocal: true}, AnalyzeFieldCtx, compress.RunField)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +106,7 @@ func TestPredictFieldEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := smallField(t, 12, 20)
-	stats, err := AnalyzeFieldCtx(bg, field.FromGrid(f), AnalysisOptions{SkipLocal: true})
+	stats, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{SkipLocal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestPredictFieldEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := compress.RunField(c, field.FromGrid(f), 1e-3)
+	res, err := compress.RunField(c, f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}

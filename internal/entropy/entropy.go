@@ -2,8 +2,9 @@
 // entropy-based compression-ratio estimator of the paper's related work
 // (Tao et al., TPDS 2019 — automatic online selection between SZ and
 // ZFP): quantize the field at the error bound, compute the entropy of
-// the quantization codes (optionally on sampled blocks), and bound the
-// achievable ratio by bits-per-value. The paper positions its
+// the quantization codes, and bound the achievable ratio by
+// bits-per-value. It works on a flat value slice, so any field rank
+// applies. The paper positions its
 // correlation statistics as a compressor-independent alternative to
 // exactly this estimator, so having both in one library allows direct
 // comparison.
@@ -12,9 +13,6 @@ package entropy
 import (
 	"fmt"
 	"math"
-
-	"lossycorr/internal/grid"
-	"lossycorr/internal/xrand"
 )
 
 // Shannon returns the empirical Shannon entropy of the symbol stream in
@@ -71,20 +69,20 @@ func quantize(v, eb float64) int32 {
 }
 
 // QuantizedEntropy returns the Shannon entropy (bits per value) of the
-// field quantized into 2·eb bins — the information content a lossy
+// values quantized into 2·eb bins — the information content a lossy
 // compressor at bound eb must represent, up to its prediction skill.
-func QuantizedEntropy(g *grid.Grid, eb float64) (float64, error) {
+func QuantizedEntropy(data []float64, eb float64) (float64, error) {
 	if eb <= 0 {
 		return 0, fmt.Errorf("entropy: non-positive error bound %v", eb)
 	}
-	if g.Len() == 0 {
+	if len(data) == 0 {
 		return 0, nil
 	}
 	freq := make(map[int32]int, 1024)
-	for _, v := range g.Data {
+	for _, v := range data {
 		freq[quantize(v, eb)]++
 	}
-	n := float64(g.Len())
+	n := float64(len(data))
 	var h float64
 	for _, c := range freq {
 		p := float64(c) / n
@@ -104,59 +102,4 @@ func EstimateRatio(bitsPerValue float64) float64 {
 		bitsPerValue = minBits
 	}
 	return 64 / bitsPerValue
-}
-
-// SampledOptions controls block-sampled entropy estimation.
-type SampledOptions struct {
-	BlockSize  int     // sampling block edge; 0 means 16
-	SampleFrac float64 // fraction of blocks sampled; 0 means 0.1
-	Seed       uint64
-}
-
-// SampledQuantizedEntropy estimates QuantizedEntropy from a random
-// subset of blocks — the block-based sampling strategy of the related
-// work (Lu et al., IPDPS 2018; Tao et al., TPDS 2019), which trades
-// accuracy for a large constant-factor speedup on big fields.
-func SampledQuantizedEntropy(g *grid.Grid, eb float64, opts SampledOptions) (float64, error) {
-	if eb <= 0 {
-		return 0, fmt.Errorf("entropy: non-positive error bound %v", eb)
-	}
-	bs := opts.BlockSize
-	if bs <= 0 {
-		bs = 16
-	}
-	frac := opts.SampleFrac
-	if frac <= 0 {
-		frac = 0.1
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	type block struct{ r0, c0 int }
-	var blocks []block
-	g.Tiles(bs, func(r0, c0 int, w *grid.Grid) {
-		blocks = append(blocks, block{r0, c0})
-	})
-	if len(blocks) == 0 {
-		return 0, nil
-	}
-	take := int(math.Ceil(frac * float64(len(blocks))))
-	rng := xrand.New(opts.Seed ^ 0xb10cb10c)
-	rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
-	freq := make(map[int32]int, 1024)
-	total := 0
-	for _, b := range blocks[:take] {
-		w := g.Window(b.r0, b.c0, bs, bs)
-		for _, v := range w.Data {
-			freq[quantize(v, eb)]++
-			total++
-		}
-	}
-	n := float64(total)
-	var h float64
-	for _, c := range freq {
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h, nil
 }

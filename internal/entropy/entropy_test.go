@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/szlike"
 	"lossycorr/internal/xrand"
 )
@@ -44,7 +42,10 @@ func TestShannonBytes(t *testing.T) {
 }
 
 func TestQuantizedEntropyConstantField(t *testing.T) {
-	g := grid.FromFunc(16, 16, func(r, c int) float64 { return 3.5 })
+	g := make([]float64, 16*16)
+	for i := range g {
+		g[i] = 3.5
+	}
 	h, err := QuantizedEntropy(g, 1e-3)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,10 @@ func TestQuantizedEntropyConstantField(t *testing.T) {
 
 func TestQuantizedEntropyGrowsWithPrecision(t *testing.T) {
 	rng := xrand.New(1)
-	g := grid.FromFunc(64, 64, func(r, c int) float64 { return rng.NormFloat64() })
+	g := make([]float64, 64*64)
+	for i := range g {
+		g[i] = rng.NormFloat64()
+	}
 	hCoarse, err := QuantizedEntropy(g, 1e-1)
 	if err != nil {
 		t.Fatal(err)
@@ -95,13 +99,13 @@ func TestEntropyTracksCompressibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := QuantizedEntropy(f, 1e-3)
+		h, err := QuantizedEntropy(f.Data, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		entropies = append(entropies, h)
 		c := szlike.Compressor{}
-		data, err := c.CompressField(field.FromGrid(f), 1e-3)
+		data, err := c.CompressField(f, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,34 +120,5 @@ func TestEntropyTracksCompressibility(t *testing.T) {
 	}
 	if entropies[2] > entropies[0]+1 {
 		t.Fatalf("entropy strongly anti-ordered: %v", entropies)
-	}
-}
-
-func TestSampledQuantizedEntropyApproximatesFull(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 96, Cols: 96, Range: 6, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := QuantizedEntropy(f, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := SampledQuantizedEntropy(f, 1e-3, SampledOptions{SampleFrac: 0.3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sampled-full) > 0.15*full {
-		t.Fatalf("sampled %v far from full %v", sampled, full)
-	}
-	// full fraction must match exactly
-	exact, err := SampledQuantizedEntropy(f, 1e-3, SampledOptions{SampleFrac: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(exact-full) > 1e-9 {
-		t.Fatalf("fraction-1 sampled %v != full %v", exact, full)
-	}
-	if _, err := SampledQuantizedEntropy(f, 0, SampledOptions{}); err == nil {
-		t.Fatal("expected error for eb=0")
 	}
 }

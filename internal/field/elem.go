@@ -2,19 +2,15 @@ package field
 
 // Element-generic shape/window/odometer machinery shared by the two
 // storage lanes. Field (float64, the oracle lane) and Field32 (the
-// float32 compute lane) are concrete structs — methods like AsGrid or
-// the grid-sharing constructors only make sense for one element type —
-// but everything shape-driven beneath them is written once here over
+// float32 compute lane) are concrete structs, but everything
+// shape-driven beneath them is written once here over
 // the Elem constraint: extent validation, stride computation, the
 // clipped-window odometer walk, tile enumeration, and the Welford
-// summary (which accumulates in float64 for either lane, so the
-// float64 instantiation stays bit-identical to the historical code).
+// summary (which accumulates in float64 for either lane).
 
 import (
 	"fmt"
 	"math"
-
-	"lossycorr/internal/grid"
 )
 
 // Elem is the element-type constraint of the two compute lanes.
@@ -70,14 +66,21 @@ func sameExtents(a, b []int) bool {
 	return true
 }
 
+// Stats summarizes a field.
+type Stats struct {
+	Min, Max   float64
+	Mean       float64
+	Variance   float64 // population variance
+	ValueRange float64 // Max - Min
+}
+
 // summarize is the one-pass Welford min/max/mean/variance shared by both
-// lanes; accumulation is float64 regardless of T, so the float64
-// instantiation reproduces (*grid.Grid).Summary bitwise and the float32
-// lane gets full-precision statistics from narrow samples.
-func summarize[T Elem](data []T) grid.Stats {
-	s := grid.Stats{Min: math.Inf(1), Max: math.Inf(-1)}
+// lanes; accumulation is float64 regardless of T, so the float32 lane
+// gets full-precision statistics from narrow samples.
+func summarize[T Elem](data []T) Stats {
+	s := Stats{Min: math.Inf(1), Max: math.Inf(-1)}
 	if len(data) == 0 {
-		return grid.Stats{}
+		return Stats{}
 	}
 	var mean, m2 float64
 	for i, e := range data {

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"lossycorr/internal/grid"
 )
 
 // Field32 is a dense float32 scalar field of arbitrary rank, with the
@@ -100,7 +98,7 @@ func (f *Field32) Clone() *Field32 {
 
 // Summary computes min/max/mean/variance in one float64-accumulated
 // Welford pass over the narrow samples.
-func (f *Field32) Summary() grid.Stats {
+func (f *Field32) Summary() Stats {
 	return summarize(f.Data)
 }
 

@@ -3,60 +3,59 @@ package field
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
+	"testing/quick"
 
-	"lossycorr/internal/grid"
 	"lossycorr/internal/xrand"
 )
 
-func random2D(rows, cols int, seed uint64) *grid.Grid {
+func random2D(rows, cols int, seed uint64) *refGrid {
 	rng := xrand.New(seed)
-	g := grid.New(rows, cols)
+	g := newRefGrid(rows, cols)
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
 	return g
 }
 
+// TestViewsShareData checks that FromData wraps rather than copies and
+// that the FromGrid/FromVolume shims are the identity.
 func TestViewsShareData(t *testing.T) {
-	g := random2D(6, 7, 1)
-	f := FromGrid(g)
-	f.Data[3] = 42
-	if g.Data[3] != 42 {
-		t.Fatal("FromGrid copied instead of sharing")
+	d := make([]float64, 42)
+	f, err := FromData([]int{6, 7}, d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	back, err := f.AsGrid()
-	if err != nil || back.Rows != 6 || back.Cols != 7 {
-		t.Fatalf("AsGrid: %v %+v", err, back)
+	f.Set(42, 0, 3)
+	if d[3] != 42 {
+		t.Fatal("FromData copied instead of sharing")
 	}
-	v := grid.NewVolume(2, 3, 4)
-	fv := FromVolume(v)
-	if fv.NDim() != 3 || fv.Len() != 24 {
-		t.Fatalf("FromVolume shape %v", fv.Shape)
+	if FromGrid(f) != f {
+		t.Fatal("FromGrid is not the identity")
 	}
-	if _, err := fv.AsGrid(); err == nil {
-		t.Fatal("rank-3 field must not view as grid")
-	}
-	if _, err := f.AsVolume(); err == nil {
-		t.Fatal("rank-2 field must not view as volume")
+	v := New(2, 3, 4)
+	if FromVolume(v) != v {
+		t.Fatal("FromVolume is not the identity")
 	}
 }
 
 // TestSummaryMatchesGridBitwise pins the claim every statistic relies
-// on: field summaries reproduce grid summaries exactly.
+// on: field summaries reproduce the historical 2D summaries exactly.
 func TestSummaryMatchesGridBitwise(t *testing.T) {
 	g := random2D(33, 57, 9)
-	sg, sf := g.Summary(), FromGrid(g).Summary()
+	sg, sf := g.Summary(), g.field().Summary()
 	if sg != sf {
 		t.Fatalf("summary mismatch: %+v vs %+v", sg, sf)
 	}
 }
 
 // TestWindowMatchesGridWindow checks rank-2 window extraction equals
-// the grid implementation, including clipped edge windows.
+// the historical 2D implementation, including clipped edge windows.
 func TestWindowMatchesGridWindow(t *testing.T) {
 	g := random2D(20, 14, 3)
-	f := FromGrid(g)
+	f := g.field()
 	for _, o := range [][2]int{{0, 0}, {8, 8}, {16, 8}, {19, 13}} {
 		wg := g.Window(o[0], o[1], 8, 8)
 		wf := f.Window([]int{o[0], o[1]}, 8)
@@ -72,11 +71,11 @@ func TestWindowMatchesGridWindow(t *testing.T) {
 }
 
 func TestWindow3D(t *testing.T) {
-	v := grid.NewVolume(5, 6, 7)
+	v := New(5, 6, 7)
 	for i := range v.Data {
 		v.Data[i] = float64(i)
 	}
-	w := FromVolume(v).Window([]int{1, 2, 3}, 3)
+	w := v.Window([]int{1, 2, 3}, 3)
 	if w.Shape[0] != 3 || w.Shape[1] != 3 || w.Shape[2] != 3 {
 		t.Fatalf("shape %v", w.Shape)
 	}
@@ -90,7 +89,7 @@ func TestWindow3D(t *testing.T) {
 		}
 	}
 	// clipped at the far corner
-	c := FromVolume(v).Window([]int{4, 5, 6}, 3)
+	c := v.Window([]int{4, 5, 6}, 3)
 	if c.Shape[0] != 1 || c.Shape[1] != 1 || c.Shape[2] != 1 {
 		t.Fatalf("clipped shape %v", c.Shape)
 	}
@@ -98,7 +97,7 @@ func TestWindow3D(t *testing.T) {
 
 func TestTileOriginsMatchGrid(t *testing.T) {
 	g := random2D(70, 50, 4)
-	f := FromGrid(g)
+	f := g.field()
 	want := g.TileOrigins(32)
 	got := f.TileOrigins(32)
 	if len(got) != len(want) || len(got) != f.NumTiles(32) {
@@ -157,15 +156,15 @@ func TestBinaryRoundtripTagged(t *testing.T) {
 }
 
 // TestBinaryLegacyInterop checks both directions of 2D compatibility:
-// grid-written files read back as fields, and field-written rank-2
-// files read back through grid.ReadBinary.
+// files in the legacy 2D layout read back as rank-2 fields, and a
+// rank-2 field writes exactly the legacy writer's bytes.
 func TestBinaryLegacyInterop(t *testing.T) {
 	g := random2D(9, 11, 5)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
+	var legacy bytes.Buffer
+	if err := g.WriteBinary(&legacy); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadBinary(&buf)
+	f, err := ReadBinary(bytes.NewReader(legacy.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +176,65 @@ func TestBinaryLegacyInterop(t *testing.T) {
 			t.Fatalf("element %d differs", i)
 		}
 	}
-	buf.Reset()
-	if err := f.WriteBinary(&buf); err != nil {
+	// 5000 columns span several of WriteBinary's 4096-element chunks.
+	for _, g := range []*refGrid{g, random2D(3, 5000, 6), newRefGrid(1, 1)} {
+		var got, want bytes.Buffer
+		if err := g.field().WriteBinary(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.WriteBinary(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%dx%d: field bytes differ from the legacy writer's", g.Rows, g.Cols)
+		}
+	}
+}
+
+// TestReadBinaryErrors checks the short-header and short-body errors.
+func TestReadBinaryErrors(t *testing.T) {
+	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
+		t.Fatal("expected short header error")
+	}
+	var buf bytes.Buffer
+	if err := New(2, 2).WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := grid.ReadBinary(&buf)
-	if err != nil {
+	if _, err := ReadBinary(bytes.NewReader(buf.Bytes()[:12])); err == nil {
+		t.Fatal("expected short body error")
+	}
+}
+
+// TestWritePGM checks the PGM header, the min..max stretch, the legacy
+// writer's exact bytes, and the rank error.
+func TestWritePGM(t *testing.T) {
+	f, _ := FromData([]int{2, 3}, []float64{0, 1, 2, 3, 4, 5})
+	var buf bytes.Buffer
+	if err := f.WritePGM(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if g2.Rows != 9 || g2.Cols != 11 {
-		t.Fatalf("grid %dx%d", g2.Rows, g2.Cols)
+	const hdr = "P5\n3 2\n255\n"
+	if !strings.HasPrefix(buf.String(), hdr) {
+		t.Fatalf("bad PGM header: %q", buf.String())
+	}
+	body := buf.Bytes()[len(hdr):]
+	if len(body) != 6 || body[0] != 0 || body[5] != 255 {
+		t.Fatalf("PGM stretch wrong: %v", body)
+	}
+	for _, g := range []*refGrid{random2D(17, 23, 2), newRefGrid(2, 2)} {
+		var got, want bytes.Buffer
+		if err := g.field().WritePGM(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.WritePGM(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%dx%d: PGM bytes differ from the legacy writer's", g.Rows, g.Cols)
+		}
+	}
+	if err := New(2, 2, 2).WritePGM(&buf); err == nil {
+		t.Fatal("expected rank error for a volume")
 	}
 }
 
@@ -307,8 +355,7 @@ func TestFromDataValidation(t *testing.T) {
 // destination (same or smaller window) allocates nothing and matches a
 // fresh Window bitwise.
 func TestWindowIntoReusesStorage(t *testing.T) {
-	g := random2D(24, 24, 8)
-	f := FromGrid(g)
+	f := random2D(24, 24, 8).field()
 	dst := new(Field)
 	f.WindowInto(dst, []int{0, 0}, 8)
 	data0 := &dst.Data[0]
@@ -338,5 +385,250 @@ func TestWindowIntoReusesStorage(t *testing.T) {
 	f.WindowInto(dst, []int{0, 0}, 16)
 	if dst.Shape[0] != 16 || len(dst.Data) != 256 {
 		t.Fatalf("grown window shape %v len %d", dst.Shape, len(dst.Data))
+	}
+}
+
+func TestNewZeroFilled(t *testing.T) {
+	f := New(3, 4)
+	if f.NDim() != 2 || f.Len() != 12 || len(f.Data) != 12 {
+		t.Fatalf("bad shape %v len %d", f.Shape, len(f.Data))
+	}
+	for i, v := range f.Data {
+		if v != 0 {
+			t.Fatalf("element %d = %v, want 0", i, v)
+		}
+	}
+}
+
+func TestNewPanicsOnNegative(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a negative extent")
+		}
+	}()
+	New(-1, 3)
+}
+
+func TestCloneIndependent(t *testing.T) {
+	f := New(2, 2)
+	c := f.Clone()
+	c.Data[0] = 9
+	if f.Data[0] != 0 {
+		t.Fatal("clone aliases original")
+	}
+}
+
+func TestSummaryKnownValues(t *testing.T) {
+	f, _ := FromData([]int{1, 4}, []float64{1, 2, 3, 4})
+	s := f.Summary()
+	if s.Min != 1 || s.Max != 4 || s.ValueRange != 3 || s.Mean != 2.5 || s.Variance != 1.25 {
+		t.Fatalf("summary %+v", s)
+	}
+}
+
+func TestSummaryEmpty(t *testing.T) {
+	if s := New(0, 0).Summary(); s != (Stats{}) {
+		t.Fatalf("empty summary %+v", s)
+	}
+}
+
+// TestTilesCoverEverythingOnce checks that the tile windows of a
+// non-multiple field partition it.
+func TestTilesCoverEverythingOnce(t *testing.T) {
+	f := New(7, 10)
+	cells := 0
+	for _, o := range f.TileOrigins(4) {
+		cells += f.Window(o, 4).Len()
+	}
+	if n := f.NumTiles(4); n != 6 || len(f.TileOrigins(4)) != n {
+		t.Fatalf("NumTiles %d, %d origins", n, len(f.TileOrigins(4)))
+	}
+	if cells != f.Len() {
+		t.Fatalf("tiles cover %d cells, want %d", cells, f.Len())
+	}
+}
+
+// TestTileOriginsMatchTilesOrder checks that tile origins come in
+// row-major order, one per tile, and that a non-positive tile size is
+// rejected.
+func TestTileOriginsMatchTilesOrder(t *testing.T) {
+	f := New(7, 10)
+	want := [][2]int{{0, 0}, {0, 4}, {0, 8}, {4, 0}, {4, 4}, {4, 8}}
+	got := f.TileOrigins(4)
+	if len(got) != len(want) || len(got) != f.NumTiles(4) {
+		t.Fatalf("origin count %d want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i][0] != want[i][0] || got[i][1] != want[i][1] {
+			t.Fatalf("origin[%d] = %v want %v", i, got[i], want[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on non-positive tile size")
+		}
+	}()
+	f.TileOrigins(0)
+}
+
+func TestNumTiles(t *testing.T) {
+	f := New(32, 32)
+	if n := f.NumTiles(32); n != 1 {
+		t.Fatalf("NumTiles(32)=%d", n)
+	}
+	if n := f.NumTiles(31); n != 4 {
+		t.Fatalf("NumTiles(31)=%d", n)
+	}
+}
+
+func TestWindowClipping(t *testing.T) {
+	f := New(5, 5)
+	for i := range f.Data {
+		f.Data[i] = float64(i)
+	}
+	w := f.Window([]int{3, 3}, 4)
+	if w.Shape[0] != 2 || w.Shape[1] != 2 {
+		t.Fatalf("clip produced %v, want 2x2", w.Shape)
+	}
+	if w.At(0, 0) != 18 || w.At(1, 1) != 24 {
+		t.Fatalf("window content wrong: %v", w.Data)
+	}
+}
+
+func TestWindowPanicsOutside(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	New(3, 3).Window([]int{3, 0}, 1)
+}
+
+func TestFromData(t *testing.T) {
+	d := []float64{1, 2, 3, 4, 5, 6}
+	f, err := FromData([]int{2, 3}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.At(1, 2) != 6 {
+		t.Fatalf("At(1,2)=%v want 6", f.At(1, 2))
+	}
+	f.Set(42, 0, 1)
+	if d[1] != 42 {
+		t.Fatal("FromData must not copy")
+	}
+	if _, err := FromData([]int{2, 2}, d); err == nil {
+		t.Fatal("expected length mismatch error")
+	}
+}
+
+func TestSizeBytes(t *testing.T) {
+	if got := New(10, 10).SizeBytes(); got != 800 {
+		t.Fatalf("SizeBytes=%d want 800", got)
+	}
+}
+
+// TestMaxAbsDiffAndMSERank2 checks both error measures on a rank-2
+// pair and the shape error of each.
+func TestMaxAbsDiffAndMSERank2(t *testing.T) {
+	a, _ := FromData([]int{1, 3}, []float64{1, 2, 3})
+	b, _ := FromData([]int{1, 3}, []float64{1, 2.5, 2})
+	d, err := a.MaxAbsDiff(b)
+	if err != nil || d != 1 {
+		t.Fatalf("MaxAbsDiff=%v err=%v", d, err)
+	}
+	m, err := a.MSE(b)
+	if err != nil || math.Abs(m-(0.25+1)/3) > 1e-12 {
+		t.Fatalf("MSE=%v err=%v", m, err)
+	}
+	c := New(2, 2)
+	if _, err := a.MaxAbsDiff(c); err == nil {
+		t.Fatal("expected shape error")
+	}
+	if _, err := a.MSE(c); err == nil {
+		t.Fatal("expected shape error")
+	}
+}
+
+func TestBinaryRoundtrip(t *testing.T) {
+	f := New(6, 3)
+	for r := 0; r < 6; r++ {
+		for c := 0; c < 3; c++ {
+			f.Set(float64(r)-2.5*float64(c), r, c)
+		}
+	}
+	var buf bytes.Buffer
+	if err := f.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := f.MaxAbsDiff(g); err != nil || d != 0 {
+		t.Fatalf("roundtrip diff %v err=%v", d, err)
+	}
+}
+
+// TestBinaryRoundtripQuick round-trips arbitrary single-row fields,
+// NaNs included, through the rank-2 binary layout.
+func TestBinaryRoundtripQuick(t *testing.T) {
+	check := func(vals []float64) bool {
+		if len(vals) == 0 {
+			return true
+		}
+		f, _ := FromData([]int{1, len(vals)}, vals)
+		var buf bytes.Buffer
+		if err := f.WriteBinary(&buf); err != nil {
+			return false
+		}
+		g, err := ReadBinary(&buf)
+		if err != nil || !g.SameShape(f) {
+			return false
+		}
+		for i := range vals {
+			a, b := f.Data[i], g.Data[i]
+			if math.IsNaN(a) != math.IsNaN(b) {
+				return false
+			}
+			if !math.IsNaN(a) && a != b {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVolumeSlices checks that z-slices taken as rank-2 views over a
+// volume's data, at the paper's equal spacing, index like the volume.
+func TestVolumeSlices(t *testing.T) {
+	v := New(4, 3, 2)
+	for z := 0; z < 4; z++ {
+		for y := 0; y < 3; y++ {
+			for x := 0; x < 2; x++ {
+				v.Set(float64(100*z+10*y+x), z, y, x)
+			}
+		}
+	}
+	if v.At(3, 2, 1) != 321 {
+		t.Fatalf("At wrong")
+	}
+	plane := 3 * 2
+	sliceZ := func(z int) *Field {
+		s, err := FromData([]int{3, 2}, v.Data[z*plane:(z+1)*plane])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if g := sliceZ(2); g.At(1, 1) != 211 {
+		t.Fatalf("slice content %v", g.At(1, 1))
+	}
+	// two equally spaced slices of four planes sit at z = 0 and z = 2
+	if a, b := sliceZ(0).At(0, 0), sliceZ(2).At(0, 0); a != 0 || b != 200 {
+		t.Fatalf("slice spacing wrong: %v %v", a, b)
 	}
 }

@@ -23,7 +23,7 @@ import (
 	"math"
 
 	"lossycorr/internal/fft"
-	"lossycorr/internal/grid"
+	"lossycorr/internal/field"
 	"lossycorr/internal/xrand"
 )
 
@@ -151,7 +151,7 @@ func (s *Sampler) ClampMass() float64 { return s.clampMass }
 
 // SamplePair draws two independent fields from one complex transform
 // (the real and imaginary parts of the embedded sample).
-func (s *Sampler) SamplePair(rng *xrand.Rand) (*grid.Grid, *grid.Grid, error) {
+func (s *Sampler) SamplePair(rng *xrand.Rand) (*field.Field, *field.Field, error) {
 	mn := s.m * s.n
 	buf := make([]complex128, mn)
 	for i := 0; i < mn; i++ {
@@ -165,26 +165,26 @@ func (s *Sampler) SamplePair(rng *xrand.Rand) (*grid.Grid, *grid.Grid, error) {
 	}
 	// z = sqrt(MN) · IFFT2(sqrt(λ)·ξ) has Re, Im ~ N(0, C) independent.
 	scale := s.sigma * math.Sqrt(float64(mn))
-	a := grid.New(s.rows, s.cols)
-	b := grid.New(s.rows, s.cols)
+	a := field.New(s.rows, s.cols)
+	b := field.New(s.rows, s.cols)
 	for r := 0; r < s.rows; r++ {
 		for c := 0; c < s.cols; c++ {
 			v := buf[r*s.n+c]
-			a.Set(r, c, real(v)*scale)
-			b.Set(r, c, imag(v)*scale)
+			a.Data[r*s.cols+c] = real(v) * scale
+			b.Data[r*s.cols+c] = imag(v) * scale
 		}
 	}
 	return a, b, nil
 }
 
 // Sample draws one field.
-func (s *Sampler) Sample(rng *xrand.Rand) (*grid.Grid, error) {
+func (s *Sampler) Sample(rng *xrand.Rand) (*field.Field, error) {
 	a, _, err := s.SamplePair(rng)
 	return a, err
 }
 
 // Generate draws a single-range field in one call.
-func Generate(p Params) (*grid.Grid, error) {
+func Generate(p Params) (*field.Field, error) {
 	s, err := NewSampler(p)
 	if err != nil {
 		return nil, err
@@ -204,7 +204,7 @@ type MultiParams struct {
 }
 
 // GenerateMulti draws an equal-contribution multi-range field.
-func GenerateMulti(p MultiParams) (*grid.Grid, error) {
+func GenerateMulti(p MultiParams) (*field.Field, error) {
 	if len(p.Ranges) == 0 {
 		return nil, fmt.Errorf("gaussian: no ranges given")
 	}
@@ -214,7 +214,7 @@ func GenerateMulti(p MultiParams) (*grid.Grid, error) {
 		}
 	}
 	rng := xrand.New(p.Seed)
-	total := grid.New(p.Rows, p.Cols)
+	total := field.New(p.Rows, p.Cols)
 	w := 1 / math.Sqrt(float64(len(p.Ranges)))
 	for _, a := range p.Ranges {
 		s, err := NewSampler(Params{Rows: p.Rows, Cols: p.Cols, Range: a, Sigma2: p.Sigma2})
@@ -225,8 +225,8 @@ func GenerateMulti(p MultiParams) (*grid.Grid, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := total.AddScaled(w, f); err != nil {
-			return nil, err
+		for i, v := range f.Data {
+			total.Data[i] += w * v
 		}
 	}
 	return total, nil

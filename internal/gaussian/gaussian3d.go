@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"lossycorr/internal/fft"
-	"lossycorr/internal/grid"
+	"lossycorr/internal/field"
 	"lossycorr/internal/xrand"
 )
 
@@ -30,7 +30,7 @@ func (p Params3D) validate() ([]int, error) {
 // Generate3D draws a stationary 3D Gaussian field with
 // squared-exponential covariance Σ(d)=σ²·exp(−|d|²/a²) by circulant
 // embedding on a 3D torus (the direct extension of the 2D sampler).
-func Generate3D(p Params3D) (*grid.Volume, error) {
+func Generate3D(p Params3D) (*field.Field, error) {
 	ext, err := p.validate()
 	if err != nil {
 		return nil, err
@@ -81,11 +81,12 @@ func Generate3D(p Params3D) (*grid.Volume, error) {
 		return nil, err
 	}
 	scale := math.Sqrt(sigma2) * math.Sqrt(float64(len(buf)))
-	out := grid.NewVolume(p.Nz, p.Ny, p.Nx)
+	out := field.New(p.Nz, p.Ny, p.Nx)
 	for z := 0; z < p.Nz; z++ {
 		for y := 0; y < p.Ny; y++ {
-			for x := 0; x < p.Nx; x++ {
-				out.Set(z, y, x, real(buf[(z*n+y)*q+x])*scale)
+			row := out.Data[(z*p.Ny+y)*p.Nx : (z*p.Ny+y+1)*p.Nx]
+			for x := range row {
+				row[x] = real(buf[(z*n+y)*q+x]) * scale
 			}
 		}
 	}

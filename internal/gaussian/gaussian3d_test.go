@@ -3,6 +3,8 @@ package gaussian
 import (
 	"math"
 	"testing"
+
+	"lossycorr/internal/field"
 )
 
 func TestGenerate3DValidation(t *testing.T) {
@@ -95,11 +97,15 @@ func TestGenerate3DSliceAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices := v.EquallySpacedSlices(2)
-	if len(slices) != 2 {
-		t.Fatalf("slices %d", len(slices))
-	}
-	if slices[0].Rows != 48 || slices[0].Cols != 48 {
-		t.Fatalf("slice shape %dx%d", slices[0].Rows, slices[0].Cols)
+	// z-slices at the equal spacing of the paper's Miranda slicing
+	for _, z := range []int{0, 4} {
+		plane := 48 * 48
+		s, err := field.FromData([]int{48, 48}, v.Data[z*plane:(z+1)*plane])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.At(7, 9) != v.At(z, 7, 9) {
+			t.Fatalf("slice %d does not view the volume", z)
+		}
 	}
 }

@@ -123,7 +123,7 @@ func TestLargerRangeIsSmoother(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corrs = append(corrs, lag1Corr(f.Data, f.Rows, f.Cols))
+		corrs = append(corrs, lag1Corr(f.Data, f.Shape[0], f.Shape[1]))
 	}
 	if !(corrs[0] < corrs[1] && corrs[1] < corrs[2]) {
 		t.Fatalf("lag-1 correlations not increasing with range: %v", corrs)
@@ -174,8 +174,8 @@ func TestNonSquareField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Rows != 20 || f.Cols != 50 {
-		t.Fatalf("shape %dx%d", f.Rows, f.Cols)
+	if f.Shape[0] != 20 || f.Shape[1] != 50 {
+		t.Fatalf("shape %v", f.Shape)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"runtime"
 	"sync"
 
-	"lossycorr/internal/grid"
+	"lossycorr/internal/field"
 	"lossycorr/internal/parallel"
 	"lossycorr/internal/xrand"
 )
@@ -150,38 +150,46 @@ func (s *Sim) TotalEnergy() float64 {
 	return m * s.Dx * s.Dy
 }
 
-// VelocityX extracts the u field as a grid (rows = y, cols = x), the
-// variable the paper analyzes ("velocityx").
-func (s *Sim) VelocityX() *grid.Grid {
-	g := grid.New(s.Ny, s.Nx)
+// VelocityX extracts the u field as a rank-2 field (rows = y,
+// cols = x), the variable the paper analyzes ("velocityx").
+func (s *Sim) VelocityX() *field.Field {
+	g := field.New(s.Ny, s.Nx)
+	for k := range g.Data {
+		g.Data[k] = s.mu[k] / s.rho[k]
+	}
+	return g
+}
+
+// Density extracts ρ as a rank-2 field.
+func (s *Sim) Density() *field.Field {
+	g := field.New(s.Ny, s.Nx)
+	copy(g.Data, s.rho)
+	return g
+}
+
+// Pressure extracts p as a rank-2 field.
+func (s *Sim) Pressure() *field.Field {
+	g := field.New(s.Ny, s.Nx)
 	for j := 0; j < s.Ny; j++ {
 		for i := 0; i < s.Nx; i++ {
-			k := s.idx(i, j)
-			g.Set(j, i, s.mu[k]/s.rho[k])
+			_, _, _, g.Data[s.idx(i, j)] = s.Primitive(i, j)
 		}
 	}
 	return g
 }
 
-// Density extracts ρ as a grid.
-func (s *Sim) Density() *grid.Grid {
-	g := grid.New(s.Ny, s.Nx)
-	for j := 0; j < s.Ny; j++ {
-		copy(g.Row(j), s.rho[j*s.Nx:(j+1)*s.Nx])
+// normalize rescales f in place to zero mean and unit variance, only
+// centring a constant field, and returns f.
+func normalize(f *field.Field) *field.Field {
+	st := f.Summary()
+	sd := math.Sqrt(st.Variance)
+	if sd == 0 {
+		sd = 1 // x/1 == x exactly, so a constant field is only centred
 	}
-	return g
-}
-
-// Pressure extracts p as a grid.
-func (s *Sim) Pressure() *grid.Grid {
-	g := grid.New(s.Ny, s.Nx)
-	for j := 0; j < s.Ny; j++ {
-		for i := 0; i < s.Nx; i++ {
-			_, _, _, p := s.Primitive(i, j)
-			g.Set(j, i, p)
-		}
+	for i, v := range f.Data {
+		f.Data[i] = (v - st.Mean) / sd
 	}
-	return g
+	return f
 }
 
 // maxWaveSpeed returns max(|u|+c, |v|+c) over all cells.
@@ -614,7 +622,7 @@ func NewKelvinHelmholtz(p KHParams) *Sim {
 // correlation structure).
 type SliceSet struct {
 	Times  []float64
-	Slices []*grid.Grid
+	Slices []*field.Field
 }
 
 // GenerateSlices produces count velocityx fields of size n×n. Field k
@@ -640,7 +648,7 @@ func GenerateSlicesWith(n, count int, tEnd float64, seed uint64, workers int) (*
 	if tEnd <= 0 {
 		tEnd = 1.6
 	}
-	set := &SliceSet{Times: make([]float64, count), Slices: make([]*grid.Grid, count)}
+	set := &SliceSet{Times: make([]float64, count), Slices: make([]*field.Field, count)}
 	const maxSteps = 100_000
 	err := parallel.ForErr(count, workers, func(k int) error {
 		frac := float64(k) / math.Max(1, float64(count-1))
@@ -662,7 +670,7 @@ func GenerateSlicesWith(n, count int, tEnd float64, seed uint64, workers int) (*
 			return err
 		}
 		set.Times[k] = sim.Time()
-		set.Slices[k] = sim.VelocityX().Normalize()
+		set.Slices[k] = normalize(sim.VelocityX())
 		return nil
 	})
 	if err != nil {

@@ -3,6 +3,8 @@ package hydro
 import (
 	"math"
 	"testing"
+
+	"lossycorr/internal/field"
 )
 
 func TestUniformStateStaysUniform(t *testing.T) {
@@ -160,8 +162,8 @@ func TestPrimitiveRoundtrip(t *testing.T) {
 func TestVelocityXShape(t *testing.T) {
 	s := KelvinHelmholtz(20, 12, 1)
 	g := s.VelocityX()
-	if g.Rows != 12 || g.Cols != 20 {
-		t.Fatalf("velocityx shape %dx%d, want rows=ny cols=nx", g.Rows, g.Cols)
+	if g.Shape[0] != 12 || g.Shape[1] != 20 {
+		t.Fatalf("velocityx shape %v, want rows=ny cols=nx", g.Shape)
 	}
 }
 
@@ -177,8 +179,8 @@ func TestGenerateSlices(t *testing.T) {
 		t.Fatalf("times not increasing: %v", set.Times)
 	}
 	for i, s := range set.Slices {
-		if s.Rows != 32 || s.Cols != 32 {
-			t.Fatalf("slice %d shape %dx%d", i, s.Rows, s.Cols)
+		if s.Shape[0] != 32 || s.Shape[1] != 32 {
+			t.Fatalf("slice %d shape %v", i, s.Shape)
 		}
 		if s.Summary().Variance == 0 {
 			t.Fatalf("slice %d is constant", i)
@@ -197,5 +199,20 @@ func TestStepErrorOnInvalidState(t *testing.T) {
 	s.SetPrimitive(0, 0, math.NaN(), 0, 0, 1)
 	if _, err := s.Step(); err == nil {
 		t.Fatal("expected error for NaN state")
+	}
+}
+
+func TestNormalize(t *testing.T) {
+	f, _ := field.FromData([]int{1, 4}, []float64{2, 4, 6, 8})
+	s := normalize(f).Summary()
+	if math.Abs(s.Mean) > 1e-12 || math.Abs(s.Variance-1) > 1e-12 {
+		t.Fatalf("normalize gave mean=%v var=%v", s.Mean, s.Variance)
+	}
+	// A constant field is only centred, never divided by a zero sd.
+	c, _ := field.FromData([]int{1, 3}, []float64{5, 5, 5})
+	for _, v := range normalize(c).Data {
+		if v != 0 {
+			t.Fatalf("constant normalize -> %v", c.Data)
+		}
 	}
 }

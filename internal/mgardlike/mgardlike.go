@@ -22,7 +22,6 @@ import (
 
 	"lossycorr/internal/compress"
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/huffman"
 	"lossycorr/internal/lossless"
 	"lossycorr/internal/quant"
@@ -65,15 +64,14 @@ func numLevels(rows, cols int) int {
 func onLattice(i, s int) bool { return i%s == 0 }
 
 // interpolate predicts the value at (r, c) on the stride-s lattice from
-// the stride-2s lattice of recon. Nodes fall into three classes: on a
-// coarse row (horizontal neighbors), on a coarse column (vertical
-// neighbors), or interior (four diagonal neighbors); one-sided copies
-// handle clipped boundaries.
-func interpolate(recon *grid.Grid, r, c, s int) float64 {
+// the stride-2s lattice of the row-major rows×cols array data. Nodes
+// fall into three classes: on a coarse row (horizontal neighbors), on a
+// coarse column (vertical neighbors), or interior (four diagonal
+// neighbors); one-sided copies handle clipped boundaries.
+func interpolate(data []float64, rows, cols, r, c, s int) float64 {
 	// Flat addressing: each neighbor is one add away from a precomputed
-	// row offset instead of a full r*Cols+c multiply per At call — this
-	// is the innermost read of every level sweep.
-	data, cols := recon.Data, recon.Cols
+	// row offset instead of a full r*cols+c multiply per read — this is
+	// the innermost read of every level sweep.
 	row := r * cols
 	s2 := 2 * s
 	coarseR := onLattice(r, s2)
@@ -85,7 +83,7 @@ func interpolate(recon *grid.Grid, r, c, s int) float64 {
 		}
 		return data[row+c-s]
 	case !coarseR && coarseC:
-		if r+s < recon.Rows {
+		if r+s < rows {
 			return 0.5 * (data[row-s*cols+c] + data[row+s*cols+c])
 		}
 		return data[row-s*cols+c]
@@ -98,7 +96,7 @@ func interpolate(recon *grid.Grid, r, c, s int) float64 {
 			sum += data[upRow+rgt]
 			n++
 		}
-		if r+s < recon.Rows {
+		if r+s < rows {
 			sum += data[dnRow+l]
 			n++
 			if rgt < cols {
@@ -130,14 +128,14 @@ func (Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) 
 	if absErr <= 0 {
 		return nil, fmt.Errorf("mgardlike: non-positive error bound %v", absErr)
 	}
-	g, err := f.AsGrid()
-	if err != nil {
-		return nil, err
+	if len(f.Shape) != 2 {
+		return nil, fmt.Errorf("mgardlike: rank-%d field, want rank 2", len(f.Shape))
 	}
-	if g.Len() == 0 {
+	rows, cols, data := f.Shape[0], f.Shape[1], f.Data
+	if len(data) == 0 {
 		return nil, errors.New("mgardlike: empty field")
 	}
-	L := numLevels(g.Rows, g.Cols)
+	L := numLevels(rows, cols)
 	// The decomposition is open-loop, like MGARD's: multilevel
 	// coefficients are corrections of original values against
 	// interpolation of original coarser values. On reconstruction the
@@ -156,9 +154,9 @@ func (Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) 
 	// predictor); large values escape to exact storage, and the coarse
 	// lattice is a vanishing fraction of nodes
 	sTop := 1 << uint(L)
-	for r := 0; r < g.Rows; r += sTop {
-		for c := 0; c < g.Cols; c += sTop {
-			v := g.At(r, c)
+	for r := 0; r < rows; r += sTop {
+		for c := 0; c < cols; c += sTop {
+			v := data[r*cols+c]
 			sym, _, ok := q.Encode(v)
 			if !ok {
 				symbols = append(symbols, quant.Escape)
@@ -172,9 +170,9 @@ func (Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) 
 	// coarser lattice
 	for l := L - 1; l >= 0; l-- {
 		s := 1 << uint(l)
-		forEachLevelNode(g.Rows, g.Cols, s, func(r, c int) {
-			v := g.Data[r*g.Cols+c]
-			pred := interpolate(g, r, c, s)
+		forEachLevelNode(rows, cols, s, func(r, c int) {
+			v := data[r*cols+c]
+			pred := interpolate(data, rows, cols, r, c, s)
 			sym, _, ok := q.Encode(v - pred)
 			if !ok {
 				symbols = append(symbols, quant.Escape)
@@ -224,70 +222,50 @@ func (Compressor) DecompressField(data []byte) (*field.Field, error) {
 		return nil, fmt.Errorf("mgardlike: %w", err)
 	}
 
-	L := numLevels(rows, cols)
-	q := quant.New(absErr / float64(L+1))
-	recon := grid.New(rows, cols)
-	si, ei := 0, 0
-	next := func() (uint16, error) {
-		if si >= len(symbols) {
-			return 0, ErrCorrupt
-		}
-		s := symbols[si]
-		si++
-		return s, nil
-	}
-	var decodeErr error
-	takeExact := func() float64 {
-		if ei >= len(exact) {
-			decodeErr = ErrCorrupt
-			return 0
-		}
-		v := exact[ei]
-		ei++
-		return v
-	}
-
-	sTop := 1 << uint(L)
-	for r := 0; r < rows && decodeErr == nil; r += sTop {
-		for c := 0; c < cols; c += sTop {
-			sym, err := next()
-			if err != nil {
-				return nil, err
-			}
-			if sym == quant.Escape {
-				recon.Set(r, c, takeExact())
-				continue
-			}
-			recon.Set(r, c, q.Decode(sym))
-		}
-	}
-	for l := L - 1; l >= 0 && decodeErr == nil; l-- {
-		s := 1 << uint(l)
-		var innerErr error
-		forEachLevelNode(rows, cols, s, func(r, c int) {
-			if innerErr != nil || decodeErr != nil {
-				return
-			}
-			sym, err := next()
-			if err != nil {
-				innerErr = err
-				return
-			}
-			if sym == quant.Escape {
-				recon.Set(r, c, takeExact())
-				return
-			}
-			recon.Set(r, c, interpolate(recon, r, c, s)+q.Decode(sym))
-		})
-		if innerErr != nil {
-			return nil, innerErr
-		}
-	}
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
-	if si != len(symbols) || ei != len(exact) {
+	// The encoder emits exactly one symbol per node, so any other count
+	// is corrupt — rejected before the header's shape, which may claim
+	// up to 2^30 nodes, drives the reconstruction allocation.
+	if len(symbols) != rows*cols {
 		return nil, ErrCorrupt
 	}
-	return field.FromGrid(recon), nil
+
+	L := numLevels(rows, cols)
+	q := quant.New(absErr / float64(L+1))
+	recon := field.New(rows, cols)
+	out := recon.Data
+	si, ei := 0, 0
+	// node decodes the next symbol as a correction to pred, or takes the
+	// next exact value for an escape. Running out of exact values reads
+	// 0 and is caught by the final count check.
+	node := func(pred float64) float64 {
+		sym := symbols[si]
+		si++
+		if sym != quant.Escape {
+			return pred + q.Decode(sym)
+		}
+		ei++
+		if ei > len(exact) {
+			return 0
+		}
+		return exact[ei-1]
+	}
+
+	// Coarse nodes have the zero predictor; 0+Decode(sym) is exactly
+	// Decode(sym), as Decode never yields -0 for a positive step.
+	sTop := 1 << uint(L)
+	for r := 0; r < rows; r += sTop {
+		for c := 0; c < cols; c += sTop {
+			out[r*cols+c] = node(0)
+		}
+	}
+	for l := L - 1; l >= 0; l-- {
+		s := 1 << uint(l)
+		forEachLevelNode(rows, cols, s, func(r, c int) {
+			out[r*cols+c] = node(interpolate(out, rows, cols, r, c, s))
+		})
+	}
+	if ei != len(exact) {
+		return nil, ErrCorrupt
+	}
+	return recon, nil
 }

@@ -1,39 +1,41 @@
 package mgardlike
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"lossycorr/internal/compress"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
+	"lossycorr/internal/huffman"
+	"lossycorr/internal/lossless"
 	"lossycorr/internal/xrand"
 )
 
-func compressGrid(g *grid.Grid, eb float64) ([]byte, error) {
-	return Compressor{}.CompressField(field.FromGrid(g), eb)
-}
-
-func decompressGrid(data []byte) (*grid.Grid, error) {
-	f, err := Compressor{}.DecompressField(data)
-	if err != nil {
-		return nil, err
+// fromFunc builds a rows×cols field by evaluating fn in row-major order.
+func fromFunc(rows, cols int, fn func(r, c int) float64) *field.Field {
+	f := field.New(rows, cols)
+	for i := range f.Data {
+		f.Data[i] = fn(i/cols, i%cols)
 	}
-	return f.AsGrid()
+	return f
 }
 
-func roundtrip(t *testing.T, g *grid.Grid, eb float64) *grid.Grid {
+func roundtrip(t *testing.T, g *field.Field, eb float64) *field.Field {
 	t.Helper()
-	data, err := compressGrid(g, eb)
+	data, err := (Compressor{}).CompressField(g, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := decompressGrid(data)
+	dec, err := (Compressor{}).DecompressField(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Rows != g.Rows || dec.Cols != g.Cols {
+	if !dec.SameShape(g) {
 		t.Fatalf("shape changed")
 	}
 	maxErr, err := g.MaxAbsDiff(dec)
@@ -74,36 +76,34 @@ func TestForEachLevelNodePartition(t *testing.T) {
 	// visited exactly once
 	rows, cols := 13, 21
 	L := numLevels(rows, cols)
-	seen := grid.New(rows, cols)
+	seen := make([]int, rows*cols)
 	sTop := 1 << uint(L)
 	for r := 0; r < rows; r += sTop {
 		for c := 0; c < cols; c += sTop {
-			seen.Set(r, c, seen.At(r, c)+1)
+			seen[r*cols+c]++
 		}
 	}
 	for l := L - 1; l >= 0; l-- {
 		s := 1 << uint(l)
 		forEachLevelNode(rows, cols, s, func(r, c int) {
-			seen.Set(r, c, seen.At(r, c)+1)
+			seen[r*cols+c]++
 		})
 	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if seen.At(r, c) != 1 {
-				t.Fatalf("node (%d,%d) visited %v times", r, c, seen.At(r, c))
-			}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("node (%d,%d) visited %d times", i/cols, i%cols, n)
 		}
 	}
 }
 
 func TestInterpolateExactOnBilinear(t *testing.T) {
 	// a bilinear field is reproduced exactly by the interior stencil
-	g := grid.FromFunc(17, 17, func(r, c int) float64 {
+	g := fromFunc(17, 17, func(r, c int) float64 {
 		return 2 + 0.5*float64(r) + 0.25*float64(c)
 	})
 	for _, s := range []int{1, 2, 4} {
 		forEachLevelNode(17, 17, s, func(r, c int) {
-			got := interpolate(g, r, c, s)
+			got := interpolate(g.Data, 17, 17, r, c, s)
 			if math.Abs(got-g.At(r, c)) > 1e-12 {
 				t.Fatalf("stride %d node (%d,%d): %v want %v", s, r, c, got, g.At(r, c))
 			}
@@ -112,7 +112,7 @@ func TestInterpolateExactOnBilinear(t *testing.T) {
 }
 
 func TestRoundtripSmooth(t *testing.T) {
-	g := grid.FromFunc(40, 56, func(r, c int) float64 {
+	g := fromFunc(40, 56, func(r, c int) float64 {
 		return math.Sin(float64(r)/8) * math.Cos(float64(c)/6)
 	})
 	for _, eb := range []float64{1e-5, 1e-3, 1e-1} {
@@ -122,29 +122,32 @@ func TestRoundtripSmooth(t *testing.T) {
 
 func TestRoundtripNoise(t *testing.T) {
 	rng := xrand.New(9)
-	g := grid.FromFunc(27, 35, func(r, c int) float64 { return rng.NormFloat64() * 20 })
+	g := fromFunc(27, 35, func(r, c int) float64 { return rng.NormFloat64() * 20 })
 	roundtrip(t, g, 1e-4)
 }
 
 func TestOddSizes(t *testing.T) {
 	rng := xrand.New(10)
 	for _, sz := range [][2]int{{1, 1}, {1, 17}, {17, 1}, {2, 2}, {3, 5}, {16, 16}, {17, 33}} {
-		g := grid.FromFunc(sz[0], sz[1], func(r, c int) float64 { return rng.NormFloat64() })
+		g := fromFunc(sz[0], sz[1], func(r, c int) float64 { return rng.NormFloat64() })
 		roundtrip(t, g, 1e-3)
 	}
 }
 
 func TestExtremeValues(t *testing.T) {
-	g, _ := grid.FromData(2, 4, []float64{1e300, -1e300, 1e-300, 0, 5, -5, 1e18, -1e-18})
+	g, _ := field.FromData([]int{2, 4}, []float64{1e300, -1e300, 1e-300, 0, 5, -5, 1e18, -1e-18})
 	roundtrip(t, g, 1e-6)
 }
 
 func TestEmptyAndBadBound(t *testing.T) {
-	if _, err := compressGrid(grid.New(0, 0), 1e-3); err == nil {
+	if _, err := (Compressor{}).CompressField(field.New(0, 0), 1e-3); err == nil {
 		t.Fatal("empty field must error")
 	}
-	if _, err := compressGrid(grid.New(4, 4), 0); err == nil {
+	if _, err := (Compressor{}).CompressField(field.New(4, 4), 0); err == nil {
 		t.Fatal("eb=0 must error")
+	}
+	if _, err := (Compressor{}).CompressField(field.New(4, 4, 4), 1e-3); err == nil {
+		t.Fatal("rank-3 field must error")
 	}
 }
 
@@ -154,12 +157,12 @@ func TestSmoothBeatsNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := xrand.New(12)
-	noise := grid.FromFunc(64, 64, func(r, cc int) float64 { return rng.NormFloat64() })
-	ds, err := compressGrid(smooth, 1e-3)
+	noise := fromFunc(64, 64, func(r, cc int) float64 { return rng.NormFloat64() })
+	ds, err := (Compressor{}).CompressField(smooth, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dn, err := compressGrid(noise, 1e-3)
+	dn, err := (Compressor{}).CompressField(noise, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +178,7 @@ func TestRatioIncreasesWithBound(t *testing.T) {
 	}
 	var sizes []int
 	for _, eb := range []float64{1e-6, 1e-4, 1e-2} {
-		d, err := compressGrid(f, eb)
+		d, err := (Compressor{}).CompressField(f, eb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,14 +190,14 @@ func TestRatioIncreasesWithBound(t *testing.T) {
 }
 
 func TestDecompressCorrupt(t *testing.T) {
-	if _, err := decompressGrid([]byte{3, 1, 4}); err == nil {
+	if _, err := (Compressor{}).DecompressField([]byte{3, 1, 4}); err == nil {
 		t.Fatal("garbage must error")
 	}
-	data, err := compressGrid(grid.FromFunc(9, 9, func(r, cc int) float64 { return float64(r * cc) }), 1e-3)
+	data, err := (Compressor{}).CompressField(fromFunc(9, 9, func(r, cc int) float64 { return float64(r * cc) }), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decompressGrid(data[:len(data)/2]); err == nil {
+	if _, err := (Compressor{}).DecompressField(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated stream must error")
 	}
 }
@@ -205,20 +208,20 @@ func TestQuickBoundProperty(t *testing.T) {
 		rng := xrand.New(seed)
 		rows := 1 + rng.Intn(34)
 		cols := 1 + rng.Intn(34)
-		var g *grid.Grid
+		var g *field.Field
 		if rough {
-			g = grid.FromFunc(rows, cols, func(r, cc int) float64 { return rng.NormFloat64() * 10 })
+			g = fromFunc(rows, cols, func(r, cc int) float64 { return rng.NormFloat64() * 10 })
 		} else {
 			fr := 1 + rng.Float64()*10
-			g = grid.FromFunc(rows, cols, func(r, cc int) float64 {
+			g = fromFunc(rows, cols, func(r, cc int) float64 {
 				return math.Sin(float64(r)/fr) + math.Cos(float64(cc)/fr)
 			})
 		}
-		data, err := compressGrid(g, eb)
+		data, err := (Compressor{}).CompressField(g, eb)
 		if err != nil {
 			return false
 		}
-		dec, err := decompressGrid(data)
+		dec, err := (Compressor{}).DecompressField(data)
 		if err != nil {
 			return false
 		}
@@ -227,5 +230,29 @@ func TestQuickBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecompressCorruptSymbolCount feeds a well-formed stream whose
+// header claims 8192×8192 nodes but whose Huffman payload holds one
+// symbol: the decoder must reject it before allocating the claimed
+// 512 MiB reconstruction.
+func TestDecompressCorruptSymbolCount(t *testing.T) {
+	raw := compress.AppendHeader(nil, magic, []int{8192, 8192}, 1e-3)
+	raw = binary.LittleEndian.AppendUint32(raw, 0) // no exact values
+	raw = append(raw, huffman.Encode([]uint16{7})...)
+	data, err := lossless.Compress(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = (Compressor{}).DecompressField(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Fatalf("decoder allocated %d bytes for a %d-byte stream", d, len(data))
 	}
 }

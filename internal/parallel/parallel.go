@@ -19,7 +19,7 @@
 // bodies.
 //
 // Total concurrency is bounded globally, not per pool. Pools nest
-// (MeasureFields fans fields out, each field's Analyze fans statistics
+// (MeasureFieldSet fans fields out, each field's analysis fans statistics
 // out, each statistic fans windows out), so per-pool worker counts
 // would multiply. Instead, every pool runs its loop on the calling
 // goroutine and spawns extra workers only while tokens are available

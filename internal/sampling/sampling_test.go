@@ -19,12 +19,11 @@ var bg = context.Background()
 // half, white noise on the right.
 func heterogeneousField(t *testing.T) stat.Source {
 	t.Helper()
-	smooth, err := gaussian.Generate(gaussian.Params{Rows: 128, Cols: 128, Range: 16, Seed: 3})
+	mixed, err := gaussian.Generate(gaussian.Params{Rows: 128, Cols: 128, Range: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := xrand.New(3)
-	mixed := field.FromGrid(smooth)
 	for r := 0; r < 128; r++ {
 		for c := 64; c < 128; c++ {
 			mixed.Set(rng.NormFloat64(), r, c)

@@ -948,29 +948,27 @@ func (s *Server) trainModel(ctx context.Context, rank int, eb float64) (*core.Pr
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		var f *field.Field
+		var rang float64
+		var err error
 		if rank == 2 {
 			edge := s.cfg.TrainEdge2D
-			rang := float64(edge) / 64 * float64(int(2)<<uint(i%6))
-			g, err := gaussian.Generate(gaussian.Params{
+			rang = float64(edge) / 64 * float64(int(2)<<uint(i%6))
+			f, err = gaussian.Generate(gaussian.Params{
 				Rows: edge, Cols: edge, Range: rang, Seed: trainSeed + uint64(i),
 			})
-			if err != nil {
-				return nil, err
-			}
-			fields = append(fields, field.FromGrid(g))
-			labels = append(labels, rang)
 		} else {
 			edge := s.cfg.TrainEdge3D
-			rang := float64(edge) / 16 * float64(int(1)<<uint(i%3))
-			v, err := gaussian.Generate3D(gaussian.Params3D{
+			rang = float64(edge) / 16 * float64(int(1)<<uint(i%3))
+			f, err = gaussian.Generate3D(gaussian.Params3D{
 				Nz: edge, Ny: edge, Nx: edge, Range: rang, Seed: trainSeed + uint64(i),
 			})
-			if err != nil {
-				return nil, err
-			}
-			fields = append(fields, field.FromVolume(v))
-			labels = append(labels, rang)
 		}
+		if err != nil {
+			return nil, err
+		}
+		fields = append(fields, f)
+		labels = append(labels, rang)
 	}
 	ms, err := core.MeasureFieldSetCtx(ctx, "train", fields, labels, core.DefaultRegistry(),
 		core.MeasureOptions{

@@ -27,7 +27,7 @@ func gaussBody32(t testing.TB, edge int, rang float64, seed uint64) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := field.FromGrid(g).Narrow().WriteBinary(&buf); err != nil {
+	if err := g.Narrow().WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 )
 
@@ -44,7 +43,7 @@ func gaussBody(t testing.TB, edge int, rang float64, seed uint64) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := field.FromGrid(g).WriteBinary(&buf); err != nil {
+	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -60,11 +59,10 @@ func nonFiniteBody(t testing.TB, v float64, narrow bool) []byte {
 	}
 	g.Data[40*64+50] = v
 	var buf bytes.Buffer
-	f := field.FromGrid(g)
 	if narrow {
-		err = f.Narrow().WriteBinary(&buf)
+		err = g.Narrow().WriteBinary(&buf)
 	} else {
-		err = f.WriteBinary(&buf)
+		err = g.WriteBinary(&buf)
 	}
 	if err != nil {
 		t.Fatal(err)

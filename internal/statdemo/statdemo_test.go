@@ -33,7 +33,7 @@ func demoField(t testing.TB) *field.Field {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return field.FromGrid(g)
+	return g
 }
 
 // TestDemoKernelThroughCore selects the demo kernel by name through the

@@ -34,7 +34,7 @@ func gaussField(t *testing.T, p gaussian.Params) *field.Field {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return field.FromGrid(g)
+	return g
 }
 
 // truncationLevel is the full-SVD (GramOff) truncation level of one 2D

@@ -16,7 +16,7 @@ func gaussVolume(t *testing.T, p gaussian.Params3D) *field.Field {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return field.FromVolume(v)
+	return v
 }
 
 func TestCompute3DTooSmall(t *testing.T) {

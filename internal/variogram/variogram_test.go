@@ -29,7 +29,7 @@ func gaussField(t *testing.T, p gaussian.Params) *field.Field {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return field.FromGrid(g)
+	return g
 }
 
 func whiteNoise(rows, cols int, seed uint64) *field.Field {

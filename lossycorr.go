@@ -21,8 +21,8 @@
 //	field, _ := lossycorr.GenerateGaussian(lossycorr.GaussianParams{
 //		Rows: 256, Cols: 256, Range: 16, Seed: 7,
 //	})
-//	stats, _ := lossycorr.Analyze(field, lossycorr.AnalysisOptions{})
-//	res, _ := lossycorr.Measure("sz-like", field, 1e-3)
+//	stats, _ := lossycorr.AnalyzeField(field, lossycorr.AnalysisOptions{})
+//	res, _ := lossycorr.MeasureField("sz-like", field, 1e-3)
 //	fmt.Println(stats.GlobalRange(), res.Ratio)
 //
 // and the full evaluation is regenerated by the Suite (Figures 1–7) or
@@ -39,7 +39,6 @@ import (
 	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
-	"lossycorr/internal/grid"
 	"lossycorr/internal/hydro"
 	"lossycorr/internal/regression"
 	"lossycorr/internal/sampling"
@@ -48,21 +47,17 @@ import (
 	"lossycorr/internal/variogram"
 )
 
-// Field is a dense scalar field of any rank (2D grids and 3D volumes
-// share one pipeline through it). The last dimension varies fastest.
+// Field is a dense scalar field of any rank; every generator, statistic
+// and codec of the package takes or returns one. The last dimension
+// varies fastest.
 type Field = field.Field
 
 // NewField returns a zero-filled field with the given shape.
 func NewField(shape ...int) *Field { return field.New(shape...) }
 
-// FieldFromGrid views a grid as a rank-2 field without copying.
-func FieldFromGrid(g *Grid) *Field { return field.FromGrid(g) }
-
-// FieldFromVolume views a volume as a rank-3 field without copying.
-func FieldFromVolume(v *Volume) *Field { return field.FromVolume(v) }
-
 // ReadField reads a field of any rank: the tagged format written by
-// (*Field).WriteBinary or the legacy 2D grid format, auto-detected.
+// (*Field).WriteBinary, rank-2 fields in the legacy 2D layout,
+// auto-detected.
 func ReadField(r io.Reader) (*Field, error) { return field.ReadBinary(r) }
 
 // ReadFieldLimit is ReadField with an explicit element budget: headers
@@ -173,41 +168,25 @@ func MeasureFieldSet32(name string, fields []*Field32, labels []float64, opts Me
 	return core.MeasureFieldSet32Ctx(context.Background(), name, fields, labels, core.DefaultRegistry(), opts)
 }
 
-// Grid is a dense row-major 2D field.
-type Grid = grid.Grid
-
-// NewGrid returns a zero-filled rows×cols field.
-func NewGrid(rows, cols int) *Grid { return grid.New(rows, cols) }
-
-// GridFromData wraps a row-major slice without copying.
-func GridFromData(rows, cols int, data []float64) (*Grid, error) {
-	return grid.FromData(rows, cols, data)
-}
-
-// ReadGrid reads a field written by (*Grid).WriteBinary.
-func ReadGrid(r io.Reader) (*Grid, error) { return grid.ReadBinary(r) }
-
-// gridSource views a grid as an in-RAM statistic source.
-func gridSource(g *Grid) stat.Source { return stat.Source{F64: field.FromGrid(g)} }
-
 // GaussianParams configures a single-range Gaussian random field.
 type GaussianParams = gaussian.Params
 
-// GenerateGaussian draws a stationary Gaussian field with
+// GenerateGaussian draws a stationary rank-2 Gaussian field with
 // squared-exponential covariance by exact circulant embedding.
-func GenerateGaussian(p GaussianParams) (*Grid, error) { return gaussian.Generate(p) }
+func GenerateGaussian(p GaussianParams) (*Field, error) { return gaussian.Generate(p) }
 
 // MultiGaussianParams configures an equal-contribution multi-range field.
 type MultiGaussianParams = gaussian.MultiParams
 
-// GenerateMultiGaussian draws a multi-range Gaussian field.
-func GenerateMultiGaussian(p MultiGaussianParams) (*Grid, error) {
+// GenerateMultiGaussian draws a rank-2 multi-range Gaussian field.
+func GenerateMultiGaussian(p MultiGaussianParams) (*Field, error) {
 	return gaussian.GenerateMulti(p)
 }
 
-// TurbulenceSlices generates velocityx snapshots from the built-in
-// Kelvin–Helmholtz hydrodynamics solver (the Miranda substitute).
-func TurbulenceSlices(n, count int, tEnd float64, seed uint64) ([]*Grid, []float64, error) {
+// TurbulenceSlices generates rank-2 velocityx snapshots from the
+// built-in Kelvin–Helmholtz hydrodynamics solver (the Miranda
+// substitute).
+func TurbulenceSlices(n, count int, tEnd float64, seed uint64) ([]*Field, []float64, error) {
 	set, err := hydro.GenerateSlices(n, count, tEnd, seed)
 	if err != nil {
 		return nil, nil, err
@@ -221,20 +200,21 @@ type VariogramOptions = variogram.Options
 // VariogramModel is a fitted squared-exponential variogram.
 type VariogramModel = variogram.Model
 
-// EstimateVariogramRange fits the global variogram range of a field.
-func EstimateVariogramRange(g *Grid, opts VariogramOptions) (VariogramModel, error) {
-	return variogram.GlobalRange(context.Background(), gridSource(g), opts)
+// EstimateVariogramRange fits the global (isotropic) variogram range
+// of a field of any rank.
+func EstimateVariogramRange(f *Field, opts VariogramOptions) (VariogramModel, error) {
+	return variogram.GlobalRange(context.Background(), stat.Source{F64: f}, opts)
 }
 
 // LocalVariogramRangeStd is the std of per-window variogram ranges.
-func LocalVariogramRangeStd(g *Grid, window int, opts VariogramOptions) (float64, error) {
-	return variogram.LocalRangeStd(context.Background(), gridSource(g), window, opts)
+func LocalVariogramRangeStd(f *Field, window int, opts VariogramOptions) (float64, error) {
+	return variogram.LocalRangeStd(context.Background(), stat.Source{F64: f}, window, opts)
 }
 
 // LocalSVDStd is the std of per-window SVD truncation levels at the
 // given variance fraction (use 0.99 for the paper's statistic).
-func LocalSVDStd(g *Grid, window int, frac float64) (float64, error) {
-	return svdstat.LocalStd(context.Background(), gridSource(g), window, SVDOptions{Frac: frac})
+func LocalSVDStd(f *Field, window int, frac float64) (float64, error) {
+	return svdstat.LocalStd(context.Background(), stat.Source{F64: f}, window, SVDOptions{Frac: frac})
 }
 
 // SVDOptions controls windowed SVD statistics (variance fraction,
@@ -257,29 +237,17 @@ const (
 // LocalSVDStdWith is LocalSVDStd with explicit control over the
 // variance fraction and the worker pool; results are bit-identical at
 // any worker count.
-func LocalSVDStdWith(g *Grid, window int, opts SVDOptions) (float64, error) {
-	return svdstat.LocalStd(context.Background(), gridSource(g), window, opts)
+func LocalSVDStdWith(f *Field, window int, opts SVDOptions) (float64, error) {
+	return svdstat.LocalStd(context.Background(), stat.Source{F64: f}, window, opts)
 }
-
-// Volume is a dense 3D scalar field with x fastest (Miranda layout).
-type Volume = grid.Volume
-
-// NewVolume returns a zero-filled volume.
-func NewVolume(nz, ny, nx int) *Volume { return grid.NewVolume(nz, ny, nx) }
 
 // Gaussian3DParams configures a 3D single-range Gaussian field.
 type Gaussian3DParams = gaussian.Params3D
 
-// GenerateGaussian3D draws a 3D field with squared-exponential
+// GenerateGaussian3D draws a rank-3 field with squared-exponential
 // covariance by 3D circulant embedding — the paper's future-work 3D
 // context with exactly controllable correlation.
-func GenerateGaussian3D(p Gaussian3DParams) (*Volume, error) { return gaussian.Generate3D(p) }
-
-// EstimateVariogramRange3D fits the isotropic variogram range of a
-// volume.
-func EstimateVariogramRange3D(v *Volume, opts VariogramOptions) (VariogramModel, error) {
-	return variogram.GlobalRange(context.Background(), stat.Source{F64: field.FromVolume(v)}, opts)
-}
+func GenerateGaussian3D(p Gaussian3DParams) (*Field, error) { return gaussian.Generate3D(p) }
 
 // Statistics is the keyed result set of an analysis: one entry per
 // output of each statistic kernel that ran (absent ≠ zero — a
@@ -301,16 +269,11 @@ const (
 // flag) accept.
 func StatNames() []string { return stat.Names() }
 
-// AnalysisOptions configures Analyze.
+// AnalysisOptions configures AnalyzeField.
 type AnalysisOptions = core.AnalysisOptions
 
-// Analyze extracts all correlation statistics of a field.
-func Analyze(g *Grid, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeFieldCtx(context.Background(), field.FromGrid(g), opts)
-}
-
 // AnalyzeField extracts all correlation statistics of a field of any
-// rank: H×H windows for grids, H×H×H windows for volumes.
+// rank: H×H windows at rank 2, H×H×H windows at rank 3.
 func AnalyzeField(f *Field, opts AnalysisOptions) (Statistics, error) {
 	return core.AnalyzeFieldCtx(context.Background(), f, opts)
 }
@@ -322,12 +285,6 @@ func AnalyzeField(f *Field, opts AnalysisOptions) (Statistics, error) {
 // corrcompd relies on to kill abandoned requests.
 func AnalyzeFieldCtx(ctx context.Context, f *Field, opts AnalysisOptions) (Statistics, error) {
 	return core.AnalyzeFieldCtx(ctx, f, opts)
-}
-
-// AnalyzeVolume extracts all correlation statistics of a 3D volume —
-// the paper's future-work 3D context on the same pipeline.
-func AnalyzeVolume(v *Volume, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeFieldCtx(context.Background(), field.FromVolume(v), opts)
 }
 
 // Compressor is an error-bounded lossy compressor for the field ranks
@@ -350,19 +307,9 @@ func Compressors() *compress.Registry { return core.DefaultRegistry() }
 // given rank (0 lists every codec).
 func CompressorsFor(ndim int) []string { return core.DefaultRegistry().NamesFor(ndim) }
 
-// Measure compresses, decompresses, and measures a field with the named
-// built-in compressor under an absolute error bound.
-func Measure(name string, g *Grid, absErr float64) (Result, error) {
-	c, err := core.DefaultRegistry().GetFor(name, 2)
-	if err != nil {
-		return Result{}, err
-	}
-	return compress.RunField(c, field.FromGrid(g), absErr)
-}
-
 // MeasureField compresses, decompresses, and measures a field of any
 // rank with the named built-in compressor, which must accept the
-// field's rank.
+// field's rank, under an absolute error bound.
 func MeasureField(name string, f *Field, absErr float64) (Result, error) {
 	c, err := core.DefaultRegistry().GetFor(name, f.NDim())
 	if err != nil {
@@ -371,16 +318,16 @@ func MeasureField(name string, f *Field, absErr float64) (Result, error) {
 	return compress.RunField(c, f, absErr)
 }
 
-// MeasureRelative is Measure with a value-range-relative error bound
-// (absolute bound = relErr × the field's value range), the error mode
-// SZ exposes natively; the paper relies on the formal equivalence of
-// the two modes.
-func MeasureRelative(name string, g *Grid, relErr float64) (Result, error) {
-	c, err := core.DefaultRegistry().GetFor(name, 2)
+// MeasureRelative is MeasureField with a value-range-relative error
+// bound (absolute bound = relErr × the field's value range), the error
+// mode SZ exposes natively; the paper relies on the formal equivalence
+// of the two modes.
+func MeasureRelative(name string, f *Field, relErr float64) (Result, error) {
+	c, err := core.DefaultRegistry().GetFor(name, f.NDim())
 	if err != nil {
 		return Result{}, err
 	}
-	return compress.RunRelativeField(c, field.FromGrid(g), relErr)
+	return compress.RunRelativeField(c, f, relErr)
 }
 
 // LogFit is a fitted CR = α + β·log(x) model.
@@ -392,19 +339,10 @@ func FitLog(x, y []float64) (LogFit, error) { return regression.FitLog(x, y) }
 // Measurement couples a field's statistics with compression results.
 type Measurement = core.Measurement
 
-// MeasureOptions configures MeasureFields.
+// MeasureOptions configures MeasureFieldSet.
 type MeasureOptions = core.MeasureOptions
 
-// MeasureFields measures many 2D fields concurrently.
-func MeasureFields(name string, fields []*Grid, labels []float64, opts MeasureOptions) ([]Measurement, error) {
-	fs := make([]*Field, len(fields))
-	for i, g := range fields {
-		fs[i] = field.FromGrid(g)
-	}
-	return MeasureFieldSet(name, fs, labels, opts)
-}
-
-// MeasureFieldSet measures many fields of any rank (grids and volumes
+// MeasureFieldSet measures many fields of any rank (ranks 2 and 3
 // can mix) concurrently; each field sweeps the codecs of its own rank.
 func MeasureFieldSet(name string, fields []*Field, labels []float64, opts MeasureOptions) ([]Measurement, error) {
 	return core.MeasureFieldSetCtx(context.Background(), name, fields, labels, core.DefaultRegistry(), opts)
@@ -454,8 +392,8 @@ func BuildMetricSeries(ms []Measurement, sel StatSelector, m Metric) []Series {
 // QuantizedEntropy is the Shannon entropy (bits per value) of the field
 // quantized into 2·eb bins — the entropy-based compressibility
 // estimator of the paper's related work.
-func QuantizedEntropy(g *Grid, eb float64) (float64, error) {
-	return entropy.QuantizedEntropy(g, eb)
+func QuantizedEntropy(f *Field, eb float64) (float64, error) {
+	return entropy.QuantizedEntropy(f.Data, eb)
 }
 
 // EstimateEntropyRatio converts bits-per-value entropy into the
@@ -469,25 +407,25 @@ type SamplingOptions = sampling.Options
 
 // SampledLocalRangeStd estimates the local-variogram-range std from a
 // random fraction of windows (the paper's future-work fast proxy).
-func SampledLocalRangeStd(g *Grid, window int, opts SamplingOptions) (float64, error) {
-	return sampling.LocalRangeStd(context.Background(), gridSource(g), window, opts)
+func SampledLocalRangeStd(f *Field, window int, opts SamplingOptions) (float64, error) {
+	return sampling.LocalRangeStd(context.Background(), stat.Source{F64: f}, window, opts)
 }
 
 // SampledLocalSVDStd estimates the local-SVD-truncation std from a
 // random fraction of windows.
-func SampledLocalSVDStd(g *Grid, window int, frac float64, opts SamplingOptions) (float64, error) {
-	return sampling.LocalSVDStd(context.Background(), gridSource(g), window, frac, opts)
+func SampledLocalSVDStd(f *Field, window int, frac float64, opts SamplingOptions) (float64, error) {
+	return sampling.LocalSVDStd(context.Background(), stat.Source{F64: f}, window, frac, opts)
 }
 
 // SamplingSweepPoint is one accuracy point of the sampling sweep.
 type SamplingSweepPoint = sampling.SweepPoint
 
 // SweepSamplingFractions quantifies sampled-statistic accuracy versus
-// sampling fraction for stat "range" or "svd". Seed and Workers come
+// sampling fraction for statName "range" or "svd". Seed and Workers come
 // from opts; its Fraction field is ignored (the sweep supplies its
 // own).
-func SweepSamplingFractions(g *Grid, window int, stat string, fractions []float64, opts SamplingOptions) ([]SamplingSweepPoint, error) {
-	return sampling.SweepFractions(context.Background(), gridSource(g), window, stat, fractions, opts)
+func SweepSamplingFractions(f *Field, window int, statName string, fractions []float64, opts SamplingOptions) ([]SamplingSweepPoint, error) {
+	return sampling.SweepFractions(context.Background(), stat.Source{F64: f}, window, statName, fractions, opts)
 }
 
 // Predictor estimates CR from correlation statistics.

@@ -12,14 +12,14 @@ func TestQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Analyze(field, AnalysisOptions{Window: 16})
+	stats, err := AnalyzeField(field, AnalysisOptions{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.GlobalRange() <= 0 {
 		t.Fatalf("stats %+v", stats)
 	}
-	res, err := Measure("sz-like", field, 1e-3)
+	res, err := MeasureField("sz-like", field, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,18 +54,22 @@ func TestCompressorsRegistry(t *testing.T) {
 	if len(names) != 3 {
 		t.Fatalf("names %v", names)
 	}
-	if _, err := Measure("not-a-codec", NewGrid(4, 4), 1e-3); err == nil {
+	if _, err := MeasureField("not-a-codec", NewField(4, 4), 1e-3); err == nil {
 		t.Fatal("unknown compressor must error")
+	}
+	// mgard-like is rank-2 only: a volume finds no codec of that name.
+	if _, err := MeasureRelative("mgard-like", NewField(4, 4, 4), 1e-3); err == nil {
+		t.Fatal("rank-2 codec must not accept a volume")
 	}
 }
 
-func TestGridHelpers(t *testing.T) {
-	g, err := GridFromData(2, 2, []float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestFieldHelpers(t *testing.T) {
+	g := &Field{Shape: []int{2, 2}, Data: []float64{1, 2, 3, 4}}
 	if g.At(1, 1) != 4 {
-		t.Fatal("GridFromData broken")
+		t.Fatal("Field literal does not index row-major")
+	}
+	if z := NewField(2, 3); z.Len() != 6 || z.At(1, 2) != 0 {
+		t.Fatal("NewField broken")
 	}
 }
 
@@ -111,14 +115,14 @@ func Test3DFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := EstimateVariogramRange3D(vol, VariogramOptions{Exact: true})
+	m, err := EstimateVariogramRange(vol, VariogramOptions{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Range < 1 || m.Range > 9 {
 		t.Fatalf("3D range %v far from 3", m.Range)
 	}
-	res, err := MeasureField("sz-like-3d", FieldFromVolume(vol), 1e-3)
+	res, err := MeasureField("sz-like-3d", vol, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,7 @@ func TestFitLogFacade(t *testing.T) {
 }
 
 func TestMeasureFieldsAndPredictorFacade(t *testing.T) {
-	var fields []*Grid
+	var fields []*Field
 	var labels []float64
 	for i, rang := range []float64{4, 10, 24} {
 		f, err := GenerateGaussian(GaussianParams{Rows: 64, Cols: 64, Range: rang, Seed: uint64(i + 1)})
@@ -178,7 +182,7 @@ func TestMeasureFieldsAndPredictorFacade(t *testing.T) {
 		fields = append(fields, f)
 		labels = append(labels, rang)
 	}
-	ms, err := MeasureFields("facade", fields, labels, MeasureOptions{
+	ms, err := MeasureFieldSet("facade", fields, labels, MeasureOptions{
 		Analysis:    AnalysisOptions{SkipLocal: true},
 		ErrorBounds: []float64{1e-3},
 	})
