@@ -1,5 +1,7 @@
 // Package bitstream provides MSB-first bit-level writers and readers
-// shared by the Huffman coder and the ZFP-like bit-plane encoder.
+// for the ZFP-like bit-plane encoder. The Huffman coder packs its own
+// bits in the same order; its map-keyed reference coder, kept in its
+// tests, writes and reads through this package.
 package bitstream
 
 import (

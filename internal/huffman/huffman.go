@@ -5,14 +5,23 @@
 // The encoded stream is self-describing: a compact header enumerates
 // the (symbol, code length) pairs of the canonical code followed by the
 // symbol count and the bit payload, so Decode needs no side channel.
+//
+// Both directions work on flat tables sized to the stream — its symbol
+// range or its distinct symbols — with no maps, no pointer tree and no
+// comparison sort. Encode counts into a range-sized table, builds the
+// tree by merging two sorted queues of nodes keyed (frequency, lowest
+// symbol), assigns canonical codes by counting codes per length, and
+// writes the payload into one buffer sized from the code lengths.
+// Decode resolves short codes through a multi-bit peek table and walks
+// the canonical first-code table for the rest. Neither keeps state
+// between calls.
 package huffman
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"lossycorr/internal/bitstream"
 )
@@ -21,263 +30,366 @@ import (
 // length-limiting rebalancing pass, 32 bits is always achievable.
 const MaxCodeLen = 32
 
-type node struct {
-	freq        uint64
-	symbol      uint16
-	leaf        bool
-	left, right *node
-}
-
-type nodeHeap []*node
-
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	// tie-break on symbol for determinism
-	return h[i].symbol < h[j].symbol
-}
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(*node)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// codeLengths computes Huffman code lengths from frequencies, then
-// clamps to MaxCodeLen with a simple Kraft-sum repair pass.
-func codeLengths(freq map[uint16]uint64) map[uint16]uint8 {
-	lengths := make(map[uint16]uint8, len(freq))
-	switch len(freq) {
+// codeLengths computes Huffman code lengths from the frequencies of
+// the distinct symbols, given in ascending symbol order, then clamps
+// them to MaxCodeLen. The frequencies must be positive and sum to less
+// than 2⁴⁸.
+//
+// A node's key packs (frequency, lowest leaf index) into one uint64.
+// Leaf index order is symbol order, so keys order nodes as (frequency,
+// lowest symbol) does. Live nodes cover disjoint leaf sets, so no two
+// keys are equal, and merging the two smallest live nodes until one is
+// left builds a single tree for given frequencies.
+//
+// The two smallest live nodes are found among the heads of two sorted
+// queues: the leaves, sorted by key, and the merged nodes in creation
+// order. Merged keys rise strictly with creation:
+//   - a merged node's frequency is the sum of two positive ones, so it
+//     outweighs both nodes just taken, and each key taken from the
+//     queues exceeds the one before;
+//   - so a later merge takes two nodes no lighter than the earlier
+//     two, and its sum is no smaller;
+//   - equal sums need four equal frequencies, and then the earlier pair
+//     holds the lower leaf.
+//
+// It is the order the map-keyed reference encoder in the tests
+// (encodeMapRef) pops its heap in, so the tree, the lengths and the
+// stream bytes match it.
+func codeLengths(freq []uint64) []uint8 {
+	n := len(freq)
+	lengths := make([]uint8, n)
+	switch n {
 	case 0:
 		return lengths
 	case 1:
-		for s := range freq {
-			lengths[s] = 1
-		}
+		lengths[0] = 1
 		return lengths
 	}
-	// Slab-allocate the tree: a Huffman tree over n leaves has exactly
-	// 2n−1 nodes, so one allocation sized up front replaces one
-	// allocation per node (the capacity is never exceeded, keeping the
-	// interior pointers stable).
-	nodes := make([]node, 0, 2*len(freq)-1)
-	alloc := func(n node) *node {
-		nodes = append(nodes, n)
-		return &nodes[len(nodes)-1]
+	const idxMask = 1<<16 - 1
+	leaves := make([]uint64, n)
+	for i, f := range freq {
+		leaves[i] = f<<16 | uint64(i)
 	}
-	h := make(nodeHeap, 0, len(freq))
-	for s, f := range freq {
-		h = append(h, alloc(node{freq: f, symbol: s, leaf: true}))
-	}
-	heap.Init(&h)
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*node)
-		b := heap.Pop(&h).(*node)
-		heap.Push(&h, alloc(node{freq: a.freq + b.freq, symbol: minSym(a, b), left: a, right: b}))
-	}
-	root := h[0]
-	var walk func(n *node, depth uint8)
-	walk = func(n *node, depth uint8) {
-		if n.leaf {
-			if depth == 0 {
-				depth = 1
+	leaves = sortByFreq(leaves)
+	// The tree's 2n−1 nodes are leaves 0..n−1, then merged[j] as node
+	// n+j, so a parent's index always exceeds its children's.
+	merged := make([]uint64, 0, n-1)
+	parent := make([]int32, 2*n-2)
+	li, mi := 0, 0
+	for len(merged) < n-1 {
+		var key [2]uint64
+		next := int32(n + len(merged))
+		for j := range key {
+			if li < n && (mi == len(merged) || leaves[li] < merged[mi]) {
+				key[j] = leaves[li]
+				parent[leaves[li]&idxMask] = next
+				li++
+			} else {
+				key[j] = merged[mi]
+				parent[n+mi] = next
+				mi++
 			}
-			lengths[n.symbol] = depth
-			return
 		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
+		merged = append(merged, (key[0]>>16+key[1]>>16)<<16|min(key[0]&idxMask, key[1]&idxMask))
 	}
-	walk(root, 0)
+	depth := make([]uint8, 2*n-1)
+	for i := 2*n - 3; i >= 0; i-- {
+		depth[i] = depth[parent[i]] + 1
+	}
+	copy(lengths, depth[:n])
 	clampLengths(lengths)
 	return lengths
 }
 
-func minSym(a, b *node) uint16 {
-	if a.symbol < b.symbol {
-		return a.symbol
+// sortByFreq sorts leaf keys given in index order by frequency,
+// stably — hence by key — with an LSD radix sort over the frequency
+// bytes the largest key has.
+func sortByFreq(keys []uint64) []uint64 {
+	var top uint64
+	for _, k := range keys {
+		top = max(top, k)
 	}
-	return b.symbol
+	tmp := make([]uint64, len(keys))
+	for shift := uint(16); top>>shift != 0; shift += 8 {
+		var start [256]int
+		for _, k := range keys {
+			start[byte(k>>shift)]++
+		}
+		pos := 0
+		for d, c := range start {
+			start[d] = pos
+			pos += c
+		}
+		for _, k := range keys {
+			d := byte(k >> shift)
+			tmp[start[d]] = k
+			start[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
-// clampLengths enforces MaxCodeLen while keeping the Kraft inequality
-// tight enough for a valid prefix code.
-func clampLengths(lengths map[uint16]uint8) {
+// clampLengths enforces MaxCodeLen while keeping the Kraft sum
+// K = Σ 2^−l <= 1, so the lengths still form a prefix code: it clamps
+// every longer code to MaxCodeLen, then repeatedly lengthens the
+// shortest code — the lowest symbol among equally short ones — until
+// the sum fits. K is kept exactly, in units of 2^−MaxCodeLen.
+func clampLengths(lengths []uint8) {
 	over := false
-	for _, l := range lengths {
+	for i, l := range lengths {
 		if l > MaxCodeLen {
+			lengths[i] = MaxCodeLen
 			over = true
-			break
 		}
 	}
 	if !over {
 		return
 	}
-	for s, l := range lengths {
-		if l > MaxCodeLen {
-			lengths[s] = MaxCodeLen
-		}
+	var kraft uint64
+	for _, l := range lengths {
+		kraft += 1 << (MaxCodeLen - l)
 	}
-	// repair Kraft sum K = Σ 2^-l <= 1 by lengthening the shortest codes
-	kraft := func() float64 {
-		var k float64
-		for _, l := range lengths {
-			k += 1 / float64(uint64(1)<<l)
-		}
-		return k
-	}
-	for kraft() > 1 {
-		// lengthen the symbol with the shortest length < MaxCodeLen
-		var best uint16
-		bestLen := uint8(MaxCodeLen + 1)
-		for s, l := range lengths {
+	for kraft > 1<<MaxCodeLen {
+		best, bestLen := -1, uint8(MaxCodeLen)
+		for i, l := range lengths {
 			if l < bestLen {
-				best, bestLen = s, l
+				best, bestLen = i, l
 			}
 		}
-		if bestLen >= MaxCodeLen {
+		if best < 0 {
 			break
 		}
-		lengths[best] = bestLen + 1
+		kraft -= 1 << (MaxCodeLen - bestLen - 1)
+		lengths[best]++
 	}
 }
 
-// canonical assigns canonical codes (shorter lengths first, then symbol
-// order) given lengths. Returned map is symbol → (code, length).
+// codeEntry is one symbol's canonical code.
 type codeEntry struct {
 	code uint32
 	len  uint8
 }
 
-func canonical(lengths map[uint16]uint8) map[uint16]codeEntry {
-	type sl struct {
-		sym uint16
-		l   uint8
+// canonical assigns canonical codes — shorter lengths first, then
+// symbol order — to lengths given in ascending symbol order: it counts
+// the codes of each length, derives each length's first code, and
+// hands out consecutive codes within a length.
+func canonical(lengths []uint8) []codeEntry {
+	var count [MaxCodeLen + 1]uint32
+	for _, l := range lengths {
+		count[l]++
 	}
-	list := make([]sl, 0, len(lengths))
-	for s, l := range lengths {
-		list = append(list, sl{s, l})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].l != list[j].l {
-			return list[i].l < list[j].l
-		}
-		return list[i].sym < list[j].sym
-	})
-	codes := make(map[uint16]codeEntry, len(list))
+	var next [MaxCodeLen + 1]uint32
 	var code uint32
-	var prevLen uint8
-	for _, e := range list {
-		code <<= e.l - prevLen
-		codes[e.sym] = codeEntry{code: code, len: e.l}
-		code++
-		prevLen = e.l
+	for l := 1; l <= MaxCodeLen; l++ {
+		code = (code + count[l-1]) << 1
+		next[l] = code
+	}
+	codes := make([]codeEntry, len(lengths))
+	for i, l := range lengths {
+		codes[i] = codeEntry{code: next[l], len: l}
+		next[l]++
 	}
 	return codes
 }
 
-// Encode compresses symbols into a self-describing byte stream.
+// Encode compresses symbols into a self-describing byte stream. It
+// panics on 2³² or more symbols, which the header cannot count.
 func Encode(symbols []uint16) []byte {
-	freq := make(map[uint16]uint64)
+	if uint64(len(symbols)) > math.MaxUint32 {
+		panic("huffman: more than 2^32-1 symbols")
+	}
+	lo, hi := uint16(math.MaxUint16), uint16(0)
 	for _, s := range symbols {
-		freq[s]++
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	// index[s−lo] counts symbol s, then becomes its rank among the
+	// distinct symbols, which ascend.
+	var index []uint32
+	if len(symbols) > 0 {
+		index = make([]uint32, int(hi-lo)+1)
+	}
+	for _, s := range symbols {
+		index[s-lo]++
+	}
+	distinct := 0
+	for _, c := range index {
+		if c != 0 {
+			distinct++
+		}
+	}
+	syms := make([]uint16, 0, distinct)
+	freq := make([]uint64, 0, distinct)
+	for i, c := range index {
+		if c != 0 {
+			index[i] = uint32(len(syms))
+			syms = append(syms, lo+uint16(i))
+			freq = append(freq, uint64(c))
+		}
 	}
 	lengths := codeLengths(freq)
 	codes := canonical(lengths)
+	var bits uint64
+	for i, f := range freq {
+		bits += f * uint64(lengths[i])
+	}
 
 	// header: numSymbols(u32), numDistinct(u32), then (symbol u16, len u8)*
-	hdr := make([]byte, 8, 8+3*len(lengths))
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(symbols)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(lengths)))
-	type sl struct {
-		sym uint16
-		l   uint8
-	}
-	list := make([]sl, 0, len(lengths))
-	for s, l := range lengths {
-		list = append(list, sl{s, l})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].sym < list[j].sym })
-	for _, e := range list {
-		var b [3]byte
-		binary.LittleEndian.PutUint16(b[0:], e.sym)
-		b[2] = e.l
-		hdr = append(hdr, b[:]...)
+	hdrLen := 8 + 3*distinct
+	out := make([]byte, hdrLen+int((bits+7)/8))
+	binary.LittleEndian.PutUint32(out[0:], uint32(len(symbols)))
+	binary.LittleEndian.PutUint32(out[4:], uint32(distinct))
+	for i, s := range syms {
+		binary.LittleEndian.PutUint16(out[8+3*i:], s)
+		out[8+3*i+2] = lengths[i]
 	}
 
-	w := bitstream.NewWriter()
+	// payload: codes MSB-first, the last byte zero padded; pending bits
+	// sit in the low `pending` bits of acc and leave 32 at a time.
+	p := out[hdrLen:]
+	var acc uint64
+	var pending uint
 	for _, s := range symbols {
-		e := codes[s]
-		w.WriteBits(uint64(e.code), uint(e.len))
+		e := codes[index[s-lo]]
+		acc = acc<<e.len | uint64(e.code)
+		pending += uint(e.len)
+		if pending >= 32 {
+			pending -= 32
+			binary.BigEndian.PutUint32(p, uint32(acc>>pending))
+			p = p[4:]
+		}
 	}
-	return append(hdr, w.Bytes()...)
+	for ; pending >= 8; p = p[1:] {
+		pending -= 8
+		p[0] = byte(acc >> pending)
+	}
+	if pending > 0 {
+		p[0] = byte(acc << (8 - pending))
+	}
+	return out
 }
 
 // ErrCorrupt reports a malformed Huffman stream.
 var ErrCorrupt = errors.New("huffman: corrupt stream")
+
+// maxPeekBits caps the decoder's peek table at 2¹¹ entries (8 KiB).
+const maxPeekBits = 11
 
 // decodeTable is the dense canonical decoder state: per code length,
 // the canonical code of that length's first symbol and where that
 // symbol sits in the (length, symbol)-sorted symbol array. A code of
 // length l decodes as syms[offset[l] + (code − firstCode[l])] whenever
 // code − firstCode[l] < count[l] — the classic canonical-Huffman
-// first-code/first-symbol walk, with no per-bit map lookups and one
-// flat symbol array instead of per-entry hashing.
+// first-code/first-symbol walk. Codes of up to peekBits bits resolve
+// in one lookup: peek[v] holds sym<<8 | l for the code of length l
+// that prefixes the peekBits-bit value v, or 0 when none does.
 type decodeTable struct {
 	maxLen    int
 	firstCode [MaxCodeLen + 1]uint64
 	count     [MaxCodeLen + 1]int
 	offset    [MaxCodeLen + 1]int
 	syms      []uint16
+	peekBits  int
+	peek      []uint32
 }
 
-// newDecodeTable builds the dense table from the (symbol → length)
-// map, sorting symbols canonically (shorter lengths first, then symbol
-// order). The code assignment it encodes is exactly the one
-// canonical() produces — consecutive codes within a length, shifted
-// left across lengths — so the walk decodes precisely the codes the
-// old map-keyed decoder accepted.
-func newDecodeTable(lengths map[uint16]uint8) *decodeTable {
+// newDecodeTable builds the decoder from the header's (symbol u16,
+// length u8) entries, whose lengths are already validated. A symbol
+// listed twice takes its last length. The symbols are ordered
+// canonically — shorter lengths first, then symbol order — by a
+// counting sort on length over the ascending symbols, which reproduces
+// exactly the code assignment Encode's canonical() makes, so every
+// stream decodes (or is rejected) just as under a map keyed by
+// (length, code) walked bit by bit.
+func newDecodeTable(entries []byte) *decodeTable {
+	if !strictlyAscending(entries) {
+		entries = dedupe(entries)
+	}
 	t := &decodeTable{}
-	type sl struct {
-		sym uint16
-		l   uint8
-	}
-	list := make([]sl, 0, len(lengths))
-	for s, l := range lengths {
-		list = append(list, sl{s, l})
-		if int(l) > t.maxLen {
-			t.maxLen = int(l)
-		}
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].l != list[j].l {
-			return list[i].l < list[j].l
-		}
-		return list[i].sym < list[j].sym
-	})
-	t.syms = make([]uint16, len(list))
-	for i, e := range list {
-		t.count[e.l]++
-		t.syms[i] = e.sym
+	for i := 2; i < len(entries); i += 3 {
+		l := int(entries[i])
+		t.count[l]++
+		t.maxLen = max(t.maxLen, l)
 	}
 	var code uint64
 	pos := 0
+	var next [MaxCodeLen + 1]int
 	for l := 1; l <= t.maxLen; l++ {
 		t.firstCode[l] = code
 		t.offset[l] = pos
+		next[l] = pos
 		pos += t.count[l]
 		code = (code + uint64(t.count[l])) << 1
+	}
+	t.syms = make([]uint16, pos)
+	for i := 0; i < len(entries); i += 3 {
+		l := entries[i+2]
+		t.syms[next[l]] = binary.LittleEndian.Uint16(entries[i:])
+		next[l]++
+	}
+
+	// Fill each peek slot from the code prefixing it. No two codes
+	// share a prefix, even in an overfull header (Kraft sum > 1): each
+	// length's first code lies past every shorter code shifted to that
+	// length. An overfull header's surplus codes lie past 2^l − 1, can
+	// never be read at length l, and are skipped.
+	k := min(t.maxLen, maxPeekBits)
+	t.peekBits = k
+	t.peek = make([]uint32, 1<<k)
+	for l := 1; l <= k; l++ {
+		shift := uint(k - l)
+		for d := 0; d < t.count[l]; d++ {
+			c := t.firstCode[l] + uint64(d)
+			if c >= 1<<l {
+				break
+			}
+			e := uint32(t.syms[t.offset[l]+d])<<8 | uint32(l)
+			for v := c << shift; v < (c+1)<<shift; v++ {
+				t.peek[v] = e
+			}
+		}
 	}
 	return t
 }
 
-// Decode reverses Encode, walking the dense canonical table.
+// strictlyAscending reports whether the header entries list their
+// symbols in strictly ascending order, as Encode writes them.
+func strictlyAscending(entries []byte) bool {
+	for i := 3; i < len(entries); i += 3 {
+		if binary.LittleEndian.Uint16(entries[i:]) <= binary.LittleEndian.Uint16(entries[i-3:]) {
+			return false
+		}
+	}
+	return true
+}
+
+// dedupe rewrites header entries in ascending symbol order with each
+// symbol once, at the length of its last listing, through a table
+// over the entries' symbol range.
+func dedupe(entries []byte) []byte {
+	lo, hi := uint16(math.MaxUint16), uint16(0)
+	for i := 0; i < len(entries); i += 3 {
+		s := binary.LittleEndian.Uint16(entries[i:])
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	lengths := make([]uint8, int(hi-lo)+1)
+	for i := 0; i < len(entries); i += 3 {
+		lengths[binary.LittleEndian.Uint16(entries[i:])-lo] = entries[i+2]
+	}
+	out := make([]byte, 0, len(entries))
+	for i, l := range lengths {
+		if l != 0 {
+			out = binary.LittleEndian.AppendUint16(out, lo+uint16(i))
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// Decode reverses Encode. It reads the payload through a 64-bit
+// window: a peek-table lookup decodes each short code, and the
+// canonical walk over the longer lengths decodes the rest.
 func Decode(data []byte) ([]uint16, error) {
 	if len(data) < 8 {
 		return nil, ErrCorrupt
@@ -290,15 +402,11 @@ func Decode(data []byte) ([]uint16, error) {
 	if len(data) < 8+3*distinct {
 		return nil, ErrCorrupt
 	}
-	lengths := make(map[uint16]uint8, distinct)
-	for i := 0; i < distinct; i++ {
-		off := 8 + 3*i
-		sym := binary.LittleEndian.Uint16(data[off:])
-		l := data[off+2]
-		if l == 0 || l > MaxCodeLen {
+	entries := data[8 : 8+3*distinct]
+	for i := 2; i < len(entries); i += 3 {
+		if l := entries[i]; l == 0 || l > MaxCodeLen {
 			return nil, ErrCorrupt
 		}
-		lengths[sym] = l
 	}
 	if count == 0 {
 		return []uint16{}, nil
@@ -314,27 +422,51 @@ func Decode(data []byte) ([]uint16, error) {
 	if count > 8*len(payload) {
 		return nil, ErrCorrupt
 	}
-	tbl := newDecodeTable(lengths)
-	r := bitstream.NewReader(payload)
-	out := make([]uint16, 0, count)
-	for len(out) < count {
-		var code uint64
-		found := false
-		for l := 1; l <= tbl.maxLen; l++ {
-			b, err := r.ReadBit()
-			if err != nil {
-				return nil, fmt.Errorf("huffman: truncated payload: %w", err)
-			}
-			code = code<<1 | uint64(b)
-			if d := code - tbl.firstCode[l]; code >= tbl.firstCode[l] && d < uint64(tbl.count[l]) {
-				out = append(out, tbl.syms[tbl.offset[l]+int(d)])
-				found = true
-				break
+	tbl := newDecodeTable(entries)
+	peek, peekShift := tbl.peek, uint(64-tbl.peekBits)
+	maxLen := uint(tbl.maxLen)
+	// The top n bits of acc are the unread payload bits; below them
+	// acc holds zeros past the payload's end, or further payload bits
+	// (loaded ahead, and loaded again, identically, by the next refill).
+	var acc uint64
+	var n uint
+	pos := 0
+	out := make([]uint16, count)
+	for i := range out {
+		if n < MaxCodeLen {
+			if pos+8 <= len(payload) {
+				acc |= binary.BigEndian.Uint64(payload[pos:]) >> n
+				pos += int(63-n) >> 3
+				n |= 56
+			} else {
+				for ; n <= 56 && pos < len(payload); pos++ {
+					acc |= uint64(payload[pos]) << (56 - n)
+					n += 8
+				}
 			}
 		}
-		if !found {
-			return nil, ErrCorrupt
+		var l uint
+		if e := peek[acc>>peekShift]; e != 0 {
+			out[i], l = uint16(e>>8), uint(e&0xff)
+		} else {
+			for l = uint(tbl.peekBits) + 1; l <= maxLen; l++ {
+				c := acc >> (64 - l)
+				if d := c - tbl.firstCode[l]; c >= tbl.firstCode[l] && d < uint64(tbl.count[l]) {
+					out[i] = tbl.syms[tbl.offset[l]+int(d)]
+					break
+				}
+			}
+			if l > maxLen {
+				return nil, ErrCorrupt
+			}
 		}
+		// A refill leaves n < 32 only at the payload's end, so a code
+		// longer than n ran past it.
+		if l > n {
+			return nil, fmt.Errorf("huffman: truncated payload: %w", bitstream.ErrOutOfBits)
+		}
+		acc <<= l
+		n -= l
 	}
 	return out, nil
 }

@@ -10,11 +10,12 @@ import (
 // TestRoundTripAllocs pins the zero-allocation work on the measurement
 // loop, on both lanes: with the codec's working set pooled (padded
 // source and reconstruction, symbol stream, block modes) and the
-// Huffman tree slab-allocated, a full-scale 128×128 round trip sits
-// well under 400 allocations. The pre-pooling pipeline spent ~5000 on
-// the same input (one per Huffman tree node alone), so the bound has
-// wide headroom against environment noise yet catches any regression to
-// per-node or per-call allocation.
+// Huffman coder working on a fixed handful of flat tables per call (no
+// maps, no per-node allocation), a full-scale 128×128 round trip sits
+// well under 400 allocations (~80). The pre-pooling pipeline spent
+// ~5000 on the same input (one per Huffman tree node alone), so the
+// bound has wide headroom against environment noise yet catches any
+// regression to per-node or per-call allocation.
 func TestRoundTripAllocs(t *testing.T) {
 	rng := xrand.New(3)
 	f := field.New(128, 128)
