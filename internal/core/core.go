@@ -139,10 +139,10 @@ type AnalysisOptions struct {
 	// statistics keep the direct per-window scan either way.
 	VariogramFFT bool
 	// Workers sizes each worker pool of the analysis rather than capping
-	// total goroutines: the three statistics run concurrently on one
-	// pool and each windowed statistic fans its windows out over its
-	// own, so peak concurrency can reach a small multiple of Workers
-	// (the Go scheduler multiplexes them onto GOMAXPROCS threads).
+	// total goroutines: the global variogram and then the one window
+	// sweep each fan out over their own pool, and nested pools (such as
+	// MeasureFieldSet's) can raise peak concurrency to a small multiple
+	// of Workers (the Go scheduler multiplexes them onto GOMAXPROCS threads).
 	// 0 means GOMAXPROCS per pool; 1 forces the fully serial path.
 	// Results are bit-identical for every value.
 	Workers int
@@ -181,9 +181,9 @@ func (o AnalysisOptions) withDefaults() AnalysisOptions {
 // AnalyzeFieldCtx extracts the correlation statistics of a field of
 // any rank (H×H windows for grids, H×H×H windows for volumes; the SVD
 // statistic unfolds higher-rank windows along their first extent). The
-// statistics are independent and run concurrently on the shared worker
-// pool; each windowed statistic additionally fans its windows out over
-// the same pool. Error precedence is fixed (global, then local
+// global variogram runs first, then one window sweep serves both
+// windowed statistics; each fans its work out over the shared worker
+// pool. Error precedence is fixed (global, then local
 // variogram, then local SVD) so failures are reported identically at
 // any worker count.
 //

@@ -5,12 +5,11 @@ package core
 // spectral engine's padded planes, if requested) fits
 // AnalysisOptions.MemBudget it slurps the file and analyzes it in RAM
 // on the stored lane; otherwise it streams every statistic through the
-// TileReader. The streaming statistics run sequentially — the
-// transform-pool budget bounds PEAK bytes, and running the three stats
-// concurrently would sum their working sets — and their error wrapping
-// follows the same fixed precedence as the in-RAM path (global
-// variogram, local variogram, local SVD), so failures are reported
-// identically either way.
+// TileReader. The global variogram and the one window sweep of the
+// local statistics run one after another, as in RAM (the budget bounds
+// PEAK bytes, which concurrent stages would sum), and errors follow the
+// same fixed precedence as the in-RAM path (global variogram, local
+// variogram, local SVD), so failures are reported identically.
 
 import (
 	"context"

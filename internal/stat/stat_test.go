@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"strings"
@@ -193,12 +194,20 @@ func TestRunErrorPrecedence(t *testing.T) {
 	ok := globalKernel{name: "ok", out: []float64{1}}
 	failG := labeledKernel{globalKernel{name: "g", err: errors.New("global broke")}}
 	failW := winKernel{name: "w", evalErr: errors.New("window broke")}
+	// Two window kernels of one sweep on the 2-windows of the 8×8 iota
+	// field: a fails at window 10 (element 36), b at window 1 (element 2).
+	failA := namedBatch{batchKernel{fail: map[float64]bool{36: true}, maxBatch: new(atomic.Int64)}, "a"}
+	failB := namedBatch{batchKernel{fail: map[float64]bool{2: true}, maxBatch: new(atomic.Int64)}, "b"}
 	for _, tc := range []struct {
 		kernels []Kernel
 		want    string
 	}{
 		{[]Kernel{ok, failG, failW}, "custom label: global broke"},
 		{[]Kernel{ok, failW, failG}, "w: window broke"},
+		{[]Kernel{ok, failA, failB}, "a: window at element 36 failed"},
+		{[]Kernel{failA, failG, failB}, "a: window at element 36 failed"},
+		// b fails in the sweep, which runs first; g's lower index wins.
+		{[]Kernel{winKernel{name: "v"}, failG, failB}, "custom label: global broke"},
 	} {
 		for _, src := range []Source{{F64: f}, {Reader: readerOf(t, f)}} {
 			for _, workers := range []int{1, 4} {
@@ -276,6 +285,16 @@ func (k batchKernel) EvalWindows(ws []*field.Field, vals []float64, keep []bool,
 func (batchKernel) Fold(vals []float64, info FoldInfo, opt any) ([]float64, error) {
 	return vals, nil
 }
+
+// namedBatch is a batchKernel under its own name, so that several can
+// share one Run.
+type namedBatch struct {
+	batchKernel
+	name string
+}
+
+func (k namedBatch) Name() string      { return k.name }
+func (k namedBatch) Outputs() []string { return []string{k.name} }
 
 // iotaSources holds the iota field over shape as every source
 // kind: float64, float32 (exact, the values are small integers), and a
@@ -410,5 +429,85 @@ func TestWindowsTinyBudget(t *testing.T) {
 	src := Source{Reader: tr, Stream: field.StreamOptions{BudgetBytes: 2 * 16 * 4}}
 	if _, err := Windows(ctx, src, winKernel{name: "w"}, 2, 1, nil, nil); err != nil {
 		t.Errorf("budget of two windows: %v", err)
+	}
+}
+
+// TestWindowsNonPositiveEdge: a window edge below 1 that the kernel's
+// CheckWindow lets through is the same error on every source kind, not
+// a panic on the in-RAM lanes.
+func TestWindowsNonPositiveEdge(t *testing.T) {
+	ctx := context.Background()
+	k := winKernel{name: "w"}
+	for _, h := range []int{0, -1} {
+		want := fmt.Sprintf("stream: non-positive window edge %d", h)
+		for i, src := range iotaSources(t, 0, 4, 4) {
+			if _, err := Windows(ctx, src, k, h, 2, nil, nil); err == nil || err.Error() != want {
+				t.Errorf("source %d h=%d: Windows err %v, want %q", i, h, err, want)
+			}
+			if _, err := Run(ctx, src, []Kernel{k}, Request{Window: h}); err == nil || err.Error() != "w: "+want {
+				t.Errorf("source %d h=%d: Run err %v, want %q", i, h, err, "w: "+want)
+			}
+		}
+	}
+}
+
+// countingReaderAt counts the reads made through it.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	reads atomic.Int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.reads.Add(1)
+	return c.r.ReadAt(p, off)
+}
+
+// TestRunReadsEachTileOnce: the window kernels of a Run share one
+// sweep, so a Reader source is read exactly as often for two window
+// kernels as for one.
+func TestRunReadsEachTileOnce(t *testing.T) {
+	var buf bytes.Buffer
+	if err := iota64(12, 12, 12).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cr := &countingReaderAt{r: bytes.NewReader(buf.Bytes())}
+	tr, err := field.NewTileReader(cr, int64(buf.Len()), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each tile holds one 4×12×12 layer of 4-windows: three tiles.
+	src := Source{Reader: tr, Stream: field.StreamOptions{BudgetBytes: 16 * 4 * 12 * 12}}
+	reads := func(kernels ...Kernel) int64 {
+		before := cr.reads.Load()
+		if _, err := Run(context.Background(), src, kernels, Request{Window: 4, Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		return cr.reads.Load() - before
+	}
+	one := reads(winKernel{name: "a"})
+	if one < 3 {
+		t.Fatalf("one window kernel made %d reads, want at least one per tile", one)
+	}
+	if two := reads(winKernel{name: "a"}, winKernel{name: "b"}); two != one {
+		t.Errorf("two window kernels made %d reads, one made %d", two, one)
+	}
+}
+
+// TestWindowsRankNine: in-RAM sweeps have no rank limit (a field file,
+// and so a Reader source, has rank at most 8).
+func TestWindowsRankNine(t *testing.T) {
+	shape := []int{3, 2, 2, 2, 2, 2, 2, 2, 3} // 2·1⁷·2 = 4 windows of edge 2, clipped on the outer axes
+	k := batchKernel{maxBatch: new(atomic.Int64)}
+	f := iota64(shape...)
+	want := oneByOne(t, k, f, 2, nil)
+	f32 := field.New32(shape...)
+	for i, v := range f.Data {
+		f32.Data[i] = float32(v)
+	}
+	for _, src := range []Source{{F64: f}, {F32: f32}} {
+		got, err := Windows(context.Background(), src, k, 2, 2, nil, nil)
+		if err != nil || len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("in-RAM rank 9: %v (err %v), want %v", got, err, want)
+		}
 	}
 }

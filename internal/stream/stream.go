@@ -1,21 +1,20 @@
-// Package stream drives out-of-core window sweeps for the analysis
-// statistics. It plans h-aligned tiles against a byte budget
-// (field.PlanWindowTiles), pulls each tile through a TileReader into
-// one pooled transform buffer — so tile bytes are visible to the fft
-// pool's peak accounting, the gauge the memory budget is enforced
-// against — evaluates the windows inside each tile on the shared worker
-// pool, and returns results compacted in the exact order the in-RAM
-// windowed statistics fold them. Because tiles are h-aligned, every
-// window's clipped content is identical to its in-RAM extraction, and
-// because results are scattered by global window index before
-// compaction, the fold order is independent of tile decomposition,
-// halo, and worker count: the streamed statistic is bit-identical to
-// the in-RAM one.
+// Package stream drives the window sweeps of the analysis statistics.
+// A sweep walks h-aligned tiles of its Source: an in-RAM field is one
+// zero-copy tile, and a TileReader is read tile by tile under a byte
+// budget into one pooled transform buffer, so tile bytes count toward
+// the fft pool's peak gauge that the budget is enforced against. Each
+// run of extracted windows goes to every evaluator of the sweep. Tiles
+// are h-aligned, so a window's clipped content does not depend on the
+// tiling, and results are scattered by global window index before
+// compaction, so their order does not depend on tiles, halo or worker
+// count: a streamed statistic is bit-identical to the in-RAM one.
 package stream
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"lossycorr/internal/fft"
@@ -23,56 +22,83 @@ import (
 	"lossycorr/internal/parallel"
 )
 
-// BatchWidth is the number of windows a sweep hands its evaluator at
-// once: runs of up to BatchWidth windows let a kernel evaluate several
-// equal-shaped windows in one pass. It is fixed; results do not depend
-// on it.
+// BatchWidth is the number of windows a sweep hands its evaluators at
+// once, so a kernel can evaluate several equal-shaped windows in one
+// pass. Results do not depend on it.
 const BatchWidth = 4
 
-// BatchEval evaluates a run of at most BatchWidth windows of one tile:
-// block is the tile's element data, rels[i] the i-th window's origin
-// relative to the block, h the window edge. It writes window i's value
-// to vals[i] and whether to keep it to keep[i], and on failure returns
-// the error of its lowest failing window.
-type BatchEval func(block *field.Field, rels [][]int, h int, vals []float64, keep []bool) error
+// Source is the one value that names every input a statistic accepts:
+// exactly one of F64, F32, or Reader is set. Stream configures the
+// tile budget of a Reader source.
+type Source struct {
+	F64    *field.Field
+	F32    *field.Field32
+	Reader *field.TileReader
+	Stream field.StreamOptions
+}
 
-// batch is the pooled per-run scratch of one BatchEval call.
+// Streaming reports whether the source is dataset-backed.
+func (s Source) Streaming() bool { return s.Reader != nil }
+
+// Shape returns the source's extents.
+func (s Source) Shape() []int {
+	switch {
+	case s.Reader != nil:
+		return s.Reader.Shape()
+	case s.F32 != nil:
+		return s.F32.Shape
+	case s.F64 != nil:
+		return s.F64.Shape
+	}
+	return nil
+}
+
+// BatchEval evaluates a run of at most BatchWidth extracted windows,
+// writing window i's value to vals[i] and whether to keep it to keep[i];
+// on failure it returns the error of its lowest failing window. All
+// evaluators of a sweep share ws, so none may write to it.
+type BatchEval func(ws []*field.Field, vals []float64, keep []bool) error
+
+// batch is the pooled scratch of one run, so that steady state
+// allocates no window storage.
 type batch struct {
-	org  [BatchWidth][8]int
-	rels [BatchWidth][]int
+	ws   [BatchWidth]*field.Field
+	org  []int
 	vals [BatchWidth]float64
 	keep [BatchWidth]bool
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
-// Windows streams every h-window of tr (sel == nil), or exactly the
+// Windows evaluates every h-window of src (sel == nil), or exactly the
 // windows whose global lexicographic indices appear in sel, through
-// eval, one budget-sized tile at a time; within a tile, the selected
-// windows go to eval in runs of up to BatchWidth, in tile order.
-// Results come back compacted — kept values only — ordered by global
-// window index (sel == nil) or by position in sel, which are precisely
-// the fold orders of the in-RAM full and sampled window sweeps. Tiles
-// holding no selected window are never read. A failing sweep returns
-// the error of the first failing run, tiles taken in plan order.
-func Windows(ctx context.Context, tr *field.TileReader, h, workers int, o field.StreamOptions, sel []int, eval BatchEval) ([]float64, error) {
-	shape := tr.Shape()
+// every evaluator, extracting each window once (widened exactly on the
+// float32 lane) and reading each tile holding a selected window once.
+// Within a tile, windows go out in runs of up to BatchWidth in window
+// order or sel order, and vals[e] holds evaluator e's kept values in
+// that order. errs[e] is the error of e's lowest failing window in
+// sweep order (tiles in plan order); e is then dropped from the later
+// runs, and the sweep stops once every evaluator has failed. A sweep
+// error (source, window edge, selection, budget, read) goes to every
+// evaluator still live, and ctx cancellation to all.
+func Windows(ctx context.Context, src Source, h, workers int, sel []int, evals ...BatchEval) (vals [][]float64, errs []error) {
+	vals = make([][]float64, len(evals))
+	errs = make([]error, len(evals))
+	stop := func(err error) ([][]float64, []error) {
+		for e := range errs {
+			if errs[e] == nil {
+				errs[e] = err
+			}
+		}
+		return vals, errs
+	}
+	shape := src.Shape()
 	d := len(shape)
-	if d > 8 {
-		return nil, fmt.Errorf("stream: rank %d exceeds 8", d)
+	if d == 0 {
+		return stop(fmt.Errorf("stream: empty source"))
 	}
-	// Plan against HALF the byte budget: pooled buffers are accounted by
-	// capacity, and a tight acquisition can still carry up to 2× slack
-	// from a warm pool — half-budget tiles keep worst-case accounted
-	// bytes at the budget, and fresh-pool runs at half of it. A positive
-	// budget under 16 bytes is one element, not "no budget".
-	var budgetElems int64
-	if o.BudgetBytes > 0 {
-		budgetElems = max(1, o.BudgetBytes/16)
-	}
-	tiles, err := field.PlanWindowTiles(shape, h, budgetElems)
-	if err != nil {
-		return nil, err
+	if h <= 0 {
+		return stop(fmt.Errorf("stream: non-positive window edge %d", h))
 	}
 	wg := field.NewWindowGrid(shape, h)
 	total := wg.Total()
@@ -83,39 +109,66 @@ func Windows(ctx context.Context, tr *field.TileReader, h, workers int, o field.
 		pos = make([]int32, total)
 		for i, g := range sel {
 			if g < 0 || g >= total {
-				return nil, fmt.Errorf("stream: window index %d outside %d windows", g, total)
+				return stop(fmt.Errorf("stream: window index %d outside %d windows", g, total))
 			}
 			pos[g] = int32(i + 1)
 		}
 	}
-	vals := make([]float64, nres)
-	kept := make([]bool, nres)
 
-	maxBlock := 0
-	for _, t := range tiles {
-		blo, bhi := field.ExpandHalo(t.Lo, t.Hi, shape, o.Halo)
-		n := 1
-		for k := range blo {
-			n *= bhi[k] - blo[k]
+	// In RAM the field is the one tile, extracted from directly.
+	zero := make([]int, d)
+	tiles := []field.Tile{{Lo: zero, Hi: shape}}
+	block := src.F64
+	extract := func(dst *field.Field, origin []int) { block.WindowInto(dst, origin, h) }
+	switch {
+	case src.Reader != nil:
+		// Plan against half the byte budget: pooled buffers are
+		// accounted by capacity, and a tight acquisition can carry up to
+		// 2× slack from a warm pool. A positive budget under 16 bytes is
+		// one element, not "no budget".
+		var budgetElems int64
+		if b := src.Stream.BudgetBytes; b > 0 {
+			budgetElems = max(1, b/16)
 		}
-		if n > maxBlock {
-			maxBlock = n
+		var err error
+		if tiles, err = field.PlanWindowTiles(shape, h, budgetElems); err != nil {
+			return stop(err)
 		}
+		maxBlock := 0
+		for _, t := range tiles {
+			blo, bhi := field.ExpandHalo(t.Lo, t.Hi, shape, src.Stream.Halo)
+			n := 1
+			for k := range blo {
+				n *= bhi[k] - blo[k]
+			}
+			maxBlock = max(maxBlock, n)
+		}
+		buf := fft.AcquireTight[float64](maxBlock)
+		defer fft.Release(buf)
+		block = &field.Field{Data: buf}
+	case src.F32 != nil:
+		extract = func(dst *field.Field, origin []int) { src.F32.WindowIntoWide(dst, origin, h) }
 	}
-	buf := fft.AcquireTight[float64](maxBlock)
-	defer fft.Release(buf)
-	block := &field.Field{Data: buf}
 
+	raw, keep := make([][]float64, len(evals)), make([][]bool, len(evals))
+	// failAt[e] is evaluator e's lowest failing run, numbered across
+	// the whole sweep; later runs skip the evaluator.
+	failAt := make([]int, len(evals))
+	for e := range evals {
+		raw[e], keep[e], failAt[e] = make([]float64, nres), make([]bool, nres), math.MaxInt
+	}
+	var mu sync.Mutex
 	// run lists the current tile's selected windows: their index
 	// within the tile and their result slot.
 	type pick struct{ j, slot int }
 	var run []pick
+	cbuf := make([]int, d)
+	seq := 0 // runs of the tiles before the current one
 	for _, t := range tiles {
 		tw := wg.TileWindows(t)
 		run = run[:0]
-		var cbuf [8]int
 		for j := 0; j < tw.Len(); j++ {
-			g, _ := tw.Window(j, cbuf[:d])
+			g, _ := tw.Window(j, cbuf)
 			slot := g
 			if pos != nil {
 				if pos[g] == 0 {
@@ -128,43 +181,73 @@ func Windows(ctx context.Context, tr *field.TileReader, h, workers int, o field.
 		if len(run) == 0 {
 			continue
 		}
-		blo, bhi := field.ExpandHalo(t.Lo, t.Hi, shape, o.Halo)
-		if err := tr.ReadBlock(block, blo, bhi); err != nil {
-			return nil, err
+		if pos != nil {
+			slices.SortFunc(run, func(a, b pick) int { return a.slot - b.slot })
 		}
-		if err := parallel.ForErrCtx(ctx, (len(run)+BatchWidth-1)/BatchWidth, workers, func(r int) error {
+		lo := zero
+		if src.Reader != nil {
+			var hi []int
+			lo, hi = field.ExpandHalo(t.Lo, t.Hi, shape, src.Stream.Halo)
+			if err := src.Reader.ReadBlock(block, lo, hi); err != nil {
+				return stop(err)
+			}
+		}
+		nr := (len(run) + BatchWidth - 1) / BatchWidth
+		if err := parallel.ForCtx(ctx, nr, workers, func(r int) {
 			picks := run[r*BatchWidth : min(r*BatchWidth+BatchWidth, len(run))]
+			m := len(picks)
 			b := batchPool.Get().(*batch)
 			defer batchPool.Put(b)
+			if cap(b.org) < d {
+				b.org = make([]int, d)
+			}
 			for i, p := range picks {
-				_, origin := tw.Window(p.j, b.org[i][:d])
-				for k := 0; k < d; k++ {
-					origin[k] -= blo[k]
+				if b.ws[i] == nil {
+					b.ws[i] = new(field.Field)
 				}
-				b.rels[i] = origin
+				_, origin := tw.Window(p.j, b.org[:d])
+				for k := range origin {
+					origin[k] -= lo[k]
+				}
+				extract(b.ws[i], origin)
 			}
-			m := len(picks)
-			if err := eval(block, b.rels[:m], h, b.vals[:m], b.keep[:m]); err != nil {
-				return err
+			for e, eval := range evals {
+				mu.Lock()
+				dropped := failAt[e] < seq+r
+				mu.Unlock()
+				if dropped {
+					continue
+				}
+				if err := eval(b.ws[:m], b.vals[:m], b.keep[:m]); err != nil {
+					mu.Lock()
+					if seq+r < failAt[e] {
+						failAt[e], errs[e] = seq+r, err
+					}
+					mu.Unlock()
+					continue
+				}
+				for i, p := range picks {
+					raw[e][p.slot], keep[e][p.slot] = b.vals[i], b.keep[i]
+				}
 			}
-			for i, p := range picks {
-				vals[p.slot], kept[p.slot] = b.vals[i], b.keep[i]
-			}
-			return nil
 		}); err != nil {
-			return nil, err
+			clear(errs)
+			return stop(err)
+		}
+		seq += nr
+		if !slices.Contains(errs, nil) {
+			break
 		}
 	}
-	return Compact(vals, kept), nil
-}
-
-// Compact returns the values whose keep flag is set, in order.
-func Compact(vals []float64, keep []bool) []float64 {
-	out := make([]float64, 0, len(vals))
-	for i, ok := range keep {
-		if ok {
-			out = append(out, vals[i])
+	for e := range evals {
+		if errs[e] == nil { // compact in place: kept values only, in order
+			vals[e] = raw[e][:0]
+			for i, ok := range keep[e] {
+				if ok {
+					vals[e] = append(vals[e], raw[e][i])
+				}
+			}
 		}
 	}
-	return out
+	return vals, errs
 }

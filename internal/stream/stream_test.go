@@ -150,16 +150,17 @@ func TestWindowsBatchedMatchesInRAM(t *testing.T) {
 					for _, workers := range []int{1, 4} {
 						var maxRun atomic.Int64
 						so := field.StreamOptions{BudgetBytes: budget, Halo: halo}
-						got, err := stream.Windows(ctx, tr, tc.h, workers, so, sel,
-							func(block *field.Field, rels [][]int, h int, vals []float64, keep []bool) error {
-								for n := maxRun.Load(); int64(len(rels)) > n && !maxRun.CompareAndSwap(n, int64(len(rels))); n = maxRun.Load() {
+						res, errs := stream.Windows(ctx, stream.Source{Reader: tr, Stream: so}, tc.h, workers, sel,
+							func(ws []*field.Field, vals []float64, keep []bool) error {
+								for n := maxRun.Load(); int64(len(ws)) > n && !maxRun.CompareAndSwap(n, int64(len(ws))); n = maxRun.Load() {
 								}
-								for i, rel := range rels {
-									v := checksum(block.Window(rel, h))
+								for i, w := range ws {
+									v := checksum(w)
 									vals[i], keep[i] = v, !skip[v]
 								}
 								return nil
 							})
+						got, err := res[0], errs[0]
 						if err != nil {
 							t.Fatal(err)
 						}
