@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"lossycorr/internal/compress"
 	"lossycorr/internal/core"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
@@ -35,11 +34,9 @@ func BenchmarkCodec(b *testing.B) {
 			benchLane(b, name+"/f64", f.SizeBytes(),
 				func() ([]byte, error) { return c.CompressField(f, eb) },
 				func(data []byte) error { _, err := c.DecompressField(data); return err })
-			if l, ok := c.(compress.Lane32Compressor); ok {
-				benchLane(b, name+"/f32", f32.SizeBytes(),
-					func() ([]byte, error) { return l.CompressField32(f32, eb) },
-					func(data []byte) error { _, err := l.DecompressField32(data); return err })
-			}
+			benchLane(b, name+"/f32", f32.SizeBytes(),
+				func() ([]byte, error) { return c.CompressField32(f32, eb) },
+				func(data []byte) error { _, err := c.DecompressField32(data); return err })
 		}
 	}
 }

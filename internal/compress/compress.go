@@ -4,9 +4,8 @@
 // paper's experimental setup.
 //
 // FieldCompressor is the one codec interface: every codec compresses
-// fields of the ranks it declares, and may add a native float32 lane
-// (Lane32Compressor). The Registry serves lookups filtered by the rank
-// of the field being measured.
+// fields of the ranks it declares on both element lanes. The Registry
+// serves lookups filtered by the rank of the field being measured.
 package compress
 
 import (
@@ -19,8 +18,10 @@ import (
 )
 
 // FieldCompressor is an error-bounded lossy compressor for dense
-// fields. CompressField must guarantee max|x−x̂| <= absErr for every
-// element of any field whose rank it supports.
+// fields on both element lanes. CompressField and CompressField32 must
+// guarantee max|x−x̂| <= absErr for every element of any field whose
+// rank the codec supports, the float32 lane over the float32 samples it
+// reconstructs.
 type FieldCompressor interface {
 	// Name identifies the compressor in experiment output.
 	Name() string
@@ -30,20 +31,22 @@ type FieldCompressor interface {
 	CompressField(f *field.Field, absErr float64) ([]byte, error)
 	// DecompressField reconstructs the field from CompressField's output.
 	DecompressField(data []byte) (*field.Field, error)
-}
-
-// Lane32Compressor is the optional native float32 lane of a
-// FieldCompressor: CompressField32 must guarantee max|x−x̂| <= absErr
-// over the float32 samples without a float64 staging copy of the
-// field.
-type Lane32Compressor interface {
-	FieldCompressor
 	// CompressField32 encodes f under the absolute error bound absErr,
-	// quantizing directly from float32 samples.
+	// quantizing directly from the float32 samples.
 	CompressField32(f *field.Field32, absErr float64) ([]byte, error)
 	// DecompressField32 reconstructs the float32 field from
 	// CompressField32's output.
 	DecompressField32(data []byte) (*field.Field32, error)
+}
+
+// CheckBound rejects an absolute error bound that is not finite and
+// positive: NaN and +Inf pass a `<= 0` test, and a codec quantizing at
+// either reconstructs garbage.
+func CheckBound(absErr float64) error {
+	if !(absErr > 0) || math.IsInf(absErr, 1) {
+		return fmt.Errorf("error bound %v is not finite and positive", absErr)
+	}
+	return nil
 }
 
 // SupportsRank reports whether c accepts fields of the given rank.

@@ -9,9 +9,15 @@ import (
 	"lossycorr/internal/field"
 )
 
+// no32 stands in for the float32 lane of test codecs that never run it.
+type no32 struct{ FieldCompressor }
+
 // roundingCompressor is a trivial rank-2 test codec: rounds to
 // multiples of eb and stores everything verbatim.
-type roundingCompressor struct{ name string }
+type roundingCompressor struct {
+	no32
+	name string
+}
 
 func (c roundingCompressor) Name() string { return c.name }
 func (c roundingCompressor) Ranks() []int { return []int{2} }
@@ -50,7 +56,7 @@ func testField() *field.Field {
 }
 
 func TestRunMetrics(t *testing.T) {
-	res, err := RunField(roundingCompressor{"round"}, testField(), 0.01)
+	res, err := RunField(roundingCompressor{name: "round"}, testField(), 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,7 @@ func TestRunMetrics(t *testing.T) {
 }
 
 func TestRunDetectsBoundViolation(t *testing.T) {
-	res, err := RunField(brokenCompressor{roundingCompressor{"broken"}}, testField(), 1e-6)
+	res, err := RunField(brokenCompressor{roundingCompressor{name: "broken"}}, testField(), 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +91,22 @@ func TestRunDetectsBoundViolation(t *testing.T) {
 }
 
 func TestRunRejectsBadBound(t *testing.T) {
-	if _, err := RunField(roundingCompressor{"r"}, testField(), 0); err == nil {
+	if _, err := RunField(roundingCompressor{name: "r"}, testField(), 0); err == nil {
 		t.Fatal("expected error for eb=0")
 	}
-	if _, err := RunField(roundingCompressor{"r"}, testField(), -1); err == nil {
+	if _, err := RunField(roundingCompressor{name: "r"}, testField(), -1); err == nil {
 		t.Fatal("expected error for eb<0")
 	}
-	if _, err := RunField32(roundingCompressor{"r"}, testField().Narrow(), 0); err == nil {
+	if _, err := RunField32(roundingCompressor{name: "r"}, testField().Narrow(), 0); err == nil {
 		t.Fatal("expected error for eb=0 on the float32 lane")
+	}
+	for _, eb := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := RunField(roundingCompressor{name: "r"}, testField(), eb); err == nil {
+			t.Fatalf("expected error for eb=%v", eb)
+		}
+		if _, err := RunField32(roundingCompressor{name: "r"}, testField().Narrow(), eb); err == nil {
+			t.Fatalf("expected error for eb=%v on the float32 lane", eb)
+		}
 	}
 }
 
@@ -113,13 +127,13 @@ func TestPSNR(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	if err := r.RegisterField(roundingCompressor{"a"}); err != nil {
+	if err := r.RegisterField(roundingCompressor{name: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RegisterField(roundingCompressor{"a"}); err == nil {
+	if err := r.RegisterField(roundingCompressor{name: "a"}); err == nil {
 		t.Fatal("duplicate registration must error")
 	}
-	if err := r.RegisterField(roundingCompressor{"b"}); err != nil {
+	if err := r.RegisterField(roundingCompressor{name: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.GetField("a"); err != nil {
@@ -141,7 +155,7 @@ func TestRegistry(t *testing.T) {
 func TestRunRelative(t *testing.T) {
 	f := testField() // value range ~2
 	vr := f.Summary().ValueRange
-	res, err := RunRelativeField(roundingCompressor{"round"}, f, 1e-2)
+	res, err := RunRelativeField(roundingCompressor{name: "round"}, f, 1e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +166,14 @@ func TestRunRelative(t *testing.T) {
 		t.Fatalf("bound violated: %+v", res)
 	}
 	// constant field falls back to the relative value as absolute
-	res, err = RunRelativeField(roundingCompressor{"round"}, field.New(4, 4), 0.5)
+	res, err = RunRelativeField(roundingCompressor{name: "round"}, field.New(4, 4), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ErrorBound != 0.5 {
 		t.Fatalf("constant-field bound %v", res.ErrorBound)
 	}
-	if _, err := RunRelativeField(roundingCompressor{"round"}, f, 0); err == nil {
+	if _, err := RunRelativeField(roundingCompressor{name: "round"}, f, 0); err == nil {
 		t.Fatal("expected error for rel=0")
 	}
 }
@@ -195,3 +209,7 @@ func (failingCompressor) CompressField(*field.Field, float64) ([]byte, error) {
 	return nil, errBoom
 }
 func (failingCompressor) DecompressField([]byte) (*field.Field, error) { return nil, errBoom }
+func (failingCompressor) CompressField32(*field.Field32, float64) ([]byte, error) {
+	return nil, errBoom
+}
+func (failingCompressor) DecompressField32([]byte) (*field.Field32, error) { return nil, errBoom }

@@ -2,10 +2,8 @@ package compress
 
 // The measurement harness: round-trip a field through a codec and
 // report ratio, error, and PSNR. Float32 fields run through the codec's
-// native float32 lane when it has one and a widen→compress→narrow
-// fallback otherwise; either way the measurement compares the
-// reconstruction against the float32 original, because that is the
-// data the caller actually has.
+// float32 lane and are measured against the float32 original, because
+// that is the data the caller actually has.
 
 import (
 	"fmt"
@@ -16,33 +14,54 @@ import (
 
 // RunField compresses, decompresses, and measures f with c at absErr.
 func RunField(c FieldCompressor, f *field.Field, absErr float64) (Result, error) {
-	if absErr <= 0 {
-		return Result{}, fmt.Errorf("compress: non-positive error bound %v", absErr)
+	return run(c.Name(), f, absErr, c.CompressField, c.DecompressField)
+}
+
+// RunField32 compresses, decompresses, and measures the float32 field
+// f with c at absErr through the codec's float32 lane, with no
+// full-field widening.
+func RunField32(c FieldCompressor, f *field.Field32, absErr float64) (Result, error) {
+	return run(c.Name(), f, absErr, c.CompressField32, c.DecompressField32)
+}
+
+// lane is what the harness measures on: *field.Field or *field.Field32.
+type lane[F any] interface {
+	MaxAbsDiff(F) (float64, error)
+	MSE(F) (float64, error)
+	SizeBytes() int
+	Summary() field.Stats
+}
+
+// run round-trips f through one lane of the codec called name.
+func run[F lane[F]](name string, f F, absErr float64,
+	enc func(F, float64) ([]byte, error), dec func([]byte) (F, error)) (Result, error) {
+	if err := CheckBound(absErr); err != nil {
+		return Result{}, fmt.Errorf("compress: %w", err)
 	}
-	data, err := c.CompressField(f, absErr)
+	data, err := enc(f, absErr)
 	if err != nil {
-		return Result{}, fmt.Errorf("compress: %s: %w", c.Name(), err)
+		return Result{}, fmt.Errorf("compress: %s: %w", name, err)
 	}
-	dec, err := c.DecompressField(data)
+	out, err := dec(data)
 	if err != nil {
-		return Result{}, fmt.Errorf("compress: %s decode: %w", c.Name(), err)
+		return Result{}, fmt.Errorf("compress: %s decode: %w", name, err)
 	}
-	maxErr, err := f.MaxAbsDiff(dec)
+	maxErr, err := f.MaxAbsDiff(out)
 	if err != nil {
-		return Result{}, fmt.Errorf("compress: %s: %w", c.Name(), err)
+		return Result{}, fmt.Errorf("compress: %s: %w", name, err)
 	}
-	mse, err := f.MSE(dec)
+	mse, err := f.MSE(out)
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{
-		Compressor:     c.Name(),
+		Compressor:     name,
 		ErrorBound:     absErr,
 		OriginalSize:   f.SizeBytes(),
 		CompressedSize: len(data),
 		MaxAbsError:    maxErr,
 		MSE:            mse,
-		PSNR:           PSNRField(f, mse),
+		PSNR:           psnrRange(f.Summary().ValueRange, mse),
 		BoundOK:        maxErr <= absErr*(1+1e-12),
 	}
 	if len(data) > 0 {
@@ -73,77 +92,6 @@ func RunRelativeField(c FieldCompressor, f *field.Field, relErr float64) (Result
 // community (+Inf for a perfect reconstruction).
 func PSNRField(f *field.Field, mse float64) float64 {
 	return psnrRange(f.Summary().ValueRange, mse)
-}
-
-// RunField32 compresses, decompresses, and measures the float32 field
-// f with c at absErr. Native Lane32Compressors run without any
-// full-field widening; other codecs measure through the widen→narrow
-// fallback (float32→float64 is exact and the reconstruction is
-// re-narrowed before comparison, so the bound check still reflects
-// what a float32 consumer would see — with the bound slackened by one
-// narrow-rounding ulp for the fallback path).
-func RunField32(c FieldCompressor, f *field.Field32, absErr float64) (Result, error) {
-	if absErr <= 0 {
-		return Result{}, fmt.Errorf("compress: non-positive error bound %v", absErr)
-	}
-	var (
-		data []byte
-		dec  *field.Field32
-		err  error
-	)
-	l32, native := c.(Lane32Compressor)
-	if native {
-		data, err = l32.CompressField32(f, absErr)
-		if err != nil {
-			return Result{}, fmt.Errorf("compress: %s: %w", c.Name(), err)
-		}
-		dec, err = l32.DecompressField32(data)
-		if err != nil {
-			return Result{}, fmt.Errorf("compress: %s decode: %w", c.Name(), err)
-		}
-	} else {
-		wide := f.Widen()
-		data, err = c.CompressField(wide, absErr)
-		if err != nil {
-			return Result{}, fmt.Errorf("compress: %s: %w", c.Name(), err)
-		}
-		decWide, derr := c.DecompressField(data)
-		if derr != nil {
-			return Result{}, fmt.Errorf("compress: %s decode: %w", c.Name(), derr)
-		}
-		dec = decWide.Narrow()
-	}
-	maxErr, err := f.MaxAbsDiff(dec)
-	if err != nil {
-		return Result{}, fmt.Errorf("compress: %s: %w", c.Name(), err)
-	}
-	mse, err := f.MSE(dec)
-	if err != nil {
-		return Result{}, err
-	}
-	// Bound slack: native lanes enforce the bound on float32 values
-	// directly; the fallback's reconstruction picks up at most half a
-	// float32 ulp of the reconstructed magnitude when narrowed.
-	s := f.Summary()
-	slack := absErr * 1e-12
-	if !native {
-		peak := math.Max(math.Abs(s.Min), math.Abs(s.Max)) + absErr
-		slack += peak * 1.2e-7
-	}
-	res := Result{
-		Compressor:     c.Name(),
-		ErrorBound:     absErr,
-		OriginalSize:   f.SizeBytes(),
-		CompressedSize: len(data),
-		MaxAbsError:    maxErr,
-		MSE:            mse,
-		PSNR:           psnrRange(s.ValueRange, mse),
-		BoundOK:        maxErr <= absErr+slack,
-	}
-	if len(data) > 0 {
-		res.Ratio = float64(res.OriginalSize) / float64(len(data))
-	}
-	return res, nil
 }
 
 // psnrRange is the PSNR of an error with mean square mse on a field of

@@ -11,6 +11,7 @@ import (
 type stub struct {
 	name string
 	rank int
+	no32
 }
 
 func (s stub) Name() string { return s.name }
@@ -32,16 +33,16 @@ func (s stub) DecompressField(data []byte) (*field.Field, error) {
 
 func TestRegistryRankDispatch(t *testing.T) {
 	r := NewRegistry()
-	if err := r.RegisterField(stub{"flat", 2}); err != nil {
+	if err := r.RegisterField(stub{name: "flat", rank: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RegisterField(stub{"deep", 3}); err != nil {
+	if err := r.RegisterField(stub{name: "deep", rank: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RegisterField(stub{"deep", 3}); err == nil {
+	if err := r.RegisterField(stub{name: "deep", rank: 3}); err == nil {
 		t.Fatal("expected duplicate error")
 	}
-	if err := r.RegisterField(stub{"deep", 2}); err == nil {
+	if err := r.RegisterField(stub{name: "deep", rank: 2}); err == nil {
 		t.Fatal("expected duplicate error between 2D and 3D names")
 	}
 
@@ -96,6 +97,16 @@ func (boundedVol) DecompressField(data []byte) (*field.Field, error) {
 	}
 	return f, nil
 }
+func (b boundedVol) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
+	return b.CompressField(f.Widen(), absErr)
+}
+func (b boundedVol) DecompressField32(data []byte) (*field.Field32, error) {
+	f, err := b.DecompressField(data)
+	if err != nil {
+		return nil, err
+	}
+	return f.Narrow(), nil
+}
 
 func TestRunFieldVolume(t *testing.T) {
 	f := field.New(2, 3, 4)
@@ -112,8 +123,7 @@ func TestRunFieldVolume(t *testing.T) {
 	if res.MaxAbsError > 1e-3 {
 		t.Fatalf("max error %v", res.MaxAbsError)
 	}
-	// The float32 lane of a codec without one runs the widen→narrow
-	// fallback and is measured against the float32 samples.
+	// The float32 lane is measured against the float32 samples.
 	res, err = RunField32(boundedVol{}, f.Narrow(), 1e-3)
 	if err != nil {
 		t.Fatal(err)

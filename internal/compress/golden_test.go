@@ -67,9 +67,8 @@ func goldenCodecs(rank int) []compress.FieldCompressor {
 	return cs
 }
 
-// goldenDigests is keyed "codec/lane". Float32 cells hash the path
-// RunField32 takes for the codec: its native lane, or the widen→narrow
-// fallback for codecs without one.
+// goldenDigests is keyed "codec/lane". Float32 cells hash the codec's
+// float32 lane.
 var goldenDigests = map[string]string{
 	"mgard-like/f64":         "8fda95f76d66f4d8f7d0ccb414c3ab07d9825f684637012132442e9e0a10a437",
 	"mgard-like/f32":         "f20909bb9486606dc0d3cd183227059e9b2d742dc1cc72eb79314b55e42b35e8",
@@ -85,6 +84,8 @@ var goldenDigests = map[string]string{
 	"sz-like-3d/f32":         "875026ae6828341ee2014c406d886b9cabf27b9725ff107bb1ad8602bc83b7a9",
 	"zfp-like-3d/f64":        "47e8b1cc6f2a2468586fc63b8184f0018b702321669bd897806ff2b217d271e5",
 	"zfp-like-3d/f32":        "deaec874304af01c0ae516bf28ec44ef489ccde0d3fb5b608ec2b654cd73b85c",
+	"mgard-like-3d/f64":      "36fc8e1f688de664acfd26d22b75bd28ac75f02d6d73a83a8af2ab46acab7d56",
+	"mgard-like-3d/f32":      "daa9603979e1887945cef85166495b9ce64968c4dea7038a418bfacf112facf8",
 }
 
 func TestCodecGoldenDigest(t *testing.T) {
@@ -142,31 +143,17 @@ func digestF64(h io.Writer, c compress.FieldCompressor, f *field.Field, eb float
 	return data, nil
 }
 
-// digestF32 is digestF64 on the float32 lane, through the codec's native
-// lane when it has one and RunField32's widen→narrow fallback otherwise.
+// digestF32 is digestF64 on the float32 lane.
 func digestF32(h io.Writer, c compress.FieldCompressor, f *field.Field32, eb float64) ([]byte, error) {
-	var data []byte
-	var dec *field.Field32
-	var err error
-	slack := eb * 1e-12
-	if l, ok := c.(compress.Lane32Compressor); ok {
-		if data, err = l.CompressField32(f, eb); err == nil {
-			dec, err = l.DecompressField32(data)
-		}
-	} else {
-		var wide *field.Field
-		if data, err = c.CompressField(f.Widen(), eb); err == nil {
-			if wide, err = c.DecompressField(data); err == nil {
-				dec = wide.Narrow()
-			}
-		}
-		s := f.Summary()
-		slack += (math.Max(math.Abs(s.Min), math.Abs(s.Max)) + eb) * 1.2e-7
-	}
+	data, err := c.CompressField32(f, eb)
 	if err != nil {
 		return nil, err
 	}
-	if m, err := f.MaxAbsDiff(dec); err != nil || m > eb+slack {
+	dec, err := c.DecompressField32(data)
+	if err != nil {
+		return nil, err
+	}
+	if m, err := f.MaxAbsDiff(dec); err != nil || m > eb*(1+1e-12) {
 		return nil, fmt.Errorf("bound: max error %g (%v)", m, err)
 	}
 	var b [4]byte

@@ -2,17 +2,18 @@ package compress_test
 
 // Failure-injection tests: every codec must reject (or at worst decode
 // wrongly) arbitrarily corrupted streams without panicking. Run against
-// every built-in codec at ranks 2 and 3 via the core registry, on each
-// element lane the codec has (codecs without a native float32 lane
-// measure float32 fields through their float64 decoder).
+// every built-in codec at ranks 2 and 3 via the core registry, on both
+// element lanes.
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
 	"lossycorr/internal/compress"
 	"lossycorr/internal/core"
 	"lossycorr/internal/field"
+	"lossycorr/internal/lossless"
 	"lossycorr/internal/xrand"
 )
 
@@ -25,25 +26,21 @@ type lane struct {
 }
 
 func lanesOf(c compress.FieldCompressor) []lane {
-	lanes := []lane{{"f64", c.CompressField, func(data []byte) ([]float64, error) {
+	return []lane{{"f64", c.CompressField, func(data []byte) ([]float64, error) {
 		f, err := c.DecompressField(data)
 		if err != nil {
 			return nil, err
 		}
 		return f.Data, nil
-	}}}
-	if l, ok := c.(compress.Lane32Compressor); ok {
-		lanes = append(lanes, lane{"f32",
-			func(f *field.Field, eb float64) ([]byte, error) { return l.CompressField32(f.Narrow(), eb) },
-			func(data []byte) ([]float64, error) {
-				f, err := l.DecompressField32(data)
-				if err != nil {
-					return nil, err
-				}
-				return f.Widen().Data, nil
-			}})
-	}
-	return lanes
+	}}, {"f32",
+		func(f *field.Field, eb float64) ([]byte, error) { return c.CompressField32(f.Narrow(), eb) },
+		func(data []byte) ([]float64, error) {
+			f, err := c.DecompressField32(data)
+			if err != nil {
+				return nil, err
+			}
+			return f.Widen().Data, nil
+		}}}
 }
 
 // forEachCodecLane runs fn as a subtest codec/lane for every registered
@@ -156,4 +153,48 @@ func TestCompressRejectsNonFinite(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRejectNonFiniteBound pins the one bound check: every codec lane's
+// encoder, every decoder's header parse and both measurement harnesses
+// refuse an error bound that is not finite and positive.
+func TestRejectNonFiniteBound(t *testing.T) {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1e-3}
+	forEachCodecLane(t, func(t *testing.T, rank int, l lane) {
+		f := testFieldFor(rank, 3)
+		for _, eb := range bad {
+			if _, err := l.enc(f, eb); err == nil {
+				t.Errorf("encoder accepted eb=%v", eb)
+			}
+		}
+		data, err := l.enc(f, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := lossless.Decompress(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eb := range bad { // the bound follows the magic and extents
+			binary.LittleEndian.PutUint64(raw[4+4*rank:], math.Float64bits(eb))
+			patched, err := lossless.Compress(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.dec(patched); err == nil {
+				t.Errorf("decoder accepted a stream whose bound is %v", eb)
+			}
+		}
+	})
+	f := testFieldFor(2, 3)
+	for _, c := range core.DefaultRegistry().AllFor(2) {
+		for _, eb := range bad {
+			if _, err := compress.RunField(c, f, eb); err == nil {
+				t.Errorf("%s: RunField accepted eb=%v", c.Name(), eb)
+			}
+			if _, err := compress.RunField32(c, f.Narrow(), eb); err == nil {
+				t.Errorf("%s: RunField32 accepted eb=%v", c.Name(), eb)
+			}
+		}
+	}
 }

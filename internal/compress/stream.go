@@ -34,9 +34,10 @@ func AppendHeader(buf []byte, magic [4]byte, shape []int, absErr float64) []byte
 
 // ParseHeader reads the header of a rank-`rank` stream tagged magic and
 // returns it with the bytes that follow. It fails on a short stream,
-// another magic, a zero extent, or more than maxElements elements; the
-// element count is checked as it is formed, so hostile extents cannot
-// overflow it before a decoder sizes anything from it.
+// another magic, a zero extent, more than maxElements elements, or an
+// error bound CheckBound rejects; the element count is checked as it is
+// formed, so hostile extents cannot overflow it before a decoder sizes
+// anything from it.
 func ParseHeader(raw []byte, magic [4]byte, rank int) (Header, []byte, bool) {
 	n := 4 + 4*rank + 8
 	if len(raw) < n || [4]byte(raw[:4]) != magic {
@@ -52,6 +53,9 @@ func ParseHeader(raw []byte, magic [4]byte, rank int) (Header, []byte, bool) {
 		h.Len *= s
 	}
 	h.AbsErr = math.Float64frombits(binary.LittleEndian.Uint64(raw[4+4*rank:]))
+	if CheckBound(h.AbsErr) != nil {
+		return Header{}, nil, false
+	}
 	return h, raw[n:], true
 }
 
@@ -60,6 +64,15 @@ func ParseHeader(raw []byte, magic [4]byte, rank int) (Header, []byte, bool) {
 func ValueBytes[T field.Elem]() int {
 	var v T
 	return int(unsafe.Sizeof(v))
+}
+
+// Lane is 0 on the float64 lane and 1 on the float32 lane, the index a
+// codec keys its per-lane magic and scratch by.
+func Lane[T field.Elem]() int {
+	if ValueBytes[T]() == 4 {
+		return 1
+	}
+	return 0
 }
 
 // AppendValue appends v at its lane's width, little-endian.
@@ -76,6 +89,34 @@ func Value[T field.Elem](b []byte) T {
 		return T(math.Float32frombits(binary.LittleEndian.Uint32(b)))
 	}
 	return T(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+}
+
+// AppendExact appends a uint32 count and then vs at their lane's
+// width: the list of samples a codec stores exactly.
+func AppendExact[T field.Elem](buf []byte, vs []T) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vs)))
+	for _, v := range vs {
+		buf = AppendValue(buf, v)
+	}
+	return buf
+}
+
+// Exact reads a list written by AppendExact and returns it with the
+// bytes that follow. It fails when the stream is shorter than the count
+// claims, so a hostile count never sizes the allocation.
+func Exact[T field.Elem](b []byte) ([]T, []byte, bool) {
+	if len(b) < 4 {
+		return nil, nil, false
+	}
+	n, w := int(binary.LittleEndian.Uint32(b)), ValueBytes[T]()
+	if b = b[4:]; len(b) < w*n {
+		return nil, nil, false
+	}
+	vs := make([]T, n)
+	for i := range vs {
+		vs[i] = Value[T](b[w*i:])
+	}
+	return vs, b[w*n:], true
 }
 
 // FieldOf wraps a float64 decoder's (shape, samples, error) result.

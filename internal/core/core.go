@@ -289,7 +289,7 @@ func DefaultRegistry() *compress.Registry {
 	// Registration of the built-in codecs cannot collide.
 	for _, c := range []compress.FieldCompressor{
 		szlike.Compressor{}, zfplike.Compressor{}, mgardlike.Compressor{},
-		szlike.Compressor3D{}, zfplike.Compressor3D{},
+		szlike.Compressor3D{}, zfplike.Compressor3D{}, mgardlike.Compressor3D{},
 	} {
 		_ = r.RegisterField(c)
 	}
@@ -332,10 +332,9 @@ func MeasureFieldSetCtx(ctx context.Context, name string, fields []*field.Field,
 }
 
 // MeasureFieldSet32Ctx is MeasureFieldSetCtx on the float32 compute
-// lane, with the same ordering and error-precedence contract. Codecs
-// run through their native float32 lanes when they have one
-// (compress.Lane32Compressor) and through the widen→narrow fallback
-// otherwise — either way the bound is checked on float32 values.
+// lane, with the same ordering and error-precedence contract. Every
+// codec runs through its native float32 lane, and the bound is checked
+// on float32 values.
 func MeasureFieldSet32Ctx(ctx context.Context, name string, fields []*field.Field32, labels []float64,
 	reg *compress.Registry, opts MeasureOptions) ([]Measurement, error) {
 	return measureSet(ctx, name, fields, labels, reg, opts, AnalyzeField32Ctx, compress.RunField32)

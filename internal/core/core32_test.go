@@ -62,9 +62,9 @@ func TestAnalyzeField32FFT(t *testing.T) {
 }
 
 // TestMeasureFieldSet32EndToEnd runs the full measurement sweep on the
-// float32 lane: every codec of the registry (native float32 lanes for
-// sz-like and zfp-like, widen→narrow fallback for mgard-like) must
-// hold its bound on float32 values at every paper error bound.
+// float32 lane: every codec of the registry, through its native float32
+// lane, must hold its bound on float32 values at every paper error
+// bound.
 func TestMeasureFieldSet32EndToEnd(t *testing.T) {
 	f32, _ := laneField(t, 16, 11)
 	ms, err := MeasureFieldSet32Ctx(bg, "lane32", []*field.Field32{f32}, []float64{16},

@@ -79,7 +79,7 @@ func TestMeasureFieldSetMixedRanks(t *testing.T) {
 			t.Fatalf("3D bound violated: %+v", r)
 		}
 	}
-	if !names3["sz-like-3d"] || !names3["zfp-like-3d"] || len(names3) != 2 {
+	if !names3["sz-like-3d"] || !names3["zfp-like-3d"] || !names3["mgard-like-3d"] || len(names3) != 3 {
 		t.Fatalf("3D field swept %v", names3)
 	}
 	if ms[1].Stats.GlobalRange() <= 0 {

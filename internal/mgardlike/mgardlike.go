@@ -5,7 +5,8 @@
 // fine nodes against interpolation from the next-coarser lattice — then
 // quantizes the corrections with a per-level error budget whose sum
 // honors the absolute bound, and entropy codes them (canonical Huffman
-// + DEFLATE, standing in for MGARD's Zlib/Zstd stage).
+// + DEFLATE, standing in for MGARD's Zlib/Zstd stage). It is written
+// once over the rank (2 or 3) and the element lane (float64 or float32).
 //
 // Because coarse lattice nodes influence the entire domain, the
 // decomposition captures global, multi-scale correlation structure that
@@ -15,9 +16,9 @@
 package mgardlike
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"lossycorr/internal/compress"
@@ -27,17 +28,22 @@ import (
 	"lossycorr/internal/quant"
 )
 
-// symbolPool recycles the quantized-coefficient stream between
-// Compress calls — one field's worth of uint16 per call otherwise.
-var symbolPool = sync.Pool{New: func() any { return new([]uint16) }}
+// magic tags a stream by rank and lane: magic[rank-2][lane], lane 0
+// float64 and lane 1 float32.
+var magic = [2][2][4]byte{
+	{{'M', 'G', 'L', '1'}, {'M', 'G', 'L', 'f'}},
+	{{'M', 'G', 'L', '3'}, {'M', 'G', '3', 'f'}},
+}
 
-var magic = [4]byte{'M', 'G', 'L', '1'}
+// ErrCorrupt reports a malformed stream.
+var ErrCorrupt = errors.New("mgardlike: corrupt stream")
 
-// Compressor is the MGARD-like codec for 2D fields. The zero value is
-// ready to use.
-type Compressor struct{}
-
-var _ compress.FieldCompressor = Compressor{}
+// Compressor and Compressor3D are the MGARD-like codecs for 2D and 3D
+// fields. The zero values are ready to use.
+type (
+	Compressor   struct{}
+	Compressor3D struct{}
+)
 
 // Name implements compress.FieldCompressor.
 func (Compressor) Name() string { return "mgard-like" }
@@ -45,227 +51,240 @@ func (Compressor) Name() string { return "mgard-like" }
 // Ranks implements compress.FieldCompressor.
 func (Compressor) Ranks() []int { return []int{2} }
 
-// numLevels picks the number of dyadic refinement levels: the coarsest
-// lattice has stride 2^L and still at least two nodes along the longer
-// dimension.
-func numLevels(rows, cols int) int {
-	longer := rows
-	if cols > longer {
-		longer = cols
-	}
-	l := 0
-	for (1 << uint(l+1)) < longer {
-		l++
-	}
-	return l
-}
-
-// onLattice reports whether index i belongs to the stride-s lattice.
-func onLattice(i, s int) bool { return i%s == 0 }
-
-// interpolate predicts the value at (r, c) on the stride-s lattice from
-// the stride-2s lattice of the row-major rows×cols array data. Nodes
-// fall into three classes: on a coarse row (horizontal neighbors), on a
-// coarse column (vertical neighbors), or interior (four diagonal
-// neighbors); one-sided copies handle clipped boundaries.
-func interpolate(data []float64, rows, cols, r, c, s int) float64 {
-	// Flat addressing: each neighbor is one add away from a precomputed
-	// row offset instead of a full r*cols+c multiply per read — this is
-	// the innermost read of every level sweep.
-	row := r * cols
-	s2 := 2 * s
-	coarseR := onLattice(r, s2)
-	coarseC := onLattice(c, s2)
-	switch {
-	case coarseR && !coarseC:
-		if c+s < cols {
-			return 0.5 * (data[row+c-s] + data[row+c+s])
-		}
-		return data[row+c-s]
-	case !coarseR && coarseC:
-		if r+s < rows {
-			return 0.5 * (data[row-s*cols+c] + data[row+s*cols+c])
-		}
-		return data[row-s*cols+c]
-	default: // interior of a coarse cell: average available diagonals
-		upRow, dnRow := row-s*cols, row+s*cols
-		l, rgt := c-s, c+s
-		sum := data[upRow+l]
-		n := 1.0
-		if rgt < cols {
-			sum += data[upRow+rgt]
-			n++
-		}
-		if r+s < rows {
-			sum += data[dnRow+l]
-			n++
-			if rgt < cols {
-				sum += data[dnRow+rgt]
-				n++
-			}
-		}
-		return sum / n
-	}
-}
-
-// forEachLevelNode visits, for the given stride s, every grid node that
-// is on the stride-s lattice but not on the stride-2s lattice, in a
-// fixed deterministic order shared by compressor and decompressor.
-func forEachLevelNode(rows, cols, s int, fn func(r, c int)) {
-	s2 := 2 * s
-	for r := 0; r < rows; r += s {
-		for c := 0; c < cols; c += s {
-			if onLattice(r, s2) && onLattice(c, s2) {
-				continue
-			}
-			fn(r, c)
-		}
-	}
-}
-
 // CompressField implements compress.FieldCompressor.
 func (Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	if absErr <= 0 {
-		return nil, fmt.Errorf("mgardlike: non-positive error bound %v", absErr)
+	return encode(f.Shape, f.Data, 2, absErr)
+}
+
+// DecompressField implements compress.FieldCompressor.
+func (Compressor) DecompressField(data []byte) (*field.Field, error) {
+	return compress.FieldOf(decode[float64](data, 2))
+}
+
+// CompressField32 implements compress.FieldCompressor.
+func (Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 2, absErr)
+}
+
+// DecompressField32 implements compress.FieldCompressor.
+func (Compressor) DecompressField32(data []byte) (*field.Field32, error) {
+	return compress.Field32Of(decode[float32](data, 2))
+}
+
+// Name implements compress.FieldCompressor.
+func (Compressor3D) Name() string { return "mgard-like-3d" }
+
+// Ranks implements compress.FieldCompressor.
+func (Compressor3D) Ranks() []int { return []int{3} }
+
+// CompressField implements compress.FieldCompressor.
+func (Compressor3D) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 3, absErr)
+}
+
+// DecompressField implements compress.FieldCompressor.
+func (Compressor3D) DecompressField(data []byte) (*field.Field, error) {
+	return compress.FieldOf(decode[float64](data, 3))
+}
+
+// CompressField32 implements compress.FieldCompressor.
+func (Compressor3D) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, 3, absErr)
+}
+
+// DecompressField32 implements compress.FieldCompressor.
+func (Compressor3D) DecompressField32(data []byte) (*field.Field32, error) {
+	return compress.Field32Of(decode[float32](data, 3))
+}
+
+// dims is a field's shape seen as rank 3 (a 2D field gets a unit
+// leading axis) and its number L of dyadic refinement levels: the
+// coarsest lattice has stride 2^L and still at least two nodes along
+// the longest axis.
+func dims(shape []int) (d [3]int, levels int) {
+	d = [3]int{1, 1, 1}
+	copy(d[3-len(shape):], shape)
+	for n := slices.Max(shape); 1<<(levels+1) < n; {
+		levels++
 	}
-	if len(f.Shape) != 2 {
-		return nil, fmt.Errorf("mgardlike: rank-%d field, want rank 2", len(f.Shape))
+	return d, levels
+}
+
+// walk visits every node of a d[0]×d[1]×d[2] array once, in the order
+// encoder and decoder share: the stride-2^L lattice with the zero
+// predictor, then for each finer stride s the stride-s nodes off the
+// stride-2s lattice. fn gets the node's flat index and its prediction
+// from a, the average of its ±s neighbours along every axis on which it
+// is off the 2s lattice, summed with axis 0 slowest and − before +.
+func walk[T field.Elem](a []T, d [3]int, levels int, fn func(i int, pred float64)) {
+	sy, sz, top := d[2], d[1]*d[2], 1<<levels
+	for s := top; s >= 1; s /= 2 {
+		for z := 0; z < d[0]; z += s {
+			for y := 0; y < d[1]; y += s {
+				if s == top {
+					for x := 0; x < d[2]; x += s {
+						fn(z*sz+y*sy+x, 0)
+					}
+					continue
+				}
+				// Corner row offsets, z slowest: an axis off the 2s lattice
+				// moves every corner by −s and, inside the axis, splits it.
+				ro, nr := [4]int{}, 1
+				for k, c := range [2]int{z, y} {
+					switch st := s * [2]int{sz, sy}[k]; {
+					case c&s == 0:
+					case c+s < d[k]:
+						for j := nr - 1; j >= 0; j-- {
+							ro[2*j], ro[2*j+1] = ro[j]-st, ro[j]+st
+						}
+						nr *= 2
+					default:
+						for j := range nr {
+							ro[j] -= st
+						}
+					}
+				}
+				x0, dx := 0, s
+				if nr == 1 && ro[0] == 0 { // a coarse row: skip its coarse nodes
+					x0, dx = s, 2*s
+				}
+				// corner counts are powers of two: 1/n multiplies exactly
+				inv := [3]float64{0, 1 / float64(nr), 1 / float64(2*nr)}
+				row, corners := z*sz+y*sy, ro[:nr]
+				for x := x0; x < d[2]; x += dx {
+					i, sum, k := row+x, 0.0, 1
+					switch { // the x sides, unrolled: this is the hot loop
+					case x&s == 0:
+						for _, o := range corners {
+							sum += float64(a[i+o])
+						}
+					case x+s < d[2]:
+						for _, o := range corners {
+							sum += float64(a[i+o-s])
+							sum += float64(a[i+o+s])
+						}
+						k = 2
+					default:
+						for _, o := range corners {
+							sum += float64(a[i+o-s])
+						}
+					}
+					fn(i, sum*inv[k])
+				}
+			}
+		}
 	}
-	rows, cols, data := f.Shape[0], f.Shape[1], f.Data
+}
+
+// quantizer is the per-level quantizer. The decomposition is open-loop,
+// like MGARD's: coefficients are corrections of original values against
+// interpolation of original coarser values, while reconstruction
+// interpolates reconstructed ones, so per-node error accumulates down
+// the hierarchy, err(l) <= q + err(l+1) <= (L+1-l)·q, and a uniform
+// budget q = eb/(L+1) keeps it within the bound. The float32 lane halves
+// q: its samples are float32s, so the nearest float32 to a float64
+// reconstruction is at most twice as far from the sample.
+func quantizer[T field.Elem](absErr float64, levels int) quant.Quantizer {
+	return quant.New(absErr / float64((levels+1)*(1+compress.Lane[T]())))
+}
+
+// symbolPool recycles the encoder's symbol stream and recPool the
+// decoder's float64 reconstruction, narrowed once on the float32 lane.
+var (
+	symbolPool = sync.Pool{New: func() any { return new([]uint16) }}
+	recPool    = sync.Pool{New: func() any { return new([]float64) }}
+)
+
+// encode compresses a rank-`rank` field on either lane.
+func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]byte, error) {
+	if err := compress.CheckBound(absErr); err != nil {
+		return nil, fmt.Errorf("mgardlike: %w", err)
+	}
+	if len(shape) != rank {
+		return nil, fmt.Errorf("mgardlike: rank-%d codec got a rank-%d field", rank, len(shape))
+	}
 	if len(data) == 0 {
 		return nil, errors.New("mgardlike: empty field")
 	}
-	L := numLevels(rows, cols)
-	// The decomposition is open-loop, like MGARD's: multilevel
-	// coefficients are corrections of original values against
-	// interpolation of original coarser values. On reconstruction the
-	// interpolation instead reads reconstructed coarser values, so
-	// per-node error accumulates down the level hierarchy:
-	// err(level l) <= q + err(level l+1) <= (L+1-l)·q, which stays
-	// within the bound with a uniform per-level budget q = eb/(L+1).
-	q := quant.New(absErr / float64(L+1))
-
+	d, levels := dims(shape)
+	q := quantizer[T](absErr, levels)
 	sp := symbolPool.Get().(*[]uint16)
 	defer symbolPool.Put(sp)
 	symbols := (*sp)[:0]
-	var exact []float64
-
-	// coarsest lattice: coefficients are the raw values (zero
-	// predictor); large values escape to exact storage, and the coarse
-	// lattice is a vanishing fraction of nodes
-	sTop := 1 << uint(L)
-	for r := 0; r < rows; r += sTop {
-		for c := 0; c < cols; c += sTop {
-			v := data[r*cols+c]
-			sym, _, ok := q.Encode(v)
-			if !ok {
-				symbols = append(symbols, quant.Escape)
-				exact = append(exact, v)
-				continue
-			}
+	var exact []T
+	// Coarsest-lattice values and corrections too large for the code
+	// range escape to exact storage.
+	walk(data, d, levels, func(i int, pred float64) {
+		v := data[i]
+		if sym, _, ok := q.Encode(float64(v) - pred); ok {
 			symbols = append(symbols, sym)
+			return
 		}
-	}
-	// finer levels: corrections against interpolation of the original
-	// coarser lattice
-	for l := L - 1; l >= 0; l-- {
-		s := 1 << uint(l)
-		forEachLevelNode(rows, cols, s, func(r, c int) {
-			v := data[r*cols+c]
-			pred := interpolate(data, rows, cols, r, c, s)
-			sym, _, ok := q.Encode(v - pred)
-			if !ok {
-				symbols = append(symbols, quant.Escape)
-				exact = append(exact, v)
-				return
-			}
-			symbols = append(symbols, sym)
-		})
-	}
+		symbols = append(symbols, quant.Escape)
+		exact = append(exact, v)
+	})
 
 	huff := huffman.Encode(symbols)
 	*sp = symbols // retain grown capacity for reuse
-	buf := compress.AppendHeader(nil, magic, f.Shape, absErr)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(exact)))
-	for _, v := range exact {
-		buf = compress.AppendValue(buf, v)
-	}
+	buf := compress.AppendHeader(nil, magic[rank-2][compress.Lane[T]()], shape, absErr)
+	buf = compress.AppendExact(buf, exact)
 	buf = append(buf, huff...)
 	return lossless.Compress(buf)
 }
 
-// ErrCorrupt reports a malformed stream.
-var ErrCorrupt = errors.New("mgardlike: corrupt stream")
-
-// DecompressField implements compress.FieldCompressor.
-func (Compressor) DecompressField(data []byte) (*field.Field, error) {
+// decode reconstructs a rank-`rank` field on lane T, rejecting streams
+// of another rank or lane.
+func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 	raw, err := lossless.Decompress(data)
 	if err != nil {
-		return nil, fmt.Errorf("mgardlike: %w", err)
+		return nil, nil, fmt.Errorf("mgardlike: %w", err)
 	}
-	h, body, ok := compress.ParseHeader(raw, magic, 2)
-	if !ok || h.AbsErr <= 0 || len(body) < 4 {
-		return nil, ErrCorrupt
+	h, body, ok := compress.ParseHeader(raw, magic[rank-2][compress.Lane[T]()], rank)
+	if !ok {
+		return nil, nil, ErrCorrupt
 	}
-	rows, cols, absErr := h.Shape[0], h.Shape[1], h.AbsErr
-	nExact := int(binary.LittleEndian.Uint32(body))
-	body = body[4:]
-	if nExact < 0 || len(body) < 8*nExact {
-		return nil, ErrCorrupt
+	exact, body, ok := compress.Exact[T](body)
+	if !ok {
+		return nil, nil, ErrCorrupt
 	}
-	exact := make([]float64, nExact)
-	for i := range exact {
-		exact[i] = compress.Value[float64](body[8*i:])
-	}
-	symbols, err := huffman.Decode(body[8*nExact:])
+	symbols, err := huffman.Decode(body)
 	if err != nil {
-		return nil, fmt.Errorf("mgardlike: %w", err)
+		return nil, nil, fmt.Errorf("mgardlike: %w", err)
 	}
-
 	// The encoder emits exactly one symbol per node, so any other count
 	// is corrupt — rejected before the header's shape, which may claim
 	// up to 2^30 nodes, drives the reconstruction allocation.
-	if len(symbols) != rows*cols {
-		return nil, ErrCorrupt
+	if len(symbols) != h.Len {
+		return nil, nil, ErrCorrupt
 	}
 
-	L := numLevels(rows, cols)
-	q := quant.New(absErr / float64(L+1))
-	recon := field.New(rows, cols)
-	out := recon.Data
+	d, levels := dims(h.Shape)
+	q := quantizer[T](h.AbsErr, levels)
+	rp := recPool.Get().(*[]float64)
+	defer recPool.Put(rp)
+	rec := slices.Grow((*rp)[:0], h.Len)[:h.Len] // walk writes each node before reading it
+	*rp = rec
 	si, ei := 0, 0
-	// node decodes the next symbol as a correction to pred, or takes the
-	// next exact value for an escape. Running out of exact values reads
-	// 0 and is caught by the final count check.
-	node := func(pred float64) float64 {
+	// A node adds its symbol's correction to pred, or takes the next exact
+	// value for an escape; a short exact list fails the final check.
+	walk(rec, d, levels, func(i int, pred float64) {
 		sym := symbols[si]
 		si++
 		if sym != quant.Escape {
-			return pred + q.Decode(sym)
+			rec[i] = pred + q.Decode(sym)
+			return
+		}
+		if ei < len(exact) {
+			rec[i] = float64(exact[ei])
 		}
 		ei++
-		if ei > len(exact) {
-			return 0
-		}
-		return exact[ei-1]
-	}
-
-	// Coarse nodes have the zero predictor; 0+Decode(sym) is exactly
-	// Decode(sym), as Decode never yields -0 for a positive step.
-	sTop := 1 << uint(L)
-	for r := 0; r < rows; r += sTop {
-		for c := 0; c < cols; c += sTop {
-			out[r*cols+c] = node(0)
-		}
-	}
-	for l := L - 1; l >= 0; l-- {
-		s := 1 << uint(l)
-		forEachLevelNode(rows, cols, s, func(r, c int) {
-			out[r*cols+c] = node(interpolate(out, rows, cols, r, c, s))
-		})
-	}
+	})
 	if ei != len(exact) {
-		return nil, ErrCorrupt
+		return nil, nil, ErrCorrupt
 	}
-	return recon, nil
+	out := make([]T, h.Len)
+	for i, v := range rec {
+		out[i] = T(v)
+	}
+	return h.Shape, out, nil
 }

@@ -55,18 +55,25 @@ func TestName(t *testing.T) {
 }
 
 func TestNumLevels(t *testing.T) {
-	cases := []struct{ rows, cols, want int }{
-		{1, 1, 0},
-		{2, 2, 0},
-		{3, 3, 1},
-		{4, 4, 1},
-		{5, 5, 2},
-		{64, 64, 5},
-		{64, 128, 6},
+	cases := []struct {
+		shape []int
+		want  int
+	}{
+		{[]int{1, 1}, 0},
+		{[]int{2, 2}, 0},
+		{[]int{3, 3}, 1},
+		{[]int{4, 4}, 1},
+		{[]int{5, 5}, 2},
+		{[]int{64, 64}, 5},
+		{[]int{64, 128}, 6},
+		{[]int{1, 1, 1}, 0},
+		{[]int{5, 2, 3}, 2},
+		{[]int{3, 64, 9}, 5},
+		{[]int{1, 2, 129}, 7},
 	}
 	for _, c := range cases {
-		if got := numLevels(c.rows, c.cols); got != c.want {
-			t.Fatalf("numLevels(%d,%d)=%d want %d", c.rows, c.cols, got, c.want)
+		if _, got := dims(c.shape); got != c.want {
+			t.Fatalf("levels of %v = %d want %d", c.shape, got, c.want)
 		}
 	}
 }
@@ -74,40 +81,39 @@ func TestNumLevels(t *testing.T) {
 func TestForEachLevelNodePartition(t *testing.T) {
 	// across all levels plus the coarsest lattice, every node must be
 	// visited exactly once
-	rows, cols := 13, 21
-	L := numLevels(rows, cols)
-	seen := make([]int, rows*cols)
-	sTop := 1 << uint(L)
-	for r := 0; r < rows; r += sTop {
-		for c := 0; c < cols; c += sTop {
-			seen[r*cols+c]++
-		}
-	}
-	for l := L - 1; l >= 0; l-- {
-		s := 1 << uint(l)
-		forEachLevelNode(rows, cols, s, func(r, c int) {
-			seen[r*cols+c]++
-		})
-	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Fatalf("node (%d,%d) visited %d times", i/cols, i%cols, n)
+	for _, shape := range [][]int{{13, 21}, {5, 13, 9}, {17, 1, 6}} {
+		d, levels := dims(shape)
+		seen := make([]int, d[0]*d[1]*d[2])
+		walk(make([]float64, len(seen)), d, levels, func(i int, _ float64) { seen[i]++ })
+		for i, n := range seen {
+			if n != 1 {
+				t.Fatalf("%v: node %d visited %d times", shape, i, n)
+			}
 		}
 	}
 }
 
 func TestInterpolateExactOnBilinear(t *testing.T) {
-	// a bilinear field is reproduced exactly by the interior stencil
-	g := fromFunc(17, 17, func(r, c int) float64 {
-		return 2 + 0.5*float64(r) + 0.25*float64(c)
-	})
-	for _, s := range []int{1, 2, 4} {
-		forEachLevelNode(17, 17, s, func(r, c int) {
-			got := interpolate(g.Data, 17, 17, r, c, s)
-			if math.Abs(got-g.At(r, c)) > 1e-12 {
-				t.Fatalf("stride %d node (%d,%d): %v want %v", s, r, c, got, g.At(r, c))
+	// a bilinear (trilinear at rank 3) field is reproduced exactly at
+	// every node below the coarsest lattice, whose predictor is zero
+	for _, shape := range [][]int{{17, 17}, {9, 9, 9}} {
+		d, levels := dims(shape)
+		a := make([]float64, d[0]*d[1]*d[2])
+		for i := range a {
+			z, y, x := i/(d[1]*d[2]), i/d[2]%d[1], i%d[2]
+			a[i] = 2 + 0.75*float64(z) + 0.5*float64(y) + 0.25*float64(x)
+		}
+		coarse := 0
+		walk(a, d, levels, func(i int, pred float64) {
+			if pred == 0 {
+				coarse++
+			} else if math.Abs(pred-a[i]) > 1e-12 {
+				t.Fatalf("%v node %d: %v want %v", shape, i, pred, a[i])
 			}
 		})
+		if want := 1 << len(shape); coarse != want {
+			t.Fatalf("%v: %d zero-predictor nodes, want the %d coarse corners", shape, coarse, want)
+		}
 	}
 }
 
@@ -238,7 +244,7 @@ func TestQuickBoundProperty(t *testing.T) {
 // symbol: the decoder must reject it before allocating the claimed
 // 512 MiB reconstruction.
 func TestDecompressCorruptSymbolCount(t *testing.T) {
-	raw := compress.AppendHeader(nil, magic, []int{8192, 8192}, 1e-3)
+	raw := compress.AppendHeader(nil, magic[0][0], []int{8192, 8192}, 1e-3)
 	raw = binary.LittleEndian.AppendUint32(raw, 0) // no exact values
 	raw = append(raw, huffman.Encode([]uint16{7})...)
 	data, err := lossless.Compress(raw)

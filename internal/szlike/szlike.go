@@ -83,8 +83,8 @@ type Compressor struct {
 type Compressor3D struct{}
 
 var (
-	_ compress.Lane32Compressor = Compressor{}
-	_ compress.Lane32Compressor = Compressor3D{}
+	_ compress.FieldCompressor = Compressor{}
+	_ compress.FieldCompressor = Compressor3D{}
 )
 
 // Name implements compress.FieldCompressor.
@@ -112,12 +112,12 @@ func (Compressor) DecompressField(data []byte) (*field.Field, error) {
 	return compress.FieldOf(decode[float64](data, 2))
 }
 
-// CompressField32 implements compress.Lane32Compressor.
+// CompressField32 implements compress.FieldCompressor.
 func (c Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
 	return encode(f.Shape, f.Data, 2, c.Mode, absErr)
 }
 
-// DecompressField32 implements compress.Lane32Compressor.
+// DecompressField32 implements compress.FieldCompressor.
 func (Compressor) DecompressField32(data []byte) (*field.Field32, error) {
 	return compress.Field32Of(decode[float32](data, 2))
 }
@@ -138,12 +138,12 @@ func (Compressor3D) DecompressField(data []byte) (*field.Field, error) {
 	return compress.FieldOf(decode[float64](data, 3))
 }
 
-// CompressField32 implements compress.Lane32Compressor.
+// CompressField32 implements compress.FieldCompressor.
 func (Compressor3D) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
 	return encode(f.Shape, f.Data, 3, PredictorAuto, absErr)
 }
 
-// DecompressField32 implements compress.Lane32Compressor.
+// DecompressField32 implements compress.FieldCompressor.
 func (Compressor3D) DecompressField32(data []byte) (*field.Field32, error) {
 	return compress.Field32Of(decode[float32](data, 3))
 }
@@ -321,15 +321,6 @@ var pools = [2]sync.Pool{
 	{New: func() any { return new(scratch[float32]) }},
 }
 
-// laneIndex is 0 for float64 and 1 for float32, the index of pools and
-// of magic's inner dimension.
-func laneIndex[T field.Elem]() int {
-	if compress.ValueBytes[T]() == 4 {
-		return 1
-	}
-	return 0
-}
-
 // zeroed returns s[:n] reusing capacity, zero-filled.
 func zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -342,8 +333,8 @@ func zeroed[T any](s []T, n int) []T {
 
 // encode compresses a rank-`rank` field on either lane.
 func encode[T field.Elem](shape []int, data []T, rank int, mode PredictorMode, absErr float64) ([]byte, error) {
-	if absErr <= 0 {
-		return nil, fmt.Errorf("szlike: non-positive error bound %v", absErr)
+	if err := compress.CheckBound(absErr); err != nil {
+		return nil, fmt.Errorf("szlike: %w", err)
 	}
 	if len(shape) != rank {
 		return nil, fmt.Errorf("szlike: rank-%d codec got a rank-%d field", rank, len(shape))
@@ -351,7 +342,7 @@ func encode[T field.Elem](shape []int, data []T, rank int, mode PredictorMode, a
 	if len(data) == 0 {
 		return nil, errors.New("szlike: empty field")
 	}
-	l := laneIndex[T]()
+	l := compress.Lane[T]()
 	sc := pools[l].Get().(*scratch[T])
 	defer pools[l].Put(sc)
 	g := newGeom(shape)
@@ -423,10 +414,7 @@ func encode[T field.Elem](shape []int, data []T, rank int, mode PredictorMode, a
 	for _, cf := range coeffs {
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(cf))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(exact)))
-	for _, v := range exact {
-		buf = compress.AppendValue(buf, v)
-	}
+	buf = compress.AppendExact(buf, exact)
 	buf = append(buf, huff...)
 	return lossless.Compress(buf)
 }
@@ -440,9 +428,9 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("szlike: %w", err)
 	}
-	l := laneIndex[T]()
+	l := compress.Lane[T]()
 	h, body, ok := compress.ParseHeader(raw, magic[rank-2][l], rank)
-	if !ok || h.AbsErr <= 0 {
+	if !ok {
 		return nil, nil, ErrCorrupt
 	}
 	g := newGeom(h.Shape)
@@ -469,18 +457,11 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 	for i := range coeffs {
 		coeffs[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
 	}
-	body = body[4*len(coeffs):]
-	nExact := int(binary.LittleEndian.Uint32(body))
-	body = body[4:]
-	w := compress.ValueBytes[T]()
-	if nExact < 0 || len(body) < w*nExact {
+	exact, body, ok := compress.Exact[T](body[4*len(coeffs):])
+	if !ok {
 		return nil, nil, ErrCorrupt
 	}
-	exact := make([]T, nExact)
-	for i := range exact {
-		exact[i] = compress.Value[T](body[w*i:])
-	}
-	symbols, err := huffman.Decode(body[w*nExact:])
+	symbols, err := huffman.Decode(body)
 	if err != nil {
 		return nil, nil, fmt.Errorf("szlike: %w", err)
 	}

@@ -76,8 +76,8 @@ type Compressor struct{}
 type Compressor3D struct{}
 
 var (
-	_ compress.Lane32Compressor = Compressor{}
-	_ compress.Lane32Compressor = Compressor3D{}
+	_ compress.FieldCompressor = Compressor{}
+	_ compress.FieldCompressor = Compressor3D{}
 )
 
 // Name implements compress.FieldCompressor.
@@ -96,12 +96,12 @@ func (Compressor) DecompressField(data []byte) (*field.Field, error) {
 	return compress.FieldOf(decode[float64](data, 2))
 }
 
-// CompressField32 implements compress.Lane32Compressor.
+// CompressField32 implements compress.FieldCompressor.
 func (Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
 	return encode(f.Shape, f.Data, 2, absErr)
 }
 
-// DecompressField32 implements compress.Lane32Compressor.
+// DecompressField32 implements compress.FieldCompressor.
 func (Compressor) DecompressField32(data []byte) (*field.Field32, error) {
 	return compress.Field32Of(decode[float32](data, 2))
 }
@@ -122,12 +122,12 @@ func (Compressor3D) DecompressField(data []byte) (*field.Field, error) {
 	return compress.FieldOf(decode[float64](data, 3))
 }
 
-// CompressField32 implements compress.Lane32Compressor.
+// CompressField32 implements compress.FieldCompressor.
 func (Compressor3D) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
 	return encode(f.Shape, f.Data, 3, absErr)
 }
 
-// DecompressField32 implements compress.Lane32Compressor.
+// DecompressField32 implements compress.FieldCompressor.
 func (Compressor3D) DecompressField32(data []byte) (*field.Field32, error) {
 	return compress.Field32Of(decode[float32](data, 3))
 }
@@ -314,8 +314,8 @@ var scratchPool = sync.Pool{New: func() any {
 
 // encode compresses a rank-`rank` field on either lane.
 func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]byte, error) {
-	if absErr <= 0 {
-		return nil, fmt.Errorf("zfplike: non-positive error bound %v", absErr)
+	if err := compress.CheckBound(absErr); err != nil {
+		return nil, fmt.Errorf("zfplike: %w", err)
 	}
 	if len(shape) != rank {
 		return nil, fmt.Errorf("zfplike: rank-%d codec got a rank-%d field", rank, len(shape))
@@ -406,11 +406,8 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("zfplike: %w", err)
 	}
-	l, vw := 0, compress.ValueBytes[T]()
-	if vw == 4 {
-		l = 1
-	}
-	h, body, ok := compress.ParseHeader(raw, magic[rank-2][l], rank)
+	vw := compress.ValueBytes[T]()
+	h, body, ok := compress.ParseHeader(raw, magic[rank-2][compress.Lane[T]()], rank)
 	if !ok {
 		return nil, nil, ErrCorrupt
 	}

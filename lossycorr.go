@@ -13,8 +13,8 @@
 //     windowed SVD truncation levels;
 //   - error-bounded lossy compressors in the styles of SZ, ZFP, and
 //     MGARD, measured by compression ratio under absolute error bounds;
-//     the SZ- and ZFP-style codecs are each written once for 2D and 3D
-//     fields on both element lanes (MeasureField, MeasureField32).
+//     each is written once for 2D and 3D fields on both element lanes
+//     (MeasureField, MeasureField32).
 //
 // The headline API mirrors the paper's workflow:
 //
@@ -150,10 +150,9 @@ func AnalyzeField32Ctx(ctx context.Context, f *Field32, opts AnalysisOptions) (S
 }
 
 // MeasureField32 compresses, decompresses, and measures a float32
-// field with the named built-in compressor. Codecs with a native
-// float32 lane (sz-like, zfp-like and their 3D forms) quantize directly
-// from the float32 samples; the rest run the widen→compress→narrow
-// fallback. Either way the error bound is checked on float32 values.
+// field with the named built-in compressor through its native float32
+// lane, which quantizes directly from the float32 samples; the error
+// bound is checked on float32 values.
 func MeasureField32(name string, f *Field32, absErr float64) (Result, error) {
 	c, err := core.DefaultRegistry().GetFor(name, f.NDim())
 	if err != nil {
@@ -288,7 +287,7 @@ func AnalyzeFieldCtx(ctx context.Context, f *Field, opts AnalysisOptions) (Stati
 }
 
 // Compressor is an error-bounded lossy compressor for the field ranks
-// it declares, optionally with a native float32 lane.
+// it declares, on both element lanes.
 type Compressor = compress.FieldCompressor
 
 // Result is one compression measurement.
@@ -300,7 +299,8 @@ var PaperErrorBounds = compress.PaperErrorBounds
 
 // Compressors returns a registry with the built-in codecs: the 2D
 // codecs of the study ("sz-like", "zfp-like", "mgard-like") plus their
-// 3D extensions ("sz-like-3d", "zfp-like-3d"), dispatched by rank.
+// 3D extensions ("sz-like-3d", "zfp-like-3d", "mgard-like-3d"),
+// dispatched by rank.
 func Compressors() *compress.Registry { return core.DefaultRegistry() }
 
 // CompressorsFor lists the built-in codecs accepting fields of the

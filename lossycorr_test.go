@@ -57,7 +57,8 @@ func TestCompressorsRegistry(t *testing.T) {
 	if _, err := MeasureField("not-a-codec", NewField(4, 4), 1e-3); err == nil {
 		t.Fatal("unknown compressor must error")
 	}
-	// mgard-like is rank-2 only: a volume finds no codec of that name.
+	// mgard-like is the rank-2 codec (its volume form is mgard-like-3d):
+	// a volume finds no codec of that name.
 	if _, err := MeasureRelative("mgard-like", NewField(4, 4, 4), 1e-3); err == nil {
 		t.Fatal("rank-2 codec must not accept a volume")
 	}
