@@ -71,7 +71,7 @@ func goldenCodecs(rank int) []compress.FieldCompressor {
 // float32 lane.
 var goldenDigests = map[string]string{
 	"mgard-like/f64":         "8fda95f76d66f4d8f7d0ccb414c3ab07d9825f684637012132442e9e0a10a437",
-	"mgard-like/f32":         "f20909bb9486606dc0d3cd183227059e9b2d742dc1cc72eb79314b55e42b35e8",
+	"mgard-like/f32":         "5a64246c3af73ef54a8b5daa12c097f810d109e8e90deaa30a2774118e6a9070",
 	"sz-like/f64":            "f7ea35ee4512f0df2fefbfaef9af44b2df0c65f7825e1a6b1d2ead9759fb36af",
 	"sz-like/f32":            "b937168f7fc33170ce48c8d05f7af6ab762bd1f2872e52a7ba4f693092180127",
 	"zfp-like/f64":           "d9399a7f5064a3cb128561b95defd4ec2e4409162e1f302867df1c0171bbb9ab",
