@@ -102,16 +102,18 @@ func summarize[T Elem](data []T) Stats {
 }
 
 // maxAbsDiffData returns max|a-b| (in float64) over two equal-length
-// lanes of the same element type.
+// lanes of the same element type. A position where exactly one side is
+// NaN differs by +Inf; two NaNs, like two equal infinities, do not
+// differ, as a codec stores non-finite samples exactly.
 func maxAbsDiffData[T Elem](a, b []T) float64 {
 	var m float64
 	for i := range a {
-		d := float64(a[i]) - float64(b[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
+		if d := math.Abs(float64(a[i]) - float64(b[i])); !(d <= m) {
+			if d == d {
+				m = d
+			} else if (a[i] != a[i]) != (b[i] != b[i]) {
+				return math.Inf(1)
+			}
 		}
 	}
 	return m

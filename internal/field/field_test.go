@@ -255,6 +255,35 @@ func TestMaxAbsDiffAndMSE(t *testing.T) {
 	}
 }
 
+// TestMaxAbsDiffNaN pins NaN handling on both lanes: a NaN on exactly
+// one side is an infinite error, wherever it falls, while NaN against
+// NaN and an infinity against itself are exact.
+func TestMaxAbsDiffNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		a, b []float64
+		want float64
+	}{
+		{[]float64{1, nan, 3}, []float64{1, nan, 2.5}, 0.5},
+		{[]float64{inf, -inf, 0}, []float64{inf, -inf, 0}, 0},
+		{[]float64{1, 2, 3}, []float64{1, nan, 3}, inf},
+		{[]float64{nan, 2, 3}, []float64{1, 2, 3}, inf},
+		{[]float64{1, 2, 3}, []float64{5, 2, nan}, inf},
+		{[]float64{inf, 2}, []float64{nan, 2}, inf},
+		{[]float64{1, inf}, []float64{1, 2}, inf},
+	}
+	for _, c := range cases {
+		a, _ := FromData([]int{len(c.a)}, c.a)
+		b, _ := FromData([]int{len(c.b)}, c.b)
+		if d, err := a.MaxAbsDiff(b); err != nil || d != c.want {
+			t.Errorf("float64 %v vs %v: %v (%v), want %v", c.a, c.b, d, err, c.want)
+		}
+		if d, err := a.Narrow().MaxAbsDiff(b.Narrow()); err != nil || d != c.want {
+			t.Errorf("float32 %v vs %v: %v (%v), want %v", c.a, c.b, d, err, c.want)
+		}
+	}
+}
+
 // TestReadBinaryRejectsOverflowingHeaders feeds headers whose element
 // counts wrap int64; the reader must error, not panic in makeslice.
 func TestReadBinaryRejectsOverflowingHeaders(t *testing.T) {

@@ -46,7 +46,7 @@ func (q Quantizer) Encode(diff float64) (sym uint16, delta float64, ok bool) {
 	}
 	code := int32(codeF)
 	delta = float64(code) * q.step
-	if math.Abs(diff-delta) > q.eb {
+	if !(math.Abs(diff-delta) <= q.eb) {
 		// guards rounding pathologies near the representable edge
 		return Escape, 0, false
 	}

@@ -88,3 +88,15 @@ func TestErrorBoundAccessor(t *testing.T) {
 		t.Fatal("ErrorBound accessor broken")
 	}
 }
+
+// TestEscapeOnOverflowingStep pins a bound so large that the bin width
+// 2·eb overflows to +Inf: the zero code's increment 0·Inf is NaN, which
+// must escape rather than reach a reconstruction.
+func TestEscapeOnOverflowingStep(t *testing.T) {
+	q := New(1e308)
+	for _, diff := range []float64{0, 1, -3e5} {
+		if sym, delta, ok := q.Encode(diff); ok || sym != Escape {
+			t.Fatalf("diff %v: symbol %d, delta %v accepted", diff, sym, delta)
+		}
+	}
+}

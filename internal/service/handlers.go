@@ -538,7 +538,7 @@ func parseErrorBounds(s string) ([]float64, error) {
 	ebs := make([]float64, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v <= 0 {
+		if err != nil || compress.CheckBound(v) != nil {
 			return nil, apiErrorf(http.StatusBadRequest, "bad error bound %q", p)
 		}
 		ebs = append(ebs, v)
@@ -599,8 +599,8 @@ func (s *Server) parsePredictParams(q url.Values, rank int) (eb float64, codec s
 	if eb, err = queryFloat(q, "eb", 1e-3); err != nil {
 		return
 	}
-	if eb <= 0 {
-		err = apiErrorf(http.StatusBadRequest, "eb must be > 0, got %g", eb)
+	if cerr := compress.CheckBound(eb); cerr != nil {
+		err = apiErrorf(http.StatusBadRequest, "eb: %v", cerr)
 		return
 	}
 	codec = q.Get("codec")

@@ -325,6 +325,12 @@ func TestRejectsMalformedRequests(t *testing.T) {
 		{"NaN frac via async job", "/v1/jobs/analyze?frac=NaN", valid, http.StatusBadRequest},
 		{"bad bool", "/v1/analyze?vfft=maybe", valid, http.StatusBadRequest},
 		{"bad error bound", "/v1/measure?eb=-3", valid, http.StatusBadRequest},
+		{"NaN error bound", "/v1/measure?eb=NaN", valid, http.StatusBadRequest},
+		{"+Inf error bound", "/v1/measure?eb=Inf", valid, http.StatusBadRequest},
+		{"NaN in an error bound list", "/v1/measure?eb=1e-3,NaN", valid, http.StatusBadRequest},
+		{"NaN error bound via predict", "/v1/predict?eb=NaN", valid, http.StatusBadRequest},
+		{"+Inf error bound via predict", "/v1/predict?eb=Inf", valid, http.StatusBadRequest},
+		{"zero error bound via predict", "/v1/predict?eb=0", valid, http.StatusBadRequest},
 		{"unknown codec", "/v1/measure?codec=nope", valid, http.StatusBadRequest},
 		{"NaN value", "/v1/analyze", withNaN, http.StatusBadRequest},
 		{"NaN value, full-SVD path", "/v1/analyze?stats=svd&gram=false", withNaN, http.StatusBadRequest},
