@@ -198,3 +198,35 @@ func TestRejectNonFiniteBound(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCodecDecode feeds arbitrary bytes to the decoder of every codec of
+// rank 2 and 3 on both lanes, seeded with a valid stream of each: no
+// input may panic, and a decoded field holds exactly as many samples as
+// its shape claims.
+func FuzzCodecDecode(f *testing.F) {
+	reg := core.DefaultRegistry()
+	codecs := append(reg.AllFor(2), reg.AllFor(3)...)
+	for _, c := range codecs {
+		src := testFieldFor(c.Ranks()[0], 5)
+		for _, enc := range []func() ([]byte, error){
+			func() ([]byte, error) { return c.CompressField(src, 1e-3) },
+			func() ([]byte, error) { return c.CompressField32(src.Narrow(), 1e-3) },
+		} {
+			data, err := enc()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range codecs {
+			if g, err := c.DecompressField(data); err == nil && len(g.Data) != g.Len() {
+				t.Fatalf("%s/f64: %d samples for shape %v", c.Name(), len(g.Data), g.Shape)
+			}
+			if g, err := c.DecompressField32(data); err == nil && len(g.Data) != g.Len() {
+				t.Fatalf("%s/f32: %d samples for shape %v", c.Name(), len(g.Data), g.Shape)
+			}
+		}
+	})
+}
