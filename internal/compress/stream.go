@@ -109,7 +109,7 @@ func Exact[T field.Elem](b []byte) ([]T, []byte, bool) {
 		return nil, nil, false
 	}
 	n, w := int(binary.LittleEndian.Uint32(b)), ValueBytes[T]()
-	if b = b[4:]; len(b) < w*n {
+	if b = b[4:]; n < 0 || len(b) < w*n { // n < 0: a wrapped count on 32-bit ints
 		return nil, nil, false
 	}
 	vs := make([]T, n)
