@@ -209,32 +209,35 @@ func TestDecompressCorrupt(t *testing.T) {
 }
 
 func TestQuickBoundProperty(t *testing.T) {
-	f := func(seed uint64, ebExp uint8, rough bool) bool {
+	// both ranks on both lanes; the float32 lane's bound is checked on
+	// the float32 samples it reconstructs
+	f := func(seed uint64, ebExp uint8, rough, vol, lane32 bool) bool {
 		eb := math.Pow(10, -1-float64(ebExp%6))
 		rng := xrand.New(seed)
-		rows := 1 + rng.Intn(34)
-		cols := 1 + rng.Intn(34)
-		var g *field.Field
-		if rough {
-			g = fromFunc(rows, cols, func(r, cc int) float64 { return rng.NormFloat64() * 10 })
-		} else {
-			fr := 1 + rng.Float64()*10
-			g = fromFunc(rows, cols, func(r, cc int) float64 {
-				return math.Sin(float64(r)/fr) + math.Cos(float64(cc)/fr)
-			})
+		var c compress.FieldCompressor = Compressor{}
+		shape := []int{1 + rng.Intn(34), 1 + rng.Intn(34)}
+		if vol {
+			c, shape = Compressor3D{}, []int{1 + rng.Intn(12), 1 + rng.Intn(12), 1 + rng.Intn(12)}
 		}
-		data, err := (Compressor{}).CompressField(g, eb)
-		if err != nil {
-			return false
+		g := field.New(shape...)
+		fr := 1 + rng.Float64()*10
+		for i := range g.Data {
+			if rough {
+				g.Data[i] = rng.NormFloat64() * 10
+			} else {
+				g.Data[i] = math.Sin(float64(i/shape[len(shape)-1])/fr) + math.Cos(float64(i%shape[len(shape)-1])/fr)
+			}
 		}
-		dec, err := (Compressor{}).DecompressField(data)
-		if err != nil {
-			return false
+		run := compress.RunField
+		if lane32 {
+			run = func(c compress.FieldCompressor, g *field.Field, eb float64) (compress.Result, error) {
+				return compress.RunField32(c, g.Narrow(), eb)
+			}
 		}
-		maxErr, err := g.MaxAbsDiff(dec)
-		return err == nil && maxErr <= eb*(1+1e-12)
+		res, err := run(c, g, eb)
+		return err == nil && res.BoundOK
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
 }
