@@ -1,9 +1,10 @@
 // Package fft implements complex and real-input fast Fourier transforms
 // of any rank and any length. It is the numerical engine behind the
 // exact circulant-embedding Gaussian field sampler and the variogram FFT
-// fast path. Power-of-two lengths run the radix-2 butterfly core,
-// 7-smooth lengths a mixed-radix Cooley–Tukey plan, and everything else
-// Bluestein's chirp-z algorithm (plan.go) — so padding can be exact (or
+// fast path. Power-of-two lengths run the radix-2 butterfly core (its
+// stages fused in pairs into radix-2² passes), 7-smooth lengths a
+// mixed-radix Cooley–Tukey plan, and everything else Bluestein's
+// chirp-z algorithm (plan.go) — so padding can be exact (or
 // FastLen-rounded) instead of doubling to NextPow2. Real-input fields
 // additionally transform in half-spectrum form (realnd.go), halving the
 // storage of every hermitian workload.
@@ -87,22 +88,74 @@ func (t twiddle[C]) dir(inverse bool) []C {
 func transformTw[C Complex](x, w []C) {
 	n := len(x)
 	// bit-reversal permutation
-	shift := 64 - uint(bits.Len(uint(n-1)))
+	j := 0
 	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
 		if j > i {
 			x[i], x[j] = x[j], x[i]
 		}
+		j = revInc(j, n)
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w[k*step]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+	h := 1
+	if oddStages(n) {
+		w0 := w[0]
+		for s := 0; s+1 < n; s += 2 {
+			a := x[s]
+			b := x[s+1] * w0
+			x[s] = a + b
+			x[s+1] = a - b
+		}
+		h = 2
+	}
+	butterflies(x, w, h)
+}
+
+// oddStages reports whether the power of two n has an odd log2.
+func oddStages(n int) bool { return bits.Len(uint(n))%2 == 0 }
+
+// revInc is the Gold–Rader step: for a power of two n and rev the
+// reversal of log2(n) bits, it returns rev(rev(j)+1), so starting from
+// 0 it walks rev(0), rev(1), … without reversing any index.
+func revInc(j, n int) int {
+	m := n >> 1
+	for j&m != 0 {
+		j ^= m
+		m >>= 1
+	}
+	return j | m
+}
+
+// butterflies runs the radix-2 stages of halves h, 2h, … n/2 over x,
+// in bit-reversed order with the stages below h done (h = 1 or 2 for
+// transformTw, 2 or 4 after a leaf's gather). Each pair of stages —
+// halves h and 2h — runs as one radix-2² pass over the four elements
+// k, k+h, k+2h, k+3h of every 4h-block, which both stages touch and no
+// other element reaches. Every element sees the same products and
+// sums, in the same order, as in one pass per stage: the first
+// stage's twiddle is w[2t] for t = k·n/4h, the second stage's w[t] and
+// w[t+n/4], read from the same table.
+func butterflies[C Complex](x, w []C, h int) {
+	n := len(x)
+	q := n / 4
+	for ; 4*h <= n; h *= 4 {
+		step := n / (4 * h)
+		for start := 0; start < n; start += 4 * h {
+			x0 := x[start : start+h]
+			x1 := x[start+h : start+2*h][:len(x0)]
+			x2 := x[start+2*h : start+3*h][:len(x0)]
+			x3 := x[start+3*h : start+4*h][:len(x0)]
+			for k := range x0 {
+				t := k * step
+				w1 := w[2*t]
+				a := x0[k]
+				b := x1[k] * w1
+				y0, y1 := a+b, a-b
+				a = x2[k]
+				b = x3[k] * w1
+				y2, y3 := a+b, a-b
+				b = y2 * w[t]
+				x0[k], x2[k] = y0+b, y0-b
+				b = y3 * w[t+q]
+				x1[k], x3[k] = y1+b, y1-b
 			}
 		}
 	}

@@ -6,8 +6,10 @@ package fft
 //
 //   - power of two        → the radix-2 butterfly core (transformTw)
 //   - 7-smooth composite  → mixed-radix Cooley–Tukey: odd factors are
-//     peeled recursively (generic small-r DFT combine), the residual
-//     power-of-two block transforms with the radix-2 core
+//     peeled recursively (generic small-r DFT combine over roots read
+//     once per call, unrolled for r = 3), the residual power-of-two
+//     block runs the radix-2 core, its first pass fused into a
+//     bit-reversed gather (leaf)
 //   - anything else       → Bluestein's chirp-z algorithm: the length-n
 //     DFT becomes a length-M power-of-two circular convolution
 //     (M >= 2n−1) with a precomputed chirp filter spectrum
@@ -16,6 +18,11 @@ package fft
 // repeated axis passes over the same extents (the variogram engine, the
 // samplers) pay the trigonometry once. Per-line scratch comes from the
 // shared buffer pool.
+//
+// The output bits are a contract: kernelref_test.go keeps the plain
+// one-pass-per-stage kernels as references, and every length class must
+// match them bit for bit on both lanes, so a faster schedule may reorder
+// memory passes but never a product or a sum.
 
 import (
 	"math"
@@ -166,19 +173,61 @@ func (p *linePlan[C]) transform(x []C, inverse bool) {
 	}
 }
 
+// leaf sets dst[0:n] to the power-of-two DFT of src[0], src[stride], …
+// over the half table pw. It gathers in bit-reversed order and runs
+// the first butterfly pass on the way — a lone radix-2 stage when the
+// stage count is odd, else the first radix-2² pass — so no separate
+// permutation pass is needed. In bit-reversed order, slots 2s and 2s+1
+// hold src elements r and r+n/2 for r = rev(s) over log2(n/2) bits;
+// slots 4s…4s+3 hold r, r+n/2, r+n/4 and r+3n/4 for r = rev(s) over
+// log2(n/4) bits.
+func leaf[C Complex](dst, src []C, n, stride int, pw []C) {
+	dst = dst[:n]
+	if n == 1 {
+		dst[0] = src[0]
+		return
+	}
+	w0 := pw[0]
+	if oddStages(n) {
+		off, r := n/2*stride, 0
+		for s := 0; s < n; s += 2 {
+			a := src[r*stride]
+			b := src[r*stride+off] * w0
+			dst[s], dst[s+1] = a+b, a-b
+			r = revInc(r, n/2)
+		}
+		butterflies(dst, pw, 2)
+		return
+	}
+	// The first radix-2² pass's twiddles are w[0], w[0] and w[n/4].
+	wq := pw[n/4]
+	o1, o2, o3 := n/2*stride, n/4*stride, 3*n/4*stride
+	r := 0
+	for s := 0; s < n; s += 4 {
+		i := r * stride
+		a := src[i]
+		b := src[i+o1] * w0
+		y0, y1 := a+b, a-b
+		a = src[i+o2]
+		b = src[i+o3] * w0
+		y2, y3 := a+b, a-b
+		b = y2 * w0
+		dst[s], dst[s+2] = y0+b, y0-b
+		b = y3 * wq
+		dst[s+1], dst[s+3] = y1+b, y1-b
+		r = revInc(r, n/4)
+	}
+	butterflies(dst, pw, 4)
+}
+
 // mixedRec computes dst[0:n] = DFT_n of the strided sequence src[0],
 // src[stride], …, peeling factors[0] by decimation in time; mult is
 // p.n/n, the spacing of this level's twiddles in the full table w. With
-// factors exhausted, n is the residual power-of-two block: gather and
-// run the radix-2 core over its half table pw.
+// factors exhausted, n is the residual power-of-two block: a leaf over
+// its half table pw.
 func (p *linePlan[C]) mixedRec(dst, src []C, n, stride, mult int, factors []int, w, pw []C) {
 	if len(factors) == 0 {
-		for j := 0; j < n; j++ {
-			dst[j] = src[j*stride]
-		}
-		if n > 1 {
-			transformTw(dst, pw)
-		}
+		leaf(dst, src, n, stride, pw)
 		return
 	}
 	r := factors[0]
@@ -188,20 +237,50 @@ func (p *linePlan[C]) mixedRec(dst, src []C, n, stride, mult int, factors []int,
 	}
 	// Combine: for each residue k2, an r-point DFT of the twiddled
 	// sub-spectra u_{j2} = S_{j2}[k2]·w_n^{j2·k2} lands in the slots
-	// k2 + m·k1.
+	// k2 + m·k1. The r-point DFT's roots w_r^{j2·k1} = w[(j2·k1 mod r)·n/r]
+	// are read from the table once per call, into roots[k1·r+j2].
 	var u [8]C
+	var roots [49]C
 	rs := p.n / r
+	for k1 := 0; k1 < r; k1++ {
+		for j2 := 0; j2 < r; j2++ {
+			roots[k1*r+j2] = w[(j2*k1%r)*rs]
+		}
+	}
+	if r == 3 {
+		combine3(dst[:3*m], m, mult, w, &roots)
+		return
+	}
 	for k2 := 0; k2 < m; k2++ {
 		for j2 := 0; j2 < r; j2++ {
 			u[j2] = dst[j2*m+k2] * w[mult*j2*k2]
 		}
 		for k1 := 0; k1 < r; k1++ {
+			row := roots[k1*r : k1*r+r]
 			s := u[0]
 			for j2 := 1; j2 < r; j2++ {
-				s += u[j2] * w[(j2*k1%r)*rs]
+				s += u[j2] * row[j2]
 			}
 			dst[k1*m+k2] = s
 		}
+	}
+}
+
+// combine3 is mixedRec's combine for r = 3 with the loops over j2 and
+// k1 unrolled: the same products, each sum in the same order.
+func combine3[C Complex](dst []C, m, mult int, w []C, roots *[49]C) {
+	d0, d1, d2 := dst[:m], dst[m:2*m], dst[2*m:3*m]
+	r01, r02 := roots[1], roots[2]
+	r11, r12 := roots[4], roots[5]
+	r21, r22 := roots[7], roots[8]
+	w0 := w[0]
+	for k2 := range d0 {
+		u0 := d0[k2] * w0
+		u1 := d1[k2] * w[mult*k2]
+		u2 := d2[k2] * w[2*mult*k2]
+		d0[k2] = u0 + u1*r01 + u2*r02
+		d1[k2] = u0 + u1*r11 + u2*r12
+		d2[k2] = u0 + u1*r21 + u2*r22
 	}
 }
 

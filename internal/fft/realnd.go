@@ -141,8 +141,11 @@ func ForwardRealND[F Float, C Complex](src []F, dims []int, dst []C, workers int
 			}
 			p.transform(y, false)
 			for k := 0; k <= N; k++ {
-				yk := y[k%N]
-				cynk := conj(y[(N-k)%N])
+				yk, ynk := y[0], y[0] // bins 0 and N both unpick y[0]
+				if k > 0 && k < N {
+					yk, ynk = y[k], y[N-k]
+				}
+				cynk := conj(ynk)
 				e := (yk + cynk) * 0.5
 				o := (yk - cynk) * complex(0, -0.5)
 				out[k] = e + rw[k]*o

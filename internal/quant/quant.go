@@ -45,7 +45,11 @@ func (q Quantizer) Encode(diff float64) (sym uint16, delta float64, ok bool) {
 		return Escape, 0, false
 	}
 	code := int32(codeF)
-	delta = float64(code) * q.step
+	// The conversion rounds the product (Go spec, "Floating-point
+	// operators"), so a target with fused multiply-add cannot fuse it
+	// into the guard: the guard must test the rounded delta the
+	// decoder rebuilds, not the exact code·2eb.
+	delta = float64(float64(code) * q.step)
 	if !(math.Abs(diff-delta) <= q.eb) {
 		// guards rounding pathologies near the representable edge
 		return Escape, 0, false

@@ -100,3 +100,33 @@ func TestEscapeOnOverflowingStep(t *testing.T) {
 		}
 	}
 }
+
+// TestBinEdgeEscape pins the guard at bin edges where the exact product
+// code·2eb and its float64 rounding fall on opposite sides of the
+// bound: the escape decision must follow the rounded increment the
+// decoder rebuilds. At eb = 0.1, diff 1.1 rounds to code 6, whose
+// rounded increment 1.2000000000000002 misses the bound while the exact
+// 1.2 meets it — a guard fused with the product would accept a value
+// the decoder then rebuilds out of bound. At 0.9 (code 5) the sides
+// are swapped, and the value is accepted.
+func TestBinEdgeEscape(t *testing.T) {
+	q := New(0.1)
+	for _, tc := range []struct {
+		diff float64
+		code int32
+	}{{1.1, 6}, {0.9, 5}} {
+		step := 2 * q.ErrorBound()
+		exact := math.Abs(math.FMA(-float64(tc.code), step, tc.diff)) <= q.ErrorBound()
+		rounded := math.Abs(tc.diff-float64(float64(tc.code)*step)) <= q.ErrorBound()
+		if exact == rounded {
+			t.Fatalf("diff %v: exact and rounded increments agree; not a straddling edge", tc.diff)
+		}
+		sym, delta, ok := q.Encode(tc.diff)
+		if ok != rounded {
+			t.Fatalf("diff %v: accepted %v, want %v (the rounded increment's verdict)", tc.diff, ok, rounded)
+		}
+		if ok && (sym != uint16(tc.code+Radius) || delta != q.Decode(sym)) {
+			t.Fatalf("diff %v: symbol %d, delta %v; want code %d and the decoder's increment", tc.diff, sym, delta, tc.code)
+		}
+	}
+}

@@ -74,6 +74,7 @@ func TestSampledPlanMatchesDirect(t *testing.T) {
 // process-wide cache: the first (direct), second (build) and later
 // (gather) requests of one key all equal the direct scan bitwise.
 func TestSampledScanDataPlanned(t *testing.T) {
+	ownPlans(t)
 	shape := []int{81, 77}
 	f32, f64 := randomField32(shape, 5)
 	o := Options{Seed: 0xfeed}.withDefaults(shape)

@@ -118,6 +118,16 @@ func keptPairs(e *Empirical) int {
 	return int(k)
 }
 
+// ownPlans gives the calling test an empty process-wide plan cache and
+// puts the previous one back when the test ends, so each key the test
+// uses starts as a first request however many times the test runs
+// (go test -count) and whichever tests ran before it.
+func ownPlans(t *testing.T) {
+	prev := sampledPlans
+	sampledPlans = &planCache{slots: planCacheSlots}
+	t.Cleanup(func() { sampledPlans = prev })
+}
+
 // planState reports whether the process-wide plan cache holds a built
 // plan for k, and whether it remembers k as seen once.
 func planState(k planKey) (built, seen bool) {
@@ -137,6 +147,7 @@ func planState(k planKey) (built, seen bool) {
 // the feasibility minimum through many spans and many chunks and one
 // chunk to unbounded.
 func TestSampledReaderMatchesInRAM(t *testing.T) {
+	ownPlans(t)
 	shapes := [][]int{{5000}, {1, 4100}, {70, 61}, {30, 1, 40}, {26, 25, 27}}
 	const pairs = 6000
 	seed := uint64(0x5a3d) << 40
@@ -322,6 +333,7 @@ func TestSampledReaderPeakWithinBudget(t *testing.T) {
 // benchmark's shape — a 48³ float32 volume under half its payload —
 // it makes no point-sized reads.
 func TestSampledReaderReadCounts(t *testing.T) {
+	ownPlans(t)
 	cases := []struct {
 		shape    []int
 		maxPairs int // 0: the default
@@ -369,6 +381,7 @@ func TestSampledReaderReadCounts(t *testing.T) {
 // error at the first failing span read, with no read after it, on the
 // drawn and the planned path.
 func TestSampledReaderFailingReader(t *testing.T) {
+	ownPlans(t)
 	shape := []int{70, 61}
 	tr, probe := probedReader(t, randomField(shape, 940).WriteBinary)
 	so := field.StreamOptions{BudgetBytes: 8 * sampledMinBudget(tr.Len(), 5*slotBytesOf(tr))}
@@ -391,6 +404,7 @@ func TestSampledReaderFailingReader(t *testing.T) {
 // under a cancelled context leaves the key neither built nor
 // remembered, and the next request scans as a first one.
 func TestSampledReaderCancel(t *testing.T) {
+	ownPlans(t)
 	shape := []int{70, 61}
 	f := randomField(shape, 950)
 	tr, probe := probedReader(t, f.WriteBinary)
