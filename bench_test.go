@@ -268,7 +268,7 @@ func BenchmarkExtEntropyEstimator(b *testing.B) {
 			b.Fatal(err)
 		}
 		entropyRatio = EstimateEntropyRatio(h)
-		res, err := MeasureField("sz-like", f, 1e-3)
+		res, err := MeasureField(b.Context(), "sz-like", f, 1e-3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func BenchmarkExt3DPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		est = m.Range
-		r, err := MeasureField("sz-like-3d", vol, 1e-3)
+		r, err := MeasureField(b.Context(), "sz-like-3d", vol, 1e-3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func BenchmarkUnified3DPipeline(b *testing.B) {
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := AnalyzeField(f, AnalysisOptions{Window: 16})
+		stats, err := AnalyzeField(b.Context(), f, AnalysisOptions{Window: 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func BenchmarkUnified3DPipeline(b *testing.B) {
 			b.Fatal("degenerate analysis")
 		}
 		for _, name := range CompressorsFor(3) {
-			res, err := MeasureField(name, f, 1e-3)
+			res, err := MeasureField(b.Context(), name, f, 1e-3)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -598,7 +598,7 @@ func BenchmarkMeasureFieldsParallel(b *testing.B) {
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := MeasureFieldSet("bench", fields, labels, MeasureOptions{
+				if _, err := MeasureFieldSet(b.Context(), "bench", fields, labels, MeasureOptions{
 					ErrorBounds: []float64{1e-3},
 					Workers:     w,
 				}); err != nil {

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -99,7 +100,7 @@ func cmdEntropy(args []string) error {
 	fmt.Printf("quantized entropy at eb=%.0e: %.4f bits/value\n", *eb, h)
 	fmt.Printf("entropy-bound compression ratio: %.3f\n", lossycorr.EstimateEntropyRatio(h))
 	for _, name := range lossycorr.CompressorsFor(fld.NDim()) {
-		res, err := lossycorr.MeasureField(name, fld, *eb)
+		res, err := lossycorr.MeasureField(context.Background(), name, fld, *eb)
 		if err != nil {
 			return err
 		}
@@ -310,10 +311,10 @@ func cmdAnalyze(args []string) error {
 	var stats lossycorr.Statistics
 	var shape []int
 	if n32 != nil {
-		stats, err = lossycorr.AnalyzeField32(n32, opts)
+		stats, err = lossycorr.AnalyzeField(context.Background(), n32, opts)
 		shape = n32.Shape
 	} else {
-		stats, err = lossycorr.AnalyzeField(fld, opts)
+		stats, err = lossycorr.AnalyzeField(context.Background(), fld, opts)
 		shape = fld.Shape
 	}
 	if err != nil {
@@ -421,7 +422,7 @@ func analyzeOutOfCore(in string, budget int64, window, workers int, gram, vfft b
 		MemBudget: budget, Stats: sel,
 	}
 	lossycorr.ResetTransformPeakBytes()
-	stats, err := lossycorr.AnalyzeReader(tr, opts)
+	stats, err := lossycorr.AnalyzeReader(context.Background(), tr, opts)
 	if err != nil {
 		return err
 	}
@@ -469,17 +470,10 @@ func cmdCompress(args []string) error {
 			name = names[0]
 		}
 	}
-	var res lossycorr.Result
 	if n32 != nil {
-		res, err = lossycorr.MeasureField32(name, n32, *eb)
-	} else {
-		res, err = lossycorr.MeasureField(name, fld, *eb)
+		return measureAll(n32, []string{name}, []float64{*eb})
 	}
-	if err != nil {
-		return err
-	}
-	printResult(res)
-	return nil
+	return measureAll(fld, []string{name}, []float64{*eb})
 }
 
 func cmdSweep(args []string) error {
@@ -497,14 +491,18 @@ func cmdSweep(args []string) error {
 	} else {
 		rank = fld.NDim()
 	}
-	for _, name := range lossycorr.CompressorsFor(rank) {
-		for _, eb := range lossycorr.PaperErrorBounds {
-			var res lossycorr.Result
-			if n32 != nil {
-				res, err = lossycorr.MeasureField32(name, n32, eb)
-			} else {
-				res, err = lossycorr.MeasureField(name, fld, eb)
-			}
+	if n32 != nil {
+		return measureAll(n32, lossycorr.CompressorsFor(rank), lossycorr.PaperErrorBounds)
+	}
+	return measureAll(fld, lossycorr.CompressorsFor(rank), lossycorr.PaperErrorBounds)
+}
+
+// measureAll prints the measurement of f on its own lane under every
+// named codec at every bound.
+func measureAll[T lossycorr.Elem](f *lossycorr.FieldOf[T], names []string, ebs []float64) error {
+	for _, name := range names {
+		for _, eb := range ebs {
+			res, err := lossycorr.MeasureField(context.Background(), name, f, eb)
 			if err != nil {
 				return err
 			}
@@ -606,7 +604,7 @@ func cmdPredict(args []string) error {
 			fields = append(fields, f)
 			labels = append(labels, rang)
 		}
-		ms, err := lossycorr.MeasureFieldSet("train", fields, labels, lossycorr.MeasureOptions{
+		ms, err := lossycorr.MeasureFieldSet(context.Background(), "train", fields, labels, lossycorr.MeasureOptions{
 			Analysis:    lossycorr.AnalysisOptions{SkipLocal: true},
 			ErrorBounds: []float64{*eb},
 			Workers:     *workers,
@@ -661,7 +659,7 @@ func cmdPredict(args []string) error {
 		}
 		target = fields[len(fields)-1]
 	}
-	stats, err := lossycorr.AnalyzeField(target, lossycorr.AnalysisOptions{SkipLocal: true})
+	stats, err := lossycorr.AnalyzeField(context.Background(), target, lossycorr.AnalysisOptions{SkipLocal: true})
 	if err != nil {
 		return err
 	}
@@ -675,7 +673,7 @@ func cmdPredict(args []string) error {
 	}
 	fmt.Printf("estimated range %.3f → selected %s (predicted CR %.2f [%.2f, %.2f] at %g%% PI)\n",
 		stats.GlobalRange(), sel.Compressor, pred.Ratio, pred.Lo, pred.Hi, pred.Level*100)
-	res, err := lossycorr.MeasureField(sel.Compressor, target, *eb)
+	res, err := lossycorr.MeasureField(context.Background(), sel.Compressor, target, *eb)
 	if err != nil {
 		return err
 	}

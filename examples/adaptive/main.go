@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const size = 128
 	const eb = 1e-3
 
@@ -29,7 +31,7 @@ func main() {
 		fields = append(fields, f)
 		labels = append(labels, rang)
 	}
-	ms, err := lossycorr.MeasureFieldSet("train", fields, labels, lossycorr.MeasureOptions{
+	ms, err := lossycorr.MeasureFieldSet(ctx, "train", fields, labels, lossycorr.MeasureOptions{
 		Analysis:    lossycorr.AnalysisOptions{SkipLocal: true},
 		ErrorBounds: []float64{eb},
 	})
@@ -55,7 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stats, err := lossycorr.AnalyzeField(f, lossycorr.AnalysisOptions{SkipLocal: true})
+		stats, err := lossycorr.AnalyzeField(ctx, f, lossycorr.AnalysisOptions{SkipLocal: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +65,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		actual, err := lossycorr.MeasureField(sel.Compressor, f, eb)
+		actual, err := lossycorr.MeasureField(ctx, sel.Compressor, f, eb)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const size = 128
 	const eb = 1e-3
 
@@ -29,7 +31,7 @@ func main() {
 		}
 		fields = append(fields, f)
 	}
-	ms, err := lossycorr.MeasureFieldSet("multi", fields, nil, lossycorr.MeasureOptions{
+	ms, err := lossycorr.MeasureFieldSet(ctx, "multi", fields, nil, lossycorr.MeasureOptions{
 		ErrorBounds: []float64{eb},
 	})
 	if err != nil {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. A 2D Gaussian random field with squared-exponential covariance
 	// and a known correlation range of 16 grid points.
 	field, err := lossycorr.GenerateGaussian(lossycorr.GaussianParams{
@@ -21,7 +23,7 @@ func main() {
 	}
 
 	// 2. The three correlation statistics of the paper.
-	stats, err := lossycorr.AnalyzeField(field, lossycorr.AnalysisOptions{})
+	stats, err := lossycorr.AnalyzeField(ctx, field, lossycorr.AnalysisOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func main() {
 	for _, eb := range lossycorr.PaperErrorBounds {
 		fmt.Printf("%-11.0e", eb)
 		for _, name := range lossycorr.CompressorsFor(2) {
-			res, err := lossycorr.MeasureField(name, field, eb)
+			res, err := lossycorr.MeasureField(ctx, name, field, eb)
 			if err != nil {
 				log.Fatal(err)
 			}

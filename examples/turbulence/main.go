@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const n = 128
 	slices, times, err := lossycorr.TurbulenceSlices(n, 4, 1.6, 7)
 	if err != nil {
@@ -22,15 +24,15 @@ func main() {
 	fmt.Printf("%8s %10s %10s %10s %12s %12s\n",
 		"time", "globRange", "locRngStd", "locSVDStd", "sz-like CR", "zfp-like CR")
 	for i, f := range slices {
-		stats, err := lossycorr.AnalyzeField(f, lossycorr.AnalysisOptions{})
+		stats, err := lossycorr.AnalyzeField(ctx, f, lossycorr.AnalysisOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		sz, err := lossycorr.MeasureField("sz-like", f, 1e-3)
+		sz, err := lossycorr.MeasureField(ctx, "sz-like", f, 1e-3)
 		if err != nil {
 			log.Fatal(err)
 		}
-		zfp, err := lossycorr.MeasureField("zfp-like", f, 1e-3)
+		zfp, err := lossycorr.MeasureField(ctx, "zfp-like", f, 1e-3)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const n = 32
 	const h = 16 // local window edge (H×H×H)
 	const eb = 1e-3
@@ -31,11 +33,11 @@ func main() {
 		}
 
 		// the full statistics vector of the volume, one AnalyzeField call
-		stats, err := lossycorr.AnalyzeField(f, lossycorr.AnalysisOptions{Window: h})
+		stats, err := lossycorr.AnalyzeField(ctx, f, lossycorr.AnalysisOptions{Window: h})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := lossycorr.MeasureField("sz-like-3d", f, eb)
+		res, err := lossycorr.MeasureField(ctx, "sz-like-3d", f, eb)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +58,7 @@ func main() {
 	}
 
 	// the forward application on volumes: train CR models, pick a codec
-	ms, err := lossycorr.MeasureFieldSet("vols", fields, labels, lossycorr.MeasureOptions{
+	ms, err := lossycorr.MeasureFieldSet(ctx, "vols", fields, labels, lossycorr.MeasureOptions{
 		Analysis:    lossycorr.AnalysisOptions{SkipLocal: true},
 		ErrorBounds: []float64{eb},
 	})
@@ -73,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats, err := lossycorr.AnalyzeField(probe, lossycorr.AnalysisOptions{SkipLocal: true})
+	stats, err := lossycorr.AnalyzeField(ctx, probe, lossycorr.AnalysisOptions{SkipLocal: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	actual, err := lossycorr.MeasureField(sel.Compressor, probe, eb)
+	actual, err := lossycorr.MeasureField(ctx, sel.Compressor, probe, eb)
 	if err != nil {
 		log.Fatal(err)
 	}

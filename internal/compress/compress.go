@@ -49,6 +49,35 @@ func CheckBound(absErr float64) error {
 	return nil
 }
 
+// Rank is the field rank a codec value serves, 2 or 3; the zero value
+// serves rank 2. A codec embeds it for its Ranks method and names
+// itself with Named.
+type Rank int
+
+// N returns the rank r serves. Any rank but 2 or 3 is a programming
+// error and panics, as the codecs have no other.
+func (r Rank) N() int {
+	switch r {
+	case 0, 2:
+		return 2
+	case 3:
+		return 3
+	}
+	panic(fmt.Sprintf("compress: no rank-%d codec", int(r)))
+}
+
+// Ranks lists the one rank r serves.
+func (r Rank) Ranks() []int { return []int{r.N()} }
+
+// Named returns the name a codec called base registers at rank r:
+// base itself at rank 2 and base-3d at rank 3.
+func (r Rank) Named(base string) string {
+	if r.N() == 2 {
+		return base
+	}
+	return fmt.Sprintf("%s-%dd", base, r.N())
+}
+
 // SupportsRank reports whether c accepts fields of the given rank.
 func SupportsRank(c FieldCompressor, ndim int) bool {
 	for _, r := range c.Ranks() {

@@ -97,14 +97,14 @@ func TestRunRejectsBadBound(t *testing.T) {
 	if _, err := RunField(roundingCompressor{name: "r"}, testField(), -1); err == nil {
 		t.Fatal("expected error for eb<0")
 	}
-	if _, err := RunField32(roundingCompressor{name: "r"}, testField().Narrow(), 0); err == nil {
+	if _, err := RunField(roundingCompressor{name: "r"}, testField().Narrow(), 0); err == nil {
 		t.Fatal("expected error for eb=0 on the float32 lane")
 	}
 	for _, eb := range []float64{math.NaN(), math.Inf(1)} {
 		if _, err := RunField(roundingCompressor{name: "r"}, testField(), eb); err == nil {
 			t.Fatalf("expected error for eb=%v", eb)
 		}
-		if _, err := RunField32(roundingCompressor{name: "r"}, testField().Narrow(), eb); err == nil {
+		if _, err := RunField(roundingCompressor{name: "r"}, testField().Narrow(), eb); err == nil {
 			t.Fatalf("expected error for eb=%v on the float32 lane", eb)
 		}
 	}
@@ -152,6 +152,30 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestRankNames pins the rank a codec value serves and the name it
+// registers there: the zero value and 2 serve rank 2 under the base
+// name, 3 serves volumes as base-3d, and any other rank panics.
+func TestRankNames(t *testing.T) {
+	for _, tc := range []struct {
+		r    Rank
+		rank int
+		name string
+	}{{0, 2, "c"}, {2, 2, "c"}, {3, 3, "c-3d"}} {
+		if got := tc.r.Ranks(); len(got) != 1 || got[0] != tc.rank {
+			t.Errorf("Rank(%d).Ranks() = %v, want [%d]", tc.r, got, tc.rank)
+		}
+		if got := tc.r.Named("c"); got != tc.name {
+			t.Errorf("Rank(%d).Named = %q, want %q", tc.r, got, tc.name)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rank(4) served a rank")
+		}
+	}()
+	Rank(4).N()
+}
+
 func TestRunRelative(t *testing.T) {
 	f := testField() // value range ~2
 	vr := f.Summary().ValueRange
@@ -194,7 +218,7 @@ func TestRunPropagatesErrors(t *testing.T) {
 	if _, err := RunField(failingCompressor{}, testField(), 1e-3); !errors.Is(err, errBoom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
-	if _, err := RunField32(failingCompressor{}, testField().Narrow(), 1e-3); !errors.Is(err, errBoom) {
+	if _, err := RunField(failingCompressor{}, testField().Narrow(), 1e-3); !errors.Is(err, errBoom) {
 		t.Fatalf("float32 lane error not propagated: %v", err)
 	}
 }

@@ -12,29 +12,18 @@ import (
 	"lossycorr/internal/field"
 )
 
-// RunField compresses, decompresses, and measures f with c at absErr.
-func RunField(c FieldCompressor, f *field.Field, absErr float64) (Result, error) {
-	return run(c.Name(), f, absErr, c.CompressField, c.DecompressField)
-}
-
-// RunField32 compresses, decompresses, and measures the float32 field
-// f with c at absErr through the codec's float32 lane, with no
-// full-field widening.
-func RunField32(c FieldCompressor, f *field.Field32, absErr float64) (Result, error) {
-	return run(c.Name(), f, absErr, c.CompressField32, c.DecompressField32)
-}
-
-// lane is what the harness measures on: *field.Field or *field.Field32.
-type lane[F any] interface {
-	MaxAbsDiff(F) (float64, error)
-	MSE(F) (float64, error)
-	SizeBytes() int
-	Summary() field.Stats
+// RunField compresses, decompresses, and measures f with c at absErr
+// through the codec's lane for f's element type, with no widening.
+func RunField[T field.Elem](c FieldCompressor, f *field.Of[T], absErr float64) (Result, error) {
+	if f, ok := any(f).(*field.Field32); ok {
+		return run(c.Name(), f, absErr, c.CompressField32, c.DecompressField32)
+	}
+	return run(c.Name(), any(f).(*field.Field), absErr, c.CompressField, c.DecompressField)
 }
 
 // run round-trips f through one lane of the codec called name.
-func run[F lane[F]](name string, f F, absErr float64,
-	enc func(F, float64) ([]byte, error), dec func([]byte) (F, error)) (Result, error) {
+func run[T field.Elem](name string, f *field.Of[T], absErr float64,
+	enc func(*field.Of[T], float64) ([]byte, error), dec func([]byte) (*field.Of[T], error)) (Result, error) {
 	if err := CheckBound(absErr); err != nil {
 		return Result{}, fmt.Errorf("compress: %w", err)
 	}

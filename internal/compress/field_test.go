@@ -124,7 +124,7 @@ func TestRunFieldVolume(t *testing.T) {
 		t.Fatalf("max error %v", res.MaxAbsError)
 	}
 	// The float32 lane is measured against the float32 samples.
-	res, err = RunField32(boundedVol{}, f.Narrow(), 1e-3)
+	res, err = RunField(boundedVol{}, f.Narrow(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}

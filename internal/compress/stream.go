@@ -8,7 +8,6 @@ package compress
 import (
 	"encoding/binary"
 	"math"
-	"unsafe"
 
 	"lossycorr/internal/field"
 )
@@ -59,17 +58,10 @@ func ParseHeader(raw []byte, magic [4]byte, rank int) (Header, []byte, bool) {
 	return h, raw[n:], true
 }
 
-// ValueBytes is the stored width of a T sample: 8 on the float64 lane,
-// 4 on the float32 lane.
-func ValueBytes[T field.Elem]() int {
-	var v T
-	return int(unsafe.Sizeof(v))
-}
-
 // Lane is 0 on the float64 lane and 1 on the float32 lane, the index a
 // codec keys its per-lane magic and scratch by.
 func Lane[T field.Elem]() int {
-	if ValueBytes[T]() == 4 {
+	if field.ElemBytes[T]() == 4 {
 		return 1
 	}
 	return 0
@@ -77,7 +69,7 @@ func Lane[T field.Elem]() int {
 
 // AppendValue appends v at its lane's width, little-endian.
 func AppendValue[T field.Elem](buf []byte, v T) []byte {
-	if ValueBytes[T]() == 4 {
+	if field.ElemBytes[T]() == 4 {
 		return binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v)))
 	}
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(v)))
@@ -85,7 +77,7 @@ func AppendValue[T field.Elem](buf []byte, v T) []byte {
 
 // Value reads a sample written by AppendValue.
 func Value[T field.Elem](b []byte) T {
-	if ValueBytes[T]() == 4 {
+	if field.ElemBytes[T]() == 4 {
 		return T(math.Float32frombits(binary.LittleEndian.Uint32(b)))
 	}
 	return T(math.Float64frombits(binary.LittleEndian.Uint64(b)))
@@ -108,7 +100,7 @@ func Exact[T field.Elem](b []byte) ([]T, []byte, bool) {
 	if len(b) < 4 {
 		return nil, nil, false
 	}
-	n, w := int(binary.LittleEndian.Uint32(b)), ValueBytes[T]()
+	n, w := int(binary.LittleEndian.Uint32(b)), field.ElemBytes[T]()
 	if b = b[4:]; n < 0 || len(b) < w*n { // n < 0: a wrapped count on 32-bit ints
 		return nil, nil, false
 	}
@@ -117,20 +109,4 @@ func Exact[T field.Elem](b []byte) ([]T, []byte, bool) {
 		vs[i] = Value[T](b[w*i:])
 	}
 	return vs, b[w*n:], true
-}
-
-// FieldOf wraps a float64 decoder's (shape, samples, error) result.
-func FieldOf(shape []int, data []float64, err error) (*field.Field, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &field.Field{Shape: shape, Data: data}, nil
-}
-
-// Field32Of wraps a float32 decoder's (shape, samples, error) result.
-func Field32Of(shape []int, data []float32, err error) (*field.Field32, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &field.Field32{Shape: shape, Data: data}, nil
 }

@@ -195,18 +195,20 @@ func (o AnalysisOptions) withDefaults() AnalysisOptions {
 // statistic error precedence — once the context is dead the
 // per-statistic errors are all cancellations anyway, and reporting
 // ctx.Err() keeps the outcome deterministic.
-func AnalyzeFieldCtx(ctx context.Context, f *field.Field, opts AnalysisOptions) (Statistics, error) {
-	return analyzeSource(ctx, stat.Source{F64: f}, opts)
-}
-
-// AnalyzeField32Ctx is AnalyzeFieldCtx on the float32 compute lane,
-// with the same statistic set, worker semantics, cancellation and
-// error precedence. Windowed statistics widen each window exactly into
-// oracle precision during extraction (bit-identical to the float64
+//
+// On the float32 lane the windowed statistics widen each window exactly
+// into oracle precision during extraction (bit-identical to the float64
 // lane on the widened field), the direct variogram scans accumulate in
 // float64, and the FFT engine runs float32 planes.
+func AnalyzeFieldCtx[T field.Elem](ctx context.Context, f *field.Of[T], opts AnalysisOptions) (Statistics, error) {
+	return analyzeSource(ctx, stat.SourceOf(f), opts)
+}
+
+// AnalyzeField32Ctx is AnalyzeFieldCtx on the float32 lane. It is kept
+// only for the callers that name it: the benchmark module and the
+// statistics golden test.
 func AnalyzeField32Ctx(ctx context.Context, f *field.Field32, opts AnalysisOptions) (Statistics, error) {
-	return analyzeSource(ctx, stat.Source{F32: f}, opts)
+	return AnalyzeFieldCtx(ctx, f, opts)
 }
 
 // selectKernels resolves the options' statistic selection against the
@@ -289,7 +291,7 @@ func DefaultRegistry() *compress.Registry {
 	// Registration of the built-in codecs cannot collide.
 	for _, c := range []compress.FieldCompressor{
 		szlike.Compressor{}, zfplike.Compressor{}, mgardlike.Compressor{},
-		szlike.Compressor3D{}, zfplike.Compressor3D{}, mgardlike.Compressor3D{},
+		szlike.Compressor{Rank: 3}, zfplike.Compressor{Rank: 3}, mgardlike.Compressor{Rank: 3},
 	} {
 		_ = r.RegisterField(c)
 	}
@@ -307,7 +309,7 @@ type Measurement struct {
 	Results []compress.Result `json:"results"`
 }
 
-// MeasureOptions configures MeasureFieldSetCtx and MeasureFieldSet32Ctx.
+// MeasureOptions configures MeasureFieldSetCtx.
 type MeasureOptions struct {
 	Analysis    AnalysisOptions
 	ErrorBounds []float64 // nil means compress.PaperErrorBounds
@@ -321,41 +323,15 @@ type MeasureOptions struct {
 // registered compressor accepting its rank, at every error bound,
 // fanning fields out over the shared worker pool. Grids and volumes
 // can be mixed in one set — each field sweeps the codecs of its own
-// rank. Results keep the input field order; on failure the error of
-// the lowest-indexed failing field is returned, independent of
-// scheduling. The field fan-out, each field's statistics, and the
-// per-codec sweep all check ctx, so a dead context abandons the batch
-// within one codec run or statistic unit and returns ctx.Err().
-func MeasureFieldSetCtx(ctx context.Context, name string, fields []*field.Field, labels []float64,
+// rank. Float32 fields run every codec through its native float32 lane,
+// and the bound is checked on float32 values. Results keep the input
+// field order; on failure the error of the lowest-indexed failing field
+// is returned, independent of scheduling. The field fan-out, each
+// field's statistics, and the per-codec sweep all check ctx, so a dead
+// context abandons the batch within one codec run or statistic unit and
+// returns ctx.Err().
+func MeasureFieldSetCtx[T field.Elem](ctx context.Context, name string, fields []*field.Of[T], labels []float64,
 	reg *compress.Registry, opts MeasureOptions) ([]Measurement, error) {
-	return measureSet(ctx, name, fields, labels, reg, opts, AnalyzeFieldCtx, compress.RunField)
-}
-
-// MeasureFieldSet32Ctx is MeasureFieldSetCtx on the float32 compute
-// lane, with the same ordering and error-precedence contract. Every
-// codec runs through its native float32 lane, and the bound is checked
-// on float32 values.
-func MeasureFieldSet32Ctx(ctx context.Context, name string, fields []*field.Field32, labels []float64,
-	reg *compress.Registry, opts MeasureOptions) ([]Measurement, error) {
-	return measureSet(ctx, name, fields, labels, reg, opts, AnalyzeField32Ctx, compress.RunField32)
-}
-
-// measureLane is the compute lane of a measurement: either the
-// float64 oracle fields or their float32 mirrors.
-type measureLane interface {
-	*field.Field | *field.Field32
-	NDim() int
-}
-
-// measureSet is the one measurement loop behind both lanes: analyze
-// and run are the lane's analysis entry point and codec runner, and
-// everything else — fan-out, ordering, error precedence, bound
-// checking — is shared.
-func measureSet[F measureLane](ctx context.Context, name string, fields []F, labels []float64,
-	reg *compress.Registry, opts MeasureOptions,
-	analyze func(context.Context, F, AnalysisOptions) (Statistics, error),
-	run func(compress.FieldCompressor, F, float64) (compress.Result, error)) ([]Measurement, error) {
-
 	ebs := opts.ErrorBounds
 	if ebs == nil {
 		ebs = compress.PaperErrorBounds
@@ -367,7 +343,7 @@ func measureSet[F measureLane](ctx context.Context, name string, fields []F, lab
 	out := make([]Measurement, len(fields))
 	err := parallel.ForErrCtx(ctx, len(fields), opts.Workers, func(i int) error {
 		var err error
-		out[i], err = measureOne(ctx, name, i, fields[i], labels, reg, ebs, aOpts, analyze, run)
+		out[i], err = measureOne(ctx, name, i, fields[i], labels, reg, ebs, aOpts)
 		return err
 	})
 	if err != nil {
@@ -376,17 +352,15 @@ func measureSet[F measureLane](ctx context.Context, name string, fields []F, lab
 	return out, nil
 }
 
-func measureOne[F measureLane](ctx context.Context, name string, i int, f F, labels []float64,
-	reg *compress.Registry, ebs []float64, aOpts AnalysisOptions,
-	analyze func(context.Context, F, AnalysisOptions) (Statistics, error),
-	run func(compress.FieldCompressor, F, float64) (compress.Result, error)) (Measurement, error) {
+func measureOne[T field.Elem](ctx context.Context, name string, i int, f *field.Of[T], labels []float64,
+	reg *compress.Registry, ebs []float64, aOpts AnalysisOptions) (Measurement, error) {
 
 	m := Measurement{Dataset: name, Index: i}
 	if i < len(labels) {
 		m.Label = labels[i]
 	}
 	var err error
-	m.Stats, err = analyze(ctx, f, aOpts)
+	m.Stats, err = AnalyzeFieldCtx(ctx, f, aOpts)
 	if err != nil {
 		return m, err
 	}
@@ -401,7 +375,7 @@ func measureOne[F measureLane](ctx context.Context, name string, i int, f F, lab
 					return m, err
 				}
 			}
-			res, err := run(c, f, eb)
+			res, err := compress.RunField(c, f, eb)
 			if err != nil {
 				return m, fmt.Errorf("core: field %d: %w", i, err)
 			}

@@ -34,7 +34,7 @@ func TestAnalyzeField32MatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeField32Ctx(bg, f32, opts)
+	got, err := AnalyzeFieldCtx(bg, f32, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestAnalyzeField32FFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeField32Ctx(bg, f32, AnalysisOptions{VariogramFFT: true, SkipLocal: true})
+	got, err := AnalyzeFieldCtx(bg, f32, AnalysisOptions{VariogramFFT: true, SkipLocal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestAnalyzeField32FFT(t *testing.T) {
 // bound.
 func TestMeasureFieldSet32EndToEnd(t *testing.T) {
 	f32, _ := laneField(t, 16, 11)
-	ms, err := MeasureFieldSet32Ctx(bg, "lane32", []*field.Field32{f32}, []float64{16},
+	ms, err := MeasureFieldSetCtx(bg, "lane32", []*field.Field32{f32}, []float64{16},
 		DefaultRegistry(), MeasureOptions{
 			Analysis:    AnalysisOptions{VariogramOpts: variogram.Options{Exact: true}},
 			ErrorBounds: []float64{1e-2, 1e-4},
@@ -124,7 +124,7 @@ func TestPredictField32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotStats, err := AnalyzeField32Ctx(bg, f32s[0], opts.Analysis)
+	gotStats, err := AnalyzeFieldCtx(bg, f32s[0], opts.Analysis)
 	if err != nil {
 		t.Fatal(err)
 	}

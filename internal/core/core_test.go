@@ -11,6 +11,9 @@ import (
 	"lossycorr/internal/compress"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
+	"lossycorr/internal/mgardlike"
+	"lossycorr/internal/szlike"
+	"lossycorr/internal/zfplike"
 )
 
 var bg = context.Background()
@@ -62,6 +65,50 @@ func TestDefaultRegistryHasAllThree(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("names %v want %v", names, want)
 		}
+	}
+}
+
+// TestRegistryNameRanks pins every registered codec name to the codec
+// value behind it and the one rank that value serves. The sz-like
+// predictor ablations are rank-2 values outside the registry.
+func TestRegistryNameRanks(t *testing.T) {
+	reg := DefaultRegistry()
+	registered := 0
+	for _, tc := range []struct {
+		c          compress.FieldCompressor
+		name       string
+		rank       int
+		registered bool
+	}{
+		{szlike.Compressor{}, "sz-like", 2, true},
+		{zfplike.Compressor{}, "zfp-like", 2, true},
+		{mgardlike.Compressor{}, "mgard-like", 2, true},
+		{szlike.Compressor{Rank: 3}, "sz-like-3d", 3, true},
+		{zfplike.Compressor{Rank: 3}, "zfp-like-3d", 3, true},
+		{mgardlike.Compressor{Rank: 3}, "mgard-like-3d", 3, true},
+		{szlike.Compressor{Mode: szlike.PredictorLorenzoOnly}, "sz-like-lorenzo", 2, false},
+		{szlike.Compressor{Mode: szlike.PredictorRegressionOnly}, "sz-like-regression", 2, false},
+	} {
+		if got := tc.c.Name(); got != tc.name {
+			t.Errorf("%#v: name %q, want %q", tc.c, got, tc.name)
+		}
+		if r := tc.c.Ranks(); len(r) != 1 || r[0] != tc.rank {
+			t.Errorf("%s: ranks %v, want [%d]", tc.name, r, tc.rank)
+		}
+		c, err := reg.GetField(tc.name)
+		if !tc.registered {
+			if err == nil {
+				t.Errorf("%s is registered", tc.name)
+			}
+			continue
+		}
+		registered++
+		if err != nil || c != tc.c {
+			t.Errorf("registry serves %#v (%v) as %s, want %#v", c, err, tc.name, tc.c)
+		}
+	}
+	if names := reg.NamesFor(0); len(names) != registered {
+		t.Errorf("registry holds %v, want the %d names above", names, registered)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"lossycorr/internal/compress"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/variogram"
@@ -128,7 +127,7 @@ func TestPredictorFromVolumes(t *testing.T) {
 	for i, rang := range []float64{1.5, 2.5, 4, 6} {
 		f := testVolume(t, 16, rang, uint64(20+i))
 		m, err := measureOne(context.Background(), "train3d", i, f, nil, DefaultRegistry(),
-			[]float64{1e-3}, AnalysisOptions{SkipLocal: true}, AnalyzeFieldCtx, compress.RunField)
+			[]float64{1e-3}, AnalysisOptions{SkipLocal: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,7 +156,7 @@ func TestAnalyzeReaderSlurp(t *testing.T) {
 	}
 
 	tr32 := tempReader(t, f32.WriteBinary)
-	want32, err := AnalyzeField32Ctx(bg, f32, opts)
+	want32, err := AnalyzeFieldCtx(bg, f32, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestAnalyzeReaderStreamF32(t *testing.T) {
 	}
 	tr := tempReader(t, f32.WriteBinary)
 	const budget = int64(200 << 10)
-	want, err := AnalyzeField32Ctx(bg, f32, AnalysisOptions{Window: 16})
+	want, err := AnalyzeFieldCtx(bg, f32, AnalysisOptions{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

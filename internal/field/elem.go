@@ -1,20 +1,23 @@
 package field
 
-// Element-generic shape/window/odometer machinery shared by the two
-// storage lanes. Field (float64, the oracle lane) and Field32 (the
-// float32 compute lane) are concrete structs, but everything
-// shape-driven beneath them is written once here over
-// the Elem constraint: extent validation, stride computation, the
-// clipped-window odometer walk, tile enumeration, and the Welford
-// summary (which accumulates in float64 for either lane).
+// The element lanes and the shape machinery beneath Of: extent
+// validation, stride computation, and the clipped-window odometer walk.
 
 import (
 	"fmt"
-	"math"
+	"unsafe"
 )
 
-// Elem is the element-type constraint of the two compute lanes.
-type Elem interface{ ~float32 | ~float64 }
+// Elem is the element type of the two compute lanes: float64 (Field)
+// and float32 (Field32).
+type Elem interface{ float32 | float64 }
+
+// ElemBytes is the width of a T sample: 8 on the float64 lane, 4 on
+// the float32 lane.
+func ElemBytes[T Elem]() int {
+	var v T
+	return int(unsafe.Sizeof(v))
+}
 
 // shapeProduct validates extents (non-negative) and returns the element
 // count of a shape.
@@ -40,32 +43,6 @@ func stridesOf(shape, st []int) []int {
 	return st
 }
 
-// flatOffset maps an index tuple to its row-major offset, panicking on
-// rank mismatch (bounds are left to the slice access).
-func flatOffset(shape, idx []int) int {
-	if len(idx) != len(shape) {
-		panic(fmt.Sprintf("field: index rank %d != field rank %d", len(idx), len(shape)))
-	}
-	flat := 0
-	for k, i := range idx {
-		flat = flat*shape[k] + i
-	}
-	return flat
-}
-
-// sameExtents reports whether two shapes agree in rank and extents.
-func sameExtents(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // Stats summarizes a field.
 type Stats struct {
 	Min, Max   float64
@@ -74,73 +51,15 @@ type Stats struct {
 	ValueRange float64 // Max - Min
 }
 
-// summarize is the one-pass Welford min/max/mean/variance shared by both
-// lanes; accumulation is float64 regardless of T, so the float32 lane
-// gets full-precision statistics from narrow samples.
-func summarize[T Elem](data []T) Stats {
-	s := Stats{Min: math.Inf(1), Max: math.Inf(-1)}
-	if len(data) == 0 {
-		return Stats{}
-	}
-	var mean, m2 float64
-	for i, e := range data {
-		v := float64(e)
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		d := v - mean
-		mean += d / float64(i+1)
-		m2 += d * (v - mean)
-	}
-	s.Mean = mean
-	s.Variance = m2 / float64(len(data))
-	s.ValueRange = s.Max - s.Min
-	return s
-}
-
-// maxAbsDiffData returns max|a-b| (in float64) over two equal-length
-// lanes of the same element type. A position where exactly one side is
-// NaN differs by +Inf; two NaNs, like two equal infinities, do not
-// differ, as a codec stores non-finite samples exactly.
-func maxAbsDiffData[T Elem](a, b []T) float64 {
-	var m float64
-	for i := range a {
-		if d := math.Abs(float64(a[i]) - float64(b[i])); !(d <= m) {
-			if d == d {
-				m = d
-			} else if (a[i] != a[i]) != (b[i] != b[i]) {
-				return math.Inf(1)
-			}
-		}
-	}
-	return m
-}
-
-// mseData returns the mean squared error between two equal-length lanes.
-func mseData[T Elem](a, b []T) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range a {
-		d := float64(a[i]) - float64(b[i])
-		sum += d * d
-	}
-	return sum / float64(len(a))
-}
-
 // windowIntoData is the clipped-window extraction both lanes (and the
 // widening cross-lane copy) share: it clips the h-edged hypercube at
 // origin to shape, reuses dstShape/dstData storage when capacities
 // allow, copies one contiguous last-dimension run at a time with a
 // stack-allocated odometer (ranks <= 8), and returns the (possibly
 // re-allocated) destination shape and data. S and D may differ —
-// Field32's WindowIntoWide instantiates the float32→float64 pair to
-// widen each window on the fly without materializing a full-size
-// float64 copy of the field.
+// WindowIntoWide instantiates the float32→float64 pair to widen each
+// window on the fly without materializing a full-size float64 copy of
+// the field.
 func windowIntoData[S, D Elem](shape []int, data []S, dstShape []int, dstData []D, origin []int, h int) ([]int, []D) {
 	d := len(shape)
 	if len(origin) != d {
@@ -215,47 +134,4 @@ func windowIntoData[S, D Elem](shape []int, data []S, dstShape []int, dstData []
 		}
 	}
 	return dstShape, dstData
-}
-
-// tileOriginsOf enumerates the origin corner of every h-edged tile
-// covering a shape, in lexicographic (slowest-dimension-first) order.
-func tileOriginsOf(shape []int, h int) [][]int {
-	if h <= 0 {
-		panic("field: non-positive tile size")
-	}
-	d := len(shape)
-	total := 1
-	for _, s := range shape {
-		total *= s
-	}
-	if d == 0 || total == 0 {
-		return nil
-	}
-	origins := make([][]int, 0, numTilesOf(shape, h))
-	cur := make([]int, d)
-	for {
-		origins = append(origins, append([]int(nil), cur...))
-		k := d - 1
-		for ; k >= 0; k-- {
-			cur[k] += h
-			if cur[k] < shape[k] {
-				break
-			}
-			cur[k] = 0
-		}
-		if k < 0 {
-			break
-		}
-	}
-	return origins
-}
-
-// numTilesOf returns how many h-edged tiles (including clipped edge
-// tiles) cover a shape.
-func numTilesOf(shape []int, h int) int {
-	n := 1
-	for _, s := range shape {
-		n *= (s + h - 1) / h
-	}
-	return n
 }

@@ -3,7 +3,9 @@ package field
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"lossycorr/internal/xrand"
@@ -99,7 +101,7 @@ func TestReadBinaryWidensFloat32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameExtents(wide.Shape, f32.Shape) {
+	if !slices.Equal(wide.Shape, f32.Shape) {
 		t.Fatalf("shape %v want %v", wide.Shape, f32.Shape)
 	}
 	for i := range f32.Data {
@@ -131,6 +133,48 @@ func TestReadBinary32LimitCaps(t *testing.T) {
 	hdr = binary.LittleEndian.AppendUint32(hdr, 2048)
 	if _, err := ReadBinary32Limit(bytes.NewReader(hdr), 1<<10); err == nil {
 		t.Fatal("expected cap error for 4M-element float32 claim under a 1K budget")
+	}
+}
+
+// TestWriteBinaryReadsBack pins that the writer rejects every shape the
+// readers reject: on either lane, a write that succeeds reads back
+// through ReadAnyLimit on the same lane with the same shape and bits,
+// and every shape of rank 1–8 with positive extents writes.
+func TestWriteBinaryReadsBack(t *testing.T) {
+	for _, shape := range [][]int{
+		{}, {5}, {0}, {3, 4}, {2, 0}, {2, 3, 4}, {2, 0, 4}, {1, 1, 1, 1, 1, 1, 1, 1, 2},
+	} {
+		f := New(shape...)
+		for i := range f.Data {
+			f.Data[i] = float64(i) + 0.25
+		}
+		t.Run(fmt.Sprint("f64", shape), func(t *testing.T) { checkReadsBack(t, f) })
+		t.Run(fmt.Sprint("f32", shape), func(t *testing.T) { checkReadsBack(t, f.Narrow()) })
+	}
+}
+
+func checkReadsBack[T Elem](t *testing.T, f *Of[T]) {
+	var buf bytes.Buffer
+	if err := f.WriteBinary(&buf); err != nil {
+		if d := len(f.Shape); d >= 1 && d <= 8 && !slices.Contains(f.Shape, 0) {
+			t.Fatalf("shape %v not written: %v", f.Shape, err)
+		}
+		return
+	}
+	wide, narrow, err := ReadAnyLimit(&buf, 0)
+	if err != nil {
+		t.Fatalf("shape %v written, then read back as: %v", f.Shape, err)
+	}
+	var got any = wide
+	if narrow != nil {
+		got = narrow
+	}
+	g, ok := got.(*Of[T])
+	if !ok {
+		t.Fatalf("shape %v read back on the other lane", f.Shape)
+	}
+	if !slices.Equal(g.Shape, f.Shape) || !slices.Equal(g.Data, f.Data) {
+		t.Fatalf("shape %v read back as %v %v, want %v", f.Shape, g.Shape, g.Data, f.Data)
 	}
 }
 

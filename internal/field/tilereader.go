@@ -303,17 +303,5 @@ func (t *TileReader) At(flat int) (float64, error) {
 // path the analyzer takes when the file fits the memory budget after
 // all. Exactly one returned field is non-nil, as in ReadAnyLimit.
 func (t *TileReader) ReadAll() (*Field, *Field32, error) {
-	sr := io.NewSectionReader(t.r, t.off, t.PayloadBytes())
-	if t.f32 {
-		f := New32(t.shape...)
-		if err := readPayload32(sr, f.Data); err != nil {
-			return nil, nil, err
-		}
-		return nil, f, nil
-	}
-	f := New(t.shape...)
-	if err := readPayload(sr, f.Data); err != nil {
-		return nil, nil, err
-	}
-	return f, nil, nil
+	return readLane(io.NewSectionReader(t.r, t.off, t.PayloadBytes()), t.shape, t.f32)
 }

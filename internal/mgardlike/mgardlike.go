@@ -38,63 +38,34 @@ var magic = [2][2][4]byte{
 // ErrCorrupt reports a malformed stream.
 var ErrCorrupt = errors.New("mgardlike: corrupt stream")
 
-// Compressor and Compressor3D are the MGARD-like codecs for 2D and 3D
-// fields. The zero values are ready to use.
-type (
-	Compressor   struct{}
-	Compressor3D struct{}
-)
+// Compressor is the MGARD-like codec. The zero value is ready to use: it
+// serves rank-2 fields as "mgard-like", and Rank 3 serves volumes as
+// "mgard-like-3d".
+type Compressor struct{ compress.Rank }
+
+var _ compress.FieldCompressor = Compressor{}
 
 // Name implements compress.FieldCompressor.
-func (Compressor) Name() string { return "mgard-like" }
-
-// Ranks implements compress.FieldCompressor.
-func (Compressor) Ranks() []int { return []int{2} }
+func (c Compressor) Name() string { return c.Named("mgard-like") }
 
 // CompressField implements compress.FieldCompressor.
-func (Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 2, absErr)
+func (c Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, c.N(), absErr)
 }
 
 // DecompressField implements compress.FieldCompressor.
-func (Compressor) DecompressField(data []byte) (*field.Field, error) {
-	return compress.FieldOf(decode[float64](data, 2))
+func (c Compressor) DecompressField(data []byte) (*field.Field, error) {
+	return decode[float64](data, c.N())
 }
 
 // CompressField32 implements compress.FieldCompressor.
-func (Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 2, absErr)
+func (c Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, c.N(), absErr)
 }
 
 // DecompressField32 implements compress.FieldCompressor.
-func (Compressor) DecompressField32(data []byte) (*field.Field32, error) {
-	return compress.Field32Of(decode[float32](data, 2))
-}
-
-// Name implements compress.FieldCompressor.
-func (Compressor3D) Name() string { return "mgard-like-3d" }
-
-// Ranks implements compress.FieldCompressor.
-func (Compressor3D) Ranks() []int { return []int{3} }
-
-// CompressField implements compress.FieldCompressor.
-func (Compressor3D) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 3, absErr)
-}
-
-// DecompressField implements compress.FieldCompressor.
-func (Compressor3D) DecompressField(data []byte) (*field.Field, error) {
-	return compress.FieldOf(decode[float64](data, 3))
-}
-
-// CompressField32 implements compress.FieldCompressor.
-func (Compressor3D) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 3, absErr)
-}
-
-// DecompressField32 implements compress.FieldCompressor.
-func (Compressor3D) DecompressField32(data []byte) (*field.Field32, error) {
-	return compress.Field32Of(decode[float32](data, 3))
+func (c Compressor) DecompressField32(data []byte) (*field.Field32, error) {
+	return decode[float32](data, c.N())
 }
 
 // dims is a field's shape seen as rank 3 (a 2D field gets a unit
@@ -234,28 +205,28 @@ func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]by
 
 // decode reconstructs a rank-`rank` field on lane T, rejecting streams
 // of another rank or lane.
-func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
+func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
 	raw, err := lossless.Decompress(data)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mgardlike: %w", err)
+		return nil, fmt.Errorf("mgardlike: %w", err)
 	}
 	h, body, ok := compress.ParseHeader(raw, magic[rank-2][compress.Lane[T]()], rank)
 	if !ok {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	exact, body, ok := compress.Exact[T](body)
 	if !ok {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	symbols, err := huffman.Decode(body)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mgardlike: %w", err)
+		return nil, fmt.Errorf("mgardlike: %w", err)
 	}
 	// The encoder emits exactly one symbol per node, so any other count
 	// is corrupt — rejected before the header's shape, which may claim
 	// up to 2^30 nodes, drives the reconstruction allocation.
 	if len(symbols) != h.Len {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 
 	d, levels := dims(h.Shape)
@@ -280,11 +251,11 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 		ei++
 	})
 	if ei != len(exact) {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
-	out := make([]T, h.Len)
+	out := &field.Of[T]{Shape: h.Shape, Data: make([]T, h.Len)}
 	for i, v := range rec {
-		out[i] = T(v)
+		out.Data[i] = T(v)
 	}
-	return h.Shape, out, nil
+	return out, nil
 }

@@ -52,6 +52,15 @@ func TestName(t *testing.T) {
 	if (Compressor{}).Name() != "mgard-like" {
 		t.Fatal("name changed")
 	}
+	if r := (Compressor{}).Ranks(); len(r) != 1 || r[0] != 2 {
+		t.Fatalf("ranks %v", r)
+	}
+	if (Compressor{Rank: 3}).Name() != "mgard-like-3d" {
+		t.Fatal("3-D name changed")
+	}
+	if r := (Compressor{Rank: 3}).Ranks(); len(r) != 1 || r[0] != 3 {
+		t.Fatalf("3-D ranks %v", r)
+	}
 }
 
 func TestNumLevels(t *testing.T) {
@@ -217,7 +226,7 @@ func TestQuickBoundProperty(t *testing.T) {
 		var c compress.FieldCompressor = Compressor{}
 		shape := []int{1 + rng.Intn(34), 1 + rng.Intn(34)}
 		if vol {
-			c, shape = Compressor3D{}, []int{1 + rng.Intn(12), 1 + rng.Intn(12), 1 + rng.Intn(12)}
+			c, shape = Compressor{Rank: 3}, []int{1 + rng.Intn(12), 1 + rng.Intn(12), 1 + rng.Intn(12)}
 		}
 		g := field.New(shape...)
 		fr := 1 + rng.Float64()*10
@@ -228,13 +237,13 @@ func TestQuickBoundProperty(t *testing.T) {
 				g.Data[i] = math.Sin(float64(i/shape[len(shape)-1])/fr) + math.Cos(float64(i%shape[len(shape)-1])/fr)
 			}
 		}
-		run := compress.RunField
+		var res compress.Result
+		var err error
 		if lane32 {
-			run = func(c compress.FieldCompressor, g *field.Field, eb float64) (compress.Result, error) {
-				return compress.RunField32(c, g.Narrow(), eb)
-			}
+			res, err = compress.RunField(c, g.Narrow(), eb)
+		} else {
+			res, err = compress.RunField(c, g, eb)
 		}
-		res, err := run(c, g, eb)
 		return err == nil && res.BoundOK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

@@ -739,7 +739,7 @@ func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) 
 	// to end instead of being silently widened at the door.
 	analyzeLane := func(ctx context.Context, aOpts core.AnalysisOptions) (core.Statistics, error) {
 		if u.narrow != nil {
-			return core.AnalyzeField32Ctx(ctx, u.narrow, aOpts)
+			return core.AnalyzeFieldCtx(ctx, u.narrow, aOpts)
 		}
 		return core.AnalyzeFieldCtx(ctx, u.wide, aOpts)
 	}
@@ -788,7 +788,7 @@ func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) 
 				var ms []core.Measurement
 				var err error
 				if u.narrow != nil {
-					ms, err = core.MeasureFieldSet32Ctx(ctx, "request", []*field.Field32{u.narrow}, nil, reg, mOpts)
+					ms, err = core.MeasureFieldSetCtx(ctx, "request", []*field.Field32{u.narrow}, nil, reg, mOpts)
 				} else {
 					ms, err = core.MeasureFieldSetCtx(ctx, "request", []*field.Field{u.wide}, nil, reg, mOpts)
 				}

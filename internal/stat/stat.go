@@ -109,6 +109,14 @@ func ErrLabel(k Kernel) string {
 // Source names every input the engine accepts (see stream.Source).
 type Source = stream.Source
 
+// SourceOf is the in-RAM source of f, on f's lane.
+func SourceOf[T field.Elem](f *field.Of[T]) Source {
+	if f, ok := any(f).(*field.Field32); ok {
+		return Source{F32: f}
+	}
+	return Source{F64: any(f).(*field.Field)}
+}
+
 // Request carries the engine-level parameters of one Run.
 type Request struct {
 	// Window is the local-statistics window edge H.

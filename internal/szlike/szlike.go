@@ -71,81 +71,56 @@ const (
 	PredictorRegressionOnly
 )
 
-// Compressor is the SZ-like codec for 2D fields. The zero value (auto
-// predictor selection) is ready to use.
+// Compressor is the SZ-like codec. The zero value is ready to use: it
+// serves rank-2 fields as "sz-like" with auto predictor selection, and
+// Rank 3 serves volumes as "sz-like-3d".
 type Compressor struct {
-	// Mode restricts predictor choice; zero means auto.
+	compress.Rank
+	// Mode restricts predictor choice at rank 2, an ablation with its
+	// own name; zero means auto. Rank 3 always selects automatically.
 	Mode PredictorMode
 }
 
-// Compressor3D is the SZ-like codec for 3D fields, with auto predictor
-// selection. The zero value is ready to use.
-type Compressor3D struct{}
+var _ compress.FieldCompressor = Compressor{}
 
-var (
-	_ compress.FieldCompressor = Compressor{}
-	_ compress.FieldCompressor = Compressor3D{}
-)
+// mode is the predictor restriction in effect.
+func (c Compressor) mode() PredictorMode {
+	if c.N() == 3 {
+		return PredictorAuto
+	}
+	return c.Mode
+}
 
 // Name implements compress.FieldCompressor.
 func (c Compressor) Name() string {
-	switch c.Mode {
+	switch c.mode() {
 	case PredictorLorenzoOnly:
 		return "sz-like-lorenzo"
 	case PredictorRegressionOnly:
 		return "sz-like-regression"
 	default:
-		return "sz-like"
+		return c.Named("sz-like")
 	}
 }
 
-// Ranks implements compress.FieldCompressor.
-func (Compressor) Ranks() []int { return []int{2} }
-
 // CompressField implements compress.FieldCompressor.
 func (c Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 2, c.Mode, absErr)
+	return encode(f.Shape, f.Data, c.N(), c.mode(), absErr)
 }
 
 // DecompressField implements compress.FieldCompressor.
-func (Compressor) DecompressField(data []byte) (*field.Field, error) {
-	return compress.FieldOf(decode[float64](data, 2))
+func (c Compressor) DecompressField(data []byte) (*field.Field, error) {
+	return decode[float64](data, c.N())
 }
 
 // CompressField32 implements compress.FieldCompressor.
 func (c Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 2, c.Mode, absErr)
+	return encode(f.Shape, f.Data, c.N(), c.mode(), absErr)
 }
 
 // DecompressField32 implements compress.FieldCompressor.
-func (Compressor) DecompressField32(data []byte) (*field.Field32, error) {
-	return compress.Field32Of(decode[float32](data, 2))
-}
-
-// Name implements compress.FieldCompressor.
-func (Compressor3D) Name() string { return "sz-like-3d" }
-
-// Ranks implements compress.FieldCompressor.
-func (Compressor3D) Ranks() []int { return []int{3} }
-
-// CompressField implements compress.FieldCompressor.
-func (Compressor3D) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 3, PredictorAuto, absErr)
-}
-
-// DecompressField implements compress.FieldCompressor.
-func (Compressor3D) DecompressField(data []byte) (*field.Field, error) {
-	return compress.FieldOf(decode[float64](data, 3))
-}
-
-// CompressField32 implements compress.FieldCompressor.
-func (Compressor3D) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 3, PredictorAuto, absErr)
-}
-
-// DecompressField32 implements compress.FieldCompressor.
-func (Compressor3D) DecompressField32(data []byte) (*field.Field32, error) {
-	return compress.Field32Of(decode[float32](data, 3))
+func (c Compressor) DecompressField32(data []byte) (*field.Field32, error) {
+	return decode[float32](data, c.N())
 }
 
 // geom is a field's shape seen as rank 3 — a 2D field gets a unit
@@ -423,20 +398,20 @@ func encode[T field.Elem](shape []int, data []T, rank int, mode PredictorMode, a
 // of another rank or lane. It replays encode's reconstruction mirror
 // exactly — same padded layout, same predictor arithmetic — so the
 // output equals the compressor's mirror bit for bit.
-func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
+func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
 	raw, err := lossless.Decompress(data)
 	if err != nil {
-		return nil, nil, fmt.Errorf("szlike: %w", err)
+		return nil, fmt.Errorf("szlike: %w", err)
 	}
 	l := compress.Lane[T]()
 	h, body, ok := compress.ParseHeader(raw, magic[rank-2][l], rank)
 	if !ok {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	g := newGeom(h.Shape)
 	nBlocks := g.numBlocks()
 	if len(body) < nBlocks {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	modes, body := body[:nBlocks], body[nBlocks:]
 	nReg := 0
@@ -446,12 +421,12 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 			nReg++
 		case modeLorenzo:
 		default:
-			return nil, nil, ErrCorrupt
+			return nil, ErrCorrupt
 		}
 	}
 	nc := rank + 1
 	if len(body) < 4*nc*nReg+4 {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	coeffs := make([]float64, nc*nReg)
 	for i := range coeffs {
@@ -459,14 +434,14 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 	}
 	exact, body, ok := compress.Exact[T](body[4*len(coeffs):])
 	if !ok {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	symbols, err := huffman.Decode(body)
 	if err != nil {
-		return nil, nil, fmt.Errorf("szlike: %w", err)
+		return nil, fmt.Errorf("szlike: %w", err)
 	}
 	if len(symbols) != h.Len {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 
 	q := quant.New(h.AbsErr)
@@ -491,7 +466,7 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 				for x, sym := range symbols[si : si+n[2]] {
 					if sym == quant.Escape {
 						if ei >= len(exact) {
-							return nil, nil, ErrCorrupt
+							return nil, ErrCorrupt
 						}
 						rec[i+x] = exact[ei]
 						ei++
@@ -510,9 +485,9 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 		}
 	}
 	if ei != len(exact) {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
-	out := make([]T, h.Len)
-	interior(&g, out, rec, false)
-	return h.Shape, out, nil
+	out := &field.Of[T]{Shape: h.Shape, Data: make([]T, h.Len)}
+	interior(&g, out.Data, rec, false)
+	return out, nil
 }

@@ -41,13 +41,16 @@ func convert[D, S field.Elem](s []S) []D {
 func laneOf[T field.Elem](name string) lane {
 	return lane{
 		name:  name,
-		width: compress.ValueBytes[T](),
+		width: field.ElemBytes[T](),
 		enc: func(shape []int, data []float64, mode PredictorMode, eb float64) ([]byte, error) {
 			return encode(shape, convert[T](data), len(shape), mode, eb)
 		},
 		dec: func(stream []byte, rank int) ([]float64, error) {
-			_, d, err := decode[T](stream, rank)
-			return convert[float64](d), err
+			f, err := decode[T](stream, rank)
+			if err != nil {
+				return nil, err
+			}
+			return convert[float64](f.Data), nil
 		},
 		seen: func(data []float64) []float64 { return convert[float64](convert[T](data)) },
 	}
@@ -152,10 +155,10 @@ func TestName(t *testing.T) {
 }
 
 func TestName3D(t *testing.T) {
-	if (Compressor3D{}).Name() != "sz-like-3d" {
+	if (Compressor{Rank: 3}).Name() != "sz-like-3d" {
 		t.Fatal("name changed")
 	}
-	if r := (Compressor3D{}).Ranks(); len(r) != 1 || r[0] != 3 {
+	if r := (Compressor{Rank: 3}).Ranks(); len(r) != 1 || r[0] != 3 {
 		t.Fatalf("ranks %v", r)
 	}
 }
@@ -271,7 +274,7 @@ func TestEmptyAndBadBound(t *testing.T) {
 }
 
 func TestErrors3D(t *testing.T) {
-	errorsAt(t, Compressor3D{}, []int{0, 4, 4}, []int{4, 4, 4}, []int{4, 4})
+	errorsAt(t, Compressor{Rank: 3}, []int{0, 4, 4}, []int{4, 4, 4}, []int{4, 4})
 }
 
 func TestExtremeValues(t *testing.T) {
@@ -519,19 +522,19 @@ func TestLane32NonFinite(t *testing.T) {
 	}
 }
 
-// TestLane32ThroughRegistry pins the codec's own float32 lane as the
-// FieldCompressor methods RunField32 runs with BoundOK.
+// TestLane32ThroughRegistry pins that RunField runs a float32 field
+// through the codec's own float32 lane, with BoundOK.
 func TestLane32ThroughRegistry(t *testing.T) {
-	for _, c := range []compress.FieldCompressor{Compressor{}, Compressor3D{}} {
+	for _, c := range []compress.FieldCompressor{Compressor{}, Compressor{Rank: 3}} {
 		shape := []int{50, 50}
 		if c.Ranks()[0] == 3 {
 			shape = []int{12, 14, 15}
 		}
-		f, err := field.FromData32(shape, convert[float32](noise(shape, 11, 1)))
+		f, err := field.FromData(shape, convert[float32](noise(shape, 11, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := compress.RunField32(c, f, 1e-3)
+		res, err := compress.RunField(c, f, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,69 +67,34 @@ var magic = [2][2][4]byte{
 // ErrCorrupt reports a malformed stream.
 var ErrCorrupt = errors.New("zfplike: corrupt stream")
 
-// Compressor is the ZFP-like codec for 2D fields. The zero value is
-// ready to use.
-type Compressor struct{}
+// Compressor is the ZFP-like codec. The zero value is ready to use: it
+// serves rank-2 fields as "zfp-like", and Rank 3 serves volumes as
+// "zfp-like-3d".
+type Compressor struct{ compress.Rank }
 
-// Compressor3D is the ZFP-like codec for 3D fields. The zero value is
-// ready to use.
-type Compressor3D struct{}
-
-var (
-	_ compress.FieldCompressor = Compressor{}
-	_ compress.FieldCompressor = Compressor3D{}
-)
+var _ compress.FieldCompressor = Compressor{}
 
 // Name implements compress.FieldCompressor.
-func (Compressor) Name() string { return "zfp-like" }
-
-// Ranks implements compress.FieldCompressor.
-func (Compressor) Ranks() []int { return []int{2} }
+func (c Compressor) Name() string { return c.Named("zfp-like") }
 
 // CompressField implements compress.FieldCompressor.
-func (Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 2, absErr)
+func (c Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, c.N(), absErr)
 }
 
 // DecompressField implements compress.FieldCompressor.
-func (Compressor) DecompressField(data []byte) (*field.Field, error) {
-	return compress.FieldOf(decode[float64](data, 2))
+func (c Compressor) DecompressField(data []byte) (*field.Field, error) {
+	return decode[float64](data, c.N())
 }
 
 // CompressField32 implements compress.FieldCompressor.
-func (Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 2, absErr)
+func (c Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
+	return encode(f.Shape, f.Data, c.N(), absErr)
 }
 
 // DecompressField32 implements compress.FieldCompressor.
-func (Compressor) DecompressField32(data []byte) (*field.Field32, error) {
-	return compress.Field32Of(decode[float32](data, 2))
-}
-
-// Name implements compress.FieldCompressor.
-func (Compressor3D) Name() string { return "zfp-like-3d" }
-
-// Ranks implements compress.FieldCompressor.
-func (Compressor3D) Ranks() []int { return []int{3} }
-
-// CompressField implements compress.FieldCompressor.
-func (Compressor3D) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 3, absErr)
-}
-
-// DecompressField implements compress.FieldCompressor.
-func (Compressor3D) DecompressField(data []byte) (*field.Field, error) {
-	return compress.FieldOf(decode[float64](data, 3))
-}
-
-// CompressField32 implements compress.FieldCompressor.
-func (Compressor3D) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
-	return encode(f.Shape, f.Data, 3, absErr)
-}
-
-// DecompressField32 implements compress.FieldCompressor.
-func (Compressor3D) DecompressField32(data []byte) (*field.Field32, error) {
-	return compress.Field32Of(decode[float32](data, 3))
+func (c Compressor) DecompressField32(data []byte) (*field.Field32, error) {
+	return decode[float32](data, c.N())
 }
 
 // fwd4 applies the two-level integer Haar S-transform to a stride-s
@@ -331,7 +296,7 @@ func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]by
 	// the bound are stored raw. The float32 lane codes at half the
 	// tolerance, so its floor doubles.
 	l, tol, fpShift := 0, absErr, rank+2
-	if compress.ValueBytes[T]() == 4 {
+	if field.ElemBytes[T]() == 4 {
 		l, tol, fpShift = 1, 0.5*absErr, rank+3
 	}
 
@@ -401,37 +366,37 @@ func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]by
 
 // decode reconstructs a rank-`rank` field on lane T, rejecting streams
 // of another rank or lane.
-func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
+func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
 	raw, err := lossless.Decompress(data)
 	if err != nil {
-		return nil, nil, fmt.Errorf("zfplike: %w", err)
+		return nil, fmt.Errorf("zfplike: %w", err)
 	}
-	vw := compress.ValueBytes[T]()
+	vw := field.ElemBytes[T]()
 	h, body, ok := compress.ParseHeader(raw, magic[rank-2][compress.Lane[T]()], rank)
 	if !ok {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	g := newGeom(h.Shape)
 	nBlocks := g.numBlocks()
 	if len(body) < nBlocks+4 {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	modes, body := body[:nBlocks], body[nBlocks:]
 	metaLen := int(binary.LittleEndian.Uint32(body))
 	body = body[4:]
 	if metaLen < 0 || len(body) < metaLen+4 {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	meta, body := body[:metaLen], body[metaLen:]
 	rawLen := int(binary.LittleEndian.Uint32(body))
 	body = body[4:]
 	if rawLen < 0 || len(body) < rawLen {
-		return nil, nil, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	rawVals := body[:rawLen]
 	r := bitstream.NewReader(body[rawLen:])
 
-	out := make([]T, h.Len)
+	out := &field.Of[T]{Shape: h.Shape, Data: make([]T, h.Len)}
 	nv := 1 << (2 * rank)
 	var valsBuf [64]float64
 	var qBuf [64]int64
@@ -444,7 +409,7 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 			clear(vals)
 		case blockRaw:
 			if ri+vw*nv > len(rawVals) {
-				return nil, nil, ErrCorrupt
+				return nil, ErrCorrupt
 			}
 			for i := range vals {
 				vals[i] = float64(compress.Value[T](rawVals[ri:]))
@@ -452,20 +417,20 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 			}
 		case blockCoded:
 			if mi+4 > len(meta) {
-				return nil, nil, ErrCorrupt
+				return nil, ErrCorrupt
 			}
 			emax := int(int16(binary.LittleEndian.Uint16(meta[mi:])))
 			top := int(meta[mi+2])
 			cutoff := int(meta[mi+3])
 			mi += 4
 			if top > 64 || cutoff > top {
-				return nil, nil, ErrCorrupt
+				return nil, ErrCorrupt
 			}
 			clear(zz)
 			for plane := top - 1; plane >= cutoff; plane-- {
 				pb, err := r.ReadBits(uint(nv))
 				if err != nil {
-					return nil, nil, fmt.Errorf("zfplike: truncated planes: %w", err)
+					return nil, fmt.Errorf("zfplike: truncated planes: %w", err)
 				}
 				for i := len(zz) - 1; i >= 0; i-- { // coefficient 0 at the high bit
 					zz[i] |= (pb & 1) << uint(plane)
@@ -481,9 +446,9 @@ func decode[T field.Elem](data []byte, rank int) ([]int, []T, error) {
 				vals[i] = float64(q[i]) * scale
 			}
 		default:
-			return nil, nil, ErrCorrupt
+			return nil, ErrCorrupt
 		}
-		scatter(out, &g, g.blockOrigin(bi), vals)
+		scatter(out.Data, &g, g.blockOrigin(bi), vals)
 	}
-	return h.Shape, out, nil
+	return out, nil
 }

@@ -13,20 +13,14 @@
 //     windowed SVD truncation levels;
 //   - error-bounded lossy compressors in the styles of SZ, ZFP, and
 //     MGARD, measured by compression ratio under absolute error bounds;
-//     each is written once for 2D and 3D fields on both element lanes
-//     (MeasureField, MeasureField32).
+//     each is written once for 2D and 3D fields on both element lanes.
 //
-// The headline API mirrors the paper's workflow:
-//
-//	field, _ := lossycorr.GenerateGaussian(lossycorr.GaussianParams{
-//		Rows: 256, Cols: 256, Range: 16, Seed: 7,
-//	})
-//	stats, _ := lossycorr.AnalyzeField(field, lossycorr.AnalysisOptions{})
-//	res, _ := lossycorr.MeasureField("sz-like", field, 1e-3)
-//	fmt.Println(stats.GlobalRange(), res.Ratio)
-//
-// and the full evaluation is regenerated by the Suite (Figures 1–7) or
-// the cmd/figures binary.
+// The headline API mirrors the paper's workflow (see
+// ExampleAnalyzeField): generate a field, AnalyzeField it, MeasureField
+// it with a codec. Every analysis and measurement entry takes a context
+// and a field on either lane, *Field (float64) or *Field32 (float32).
+// The full evaluation is regenerated by the Suite (Figures 1–7) or the
+// cmd/figures binary.
 package lossycorr
 
 import (
@@ -51,6 +45,15 @@ import (
 // and codec of the package takes or returns one. The last dimension
 // varies fastest.
 type Field = field.Field
+
+// Elem is the element type of a field's lane: float64 for Field,
+// float32 for Field32. The analysis and measurement entries accept
+// either.
+type Elem = field.Elem
+
+// FieldOf is the field on lane T: Field is FieldOf[float64] and Field32
+// is FieldOf[float32].
+type FieldOf[T Elem] = field.Of[T]
 
 // NewField returns a zero-filled field with the given shape.
 func NewField(shape ...int) *Field { return field.New(shape...) }
@@ -119,13 +122,9 @@ func OpenFieldTilesMapped(path string, maxElements int) (*TileReader, error) {
 // is slurped and analyzed in RAM on its stored lane; otherwise the
 // analysis streams budget-sized tiles, with the windowed statistics
 // bit-identical to the in-RAM pipeline and the transform pool's peak
-// gauge (TransformPeakBytes) staying under the budget.
-func AnalyzeReader(tr *TileReader, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeReaderCtx(context.Background(), tr, opts)
-}
-
-// AnalyzeReaderCtx is AnalyzeReader with cooperative cancellation.
-func AnalyzeReaderCtx(ctx context.Context, tr *TileReader, opts AnalysisOptions) (Statistics, error) {
+// gauge (TransformPeakBytes) staying under the budget. Cancellation
+// follows AnalyzeField.
+func AnalyzeReader(ctx context.Context, tr *TileReader, opts AnalysisOptions) (Statistics, error) {
 	return core.AnalyzeReaderCtx(ctx, tr, opts)
 }
 
@@ -136,36 +135,6 @@ func TransformPeakBytes() int64 { return fft.PeakBytes() }
 
 // ResetTransformPeakBytes restarts the transform-pool peak gauge.
 func ResetTransformPeakBytes() { fft.ResetPeakBytes() }
-
-// AnalyzeField32 extracts all correlation statistics of a field on the
-// float32 compute lane.
-func AnalyzeField32(f *Field32, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeField32Ctx(context.Background(), f, opts)
-}
-
-// AnalyzeField32Ctx is AnalyzeField32 with cooperative cancellation —
-// the same contract as AnalyzeFieldCtx.
-func AnalyzeField32Ctx(ctx context.Context, f *Field32, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeField32Ctx(ctx, f, opts)
-}
-
-// MeasureField32 compresses, decompresses, and measures a float32
-// field with the named built-in compressor through its native float32
-// lane, which quantizes directly from the float32 samples; the error
-// bound is checked on float32 values.
-func MeasureField32(name string, f *Field32, absErr float64) (Result, error) {
-	c, err := core.DefaultRegistry().GetFor(name, f.NDim())
-	if err != nil {
-		return Result{}, err
-	}
-	return compress.RunField32(c, f, absErr)
-}
-
-// MeasureFieldSet32 measures many float32 fields concurrently — the
-// compute-lane mirror of MeasureFieldSet.
-func MeasureFieldSet32(name string, fields []*Field32, labels []float64, opts MeasureOptions) ([]Measurement, error) {
-	return core.MeasureFieldSet32Ctx(context.Background(), name, fields, labels, core.DefaultRegistry(), opts)
-}
 
 // GaussianParams configures a single-range Gaussian random field.
 type GaussianParams = gaussian.Params
@@ -272,17 +241,15 @@ func StatNames() []string { return stat.Names() }
 type AnalysisOptions = core.AnalysisOptions
 
 // AnalyzeField extracts all correlation statistics of a field of any
-// rank: H×H windows at rank 2, H×H×H windows at rank 3.
-func AnalyzeField(f *Field, opts AnalysisOptions) (Statistics, error) {
-	return core.AnalyzeFieldCtx(context.Background(), f, opts)
-}
-
-// AnalyzeFieldCtx is AnalyzeField with cooperative cancellation
-// threaded down into every statistic's parallel loops: when ctx dies,
-// the analysis stops within roughly one unit of work (an offset sweep,
-// a transform stage, or a window) and returns ctx.Err() — the contract
-// corrcompd relies on to kill abandoned requests.
-func AnalyzeFieldCtx(ctx context.Context, f *Field, opts AnalysisOptions) (Statistics, error) {
+// rank on either lane: H×H windows at rank 2, H×H×H windows at rank 3.
+// On the float32 lane, statistics are tolerance-pinned against (and,
+// for the direct scans, bitwise equal to) the float64 pipeline over the
+// exactly widened field. Cancellation is threaded down into every
+// statistic's parallel loops: when ctx dies, the analysis stops within
+// roughly one unit of work (an offset sweep, a transform stage, or a
+// window) and returns ctx.Err() — the contract corrcompd relies on to
+// kill abandoned requests.
+func AnalyzeField[T Elem](ctx context.Context, f *FieldOf[T], opts AnalysisOptions) (Statistics, error) {
 	return core.AnalyzeFieldCtx(ctx, f, opts)
 }
 
@@ -309,8 +276,13 @@ func CompressorsFor(ndim int) []string { return core.DefaultRegistry().NamesFor(
 
 // MeasureField compresses, decompresses, and measures a field of any
 // rank with the named built-in compressor, which must accept the
-// field's rank, under an absolute error bound.
-func MeasureField(name string, f *Field, absErr float64) (Result, error) {
+// field's rank, under an absolute error bound. A float32 field runs
+// through the codec's native float32 lane and the bound is checked on
+// float32 values. A dead ctx fails the call before the codec runs.
+func MeasureField[T Elem](ctx context.Context, name string, f *FieldOf[T], absErr float64) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
 	c, err := core.DefaultRegistry().GetFor(name, f.NDim())
 	if err != nil {
 		return Result{}, err
@@ -343,15 +315,10 @@ type Measurement = core.Measurement
 type MeasureOptions = core.MeasureOptions
 
 // MeasureFieldSet measures many fields of any rank (ranks 2 and 3
-// can mix) concurrently; each field sweeps the codecs of its own rank.
-func MeasureFieldSet(name string, fields []*Field, labels []float64, opts MeasureOptions) ([]Measurement, error) {
-	return core.MeasureFieldSetCtx(context.Background(), name, fields, labels, core.DefaultRegistry(), opts)
-}
-
-// MeasureFieldSetCtx is MeasureFieldSet with cooperative cancellation
-// threaded through the field fan-out, each analysis, and the per-codec
-// sweeps.
-func MeasureFieldSetCtx(ctx context.Context, name string, fields []*Field, labels []float64, opts MeasureOptions) ([]Measurement, error) {
+// can mix) on either lane concurrently; each field sweeps the codecs of
+// its own rank. Cancellation is threaded through the field fan-out,
+// each analysis, and the per-codec sweeps.
+func MeasureFieldSet[T Elem](ctx context.Context, name string, fields []*FieldOf[T], labels []float64, opts MeasureOptions) ([]Measurement, error) {
 	return core.MeasureFieldSetCtx(ctx, name, fields, labels, core.DefaultRegistry(), opts)
 }
 
