@@ -35,13 +35,9 @@ func run[T field.Elem](name string, f *field.Of[T], absErr float64,
 	if err != nil {
 		return Result{}, fmt.Errorf("compress: %s decode: %w", name, err)
 	}
-	maxErr, err := f.MaxAbsDiff(out)
+	maxErr, mse, vr, err := errorStats(f, out)
 	if err != nil {
 		return Result{}, fmt.Errorf("compress: %s: %w", name, err)
-	}
-	mse, err := f.MSE(out)
-	if err != nil {
-		return Result{}, err
 	}
 	res := Result{
 		Compressor:     name,
@@ -50,13 +46,53 @@ func run[T field.Elem](name string, f *field.Of[T], absErr float64,
 		CompressedSize: len(data),
 		MaxAbsError:    maxErr,
 		MSE:            mse,
-		PSNR:           psnrRange(f.Summary().ValueRange, mse),
+		PSNR:           psnrRange(vr, mse),
 		BoundOK:        maxErr <= absErr*(1+1e-12),
 	}
 	if len(data) > 0 {
 		res.Ratio = float64(res.OriginalSize) / float64(len(data))
 	}
 	return res, nil
+}
+
+// errorStats returns max|f−out|, the mean squared error and f's value
+// range in one pass over the two fields, bit for bit what
+// f.MaxAbsDiff(out), f.MSE(out) and f.Summary().ValueRange return, NaN
+// and ±Inf included: the same differences summed in the same order,
+// and the same comparisons, which skip a NaN sample of f.
+func errorStats[T field.Elem](f, out *field.Of[T]) (maxErr, mse, vr float64, err error) {
+	if !f.SameShape(out) {
+		return 0, 0, 0, fmt.Errorf("field: shape mismatch %v vs %v", f.Shape, out.Shape)
+	}
+	if len(f.Data) == 0 {
+		return 0, 0, 0, nil
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	var sum float64
+	oneNaN := false
+	for i, a := range f.Data {
+		b := out.Data[i]
+		v := float64(a)
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		d := v - float64(b)
+		sum += d * d
+		if ad := math.Abs(d); !(ad <= maxErr) {
+			if ad == ad {
+				maxErr = ad
+			} else if (a != a) != (b != b) {
+				oneNaN = true
+			}
+		}
+	}
+	if oneNaN {
+		maxErr = math.Inf(1)
+	}
+	return maxErr, sum / float64(len(f.Data)), hi - lo, nil
 }
 
 // RunRelativeField measures f under a value-range-relative error

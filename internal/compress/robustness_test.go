@@ -7,14 +7,19 @@ package compress_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"lossycorr/internal/compress"
 	"lossycorr/internal/core"
 	"lossycorr/internal/field"
 	"lossycorr/internal/lossless"
+	"lossycorr/internal/mgardlike"
+	"lossycorr/internal/szlike"
 	"lossycorr/internal/xrand"
+	"lossycorr/internal/zfplike"
 )
 
 // lane is one element lane of a codec, over float64 fields: the
@@ -171,7 +176,7 @@ func TestRejectNonFiniteBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := lossless.Decompress(data)
+		raw, err := lossless.Decompress(data, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,4 +223,61 @@ func FuzzCodecDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// storedBlock is a non-final stored DEFLATE block holding b (at most
+// 65535 bytes). It ends on a byte boundary, so any DEFLATE stream may
+// follow it, and the two inflate to b and then that stream's bytes.
+func storedBlock(b []byte) []byte {
+	out := []byte{0} // BFINAL 0, BTYPE 00, padding
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(b)))
+	out = binary.LittleEndian.AppendUint16(out, ^uint16(len(b)))
+	return append(out, b...)
+}
+
+// TestInflateBound feeds every codec lane a deflate bomb, 64 MiB of
+// zeros deflated to ~64 KB: bare, and behind a valid header of the
+// lane's own stream. Both must be rejected as corrupt, and neither
+// decode may allocate 4 MiB: the header's shape bounds how far the
+// lossless stage inflates, and a bare bomb fails its header.
+func TestInflateBound(t *testing.T) {
+	bomb, err := lossless.Compress(make([]byte, 64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forEachCodecLane(t, func(t *testing.T, rank int, l lane) {
+		data, err := l.enc(testFieldFor(rank, 2), 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := lossless.Decompress(data, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		framed := append(storedBlock(raw[:4+4*rank+8]), bomb...)
+		for _, s := range []struct {
+			name string
+			data []byte
+		}{{"bare", bomb}, {"framed", framed}} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := l.dec(s.data)
+			runtime.ReadMemStats(&after)
+			if !isCorrupt(err) {
+				t.Errorf("%s bomb: got %v, want a corrupt-stream error", s.name, err)
+			}
+			if s.name == "framed" && !errors.Is(err, lossless.ErrTooLong) {
+				t.Errorf("framed bomb: got %v, want it stopped at the header's bound", err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<20 {
+				t.Errorf("%s bomb: decode allocated %d bytes, want < 4 MiB", s.name, n)
+			}
+		}
+	})
+}
+
+// isCorrupt reports whether err is one of the codecs' corrupt-stream
+// errors.
+func isCorrupt(err error) bool {
+	return errors.Is(err, szlike.ErrCorrupt) || errors.Is(err, zfplike.ErrCorrupt) || errors.Is(err, mgardlike.ErrCorrupt)
 }

@@ -7,9 +7,13 @@ package compress
 
 import (
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 
 	"lossycorr/internal/field"
+	"lossycorr/internal/lossless"
+	"lossycorr/internal/scratch"
 )
 
 // maxElements caps the element count a stream header may declare.
@@ -56,6 +60,65 @@ func ParseHeader(raw []byte, magic [4]byte, rank int) (Header, []byte, bool) {
 		return Header{}, nil, false
 	}
 	return h, raw[n:], true
+}
+
+// Payload is an inflated codec stream: its header and the bytes after
+// it, held in a pooled buffer that Release hands back.
+type Payload struct {
+	Header
+	Body []byte
+	buf  *[]byte
+}
+
+// payloads recycles the inflated streams Inflate parses.
+var payloads = scratch.Pool[[]byte]{New: func() *[]byte { return new([]byte) }}
+
+// errHeader reports a stream whose header ParseHeader rejects.
+var errHeader = errors.New("compress: malformed stream header")
+
+// Inflate inflates a codec stream (the lossless stage's output) and
+// parses the header of a rank-`rank` stream tagged magic. It inflates
+// the header first and then at most maxBody(h) more bytes, the largest
+// body a valid stream of header h has, failing with lossless.ErrTooLong
+// past that: the header, not the size a hostile stream inflates to,
+// bounds what decoding allocates. Release the payload once nothing
+// refers to its body.
+func Inflate(data []byte, magic [4]byte, rank int, maxBody func(Header) int) (Payload, error) {
+	z := lossless.NewInflater(data)
+	defer z.Close()
+	p := Payload{buf: payloads.Get()}
+	n := 4 + 4*rank + 8
+	raw := append((*p.buf)[:0], make([]byte, n)...)
+	*p.buf = raw
+	if _, err := io.ReadFull(z, raw); err != nil {
+		p.Release()
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return Payload{}, errHeader
+		}
+		return Payload{}, err
+	}
+	h, _, ok := ParseHeader(raw, magic, rank)
+	if !ok {
+		p.Release()
+		return Payload{}, errHeader
+	}
+	raw, err := z.Append(raw, n+maxBody(h))
+	*p.buf = raw
+	if err != nil {
+		p.Release()
+		return Payload{}, err
+	}
+	p.Header, p.Body = h, raw[n:]
+	return p, nil
+}
+
+// Release hands the payload's buffer back to the pool; p.Body must not
+// be used after.
+func (p *Payload) Release() {
+	if p.buf != nil {
+		payloads.Put(p.buf)
+	}
+	p.buf, p.Body = nil, nil
 }
 
 // Lane is 0 on the float64 lane and 1 on the float32 lane, the index a

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"lossycorr/internal/field"
+	"lossycorr/internal/gaussian"
 	"lossycorr/internal/xrand"
 )
 
@@ -31,5 +34,57 @@ func TestAnalyzeFieldAllocs(t *testing.T) {
 	})
 	if allocs > 1200 {
 		t.Fatalf("AnalyzeField allocates %v per op, want <= 1200", allocs)
+	}
+}
+
+// TestMeasureFieldAllocs pins the codec round trip's allocation
+// profile: a serial 96×96 measurement (3 codecs × 4 paper bounds, the
+// global statistics included) allocates ~1.3 MB in ~300 allocations,
+// nearly all of it the compressed streams and the reconstructed fields,
+// once the lossless stage reuses its flate state and the entropy and
+// payload scratch is pooled. A fresh level-9 flate writer per cell
+// costs ~1.4 MB each and put the same measurement at ~16 MB in ~1050
+// allocations, so the bounds catch any return to it. The collector is
+// off while it measures: scratch.Pool frees idle scratch at every
+// collection by design, and this small heap collects every op or two,
+// which would measure the collector's pace, not the round trip. The
+// race detector makes sync.Pool drop values at random, so the budget
+// holds only without it.
+func TestMeasureFieldAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled state at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f, err := gaussian.Generate(gaussian.Params{Rows: 96, Cols: 96, Range: 8, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := []*field.Field{f}
+	reg := DefaultRegistry()
+	opts := MeasureOptions{Analysis: AnalysisOptions{SkipLocal: true}, Workers: 1}
+	measure := func() {
+		if _, err := MeasureFieldSetCtx(bg, "allocs", fs, nil, reg, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the pools, and the sampled variogram's pair plan, which its
+	// key's second request builds.
+	measure()
+	measure()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		measure()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	allocs := testing.AllocsPerRun(runs, measure)
+	t.Logf("MeasureFieldSetCtx: %.2f MB, %.0f allocations per op", bytes/1e6, allocs)
+	if bytes > 4e6 {
+		t.Errorf("MeasureFieldSetCtx allocates %.2f MB per op, want <= 4 MB", bytes/1e6)
+	}
+	if allocs > 500 {
+		t.Errorf("MeasureFieldSetCtx allocates %v times per op, want <= 500", allocs)
 	}
 }

@@ -14,7 +14,8 @@
 // writes the payload into one buffer sized from the code lengths.
 // Decode resolves short codes through a multi-bit peek table and walks
 // the canonical first-code table for the rest. Neither keeps state
-// between calls.
+// between calls: both take their tables from pooled scratch that
+// every call overwrites.
 package huffman
 
 import (
@@ -22,18 +23,50 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"lossycorr/internal/bitstream"
+	"lossycorr/internal/scratch"
 )
 
 // MaxCodeLen caps code lengths; with <= 65536 symbols and the package's
 // length-limiting rebalancing pass, 32 bits is always achievable.
 const MaxCodeLen = 32
 
+// MaxEncodedLen is the longest stream Encode writes for n symbols: its
+// header lists at most min(n, 2¹⁶) distinct symbols, and no code is
+// longer than MaxCodeLen bits.
+func MaxEncodedLen(n int) int { return 8 + 3*min(n, 1<<16) + n*MaxCodeLen/8 }
+
+// encoder is Encode's working set, pooled so that a call allocates only
+// its output: the table over the stream's symbol range (up to 256 KiB),
+// the distinct symbols with their frequencies, and the tree and code
+// tables built from them.
+type encoder struct {
+	index               []uint32
+	syms                []uint16
+	freq                []uint64
+	leaves, tmp, merged []uint64
+	parent              []int32
+	depth               []uint8
+	codes               []codeEntry
+}
+
+var encoders = scratch.Pool[encoder]{New: func() *encoder { return new(encoder) }}
+
+// resize returns s[:n], allocating only when s is too short; the
+// contents are left as they were.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // codeLengths computes Huffman code lengths from the frequencies of
 // the distinct symbols, given in ascending symbol order, then clamps
 // them to MaxCodeLen. The frequencies must be positive and sum to less
-// than 2⁴⁸.
+// than 2⁴⁸. The lengths live in e's scratch until its next call.
 //
 // A node's key packs (frequency, lowest leaf index) into one uint64.
 // Leaf index order is symbol order, so keys order nodes as (frequency,
@@ -55,26 +88,26 @@ const MaxCodeLen = 32
 // It is the order the map-keyed reference encoder in the tests
 // (encodeMapRef) pops its heap in, so the tree, the lengths and the
 // stream bytes match it.
-func codeLengths(freq []uint64) []uint8 {
+func (e *encoder) codeLengths(freq []uint64) []uint8 {
 	n := len(freq)
-	lengths := make([]uint8, n)
 	switch n {
 	case 0:
-		return lengths
+		return e.depth[:0]
 	case 1:
-		lengths[0] = 1
-		return lengths
+		e.depth = resize(e.depth, 1)
+		e.depth[0] = 1
+		return e.depth
 	}
 	const idxMask = 1<<16 - 1
-	leaves := make([]uint64, n)
+	e.leaves, e.tmp = resize(e.leaves, n), resize(e.tmp, n)
 	for i, f := range freq {
-		leaves[i] = f<<16 | uint64(i)
+		e.leaves[i] = f<<16 | uint64(i)
 	}
-	leaves = sortByFreq(leaves)
+	leaves := sortByFreq(e.leaves, e.tmp)
 	// The tree's 2n−1 nodes are leaves 0..n−1, then merged[j] as node
 	// n+j, so a parent's index always exceeds its children's.
-	merged := make([]uint64, 0, n-1)
-	parent := make([]int32, 2*n-2)
+	e.merged, e.parent = resize(e.merged, n-1), resize(e.parent, 2*n-2)
+	merged, parent := e.merged[:0], e.parent
 	li, mi := 0, 0
 	for len(merged) < n-1 {
 		var key [2]uint64
@@ -92,24 +125,27 @@ func codeLengths(freq []uint64) []uint8 {
 		}
 		merged = append(merged, (key[0]>>16+key[1]>>16)<<16|min(key[0]&idxMask, key[1]&idxMask))
 	}
-	depth := make([]uint8, 2*n-1)
+	// The leaves' depths, at the front, are the code lengths.
+	e.depth = resize(e.depth, 2*n-1)
+	depth := e.depth
+	depth[2*n-2] = 0
 	for i := 2*n - 3; i >= 0; i-- {
 		depth[i] = depth[parent[i]] + 1
 	}
-	copy(lengths, depth[:n])
+	lengths := depth[:n]
 	clampLengths(lengths)
 	return lengths
 }
 
 // sortByFreq sorts leaf keys given in index order by frequency,
 // stably — hence by key — with an LSD radix sort over the frequency
-// bytes the largest key has.
-func sortByFreq(keys []uint64) []uint64 {
+// bytes the largest key has. tmp, as long as keys, is its second
+// buffer; the sorted keys end in one of the two.
+func sortByFreq(keys, tmp []uint64) []uint64 {
 	var top uint64
 	for _, k := range keys {
 		top = max(top, k)
 	}
-	tmp := make([]uint64, len(keys))
 	for shift := uint(16); top>>shift != 0; shift += 8 {
 		var start [256]int
 		for _, k := range keys {
@@ -174,8 +210,9 @@ type codeEntry struct {
 // canonical assigns canonical codes — shorter lengths first, then
 // symbol order — to lengths given in ascending symbol order: it counts
 // the codes of each length, derives each length's first code, and
-// hands out consecutive codes within a length.
-func canonical(lengths []uint8) []codeEntry {
+// hands out consecutive codes within a length. It writes them into
+// codes, resized.
+func canonical(codes []codeEntry, lengths []uint8) []codeEntry {
 	var count [MaxCodeLen + 1]uint32
 	for _, l := range lengths {
 		count[l]++
@@ -186,7 +223,7 @@ func canonical(lengths []uint8) []codeEntry {
 		code = (code + count[l-1]) << 1
 		next[l] = code
 	}
-	codes := make([]codeEntry, len(lengths))
+	codes = resize(codes, len(lengths))
 	for i, l := range lengths {
 		codes[i] = codeEntry{code: next[l], len: l}
 		next[l]++
@@ -196,7 +233,10 @@ func canonical(lengths []uint8) []codeEntry {
 
 // Encode compresses symbols into a self-describing byte stream. It
 // panics on 2³² or more symbols, which the header cannot count.
-func Encode(symbols []uint16) []byte {
+func Encode(symbols []uint16) []byte { return AppendEncode(nil, symbols) }
+
+// AppendEncode appends Encode(symbols) to dst, growing it at most once.
+func AppendEncode(dst []byte, symbols []uint16) []byte {
 	if uint64(len(symbols)) > math.MaxUint32 {
 		panic("huffman: more than 2^32-1 symbols")
 	}
@@ -204,11 +244,15 @@ func Encode(symbols []uint16) []byte {
 	for _, s := range symbols {
 		lo, hi = min(lo, s), max(hi, s)
 	}
+	e := encoders.Get()
+	defer encoders.Put(e)
 	// index[s−lo] counts symbol s, then becomes its rank among the
 	// distinct symbols, which ascend.
 	var index []uint32
 	if len(symbols) > 0 {
-		index = make([]uint32, int(hi-lo)+1)
+		e.index = resize(e.index, int(hi-lo)+1)
+		index = e.index
+		clear(index)
 	}
 	for _, s := range symbols {
 		index[s-lo]++
@@ -219,8 +263,8 @@ func Encode(symbols []uint16) []byte {
 			distinct++
 		}
 	}
-	syms := make([]uint16, 0, distinct)
-	freq := make([]uint64, 0, distinct)
+	e.syms, e.freq = resize(e.syms, distinct), resize(e.freq, distinct)
+	syms, freq := e.syms[:0], e.freq[:0]
 	for i, c := range index {
 		if c != 0 {
 			index[i] = uint32(len(syms))
@@ -228,16 +272,20 @@ func Encode(symbols []uint16) []byte {
 			freq = append(freq, uint64(c))
 		}
 	}
-	lengths := codeLengths(freq)
-	codes := canonical(lengths)
+	lengths := e.codeLengths(freq)
+	e.codes = canonical(e.codes, lengths)
+	codes := e.codes
 	var bits uint64
 	for i, f := range freq {
 		bits += f * uint64(lengths[i])
 	}
 
-	// header: numSymbols(u32), numDistinct(u32), then (symbol u16, len u8)*
+	// header: numSymbols(u32), numDistinct(u32), then (symbol u16, len u8)*;
+	// every byte of out is written below.
 	hdrLen := 8 + 3*distinct
-	out := make([]byte, hdrLen+int((bits+7)/8))
+	start, n := len(dst), hdrLen+int((bits+7)/8)
+	dst = slices.Grow(dst, n)[:start+n]
+	out := dst[start:]
 	binary.LittleEndian.PutUint32(out[0:], uint32(len(symbols)))
 	binary.LittleEndian.PutUint32(out[4:], uint32(distinct))
 	for i, s := range syms {
@@ -267,7 +315,7 @@ func Encode(symbols []uint16) []byte {
 	if pending > 0 {
 		p[0] = byte(acc << (8 - pending))
 	}
-	return out
+	return dst
 }
 
 // ErrCorrupt reports a malformed Huffman stream.
@@ -294,19 +342,22 @@ type decodeTable struct {
 	peek      []uint32
 }
 
-// newDecodeTable builds the decoder from the header's (symbol u16,
-// length u8) entries, whose lengths are already validated. A symbol
-// listed twice takes its last length. The symbols are ordered
+// decoders recycles Decode's tables; the peek table alone is 8 KiB.
+var decoders = scratch.Pool[decodeTable]{New: func() *decodeTable { return new(decodeTable) }}
+
+// build makes t the decoder of the header's (symbol u16, length u8)
+// entries, whose lengths are already validated, reusing t's storage.
+// A symbol listed twice takes its last length. The symbols are ordered
 // canonically — shorter lengths first, then symbol order — by a
 // counting sort on length over the ascending symbols, which reproduces
 // exactly the code assignment Encode's canonical() makes, so every
 // stream decodes (or is rejected) just as under a map keyed by
 // (length, code) walked bit by bit.
-func newDecodeTable(entries []byte) *decodeTable {
+func (t *decodeTable) build(entries []byte) {
 	if !strictlyAscending(entries) {
 		entries = dedupe(entries)
 	}
-	t := &decodeTable{}
+	*t = decodeTable{syms: t.syms, peek: t.peek}
 	for i := 2; i < len(entries); i += 3 {
 		l := int(entries[i])
 		t.count[l]++
@@ -322,7 +373,7 @@ func newDecodeTable(entries []byte) *decodeTable {
 		pos += t.count[l]
 		code = (code + uint64(t.count[l])) << 1
 	}
-	t.syms = make([]uint16, pos)
+	t.syms = resize(t.syms, pos)
 	for i := 0; i < len(entries); i += 3 {
 		l := entries[i+2]
 		t.syms[next[l]] = binary.LittleEndian.Uint16(entries[i:])
@@ -336,7 +387,8 @@ func newDecodeTable(entries []byte) *decodeTable {
 	// never be read at length l, and are skipped.
 	k := min(t.maxLen, maxPeekBits)
 	t.peekBits = k
-	t.peek = make([]uint32, 1<<k)
+	t.peek = resize(t.peek, 1<<k)
+	clear(t.peek)
 	for l := 1; l <= k; l++ {
 		shift := uint(k - l)
 		for d := 0; d < t.count[l]; d++ {
@@ -350,7 +402,6 @@ func newDecodeTable(entries []byte) *decodeTable {
 			}
 		}
 	}
-	return t
 }
 
 // strictlyAscending reports whether the header entries list their
@@ -390,7 +441,11 @@ func dedupe(entries []byte) []byte {
 // Decode reverses Encode. It reads the payload through a 64-bit
 // window: a peek-table lookup decodes each short code, and the
 // canonical walk over the longer lengths decodes the rest.
-func Decode(data []byte) ([]uint16, error) {
+func Decode(data []byte) ([]uint16, error) { return DecodeInto(nil, data) }
+
+// DecodeInto is Decode writing the symbols into dst's storage, which it
+// grows only when dst is too short.
+func DecodeInto(dst []uint16, data []byte) ([]uint16, error) {
 	if len(data) < 8 {
 		return nil, ErrCorrupt
 	}
@@ -409,7 +464,7 @@ func Decode(data []byte) ([]uint16, error) {
 		}
 	}
 	if count == 0 {
-		return []uint16{}, nil
+		return resize(dst, 0), nil
 	}
 	if distinct == 0 {
 		return nil, ErrCorrupt
@@ -422,7 +477,9 @@ func Decode(data []byte) ([]uint16, error) {
 	if count > 8*len(payload) {
 		return nil, ErrCorrupt
 	}
-	tbl := newDecodeTable(entries)
+	tbl := decoders.Get()
+	defer decoders.Put(tbl)
+	tbl.build(entries)
 	peek, peekShift := tbl.peek, uint(64-tbl.peekBits)
 	maxLen := uint(tbl.maxLen)
 	// The top n bits of acc are the unread payload bits; below them
@@ -431,7 +488,7 @@ func Decode(data []byte) ([]uint16, error) {
 	var acc uint64
 	var n uint
 	pos := 0
-	out := make([]uint16, count)
+	out := resize(dst, count)
 	for i := range out {
 		if n < MaxCodeLen {
 			if pos+8 <= len(payload) {

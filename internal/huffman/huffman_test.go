@@ -530,7 +530,7 @@ func encodeWithLengths(symbols, syms []uint16, lengths []uint8) []byte {
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(symbols)))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(syms)))
 	codes := make(map[uint16]codeEntry, len(syms))
-	for i, e := range canonical(lengths) {
+	for i, e := range canonical(nil, lengths) {
 		codes[syms[i]] = e
 		hdr = binary.LittleEndian.AppendUint16(hdr, syms[i])
 		hdr = append(hdr, lengths[i])
@@ -559,7 +559,7 @@ func TestClampLengthsDeterministic(t *testing.T) {
 	}
 	freq := clampFreqs()
 	for run := range 50 {
-		got := codeLengths(freq)
+		got := new(encoder).codeLengths(freq)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("run %d: lengths %v, want %v", run, got, want)
 		}

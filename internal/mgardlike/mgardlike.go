@@ -159,12 +159,21 @@ func quantizer[T field.Elem](absErr float64, levels int) quant.Quantizer {
 	return quant.New(absErr / float64((levels+1)*(1+compress.Lane[T]())))
 }
 
-// symbolPool recycles the encoder's symbol stream and recPool the
-// decoder's float64 reconstruction, narrowed once on the float32 lane.
-var (
-	symbolPool = sync.Pool{New: func() any { return new([]uint16) }}
-	recPool    = sync.Pool{New: func() any { return new([]float64) }}
-)
+// scratch is the per-call working set, recycled per lane: the symbol
+// stream, the encoder's escapes and the payload it hands the lossless
+// stage, and the decoder's float64 reconstruction, narrowed once on the
+// float32 lane.
+type scratch[T field.Elem] struct {
+	symbols []uint16
+	exact   []T
+	payload []byte
+	rec     []float64
+}
+
+var pools = [2]sync.Pool{
+	{New: func() any { return new(scratch[float64]) }},
+	{New: func() any { return new(scratch[float32]) }},
+}
 
 // encode compresses a rank-`rank` field on either lane.
 func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]byte, error) {
@@ -179,10 +188,10 @@ func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]by
 	}
 	d, levels := dims(shape)
 	q := quantizer[T](absErr, levels)
-	sp := symbolPool.Get().(*[]uint16)
-	defer symbolPool.Put(sp)
-	symbols := (*sp)[:0]
-	var exact []T
+	l := compress.Lane[T]()
+	sc := pools[l].Get().(*scratch[T])
+	defer pools[l].Put(sc)
+	symbols, exact := sc.symbols[:0], sc.exact[:0]
 	// Coarsest-lattice values and corrections too large for the code
 	// range escape to exact storage.
 	walk(data, d, levels, func(i int, pred float64) {
@@ -195,33 +204,40 @@ func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]by
 		exact = append(exact, v)
 	})
 
-	huff := huffman.Encode(symbols)
-	*sp = symbols // retain grown capacity for reuse
-	buf := compress.AppendHeader(nil, magic[rank-2][compress.Lane[T]()], shape, absErr)
+	buf := compress.AppendHeader(sc.payload[:0], magic[rank-2][l], shape, absErr)
 	buf = compress.AppendExact(buf, exact)
-	buf = append(buf, huff...)
+	buf = huffman.AppendEncode(buf, symbols)
+	sc.symbols, sc.exact, sc.payload = symbols, exact, buf // retain grown capacity for reuse
 	return lossless.Compress(buf)
+}
+
+// maxBody is the longest payload body encode writes for a header h on
+// lane T: every node escaped, and the nodes' longest Huffman stream.
+func maxBody[T field.Elem](h compress.Header) int {
+	return 4 + field.ElemBytes[T]()*h.Len + huffman.MaxEncodedLen(h.Len)
 }
 
 // decode reconstructs a rank-`rank` field on lane T, rejecting streams
 // of another rank or lane.
 func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
-	raw, err := lossless.Decompress(data)
+	l := compress.Lane[T]()
+	p, err := compress.Inflate(data, magic[rank-2][l], rank, maxBody[T])
 	if err != nil {
-		return nil, fmt.Errorf("mgardlike: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	h, body, ok := compress.ParseHeader(raw, magic[rank-2][compress.Lane[T]()], rank)
+	defer p.Release()
+	h := p.Header
+	exact, body, ok := compress.Exact[T](p.Body)
 	if !ok {
 		return nil, ErrCorrupt
 	}
-	exact, body, ok := compress.Exact[T](body)
-	if !ok {
-		return nil, ErrCorrupt
-	}
-	symbols, err := huffman.Decode(body)
+	sc := pools[l].Get().(*scratch[T])
+	defer pools[l].Put(sc)
+	symbols, err := huffman.DecodeInto(sc.symbols, body)
 	if err != nil {
 		return nil, fmt.Errorf("mgardlike: %w", err)
 	}
+	sc.symbols = symbols
 	// The encoder emits exactly one symbol per node, so any other count
 	// is corrupt — rejected before the header's shape, which may claim
 	// up to 2^30 nodes, drives the reconstruction allocation.
@@ -231,10 +247,8 @@ func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
 
 	d, levels := dims(h.Shape)
 	q := quantizer[T](h.AbsErr, levels)
-	rp := recPool.Get().(*[]float64)
-	defer recPool.Put(rp)
-	rec := slices.Grow((*rp)[:0], h.Len)[:h.Len] // walk writes each node before reading it
-	*rp = rec
+	rec := slices.Grow(sc.rec[:0], h.Len)[:h.Len] // walk writes each node before reading it
+	sc.rec = rec
 	si, ei := 0, 0
 	// A node adds its symbol's correction to pred, or takes the next exact
 	// value for an escape; a short exact list fails the final check.

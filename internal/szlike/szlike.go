@@ -282,13 +282,15 @@ func interior[T field.Elem](g *geom, flat, padded []T, toPadded bool) {
 }
 
 // scratch is the per-call working set — the padded source and
-// reconstruction, the symbol stream, the block modes — recycled per
+// reconstruction, the symbol stream, the block modes, coefficients and
+// escapes, and the payload handed to the lossless stage — recycled per
 // lane so batch measurement (every field × error bound) stops
 // re-allocating a field's worth of scratch per run.
 type scratch[T field.Elem] struct {
-	src, rec []T
-	symbols  []uint16
-	modes    []byte
+	src, rec, exact []T
+	symbols         []uint16
+	modes, payload  []byte
+	coeffs          []float32
 }
 
 var pools = [2]sync.Pool{
@@ -329,8 +331,8 @@ func encode[T field.Elem](shape []int, data []T, rank int, mode PredictorMode, a
 	nBlocks := g.numBlocks()
 	modes := sc.modes[:0]
 	symbols := sc.symbols[:0]
-	var coeffs []float32 // rank+1 per regression block
-	var exact []T
+	coeffs := sc.coeffs[:0] // rank+1 per regression block
+	exact := sc.exact[:0]
 
 	for bi := range nBlocks {
 		o, n := g.blockAt(bi)
@@ -380,18 +382,26 @@ func encode[T field.Elem](shape []int, data []T, rank int, mode PredictorMode, a
 		}
 	}
 
-	huff := huffman.Encode(symbols)
-	sc.src, sc.rec, sc.modes, sc.symbols = src, rec, modes, symbols // retain grown capacity
-
 	// payload: header | modes | coeffs | exactCount | exact | huff
-	buf := compress.AppendHeader(nil, magic[rank-2][l], shape, absErr)
+	buf := compress.AppendHeader(sc.payload[:0], magic[rank-2][l], shape, absErr)
 	buf = append(buf, modes...)
 	for _, cf := range coeffs {
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(cf))
 	}
 	buf = compress.AppendExact(buf, exact)
-	buf = append(buf, huff...)
+	buf = huffman.AppendEncode(buf, symbols)
+	// retain grown capacity
+	sc.src, sc.rec, sc.exact, sc.symbols = src, rec, exact, symbols
+	sc.modes, sc.payload, sc.coeffs = modes, buf, coeffs
 	return lossless.Compress(buf)
+}
+
+// maxBody is the longest payload body encode writes for a header h on
+// lane T: a mode and at most rank+1 coefficients per block, every
+// sample escaped, and the symbols' longest Huffman stream.
+func maxBody[T field.Elem](h compress.Header) int {
+	g := newGeom(h.Shape)
+	return g.numBlocks()*(1+4*(g.rank+1)) + 4 + field.ElemBytes[T]()*h.Len + huffman.MaxEncodedLen(h.Len)
 }
 
 // decode reconstructs a rank-`rank` field on lane T, rejecting streams
@@ -399,15 +409,13 @@ func encode[T field.Elem](shape []int, data []T, rank int, mode PredictorMode, a
 // exactly — same padded layout, same predictor arithmetic — so the
 // output equals the compressor's mirror bit for bit.
 func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
-	raw, err := lossless.Decompress(data)
-	if err != nil {
-		return nil, fmt.Errorf("szlike: %w", err)
-	}
 	l := compress.Lane[T]()
-	h, body, ok := compress.ParseHeader(raw, magic[rank-2][l], rank)
-	if !ok {
-		return nil, ErrCorrupt
+	p, err := compress.Inflate(data, magic[rank-2][l], rank, maxBody[T])
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
+	defer p.Release()
+	h, body := p.Header, p.Body
 	g := newGeom(h.Shape)
 	nBlocks := g.numBlocks()
 	if len(body) < nBlocks {
@@ -436,17 +444,18 @@ func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
 	if !ok {
 		return nil, ErrCorrupt
 	}
-	symbols, err := huffman.Decode(body)
+	sc := pools[l].Get().(*scratch[T])
+	defer pools[l].Put(sc)
+	symbols, err := huffman.DecodeInto(sc.symbols, body)
 	if err != nil {
 		return nil, fmt.Errorf("szlike: %w", err)
 	}
+	sc.symbols = symbols
 	if len(symbols) != h.Len {
 		return nil, ErrCorrupt
 	}
 
 	q := quant.New(h.AbsErr)
-	sc := pools[l].Get().(*scratch[T])
-	defer pools[l].Put(sc)
 	rec := zeroed(sc.rec, g.padded)
 	sc.rec = rec
 	si, ei, ci := 0, 0, 0

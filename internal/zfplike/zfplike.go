@@ -266,11 +266,12 @@ func scatter[T field.Elem](data []T, g *geom, o [3]int, vals []float64) {
 }
 
 // compressScratch holds the per-call stream builders of encode — block
-// modes, coded-block metadata, raw escapes, and the bit-plane writer —
-// recycled across batch measurement runs on either lane.
+// modes, coded-block metadata, raw escapes, the bit-plane writer, and
+// the payload handed to the lossless stage — recycled across batch
+// measurement runs on either lane.
 type compressScratch struct {
-	modes, meta, rawVals []byte
-	w                    *bitstream.Writer
+	modes, meta, rawVals, payload []byte
+	w                             *bitstream.Writer
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -353,29 +354,35 @@ func encode[T field.Elem](shape []int, data []T, rank int, absErr float64) ([]by
 		}
 	}
 
-	sc.modes, sc.meta, sc.rawVals = modes, meta, rawVals // retain capacity
-	payload := compress.AppendHeader(nil, magic[rank-2][l], shape, absErr)
+	payload := compress.AppendHeader(sc.payload[:0], magic[rank-2][l], shape, absErr)
 	payload = append(payload, modes...)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(meta)))
 	payload = append(payload, meta...)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rawVals)))
 	payload = append(payload, rawVals...)
 	payload = append(payload, w.Bytes()...)
+	sc.modes, sc.meta, sc.rawVals, sc.payload = modes, meta, rawVals, payload // retain capacity
 	return lossless.Compress(payload)
+}
+
+// maxBody is the longest payload body encode writes for a header h:
+// two lengths, then per block a mode and either a raw block or a coded
+// one, whose 4 bytes of metadata and at most 64 bit planes outweigh it.
+func maxBody(h compress.Header) int {
+	g, nv := newGeom(h.Shape), 1<<(2*len(h.Shape))
+	return 8 + g.numBlocks()*(1+4+64*nv/8)
 }
 
 // decode reconstructs a rank-`rank` field on lane T, rejecting streams
 // of another rank or lane.
 func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
-	raw, err := lossless.Decompress(data)
+	p, err := compress.Inflate(data, magic[rank-2][compress.Lane[T]()], rank, maxBody)
 	if err != nil {
-		return nil, fmt.Errorf("zfplike: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
+	defer p.Release()
 	vw := field.ElemBytes[T]()
-	h, body, ok := compress.ParseHeader(raw, magic[rank-2][compress.Lane[T]()], rank)
-	if !ok {
-		return nil, ErrCorrupt
-	}
+	h, body := p.Header, p.Body
 	g := newGeom(h.Shape)
 	nBlocks := g.numBlocks()
 	if len(body) < nBlocks+4 {
