@@ -8,6 +8,12 @@ package variogram
 // order and row-major base-point order, so every lane's Empirical is
 // bitwise the one a single-window scan produces, while the lanes'
 // independent chains overlap in the pipeline.
+//
+// The lanes are interleaved: element j of the scan's plane holds value
+// j of every lane, so one row of pairs reads two slices, not two per
+// lane, and laneRow keeps its counter, both bases and all four chains
+// in registers. Trailing axes an offset leaves whole are folded into
+// one longer row, which visits the same base points in the same order.
 
 import (
 	"slices"
@@ -21,11 +27,12 @@ import (
 const scanLanes = 4
 
 // laneScratch is the reusable state of one lockstep scan: the odometer
-// of scanOffsetLanes plus each lane's per-bin sums and the shared
-// per-bin pair counts.
+// of scanOffsetLanes, the interleaved plane of the lanes' data, each
+// lane's per-bin sums and the shared per-bin pair counts.
 type laneScratch struct {
 	sc      scanScratch
 	strides []int
+	il      [][scanLanes]float64
 	sum     [scanLanes][]float64
 	cnt     []int64
 }
@@ -46,6 +53,26 @@ func (ls *laneScratch) reset(nd, nb int) {
 	ls.cnt = resetBins(ls.cnt, nb+1)
 }
 
+// interleave fills ls.il with the first n values of lanes (1 to
+// scanLanes arrays) transposed, element j holding value j of every
+// lane; lanes past len(lanes) repeat lane 0.
+func (ls *laneScratch) interleave(lanes [][]float64, n int) [][scanLanes]float64 {
+	if cap(ls.il) < n {
+		ls.il = make([][scanLanes]float64, n)
+	}
+	il := ls.il[:n]
+	for l := 0; l < scanLanes; l++ {
+		src := lanes[0]
+		if l < len(lanes) {
+			src = lanes[l]
+		}
+		for j, v := range src[:n] {
+			il[j][l] = v
+		}
+	}
+	return il
+}
+
 // resetBins returns s resized to n zeroed elements, reusing its
 // storage when it is large enough.
 func resetBins[E float64 | int64](s []E, n int) []E {
@@ -57,11 +84,35 @@ func resetBins[E float64 | int64](s []E, n int) []E {
 	return s
 }
 
-// scanOffsetLanes is scanOffset over scanLanes arrays of one shape at
-// once: it folds (z(x) − z(x+off))² of every in-bounds base point x
-// into each lane's own running chain sum[l], visiting base points in
-// the same row-major order, and adds the (shared) pair count once.
-func scanOffsetLanes(data *[scanLanes][]float64, dims, strides []int, off []int32, sc *scanScratch, sum *[scanLanes]float64, cnt *int64) {
+// laneRow folds (x − y)² of each pair (xs[i], ys[i]) into lane l's
+// chain s_l, in index order. The explicit float64 conversion rounds
+// each square before it is added, so no target fuses the two into one
+// multiply-add and the chain is bitwise that of scanOffset.
+func laneRow(xs, ys [][scanLanes]float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	ys = ys[:len(xs)]
+	for i := range xs {
+		x, y := &xs[i], &ys[i]
+		d0 := x[0] - y[0]
+		d1 := x[1] - y[1]
+		d2 := x[2] - y[2]
+		d3 := x[3] - y[3]
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
+	}
+	return s0, s1, s2, s3
+}
+
+// scanOffsetLanes is scanOffset over the interleaved plane il of
+// scanLanes arrays of one shape: it folds (z(x) − z(x+off))² of every
+// in-bounds base point x into each lane's own running chain sum[l],
+// visiting base points in the same row-major order, and adds the
+// (shared) pair count. Trailing axes the offset leaves whole (zero
+// offset component) lie contiguous in memory, so they fold into the
+// row: the scan walks rows of axis m and everything after it, and
+// counts rows·n pairs once.
+func scanOffsetLanes(il [][scanLanes]float64, dims, strides []int, off []int32, sc *scanScratch, sum *[scanLanes]float64, cnt *int64) {
 	nd := len(dims)
 	delta := 0
 	lo := sc.lo[:nd]
@@ -77,47 +128,38 @@ func scanOffsetLanes(data *[scanLanes][]float64, dims, strides []int, off []int3
 			return
 		}
 	}
-	innerLo, innerHi := lo[nd-1], hi[nd-1]
-	n := innerHi - innerLo
-	a0, a1, a2, a3 := data[0], data[1], data[2], data[3]
+	m := nd - 1
+	for m > 0 && off[m] == 0 {
+		m--
+	}
+	n := (hi[m] - lo[m]) * strides[m]
+	base := lo[m] * strides[m]
+	rows := 1
+	for k := 0; k < m; k++ {
+		base += lo[k] * strides[k]
+		rows *= hi[k] - lo[k]
+	}
 	s0, s1, s2, s3 := sum[0], sum[1], sum[2], sum[3]
-	c := *cnt
-	cur := sc.cur[:nd-1]
-	copy(cur, lo[:nd-1])
+	cur := sc.cur[:m]
+	copy(cur, lo[:m])
 	for {
-		base := innerLo
-		for k := 0; k < nd-1; k++ {
-			base += cur[k] * strides[k]
-		}
-		x0, y0 := a0[base:][:n], a0[base+delta:][:n]
-		x1, y1 := a1[base:][:n], a1[base+delta:][:n]
-		x2, y2 := a2[base:][:n], a2[base+delta:][:n]
-		x3, y3 := a3[base:][:n], a3[base+delta:][:n]
-		for i := 0; i < n; i++ {
-			d0 := x0[i] - y0[i]
-			d1 := x1[i] - y1[i]
-			d2 := x2[i] - y2[i]
-			d3 := x3[i] - y3[i]
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
-		}
-		c += int64(n)
-		k := nd - 2
+		s0, s1, s2, s3 = laneRow(il[base:][:n], il[base+delta:][:n], s0, s1, s2, s3)
+		k := m - 1
 		for ; k >= 0; k-- {
 			cur[k]++
+			base += strides[k]
 			if cur[k] < hi[k] {
 				break
 			}
 			cur[k] = lo[k]
+			base -= (hi[k] - lo[k]) * strides[k]
 		}
 		if k < 0 {
 			break
 		}
 	}
 	sum[0], sum[1], sum[2], sum[3] = s0, s1, s2, s3
-	*cnt = c
+	*cnt += int64(rows) * int64(n)
 }
 
 // exactScanLanes runs the serial exact scan with cutoff maxLag over
@@ -134,19 +176,13 @@ func exactScanLanes(lanes [][]float64, shape []int, maxLag int, ls *laneScratch)
 		ls.strides[k] = acc
 		acc *= shape[k]
 	}
-	var data [scanLanes][]float64
-	for l := range data {
-		data[l] = lanes[0]
-		if l < len(lanes) {
-			data[l] = lanes[l]
-		}
-	}
+	il := ls.interleave(lanes, acc)
 	bins := offsetsByBinCached(nd, maxLag)
 	for b, offs := range bins {
 		var s [scanLanes]float64
 		var c int64
 		for p := 0; p < len(offs); p += nd {
-			scanOffsetLanes(&data, shape, ls.strides, offs[p:p+nd], &ls.sc, &s, &c)
+			scanOffsetLanes(il, shape, ls.strides, offs[p:p+nd], &ls.sc, &s, &c)
 		}
 		for l := range s {
 			ls.sum[l][b] = s[l]

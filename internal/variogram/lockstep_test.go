@@ -7,6 +7,7 @@ import (
 
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
+	"lossycorr/internal/xrand"
 )
 
 // singleLaneRange is windowRanges' oracle for one window: the skip
@@ -161,25 +162,98 @@ func TestLockstepPaddedLanesIgnored(t *testing.T) {
 	}
 }
 
+// TestLockstepRandomShapesMatchExactScan is a seeded differential of
+// the lockstep scan against the single-lane exact scan's raw per-bin
+// sums: shapes of rank 1–4 with extents 1–9 (extent-1 axes included),
+// plus shapes whose whole trailing axes fold rows across more than one
+// axis, at 1–4 lanes and cutoffs of 1, half the smallest extent above
+// 1, and one past that. Every lane's sums must be bit for bit and its
+// counts exactly those of exactScanSums on that lane alone.
+func TestLockstepRandomShapesMatchExactScan(t *testing.T) {
+	shapes := [][]int{{9, 7, 1}, {1, 24, 24}, {5, 1, 1, 6}, {1, 1, 9}, {6, 1}}
+	rng := xrand.New(29)
+	for len(shapes) < 60 {
+		shape := make([]int, 1+rng.Intn(4))
+		for k := range shape {
+			shape[k] = 1 + rng.Intn(9)
+		}
+		shapes = append(shapes, shape)
+	}
+	for si, shape := range shapes {
+		n, minDim := 1, 0
+		for _, d := range shape {
+			n *= d
+			if d > 1 && (minDim == 0 || d < minDim) {
+				minDim = d
+			}
+		}
+		clamp := max(1, minDim/2)
+		lanes := make([][]float64, 1+si%scanLanes)
+		for l := range lanes {
+			lanes[l] = randomField([]int{n}, uint64(100*si+l)).Data
+		}
+		ls := new(laneScratch)
+		for _, maxLag := range []int{1, clamp, clamp + 1} {
+			exactScanLanes(lanes, shape, maxLag, ls)
+			for l, lane := range lanes {
+				sum, cnt, err := exactScanSums(bg, lane, shape, Options{MaxLag: maxLag, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ls.sum[l]) != len(sum) || len(ls.cnt) != len(cnt) {
+					t.Fatalf("shape %v lag %d lane %d: %d/%d bins, want %d/%d", shape, maxLag, l, len(ls.sum[l]), len(ls.cnt), len(sum), len(cnt))
+				}
+				for b := range sum {
+					if math.Float64bits(ls.sum[l][b]) != math.Float64bits(sum[b]) || ls.cnt[b] != cnt[b] {
+						t.Fatalf("shape %v lag %d lane %d of %d bin %d: (%v, %d), single lane (%v, %d)",
+							shape, maxLag, l, len(lanes), b, ls.sum[l][b], ls.cnt[b], sum[b], cnt[b])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestScanOffsetLanesAllocs pins the zero-allocation contract of the
 // lockstep scan's inner loop, like TestScanOffsetAllocs for the single
 // lane.
 func TestScanOffsetLanesAllocs(t *testing.T) {
-	var data [scanLanes][]float64
-	for l := range data {
-		data[l] = randomField([]int{32, 32}, uint64(5+l)).Data
+	var lanes [][]float64
+	for l := 0; l < scanLanes; l++ {
+		lanes = append(lanes, randomField([]int{32, 32}, uint64(5+l)).Data)
 	}
+	il := new(laneScratch).interleave(lanes, 32*32)
 	dims := []int{32, 32}
 	strides := []int{32, 1}
 	sc := newScanScratch(2)
-	off := []int32{3, -2}
 	var sum [scanLanes]float64
 	var cnt int64
-	allocs := testing.AllocsPerRun(200, func() {
-		scanOffsetLanes(&data, dims, strides, off, sc, &sum, &cnt)
+	for _, off := range [][]int32{{3, -2}, {3, 0}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			scanOffsetLanes(il, dims, strides, off, sc, &sum, &cnt)
+		})
+		if allocs != 0 {
+			t.Fatalf("scanOffsetLanes(%v) allocates %v per visit, want 0", off, allocs)
+		}
+	}
+}
+
+// TestExactScanLanesAllocs: after one warm-up at a fixed shape, a
+// lockstep scan allocates nothing: the interleaved plane, odometer and
+// per-bin accumulators are all reused from the scratch.
+func TestExactScanLanesAllocs(t *testing.T) {
+	shape := []int{12, 12, 12}
+	var lanes [][]float64
+	for l := 0; l < scanLanes; l++ {
+		lanes = append(lanes, randomField(shape, uint64(60+l)).Data)
+	}
+	ls := new(laneScratch)
+	exactScanLanes(lanes, shape, 6, ls)
+	allocs := testing.AllocsPerRun(20, func() {
+		exactScanLanes(lanes, shape, 6, ls)
 	})
 	if allocs != 0 {
-		t.Fatalf("scanOffsetLanes allocates %v per visit, want 0", allocs)
+		t.Fatalf("exactScanLanes allocates %v per call after warm-up, want 0", allocs)
 	}
 }
 

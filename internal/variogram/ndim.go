@@ -184,7 +184,7 @@ func scanOffset[T field.Elem](data []T, dims, strides []int, off []int32, sc *sc
 		}
 		for i := base; i < base+innerHi-innerLo; i++ {
 			d := float64(data[i]) - float64(data[i+delta])
-			s += d * d
+			s += float64(d * d)
 		}
 		c += innerLen
 		k := nd - 2
@@ -209,6 +209,16 @@ func scanOffset[T field.Elem](data []T, dims, strides []int, off []int32, sc *sc
 // making the result independent of the worker count — and bitwise
 // equal to the legacy serial 2D/3D scans.
 func exactScanData[T field.Elem](ctx context.Context, data []T, shape []int, o Options) (*Empirical, error) {
+	sum, cnt, err := exactScanSums(ctx, data, shape, o)
+	if err != nil {
+		return nil, err
+	}
+	return collect(sum, cnt), nil
+}
+
+// exactScanSums is exactScanData's scan: the per-bin squared-difference
+// sums and pair counts, before collect turns them into an Empirical.
+func exactScanSums[T field.Elem](ctx context.Context, data []T, shape []int, o Options) ([]float64, []int64, error) {
 	nb := o.MaxLag
 	nd := len(shape)
 	bins := offsetsByBinCached(nd, nb)
@@ -248,9 +258,9 @@ func exactScanData[T field.Elem](ctx context.Context, data []T, shape []int, o O
 		}
 		sum[b], cnt[b] = s, c
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return collect(sum, cnt), nil
+	return sum, cnt, nil
 }
 
 // sampledScanData runs the seeded pair sampler over an in-RAM lane.

@@ -284,3 +284,16 @@ func BenchmarkLocalRangeStd3D(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLocalRangeStd3DH12 is the windowed statistic at the shape
+// the stream-3d bench workload analyzes: a 48³ volume in 12³ windows,
+// where every scan row is at most 12 long.
+func BenchmarkLocalRangeStd3DH12(b *testing.B) {
+	v := randomVolume(48, 48, 48, 11)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LocalRangeStd(bg, in64(v), 12, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
