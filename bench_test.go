@@ -567,13 +567,18 @@ func BenchmarkAnalyzeField(b *testing.B) {
 		vo := variogram.Options{Workers: w}
 		so := svdstat.Options{Frac: svdstat.DefaultVarianceFraction, Workers: w}
 		for i := 0; i < b.N; i++ {
-			var errG, errL, errS error
-			parallel.Do(w,
-				func() { _, errG = variogram.GlobalRange(ctx, src, vo) },
-				func() { _, errL = variogram.LocalRangeStd(ctx, src, core.DefaultWindow, vo) },
-				func() { _, errS = svdstat.LocalStd(ctx, src, core.DefaultWindow, so) },
-			)
-			for _, err := range []error{errG, errL, errS} {
+			var errs [3]error
+			parallel.For(len(errs), w, func(k int) {
+				switch k {
+				case 0:
+					_, errs[k] = variogram.GlobalRange(ctx, src, vo)
+				case 1:
+					_, errs[k] = variogram.LocalRangeStd(ctx, src, core.DefaultWindow, vo)
+				case 2:
+					_, errs[k] = svdstat.LocalStd(ctx, src, core.DefaultWindow, so)
+				}
+			})
+			for _, err := range errs {
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -282,50 +282,63 @@ func cmdAnalyze(args []string) error {
 	fs.Parse(args)
 
 	sel := splitStatsFlag(*statsSel)
+	var budget int64
 	if *membudget != "" {
-		budget, err := parseBytes(*membudget)
-		if err != nil {
+		var err error
+		if budget, err = parseBytes(*membudget); err != nil {
 			return fmt.Errorf("-membudget: %w", err)
 		}
 		if *f32 {
 			return fmt.Errorf("-f32 cannot combine with -membudget: an out-of-core field runs on its stored lane")
 		}
-		return analyzeOutOfCore(*in, budget, *window, *workers, *gram, *vfft, sel)
 	}
-
-	fld, n32, err := readFieldAny(*in)
+	tr, err := lossycorr.OpenFieldTilesMapped(*in, 1<<31)
 	if err != nil {
 		return err
 	}
-	if *f32 && n32 == nil {
-		n32, fld = fld.Narrow(), nil
-	}
+	defer tr.Close()
 	gm := lossycorr.SVDGramOn
 	if !*gram {
 		gm = lossycorr.SVDGramOff
 	}
 	opts := lossycorr.AnalysisOptions{
 		Window: *window, Workers: *workers, SVDGram: gm, VariogramFFT: *vfft,
-		Stats: sel,
+		MemBudget: budget, Stats: sel,
 	}
+	lossycorr.ResetTransformPeakBytes()
 	var stats lossycorr.Statistics
-	var shape []int
-	if n32 != nil {
-		stats, err = lossycorr.AnalyzeField(context.Background(), n32, opts)
-		shape = n32.Shape
+	if *f32 && !tr.Float32Lane() {
+		var wide *lossycorr.Field
+		if wide, _, err = tr.ReadAll(); err != nil {
+			return err
+		}
+		stats, err = lossycorr.AnalyzeField(context.Background(), wide.Narrow(), opts)
 	} else {
-		stats, err = lossycorr.AnalyzeField(context.Background(), fld, opts)
-		shape = fld.Shape
+		stats, err = lossycorr.AnalyzeReader(context.Background(), tr, opts)
 	}
 	if err != nil {
 		return err
 	}
 	lane := "float64"
-	if n32 != nil {
+	if *f32 || tr.Float32Lane() {
 		lane = "float32"
 	}
-	fmt.Printf("field: %s (%s lane)\n", shapeString(shape), lane)
+	mode := ""
+	if budget > 0 {
+		mode = ", out-of-core"
+	}
+	fmt.Printf("field: %s (%s lane%s)\n", shapeString(tr.Shape()), lane, mode)
 	printStats(stats, *window)
+	if budget > 0 {
+		// An out-of-core run reports the transform pool's observed peak
+		// against its budget.
+		peak := lossycorr.TransformPeakBytes()
+		verdict := "ok"
+		if peak > budget {
+			verdict = "OVER"
+		}
+		fmt.Printf("peak transform bytes: %d (budget %d, %s)\n", peak, budget, verdict)
+	}
 	return nil
 }
 
@@ -403,42 +416,6 @@ func parseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("byte count %q overflows int64", in)
 	}
 	return v * mult, nil
-}
-
-// analyzeOutOfCore runs analyze through the tile-streaming reader under
-// a transform-pool byte budget, reporting the observed peak against it.
-func analyzeOutOfCore(in string, budget int64, window, workers int, gram, vfft bool, sel []string) error {
-	tr, err := lossycorr.OpenFieldTilesMapped(in, 1<<31)
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-	gm := lossycorr.SVDGramOn
-	if !gram {
-		gm = lossycorr.SVDGramOff
-	}
-	opts := lossycorr.AnalysisOptions{
-		Window: window, Workers: workers, SVDGram: gm, VariogramFFT: vfft,
-		MemBudget: budget, Stats: sel,
-	}
-	lossycorr.ResetTransformPeakBytes()
-	stats, err := lossycorr.AnalyzeReader(context.Background(), tr, opts)
-	if err != nil {
-		return err
-	}
-	peak := lossycorr.TransformPeakBytes()
-	lane := "float64"
-	if tr.Float32Lane() {
-		lane = "float32"
-	}
-	fmt.Printf("field: %s (%s lane, out-of-core)\n", shapeString(tr.Shape()), lane)
-	printStats(stats, window)
-	verdict := "ok"
-	if peak > budget {
-		verdict = "OVER"
-	}
-	fmt.Printf("peak transform bytes: %d (budget %d, %s)\n", peak, budget, verdict)
-	return nil
 }
 
 func cmdCompress(args []string) error {

@@ -3,8 +3,10 @@ package field
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"lossycorr/internal/xrand"
@@ -19,7 +21,7 @@ func writeTemp(t *testing.T, data []byte) string {
 	return path
 }
 
-func randField(t *testing.T, shape []int, seed uint64) *Field {
+func randField(t testing.TB, shape []int, seed uint64) *Field {
 	t.Helper()
 	rng := xrand.New(seed)
 	f := New(shape...)
@@ -335,4 +337,105 @@ func TestExpandHalo(t *testing.T) {
 	if lo[0] != 0 || lo[1] != 8 || hi[0] != 24 || hi[1] != 40 {
 		t.Fatalf("halo box [%v,%v)", lo, hi)
 	}
+}
+
+// FuzzTileReaderMatchesReadAny is the differential check between the
+// two intakes of a field payload: NewTileReader over the bytes must
+// accept exactly the payloads ReadAnyLimit accepts at the same element
+// budget, and its ReadAll must return the same lane, shape and element
+// bits. The seeds hold hostile headers, payloads with trailing bytes,
+// and valid fields on both lanes at ranks 1–3.
+func FuzzTileReaderMatchesReadAny(f *testing.F) {
+	u32 := func(vs ...uint32) []byte {
+		b := make([]byte, 4*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		return b
+	}
+	encode := func(shape []int, narrow bool) []byte {
+		var buf bytes.Buffer
+		wide := randField(f, shape, uint64(len(shape)))
+		var err error
+		if narrow {
+			err = wide.Narrow().WriteBinary(&buf)
+		} else {
+			err = wide.WriteBinary(&buf)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	const budget = 8192
+	for _, shape := range [][]int{{7}, {4, 5}, {3, 2, 4}} {
+		for _, narrow := range []bool{false, true} {
+			valid := encode(shape, narrow)
+			f.Add(valid, uint16(budget))
+			f.Add(append(append([]byte(nil), valid...), 1, 2, 3), uint16(budget)) // trailing bytes
+			f.Add(valid[:len(valid)-3], uint16(budget))                           // truncated payload
+			f.Add(valid, uint16(2))                                               // over the element budget
+		}
+	}
+	legacy := u32(4, 4)
+	for i := 0; i < 16; i++ {
+		legacy = binary.LittleEndian.AppendUint64(legacy, uint64(i)<<52)
+	}
+	f.Add(legacy, uint16(budget))
+	f.Add(append(legacy, 0xff), uint16(budget))
+	for _, hostile := range [][]byte{
+		{},
+		[]byte("LCF1"),
+		u32(0, 16),                  // zero extent
+		u32(0xffffffff, 0xffffffff), // 16-exabyte promise
+		append([]byte("LCF1"), u32(0xffffffff)...),          // rank bomb
+		append([]byte("LCF1"), u32(3, 1024, 1024, 1024)...), // overflow product
+		u32(100, 100), // truncated payload
+		append([]byte("LCF1"), u32(2|f32LaneFlag, 0, 8)...),           // zero extent, float32 lane
+		append([]byte("LCF1"), u32(200|f32LaneFlag)...),               // rank bomb behind the lane flag
+		append([]byte("LCF1"), u32(2|f32LaneFlag, 0xffff, 0xffff)...), // float32 header over the budget
+	} {
+		f.Add(hostile, uint16(budget))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
+		// A budget of at least one element: <= 0 would select the
+		// default cap, which lets ReadAnyLimit allocate gigabytes for a
+		// header whose payload is absent.
+		maxElements := int(limit)%(1<<14) + 1
+		wide, narrow, rerr := ReadAnyLimit(bytes.NewReader(data), maxElements)
+		tr, terr := NewTileReader(bytes.NewReader(data), int64(len(data)), maxElements)
+		if (rerr == nil) != (terr == nil) {
+			t.Fatalf("ReadAnyLimit error %v, NewTileReader error %v", rerr, terr)
+		}
+		if rerr != nil {
+			return
+		}
+		tw, tn, err := tr.ReadAll()
+		if err != nil {
+			t.Fatalf("ReadAll of an accepted payload: %v", err)
+		}
+		switch {
+		case wide != nil:
+			if tw == nil || !slices.Equal(tw.Shape, wide.Shape) {
+				t.Fatalf("float64 payload read as lane f64=%v f32=%v", tw != nil, tn != nil)
+			}
+			for i := range wide.Data {
+				if math.Float64bits(tw.Data[i]) != math.Float64bits(wide.Data[i]) {
+					t.Fatalf("f64 element %d: %x != %x", i, math.Float64bits(tw.Data[i]), math.Float64bits(wide.Data[i]))
+				}
+			}
+		case narrow != nil:
+			if tn == nil || !slices.Equal(tn.Shape, narrow.Shape) {
+				t.Fatalf("float32 payload read as lane f64=%v f32=%v", tw != nil, tn != nil)
+			}
+			for i := range narrow.Data {
+				if math.Float32bits(tn.Data[i]) != math.Float32bits(narrow.Data[i]) {
+					t.Fatalf("f32 element %d: %x != %x", i, math.Float32bits(tn.Data[i]), math.Float32bits(narrow.Data[i]))
+				}
+			}
+		default:
+			t.Fatal("ReadAnyLimit returned neither lane without error")
+		}
+	})
 }

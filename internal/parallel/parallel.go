@@ -1,22 +1,24 @@
 // Package parallel is the shared execution engine behind every
 // windowed statistic and batch measurement in lossycorr: a bounded
 // worker pool with chunked index scheduling and strictly deterministic
-// result ordering.
+// error reporting.
 //
 // The determinism contract is the important part. Callers hand in an
-// index space [0, n) and a pure-per-index function; the pool may run
-// indices in any order and on any goroutine, but results are always
-// collected (Map) or folded (MapReduce) in index order, and errors are
-// always reported for the lowest failing index (ForErr). Consequently a
-// computation that is deterministic per index is bit-identical at
-// Workers: 1 and Workers: N — the property the statistics layer's
-// seeded experiments rely on.
+// index space [0, n) and a pure-per-index function that writes its
+// result to per-index storage; the pool may run indices in any order
+// and on any goroutine, but the caller reads or folds that storage in
+// index order afterwards, and errors are always reported for the
+// lowest failing index (ForErr, ForErrCtx). Consequently a computation
+// that is deterministic per index is bit-identical at Workers: 1 and
+// Workers: N — the property the statistics layer's seeded experiments
+// rely on.
 //
 // Scheduling uses an atomic chunk counter rather than one channel send
 // per index: workers grab contiguous chunks of ~n/(workers·chunksPer)
 // indices, which keeps windows of a tiled field cache-adjacent and
 // makes the per-index overhead negligible even for sub-microsecond
-// bodies.
+// bodies. For and ForCtx share that scheduler; only a cancellable
+// ForCtx checks its context, once per chunk and once per index.
 //
 // Total concurrency is bounded globally, not per pool. Pools nest
 // (MeasureFieldSet fans fields out, each field's analysis fans statistics
@@ -119,52 +121,7 @@ func Resolve(workers, jobs int) int {
 // goroutine. Invocation order is unspecified; fn must write any
 // results to per-index storage.
 func For(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := Resolve(workers, n)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := n / (w * chunksPerWorker)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			end := int(next.Add(int64(chunk)))
-			start := end - chunk
-			if start >= n {
-				return
-			}
-			if end > n {
-				end = n
-			}
-			for i := start; i < end; i++ {
-				fn(i)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < w-1; g++ {
-		if !acquireToken() {
-			break // global budget exhausted: the caller still makes progress
-		}
-		wg.Add(1)
-		go func() {
-			defer func() {
-				releaseToken()
-				wg.Done()
-			}()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
+	run(n, workers, nil, fn)
 }
 
 // ForCtx is For with cooperative cancellation: the loop stops
@@ -183,34 +140,36 @@ func For(n, workers int, fn func(i int)) {
 // must treat the output as abandoned.
 //
 // A nil ctx, or one that can never be cancelled, takes the exact For
-// fast path — no per-index check, bit-identical scheduling.
+// path — no per-index check, bit-identical scheduling.
 func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	if n <= 0 {
-		return nil
-	}
-	if ctx == nil || ctx.Done() == nil {
+	if ctx == nil {
 		For(n, workers, fn)
 		return nil
 	}
-	done := ctx.Done()
+	run(n, workers, ctx.Done(), fn)
+	return ctx.Err()
+}
+
+// run is the one scheduler behind For and ForCtx: workers claim
+// contiguous chunks of [0, n) from an atomic counter, the caller among
+// them. A nil done never closes, so an uncancellable loop runs its
+// chunks without a per-index check; otherwise done is checked before
+// every chunk and every index.
+func run(n, workers int, done <-chan struct{}, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
 	w := Resolve(workers, n)
 	if w == 1 {
-		for i := 0; i < n; i++ {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-			fn(i)
-		}
-		return ctx.Err()
+		span(0, n, done, fn)
+		return
 	}
 	chunk := n / (w * chunksPerWorker)
 	if chunk < 1 {
 		chunk = 1
 	}
 	var next atomic.Int64
-	run := func() {
+	work := func() {
 		for {
 			select {
 			case <-done:
@@ -225,13 +184,8 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 			if end > n {
 				end = n
 			}
-			for i := start; i < end; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				fn(i)
+			if !span(start, end, done, fn) {
+				return
 			}
 		}
 	}
@@ -246,12 +200,31 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 				releaseToken()
 				wg.Done()
 			}()
-			run()
+			work()
 		}()
 	}
-	run()
+	work()
 	wg.Wait()
-	return ctx.Err()
+}
+
+// span runs fn over [start, end) in order, checking done before each
+// index when done is non-nil; it reports false once done has closed.
+func span(start, end int, done <-chan struct{}, fn func(i int)) bool {
+	if done == nil {
+		for i := start; i < end; i++ {
+			fn(i)
+		}
+		return true
+	}
+	for i := start; i < end; i++ {
+		select {
+		case <-done:
+			return false
+		default:
+		}
+		fn(i)
+	}
+	return true
 }
 
 // ForErrCtx is ForErr with cooperative cancellation. Cancellation
@@ -281,48 +254,5 @@ func ForErrCtx(ctx context.Context, n, workers int, fn func(i int) error) error 
 // keeps going); the returned error is the one from the lowest failing
 // index, so the outcome is deterministic regardless of scheduling.
 func ForErr(n, workers int, fn func(i int) error) error {
-	var mu sync.Mutex
-	lowest := n
-	var lowestErr error
-	For(n, workers, func(i int) {
-		if err := fn(i); err != nil {
-			mu.Lock()
-			if i < lowest {
-				lowest, lowestErr = i, err
-			}
-			mu.Unlock()
-		}
-	})
-	return lowestErr
-}
-
-// Map evaluates fn over [0, n) and returns the results in index order.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	For(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapReduce evaluates mapFn over [0, n) in parallel, then folds the
-// results serially in strict index order: acc = reduceFn(acc, v_0, 0),
-// then v_1, and so on. Because the fold order is fixed, floating-point
-// reductions are bit-identical for any worker count.
-func MapReduce[T, R any](n, workers int, mapFn func(i int) T, init R, reduceFn func(acc R, v T, i int) R) R {
-	vs := Map(n, workers, mapFn)
-	acc := init
-	for i, v := range vs {
-		acc = reduceFn(acc, v, i)
-	}
-	return acc
-}
-
-// Do runs a fixed set of heterogeneous tasks on the pool — the
-// orchestration-layer shape where a handful of independent statistics
-// are computed concurrently. With workers == 1 the tasks run serially
-// in argument order.
-func Do(workers int, fns ...func()) {
-	For(len(fns), workers, func(i int) { fns[i]() })
+	return ForErrCtx(nil, n, workers, fn)
 }

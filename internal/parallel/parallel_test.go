@@ -47,37 +47,6 @@ func TestForSerialRunsInOrder(t *testing.T) {
 	}
 }
 
-func TestMapPreservesIndexOrder(t *testing.T) {
-	for _, workers := range []int{1, 4, 32} {
-		out := Map(500, workers, func(i int) int { return i * i })
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: Map[%d] = %d want %d", workers, i, v, i*i)
-			}
-		}
-	}
-	if out := Map(0, 4, func(i int) int { return i }); out != nil {
-		t.Fatalf("Map over empty space = %v want nil", out)
-	}
-}
-
-func TestMapReduceDeterministicAcrossWorkerCounts(t *testing.T) {
-	// A float fold whose result depends on fold order: identical results
-	// across worker counts prove the fold happens in index order.
-	sum := func(workers int) float64 {
-		return MapReduce(1000, workers,
-			func(i int) float64 { return 1.0 / float64(i+1) },
-			0.0,
-			func(acc, v float64, _ int) float64 { return acc + v })
-	}
-	ref := sum(1)
-	for _, w := range []int{2, 5, 16} {
-		if got := sum(w); got != ref {
-			t.Fatalf("MapReduce not bit-identical: workers=%d got %v want %v", w, got, ref)
-		}
-	}
-}
-
 func TestForErrReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		err := ForErr(100, workers, func(i int) error {
@@ -110,44 +79,17 @@ func TestForErrRunsEveryIndexDespiteFailures(t *testing.T) {
 	}
 }
 
-func TestDoRunsAllTasks(t *testing.T) {
-	var a, b, c atomic.Bool
-	Do(4,
-		func() { a.Store(true) },
-		func() { b.Store(true) },
-		func() { c.Store(true) },
-	)
-	if !a.Load() || !b.Load() || !c.Load() {
-		t.Fatal("Do skipped a task")
-	}
-	Do(4) // no tasks: must not hang or panic
-}
-
-func TestDoSerialOrder(t *testing.T) {
-	var got []int
-	Do(1,
-		func() { got = append(got, 0) },
-		func() { got = append(got, 1) },
-		func() { got = append(got, 2) },
-	)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("Do(1) out of order: %v", got)
-		}
-	}
-}
-
 // TestStressConcurrentPools exercises many pools at once (the nested
 // shape core.Analyze produces) so `go test -race` can see cross-pool
 // interactions.
 func TestStressConcurrentPools(t *testing.T) {
 	var total atomic.Int64
 	For(8, 8, func(outer int) {
-		s := MapReduce(200, 4,
-			func(i int) int64 { return int64(i) },
-			int64(0),
-			func(acc, v int64, _ int) int64 { return acc + v })
-		total.Add(s)
+		vs := make([]int64, 200)
+		For(len(vs), 4, func(i int) { vs[i] = int64(i) })
+		for _, v := range vs {
+			total.Add(v)
+		}
 	})
 	want := int64(8 * 199 * 200 / 2)
 	if total.Load() != want {

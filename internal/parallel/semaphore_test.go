@@ -32,12 +32,15 @@ func TestNestedPoolsBounded(t *testing.T) {
 // runs serially or with every pool asking for maximum parallelism.
 func TestNestedPoolsResultsUnchanged(t *testing.T) {
 	compute := func(workers int) []float64 {
-		return Map(12, workers, func(outer int) float64 {
-			return MapReduce(300, workers,
-				func(i int) float64 { return 1.0 / float64(outer*300+i+1) },
-				0.0,
-				func(acc, v float64, _ int) float64 { return acc + v })
+		out := make([]float64, 12)
+		For(len(out), workers, func(outer int) {
+			vs := make([]float64, 300)
+			For(len(vs), workers, func(i int) { vs[i] = 1.0 / float64(outer*300+i+1) })
+			for _, v := range vs {
+				out[outer] += v
+			}
 		})
+		return out
 	}
 	ref := compute(1)
 	for _, w := range []int{2, 8, 64} {

@@ -120,72 +120,41 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) maxElements() int { return int(s.cfg.MaxBodyBytes / 8) }
 
-// uploadField is the lane-dispatched result of a field upload: exactly
-// one of the two lanes is set, per the wire format's element tag. Both
-// lanes flow through the same option validation and cache addressing
-// (the lane is part of the raw bytes, so the content address already
-// distinguishes them); the spec builders pick the pipeline.
-type uploadField struct {
-	wide   *field.Field
-	narrow *field.Field32
-}
-
-func (u uploadField) shape() []int {
-	if u.narrow != nil {
-		return u.narrow.Shape
-	}
-	return u.wide.Shape
-}
-
-func (u uploadField) ndim() int { return len(u.shape()) }
-
-func (u uploadField) minDim() int {
-	if u.narrow != nil {
-		return u.narrow.MinDim()
-	}
-	return u.wide.MinDim()
-}
-
-// elemBytes is the lane's element width — the factor the float32 lane
-// halves in every transform plane and pooled buffer.
-func (u uploadField) elemBytes() int64 {
-	if u.narrow != nil {
-		return 4
-	}
-	return 8
-}
-
 // spoolMemLimit is the largest upload kept wholly in memory while
-// spooling; bigger bodies spill to a temp file as they are hashed, so
-// the server never holds both the raw bytes and the parsed field.
+// spooling; bigger bodies spill to a temp file as they are hashed, and
+// a waiting job holds that file, not the parsed field.
 const spoolMemLimit = 1 << 20
 
-// fieldSource is a request's resolved field payload. digest is the
-// SHA-256 of the payload bytes — computed while the body spools, so
-// the content address never requires the whole payload in memory.
-// Exactly one representation is live: the parsed in-RAM lanes (u), or
-// a backing file path for out-of-core streaming.
+// fieldSource is a request's resolved field payload: every payload,
+// in RAM or on disk, on either lane, enters as a header-validated tile
+// reader. digest is the SHA-256 of the payload bytes, computed while
+// the body spools, so the content address never requires the parsed
+// field, and a cache hit never parses it.
 type fieldSource struct {
 	digest []byte
-	size   int64
-	u      uploadField
-	path   string // backing file for streaming ("" when parsed in RAM)
-	temp   bool   // path is a spooled temp file to delete after the run
+	tr     *field.TileReader
+	temp   string // spooled temp file to delete once tr is closed ("" for none)
+	stream bool   // over the stream budget: analyze out of core
 }
 
-func (src fieldSource) streaming() bool { return src.path != "" }
+// close releases the reader, then the spooled temp file, if any.
+func (src fieldSource) close() {
+	src.tr.Close()
+	if src.temp != "" {
+		os.Remove(src.temp)
+	}
+}
 
 // resolveField resolves the field of a request: the raw body (bounded
 // by MaxBodyBytes) or a ?dataset=name reference into the server's data
 // directory. With streamOK (an analyze request on a server with a
-// StreamBudget), payloads over the budget stay on disk — the spooled
-// temp file or the dataset file itself — for out-of-core analysis;
-// everything else parses in RAM, with the byte budget enforced before
-// the parse and the parse validating the header's shape before
-// allocating, so a hostile request cannot make the server reserve more
-// memory than the configured caps. (The element budget is derived from
-// the float64 width for both lanes, so the guarantee holds regardless
-// of which lane the header claims.)
+// StreamBudget), payloads over the budget are analyzed out of core —
+// from the spooled temp file or the dataset file itself. Every header
+// is validated before anything is allocated, against the element budget
+// and against the bytes behind it, so a hostile request cannot make the
+// server reserve more memory than the configured caps. (The element
+// budget is derived from the float64 width for both lanes, so the
+// guarantee holds regardless of which lane the header claims.)
 func (s *Server) resolveField(w http.ResponseWriter, r *http.Request, streamOK bool) (fieldSource, error) {
 	if name := r.URL.Query().Get("dataset"); name != "" {
 		return s.datasetSource(name, streamOK)
@@ -196,7 +165,7 @@ func (s *Server) resolveField(w http.ResponseWriter, r *http.Request, streamOK b
 // datasetSource resolves ?dataset=name. Streaming datasets are hashed
 // in place (one sequential read, no allocation) and may exceed
 // MaxBodyBytes — the whole point of out-of-core analysis; in-RAM use
-// keeps the cap.
+// keeps the cap and reads the very bytes it hashed.
 func (s *Server) datasetSource(name string, streamOK bool) (fieldSource, error) {
 	if s.cfg.DataDir == "" {
 		return fieldSource{}, apiErrorf(http.StatusNotFound, "no dataset directory configured")
@@ -224,20 +193,19 @@ func (s *Server) datasetSource(name string, streamOK bool) (fieldSource, error) 
 		if _, err := io.Copy(h, f); err != nil {
 			return fieldSource{}, apiErrorf(http.StatusInternalServerError, "hashing dataset %q: %v", name, err)
 		}
-		return fieldSource{digest: h.Sum(nil), size: st.Size(), path: p}, nil
+		return s.fileSource(h.Sum(nil), p, st.Size(), true)
 	}
 	raw, err := io.ReadAll(io.TeeReader(f, h))
 	if err != nil {
 		return fieldSource{}, apiErrorf(http.StatusInternalServerError, "reading dataset %q: %v", name, err)
 	}
-	return s.parseSource(fieldSource{digest: h.Sum(nil), size: int64(len(raw))}, raw)
+	return s.memSource(h.Sum(nil), raw)
 }
 
 // spoolBody drains the request body through the content hasher into a
 // memory buffer, spilling to a temp file past the spool limit (or past
 // the stream budget, so anything that will stream lands on disk). The
-// temp file of a non-streaming body is deleted as soon as the field is
-// parsed; a streaming body's spool lives until the spec's cleanup.
+// temp file lives until the spec's cleanup.
 func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request, streamOK bool) (fieldSource, error) {
 	badBody := func(err error) error {
 		var mbe *http.MaxBytesError
@@ -263,7 +231,7 @@ func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request, streamOK bool
 			return fieldSource{}, apiErrorf(http.StatusBadRequest,
 				"empty field payload: POST a binary field or pass ?dataset=name")
 		}
-		return s.parseSource(fieldSource{digest: h.Sum(nil), size: n}, buf.Bytes())
+		return s.memSource(h.Sum(nil), buf.Bytes())
 	}
 	tmp, err := os.CreateTemp("", "corrcompd-spool-*")
 	if err != nil {
@@ -283,28 +251,45 @@ func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request, streamOK bool
 		os.Remove(tmp.Name())
 		return fieldSource{}, apiErrorf(http.StatusInternalServerError, "spooling body: %v", err)
 	}
-	src := fieldSource{digest: h.Sum(nil), size: n + m, path: tmp.Name(), temp: true}
-	if streamOK && src.size > s.cfg.StreamBudget {
-		return src, nil
-	}
-	raw, err := os.ReadFile(src.path)
-	os.Remove(src.path)
-	src.path, src.temp = "", false
+	size := n + m
+	src, err := s.fileSource(h.Sum(nil), tmp.Name(), size, streamOK && size > s.cfg.StreamBudget)
 	if err != nil {
-		return fieldSource{}, apiErrorf(http.StatusInternalServerError, "reading spooled body: %v", err)
+		os.Remove(tmp.Name())
+		return fieldSource{}, err
 	}
-	return s.parseSource(src, raw)
+	src.temp = tmp.Name()
+	return src, nil
 }
 
-// parseSource finishes an in-RAM source: the payload parses onto its
-// stored lane and the raw bytes are dropped.
-func (s *Server) parseSource(src fieldSource, raw []byte) (fieldSource, error) {
-	wide, narrow, err := field.ReadAnyLimit(bytes.NewReader(raw), s.maxElements())
+func badPayload(err error) error {
+	return apiErrorf(http.StatusBadRequest, "bad field payload: %v", err)
+}
+
+// memSource reads an in-RAM payload in place: the reader serves the
+// hashed bytes themselves.
+func (s *Server) memSource(digest, raw []byte) (fieldSource, error) {
+	tr, err := field.NewTileReader(bytes.NewReader(raw), int64(len(raw)), s.maxElements())
 	if err != nil {
-		return fieldSource{}, apiErrorf(http.StatusBadRequest, "bad field payload: %v", err)
+		return fieldSource{}, badPayload(err)
 	}
-	src.u = uploadField{wide: wide, narrow: narrow}
-	return src, nil
+	return fieldSource{digest: digest, tr: tr}, nil
+}
+
+// fileSource maps a spooled body or a dataset file. A payload that
+// streams may hold more elements than MaxBodyBytes allows, so its
+// element budget only guards header arithmetic: the reader rejects any
+// header claiming more bytes than the file holds, so the file's own
+// size is the real bound.
+func (s *Server) fileSource(digest []byte, path string, size int64, stream bool) (fieldSource, error) {
+	limit := s.maxElements()
+	if stream {
+		limit = int(size/4) + 16
+	}
+	tr, err := field.OpenTileReaderMapped(path, limit)
+	if err != nil {
+		return fieldSource{}, badPayload(err)
+	}
+	return fieldSource{digest: digest, tr: tr, stream: stream}, nil
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
@@ -477,30 +462,25 @@ func validateMaxLag(maxLag, minDim int) error {
 }
 
 // predictedPeakBytes estimates the transform working set of one
-// pipeline run on u before it is admitted: with vfft it is the FFT
-// exact engine's variogram.FFTPeakBytes at the lane's width — one
-// padded real plane of Π_k FastLen(dim_k + L) elements plus the larger
-// of its half-spectrum and the float64 summed-area table. Without the
-// FFT engine the working set is the windowed extraction's, bounded by
-// the field itself — which the body cap already limits — so the
-// prediction degenerates to the field bytes.
-func predictedPeakBytes(u uploadField, p analysisParams) int64 {
-	dims := u.shape()
+// pipeline run on the field behind tr before it is admitted: with vfft
+// it is the FFT exact engine's variogram.FFTPeakBytes at the lane's
+// width — one padded real plane of Π_k FastLen(dim_k + L) elements
+// plus the larger of its half-spectrum and the float64 summed-area
+// table. Without the FFT engine the working set is the windowed
+// extraction's, bounded by the field itself — which the body cap
+// already limits — so the prediction degenerates to the field bytes.
+func predictedPeakBytes(tr *field.TileReader, p analysisParams) int64 {
+	if !p.vfft {
+		return tr.PayloadBytes()
+	}
 	lag := p.maxLag
 	if lag == 0 {
 		// The engine's substitute for maxlag=0: half the smallest extent.
-		if lag = u.minDim() / 2; lag < 1 {
+		if lag = tr.MinDim() / 2; lag < 1 {
 			lag = 1
 		}
 	}
-	if !p.vfft {
-		total := u.elemBytes()
-		for _, d := range dims {
-			total *= int64(d)
-		}
-		return total
-	}
-	return variogram.FFTPeakBytes(dims, lag, int(u.elemBytes()))
+	return variogram.FFTPeakBytes(tr.Shape(), lag, tr.ElemBytes())
 }
 
 func (p analysisParams) canon() string {
@@ -702,57 +682,70 @@ func (s *Server) buildStatPredictSpec(q url.Values) (runSpec, error) {
 	}, nil
 }
 
-// buildSpec validates a request completely — options, field payload,
+// buildSpec validates a request completely — options, field header,
 // codec names — before any pipeline work, so every 4xx happens at
 // submit time and an admitted job can only fail on compute errors.
+// The spec's cleanup owns the field source: it closes the reader and
+// removes any spooled temp file once the spec can never run again.
 func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) (runSpec, error) {
-	if kind == "predict" && r.URL.Query().Get("stat") != "" {
+	q := r.URL.Query()
+	if kind == "predict" && q.Get("stat") != "" {
 		// Stats-only prediction: no field payload to resolve — the body,
 		// if any, is ignored.
-		return s.buildStatPredictSpec(r.URL.Query())
+		return s.buildStatPredictSpec(q)
 	}
-	streamOK := kind == "analyze" && s.cfg.StreamBudget > 0
-	src, err := s.resolveField(w, r, streamOK)
+	src, err := s.resolveField(w, r, kind == "analyze" && s.cfg.StreamBudget > 0)
 	if err != nil {
 		return runSpec{}, err
 	}
-	q := r.URL.Query()
+	spec, err := s.fieldSpec(kind, src, q)
+	if err != nil {
+		src.close()
+		return runSpec{}, err
+	}
+	spec.cleanup = src.close
+	return spec, nil
+}
+
+// fieldSpec builds every field-backed kind from the source's reader.
+// A payload over the stream budget is analyzed out of core: the
+// pipeline streams budget-sized tiles with the transform pool capped
+// at Config.StreamBudget, and admission charges the budget itself. The
+// windowed statistics are bit-identical to the in-RAM pipeline; the
+// spectral global variogram is tolerance-equivalent (exact pair
+// counts), so the stream budget joins the canonical option string to
+// keep streamed and slurped spectral results at distinct content
+// addresses. Every other payload is read whole on its stored lane when
+// the run starts, so a float32 upload keeps its half-bandwidth pipeline
+// end to end.
+func (s *Server) fieldSpec(kind string, src fieldSource, q url.Values) (runSpec, error) {
 	p, err := parseAnalysisParams(q)
 	if err != nil {
-		if src.temp {
-			os.Remove(src.path)
-		}
 		return runSpec{}, err
 	}
-	if src.streaming() {
-		return s.buildStreamSpec(src, p)
-	}
-	u := src.u
-	if err := validateMaxLag(p.maxLag, u.minDim()); err != nil {
+	tr := src.tr
+	if err := validateMaxLag(p.maxLag, tr.MinDim()); err != nil {
 		return runSpec{}, err
 	}
 	workers := s.cfg.Workers
-	shape := u.shape()
-
-	// analyzeLane runs the analysis stage of any kind on the upload's
-	// own lane: float32 uploads keep their half-bandwidth pipeline end
-	// to end instead of being silently widened at the door.
-	analyzeLane := func(ctx context.Context, aOpts core.AnalysisOptions) (core.Statistics, error) {
-		if u.narrow != nil {
-			return core.AnalyzeFieldCtx(ctx, u.narrow, aOpts)
-		}
-		return core.AnalyzeFieldCtx(ctx, u.wide, aOpts)
-	}
+	shape := tr.Shape()
+	peak := predictedPeakBytes(tr, p)
 
 	switch kind {
 	case "analyze":
 		aOpts := p.options(workers)
+		canon := p.canon()
+		if src.stream {
+			aOpts.MemBudget = s.cfg.StreamBudget
+			canon += "|stream=" + strconv.FormatInt(s.cfg.StreamBudget, 10)
+			peak = s.cfg.StreamBudget
+		}
 		return runSpec{
 			kind:      kind,
-			key:       cacheKey(kind, p.canon(), src.digest),
-			peakBytes: predictedPeakBytes(u, p),
+			key:       cacheKey(kind, canon, src.digest),
+			peakBytes: peak,
 			run: func(ctx context.Context) (any, error) {
-				stats, err := analyzeLane(ctx, aOpts)
+				stats, err := core.AnalyzeReaderCtx(ctx, tr, aOpts)
 				if err != nil {
 					return nil, err
 				}
@@ -768,7 +761,7 @@ func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) 
 		codec := q.Get("codec")
 		reg := core.DefaultRegistry()
 		if codec != "" {
-			c, err := reg.GetFor(codec, u.ndim())
+			c, err := reg.GetFor(codec, tr.NDim())
 			if err != nil {
 				return runSpec{}, apiErrorf(http.StatusBadRequest, "%v", err)
 			}
@@ -783,14 +776,17 @@ func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) 
 		return runSpec{
 			kind:      kind,
 			key:       cacheKey(kind, canon, src.digest),
-			peakBytes: predictedPeakBytes(u, p),
+			peakBytes: peak,
 			run: func(ctx context.Context) (any, error) {
+				wide, narrow, err := tr.ReadAll()
+				if err != nil {
+					return nil, err
+				}
 				var ms []core.Measurement
-				var err error
-				if u.narrow != nil {
-					ms, err = core.MeasureFieldSetCtx(ctx, "request", []*field.Field32{u.narrow}, nil, reg, mOpts)
+				if narrow != nil {
+					ms, err = core.MeasureFieldSetCtx(ctx, "request", []*field.Field32{narrow}, nil, reg, mOpts)
 				} else {
-					ms, err = core.MeasureFieldSetCtx(ctx, "request", []*field.Field{u.wide}, nil, reg, mOpts)
+					ms, err = core.MeasureFieldSetCtx(ctx, "request", []*field.Field{wide}, nil, reg, mOpts)
 				}
 				if err != nil {
 					return nil, err
@@ -800,7 +796,7 @@ func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) 
 		}, nil
 
 	case "predict":
-		rank := u.ndim()
+		rank := tr.NDim()
 		if rank != 2 && rank != 3 {
 			return runSpec{}, apiErrorf(http.StatusBadRequest,
 				"prediction supports rank 2 and 3 fields, got rank %d", rank)
@@ -820,13 +816,13 @@ func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) 
 		return runSpec{
 			kind:      kind,
 			key:       cacheKey(kind, canon, src.digest),
-			peakBytes: predictedPeakBytes(u, p),
+			peakBytes: peak,
 			run: func(ctx context.Context) (any, error) {
 				pred, modelKey, err := s.predictor(ctx, rank, eb)
 				if err != nil {
 					return nil, err
 				}
-				stats, err := analyzeLane(ctx, aOpts)
+				stats, err := core.AnalyzeReaderCtx(ctx, tr, aOpts)
 				if err != nil {
 					return nil, err
 				}
@@ -840,57 +836,6 @@ func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) 
 		}, nil
 	}
 	return runSpec{}, apiErrorf(http.StatusNotFound, "unknown job kind %q (want analyze, measure, or predict)", kind)
-}
-
-// buildStreamSpec builds the out-of-core analyze spec: the field stays
-// on disk behind a tile reader and the pipeline streams budget-sized
-// tiles, with the transform pool capped at Config.StreamBudget. The
-// windowed statistics are bit-identical to the in-RAM pipeline; the
-// spectral global variogram is tolerance-equivalent (exact pair
-// counts), so the stream budget joins the canonical option string to
-// keep streamed and slurped spectral results at distinct content
-// addresses. Admission charges the budget itself — the streaming
-// pipeline's transform peak is bounded by it.
-func (s *Server) buildStreamSpec(src fieldSource, p analysisParams) (runSpec, error) {
-	dropTemp := func() {
-		if src.temp {
-			os.Remove(src.path)
-		}
-	}
-	// The element budget only guards header arithmetic here: the reader
-	// rejects any header claiming more bytes than the file holds, so the
-	// file's own size is the real bound.
-	tr, err := field.OpenTileReaderMapped(src.path, int(src.size/4)+16)
-	if err != nil {
-		dropTemp()
-		return runSpec{}, apiErrorf(http.StatusBadRequest, "bad field payload: %v", err)
-	}
-	if err := validateMaxLag(p.maxLag, tr.MinDim()); err != nil {
-		tr.Close()
-		dropTemp()
-		return runSpec{}, err
-	}
-	budget := s.cfg.StreamBudget
-	aOpts := p.options(s.cfg.Workers)
-	aOpts.MemBudget = budget
-	shape := tr.Shape()
-	canon := p.canon() + "|stream=" + strconv.FormatInt(budget, 10)
-	return runSpec{
-		kind:      "analyze",
-		key:       cacheKey("analyze", canon, src.digest),
-		peakBytes: budget,
-		cleanup: func() {
-			tr.Close()
-			dropTemp()
-		},
-		run: func(ctx context.Context) (any, error) {
-			stats, err := core.AnalyzeReaderCtx(ctx, tr, aOpts)
-			if err != nil {
-				return nil, err
-			}
-			return analyzeResult{Shape: shape, Stats: stats}, nil
-		},
-	}, nil
 }
 
 // ---- predictor training ------------------------------------------

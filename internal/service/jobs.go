@@ -226,9 +226,10 @@ func (s *Server) runJob(j *job) {
 	defer j.mu.Unlock()
 	j.cancel() // release the context's resources either way
 	// Drop the spec once the run is over: its closure captures the
-	// fully parsed field (up to MaxBodyBytes of float64s), and with
-	// RetainedJobs finished jobs kept around for polling, holding every
-	// spec would pin gigabytes of field data nobody can ever use again.
+	// field's reader (up to MaxBodyBytes of payload bytes for an in-RAM
+	// dataset), and with RetainedJobs finished jobs kept around for
+	// polling, holding every spec would pin field data nobody can ever
+	// use again.
 	// Only the kind survives, for the status endpoint.
 	j.spec = runSpec{kind: j.spec.kind}
 	j.info.FinishedAt = now

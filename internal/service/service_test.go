@@ -613,9 +613,10 @@ func TestMaxLagBoundedByFieldShape(t *testing.T) {
 }
 
 // TestFinishedJobReleasesSpec pins the retention fix: once a job
-// reaches a terminal state its spec closure — which captures the fully
-// parsed field — must be dropped, or RetainedJobs finished jobs would
-// pin up to RetainedJobs×MaxBodyBytes of dead field data.
+// reaches a terminal state its spec closure — which captures the
+// field's reader and the payload bytes behind it — must be dropped, or
+// RetainedJobs finished jobs would pin up to RetainedJobs×MaxBodyBytes
+// of dead field data.
 func TestFinishedJobReleasesSpec(t *testing.T) {
 	s, hs := testServer(t, Config{})
 	code, data := postBin(t, hs.URL+"/v1/jobs/analyze", gaussBody(t, 32, 4, 22))
@@ -637,7 +638,7 @@ func TestFinishedJobReleasesSpec(t *testing.T) {
 	run, kind := j.spec.run, j.spec.kind
 	j.mu.Unlock()
 	if run != nil {
-		t.Fatal("finished job still holds its spec closure (pins the parsed field)")
+		t.Fatal("finished job still holds its spec closure (pins the field payload)")
 	}
 	if kind != "analyze" {
 		t.Fatalf("spec kind lost on release: %q", kind)

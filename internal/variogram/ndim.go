@@ -290,7 +290,7 @@ func sampledScanAt(ctx context.Context, at func(int) float64, shape []int, o Opt
 	cnt := make([]int64, o.MaxLag+1)
 	if err := drawPairs(ctx, shape, o, func(bin, i, j int, _ []int) error {
 		d := at(i) - at(j)
-		sum[bin] += d * d
+		sum[bin] += float64(d * d)
 		cnt[bin]++
 		return nil
 	}); err != nil {

@@ -186,7 +186,7 @@ func gatherPlan[T field.Elem](ctx context.Context, p *pairPlan, data []T) (*Empi
 		for _, c := range codes {
 			i := int(c >> p.shift)
 			d := float64(data[i]) - float64(data[i+int(ds[c&mask])])
-			s += d * d
+			s += float64(d * d)
 		}
 		sum[b], cnt[b] = s, int64(len(codes))
 	}

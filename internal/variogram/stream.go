@@ -377,7 +377,7 @@ func (s *spanScan[V]) step(pb *pairBatch) {
 			vj := float64(slots[int(cur[j>>sh])])
 			cur[j>>sh]++
 			d := vi - vj
-			sum[bins[k]] += d * d
+			sum[bins[k]] += float64(d * d)
 			cnt[bins[k]]++
 		}
 	}
