@@ -22,8 +22,8 @@ import (
 
 // inRAMBytes estimates the working set of an in-RAM analysis of the
 // reader's field: the stored lane itself, plus the full-field spectral
-// engine's transform working set (variogram.FFTPeakBytes on the stored
-// lane) when the FFT variogram is on.
+// engine's transform working set (variogram.FFTPeakBytes, the same on
+// either lane) when the FFT variogram is on.
 func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
 	est := int64(tr.Len()) * int64(tr.ElemBytes())
 	if o.VariogramFFT {
@@ -34,7 +34,7 @@ func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
 				lag = 1
 			}
 		}
-		est += variogram.FFTPeakBytes(tr.Shape(), lag, tr.ElemBytes())
+		est += variogram.FFTPeakBytes(tr.Shape(), lag)
 	}
 	return est
 }

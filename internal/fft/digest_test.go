@@ -1,12 +1,12 @@
 package fft_test
 
-// Lane bit digests: SHA-256 over the output bits of both lanes' real
-// transforms, the complex ND transforms, and the Gaussian samplers that
-// run on them. The constants were recorded before the float32 lane's
-// hand-written mirror was folded into the generic core, so they pin
-// that the single implementation reproduces both lanes bit for bit.
-// Never regenerate them to make a change pass: a differing digest means
-// the transform arithmetic changed.
+// Bit digests: SHA-256 over the output bits of the real transforms, the
+// complex ND transforms, and the Gaussian samplers that run on them.
+// The constants were recorded before the transforms lost their float32
+// lane and, before that, its hand-written mirror, so they pin that the
+// one float64 implementation reproduces its historical bits. Never
+// regenerate them to make a change pass: a differing digest means the
+// transform arithmetic changed.
 
 import (
 	"crypto/sha256"
@@ -27,7 +27,6 @@ var digestShapes = [][]int{{13}, {7, 11}, {12, 10}, {5, 7, 13}, {130, 126}, {34,
 
 const (
 	digestRealF64  = "e588270d72412c8b141835da13ea5a4613871daf874e47fbdc39eb5074bda952"
-	digestRealF32  = "2e0c5ff678d9f5c8d10cfd8b19427c3a0abfdaa0c39a406dd995a434525c3f63"
 	digestComplex  = "1798a54622fc80f8c02a9f058c6e4c98d46728a2e6a34372981e0ba1e6a66fca"
 	digestGaussian = "63e76af5422ed917fa38f31977fec49237054c2d7c88cdf2eab7d1f419393ef0"
 )
@@ -40,49 +39,38 @@ func product(dims []int) int {
 	return n
 }
 
-func hashFloats[F fft.Float](h hash.Hash, xs []F) {
+func hashFloats(h hash.Hash, xs []float64) {
 	var b [8]byte
 	for _, v := range xs {
-		switch v := any(v).(type) {
-		case float32:
-			binary.LittleEndian.PutUint32(b[:4], math.Float32bits(v))
-			h.Write(b[:4])
-		case float64:
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
 	}
 }
 
-func hashComplex[C fft.Complex](h hash.Hash, xs []C) {
+func hashComplex(h hash.Hash, xs []complex128) {
 	for _, v := range xs {
-		switch v := any(v).(type) {
-		case complex64:
-			hashFloats(h, []float32{real(v), imag(v)})
-		case complex128:
-			hashFloats(h, []float64{real(v), imag(v)})
-		}
+		hashFloats(h, []float64{real(v), imag(v)})
 	}
 }
 
-// digestReal hashes one lane's forward → |·|² → inverse chain.
-func digestReal[F fft.Float, C fft.Complex](t *testing.T, workers int) string {
+// digestReal hashes the forward → |·|² → inverse chain.
+func digestReal(t *testing.T, workers int) string {
 	t.Helper()
 	h := sha256.New()
 	for s, dims := range digestShapes {
 		rng := xrand.New(uint64(100 + s))
-		src := make([]F, product(dims))
+		src := make([]float64, product(dims))
 		for i := range src {
-			src[i] = F(rng.NormFloat64())
+			src[i] = rng.NormFloat64()
 		}
-		spec := make([]C, fft.HalfLen(dims))
+		spec := make([]complex128, fft.HalfLen(dims))
 		if err := fft.ForwardRealND(src, dims, spec, workers); err != nil {
 			t.Fatalf("dims %v: %v", dims, err)
 		}
 		hashComplex(h, spec)
-		fft.AbsSq[F](spec)
+		fft.AbsSq(spec)
 		hashComplex(h, spec)
-		out := make([]F, len(src))
+		out := make([]float64, len(src))
 		if err := fft.InverseRealND(spec, dims, out, workers); err != nil {
 			t.Fatalf("dims %v: %v", dims, err)
 		}
@@ -146,8 +134,7 @@ func TestLaneBitDigest(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		check("real f64", digestReal[float64, complex128](t, workers), digestRealF64)
-		check("real f32", digestReal[float32, complex64](t, workers), digestRealF32)
+		check("real f64", digestReal(t, workers), digestRealF64)
 		check("complex ND", digestComplexND(t, workers), digestComplex)
 	}
 	check("gaussian", digestGaussianFields(t), digestGaussian)

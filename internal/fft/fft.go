@@ -9,34 +9,20 @@
 // additionally transform in half-spectrum form (realnd.go), halving the
 // storage of every hermitian workload.
 //
-// The code is written once, generic over the element lane: C is
-// complex64 or complex128, F the matching float32 or float64. Every
-// twiddle table, chirp and unpack factor is computed in float64 and
-// narrowed once when its plan is built, so a float32-lane table entry
-// carries only its representation error, never an accumulated sin/cos
-// drift. Go's real/imag/complex builtins do not accept type-parameter
-// operands, so parts are read through an exact widening to complex128
-// (conj, re, im below). On the complex64 lane that is a widen, negate
-// and narrow per conjugate, too much for the innermost loop, so every
-// table is stored as a forward/conjugate pair (twiddle): an inverse
-// pass reads the conjugate table and no butterfly conjugates anything.
-// Plans are cached per (length, element size).
+// There is one precision: spectra are complex128 and real planes
+// float64. A float32 field is widened into a float64 plane by its
+// caller; Go computes every single-precision complex product in float64
+// anyway, so a narrow lane would only add rounding and time. Plans are
+// cached per length.
 package fft
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
 
 	"lossycorr/internal/parallel"
 )
-
-// Float is a real element lane.
-type Float interface{ float32 | float64 }
-
-// Complex is a spectrum element lane.
-type Complex interface{ complex64 | complex128 }
 
 // NextPow2 returns the smallest power of two >= n (and 1 for n <= 1).
 func NextPow2(n int) int {
@@ -49,32 +35,26 @@ func NextPow2(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// conj returns the complex conjugate of v; the widening is exact.
-func conj[C Complex](v C) C { return C(cmplx.Conj(complex128(v))) }
-
-// re and im return the parts of v in the lane's float type, exactly.
-func re[F Float, C Complex](v C) F { return F(real(complex128(v))) }
-func im[F Float, C Complex](v C) F { return F(imag(complex128(v))) }
-
-// cplx builds a lane complex from lane floats, exactly.
-func cplx[C Complex, F Float](r, i F) C { return C(complex(float64(r), float64(i))) }
-
 // twiddle is a table of roots of unity exp(-2πik/n) for k in [0, count)
 // beside its conjugate: forward passes read fwd, inverse passes inv.
-type twiddle[C Complex] struct{ fwd, inv []C }
+// Storing the conjugate costs one more table per plan and keeps the
+// conjugation out of the butterflies: an inverse pass runs the same
+// complex128 multiply-adds as a forward one, with no per-product
+// negation of the twiddle's imaginary part in the innermost loop.
+type twiddle struct{ fwd, inv []complex128 }
 
-func newTwiddle[C Complex](n, count int) twiddle[C] {
-	t := twiddle[C]{make([]C, count), make([]C, count)}
+func newTwiddle(n, count int) twiddle {
+	t := twiddle{make([]complex128, count), make([]complex128, count)}
 	for k := range count {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		t.fwd[k] = C(complex(c, s))
-		t.inv[k] = C(complex(c, -s))
+		t.fwd[k] = complex(c, s)
+		t.inv[k] = complex(c, -s)
 	}
 	return t
 }
 
 // dir returns the table for one transform direction.
-func (t twiddle[C]) dir(inverse bool) []C {
+func (t twiddle) dir(inverse bool) []complex128 {
 	if inverse {
 		return t.inv
 	}
@@ -85,7 +65,7 @@ func (t twiddle[C]) dir(inverse bool) []C {
 // twiddle table (len(w) == len(x)/2; the conjugate table for an
 // inverse). Factoring the table out lets an axis pass of an ND
 // transform share one table across all of its lines.
-func transformTw[C Complex](x, w []C) {
+func transformTw(x, w []complex128) {
 	n := len(x)
 	// bit-reversal permutation
 	j := 0
@@ -133,7 +113,7 @@ func revInc(j, n int) int {
 // sums, in the same order, as in one pass per stage: the first
 // stage's twiddle is w[2t] for t = k·n/4h, the second stage's w[t] and
 // w[t+n/4], read from the same table.
-func butterflies[C Complex](x, w []C, h int) {
+func butterflies(x, w []complex128, h int) {
 	n := len(x)
 	q := n / 4
 	for ; 4*h <= n; h *= 4 {
@@ -166,24 +146,24 @@ func butterflies[C Complex](x, w []C, h int) {
 // independent lines on the shared worker pool (workers <= 0 means
 // GOMAXPROCS); line transforms write disjoint regions, so the result is
 // bit-identical at any worker count.
-func ForwardND[C Complex](x []C, dims []int, workers int) error {
+func ForwardND(x []complex128, dims []int, workers int) error {
 	return transformND(x, dims, workers, false)
 }
 
 // InverseND computes the normalized in-place inverse ND DFT so that
 // InverseND(ForwardND(x)) == x.
-func InverseND[C Complex](x []C, dims []int, workers int) error {
+func InverseND(x []complex128, dims []int, workers int) error {
 	if err := transformND(x, dims, workers, true); err != nil {
 		return err
 	}
-	inv := C(complex(1/float64(len(x)), 0))
+	inv := complex(1/float64(len(x)), 0)
 	for i := range x {
 		x[i] *= inv
 	}
 	return nil
 }
 
-func transformND[C Complex](x []C, dims []int, workers int, inverse bool) error {
+func transformND(x []complex128, dims []int, workers int, inverse bool) error {
 	n, err := product(dims)
 	if err != nil {
 		return err
@@ -212,15 +192,15 @@ func product(dims []int) (int, error) {
 
 // axisPass transforms every line of x along the given axis. The plan
 // (twiddle tables, factorization, chirp filter) is cached per length
-// and lane and shared (read-only) by all lines. Lines along the last axis are
+// and shared (read-only) by all lines. Lines along the last axis are
 // contiguous and transform in place; other axes gather each strided
 // line into a per-span scratch.
-func axisPass[C Complex](x []C, dims []int, axis, workers int, inverse bool) {
+func axisPass(x []complex128, dims []int, axis, workers int, inverse bool) {
 	d := dims[axis]
 	if d <= 1 {
 		return
 	}
-	p := planFor[C](d)
+	p := planFor(d)
 	stride := 1
 	for k := axis + 1; k < len(dims); k++ {
 		stride *= dims[k]
@@ -234,7 +214,7 @@ func axisPass[C Complex](x []C, dims []int, axis, workers int, inverse bool) {
 	}
 	// Strided lines: line (o, i) starts at o*d*stride + i, elements
 	// stride apart.
-	forLineSpans(lines, workers, d, func(scratch []C, line int) {
+	forLineSpans(lines, workers, d, func(scratch []complex128, line int) {
 		o, i := line/stride, line%stride
 		base := o*d*stride + i
 		for k := 0; k < d; k++ {
@@ -253,7 +233,7 @@ func axisPass[C Complex](x []C, dims []int, axis, workers int, inverse bool) {
 // strided axis pass and last-axis real<->complex pass. Per-line work is
 // independent and span boundaries don't affect arithmetic, so results
 // are bit-identical at any worker count.
-func forLineSpans[C Complex](lines, workers, scratchLen int, fn func(y []C, line int)) {
+func forLineSpans(lines, workers, scratchLen int, fn func(y []complex128, line int)) {
 	spans := parallel.Resolve(workers, lines)
 	per := (lines + spans - 1) / spans
 	parallel.For(spans, spans, func(s int) {
@@ -261,7 +241,7 @@ func forLineSpans[C Complex](lines, workers, scratchLen int, fn func(y []C, line
 		if lo >= hi {
 			return
 		}
-		y := Acquire[C](scratchLen)
+		y := Acquire[complex128](scratchLen)
 		defer Release(y)
 		for line := lo; line < hi; line++ {
 			fn(y, line)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/cmplx"
 	"testing"
 
 	"lossycorr/internal/xrand"
@@ -19,7 +20,7 @@ import (
 
 // transformTwRef is the reference radix-2 core: a bits.Reverse64
 // permutation, then one pass per radix-2 stage.
-func transformTwRef[C Complex](x, w []C) {
+func transformTwRef(x, w []complex128) {
 	n := len(x)
 	// bit-reversal permutation
 	shift := 64 - uint(bits.Len(uint(n-1)))
@@ -46,7 +47,7 @@ func transformTwRef[C Complex](x, w []C) {
 // mixedRecRef is the reference mixed-radix recursion: a plain leaf
 // gather before transformTwRef, and radix-r roots read from the full
 // table per term.
-func (p *linePlan[C]) mixedRecRef(dst, src []C, n, stride, mult int, factors []int, w, pw []C) {
+func (p *linePlan) mixedRecRef(dst, src []complex128, n, stride, mult int, factors []int, w, pw []complex128) {
 	if len(factors) == 0 {
 		for j := 0; j < n; j++ {
 			dst[j] = src[j*stride]
@@ -64,7 +65,7 @@ func (p *linePlan[C]) mixedRecRef(dst, src []C, n, stride, mult int, factors []i
 	// Combine: for each residue k2, an r-point DFT of the twiddled
 	// sub-spectra u_{j2} = S_{j2}[k2]·w_n^{j2·k2} lands in the slots
 	// k2 + m·k1.
-	var u [8]C
+	var u [8]complex128
 	rs := p.n / r
 	for k2 := 0; k2 < m; k2++ {
 		for j2 := 0; j2 < r; j2++ {
@@ -83,18 +84,18 @@ func (p *linePlan[C]) mixedRecRef(dst, src []C, n, stride, mult int, factors []i
 // transformRef is linePlan.transform on the reference kernels. The
 // Bluestein branch rebuilds its filter spectrum with transformTwRef, so
 // nothing the current kernel computed reaches the reference.
-func (p *linePlan[C]) transformRef(x []C, inverse bool) {
+func (p *linePlan) transformRef(x []complex128, inverse bool) {
 	switch p.kind {
 	case planPow2:
 		transformTwRef(x, p.w.dir(inverse))
 	case planMixed:
-		scratch := append([]C(nil), x...)
+		scratch := append([]complex128(nil), x...)
 		p.mixedRecRef(x, scratch, p.n, 1, 1, p.factors, p.w.dir(inverse), p.pw.dir(inverse))
 	default:
 		n, m := p.n, p.m
-		b := make([]C, m)
+		b := make([]complex128, m)
 		for j := 0; j < n; j++ {
-			v := conj(p.chirp[j])
+			v := cmplx.Conj(p.chirp[j])
 			b[j] = v
 			if j > 0 {
 				b[m-j] = v
@@ -103,10 +104,10 @@ func (p *linePlan[C]) transformRef(x []C, inverse bool) {
 		transformTwRef(b, p.wm.fwd)
 		if inverse {
 			for i, v := range x {
-				x[i] = conj(v)
+				x[i] = cmplx.Conj(v)
 			}
 		}
-		u := make([]C, m)
+		u := make([]complex128, m)
 		for j := 0; j < n; j++ {
 			u[j] = x[j] * p.chirp[j]
 		}
@@ -115,13 +116,13 @@ func (p *linePlan[C]) transformRef(x []C, inverse bool) {
 			u[i] *= b[i]
 		}
 		transformTwRef(u, p.wm.inv)
-		s := C(complex(1/float64(m), 0))
+		s := complex(1/float64(m), 0)
 		for k := 0; k < n; k++ {
 			x[k] = p.chirp[k] * u[k] * s
 		}
 		if inverse {
 			for i, v := range x {
-				x[i] = conj(v)
+				x[i] = cmplx.Conj(v)
 			}
 		}
 	}
@@ -151,10 +152,10 @@ func kernelRefLengths() []int {
 }
 
 // sameBits returns the first index where a and b differ in any bit,
-// or -1. The widening to complex128 is exact.
-func sameBits[C Complex](a, b []C) int {
+// or -1.
+func sameBits(a, b []complex128) int {
 	for i := range a {
-		x, y := complex128(a[i]), complex128(b[i])
+		x, y := a[i], b[i]
 		if math.Float64bits(real(x)) != math.Float64bits(real(y)) || math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
 			return i
 		}
@@ -163,20 +164,18 @@ func sameBits[C Complex](a, b []C) int {
 }
 
 // TestKernelMatchesReference pins the line kernel against the
-// reference kernels bit for bit: every listed length, both lanes, both
-// directions.
+// reference kernels bit for bit: every listed length, both directions.
 func TestKernelMatchesReference(t *testing.T) {
-	t.Run("c128", func(t *testing.T) { checkKernelRef[complex128](t) })
-	t.Run("c64", func(t *testing.T) { checkKernelRef[complex64](t) })
+	t.Run("c128", checkKernelRef)
 }
 
-func checkKernelRef[C Complex](t *testing.T) {
+func checkKernelRef(t *testing.T) {
 	for _, n := range kernelRefLengths() {
-		p := planFor[C](n)
+		p := planFor(n)
 		if p.kind == planBluestein {
-			b := make([]C, p.m)
+			b := make([]complex128, p.m)
 			for j := 0; j < n; j++ {
-				v := conj(p.chirp[j])
+				v := cmplx.Conj(p.chirp[j])
 				b[j] = v
 				if j > 0 {
 					b[p.m-j] = v
@@ -188,14 +187,14 @@ func checkKernelRef[C Complex](t *testing.T) {
 			}
 		}
 		rng := xrand.New(uint64(n))
-		x := make([]C, n)
+		x := make([]complex128, n)
 		for i := range x {
-			x[i] = C(complex(rng.NormFloat64(), rng.NormFloat64()))
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		for _, inverse := range []bool{false, true} {
-			want := append([]C(nil), x...)
+			want := append([]complex128(nil), x...)
 			p.transformRef(want, inverse)
-			got := append([]C(nil), x...)
+			got := append([]complex128(nil), x...)
 			p.transform(got, inverse)
 			if i := sameBits(got, want); i >= 0 {
 				t.Fatalf("n=%d inverse=%v: differs at %d: %v vs %v", n, inverse, i, got[i], want[i])
@@ -206,32 +205,29 @@ func checkKernelRef[C Complex](t *testing.T) {
 
 // TestAxisPassMatchesReference pins whole ND transforms — pooled line
 // scratch, strided gathers, the worker fan-out — against line-by-line
-// reference transforms, on both lanes.
+// reference transforms.
 func TestAxisPassMatchesReference(t *testing.T) {
 	for _, dims := range [][]int{{768, 385}, {384, 6}, {7, 9, 5}, {13, 3, 11}, {64, 1, 33}} {
-		t.Run(fmt.Sprint(dims), func(t *testing.T) {
-			checkAxisRef[complex128](t, dims)
-			checkAxisRef[complex64](t, dims)
-		})
+		t.Run(fmt.Sprint(dims), func(t *testing.T) { checkAxisRef(t, dims) })
 	}
 }
 
-func checkAxisRef[C Complex](t *testing.T, dims []int) {
+func checkAxisRef(t *testing.T, dims []int) {
 	total, _ := product(dims)
 	rng := xrand.New(uint64(total))
-	x := make([]C, total)
+	x := make([]complex128, total)
 	for i := range x {
-		x[i] = C(complex(rng.NormFloat64(), rng.NormFloat64()))
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	for _, inverse := range []bool{false, true} {
-		want := append([]C(nil), x...)
+		want := append([]complex128(nil), x...)
 		for axis := len(dims) - 1; axis >= 0; axis-- {
 			d, stride := dims[axis], 1
 			for k := axis + 1; k < len(dims); k++ {
 				stride *= dims[k]
 			}
-			p := planFor[C](d)
-			line := make([]C, d)
+			p := planFor(d)
+			line := make([]complex128, d)
 			for l := 0; l < total/d; l++ {
 				base := l/stride*d*stride + l%stride
 				for k := range line {
@@ -243,7 +239,7 @@ func checkAxisRef[C Complex](t *testing.T, dims []int) {
 				}
 			}
 		}
-		got := append([]C(nil), x...)
+		got := append([]complex128(nil), x...)
 		if err := transformND(got, dims, 2, inverse); err != nil {
 			t.Fatal(err)
 		}

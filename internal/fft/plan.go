@@ -14,18 +14,19 @@ package fft
 //     DFT becomes a length-M power-of-two circular convolution
 //     (M >= 2n−1) with a precomputed chirp filter spectrum
 //
-// Plans are immutable once built and cached per (length, lane), so
+// Plans are immutable once built and cached per length, so
 // repeated axis passes over the same extents (the variogram engine, the
 // samplers) pay the trigonometry once. Per-line scratch comes from the
 // shared buffer pool.
 //
 // The output bits are a contract: kernelref_test.go keeps the plain
 // one-pass-per-stage kernels as references, and every length class must
-// match them bit for bit on both lanes, so a faster schedule may reorder
+// match them bit for bit, so a faster schedule may reorder
 // memory passes but never a product or a sum.
 
 import (
 	"math"
+	"math/cmplx"
 	"sync"
 )
 
@@ -69,47 +70,38 @@ const (
 )
 
 // linePlan holds everything needed to transform one line of its length.
-type linePlan[C Complex] struct {
+type linePlan struct {
 	n    int
 	kind planKind
 
 	// pow2: w is the half table of transformTw.
 	// mixed: w is the full table w[t] = exp(-2πi t/n); pw is the half
 	// table of the residual power-of-two block.
-	w       twiddle[C]
+	w       twiddle
 	factors []int // mixed: odd prime factors, in dividing order
 	pow2    int   // mixed: residual power-of-two block length
-	pw      twiddle[C]
+	pw      twiddle
 
 	// bluestein
-	m     int        // power-of-two convolution length >= 2n-1
-	wm    twiddle[C] // half table for length m
-	chirp []C        // a_j = exp(-iπ j²/n)
-	bfft  []C        // forward FFT_m of the chirp filter
+	m     int          // power-of-two convolution length >= 2n-1
+	wm    twiddle      // half table for length m
+	chirp []complex128 // a_j = exp(-iπ j²/n)
+	bfft  []complex128 // forward FFT_m of the chirp filter
 }
 
-// planKey tells the lanes' plans apart: a complex64 plan of length n
-// has 8-byte elements, a complex128 one 16.
-type planKey struct {
-	n    int
-	size int64
-}
+var planCache sync.Map // length -> *linePlan
 
-var planCache sync.Map // planKey -> *linePlan[C]
-
-func planFor[C Complex](n int) *linePlan[C] {
-	_, size := laneOf[C]()
-	key := planKey{n, size}
-	if v, ok := planCache.Load(key); ok {
-		return v.(*linePlan[C])
+func planFor(n int) *linePlan {
+	if v, ok := planCache.Load(n); ok {
+		return v.(*linePlan)
 	}
-	v, _ := planCache.LoadOrStore(key, newPlan[C](n))
-	return v.(*linePlan[C])
+	v, _ := planCache.LoadOrStore(n, newPlan(n))
+	return v.(*linePlan)
 }
 
-func newPlan[C Complex](n int) *linePlan[C] {
+func newPlan(n int) *linePlan {
 	if IsPow2(n) {
-		return &linePlan[C]{n: n, kind: planPow2, w: newTwiddle[C](n, n/2)}
+		return &linePlan{n: n, kind: planPow2, w: newTwiddle(n, n/2)}
 	}
 	// Peel 7-smooth factors: odd primes first, the power-of-two residue
 	// last, so every recursion path bottoms out in one contiguous
@@ -128,25 +120,25 @@ func newPlan[C Complex](n int) *linePlan[C] {
 		}
 	}
 	if rest == 1 {
-		return &linePlan[C]{
+		return &linePlan{
 			n: n, kind: planMixed,
-			w: newTwiddle[C](n, n), factors: odd,
-			pow2: pow2, pw: newTwiddle[C](pow2, pow2/2),
+			w: newTwiddle(n, n), factors: odd,
+			pow2: pow2, pw: newTwiddle(pow2, pow2/2),
 		}
 	}
 	// Bluestein: X[k] = a_k · (u ⊛ b)[k] with u_j = x_j·a_j,
 	// a_j = exp(-iπ j²/n), b_l = exp(+iπ l²/n) embedded circularly.
 	m := NextPow2(2*n - 1)
-	p := &linePlan[C]{n: n, kind: planBluestein, m: m, wm: newTwiddle[C](m, m/2)}
-	p.chirp = make([]C, n)
+	p := &linePlan{n: n, kind: planBluestein, m: m, wm: newTwiddle(m, m/2)}
+	p.chirp = make([]complex128, n)
 	for j := 0; j < n; j++ {
 		t := (j * j) % (2 * n) // exp(-iπ j²/n) has period 2n in j²
 		s, c := math.Sincos(-math.Pi * float64(t) / float64(n))
-		p.chirp[j] = C(complex(c, s))
+		p.chirp[j] = complex(c, s)
 	}
-	b := make([]C, m)
+	b := make([]complex128, m)
 	for j := 0; j < n; j++ {
-		v := conj(p.chirp[j])
+		v := cmplx.Conj(p.chirp[j])
 		b[j] = v
 		if j > 0 {
 			b[m-j] = v
@@ -159,12 +151,12 @@ func newPlan[C Complex](n int) *linePlan[C] {
 
 // transform runs the unnormalized DFT (or unnormalized inverse DFT) of
 // one line in place. len(x) must equal p.n.
-func (p *linePlan[C]) transform(x []C, inverse bool) {
+func (p *linePlan) transform(x []complex128, inverse bool) {
 	switch p.kind {
 	case planPow2:
 		transformTw(x, p.w.dir(inverse))
 	case planMixed:
-		scratch := Acquire[C](p.n)
+		scratch := Acquire[complex128](p.n)
 		copy(scratch, x)
 		p.mixedRec(x, scratch, p.n, 1, 1, p.factors, p.w.dir(inverse), p.pw.dir(inverse))
 		Release(scratch)
@@ -181,7 +173,7 @@ func (p *linePlan[C]) transform(x []C, inverse bool) {
 // hold src elements r and r+n/2 for r = rev(s) over log2(n/2) bits;
 // slots 4s…4s+3 hold r, r+n/2, r+n/4 and r+3n/4 for r = rev(s) over
 // log2(n/4) bits.
-func leaf[C Complex](dst, src []C, n, stride int, pw []C) {
+func leaf(dst, src []complex128, n, stride int, pw []complex128) {
 	dst = dst[:n]
 	if n == 1 {
 		dst[0] = src[0]
@@ -225,7 +217,7 @@ func leaf[C Complex](dst, src []C, n, stride int, pw []C) {
 // p.n/n, the spacing of this level's twiddles in the full table w. With
 // factors exhausted, n is the residual power-of-two block: a leaf over
 // its half table pw.
-func (p *linePlan[C]) mixedRec(dst, src []C, n, stride, mult int, factors []int, w, pw []C) {
+func (p *linePlan) mixedRec(dst, src []complex128, n, stride, mult int, factors []int, w, pw []complex128) {
 	if len(factors) == 0 {
 		leaf(dst, src, n, stride, pw)
 		return
@@ -239,8 +231,8 @@ func (p *linePlan[C]) mixedRec(dst, src []C, n, stride, mult int, factors []int,
 	// sub-spectra u_{j2} = S_{j2}[k2]·w_n^{j2·k2} lands in the slots
 	// k2 + m·k1. The r-point DFT's roots w_r^{j2·k1} = w[(j2·k1 mod r)·n/r]
 	// are read from the table once per call, into roots[k1·r+j2].
-	var u [8]C
-	var roots [49]C
+	var u [8]complex128
+	var roots [49]complex128
 	rs := p.n / r
 	for k1 := 0; k1 < r; k1++ {
 		for j2 := 0; j2 < r; j2++ {
@@ -268,7 +260,7 @@ func (p *linePlan[C]) mixedRec(dst, src []C, n, stride, mult int, factors []int,
 
 // combine3 is mixedRec's combine for r = 3 with the loops over j2 and
 // k1 unrolled: the same products, each sum in the same order.
-func combine3[C Complex](dst []C, m, mult int, w []C, roots *[49]C) {
+func combine3(dst []complex128, m, mult int, w []complex128, roots *[49]complex128) {
 	d0, d1, d2 := dst[:m], dst[m:2*m], dst[2*m:3*m]
 	r01, r02 := roots[1], roots[2]
 	r11, r12 := roots[4], roots[5]
@@ -286,14 +278,14 @@ func combine3[C Complex](dst []C, m, mult int, w []C, roots *[49]C) {
 
 // bluestein runs the chirp-z transform. The unnormalized inverse DFT is
 // the conjugate of the forward on conjugated input.
-func (p *linePlan[C]) bluestein(x []C, inverse bool) {
+func (p *linePlan) bluestein(x []complex128, inverse bool) {
 	n, m := p.n, p.m
 	if inverse {
 		for i, v := range x {
-			x[i] = conj(v)
+			x[i] = cmplx.Conj(v)
 		}
 	}
-	u := Acquire[C](m)
+	u := Acquire[complex128](m)
 	for j := 0; j < n; j++ {
 		u[j] = x[j] * p.chirp[j]
 	}
@@ -303,14 +295,14 @@ func (p *linePlan[C]) bluestein(x []C, inverse bool) {
 		u[i] *= p.bfft[i]
 	}
 	transformTw(u, p.wm.inv)
-	s := C(complex(1/float64(m), 0))
+	s := complex(1/float64(m), 0)
 	for k := 0; k < n; k++ {
 		x[k] = p.chirp[k] * u[k] * s
 	}
 	Release(u)
 	if inverse {
 		for i, v := range x {
-			x[i] = conj(v)
+			x[i] = cmplx.Conj(v)
 		}
 	}
 }

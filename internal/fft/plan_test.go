@@ -92,7 +92,7 @@ func TestPlanKinds(t *testing.T) {
 		{11, planBluestein}, {127, planBluestein}, {1542, planBluestein},
 	}
 	for _, tc := range cases {
-		if p := planFor[complex128](tc.n); p.kind != tc.kind {
+		if p := planFor(tc.n); p.kind != tc.kind {
 			t.Fatalf("planFor(%d).kind = %d, want %d", tc.n, p.kind, tc.kind)
 		}
 	}
@@ -161,24 +161,19 @@ func TestForwardNDAnyLength(t *testing.T) {
 	}
 }
 
-// BenchmarkLineFFT times one forward line transform per lane: the
-// 384- and 768-point lines of a 512² spectral variogram, a power of
-// two, a Bluestein length and a 5-smooth one.
+// BenchmarkLineFFT times one forward line transform: the 384- and
+// 768-point lines of a 512² spectral variogram, a power of two, a
+// Bluestein length and a 5-smooth one.
 func BenchmarkLineFFT(b *testing.B) {
-	b.Run("c128", func(b *testing.B) { benchLineFFT[complex128](b) })
-	b.Run("c64", func(b *testing.B) { benchLineFFT[complex64](b) })
+	b.Run("c128", benchLineFFT)
 }
 
-func benchLineFFT[C Complex](b *testing.B) {
+func benchLineFFT(b *testing.B) {
 	for _, n := range []int{384, 768, 1024, 1542, 1600} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			x := make([]C, n)
-			for i, v := range randComplex(n, 9) {
-				x[i] = C(v)
-			}
-			p := planFor[C](n)
-			_, size := laneOf[C]()
-			b.SetBytes(size * int64(n))
+			x := randComplex(n, 9)
+			p := planFor(n)
+			b.SetBytes(16 * int64(n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p.transform(x, false)

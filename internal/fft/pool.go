@@ -4,8 +4,9 @@ package fft
 // large scratch buffers of the variogram FFT engine and the samplers
 // are recycled instead of re-allocated per call. Each element type has
 // its own bucket array; the live/peak byte accounting is shared, so
-// PeakBytes sums checked-out bytes across all four element types and
-// the memory gauges compare lanes on one scale.
+// PeakBytes sums checked-out bytes across all three element types. The
+// transforms draw complex128 spectra and float64 planes; float32 slots
+// serve the streamed sampled variogram's index scratch.
 //
 // Bucket contract: bucket b holds buffers whose capacity lies in
 // [2^b, 2^(b+1)) — Release files by floor(log2(cap)), so buffers with
@@ -25,21 +26,19 @@ import (
 )
 
 // Elem is an element type the buffer pools hold.
-type Elem interface{ Float | Complex }
+type Elem interface{ complex128 | float64 | float32 }
 
-var pools [4][64]sync.Pool // complex128, complex64, float64, float32
+var pools [3][64]sync.Pool // complex128, float64, float32
 
 // laneOf returns E's bucket array and element size in bytes.
 func laneOf[E Elem]() (*[64]sync.Pool, int64) {
 	switch any((*E)(nil)).(type) {
 	case *complex128:
 		return &pools[0], 16
-	case *complex64:
-		return &pools[1], 8
 	case *float64:
-		return &pools[2], 8
+		return &pools[1], 8
 	default:
-		return &pools[3], 4
+		return &pools[2], 4
 	}
 }
 

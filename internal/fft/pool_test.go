@@ -2,7 +2,8 @@ package fft
 
 import "testing"
 
-// TestPoolAcceptsNonPow2Caps pins the release contract on every lane:
+// TestPoolAcceptsNonPow2Caps pins the release contract on every
+// element type:
 // buffers whose capacity is not a power of two (Bluestein scratch,
 // exact-size allocations, re-sliced tails) are filed by
 // floor(log2(cap)) instead of being dropped, keep serving any request
@@ -10,7 +11,6 @@ import "testing"
 // found again by a same-size acquire.
 func TestPoolAcceptsNonPow2Caps(t *testing.T) {
 	t.Run("complex128", checkRetention[complex128])
-	t.Run("complex64", checkRetention[complex64])
 	t.Run("float64", checkRetention[float64])
 	t.Run("float32", checkRetention[float32])
 }
@@ -61,20 +61,18 @@ func checkRetention[E Elem](t *testing.T) {
 
 // TestPoolPeakBytes checks the live/peak accounting of checked-out
 // buffers that the memory smoke tests and bench gauges read: every
-// lane charges its element size on the shared scale.
+// element type charges its size on the shared scale.
 func TestPoolPeakBytes(t *testing.T) {
 	base := LiveBytes()
 	ResetPeakBytes()
 	c128 := Acquire[complex128](1000)
-	c64 := Acquire[complex64](1000)
 	f64 := Acquire[float64](1000)
 	f32 := Acquire[float32](1000)
-	wantLive := int64(cap(c128))*16 + int64(cap(c64))*8 + int64(cap(f64))*8 + int64(cap(f32))*4
+	wantLive := int64(cap(c128))*16 + int64(cap(f64))*8 + int64(cap(f32))*4
 	if got := LiveBytes() - base; got != wantLive {
 		t.Fatalf("live %d, want %d", got, wantLive)
 	}
 	Release(c128)
-	Release(c64)
 	Release(f64)
 	Release(f32)
 	if got := LiveBytes(); got != base {
@@ -89,7 +87,7 @@ func TestPoolPeakBytes(t *testing.T) {
 	}
 }
 
-// TestPool32Accounting checks the float32-lane accounting through
+// TestPool32Accounting checks the float32 slots' accounting through
 // AcquireTight, the path the budgeted streaming consumers use: a
 // pooled buffer more than twice the request is passed over, so the
 // charge stays within 2n elements, and releasing returns the live
@@ -100,21 +98,17 @@ func TestPool32Accounting(t *testing.T) {
 	// Seeding the pool with never-acquired buffers debits the live
 	// level, so the baseline is read afterwards.
 	Release(make([]float32, 1023))
-	Release(make([]complex64, 1023))
 	base := LiveBytes()
 	ResetPeakBytes()
 	r := AcquireTight[float32](300)
-	c := AcquireTight[complex64](300)
-	if len(r) != 300 || cap(r) > 600 || len(c) != 300 || cap(c) > 600 {
-		t.Fatalf("tight acquire: float32 len %d cap %d, complex64 len %d cap %d, want len 300 cap <= 600",
-			len(r), cap(r), len(c), cap(c))
+	if len(r) != 300 || cap(r) > 600 {
+		t.Fatalf("tight acquire: float32 len %d cap %d, want len 300 cap <= 600", len(r), cap(r))
 	}
-	want := int64(cap(r))*4 + int64(cap(c))*8
+	want := int64(cap(r)) * 4
 	if live := LiveBytes() - base; live != want {
 		t.Fatalf("live bytes %d, want %d", live, want)
 	}
 	Release(r)
-	Release(c)
 	if LiveBytes() != base {
 		t.Fatalf("live bytes %d after release, want %d", LiveBytes(), base)
 	}

@@ -18,7 +18,10 @@ package fft
 // pipeline inherits the plan layer's any-length support and the
 // bit-identical-at-any-worker-count property of axisPass.
 
-import "fmt"
+import (
+	"fmt"
+	"math/cmplx"
+)
 
 // HalfLen returns the element count of the half-spectrum of a real
 // field with the given dims: the last axis stores dims[last]/2+1 bins,
@@ -121,7 +124,7 @@ func checkReal(dims []int, realLen, halfLen int) (nx, lines int, err error) {
 // half-spectrum form; len(dst) must be HalfLen(dims). dst is fully
 // overwritten (its prior contents are irrelevant, so pooled buffers
 // need no zeroing). The result is bit-identical at any worker count.
-func ForwardRealND[F Float, C Complex](src []F, dims []int, dst []C, workers int) error {
+func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) error {
 	nx, lines, err := checkReal(dims, len(src), len(dst))
 	if err != nil {
 		return err
@@ -131,13 +134,13 @@ func ForwardRealND[F Float, C Complex](src []F, dims []int, dst []C, workers int
 		// Even last axis: pack pairs into an nx/2-point complex FFT,
 		// then unpick the hermitian bins.
 		N := nx / 2
-		p := planFor[C](N)
-		rw := newTwiddle[C](nx, N+1).fwd
-		forLineSpans(lines, workers, N, func(y []C, li int) {
+		p := planFor(N)
+		rw := newTwiddle(nx, N+1).fwd
+		forLineSpans(lines, workers, N, func(y []complex128, li int) {
 			in := src[li*nx : (li+1)*nx]
 			out := dst[li*hc : (li+1)*hc]
 			for j := 0; j < N; j++ {
-				y[j] = cplx[C](in[2*j], in[2*j+1])
+				y[j] = complex(in[2*j], in[2*j+1])
 			}
 			p.transform(y, false)
 			for k := 0; k <= N; k++ {
@@ -145,7 +148,7 @@ func ForwardRealND[F Float, C Complex](src []F, dims []int, dst []C, workers int
 				if k > 0 && k < N {
 					yk, ynk = y[k], y[N-k]
 				}
-				cynk := conj(ynk)
+				cynk := cmplx.Conj(ynk)
 				e := (yk + cynk) * 0.5
 				o := (yk - cynk) * complex(0, -0.5)
 				out[k] = e + rw[k]*o
@@ -154,10 +157,10 @@ func ForwardRealND[F Float, C Complex](src []F, dims []int, dst []C, workers int
 	} else {
 		// Odd (or unit) last axis: full complex line transform, keep
 		// the first hc bins.
-		p := planFor[C](nx)
-		forLineSpans(lines, workers, nx, func(y []C, li int) {
+		p := planFor(nx)
+		forLineSpans(lines, workers, nx, func(y []complex128, li int) {
 			for j, v := range src[li*nx : (li+1)*nx] {
-				y[j] = cplx[C](v, 0)
+				y[j] = complex(v, 0)
 			}
 			p.transform(y, false)
 			copy(dst[li*hc:(li+1)*hc], y[:hc])
@@ -175,11 +178,9 @@ func ForwardRealND[F Float, C Complex](src []F, dims []int, dst []C, workers int
 // InverseRealND inverts ForwardRealND: spec is a half-spectrum of shape
 // dims (it is clobbered), dst receives the real field and must have
 // length = product of dims. The normalization matches InverseND:
-// InverseRealND(ForwardRealND(x)) == x up to roundoff. The scale factor
-// is computed in float64 and narrowed once, so only the final
-// per-element multiply rounds in the lane. Bit-identical at any worker
-// count.
-func InverseRealND[C Complex, F Float](spec []C, dims []int, dst []F, workers int) error {
+// InverseRealND(ForwardRealND(x)) == x up to roundoff. Bit-identical at
+// any worker count.
+func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) error {
 	nx, lines, err := checkReal(dims, len(dst), len(spec))
 	if err != nil {
 		return err
@@ -199,53 +200,53 @@ func InverseRealND[C Complex, F Float](spec []C, dims []int, dst []F, workers in
 		// hermitian bins, one unnormalized inverse FFT of length N per
 		// line, then unpack interleaved reals.
 		N := nx / 2
-		p := planFor[C](N)
-		rw := newTwiddle[C](nx, N+1).inv
-		scale := F(1 / (float64(N) * float64(lead)))
-		forLineSpans(lines, workers, N, func(y []C, li int) {
+		p := planFor(N)
+		rw := newTwiddle(nx, N+1).inv
+		scale := 1 / (float64(N) * float64(lead))
+		forLineSpans(lines, workers, N, func(y []complex128, li int) {
 			in := spec[li*hc : (li+1)*hc]
 			out := dst[li*nx : (li+1)*nx]
 			for k := 0; k < N; k++ {
 				xk := in[k]
-				cxnk := conj(in[N-k])
+				cxnk := cmplx.Conj(in[N-k])
 				e := (xk + cxnk) * 0.5
 				o := (xk - cxnk) * 0.5 * rw[k]
 				y[k] = e + o*complex(0, 1)
 			}
 			p.transform(y, true)
 			for j := 0; j < N; j++ {
-				out[2*j] = re[F](y[j]) * scale
-				out[2*j+1] = im[F](y[j]) * scale
+				out[2*j] = real(y[j]) * scale
+				out[2*j+1] = imag(y[j]) * scale
 			}
 		})
 	} else {
 		// Odd (or unit) last axis: mirror the hermitian bins into a full
 		// line, one unnormalized complex inverse, keep the real parts.
-		p := planFor[C](nx)
-		scale := F(1 / (float64(nx) * float64(lead)))
-		forLineSpans(lines, workers, nx, func(y []C, li int) {
+		p := planFor(nx)
+		scale := 1 / (float64(nx) * float64(lead))
+		forLineSpans(lines, workers, nx, func(y []complex128, li int) {
 			in := spec[li*hc : (li+1)*hc]
 			out := dst[li*nx : (li+1)*nx]
 			copy(y[:hc], in)
 			for k := hc; k < nx; k++ {
-				y[k] = conj(in[nx-k])
+				y[k] = cmplx.Conj(in[nx-k])
 			}
 			p.transform(y, true)
 			for j := 0; j < nx; j++ {
-				out[j] = re[F](y[j]) * scale
+				out[j] = real(y[j]) * scale
 			}
 		})
 	}
 	return nil
 }
 
-// AbsSq sets a[i] = |a[i]|², squaring and summing the parts in F — the
-// autocorrelation spectrum of the real signal whose half-spectrum a
-// holds. Real and even, hence hermitian: a valid InverseRealND input.
-func AbsSq[F Float, C Complex](a []C) {
+// AbsSq sets a[i] = |a[i]|² — the autocorrelation spectrum of the real
+// signal whose half-spectrum a holds. Real and even, hence hermitian: a
+// valid InverseRealND input.
+func AbsSq(a []complex128) {
 	for i, v := range a {
-		r, j := re[F](v), im[F](v)
-		a[i] = cplx[C](r*r+j*j, 0)
+		r, j := real(v), imag(v)
+		a[i] = complex(r*r+j*j, 0)
 	}
 }
 
@@ -253,8 +254,8 @@ func AbsSq[F Float, C Complex](a []C) {
 // of the two real signals whose half-spectra a and b hold. The product
 // of a conjugated hermitian spectrum with a hermitian spectrum is
 // hermitian, so the result is a valid InverseRealND input.
-func MulConj[C Complex](a, b []C) {
+func MulConj(a, b []complex128) {
 	for i, v := range a {
-		a[i] = conj(v) * b[i]
+		a[i] = cmplx.Conj(v) * b[i]
 	}
 }

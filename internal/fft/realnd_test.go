@@ -71,38 +71,34 @@ func TestForwardRealNDMatchesComplex(t *testing.T) {
 }
 
 // TestRealNDRoundTrip checks InverseRealND(ForwardRealND(x)) == x to
-// each lane's roundoff for every shape, and that both directions are
-// bit-identical at any worker count.
+// roundoff for every shape, and that both directions are bit-identical
+// at any worker count.
 func TestRealNDRoundTrip(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { checkRealRoundTrip[float64, complex128](t, 1e-9) })
-	t.Run("f32", func(t *testing.T) { checkRealRoundTrip[float32, complex64](t, 2e-5) })
+	t.Run("f64", func(t *testing.T) { checkRealRoundTrip(t, 1e-9) })
 }
 
-func checkRealRoundTrip[F Float, C Complex](t *testing.T, tol float64) {
+func checkRealRoundTrip(t *testing.T, tol float64) {
 	for _, dims := range realShapes {
 		total := 1
 		for _, d := range dims {
 			total *= d
 		}
-		src := make([]F, total)
-		for i, v := range randReal(total, uint64(200+total)) {
-			src[i] = F(v)
-		}
-		var refSpec []C
-		var refOut []F
+		src := randReal(total, uint64(200+total))
+		var refSpec []complex128
+		var refOut []float64
 		for _, workers := range []int{1, 3, 8} {
-			spec := Acquire[C](HalfLen(dims))
+			spec := Acquire[complex128](HalfLen(dims))
 			if err := ForwardRealND(src, dims, spec, workers); err != nil {
 				t.Fatal(err)
 			}
-			specCopy := append([]C(nil), spec...)
-			out := make([]F, total)
+			specCopy := append([]complex128(nil), spec...)
+			out := make([]float64, total)
 			if err := InverseRealND(spec, dims, out, workers); err != nil {
 				t.Fatal(err)
 			}
 			Release(spec)
 			for i := range out {
-				if d := math.Abs(float64(out[i] - src[i])); d > tol {
+				if d := math.Abs(out[i] - src[i]); d > tol {
 					t.Fatalf("dims %v workers %d: round trip off by %g at %d", dims, workers, d, i)
 				}
 			}
@@ -124,42 +120,6 @@ func checkRealRoundTrip[F Float, C Complex](t *testing.T, tol float64) {
 	}
 }
 
-// TestForwardRealND32MatchesOracle pins the float32 forward transform
-// against the float64 half-spectrum oracle on identical (exactly
-// representable) inputs: every bin within a few ulps of the spectrum
-// magnitude.
-func TestForwardRealND32MatchesOracle(t *testing.T) {
-	for _, dims := range [][]int{{24, 18}, {15, 20}, {11, 13}, {6, 10, 12}} {
-		total := 1
-		for _, d := range dims {
-			total *= d
-		}
-		src32 := make([]float32, total)
-		src64 := make([]float64, total)
-		for i, v := range randReal(total, 11) {
-			src32[i] = float32(v)
-			src64[i] = float64(src32[i])
-		}
-		spec32 := make([]complex64, HalfLen(dims))
-		spec64 := make([]complex128, HalfLen(dims))
-		if err := ForwardRealND(src32, dims, spec32, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := ForwardRealND(src64, dims, spec64, 2); err != nil {
-			t.Fatal(err)
-		}
-		var norm float64
-		for _, v := range spec64 {
-			norm = max(norm, cmplx.Abs(v))
-		}
-		for i := range spec64 {
-			if err := cmplx.Abs(complex128(spec32[i])-spec64[i]) / norm; err > 1e-5 {
-				t.Fatalf("dims %v bin %d: rel error %g vs oracle", dims, i, err)
-			}
-		}
-	}
-}
-
 // TestRealNDAutocorrelation checks the end-to-end identity the
 // variogram engine relies on: AbsSq of the half-spectrum followed by a
 // real inverse is the circular autocorrelation, on an odd (Bluestein)
@@ -172,7 +132,7 @@ func TestRealNDAutocorrelation(t *testing.T) {
 		if err := ForwardRealND(src, dims, spec, 0); err != nil {
 			t.Fatal(err)
 		}
-		AbsSq[float64](spec)
+		AbsSq(spec)
 		got := make([]float64, total)
 		if err := InverseRealND(spec, dims, got, 0); err != nil {
 			t.Fatal(err)
@@ -233,7 +193,7 @@ func TestMulConjCrossCorrelation(t *testing.T) {
 
 // embedVia zero-fills dst and copies src into its leading corner
 // through ForEachEmbeddedRow, the way the variogram engine pads a field.
-func embedVia[F Float](dst []F, dstDims []int, src []F, srcDims []int) error {
+func embedVia(dst []float64, dstDims []int, src []float64, srcDims []int) error {
 	clear(dst)
 	return ForEachEmbeddedRow(srcDims, dstDims, func(srcOff, dstOff, n int) {
 		copy(dst[dstOff:dstOff+n], src[srcOff:srcOff+n])
@@ -271,17 +231,16 @@ func TestForEachEmbeddedRow(t *testing.T) {
 	}
 }
 
-// TestForEachEmbeddedRow3D checks the same on the float32 lane and in
-// 3-D: a 2×2×3 field lands in the leading corner of a 3×4×4 buffer,
+// TestForEachEmbeddedRow3D checks the same in 3-D: a 2×2×3 field lands in the leading corner of a 3×4×4 buffer,
 // every other cell (stale pooled data included) is cleared, and
 // mismatched extents or ranks are rejected.
 func TestForEachEmbeddedRow3D(t *testing.T) {
 	srcDims, dstDims := []int{2, 2, 3}, []int{3, 4, 4}
-	src := make([]float32, 2*2*3)
+	src := make([]float64, 2*2*3)
 	for i := range src {
-		src[i] = float32(i + 1)
+		src[i] = float64(i + 1)
 	}
-	dst := make([]float32, 3*4*4)
+	dst := make([]float64, 3*4*4)
 	for i := range dst {
 		dst[i] = 9 // must be cleared
 	}
@@ -291,7 +250,7 @@ func TestForEachEmbeddedRow3D(t *testing.T) {
 	for z := 0; z < 3; z++ {
 		for y := 0; y < 4; y++ {
 			for x := 0; x < 4; x++ {
-				var want float32
+				var want float64
 				if z < 2 && y < 2 && x < 3 {
 					want = src[(z*2+y)*3+x]
 				}
@@ -327,14 +286,12 @@ func TestHalfLen(t *testing.T) {
 
 // BenchmarkRealND is the transform layer beneath BenchmarkVariogramFFT:
 // one forward and one inverse real transform over the padded planes of
-// the 512² field (768², FastLen(512+256)) and the 64³ volume (96³), on
-// each lane.
+// the 512² field (768², FastLen(512+256)) and the 64³ volume (96³).
 func BenchmarkRealND(b *testing.B) {
-	b.Run("f64", func(b *testing.B) { benchRealND[float64, complex128](b) })
-	b.Run("f32", func(b *testing.B) { benchRealND[float32, complex64](b) })
+	b.Run("f64", benchRealND)
 }
 
-func benchRealND[F Float, C Complex](b *testing.B) {
+func benchRealND(b *testing.B) {
 	for _, dims := range [][]int{{768, 768}, {96, 96, 96}} {
 		name := fmt.Sprint(dims[0])
 		for _, d := range dims[1:] {
@@ -345,11 +302,8 @@ func benchRealND[F Float, C Complex](b *testing.B) {
 			for _, d := range dims {
 				total *= d
 			}
-			src := make([]F, total)
-			for i, v := range randReal(total, 5) {
-				src[i] = F(v)
-			}
-			spec := make([]C, HalfLen(dims))
+			src := randReal(total, 5)
+			spec := make([]complex128, HalfLen(dims))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := ForwardRealND(src, dims, spec, 0); err != nil {

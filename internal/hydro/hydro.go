@@ -12,49 +12,11 @@ package hydro
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"lossycorr/internal/field"
 	"lossycorr/internal/parallel"
 	"lossycorr/internal/xrand"
 )
-
-// parallelFor runs fn(i) for i in [0, n) across GOMAXPROCS goroutines.
-// Iterations must touch disjoint data; results are deterministic
-// because each iteration's arithmetic is self-contained.
-func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // Gamma is the ideal-gas adiabatic index.
 const Gamma = 1.4
@@ -395,7 +357,7 @@ func (s *Sim) rhs() [4][]float64 {
 	velY := func(rho, u, v float64) float64 { return v }
 
 	// x-direction sweeps: rows are independent, fan them out
-	parallelFor(s.Ny, func(j int) {
+	parallel.For(s.Ny, 0, func(j int) {
 		for i := 0; i <= s.Nx; i++ { // interface between cells i-1 and i
 			qm2 := s.stateAt(i-2, j)
 			qm1 := s.stateAt(i-1, j)
@@ -422,7 +384,7 @@ func (s *Sim) rhs() [4][]float64 {
 		}
 	})
 	// y-direction sweeps: columns are independent
-	parallelFor(s.Nx, func(i int) {
+	parallel.For(s.Nx, 0, func(i int) {
 		for j := 0; j <= s.Ny; j++ {
 			qm2 := s.stateAt(i, j-2)
 			qm1 := s.stateAt(i, j-1)

@@ -47,8 +47,8 @@ type Config struct {
 	// default 64.
 	MaxQueue int
 	// MemBudget caps the summed predicted transform peak of admitted
-	// async jobs (variogram.FFTPeakBytes at the lane's width for vfft
-	// jobs, the field bytes otherwise): a submission whose prediction
+	// async jobs (variogram.FFTPeakBytes, the same on either lane, for
+	// vfft jobs; the field bytes otherwise): a submission whose prediction
 	// does not fit in the remaining budget is rejected with 429 and the
 	// prediction in the response body, so a client can shrink maxlag or
 	// split the field instead of OOMing the server. 0 disables the

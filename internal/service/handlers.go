@@ -463,10 +463,10 @@ func validateMaxLag(maxLag, minDim int) error {
 
 // predictedPeakBytes estimates the transform working set of one
 // pipeline run on the field behind tr before it is admitted: with vfft
-// it is the FFT exact engine's variogram.FFTPeakBytes at the lane's
-// width — one padded real plane of Π_k FastLen(dim_k + L) elements
-// plus the larger of its half-spectrum and the float64 summed-area
-// table. Without the FFT engine the working set is the windowed
+// it is the FFT exact engine's variogram.FFTPeakBytes, the same on
+// either lane — one padded float64 plane of Π_k FastLen(dim_k + L)
+// elements plus the larger of its complex128 half-spectrum and the
+// float64 summed-area table. Without the FFT engine the working set is the windowed
 // extraction's, bounded by the field itself — which the body cap
 // already limits — so the prediction degenerates to the field bytes.
 func predictedPeakBytes(tr *field.TileReader, p analysisParams) int64 {
@@ -480,7 +480,7 @@ func predictedPeakBytes(tr *field.TileReader, p analysisParams) int64 {
 			lag = 1
 		}
 	}
-	return variogram.FFTPeakBytes(tr.Shape(), lag, tr.ElemBytes())
+	return variogram.FFTPeakBytes(tr.Shape(), lag)
 }
 
 func (p analysisParams) canon() string {

@@ -147,9 +147,11 @@ func TestMemBudgetAdmission(t *testing.T) {
 }
 
 // TestMemBudgetFFTPrediction pins the transform plane formula: with
-// vfft the prediction is variogram.FFTPeakBytes at the lane width —
-// far above the raw field bytes — so a budget sized to the field alone
-// rejects the FFT job while still admitting the direct-scan one.
+// vfft the prediction is variogram.FFTPeakBytes — far above the raw
+// field bytes — so a budget sized to the field alone rejects the FFT
+// job while still admitting the direct-scan one. Both lanes run the
+// one float64 engine, so a float32 body of the same shape is predicted
+// the same bytes.
 func TestMemBudgetFFTPrediction(t *testing.T) {
 	const edge = 32
 	_, hs := testServer(t, Config{MemBudget: edge * edge * 8, Executors: 1})
@@ -158,19 +160,27 @@ func TestMemBudgetFFTPrediction(t *testing.T) {
 	if code, data := postBin(t, hs.URL+"/v1/jobs/analyze?skiplocal=true", body); code != http.StatusAccepted {
 		t.Fatalf("direct-scan job: status %d: %s", code, data)
 	}
-	code, data := postBin(t, hs.URL+"/v1/jobs/analyze?skiplocal=true&vfft=true&maxlag=16", body)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("FFT job: status %d, want 429: %s", code, data)
+	predicted := func(body []byte) int64 {
+		t.Helper()
+		code, data := postBin(t, hs.URL+"/v1/jobs/analyze?skiplocal=true&vfft=true&maxlag=16", body)
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("FFT job: status %d, want 429: %s", code, data)
+		}
+		var rej struct {
+			PredictedPeakBytes int64 `json:"predictedPeakBytes"`
+		}
+		mustJSON(t, data, &rej)
+		return rej.PredictedPeakBytes
 	}
-	var rej struct {
-		PredictedPeakBytes int64 `json:"predictedPeakBytes"`
-	}
-	mustJSON(t, data, &rej)
+	p64 := predicted(body)
 	// Each padded extent is at least edge+16, so the formula predicts at
 	// least one 48² float64 plane plus its 48×25-bin complex128
 	// half-spectrum.
-	if min := int64(48*48*8 + 48*25*16); rej.PredictedPeakBytes < min {
-		t.Fatalf("FFT prediction %d < plane-formula floor %d", rej.PredictedPeakBytes, min)
+	if min := int64(48*48*8 + 48*25*16); p64 < min {
+		t.Fatalf("FFT prediction %d < plane-formula floor %d", p64, min)
+	}
+	if p32 := predicted(gaussBody32(t, edge, 6, 9)); p32 != p64 {
+		t.Fatalf("float32 FFT prediction %d, want the float64 body's %d", p32, p64)
 	}
 }
 

@@ -32,12 +32,13 @@ package variogram
 // What remains is forward(z centered) → |Z|² → inverse over one real
 // staging plane (reused as the c_zz output) and one hermitian
 // half-spectrum. Padding each extent to at least dim + MaxLag makes the
-// circular autocorrelation linear for every |h_k| <= MaxLag. The lanes
-// differ only in plane width — float64/complex128 or float32/complex64,
-// the type parameters of the generic transforms; the mean, the
-// summed-area table, and every per-bin fold are float64 for both. The
-// table is built after the spectrum is released, so the peak is one
-// plane plus the larger of the spectrum and the table (FFTPeakBytes).
+// circular autocorrelation linear for every |h_k| <= MaxLag. Both lanes
+// embed into the same float64 plane and complex128 spectrum, so a
+// float32 field gives bit for bit the result of its exact widening to
+// float64; the mean, the summed-area table, and every per-bin fold are
+// float64 too. The table is built after the spectrum is released, so the
+// peak is one plane plus the larger of the spectrum and the table
+// (FFTPeakBytes).
 //
 // All of this is one slab kernel, fftSlab: the pairs whose base point
 // lies in the first rows of a block. In RAM the block is the field and
@@ -80,10 +81,9 @@ func slabPad(dims []int, base, maxLag int) []int {
 
 // slabPeakBytes is the transform working set of one fftSlab call on a
 // block of the given shape whose first base rows are the base points,
-// for a lane whose real planes hold elemBytes-byte elements (8 for
-// float64, 4 for float32). The kernel holds one padded real plane
-// (slabPad) throughout, and beside it first the half-spectra (complex,
-// 2·elemBytes per bin; one when base == dims[0], two otherwise) with
+// whatever the block's lane. The kernel holds one padded float64 plane
+// (slabPad) throughout, and beside it first the half-spectra (complex128,
+// 16 bytes per bin; one when base == dims[0], two otherwise) with
 // the transform workers' line scratch, then the float64 summed-area
 // table of Π (dim_k + 1) entries — never both. Line scratch is at most
 // two complex lines of the longest padded extent per worker (span
@@ -91,7 +91,7 @@ func slabPad(dims []int, base, maxLag int) []int {
 // counted at twice its length for pool-bucket slack. The planes
 // themselves are counted at their exact lengths: that is what a cold
 // pool, or one recycling the kernel's own buffers, accounts.
-func slabPeakBytes(dims []int, base, maxLag, elemBytes int) int64 {
+func slabPeakBytes(dims []int, base, maxLag int) int64 {
 	pad := slabPad(dims, base, maxLag)
 	plane, table, longest := int64(1), int64(1), 0
 	for k, d := range dims {
@@ -103,28 +103,26 @@ func slabPeakBytes(dims []int, base, maxLag, elemBytes int) int64 {
 	if base < dims[0] {
 		spectra = 2
 	}
-	eb := int64(elemBytes)
-	spectrum := 2 * eb * int64(fft.HalfLen(pad))
-	lines := int64(runtime.GOMAXPROCS(0)) * 2 * (2 * int64(longest)) * 2 * eb
-	return eb*plane + max(spectra*spectrum+lines, 8*table)
+	spectrum := 16 * int64(fft.HalfLen(pad))
+	lines := int64(runtime.GOMAXPROCS(0)) * 2 * (2 * int64(longest)) * 16
+	return 8*plane + max(spectra*spectrum+lines, 8*table)
 }
 
 // FFTPeakBytes is the transform working set of the in-RAM FFT exact
 // engine on a field of the given shape and lag cutoff (maxLag >= 1),
-// for a lane whose real planes hold elemBytes-byte elements: one slab
-// whose base rows are the whole field (slabPeakBytes), padded to
-// P = Π FastLen(dim_k + maxLag) elements.
-func FFTPeakBytes(shape []int, maxLag, elemBytes int) int64 {
-	return slabPeakBytes(shape, shape[0], maxLag, elemBytes)
+// on either lane: one slab whose base rows are the whole field
+// (slabPeakBytes), padded to P = Π FastLen(dim_k + maxLag) elements.
+func FFTPeakBytes(shape []int, maxLag int) int64 {
+	return slabPeakBytes(shape, shape[0], maxLag)
 }
 
 // fftScan computes the exact binned variogram of an in-RAM field
 // through the identities above for either lane: one slab whose base
 // rows are the whole field, shifted by the field mean.
-func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []int, mean float64, o Options) (*Empirical, error) {
+func fftScan[T field.Elem](ctx context.Context, data []T, dims []int, mean float64, o Options) (*Empirical, error) {
 	sum := make([]float64, o.MaxLag+1)
 	cnt := make([]int64, o.MaxLag+1)
-	if err := fftSlab[T, C](ctx, data, dims, dims[0], mean, o, sum, cnt); err != nil {
+	if err := fftSlab(ctx, data, dims, dims[0], mean, o, sum, cnt); err != nil {
 		return nil, err
 	}
 	return collect(sum, cnt), nil
@@ -154,7 +152,7 @@ func fftScan[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 // pooled buffer is released on the way out through the defers. Buffers
 // are tight acquisitions, so a budgeted caller's accounting stays
 // within twice slabPeakBytes even on a warm pool.
-func fftSlab[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []int, base int, shift float64, o Options, sum []float64, cnt []int64) error {
+func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, shift float64, o Options, sum []float64, cnt []int64) error {
 	stage := func() error {
 		if ctx == nil {
 			return nil
@@ -171,14 +169,14 @@ func fftSlab[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 
 	// r is the one real staging plane: padded centered z in, the
 	// correlation out.
-	r := fft.AcquireTight[T](total)
+	r := fft.AcquireTight[float64](total)
 	defer fft.Release(r)
 	embed := func(rows int) error {
 		clear(r)
 		return fft.ForEachEmbeddedRow(append([]int{rows}, dims[1:]...), pad, func(srcOff, dstOff, n int) {
 			dst := r[dstOff : dstOff+n]
 			for i, v := range data[srcOff : srcOff+n] {
-				dst[i] = T(float64(v) - shift)
+				dst[i] = float64(v) - shift
 			}
 		})
 	}
@@ -189,13 +187,13 @@ func fftSlab[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 		return err
 	}
 	half := fft.HalfLen(pad)
-	spA := fft.AcquireTight[C](half)
+	spA := fft.AcquireTight[complex128](half)
 	defer func() { fft.Release(spA) }()
 	if err := fft.ForwardRealND(r, pad, spA, o.Workers); err != nil {
 		return err
 	}
 	if base == dims[0] {
-		fft.AbsSq[T](spA)
+		fft.AbsSq(spA)
 	} else {
 		if err := embed(dims[0]); err != nil {
 			return err
@@ -203,7 +201,7 @@ func fftSlab[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 		if err := stage(); err != nil {
 			return err
 		}
-		spB := fft.AcquireTight[C](half)
+		spB := fft.AcquireTight[complex128](half)
 		err := fft.ForwardRealND(r, pad, spB, o.Workers)
 		if err == nil {
 			fft.MulConj(spA, spB)
@@ -296,7 +294,7 @@ func fftSlab[T fft.Float, C fft.Complex](ctx context.Context, data []T, dims []i
 				continue
 			}
 			wm := boxSum64(sat, satStride, lo1, hi1) + boxSum64(sat, satStride, lo2, hi2)
-			d := wm - 2*float64(czz[idx])
+			d := wm - 2*czz[idx]
 			if d < 0 { // roundoff on (near-)constant fields
 				d = 0
 			}

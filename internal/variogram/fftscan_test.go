@@ -11,6 +11,7 @@ import (
 
 	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
+	"lossycorr/internal/stat"
 	"lossycorr/internal/xrand"
 )
 
@@ -258,20 +259,30 @@ func TestFFTDCOffset(t *testing.T) {
 	}
 }
 
-// TestFFTLaneDifferential runs the one engine's two lanes on the same
-// values — the float64 lane over the exactly widened field against the
-// float32 lane — across ranks, odd extents, worker counts, and exact
-// (Bluestein) padding. Pair counts must be equal and Gamma within the
-// float32 lane's existing tolerances: 5e-4 relative on FastLen padding,
-// 2e-3 on exact padding.
+// TestFFTLaneDifferential runs the one engine on a float32 field and
+// on its exact widening to float64 — across ranks, odd extents, worker
+// counts, and exact (Bluestein) padding, in RAM and streamed from a file
+// at one memory budget. Both lanes embed into the same float64 plane, so
+// pair counts must be equal and Gamma equal bit for bit.
 func TestFFTLaneDifferential(t *testing.T) {
+	same := func(t *testing.T, label string, narrow, wide *Empirical) {
+		t.Helper()
+		if len(narrow.H) != len(wide.H) {
+			t.Fatalf("%s: %d bins vs %d", label, len(narrow.H), len(wide.H))
+		}
+		for i := range wide.H {
+			if narrow.N[i] != wide.N[i] || math.Float64bits(narrow.Gamma[i]) != math.Float64bits(wide.Gamma[i]) {
+				t.Fatalf("%s bin h=%v: (%v, %d) vs widened (%v, %d)",
+					label, wide.H[i], narrow.Gamma[i], narrow.N[i], wide.Gamma[i], wide.N[i])
+			}
+		}
+	}
 	for _, pm := range []struct {
 		name string
 		fn   func(int) int
-		tol  float64
 	}{
-		{"fastlen", fft.FastLen, 5e-4},
-		{"exact", func(n int) int { return n }, 2e-3},
+		{"fastlen", fft.FastLen},
+		{"exact", func(n int) int { return n }},
 	} {
 		t.Run(pm.name, func(t *testing.T) {
 			orig := padLenFn
@@ -289,23 +300,27 @@ func TestFFTLaneDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(narrow.H) != len(wide.H) {
-						t.Fatalf("shape %v workers %d: %d bins vs %d", tc.shape, workers, len(narrow.H), len(wide.H))
-					}
-					for i := range wide.H {
-						if narrow.N[i] != wide.N[i] {
-							t.Fatalf("shape %v workers %d bin h=%v: count %d vs float64 lane %d",
-								tc.shape, workers, wide.H[i], narrow.N[i], wide.N[i])
-						}
-						if rel := math.Abs(narrow.Gamma[i]-wide.Gamma[i]) / wide.Gamma[i]; rel > pm.tol {
-							t.Fatalf("shape %v workers %d bin h=%v: gamma %v vs float64 lane %v (rel %g)",
-								tc.shape, workers, wide.H[i], narrow.Gamma[i], wide.Gamma[i], rel)
-						}
-					}
+					same(t, fmt.Sprintf("shape %v workers %d", tc.shape, workers), narrow, wide)
 				}
 			}
 		})
 	}
+	t.Run("stream", func(t *testing.T) {
+		shape, nb := []int{96, 40}, 13
+		f32, f64 := randomField32(shape, 2199)
+		// 16-row shards: every slab's pairs reach into the next.
+		so := field.StreamOptions{BudgetBytes: shardBudget(t, shape, nb, 16)}
+		o := Options{FFT: true, MaxLag: nb}
+		wide, err := Compute(bg, onDisk(writeTempField(t, f64.WriteBinary), so), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrow, err := Compute(bg, onDisk(writeTempField(t, f32.WriteBinary), so), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, "stream", narrow, wide)
+	})
 }
 
 // poisonPools floods every pool bucket the engine will draw from with
@@ -336,37 +351,55 @@ func poisonPools(maxElems int) {
 	}
 }
 
-// TestFFTPoisonedPools re-runs the 2D/3D equivalence suite with every
-// pool bucket pre-filled with NaN-poisoned buffers: fft.Acquire
-// returns unspecified contents, and the engine must overwrite every
-// element it reads (padding fill, spectrum stages, and the summed-area
-// table, which is an Acquire[float64] buffer) rather than assume zeroed
-// scratch.
+// TestFFTPoisonedPools re-runs the 2D/3D equivalence suite on both
+// lanes with every float64 and complex128 pool bucket pre-filled with
+// NaN-poisoned buffers: fft.Acquire returns unspecified contents, and
+// the engine must overwrite every element it reads (padding fill,
+// spectrum stages, and the summed-area table, which is an
+// Acquire[float64] buffer) rather than assume zeroed scratch. A float32
+// field draws the same buckets: it is embedded into a float64 plane.
 func TestFFTPoisonedPools(t *testing.T) {
-	for ci, tc := range equivalenceCases {
-		f := randomField(tc.shape, uint64(900+ci))
-		ex, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: tc.maxLag})
-		if err != nil {
-			t.Fatal(err)
-		}
-		poisonPools(1 << 18)
-		ff, err := Compute(bg, in64(f), Options{FFT: true, MaxLag: tc.maxLag})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstExact(t, "poisoned", f, ex, ff)
+	for _, lane := range []struct {
+		name  string
+		seed  uint64
+		input func(shape []int, seed uint64) (stat.Source, *field.Field)
+	}{
+		{"f64", 900, func(shape []int, seed uint64) (stat.Source, *field.Field) {
+			f := randomField(shape, seed)
+			return in64(f), f
+		}},
+		{"f32", 1700, func(shape []int, seed uint64) (stat.Source, *field.Field) {
+			f32, f64 := randomField32(shape, seed)
+			return in32(f32), f64
+		}},
+	} {
+		t.Run(lane.name, func(t *testing.T) {
+			for ci, tc := range equivalenceCases {
+				src, f := lane.input(tc.shape, lane.seed+uint64(ci))
+				ex, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: tc.maxLag})
+				if err != nil {
+					t.Fatal(err)
+				}
+				poisonPools(1 << 18)
+				ff, err := Compute(bg, src, Options{FFT: true, MaxLag: tc.maxLag})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstExact(t, "poisoned", f, ex, ff)
 
-		// The Bluestein/odd-length paths have their own scratch
-		// handling; poison them too.
-		orig := padLenFn
-		padLenFn = func(n int) int { return n }
-		poisonPools(1 << 18)
-		fb, err := Compute(bg, in64(f), Options{FFT: true, MaxLag: tc.maxLag})
-		padLenFn = orig
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstExact(t, "poisoned-bluestein", f, ex, fb)
+				// The Bluestein/odd-length paths have their own scratch
+				// handling; poison them too.
+				orig := padLenFn
+				padLenFn = func(n int) int { return n }
+				poisonPools(1 << 18)
+				fb, err := Compute(bg, src, Options{FFT: true, MaxLag: tc.maxLag})
+				padLenFn = orig
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstExact(t, "poisoned-bluestein", f, ex, fb)
+			}
+		})
 	}
 }
 
@@ -377,15 +410,14 @@ func TestFFTPoisonedPools(t *testing.T) {
 // engine's own buffers recycled.
 func TestFFTMemorySmoke(t *testing.T) {
 	f32, f := randomField32([]int{512, 512}, 77)
+	want := FFTPeakBytes(f.Shape, 256)
 	for _, lane := range []struct {
-		name      string
-		elemBytes int
-		run       func() error
+		name string
+		run  func() error
 	}{
-		{"float64", 8, func() error { _, err := Compute(bg, in64(f), Options{FFT: true}); return err }},
-		{"float32", 4, func() error { _, err := Compute(bg, in32(f32), Options{FFT: true}); return err }},
+		{"float64", func() error { _, err := Compute(bg, in64(f), Options{FFT: true}); return err }},
+		{"float32", func() error { _, err := Compute(bg, in32(f32), Options{FFT: true}); return err }},
 	} {
-		want := FFTPeakBytes(f.Shape, 256, lane.elemBytes)
 		// Two collections empty every sync.Pool, buckets included.
 		runtime.GC()
 		runtime.GC()

@@ -41,7 +41,7 @@ func shardBytes(b int, dims []int, nb int) int64 {
 	for _, d := range ext {
 		block *= int64(d)
 	}
-	return block + slabPeakBytes(ext, b, nb, 8)
+	return block + slabPeakBytes(ext, b, nb)
 }
 
 // fftShardSize picks the largest axis-0 base extent whose slab pass
@@ -95,7 +95,7 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := tr.ReadBlock(blk, lo, hi); err != nil {
 				return err
 			}
-			return fftSlab[float64, complex128](ctx, blk.Data, blk.Shape, z1-z0, ref, o, sum, cnt)
+			return fftSlab(ctx, blk.Data, blk.Shape, z1-z0, ref, o, sum, cnt)
 		}(); err != nil {
 			return nil, err
 		}

@@ -20,7 +20,6 @@ import (
 	"math"
 	"sync"
 
-	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
 	"lossycorr/internal/parallel"
 	"lossycorr/internal/xrand"
@@ -48,10 +47,10 @@ func sampleSalt(ndim int) uint64 {
 
 // scanData runs the chosen estimator over an in-RAM lane; mean supplies
 // the field mean the spectral engine's embed subtracts.
-func scanData[T fft.Float, C fft.Complex](ctx context.Context, data []T, shape []int, mean func() float64, est estimator, o Options) (*Empirical, error) {
+func scanData[T field.Elem](ctx context.Context, data []T, shape []int, mean func() float64, est estimator, o Options) (*Empirical, error) {
 	switch est {
 	case spectral:
-		return fftScan[T, C](ctx, data, shape, mean(), o)
+		return fftScan(ctx, data, shape, mean(), o)
 	case exact:
 		return exactScanData(ctx, data, shape, o)
 	}

@@ -316,11 +316,11 @@ func TestFFTShardPeakWithinBudget(t *testing.T) {
 			z1 := min(z0+s, shape[0])
 			z2 := min(z1+nb, shape[0])
 			blk := append([]int{z2 - z0}, shape[1:]...)
-			want := slabPeakBytes(blk, z1-z0, nb, 8)
+			want := slabPeakBytes(blk, z1-z0, nb)
 			drain()
 			fft.ResetPeakBytes()
 			base := fft.LiveBytes()
-			if err := fftSlab[float64, complex128](ctx, f.Data[z0*rest:z2*rest], blk, z1-z0, 0, o, sum, cnt); err != nil {
+			if err := fftSlab(ctx, f.Data[z0*rest:z2*rest], blk, z1-z0, 0, o, sum, cnt); err != nil {
 				t.Fatal(err)
 			}
 			if peak := fft.PeakBytes() - base; peak > want {

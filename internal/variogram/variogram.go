@@ -148,10 +148,10 @@ func Compute(ctx context.Context, src stat.Source, opts Options) (*Empirical, er
 		return scanReader(ctx, src.Reader, src.Stream, est, o)
 	case src.F32 != nil:
 		f := src.F32
-		return scanData[float32, complex64](ctx, f.Data, shape, func() float64 { return f.Summary().Mean }, est, o)
+		return scanData(ctx, f.Data, shape, func() float64 { return f.Summary().Mean }, est, o)
 	}
 	f := src.F64
-	return scanData[float64, complex128](ctx, f.Data, shape, func() float64 { return f.Summary().Mean }, est, o)
+	return scanData(ctx, f.Data, shape, func() float64 { return f.Summary().Mean }, est, o)
 }
 
 func collect(sum []float64, cnt []int64) *Empirical {
