@@ -151,7 +151,8 @@ func TestLocalRanges32MatchOracle(t *testing.T) {
 
 // BenchmarkVariogramFFT32 is the float32 row of the paired lane
 // gauges: same fields (narrowed) and cutoffs as BenchmarkVariogramFFT,
-// reporting the float32 engine's transform-plane peak.
+// reporting the transform-plane peak of a float32 run, whose samples
+// are widened into the float64 plane.
 func BenchmarkVariogramFFT32(b *testing.B) {
 	for _, n := range benchScanSizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
