@@ -59,7 +59,8 @@ func run[T field.Elem](name string, f *field.Of[T], absErr float64,
 // range in one pass over the two fields, bit for bit what
 // f.MaxAbsDiff(out), f.MSE(out) and f.Summary().ValueRange return, NaN
 // and ±Inf included: the same differences summed in the same order,
-// and the same comparisons, which skip a NaN sample of f.
+// and the same comparisons, which skip a NaN sample of f. Each square
+// is rounded before it is added, so no target fuses a multiply-add.
 func errorStats[T field.Elem](f, out *field.Of[T]) (maxErr, mse, vr float64, err error) {
 	if !f.SameShape(out) {
 		return 0, 0, 0, fmt.Errorf("field: shape mismatch %v vs %v", f.Shape, out.Shape)
@@ -80,7 +81,7 @@ func errorStats[T field.Elem](f, out *field.Of[T]) (maxErr, mse, vr float64, err
 			hi = v
 		}
 		d := v - float64(b)
-		sum += d * d
+		sum += float64(d * d)
 		if ad := math.Abs(d); !(ad <= maxErr) {
 			if ad == ad {
 				maxErr = ad
@@ -120,7 +121,7 @@ func PSNRField(f *field.Field, mse float64) float64 {
 }
 
 // psnrRange is the PSNR of an error with mean square mse on a field of
-// value range vr.
+// value range vr, each product rounded before the subtraction.
 func psnrRange(vr, mse float64) float64 {
 	if mse == 0 {
 		return math.Inf(1)
@@ -128,5 +129,5 @@ func psnrRange(vr, mse float64) float64 {
 	if vr == 0 {
 		return 0
 	}
-	return 20*math.Log10(vr) - 10*math.Log10(mse)
+	return float64(20*math.Log10(vr)) - float64(10*math.Log10(mse))
 }

@@ -242,20 +242,25 @@ func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) er
 
 // AbsSq sets a[i] = |a[i]|² — the autocorrelation spectrum of the real
 // signal whose half-spectrum a holds. Real and even, hence hermitian: a
-// valid InverseRealND input.
+// valid InverseRealND input. Each square is rounded before the add, so
+// no target fuses them.
 func AbsSq(a []complex128) {
 	for i, v := range a {
 		r, j := real(v), imag(v)
-		a[i] = complex(r*r+j*j, 0)
+		a[i] = complex(float64(r*r)+float64(j*j), 0)
 	}
 }
 
 // MulConj sets a[i] = conj(a[i])·b[i] — the cross-correlation spectrum
 // of the two real signals whose half-spectra a and b hold. The product
 // of a conjugated hermitian spectrum with a hermitian spectrum is
-// hermitian, so the result is a valid InverseRealND input.
+// hermitian, so the result is a valid InverseRealND input. It is the
+// complex product written out by components, each product rounded
+// before its add, so no target fuses them.
 func MulConj(a, b []complex128) {
 	for i, v := range a {
-		a[i] = cmplx.Conj(v) * b[i]
+		vr, vi := real(v), -imag(v)
+		br, bi := real(b[i]), imag(b[i])
+		a[i] = complex(float64(vr*br)-float64(vi*bi), float64(vr*bi)+float64(vi*br))
 	}
 }

@@ -163,7 +163,8 @@ func convert[D, S Elem](f *Of[S]) *Of[D] {
 }
 
 // Summary computes min/max/mean/variance in one float64-accumulated
-// pass (Welford).
+// pass (Welford). Each product is rounded before it is added, so no
+// target fuses the update into a multiply-add.
 func (f *Of[T]) Summary() Stats {
 	if len(f.Data) == 0 {
 		return Stats{}
@@ -180,7 +181,7 @@ func (f *Of[T]) Summary() Stats {
 		}
 		d := v - mean
 		mean += d / float64(i+1)
-		m2 += d * (v - mean)
+		m2 += float64(d * (v - mean))
 	}
 	s.Mean = mean
 	s.Variance = m2 / float64(len(f.Data))
@@ -215,7 +216,8 @@ func (f *Of[T]) MaxAbsDiff(o *Of[T]) (float64, error) {
 	return m, nil
 }
 
-// MSE returns the mean squared error between two equally shaped fields.
+// MSE returns the mean squared error between two equally shaped fields,
+// each square rounded before it is added, as in Summary.
 func (f *Of[T]) MSE(o *Of[T]) (float64, error) {
 	if !f.SameShape(o) {
 		return 0, fmt.Errorf("field: shape mismatch %v vs %v", f.Shape, o.Shape)
@@ -226,7 +228,7 @@ func (f *Of[T]) MSE(o *Of[T]) (float64, error) {
 	var sum float64
 	for i, a := range f.Data {
 		d := float64(a) - float64(o.Data[i])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(f.Data)), nil
 }

@@ -97,7 +97,8 @@ func (r *Rand) intnRetry(bound, hi, lo uint64) int {
 
 // NormFloat64 returns a standard Gaussian variate using the Marsaglia
 // polar method (deterministic given the stream, unlike ziggurat table
-// edge cases across Go versions).
+// edge cases across Go versions). The squares are rounded before they
+// are added, so no target fuses them.
 func (r *Rand) NormFloat64() float64 {
 	if r.haveSpare {
 		r.haveSpare = false
@@ -106,7 +107,7 @@ func (r *Rand) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}
