@@ -25,7 +25,7 @@ import (
 // BatchWidth is the number of windows a sweep hands its evaluators at
 // once, so a kernel can evaluate several equal-shaped windows in one
 // pass. Results do not depend on it.
-const BatchWidth = 4
+const BatchWidth = 8
 
 // Source is the one value that names every input a statistic accepts:
 // exactly one of F64, F32, or Reader is set. Stream configures the

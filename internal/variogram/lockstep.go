@@ -3,36 +3,44 @@ package variogram
 // Lockstep window scan. A window's exact scan folds every pair of a
 // distance bin into one serial float64 chain, so a single window's
 // inner loop waits on floating-point add latency. LocalRangeKernel
-// therefore scans up to scanLanes equal-shaped windows in one pass:
-// each lane keeps its own chain, in exactly exactScanData's offset
-// order and row-major base-point order, so every lane's Empirical is
-// bitwise the one a single-window scan produces, while the lanes'
-// independent chains overlap in the pipeline.
+// therefore scans up to scanLanes (8) equal-shaped windows in one
+// pass: each lane keeps its own chain, in exactly exactScanData's
+// offset order and row-major base-point order, so every lane's
+// Empirical is bitwise the one a single-window scan produces, while
+// the lanes' independent chains overlap in the pipeline.
 //
-// The lanes are interleaved: element j of the scan's plane holds value
-// j of every lane, so one row of pairs reads two slices, not two per
-// lane, and laneRow keeps its counter, both bases and all four chains
-// in registers. Trailing axes an offset leaves whole are folded into
-// one longer row, which visits the same base points in the same order.
+// The lanes are interleaved in groups of four: element j of group g's
+// plane holds value j of lanes 4g to 4g+3, so one row of pairs reads
+// two slices per group, not two per lane. laneRow, the scalar row
+// loop, keeps its counter, both bases and a group's four chains in
+// registers. On amd64 with AVX2, when both groups hold kept windows,
+// laneRow2 runs the row of both groups at once, one 256-bit register
+// per group element, doing per lane the same subtract, rounded
+// multiply and add as laneRow, in the same order and never fused, so
+// every bit is laneRow's. Elsewhere (other architectures, CPUs without
+// AVX2, the purego build tag) laneRow runs once per group. Trailing
+// axes an offset leaves whole are folded into one longer row, which
+// visits the same base points in the same order.
 
 import (
 	"slices"
 	"sync"
 
 	"lossycorr/internal/field"
+	"lossycorr/internal/stream"
 )
 
 // scanLanes is the number of windows the lockstep scan carries per
-// pass.
-const scanLanes = 4
+// pass: a whole batch of the window sweep.
+const scanLanes = stream.BatchWidth
 
 // laneScratch is the reusable state of one lockstep scan: the odometer
-// of scanOffsetLanes, the interleaved plane of the lanes' data, each
+// of scanOffsetLanes, the interleaved plane of each lane group, each
 // lane's per-bin sums and the shared per-bin pair counts.
 type laneScratch struct {
 	sc      scanScratch
 	strides []int
-	il      [][scanLanes]float64
+	il      [scanLanes / 4][][4]float64
 	sum     [scanLanes][]float64
 	cnt     []int64
 }
@@ -53,24 +61,30 @@ func (ls *laneScratch) reset(nd, nb int) {
 	ls.cnt = resetBins(ls.cnt, nb+1)
 }
 
-// interleave fills ls.il with the first n values of lanes (1 to
-// scanLanes arrays) transposed, element j holding value j of every
-// lane; lanes past len(lanes) repeat lane 0.
-func (ls *laneScratch) interleave(lanes [][]float64, n int) [][scanLanes]float64 {
-	if cap(ls.il) < n {
-		ls.il = make([][scanLanes]float64, n)
-	}
-	il := ls.il[:n]
-	for l := 0; l < scanLanes; l++ {
-		src := lanes[0]
-		if l < len(lanes) {
-			src = lanes[l]
+// interleave fills the planes of the groups that hold one of lanes (1
+// to scanLanes arrays) with their first n values transposed, element j
+// of group g holding value j of lanes 4g to 4g+3, and returns those
+// planes. Slots past len(lanes) in the last group repeat that group's
+// first lane.
+func (ls *laneScratch) interleave(lanes [][]float64, n int) [][][4]float64 {
+	groups := (len(lanes) + 3) / 4
+	for g := range groups {
+		if cap(ls.il[g]) < n {
+			ls.il[g] = make([][4]float64, n)
 		}
-		for j, v := range src[:n] {
-			il[j][l] = v
+		il := ls.il[g][:n]
+		for l := range 4 {
+			src := lanes[4*g]
+			if 4*g+l < len(lanes) {
+				src = lanes[4*g+l]
+			}
+			for j, v := range src[:n] {
+				il[j][l] = v
+			}
 		}
+		ls.il[g] = il
 	}
-	return il
+	return ls.il[:groups]
 }
 
 // resetBins returns s resized to n zeroed elements, reusing its
@@ -88,7 +102,7 @@ func resetBins[E float64 | int64](s []E, n int) []E {
 // chain s_l, in index order. The explicit float64 conversion rounds
 // each square before it is added, so no target fuses the two into one
 // multiply-add and the chain is bitwise that of scanOffset.
-func laneRow(xs, ys [][scanLanes]float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+func laneRow(xs, ys [][4]float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
 	ys = ys[:len(xs)]
 	for i := range xs {
 		x, y := &xs[i], &ys[i]
@@ -104,15 +118,15 @@ func laneRow(xs, ys [][scanLanes]float64, s0, s1, s2, s3 float64) (float64, floa
 	return s0, s1, s2, s3
 }
 
-// scanOffsetLanes is scanOffset over the interleaved plane il of
-// scanLanes arrays of one shape: it folds (z(x) − z(x+off))² of every
-// in-bounds base point x into each lane's own running chain sum[l],
-// visiting base points in the same row-major order, and adds the
-// (shared) pair count. Trailing axes the offset leaves whole (zero
-// offset component) lie contiguous in memory, so they fold into the
-// row: the scan walks rows of axis m and everything after it, and
-// counts rows·n pairs once.
-func scanOffsetLanes(il [][scanLanes]float64, dims, strides []int, off []int32, sc *scanScratch, sum *[scanLanes]float64, cnt *int64) {
+// scanOffsetLanes is scanOffset over the interleaved planes il of up
+// to scanLanes arrays of one shape, one plane per lane group: it folds
+// (z(x) − z(x+off))² of every in-bounds base point x into each lane's
+// own running chain sum[l], visiting base points in the same row-major
+// order, and adds the (shared) pair count. Trailing axes the offset
+// leaves whole (zero offset component) lie contiguous in memory, so
+// they fold into the row: the scan walks rows of axis m and everything
+// after it, and counts rows·n pairs once.
+func scanOffsetLanes(il [][][4]float64, dims, strides []int, off []int32, sc *scanScratch, sum *[scanLanes]float64, cnt *int64) {
 	nd := len(dims)
 	delta := 0
 	lo := sc.lo[:nd]
@@ -139,11 +153,18 @@ func scanOffsetLanes(il [][scanLanes]float64, dims, strides []int, off []int32, 
 		base += lo[k] * strides[k]
 		rows *= hi[k] - lo[k]
 	}
-	s0, s1, s2, s3 := sum[0], sum[1], sum[2], sum[3]
+	vector := useAVX2 && len(il) == 2
 	cur := sc.cur[:m]
 	copy(cur, lo[:m])
 	for {
-		s0, s1, s2, s3 = laneRow(il[base:][:n], il[base+delta:][:n], s0, s1, s2, s3)
+		if vector {
+			laneRow2(&il[0][base], &il[0][base+delta], &il[1][base], &il[1][base+delta], n, sum)
+		} else {
+			for g, p := range il {
+				s := sum[4*g : 4*g+4]
+				s[0], s[1], s[2], s[3] = laneRow(p[base:][:n], p[base+delta:][:n], s[0], s[1], s[2], s[3])
+			}
+		}
 		k := m - 1
 		for ; k >= 0; k-- {
 			cur[k]++
@@ -158,15 +179,15 @@ func scanOffsetLanes(il [][scanLanes]float64, dims, strides []int, off []int32, 
 			break
 		}
 	}
-	sum[0], sum[1], sum[2], sum[3] = s0, s1, s2, s3
 	*cnt += int64(rows) * int64(n)
 }
 
 // exactScanLanes runs the serial exact scan with cutoff maxLag over
 // lanes (1 to scanLanes arrays, all of the given shape) in lockstep,
 // leaving lane l's per-bin sums in ls.sum[l] and the per-bin pair
-// counts in ls.cnt. Lanes past len(lanes) repeat lane 0's data; their
-// sums are scratch. Each lane's sums are bitwise those of
+// counts in ls.cnt. Padding slots of the last lane group repeat that
+// group's first lane; their sums, like those of lanes past the last
+// group, are scratch. Each lane's sums are bitwise those of
 // exactScanData on that lane alone.
 func exactScanLanes(lanes [][]float64, shape []int, maxLag int, ls *laneScratch) {
 	nd := len(shape)
@@ -192,7 +213,8 @@ func exactScanLanes(lanes [][]float64, shape []int, maxLag int, ls *laneScratch)
 }
 
 // windowRanges is LocalRangeKernel's batch solve: the fitted variogram
-// range of each window of ws into vals, with keep[i] false for skipped
+// range of each window of ws (one sweep batch, at most
+// stream.BatchWidth windows) into vals, with keep[i] false for skipped
 // windows — clipped below 4 in any extent, or constant. Kept windows
 // are grouped by shape and scanned scanLanes at a time (exact scan,
 // serially: the batches themselves are the parallel axis); the fits
@@ -203,13 +225,7 @@ func windowRanges(ws []*field.Field, vals []float64, keep []bool, opts Options) 
 		vals[i] = 0
 		keep[i] = w.MinDim() >= 4 && w.Summary().Variance != 0
 	}
-	var doneBuf [8]bool
-	done := doneBuf[:0]
-	if len(ws) <= len(doneBuf) {
-		done = doneBuf[:len(ws)]
-	} else {
-		done = make([]bool, len(ws))
-	}
+	var done [stream.BatchWidth]bool
 	ls := laneScratchPool.Get().(*laneScratch)
 	defer laneScratchPool.Put(ls)
 	errAt := len(ws)

@@ -42,8 +42,9 @@ type lockstepCase struct {
 }
 
 var lockstepCases = []lockstepCase{
-	// 45×38 at H=16: 16×16, 16×6, 13×16 and 13×6 windows.
-	{"rank2", []int{45, 38}, 16},
+	// 93×38 at H=16: 16×16, 16×6, 13×16 and 13×6 windows; ten 16×16
+	// windows, one of them flattened, fill both lane groups.
+	{"rank2", []int{93, 38}, 16},
 	// 21×19×14 at H=8: the last window column is 3 wide (too small).
 	{"rank3", []int{21, 19, 14}, 8},
 }
@@ -68,12 +69,13 @@ func flatten(f *field.Field32, origin []int, h int) {
 
 // TestLockstepScanMatchesSingleLane pins the lockstep window scan to
 // the single-lane exact scan bit for bit: at ranks 2 and 3, for batch
-// sizes 1–4 (and one batch holding every window), over batches that
-// mix shapes (clipped edge windows), constant and too-small windows,
-// on float32 windows widened exactly into the float64 lane, at the
-// default and an explicit lag cutoff. Both the per-lane Empirical and
-// the fitted range must match.
+// sizes 1–scanLanes, over batches that mix shapes (clipped edge
+// windows), constant and too-small windows, on float32 windows widened
+// exactly into the float64 lane, at the default and an explicit lag
+// cutoff. Both the per-lane Empirical and the fitted range must match,
+// and scans of every lane count 1–scanLanes must occur.
 func TestLockstepScanMatchesSingleLane(t *testing.T) {
+	var seen [scanLanes + 1]bool // lane counts scanned
 	for ci, tc := range lockstepCases {
 		f32, _ := randomField32(tc.shape, uint64(40+ci))
 		origins := f32.TileOrigins(tc.h)
@@ -101,7 +103,7 @@ func TestLockstepScanMatchesSingleLane(t *testing.T) {
 			if kept == 0 || kept == len(refs) {
 				t.Fatalf("%s: %d of %d windows kept; the case must mix kept and skipped windows", tc.name, kept, len(refs))
 			}
-			for _, bs := range []int{1, 2, 3, 4, len(ws)} {
+			for bs := 1; bs <= scanLanes; bs++ {
 				vals := make([]float64, len(ws))
 				keep := make([]bool, len(ws))
 				for lo := 0; lo < len(ws); lo += bs {
@@ -118,7 +120,8 @@ func TestLockstepScanMatchesSingleLane(t *testing.T) {
 				}
 			}
 			// The lanes' Empiricals themselves, for every run of up to
-			// scanLanes kept windows of one shape.
+			// scanLanes kept windows of one shape: the rank-2 runs hold
+			// 1 to scanLanes lanes.
 			ls := new(laneScratch)
 			for i := 0; i < len(ws); i++ {
 				if !refs[i].keep {
@@ -137,28 +140,37 @@ func TestLockstepScanMatchesSingleLane(t *testing.T) {
 					maxLag = ws[i].MinDim() / 2
 				}
 				exactScanLanes(lanes, ws[i].Shape, maxLag, ls)
+				seen[len(lanes)] = true
 				for l, j := range idx {
 					assertEmpiricalIdentical(t, collect(ls.sum[l], ls.cnt), refs[j].e, tc.name)
 				}
 			}
 		}
 	}
+	for n := 1; n <= scanLanes; n++ {
+		if !seen[n] {
+			t.Errorf("no run of %d lanes was scanned", n)
+		}
+	}
 }
 
-// TestLockstepPaddedLanesIgnored: a short group's padding lanes repeat
-// a kept window's data, so they can never leak into the real lanes —
-// a one-window scan equals that window's lane in a full group.
+// TestLockstepPaddedLanesIgnored: a short group's padding slots
+// repeat a kept window's data, so they can never leak into the real
+// lanes — a one-window scan equals that window's lane in a full pass
+// and in one of 5 lanes, whose second group holds one window.
 func TestLockstepPaddedLanesIgnored(t *testing.T) {
-	f := randomField([]int{4, 24, 24}, 9)
+	f := randomField([]int{scanLanes, 24, 24}, 9)
 	var lanes [][]float64
-	for z := 0; z < 4; z++ {
+	for z := 0; z < scanLanes; z++ {
 		lanes = append(lanes, f.Window([]int{z, 0, 0}, 24).Data)
 	}
-	full, one := new(laneScratch), new(laneScratch)
-	exactScanLanes(lanes, []int{1, 24, 24}, 8, full)
-	for l := range lanes {
-		exactScanLanes(lanes[l:l+1], []int{1, 24, 24}, 8, one)
-		assertEmpiricalIdentical(t, collect(one.sum[0], one.cnt), collect(full.sum[l], full.cnt), "padded")
+	many, one := new(laneScratch), new(laneScratch)
+	for _, nl := range []int{5, scanLanes} {
+		exactScanLanes(lanes[:nl], []int{1, 24, 24}, 8, many)
+		for l := range nl {
+			exactScanLanes(lanes[l:l+1], []int{1, 24, 24}, 8, one)
+			assertEmpiricalIdentical(t, collect(one.sum[0], one.cnt), collect(many.sum[l], many.cnt), "padded")
+		}
 	}
 }
 
@@ -166,9 +178,9 @@ func TestLockstepPaddedLanesIgnored(t *testing.T) {
 // the lockstep scan against the single-lane exact scan's raw per-bin
 // sums: shapes of rank 1–4 with extents 1–9 (extent-1 axes included),
 // plus shapes whose whole trailing axes fold rows across more than one
-// axis, at 1–4 lanes and cutoffs of 1, half the smallest extent above
-// 1, and one past that. Every lane's sums must be bit for bit and its
-// counts exactly those of exactScanSums on that lane alone.
+// axis, at 1–scanLanes lanes and cutoffs of 1, half the smallest
+// extent above 1, and one past that. Every lane's sums must be bit for
+// bit and its counts exactly those of exactScanSums on that lane alone.
 func TestLockstepRandomShapesMatchExactScan(t *testing.T) {
 	shapes := [][]int{{9, 7, 1}, {1, 24, 24}, {5, 1, 1, 6}, {1, 1, 9}, {6, 1}}
 	rng := xrand.New(29)
@@ -209,6 +221,71 @@ func TestLockstepRandomShapesMatchExactScan(t *testing.T) {
 							shape, maxLag, l, len(lanes), b, ls.sum[l][b], ls.cnt[b], sum[b], cnt[b])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestLaneRow2MatchesLaneRow compares the AVX2 row kernel with
+// laneRow, per lane group, lane for lane and bit for bit, on seeded
+// random planes of lengths 0–1000 from random chain starts, with
+// values drawn among ±0, subnormals, ±Inf, NaNs of several payloads,
+// ±MaxFloat64 and ordinary numbers; every other length draws specials
+// rarely, so its chains mostly stay finite. A NaN matches any NaN: Go
+// leaves open which operand's payload an add passes on, and the race
+// build's laneRow picks the other one. Where the kernel cannot run (no
+// AVX2, or the purego build tag) it compares laneRow with itself.
+func TestLaneRow2MatchesLaneRow(t *testing.T) {
+	kernel := func(x0, y0, x1, y1 [][4]float64, n int, s *[8]float64) {
+		if !useAVX2 {
+			s[0], s[1], s[2], s[3] = laneRow(x0[:n], y0[:n], s[0], s[1], s[2], s[3])
+			s[4], s[5], s[6], s[7] = laneRow(x1[:n], y1[:n], s[4], s[5], s[6], s[7])
+			return
+		}
+		laneRow2(&x0[0], &y0[0], &x1[0], &y1[0], n, s)
+	}
+	if !useAVX2 {
+		t.Log("no AVX2 kernel in this build or on this CPU: laneRow is compared with itself")
+	}
+	special := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1070, 0x1.8p-1030,
+		math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
+		math.Float64frombits(0x7ff0_0000_dead_beef), math.Float64frombits(0xfff8_0000_0000_1234),
+		math.MaxFloat64, -math.MaxFloat64, 1e308, 1e154, -1e-160,
+	}
+	rng := xrand.New(32)
+	rate := 4 // one value in rate is special
+	value := func() float64 {
+		if rng.Intn(rate) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * math.Ldexp(1, rng.Intn(64)-32)
+	}
+	plane := func(n int) [][4]float64 {
+		p := make([][4]float64, n+1) // one spare element: the kernel takes &p[0]
+		for i := range p {
+			for l := range p[i] {
+				p[i][l] = value()
+			}
+		}
+		return p
+	}
+	for n := 0; n <= 1000; n++ {
+		rate = 4 + n%2*4000
+		x0, y0, x1, y1 := plane(n), plane(n), plane(n), plane(n)
+		var got, want [8]float64
+		for l := range got {
+			if rng.Intn(2) == 0 {
+				got[l] = math.Abs(value())
+			}
+		}
+		want = got
+		kernel(x0, y0, x1, y1, n, &got)
+		want[0], want[1], want[2], want[3] = laneRow(x0[:n], y0[:n], want[0], want[1], want[2], want[3])
+		want[4], want[5], want[6], want[7] = laneRow(x1[:n], y1[:n], want[4], want[5], want[6], want[7])
+		for l := range got {
+			if math.Float64bits(got[l]) != math.Float64bits(want[l]) && !(math.IsNaN(got[l]) && math.IsNaN(want[l])) {
+				t.Fatalf("length %d lane %d: %#x, laneRow %#x", n, l, math.Float64bits(got[l]), math.Float64bits(want[l]))
 			}
 		}
 	}
