@@ -81,7 +81,7 @@ func errorStats[T field.Elem](f, out *field.Of[T]) (maxErr, mse, vr float64, err
 			hi = v
 		}
 		d := v - float64(b)
-		sum += float64(d * d)
+		sum += float64(d * d) // fma:rounded
 		if ad := math.Abs(d); !(ad <= maxErr) {
 			if ad == ad {
 				maxErr = ad
@@ -129,5 +129,5 @@ func psnrRange(vr, mse float64) float64 {
 	if vr == 0 {
 		return 0
 	}
-	return float64(20*math.Log10(vr)) - float64(10*math.Log10(mse))
+	return float64(20*math.Log10(vr)) - float64(10*math.Log10(mse)) // fma:rounded
 }

@@ -247,7 +247,7 @@ func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) er
 func AbsSq(a []complex128) {
 	for i, v := range a {
 		r, j := real(v), imag(v)
-		a[i] = complex(float64(r*r)+float64(j*j), 0)
+		a[i] = complex(float64(r*r)+float64(j*j), 0) // fma:rounded
 	}
 }
 
@@ -261,6 +261,6 @@ func MulConj(a, b []complex128) {
 	for i, v := range a {
 		vr, vi := real(v), -imag(v)
 		br, bi := real(b[i]), imag(b[i])
-		a[i] = complex(float64(vr*br)-float64(vi*bi), float64(vr*bi)+float64(vi*br))
+		a[i] = complex(float64(vr*br)-float64(vi*bi), float64(vr*bi)+float64(vi*br)) // fma:rounded
 	}
 }

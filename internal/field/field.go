@@ -181,7 +181,7 @@ func (f *Of[T]) Summary() Stats {
 		}
 		d := v - mean
 		mean += d / float64(i+1)
-		m2 += float64(d * (v - mean))
+		m2 += float64(d * (v - mean)) // fma:rounded
 	}
 	s.Mean = mean
 	s.Variance = m2 / float64(len(f.Data))
@@ -228,7 +228,7 @@ func (f *Of[T]) MSE(o *Of[T]) (float64, error) {
 	var sum float64
 	for i, a := range f.Data {
 		d := float64(a) - float64(o.Data[i])
-		sum += float64(d * d)
+		sum += float64(d * d) // fma:rounded
 	}
 	return sum / float64(len(f.Data)), nil
 }

@@ -17,8 +17,9 @@ package variogram
 // laneRow2 runs the row of both groups at once, one 256-bit register
 // per group element, doing per lane the same subtract, rounded
 // multiply and add as laneRow, in the same order and never fused, so
-// every bit is laneRow's. Elsewhere (other architectures, CPUs without
-// AVX2, the purego build tag) laneRow runs once per group. Trailing
+// every bit is laneRow's. Otherwise (other architectures, CPUs without
+// AVX2, batches of one group) each group is a whole scan of its own,
+// row by row through laneRow, so a pass walks one plane. Trailing
 // axes an offset leaves whole are folded into one longer row, which
 // visits the same base points in the same order.
 
@@ -118,14 +119,15 @@ func laneRow(xs, ys [][4]float64, s0, s1, s2, s3 float64) (float64, float64, flo
 	return s0, s1, s2, s3
 }
 
-// scanOffsetLanes is scanOffset over the interleaved planes il of up
-// to scanLanes arrays of one shape, one plane per lane group: it folds
-// (z(x) − z(x+off))² of every in-bounds base point x into each lane's
-// own running chain sum[l], visiting base points in the same row-major
-// order, and adds the (shared) pair count. Trailing axes the offset
-// leaves whole (zero offset component) lie contiguous in memory, so
-// they fold into the row: the scan walks rows of axis m and everything
-// after it, and counts rows·n pairs once.
+// scanOffsetLanes is scanOffset over the interleaved planes il of
+// arrays of one shape, one plane per lane group: one group, or two
+// when useAVX2 is set. It folds (z(x) − z(x+off))² of every in-bounds
+// base point x into each lane's own running chain sum[l], visiting
+// base points in the same row-major order, and adds the (shared) pair
+// count. Trailing axes the offset leaves whole (zero offset component)
+// lie contiguous in memory, so they fold into the row: the scan walks
+// rows of axis m and everything after it, and counts rows·n pairs
+// once.
 func scanOffsetLanes(il [][][4]float64, dims, strides []int, off []int32, sc *scanScratch, sum *[scanLanes]float64, cnt *int64) {
 	nd := len(dims)
 	delta := 0
@@ -153,17 +155,16 @@ func scanOffsetLanes(il [][][4]float64, dims, strides []int, off []int32, sc *sc
 		base += lo[k] * strides[k]
 		rows *= hi[k] - lo[k]
 	}
-	vector := useAVX2 && len(il) == 2
+	vector := len(il) == 2
+	p := il[0]
+	s0, s1, s2, s3 := sum[0], sum[1], sum[2], sum[3]
 	cur := sc.cur[:m]
 	copy(cur, lo[:m])
 	for {
 		if vector {
-			laneRow2(&il[0][base], &il[0][base+delta], &il[1][base], &il[1][base+delta], n, sum)
+			laneRow2(&p[base], &p[base+delta], &il[1][base], &il[1][base+delta], n, sum)
 		} else {
-			for g, p := range il {
-				s := sum[4*g : 4*g+4]
-				s[0], s[1], s[2], s[3] = laneRow(p[base:][:n], p[base+delta:][:n], s[0], s[1], s[2], s[3])
-			}
+			s0, s1, s2, s3 = laneRow(p[base:][:n], p[base+delta:][:n], s0, s1, s2, s3)
 		}
 		k := m - 1
 		for ; k >= 0; k-- {
@@ -179,6 +180,9 @@ func scanOffsetLanes(il [][][4]float64, dims, strides []int, off []int32, sc *sc
 			break
 		}
 	}
+	if !vector {
+		sum[0], sum[1], sum[2], sum[3] = s0, s1, s2, s3
+	}
 	*cnt += int64(rows) * int64(n)
 }
 
@@ -188,7 +192,9 @@ func scanOffsetLanes(il [][][4]float64, dims, strides []int, off []int32, sc *sc
 // counts in ls.cnt. Padding slots of the last lane group repeat that
 // group's first lane; their sums, like those of lanes past the last
 // group, are scratch. Each lane's sums are bitwise those of
-// exactScanData on that lane alone.
+// exactScanData on that lane alone. With AVX2 both groups share every
+// pass; otherwise each group is a whole scan of its own, so its plane
+// alone is walked once per offset.
 func exactScanLanes(lanes [][]float64, shape []int, maxLag int, ls *laneScratch) {
 	nd := len(shape)
 	ls.reset(nd, maxLag)
@@ -199,16 +205,23 @@ func exactScanLanes(lanes [][]float64, shape []int, maxLag int, ls *laneScratch)
 	}
 	il := ls.interleave(lanes, acc)
 	bins := offsetsByBinCached(nd, maxLag)
-	for b, offs := range bins {
-		var s [scanLanes]float64
-		var c int64
-		for p := 0; p < len(offs); p += nd {
-			scanOffsetLanes(il, shape, ls.strides, offs[p:p+nd], &ls.sc, &s, &c)
+	step := 1
+	if useAVX2 {
+		step = 2
+	}
+	for g := 0; g < len(il); g += step {
+		part := il[g:min(g+step, len(il))]
+		for b, offs := range bins {
+			var s [scanLanes]float64
+			var c int64
+			for p := 0; p < len(offs); p += nd {
+				scanOffsetLanes(part, shape, ls.strides, offs[p:p+nd], &ls.sc, &s, &c)
+			}
+			for l := range 4 * len(part) {
+				ls.sum[4*g+l][b] = s[l]
+			}
+			ls.cnt[b] = c
 		}
-		for l := range s {
-			ls.sum[l][b] = s[l]
-		}
-		ls.cnt[b] = c
 	}
 }
 

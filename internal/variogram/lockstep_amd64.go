@@ -1,9 +1,8 @@
-//go:build !purego
-
 package variogram
 
 // useAVX2 reports whether the CPU and the operating system support
-// AVX2, and so whether scanOffsetLanes may run laneRow2.
+// AVX2, and so whether the lockstep scan runs laneRow2. The lockstep
+// tests clear it to run the Go laneRow path as well.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reads the CPU's feature flags: AVX and OSXSAVE (leaf 1 ECX

@@ -1,5 +1,3 @@
-//go:build !purego
-
 #include "textflag.h"
 
 // func laneRow2(x0, y0, x1, y1 *[4]float64, n int, s *[8]float64)

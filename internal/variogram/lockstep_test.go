@@ -33,6 +33,19 @@ func singleLaneRange[T field.Elem](t *testing.T, data []T, shape []int, minDim i
 	return m.Range, true, e
 }
 
+// eachRowKernel runs f as a subtest once per row kernel the lockstep
+// scan can take here: laneRow2 where useAVX2 is set, then the Go
+// laneRow with useAVX2 cleared. It restores useAVX2 afterwards.
+func eachRowKernel(t *testing.T, f func(t *testing.T)) {
+	avx := useAVX2
+	defer func() { useAVX2 = avx }()
+	if avx {
+		t.Run("avx2", f)
+	}
+	useAVX2 = false
+	t.Run("laneRow", f)
+}
+
 // lockstepCase is one field whose window lattice mixes full, clipped,
 // too-small and constant windows.
 type lockstepCase struct {
@@ -74,7 +87,9 @@ func flatten(f *field.Field32, origin []int, h int) {
 // exactly into the float64 lane, at the default and an explicit lag
 // cutoff. Both the per-lane Empirical and the fitted range must match,
 // and scans of every lane count 1–scanLanes must occur.
-func TestLockstepScanMatchesSingleLane(t *testing.T) {
+func TestLockstepScanMatchesSingleLane(t *testing.T) { eachRowKernel(t, lockstepScanMatchesSingleLane) }
+
+func lockstepScanMatchesSingleLane(t *testing.T) {
 	var seen [scanLanes + 1]bool // lane counts scanned
 	for ci, tc := range lockstepCases {
 		f32, _ := randomField32(tc.shape, uint64(40+ci))
@@ -158,7 +173,9 @@ func TestLockstepScanMatchesSingleLane(t *testing.T) {
 // repeat a kept window's data, so they can never leak into the real
 // lanes — a one-window scan equals that window's lane in a full pass
 // and in one of 5 lanes, whose second group holds one window.
-func TestLockstepPaddedLanesIgnored(t *testing.T) {
+func TestLockstepPaddedLanesIgnored(t *testing.T) { eachRowKernel(t, lockstepPaddedLanesIgnored) }
+
+func lockstepPaddedLanesIgnored(t *testing.T) {
 	f := randomField([]int{scanLanes, 24, 24}, 9)
 	var lanes [][]float64
 	for z := 0; z < scanLanes; z++ {
@@ -182,6 +199,10 @@ func TestLockstepPaddedLanesIgnored(t *testing.T) {
 // extent above 1, and one past that. Every lane's sums must be bit for
 // bit and its counts exactly those of exactScanSums on that lane alone.
 func TestLockstepRandomShapesMatchExactScan(t *testing.T) {
+	eachRowKernel(t, lockstepRandomShapesMatchExactScan)
+}
+
+func lockstepRandomShapesMatchExactScan(t *testing.T) {
 	shapes := [][]int{{9, 7, 1}, {1, 24, 24}, {5, 1, 1, 6}, {1, 1, 9}, {6, 1}}
 	rng := xrand.New(29)
 	for len(shapes) < 60 {
@@ -233,19 +254,10 @@ func TestLockstepRandomShapesMatchExactScan(t *testing.T) {
 // ±MaxFloat64 and ordinary numbers; every other length draws specials
 // rarely, so its chains mostly stay finite. A NaN matches any NaN: Go
 // leaves open which operand's payload an add passes on, and the race
-// build's laneRow picks the other one. Where the kernel cannot run (no
-// AVX2, or the purego build tag) it compares laneRow with itself.
+// build's laneRow picks the other one.
 func TestLaneRow2MatchesLaneRow(t *testing.T) {
-	kernel := func(x0, y0, x1, y1 [][4]float64, n int, s *[8]float64) {
-		if !useAVX2 {
-			s[0], s[1], s[2], s[3] = laneRow(x0[:n], y0[:n], s[0], s[1], s[2], s[3])
-			s[4], s[5], s[6], s[7] = laneRow(x1[:n], y1[:n], s[4], s[5], s[6], s[7])
-			return
-		}
-		laneRow2(&x0[0], &y0[0], &x1[0], &y1[0], n, s)
-	}
 	if !useAVX2 {
-		t.Log("no AVX2 kernel in this build or on this CPU: laneRow is compared with itself")
+		t.Skip("no AVX2 row kernel on this CPU or architecture")
 	}
 	special := []float64{
 		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1070, 0x1.8p-1030,
@@ -280,7 +292,7 @@ func TestLaneRow2MatchesLaneRow(t *testing.T) {
 			}
 		}
 		want = got
-		kernel(x0, y0, x1, y1, n, &got)
+		laneRow2(&x0[0], &y0[0], &x1[0], &y1[0], n, &got)
 		want[0], want[1], want[2], want[3] = laneRow(x0[:n], y0[:n], want[0], want[1], want[2], want[3])
 		want[4], want[5], want[6], want[7] = laneRow(x1[:n], y1[:n], want[4], want[5], want[6], want[7])
 		for l := range got {
@@ -294,12 +306,17 @@ func TestLaneRow2MatchesLaneRow(t *testing.T) {
 // TestScanOffsetLanesAllocs pins the zero-allocation contract of the
 // lockstep scan's inner loop, like TestScanOffsetAllocs for the single
 // lane.
-func TestScanOffsetLanesAllocs(t *testing.T) {
+func TestScanOffsetLanesAllocs(t *testing.T) { eachRowKernel(t, scanOffsetLanesAllocs) }
+
+func scanOffsetLanesAllocs(t *testing.T) {
 	var lanes [][]float64
 	for l := 0; l < scanLanes; l++ {
 		lanes = append(lanes, randomField([]int{32, 32}, uint64(5+l)).Data)
 	}
 	il := new(laneScratch).interleave(lanes, 32*32)
+	if !useAVX2 {
+		il = il[:1] // one group per pass, as exactScanLanes hands it
+	}
 	dims := []int{32, 32}
 	strides := []int{32, 1}
 	sc := newScanScratch(2)
@@ -318,7 +335,9 @@ func TestScanOffsetLanesAllocs(t *testing.T) {
 // TestExactScanLanesAllocs: after one warm-up at a fixed shape, a
 // lockstep scan allocates nothing: the interleaved plane, odometer and
 // per-bin accumulators are all reused from the scratch.
-func TestExactScanLanesAllocs(t *testing.T) {
+func TestExactScanLanesAllocs(t *testing.T) { eachRowKernel(t, exactScanLanesAllocs) }
+
+func exactScanLanesAllocs(t *testing.T) {
 	shape := []int{12, 12, 12}
 	var lanes [][]float64
 	for l := 0; l < scanLanes; l++ {

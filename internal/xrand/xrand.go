@@ -107,7 +107,7 @@ func (r *Rand) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := float64(u*u) + float64(v*v)
+		s := float64(u*u) + float64(v*v) // fma:rounded
 		if s >= 1 || s == 0 {
 			continue
 		}
