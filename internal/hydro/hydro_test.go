@@ -1,6 +1,9 @@
 package hydro
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -214,5 +217,33 @@ func TestNormalize(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("constant normalize -> %v", c.Data)
 		}
+	}
+}
+
+// TestSliceSetDigest pins the Miranda substitute's output bit for bit:
+// a SHA-256 over the capture time and every velocityx sample of a small
+// slice set. The figures' Miranda panels and the facade's
+// TurbulenceSlices read these bits, so a change to the solver must
+// leave the hex below unchanged.
+func TestSliceSetDigest(t *testing.T) {
+	const want = "aeb781396b8a084d83eb7fa0a2558f3fd3d82ea7081bf3d9e0b9f11b08514bd5"
+	set, err := GenerateSlicesWith(32, 3, 0.4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for k, s := range set.Slices {
+		put(set.Times[k])
+		for _, v := range s.Data {
+			put(v)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("slice set digest %s, want %s", got, want)
 	}
 }
