@@ -111,16 +111,15 @@ func TestRunRejectsBadBound(t *testing.T) {
 }
 
 func TestPSNR(t *testing.T) {
-	f := testField()
-	if !math.IsInf(PSNRField(f, 0), 1) {
+	vr := testField().Summary().ValueRange
+	if !math.IsInf(psnrRange(vr, 0), 1) {
 		t.Fatal("zero MSE should give +Inf PSNR")
 	}
-	vr := f.Summary().ValueRange
 	// mse = vr² gives 0 dB
-	if p := PSNRField(f, vr*vr); math.Abs(p) > 1e-9 {
+	if p := psnrRange(vr, vr*vr); math.Abs(p) > 1e-9 {
 		t.Fatalf("PSNR(vr²)=%v want 0", p)
 	}
-	if p := PSNRField(field.New(4, 4), 1); p != 0 {
+	if p := psnrRange(0, 1); p != 0 {
 		t.Fatalf("constant-field PSNR %v", p)
 	}
 }

@@ -113,15 +113,11 @@ func RunRelativeField(c FieldCompressor, f *field.Field, relErr float64) (Result
 	return RunField(c, f, abs)
 }
 
-// PSNRField computes the peak signal-to-noise ratio in dB using the
-// field's value range as peak, the convention of the lossy-compression
-// community (+Inf for a perfect reconstruction).
-func PSNRField(f *field.Field, mse float64) float64 {
-	return psnrRange(f.Summary().ValueRange, mse)
-}
-
-// psnrRange is the PSNR of an error with mean square mse on a field of
-// value range vr, each product rounded before the subtraction.
+// psnrRange is the peak signal-to-noise ratio in dB of an error with
+// mean square mse on a field of value range vr, the range taken as
+// peak, the convention of the lossy-compression community (+Inf for a
+// perfect reconstruction); each product is rounded before the
+// subtraction.
 func psnrRange(vr, mse float64) float64 {
 	if mse == 0 {
 		return math.Inf(1)

@@ -285,17 +285,6 @@ func TestFigureRender(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	var buf bytes.Buffer
-	err := Summarize(&buf, []Series{{Compressor: "c", ErrorBound: 1e-4, Y: []float64{2, 8}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "CR∈[2.00, 8.00]") {
-		t.Fatalf("summary %q", buf.String())
-	}
-}
-
 // TestStatisticsMarshalClampsNonFinite pins the wire contract the
 // service layer relies on: degenerate fields can yield NaN/Inf
 // statistics, which encoding/json rejects, so Statistics marshals them

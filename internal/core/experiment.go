@@ -213,36 +213,3 @@ func (f *Figure) Render(w io.Writer) error {
 	_, err := fmt.Fprintln(w)
 	return err
 }
-
-// Summarize prints one line per series (compressor, bound, fit, CR
-// span) — the compact form used by benchmarks.
-func Summarize(w io.Writer, series []Series) error {
-	for _, s := range series {
-		minY, maxY := minMax(s.Y)
-		legend := "fit n/a"
-		if s.FitOK {
-			legend = s.Fit.String()
-		}
-		if _, err := fmt.Fprintf(w, "%-11s eb=%.0e CR∈[%.2f, %.2f] %s\n",
-			s.Compressor, s.ErrorBound, minY, maxY, legend); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func minMax(x []float64) (float64, float64) {
-	if len(x) == 0 {
-		return 0, 0
-	}
-	mn, mx := x[0], x[0]
-	for _, v := range x[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mn, mx
-}

@@ -1,10 +1,9 @@
-// Package entropy provides Shannon-entropy computations and the
-// entropy-based compression-ratio estimator of the paper's related work
-// (Tao et al., TPDS 2019 — automatic online selection between SZ and
-// ZFP): quantize the field at the error bound, compute the entropy of
-// the quantization codes, and bound the achievable ratio by
-// bits-per-value. It works on a flat value slice, so any field rank
-// applies. The paper positions its
+// Package entropy provides the entropy-based compression-ratio
+// estimator of the paper's related work (Tao et al., TPDS 2019 —
+// automatic online selection between SZ and ZFP): quantize the field at
+// the error bound, compute the Shannon entropy of the quantization
+// codes, and bound the achievable ratio by bits-per-value. It works on
+// a flat value slice, so any field rank applies. The paper positions its
 // correlation statistics as a compressor-independent alternative to
 // exactly this estimator, so having both in one library allows direct
 // comparison.
@@ -14,46 +13,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Shannon returns the empirical Shannon entropy of the symbol stream in
-// bits per symbol (0 for empty or single-symbol streams).
-func Shannon(symbols []uint16) float64 {
-	if len(symbols) == 0 {
-		return 0
-	}
-	freq := make(map[uint16]int, 256)
-	for _, s := range symbols {
-		freq[s]++
-	}
-	n := float64(len(symbols))
-	var h float64
-	for _, c := range freq {
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
-// ShannonBytes is Shannon over a byte stream.
-func ShannonBytes(data []byte) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	var freq [256]int
-	for _, b := range data {
-		freq[b]++
-	}
-	n := float64(len(data))
-	var h float64
-	for _, c := range freq {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
-}
 
 // quantize maps a value to its 2·eb bin index, clamped into int32 so
 // pathological values cannot overflow the code space.

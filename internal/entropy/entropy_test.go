@@ -9,35 +9,23 @@ import (
 	"lossycorr/internal/xrand"
 )
 
-func TestShannonKnownDistributions(t *testing.T) {
-	if h := Shannon(nil); h != 0 {
-		t.Fatalf("empty entropy %v", h)
-	}
-	if h := Shannon([]uint16{5, 5, 5, 5}); h != 0 {
-		t.Fatalf("constant entropy %v", h)
-	}
-	// uniform over 4 symbols: exactly 2 bits
-	h := Shannon([]uint16{0, 1, 2, 3, 0, 1, 2, 3})
-	if math.Abs(h-2) > 1e-12 {
-		t.Fatalf("uniform-4 entropy %v want 2", h)
-	}
-	// p = (1/2, 1/4, 1/4): 1.5 bits
-	h = Shannon([]uint16{0, 0, 1, 2})
-	if math.Abs(h-1.5) > 1e-12 {
-		t.Fatalf("skewed entropy %v want 1.5", h)
-	}
-}
-
-func TestShannonBytes(t *testing.T) {
-	if h := ShannonBytes(nil); h != 0 {
-		t.Fatalf("empty %v", h)
-	}
-	data := make([]byte, 256)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	if h := ShannonBytes(data); math.Abs(h-8) > 1e-12 {
-		t.Fatalf("uniform byte entropy %v want 8", h)
+func TestQuantizedEntropyKnownDistributions(t *testing.T) {
+	// At eb = 0.5 the bins are 1 wide, so each integer is its own code.
+	for _, c := range []struct {
+		data []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{0, 1, 2, 3, 0, 1, 2, 3}, 2}, // uniform over 4 codes
+		{[]float64{0, 0, 1, 2}, 1.5},           // p = (1/2, 1/4, 1/4)
+	} {
+		h, err := QuantizedEntropy(c.data, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(h-c.want) > 1e-12 {
+			t.Fatalf("entropy of %v = %v, want %v", c.data, h, c.want)
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package hydro is the Miranda substitute: a 2D compressible Euler
 // solver (finite volume, MUSCL reconstruction with minmod limiter,
-// Rusanov flux, Heun/RK2 time stepping) with Rayleigh–Taylor and
-// Kelvin–Helmholtz instability setups. The paper analyzes velocityx
-// slices of LLNL's Miranda hydrodynamic turbulence code; that code and
-// its data are not redistributable, so this solver produces velocity
-// fields with the property the paper actually relies on: complex,
-// heterogeneous, multi-scale spatial correlation structure evolving
-// with time. See DESIGN.md for the substitution rationale.
+// Rusanov flux, Heun/RK2 time stepping) on the periodic unit square,
+// with a Kelvin–Helmholtz double-shear-layer setup. The paper analyzes
+// velocityx slices of LLNL's Miranda hydrodynamic turbulence code;
+// that code and its data are not redistributable, so this solver
+// produces velocity fields with the property the paper actually relies
+// on: complex, heterogeneous, multi-scale spatial correlation structure
+// evolving with time.
 package hydro
 
 import (
@@ -21,25 +21,15 @@ import (
 // Gamma is the ideal-gas adiabatic index.
 const Gamma = 1.4
 
-// BC selects a boundary condition per direction.
-type BC int
+// cfl is the Courant number of every step.
+const cfl = 0.4
 
-const (
-	// Periodic wraps the domain.
-	Periodic BC = iota
-	// Reflective mirrors cells and flips wall-normal velocity.
-	Reflective
-)
-
-// Sim is a 2D compressible Euler simulation on an nx×ny cell grid.
-// Conserved variables per cell: density ρ, momenta ρu, ρv, total
-// energy E.
+// Sim is a 2D compressible Euler simulation on an nx×ny cell grid
+// over the unit square, periodic in both directions. Conserved
+// variables per cell: density ρ, momenta ρu, ρv, total energy E.
 type Sim struct {
-	Nx, Ny   int
-	Dx, Dy   float64
-	BCx, BCy BC
-	Gravity  float64 // constant acceleration in −y, applied as a source
-	CFL      float64
+	Nx, Ny int
+	Dx, Dy float64
 
 	rho, mu, mv, e []float64 // conserved state, row-major [j*nx+i]
 	time           float64
@@ -47,12 +37,10 @@ type Sim struct {
 }
 
 // NewSim allocates a simulation with uniform state (ρ=1, p=1, at rest).
-func NewSim(nx, ny int, lx, ly float64) *Sim {
+func NewSim(nx, ny int) *Sim {
 	s := &Sim{
 		Nx: nx, Ny: ny,
-		Dx: lx / float64(nx), Dy: ly / float64(ny),
-		BCx: Periodic, BCy: Periodic,
-		CFL: 0.4,
+		Dx: 1 / float64(nx), Dy: 1 / float64(ny),
 	}
 	n := nx * ny
 	s.rho = make([]float64, n)
@@ -68,9 +56,6 @@ func NewSim(nx, ny int, lx, ly float64) *Sim {
 
 // Time returns the current simulation time.
 func (s *Sim) Time() float64 { return s.time }
-
-// Steps returns how many time steps have been taken.
-func (s *Sim) Steps() int { return s.steps }
 
 func (s *Sim) idx(i, j int) int { return j*s.Nx + i }
 
@@ -93,8 +78,7 @@ func (s *Sim) Primitive(i, j int) (rho, u, v, p float64) {
 	return
 }
 
-// TotalMass integrates ρ over the domain (exactly conserved under
-// periodic boundaries).
+// TotalMass integrates ρ over the domain (exactly conserved).
 func (s *Sim) TotalMass() float64 {
 	var m float64
 	for _, r := range s.rho {
@@ -118,24 +102,6 @@ func (s *Sim) VelocityX() *field.Field {
 	g := field.New(s.Ny, s.Nx)
 	for k := range g.Data {
 		g.Data[k] = s.mu[k] / s.rho[k]
-	}
-	return g
-}
-
-// Density extracts ρ as a rank-2 field.
-func (s *Sim) Density() *field.Field {
-	g := field.New(s.Ny, s.Nx)
-	copy(g.Data, s.rho)
-	return g
-}
-
-// Pressure extracts p as a rank-2 field.
-func (s *Sim) Pressure() *field.Field {
-	g := field.New(s.Ny, s.Nx)
-	for j := 0; j < s.Ny; j++ {
-		for i := 0; i < s.Nx; i++ {
-			_, _, _, g.Data[s.idx(i, j)] = s.Primitive(i, j)
-		}
 	}
 	return g
 }
@@ -186,7 +152,7 @@ func (s *Sim) Step() (float64, error) {
 	if s.Dy < h {
 		h = s.Dy
 	}
-	dt := s.CFL * h / ws
+	dt := cfl * h / ws
 
 	n := s.Nx * s.Ny
 	u0 := cloneState(s.rho, s.mu, s.mv, s.e)
@@ -277,33 +243,18 @@ func (s *Sim) cellState(i, j int) state {
 	return state{s.rho[k], s.mu[k], s.mv[k], s.e[k]}
 }
 
-// ghost maps an out-of-range index to an in-range one per the BC and
-// reports whether the wall-normal momentum must flip (reflective).
-func ghost(i, n int, bc BC) (int, bool) {
+// wrap maps a cell index of an axis with n cells onto the periodic
+// domain.
+func wrap(i, n int) int {
 	if i >= 0 && i < n {
-		return i, false
+		return i
 	}
-	if bc == Periodic {
-		return ((i % n) + n) % n, false
-	}
-	// reflective: mirror about the wall
-	if i < 0 {
-		return -i - 1, true
-	}
-	return 2*n - i - 1, true
+	return ((i % n) + n) % n
 }
 
+// stateAt is the state of cell (i, j), either index wrapped.
 func (s *Sim) stateAt(i, j int) state {
-	ii, flipX := ghost(i, s.Nx, s.BCx)
-	jj, flipY := ghost(j, s.Ny, s.BCy)
-	st := s.cellState(ii, jj)
-	if flipX {
-		st[1] = -st[1]
-	}
-	if flipY {
-		st[2] = -st[2]
-	}
-	return st
+	return s.cellState(wrap(i, s.Nx), wrap(j, s.Ny))
 }
 
 func primitive(q state) (rho, u, v, p float64) {
@@ -345,8 +296,7 @@ func rusanov(l, r state, flux func(state) state, normalVel func(rho, u, v float6
 	return out
 }
 
-// rhs evaluates dU/dt: flux divergence (MUSCL/minmod + Rusanov) plus
-// the gravity source.
+// rhs evaluates dU/dt, the flux divergence (MUSCL/minmod + Rusanov).
 func (s *Sim) rhs() [4][]float64 {
 	n := s.Nx * s.Ny
 	var out [4][]float64
@@ -410,65 +360,7 @@ func (s *Sim) rhs() [4][]float64 {
 			}
 		}
 	})
-	// gravity source: d(ρv)/dt −= ρ g, dE/dt −= ρ v g
-	if s.Gravity != 0 {
-		for k := 0; k < n; k++ {
-			out[2][k] -= s.rho[k] * s.Gravity
-			out[3][k] -= s.mv[k] * s.Gravity
-		}
-	}
 	return out
-}
-
-// RayleighTaylor initializes the classic heavy-over-light unstable
-// configuration with a randomly perturbed interface: density 2 above
-// mid-height, 1 below, hydrostatic pressure, gravity pulling down, and
-// a multi-mode velocity perturbation seeding the instability.
-func RayleighTaylor(nx, ny int, seed uint64) *Sim {
-	s := NewSim(nx, ny, 1, 2)
-	s.BCx = Periodic
-	s.BCy = Reflective
-	s.Gravity = 0.5
-	rng := xrand.New(seed)
-	const (
-		rhoHeavy = 2.0
-		rhoLight = 1.0
-		p0       = 2.5
-	)
-	nModes := 8
-	amps := make([]float64, nModes)
-	phases := make([]float64, nModes)
-	for m := range amps {
-		amps[m] = rng.Float64()
-		phases[m] = 2 * math.Pi * rng.Float64()
-	}
-	ly := 2.0
-	for j := 0; j < ny; j++ {
-		y := (float64(j) + 0.5) * s.Dy
-		for i := 0; i < nx; i++ {
-			x := (float64(i) + 0.5) * s.Dx
-			rho := rhoLight
-			if y > ly/2 {
-				rho = rhoHeavy
-			}
-			// hydrostatic: p(y) = p0 − g·∫ρ dy
-			var p float64
-			if y <= ly/2 {
-				p = p0 - s.Gravity*rhoLight*y
-			} else {
-				p = p0 - s.Gravity*(rhoLight*ly/2+rhoHeavy*(y-ly/2))
-			}
-			// velocity perturbation localized at the interface
-			var vy float64
-			env := math.Exp(-((y - ly/2) * (y - ly/2)) / 0.005)
-			for m := 0; m < nModes; m++ {
-				vy += amps[m] * math.Cos(2*math.Pi*float64(m+1)*x+phases[m])
-			}
-			vy *= 0.02 * env / float64(nModes)
-			s.SetPrimitive(i, j, rho, 0, vy, p)
-		}
-	}
-	return s
 }
 
 // KHParams configures a Kelvin–Helmholtz setup.
@@ -517,8 +409,7 @@ func KelvinHelmholtz(nx, ny int, seed uint64) *Sim {
 // variety of Miranda's through-the-mixing-layer slices.
 func NewKelvinHelmholtz(p KHParams) *Sim {
 	p = p.withDefaults()
-	s := NewSim(p.Nx, p.Ny, 1, 1)
-	s.BCx, s.BCy = Periodic, Periodic
+	s := NewSim(p.Nx, p.Ny)
 	rng := xrand.New(p.Seed)
 	nModes := p.ModeHi - p.ModeLo + 1
 	if nModes < 1 {

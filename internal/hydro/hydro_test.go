@@ -11,7 +11,7 @@ import (
 )
 
 func TestUniformStateStaysUniform(t *testing.T) {
-	s := NewSim(16, 16, 1, 1)
+	s := NewSim(16, 16)
 	for i := 0; i < 5; i++ {
 		if _, err := s.Step(); err != nil {
 			t.Fatal(err)
@@ -53,43 +53,9 @@ func TestEnergyConservationPeriodic(t *testing.T) {
 
 func TestKHStaysPhysical(t *testing.T) {
 	s := KelvinHelmholtz(48, 48, 3)
+	// Run fails through checkPhysical on ρ ≤ 0, p ≤ 0 or NaN.
 	if err := s.Run(0.8, 5000); err != nil {
 		t.Fatal(err)
-	}
-	d := s.Density()
-	st := d.Summary()
-	if st.Min <= 0 {
-		t.Fatalf("non-positive density %v", st.Min)
-	}
-	if math.IsNaN(st.Mean) {
-		t.Fatal("NaN density")
-	}
-}
-
-func TestRTStaysPhysicalWithGravity(t *testing.T) {
-	s := RayleighTaylor(32, 64, 4)
-	if err := s.Run(0.5, 5000); err != nil {
-		t.Fatal(err)
-	}
-	p := s.Pressure()
-	if p.Summary().Min <= 0 {
-		t.Fatalf("non-positive pressure %v", p.Summary().Min)
-	}
-}
-
-func TestRTInterfaceMoves(t *testing.T) {
-	s := RayleighTaylor(32, 64, 5)
-	rho0 := s.Density()
-	if err := s.Run(1.2, 8000); err != nil {
-		t.Fatal(err)
-	}
-	rho1 := s.Density()
-	d, err := rho0.MaxAbsDiff(rho1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d < 0.05 {
-		t.Fatalf("density barely changed (%v); instability did not develop", d)
 	}
 }
 
@@ -117,26 +83,12 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestGhostIndexing(t *testing.T) {
-	// periodic
-	if i, flip := ghost(-1, 8, Periodic); i != 7 || flip {
-		t.Fatalf("periodic ghost(-1) = %d,%v", i, flip)
-	}
-	if i, _ := ghost(9, 8, Periodic); i != 1 {
-		t.Fatalf("periodic ghost(9) = %d", i)
-	}
-	// reflective
-	if i, flip := ghost(-1, 8, Reflective); i != 0 || !flip {
-		t.Fatalf("reflective ghost(-1) = %d,%v", i, flip)
-	}
-	if i, flip := ghost(-2, 8, Reflective); i != 1 || !flip {
-		t.Fatalf("reflective ghost(-2) = %d,%v", i, flip)
-	}
-	if i, flip := ghost(8, 8, Reflective); i != 7 || !flip {
-		t.Fatalf("reflective ghost(8) = %d,%v", i, flip)
-	}
-	// interior passthrough
-	if i, flip := ghost(3, 8, Reflective); i != 3 || flip {
-		t.Fatalf("interior ghost(3) = %d,%v", i, flip)
+	for _, c := range []struct{ i, want int }{
+		{-1, 7}, {-2, 6}, {8, 0}, {9, 1}, {3, 3}, {0, 0}, {7, 7},
+	} {
+		if got := wrap(c.i, 8); got != c.want {
+			t.Fatalf("wrap(%d, 8) = %d, want %d", c.i, got, c.want)
+		}
 	}
 }
 
@@ -153,7 +105,7 @@ func TestMinmod(t *testing.T) {
 }
 
 func TestPrimitiveRoundtrip(t *testing.T) {
-	s := NewSim(4, 4, 1, 1)
+	s := NewSim(4, 4)
 	s.SetPrimitive(2, 3, 1.7, 0.3, -0.2, 2.1)
 	rho, u, v, p := s.Primitive(2, 3)
 	if math.Abs(rho-1.7) > 1e-14 || math.Abs(u-0.3) > 1e-14 ||
@@ -198,7 +150,7 @@ func TestGenerateSlicesValidation(t *testing.T) {
 }
 
 func TestStepErrorOnInvalidState(t *testing.T) {
-	s := NewSim(4, 4, 1, 1)
+	s := NewSim(4, 4)
 	s.SetPrimitive(0, 0, math.NaN(), 0, 0, 1)
 	if _, err := s.Step(); err == nil {
 		t.Fatal("expected error for NaN state")

@@ -1,7 +1,7 @@
 // Package regression implements the paper's functional model between
 // correlation statistics and compression ratio: the logarithmic
 // least-squares fit CR = α + β·log(x) + ε, plus goodness-of-fit
-// diagnostics (R², residuals).
+// diagnostics (R², residual std, cross-validation).
 package regression
 
 import (
@@ -60,8 +60,8 @@ func (f LogFit) String() string {
 	return fmt.Sprintf("α=%.3f β=%.3f (R²=%.3f, n=%d)", f.Alpha, f.Beta, f.R2, f.N)
 }
 
-// filterLog applies the log-model point filter shared by FitLog,
-// Residuals, and CrossValidateLog: points with non-positive or
+// filterLog applies the log-model point filter shared by FitLog and
+// CrossValidateLog: points with non-positive or
 // non-finite x, or non-finite y, are dropped (the paper drops such
 // datapoints too). It returns ln(x) and y of the survivors plus the
 // number of points skipped, so callers sizing folds or reporting
@@ -116,43 +116,6 @@ func fitLogSpace(lx, ly []float64) (LogFit, error) {
 	return fit, nil
 }
 
-// LinFit is a fitted y = Alpha + Beta·x model, used for statistics that
-// can be zero (e.g. std of SVD truncation levels on uniform fields).
-type LinFit struct {
-	Alpha, Beta float64
-	R2          float64
-	N           int
-}
-
-// Predict evaluates the linear fit at x.
-func (f LinFit) Predict(x float64) float64 { return f.Alpha + f.Beta*x }
-
-// FitLinear fits y = α + β·x by ordinary least squares, skipping
-// non-finite points.
-func FitLinear(x, y []float64) (LinFit, error) {
-	if len(x) != len(y) {
-		return LinFit{}, fmt.Errorf("regression: length mismatch %d vs %d", len(x), len(y))
-	}
-	var fx, fy []float64
-	for i := range x {
-		if math.IsNaN(x[i]) || math.IsInf(x[i], 0) || math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
-			continue
-		}
-		fx = append(fx, x[i])
-		fy = append(fy, y[i])
-	}
-	if len(fx) < 2 {
-		return LinFit{}, fmt.Errorf("regression: only %d usable points", len(fx))
-	}
-	coeffs, err := linalg.PolyFit(fx, fy, 1)
-	if err != nil {
-		return LinFit{}, err
-	}
-	fit := LinFit{Alpha: coeffs[0], Beta: coeffs[1], N: len(fx)}
-	fit.R2 = rSquared(fx, fy, fit.Predict)
-	return fit, nil
-}
-
 func rSquared(x, y []float64, predict func(float64) float64) float64 {
 	mean := linalg.Mean(y)
 	var ssRes, ssTot float64
@@ -169,19 +132,4 @@ func rSquared(x, y []float64, predict func(float64) float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// Residuals returns y[i] − fit(x[i]) for a log fit, skipping unusable
-// points (same filter as FitLog), for dispersion diagnostics. The
-// second return is how many points the filter dropped — callers
-// deriving counts (fold sizes, coverage rates) from len(x) would
-// otherwise be silently wrong whenever the input holds degenerate
-// points.
-func Residuals(f LogFit, x, y []float64) ([]float64, int) {
-	lx, ly, skipped := filterLog(x, y)
-	out := make([]float64, len(lx))
-	for i := range lx {
-		out[i] = ly[i] - (f.Alpha + f.Beta*lx[i])
-	}
-	return out, skipped
 }

@@ -85,72 +85,13 @@ func TestLogFitString(t *testing.T) {
 	}
 }
 
-func TestFitLinearExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{5, 7, 9, 11} // 5 + 2x
-	fit, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Alpha-5) > 1e-10 || math.Abs(fit.Beta-2) > 1e-10 {
-		t.Fatalf("fit %+v", fit)
-	}
-	if fit.R2 < 1-1e-12 {
-		t.Fatalf("R²=%v", fit.R2)
-	}
-	if fit.Predict(10) != 25 {
-		t.Fatalf("Predict(10)=%v", fit.Predict(10))
-	}
-}
-
-func TestFitLinearFiltersNaN(t *testing.T) {
-	fit, err := FitLinear([]float64{math.NaN(), 0, 1}, []float64{1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.N != 2 {
-		t.Fatalf("N=%d", fit.N)
-	}
-}
-
 func TestRSquaredDegenerate(t *testing.T) {
-	// constant y: perfect fit when prediction matches
-	fit, err := FitLinear([]float64{1, 2, 3}, []float64{4, 4, 4})
-	if err != nil {
-		t.Fatal(err)
+	// constant y: perfect fit when prediction matches, else 0
+	x, y := []float64{1, 2, 3}, []float64{4, 4, 4}
+	if r2 := rSquared(x, y, func(float64) float64 { return 4 }); r2 != 1 {
+		t.Fatalf("constant-y exact R²=%v want 1", r2)
 	}
-	if fit.R2 != 1 {
-		t.Fatalf("constant-y R²=%v want 1", fit.R2)
-	}
-}
-
-func TestResiduals(t *testing.T) {
-	fit := LogFit{Alpha: 0, Beta: 1}
-	res, skipped := Residuals(fit, []float64{math.E, math.E * math.E, -1}, []float64{1.5, 2, 99})
-	if len(res) != 2 {
-		t.Fatalf("residual count %d", len(res))
-	}
-	if skipped != 1 {
-		t.Fatalf("skipped %d want 1", skipped)
-	}
-	if math.Abs(res[0]-0.5) > 1e-9 || math.Abs(res[1]-0) > 1e-9 {
-		t.Fatalf("residuals %v", res)
-	}
-}
-
-// TestResidualsSkipCount pins the bugfix: the caller can now tell how
-// many points the log-model filter dropped, so counts derived from
-// len(x) (e.g. CV fold sizes) cannot silently drift from the fitted
-// set.
-func TestResidualsSkipCount(t *testing.T) {
-	fit := LogFit{Alpha: 1, Beta: 0}
-	x := []float64{1, -2, 0, math.NaN(), math.Inf(1), 2, 3}
-	y := []float64{1, 1, 1, 1, 1, math.NaN(), 1}
-	res, skipped := Residuals(fit, x, y)
-	if len(res) != 2 || skipped != 5 {
-		t.Fatalf("got %d residuals, %d skipped; want 2, 5", len(res), skipped)
-	}
-	if len(res)+skipped != len(x) {
-		t.Fatalf("residuals+skipped=%d must equal len(x)=%d", len(res)+skipped, len(x))
+	if r2 := rSquared(x, y, func(v float64) float64 { return v }); r2 != 0 {
+		t.Fatalf("constant-y inexact R²=%v want 0", r2)
 	}
 }
