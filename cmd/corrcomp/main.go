@@ -559,46 +559,13 @@ func cmdPredict(args []string) error {
 		}
 		fmt.Printf("loaded model %s (source %s, %d measurements)\n", *load, prov.Source, prov.Measurements)
 	} else {
-		var labels []float64
-		for i := 0; i < *train; i++ {
-			var f *lossycorr.Field
-			var rang float64
-			var err error
-			if rank == 2 {
-				rang = float64(edge) / 64 * float64(int(2)<<uint(i%6))
-				f, err = lossycorr.GenerateGaussian(lossycorr.GaussianParams{
-					Rows: edge, Cols: edge, Range: rang, Seed: *seed + uint64(i),
-				})
-			} else {
-				rang = float64(edge) / 16 * float64(int(1)<<uint(i%3))
-				f, err = lossycorr.GenerateGaussian3D(lossycorr.Gaussian3DParams{
-					Nz: edge, Ny: edge, Nx: edge, Range: rang, Seed: *seed + uint64(i),
-				})
-			}
-			if err != nil {
-				return err
-			}
-			fields = append(fields, f)
-			labels = append(labels, rang)
-		}
-		ms, err := lossycorr.MeasureFieldSet(context.Background(), "train", fields, labels, lossycorr.MeasureOptions{
-			Analysis:    lossycorr.AnalysisOptions{SkipLocal: true},
-			ErrorBounds: []float64{*eb},
-			Workers:     *workers,
+		p, fields, err = lossycorr.TrainRangeLadder(context.Background(), lossycorr.TrainConfig{
+			Rank: rank, Fields: *train, Edge: edge, Seed: *seed,
+			ErrorBound: *eb, Folds: *folds, Workers: *workers,
 		})
 		if err != nil {
 			return err
 		}
-		p, err = lossycorr.TrainPredictorOpts(ms, lossycorr.XGlobalRange, lossycorr.TrainOptions{
-			Folds: *folds, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		p.SetProvenance(lossycorr.ModelProvenance{
-			Source: "train", Rank: rank, TrainFields: *train, TrainEdge: edge,
-			Seed: *seed, Measurements: len(ms),
-		})
 	}
 
 	fmt.Println("models:", strings.Join(p.Models(), " "))

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
+	"lossycorr/internal/field"
+	"lossycorr/internal/gaussian"
 	"lossycorr/internal/regression"
 )
 
@@ -75,6 +78,73 @@ func TrainPredictorOpts(ms []Measurement, sel StatSelector, opts TrainOptions) (
 	}
 	p.prov = ModelProvenance{Source: "train", Measurements: len(ms)}
 	return p, nil
+}
+
+// TrainConfig describes a synthetic training set: Gaussian fields of
+// one rank on a ladder of correlation ranges, measured at one error
+// bound.
+type TrainConfig struct {
+	Rank       int     // 2 or 3
+	Fields     int     // rungs of the range ladder, one field each
+	Edge       int     // extent of every axis
+	Seed       uint64  // field i draws with Seed+i; also the CV fold seed
+	ErrorBound float64 // the one bound every codec is measured at
+	Folds      int     // as TrainOptions.Folds
+	Workers    int
+}
+
+// TrainRangeLadder generates cfg's training fields, measures every
+// registered codec on them at the error bound, and trains a Predictor
+// on the global range, with its provenance set. Field i has range
+// edge/64·2<<(i%6) in 2D and edge/16·1<<(i%3) in 3D. It also returns
+// the training fields.
+func TrainRangeLadder(ctx context.Context, cfg TrainConfig) (*Predictor, []*field.Field, error) {
+	if cfg.Rank != 2 && cfg.Rank != 3 {
+		return nil, nil, fmt.Errorf("core: training rank must be 2 or 3, got %d", cfg.Rank)
+	}
+	fields := make([]*field.Field, 0, cfg.Fields)
+	labels := make([]float64, 0, cfg.Fields)
+	for i := 0; i < cfg.Fields; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		var f *field.Field
+		var rang float64
+		var err error
+		if cfg.Rank == 2 {
+			rang = float64(cfg.Edge) / 64 * float64(int(2)<<uint(i%6))
+			f, err = gaussian.Generate(gaussian.Params{
+				Rows: cfg.Edge, Cols: cfg.Edge, Range: rang, Seed: cfg.Seed + uint64(i),
+			})
+		} else {
+			rang = float64(cfg.Edge) / 16 * float64(int(1)<<uint(i%3))
+			f, err = gaussian.Generate3D(gaussian.Params3D{
+				Nz: cfg.Edge, Ny: cfg.Edge, Nx: cfg.Edge, Range: rang, Seed: cfg.Seed + uint64(i),
+			})
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		fields = append(fields, f)
+		labels = append(labels, rang)
+	}
+	ms, err := MeasureFieldSetCtx(ctx, "train", fields, labels, DefaultRegistry(), MeasureOptions{
+		Analysis:    AnalysisOptions{SkipLocal: true},
+		ErrorBounds: []float64{cfg.ErrorBound},
+		Workers:     cfg.Workers,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := TrainPredictorOpts(ms, XGlobalRange, TrainOptions{Folds: cfg.Folds, Seed: cfg.Seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	p.SetProvenance(ModelProvenance{
+		Source: "train", Rank: cfg.Rank, TrainFields: cfg.Fields, TrainEdge: cfg.Edge,
+		Seed: cfg.Seed, Measurements: len(ms),
+	})
+	return p, fields, nil
 }
 
 // Models lists the trained (compressor, error bound) pairs in

@@ -127,3 +127,27 @@ func TestPredictFieldEndToEnd(t *testing.T) {
 		t.Fatalf("predicted %v, actual %v", pred, res.Ratio)
 	}
 }
+
+func TestTrainRangeLadder(t *testing.T) {
+	ctx := context.Background()
+	p, fields, err := TrainRangeLadder(ctx, TrainConfig{
+		Rank: 3, Fields: 4, Edge: 8, Seed: 5, ErrorBound: 1e-2, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fields) != 4 || fields[3].NDim() != 3 || fields[3].Shape[0] != 8 {
+		t.Fatalf("got %d training fields, the last of shape %v", len(fields), fields[len(fields)-1].Shape)
+	}
+	want := ModelProvenance{Source: "train", Rank: 3, TrainFields: 4, TrainEdge: 8, Seed: 5,
+		Measurements: 4}
+	if got := p.Provenance(); got != want {
+		t.Fatalf("provenance %+v, want %+v", got, want)
+	}
+	if p.Selector() != XGlobalRange {
+		t.Fatalf("selector %v", p.Selector())
+	}
+	if _, _, err := TrainRangeLadder(ctx, TrainConfig{Rank: 1, Fields: 4, Edge: 8}); err == nil {
+		t.Fatal("rank 1 must be rejected")
+	}
+}

@@ -20,7 +20,6 @@ import (
 	"lossycorr/internal/compress"
 	"lossycorr/internal/core"
 	"lossycorr/internal/field"
-	"lossycorr/internal/gaussian"
 	"lossycorr/internal/linalg"
 	"lossycorr/internal/stat"
 	"lossycorr/internal/svdstat"
@@ -845,12 +844,16 @@ func (s *Server) fieldSpec(kind string, src fieldSource, q url.Values) (runSpec,
 // server restarts.
 const trainSeed = 1
 
-func (s *Server) trainCanon(rank int, eb float64) string {
-	edge := s.cfg.TrainEdge2D
+// trainEdge is the field edge of the training set of a rank.
+func (s *Server) trainEdge(rank int) int {
 	if rank == 3 {
-		edge = s.cfg.TrainEdge3D
+		return s.cfg.TrainEdge3D
 	}
-	return fmt.Sprintf("train=%d|edge=%d|rank=%d|teb=%s", s.cfg.TrainFields, edge, rank, fmtFloat(eb))
+	return s.cfg.TrainEdge2D
+}
+
+func (s *Server) trainCanon(rank int, eb float64) string {
+	return fmt.Sprintf("train=%d|edge=%d|rank=%d|teb=%s", s.cfg.TrainFields, s.trainEdge(rank), rank, fmtFloat(eb))
 }
 
 // predictor returns the predictor serving (rank, eb) plus its content
@@ -886,57 +889,11 @@ func (s *Server) predictor(ctx context.Context, rank int, eb float64) (*core.Pre
 // on synthetic Gaussian fields spanning a range ladder — the corrcomp
 // predict subcommand's recipe, server-side.
 func (s *Server) trainModel(ctx context.Context, rank int, eb float64) (*core.Predictor, error) {
-	n := s.cfg.TrainFields
-	fields := make([]*field.Field, 0, n)
-	labels := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var f *field.Field
-		var rang float64
-		var err error
-		if rank == 2 {
-			edge := s.cfg.TrainEdge2D
-			rang = float64(edge) / 64 * float64(int(2)<<uint(i%6))
-			f, err = gaussian.Generate(gaussian.Params{
-				Rows: edge, Cols: edge, Range: rang, Seed: trainSeed + uint64(i),
-			})
-		} else {
-			edge := s.cfg.TrainEdge3D
-			rang = float64(edge) / 16 * float64(int(1)<<uint(i%3))
-			f, err = gaussian.Generate3D(gaussian.Params3D{
-				Nz: edge, Ny: edge, Nx: edge, Range: rang, Seed: trainSeed + uint64(i),
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
-		labels = append(labels, rang)
-	}
-	ms, err := core.MeasureFieldSetCtx(ctx, "train", fields, labels, core.DefaultRegistry(),
-		core.MeasureOptions{
-			Analysis:    core.AnalysisOptions{SkipLocal: true},
-			ErrorBounds: []float64{eb},
-			Workers:     s.cfg.Workers,
-		})
-	if err != nil {
-		return nil, err
-	}
-	pred, err := core.TrainPredictor(ms, core.XGlobalRange)
-	if err != nil {
-		return nil, err
-	}
-	edge := s.cfg.TrainEdge2D
-	if rank == 3 {
-		edge = s.cfg.TrainEdge3D
-	}
-	pred.SetProvenance(core.ModelProvenance{
-		Source: "train", Rank: rank, TrainFields: n, TrainEdge: edge,
-		Seed: trainSeed, Measurements: len(ms),
+	pred, _, err := core.TrainRangeLadder(ctx, core.TrainConfig{
+		Rank: rank, Fields: s.cfg.TrainFields, Edge: s.trainEdge(rank), Seed: trainSeed,
+		ErrorBound: eb, Workers: s.cfg.Workers,
 	})
-	return pred, nil
+	return pred, err
 }
 
 // ---- sync + async handlers ---------------------------------------

@@ -429,6 +429,17 @@ func TrainPredictorOpts(ms []Measurement, sel StatSelector, opts TrainOptions) (
 	return core.TrainPredictorOpts(ms, sel, opts)
 }
 
+// TrainConfig describes a synthetic training set for TrainRangeLadder.
+type TrainConfig = core.TrainConfig
+
+// TrainRangeLadder trains a predictor on the global range of Gaussian
+// fields on a ladder of correlation ranges, the recipe of corrcomp
+// predict and of corrcompd's lazily trained models, and returns it with
+// its training fields.
+func TrainRangeLadder(ctx context.Context, cfg TrainConfig) (*Predictor, []*Field, error) {
+	return core.TrainRangeLadder(ctx, cfg)
+}
+
 // SavePredictor writes a predictor as versioned JSON (deterministic
 // byte-for-byte for a given predictor); LoadPredictor restores it with
 // bit-identical predictions.
