@@ -230,10 +230,10 @@ func (s *Suite) Figure2(w io.Writer, pgmSink func(name string) (io.WriteCloser, 
 	return nil
 }
 
-// Figure3 regenerates "compression ratios against estimated variogram
-// range" for the single-range (left) and multi-range (right) Gaussian
-// datasets, one panel per compressor per dataset.
-func (s *Suite) Figure3() (*Figure, error) {
+// gaussianFigure builds a figure against one statistic from the two
+// Gaussian datasets: the single-range panels, then the multi-range
+// ones, one per compressor, leaving out the compressor named skip.
+func (s *Suite) gaussianFigure(id, title string, sel StatSelector, skip string) (*Figure, error) {
 	single, err := s.SingleRangeMeasurements()
 	if err != nil {
 		return nil, err
@@ -242,16 +242,27 @@ func (s *Suite) Figure3() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	fig := &Figure{ID: "fig3", Title: "CR vs estimated global variogram range (Gaussian fields)"}
-	for _, p := range PanelsByCompressor(single, XGlobalRange, -1) {
-		p.Title = "single-range / " + p.Title
-		fig.Panels = append(fig.Panels, p)
-	}
-	for _, p := range PanelsByCompressor(multi, XGlobalRange, -1) {
-		p.Title = "multi-range / " + p.Title
-		fig.Panels = append(fig.Panels, p)
+	fig := &Figure{ID: id, Title: title}
+	for _, set := range []struct {
+		prefix string
+		ms     []Measurement
+	}{{"single-range / ", single}, {"multi-range / ", multi}} {
+		for _, p := range PanelsByCompressor(set.ms, sel, -1) {
+			if p.Title == skip {
+				continue
+			}
+			p.Title = set.prefix + p.Title
+			fig.Panels = append(fig.Panels, p)
+		}
 	}
 	return fig, nil
+}
+
+// Figure3 regenerates "compression ratios against estimated variogram
+// range" for the single-range (left) and multi-range (right) Gaussian
+// datasets, one panel per compressor per dataset.
+func (s *Suite) Figure3() (*Figure, error) {
+	return s.gaussianFigure("fig3", "CR vs estimated global variogram range (Gaussian fields)", XGlobalRange, "")
 }
 
 // Figure4 regenerates the Miranda panels of CR vs global variogram
@@ -276,50 +287,13 @@ func (s *Suite) Figure4() (*Figure, error) {
 // Figure5 regenerates CR vs std of local variogram ranges for the two
 // Gaussian datasets.
 func (s *Suite) Figure5() (*Figure, error) {
-	single, err := s.SingleRangeMeasurements()
-	if err != nil {
-		return nil, err
-	}
-	multi, err := s.MultiRangeMeasurements()
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{ID: "fig5", Title: "CR vs std of local variogram range (Gaussian fields)"}
-	for _, p := range PanelsByCompressor(single, XLocalRangeStd, -1) {
-		p.Title = "single-range / " + p.Title
-		fig.Panels = append(fig.Panels, p)
-	}
-	for _, p := range PanelsByCompressor(multi, XLocalRangeStd, -1) {
-		p.Title = "multi-range / " + p.Title
-		fig.Panels = append(fig.Panels, p)
-	}
-	return fig, nil
+	return s.gaussianFigure("fig5", "CR vs std of local variogram range (Gaussian fields)", XLocalRangeStd, "")
 }
 
 // Figure6 regenerates CR vs std of local SVD truncation level for the
 // Gaussian datasets. The paper omits MGARD here; so do we.
 func (s *Suite) Figure6() (*Figure, error) {
-	single, err := s.SingleRangeMeasurements()
-	if err != nil {
-		return nil, err
-	}
-	multi, err := s.MultiRangeMeasurements()
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{ID: "fig6", Title: "CR vs std of local SVD truncation level (Gaussian fields)"}
-	add := func(ms []Measurement, prefix string) {
-		for _, p := range PanelsByCompressor(ms, XLocalSVDStd, -1) {
-			if p.Title == "mgard-like" {
-				continue
-			}
-			p.Title = prefix + p.Title
-			fig.Panels = append(fig.Panels, p)
-		}
-	}
-	add(single, "single-range / ")
-	add(multi, "multi-range / ")
-	return fig, nil
+	return s.gaussianFigure("fig6", "CR vs std of local SVD truncation level (Gaussian fields)", XLocalSVDStd, "mgard-like")
 }
 
 // Figure7 regenerates the Miranda panels against both local statistics
