@@ -297,7 +297,7 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	defer tr.Close()
-	gm := lossycorr.SVDGramOn
+	gm := lossycorr.SVDGramDefault
 	if !*gram {
 		gm = lossycorr.SVDGramOff
 	}

@@ -88,42 +88,41 @@ func TestGramConstantWindowZero(t *testing.T) {
 }
 
 // TestGramDefaultPinsBothDirections pins the release flip: the zero
-// value and GramOn must take the fast path bit-identically, and
-// GramOff must reproduce the historical full-SVD arithmetic (compared
-// against levelFull directly, the verbatim legacy path).
+// value must take the Gram fast path and GramOff the historical
+// full-SVD arithmetic, each compared against its level function
+// (levelGram, levelFull) applied window by window.
 func TestGramDefaultPinsBothDirections(t *testing.T) {
 	f := gramRandomGrid(96, 96, 11)
-	def, err := LocalStd(bg, in64(f), 32, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := LocalStd(bg, in64(f), 32, Options{Gram: GramOn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def != fast {
-		t.Fatalf("default %x != GramOn %x: the zero value must be the fast path", def, fast)
-	}
-	full, err := LocalStd(bg, in64(f), 32, Options{Gram: GramOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recompute the escape hatch through the legacy per-window path.
-	var legacy []float64
-	for _, origin := range f.TileOrigins(32) {
-		w := f.Window(origin, 32)
-		if w.MinDim() < 2 {
-			continue
-		}
-		k, err := levelFull(w.Data, w.Shape[0], w.Len()/w.Shape[0], w.Summary().Mean, DefaultVarianceFraction)
+	for _, c := range []struct {
+		mode  GramMode
+		level func(w *field.Field) (int, error)
+	}{
+		{GramDefault, func(w *field.Field) (int, error) {
+			return levelGram(w.Data, w.Shape[0], w.Len()/w.Shape[0], DefaultVarianceFraction)
+		}},
+		{GramOff, func(w *field.Field) (int, error) {
+			return levelFull(w.Data, w.Shape[0], w.Len()/w.Shape[0], w.Summary().Mean, DefaultVarianceFraction)
+		}},
+	} {
+		got, err := LocalStd(bg, in64(f), 32, Options{Gram: c.mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy = append(legacy, float64(k))
-	}
-	want := linalg.Std(legacy)
-	if full != want {
-		t.Fatalf("GramOff %x != legacy full path %x", full, want)
+		var levels []float64
+		for _, origin := range f.TileOrigins(32) {
+			w := f.Window(origin, 32)
+			if w.MinDim() < 2 {
+				continue
+			}
+			k, err := c.level(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels = append(levels, float64(k))
+		}
+		if want := linalg.Std(levels); got != want {
+			t.Fatalf("mode %d: %x != per-window path %x", c.mode, got, want)
+		}
 	}
 }
 
@@ -135,7 +134,7 @@ func TestLocalStdGramCloseToFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := LocalStd(bg, f, 32, Options{Gram: GramOn})
+	fast, err := LocalStd(bg, f, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestLocalStd3DSerialParallelIdentical(t *testing.T) {
 		v.Data[i] = rng.NormFloat64()
 	}
 	f := in64(v)
-	for _, gram := range []GramMode{GramOff, GramOn} {
+	for _, gram := range []GramMode{GramOff, GramDefault} {
 		ref, err := LocalStd(bg, f, 8, Options{Workers: 1, Gram: gram})
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +180,7 @@ func TestNonFiniteWindowErrors(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		g := gramRandomGrid(64, 64, 5)
 		g.Data[40*64+50] = bad // inside the last window
-		for _, gram := range []GramMode{GramOn, GramOff} {
+		for _, gram := range []GramMode{GramDefault, GramOff} {
 			opts := Options{Gram: gram, Workers: 1}
 			if _, err := LocalStd(bg, in64(g), 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
 				t.Errorf("%v, gram=%v: err %v, want ErrNonFinite", bad, gram, err)

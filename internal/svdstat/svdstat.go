@@ -42,8 +42,6 @@ const (
 	// threshold (~5 % faster on 32×32 windows, ~16 % on unfolded 3D
 	// windows, fewer allocations).
 	GramDefault GramMode = iota
-	// GramOn requests the fast path explicitly (same as the default).
-	GramOn
 	// GramOff is the escape hatch: the historical full-SVD path
 	// (center, singular values, accumulate squares), bit-identical to
 	// the pre-Gram releases.

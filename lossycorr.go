@@ -198,7 +198,6 @@ type SVDGramMode = svdstat.GramMode
 // path; SVDGramOff is the escape hatch back to full-SVD arithmetic.
 const (
 	SVDGramDefault = svdstat.GramDefault
-	SVDGramOn      = svdstat.GramOn
 	SVDGramOff     = svdstat.GramOff
 )
 
