@@ -95,3 +95,18 @@ func TestRSquaredDegenerate(t *testing.T) {
 		t.Fatalf("constant-y inexact R²=%v want 0", r2)
 	}
 }
+
+// TestFilterLogSkipCount pins the log-model filter's skip count, which
+// CrossValidateLog reports: counts derived from len(x) (e.g. CV fold
+// sizes) cannot silently drift from the fitted set.
+func TestFilterLogSkipCount(t *testing.T) {
+	x := []float64{1, -2, 0, math.NaN(), math.Inf(1), 2, 3}
+	y := []float64{1, 1, 1, 1, 1, math.NaN(), 1}
+	lx, ly, skipped := filterLog(x, y)
+	if len(lx) != 2 || len(ly) != 2 || skipped != 5 {
+		t.Fatalf("got %d points, %d skipped; want 2, 5", len(lx), skipped)
+	}
+	if lx[0] != 0 || lx[1] != math.Log(3) {
+		t.Fatalf("ln(x) of the survivors %v, want [0 ln 3]", lx)
+	}
+}
