@@ -25,10 +25,22 @@ import (
 // ranks 1–3.
 var digestShapes = [][]int{{13}, {7, 11}, {12, 10}, {5, 7, 13}, {130, 126}, {34, 22, 38}}
 
+// retainedShapes covers the extents the callers produce: powers of two
+// (the Gaussian samplers' NextPow2 embeddings) and even 5-smooth last
+// axes (the variogram's FastLen padding), whose half-length is odd
+// (10, 30, 50) or even (12, 20, 40), at ranks 1–3, with a unit axis.
+var retainedShapes = [][]int{
+	{30}, {64}, {12, 10}, {6, 20}, {16, 32}, {96, 50},
+	{1, 40}, {2, 16, 12}, {24, 18, 10}, {8, 4, 16},
+}
+
 const (
 	digestRealF64  = "e588270d72412c8b141835da13ea5a4613871daf874e47fbdc39eb5074bda952"
 	digestComplex  = "1798a54622fc80f8c02a9f058c6e4c98d46728a2e6a34372981e0ba1e6a66fca"
 	digestGaussian = "63e76af5422ed917fa38f31977fec49237054c2d7c88cdf2eab7d1f419393ef0"
+
+	digestRealRetained    = "a4cd502bc65e1581301f0a5b6ed08b6ebe2d005741370188b27c678497d8e00e"
+	digestComplexRetained = "9417be3c4e82b17b3e9f3f23938cb9c1f480fe5be1f88c3c39a58d9d309f5497"
 )
 
 func product(dims []int) int {
@@ -54,10 +66,10 @@ func hashComplex(h hash.Hash, xs []complex128) {
 }
 
 // digestReal hashes the forward → |·|² → inverse chain.
-func digestReal(t *testing.T, workers int) string {
+func digestReal(t *testing.T, shapes [][]int, workers int) string {
 	t.Helper()
 	h := sha256.New()
-	for s, dims := range digestShapes {
+	for s, dims := range shapes {
 		rng := xrand.New(uint64(100 + s))
 		src := make([]float64, product(dims))
 		for i := range src {
@@ -79,10 +91,10 @@ func digestReal(t *testing.T, workers int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func digestComplexND(t *testing.T, workers int) string {
+func digestComplexND(t *testing.T, shapes [][]int, workers int) string {
 	t.Helper()
 	h := sha256.New()
-	for s, dims := range digestShapes {
+	for s, dims := range shapes {
 		rng := xrand.New(uint64(200 + s))
 		x := make([]complex128, product(dims))
 		for i := range x {
@@ -134,8 +146,10 @@ func TestLaneBitDigest(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		check("real f64", digestReal(t, workers), digestRealF64)
-		check("complex ND", digestComplexND(t, workers), digestComplex)
+		check("real f64", digestReal(t, digestShapes, workers), digestRealF64)
+		check("complex ND", digestComplexND(t, digestShapes, workers), digestComplex)
+		check("real f64 retained", digestReal(t, retainedShapes, workers), digestRealRetained)
+		check("complex ND retained", digestComplexND(t, retainedShapes, workers), digestComplexRetained)
 	}
 	check("gaussian", digestGaussianFields(t), digestGaussian)
 }
