@@ -1,13 +1,13 @@
 // Package fft implements complex and real-input fast Fourier transforms
-// of any rank and any length. It is the numerical engine behind the
-// exact circulant-embedding Gaussian field sampler and the variogram FFT
-// fast path. Power-of-two lengths run the radix-2 butterfly core (its
-// stages fused in pairs into radix-2² passes), 7-smooth lengths a
-// mixed-radix Cooley–Tukey plan, and everything else Bluestein's
-// chirp-z algorithm (plan.go) — so padding can be exact (or
-// FastLen-rounded) instead of doubling to NextPow2. Real-input fields
-// additionally transform in half-spectrum form (realnd.go), halving the
-// storage of every hermitian workload.
+// of any rank over 5-smooth extents (1 or 2^a·3^b·5^c). It is the
+// numerical engine behind the exact circulant-embedding Gaussian field
+// sampler, which pads to NextPow2, and the variogram FFT fast path,
+// which pads to FastLen. Power-of-two lengths run the radix-2 butterfly
+// core (its stages fused in pairs into radix-2² passes), the other
+// 5-smooth lengths a mixed-radix Cooley–Tukey plan (plan.go); any other
+// extent is an error. Real-input fields additionally transform in
+// half-spectrum form (realnd.go), halving the storage of every
+// hermitian workload; their last extent must be even.
 //
 // There is one precision: spectra are complex128 and real planes
 // float64. A float32 field is widened into a float64 plane by its
@@ -142,7 +142,7 @@ func butterflies(x, w []complex128, h int) {
 }
 
 // ForwardND computes the in-place unnormalized forward DFT of a
-// row-major buffer of any rank and any extents. Each axis pass runs its
+// row-major buffer of any rank and 5-smooth extents. Each axis pass runs its
 // independent lines on the shared worker pool (workers <= 0 means
 // GOMAXPROCS); line transforms write disjoint regions, so the result is
 // bit-identical at any worker count.
@@ -177,13 +177,16 @@ func transformND(x []complex128, dims []int, workers int, inverse bool) error {
 	return nil
 }
 
-// product returns the element count of dims, rejecting non-positive
-// extents.
+// product returns the element count of dims, rejecting extents that
+// are not positive and 5-smooth: the plans cover no other length.
 func product(dims []int) (int, error) {
 	n := 1
 	for _, d := range dims {
 		if d < 1 {
 			return 0, fmt.Errorf("fft: extent %d is not positive", d)
+		}
+		if !smooth5(d) {
+			return 0, fmt.Errorf("fft: extent %d is not 5-smooth (2^a·3^b·5^c)", d)
 		}
 		n *= d
 	}
@@ -191,7 +194,7 @@ func product(dims []int) (int, error) {
 }
 
 // axisPass transforms every line of x along the given axis. The plan
-// (twiddle tables, factorization, chirp filter) is cached per length
+// (twiddle tables, factorization) is cached per length
 // and shared (read-only) by all lines. Lines along the last axis are
 // contiguous and transform in place; other axes gather each strided
 // line into a per-span scratch.

@@ -113,7 +113,7 @@ func TestParseval(t *testing.T) {
 }
 
 func TestNonPow2Accepted(t *testing.T) {
-	// The plan layer removed the power-of-two restriction: arbitrary
+	// The plan layer removed the power-of-two restriction: 5-smooth
 	// lengths transform (and invert) instead of erroring.
 	for _, n := range []int{3, 12} {
 		x := randComplex(n, uint64(n))

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
 	"testing"
 
 	"lossycorr/internal/xrand"
@@ -81,74 +80,31 @@ func (p *linePlan) mixedRecRef(dst, src []complex128, n, stride, mult int, facto
 	}
 }
 
-// transformRef is linePlan.transform on the reference kernels. The
-// Bluestein branch rebuilds its filter spectrum with transformTwRef, so
-// nothing the current kernel computed reaches the reference.
+// transformRef is linePlan.transform on the reference kernels.
 func (p *linePlan) transformRef(x []complex128, inverse bool) {
-	switch p.kind {
-	case planPow2:
+	if p.kind == planPow2 {
 		transformTwRef(x, p.w.dir(inverse))
-	case planMixed:
-		scratch := append([]complex128(nil), x...)
-		p.mixedRecRef(x, scratch, p.n, 1, 1, p.factors, p.w.dir(inverse), p.pw.dir(inverse))
-	default:
-		n, m := p.n, p.m
-		b := make([]complex128, m)
-		for j := 0; j < n; j++ {
-			v := cmplx.Conj(p.chirp[j])
-			b[j] = v
-			if j > 0 {
-				b[m-j] = v
-			}
-		}
-		transformTwRef(b, p.wm.fwd)
-		if inverse {
-			for i, v := range x {
-				x[i] = cmplx.Conj(v)
-			}
-		}
-		u := make([]complex128, m)
-		for j := 0; j < n; j++ {
-			u[j] = x[j] * p.chirp[j]
-		}
-		transformTwRef(u, p.wm.fwd)
-		for i := range u {
-			u[i] *= b[i]
-		}
-		transformTwRef(u, p.wm.inv)
-		s := complex(1/float64(m), 0)
-		for k := 0; k < n; k++ {
-			x[k] = p.chirp[k] * u[k] * s
-		}
-		if inverse {
-			for i, v := range x {
-				x[i] = cmplx.Conj(v)
-			}
-		}
+		return
 	}
+	scratch := append([]complex128(nil), x...)
+	p.mixedRecRef(x, scratch, p.n, 1, 1, p.factors, p.w.dir(inverse), p.pw.dir(inverse))
 }
 
 // kernelRefLengths lists every power of two from 1 to 4096 (odd and
-// even stage counts), every other 7-smooth length up to 2048 (so every
-// FastLen value, 384 and 768 among them, the row and column lengths of
-// a 512² spectral variogram) and a few Bluestein lengths.
+// even stage counts) and every other 5-smooth length up to 2048 (so
+// every FastLen value, 384 and 768 among them, the row and column
+// lengths of a 512² spectral variogram, and every half of one).
 func kernelRefLengths() []int {
 	var ns []int
 	for n := 1; n <= 4096; n <<= 1 {
 		ns = append(ns, n)
 	}
 	for n := 3; n <= 2048; n++ {
-		r := n
-		for _, f := range []int{2, 3, 5, 7} {
-			for r%f == 0 {
-				r /= f
-			}
-		}
-		if r == 1 && !IsPow2(n) {
+		if smooth5(n) && !IsPow2(n) {
 			ns = append(ns, n)
 		}
 	}
-	return append(ns, 11, 13, 97, 257, 1542)
+	return ns
 }
 
 // sameBits returns the first index where a and b differ in any bit,
@@ -172,20 +128,6 @@ func TestKernelMatchesReference(t *testing.T) {
 func checkKernelRef(t *testing.T) {
 	for _, n := range kernelRefLengths() {
 		p := planFor(n)
-		if p.kind == planBluestein {
-			b := make([]complex128, p.m)
-			for j := 0; j < n; j++ {
-				v := cmplx.Conj(p.chirp[j])
-				b[j] = v
-				if j > 0 {
-					b[p.m-j] = v
-				}
-			}
-			transformTwRef(b, p.wm.fwd)
-			if i := sameBits(p.bfft, b); i >= 0 {
-				t.Fatalf("n=%d: Bluestein filter spectrum differs at %d", n, i)
-			}
-		}
 		rng := xrand.New(uint64(n))
 		x := make([]complex128, n)
 		for i := range x {
@@ -207,7 +149,7 @@ func checkKernelRef(t *testing.T) {
 // scratch, strided gathers, the worker fan-out — against line-by-line
 // reference transforms.
 func TestAxisPassMatchesReference(t *testing.T) {
-	for _, dims := range [][]int{{768, 385}, {384, 6}, {7, 9, 5}, {13, 3, 11}, {64, 1, 33}} {
+	for _, dims := range [][]int{{768, 375}, {384, 6}, {15, 9, 5}, {25, 3, 27}, {64, 1, 45}} {
 		t.Run(fmt.Sprint(dims), func(t *testing.T) { checkAxisRef(t, dims) })
 	}
 }

@@ -1,18 +1,17 @@
 package fft
 
-// Line plans: per-length transform strategies that free the engine from
-// the power-of-two constraint. Every 1D line transform routes through a
-// cached plan chosen by length:
+// Line plans: per-length transform strategies for the 5-smooth
+// lengths (2^a·3^b·5^c) the callers pad to. Every 1D line transform
+// routes through a cached plan chosen by length:
 //
 //   - power of two        → the radix-2 butterfly core (transformTw)
-//   - 7-smooth composite  → mixed-radix Cooley–Tukey: odd factors are
-//     peeled recursively (generic small-r DFT combine over roots read
-//     once per call, unrolled for r = 3), the residual power-of-two
-//     block runs the radix-2 core, its first pass fused into a
-//     bit-reversed gather (leaf)
-//   - anything else       → Bluestein's chirp-z algorithm: the length-n
-//     DFT becomes a length-M power-of-two circular convolution
-//     (M >= 2n−1) with a precomputed chirp filter spectrum
+//   - 5-smooth composite  → mixed-radix Cooley–Tukey: the factors 3 and
+//     5 are peeled recursively (generic small-r DFT combine over roots
+//     read once per call, unrolled for r = 3), the residual
+//     power-of-two block runs the radix-2 core, its first pass fused
+//     into a bit-reversed gather (leaf)
+//
+// product rejects every other length before a plan is asked for.
 //
 // Plans are immutable once built and cached per length, so
 // repeated axis passes over the same extents (the variogram engine, the
@@ -24,41 +23,29 @@ package fft
 // match them bit for bit, so a faster schedule may reorder
 // memory passes but never a product or a sum.
 
-import (
-	"math"
-	"math/cmplx"
-	"sync"
-)
+import "sync"
 
 // FastLen returns the smallest even 5-smooth (2^a·3^b·5^c, a >= 1)
 // length >= n — the preferred padded extent for the real-input engine:
 // within a few percent of n (no power-of-two doubling) while keeping
-// every axis on the fast mixed-radix path, and even so the last-axis
-// real transform can use the pack-two-reals trick. Arbitrary exact
-// lengths remain supported through the Bluestein plan; FastLen is the
-// cheap default, not a requirement.
+// every axis on the fast mixed-radix path, and even as the last-axis
+// real transform requires (it packs two reals per complex sample).
 func FastLen(n int) int {
-	if n <= 2 {
-		return 2
+	m := max(n, 2)
+	for m%2 != 0 || !smooth5(m) {
+		m++
 	}
-	for m := n; ; m++ {
-		if m%2 != 0 {
-			continue
-		}
-		r := m
-		for r%2 == 0 {
-			r /= 2
-		}
-		for r%3 == 0 {
-			r /= 3
-		}
-		for r%5 == 0 {
-			r /= 5
-		}
-		if r == 1 {
-			return m
+	return m
+}
+
+// smooth5 reports whether n >= 1 has no prime factor above 5.
+func smooth5(n int) bool {
+	for _, f := range []int{2, 3, 5} {
+		for n%f == 0 {
+			n /= f
 		}
 	}
+	return n == 1
 }
 
 type planKind uint8
@@ -66,7 +53,6 @@ type planKind uint8
 const (
 	planPow2 planKind = iota
 	planMixed
-	planBluestein
 )
 
 // linePlan holds everything needed to transform one line of its length.
@@ -81,12 +67,6 @@ type linePlan struct {
 	factors []int // mixed: odd prime factors, in dividing order
 	pow2    int   // mixed: residual power-of-two block length
 	pw      twiddle
-
-	// bluestein
-	m     int          // power-of-two convolution length >= 2n-1
-	wm    twiddle      // half table for length m
-	chirp []complex128 // a_j = exp(-iπ j²/n)
-	bfft  []complex128 // forward FFT_m of the chirp filter
 }
 
 var planCache sync.Map // length -> *linePlan
@@ -103,9 +83,8 @@ func newPlan(n int) *linePlan {
 	if IsPow2(n) {
 		return &linePlan{n: n, kind: planPow2, w: newTwiddle(n, n/2)}
 	}
-	// Peel 7-smooth factors: odd primes first, the power-of-two residue
-	// last, so every recursion path bottoms out in one contiguous
-	// radix-2 block.
+	// Peel the odd factors first and the power-of-two residue last, so
+	// every recursion path bottoms out in one contiguous radix-2 block.
 	pow2 := 1
 	rest := n
 	for rest%2 == 0 {
@@ -113,56 +92,30 @@ func newPlan(n int) *linePlan {
 		rest /= 2
 	}
 	var odd []int
-	for _, f := range []int{3, 5, 7} {
+	for _, f := range []int{3, 5} {
 		for rest%f == 0 {
 			odd = append(odd, f)
 			rest /= f
 		}
 	}
-	if rest == 1 {
-		return &linePlan{
-			n: n, kind: planMixed,
-			w: newTwiddle(n, n), factors: odd,
-			pow2: pow2, pw: newTwiddle(pow2, pow2/2),
-		}
+	return &linePlan{
+		n: n, kind: planMixed,
+		w: newTwiddle(n, n), factors: odd,
+		pow2: pow2, pw: newTwiddle(pow2, pow2/2),
 	}
-	// Bluestein: X[k] = a_k · (u ⊛ b)[k] with u_j = x_j·a_j,
-	// a_j = exp(-iπ j²/n), b_l = exp(+iπ l²/n) embedded circularly.
-	m := NextPow2(2*n - 1)
-	p := &linePlan{n: n, kind: planBluestein, m: m, wm: newTwiddle(m, m/2)}
-	p.chirp = make([]complex128, n)
-	for j := 0; j < n; j++ {
-		t := (j * j) % (2 * n) // exp(-iπ j²/n) has period 2n in j²
-		s, c := math.Sincos(-math.Pi * float64(t) / float64(n))
-		p.chirp[j] = complex(c, s)
-	}
-	b := make([]complex128, m)
-	for j := 0; j < n; j++ {
-		v := cmplx.Conj(p.chirp[j])
-		b[j] = v
-		if j > 0 {
-			b[m-j] = v
-		}
-	}
-	transformTw(b, p.wm.fwd)
-	p.bfft = b
-	return p
 }
 
 // transform runs the unnormalized DFT (or unnormalized inverse DFT) of
 // one line in place. len(x) must equal p.n.
 func (p *linePlan) transform(x []complex128, inverse bool) {
-	switch p.kind {
-	case planPow2:
+	if p.kind == planPow2 {
 		transformTw(x, p.w.dir(inverse))
-	case planMixed:
-		scratch := Acquire[complex128](p.n)
-		copy(scratch, x)
-		p.mixedRec(x, scratch, p.n, 1, 1, p.factors, p.w.dir(inverse), p.pw.dir(inverse))
-		Release(scratch)
-	default:
-		p.bluestein(x, inverse)
+		return
 	}
+	scratch := Acquire[complex128](p.n)
+	copy(scratch, x)
+	p.mixedRec(x, scratch, p.n, 1, 1, p.factors, p.w.dir(inverse), p.pw.dir(inverse))
+	Release(scratch)
 }
 
 // leaf sets dst[0:n] to the power-of-two DFT of src[0], src[stride], …
@@ -231,8 +184,8 @@ func (p *linePlan) mixedRec(dst, src []complex128, n, stride, mult int, factors 
 	// sub-spectra u_{j2} = S_{j2}[k2]·w_n^{j2·k2} lands in the slots
 	// k2 + m·k1. The r-point DFT's roots w_r^{j2·k1} = w[(j2·k1 mod r)·n/r]
 	// are read from the table once per call, into roots[k1·r+j2].
-	var u [8]complex128
-	var roots [49]complex128
+	var u [5]complex128
+	var roots [25]complex128
 	rs := p.n / r
 	for k1 := 0; k1 < r; k1++ {
 		for j2 := 0; j2 < r; j2++ {
@@ -260,7 +213,7 @@ func (p *linePlan) mixedRec(dst, src []complex128, n, stride, mult int, factors 
 
 // combine3 is mixedRec's combine for r = 3 with the loops over j2 and
 // k1 unrolled: the same products, each sum in the same order.
-func combine3(dst []complex128, m, mult int, w []complex128, roots *[49]complex128) {
+func combine3(dst []complex128, m, mult int, w []complex128, roots *[25]complex128) {
 	d0, d1, d2 := dst[:m], dst[m:2*m], dst[2*m:3*m]
 	r01, r02 := roots[1], roots[2]
 	r11, r12 := roots[4], roots[5]
@@ -273,36 +226,5 @@ func combine3(dst []complex128, m, mult int, w []complex128, roots *[49]complex1
 		d0[k2] = u0 + u1*r01 + u2*r02
 		d1[k2] = u0 + u1*r11 + u2*r12
 		d2[k2] = u0 + u1*r21 + u2*r22
-	}
-}
-
-// bluestein runs the chirp-z transform. The unnormalized inverse DFT is
-// the conjugate of the forward on conjugated input.
-func (p *linePlan) bluestein(x []complex128, inverse bool) {
-	n, m := p.n, p.m
-	if inverse {
-		for i, v := range x {
-			x[i] = cmplx.Conj(v)
-		}
-	}
-	u := Acquire[complex128](m)
-	for j := 0; j < n; j++ {
-		u[j] = x[j] * p.chirp[j]
-	}
-	clear(u[n:])
-	transformTw(u, p.wm.fwd)
-	for i := range u {
-		u[i] *= p.bfft[i]
-	}
-	transformTw(u, p.wm.inv)
-	s := complex(1/float64(m), 0)
-	for k := 0; k < n; k++ {
-		x[k] = p.chirp[k] * u[k] * s
-	}
-	Release(u)
-	if inverse {
-		for i, v := range x {
-			x[i] = cmplx.Conj(v)
-		}
 	}
 }

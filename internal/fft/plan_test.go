@@ -22,13 +22,11 @@ func naiveIDFT(x []complex128) []complex128 {
 	return out
 }
 
-// planLengths covers every plan kind: powers of two, 7-smooth
-// composites (mixed radix), primes and prime-heavy composites
-// (Bluestein), and the tiny edge lengths.
+// planLengths covers both plan kinds: powers of two and 5-smooth
+// composites (mixed radix), odd and even, with the tiny edge lengths.
 var planLengths = []int{
-	1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 21, 25, 27,
-	32, 35, 37, 49, 55, 60, 64, 96, 100, 105, 120, 121, 127, 128,
-	227, 257, 384, 768, 1542,
+	1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 25, 27, 30, 32, 45,
+	60, 64, 75, 96, 100, 120, 125, 128, 135, 180, 384, 768, 1600,
 }
 
 // TestPlanMatchesNaiveDFT pins every plan kind against the O(n²)
@@ -63,8 +61,8 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 }
 
 // TestPlanRoundTrip checks the rank-1 inverse(forward(x)) == x for every plan
-// kind, including the large mixed-radix and Bluestein lengths the
-// naive-DFT test skips.
+// kind, including the large mixed-radix lengths the naive-DFT test
+// skips.
 func TestPlanRoundTrip(t *testing.T) {
 	for _, n := range planLengths {
 		x := randComplex(n, uint64(2000+n))
@@ -88,8 +86,8 @@ func TestPlanKinds(t *testing.T) {
 		kind planKind
 	}{
 		{8, planPow2}, {1024, planPow2},
-		{6, planMixed}, {96, planMixed}, {768, planMixed}, {49, planMixed},
-		{11, planBluestein}, {127, planBluestein}, {1542, planBluestein},
+		{6, planMixed}, {96, planMixed}, {768, planMixed}, {75, planMixed},
+		{1600, planMixed},
 	}
 	for _, tc := range cases {
 		if p := planFor(tc.n); p.kind != tc.kind {
@@ -130,10 +128,10 @@ func TestFastLen(t *testing.T) {
 }
 
 // TestForwardNDAnyLength checks the ND engine on non-power-of-two
-// extents (mixed radix and Bluestein axes) against separable naive
-// DFTs via a 2D round trip plus a spot DFT check per axis.
+// 5-smooth extents (mixed-radix axes, odd and even) through its DC bin
+// and a round trip.
 func TestForwardNDAnyLength(t *testing.T) {
-	for _, dims := range [][]int{{6, 10}, {9, 7}, {11, 13}, {5, 12, 7}, {37, 15}} {
+	for _, dims := range [][]int{{6, 10}, {9, 5}, {15, 25}, {5, 12, 3}, {27, 15}} {
 		n := 1
 		for _, d := range dims {
 			n *= d
@@ -161,15 +159,51 @@ func TestForwardNDAnyLength(t *testing.T) {
 	}
 }
 
+// TestRejectsUnplannedExtents pins the package's extent contract: the
+// complex transforms reject an extent with a prime factor above 5, and
+// the real transforms also an odd last extent, with an error rather
+// than a plan miss.
+func TestRejectsUnplannedExtents(t *testing.T) {
+	count := func(dims []int) int {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		return n
+	}
+	for _, n := range []int{7, 11, 13} {
+		for _, dims := range [][]int{{n}, {4, n}, {n, 6, 2}} {
+			x := make([]complex128, count(dims))
+			if err := ForwardND(x, dims, 1); err == nil {
+				t.Errorf("ForwardND accepted dims %v", dims)
+			}
+			if err := InverseND(x, dims, 1); err == nil {
+				t.Errorf("InverseND accepted dims %v", dims)
+			}
+		}
+	}
+	// Odd last extents, and an even one with the factor 7.
+	for _, dims := range [][]int{{1}, {9}, {15}, {4, 25}, {6, 2, 3}, {4, 14}} {
+		src := make([]float64, count(dims))
+		spec := make([]complex128, HalfLen(dims))
+		if err := ForwardRealND(src, dims, spec, 1); err == nil {
+			t.Errorf("ForwardRealND accepted dims %v", dims)
+		}
+		if err := InverseRealND(spec, dims, src, 1); err == nil {
+			t.Errorf("InverseRealND accepted dims %v", dims)
+		}
+	}
+}
+
 // BenchmarkLineFFT times one forward line transform: the 384- and
-// 768-point lines of a 512² spectral variogram, a power of two, a
-// Bluestein length and a 5-smooth one.
+// 768-point lines of a 512² spectral variogram, a power of two and the
+// 5-smooth 1600.
 func BenchmarkLineFFT(b *testing.B) {
 	b.Run("c128", benchLineFFT)
 }
 
 func benchLineFFT(b *testing.B) {
-	for _, n := range []int{384, 768, 1024, 1542, 1600} {
+	for _, n := range []int{384, 768, 1024, 1600} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			x := randComplex(n, 9)
 			p := planFor(n)

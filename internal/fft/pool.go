@@ -10,12 +10,12 @@ package fft
 //
 // Bucket contract: bucket b holds buffers whose capacity lies in
 // [2^b, 2^(b+1)) — Release files by floor(log2(cap)), so buffers with
-// non-power-of-two capacities (exact-size allocations, Bluestein
-// scratch, re-sliced tails) are retained rather than dropped. Acquire
-// first pops the ceil(log2(n)) bucket, whose buffers all fit by
-// construction, then tries the floor bucket below it with an explicit
-// fit check (returning a too-small buffer to its bucket), and only
-// then allocates — at exactly the requested length, not the next power
+// non-power-of-two capacities (exact-size allocations such as
+// mixed-radix line scratch and padded planes, re-sliced tails) are
+// retained rather than dropped. Acquire first pops the ceil(log2(n))
+// bucket, whose buffers all fit by construction, then tries the floor
+// bucket below it with an explicit fit check (returning a too-small
+// buffer to its bucket), and only then allocates — at exactly the requested length, not the next power
 // of two, so a half-spectrum never drags a 2× capacity behind it and a
 // re-acquired same-size buffer is found one bucket down.
 

@@ -3,9 +3,8 @@ package fft
 import "testing"
 
 // TestPoolAcceptsNonPow2Caps pins the release contract on every
-// element type:
-// buffers whose capacity is not a power of two (Bluestein scratch,
-// exact-size allocations, re-sliced tails) are filed by
+// element type: buffers whose capacity is not a power of two
+// (exact-size allocations, re-sliced tails) are filed by
 // floor(log2(cap)) instead of being dropped, keep serving any request
 // up to the bucket's lower bound, and a released exact-size buffer is
 // found again by a same-size acquire.

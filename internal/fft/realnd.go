@@ -7,16 +7,14 @@ package fft
 // complex storage of the full spectrum, and none of the redundant
 // arithmetic.
 //
-// The last axis is the real<->complex boundary. For even extents it
-// uses the classic pack-two-reals trick: the n real samples of a line
-// are packed into an n/2-point complex FFT whose output is unpicked
-// into the n/2+1 hermitian bins with one extra twiddle pass — a real
-// line transform at roughly half the cost of a complex one. Odd extents
-// (exact Bluestein-length padding) fall back to a full complex line
-// transform and keep the first (n+1)/2 bins. Every other axis is an
-// ordinary complex axis pass over the half-width array, so the whole
-// pipeline inherits the plan layer's any-length support and the
-// bit-identical-at-any-worker-count property of axisPass.
+// The last axis is the real<->complex boundary, and its extent must be
+// even: the classic pack-two-reals trick packs the n real samples of a
+// line into an n/2-point complex FFT whose output is unpicked into the
+// n/2+1 hermitian bins with one extra twiddle pass — a real line
+// transform at roughly half the cost of a complex one. Every other axis
+// is an ordinary complex axis pass over the half-width array, so the
+// whole pipeline inherits the bit-identical-at-any-worker-count
+// property of axisPass.
 
 import (
 	"fmt"
@@ -99,8 +97,8 @@ func ForEachEmbeddedRow(srcDims, dstDims []int, fn func(srcOff, dstOff, n int)) 
 	return nil
 }
 
-// checkReal validates a real<->half-spectrum transform's buffers and
-// returns its last extent and line count.
+// checkReal validates a real<->half-spectrum transform's extents and
+// buffers and returns its last extent and line count.
 func checkReal(dims []int, realLen, halfLen int) (nx, lines int, err error) {
 	if len(dims) == 0 {
 		return 0, 0, fmt.Errorf("fft: rank-0 transform")
@@ -109,63 +107,53 @@ func checkReal(dims []int, realLen, halfLen int) (nx, lines int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	nx = dims[len(dims)-1]
+	if nx%2 != 0 {
+		return 0, 0, fmt.Errorf("fft: real transform's last extent %d is odd", nx)
+	}
 	if realLen != total {
 		return 0, 0, fmt.Errorf("fft: real buffer length %d != product of %v", realLen, dims)
 	}
 	if halfLen != HalfLen(dims) {
 		return 0, 0, fmt.Errorf("fft: half-spectrum length %d != HalfLen %d", halfLen, HalfLen(dims))
 	}
-	nx = dims[len(dims)-1]
 	return nx, total / nx, nil
 }
 
 // ForwardRealND computes the unnormalized forward DFT of the real
-// row-major field src (shape dims, any extents) into dst in
-// half-spectrum form; len(dst) must be HalfLen(dims). dst is fully
-// overwritten (its prior contents are irrelevant, so pooled buffers
-// need no zeroing). The result is bit-identical at any worker count.
+// row-major field src (shape dims: 5-smooth extents, the last even)
+// into dst in half-spectrum form; len(dst) must be HalfLen(dims). dst
+// is fully overwritten (its prior contents are irrelevant, so pooled
+// buffers need no zeroing). The result is bit-identical at any worker
+// count.
 func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) error {
 	nx, lines, err := checkReal(dims, len(src), len(dst))
 	if err != nil {
 		return err
 	}
-	hc := nx/2 + 1
-	if nx%2 == 0 && nx > 1 {
-		// Even last axis: pack pairs into an nx/2-point complex FFT,
-		// then unpick the hermitian bins.
-		N := nx / 2
-		p := planFor(N)
-		rw := newTwiddle(nx, N+1).fwd
-		forLineSpans(lines, workers, N, func(y []complex128, li int) {
-			in := src[li*nx : (li+1)*nx]
-			out := dst[li*hc : (li+1)*hc]
-			for j := 0; j < N; j++ {
-				y[j] = complex(in[2*j], in[2*j+1])
+	// Pack pairs into an nx/2-point complex FFT, then unpick the
+	// hermitian bins.
+	hc, N := nx/2+1, nx/2
+	p := planFor(N)
+	rw := newTwiddle(nx, N+1).fwd
+	forLineSpans(lines, workers, N, func(y []complex128, li int) {
+		in := src[li*nx : (li+1)*nx]
+		out := dst[li*hc : (li+1)*hc]
+		for j := 0; j < N; j++ {
+			y[j] = complex(in[2*j], in[2*j+1])
+		}
+		p.transform(y, false)
+		for k := 0; k <= N; k++ {
+			yk, ynk := y[0], y[0] // bins 0 and N both unpick y[0]
+			if k > 0 && k < N {
+				yk, ynk = y[k], y[N-k]
 			}
-			p.transform(y, false)
-			for k := 0; k <= N; k++ {
-				yk, ynk := y[0], y[0] // bins 0 and N both unpick y[0]
-				if k > 0 && k < N {
-					yk, ynk = y[k], y[N-k]
-				}
-				cynk := cmplx.Conj(ynk)
-				e := (yk + cynk) * 0.5
-				o := (yk - cynk) * complex(0, -0.5)
-				out[k] = e + rw[k]*o
-			}
-		})
-	} else {
-		// Odd (or unit) last axis: full complex line transform, keep
-		// the first hc bins.
-		p := planFor(nx)
-		forLineSpans(lines, workers, nx, func(y []complex128, li int) {
-			for j, v := range src[li*nx : (li+1)*nx] {
-				y[j] = complex(v, 0)
-			}
-			p.transform(y, false)
-			copy(dst[li*hc:(li+1)*hc], y[:hc])
-		})
-	}
+			cynk := cmplx.Conj(ynk)
+			e := (yk + cynk) * 0.5
+			o := (yk - cynk) * complex(0, -0.5)
+			out[k] = e + rw[k]*o
+		}
+	})
 
 	// Remaining axes: ordinary complex passes over the half-width array.
 	hd := halfDims(dims)
@@ -195,48 +183,29 @@ func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) er
 		axisPass(spec, hd, axis, workers, true)
 	}
 
-	if nx%2 == 0 && nx > 1 {
-		// Even last axis: rebuild the packed N-point spectrum from the
-		// hermitian bins, one unnormalized inverse FFT of length N per
-		// line, then unpack interleaved reals.
-		N := nx / 2
-		p := planFor(N)
-		rw := newTwiddle(nx, N+1).inv
-		scale := 1 / (float64(N) * float64(lead))
-		forLineSpans(lines, workers, N, func(y []complex128, li int) {
-			in := spec[li*hc : (li+1)*hc]
-			out := dst[li*nx : (li+1)*nx]
-			for k := 0; k < N; k++ {
-				xk := in[k]
-				cxnk := cmplx.Conj(in[N-k])
-				e := (xk + cxnk) * 0.5
-				o := (xk - cxnk) * 0.5 * rw[k]
-				y[k] = e + o*complex(0, 1)
-			}
-			p.transform(y, true)
-			for j := 0; j < N; j++ {
-				out[2*j] = real(y[j]) * scale
-				out[2*j+1] = imag(y[j]) * scale
-			}
-		})
-	} else {
-		// Odd (or unit) last axis: mirror the hermitian bins into a full
-		// line, one unnormalized complex inverse, keep the real parts.
-		p := planFor(nx)
-		scale := 1 / (float64(nx) * float64(lead))
-		forLineSpans(lines, workers, nx, func(y []complex128, li int) {
-			in := spec[li*hc : (li+1)*hc]
-			out := dst[li*nx : (li+1)*nx]
-			copy(y[:hc], in)
-			for k := hc; k < nx; k++ {
-				y[k] = cmplx.Conj(in[nx-k])
-			}
-			p.transform(y, true)
-			for j := 0; j < nx; j++ {
-				out[j] = real(y[j]) * scale
-			}
-		})
-	}
+	// Rebuild the packed N-point spectrum from the hermitian bins, one
+	// unnormalized inverse FFT of length N per line, then unpack
+	// interleaved reals.
+	N := nx / 2
+	p := planFor(N)
+	rw := newTwiddle(nx, N+1).inv
+	scale := 1 / (float64(N) * float64(lead))
+	forLineSpans(lines, workers, N, func(y []complex128, li int) {
+		in := spec[li*hc : (li+1)*hc]
+		out := dst[li*nx : (li+1)*nx]
+		for k := 0; k < N; k++ {
+			xk := in[k]
+			cxnk := cmplx.Conj(in[N-k])
+			e := (xk + cxnk) * 0.5
+			o := (xk - cxnk) * 0.5 * rw[k]
+			y[k] = e + o*complex(0, 1)
+		}
+		p.transform(y, true)
+		for j := 0; j < N; j++ {
+			out[2*j] = real(y[j]) * scale
+			out[2*j+1] = imag(y[j]) * scale
+		}
+	})
 	return nil
 }
 

@@ -18,13 +18,13 @@ func randReal(n int, seed uint64) []float64 {
 	return out
 }
 
-// realShapes exercises every last-axis branch (even pack, odd
-// full-line) and every plan kind per axis: pow2, mixed-radix, Bluestein
-// (prime extents), across ranks 1–3.
+// realShapes exercises even last axes whose half-length is a power of
+// two, odd (10, 30, 50) or an even composite, over both plan kinds per
+// leading axis, unit axes included, across ranks 1–3.
 var realShapes = [][]int{
-	{8}, {10}, {7}, {1}, {2}, {37}, {30}, {13},
-	{4, 8}, {6, 10}, {5, 7}, {9, 12}, {11, 13}, {3, 1}, {12, 10},
-	{4, 6, 10}, {3, 5, 7}, {2, 3, 4}, {5, 7, 13},
+	{8}, {10}, {2}, {50}, {30}, {24},
+	{4, 8}, {6, 10}, {5, 6}, {9, 12}, {15, 20}, {3, 2}, {1, 10}, {12, 10},
+	{4, 6, 10}, {3, 5, 6}, {2, 3, 4}, {5, 9, 18},
 }
 
 // TestForwardRealNDMatchesComplex pins the half-spectrum forward
@@ -122,10 +122,10 @@ func checkRealRoundTrip(t *testing.T, tol float64) {
 
 // TestRealNDAutocorrelation checks the end-to-end identity the
 // variogram engine relies on: AbsSq of the half-spectrum followed by a
-// real inverse is the circular autocorrelation, on an odd (Bluestein)
-// shape as well as an even one.
+// real inverse is the circular autocorrelation, on a shape with an odd
+// leading extent as well as an even one.
 func TestRealNDAutocorrelation(t *testing.T) {
-	for _, dims := range [][]int{{6, 10}, {7, 9}} {
+	for _, dims := range [][]int{{6, 10}, {15, 6}} {
 		total := dims[0] * dims[1]
 		src := randReal(total, uint64(300+total))
 		spec := make([]complex128, HalfLen(dims))
@@ -274,8 +274,8 @@ func TestHalfLen(t *testing.T) {
 		dims []int
 		want int
 	}{
-		{[]int{8}, 5}, {[]int{7}, 4}, {[]int{4, 8}, 20},
-		{[]int{3, 5, 7}, 60}, {nil, 0},
+		{[]int{8}, 5}, {[]int{10}, 6}, {[]int{4, 8}, 20},
+		{[]int{3, 5, 6}, 60}, {nil, 0},
 	}
 	for _, tc := range cases {
 		if got := HalfLen(tc.dims); got != tc.want {

@@ -61,20 +61,15 @@ import (
 	"lossycorr/internal/parallel"
 )
 
-// padLenFn chooses the padded extent for a required minimum length.
-// FastLen keeps every axis on the mixed-radix fast path at a few
-// percent of slack; tests swap in an identity to drive the exact
-// (Bluestein) lengths through the full engine.
-var padLenFn = fft.FastLen
-
 // slabPad returns the padded extents of an fftSlab call: base + maxLag
 // on axis 0 (a base point's partner lies at most maxLag rows on),
-// dim_k + maxLag on every other axis, each rounded up by padLenFn.
+// dim_k + maxLag on every other axis, each rounded up by fft.FastLen to
+// an even 5-smooth length, the extents the transforms take.
 func slabPad(dims []int, base, maxLag int) []int {
 	pad := make([]int, len(dims))
-	pad[0] = padLenFn(base + maxLag)
+	pad[0] = fft.FastLen(base + maxLag)
 	for k := 1; k < len(dims); k++ {
-		pad[k] = padLenFn(dims[k] + maxLag)
+		pad[k] = fft.FastLen(dims[k] + maxLag)
 	}
 	return pad
 }
@@ -143,7 +138,7 @@ func fftScan[T field.Elem](ctx context.Context, data []T, dims []int, mean float
 // autocorrelation: one forward transform, |Z|², one inverse — the
 // in-RAM engine. Otherwise the base rows and the block take one
 // forward each, conj(Z_a)·Z_b, one inverse. Axis 0 pads to
-// padLenFn(base + MaxLag): a base point's partner is at most MaxLag
+// FastLen(base + MaxLag): a base point's partner is at most MaxLag
 // rows on, so the correlation never wraps.
 //
 // Cancellation is observed at stage boundaries — before each transform,

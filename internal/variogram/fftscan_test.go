@@ -170,42 +170,6 @@ func checkAgainstExact(t *testing.T, label string, f *field.Field, ex, ff *Empir
 	}
 }
 
-// TestFFTBluesteinPadding drives the full engine through exact
-// (non-smooth, often odd) padded extents: with padLenFn forced to
-// identity, pad = dim + MaxLag exactly, which for these shapes puts
-// Bluestein (and odd-length real-transform) plans on every axis. The
-// equivalence contract is unchanged: pair counts exact, Gamma <= 1e-9.
-func TestFFTBluesteinPadding(t *testing.T) {
-	orig := padLenFn
-	padLenFn = func(n int) int { return n }
-	defer func() { padLenFn = orig }()
-
-	for ci, tc := range equivalenceCases {
-		f := randomField(tc.shape, uint64(500+ci))
-		ex, err := Compute(bg, in64(f), Options{Exact: true, MaxLag: tc.maxLag})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ref *Empirical
-		for _, workers := range []int{1, 4} {
-			ff, err := Compute(bg, in64(f), Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkAgainstExact(t, "bluestein", f, ex, ff)
-			if ref == nil {
-				ref = ff
-			} else {
-				for i := range ref.Gamma {
-					if ff.Gamma[i] != ref.Gamma[i] {
-						t.Fatalf("shape %v workers %d: nondeterministic gamma at bin %d", tc.shape, workers, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 // withOffset returns a copy of f with off added to every sample.
 func withOffset(f *field.Field, off float64) *field.Field {
 	g := field.New(f.Shape...)
@@ -260,9 +224,8 @@ func TestFFTDCOffset(t *testing.T) {
 }
 
 // TestFFTLaneDifferential runs the one engine on a float32 field and
-// on its exact widening to float64 — across ranks, odd extents, worker
-// counts, and exact (Bluestein) padding, in RAM and streamed from a file
-// at one memory budget. Both lanes embed into the same float64 plane, so
+// on its exact widening to float64 — across ranks, odd extents and
+// worker counts, in RAM and streamed from a file at one memory budget. Both lanes embed into the same float64 plane, so
 // pair counts must be equal and Gamma equal bit for bit.
 func TestFFTLaneDifferential(t *testing.T) {
 	same := func(t *testing.T, label string, narrow, wide *Empirical) {
@@ -277,34 +240,23 @@ func TestFFTLaneDifferential(t *testing.T) {
 			}
 		}
 	}
-	for _, pm := range []struct {
-		name string
-		fn   func(int) int
-	}{
-		{"fastlen", fft.FastLen},
-		{"exact", func(n int) int { return n }},
-	} {
-		t.Run(pm.name, func(t *testing.T) {
-			orig := padLenFn
-			padLenFn = pm.fn
-			defer func() { padLenFn = orig }()
-			for ci, tc := range equivalenceCases {
-				f32, f64 := randomField32(tc.shape, uint64(2100+ci))
-				for _, workers := range []int{1, 4} {
-					o := Options{FFT: true, MaxLag: tc.maxLag, Workers: workers}
-					wide, err := Compute(bg, in64(f64), o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					narrow, err := Compute(bg, in32(f32), o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					same(t, fmt.Sprintf("shape %v workers %d", tc.shape, workers), narrow, wide)
+	t.Run("fastlen", func(t *testing.T) {
+		for ci, tc := range equivalenceCases {
+			f32, f64 := randomField32(tc.shape, uint64(2100+ci))
+			for _, workers := range []int{1, 4} {
+				o := Options{FFT: true, MaxLag: tc.maxLag, Workers: workers}
+				wide, err := Compute(bg, in64(f64), o)
+				if err != nil {
+					t.Fatal(err)
 				}
+				narrow, err := Compute(bg, in32(f32), o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, fmt.Sprintf("shape %v workers %d", tc.shape, workers), narrow, wide)
 			}
-		})
-	}
+		}
+	})
 	t.Run("stream", func(t *testing.T) {
 		shape, nb := []int{96, 40}, 13
 		f32, f64 := randomField32(shape, 2199)
@@ -386,18 +338,6 @@ func TestFFTPoisonedPools(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkAgainstExact(t, "poisoned", f, ex, ff)
-
-				// The Bluestein/odd-length paths have their own scratch
-				// handling; poison them too.
-				orig := padLenFn
-				padLenFn = func(n int) int { return n }
-				poisonPools(1 << 18)
-				fb, err := Compute(bg, src, Options{FFT: true, MaxLag: tc.maxLag})
-				padLenFn = orig
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkAgainstExact(t, "poisoned-bluestein", f, ex, fb)
 			}
 		})
 	}
