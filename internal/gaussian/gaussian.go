@@ -1,5 +1,5 @@
-// Package gaussian samples stationary 2D Gaussian random fields with
-// squared-exponential covariance by exact circulant embedding — the
+// Package gaussian samples stationary 2D and 3D Gaussian random fields
+// with squared-exponential covariance by exact circulant embedding — the
 // synthetic "ideal" datasets of the paper (Section IV-A):
 //
 //	Σ(x_i, x_j) = σ²·exp(−|x_i−x_j|²/a²)
@@ -9,7 +9,7 @@
 //
 // Circulant embedding: the covariance kernel is embedded on a torus at
 // least twice the field size; the torus covariance matrix is
-// block-circulant, so its eigenvalues are the 2D DFT of the kernel's
+// block-circulant, so its eigenvalues are the DFT of the kernel's
 // first row. Sampling multiplies complex white noise by the square
 // root of the eigenvalues and inverse-transforms; the real and
 // imaginary parts are two independent exact samples. The squared
@@ -81,13 +81,14 @@ func torus(rang, sigma2 float64, dims ...int) ([]int, error) {
 }
 
 // Sampler holds the precomputed embedding spectrum for one covariance
-// so many independent fields can be drawn cheaply.
+// so many independent fields can be drawn cheaply. One sampler serves
+// every rank: the 2D fields of Params and the volumes of Params3D.
 type Sampler struct {
-	rows, cols int
-	m, n       int       // embedding (torus) size, powers of two
-	sqrtLam    []float64 // sqrt of clamped eigenvalues, length m*n
-	clampMass  float64   // |negative eigenvalue mass| / total, diagnostics
-	sigma      float64
+	dims      []int     // field extents
+	ext       []int     // embedding (torus) extents, powers of two
+	sqrtLam   []float64 // sqrt of clamped eigenvalues, one per torus point
+	clampMass float64   // |negative eigenvalue mass| / total, diagnostics
+	sigma     float64
 }
 
 // NewSampler builds the embedding for the given parameters.
@@ -96,32 +97,54 @@ func NewSampler(p Params) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigma2 := p.Sigma2
+	return newSampler([]int{p.Rows, p.Cols}, ext, p.Range, p.Sigma2)
+}
+
+// newSampler builds the embedding of a field of extents dims with the
+// given covariance on the torus ext, as torus returned it for dims.
+func newSampler(dims, ext []int, rang, sigma2 float64) (*Sampler, error) {
 	if sigma2 == 0 {
 		sigma2 = 1
 	}
-	m, n := ext[0], ext[1]
-
-	// Kernel first row on the torus: distance is the wrapped distance.
-	buf := make([]complex128, m*n)
-	inv2 := 1 / (p.Range * p.Range)
-	for r := 0; r < m; r++ {
-		dr := float64(r)
-		if r > m/2 {
-			dr = float64(m - r)
+	// sq[k][j] is the squared wrapped distance of torus index j along
+	// axis k.
+	sq := make([][]float64, len(ext))
+	total := 1
+	for k, e := range ext {
+		sq[k] = make([]float64, e)
+		for j := range sq[k] {
+			d := float64(min(j, e-j))
+			sq[k][j] = d * d
 		}
-		for c := 0; c < n; c++ {
-			dc := float64(c)
-			if c > n/2 {
-				dc = float64(n - c)
+		total *= e
+	}
+
+	// Kernel first row on the torus: the squared distance sums the
+	// squared wrapped distances in axis order, one torus row (last
+	// axis) at a time.
+	buf := make([]complex128, total)
+	inv2 := 1 / (rang * rang)
+	last := len(ext) - 1
+	lead := make([]int, last) // the leading-axis indices of the row
+	for row := 0; row < total; row += ext[last] {
+		var d2 float64
+		for k, j := range lead {
+			d2 += sq[k][j]
+		}
+		for j, s := range sq[last] {
+			buf[row+j] = complex(math.Exp(-(d2+s)*inv2), 0)
+		}
+		for k := last - 1; k >= 0; k-- {
+			if lead[k]++; lead[k] < ext[k] {
+				break
 			}
-			buf[r*n+c] = complex(math.Exp(-(dr*dr+dc*dc)*inv2), 0)
+			lead[k] = 0
 		}
 	}
 	if err := fft.ForwardND(buf, ext, 1); err != nil {
 		return nil, err
 	}
-	sqrtLam := make([]float64, m*n)
+	sqrtLam := make([]float64, total)
 	var neg, tot float64
 	for i, v := range buf {
 		lam := real(v)
@@ -137,8 +160,7 @@ func NewSampler(p Params) (*Sampler, error) {
 		clamp = neg / tot
 	}
 	return &Sampler{
-		rows: p.Rows, cols: p.Cols,
-		m: m, n: n,
+		dims: dims, ext: ext,
 		sqrtLam:   sqrtLam,
 		clampMass: clamp,
 		sigma:     math.Sqrt(sigma2),
@@ -152,29 +174,28 @@ func (s *Sampler) ClampMass() float64 { return s.clampMass }
 // SamplePair draws two independent fields from one complex transform
 // (the real and imaginary parts of the embedded sample).
 func (s *Sampler) SamplePair(rng *xrand.Rand) (*field.Field, *field.Field, error) {
-	mn := s.m * s.n
-	buf := make([]complex128, mn)
-	for i := 0; i < mn; i++ {
+	buf := make([]complex128, len(s.sqrtLam))
+	for i := range buf {
 		// complex white noise with E|ξ|² = 1 per component pair such
 		// that Re and Im of the result are each N(0, C): ξ = (g1 + i·g2)
 		// with g1, g2 ~ N(0,1).
 		buf[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * complex(s.sqrtLam[i], 0)
 	}
-	if err := fft.InverseND(buf, []int{s.m, s.n}, 1); err != nil {
+	if err := fft.InverseND(buf, s.ext, 1); err != nil {
 		return nil, nil, err
 	}
-	// z = sqrt(MN) · IFFT2(sqrt(λ)·ξ) has Re, Im ~ N(0, C) independent.
-	scale := s.sigma * math.Sqrt(float64(mn))
-	a := field.New(s.rows, s.cols)
-	b := field.New(s.rows, s.cols)
-	for r := 0; r < s.rows; r++ {
-		for c := 0; c < s.cols; c++ {
-			v := buf[r*s.n+c]
-			a.Data[r*s.cols+c] = real(v) * scale
-			b.Data[r*s.cols+c] = imag(v) * scale
+	// z = sqrt(N) · IFFT(sqrt(λ)·ξ) over the N torus points has Re, Im
+	// ~ N(0, C) independent; the field is the torus's leading corner.
+	scale := s.sigma * math.Sqrt(float64(len(buf)))
+	a := field.New(s.dims...)
+	b := field.New(s.dims...)
+	err := fft.ForEachEmbeddedRow(s.dims, s.ext, func(src, dst, n int) {
+		for i, v := range buf[dst : dst+n] {
+			a.Data[src+i] = real(v) * scale
+			b.Data[src+i] = imag(v) * scale
 		}
-	}
-	return a, b, nil
+	})
+	return a, b, err
 }
 
 // Sample draws one field.
