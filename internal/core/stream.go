@@ -27,14 +27,7 @@ import (
 func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
 	est := int64(tr.Len()) * int64(tr.ElemBytes())
 	if o.VariogramFFT {
-		lag := o.VariogramOpts.MaxLag
-		if lag <= 0 {
-			lag = tr.MinDim() / 2
-			if lag < 1 {
-				lag = 1
-			}
-		}
-		est += variogram.FFTPeakBytes(tr.Shape(), lag)
+		est += variogram.FFTPeakBytes(tr.Shape(), o.VariogramOpts.MaxLag)
 	}
 	return est
 }

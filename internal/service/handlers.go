@@ -472,14 +472,7 @@ func predictedPeakBytes(tr *field.TileReader, p analysisParams) int64 {
 	if !p.vfft {
 		return tr.PayloadBytes()
 	}
-	lag := p.maxLag
-	if lag == 0 {
-		// The engine's substitute for maxlag=0: half the smallest extent.
-		if lag = tr.MinDim() / 2; lag < 1 {
-			lag = 1
-		}
-	}
-	return variogram.FFTPeakBytes(tr.Shape(), lag)
+	return variogram.FFTPeakBytes(tr.Shape(), p.maxLag)
 }
 
 func (p analysisParams) canon() string {

@@ -104,21 +104,17 @@ func readerOf(t *testing.T, f *field.Field) *field.TileReader {
 
 func TestSourceShape(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		src       Source
-		want      []int
-		streaming bool
+		name string
+		src  Source
+		want []int
 	}{
-		{"F64", Source{F64: field.New(3, 4)}, []int{3, 4}, false},
-		{"F32", Source{F32: field.New32(2, 5, 6)}, []int{2, 5, 6}, false},
-		{"Reader", Source{Reader: readerOf(t, field.New(7, 9))}, []int{7, 9}, true},
-		{"empty", Source{}, nil, false},
+		{"F64", Source{F64: field.New(3, 4)}, []int{3, 4}},
+		{"F32", Source{F32: field.New32(2, 5, 6)}, []int{2, 5, 6}},
+		{"Reader", Source{Reader: readerOf(t, field.New(7, 9))}, []int{7, 9}},
+		{"empty", Source{}, nil},
 	} {
 		if got := tc.src.Shape(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: Shape() = %v, want %v", tc.name, got, tc.want)
-		}
-		if got := tc.src.Streaming(); got != tc.streaming {
-			t.Errorf("%s: Streaming() = %v, want %v", tc.name, got, tc.streaming)
 		}
 	}
 }
@@ -148,12 +144,12 @@ func TestWindowsSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := []float64{10, 0, 2}; !reflect.DeepEqual(got, want) {
-			t.Errorf("streaming=%v: selected values %v, want %v", src.Streaming(), got, want)
+			t.Errorf("streaming=%v: selected values %v, want %v", src.Reader != nil, got, want)
 		}
 		for _, bad := range [][]int{{0, 4}, {-1}} {
 			_, err := Windows(ctx, src, k, 2, 2, bad, nil)
 			if err == nil || !strings.Contains(err.Error(), "outside 4 windows") {
-				t.Errorf("streaming=%v sel %v: err %v, want an out-of-range error", src.Streaming(), bad, err)
+				t.Errorf("streaming=%v sel %v: err %v, want an out-of-range error", src.Reader != nil, bad, err)
 			}
 		}
 	}
@@ -179,7 +175,7 @@ func TestRunResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := map[string]float64{"g": 1.5, "w": 0 + 2 + 8 + 10}; !reflect.DeepEqual(res, want) {
-			t.Errorf("streaming=%v: results %v, want %v", src.Streaming(), res, want)
+			t.Errorf("streaming=%v: results %v, want %v", src.Reader != nil, res, want)
 		}
 	}
 }
@@ -214,7 +210,7 @@ func TestRunErrorPrecedence(t *testing.T) {
 				for rep := 0; rep < 5; rep++ {
 					_, err := Run(context.Background(), src, tc.kernels, Request{Window: 2, Workers: workers})
 					if err == nil || err.Error() != tc.want {
-						t.Fatalf("streaming=%v workers=%d: err %v, want %q", src.Streaming(), workers, err, tc.want)
+						t.Fatalf("streaming=%v workers=%d: err %v, want %q", src.Reader != nil, workers, err, tc.want)
 					}
 				}
 			}
@@ -226,7 +222,7 @@ func TestRunErrorPrecedence(t *testing.T) {
 	for _, src := range []Source{{F64: f}, {Reader: readerOf(t, f)}} {
 		_, err := Run(ctx, src, []Kernel{failG, failW}, Request{Window: 2, Workers: 2})
 		if !errors.Is(err, context.Canceled) || err != ctx.Err() {
-			t.Errorf("streaming=%v: canceled run returned %v, want ctx.Err()", src.Streaming(), err)
+			t.Errorf("streaming=%v: canceled run returned %v, want ctx.Err()", src.Reader != nil, err)
 		}
 	}
 }
@@ -358,7 +354,7 @@ func TestWindowsBatchedMatchesOneByOne(t *testing.T) {
 					}
 					if len(want) == 0 || !slices.Equal(got, want) {
 						t.Fatalf("sel %v streaming=%v budget %d workers %d: %v, want %v",
-							s, src.Streaming(), budget, workers, got, want)
+							s, src.Reader != nil, budget, workers, got, want)
 					}
 				}
 			}
@@ -405,7 +401,7 @@ func TestWindowsLowestFailingWindow(t *testing.T) {
 					_, err := Windows(ctx, src, k, h, workers, tc.sel, nil)
 					if err == nil || err.Error() != want {
 						t.Fatalf("fail %v sel %v streaming=%v workers %d: err %v, want %q",
-							tc.fail, tc.sel, src.Streaming(), workers, err, want)
+							tc.fail, tc.sel, src.Reader != nil, workers, err, want)
 					}
 				}
 			}

@@ -37,9 +37,6 @@ type Source struct {
 	Stream field.StreamOptions
 }
 
-// Streaming reports whether the source is dataset-backed.
-func (s Source) Streaming() bool { return s.Reader != nil }
-
 // Shape returns the source's extents.
 func (s Source) Shape() []int {
 	switch {

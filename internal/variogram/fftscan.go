@@ -104,11 +104,14 @@ func slabPeakBytes(dims []int, base, maxLag int) int64 {
 }
 
 // FFTPeakBytes is the transform working set of the in-RAM FFT exact
-// engine on a field of the given shape and lag cutoff (maxLag >= 1),
-// on either lane: one slab whose base rows are the whole field
-// (slabPeakBytes), padded to P = Π FastLen(dim_k + maxLag) elements.
+// engine on a field of the given shape, on either lane: one slab whose
+// base rows are the whole field (slabPeakBytes), padded to
+// P = Π FastLen(dim_k + L) elements. maxLag is Options.MaxLag as a
+// caller would pass it: L is the cutoff the engine runs with, the
+// default for maxLag <= 0 and clamped at the field's diagonal.
 func FFTPeakBytes(shape []int, maxLag int) int64 {
-	return slabPeakBytes(shape, shape[0], maxLag)
+	lag := Options{MaxLag: maxLag}.withDefaults(shape).MaxLag
+	return slabPeakBytes(shape, shape[0], lag)
 }
 
 // fftScan computes the exact binned variogram of an in-RAM field

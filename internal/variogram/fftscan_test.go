@@ -343,6 +343,23 @@ func TestFFTPoisonedPools(t *testing.T) {
 	}
 }
 
+// TestFFTPeakBytesLag pins FFTPeakBytes to the cutoff the engine runs
+// with: 0 means half the smallest extent, and a cutoff past the field's
+// diagonal counts as the diagonal.
+func TestFFTPeakBytesLag(t *testing.T) {
+	shape := []int{40, 24}
+	if got, want := FFTPeakBytes(shape, 0), FFTPeakBytes(shape, 12); got != want {
+		t.Errorf("default cutoff: %d bytes, want the cutoff-12 %d", got, want)
+	}
+	// The diagonal of a 40×24 field is ceil(sqrt(39² + 23²)) = 46.
+	if got, want := FFTPeakBytes(shape, 1000), FFTPeakBytes(shape, 46); got != want {
+		t.Errorf("cutoff past the diagonal: %d bytes, want the cutoff-46 %d", got, want)
+	}
+	if FFTPeakBytes(shape, 12) >= FFTPeakBytes(shape, 46) {
+		t.Error("the prediction does not grow with the cutoff")
+	}
+}
+
 // TestFFTMemorySmoke pins FFTPeakBytes as the engine's transform
 // working set on both lanes: on a 512² field (default cutoff 256) the
 // measured pool peak stays within the formula, first on a drained pool
