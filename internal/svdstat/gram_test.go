@@ -3,6 +3,8 @@ package svdstat
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"lossycorr/internal/field"
@@ -87,34 +89,97 @@ func TestGramConstantWindowZero(t *testing.T) {
 	}
 }
 
+// tieWindow searches seeded integer windows for one on which levelGram
+// and levelFull return different levels, and returns it with the
+// variance fraction that separates them. A candidate is an integer
+// offset plus two or three rank-one terms a·u·vᵀ, u and v distinct
+// non-constant rows of a Sylvester–Hadamard matrix: the terms are
+// centered and orthogonal, so the centered energies are exactly a²·h²
+// and a cumulative energy share is an exact tie, where each path's
+// roundoff alone decides the level.
+func tieWindow(t *testing.T) (*field.Field, float64) {
+	t.Helper()
+	had := func(i, j int) float64 { return float64(1 - 2*(bits.OnesCount(uint(i&j))&1)) }
+	rng := xrand.New(1)
+	for range 1000 {
+		h := 4 << rng.Intn(2)
+		w := field.New(h, h)
+		off := float64(rng.Intn(7) - 3)
+		for i := range w.Data {
+			w.Data[i] = off
+		}
+		us, vs := rng.Perm(h-1), rng.Perm(h-1)
+		energy := make([]float64, 2+rng.Intn(2))
+		for k := range energy {
+			a := float64(1 + rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				a = -a
+			}
+			energy[k] = a * a
+			for r := 0; r < h; r++ {
+				for c := 0; c < h; c++ {
+					w.Data[r*h+c] += a * had(1+us[k], r) * had(1+vs[k], c)
+				}
+			}
+		}
+		slices.Sort(energy)
+		slices.Reverse(energy)
+		total := 0.0
+		for _, e := range energy {
+			total += e
+		}
+		acc := 0.0
+		for _, e := range energy[:len(energy)-1] {
+			acc += e
+			frac := acc / total
+			full, err := levelFull(w.Data, h, h, w.Summary().Mean, frac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gram, err := levelGram(w.Data, h, h, frac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full != gram {
+				return w, frac
+			}
+		}
+	}
+	t.Fatal("no searched window separates the Gram and full-SVD levels")
+	return nil, 0
+}
+
 // TestGramDefaultPinsBothDirections pins the release flip: the zero
 // value must take the Gram fast path and GramOff the historical
-// full-SVD arithmetic, each compared against its level function
-// (levelGram, levelFull) applied window by window.
+// full-SVD arithmetic. The field is a window on which the two level
+// functions disagree (tieWindow) beside a constant one, so each mode's
+// statistic matches its own level function (levelGram, levelFull)
+// applied window by window, and not the other's.
 func TestGramDefaultPinsBothDirections(t *testing.T) {
-	f := gramRandomGrid(96, 96, 11)
+	w, frac := tieWindow(t)
+	h := w.Shape[0]
+	f := field.New(h, 2*h) // w, then a constant window
+	for r := 0; r < h; r++ {
+		copy(f.Data[r*2*h:r*2*h+h], w.Data[r*h:(r+1)*h])
+	}
 	for _, c := range []struct {
 		mode  GramMode
 		level func(w *field.Field) (int, error)
 	}{
 		{GramDefault, func(w *field.Field) (int, error) {
-			return levelGram(w.Data, w.Shape[0], w.Len()/w.Shape[0], DefaultVarianceFraction)
+			return levelGram(w.Data, w.Shape[0], w.Len()/w.Shape[0], frac)
 		}},
 		{GramOff, func(w *field.Field) (int, error) {
-			return levelFull(w.Data, w.Shape[0], w.Len()/w.Shape[0], w.Summary().Mean, DefaultVarianceFraction)
+			return levelFull(w.Data, w.Shape[0], w.Len()/w.Shape[0], w.Summary().Mean, frac)
 		}},
 	} {
-		got, err := LocalStd(bg, in64(f), 32, Options{Gram: c.mode})
+		got, err := LocalStd(bg, in64(f), h, Options{Gram: c.mode, Frac: frac})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var levels []float64
-		for _, origin := range f.TileOrigins(32) {
-			w := f.Window(origin, 32)
-			if w.MinDim() < 2 {
-				continue
-			}
-			k, err := c.level(w)
+		for _, origin := range f.TileOrigins(h) {
+			k, err := c.level(f.Window(origin, h))
 			if err != nil {
 				t.Fatal(err)
 			}
