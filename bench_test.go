@@ -1,7 +1,7 @@
 package lossycorr
 
 // The benchmark harness regenerates every figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index) and measures
+// evaluation (Figures 1–7, as core.Suite builds them) and measures
 // component throughput. Figure benches run the full pipeline — dataset
 // generation, statistic extraction, compression across codecs and error
 // bounds, and the α + β·log(x) fits — at a laptop-scale default of
@@ -362,7 +362,8 @@ func BenchmarkUnified3DPipeline(b *testing.B) {
 
 // BenchmarkAblationSZPredictors quantifies what each of the SZ-like
 // codec's two predictors contributes: auto selection vs Lorenzo-only vs
-// regression-only on the same field (DESIGN.md §3).
+// regression-only on the same field. SZ picks the better predictor per
+// block, so each single-predictor run shows what that choice adds.
 func BenchmarkAblationSZPredictors(b *testing.B) {
 	f := benchField(b, 16)
 	for _, c := range []szlike.Compressor{

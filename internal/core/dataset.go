@@ -149,8 +149,10 @@ func geoMean(a, b float64) float64 {
 }
 
 // MirandaConfig generates the Miranda-substitute dataset: velocityx
-// snapshots of a Kelvin–Helmholtz run (see internal/hydro and
-// DESIGN.md for the substitution rationale).
+// snapshots of a Kelvin–Helmholtz run. Miranda's code and data are not
+// redistributable, so internal/hydro's solver stands in for them with
+// the property the paper relies on: heterogeneous, multi-scale
+// correlation structure evolving with time.
 type MirandaConfig struct {
 	Size   int     // square field edge
 	Slices int     // number of snapshots

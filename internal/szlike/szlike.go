@@ -59,7 +59,7 @@ var ErrCorrupt = errors.New("szlike: corrupt stream")
 
 // PredictorMode restricts which block predictor Compress may choose —
 // an ablation knob for quantifying what each of SZ's two predictors
-// contributes (DESIGN.md's ablation index).
+// contributes (the root module's BenchmarkAblationSZPredictors).
 type PredictorMode int
 
 const (

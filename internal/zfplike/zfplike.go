@@ -20,7 +20,7 @@
 // absErr/2 — one extra bit plane — and the raw-block threshold doubles,
 // pinning max|f32(x̂) − v| ≤ absErr with no per-element check.
 //
-// Deviation from real ZFP (documented in DESIGN.md): the block
+// Deviation from real ZFP: the block
 // transform is a two-level integer Haar S-transform rather than ZFP's
 // proprietary lifting scheme. Both are invertible integer
 // decorrelators applied per 4-vector; the compression character
