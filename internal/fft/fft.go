@@ -142,10 +142,10 @@ func butterflies(x, w []complex128, h int) {
 }
 
 // ForwardND computes the in-place unnormalized forward DFT of a
-// row-major buffer of any rank and 5-smooth extents. Each axis pass runs its
-// independent lines on the shared worker pool (workers <= 0 means
-// GOMAXPROCS); line transforms write disjoint regions, so the result is
-// bit-identical at any worker count.
+// row-major buffer of any rank and 5-smooth extents. Each axis pass
+// runs its independent lines on the shared worker pool (workers <= 0
+// means GOMAXPROCS); line transforms write disjoint regions, so the
+// result is bit-identical at any worker count.
 func ForwardND(x []complex128, dims []int, workers int) error {
 	return transformND(x, dims, workers, false)
 }
@@ -194,10 +194,10 @@ func product(dims []int) (int, error) {
 }
 
 // axisPass transforms every line of x along the given axis. The plan
-// (twiddle tables, factorization) is cached per length
-// and shared (read-only) by all lines. Lines along the last axis are
-// contiguous and transform in place; other axes gather each strided
-// line into a per-span scratch.
+// (twiddle tables, factorization) is cached per length and shared
+// (read-only) by all lines. Lines along the last axis are contiguous
+// and transform in place; other axes gather each strided line into a
+// per-span scratch.
 func axisPass(x []complex128, dims []int, axis, workers int, inverse bool) {
 	d := dims[axis]
 	if d <= 1 {

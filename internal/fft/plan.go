@@ -65,7 +65,6 @@ type linePlan struct {
 	// table of the residual power-of-two block.
 	w       twiddle
 	factors []int // mixed: odd prime factors, in dividing order
-	pow2    int   // mixed: residual power-of-two block length
 	pw      twiddle
 }
 
@@ -101,7 +100,7 @@ func newPlan(n int) *linePlan {
 	return &linePlan{
 		n: n, kind: planMixed,
 		w: newTwiddle(n, n), factors: odd,
-		pow2: pow2, pw: newTwiddle(pow2, pow2/2),
+		pw: newTwiddle(pow2, pow2/2),
 	}
 }
 

@@ -121,7 +121,8 @@ func newSampler(dims, ext []int, rang, sigma2 float64) (*Sampler, error) {
 
 	// Kernel first row on the torus: the squared distance sums the
 	// squared wrapped distances in axis order, one torus row (last
-	// axis) at a time.
+	// axis) at a time. The squares are rounded in sq, so no target can
+	// fuse one into the sum.
 	buf := make([]complex128, total)
 	inv2 := 1 / (rang * rang)
 	last := len(ext) - 1
