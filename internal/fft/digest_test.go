@@ -73,14 +73,14 @@ func digestReal(t *testing.T, workers int) string {
 			src[i] = rng.NormFloat64()
 		}
 		spec := make([]complex128, fft.HalfLen(dims))
-		if err := fft.ForwardRealND(src, dims, spec, workers); err != nil {
+		if err := fft.ForwardRealND(src, dims, dims, spec, workers); err != nil {
 			t.Fatalf("dims %v: %v", dims, err)
 		}
 		hashComplex(h, spec)
 		fft.AbsSq(spec)
 		hashComplex(h, spec)
 		out := make([]float64, len(src))
-		if err := fft.InverseRealND(spec, dims, out, workers); err != nil {
+		if err := fft.InverseRealND(spec, dims, dims[0], out, workers); err != nil {
 			t.Fatalf("dims %v: %v", dims, err)
 		}
 		hashFloats(h, out)

@@ -172,7 +172,7 @@ func transformND(x []complex128, dims []int, workers int, inverse bool) error {
 		return fmt.Errorf("fft: buffer length %d != product of %v", len(x), dims)
 	}
 	for axis := len(dims) - 1; axis >= 0; axis-- {
-		axisPass(x, dims, axis, workers, inverse)
+		axisPass(x, dims, dims, axis, workers, inverse)
 	}
 	return nil
 }
@@ -193,12 +193,28 @@ func product(dims []int) (int, error) {
 	return n, nil
 }
 
-// axisPass transforms every line of x along the given axis. The plan
-// (twiddle tables, factorization) is cached per length and shared
-// (read-only) by all lines. Lines along the last axis are contiguous
-// and transform in place; other axes gather each strided line into a
-// per-span scratch.
-func axisPass(x []complex128, dims []int, axis, workers int, inverse bool) {
+// lineGroup is the number of adjacent strided lines an axis pass
+// gathers at once: four complex128 values, one 64-byte cache line, are
+// read per stride step instead of one.
+const lineGroup = 4
+
+// LineScratchLen bounds the complex128 line scratch one transform
+// worker holds at a time on lines of length at most n: the lineGroup
+// gathered lines of an axis pass plus the mixed-radix recursion's
+// scratch for the line being transformed.
+func LineScratchLen(n int) int { return (lineGroup + 1) * n }
+
+// axisPass transforms the lines of x along the given axis whose
+// coordinates on every earlier axis k lie inside the leading corner
+// lim (lim[k] <= dims[k]; pass dims to transform every line); the
+// other lines are left as they are. The plan (twiddle tables,
+// factorization) is cached per length and shared (read-only) by all
+// lines. Lines along the last axis are contiguous and transform in
+// place; other axes gather lineGroup adjacent strided lines at a time
+// into a per-span scratch, one line after another, and scatter them
+// back. Each line's arithmetic is the same whatever its group or span,
+// so the result is bit-identical at any worker count.
+func axisPass(x []complex128, dims, lim []int, axis, workers int, inverse bool) {
 	d := dims[axis]
 	if d <= 1 {
 		return
@@ -208,26 +224,54 @@ func axisPass(x []complex128, dims []int, axis, workers int, inverse bool) {
 	for k := axis + 1; k < len(dims); k++ {
 		stride *= dims[k]
 	}
-	lines := len(x) / d
+	outer := 1
+	for _, l := range lim[:axis] {
+		outer *= l
+	}
 	if axis == len(dims)-1 {
-		parallel.For(lines, workers, func(i int) {
-			p.transform(x[i*d:(i+1)*d], inverse)
+		parallel.For(outer, workers, func(q int) {
+			o := cornerIndex(q, dims[:axis], lim[:axis])
+			p.transform(x[o*d:(o+1)*d], inverse)
 		})
 		return
 	}
 	// Strided lines: line (o, i) starts at o*d*stride + i, elements
-	// stride apart.
-	forLineSpans(lines, workers, d, func(scratch []complex128, line int) {
-		o, i := line/stride, line%stride
+	// stride apart; group g of outer block o holds lines i = g·lineGroup
+	// on, at most lineGroup of them.
+	groups := (stride + lineGroup - 1) / lineGroup
+	forLineSpans(outer*groups, workers, lineGroup*d, func(scratch []complex128, u int) {
+		o := cornerIndex(u/groups, dims[:axis], lim[:axis])
+		i := u % groups * lineGroup
+		w := min(lineGroup, stride-i)
 		base := o*d*stride + i
 		for k := 0; k < d; k++ {
-			scratch[k] = x[base+k*stride]
+			for j, v := range x[base+k*stride : base+k*stride+w] {
+				scratch[j*d+k] = v
+			}
 		}
-		p.transform(scratch, inverse)
+		for j := 0; j < w; j++ {
+			p.transform(scratch[j*d:(j+1)*d], inverse)
+		}
 		for k := 0; k < d; k++ {
-			x[base+k*stride] = scratch[k]
+			row := x[base+k*stride : base+k*stride+w]
+			for j := range row {
+				row[j] = scratch[j*d+k]
+			}
 		}
 	})
+}
+
+// cornerIndex maps q, the row-major index of a point of the box lim, to
+// the row-major index of the same point in the box dims (lim[k] <=
+// dims[k]): the q-th line of a pass pruned to the leading corner lim.
+func cornerIndex(q int, dims, lim []int) int {
+	o, scale := 0, 1
+	for k := len(lim) - 1; k >= 0; k-- {
+		o += q % lim[k] * scale
+		q /= lim[k]
+		scale *= dims[k]
+	}
+	return o
 }
 
 // forLineSpans splits `lines` into at most `workers` contiguous spans

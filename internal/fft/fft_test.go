@@ -247,7 +247,7 @@ func checkConstantPower(t *testing.T, dims []int) {
 		x[i] = 2
 	}
 	ps := make([]complex128, HalfLen(dims))
-	if err := ForwardRealND(x, dims, ps, 1); err != nil {
+	if err := ForwardRealND(x, dims, dims, ps, 1); err != nil {
 		t.Fatal(err)
 	}
 	AbsSq(ps)

@@ -14,6 +14,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"lossycorr/internal/parallel"
 	"lossycorr/internal/xrand"
 )
 
@@ -189,4 +190,98 @@ func checkAxisRef(t *testing.T, dims []int) {
 			t.Fatalf("dims %v inverse=%v: differs at %d: %v vs %v", dims, inverse, i, got[i], want[i])
 		}
 	}
+}
+
+// axisPassRef is the axis pass as it stood before strided lines were
+// gathered lineGroup at a time, kept verbatim (bar its name) as the
+// oracle of the blocked gather: one line gathered, transformed and
+// scattered per strided line, every line transformed.
+func axisPassRef(x []complex128, dims []int, axis, workers int, inverse bool) {
+	d := dims[axis]
+	if d <= 1 {
+		return
+	}
+	p := planFor(d)
+	stride := 1
+	for k := axis + 1; k < len(dims); k++ {
+		stride *= dims[k]
+	}
+	lines := len(x) / d
+	if axis == len(dims)-1 {
+		parallel.For(lines, workers, func(i int) {
+			p.transform(x[i*d:(i+1)*d], inverse)
+		})
+		return
+	}
+	// Strided lines: line (o, i) starts at o*d*stride + i, elements
+	// stride apart.
+	forLineSpans(lines, workers, d, func(scratch []complex128, line int) {
+		o, i := line/stride, line%stride
+		base := o*d*stride + i
+		for k := 0; k < d; k++ {
+			scratch[k] = x[base+k*stride]
+		}
+		p.transform(scratch, inverse)
+		for k := 0; k < d; k++ {
+			x[base+k*stride] = scratch[k]
+		}
+	})
+}
+
+// TestAxisPassMatchesOneLineGather pins the blocked strided pass to the
+// one-line gather bit for bit on every axis of ranks 1–3, strides that
+// are and are not multiples of lineGroup included, both directions,
+// workers 1 and 4. Pruned to a leading corner, it transforms exactly
+// the lines inside it, with the same bits, and leaves every other line
+// as it was.
+func TestAxisPassMatchesOneLineGather(t *testing.T) {
+	for _, dims := range [][]int{{30}, {12, 10}, {9, 8}, {768, 375}, {15, 9, 5}, {25, 3, 27}, {64, 1, 45}, {6, 10, 12}} {
+		total, _ := product(dims)
+		x := randComplex(total, uint64(total))
+		// The corner halves every extent, rounding up.
+		lim := make([]int, len(dims))
+		for k, d := range dims {
+			lim[k] = (d + 1) / 2
+		}
+		for axis := range dims {
+			for _, inverse := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					want := append([]complex128(nil), x...)
+					axisPassRef(want, dims, axis, workers, inverse)
+					got := append([]complex128(nil), x...)
+					axisPass(got, dims, dims, axis, workers, inverse)
+					if i := sameBits(got, want); i >= 0 {
+						t.Fatalf("dims %v axis %d inverse=%v workers %d: differs at %d: %v vs %v",
+							dims, axis, inverse, workers, i, got[i], want[i])
+					}
+
+					got = append(got[:0], x...)
+					axisPass(got, dims, lim, axis, workers, inverse)
+					for i := range got {
+						ref := x[i]
+						if inCornerOuter(i, dims, lim, axis) {
+							ref = want[i]
+						}
+						if sameBits(got[i:i+1], []complex128{ref}) >= 0 {
+							t.Fatalf("dims %v corner %v axis %d inverse=%v workers %d: element %d is %v, want %v",
+								dims, lim, axis, inverse, workers, i, got[i], ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// inCornerOuter reports whether element i of the box dims lies on a
+// line along axis whose coordinates on the earlier axes are inside the
+// corner lim — a line a pruned pass transforms.
+func inCornerOuter(i int, dims, lim []int, axis int) bool {
+	for k := len(dims) - 1; k >= 0; k-- {
+		if k < axis && i%dims[k] >= lim[k] {
+			return false
+		}
+		i /= dims[k]
+	}
+	return true
 }

@@ -186,10 +186,10 @@ func TestRejectsUnplannedExtents(t *testing.T) {
 	for _, dims := range [][]int{{1}, {9}, {15}, {4, 25}, {6, 2, 3}, {4, 14}} {
 		src := make([]float64, count(dims))
 		spec := make([]complex128, HalfLen(dims))
-		if err := ForwardRealND(src, dims, spec, 1); err == nil {
+		if err := ForwardRealND(src, dims, dims, spec, 1); err == nil {
 			t.Errorf("ForwardRealND accepted dims %v", dims)
 		}
-		if err := InverseRealND(spec, dims, src, 1); err == nil {
+		if err := InverseRealND(spec, dims, dims[0], src, 1); err == nil {
 			t.Errorf("InverseRealND accepted dims %v", dims)
 		}
 	}

@@ -120,28 +120,53 @@ func checkReal(dims []int, realLen, halfLen int) (nx, lines int, err error) {
 	return nx, total / nx, nil
 }
 
-// ForwardRealND computes the unnormalized forward DFT of the real
-// row-major field src (shape dims: 5-smooth extents, the last even)
-// into dst in half-spectrum form; len(dst) must be HalfLen(dims). dst
-// is fully overwritten (its prior contents are irrelevant, so pooled
-// buffers need no zeroing). The result is bit-identical at any worker
-// count.
-func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) error {
+// ForwardRealND computes the unnormalized forward DFT, in
+// half-spectrum form, of the real row-major field of shape dims
+// (5-smooth extents, the last even) that equals src inside the leading
+// corner data (data[k] <= dims[k] on every axis) and is zero outside
+// it; len(src) is the product of dims and len(dst) HalfLen(dims). src
+// is read only inside the corner, so the caller need not clear the
+// rest of the plane. A line wholly outside the corner is zero and is
+// not transformed: the last-axis pass writes zeros for it, and every
+// later axis pass skips the lines whose earlier coordinates lie
+// outside the corner, which hold zeros by then. dst is fully
+// overwritten (its prior contents are irrelevant, so pooled buffers
+// need no zeroing). Pass data = dims for an unpruned transform. Every
+// value equals (==) that of the full transform of the zero-padded
+// plane; a zero written for a skipped line may differ from it only in
+// its sign. The result is bit-identical at any worker count.
+func ForwardRealND(src []float64, dims, data []int, dst []complex128, workers int) error {
 	nx, lines, err := checkReal(dims, len(src), len(dst))
 	if err != nil {
 		return err
 	}
+	if err := checkCorner(dims, data); err != nil {
+		return err
+	}
 	// Pack pairs into an nx/2-point complex FFT, then unpick the
 	// hermitian bins.
+	last := len(dims) - 1
 	hc, N := nx/2+1, nx/2
 	p := planFor(N)
 	rw := newTwiddle(nx, N+1).fwd
-	forLineSpans(lines, workers, N, func(y []complex128, li int) {
-		in := src[li*nx : (li+1)*nx]
+	kept := 1
+	for _, d := range data[:last] {
+		kept *= d
+	}
+	width := data[last]
+	forLineSpans(kept, workers, N, func(y []complex128, q int) {
+		li := cornerIndex(q, dims[:last], data[:last])
+		in := src[li*nx : li*nx+width]
 		out := dst[li*hc : (li+1)*hc]
-		for j := 0; j < N; j++ {
+		j := 0
+		for ; 2*j+1 < width; j++ {
 			y[j] = complex(in[2*j], in[2*j+1])
 		}
+		if 2*j < width {
+			y[j] = complex(in[2*j], 0)
+			j++
+		}
+		clear(y[j:])
 		p.transform(y, false)
 		for k := 0; k <= N; k++ {
 			yk, ynk := y[0], y[0] // bins 0 and N both unpick y[0]
@@ -154,33 +179,53 @@ func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) err
 			out[k] = e + rw[k]*o
 		}
 	})
+	if kept < lines {
+		for li := 0; li < lines; li++ {
+			if !inCorner(li, dims[:last], data[:last]) {
+				clear(dst[li*hc : (li+1)*hc])
+			}
+		}
+	}
 
 	// Remaining axes: ordinary complex passes over the half-width array.
 	hd := halfDims(dims)
-	for axis := len(dims) - 2; axis >= 0; axis-- {
-		axisPass(dst, hd, axis, workers, false)
+	for axis := last - 1; axis >= 0; axis-- {
+		axisPass(dst, hd, data, axis, workers, false)
 	}
 	return nil
 }
 
 // InverseRealND inverts ForwardRealND: spec is a half-spectrum of shape
 // dims (it is clobbered), dst receives the real field and must have
-// length = product of dims. The normalization matches InverseND:
-// InverseRealND(ForwardRealND(x)) == x up to roundoff. Bit-identical at
-// any worker count.
-func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) error {
+// length = product of dims. Only the first rows rows along axis 0 are
+// computed and written (0 <= rows <= dims[0]); the rest of dst is left
+// as it was, and the axis passes after the first skip the lines that
+// only feed it. A rank-1 field is one line and is written whole.
+// Pass rows = dims[0] for the whole field. The normalization matches
+// InverseND: InverseRealND(ForwardRealND(x)) == x up to roundoff. The
+// written rows are bit-identical to those of a whole inverse, at any
+// worker count.
+func InverseRealND(spec []complex128, dims []int, rows int, dst []float64, workers int) error {
 	nx, lines, err := checkReal(dims, len(dst), len(spec))
 	if err != nil {
 		return err
 	}
+	if rows < 0 || rows > dims[0] {
+		return fmt.Errorf("fft: %d inverse rows outside [0, %d]", rows, dims[0])
+	}
 	hc := nx/2 + 1
 	lead := lines // product of leading extents
+	kept := lines
+	if len(dims) > 1 {
+		kept = lines / dims[0] * rows
+	}
 
 	// Leading axes first: unnormalized inverse passes at fixed last-axis
 	// bin; per-line hermitian symmetry along the last axis survives them.
 	hd := halfDims(dims)
+	lim := append([]int{rows}, hd[1:]...)
 	for axis := 0; axis < len(dims)-1; axis++ {
-		axisPass(spec, hd, axis, workers, true)
+		axisPass(spec, hd, lim, axis, workers, true)
 	}
 
 	// Rebuild the packed N-point spectrum from the hermitian bins, one
@@ -190,7 +235,7 @@ func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) er
 	p := planFor(N)
 	rw := newTwiddle(nx, N+1).inv
 	scale := 1 / (float64(N) * float64(lead))
-	forLineSpans(lines, workers, N, func(y []complex128, li int) {
+	forLineSpans(kept, workers, N, func(y []complex128, li int) {
 		in := spec[li*hc : (li+1)*hc]
 		out := dst[li*nx : (li+1)*nx]
 		for k := 0; k < N; k++ {
@@ -207,6 +252,31 @@ func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) er
 		}
 	})
 	return nil
+}
+
+// checkCorner validates the data corner of a pruned forward transform.
+func checkCorner(dims, data []int) error {
+	if len(data) != len(dims) {
+		return fmt.Errorf("fft: data corner %v does not match rank of %v", data, dims)
+	}
+	for k, d := range data {
+		if d < 0 || d > dims[k] {
+			return fmt.Errorf("fft: data corner %v outside extents %v", data, dims)
+		}
+	}
+	return nil
+}
+
+// inCorner reports whether the row-major index li of a point of the
+// box dims lies inside its leading corner lim.
+func inCorner(li int, dims, lim []int) bool {
+	for k := len(dims) - 1; k >= 0; k-- {
+		if li%dims[k] >= lim[k] {
+			return false
+		}
+		li /= dims[k]
+	}
+	return true
 }
 
 // AbsSq sets a[i] = |a[i]|² — the autocorrelation spectrum of the real

@@ -51,7 +51,7 @@ func TestForwardRealNDMatchesComplex(t *testing.T) {
 		for i := range half {
 			half[i] = cmplx.Inf()
 		}
-		if err := ForwardRealND(src, dims, half, 0); err != nil {
+		if err := ForwardRealND(src, dims, dims, half, 0); err != nil {
 			t.Fatal(err)
 		}
 
@@ -88,12 +88,12 @@ func checkRealRoundTrip(t *testing.T, tol float64) {
 		var refOut []float64
 		for _, workers := range []int{1, 3, 8} {
 			spec := Acquire[complex128](HalfLen(dims))
-			if err := ForwardRealND(src, dims, spec, workers); err != nil {
+			if err := ForwardRealND(src, dims, dims, spec, workers); err != nil {
 				t.Fatal(err)
 			}
 			specCopy := append([]complex128(nil), spec...)
 			out := make([]float64, total)
-			if err := InverseRealND(spec, dims, out, workers); err != nil {
+			if err := InverseRealND(spec, dims, dims[0], out, workers); err != nil {
 				t.Fatal(err)
 			}
 			Release(spec)
@@ -129,12 +129,12 @@ func TestRealNDAutocorrelation(t *testing.T) {
 		total := dims[0] * dims[1]
 		src := randReal(total, uint64(300+total))
 		spec := make([]complex128, HalfLen(dims))
-		if err := ForwardRealND(src, dims, spec, 0); err != nil {
+		if err := ForwardRealND(src, dims, dims, spec, 0); err != nil {
 			t.Fatal(err)
 		}
 		AbsSq(spec)
 		got := make([]float64, total)
-		if err := InverseRealND(spec, dims, got, 0); err != nil {
+		if err := InverseRealND(spec, dims, dims[0], got, 0); err != nil {
 			t.Fatal(err)
 		}
 		// Direct circular autocorrelation.
@@ -164,15 +164,15 @@ func TestMulConjCrossCorrelation(t *testing.T) {
 	b := randReal(total, 43)
 	sa := make([]complex128, HalfLen(dims))
 	sb := make([]complex128, HalfLen(dims))
-	if err := ForwardRealND(a, dims, sa, 0); err != nil {
+	if err := ForwardRealND(a, dims, dims, sa, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForwardRealND(b, dims, sb, 0); err != nil {
+	if err := ForwardRealND(b, dims, dims, sb, 0); err != nil {
 		t.Fatal(err)
 	}
 	MulConj(sa, sb)
 	got := make([]float64, total)
-	if err := InverseRealND(sa, dims, got, 0); err != nil {
+	if err := InverseRealND(sa, dims, dims[0], got, 0); err != nil {
 		t.Fatal(err)
 	}
 	ny, nx := dims[0], dims[1]
@@ -306,10 +306,10 @@ func benchRealND(b *testing.B) {
 			spec := make([]complex128, HalfLen(dims))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ForwardRealND(src, dims, spec, 0); err != nil {
+				if err := ForwardRealND(src, dims, dims, spec, 0); err != nil {
 					b.Fatal(err)
 				}
-				if err := InverseRealND(spec, dims, src, 0); err != nil {
+				if err := InverseRealND(spec, dims, dims[0], src, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -54,11 +54,11 @@ package variogram
 
 import (
 	"context"
+	"math"
 	"runtime"
 
 	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
-	"lossycorr/internal/parallel"
 )
 
 // slabPad returns the padded extents of an fftSlab call: base + maxLag
@@ -80,9 +80,10 @@ func slabPad(dims []int, base, maxLag int) []int {
 // (slabPad) throughout, and beside it first the half-spectra (complex128,
 // 16 bytes per bin; one when base == dims[0], two otherwise) with
 // the transform workers' line scratch, then the float64 summed-area
-// table of Π (dim_k + 1) entries — never both. Line scratch is at most
-// two complex lines of the longest padded extent per worker (span
-// buffer plus mixed-radix scratch), GOMAXPROCS workers, each line
+// table of Π (dim_k + 1) entries — never both. Line scratch is
+// fft.LineScratchLen of the longest padded extent per worker (the
+// lineGroup strided lines an axis pass gathers at once, plus the
+// mixed-radix scratch of the line in flight), GOMAXPROCS workers,
 // counted at twice its length for pool-bucket slack. The planes
 // themselves are counted at their exact lengths: that is what a cold
 // pool, or one recycling the kernel's own buffers, accounts.
@@ -99,7 +100,7 @@ func slabPeakBytes(dims []int, base, maxLag int) int64 {
 		spectra = 2
 	}
 	spectrum := 16 * int64(fft.HalfLen(pad))
-	lines := int64(runtime.GOMAXPROCS(0)) * 2 * (2 * int64(longest)) * 16
+	lines := int64(runtime.GOMAXPROCS(0)) * 2 * int64(fft.LineScratchLen(longest)) * 16
 	return 8*plane + max(spectra*spectrum+lines, 8*table)
 }
 
@@ -166,19 +167,22 @@ func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, 
 	}
 
 	// r is the one real staging plane: padded centered z in, the
-	// correlation out.
+	// correlation out. The forward transform reads only the embedded
+	// corner and the inverse writes only the rows the fold reads, so
+	// nothing else of it is ever cleared or read.
 	r := fft.AcquireTight[float64](total)
 	defer fft.Release(r)
-	embed := func(rows int) error {
-		clear(r)
-		return fft.ForEachEmbeddedRow(append([]int{rows}, dims[1:]...), pad, func(srcOff, dstOff, n int) {
+	embed := func(rows int) ([]int, error) {
+		corner := append([]int{rows}, dims[1:]...)
+		return corner, fft.ForEachEmbeddedRow(corner, pad, func(srcOff, dstOff, n int) {
 			dst := r[dstOff : dstOff+n]
 			for i, v := range data[srcOff : srcOff+n] {
 				dst[i] = float64(v) - shift
 			}
 		})
 	}
-	if err := embed(base); err != nil {
+	corner, err := embed(base)
+	if err != nil {
 		return err
 	}
 	if err := stage(); err != nil {
@@ -187,20 +191,20 @@ func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, 
 	half := fft.HalfLen(pad)
 	spA := fft.AcquireTight[complex128](half)
 	defer func() { fft.Release(spA) }()
-	if err := fft.ForwardRealND(r, pad, spA, o.Workers); err != nil {
+	if err := fft.ForwardRealND(r, pad, corner, spA, o.Workers); err != nil {
 		return err
 	}
 	if base == dims[0] {
 		fft.AbsSq(spA)
 	} else {
-		if err := embed(dims[0]); err != nil {
+		if corner, err = embed(dims[0]); err != nil {
 			return err
 		}
 		if err := stage(); err != nil {
 			return err
 		}
 		spB := fft.AcquireTight[complex128](half)
-		err := fft.ForwardRealND(r, pad, spB, o.Workers)
+		err := fft.ForwardRealND(r, pad, corner, spB, o.Workers)
 		if err == nil {
 			fft.MulConj(spA, spB)
 		}
@@ -213,7 +217,7 @@ func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, 
 		return err
 	}
 	czz := r // the padded field is spent; the correlation lands in place
-	if err := fft.InverseRealND(spA, pad, czz, o.Workers); err != nil {
+	if err := fft.InverseRealND(spA, pad, min(nb+1, pad[0]), czz, o.Workers); err != nil {
 		return err
 	}
 	fft.Release(spA)
@@ -237,71 +241,192 @@ func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, 
 	defer fft.Release(sat)
 	buildCenteredSqSAT(data, dims, shift, sat, satDims, satStride)
 
-	// Fold per-offset correlations into distance bins, in the same
-	// canonical order as the direct scan, accumulating in float64.
 	pStride := make([]int, nd)
 	acc := 1
 	for k := nd - 1; k >= 0; k-- {
 		pStride[k] = acc
 		acc *= pad[k]
 	}
-	bins := offsetsByBinCached(nd, nb)
-	return parallel.ForCtx(ctx, nb+1, o.Workers, func(b int) {
-		offs := bins[b]
-		lo1 := make([]int, nd)
-		hi1 := make([]int, nd)
-		lo2 := make([]int, nd)
-		hi2 := make([]int, nd)
-		var s float64
-		var c int64
-		for p := 0; p < len(offs); p += nd {
-			// Axis 0: h₀ ≥ 0, base points in rows [0, m), partners
-			// in [h₀, h₀+m).
-			h0 := int(offs[p])
-			m := min(base, dims[0]-h0)
-			if m <= 0 {
-				continue
+	f := sweep{
+		ctx: ctx, dims: dims, pad: pad, base: base, nb: nb,
+		czz: czz, sat: sat, satStride: satStride, pStride: pStride,
+		sum: make([]float64, nb+1), cnt: make([]int64, nb+1),
+		lo1: make([]int, nd), hi1: make([]int, nd),
+		lo2: make([]int, nd), hi2: make([]int, nd),
+	}
+	if err := f.lead(0, 0, 1, 0, true); err != nil {
+		return err
+	}
+	for b := range sum {
+		sum[b] += f.sum[b]
+		cnt[b] += f.cnt[b]
+	}
+	return nil
+}
+
+// sweep folds the per-offset correlations of one fftSlab call into
+// distance bins in a single lexicographic walk over the canonical
+// offsets: an odometer over the leading axes (lead), and at each of its
+// positions an inner loop over the last axis (row) with the
+// leading-axis corners of both box sums read once. Each bin
+// accumulates its own terms, in the enumeration order of offsetsByBin
+// and so of the direct scan; fftSlab adds the per-bin totals at the
+// end. Only offsets with base points and partners in the block are
+// visited: the pair count of every other offset is zero.
+type sweep struct {
+	ctx                context.Context
+	dims, pad          []int
+	base, nb           int
+	czz, sat           []float64
+	satStride, pStride []int
+	sum                []float64
+	cnt                []int64
+	lo1, hi1, lo2, hi2 []int // axis ranges of the boxes A and A+h
+	corners1, corners2 [4]int
+	negative           [4]bool
+}
+
+// axisSpan returns the pair count along axis k at offset component h
+// and the axis ranges [lo1, hi1) of the base points A and [lo2, hi2) of
+// their partners A+h. Axis 0 holds the block's first base rows as base
+// points (h ≥ 0 there); every other axis, the whole extent.
+func (f *sweep) axisSpan(k, h int) (n, lo1, hi1, lo2, hi2 int) {
+	switch {
+	case k == 0:
+		n = min(f.base, f.dims[0]-h)
+	case h < 0:
+		n = f.dims[k] + h
+	default:
+		n = f.dims[k] - h
+	}
+	if h >= 0 {
+		return n, 0, n, h, h + n
+	}
+	return n, -h, n - h, 0, n
+}
+
+// lead walks axis k of the leading odometer: partial is the squared
+// length of the offset so far, n its pair count, idx its correlation
+// index, zero whether every component so far is zero (a canonical
+// offset's first nonzero component is positive).
+func (f *sweep) lead(k, partial int, n int64, idx int, zero bool) error {
+	last := len(f.dims) - 1
+	if k == last {
+		if f.ctx != nil {
+			if err := f.ctx.Err(); err != nil {
+				return err
 			}
-			idx := h0 * pStride[0]
-			n := int64(m)
-			lo1[0], hi1[0] = 0, m
-			lo2[0], hi2[0] = h0, h0+m
-			for k := 1; k < nd; k++ {
-				h := int(offs[p+k])
-				a := h
-				if a < 0 {
-					a = -a
-				}
-				if a >= dims[k] {
-					n = 0
-					break
-				}
-				n *= int64(dims[k] - a)
-				// Axis ranges of the two overlap boxes: A and A+h.
-				if h >= 0 {
-					idx += h * pStride[k]
-					lo1[k], hi1[k] = 0, dims[k]-h
-					lo2[k], hi2[k] = h, dims[k]
-				} else {
-					idx += (pad[k] + h) * pStride[k]
-					lo1[k], hi1[k] = a, dims[k]
-					lo2[k], hi2[k] = 0, dims[k]-a
-				}
-			}
-			if n <= 0 {
-				continue
-			}
-			wm := boxSum64(sat, satStride, lo1, hi1) + boxSum64(sat, satStride, lo2, hi2)
-			d := wm - 2*czz[idx]
-			if d < 0 { // roundoff on (near-)constant fields
-				d = 0
-			}
-			s += d
-			c += n
 		}
-		sum[b] += s
-		cnt[b] += c
-	})
+		f.row(partial, n, idx, zero)
+		return nil
+	}
+	hmax := min(isqrt(f.nb*f.nb-partial), f.dims[k]-1)
+	lo := -hmax
+	if zero {
+		lo = 0
+	}
+	for h := lo; h <= hmax; h++ {
+		m, lo1, hi1, lo2, hi2 := f.axisSpan(k, h)
+		if m <= 0 {
+			continue
+		}
+		f.lo1[k], f.hi1[k], f.lo2[k], f.hi2[k] = lo1, hi1, lo2, hi2
+		at := h
+		if h < 0 {
+			at += f.pad[k]
+		}
+		if err := f.lead(k+1, partial+h*h, n*int64(m), idx+at*f.pStride[k], zero && h == 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// row runs the last axis at one leading position. boxSum64's 2^d
+// corners, in its mask order, are the leading corners (mask bits below
+// the last axis) at the last axis's hi, then the same at its lo.
+func (f *sweep) row(partial int, n int64, idx int, zero bool) {
+	last := len(f.dims) - 1
+	leading := 1 << uint(last)
+	for mask := 0; mask < leading; mask++ {
+		off1, off2, bits := 0, 0, 0
+		for k := 0; k < last; k++ {
+			if mask>>uint(k)&1 != 0 {
+				off1 += f.lo1[k] * f.satStride[k]
+				off2 += f.lo2[k] * f.satStride[k]
+				bits++
+			} else {
+				off1 += f.hi1[k] * f.satStride[k]
+				off2 += f.hi2[k] * f.satStride[k]
+			}
+		}
+		f.corners1[mask], f.corners2[mask], f.negative[mask] = off1, off2, bits&1 != 0
+	}
+	c1, c2, neg := f.corners1[:leading], f.corners2[:leading], f.negative[:leading]
+	sat, czz := f.sat, f.czz
+	hmax := min(isqrt(f.nb*f.nb-partial), f.dims[last]-1)
+	lo := -hmax
+	if zero {
+		lo = 1 // the zero offset is no pair
+	}
+	for h := lo; h <= hmax; h++ {
+		m, lo1, hi1, lo2, hi2 := f.axisSpan(last, h)
+		if m <= 0 {
+			continue
+		}
+		var b1, b2 float64
+		for j, c := range c1 {
+			if neg[j] {
+				b1 -= sat[c+hi1]
+			} else {
+				b1 += sat[c+hi1]
+			}
+		}
+		for j, c := range c1 {
+			if neg[j] {
+				b1 += sat[c+lo1]
+			} else {
+				b1 -= sat[c+lo1]
+			}
+		}
+		for j, c := range c2 {
+			if neg[j] {
+				b2 -= sat[c+hi2]
+			} else {
+				b2 += sat[c+hi2]
+			}
+		}
+		for j, c := range c2 {
+			if neg[j] {
+				b2 += sat[c+lo2]
+			} else {
+				b2 -= sat[c+lo2]
+			}
+		}
+		at := h
+		if h < 0 {
+			at += f.pad[last]
+		}
+		d := b1 + b2 - 2*czz[idx+at]
+		if d < 0 { // roundoff on (near-)constant fields
+			d = 0
+		}
+		bin := int(math.Round(math.Sqrt(float64(partial + h*h))))
+		f.sum[bin] += d
+		f.cnt[bin] += n * int64(m)
+	}
+}
+
+// isqrt returns floor(sqrt(x)) for x >= 0.
+func isqrt(x int) int {
+	r := int(math.Sqrt(float64(x)))
+	for r*r > x {
+		r--
+	}
+	for (r+1)*(r+1) <= x {
+		r++
+	}
+	return r
 }
 
 // buildCenteredSqSAT fills sat (extents satDims[k] = dims[k]+1, with
@@ -346,28 +471,4 @@ func buildCenteredSqSAT[T field.Elem](data []T, dims []int, mean float64, sat []
 			}
 		}
 	}
-}
-
-// boxSum64 evaluates the box sum over [lo, hi) per axis by
-// inclusion–exclusion on the 2^d SAT corners.
-func boxSum64(sat []float64, stride, lo, hi []int) float64 {
-	nd := len(stride)
-	var s float64
-	for mask := 0; mask < 1<<uint(nd); mask++ {
-		off, bits := 0, 0
-		for k := 0; k < nd; k++ {
-			if mask>>uint(k)&1 != 0 {
-				off += lo[k] * stride[k]
-				bits++
-			} else {
-				off += hi[k] * stride[k]
-			}
-		}
-		if bits&1 != 0 {
-			s -= sat[off]
-		} else {
-			s += sat[off]
-		}
-	}
-	return s
 }
