@@ -13,13 +13,15 @@ package fft
 // non-power-of-two capacities (exact-size allocations such as
 // mixed-radix line scratch and padded planes, re-sliced tails) are
 // retained rather than dropped. Acquire first pops the ceil(log2(n))
-// bucket, whose buffers all fit by construction, then tries the floor
-// bucket below it with an explicit fit check (returning a too-small
-// buffer to its bucket), and only then allocates — at exactly the requested length, not the next power
-// of two, so a half-spectrum never drags a 2× capacity behind it and a
-// re-acquired same-size buffer is found one bucket down.
+// bucket, whose buffers all fit by construction, then searches the
+// floor bucket below it with an explicit fit check (setting aside, and
+// afterwards returning, every too-small buffer it pops on the way), and
+// only then allocates — at exactly the requested length, not the next
+// power of two, so a half-spectrum never drags a 2× capacity behind it
+// and a re-acquired same-size buffer is found one bucket down.
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -99,27 +101,47 @@ func acquire[E Elem](n int, tight bool) []E {
 	}
 	pool, size := laneOf[E]()
 	b := acquireBucket(n)
-	if v := pool[b].Get(); v != nil {
+	maxCap := math.MaxInt
+	if tight {
+		maxCap = 2 * n
+	}
+	p := take[E](&pool[b], n, maxCap)
+	if p == nil && b > 0 { // one-below caps are < 2^b <= 2n by construction
+		p = take[E](&pool[b-1], n, maxCap)
+	}
+	if p == nil {
+		buf := make([]E, n)
+		p = &buf
+	}
+	accountAcquire(int64(cap(*p)) * size)
+	return (*p)[:n]
+}
+
+// take pops buffers from bucket until one has a capacity in
+// [minCap, maxCap], puts the others back in the reverse of the order it
+// popped them, and returns that buffer, or nil once the bucket is
+// empty. sync.Pool hands out its most recent Put first, so a misfit
+// put straight back would be popped again by the next probe and hide
+// every buffer below it.
+func take[E Elem](bucket *sync.Pool, minCap, maxCap int) *[]E {
+	var fit *[]E
+	var misfits []*[]E
+	for fit == nil {
+		v := bucket.Get()
+		if v == nil {
+			break
+		}
 		p := v.(*[]E)
-		if !tight || int64(cap(*p)) <= 2*int64(n) {
-			accountAcquire(int64(cap(*p)) * size)
-			return (*p)[:n]
-		}
-		pool[b].Put(p) // too slack for a budgeted consumer; keep it
-	}
-	if b > 0 {
-		if v := pool[b-1].Get(); v != nil {
-			p := v.(*[]E)
-			if cap(*p) >= n { // one-below caps are < 2^b <= 2n by construction
-				accountAcquire(int64(cap(*p)) * size)
-				return (*p)[:n]
-			}
-			pool[b-1].Put(p) // fits smaller requests; keep it
+		if c := cap(*p); c >= minCap && c <= maxCap {
+			fit = p
+		} else {
+			misfits = append(misfits, p)
 		}
 	}
-	buf := make([]E, n)
-	accountAcquire(int64(cap(buf)) * size)
-	return buf
+	for i := len(misfits) - 1; i >= 0; i-- {
+		bucket.Put(misfits[i])
+	}
+	return fit
 }
 
 // Release returns a buffer obtained from Acquire or AcquireTight to
