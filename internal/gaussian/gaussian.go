@@ -175,6 +175,19 @@ func (s *Sampler) ClampMass() float64 { return s.clampMass }
 // SamplePair draws two independent fields from one complex transform
 // (the real and imaginary parts of the embedded sample).
 func (s *Sampler) SamplePair(rng *xrand.Rand) (*field.Field, *field.Field, error) {
+	return s.sample(rng, true)
+}
+
+// Sample draws one field: the real part of the embedded sample, as the
+// first field of SamplePair, with no second field filled.
+func (s *Sampler) Sample(rng *xrand.Rand) (*field.Field, error) {
+	a, _, err := s.sample(rng, false)
+	return a, err
+}
+
+// sample draws the embedded complex sample and reads its real part into
+// one field and, when pair is set, its imaginary part into a second.
+func (s *Sampler) sample(rng *xrand.Rand, pair bool) (*field.Field, *field.Field, error) {
 	buf := make([]complex128, len(s.sqrtLam))
 	for i := range buf {
 		// complex white noise with E|ξ|² = 1 per component pair such
@@ -189,20 +202,21 @@ func (s *Sampler) SamplePair(rng *xrand.Rand) (*field.Field, *field.Field, error
 	// ~ N(0, C) independent; the field is the torus's leading corner.
 	scale := s.sigma * math.Sqrt(float64(len(buf)))
 	a := field.New(s.dims...)
-	b := field.New(s.dims...)
+	var b *field.Field
+	if pair {
+		b = field.New(s.dims...)
+	}
 	err := fft.ForEachEmbeddedRow(s.dims, s.ext, func(src, dst, n int) {
 		for i, v := range buf[dst : dst+n] {
 			a.Data[src+i] = real(v) * scale
-			b.Data[src+i] = imag(v) * scale
+		}
+		if b != nil {
+			for i, v := range buf[dst : dst+n] {
+				b.Data[src+i] = imag(v) * scale
+			}
 		}
 	})
 	return a, b, err
-}
-
-// Sample draws one field.
-func (s *Sampler) Sample(rng *xrand.Rand) (*field.Field, error) {
-	a, _, err := s.SamplePair(rng)
-	return a, err
 }
 
 // Generate draws a single-range field in one call.
