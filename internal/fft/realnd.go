@@ -15,6 +15,16 @@ package fft
 // is an ordinary complex axis pass over the half-width array, so the
 // whole pipeline inherits the bit-identical-at-any-worker-count
 // property of axisPass.
+//
+// Both transforms are pruned to what a zero-padded correlation needs.
+// The forward takes the leading corner of the plane that holds data and
+// transforms no line lying wholly outside it (such a line is zero): in
+// the last-axis pass every line with an earlier coordinate past the
+// corner, and in each later pass every line with a coordinate past the
+// corner on an axis not yet transformed. The inverse takes the number
+// of axis-0 rows its caller reads: the axis-0 pass runs whole, and
+// every later pass only on lines inside those rows. Every line that is
+// transformed runs the same arithmetic as in an unpruned transform.
 
 import (
 	"fmt"

@@ -32,7 +32,12 @@ package variogram
 // What remains is forward(z centered) → |Z|² → inverse over one real
 // staging plane (reused as the c_zz output) and one hermitian
 // half-spectrum. Padding each extent to at least dim + MaxLag makes the
-// circular autocorrelation linear for every |h_k| <= MaxLag. Both lanes
+// circular autocorrelation linear for every |h_k| <= MaxLag. Both
+// transforms do only the work the fold reads: the forward skips the
+// lines of the plane that hold only padding, and the inverse computes
+// only the axis-0 rows h₀ <= MaxLag, leaving the plane's rows past
+// them unwritten (the plane is never cleared: the forward reads only
+// the embedded field). Both lanes
 // embed into the same float64 plane and complex128 spectrum, so a
 // float32 field gives bit for bit the result of its exact widening to
 // float64; the mean, the summed-area table, and every per-bin fold are
@@ -47,10 +52,12 @@ package variogram
 // block each take a forward and their cross-spectrum replaces |Z|².
 //
 // The per-offset results are folded into the same rounded-distance
-// bins, in the same canonical enumeration order, as the direct scan:
-// pair counts agree exactly, float64 Gamma to roundoff (the equivalence
-// tests pin 1e-9 relative, DC offsets to 1e7 included), and the result
-// is bit-identical at any worker count.
+// bins, in the same canonical enumeration order, as the direct scan,
+// in one sweep over the offsets (sweep): an odometer over the leading
+// axes, a loop over the last, one accumulator per bin. Pair counts
+// agree exactly, float64 Gamma to roundoff (the equivalence tests pin
+// 1e-9 relative, DC offsets to 1e7 included), and the result is
+// bit-identical at any worker count.
 
 import (
 	"context"
@@ -146,8 +153,9 @@ func fftScan[T field.Elem](ctx context.Context, data []T, dims []int, mean float
 // rows on, so the correlation never wraps.
 //
 // Cancellation is observed at stage boundaries — before each transform,
-// before the table build, and per bin in the fold — so a dead context
-// abandons the pipeline within one transform's duration, and every
+// before the table build, and once per leading offset row in the fold
+// — so a dead context abandons the pipeline within one transform's
+// duration, and every
 // pooled buffer is released on the way out through the defers. Buffers
 // are tight acquisitions, so a budgeted caller's accounting stays
 // within twice slabPeakBytes even on a warm pool.
@@ -216,7 +224,7 @@ func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, 
 	if err := stage(); err != nil {
 		return err
 	}
-	czz := r // the padded field is spent; the correlation lands in place
+	czz := r // the padded field is spent; rows h₀ <= MaxLag of the correlation land in place
 	if err := fft.InverseRealND(spA, pad, min(nb+1, pad[0]), czz, o.Workers); err != nil {
 		return err
 	}
@@ -253,6 +261,8 @@ func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, 
 		sum: make([]float64, nb+1), cnt: make([]int64, nb+1),
 		lo1: make([]int, nd), hi1: make([]int, nd),
 		lo2: make([]int, nd), hi2: make([]int, nd),
+		corners1: make([]int, 1<<(nd-1)), corners2: make([]int, 1<<(nd-1)),
+		negative: make([]bool, 1<<(nd-1)),
 	}
 	if err := f.lead(0, 0, 1, 0, true); err != nil {
 		return err
@@ -266,9 +276,9 @@ func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, 
 
 // sweep folds the per-offset correlations of one fftSlab call into
 // distance bins in a single lexicographic walk over the canonical
-// offsets: an odometer over the leading axes (lead), and at each of its
-// positions an inner loop over the last axis (row) with the
-// leading-axis corners of both box sums read once. Each bin
+// offsets: a recursive odometer over the leading axes (lead), and at
+// each of its positions an inner loop over the last axis (row) with the
+// leading-axis corners of both box sums computed once. Each bin
 // accumulates its own terms, in the enumeration order of offsetsByBin
 // and so of the direct scan; fftSlab adds the per-bin totals at the
 // end. Only offsets with base points and partners in the block are
@@ -281,9 +291,9 @@ type sweep struct {
 	satStride, pStride []int
 	sum                []float64
 	cnt                []int64
-	lo1, hi1, lo2, hi2 []int // axis ranges of the boxes A and A+h
-	corners1, corners2 [4]int
-	negative           [4]bool
+	lo1, hi1, lo2, hi2 []int  // axis ranges of the boxes A and A+h
+	corners1, corners2 []int  // leading corners of the two boxes, in mask order
+	negative           []bool // whether a leading corner enters a box sum negatively
 }
 
 // axisSpan returns the pair count along axis k at offset component h
@@ -362,7 +372,7 @@ func (f *sweep) row(partial int, n int64, idx int, zero bool) {
 		}
 		f.corners1[mask], f.corners2[mask], f.negative[mask] = off1, off2, bits&1 != 0
 	}
-	c1, c2, neg := f.corners1[:leading], f.corners2[:leading], f.negative[:leading]
+	c1, c2, neg := f.corners1, f.corners2, f.negative
 	sat, czz := f.sat, f.czz
 	hmax := min(isqrt(f.nb*f.nb-partial), f.dims[last]-1)
 	lo := -hmax

@@ -25,7 +25,7 @@ func randomField(shape []int, seed uint64) *field.Field {
 }
 
 // TestFFTMatchesExactScan is the fast path's pinned equivalence: across
-// ranks, odd (non-power-of-two) extents, lag cutoffs, and worker
+// ranks 2–4, odd (non-power-of-two) extents, lag cutoffs, and worker
 // counts, the FFT engine must reproduce the direct scan's pair counts
 // exactly and its Gamma values to 1e-9 relative.
 func TestFFTMatchesExactScan(t *testing.T) {
@@ -38,6 +38,7 @@ func TestFFTMatchesExactScan(t *testing.T) {
 		{[]int{96, 40}, 13},
 		{[]int{17, 19, 23}, 0},
 		{[]int{24, 24, 24}, 7},
+		{[]int{9, 6, 7, 8}, 0},
 	}
 	for ci, tc := range cases {
 		f := randomField(tc.shape, uint64(100+ci))

@@ -98,10 +98,12 @@ func offsetsByBin(ndim, maxLag int) [][]int32 {
 // offsetCache memoizes offsetsByBin for the small cutoffs of windowed
 // scans, which re-enumerate an identical offset set for every window —
 // previously the dominant allocation of LocalRanges. Entries are
-// immutable once stored. Large cutoffs (one-shot global scans) stay
-// uncached: cacheableOffsets bounds each entry by its actual size —
-// half of (2L+1)^d offsets at d int32 components — so the never-evicted
-// map stays under ~1 MB per key at any rank.
+// immutable once stored. Large cutoffs (one-shot exact global scans)
+// stay uncached: cacheableOffsets bounds each entry by its actual size
+// — half of (2L+1)^d offsets at d int32 components — so the
+// never-evicted map stays under ~1 MB per key at any rank. The
+// spectral engine enumerates no list: its fold walks the same offsets,
+// in the same order, in one sweep (fftscan.go), whatever the cutoff.
 var offsetCache sync.Map // [2]int{ndim, maxLag} -> [][]int32
 
 // cacheableOffsets reports whether the (ndim, maxLag) enumeration is
