@@ -352,13 +352,11 @@ func (f *sweep) lead(k, partial int, n int64, idx int, zero bool) error {
 	return nil
 }
 
-// row runs the last axis at one leading position. boxSum64's 2^d
-// corners, in its mask order, are the leading corners (mask bits below
-// the last axis) at the last axis's hi, then the same at its lo.
+// row runs the last axis at one leading position, with the leading
+// corners of both boxes computed once for all of it.
 func (f *sweep) row(partial int, n int64, idx int, zero bool) {
 	last := len(f.dims) - 1
-	leading := 1 << uint(last)
-	for mask := 0; mask < leading; mask++ {
+	for mask := range f.corners1 {
 		off1, off2, bits := 0, 0, 0
 		for k := 0; k < last; k++ {
 			if mask>>uint(k)&1 != 0 {
@@ -372,8 +370,6 @@ func (f *sweep) row(partial int, n int64, idx int, zero bool) {
 		}
 		f.corners1[mask], f.corners2[mask], f.negative[mask] = off1, off2, bits&1 != 0
 	}
-	c1, c2, neg := f.corners1, f.corners2, f.negative
-	sat, czz := f.sat, f.czz
 	hmax := min(isqrt(f.nb*f.nb-partial), f.dims[last]-1)
 	lo := -hmax
 	if zero {
@@ -384,40 +380,12 @@ func (f *sweep) row(partial int, n int64, idx int, zero bool) {
 		if m <= 0 {
 			continue
 		}
-		var b1, b2 float64
-		for j, c := range c1 {
-			if neg[j] {
-				b1 -= sat[c+hi1]
-			} else {
-				b1 += sat[c+hi1]
-			}
-		}
-		for j, c := range c1 {
-			if neg[j] {
-				b1 += sat[c+lo1]
-			} else {
-				b1 -= sat[c+lo1]
-			}
-		}
-		for j, c := range c2 {
-			if neg[j] {
-				b2 -= sat[c+hi2]
-			} else {
-				b2 += sat[c+hi2]
-			}
-		}
-		for j, c := range c2 {
-			if neg[j] {
-				b2 += sat[c+lo2]
-			} else {
-				b2 -= sat[c+lo2]
-			}
-		}
 		at := h
 		if h < 0 {
 			at += f.pad[last]
 		}
-		d := b1 + b2 - 2*czz[idx+at]
+		d := boxSum(f.sat, f.corners1, f.negative, lo1, hi1) +
+			boxSum(f.sat, f.corners2, f.negative, lo2, hi2) - 2*f.czz[idx+at]
 		if d < 0 { // roundoff on (near-)constant fields
 			d = 0
 		}
@@ -425,6 +393,32 @@ func (f *sweep) row(partial int, n int64, idx int, zero bool) {
 		f.sum[bin] += d
 		f.cnt[bin] += n * int64(m)
 	}
+}
+
+// boxSum evaluates a box sum by inclusion–exclusion on its 2^d
+// summed-area corners, taken in mask order (bit k set: the corner sits
+// at lo on axis k; an odd count of set bits subtracts it). The masks
+// below 2^(d-1) are the leading corners at the last axis's hi, the
+// rest the same corners at its lo, so given the leading corners'
+// offsets and signs the sum adds the same terms in the same order as a
+// sum over all 2^d masks.
+func boxSum(sat []float64, corners []int, negative []bool, lo, hi int) float64 {
+	var s float64
+	for j, c := range corners {
+		if negative[j] {
+			s -= sat[c+hi]
+		} else {
+			s += sat[c+hi]
+		}
+	}
+	for j, c := range corners {
+		if negative[j] {
+			s += sat[c+lo]
+		} else {
+			s -= sat[c+lo]
+		}
+	}
+	return s
 }
 
 // isqrt returns floor(sqrt(x)) for x >= 0.

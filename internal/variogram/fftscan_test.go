@@ -2,6 +2,7 @@ package variogram
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -392,6 +393,47 @@ func TestFFTMemorySmoke(t *testing.T) {
 				t.Fatalf("%s %s: peak transform-buffer bytes %d > FFTPeakBytes %d", lane.name, pass, peak, want)
 			}
 		}
+	}
+}
+
+// countdownCtx reports cancellation from the first Err call after n
+// calls have returned nil.
+type countdownCtx struct {
+	context.Context
+	n, calls int
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestFFTFoldObservesCancel: the fold checks the context once per
+// leading offset row, so a context that dies after the transforms and
+// the table are done still stops the kernel with its error.
+func TestFFTFoldObservesCancel(t *testing.T) {
+	f := randomField([]int{40, 36}, 21)
+	o := Options{FFT: true}.withDefaults(f.Shape)
+	run := func(ctx context.Context) error {
+		sum := make([]float64, o.MaxLag+1)
+		cnt := make([]int64, o.MaxLag+1)
+		return fftSlab(ctx, f.Data, f.Shape, f.Shape[0], 0, o, sum, cnt)
+	}
+	live := &countdownCtx{Context: bg, n: math.MaxInt}
+	if err := run(live); err != nil {
+		t.Fatal(err)
+	}
+	// Every leading row h₀ = 0..MaxLag is one check, after the stage
+	// checks.
+	if live.calls <= o.MaxLag+1 {
+		t.Fatalf("%d context checks, want more than the %d leading rows", live.calls, o.MaxLag+1)
+	}
+	dying := &countdownCtx{Context: bg, n: live.calls - 1}
+	if err := run(dying); !errors.Is(err, context.Canceled) {
+		t.Fatalf("context dead at the last fold row: err %v, want context.Canceled", err)
 	}
 }
 
