@@ -255,11 +255,15 @@ func TestAxisPassMatchesOneLineGather(t *testing.T) {
 							dims, axis, inverse, workers, i, got[i], want[i])
 					}
 
+					// Element i lies on a line the pruned pass transforms
+					// when its coordinates on the axes before axis, the
+					// outer index i/block, are inside the corner.
+					block, _ := product(dims[axis:])
 					got = append(got[:0], x...)
 					axisPass(got, dims, lim, axis, workers, inverse)
 					for i := range got {
 						ref := x[i]
-						if inCornerOuter(i, dims, lim, axis) {
+						if inCorner(i/block, dims[:axis], lim[:axis]) {
 							ref = want[i]
 						}
 						if sameBits(got[i:i+1], []complex128{ref}) >= 0 {
@@ -271,17 +275,4 @@ func TestAxisPassMatchesOneLineGather(t *testing.T) {
 			}
 		}
 	}
-}
-
-// inCornerOuter reports whether element i of the box dims lies on a
-// line along axis whose coordinates on the earlier axes are inside the
-// corner lim — a line a pruned pass transforms.
-func inCornerOuter(i int, dims, lim []int, axis int) bool {
-	for k := len(dims) - 1; k >= 0; k-- {
-		if k < axis && i%dims[k] >= lim[k] {
-			return false
-		}
-		i /= dims[k]
-	}
-	return true
 }
