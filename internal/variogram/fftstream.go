@@ -18,8 +18,8 @@ package variogram
 // offset out of the spectra, where it would cancel in S(h) and take
 // the low bits of Gamma with it.
 //
-// Slabs run in a fixed serial order and each fold gives workers whole
-// bins, so results are independent of the worker count. A slab's peak
+// Slabs run in a fixed serial order and each fold is one serial sweep,
+// so results are independent of the worker count. A slab's peak
 // is the block plus the kernel's working set (shardBytes); the shard
 // extent is the largest that fits half the budget (headroom for
 // transform-pool bucket slack, see fft pool accounting).
