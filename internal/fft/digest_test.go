@@ -19,6 +19,7 @@ import (
 	"math"
 	"testing"
 
+	"lossycorr/internal/cpufeat"
 	"lossycorr/internal/fft"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/xrand"
@@ -135,7 +136,20 @@ func digestGaussianFields(t *testing.T) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestLaneBitDigest checks the digests on each line path: the lockstep
+// groups where cpufeat.AVX2 is set, then the per-line path with it
+// cleared.
 func TestLaneBitDigest(t *testing.T) {
+	avx := cpufeat.AVX2
+	defer func() { cpufeat.AVX2 = avx }()
+	if avx {
+		t.Run("lockstep", laneBitDigest)
+	}
+	cpufeat.AVX2 = false
+	t.Run("perline", laneBitDigest)
+}
+
+func laneBitDigest(t *testing.T) {
 	check := func(name, got, want string) {
 		t.Helper()
 		if got != want {

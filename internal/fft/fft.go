@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/bits"
 
+	"lossycorr/internal/cpufeat"
 	"lossycorr/internal/parallel"
 )
 
@@ -195,14 +196,16 @@ func product(dims []int) (int, error) {
 
 // lineGroup is the number of adjacent strided lines an axis pass
 // gathers at once: four complex128 values, one 64-byte cache line, are
-// read per stride step instead of one.
+// read per stride step instead of one. It is also the width of a
+// lockstep group (lockstep.go).
 const lineGroup = 4
 
 // LineScratchLen bounds the complex128 line scratch one transform
-// worker holds at a time on lines of length at most n: the lineGroup
-// gathered lines of an axis pass plus the mixed-radix recursion's
-// scratch for the line being transformed.
-func LineScratchLen(n int) int { return (lineGroup + 1) * n }
+// worker holds at a time on lines of length at most n: a group of
+// lineGroup lines, and as much again for the group's transform (the
+// lockstep path's output, or the mixed-radix recursion's scratch of
+// the one line in flight).
+func LineScratchLen(n int) int { return 2 * lineGroup * n }
 
 // axisPass transforms the lines of x along the given axis whose
 // coordinates on every earlier axis k lie inside the leading corner
@@ -210,10 +213,13 @@ func LineScratchLen(n int) int { return (lineGroup + 1) * n }
 // other lines are left as they are. The plan (twiddle tables,
 // factorization) is cached per length and shared (read-only) by all
 // lines. Lines along the last axis are contiguous and transform in
-// place; other axes gather lineGroup adjacent strided lines at a time
-// into a per-span scratch, one line after another, and scatter them
-// back. Each line's arithmetic is the same whatever its group or span,
-// so the result is bit-identical at any worker count.
+// place. Other axes take lineGroup adjacent strided lines at a time
+// into a per-span scratch: with AVX2 they stay interleaved and are
+// transformed in lockstep (lockstep.go), otherwise, and in a group
+// narrower than lineGroup, they are gathered one line after another
+// and transformed one by one. Each line's arithmetic is the same
+// whatever its group, span or path, so the result is bit-identical at
+// any worker count and on any CPU.
 func axisPass(x []complex128, dims, lim []int, axis, workers int, inverse bool) {
 	d := dims[axis]
 	if d <= 1 {
@@ -239,23 +245,34 @@ func axisPass(x []complex128, dims, lim []int, axis, workers int, inverse bool) 
 	// stride apart; group g of outer block o holds lines i = g·lineGroup
 	// on, at most lineGroup of them.
 	groups := (stride + lineGroup - 1) / lineGroup
-	forLineSpans(outer*groups, workers, lineGroup*d, func(scratch []complex128, u int) {
+	forLineSpans(outer*groups, workers, LineScratchLen(d), func(scratch []complex128, u int) {
 		o := cornerIndex(u/groups, dims[:axis], lim[:axis])
 		i := u % groups * lineGroup
 		w := min(lineGroup, stride-i)
 		base := o*d*stride + i
+		lines, tmp := scratch[:lineGroup*d], scratch[lineGroup*d:]
+		if w == lineGroup && cpufeat.AVX2 {
+			for k := 0; k < d; k++ {
+				*(*[lineGroup]complex128)(lines[lineGroup*k:]) = [lineGroup]complex128(x[base+k*stride:])
+			}
+			p.transformGroup(tmp, lines, inverse)
+			for k := 0; k < d; k++ {
+				*(*[lineGroup]complex128)(x[base+k*stride:]) = [lineGroup]complex128(tmp[lineGroup*k:])
+			}
+			return
+		}
 		for k := 0; k < d; k++ {
 			for j, v := range x[base+k*stride : base+k*stride+w] {
-				scratch[j*d+k] = v
+				lines[j*d+k] = v
 			}
 		}
 		for j := 0; j < w; j++ {
-			p.transform(scratch[j*d:(j+1)*d], inverse)
+			p.transformWith(lines[j*d:(j+1)*d], tmp, inverse)
 		}
 		for k := 0; k < d; k++ {
 			row := x[base+k*stride : base+k*stride+w]
 			for j := range row {
-				row[j] = scratch[j*d+k]
+				row[j] = lines[j*d+k]
 			}
 		}
 	})

@@ -231,10 +231,12 @@ func axisPassRef(x []complex128, dims []int, axis, workers int, inverse bool) {
 // TestAxisPassMatchesOneLineGather pins the blocked strided pass to the
 // one-line gather bit for bit on every axis of ranks 1–3, strides that
 // are and are not multiples of lineGroup included, both directions,
-// workers 1 and 4. Pruned to a leading corner, it transforms exactly
-// the lines inside it, with the same bits, and leaves every other line
-// as it was.
-func TestAxisPassMatchesOneLineGather(t *testing.T) {
+// workers 1 and 4, on each line path. Pruned to a leading corner, it
+// transforms exactly the lines inside it, with the same bits, and
+// leaves every other line as it was.
+func TestAxisPassMatchesOneLineGather(t *testing.T) { eachLinePath(t, axisPassMatchesOneLineGather) }
+
+func axisPassMatchesOneLineGather(t *testing.T) {
 	for _, dims := range [][]int{{30}, {12, 10}, {9, 8}, {768, 375}, {15, 9, 5}, {25, 3, 27}, {64, 1, 45}, {6, 10, 12}} {
 		total, _ := product(dims)
 		x := randComplex(total, uint64(total))

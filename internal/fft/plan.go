@@ -108,13 +108,25 @@ func newPlan(n int) *linePlan {
 // one line in place. len(x) must equal p.n.
 func (p *linePlan) transform(x []complex128, inverse bool) {
 	if p.kind == planPow2 {
+		p.transformWith(x, nil, inverse)
+		return
+	}
+	tmp := Acquire[complex128](p.n)
+	p.transformWith(x, tmp, inverse)
+	Release(tmp)
+}
+
+// transformWith is transform with the mixed-radix recursion's scratch
+// given: tmp holds at least p.n elements for a mixed plan, and a
+// power-of-two plan uses none.
+func (p *linePlan) transformWith(x, tmp []complex128, inverse bool) {
+	if p.kind == planPow2 {
 		transformTw(x, p.w.dir(inverse))
 		return
 	}
-	scratch := Acquire[complex128](p.n)
-	copy(scratch, x)
-	p.mixedRec(x, scratch, p.n, 1, 1, p.factors, p.w.dir(inverse), p.pw.dir(inverse))
-	Release(scratch)
+	tmp = tmp[:p.n]
+	copy(tmp, x)
+	p.mixedRec(x, tmp, p.n, 1, 1, 1, p.factors, p.w.dir(inverse), p.pw.dir(inverse))
 }
 
 // leaf sets dst[0:n] to the power-of-two DFT of src[0], src[stride], …
@@ -168,22 +180,27 @@ func leaf(dst, src []complex128, n, stride int, pw []complex128) {
 // src[stride], …, peeling factors[0] by decimation in time; mult is
 // p.n/n, the spacing of this level's twiddles in the full table w. With
 // factors exhausted, n is the residual power-of-two block: a leaf over
-// its half table pw.
-func (p *linePlan) mixedRec(dst, src []complex128, n, stride, mult int, factors []int, w, pw []complex128) {
+// its half table pw. group is 1 for one line, or lineGroup for a group
+// of interleaved lines (lockstep.go), whose every index counts rows of
+// lineGroup elements.
+func (p *linePlan) mixedRec(dst, src []complex128, n, stride, mult, group int, factors []int, w, pw []complex128) {
 	if len(factors) == 0 {
-		leaf(dst, src, n, stride, pw)
+		if group == 1 {
+			leaf(dst, src, n, stride, pw)
+		} else {
+			leafGroup(dst, src, n, stride, pw)
+		}
 		return
 	}
 	r := factors[0]
 	m := n / r
 	for j2 := 0; j2 < r; j2++ {
-		p.mixedRec(dst[j2*m:(j2+1)*m], src[j2*stride:], m, stride*r, mult*r, factors[1:], w, pw)
+		p.mixedRec(dst[group*j2*m:group*(j2+1)*m], src[group*j2*stride:], m, stride*r, mult*r, group, factors[1:], w, pw)
 	}
 	// Combine: for each residue k2, an r-point DFT of the twiddled
 	// sub-spectra u_{j2} = S_{j2}[k2]·w_n^{j2·k2} lands in the slots
 	// k2 + m·k1. The r-point DFT's roots w_r^{j2·k1} = w[(j2·k1 mod r)·n/r]
 	// are read from the table once per call, into roots[k1·r+j2].
-	var u [5]complex128
 	var roots [25]complex128
 	rs := p.n / r
 	for k1 := 0; k1 < r; k1++ {
@@ -191,21 +208,33 @@ func (p *linePlan) mixedRec(dst, src []complex128, n, stride, mult int, factors 
 			roots[k1*r+j2] = w[(j2*k1%r)*rs]
 		}
 	}
-	if r == 3 {
+	switch {
+	case r == 3 && group == 1:
 		combine3(dst[:3*m], m, mult, w, &roots)
-		return
+	case r == 3:
+		combine3Group(dst, m, mult, w, &roots)
+	default:
+		combine(dst, r, m, mult, group, w, &roots)
 	}
+}
+
+// combine is mixedRec's combine for any r, over group interleaved
+// lines (1 for one line): element k of line j is dst[group·k+j].
+func combine(dst []complex128, r, m, mult, group int, w []complex128, roots *[25]complex128) {
+	var u [5]complex128
 	for k2 := 0; k2 < m; k2++ {
-		for j2 := 0; j2 < r; j2++ {
-			u[j2] = dst[j2*m+k2] * w[mult*j2*k2]
-		}
-		for k1 := 0; k1 < r; k1++ {
-			row := roots[k1*r : k1*r+r]
-			s := u[0]
-			for j2 := 1; j2 < r; j2++ {
-				s += u[j2] * row[j2]
+		for j := 0; j < group; j++ {
+			for j2 := 0; j2 < r; j2++ {
+				u[j2] = dst[group*(j2*m+k2)+j] * w[mult*j2*k2]
 			}
-			dst[k1*m+k2] = s
+			for k1 := 0; k1 < r; k1++ {
+				row := roots[k1*r : k1*r+r]
+				s := u[0]
+				for j2 := 1; j2 < r; j2++ {
+					s += u[j2] * row[j2]
+				}
+				dst[group*(k1*m+k2)+j] = s
+			}
 		}
 	}
 }

@@ -29,6 +29,8 @@ package fft
 import (
 	"fmt"
 	"math/cmplx"
+
+	"lossycorr/internal/cpufeat"
 )
 
 // HalfLen returns the element count of the half-spectrum of a real
@@ -164,29 +166,28 @@ func ForwardRealND(src []float64, dims, data []int, dst []complex128, workers in
 		kept *= d
 	}
 	width := data[last]
-	forLineSpans(kept, workers, N, func(y []complex128, q int) {
-		li := cornerIndex(q, dims[:last], data[:last])
-		in := src[li*nx : li*nx+width]
-		out := dst[li*hc : (li+1)*hc]
-		j := 0
-		for ; 2*j+1 < width; j++ {
-			y[j] = complex(in[2*j], in[2*j+1])
-		}
-		if 2*j < width {
-			y[j] = complex(in[2*j], 0)
-			j++
-		}
-		clear(y[j:])
-		p.transform(y, false)
-		for k := 0; k <= N; k++ {
-			yk, ynk := y[0], y[0] // bins 0 and N both unpick y[0]
-			if k > 0 && k < N {
-				yk, ynk = y[k], y[N-k]
+	groups := (kept + lineGroup - 1) / lineGroup
+	forLineSpans(groups, workers, LineScratchLen(N), func(y []complex128, g int) {
+		q0 := g * lineGroup
+		group, tmp := y[:lineGroup*N], y[lineGroup*N:]
+		if kept-q0 >= lineGroup && cpufeat.AVX2 {
+			for j := 0; j < lineGroup; j++ {
+				li := cornerIndex(q0+j, dims[:last], data[:last])
+				packPairs(group[j:], lineGroup, N, src[li*nx:li*nx+width])
 			}
-			cynk := cmplx.Conj(ynk)
-			e := (yk + cynk) * 0.5
-			o := (yk - cynk) * complex(0, -0.5)
-			out[k] = e + rw[k]*o
+			p.transformGroup(tmp, group, false)
+			for j := 0; j < lineGroup; j++ {
+				li := cornerIndex(q0+j, dims[:last], data[:last])
+				unpickHalf(dst[li*hc:(li+1)*hc], tmp[j:], lineGroup, rw)
+			}
+			return
+		}
+		line := group[:N]
+		for q := q0; q < min(q0+lineGroup, kept); q++ {
+			li := cornerIndex(q, dims[:last], data[:last])
+			packPairs(line, 1, N, src[li*nx:li*nx+width])
+			p.transformWith(line, tmp, false)
+			unpickHalf(dst[li*hc:(li+1)*hc], line, 1, rw)
 		}
 	})
 	if kept < lines {
@@ -245,23 +246,89 @@ func InverseRealND(spec []complex128, dims []int, rows int, dst []float64, worke
 	p := planFor(N)
 	rw := newTwiddle(nx, N+1).inv
 	scale := 1 / (float64(N) * float64(lead))
-	forLineSpans(kept, workers, N, func(y []complex128, li int) {
-		in := spec[li*hc : (li+1)*hc]
-		out := dst[li*nx : (li+1)*nx]
-		for k := 0; k < N; k++ {
-			xk := in[k]
-			cxnk := cmplx.Conj(in[N-k])
-			e := (xk + cxnk) * 0.5
-			o := (xk - cxnk) * 0.5 * rw[k]
-			y[k] = e + o*complex(0, 1)
+	groups := (kept + lineGroup - 1) / lineGroup
+	forLineSpans(groups, workers, LineScratchLen(N), func(y []complex128, g int) {
+		l0 := g * lineGroup
+		group, tmp := y[:lineGroup*N], y[lineGroup*N:]
+		if kept-l0 >= lineGroup && cpufeat.AVX2 {
+			for j := 0; j < lineGroup; j++ {
+				li := l0 + j
+				packHalf(group[j:], lineGroup, spec[li*hc:(li+1)*hc], rw)
+			}
+			p.transformGroup(tmp, group, true)
+			for j := 0; j < lineGroup; j++ {
+				li := l0 + j
+				unpackReals(dst[li*nx:(li+1)*nx], tmp[j:], lineGroup, scale)
+			}
+			return
 		}
-		p.transform(y, true)
-		for j := 0; j < N; j++ {
-			out[2*j] = real(y[j]) * scale
-			out[2*j+1] = imag(y[j]) * scale
+		line := group[:N]
+		for li := l0; li < min(l0+lineGroup, kept); li++ {
+			packHalf(line, 1, spec[li*hc:(li+1)*hc], rw)
+			p.transformWith(line, tmp, true)
+			unpackReals(dst[li*nx:(li+1)*nx], line, 1, scale)
 		}
 	})
 	return nil
+}
+
+// The four steps at the real<->complex boundary of a line. Each reads
+// or writes the packed N-point line y at y[0], y[step], y[2·step], …:
+// step 1 for one line, lineGroup for a line of a lockstep group.
+
+// packPairs packs the real samples in, zero-extended to 2N, into the
+// N-point complex line y: y[j] = in[2j] + i·in[2j+1].
+func packPairs(y []complex128, step, N int, in []float64) {
+	j := 0
+	for ; 2*j+1 < len(in); j++ {
+		y[j*step] = complex(in[2*j], in[2*j+1])
+	}
+	if 2*j < len(in) {
+		y[j*step] = complex(in[2*j], 0)
+		j++
+	}
+	for ; j < N; j++ {
+		y[j*step] = 0
+	}
+}
+
+// unpickHalf sets the N+1 hermitian bins out from the forward transform
+// y of a packed line, with rw the forward half-length twiddles.
+func unpickHalf(out, y []complex128, step int, rw []complex128) {
+	N := len(out) - 1
+	for k := 0; k <= N; k++ {
+		yk, ynk := y[0], y[0] // bins 0 and N both unpick y[0]
+		if k > 0 && k < N {
+			yk, ynk = y[k*step], y[(N-k)*step]
+		}
+		cynk := cmplx.Conj(ynk)
+		e := (yk + cynk) * 0.5
+		o := (yk - cynk) * complex(0, -0.5)
+		out[k] = e + rw[k]*o
+	}
+}
+
+// packHalf rebuilds the packed N-point spectrum y from the N+1
+// hermitian bins in, with rw the inverse half-length twiddles.
+func packHalf(y []complex128, step int, in, rw []complex128) {
+	N := len(in) - 1
+	for k := 0; k < N; k++ {
+		xk := in[k]
+		cxnk := cmplx.Conj(in[N-k])
+		e := (xk + cxnk) * 0.5
+		o := (xk - cxnk) * 0.5 * rw[k]
+		y[k*step] = e + o*complex(0, 1)
+	}
+}
+
+// unpackReals scales the inverse transform y of a packed line into the
+// interleaved reals out.
+func unpackReals(out []float64, y []complex128, step int, scale float64) {
+	for j := 0; j < len(out)/2; j++ {
+		v := y[j*step]
+		out[2*j] = real(v) * scale
+		out[2*j+1] = imag(v) * scale
+	}
 }
 
 // checkCorner validates the data corner of a pruned forward transform.

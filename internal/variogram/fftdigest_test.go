@@ -18,6 +18,7 @@ import (
 	"math"
 	"testing"
 
+	"lossycorr/internal/cpufeat"
 	"lossycorr/internal/field"
 )
 
@@ -49,7 +50,20 @@ func hashEmpirical(h hash.Hash, e *Empirical) {
 	}
 }
 
+// TestSpectralBitDigest checks the digest on each FFT line path: the
+// lockstep groups where cpufeat.AVX2 is set, then the per-line path
+// with it cleared.
 func TestSpectralBitDigest(t *testing.T) {
+	avx := cpufeat.AVX2
+	defer func() { cpufeat.AVX2 = avx }()
+	if avx {
+		t.Run("lockstep", spectralBitDigest)
+	}
+	cpufeat.AVX2 = false
+	t.Run("perline", spectralBitDigest)
+}
+
+func spectralBitDigest(t *testing.T) {
 	h := sha256.New()
 	for ci, tc := range spectralDigestCases {
 		f64 := randomField(tc.shape, uint64(3100+ci))

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sync"
 
+	"lossycorr/internal/cpufeat"
 	"lossycorr/internal/field"
 	"lossycorr/internal/stream"
 )
@@ -121,7 +122,7 @@ func laneRow(xs, ys [][4]float64, s0, s1, s2, s3 float64) (float64, float64, flo
 
 // scanOffsetLanes is scanOffset over the interleaved planes il of
 // arrays of one shape, one plane per lane group: one group, or two
-// when useAVX2 is set. It folds (z(x) − z(x+off))² of every in-bounds
+// when cpufeat.AVX2 is set. It folds (z(x) − z(x+off))² of every in-bounds
 // base point x into each lane's own running chain sum[l], visiting
 // base points in the same row-major order, and adds the (shared) pair
 // count. Trailing axes the offset leaves whole (zero offset component)
@@ -206,7 +207,7 @@ func exactScanLanes(lanes [][]float64, shape []int, maxLag int, ls *laneScratch)
 	il := ls.interleave(lanes, acc)
 	bins := offsetsByBinCached(nd, maxLag)
 	step := 1
-	if useAVX2 {
+	if cpufeat.AVX2 {
 		step = 2
 	}
 	for g := 0; g < len(il); g += step {

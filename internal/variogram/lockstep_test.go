@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"lossycorr/internal/cpufeat"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/xrand"
@@ -34,15 +35,16 @@ func singleLaneRange[T field.Elem](t *testing.T, data []T, shape []int, minDim i
 }
 
 // eachRowKernel runs f as a subtest once per row kernel the lockstep
-// scan can take here: laneRow2 where useAVX2 is set, then the Go
-// laneRow with useAVX2 cleared. It restores useAVX2 afterwards.
+// scan can take here: laneRow2 where cpufeat.AVX2 is set, then the Go
+// laneRow with cpufeat.AVX2 cleared. It restores cpufeat.AVX2
+// afterwards.
 func eachRowKernel(t *testing.T, f func(t *testing.T)) {
-	avx := useAVX2
-	defer func() { useAVX2 = avx }()
+	avx := cpufeat.AVX2
+	defer func() { cpufeat.AVX2 = avx }()
 	if avx {
 		t.Run("avx2", f)
 	}
-	useAVX2 = false
+	cpufeat.AVX2 = false
 	t.Run("laneRow", f)
 }
 
@@ -256,7 +258,7 @@ func lockstepRandomShapesMatchExactScan(t *testing.T) {
 // leaves open which operand's payload an add passes on, and the race
 // build's laneRow picks the other one.
 func TestLaneRow2MatchesLaneRow(t *testing.T) {
-	if !useAVX2 {
+	if !cpufeat.AVX2 {
 		t.Skip("no AVX2 row kernel on this CPU or architecture")
 	}
 	special := []float64{
@@ -314,7 +316,7 @@ func scanOffsetLanesAllocs(t *testing.T) {
 		lanes = append(lanes, randomField([]int{32, 32}, uint64(5+l)).Data)
 	}
 	il := new(laneScratch).interleave(lanes, 32*32)
-	if !useAVX2 {
+	if !cpufeat.AVX2 {
 		il = il[:1] // one group per pass, as exactScanLanes hands it
 	}
 	dims := []int{32, 32}

@@ -198,10 +198,20 @@ func Fit(e *Empirical) (Model, error) {
 		return Model{}, fmt.Errorf("variogram: %d bins are too few to fit", len(e.H))
 	}
 	hMax := e.H[len(e.H)-1]
+	// The model's shape term 1 − exp(−h²/r²) of every bin, computed once
+	// per candidate range and read by both sums: on the stack for the
+	// few bins of a window fit.
+	var buf [64]float64
+	fs := buf[:]
+	if len(e.H) > len(buf) {
+		fs = make([]float64, len(e.H))
+	}
+	fs = fs[:len(e.H)]
 	obj := func(r float64) (float64, float64) { // returns (rss, sill)
 		var num, den float64
 		for i, h := range e.H {
 			f := 1 - math.Exp(-h*h/(r*r))
+			fs[i] = f
 			w := float64(e.N[i])
 			num += w * f * e.Gamma[i]
 			den += w * f * f
@@ -211,9 +221,8 @@ func Fit(e *Empirical) (Model, error) {
 		}
 		sill := num / den
 		var rss float64
-		for i, h := range e.H {
-			f := sill * (1 - math.Exp(-h*h/(r*r)))
-			d := f - e.Gamma[i]
+		for i, f := range fs {
+			d := sill*f - e.Gamma[i]
 			rss += float64(e.N[i]) * d * d
 		}
 		return rss, sill
