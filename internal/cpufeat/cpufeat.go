@@ -3,30 +3,9 @@
 // FFT's lockstep line kernels both read it, so there is one probe.
 package cpufeat
 
-import (
-	"os"
-	"strings"
-)
-
 // AVX2 reports whether the CPU and the operating system support AVX2:
 // the CPU's AVX, OSXSAVE and AVX2 flags, and the XMM and YMM state
-// enabled in XCR0. It is false off amd64. GODEBUG=cpu.avx2=off (or
-// cpu.all=off), the setting that turns off the Go runtime's own AVX2
-// code, clears it too. The kernels behind it give the same bits as
-// their portable Go paths, so it changes only speed; tests clear it to
-// run those paths as well.
-var AVX2 = hasAVX2() && enabled(os.Getenv("GODEBUG"), "avx2")
-
-// enabled reports whether the GODEBUG value godebug leaves the feature
-// name on: the last cpu.<name> or cpu.all setting in it wins, and only
-// "off" turns a feature off.
-func enabled(godebug, name string) bool {
-	on := true
-	for _, opt := range strings.Split(godebug, ",") {
-		key, value, _ := strings.Cut(opt, "=")
-		if key == "cpu.all" || key == "cpu."+name {
-			on = value != "off"
-		}
-	}
-	return on
-}
+// enabled in XCR0. It is false off amd64. The kernels behind it give
+// the same bits as their portable Go paths, so it changes only speed;
+// tests clear it to run those paths as well.
+var AVX2 = hasAVX2()

@@ -14,6 +14,19 @@
 // caller; Go computes every single-precision complex product in float64
 // anyway, so a narrow lane would only add rounding and time. Plans are
 // cached per length.
+//
+// A strided axis pass takes its lines four at a time. On amd64 with
+// AVX2 (cpufeat.AVX2, probed once at start-up) the four stay
+// interleaved in the worker's scratch, element k of line j at
+// g[4k+j], so gathering and scattering a row is one 64-byte copy, and
+// are transformed in lockstep: one walk of the line plan, each twiddle
+// broadcast to all four, with assembly for the radix-2² passes, the
+// leaf's gather and the radix-3 combine (lockstep.go). The real
+// transforms' last-axis passes pack and unpick four rows the same way.
+// Every line runs the products and sums of the per-line Go path, each
+// rounded, in the same order, so the output bits do not depend on the
+// path; the per-line path is the reference, and the only path
+// elsewhere.
 package fft
 
 import (
@@ -253,11 +266,11 @@ func axisPass(x []complex128, dims, lim []int, axis, workers int, inverse bool) 
 		lines, tmp := scratch[:lineGroup*d], scratch[lineGroup*d:]
 		if w == lineGroup && cpufeat.AVX2 {
 			for k := 0; k < d; k++ {
-				*(*[lineGroup]complex128)(lines[lineGroup*k:]) = [lineGroup]complex128(x[base+k*stride:])
+				copyRow(lines[lineGroup*k:], x[base+k*stride:])
 			}
 			p.transformGroup(tmp, lines, inverse)
 			for k := 0; k < d; k++ {
-				*(*[lineGroup]complex128)(x[base+k*stride:]) = [lineGroup]complex128(tmp[lineGroup*k:])
+				copyRow(x[base+k*stride:], tmp[lineGroup*k:])
 			}
 			return
 		}
@@ -276,6 +289,14 @@ func axisPass(x []complex128, dims, lim []int, axis, workers int, inverse bool) 
 			}
 		}
 	})
+}
+
+// copyRow copies one row of a group, lineGroup elements, from src to
+// dst, element by element: a copy of the whole row would call
+// runtime.memmove once per row.
+func copyRow(dst, src []complex128) {
+	d, s := dst[:lineGroup], src[:lineGroup]
+	d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
 }
 
 // cornerIndex maps q, the row-major index of a point of the box lim, to

@@ -1,22 +1,13 @@
 package fft
 
-// Lockstep line transforms. An axis pass takes its strided lines
-// lineGroup at a time (fft.go). Where the CPU has AVX2 (cpufeat.AVX2),
-// such a group stays interleaved in scratch: element k of line j lies
-// at g[lineGroup·k+j], so gathering and scattering row k is one 64-byte
-// copy. The group is then transformed in lockstep: one walk of the line
-// plan serves all of its lines, each twiddle is read once and
-// broadcast, and every kernel step holds the lines' elements in two
-// AVX2 registers. The real transforms' last-axis passes pack four rows'
-// pairs into a group and unpick them from it the same way (realnd.go).
-//
-// Every line runs exactly the products and sums of the per-line path
-// (transformWith), each rounded and in the same order, so the output
-// bits are the per-line path's; that path stays the reference, and the
-// only one off amd64 or without AVX2. The radix-2² passes, the leaf's
-// gather and first pass, and the radix-3 combine run in assembly
-// (lockstep_amd64.s); the radix-5 combine loops over the lines in Go
-// (combine).
+// Lockstep line transforms (see the package comment): a group holds
+// lineGroup lines interleaved, element k of line j at g[lineGroup·k+j].
+// The plan is walked once for the whole group; the radix-2² passes, the
+// leaf's gather and first pass, and the radix-3 combine run in
+// assembly (lockstep_amd64.s), the radix-5 combine in Go (combine).
+// Each line gets exactly the products and sums of the per-line path
+// (transformWith), each rounded and in the same order, which
+// TestLockstepLinesMatchPerLine pins bit for bit.
 
 // transformGroup sets dst to the unnormalized DFT (or unnormalized
 // inverse DFT) of each of the lineGroup lines interleaved in src. Both

@@ -107,13 +107,12 @@ func newPlan(n int) *linePlan {
 // transform runs the unnormalized DFT (or unnormalized inverse DFT) of
 // one line in place. len(x) must equal p.n.
 func (p *linePlan) transform(x []complex128, inverse bool) {
-	if p.kind == planPow2 {
-		p.transformWith(x, nil, inverse)
-		return
+	var tmp []complex128
+	if p.kind == planMixed {
+		tmp = Acquire[complex128](p.n)
+		defer Release(tmp)
 	}
-	tmp := Acquire[complex128](p.n)
 	p.transformWith(x, tmp, inverse)
-	Release(tmp)
 }
 
 // transformWith is transform with the mixed-radix recursion's scratch

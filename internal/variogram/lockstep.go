@@ -122,13 +122,13 @@ func laneRow(xs, ys [][4]float64, s0, s1, s2, s3 float64) (float64, float64, flo
 
 // scanOffsetLanes is scanOffset over the interleaved planes il of
 // arrays of one shape, one plane per lane group: one group, or two
-// when cpufeat.AVX2 is set. It folds (z(x) − z(x+off))² of every in-bounds
-// base point x into each lane's own running chain sum[l], visiting
-// base points in the same row-major order, and adds the (shared) pair
-// count. Trailing axes the offset leaves whole (zero offset component)
-// lie contiguous in memory, so they fold into the row: the scan walks
-// rows of axis m and everything after it, and counts rows·n pairs
-// once.
+// when cpufeat.AVX2 is set. It folds (z(x) − z(x+off))² of every
+// in-bounds base point x into each lane's own running chain sum[l],
+// visiting base points in the same row-major order, and adds the
+// (shared) pair count. Trailing axes the offset leaves whole (zero
+// offset component) lie contiguous in memory, so they fold into the
+// row: the scan walks rows of axis m and everything after it, and
+// counts rows·n pairs once.
 func scanOffsetLanes(il [][][4]float64, dims, strides []int, off []int32, sc *scanScratch, sum *[scanLanes]float64, cnt *int64) {
 	nd := len(dims)
 	delta := 0

@@ -109,7 +109,8 @@ const (
 //
 //   - in-RAM fields scan their own lane (the direct scans accumulate in
 //     float64, so the float32 lane is bit-identical to the float64 lane
-//     over the widened field; the spectral engine runs float32 planes);
+//     over the widened field; the spectral engine widens a float32
+//     field into its float64 plane, with the same effect);
 //   - a Reader source runs the sampled scan over the in-RAM sampler's
 //     pairs (the shared plan cache, or the draw loop) in budget-sized
 //     chunks whose endpoints are read span by span (bit-identical to
