@@ -274,7 +274,6 @@ func cmdAnalyze(args []string) error {
 	in := fs.String("in", "field.bin", "input field (2D or 3D)")
 	window := fs.Int("window", 32, "local statistics window H")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all cores)")
-	gram := fs.Bool("gram", true, "Gram-matrix fast path for the local SVD statistic (-gram=false restores the full-SVD reference path)")
 	vfft := fs.Bool("vfft", false, "FFT exact engine for the global variogram scan (one real-input forward + inverse transform over the padded field)")
 	f32 := fs.Bool("f32", false, "run the float32 compute lane (a float64 input is narrowed first; float32 files use it automatically)")
 	membudget := fs.String("membudget", "", "out-of-core memory budget with optional k/m/g suffix (e.g. 64m); fields that do not fit are streamed in budget-sized tiles, bit-identical windowed statistics")
@@ -297,12 +296,8 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	defer tr.Close()
-	gm := lossycorr.SVDGramDefault
-	if !*gram {
-		gm = lossycorr.SVDGramOff
-	}
 	opts := lossycorr.AnalysisOptions{
-		Window: *window, Workers: *workers, SVDGram: gm, VariogramFFT: *vfft,
+		Window: *window, Workers: *workers, VariogramFFT: *vfft,
 		MemBudget: budget, Stats: sel,
 	}
 	lossycorr.ResetTransformPeakBytes()

@@ -122,13 +122,11 @@ type AnalysisOptions struct {
 	VariogramOpts    variogram.Options // empirical variogram controls
 	VarianceFraction float64           // SVD threshold; 0 means 0.99
 	SkipLocal        bool              // global range only (cheaper)
-	// SVDGram selects the level path of the local SVD statistic. The
-	// zero value is svdstat's Gram-matrix fast path (levels from the
-	// AᵀA/AAᵀ eigenproblem; agrees with the full-SVD path up to
-	// eigensolver roundoff at the truncation threshold), now the
-	// default; svdstat.GramOff restores the historical full-SVD
-	// arithmetic bit-identically.
-	SVDGram svdstat.GramMode
+	// SVDGram is vestigial: struct{} has one value, so it selects
+	// nothing and the local SVD statistic has one level path. It
+	// stays only because bench/workloads.go still copies it into
+	// svdstat.Options.Gram; both go with that line.
+	SVDGram struct{}
 	// VariogramFFT selects the FFT exact engine for the global
 	// variogram scan (variogram.Options.FFT): every lag at once from
 	// one zero-padded autocorrelation of the mean-centered field,
@@ -270,7 +268,7 @@ func analyzeSource(ctx context.Context, src stat.Source, opts AnalysisOptions) (
 			"variogram":  vOpts,
 			"localrange": vOpts,
 			"svd": svdstat.Options{
-				Frac: o.VarianceFraction, Workers: o.Workers, Gram: o.SVDGram,
+				Frac: o.VarianceFraction, Workers: o.Workers,
 			},
 		},
 	}

@@ -2,8 +2,8 @@
 // analysis pipeline needs: least-squares solvers (Householder QR),
 // polynomial fitting in the style of numpy.polyfit, a values-only
 // symmetric eigensolver (Householder tridiagonalization + implicit-shift
-// QL, rejecting non-finite input with ErrNonFinite), and singular
-// values for the local-SVD statistic built on it.
+// QL, rejecting non-finite input with ErrNonFinite) whose eigenvalues
+// of a window's Gram matrix give the local-SVD statistic's levels.
 package linalg
 
 import (
@@ -159,7 +159,7 @@ func PolyVal(coeffs []float64, x float64) float64 {
 }
 
 // ErrNonFinite reports a NaN or ±Inf entry in a matrix handed to
-// SymEigen (and so to SingularValues): its eigenvalues are undefined.
+// SymEigen: its eigenvalues are undefined.
 var ErrNonFinite = errors.New("linalg: matrix has a non-finite entry")
 
 // ErrNoConvergence reports an eigenvalue the QL iteration did not
@@ -344,51 +344,6 @@ func tridiagonalQL(d, e []float64) error {
 		}
 	}
 	return nil
-}
-
-// SingularValues returns the singular values of the m×n matrix a in
-// descending order, computed as sqrt of the eigenvalues of AᵀA (or AAᵀ,
-// whichever is smaller). Adequate accuracy for the 32×32 windows of the
-// local-SVD statistic; tiny negative eigenvalues from roundoff clamp to 0.
-// Non-finite input returns SymEigen's ErrNonFinite.
-func SingularValues(a *Matrix) ([]float64, error) {
-	m, n := a.Rows, a.Cols
-	// gram = smaller of AᵀA (n×n) and AAᵀ (m×m)
-	k := n
-	gramT := false
-	if m < n {
-		k = m
-		gramT = true
-	}
-	g := NewMatrix(k, k)
-	for i := 0; i < k; i++ {
-		for j := i; j < k; j++ {
-			var s float64
-			if gramT {
-				for t := 0; t < n; t++ {
-					s += a.At(i, t) * a.At(j, t)
-				}
-			} else {
-				for t := 0; t < m; t++ {
-					s += a.At(t, i) * a.At(t, j)
-				}
-			}
-			g.Set(i, j, s)
-			g.Set(j, i, s)
-		}
-	}
-	eig, err := SymEigen(g)
-	if err != nil {
-		return nil, err
-	}
-	sv := make([]float64, k)
-	for i, e := range eig {
-		if e < 0 {
-			e = 0
-		}
-		sv[i] = math.Sqrt(e)
-	}
-	return sv, nil
 }
 
 // GoldenMinimize finds the minimizer of f on [lo, hi] by golden-section

@@ -208,57 +208,6 @@ func TestSymEigenNonSquare(t *testing.T) {
 	}
 }
 
-func TestSingularValuesDiagonal(t *testing.T) {
-	a := NewMatrix(3, 2)
-	a.Set(0, 0, 4)
-	a.Set(1, 1, -3) // singular value is |−3| = 3
-	sv, err := SingularValues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sv) != 2 || math.Abs(sv[0]-4) > 1e-9 || math.Abs(sv[1]-3) > 1e-9 {
-		t.Fatalf("sv %v", sv)
-	}
-}
-
-func TestSingularValuesWideMatrix(t *testing.T) {
-	a := NewMatrix(2, 5)
-	for j := 0; j < 5; j++ {
-		a.Set(0, j, 1)
-	}
-	sv, err := SingularValues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sv) != 2 {
-		t.Fatalf("want 2 singular values, got %d", len(sv))
-	}
-	if math.Abs(sv[0]-math.Sqrt(5)) > 1e-9 || sv[1] > 1e-9 {
-		t.Fatalf("sv %v", sv)
-	}
-}
-
-func TestSingularValuesFrobenius(t *testing.T) {
-	rng := xrand.New(19)
-	a := NewMatrix(6, 4)
-	var frob float64
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-		frob += a.Data[i] * a.Data[i]
-	}
-	sv, err := SingularValues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, s := range sv {
-		sum += s * s
-	}
-	if math.Abs(sum-frob) > 1e-8*frob {
-		t.Fatalf("Frobenius %v vs Σσ² %v", frob, sum)
-	}
-}
-
 func TestGoldenMinimize(t *testing.T) {
 	f := func(x float64) float64 { return (x - 2.5) * (x - 2.5) }
 	x := GoldenMinimize(f, 0, 10, 1e-8)

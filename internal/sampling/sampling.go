@@ -117,10 +117,7 @@ func LocalRangeStd(ctx context.Context, src stat.Source, h int, opts Options) (f
 // svdstat.DefaultVarianceFraction; a frac outside (0,1] fails with
 // svdstat's error.
 func LocalSVDStd(ctx context.Context, src stat.Source, h int, frac float64, opts Options) (float64, error) {
-	// GramOff pins the historical full-SVD arithmetic of the sampled
-	// estimator.
-	return sampledStd(ctx, src, svdstat.LevelKernel{}, h, opts,
-		svdstat.Options{Frac: frac, Gram: svdstat.GramOff})
+	return sampledStd(ctx, src, svdstat.LevelKernel{}, h, opts, svdstat.Options{Frac: frac})
 }
 
 // SweepPoint is one accuracy measurement of the sampled estimator.

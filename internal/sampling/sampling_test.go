@@ -57,6 +57,40 @@ func TestFullFractionMatchesReference(t *testing.T) {
 	if math.Abs(fullSVD-sampledSVD) > 1e-9 {
 		t.Fatalf("fraction-1 svd %v != full %v", sampledSVD, fullSVD)
 	}
+
+	// No window of the field above sits on a tie, so any two level
+	// paths agree on it. This window is 3 plus two orthogonal rank-one
+	// Hadamard terms of amplitude 3: its centered energy splits exactly
+	// in half, so at frac 0.5 roundoff alone picks level 1 or 2, and the
+	// full-SVD and Gram arithmetic pick differently. Beside a constant
+	// window, the fraction-1 estimate matches the statistic only if
+	// both run the same level arithmetic.
+	tie := []float64{
+		-3, 3, -3, 3, 3, 9, 3, 9,
+		3, -3, 3, -3, 9, 3, 9, 3,
+		3, 9, 3, 9, -3, 3, -3, 3,
+		9, 3, 9, 3, 3, -3, 3, -3,
+		9, 3, 9, 3, 3, -3, 3, -3,
+		3, 9, 3, 9, -3, 3, -3, 3,
+		3, -3, 3, -3, 9, 3, 9, 3,
+		-3, 3, -3, 3, 3, 9, 3, 9,
+	}
+	pair := field.New(8, 16) // the tie window, then a constant one
+	for r := 0; r < 8; r++ {
+		copy(pair.Data[r*16:r*16+8], tie[r*8:(r+1)*8])
+	}
+	src := stat.Source{F64: pair}
+	fullSVD, err = svdstat.LocalStd(bg, src, 8, svdstat.Options{Frac: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampledSVD, err = LocalSVDStd(bg, src, 8, 0.5, Options{Fraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fullSVD != sampledSVD {
+		t.Fatalf("tie window: fraction-1 svd %v != full %v", sampledSVD, fullSVD)
+	}
 }
 
 func TestHalfFractionApproximates(t *testing.T) {

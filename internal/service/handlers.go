@@ -365,7 +365,6 @@ type analysisParams struct {
 	frac      float64
 	vfft      bool
 	skipLocal bool
-	gram      bool
 	// stats is the kernel selection (?stats=variogram,svd), validated
 	// against the registry at parse time and normalized (sorted,
 	// deduplicated) so spelling order never splits the cache. Empty
@@ -404,7 +403,7 @@ func parseStatsSelection(v string) ([]string, error) {
 }
 
 func parseAnalysisParams(q url.Values) (analysisParams, error) {
-	p := analysisParams{window: core.DefaultWindow, frac: svdstat.DefaultVarianceFraction, gram: true}
+	p := analysisParams{window: core.DefaultWindow, frac: svdstat.DefaultVarianceFraction}
 	var err error
 	if p.window, err = queryInt(q, "window", p.window); err != nil {
 		return p, err
@@ -422,9 +421,6 @@ func parseAnalysisParams(q url.Values) (analysisParams, error) {
 		return p, err
 	}
 	if p.skipLocal, err = queryBool(q, "skiplocal", false); err != nil {
-		return p, err
-	}
-	if p.gram, err = queryBool(q, "gram", true); err != nil {
 		return p, err
 	}
 	if p.window < 2 {
@@ -476,8 +472,8 @@ func predictedPeakBytes(tr *field.TileReader, p analysisParams) int64 {
 }
 
 func (p analysisParams) canon() string {
-	c := fmt.Sprintf("w=%d|lag=%d|frac=%s|vfft=%t|skip=%t|gram=%t",
-		p.window, p.maxLag, fmtFloat(p.frac), p.vfft, p.skipLocal, p.gram)
+	c := fmt.Sprintf("w=%d|lag=%d|frac=%s|vfft=%t|skip=%t",
+		p.window, p.maxLag, fmtFloat(p.frac), p.vfft, p.skipLocal)
 	// The selection joins the canon only when present, so every cache
 	// key minted before the stats option existed stays valid.
 	if len(p.stats) > 0 {
@@ -496,9 +492,6 @@ func (p analysisParams) options(workers int) core.AnalysisOptions {
 	}
 	o.VariogramOpts.MaxLag = p.maxLag
 	o.Stats = p.stats
-	if !p.gram {
-		o.SVDGram = svdstat.GramOff
-	}
 	return o
 }
 

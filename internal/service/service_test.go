@@ -226,6 +226,37 @@ func TestAnalyzeSyncCacheHit(t *testing.T) {
 	}
 }
 
+// TestAnalyzeIgnoresRetiredGram: the local SVD statistic has one
+// level path, so a leftover ?gram= selects nothing. Like any unknown
+// parameter it neither enters the cache key nor is parsed: both
+// respellings hit the first request's entry with its statistics.
+func TestAnalyzeIgnoresRetiredGram(t *testing.T) {
+	s, hs := testServer(t, Config{})
+	body := gaussBody(t, 48, 6, 4)
+	var first analyzeResult
+	code, data := postBin(t, hs.URL+"/v1/analyze", body)
+	if code != http.StatusOK {
+		t.Fatalf("analyze: %d %s", code, data)
+	}
+	decodeEnvelope(t, data, &first)
+	for _, q := range []string{"gram=false", "gram=maybe"} {
+		var res analyzeResult
+		code, data := postBin(t, hs.URL+"/v1/analyze?"+q, body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", q, code, data)
+		}
+		if env := decodeEnvelope(t, data, &res); !env.Cached {
+			t.Fatalf("%s missed the cache", q)
+		}
+		if !res.Stats.Equal(first.Stats) {
+			t.Fatalf("%s: stats %+v, want %+v", q, res.Stats, first.Stats)
+		}
+	}
+	if runs := s.Stats().AnalyzeRuns; runs != 1 {
+		t.Fatalf("analyze ran %d times, want 1", runs)
+	}
+}
+
 func TestJobSubmitPollResult(t *testing.T) {
 	s, hs := testServer(t, Config{})
 	body := gaussBody(t, 64, 8, 2)
@@ -333,7 +364,6 @@ func TestRejectsMalformedRequests(t *testing.T) {
 		{"zero error bound via predict", "/v1/predict?eb=0", valid, http.StatusBadRequest},
 		{"unknown codec", "/v1/measure?codec=nope", valid, http.StatusBadRequest},
 		{"NaN value", "/v1/analyze", withNaN, http.StatusBadRequest},
-		{"NaN value, full-SVD path", "/v1/analyze?stats=svd&gram=false", withNaN, http.StatusBadRequest},
 		{"+Inf value, float32", "/v1/analyze?stats=svd", nonFiniteBody(t, math.Inf(1), true), http.StatusBadRequest},
 		{"unknown kind", "/v1/jobs/transmogrify", valid, http.StatusNotFound},
 		{"dataset unconfigured", "/v1/analyze?dataset=x", nil, http.StatusNotFound},

@@ -22,16 +22,77 @@ func gramRandomGrid(rows, cols int, seed uint64) *field.Field {
 	return g
 }
 
+// levelFull is the differential oracle for levelGram: the truncation
+// level the long way, as the statistic was computed before the Gram
+// path. It centers a copy of the window, takes its singular values as
+// the square roots of the clamped eigenvalues of AᵀA (or AAᵀ, whichever
+// is smaller), and accumulates their squares. That is the same
+// eigenproblem in a different order, so the two levels agree except
+// where roundoff decides an exact tie at the threshold.
+func levelFull(w *field.Field, frac float64) (int, error) {
+	rows := w.Shape[0]
+	cols := w.Len() / rows
+	mean := w.Summary().Mean
+	a := make([]float64, len(w.Data))
+	for i, v := range w.Data {
+		a[i] = v - mean
+	}
+	k, gramT := cols, rows < cols
+	if gramT {
+		k = rows
+	}
+	g := linalg.NewMatrix(k, k)
+	for i := 0; i < k; i++ {
+		for j := i; j < k; j++ {
+			var s float64
+			if gramT {
+				for t := 0; t < cols; t++ {
+					s += a[i*cols+t] * a[j*cols+t]
+				}
+			} else {
+				for t := 0; t < rows; t++ {
+					s += a[t*cols+i] * a[t*cols+j]
+				}
+			}
+			g.Set(i, j, s)
+			g.Set(j, i, s)
+		}
+	}
+	eig, err := linalg.SymEigen(g)
+	if err != nil {
+		return 0, err
+	}
+	sv := make([]float64, k)
+	for i, e := range eig {
+		sv[i] = math.Sqrt(max(e, 0))
+	}
+	var total float64
+	for _, s := range sv {
+		total += s * s
+	}
+	if total == 0 {
+		return 0, nil
+	}
+	var acc float64
+	for k, s := range sv {
+		acc += s * s
+		if acc >= frac*total {
+			return k + 1, nil
+		}
+	}
+	return len(sv), nil
+}
+
 func gramSmoothGrid(rows, cols int) *field.Field {
 	return fromFunc(rows, cols, func(r, c int) float64 {
 		return float64(r)*0.3 + float64(c)*0.7 + 0.01*float64(r*c)
 	})
 }
 
-// TestGramMatchesFullSVDLevels is the fast path's equivalence test:
+// TestGramMatchesFullSVDLevels checks levelGram against its oracle:
 // over many windows (noisy, smooth, tall, wide, 3D-unfolded shapes)
 // the Gram-eigenvalue levels must match the full-SVD levels. Both
-// paths quantize the same spectrum, so any disagreement would mean an
+// quantize the same spectrum, so any disagreement would mean an
 // eigensolver deviation far above roundoff; the tolerance allowed here
 // is one level on at most 2 % of windows, and exactness is asserted
 // for the deterministic smooth cases.
@@ -43,7 +104,7 @@ func TestGramMatchesFullSVDLevels(t *testing.T) {
 		for _, sh := range shapes {
 			for seed := uint64(1); seed <= 8; seed++ {
 				g := gramRandomGrid(sh.rows, sh.cols, seed*977)
-				full, err := levelFull(g.Data, sh.rows, sh.cols, g.Summary().Mean, frac)
+				full, err := levelFull(g, frac)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,11 +128,19 @@ func TestGramMatchesFullSVDLevels(t *testing.T) {
 	}
 	for _, sh := range shapes[:4] {
 		g := gramSmoothGrid(sh.rows, sh.cols)
-		full, _ := levelFull(g.Data, sh.rows, sh.cols, g.Summary().Mean, 0.99)
+		full, _ := levelFull(g, 0.99)
 		fast, _ := levelGram(g.Data, sh.rows, sh.cols, 0.99)
 		if full != fast {
 			t.Fatalf("smooth %dx%d: gram level %d != full %d", sh.rows, sh.cols, fast, full)
 		}
+	}
+	// The one-level allowance is not slack: on an exact tie the two
+	// orders of arithmetic do split, and by one level.
+	w, frac := tieWindow(t)
+	full, _ := levelFull(w, frac)
+	fast, _ := levelGram(w.Data, w.Shape[0], w.Shape[0], frac)
+	if d := full - fast; d != 1 && d != -1 {
+		t.Fatalf("tie window: gram level %d vs full %d, want one apart", fast, full)
 	}
 }
 
@@ -132,7 +201,7 @@ func tieWindow(t *testing.T) (*field.Field, float64) {
 		for _, e := range energy[:len(energy)-1] {
 			acc += e
 			frac := acc / total
-			full, err := levelFull(w.Data, h, h, w.Summary().Mean, frac)
+			full, err := levelFull(w, frac)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,71 +218,8 @@ func tieWindow(t *testing.T) (*field.Field, float64) {
 	return nil, 0
 }
 
-// TestGramDefaultPinsBothDirections pins the release flip: the zero
-// value must take the Gram fast path and GramOff the historical
-// full-SVD arithmetic. The field is a window on which the two level
-// functions disagree (tieWindow) beside a constant one, so each mode's
-// statistic matches its own level function (levelGram, levelFull)
-// applied window by window, and not the other's.
-func TestGramDefaultPinsBothDirections(t *testing.T) {
-	w, frac := tieWindow(t)
-	h := w.Shape[0]
-	f := field.New(h, 2*h) // w, then a constant window
-	for r := 0; r < h; r++ {
-		copy(f.Data[r*2*h:r*2*h+h], w.Data[r*h:(r+1)*h])
-	}
-	for _, c := range []struct {
-		mode  GramMode
-		level func(w *field.Field) (int, error)
-	}{
-		{GramDefault, func(w *field.Field) (int, error) {
-			return levelGram(w.Data, w.Shape[0], w.Len()/w.Shape[0], frac)
-		}},
-		{GramOff, func(w *field.Field) (int, error) {
-			return levelFull(w.Data, w.Shape[0], w.Len()/w.Shape[0], w.Summary().Mean, frac)
-		}},
-	} {
-		got, err := LocalStd(bg, in64(f), h, Options{Gram: c.mode, Frac: frac})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var levels []float64
-		for _, origin := range f.TileOrigins(h) {
-			k, err := c.level(f.Window(origin, h))
-			if err != nil {
-				t.Fatal(err)
-			}
-			levels = append(levels, float64(k))
-		}
-		if want := linalg.Std(levels); got != want {
-			t.Fatalf("mode %d: %x != per-window path %x", c.mode, got, want)
-		}
-	}
-}
-
-// TestLocalStdGramCloseToFull checks the statistic built on the fast
-// path tracks the full-SVD path closely on a realistic field.
-func TestLocalStdGramCloseToFull(t *testing.T) {
-	f := in64(gramRandomGrid(128, 128, 42))
-	full, err := LocalStd(bg, f, 32, Options{Gram: GramOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := LocalStd(bg, f, 32, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := full - fast
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 0.25 {
-		t.Fatalf("gram statistic %v too far from full %v", fast, full)
-	}
-}
-
 // TestLocalStd3DSerialParallelIdentical covers the unfolded 3D windows
-// under the determinism contract, on both paths.
+// under the determinism contract.
 func TestLocalStd3DSerialParallelIdentical(t *testing.T) {
 	rng := xrand.New(9)
 	v := field.New(24, 24, 24)
@@ -221,66 +227,52 @@ func TestLocalStd3DSerialParallelIdentical(t *testing.T) {
 		v.Data[i] = rng.NormFloat64()
 	}
 	f := in64(v)
-	for _, gram := range []GramMode{GramOff, GramDefault} {
-		ref, err := LocalStd(bg, f, 8, Options{Workers: 1, Gram: gram})
+	ref, err := LocalStd(bg, f, 8, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{3, 16} {
+		got, err := LocalStd(bg, f, 8, Options{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{3, 16} {
-			got, err := LocalStd(bg, f, 8, Options{Workers: w, Gram: gram})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != ref {
-				t.Fatalf("gram=%v workers=%d: %x want %x", gram, w, got, ref)
-			}
+		if got != ref {
+			t.Fatalf("workers=%d: %x want %x", w, got, ref)
 		}
 	}
 }
 
 // TestNonFiniteWindowErrors pins the non-finite contract: one NaN or
-// ±Inf in a window is linalg.ErrNonFinite on both level paths and both
-// lanes, never a level.
+// ±Inf in a window is linalg.ErrNonFinite on both lanes, never a level.
 func TestNonFiniteWindowErrors(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		g := gramRandomGrid(64, 64, 5)
 		g.Data[40*64+50] = bad // inside the last window
-		for _, gram := range []GramMode{GramDefault, GramOff} {
-			opts := Options{Gram: gram, Workers: 1}
-			if _, err := LocalStd(bg, in64(g), 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
-				t.Errorf("%v, gram=%v: err %v, want ErrNonFinite", bad, gram, err)
-			}
-			if _, err := LocalStd(bg, stat.Source{F32: g.Narrow()}, 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
-				t.Errorf("%v, gram=%v, float32: err %v, want ErrNonFinite", bad, gram, err)
-			}
+		opts := Options{Workers: 1}
+		if _, err := LocalStd(bg, in64(g), 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
+			t.Errorf("%v: err %v, want ErrNonFinite", bad, err)
+		}
+		if _, err := LocalStd(bg, stat.Source{F32: g.Narrow()}, 32, opts); !errors.Is(err, linalg.ErrNonFinite) {
+			t.Errorf("%v, float32: err %v, want ErrNonFinite", bad, err)
 		}
 	}
 }
 
-func benchLevel(b *testing.B, rows, cols int, gram bool) {
+func benchLevel(b *testing.B, rows, cols int) {
 	g := gramRandomGrid(rows, cols, 7)
-	mean := g.Summary().Mean
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if gram {
-			_, err = levelGram(g.Data, rows, cols, 0.99)
-		} else {
-			_, err = levelFull(g.Data, rows, cols, mean, 0.99)
-		}
-		if err != nil {
+		if _, err := levelGram(g.Data, rows, cols, 0.99); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkTruncationLevelFull(b *testing.B)       { benchLevel(b, 32, 32, false) }
-func BenchmarkTruncationLevelGram(b *testing.B)       { benchLevel(b, 32, 32, true) }
-func BenchmarkTruncationLevelFullUnfold(b *testing.B) { benchLevel(b, 32, 1024, false) }
-func BenchmarkTruncationLevelGramUnfold(b *testing.B) { benchLevel(b, 32, 1024, true) }
+func BenchmarkTruncationLevelGram(b *testing.B)       { benchLevel(b, 32, 32) }
+func BenchmarkTruncationLevelGramUnfold(b *testing.B) { benchLevel(b, 32, 1024) }
 
 // BenchmarkLocalSVD is the kernel's cost inside one analyze-cold
-// request: the default Gram path over a 256² field at H=32 (64
+// request: levelGram over a 256² field at H=32 (64
 // windows), serial so ns/op is the summed per-window cost.
 func BenchmarkLocalSVD(b *testing.B) {
 	f := in64(gramRandomGrid(256, 256, 13))

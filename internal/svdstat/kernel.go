@@ -2,8 +2,8 @@ package svdstat
 
 // The local SVD statistic as a stat.Kernel: a WindowKernel whose sweep
 // (tiling, lane widening, streaming, fan-out) the engine owns, leaving
-// this package with only the per-window level arithmetic (full-SVD or
-// Gram fast path) and the Std fold. Options arrive through the
+// this package with only the per-window level arithmetic (levelGram)
+// and the Std fold. Options arrive through the
 // engine's Request.Opt under "svd" as an svdstat.Options value; a nil
 // opt means defaults.
 

@@ -35,7 +35,7 @@ func writeTempField(t *testing.T, write func(w io.Writer) error) *field.TileRead
 
 // TestLocalLevelsReaderBitIdentity pins the streamed SVD window sweep
 // against the in-RAM sweep bit for bit — ranks 2 and 3, both stored
-// lanes, Gram and full-SVD paths, worker counts, tile budgets, halos.
+// lanes, worker counts, tile budgets, halos.
 func TestLocalLevelsReaderBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -61,32 +61,29 @@ func TestLocalLevelsReaderBitIdentity(t *testing.T) {
 		for range tc.shape {
 			winBytes *= int64(tc.h)
 		}
-		for _, gram := range []GramMode{GramDefault, GramOff} {
-			opts := Options{Gram: gram}
-			want, err := LocalLevels(ctx, in64(f), tc.h, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want32, err := LocalLevels(ctx, stat.Source{F32: f32}, tc.h, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, budget := range []int64{2 * winBytes, 0} {
-				for _, halo := range []int{0, tc.h + 1} {
-					so := field.StreamOptions{BudgetBytes: budget, Halo: halo}
-					for _, workers := range []int{1, 3} {
-						o := Options{Gram: gram, Workers: workers}
-						got, err := LocalLevels(ctx, stat.Source{Reader: tr, Stream: so}, tc.h, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got32, err := LocalLevels(ctx, stat.Source{Reader: tr32, Stream: so}, tc.h, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertSame(t, tc.shape, budget, halo, got, want)
-						assertSame(t, tc.shape, budget, halo, got32, want32)
+		want, err := LocalLevels(ctx, in64(f), tc.h, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want32, err := LocalLevels(ctx, stat.Source{F32: f32}, tc.h, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{2 * winBytes, 0} {
+			for _, halo := range []int{0, tc.h + 1} {
+				so := field.StreamOptions{BudgetBytes: budget, Halo: halo}
+				for _, workers := range []int{1, 3} {
+					o := Options{Workers: workers}
+					got, err := LocalLevels(ctx, stat.Source{Reader: tr, Stream: so}, tc.h, o)
+					if err != nil {
+						t.Fatal(err)
 					}
+					got32, err := LocalLevels(ctx, stat.Source{Reader: tr32, Stream: so}, tc.h, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSame(t, tc.shape, budget, halo, got, want)
+					assertSame(t, tc.shape, budget, halo, got32, want32)
 				}
 			}
 		}

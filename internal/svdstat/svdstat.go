@@ -28,29 +28,6 @@ import (
 // DefaultVarianceFraction is the paper's 99 % threshold.
 const DefaultVarianceFraction = 0.99
 
-// GramMode selects between the Gram-matrix fast path and the full-SVD
-// reference path for truncation levels.
-type GramMode int
-
-const (
-	// GramDefault (the zero value) uses the fast path: truncation
-	// levels come from the eigenvalues of the centered Gram matrix
-	// (AᵀA or AAᵀ, whichever is smaller) assembled directly from the
-	// window, skipping the centered copy and the
-	// eigenvalue→singular-value→square round trip. Levels agree with
-	// the full-SVD path up to eigensolver roundoff at the truncation
-	// threshold (~5 % faster on 32×32 windows, ~16 % on unfolded 3D
-	// windows, fewer allocations).
-	GramDefault GramMode = iota
-	// GramOff is the escape hatch: the historical full-SVD path
-	// (center, singular values, accumulate squares), bit-identical to
-	// the pre-Gram releases.
-	GramOff
-)
-
-// useGram reports whether the mode selects the fast path.
-func (m GramMode) useGram() bool { return m != GramOff }
-
 // Options configures windowed SVD statistics.
 type Options struct {
 	// Frac is the variance fraction a window's leading modes must
@@ -60,9 +37,11 @@ type Options struct {
 	// GOMAXPROCS; 1 forces serial evaluation. Results are bit-identical
 	// for every value.
 	Workers int
-	// Gram selects the level path; the zero value is the Gram fast
-	// path, GramOff restores the historical full-SVD arithmetic.
-	Gram GramMode
+	// Gram is vestigial: struct{} has one value, so it selects
+	// nothing and every window's level comes from levelGram. It stays
+	// only because bench/workloads.go still copies
+	// core.AnalysisOptions.SVDGram into it; both go with that line.
+	Gram struct{}
 }
 
 func (o Options) withDefaults() Options {
@@ -72,56 +51,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// levelFull is the reference path (GramOff): the smallest k such that
-// the top-k singular values of the mean-centered window capture at
-// least frac of its total squared singular-value mass. Centering
-// implements the paper's "variance" reading: without it the DC
-// component swallows the energy budget of smooth windows and the
+// levelGram is the truncation level of one window: the smallest k
+// such that the top-k singular values of the mean-centered window
+// capture at least frac of its total squared singular-value mass.
+// Centering implements the paper's "variance" reading: without it the
+// DC component swallows the energy budget of smooth windows and the
 // statistic degenerates to 1 everywhere. A constant window reports 0.
-// The arithmetic — center, take singular values, accumulate their
-// squares — is kept exactly as the historical 2D implementation so the
-// escape hatch reproduces pre-Gram statistics bit-identically.
-func levelFull(data []float64, rows, cols int, mean, frac float64) (int, error) {
-	if !(frac > 0 && frac <= 1) { // NaN fails both comparisons
-		return 0, fmt.Errorf("svdstat: variance fraction %v outside (0,1]", frac)
-	}
-	m := linalg.NewMatrix(rows, cols)
-	copy(m.Data, data)
-	for i := range m.Data {
-		m.Data[i] -= mean
-	}
-	sv, err := linalg.SingularValues(m)
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for _, s := range sv {
-		total += s * s
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	var acc float64
-	for k, s := range sv {
-		acc += s * s
-		if acc >= frac*total {
-			return k + 1, nil
-		}
-	}
-	return len(sv), nil
-}
-
-// levelGram is the fast path (the ROADMAP's Gram-matrix route): the
-// truncation level needs only squared singular values, which are the
-// eigenvalues of the centered Gram matrix G = AᵀA (or AAᵀ when rows <
-// cols). G is assembled in one pass from the raw window using the
-// rank-one centering identity
+//
+// Only squared singular values enter, and those are the eigenvalues of
+// the centered Gram matrix G = AᵀA (or AAᵀ when rows < cols). G is
+// assembled in one pass from the raw window using the rank-one
+// centering identity
 //
 //	G_centered[i][j] = G_raw[i][j] − μ·(S_i + S_j) + m·μ²
 //
-// (S = line sums along the contracted side, m its length), so the
-// centered copy, the per-value sqrt, and the re-squaring of the
-// default path all disappear.
+// (S = line sums along the contracted side, m its length), so no
+// centered copy is made and no singular value is taken and squared.
 func levelGram(data []float64, rows, cols int, frac float64) (int, error) {
 	if !(frac > 0 && frac <= 1) {
 		return 0, fmt.Errorf("svdstat: variance fraction %v outside (0,1]", frac)
@@ -210,10 +155,7 @@ func levelGram(data []float64, rows, cols int, frac float64) (int, error) {
 func windowLevel(w *field.Field, o Options) (int, error) {
 	rows := w.Shape[0]
 	cols := w.Len() / rows
-	if o.Gram.useGram() {
-		return levelGram(w.Data, rows, cols, o.Frac)
-	}
-	return levelFull(w.Data, rows, cols, w.Summary().Mean, o.Frac)
+	return levelGram(w.Data, rows, cols, o.Frac)
 }
 
 // LocalLevels tiles the field with h-edged hypercube windows and

@@ -37,11 +37,11 @@ func gaussField(t *testing.T, p gaussian.Params) *field.Field {
 	return g
 }
 
-// truncationLevel is the full-SVD (GramOff) truncation level of one 2D
-// window: the smallest k whose top-k singular values of the centered
-// window capture at least frac of its squared singular-value mass.
+// truncationLevel is the truncation level of one 2D window: the
+// smallest k whose top-k singular values of the centered window
+// capture at least frac of its squared singular-value mass.
 func truncationLevel(w *field.Field, frac float64) (int, error) {
-	return windowLevel(w, Options{Frac: frac, Gram: GramOff})
+	return windowLevel(w, Options{Frac: frac})
 }
 
 func TestTruncationLevelRankOne(t *testing.T) {
@@ -97,18 +97,16 @@ func TestTruncationLevelFracValidation(t *testing.T) {
 }
 
 // TestNaNFractionRejected pins the fraction check against NaN, which
-// slips through a `frac <= 0 || frac > 1` test: both level paths, and
+// slips through a `frac <= 0 || frac > 1` test: the window level, and
 // the statistic over a field, must fail instead of reporting a level.
 func TestNaNFractionRejected(t *testing.T) {
 	w := fromFunc(8, 8, func(r, c int) float64 { return float64(r * c % 5) })
-	for _, gram := range []GramMode{GramDefault, GramOff} {
-		o := Options{Frac: math.NaN(), Gram: gram}
-		if k, err := windowLevel(w, o); err == nil {
-			t.Errorf("gram=%v: level %d for a NaN fraction, want error", gram, k)
-		}
-		if v, err := LocalStd(bg, in64(w), 4, o); err == nil {
-			t.Errorf("gram=%v: LocalStd %v for a NaN fraction, want error", gram, v)
-		}
+	o := Options{Frac: math.NaN()}
+	if k, err := windowLevel(w, o); err == nil {
+		t.Errorf("level %d for a NaN fraction, want error", k)
+	}
+	if v, err := LocalStd(bg, in64(w), 4, o); err == nil {
+		t.Errorf("LocalStd %v for a NaN fraction, want error", v)
 	}
 }
 

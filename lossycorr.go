@@ -185,21 +185,9 @@ func LocalSVDStd(f *Field, window int, frac float64) (float64, error) {
 	return svdstat.LocalStd(context.Background(), stat.Source{F64: f}, window, SVDOptions{Frac: frac})
 }
 
-// SVDOptions controls windowed SVD statistics (variance fraction,
-// worker count, and level path).
+// SVDOptions controls windowed SVD statistics (variance fraction and
+// worker count).
 type SVDOptions = svdstat.Options
-
-// SVDGramMode selects the local-SVD level path: the Gram-matrix fast
-// path (the default since it became release-stable) or the historical
-// full-SVD reference.
-type SVDGramMode = svdstat.GramMode
-
-// Gram-path selectors. The zero value (SVDGramDefault) is the fast
-// path; SVDGramOff is the escape hatch back to full-SVD arithmetic.
-const (
-	SVDGramDefault = svdstat.GramDefault
-	SVDGramOff     = svdstat.GramOff
-)
 
 // LocalSVDStdWith is LocalSVDStd with explicit control over the
 // variance fraction and the worker pool; results are bit-identical at
