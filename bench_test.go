@@ -14,10 +14,8 @@ package lossycorr
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -28,7 +26,6 @@ import (
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/hydro"
-	"lossycorr/internal/lossless"
 	"lossycorr/internal/parallel"
 	"lossycorr/internal/stat"
 	"lossycorr/internal/svdstat"
@@ -387,45 +384,6 @@ func BenchmarkAblationSZPredictors(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationByteShuffle measures how much the byte-shuffle
-// filter improves DEFLATE on raw float64 field data — the rationale for
-// shuffling fixed-width records ahead of the lossless stage.
-func BenchmarkAblationByteShuffle(b *testing.B) {
-	f := benchField(b, 16)
-	raw := make([]byte, 0, f.SizeBytes())
-	for _, v := range f.Data {
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		raw = append(raw, tmp[:]...)
-	}
-	for _, shuffled := range []bool{false, true} {
-		name := "plain"
-		if shuffled {
-			name = "shuffled"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			var size int
-			for i := 0; i < b.N; i++ {
-				in := raw
-				if shuffled {
-					var err error
-					in, err = lossless.Shuffle(raw, 8)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				out, err := lossless.Compress(in)
-				if err != nil {
-					b.Fatal(err)
-				}
-				size = len(out)
-			}
-			b.ReportMetric(float64(len(raw))/float64(size), "ratio")
-		})
-	}
-}
-
 // BenchmarkGaussianGenerate measures the circulant-embedding sampler.
 func BenchmarkGaussianGenerate(b *testing.B) {
 	s, err := gaussian.NewSampler(gaussian.Params{Rows: 256, Cols: 256, Range: 16})
@@ -648,7 +606,7 @@ func BenchmarkVariogramFFTMiranda(b *testing.B) {
 // BenchmarkHydroStep measures one time step of the Euler solver at the
 // Miranda-substitute resolution.
 func BenchmarkHydroStep(b *testing.B) {
-	s := hydro.KelvinHelmholtz(128, 128, 1)
+	s := hydro.NewKelvinHelmholtz(hydro.KHParams{Nx: 128, Ny: 128, Seed: 1})
 	b.SetBytes(128 * 128 * 4 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

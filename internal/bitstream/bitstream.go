@@ -23,16 +23,6 @@ func NewWriter() *Writer { return &Writer{} }
 // so a pooled Writer can be reused without re-allocating.
 func (w *Writer) Reset() { w.buf = w.buf[:0]; w.bits, w.n = 0, 0 }
 
-// WriteBit appends a single bit (any nonzero b writes 1).
-func (w *Writer) WriteBit(b uint) {
-	w.bits = w.bits<<1 | uint64(b&1)
-	w.n++
-	if w.n == 8 {
-		w.buf = append(w.buf, byte(w.bits))
-		w.bits, w.n = 0, 0
-	}
-}
-
 // WriteBits appends the low `count` bits of v, most significant first.
 // count must be <= 56 so the pending register never overflows.
 func (w *Writer) WriteBits(v uint64, count uint) {
@@ -125,9 +115,4 @@ func (r *Reader) ReadBits(count uint) (uint64, error) {
 		count--
 	}
 	return v, nil
-}
-
-// Remaining returns how many unread bits are left.
-func (r *Reader) Remaining() int {
-	return (len(r.buf)-r.pos)*8 - int(r.bit)
 }

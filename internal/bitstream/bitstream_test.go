@@ -11,7 +11,7 @@ func TestSingleBits(t *testing.T) {
 	w := NewWriter()
 	pattern := []uint{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1}
 	for _, b := range pattern {
-		w.WriteBit(b)
+		w.WriteBits(uint64(b), 1)
 	}
 	if w.Len() != len(pattern) {
 		t.Fatalf("Len=%d want %d", w.Len(), len(pattern))
@@ -117,14 +117,22 @@ func TestReadBitsTooMany(t *testing.T) {
 	}
 }
 
+// TestRemaining reads a two-byte stream in an unaligned split: after 5
+// bits exactly 11 remain, so a read of 11 succeeds and the next bit is
+// out of the stream.
 func TestRemaining(t *testing.T) {
 	r := NewReader([]byte{0, 0})
-	if r.Remaining() != 16 {
-		t.Fatalf("Remaining=%d", r.Remaining())
+	if _, err := r.ReadBits(5); err != nil {
+		t.Fatal(err)
 	}
-	r.ReadBits(5)
-	if r.Remaining() != 11 {
-		t.Fatalf("Remaining=%d", r.Remaining())
+	if _, err := NewReader([]byte{0, 0}).ReadBits(17); err != ErrOutOfBits {
+		t.Fatalf("17 of 16 bits: got %v, want ErrOutOfBits", err)
+	}
+	if _, err := r.ReadBits(11); err != nil {
+		t.Fatalf("the 11 remaining bits: %v", err)
+	}
+	if _, err := r.ReadBit(); err != ErrOutOfBits {
+		t.Fatalf("bit 17: got %v, want ErrOutOfBits", err)
 	}
 }
 
@@ -144,7 +152,7 @@ func TestLongRandomStream(t *testing.T) {
 	w := NewWriter()
 	for i := range bits {
 		bits[i] = uint(rng.Uint64() & 1)
-		w.WriteBit(bits[i])
+		w.WriteBits(uint64(bits[i]), 1)
 	}
 	r := NewReader(w.Bytes())
 	for i, want := range bits {

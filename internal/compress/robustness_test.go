@@ -176,10 +176,7 @@ func TestRejectNonFiniteBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := lossless.Decompress(data, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := inflate(t, data)
 		for _, eb := range bad { // the bound follows the magic and extents
 			binary.LittleEndian.PutUint64(raw[4+4*rank:], math.Float64bits(eb))
 			patched, err := lossless.Compress(raw)
@@ -225,6 +222,19 @@ func FuzzCodecDecode(f *testing.F) {
 	})
 }
 
+// inflate returns the codec header and payload under a stream's
+// lossless stage.
+func inflate(t *testing.T, data []byte) []byte {
+	t.Helper()
+	z := lossless.NewInflater(data)
+	defer z.Close()
+	raw, err := z.Append(nil, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // storedBlock is a non-final stored DEFLATE block holding b (at most
 // 65535 bytes). It ends on a byte boundary, so any DEFLATE stream may
 // follow it, and the two inflate to b and then that stream's bytes.
@@ -250,10 +260,7 @@ func TestInflateBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := lossless.Decompress(data, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := inflate(t, data)
 		framed := append(storedBlock(raw[:4+4*rank+8]), bomb...)
 		for _, s := range []struct {
 			name string

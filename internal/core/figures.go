@@ -77,9 +77,6 @@ func NewSuite(cfg FigureConfig) *Suite {
 	return &Suite{cfg: cfg.withDefaults(), reg: DefaultRegistry()}
 }
 
-// Config returns the (defaulted) configuration in use.
-func (s *Suite) Config() FigureConfig { return s.cfg }
-
 func (s *Suite) measureOpts() MeasureOptions {
 	return MeasureOptions{
 		ErrorBounds: s.cfg.ErrorBounds,

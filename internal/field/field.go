@@ -112,11 +112,6 @@ func (f *Of[T]) MinDim() int {
 	return slices.Min(f.Shape)
 }
 
-// Strides returns the element stride of each dimension (last is 1).
-func (f *Of[T]) Strides() []int {
-	return stridesOf(f.Shape, make([]int, len(f.Shape)))
-}
-
 // At returns the element at the given index tuple.
 func (f *Of[T]) At(idx ...int) T {
 	return f.Data[f.flatIndex(idx)]
@@ -268,7 +263,7 @@ func (f *Of[T]) TileOrigins(h int) [][]int {
 	if d == 0 || f.Len() == 0 {
 		return nil
 	}
-	origins := make([][]int, 0, f.NumTiles(h))
+	origins := make([][]int, 0, NewWindowGrid(f.Shape, h).Total())
 	cur := make([]int, d)
 	for {
 		origins = append(origins, append([]int(nil), cur...))
@@ -285,16 +280,6 @@ func (f *Of[T]) TileOrigins(h int) [][]int {
 		}
 	}
 	return origins
-}
-
-// NumTiles returns how many h-edged tiles (including clipped edge
-// tiles) cover the field.
-func (f *Of[T]) NumTiles(h int) int {
-	n := 1
-	for _, s := range f.Shape {
-		n *= (s + h - 1) / h
-	}
-	return n
 }
 
 // Binary format. Rank-2 float64 fields use the legacy 2D layout (two

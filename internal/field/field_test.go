@@ -100,8 +100,8 @@ func TestTileOriginsMatchGrid(t *testing.T) {
 	f := g.field()
 	want := g.TileOrigins(32)
 	got := f.TileOrigins(32)
-	if len(got) != len(want) || len(got) != f.NumTiles(32) {
-		t.Fatalf("%d origins, want %d (NumTiles %d)", len(got), len(want), f.NumTiles(32))
+	if n := NewWindowGrid(f.Shape, 32).Total(); len(got) != len(want) || len(got) != n {
+		t.Fatalf("%d origins, want %d (window grid %d)", len(got), len(want), n)
 	}
 	for i := range want {
 		if got[i][0] != want[i][0] || got[i][1] != want[i][1] {
@@ -469,8 +469,8 @@ func TestTilesCoverEverythingOnce(t *testing.T) {
 	for _, o := range f.TileOrigins(4) {
 		cells += f.Window(o, 4).Len()
 	}
-	if n := f.NumTiles(4); n != 6 || len(f.TileOrigins(4)) != n {
-		t.Fatalf("NumTiles %d, %d origins", n, len(f.TileOrigins(4)))
+	if n := NewWindowGrid(f.Shape, 4).Total(); n != 6 || len(f.TileOrigins(4)) != n {
+		t.Fatalf("%d windows, %d origins", n, len(f.TileOrigins(4)))
 	}
 	if cells != f.Len() {
 		t.Fatalf("tiles cover %d cells, want %d", cells, f.Len())
@@ -484,7 +484,7 @@ func TestTileOriginsMatchTilesOrder(t *testing.T) {
 	f := New(7, 10)
 	want := [][2]int{{0, 0}, {0, 4}, {0, 8}, {4, 0}, {4, 4}, {4, 8}}
 	got := f.TileOrigins(4)
-	if len(got) != len(want) || len(got) != f.NumTiles(4) {
+	if len(got) != len(want) || len(got) != NewWindowGrid(f.Shape, 4).Total() {
 		t.Fatalf("origin count %d want %d", len(got), len(want))
 	}
 	for i := range want {
@@ -500,13 +500,14 @@ func TestTileOriginsMatchTilesOrder(t *testing.T) {
 	f.TileOrigins(0)
 }
 
+// TestNumTiles counts the h-edged windows, clipped edge windows
+// included, that cover a 32×32 field.
 func TestNumTiles(t *testing.T) {
-	f := New(32, 32)
-	if n := f.NumTiles(32); n != 1 {
-		t.Fatalf("NumTiles(32)=%d", n)
+	if n := NewWindowGrid([]int{32, 32}, 32).Total(); n != 1 {
+		t.Fatalf("h=32: %d windows", n)
 	}
-	if n := f.NumTiles(31); n != 4 {
-		t.Fatalf("NumTiles(31)=%d", n)
+	if n := NewWindowGrid([]int{32, 32}, 31).Total(); n != 4 {
+		t.Fatalf("h=31: %d windows", n)
 	}
 }
 

@@ -160,7 +160,7 @@ func NewWindowGrid(shape []int, h int) *WindowGrid {
 	return g
 }
 
-// Total returns the number of windows — NumTiles of the in-RAM field.
+// Total returns the number of windows, as many as TileOrigins lists.
 func (g *WindowGrid) Total() int {
 	n := 1
 	for _, c := range g.Counts {

@@ -15,7 +15,7 @@
 // imaginary parts are two independent exact samples. The squared
 // exponential decays so fast that negative embedding eigenvalues are
 // negligible at 2× padding; they are clamped to zero and the clamp mass
-// is exposed for tests.
+// is recorded for the tests.
 package gaussian
 
 import (
@@ -167,10 +167,6 @@ func newSampler(dims, ext []int, rang, sigma2 float64) (*Sampler, error) {
 		sigma:     math.Sqrt(sigma2),
 	}, nil
 }
-
-// ClampMass reports the relative magnitude of negative embedding
-// eigenvalues that were clamped (should be ~0 for valid embeddings).
-func (s *Sampler) ClampMass() float64 { return s.clampMass }
 
 // SamplePair draws two independent fields from one complex transform
 // (the real and imaginary parts of the embedded sample).

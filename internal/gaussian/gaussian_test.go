@@ -141,8 +141,8 @@ func TestClampMassNegligible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.ClampMass() > 1e-6 {
-			t.Fatalf("range %v: clamp mass %v too large", rang, s.ClampMass())
+		if s.clampMass > 1e-6 {
+			t.Fatalf("range %v: clamp mass %v too large", rang, s.clampMass)
 		}
 	}
 }

@@ -4,15 +4,15 @@
 //
 // The encoded stream is self-describing: a compact header enumerates
 // the (symbol, code length) pairs of the canonical code followed by the
-// symbol count and the bit payload, so Decode needs no side channel.
+// symbol count and the bit payload, so DecodeInto needs no side channel.
 //
 // Both directions work on flat tables sized to the stream — its symbol
 // range or its distinct symbols — with no maps, no pointer tree and no
-// comparison sort. Encode counts into a range-sized table, builds the
+// comparison sort. AppendEncode counts into a range-sized table, builds the
 // tree by merging two sorted queues of nodes keyed (frequency, lowest
 // symbol), assigns canonical codes by counting codes per length, and
 // writes the payload into one buffer sized from the code lengths.
-// Decode resolves short codes through a multi-bit peek table and walks
+// DecodeInto resolves short codes through a multi-bit peek table and walks
 // the canonical first-code table for the rest. Neither keeps state
 // between calls: both take their tables from pooled scratch that
 // every call overwrites.
@@ -33,12 +33,12 @@ import (
 // length-limiting rebalancing pass, 32 bits is always achievable.
 const MaxCodeLen = 32
 
-// MaxEncodedLen is the longest stream Encode writes for n symbols: its
+// MaxEncodedLen is the longest stream AppendEncode writes for n symbols: its
 // header lists at most min(n, 2¹⁶) distinct symbols, and no code is
 // longer than MaxCodeLen bits.
 func MaxEncodedLen(n int) int { return 8 + 3*min(n, 1<<16) + n*MaxCodeLen/8 }
 
-// encoder is Encode's working set, pooled so that a call allocates only
+// encoder is AppendEncode's working set, pooled so that a call allocates only
 // its output: the table over the stream's symbol range (up to 256 KiB),
 // the distinct symbols with their frequencies, and the tree and code
 // tables built from them.
@@ -231,11 +231,9 @@ func canonical(codes []codeEntry, lengths []uint8) []codeEntry {
 	return codes
 }
 
-// Encode compresses symbols into a self-describing byte stream. It
-// panics on 2³² or more symbols, which the header cannot count.
-func Encode(symbols []uint16) []byte { return AppendEncode(nil, symbols) }
-
-// AppendEncode appends Encode(symbols) to dst, growing it at most once.
+// AppendEncode appends symbols, compressed into a self-describing byte
+// stream, to dst, growing it at most once. It panics on 2³² or more
+// symbols, which the header cannot count.
 func AppendEncode(dst []byte, symbols []uint16) []byte {
 	if uint64(len(symbols)) > math.MaxUint32 {
 		panic("huffman: more than 2^32-1 symbols")
@@ -342,7 +340,7 @@ type decodeTable struct {
 	peek      []uint32
 }
 
-// decoders recycles Decode's tables; the peek table alone is 8 KiB.
+// decoders recycles DecodeInto's tables; the peek table alone is 8 KiB.
 var decoders = scratch.Pool[decodeTable]{New: func() *decodeTable { return new(decodeTable) }}
 
 // build makes t the decoder of the header's (symbol u16, length u8)
@@ -350,7 +348,7 @@ var decoders = scratch.Pool[decodeTable]{New: func() *decodeTable { return new(d
 // A symbol listed twice takes its last length. The symbols are ordered
 // canonically — shorter lengths first, then symbol order — by a
 // counting sort on length over the ascending symbols, which reproduces
-// exactly the code assignment Encode's canonical() makes, so every
+// exactly the code assignment AppendEncode's canonical() makes, so every
 // stream decodes (or is rejected) just as under a map keyed by
 // (length, code) walked bit by bit.
 func (t *decodeTable) build(entries []byte) {
@@ -405,7 +403,7 @@ func (t *decodeTable) build(entries []byte) {
 }
 
 // strictlyAscending reports whether the header entries list their
-// symbols in strictly ascending order, as Encode writes them.
+// symbols in strictly ascending order, as AppendEncode writes them.
 func strictlyAscending(entries []byte) bool {
 	for i := 3; i < len(entries); i += 3 {
 		if binary.LittleEndian.Uint16(entries[i:]) <= binary.LittleEndian.Uint16(entries[i-3:]) {
@@ -438,13 +436,11 @@ func dedupe(entries []byte) []byte {
 	return out
 }
 
-// Decode reverses Encode. It reads the payload through a 64-bit
-// window: a peek-table lookup decodes each short code, and the
-// canonical walk over the longer lengths decodes the rest.
-func Decode(data []byte) ([]uint16, error) { return DecodeInto(nil, data) }
-
-// DecodeInto is Decode writing the symbols into dst's storage, which it
-// grows only when dst is too short.
+// DecodeInto reverses AppendEncode, writing the symbols into dst's
+// storage, which it grows only when dst is too short. It reads the
+// payload through a 64-bit window: a peek-table lookup decodes each
+// short code, and the canonical walk over the longer lengths decodes
+// the rest.
 func DecodeInto(dst []uint16, data []byte) ([]uint16, error) {
 	if len(data) < 8 {
 		return nil, ErrCorrupt

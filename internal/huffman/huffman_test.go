@@ -16,8 +16,8 @@ import (
 
 func roundtrip(t *testing.T, symbols []uint16) {
 	t.Helper()
-	enc := Encode(symbols)
-	dec, err := Decode(enc)
+	enc := AppendEncode(nil, symbols)
+	dec, err := DecodeInto(nil, enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestSkewedDistributionCompresses(t *testing.T) {
 	// 95% one symbol: entropy ≈ 0.3 bits/symbol, so payload must be far
 	// below 16 bits/symbol.
 	s := skewedStream(20000)
-	enc := Encode(s)
+	enc := AppendEncode(nil, s)
 	if len(enc) > len(s)/2 {
 		t.Fatalf("skewed stream encoded to %d bytes for %d symbols", len(enc), len(s))
 	}
@@ -95,8 +95,8 @@ func TestSkewedDistributionCompresses(t *testing.T) {
 
 func TestQuickRoundtrip(t *testing.T) {
 	f := func(s []uint16) bool {
-		enc := Encode(s)
-		dec, err := Decode(enc)
+		enc := AppendEncode(nil, s)
+		dec, err := DecodeInto(nil, enc)
 		if err != nil {
 			return false
 		}
@@ -116,29 +116,29 @@ func TestQuickRoundtrip(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
+	if _, err := DecodeInto(nil, nil); err == nil {
 		t.Fatal("nil stream should error")
 	}
-	if _, err := Decode([]byte{1, 2, 3}); err == nil {
+	if _, err := DecodeInto(nil, []byte{1, 2, 3}); err == nil {
 		t.Fatal("short stream should error")
 	}
-	enc := Encode([]uint16{1, 2, 3, 1, 2, 3, 9, 9})
+	enc := AppendEncode(nil, []uint16{1, 2, 3, 1, 2, 3, 9, 9})
 	// truncate the payload
-	if _, err := Decode(enc[:len(enc)-1]); err == nil {
+	if _, err := DecodeInto(nil, enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated payload should error")
 	}
 	// corrupt the declared symbol count upward
 	bad := append([]byte(nil), enc...)
 	bad[0] = 0xff
-	if _, err := Decode(bad); err == nil {
+	if _, err := DecodeInto(nil, bad); err == nil {
 		t.Fatal("inflated count should error")
 	}
 }
 
 func TestHeaderDeterminism(t *testing.T) {
 	s := []uint16{5, 1, 5, 2, 5, 3}
-	a := Encode(s)
-	b := Encode(s)
+	a := AppendEncode(nil, s)
+	b := AppendEncode(nil, s)
 	if !bytes.Equal(a, b) {
 		t.Fatal("encoding not deterministic")
 	}
@@ -397,11 +397,12 @@ func decodeMapRef(data []byte) ([]uint16, error) {
 			maxLen = e.len
 		}
 	}
-	r := bitstream.NewReader(data[8+3*distinct:])
+	payload := data[8+3*distinct:]
+	r := bitstream.NewReader(payload)
 	// The capacity is capped at the payload's bit count, which bounds
 	// the symbols any stream can yield: an arbitrary 4-byte count must
 	// not make the reference allocate gigabytes under fuzzing.
-	out := make([]uint16, 0, min(count, r.Remaining()))
+	out := make([]uint16, 0, min(count, 8*len(payload)))
 	for len(out) < count {
 		var code uint32
 		var l uint8
@@ -458,9 +459,9 @@ func refStreams() [][]uint16 {
 // reference corpus, and on truncated streams checks both fail.
 func TestDenseDecoderMatchesMapRef(t *testing.T) {
 	for ci, s := range refStreams() {
-		enc := Encode(s)
+		enc := AppendEncode(nil, s)
 		want, wantErr := decodeMapRef(enc)
-		got, gotErr := Decode(enc)
+		got, gotErr := DecodeInto(nil, enc)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("case %d: error mismatch: ref %v vs dense %v", ci, wantErr, gotErr)
 		}
@@ -475,7 +476,7 @@ func TestDenseDecoderMatchesMapRef(t *testing.T) {
 		if len(enc) > 9 {
 			trunc := enc[:len(enc)-1]
 			_, refErr := decodeMapRef(trunc)
-			_, denseErr := Decode(trunc)
+			_, denseErr := DecodeInto(nil, trunc)
 			if (refErr == nil) != (denseErr == nil) {
 				t.Fatalf("case %d truncated: ref err %v vs dense err %v", ci, refErr, denseErr)
 			}
@@ -500,7 +501,7 @@ func TestEncodeMatchesMapRef(t *testing.T) {
 	}
 	streams := append(refStreams(), uniform, skewedStream(20000), codesLikeStream(5, 9216, 4000))
 	for ci, s := range streams {
-		if got, want := Encode(s), encodeMapRef(s); !bytes.Equal(got, want) {
+		if got, want := AppendEncode(nil, s), encodeMapRef(s); !bytes.Equal(got, want) {
 			t.Fatalf("case %d (%d symbols): dense encoding (%d bytes) differs from map reference (%d bytes)",
 				ci, len(s), len(got), len(want))
 		}
@@ -523,7 +524,7 @@ func clampFreqs() []uint64 {
 	return freq
 }
 
-// encodeWithLengths writes the stream Encode would write for symbols
+// encodeWithLengths writes the stream AppendEncode would write for symbols
 // if the distinct symbols syms (ascending) had the given code lengths.
 func encodeWithLengths(symbols, syms []uint16, lengths []uint8) []byte {
 	hdr := make([]byte, 8, 8+3*len(syms))
@@ -581,7 +582,7 @@ func TestClampLengthsDeterministic(t *testing.T) {
 			stream = append(stream, syms[(i*7+r)%len(syms)])
 		}
 	}
-	dec, err := Decode(encodeWithLengths(stream, syms, want))
+	dec, err := DecodeInto(nil, encodeWithLengths(stream, syms, want))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -590,7 +591,7 @@ func TestClampLengthsDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecodeHeaderFormsMatchMapRef crafts headers Encode never writes —
+// TestDecodeHeaderFormsMatchMapRef crafts headers AppendEncode never writes —
 // unsorted, with a symbol listed twice (the last listing wins), and
 // overfull (Kraft sum > 1) — and checks the dense decoder accepts and
 // rejects them, and decodes them, exactly as the map reference does.
@@ -629,7 +630,7 @@ func TestDecodeHeaderFormsMatchMapRef(t *testing.T) {
 		for pi, p := range payloads {
 			for count := uint32(1); count <= 9; count++ {
 				data := stream(count, h, p...)
-				got, gotErr := Decode(data)
+				got, gotErr := DecodeInto(nil, data)
 				ref, refErr := decodeMapRef(data)
 				if (gotErr == nil) != (refErr == nil) {
 					t.Fatalf("header %d payload %d count %d: dense err %v vs ref %v", hi, pi, count, gotErr, refErr)
@@ -642,7 +643,7 @@ func TestDecodeHeaderFormsMatchMapRef(t *testing.T) {
 	}
 }
 
-// FuzzRoundTrip fuzzes Encode→Decode over arbitrary symbol streams
+// FuzzRoundTrip fuzzes AppendEncode→DecodeInto over arbitrary symbol streams
 // (bytes pairwise-widened to uint16), including the empty and
 // single-symbol seeds, and cross-checks the dense encoder and decoder
 // against the map references on every input. (The map encoder is
@@ -658,11 +659,11 @@ func FuzzRoundTrip(f *testing.F) {
 		for i := range s {
 			s[i] = uint16(raw[2*i]) | uint16(raw[2*i+1])<<8
 		}
-		enc := Encode(s)
+		enc := AppendEncode(nil, s)
 		if !bytes.Equal(enc, encodeMapRef(s)) {
 			t.Fatal("dense encoder diverges from map reference")
 		}
-		dec, err := Decode(enc)
+		dec, err := DecodeInto(nil, enc)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -686,15 +687,15 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeArbitrary feeds arbitrary bytes to Decode: it may reject
+// FuzzDecodeArbitrary feeds arbitrary bytes to DecodeInto: it may reject
 // them, but must never panic, and whenever both decoders accept, the
 // outputs must agree.
 func FuzzDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(Encode([]uint16{1, 2, 3, 1, 2, 3, 9}))
+	f.Add(AppendEncode(nil, []uint16{1, 2, 3, 1, 2, 3, 9}))
 	f.Add([]byte{5, 0, 0, 0, 2, 0, 0, 0, 1, 0, 3, 2, 0, 5, 0xaa, 0xbb})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		got, gotErr := Decode(raw)
+		got, gotErr := DecodeInto(nil, raw)
 		ref, refErr := decodeMapRef(raw)
 		if (gotErr == nil) != (refErr == nil) {
 			t.Fatalf("error mismatch: dense %v vs ref %v", gotErr, refErr)
@@ -741,7 +742,7 @@ func BenchmarkEncode(b *testing.B) {
 		for _, enc := range []struct {
 			name string
 			fn   func([]uint16) []byte
-		}{{"dense", Encode}, {"mapref", encodeMapRef}} {
+		}{{"dense", func(s []uint16) []byte { return AppendEncode(nil, s) }}, {"mapref", encodeMapRef}} {
 			b.Run(st.name+"/"+enc.name, func(b *testing.B) {
 				b.SetBytes(int64(2 * len(st.s)))
 				for i := 0; i < b.N; i++ {
@@ -756,11 +757,11 @@ func BenchmarkEncode(b *testing.B) {
 // exists for, against the retained map-keyed reference.
 func BenchmarkDecode(b *testing.B) {
 	for _, st := range benchStreams() {
-		enc := Encode(st.s)
+		enc := AppendEncode(nil, st.s)
 		for _, dec := range []struct {
 			name string
 			fn   func([]byte) ([]uint16, error)
-		}{{"dense", Decode}, {"mapref", decodeMapRef}} {
+		}{{"dense", func(d []byte) ([]uint16, error) { return DecodeInto(nil, d) }}, {"mapref", decodeMapRef}} {
 			b.Run(st.name+"/"+dec.name, func(b *testing.B) {
 				b.SetBytes(int64(2 * len(st.s)))
 				for i := 0; i < b.N; i++ {

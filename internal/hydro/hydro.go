@@ -78,24 +78,6 @@ func (s *Sim) Primitive(i, j int) (rho, u, v, p float64) {
 	return
 }
 
-// TotalMass integrates ρ over the domain (exactly conserved).
-func (s *Sim) TotalMass() float64 {
-	var m float64
-	for _, r := range s.rho {
-		m += r
-	}
-	return m * s.Dx * s.Dy
-}
-
-// TotalEnergy integrates E over the domain.
-func (s *Sim) TotalEnergy() float64 {
-	var m float64
-	for _, v := range s.e {
-		m += v
-	}
-	return m * s.Dx * s.Dy
-}
-
 // VelocityX extracts the u field as a rank-2 field (rows = y,
 // cols = x), the variable the paper analyzes ("velocityx").
 func (s *Sim) VelocityX() *field.Field {
@@ -394,12 +376,6 @@ func (p KHParams) withDefaults() KHParams {
 		p.VolAmplitude = 0.03
 	}
 	return p
-}
-
-// KelvinHelmholtz initializes the classic double shear layer,
-// the standard KH turbulence benchmark; periodic in both directions.
-func KelvinHelmholtz(nx, ny int, seed uint64) *Sim {
-	return NewKelvinHelmholtz(KHParams{Nx: nx, Ny: ny, Seed: seed})
 }
 
 // NewKelvinHelmholtz initializes a parameterized double shear layer

@@ -27,32 +27,50 @@ func TestUniformStateStaysUniform(t *testing.T) {
 	}
 }
 
+// totalMass integrates ρ over the domain (exactly conserved).
+func totalMass(s *Sim) float64 {
+	var m float64
+	for _, r := range s.rho {
+		m += r
+	}
+	return m * s.Dx * s.Dy
+}
+
+// totalEnergy integrates E over the domain.
+func totalEnergy(s *Sim) float64 {
+	var m float64
+	for _, v := range s.e {
+		m += v
+	}
+	return m * s.Dx * s.Dy
+}
+
 func TestMassConservationPeriodic(t *testing.T) {
-	s := KelvinHelmholtz(32, 32, 1)
-	m0 := s.TotalMass()
+	s := NewKelvinHelmholtz(KHParams{Nx: 32, Ny: 32, Seed: 1})
+	m0 := totalMass(s)
 	if err := s.Run(0.2, 2000); err != nil {
 		t.Fatal(err)
 	}
-	m1 := s.TotalMass()
+	m1 := totalMass(s)
 	if math.Abs(m1-m0) > 1e-10*math.Abs(m0) {
 		t.Fatalf("mass not conserved: %v -> %v", m0, m1)
 	}
 }
 
 func TestEnergyConservationPeriodic(t *testing.T) {
-	s := KelvinHelmholtz(32, 32, 2)
-	e0 := s.TotalEnergy()
+	s := NewKelvinHelmholtz(KHParams{Nx: 32, Ny: 32, Seed: 2})
+	e0 := totalEnergy(s)
 	if err := s.Run(0.2, 2000); err != nil {
 		t.Fatal(err)
 	}
-	e1 := s.TotalEnergy()
+	e1 := totalEnergy(s)
 	if math.Abs(e1-e0) > 1e-10*math.Abs(e0) {
 		t.Fatalf("energy not conserved: %v -> %v", e0, e1)
 	}
 }
 
 func TestKHStaysPhysical(t *testing.T) {
-	s := KelvinHelmholtz(48, 48, 3)
+	s := NewKelvinHelmholtz(KHParams{Nx: 48, Ny: 48, Seed: 3})
 	// Run fails through checkPhysical on ρ ≤ 0, p ≤ 0 or NaN.
 	if err := s.Run(0.8, 5000); err != nil {
 		t.Fatal(err)
@@ -60,8 +78,8 @@ func TestKHStaysPhysical(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := KelvinHelmholtz(24, 24, 7)
-	b := KelvinHelmholtz(24, 24, 7)
+	a := NewKelvinHelmholtz(KHParams{Nx: 24, Ny: 24, Seed: 7})
+	b := NewKelvinHelmholtz(KHParams{Nx: 24, Ny: 24, Seed: 7})
 	if err := a.Run(0.3, 2000); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +91,7 @@ func TestDeterminism(t *testing.T) {
 	if d, _ := da.MaxAbsDiff(db); d != 0 {
 		t.Fatalf("same seed diverged by %v", d)
 	}
-	c := KelvinHelmholtz(24, 24, 8)
+	c := NewKelvinHelmholtz(KHParams{Nx: 24, Ny: 24, Seed: 8})
 	if err := c.Run(0.3, 2000); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +133,7 @@ func TestPrimitiveRoundtrip(t *testing.T) {
 }
 
 func TestVelocityXShape(t *testing.T) {
-	s := KelvinHelmholtz(20, 12, 1)
+	s := NewKelvinHelmholtz(KHParams{Nx: 20, Ny: 12, Seed: 1})
 	g := s.VelocityX()
 	if g.Shape[0] != 12 || g.Shape[1] != 20 {
 		t.Fatalf("velocityx shape %v, want rows=ny cols=nx", g.Shape)

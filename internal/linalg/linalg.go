@@ -30,30 +30,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// MulVec returns m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("linalg: MulVec dimension %d != %d", len(x), m.Cols)
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // ErrRankDeficient reports a least-squares system without full column rank.
 var ErrRankDeficient = errors.New("linalg: rank-deficient system")
 
@@ -147,15 +123,6 @@ func PolyFit(x, y []float64, deg int) ([]float64, error) {
 		}
 	}
 	return SolveLeastSquares(a, y)
-}
-
-// PolyVal evaluates a PolyFit coefficient vector at x (Horner).
-func PolyVal(coeffs []float64, x float64) float64 {
-	var v float64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		v = v*x + coeffs[i]
-	}
-	return v
 }
 
 // ErrNonFinite reports a NaN or ±Inf entry in a matrix handed to

@@ -269,11 +269,11 @@ func TestSymEigenMatchesJacobi(t *testing.T) {
 		kind, m := oracleCase(idx, rng)
 		n := m.Rows
 		norm := maxAbs(m)
-		got, err := SymEigen(m.Clone())
+		got, err := SymEigen(clone(m))
 		if err != nil {
 			t.Fatalf("case %d (%s, n=%d): %v", idx, kind, n, err)
 		}
-		want := jacobiRef(m.Clone())
+		want := jacobiRef(clone(m))
 		if len(got) != n {
 			t.Fatalf("case %d (%s): %d eigenvalues for n=%d", idx, kind, len(got), n)
 		}

@@ -1,9 +1,6 @@
 // Package lossless wraps the stdlib DEFLATE codec (compress/flate) used
 // as the final lossless stage of every lossy compressor in this
 // repository, standing in for the Zstd/Zlib back ends of SZ and MGARD.
-// It also provides the byte-shuffle filter that groups same-significance
-// bytes of fixed-width records, which dramatically improves DEFLATE's
-// ratio on quantized scientific data.
 package lossless
 
 import (
@@ -115,44 +112,4 @@ func (z *Inflater) Append(dst []byte, limit int) ([]byte, error) {
 func (z *Inflater) Close() {
 	z.src.Reset(nil)
 	inflaters.Put(z)
-}
-
-// Decompress inflates data produced by Compress, failing with
-// ErrTooLong on a stream that inflates past limit bytes.
-func Decompress(data []byte, limit int) ([]byte, error) {
-	z := NewInflater(data)
-	defer z.Close()
-	return z.Append(nil, limit)
-}
-
-// Shuffle reorders data so that byte k of every width-sized record is
-// contiguous (a transpose of the records×width byte matrix). len(data)
-// must be a multiple of width.
-func Shuffle(data []byte, width int) ([]byte, error) {
-	if width <= 0 || len(data)%width != 0 {
-		return nil, fmt.Errorf("lossless: shuffle width %d does not divide %d", width, len(data))
-	}
-	n := len(data) / width
-	out := make([]byte, len(data))
-	for i := 0; i < n; i++ {
-		for b := 0; b < width; b++ {
-			out[b*n+i] = data[i*width+b]
-		}
-	}
-	return out, nil
-}
-
-// Unshuffle inverts Shuffle.
-func Unshuffle(data []byte, width int) ([]byte, error) {
-	if width <= 0 || len(data)%width != 0 {
-		return nil, fmt.Errorf("lossless: unshuffle width %d does not divide %d", width, len(data))
-	}
-	n := len(data) / width
-	out := make([]byte, len(data))
-	for i := 0; i < n; i++ {
-		for b := 0; b < width; b++ {
-			out[i*width+b] = data[b*n+i]
-		}
-	}
-	return out, nil
 }

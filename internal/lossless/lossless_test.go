@@ -11,6 +11,14 @@ import (
 	"lossycorr/internal/xrand"
 )
 
+// decompress inflates a whole stream through a pooled Inflater, failing
+// with ErrTooLong past limit bytes.
+func decompress(data []byte, limit int) ([]byte, error) {
+	z := NewInflater(data)
+	defer z.Close()
+	return z.Append(nil, limit)
+}
+
 func TestCompressRoundtrip(t *testing.T) {
 	data := bytes.Repeat([]byte("scientific data "), 100)
 	c, err := Compress(data)
@@ -20,7 +28,7 @@ func TestCompressRoundtrip(t *testing.T) {
 	if len(c) >= len(data) {
 		t.Fatalf("repetitive data did not compress: %d >= %d", len(c), len(data))
 	}
-	d, err := Decompress(c, len(data))
+	d, err := decompress(c, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +42,7 @@ func TestCompressEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Decompress(c, 0)
+	d, err := decompress(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +52,7 @@ func TestCompressEmpty(t *testing.T) {
 }
 
 func TestDecompressGarbage(t *testing.T) {
-	if _, err := Decompress([]byte{0x42, 0x42, 0x42}, 1<<20); err == nil {
+	if _, err := decompress([]byte{0x42, 0x42, 0x42}, 1<<20); err == nil {
 		t.Fatal("garbage should error")
 	}
 }
@@ -55,73 +63,11 @@ func TestQuickRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, err := Decompress(c, len(data))
+		d, err := decompress(c, len(data))
 		if err != nil {
 			return false
 		}
 		return bytes.Equal(d, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleRoundtrip(t *testing.T) {
-	rng := xrand.New(4)
-	data := make([]byte, 8*100)
-	for i := range data {
-		data[i] = byte(rng.Uint64())
-	}
-	s, err := Shuffle(data, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := Unshuffle(s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(u, data) {
-		t.Fatal("shuffle roundtrip mismatch")
-	}
-}
-
-func TestShuffleLayout(t *testing.T) {
-	data := []byte{1, 2, 3, 4, 5, 6} // two 3-byte records
-	s, err := Shuffle(data, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{1, 4, 2, 5, 3, 6}
-	if !bytes.Equal(s, want) {
-		t.Fatalf("shuffle %v want %v", s, want)
-	}
-}
-
-func TestShuffleErrors(t *testing.T) {
-	if _, err := Shuffle([]byte{1, 2, 3}, 2); err == nil {
-		t.Fatal("expected divisibility error")
-	}
-	if _, err := Shuffle([]byte{1, 2}, 0); err == nil {
-		t.Fatal("expected width error")
-	}
-	if _, err := Unshuffle([]byte{1, 2, 3}, 2); err == nil {
-		t.Fatal("expected divisibility error")
-	}
-}
-
-func TestQuickShuffle(t *testing.T) {
-	f := func(data []byte) bool {
-		width := 8
-		data = data[:len(data)/width*width]
-		s, err := Shuffle(data, width)
-		if err != nil {
-			return false
-		}
-		u, err := Unshuffle(s, width)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(u, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -145,7 +91,7 @@ func freshDeflate(t *testing.T, data []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestLosslessPoolStateless runs Compress and Decompress from eight
+// TestLosslessPoolStateless runs Compress and an Inflater from eight
 // goroutines at once over inputs of very different sizes, each
 // goroutine in its own order, so pooled writers and inflaters pass from
 // big inputs to small ones and back. Every stream must equal a fresh
@@ -182,10 +128,10 @@ func TestLosslessPoolStateless(t *testing.T) {
 				if !bytes.Equal(got, want[i]) {
 					t.Errorf("goroutine %d: input %d: pooled stream differs from a fresh writer's", g, i)
 				}
-				if _, err := Decompress(corrupt, 1<<21); err == nil {
+				if _, err := decompress(corrupt, 1<<21); err == nil {
 					t.Errorf("goroutine %d: corrupt stream inflated without error", g)
 				}
-				d, err := Decompress(got, len(inputs[i]))
+				d, err := decompress(got, len(inputs[i]))
 				if err != nil {
 					t.Errorf("goroutine %d: input %d: %v", g, i, err)
 				} else if !bytes.Equal(d, inputs[i]) {
@@ -205,10 +151,10 @@ func TestInflateLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, err := Decompress(c, len(data)); err != nil || !bytes.Equal(d, data) {
+	if d, err := decompress(c, len(data)); err != nil || !bytes.Equal(d, data) {
 		t.Fatalf("stream at its limit: %v", err)
 	}
-	if _, err := Decompress(c, len(data)-1); !errors.Is(err, ErrTooLong) {
+	if _, err := decompress(c, len(data)-1); !errors.Is(err, ErrTooLong) {
 		t.Fatalf("stream past its limit: got %v, want ErrTooLong", err)
 	}
 }

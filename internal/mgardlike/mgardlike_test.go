@@ -258,7 +258,7 @@ func TestQuickBoundProperty(t *testing.T) {
 func TestDecompressCorruptSymbolCount(t *testing.T) {
 	raw := compress.AppendHeader(nil, magic[0][0], []int{8192, 8192}, 1e-3)
 	raw = binary.LittleEndian.AppendUint32(raw, 0) // no exact values
-	raw = append(raw, huffman.Encode([]uint16{7})...)
+	raw = append(raw, huffman.AppendEncode(nil, []uint16{7})...)
 	data, err := lossless.Compress(raw)
 	if err != nil {
 		t.Fatal(err)

@@ -28,9 +28,6 @@ func New(eb float64) Quantizer {
 	return Quantizer{eb: eb, step: 2 * eb}
 }
 
-// ErrorBound returns the configured bound.
-func (q Quantizer) ErrorBound() float64 { return q.eb }
-
 // Encode quantizes the residual diff = value − prediction. If the
 // residual is representable it returns (symbol, delta, true) where
 // delta = code·2eb is the reconstruction increment satisfying

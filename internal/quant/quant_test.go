@@ -83,12 +83,6 @@ func TestQuickErrorBound(t *testing.T) {
 	}
 }
 
-func TestErrorBoundAccessor(t *testing.T) {
-	if New(0.25).ErrorBound() != 0.25 {
-		t.Fatal("ErrorBound accessor broken")
-	}
-}
-
 // TestEscapeOnOverflowingStep pins a bound so large that the bin width
 // 2·eb overflows to +Inf: the zero code's increment 0·Inf is NaN, which
 // must escape rather than reach a reconstruction.
@@ -115,9 +109,9 @@ func TestBinEdgeEscape(t *testing.T) {
 		diff float64
 		code int32
 	}{{1.1, 6}, {0.9, 5}} {
-		step := 2 * q.ErrorBound()
-		exact := math.Abs(math.FMA(-float64(tc.code), step, tc.diff)) <= q.ErrorBound()
-		rounded := math.Abs(tc.diff-float64(float64(tc.code)*step)) <= q.ErrorBound()
+		step := 2 * q.eb
+		exact := math.Abs(math.FMA(-float64(tc.code), step, tc.diff)) <= q.eb
+		rounded := math.Abs(tc.diff-float64(float64(tc.code)*step)) <= q.eb
 		if exact == rounded {
 			t.Fatalf("diff %v: exact and rounded increments agree; not a straddling edge", tc.diff)
 		}

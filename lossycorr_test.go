@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -240,7 +241,12 @@ func TestMeasureFieldsAndPredictorFacade(t *testing.T) {
 
 func TestSuiteFacade(t *testing.T) {
 	s := NewSuite(FigureConfig{Size: 64, Replicates: 1, MirandaSlices: 2, ErrorBounds: []float64{1e-3}})
-	if s.Config().Size != 64 {
-		t.Fatalf("config %+v", s.Config())
+	// Figure 1's true range is a sixteenth of the configured size.
+	var out strings.Builder
+	if err := s.Figure1(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "true range=4.00 ") {
+		t.Fatalf("figure 1 of a size-64 suite:\n%s", out.String())
 	}
 }
