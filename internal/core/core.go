@@ -146,13 +146,14 @@ type AnalysisOptions struct {
 	Workers int
 	// MemBudget caps the transform-pool bytes of a dataset-backed
 	// analysis (AnalyzeReaderCtx). When the widened field — plus the
-	// spectral engine's padded planes, if VariogramFFT is set — fits the
-	// budget, the file is slurped and analyzed in RAM; otherwise the
-	// analysis streams: windowed statistics run tile-by-tile (results
-	// bit-identical to in-RAM at any tile size and worker count), the
-	// global variogram runs its sampled scan in budget-sized chunks
-	// of span reads (bit-identical) or, with VariogramFFT, the sharded
-	// spectral engine (pair counts exact, Gamma tolerance-equivalent).
+	// spectral engine's padded planes, if VariogramFFT or
+	// VariogramOpts.FFT selects it — fits the budget, the file is
+	// slurped and analyzed in RAM; otherwise the analysis streams:
+	// windowed statistics run tile-by-tile (results bit-identical to
+	// in-RAM at any tile size and worker count), the global variogram
+	// runs its sampled scan in budget-sized chunks of span reads
+	// (bit-identical) or the sharded spectral engine (pair counts
+	// exact, Gamma tolerance-equivalent).
 	// <= 0 means no budget: always slurp. In-RAM entry points ignore
 	// this field.
 	MemBudget int64
@@ -167,6 +168,9 @@ type AnalysisOptions struct {
 }
 
 func (o AnalysisOptions) withDefaults() AnalysisOptions {
+	// Either flag selects the spectral engine; later code reads only
+	// VariogramOpts.FFT.
+	o.VariogramOpts.FFT = o.VariogramOpts.FFT || o.VariogramFFT
 	if o.Window == 0 {
 		o.Window = DefaultWindow
 	}
@@ -197,7 +201,7 @@ func (o AnalysisOptions) withDefaults() AnalysisOptions {
 // On the float32 lane the windowed statistics widen each window exactly
 // into oracle precision during extraction (bit-identical to the float64
 // lane on the widened field), the direct variogram scans accumulate in
-// float64, and the FFT engine runs float32 planes.
+// float64, and the FFT engine widens the field into its float64 plane.
 func AnalyzeFieldCtx[T field.Elem](ctx context.Context, f *field.Of[T], opts AnalysisOptions) (Statistics, error) {
 	return analyzeSource(ctx, stat.SourceOf(f), opts)
 }
@@ -257,9 +261,6 @@ func analyzeSource(ctx context.Context, src stat.Source, opts AnalysisOptions) (
 	vOpts := o.VariogramOpts
 	if vOpts.Workers == 0 {
 		vOpts.Workers = o.Workers
-	}
-	if o.VariogramFFT {
-		vOpts.FFT = true
 	}
 	req := stat.Request{
 		Window:  o.Window,

@@ -23,10 +23,10 @@ import (
 // inRAMBytes estimates the working set of an in-RAM analysis of the
 // reader's field: the stored lane itself, plus the full-field spectral
 // engine's transform working set (variogram.FFTPeakBytes, the same on
-// either lane) when the FFT variogram is on.
+// either lane) when the FFT variogram is on. o has its defaults.
 func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
 	est := int64(tr.Len()) * int64(tr.ElemBytes())
-	if o.VariogramFFT {
+	if o.VariogramOpts.FFT {
 		est += variogram.FFTPeakBytes(tr.Shape(), o.VariogramOpts.MaxLag)
 	}
 	return est

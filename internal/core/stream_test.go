@@ -76,9 +76,11 @@ func TestAnalyzeReaderOutOfCore(t *testing.T) {
 }
 
 // TestAnalyzeReaderOutOfCoreFFT runs the same scenario with the
-// spectral global variogram: the sharded engine's pair counts are
-// exact, so Gamma (and the fitted range) agree with the in-RAM FFT
-// analysis to roundoff; windowed statistics stay bit-identical.
+// spectral global variogram, selected either way the options allow:
+// the sharded engine's pair counts are exact, so Gamma (and the fitted
+// range) agree with the in-RAM FFT analysis to roundoff; windowed
+// statistics stay bit-identical. The in-RAM engine's working set
+// exceeds the budget, so either selection must stream.
 func TestAnalyzeReaderOutOfCoreFFT(t *testing.T) {
 	// Elongated along axis 0: the spectral shard streams axis-0 slabs,
 	// so this shape shards well below the in-RAM transform footprint.
@@ -90,24 +92,13 @@ func TestAnalyzeReaderOutOfCoreFFT(t *testing.T) {
 	}
 	tr := tempReader(t, f.WriteBinary)
 
-	const budget = int64(12 << 20)
-	opts := AnalysisOptions{Window: 16, MemBudget: budget, Workers: 2, VariogramFFT: true}
+	const budget = int64(10 << 20)
+	if variogram.FFTPeakBytes(shape, 0) <= budget {
+		t.Fatalf("in-RAM spectral working set %d B fits the %d B budget", variogram.FFTPeakBytes(shape, 0), budget)
+	}
 	want, err := AnalyzeFieldCtx(context.Background(), f, AnalysisOptions{Window: 16, Workers: 2, VariogramFFT: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	fft.ResetPeakBytes()
-	got, err := AnalyzeReaderCtx(context.Background(), tr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := fft.PeakBytes()
-	if peak > budget {
-		t.Fatalf("peak pool bytes %d exceed budget %d", peak, budget)
-	}
-	// Windowed statistics: bit-identical.
-	if got.LocalRangeStd() != want.LocalRangeStd() || got.LocalSVDStd() != want.LocalSVDStd() {
-		t.Fatalf("windowed stats differ: %+v vs %+v", got, want)
 	}
 	// Spectral global range: tolerance-equivalent.
 	relDiff := func(a, b float64) float64 {
@@ -124,8 +115,32 @@ func TestAnalyzeReaderOutOfCoreFFT(t *testing.T) {
 		}
 		return d / m
 	}
-	if relDiff(got.GlobalRange(), want.GlobalRange()) > 1e-6 || relDiff(got.GlobalSill(), want.GlobalSill()) > 1e-6 {
-		t.Fatalf("spectral global fit differs: %+v vs %+v", got, want)
+	for _, c := range []struct {
+		name string
+		opts AnalysisOptions
+	}{
+		{"VariogramFFT", AnalysisOptions{VariogramFFT: true}},
+		{"VariogramOpts.FFT", AnalysisOptions{VariogramOpts: variogram.Options{FFT: true}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := c.opts
+			opts.Window, opts.MemBudget, opts.Workers = 16, budget, 2
+			fft.ResetPeakBytes()
+			got, err := AnalyzeReaderCtx(context.Background(), tr, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if peak := fft.PeakBytes(); peak > budget {
+				t.Fatalf("peak pool bytes %d exceed budget %d", peak, budget)
+			}
+			// Windowed statistics: bit-identical.
+			if got.LocalRangeStd() != want.LocalRangeStd() || got.LocalSVDStd() != want.LocalSVDStd() {
+				t.Fatalf("windowed stats differ: %+v vs %+v", got, want)
+			}
+			if relDiff(got.GlobalRange(), want.GlobalRange()) > 1e-6 || relDiff(got.GlobalSill(), want.GlobalSill()) > 1e-6 {
+				t.Fatalf("spectral global fit differs: %+v vs %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -433,6 +434,18 @@ func parseAnalysisParams(q url.Values) (analysisParams, error) {
 	// check, answer 200 with garbage, and be cached.
 	if !(p.frac > 0 && p.frac <= 1) {
 		return p, apiErrorf(http.StatusBadRequest, "frac must be in (0,1], got %v", p.frac)
+	}
+	// skiplocal drops the windowed kernels; a selection it empties
+	// would fail inside the job, so it is the client's error.
+	if p.skipLocal {
+		names := p.stats
+		if len(names) == 0 {
+			names = stat.Names()
+		}
+		global := func(name string) bool { k, _ := stat.Lookup(name); return !k.Caps().Windowed }
+		if !slices.ContainsFunc(names, global) {
+			return p, apiErrorf(http.StatusBadRequest, "skiplocal leaves no statistic of the selection %s", strings.Join(names, ","))
+		}
 	}
 	return p, nil
 }

@@ -355,6 +355,8 @@ func TestRejectsMalformedRequests(t *testing.T) {
 		{"frac above 1", "/v1/analyze?frac=2", valid, http.StatusBadRequest},
 		{"NaN frac via async job", "/v1/jobs/analyze?frac=NaN", valid, http.StatusBadRequest},
 		{"bad bool", "/v1/analyze?vfft=maybe", valid, http.StatusBadRequest},
+		{"skiplocal empties the selection", "/v1/analyze?stats=svd&skiplocal=true", valid, http.StatusBadRequest},
+		{"skiplocal empties the selection via async job", "/v1/jobs/analyze?stats=localrange,svd&skiplocal=true", valid, http.StatusBadRequest},
 		{"bad error bound", "/v1/measure?eb=-3", valid, http.StatusBadRequest},
 		{"NaN error bound", "/v1/measure?eb=NaN", valid, http.StatusBadRequest},
 		{"+Inf error bound", "/v1/measure?eb=Inf", valid, http.StatusBadRequest},
