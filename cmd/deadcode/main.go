@@ -15,14 +15,12 @@
 // Usage, from the module root:
 //
 //	go run ./cmd/deadcode
-//	go run ./cmd/deadcode -C path/to/module
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"errors"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -65,9 +63,7 @@ var targets = []struct{ goos, goarch string }{
 const exportsDir = "deadcode_exports_main"
 
 func main() {
-	dir := flag.String("C", ".", "root of the module to check")
-	flag.Parse()
-	report, err := run(*dir, allowlist)
+	report, err := run(".", allowlist)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deadcode:", err)
 		os.Exit(2)
