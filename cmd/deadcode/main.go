@@ -152,13 +152,14 @@ func compare(decls []fn, linked map[string]bool, allow map[string]string) []stri
 	var report, stale []string
 	used := map[string]bool{}
 	for _, d := range decls {
-		switch _, byKey := allow[d.key]; {
-		case linked[d.key]:
-		case byKey:
+		if linked[d.key] {
+			continue
+		}
+		if _, ok := allow[d.key]; ok {
 			used[d.key] = true
-		case allow[d.pkg] != "":
+		} else if _, ok := allow[d.pkg]; ok {
 			used[d.pkg] = true
-		default:
+		} else {
 			report = append(report, fmt.Sprintf("%s: %s (%d lines) is linked by no binary", d.pos, d.key, d.lines))
 		}
 	}
