@@ -146,9 +146,11 @@ type AnalysisOptions struct {
 	Workers int
 	// MemBudget caps the transform-pool bytes of a dataset-backed
 	// analysis (AnalyzeReaderCtx). When the widened field — plus the
-	// spectral engine's padded planes, if VariogramFFT or
-	// VariogramOpts.FFT selects it — fits the budget, the file is
-	// slurped and analyzed in RAM; otherwise the analysis streams:
+	// spectral engine's padded planes (SpectralPeakBytes) if the
+	// analysis runs that engine: VariogramFFT or VariogramOpts.FFT is
+	// set and Stats (empty meaning all) includes "variogram" — fits the
+	// budget, the file is slurped and analyzed in RAM; otherwise the
+	// analysis streams:
 	// windowed statistics run tile-by-tile (results bit-identical to
 	// in-RAM at any tile size and worker count), the global variogram
 	// runs its sampled scan in budget-sized chunks of span reads

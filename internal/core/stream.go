@@ -2,7 +2,7 @@ package core
 
 // Dataset-backed analysis under a memory budget. AnalyzeReaderCtx is
 // the out-of-core sibling of AnalyzeFieldCtx: when the field (plus the
-// spectral engine's padded planes, if requested) fits
+// spectral engine's padded planes, if the analysis runs it) fits
 // AnalysisOptions.MemBudget it slurps the file and analyzes it in RAM
 // on the stored lane; otherwise it streams every statistic through the
 // TileReader. The global variogram and the one window sweep of the
@@ -14,22 +14,33 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"lossycorr/internal/field"
 	"lossycorr/internal/stat"
 	"lossycorr/internal/variogram"
 )
 
-// inRAMBytes estimates the working set of an in-RAM analysis of the
-// reader's field: the stored lane itself, plus the full-field spectral
-// engine's transform working set (variogram.FFTPeakBytes, the same on
-// either lane) when the FFT variogram is on. o has its defaults.
-func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
-	est := int64(tr.Len()) * int64(tr.ElemBytes())
-	if o.VariogramOpts.FFT {
-		est += variogram.FFTPeakBytes(tr.Shape(), o.VariogramOpts.MaxLag)
+// SpectralPeakBytes is the transform working set an in-RAM analysis of
+// a field of shape under o spends on the full-field spectral engine
+// (variogram.FFTPeakBytes, the same on either lane), or 0 when the
+// analysis runs no spectral global variogram: the FFT is off under both
+// spellings (VariogramFFT, VariogramOpts.FFT), or the selection o.Stats
+// (empty meaning every kernel) leaves out "variogram".
+func SpectralPeakBytes(shape []int, o AnalysisOptions) int64 {
+	if !o.VariogramFFT && !o.VariogramOpts.FFT {
+		return 0
 	}
-	return est
+	if len(o.Stats) > 0 && !slices.Contains(o.Stats, "variogram") {
+		return 0
+	}
+	return variogram.FFTPeakBytes(shape, o.VariogramOpts.MaxLag)
+}
+
+// inRAMBytes estimates the working set of an in-RAM analysis of the
+// reader's field: the stored lane itself plus SpectralPeakBytes.
+func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
+	return int64(tr.Len())*int64(tr.ElemBytes()) + SpectralPeakBytes(tr.Shape(), o)
 }
 
 // AnalyzeReaderCtx extracts the correlation statistics of a
@@ -37,7 +48,7 @@ func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
 // every file when the budget is <= 0) take the in-RAM path on their
 // stored lane, bit-identical to opening the field directly. Larger
 // files stream: the windowed statistics are bit-identical to in-RAM at
-// any tile size, halo, and worker count; the global variogram is
+// any tile size and worker count; the global variogram is
 // bit-identical on its sampled lane and exact-in-counts /
 // tolerance-equivalent-in-Gamma on its sharded spectral lane.
 func AnalyzeReaderCtx(ctx context.Context, tr *field.TileReader, opts AnalysisOptions) (Statistics, error) {

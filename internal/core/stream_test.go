@@ -226,3 +226,54 @@ func TestAnalyzeReaderBudgetTooSmall(t *testing.T) {
 		t.Fatal("expected planner error for sub-window budget")
 	}
 }
+
+// TestInRAMBytesFollowsSelection pins when the in-RAM estimate counts
+// the spectral working set: with the FFT on under either spelling and a
+// selection that runs the global variogram (empty, or naming it), and
+// never for a selection without it. Under a budget that holds the field
+// but not the transform, such an FFT analysis is read whole: it touches
+// no transform buffer, as a streamed one would.
+func TestInRAMBytesFollowsSelection(t *testing.T) {
+	shape := []int{32, 32}
+	rng := xrand.New(91)
+	f := field.New(shape...)
+	for i := range f.Data {
+		f.Data[i] = rng.NormFloat64()
+	}
+	tr := tempReader(t, f.WriteBinary)
+	fieldBytes := int64(f.Len() * 8)
+	spectral := fieldBytes + variogram.FFTPeakBytes(shape, 0)
+	for _, c := range []struct {
+		name string
+		o    AnalysisOptions
+		want int64
+	}{
+		{"fft off", AnalysisOptions{Stats: []string{"variogram"}}, fieldBytes},
+		{"all", AnalysisOptions{VariogramFFT: true}, spectral},
+		{"VariogramOpts.FFT", AnalysisOptions{VariogramOpts: variogram.Options{FFT: true}}, spectral},
+		{"variogram selected", AnalysisOptions{VariogramFFT: true, Stats: []string{"svd", "variogram"}}, spectral},
+		{"svd only", AnalysisOptions{VariogramFFT: true, Stats: []string{"svd"}}, fieldBytes},
+		{"windowed only", AnalysisOptions{VariogramOpts: variogram.Options{FFT: true}, Stats: []string{"localrange", "svd"}}, fieldBytes},
+	} {
+		if got := inRAMBytes(tr, c.o.withDefaults()); got != c.want {
+			t.Errorf("%s: inRAMBytes %d, want %d", c.name, got, c.want)
+		}
+	}
+
+	opts := AnalysisOptions{Window: 8, VariogramFFT: true, Stats: []string{"svd"}, MemBudget: fieldBytes}
+	want, err := AnalyzeFieldCtx(context.Background(), f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fft.ResetPeakBytes()
+	got, err := AnalyzeReaderCtx(context.Background(), tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak := fft.PeakBytes(); peak != 0 {
+		t.Fatalf("svd-only FFT analysis streamed (%d pool bytes) under a budget that holds the field", peak)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+}

@@ -232,21 +232,18 @@ func (f *Of[T]) MSE(o *Of[T]) (float64, error) {
 // clipped to the field, so callers tiling a non-multiple field receive
 // ragged edge windows. An origin outside the field panics.
 func (f *Of[T]) Window(origin []int, h int) *Of[T] {
-	return f.WindowInto(new(Of[T]), origin, h)
+	w := new(Of[T])
+	w.Shape, w.Data = windowIntoData(f.Shape, f.Data, w.Shape, w.Data, origin, h)
+	return w
 }
 
-// WindowInto is Window extracting into dst, reusing dst's shape and
+// WindowIntoWide is Window extracting into the float64 field dst,
+// widening each element during the copy and reusing dst's shape and
 // data storage when their capacities allow — the zero-allocation form
-// the windowed statistics feed from a per-worker pool. It returns dst.
-func (f *Of[T]) WindowInto(dst *Of[T], origin []int, h int) *Of[T] {
-	dst.Shape, dst.Data = windowIntoData(f.Shape, f.Data, dst.Shape, dst.Data, origin, h)
-	return dst
-}
-
-// WindowIntoWide is WindowInto into a float64 field, widening each
-// element during the copy. The windowed statistics use it to run their
-// small per-window solves in oracle precision without ever
-// materializing a full-size float64 copy of a float32 field.
+// the window sweep feeds from a pool. The windowed statistics use it to
+// run their small per-window solves in oracle precision without ever
+// materializing a full-size float64 copy of a float32 field. It
+// returns dst.
 func (f *Of[T]) WindowIntoWide(dst *Field, origin []int, h int) *Field {
 	dst.Shape, dst.Data = windowIntoData(f.Shape, f.Data, dst.Shape, dst.Data, origin, h)
 	return dst

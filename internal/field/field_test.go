@@ -386,21 +386,21 @@ func TestFromDataValidation(t *testing.T) {
 func TestWindowIntoReusesStorage(t *testing.T) {
 	f := random2D(24, 24, 8).field()
 	dst := new(Field)
-	f.WindowInto(dst, []int{0, 0}, 8)
+	f.WindowIntoWide(dst, []int{0, 0}, 8)
 	data0 := &dst.Data[0]
 	origin := []int{8, 8}
 	allocs := testing.AllocsPerRun(50, func() {
-		f.WindowInto(dst, origin, 8)
+		f.WindowIntoWide(dst, origin, 8)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm WindowInto allocates %v per call, want 0", allocs)
+		t.Fatalf("warm WindowIntoWide allocates %v per call, want 0", allocs)
 	}
 	if &dst.Data[0] != data0 {
-		t.Fatal("warm WindowInto replaced the backing array")
+		t.Fatal("warm WindowIntoWide replaced the backing array")
 	}
 	for _, o := range [][]int{{0, 0}, {8, 16}, {20, 20}} {
 		want := f.Window(o, 8)
-		got := f.WindowInto(dst, o, 8)
+		got := f.WindowIntoWide(dst, o, 8)
 		if len(got.Shape) != len(want.Shape) || got.Shape[0] != want.Shape[0] || got.Shape[1] != want.Shape[1] {
 			t.Fatalf("origin %v: shape %v vs %v", o, got.Shape, want.Shape)
 		}
@@ -411,7 +411,7 @@ func TestWindowIntoReusesStorage(t *testing.T) {
 		}
 	}
 	// Growing reuse: a larger window re-allocates once, then holds.
-	f.WindowInto(dst, []int{0, 0}, 16)
+	f.WindowIntoWide(dst, []int{0, 0}, 16)
 	if dst.Shape[0] != 16 || len(dst.Data) != 256 {
 		t.Fatalf("grown window shape %v len %d", dst.Shape, len(dst.Data))
 	}

@@ -8,8 +8,8 @@ package field
 // it. Because tiles are h-aligned, every window lies entirely inside
 // one tile (clipped only at the field boundary, exactly as in RAM), so
 // a window solve sees identical element values whatever the tile
-// decomposition or halo — the geometric fact the bit-identity contract
-// of the streaming path rests on.
+// decomposition — the geometric fact the bit-identity contract of the
+// streaming path rests on.
 
 import "fmt"
 
@@ -24,12 +24,6 @@ type StreamOptions struct {
 	// streaming statistic holds at once. <= 0 means a single tile
 	// covering the whole field.
 	BudgetBytes int64
-	// Halo pads every tile read by this many elements on each side,
-	// clipped at the field boundary. Windowed results are bit-identical
-	// for every halo ≥ 0 (windows never reach into the padding); the
-	// knob exists for overlap-hungry consumers and the identity tests.
-	// Halo reads are on top of BudgetBytes.
-	Halo int
 }
 
 // PlanWindowTiles partitions the h-aligned window lattice of shape into
@@ -119,25 +113,6 @@ func PlanWindowTiles(shape []int, h int, maxElems int64) ([]Tile, error) {
 		}
 	}
 	return tiles, nil
-}
-
-// ExpandHalo returns [lo-halo, hi+halo) clipped to shape — the actual
-// read box of a halo-padded tile.
-func ExpandHalo(lo, hi, shape []int, halo int) (blo, bhi []int) {
-	d := len(shape)
-	blo = make([]int, d)
-	bhi = make([]int, d)
-	for k := 0; k < d; k++ {
-		blo[k] = lo[k] - halo
-		if blo[k] < 0 {
-			blo[k] = 0
-		}
-		bhi[k] = hi[k] + halo
-		if bhi[k] > shape[k] {
-			bhi[k] = shape[k]
-		}
-	}
-	return blo, bhi
 }
 
 // WindowGrid indexes the h-aligned window lattice of a shape: Counts

@@ -280,25 +280,6 @@ func widen32(dst []float64, src []byte) {
 	}
 }
 
-// At reads the single element at the given flat row-major offset — the
-// reference value the sharded spectral variogram shifts its blocks by.
-func (t *TileReader) At(flat int) (float64, error) {
-	if flat < 0 || flat >= t.n {
-		return 0, fmt.Errorf("field: flat index %d outside %d elements", flat, t.n)
-	}
-	var b [8]byte
-	if t.f32 {
-		if _, err := t.r.ReadAt(b[:4], t.off+int64(flat)*4); err != nil {
-			return 0, fmt.Errorf("field: point read: %w", err)
-		}
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(b[:]))), nil
-	}
-	if _, err := t.r.ReadAt(b[:8], t.off+int64(flat)*8); err != nil {
-		return 0, fmt.Errorf("field: point read: %w", err)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-}
-
 // ReadAll materializes the whole field in its stored lane — the slurp
 // path the analyzer takes when the file fits the memory budget after
 // all. Exactly one returned field is non-nil, as in ReadAnyLimit.

@@ -104,22 +104,6 @@ func TestTileReaderReadBlock(t *testing.T) {
 					t.Fatalf("%s: visited %d, block holds %d", name, pos, dst.Len())
 				}
 			}
-			// Point access agrees with the widened field everywhere.
-			for i := 0; i < f.Len(); i++ {
-				v, err := tr.At(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v != enc.want.Data[i] {
-					t.Fatalf("%s At(%d) = %v, want %v", name, i, v, enc.want.Data[i])
-				}
-			}
-			if _, err := tr.At(-1); err == nil {
-				t.Fatalf("%s: At(-1) succeeded", name)
-			}
-			if _, err := tr.At(f.Len()); err == nil {
-				t.Fatalf("%s: At(len) succeeded", name)
-			}
 			if err := tr.ReadBlock(dst, make([]int, d), append([]int(nil), shape...)); err != nil {
 				t.Fatal(err)
 			}
@@ -328,14 +312,6 @@ func TestPlanWindowTiles(t *testing.T) {
 	}
 	if _, err := PlanWindowTiles([]int{64, 64}, 16, 10); err == nil {
 		t.Fatal("sub-window budget accepted")
-	}
-}
-
-// TestExpandHalo clips at the field boundary.
-func TestExpandHalo(t *testing.T) {
-	lo, hi := ExpandHalo([]int{0, 16}, []int{16, 32}, []int{40, 40}, 8)
-	if lo[0] != 0 || lo[1] != 8 || hi[0] != 24 || hi[1] != 40 {
-		t.Fatalf("halo box [%v,%v)", lo, hi)
 	}
 }
 

@@ -47,8 +47,9 @@ type Config struct {
 	// default 64.
 	MaxQueue int
 	// MemBudget caps the summed predicted transform peak of admitted
-	// async jobs (variogram.FFTPeakBytes, the same on either lane, for
-	// vfft jobs; the field bytes otherwise): a submission whose prediction
+	// async jobs (core.SpectralPeakBytes, the same on either lane, for
+	// vfft jobs that compute the global variogram — predict always
+	// does; the field bytes otherwise): a submission whose prediction
 	// does not fit in the remaining budget is rejected with 429 and the
 	// prediction in the response body, so a client can shrink maxlag or
 	// split the field instead of OOMing the server. 0 disables the
@@ -172,26 +173,23 @@ func FromEnv(getenv func(string) string) (Config, error) {
 		}
 		*v.dst = n
 	}
-	if s := getenv("CORRCOMPD_MAX_BODY_BYTES"); s != "" {
+	for _, v := range []struct {
+		name string
+		dst  *int64
+	}{
+		{"CORRCOMPD_MAX_BODY_BYTES", &c.MaxBodyBytes},
+		{"CORRCOMPD_MEM_BUDGET", &c.MemBudget},
+		{"CORRCOMPD_STREAM_BUDGET", &c.StreamBudget},
+	} {
+		s := getenv(v.name)
+		if s == "" {
+			continue
+		}
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			return c, fmt.Errorf("service: CORRCOMPD_MAX_BODY_BYTES=%q: %v", s, err)
+			return c, fmt.Errorf("service: %s=%q: %v", v.name, s, err)
 		}
-		c.MaxBodyBytes = n
-	}
-	if s := getenv("CORRCOMPD_MEM_BUDGET"); s != "" {
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return c, fmt.Errorf("service: CORRCOMPD_MEM_BUDGET=%q: %v", s, err)
-		}
-		c.MemBudget = n
-	}
-	if s := getenv("CORRCOMPD_STREAM_BUDGET"); s != "" {
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return c, fmt.Errorf("service: CORRCOMPD_STREAM_BUDGET=%q: %v", s, err)
-		}
-		c.StreamBudget = n
+		*v.dst = n
 	}
 	if s := getenv("CORRCOMPD_STATS_PERIOD"); s != "" {
 		d, err := time.ParseDuration(s)

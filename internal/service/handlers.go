@@ -24,7 +24,6 @@ import (
 	"lossycorr/internal/linalg"
 	"lossycorr/internal/stat"
 	"lossycorr/internal/svdstat"
-	"lossycorr/internal/variogram"
 )
 
 // runSpec is one executable request: the pipeline kind, its content
@@ -470,18 +469,20 @@ func validateMaxLag(maxLag, minDim int) error {
 }
 
 // predictedPeakBytes estimates the transform working set of one
-// pipeline run on the field behind tr before it is admitted: with vfft
-// it is the FFT exact engine's variogram.FFTPeakBytes, the same on
-// either lane — one padded float64 plane of Π_k FastLen(dim_k + L)
-// elements plus the larger of its complex128 half-spectrum and the
-// float64 summed-area table. Without the FFT engine the working set is the windowed
-// extraction's, bounded by the field itself — which the body cap
-// already limits — so the prediction degenerates to the field bytes.
+// pipeline run on the field behind tr before it is admitted: when the
+// run computes the spectral global variogram it is
+// core.SpectralPeakBytes, the same on either lane — one padded float64
+// plane of Π_k FastLen(dim_k + L) elements plus the larger of its
+// complex128 half-spectrum and the float64 summed-area table. Otherwise
+// the working set is the windowed extraction's, bounded by the field
+// itself — which the body cap already limits — so the prediction
+// degenerates to the field bytes. p must carry the kind's final
+// selection (predict overrides the client's).
 func predictedPeakBytes(tr *field.TileReader, p analysisParams) int64 {
-	if !p.vfft {
-		return tr.PayloadBytes()
+	if peak := core.SpectralPeakBytes(tr.Shape(), p.options(0)); peak > 0 {
+		return peak
 	}
-	return variogram.FFTPeakBytes(tr.Shape(), p.maxLag)
+	return tr.PayloadBytes()
 }
 
 func (p analysisParams) canon() string {
@@ -727,12 +728,12 @@ func (s *Server) fieldSpec(kind string, src fieldSource, q url.Values) (runSpec,
 	}
 	workers := s.cfg.Workers
 	shape := tr.Shape()
-	peak := predictedPeakBytes(tr, p)
 
 	switch kind {
 	case "analyze":
 		aOpts := p.options(workers)
 		canon := p.canon()
+		peak := predictedPeakBytes(tr, p)
 		if src.stream {
 			aOpts.MemBudget = s.cfg.StreamBudget
 			canon += "|stream=" + strconv.FormatInt(s.cfg.StreamBudget, 10)
@@ -774,7 +775,7 @@ func (s *Server) fieldSpec(kind string, src fieldSource, q url.Values) (runSpec,
 		return runSpec{
 			kind:      kind,
 			key:       cacheKey(kind, canon, src.digest),
-			peakBytes: peak,
+			peakBytes: predictedPeakBytes(tr, p),
 			run: func(ctx context.Context) (any, error) {
 				wide, narrow, err := tr.ReadAll()
 				if err != nil {
@@ -814,7 +815,7 @@ func (s *Server) fieldSpec(kind string, src fieldSource, q url.Values) (runSpec,
 		return runSpec{
 			kind:      kind,
 			key:       cacheKey(kind, canon, src.digest),
-			peakBytes: peak,
+			peakBytes: predictedPeakBytes(tr, p),
 			run: func(ctx context.Context) (any, error) {
 				pred, modelKey, err := s.predictor(ctx, rank, eb)
 				if err != nil {

@@ -184,6 +184,52 @@ func TestMemBudgetFFTPrediction(t *testing.T) {
 	}
 }
 
+// TestMemBudgetFFTPredictionFollowsSelection pins that only a run that
+// computes the global variogram is charged the spectral working set. A
+// vfft analyze job whose selection leaves the variogram out is charged
+// the field bytes and admitted under a budget that rejects the full
+// selection. Predict overrides the client's selection and always runs
+// the variogram, so its vfft job is charged the spectral peak whatever
+// ?stats= says.
+func TestMemBudgetFFTPredictionFollowsSelection(t *testing.T) {
+	const edge = 32
+	_, hs := testServer(t, Config{MemBudget: edge * edge * 8, Executors: 1})
+	body := gaussBody(t, edge, 6, 9)
+
+	code, data := postBin(t, hs.URL+"/v1/jobs/analyze?vfft=true&stats=svd", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("vfft job without the variogram: status %d, want 202: %s", code, data)
+	}
+	var info JobInfo
+	mustJSON(t, data, &info)
+	if info.PredictedPeakBytes != edge*edge*8 {
+		t.Fatalf("vfft job without the variogram charged %d bytes, want the field's %d", info.PredictedPeakBytes, edge*edge*8)
+	}
+	if done := waitJobTerminal(t, hs.URL, info.ID); done.State != JobDone {
+		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	}
+
+	rejected := func(path string) int64 {
+		t.Helper()
+		code, data := postBin(t, hs.URL+path, body)
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d, want 429: %s", path, code, data)
+		}
+		var rej struct {
+			PredictedPeakBytes int64 `json:"predictedPeakBytes"`
+		}
+		mustJSON(t, data, &rej)
+		return rej.PredictedPeakBytes
+	}
+	full := rejected("/v1/jobs/analyze?vfft=true&stats=svd,variogram")
+	if full <= edge*edge*8 {
+		t.Fatalf("spectral prediction %d does not exceed the field bytes", full)
+	}
+	if p := rejected("/v1/jobs/predict?vfft=true&stats=svd"); p != full {
+		t.Fatalf("vfft predict job charged %d bytes, want the spectral peak %d", p, full)
+	}
+}
+
 // TestMemBudgetEnv pins the CORRCOMPD_MEM_BUDGET wiring.
 func TestMemBudgetEnv(t *testing.T) {
 	env := map[string]string{"CORRCOMPD_MEM_BUDGET": "1073741824"}

@@ -4,16 +4,17 @@
 // widening, streaming, cancellation, and worker fan-out) or the whole
 // field (GlobalKernel — the kernel owns its fast paths and source
 // dispatch). Run evaluates a kernel set with one window sweep; Windows
-// is its one-kernel case.
+// is its one-kernel case. The sweep is also the out-of-core path: a
+// TileReader source is read in h-aligned tiles under a byte budget.
 //
 // The bit-identity contract every kernel must honor: EvalWindows sees
-// a run of up to stream.BatchWidth freshly extracted windows (widened
+// a run of up to BatchWidth freshly extracted windows (widened
 // exactly on the float32 lane), and each window's value must depend on
 // that window alone, never on its batch companions, the evaluation
 // order, or shared mutable state. The window kernels of a Run share
 // each batch, so EvalWindows must not write to it. Kept values reach
 // Fold in global window order (or selection order, for sampled sweeps)
-// at any worker count, tile budget, and halo. GlobalKernel
+// at any worker count and tile budget. GlobalKernel
 // implementations carry the same obligation for each source they accept.
 package stat
 
@@ -23,7 +24,6 @@ import (
 	"slices"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/stream"
 )
 
 // Caps describes what a kernel can do — the capability surface
@@ -106,8 +106,28 @@ func ErrLabel(k Kernel) string {
 	return k.Name()
 }
 
-// Source names every input the engine accepts (see stream.Source).
-type Source = stream.Source
+// Source is the one value that names every input a statistic accepts:
+// exactly one of F64, F32, or Reader is set. Stream configures the
+// tile budget of a Reader source.
+type Source struct {
+	F64    *field.Field
+	F32    *field.Field32
+	Reader *field.TileReader
+	Stream field.StreamOptions
+}
+
+// Shape returns the source's extents.
+func (s Source) Shape() []int {
+	switch {
+	case s.Reader != nil:
+		return s.Reader.Shape()
+	case s.F32 != nil:
+		return s.F32.Shape
+	case s.F64 != nil:
+		return s.F64.Shape
+	}
+	return nil
+}
 
 // SourceOf is the in-RAM source of f, on f's lane.
 func SourceOf[T field.Elem](f *field.Of[T]) Source {
@@ -131,13 +151,13 @@ type Request struct {
 
 // Windows sweeps the h-windows of src through k alone — the
 // one-kernel case of the sweep Run shares among its window kernels (see
-// stream.Windows for the order of kept values and the error contract).
+// sweep for the order of kept values and the error contract).
 // sel selects a subset of global window indices (nil means all).
 func Windows(ctx context.Context, src Source, k WindowKernel, h, workers int, sel []int, opt any) ([]float64, error) {
 	if err := k.CheckWindow(h); err != nil {
 		return nil, err
 	}
-	vals, errs := stream.Windows(ctx, src, h, workers, sel, func(ws []*field.Field, vals []float64, keep []bool) error {
+	vals, errs := sweep(ctx, src, h, workers, sel, func(ws []*field.Field, vals []float64, keep []bool) error {
 		return k.EvalWindows(ws, vals, keep, opt)
 	})
 	return vals[0], errs[0]
@@ -159,9 +179,9 @@ func Run(ctx context.Context, src Source, kernels []Kernel, req Request) (map[st
 	tasks := make([]func(), len(kernels))
 	nop := func() {}
 	var wins []int // the sweep's kernels, by index
-	var evals []stream.BatchEval
-	sweep := func() {
-		vals, werrs := stream.Windows(ctx, src, req.Window, req.Workers, nil, evals...)
+	var evals []batchEval
+	sweepAll := func() {
+		vals, werrs := sweep(ctx, src, req.Window, req.Workers, nil, evals...)
 		for j, i := range wins {
 			if errs[i] = werrs[j]; errs[i] == nil {
 				k := kernels[i].(WindowKernel)
@@ -180,7 +200,7 @@ func Run(ctx context.Context, src Source, kernels []Kernel, req Request) (map[st
 				continue
 			}
 			if wins == nil {
-				tasks[i] = sweep
+				tasks[i] = sweepAll
 			}
 			wins = append(wins, i)
 			evals = append(evals, func(ws []*field.Field, vals []float64, keep []bool) error {

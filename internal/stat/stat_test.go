@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/stream"
 )
 
 // winKernel is a WindowKernel whose window value is the window's first
@@ -334,7 +333,7 @@ func oneByOne(t *testing.T, k WindowKernel, f *field.Field, h int, sel []int) []
 // counts {1, 4, 8}, with Reader budgets whose tiles hold window counts
 // that are not multiples of the batch width, and under a selection
 // whose length is not a multiple of it. Batches never exceed
-// stream.BatchWidth, and full batches do occur.
+// BatchWidth, and full batches do occur.
 func TestWindowsBatchedMatchesOneByOne(t *testing.T) {
 	ctx := context.Background()
 	const h = 3
@@ -360,8 +359,8 @@ func TestWindowsBatchedMatchesOneByOne(t *testing.T) {
 			}
 		}
 	}
-	if got := maxBatch.Load(); got != stream.BatchWidth {
-		t.Errorf("largest batch %d, want %d", got, stream.BatchWidth)
+	if got := maxBatch.Load(); got != BatchWidth {
+		t.Errorf("largest batch %d, want %d", got, BatchWidth)
 	}
 }
 

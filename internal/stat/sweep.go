@@ -1,14 +1,15 @@
-// Package stream drives the window sweeps of the analysis statistics.
-// A sweep walks h-aligned tiles of its Source: an in-RAM field is one
-// zero-copy tile, and a TileReader is read tile by tile under a byte
-// budget into one pooled transform buffer, so tile bytes count toward
-// the fft pool's peak gauge that the budget is enforced against. Each
-// run of extracted windows goes to every evaluator of the sweep. Tiles
-// are h-aligned, so a window's clipped content does not depend on the
-// tiling, and results are scattered by global window index before
-// compaction, so their order does not depend on tiles, halo or worker
-// count: a streamed statistic is bit-identical to the in-RAM one.
-package stream
+package stat
+
+// The window sweep behind Windows and Run. A sweep walks h-aligned
+// tiles of its Source: an in-RAM field is one zero-copy tile, and a
+// TileReader is read tile by tile under a byte budget into one pooled
+// transform buffer, so tile bytes count toward the fft pool's peak
+// gauge that the budget is enforced against. Each run of extracted
+// windows goes to every evaluator of the sweep. Tiles are h-aligned,
+// so a window's clipped content does not depend on the tiling, and
+// results are scattered by global window index before compaction, so
+// their order does not depend on tiles or worker count: a streamed
+// statistic is bit-identical to the in-RAM one.
 
 import (
 	"context"
@@ -27,34 +28,11 @@ import (
 // pass. Results do not depend on it.
 const BatchWidth = 8
 
-// Source is the one value that names every input a statistic accepts:
-// exactly one of F64, F32, or Reader is set. Stream configures the
-// tile budget of a Reader source.
-type Source struct {
-	F64    *field.Field
-	F32    *field.Field32
-	Reader *field.TileReader
-	Stream field.StreamOptions
-}
-
-// Shape returns the source's extents.
-func (s Source) Shape() []int {
-	switch {
-	case s.Reader != nil:
-		return s.Reader.Shape()
-	case s.F32 != nil:
-		return s.F32.Shape
-	case s.F64 != nil:
-		return s.F64.Shape
-	}
-	return nil
-}
-
-// BatchEval evaluates a run of at most BatchWidth extracted windows,
+// batchEval evaluates a run of at most BatchWidth extracted windows,
 // writing window i's value to vals[i] and whether to keep it to keep[i];
 // on failure it returns the error of its lowest failing window. All
 // evaluators of a sweep share ws, so none may write to it.
-type BatchEval func(ws []*field.Field, vals []float64, keep []bool) error
+type batchEval func(ws []*field.Field, vals []float64, keep []bool) error
 
 // batch is the pooled scratch of one run, so that steady state
 // allocates no window storage.
@@ -67,7 +45,7 @@ type batch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
-// Windows evaluates every h-window of src (sel == nil), or exactly the
+// sweep evaluates every h-window of src (sel == nil), or exactly the
 // windows whose global lexicographic indices appear in sel, through
 // every evaluator, extracting each window once (widened exactly on the
 // float32 lane) and reading each tile holding a selected window once.
@@ -78,7 +56,7 @@ var batchPool = sync.Pool{New: func() any { return new(batch) }}
 // runs, and the sweep stops once every evaluator has failed. A sweep
 // error (source, window edge, selection, budget, read) goes to every
 // evaluator still live, and ctx cancellation to all.
-func Windows(ctx context.Context, src Source, h, workers int, sel []int, evals ...BatchEval) (vals [][]float64, errs []error) {
+func sweep(ctx context.Context, src Source, h, workers int, sel []int, evals ...batchEval) (vals [][]float64, errs []error) {
 	vals = make([][]float64, len(evals))
 	errs = make([]error, len(evals))
 	stop := func(err error) ([][]float64, []error) {
@@ -116,7 +94,7 @@ func Windows(ctx context.Context, src Source, h, workers int, sel []int, evals .
 	zero := make([]int, d)
 	tiles := []field.Tile{{Lo: zero, Hi: shape}}
 	block := src.F64
-	extract := func(dst *field.Field, origin []int) { block.WindowInto(dst, origin, h) }
+	extract := func(dst *field.Field, origin []int) { block.WindowIntoWide(dst, origin, h) }
 	switch {
 	case src.Reader != nil:
 		// Plan against half the byte budget: pooled buffers are
@@ -133,10 +111,9 @@ func Windows(ctx context.Context, src Source, h, workers int, sel []int, evals .
 		}
 		maxBlock := 0
 		for _, t := range tiles {
-			blo, bhi := field.ExpandHalo(t.Lo, t.Hi, shape, src.Stream.Halo)
 			n := 1
-			for k := range blo {
-				n *= bhi[k] - blo[k]
+			for k := range t.Lo {
+				n *= t.Hi[k] - t.Lo[k]
 			}
 			maxBlock = max(maxBlock, n)
 		}
@@ -183,9 +160,8 @@ func Windows(ctx context.Context, src Source, h, workers int, sel []int, evals .
 		}
 		lo := zero
 		if src.Reader != nil {
-			var hi []int
-			lo, hi = field.ExpandHalo(t.Lo, t.Hi, shape, src.Stream.Halo)
-			if err := src.Reader.ReadBlock(block, lo, hi); err != nil {
+			lo = t.Lo
+			if err := src.Reader.ReadBlock(block, t.Lo, t.Hi); err != nil {
 				return stop(err)
 			}
 		}

@@ -1,4 +1,4 @@
-package stream_test
+package stat_test
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 
 	"lossycorr/internal/field"
 	"lossycorr/internal/stat"
-	"lossycorr/internal/stream"
 	"lossycorr/internal/variogram"
 	"lossycorr/internal/xrand"
 )
@@ -81,7 +80,7 @@ func oddTile(t *testing.T, shape []int, h int, budget int64) bool {
 	}
 	wg := field.NewWindowGrid(shape, h)
 	for _, tl := range tiles {
-		if wg.TileWindows(tl).Len()%stream.BatchWidth != 0 {
+		if wg.TileWindows(tl).Len()%stat.BatchWidth != 0 {
 			return true
 		}
 	}
@@ -98,10 +97,37 @@ func selection(n int, seed uint64) []int {
 	rng := xrand.New(seed)
 	rng.Shuffle(n, func(i, j int) { all[i], all[j] = all[j], all[i] })
 	take := n / 2
-	if take%stream.BatchWidth == 0 {
+	if take%stat.BatchWidth == 0 {
 		take--
 	}
 	return all[:take]
+}
+
+// checksumKernel is a window kernel whose value is the window's
+// checksum, kept unless it is in skip; maxRun records the largest run
+// it was handed.
+type checksumKernel struct {
+	skip   map[float64]bool
+	maxRun *atomic.Int64
+}
+
+func (checksumKernel) Name() string            { return "checksum" }
+func (checksumKernel) Outputs() []string       { return []string{"checksum"} }
+func (checksumKernel) Caps() stat.Caps         { return stat.Caps{Windowed: true, Streaming: true} }
+func (checksumKernel) CheckWindow(h int) error { return nil }
+
+func (k checksumKernel) EvalWindows(ws []*field.Field, vals []float64, keep []bool, _ any) error {
+	for n := k.maxRun.Load(); int64(len(ws)) > n && !k.maxRun.CompareAndSwap(n, int64(len(ws))); n = k.maxRun.Load() {
+	}
+	for i, w := range ws {
+		v := checksum(w)
+		vals[i], keep[i] = v, !k.skip[v]
+	}
+	return nil
+}
+
+func (checksumKernel) Fold(vals []float64, _ stat.FoldInfo, _ any) ([]float64, error) {
+	return []float64{float64(len(vals))}, nil
 }
 
 // TestWindowsBatchedMatchesInRAM pins the batched streamed sweep to the
@@ -109,8 +135,7 @@ func selection(n int, seed uint64) []int {
 // BatchWidth within a tile, produces exactly its in-RAM extraction's
 // value, and results come back in window order (or sel order) — at
 // budgets whose tiles hold window counts that are not multiples of the
-// batch width, with and without a selection, with and without a halo,
-// at 1 and 4 workers.
+// batch width, with and without a selection, at 1 and 4 workers.
 func TestWindowsBatchedMatchesInRAM(t *testing.T) {
 	ctx := context.Background()
 	for ci, tc := range sweepCases {
@@ -122,7 +147,7 @@ func TestWindowsBatchedMatchesInRAM(t *testing.T) {
 			odd = odd || oddTile(t, tc.shape, tc.h, budget)
 		}
 		if !odd {
-			t.Fatalf("%s: no budget gives a tile whose window count is not a multiple of %d", tc.name, stream.BatchWidth)
+			t.Fatalf("%s: no budget gives a tile whose window count is not a multiple of %d", tc.name, stat.BatchWidth)
 		}
 		for _, sel := range [][]int{nil, selection(len(origins), uint64(ci))} {
 			order := sel
@@ -146,31 +171,19 @@ func TestWindowsBatchedMatchesInRAM(t *testing.T) {
 				}
 			}
 			for _, budget := range tc.budgets {
-				for _, halo := range []int{0, 2, tc.h + 1} {
-					for _, workers := range []int{1, 4} {
-						var maxRun atomic.Int64
-						so := field.StreamOptions{BudgetBytes: budget, Halo: halo}
-						res, errs := stream.Windows(ctx, stream.Source{Reader: tr, Stream: so}, tc.h, workers, sel,
-							func(ws []*field.Field, vals []float64, keep []bool) error {
-								for n := maxRun.Load(); int64(len(ws)) > n && !maxRun.CompareAndSwap(n, int64(len(ws))); n = maxRun.Load() {
-								}
-								for i, w := range ws {
-									v := checksum(w)
-									vals[i], keep[i] = v, !skip[v]
-								}
-								return nil
-							})
-						got, err := res[0], errs[0]
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s sel=%v budget %d halo %d workers %d: streamed values differ from in-RAM",
-								tc.name, sel != nil, budget, halo, workers)
-						}
-						if maxRun.Load() > stream.BatchWidth {
-							t.Fatalf("%s: a run of %d windows exceeds the batch width %d", tc.name, maxRun.Load(), stream.BatchWidth)
-						}
+				for _, workers := range []int{1, 4} {
+					k := checksumKernel{skip: skip, maxRun: new(atomic.Int64)}
+					src := stat.Source{Reader: tr, Stream: field.StreamOptions{BudgetBytes: budget}}
+					got, err := stat.Windows(ctx, src, k, tc.h, workers, sel, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s sel=%v budget %d workers %d: streamed values differ from in-RAM",
+							tc.name, sel != nil, budget, workers)
+					}
+					if k.maxRun.Load() > stat.BatchWidth {
+						t.Fatalf("%s: a run of %d windows exceeds the batch width %d", tc.name, k.maxRun.Load(), stat.BatchWidth)
 					}
 				}
 			}
@@ -181,7 +194,7 @@ func TestWindowsBatchedMatchesInRAM(t *testing.T) {
 // TestLocalRangesBatchedMatchesInRAM runs the real lockstep kernel
 // through both sweeps: the local variogram ranges of a streamed source
 // equal the in-RAM ones bitwise at budgets that end tiles on short
-// runs, with and without a selection and a halo.
+// runs, with and without a selection.
 func TestLocalRangesBatchedMatchesInRAM(t *testing.T) {
 	ctx := context.Background()
 	k := variogram.LocalRangeKernel{}
@@ -198,20 +211,18 @@ func TestLocalRangesBatchedMatchesInRAM(t *testing.T) {
 				t.Fatalf("%s: no kept windows", tc.name)
 			}
 			for _, budget := range tc.budgets {
-				for _, halo := range []int{0, 3} {
-					src := stat.Source{Reader: tr, Stream: field.StreamOptions{BudgetBytes: budget, Halo: halo}}
-					got, err := stat.Windows(ctx, src, k, tc.h, 4, sel, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s sel=%v budget %d halo %d: %d ranges, want %d", tc.name, sel != nil, budget, halo, len(got), len(want))
-					}
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%s sel=%v budget %d halo %d: range[%d] = %v, want %v",
-								tc.name, sel != nil, budget, halo, i, got[i], want[i])
-						}
+				src := stat.Source{Reader: tr, Stream: field.StreamOptions{BudgetBytes: budget}}
+				got, err := stat.Windows(ctx, src, k, tc.h, 4, sel, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s sel=%v budget %d: %d ranges, want %d", tc.name, sel != nil, budget, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s sel=%v budget %d: range[%d] = %v, want %v",
+							tc.name, sel != nil, budget, i, got[i], want[i])
 					}
 				}
 			}

@@ -35,7 +35,7 @@ func writeTempField(t *testing.T, write func(w io.Writer) error) *field.TileRead
 
 // TestLocalLevelsReaderBitIdentity pins the streamed SVD window sweep
 // against the in-RAM sweep bit for bit — ranks 2 and 3, both stored
-// lanes, worker counts, tile budgets, halos.
+// lanes, worker counts and tile budgets.
 func TestLocalLevelsReaderBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -70,34 +70,32 @@ func TestLocalLevelsReaderBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, budget := range []int64{2 * winBytes, 0} {
-			for _, halo := range []int{0, tc.h + 1} {
-				so := field.StreamOptions{BudgetBytes: budget, Halo: halo}
-				for _, workers := range []int{1, 3} {
-					o := Options{Workers: workers}
-					got, err := LocalLevels(ctx, stat.Source{Reader: tr, Stream: so}, tc.h, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got32, err := LocalLevels(ctx, stat.Source{Reader: tr32, Stream: so}, tc.h, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSame(t, tc.shape, budget, halo, got, want)
-					assertSame(t, tc.shape, budget, halo, got32, want32)
+			so := field.StreamOptions{BudgetBytes: budget}
+			for _, workers := range []int{1, 3} {
+				o := Options{Workers: workers}
+				got, err := LocalLevels(ctx, stat.Source{Reader: tr, Stream: so}, tc.h, o)
+				if err != nil {
+					t.Fatal(err)
 				}
+				got32, err := LocalLevels(ctx, stat.Source{Reader: tr32, Stream: so}, tc.h, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSame(t, tc.shape, budget, got, want)
+				assertSame(t, tc.shape, budget, got32, want32)
 			}
 		}
 	}
 }
 
-func assertSame(t *testing.T, shape []int, budget int64, halo int, got, want []float64) {
+func assertSame(t *testing.T, shape []int, budget int64, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("shape %v budget %d halo %d: %d levels, want %d", shape, budget, halo, len(got), len(want))
+		t.Fatalf("shape %v budget %d: %d levels, want %d", shape, budget, len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("shape %v budget %d halo %d: level[%d] = %v, want %v", shape, budget, halo, i, got[i], want[i])
+			t.Fatalf("shape %v budget %d: level[%d] = %v, want %v", shape, budget, i, got[i], want[i])
 		}
 	}
 }

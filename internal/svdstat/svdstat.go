@@ -163,8 +163,8 @@ func windowLevel(w *field.Field, o Options) (int, error) {
 // (widened exactly on the float32 lane), tile streaming for a Reader
 // source, fan-out over opts.Workers, cancellation per batch of
 // windows — is the stat engine's over LevelKernel; levels come back in
-// window order, bit-identical for every source, worker count, tile
-// budget and halo.
+// window order, bit-identical for every source, worker count and tile
+// budget.
 // Windows with any extent below 2 after clipping are skipped.
 func LocalLevels(ctx context.Context, src stat.Source, h int, opts Options) ([]float64, error) {
 	return stat.Windows(ctx, src, LevelKernel{}, h, opts.Workers, nil, opts)

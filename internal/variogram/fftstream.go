@@ -14,9 +14,9 @@ package variogram
 // agrees to roundoff (the equivalence test pins 1e-9).
 //
 // Every block is shifted by the field's first element, not the mean,
-// so no extra pass over the file is needed; either keeps a large DC
-// offset out of the spectra, where it would cancel in S(h) and take
-// the low bits of Gamma with it.
+// so no extra pass over the file is needed: the first slab's block
+// starts at it. Either keeps a large DC offset out of the spectra,
+// where it would cancel in S(h) and take the low bits of Gamma with it.
 //
 // Slabs run in a fixed serial order and each fold is one serial sweep,
 // so results are independent of the worker count. A slab's peak
@@ -75,11 +75,8 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 	if err != nil {
 		return nil, err
 	}
-	ref, err := tr.At(0)
-	if err != nil {
-		return nil, err
-	}
 	rest := tr.Len() / dims[0]
+	var ref float64 // element 0, read with the first slab
 	sum := make([]float64, nb+1)
 	cnt := make([]int64, nb+1)
 	for z0 := 0; z0 < dims[0]; z0 += shard {
@@ -94,6 +91,9 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			hi := append([]int{z2}, dims[1:]...)
 			if err := tr.ReadBlock(blk, lo, hi); err != nil {
 				return err
+			}
+			if z0 == 0 {
+				ref = blk.Data[0]
 			}
 			return fftSlab(ctx, blk.Data, blk.Shape, z1-z0, ref, o, sum, cnt)
 		}(); err != nil {

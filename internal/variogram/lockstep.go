@@ -29,12 +29,12 @@ import (
 
 	"lossycorr/internal/cpufeat"
 	"lossycorr/internal/field"
-	"lossycorr/internal/stream"
+	"lossycorr/internal/stat"
 )
 
 // scanLanes is the number of windows the lockstep scan carries per
 // pass: a whole batch of the window sweep.
-const scanLanes = stream.BatchWidth
+const scanLanes = stat.BatchWidth
 
 // laneScratch is the reusable state of one lockstep scan: the odometer
 // of scanOffsetLanes, the interleaved plane of each lane group, each
@@ -228,7 +228,7 @@ func exactScanLanes(lanes [][]float64, shape []int, maxLag int, ls *laneScratch)
 
 // windowRanges is LocalRangeKernel's batch solve: the fitted variogram
 // range of each window of ws (one sweep batch, at most
-// stream.BatchWidth windows) into vals, with keep[i] false for skipped
+// stat.BatchWidth windows) into vals, with keep[i] false for skipped
 // windows — clipped below 4 in any extent, or constant. Kept windows
 // are grouped by shape and scanned scanLanes at a time (exact scan,
 // serially: the batches themselves are the parallel axis); the fits
@@ -239,7 +239,7 @@ func windowRanges(ws []*field.Field, vals []float64, keep []bool, opts Options) 
 		vals[i] = 0
 		keep[i] = w.MinDim() >= 4 && w.Summary().Variance != 0
 	}
-	var done [stream.BatchWidth]bool
+	var done [stat.BatchWidth]bool
 	ls := laneScratchPool.Get().(*laneScratch)
 	defer laneScratchPool.Put(ls)
 	errAt := len(ws)

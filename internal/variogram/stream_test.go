@@ -42,8 +42,7 @@ func writeTempField(t testing.TB, write func(w io.Writer) error) *field.TileRead
 // TestLocalRangesReaderBitIdentity pins the tentpole contract: the
 // streamed windowed variogram sweep equals the in-RAM sweep bit for
 // bit — across ranks, odd shapes, both stored lanes, worker counts,
-// tile budgets from one-window-at-a-time to unbounded, and halos up to
-// and beyond the tile edge.
+// and tile budgets from one-window-at-a-time to unbounded.
 func TestLocalRangesReaderBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -73,35 +72,33 @@ func TestLocalRangesReaderBitIdentity(t *testing.T) {
 			winBytes *= int64(tc.h)
 		}
 		for _, budget := range []int64{2 * winBytes, 6 * winBytes, 0} {
-			for _, halo := range []int{0, 3, tc.h + 2} {
-				so := field.StreamOptions{BudgetBytes: budget, Halo: halo}
-				for _, workers := range []int{1, 3} {
-					got, err := LocalRanges(ctx, onDisk(tr, so), tc.h, Options{Workers: workers})
-					if err != nil {
-						t.Fatalf("shape %v budget %d halo %d: %v", tc.shape, budget, halo, err)
+			so := field.StreamOptions{BudgetBytes: budget}
+			for _, workers := range []int{1, 3} {
+				got, err := LocalRanges(ctx, onDisk(tr, so), tc.h, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("shape %v budget %d: %v", tc.shape, budget, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("shape %v budget %d workers %d: %d ranges, want %d",
+						tc.shape, budget, workers, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("shape %v budget %d workers %d: range[%d] = %v, want %v",
+							tc.shape, budget, workers, i, got[i], want[i])
 					}
-					if len(got) != len(want) {
-						t.Fatalf("shape %v budget %d halo %d workers %d: %d ranges, want %d",
-							tc.shape, budget, halo, workers, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("shape %v budget %d halo %d workers %d: range[%d] = %v, want %v",
-								tc.shape, budget, halo, workers, i, got[i], want[i])
-						}
-					}
-					got32, err := LocalRanges(ctx, onDisk(tr32, so), tc.h, Options{Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got32) != len(want32) {
-						t.Fatalf("f32 shape %v: %d ranges, want %d", tc.shape, len(got32), len(want32))
-					}
-					for i := range want32 {
-						if got32[i] != want32[i] {
-							t.Fatalf("f32 shape %v budget %d halo %d workers %d: range[%d] = %v, want %v",
-								tc.shape, budget, halo, workers, i, got32[i], want32[i])
-						}
+				}
+				got32, err := LocalRanges(ctx, onDisk(tr32, so), tc.h, Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got32) != len(want32) {
+					t.Fatalf("f32 shape %v: %d ranges, want %d", tc.shape, len(got32), len(want32))
+				}
+				for i := range want32 {
+					if got32[i] != want32[i] {
+						t.Fatalf("f32 shape %v budget %d workers %d: range[%d] = %v, want %v",
+							tc.shape, budget, workers, i, got32[i], want32[i])
 					}
 				}
 			}

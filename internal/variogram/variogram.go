@@ -253,8 +253,8 @@ func GlobalRange(ctx context.Context, src stat.Source, opts Options) (Model, err
 // opts.Workers, cancellation per batch of windows — is the stat
 // engine's, with LocalRangeKernel supplying the per-window solve (equal
 // windows of a batch scanned in lockstep); ranges come back in
-// window order, bit-identical for every source, worker count, tile
-// budget and halo.
+// window order, bit-identical for every source, worker count and tile
+// budget.
 func LocalRanges(ctx context.Context, src stat.Source, h int, opts Options) ([]float64, error) {
 	return stat.Windows(ctx, src, LocalRangeKernel{}, h, opts.Workers, nil, opts)
 }
