@@ -44,6 +44,26 @@ func TestAnalyzeProducesAllStatistics(t *testing.T) {
 	}
 }
 
+// TestLocalSVDSmoothWindowsConverge: the Gram matrix of a 96-wide
+// window of a range-3 256² field has a block of roundoff-level
+// eigenvalues that takes QL 31–55 sweeps for one of them. Under a
+// budget of 30 sweeps per eigenvalue, seed 4 failed with
+// linalg.ErrNoConvergence (as did 4 more of seeds 1–10); under one
+// budget of 30·n sweeps per matrix it converges.
+func TestLocalSVDSmoothWindowsConverge(t *testing.T) {
+	f, err := gaussian.Generate(gaussian.Params{Rows: 256, Cols: 256, Range: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{Window: 96, Stats: []string{"svd"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := s.LocalSVDStd(); !(v >= 0) || math.IsInf(v, 0) {
+		t.Fatalf("LocalSVDStd %v, want a finite std", v)
+	}
+}
+
 func TestAnalyzeSkipLocal(t *testing.T) {
 	f := smallField(t, 4, 2)
 	s, err := AnalyzeFieldCtx(bg, f, AnalysisOptions{SkipLocal: true})

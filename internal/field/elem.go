@@ -19,6 +19,25 @@ func ElemBytes[T Elem]() int {
 	return int(unsafe.Sizeof(v))
 }
 
+// asBytes views the elements of s as their bytes in memory order.
+func asBytes[T Elem](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*ElemBytes[T]())
+}
+
+// asElems views b as the len(b)/ElemBytes[T]() values of T it holds in
+// memory order. b must be aligned for T, as the pooled staging buffers
+// and asBytes views are.
+func asElems[T Elem](b []byte) []T {
+	n := len(b) / ElemBytes[T]()
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
+}
+
 // shapeProduct validates extents (non-negative) and returns the element
 // count of a shape.
 func shapeProduct(shape []int) (int, error) {

@@ -23,9 +23,10 @@ import (
 // stagingPool recycles the fixed 32 KiB byte buffers every payload
 // reader and the tile reader stage their I/O through, so concurrent
 // parses (the service upload path, parallel tile streams) stop
-// allocating a staging slice per call.
+// allocating a staging slice per call. Each buffer is the bytes of a
+// []float64, so it is aligned for viewing as float32s or float64s.
 var stagingPool = sync.Pool{New: func() any {
-	b := make([]byte, 8*4096)
+	b := asBytes(make([]float64, 4096))
 	return &b
 }}
 
@@ -182,6 +183,32 @@ func (f *Of[T]) Summary() Stats {
 	s.Variance = m2 / float64(len(f.Data))
 	s.ValueRange = s.Max - s.Min
 	return s
+}
+
+// HasVariance reports whether Summary().Variance != 0, usually from
+// the first elements alone. It runs Summary's Welford update, rounded
+// the same way, and stops once m2 is NaN, +Inf or above 2⁻⁹⁰⁰: each
+// term d·(v − mean) is ≥ 0, because the new mean lies between the old
+// one and v, so m2 never falls, and m2/len then cannot be 0. Otherwise
+// it ends with Summary's own test, m2/len != 0. Whether the values
+// are all equal is a different question: [1+ulp, 1, …, 1], windows of
+// subnormals and [1e-200 ×8, 2e-200 ×8] all vary, yet their Welford
+// variance is 0.
+func (f *Of[T]) HasVariance() bool {
+	if len(f.Data) == 0 {
+		return false
+	}
+	var mean, m2 float64
+	for i, e := range f.Data {
+		v := float64(e)
+		d := v - mean
+		mean += d / float64(i+1)
+		m2 += float64(d * (v - mean)) // fma:rounded
+		if !(m2 <= 0x1p-900) {
+			return true
+		}
+	}
+	return m2/float64(len(f.Data)) != 0
 }
 
 // SameShape reports whether two fields agree in rank and extents.
@@ -532,14 +559,22 @@ func readHeaderFrom(r io.Reader, maxElements int) (shape []int, f32 bool, hdrLen
 
 // readPayload fills data from samples stored 4 bytes wide when f32 is
 // set and 8 bytes wide otherwise, converting each to T (widening a
-// float32 is exact), chunk by chunk through the pooled staging slice.
+// float32 is exact). On a little-endian host a payload stored as T is
+// read straight into data; any other is staged chunk by chunk through
+// the pooled buffer and decoded there.
 func readPayload[T Elem](r io.Reader, data []T, f32 bool) error {
-	bp := acquireStaging()
-	defer releaseStaging(bp)
 	w := 8
 	if f32 {
 		w = 4
 	}
+	if nativeLittleEndian && w == ElemBytes[T]() {
+		if _, err := io.ReadFull(r, asBytes(data)); err != nil {
+			return fmt.Errorf("field: short body: %w", err)
+		}
+		return nil
+	}
+	bp := acquireStaging()
+	defer releaseStaging(bp)
 	for len(data) > 0 {
 		chunk := data[:min(len(data), len(*bp)/w)]
 		data = data[len(chunk):]
@@ -547,15 +582,36 @@ func readPayload[T Elem](r io.Reader, data []T, f32 bool) error {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return fmt.Errorf("field: short body: %w", err)
 		}
-		if f32 {
-			for i := range chunk {
-				chunk[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
-			}
-		} else {
-			for i := range chunk {
-				chunk[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
-			}
-		}
+		decode(chunk, buf, f32)
 	}
 	return nil
+}
+
+// decode fills dst from the len(dst) little-endian samples of buf,
+// 4 bytes wide when f32 is set and 8 bytes wide otherwise, converting
+// each to T. On a little-endian host buf (aligned, as the staging
+// buffers are) is viewed in place and converted by a plain loop; that
+// is the conversion the byte-by-byte decode of a big-endian host
+// makes, so every bit matches, NaN payloads included.
+func decode[T Elem](dst []T, buf []byte, f32 bool) {
+	switch {
+	case nativeLittleEndian && f32:
+		s := asElems[float32](buf)[:len(dst)]
+		for i := range dst {
+			dst[i] = T(s[i])
+		}
+	case nativeLittleEndian:
+		s := asElems[float64](buf)[:len(dst)]
+		for i := range dst {
+			dst[i] = T(s[i])
+		}
+	case f32:
+		for i := range dst {
+			dst[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
+	default:
+		for i := range dst {
+			dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
+		}
+	}
 }

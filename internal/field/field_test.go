@@ -461,6 +461,70 @@ func TestSummaryEmpty(t *testing.T) {
 	}
 }
 
+// TestHasVarianceMatchesSummary pins the early-exit keep check to
+// Summary().Variance != 0 on both lanes: on windows that vary though
+// their Welford variance is 0 (so "not all equal" would be the wrong
+// test, and one of them has m2 > 0, so "m2 > 0" would be too), on NaN, ±Inf, overflowing, constant and empty windows, and on
+// seeded random windows that mix runs of one value with tiny, huge and
+// non-finite ones.
+func TestHasVarianceMatchesSummary(t *testing.T) {
+	rep := func(v float64, n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	sub := math.SmallestNonzeroFloat64
+	zeroVar := [][]float64{
+		append([]float64{math.Nextafter(1, 2)}, rep(1, 15)...),
+		{sub, 2 * sub, 3 * sub, sub, 0, 7 * sub, sub, sub},
+		append(rep(1e-200, 8), rep(2e-200, 8)...),
+		{0, 0x1p-536, 0, 0, 0, 0, 0, 0}, // m2 is 3 subnormal ulps; m2/8 rounds to 0
+	}
+	for _, d := range zeroVar {
+		if v := (&Field{Shape: []int{len(d)}, Data: d}).Summary().Variance; v != 0 {
+			t.Fatalf("%v: Welford variance %v, want the fixture's 0", d, v)
+		}
+	}
+	cases := append(zeroVar,
+		nil, rep(3, 1), rep(-2.5, 40), rep(0, 9), rep(sub, 9),
+		rep(math.Inf(1), 4), rep(math.Inf(-1), 4), rep(math.NaN(), 4),
+		append(rep(1, 7), math.NaN()), append(rep(1, 7), math.Inf(-1)),
+		[]float64{-math.MaxFloat64, math.MaxFloat64, 1, 1},
+		[]float64{math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64},
+		[]float64{1, 2}, []float64{0, 0x1p-460, 0, 0}, []float64{0, 0x1p-520, 0, 0},
+	)
+	rng := xrand.New(41)
+	for range 4000 {
+		d := make([]float64, 1+rng.Intn(64))
+		base := rng.NormFloat64() * math.Ldexp(1, rng.Intn(2100)-1050)
+		for i := range d {
+			switch rng.Intn(12) {
+			case 0:
+				d[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(2100)-1050)
+			case 1:
+				d[i] = math.Nextafter(base, math.Inf(1))
+			case 2:
+				d[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, sub, math.MaxFloat64}[rng.Intn(6)]
+			default:
+				d[i] = base
+			}
+		}
+		cases = append(cases, d)
+	}
+	for _, d := range cases {
+		f := &Field{Shape: []int{len(d)}, Data: d}
+		if got, want := f.HasVariance(), f.Summary().Variance != 0; got != want {
+			t.Fatalf("%v: HasVariance %v, Summary variance %v", d, got, f.Summary().Variance)
+		}
+		f32 := f.Narrow()
+		if got, want := f32.HasVariance(), f32.Summary().Variance != 0; got != want {
+			t.Fatalf("float32 %v: HasVariance %v, Summary variance %v", f32.Data, got, f32.Summary().Variance)
+		}
+	}
+}
+
 // TestTilesCoverEverythingOnce checks that the tile windows of a
 // non-multiple field partition it.
 func TestTilesCoverEverythingOnce(t *testing.T) {

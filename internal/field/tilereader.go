@@ -17,10 +17,8 @@ package field
 // read can ever over-allocate or index past the region.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 )
 
@@ -228,56 +226,28 @@ func (t *TileReader) ReadRange(dst []float64, start int) error {
 }
 
 // readRange fills dst with the run of elements starting at flat element
-// offset src, decoding (and widening, on the float32 lane) through the
-// staging buffer.
+// offset src. On a little-endian host a float64 payload is read
+// straight into dst; otherwise it is decoded (and widened, on the
+// float32 lane) through the staging buffer.
 func (t *TileReader) readRange(dst []float64, src int, buf []byte) error {
-	if t.f32 {
-		off := t.off + int64(src)*4
-		for len(dst) > 0 {
-			c := len(buf) / 4
-			if c > len(dst) {
-				c = len(dst)
-			}
-			if _, err := t.r.ReadAt(buf[:4*c], off); err != nil {
-				return fmt.Errorf("field: block read: %w", err)
-			}
-			widen32(dst[:c], buf[:4*c])
-			dst = dst[c:]
-			off += int64(4 * c)
+	if nativeLittleEndian && !t.f32 {
+		if _, err := t.r.ReadAt(asBytes(dst), t.off+int64(src)*8); err != nil {
+			return fmt.Errorf("field: block read: %w", err)
 		}
 		return nil
 	}
-	off := t.off + int64(src)*8
+	w := t.ElemBytes()
+	off := t.off + int64(src)*int64(w)
 	for len(dst) > 0 {
-		c := len(buf) / 8
-		if c > len(dst) {
-			c = len(dst)
-		}
-		if _, err := t.r.ReadAt(buf[:8*c], off); err != nil {
+		c := min(len(buf)/w, len(dst))
+		if _, err := t.r.ReadAt(buf[:w*c], off); err != nil {
 			return fmt.Errorf("field: block read: %w", err)
 		}
-		for i := 0; i < c; i++ {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
+		decode(dst[:c], buf[:w*c], t.f32)
 		dst = dst[c:]
-		off += int64(8 * c)
+		off += int64(w * c)
 	}
 	return nil
-}
-
-// widen32 decodes the little-endian float32s of src into dst, two per
-// 8-byte load (≈0.6× the time of one 4-byte load each on amd64).
-func widen32(dst []float64, src []byte) {
-	src = src[:4*len(dst)]
-	i := 0
-	for ; i+1 < len(dst); i += 2 {
-		u := binary.LittleEndian.Uint64(src[4*i:])
-		dst[i] = float64(math.Float32frombits(uint32(u)))
-		dst[i+1] = float64(math.Float32frombits(uint32(u >> 32)))
-	}
-	if i < len(dst) {
-		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-	}
 }
 
 // ReadAll materializes the whole field in its stored lane — the slurp

@@ -415,3 +415,155 @@ func FuzzTileReaderMatchesReadAny(f *testing.F) {
 		}
 	})
 }
+
+// TestInPlaceDecodeMatchesBytePath pins the payload readers to the
+// byte-by-byte little-endian decode, bit for bit: every float32 class
+// (±0, subnormals, normals, ±Inf, quiet and signaling NaNs of several
+// payloads, for every sign and exponent) and random float64 bit
+// patterns (NaN payloads included), read whole (ReadBinaryLimit,
+// ReadAnyLimit), as tile blocks and as spans that cross the staging
+// buffer's chunk boundary, and narrowed into a float32 destination.
+func TestInPlaceDecodeMatchesBytePath(t *testing.T) {
+	rng := xrand.New(47)
+	var bits32 []uint32
+	for se := range uint32(512) { // sign and exponent
+		for _, m := range []uint32{0, 1, 2, 0x1234, 0x3fffff, 0x400000, 0x400001, 0x7fffff, uint32(rng.Uint64()) & 0x7fffff} {
+			bits32 = append(bits32, se<<23|m)
+		}
+	}
+	for len(bits32) < 3*4096+17 { // more than a staging buffer's worth
+		bits32 = append(bits32, uint32(rng.Uint64()))
+	}
+	bits64 := make([]uint64, 3*4096+9)
+	for i := range bits64 {
+		bits64[i] = rng.Uint64()
+		if i%5 == 0 { // exponent all ones: ±Inf and NaNs of random payloads
+			bits64[i] |= 0x7ff << 52
+		}
+	}
+	file := func(f32 bool, payload []byte) []byte {
+		var buf bytes.Buffer
+		var err error
+		if f32 {
+			err = New32(len(payload) / 4).WriteBinary(&buf)
+		} else {
+			err = New(len(payload) / 8).WriteBinary(&buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes()
+		return append(b[:len(b)-len(payload)], payload...)
+	}
+	var p32, p64 []byte
+	for _, u := range bits32 {
+		p32 = binary.LittleEndian.AppendUint32(p32, u)
+	}
+	for _, u := range bits64 {
+		p64 = binary.LittleEndian.AppendUint64(p64, u)
+	}
+	// The byte path: each value decoded from its bytes, then converted.
+	want32 := make([]float64, len(bits32))
+	for i := range want32 {
+		want32[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p32[4*i:])))
+	}
+	want64 := make([]float64, len(bits64))
+	for i := range want64 {
+		want64[i] = math.Float64frombits(binary.LittleEndian.Uint64(p64[8*i:]))
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s element %d: %#x, byte path %#x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		f32  bool
+		file []byte
+		want []float64
+	}{{"f32", true, file(true, p32), want32}, {"f64", false, file(false, p64), want64}} {
+		f, err := ReadBinaryLimit(bytes.NewReader(tc.file), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(tc.name+" ReadBinaryLimit", f.Data, tc.want)
+		f64, f32, err := ReadAnyLimit(bytes.NewReader(tc.file), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.f32 {
+			for i, v := range f32.Data {
+				if math.Float32bits(v) != bits32[i] {
+					t.Fatalf("f32 ReadAnyLimit element %d: %#x, stored %#x", i, math.Float32bits(v), bits32[i])
+				}
+			}
+		} else {
+			same("f64 ReadAnyLimit", f64.Data, tc.want)
+		}
+		tr, err := NewTileReader(bytes.NewReader(tc.file), int64(len(tc.file)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(tc.want)
+		var blk Field
+		if err := tr.ReadBlock(&blk, []int{0}, []int{n}); err != nil {
+			t.Fatal(err)
+		}
+		same(tc.name+" ReadBlock", blk.Data, tc.want)
+		for _, span := range [][2]int{{0, 1}, {3, 5000}, {4095, 4098}, {1, n - 1}, {n - 1, 1}, {7, 0}} {
+			dst := make([]float64, span[1])
+			if err := tr.ReadRange(dst, span[0]); err != nil {
+				t.Fatal(err)
+			}
+			same(tc.name+" ReadRange", dst, tc.want[span[0]:span[0]+span[1]])
+		}
+	}
+	// A float64 payload narrowed into a float32 destination.
+	narrow := make([]float32, len(bits64))
+	if err := readPayload(bytes.NewReader(p64), narrow, false); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range narrow {
+		if w := float32(want64[i]); math.Float32bits(v) != math.Float32bits(w) {
+			t.Fatalf("narrowed element %d: %#x, byte path %#x", i, math.Float32bits(v), math.Float32bits(w))
+		}
+	}
+}
+
+// BenchmarkTileRead reads a 48³ volume from memory as four 12×48×48
+// slabs per op, the contiguous tile reads of the out-of-core sweep, on
+// each stored lane; the bytes per op are the decoded float64s.
+func BenchmarkTileRead(b *testing.B) {
+	v := randField(b, []int{48, 48, 48}, 3)
+	for _, lane := range []string{"f32", "f64"} {
+		b.Run(lane, func(b *testing.B) {
+			var buf bytes.Buffer
+			var err error
+			if lane == "f32" {
+				err = v.Narrow().WriteBinary(&buf)
+			} else {
+				err = v.WriteBinary(&buf)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr, err := NewTileReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var blk Field
+			b.SetBytes(int64(8 * v.Len()))
+			b.ResetTimer()
+			for range b.N {
+				for z := 0; z < 48; z += 12 {
+					if err := tr.ReadBlock(&blk, []int{z, 0, 0}, []int{z + 12, 48, 48}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -129,13 +129,19 @@ func PolyFit(x, y []float64, deg int) ([]float64, error) {
 // SymEigen: its eigenvalues are undefined.
 var ErrNonFinite = errors.New("linalg: matrix has a non-finite entry")
 
-// ErrNoConvergence reports an eigenvalue the QL iteration did not
-// isolate within its iteration budget.
+// ErrNoConvergence reports a matrix whose eigenvalues the QL iteration
+// did not isolate within its sweep budget.
 var ErrNoConvergence = errors.New("linalg: eigenvalue iteration did not converge")
 
-// qlMaxIter bounds the implicit-shift QL sweeps spent isolating one
-// eigenvalue; EISPACK's tql1 uses the same budget, and convergence is
-// cubic, so finite input needs two or three.
+// qlMaxIter bounds the implicit-shift QL sweeps at qlMaxIter·n for a
+// whole n×n matrix, as LAPACK's dsterf does, not per eigenvalue as
+// EISPACK's tql1 does. Convergence is cubic, so most eigenvalues need
+// two or three sweeps, but a block of roundoff-level diagonal entries
+// (smooth windows, whose Gram matrix has many near-zero eigenvalues)
+// can need 31–55 for one eigenvalue, and the shared budget lets the
+// quick ones pay for it. The sweep sequence does not depend on the
+// budget, so a matrix that converges under either rule gets the same
+// bits.
 const qlMaxIter = 30
 
 // SymEigen computes all eigenvalues of the symmetric n×n matrix a; only
@@ -152,8 +158,8 @@ const qlMaxIter = 30
 // one.
 //
 // A NaN or ±Inf entry returns ErrNonFinite before any arithmetic (the
-// check is O(n²)); an eigenvalue still unresolved after qlMaxIter
-// sweeps returns ErrNoConvergence.
+// check is O(n²)); eigenvalues still unresolved after qlMaxIter·n
+// sweeps return ErrNoConvergence.
 func SymEigen(a *Matrix) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -258,8 +264,9 @@ func tridiagonalize(a *Matrix, d, e []float64) {
 // by implicit-shift QL; e is destroyed.
 func tridiagonalQL(d, e []float64) error {
 	n := len(d)
+	sweeps := 0
 	for l := 0; l < n; l++ {
-		for iter := 0; ; iter++ {
+		for {
 			// Find the first negligible off-diagonal at or below l.
 			m := l
 			for ; m < n-1; m++ {
@@ -271,9 +278,10 @@ func tridiagonalQL(d, e []float64) error {
 			if m == l {
 				break // d[l] is isolated
 			}
-			if iter == qlMaxIter {
+			if sweeps == qlMaxIter*n {
 				return ErrNoConvergence
 			}
+			sweeps++
 			// Wilkinson shift from the leading 2×2 block, then chase the
 			// bulge from m up to l with Givens rotations.
 			g := (d[l+1] - d[l]) / (2 * e[l])

@@ -13,15 +13,19 @@ package variogram
 // plane holds value j of lanes 4g to 4g+3, so one row of pairs reads
 // two slices per group, not two per lane. laneRow, the scalar row
 // loop, keeps its counter, both bases and a group's four chains in
-// registers. On amd64 with AVX2, when both groups hold kept windows,
-// laneRow2 runs the row of both groups at once, one 256-bit register
-// per group element, doing per lane the same subtract, rounded
-// multiply and add as laneRow, in the same order and never fused, so
-// every bit is laneRow's. Otherwise (other architectures, CPUs without
-// AVX2, batches of one group) each group is a whole scan of its own,
-// row by row through laneRow, so a pass walks one plane. Trailing
-// axes an offset leaves whole are folded into one longer row, which
-// visits the same base points in the same order.
+// registers. Trailing axes an offset leaves whole are folded into one
+// longer row, which visits the same base points in the same order. A
+// row kernel walks the offset's two innermost odometer levels itself,
+// the rows of the axes just above the row (a rowGrid), and the Go
+// odometer drives only the axes above those, which exist at rank 4
+// and up. On amd64 with AVX2, when both groups hold kept windows,
+// laneRows2 walks that grid for both groups at once, one 256-bit
+// register per group element, keeping the 8 chains in registers
+// across rows and doing per lane the same subtract, rounded multiply
+// and add as laneRow, in the same order and never fused, so every bit
+// is laneRow's. Otherwise (other architectures, CPUs without AVX2,
+// batches of one group) each group is a whole scan of its own, row by
+// row through laneRows, so a pass walks one plane.
 
 import (
 	"slices"
@@ -120,6 +124,25 @@ func laneRow(xs, ys [][4]float64, s0, s1, s2, s3 float64) (float64, float64, flo
 	return s0, s1, s2, s3
 }
 
+// rowGrid is the part of one offset's scan that a row kernel walks in
+// one call: r2 blocks st2 elements apart, each of r1 rows st1 elements
+// apart, each row n elements long. Rows are visited block by block,
+// row by row, which is the odometer's order.
+type rowGrid struct{ n, r1, st1, r2, st2 int }
+
+// laneRows folds every row of g through laneRow, xs and ys being the
+// planes from the grid's first base points on.
+func laneRows(xs, ys [][4]float64, g rowGrid, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	for b := range g.r2 {
+		o := b * g.st2
+		for range g.r1 {
+			s0, s1, s2, s3 = laneRow(xs[o:][:g.n], ys[o:][:g.n], s0, s1, s2, s3)
+			o += g.st1
+		}
+	}
+	return s0, s1, s2, s3
+}
+
 // scanOffsetLanes is scanOffset over the interleaved planes il of
 // arrays of one shape, one plane per lane group: one group, or two
 // when cpufeat.AVX2 is set. It folds (z(x) − z(x+off))² of every
@@ -128,7 +151,8 @@ func laneRow(xs, ys [][4]float64, s0, s1, s2, s3 float64) (float64, float64, flo
 // (shared) pair count. Trailing axes the offset leaves whole (zero
 // offset component) lie contiguous in memory, so they fold into the
 // row: the scan walks rows of axis m and everything after it, and
-// counts rows·n pairs once.
+// counts rows·n pairs once. The row kernel walks axes m−1 and m−2;
+// the odometer here steps the axes above them.
 func scanOffsetLanes(il [][][4]float64, dims, strides []int, off []int32, sc *scanScratch, sum *[scanLanes]float64, cnt *int64) {
 	nd := len(dims)
 	delta := 0
@@ -149,25 +173,34 @@ func scanOffsetLanes(il [][][4]float64, dims, strides []int, off []int32, sc *sc
 	for m > 0 && off[m] == 0 {
 		m--
 	}
-	n := (hi[m] - lo[m]) * strides[m]
+	g := rowGrid{n: (hi[m] - lo[m]) * strides[m], r1: 1, r2: 1}
 	base := lo[m] * strides[m]
 	rows := 1
 	for k := 0; k < m; k++ {
 		base += lo[k] * strides[k]
 		rows *= hi[k] - lo[k]
 	}
+	top := m // the odometer's axes are 0 to top−1
+	if top > 0 {
+		top--
+		g.r1, g.st1 = hi[top]-lo[top], strides[top]
+	}
+	if top > 0 {
+		top--
+		g.r2, g.st2 = hi[top]-lo[top], strides[top]
+	}
 	vector := len(il) == 2
-	p := il[0]
+	p, q := il[0], il[len(il)-1]
 	s0, s1, s2, s3 := sum[0], sum[1], sum[2], sum[3]
-	cur := sc.cur[:m]
-	copy(cur, lo[:m])
+	cur := sc.cur[:top]
+	copy(cur, lo[:top])
 	for {
 		if vector {
-			laneRow2(&p[base], &p[base+delta], &il[1][base], &il[1][base+delta], n, sum)
+			laneRows2(&p[base], &p[base+delta], &q[base], &q[base+delta], g, sum)
 		} else {
-			s0, s1, s2, s3 = laneRow(p[base:][:n], p[base+delta:][:n], s0, s1, s2, s3)
+			s0, s1, s2, s3 = laneRows(p[base:], p[base+delta:], g, s0, s1, s2, s3)
 		}
-		k := m - 1
+		k := top - 1
 		for ; k >= 0; k-- {
 			cur[k]++
 			base += strides[k]
@@ -184,7 +217,7 @@ func scanOffsetLanes(il [][][4]float64, dims, strides []int, off []int32, sc *sc
 	if !vector {
 		sum[0], sum[1], sum[2], sum[3] = s0, s1, s2, s3
 	}
-	*cnt += int64(rows) * int64(n)
+	*cnt += int64(rows) * int64(g.n)
 }
 
 // exactScanLanes runs the serial exact scan with cutoff maxLag over
@@ -237,7 +270,7 @@ func exactScanLanes(lanes [][]float64, shape []int, maxLag int, ls *laneScratch)
 func windowRanges(ws []*field.Field, vals []float64, keep []bool, opts Options) error {
 	for i, w := range ws {
 		vals[i] = 0
-		keep[i] = w.MinDim() >= 4 && w.Summary().Variance != 0
+		keep[i] = w.MinDim() >= 4 && w.HasVariance()
 	}
 	var done [stat.BatchWidth]bool
 	ls := laneScratchPool.Get().(*laneScratch)

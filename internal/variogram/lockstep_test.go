@@ -35,8 +35,8 @@ func singleLaneRange[T field.Elem](t *testing.T, data []T, shape []int, minDim i
 }
 
 // eachRowKernel runs f as a subtest once per row kernel the lockstep
-// scan can take here: laneRow2 where cpufeat.AVX2 is set, then the Go
-// laneRow with cpufeat.AVX2 cleared. It restores cpufeat.AVX2
+// scan can take here: laneRows2 where cpufeat.AVX2 is set, then the Go
+// laneRows with cpufeat.AVX2 cleared. It restores cpufeat.AVX2
 // afterwards.
 func eachRowKernel(t *testing.T, f func(t *testing.T)) {
 	avx := cpufeat.AVX2
@@ -249,15 +249,16 @@ func lockstepRandomShapesMatchExactScan(t *testing.T) {
 	}
 }
 
-// TestLaneRow2MatchesLaneRow compares the AVX2 row kernel with
-// laneRow, per lane group, lane for lane and bit for bit, on seeded
-// random planes of lengths 0–1000 from random chain starts, with
-// values drawn among ±0, subnormals, ±Inf, NaNs of several payloads,
-// ±MaxFloat64 and ordinary numbers; every other length draws specials
-// rarely, so its chains mostly stay finite. A NaN matches any NaN: Go
-// leaves open which operand's payload an add passes on, and the race
-// build's laneRow picks the other one.
-func TestLaneRow2MatchesLaneRow(t *testing.T) {
+// TestLaneRows2MatchesLaneRow compares the AVX2 row kernel with
+// laneRow run row by row, per lane group, lane for lane and bit for
+// bit, on seeded random row grids: rows of 0–40 elements, 0–5 rows per
+// block and 0–5 blocks (0 and 1 of each included), random strides and
+// random chain starts, over values drawn among ±0, subnormals, ±Inf,
+// NaNs of several payloads, ±MaxFloat64 and ordinary numbers; every
+// other grid draws specials rarely, so its chains mostly stay finite.
+// A NaN matches any NaN: Go leaves open which operand's payload an add
+// passes on, and the race build's laneRow picks the other one.
+func TestLaneRows2MatchesLaneRow(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("no AVX2 row kernel on this CPU or architecture")
 	}
@@ -284,9 +285,19 @@ func TestLaneRow2MatchesLaneRow(t *testing.T) {
 		}
 		return p
 	}
-	for n := 0; n <= 1000; n++ {
-		rate = 4 + n%2*4000
-		x0, y0, x1, y1 := plane(n), plane(n), plane(n), plane(n)
+	for iter := range 2000 {
+		rate = 4 + iter%2*4000
+		g := rowGrid{n: rng.Intn(41), r1: rng.Intn(6), r2: rng.Intn(6)}
+		if iter < 8 { // rows of 0 and 1 elements, grids of 0 and 1 rows
+			g.n, g.r1, g.r2 = iter%2*(1+iter/2%2), iter/2%2*(1+iter/4), 1+iter/4%2
+		}
+		g.st1 = g.n + rng.Intn(8)
+		g.st2 = g.r1*g.st1 + rng.Intn(8)
+		span := 0 // elements the grid reaches from its base
+		if g.n > 0 && g.r1 > 0 && g.r2 > 0 {
+			span = (g.r2-1)*g.st2 + (g.r1-1)*g.st1 + g.n
+		}
+		x0, y0, x1, y1 := plane(span), plane(span), plane(span), plane(span)
 		var got, want [8]float64
 		for l := range got {
 			if rng.Intn(2) == 0 {
@@ -294,12 +305,17 @@ func TestLaneRow2MatchesLaneRow(t *testing.T) {
 			}
 		}
 		want = got
-		laneRow2(&x0[0], &y0[0], &x1[0], &y1[0], n, &got)
-		want[0], want[1], want[2], want[3] = laneRow(x0[:n], y0[:n], want[0], want[1], want[2], want[3])
-		want[4], want[5], want[6], want[7] = laneRow(x1[:n], y1[:n], want[4], want[5], want[6], want[7])
+		laneRows2(&x0[0], &y0[0], &x1[0], &y1[0], g, &got)
+		for b := range g.r2 {
+			for r := range g.r1 * min(g.n, 1) { // rows of no element fold nothing
+				o := b*g.st2 + r*g.st1
+				want[0], want[1], want[2], want[3] = laneRow(x0[o:o+g.n], y0[o:o+g.n], want[0], want[1], want[2], want[3])
+				want[4], want[5], want[6], want[7] = laneRow(x1[o:o+g.n], y1[o:o+g.n], want[4], want[5], want[6], want[7])
+			}
+		}
 		for l := range got {
 			if math.Float64bits(got[l]) != math.Float64bits(want[l]) && !(math.IsNaN(got[l]) && math.IsNaN(want[l])) {
-				t.Fatalf("length %d lane %d: %#x, laneRow %#x", n, l, math.Float64bits(got[l]), math.Float64bits(want[l]))
+				t.Fatalf("grid %+v lane %d: %#x, laneRow %#x", g, l, math.Float64bits(got[l]), math.Float64bits(want[l]))
 			}
 		}
 	}

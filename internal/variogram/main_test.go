@@ -9,7 +9,7 @@ import (
 )
 
 var perLine = flag.Bool("perline", false,
-	"run with cpufeat.AVX2 cleared: the FFT's per-line transforms and the Go laneRow, to time them against the AVX2 kernels")
+	"run with cpufeat.AVX2 cleared: the FFT's per-line transforms and the Go laneRows, to time them against the AVX2 kernels")
 
 func TestMain(m *testing.M) {
 	flag.Parse()
