@@ -285,11 +285,14 @@ func TestLaneRows2MatchesLaneRow(t *testing.T) {
 		}
 		return p
 	}
+	// Rows of 0 and 1 elements, and grids of 0 and 1 rows or blocks.
+	edge := []rowGrid{{n: 0, r1: 2, r2: 2}, {n: 1, r1: 1, r2: 1}, {n: 5, r1: 0, r2: 3},
+		{n: 5, r1: 3, r2: 0}, {n: 1, r1: 4, r2: 1}, {n: 7, r1: 1, r2: 3}}
 	for iter := range 2000 {
 		rate = 4 + iter%2*4000
 		g := rowGrid{n: rng.Intn(41), r1: rng.Intn(6), r2: rng.Intn(6)}
-		if iter < 8 { // rows of 0 and 1 elements, grids of 0 and 1 rows
-			g.n, g.r1, g.r2 = iter%2*(1+iter/2%2), iter/2%2*(1+iter/4), 1+iter/4%2
+		if iter < len(edge) {
+			g = edge[iter]
 		}
 		g.st1 = g.n + rng.Intn(8)
 		g.st2 = g.r1*g.st1 + rng.Intn(8)
