@@ -90,10 +90,15 @@ func Acquire[E Elem](n int) []E { return acquire[E](n, false) }
 // cap-based accounting of a tight acquisition never exceeds twice the
 // requested bytes (a plain acquire can carry up to ~4× from bucket
 // slack; a miss allocates exactly n either way). The streaming analysis
-// plans its tiles and shards against half the memory budget; together
-// the two factors keep the peak gauge under the budget even on a warm
-// pool. Release as usual.
+// plans its tiles, spans, chunks and shards against TightShare of the
+// memory budget; together the two factors keep the peak gauge under the
+// budget even on a warm pool. Release as usual.
 func AcquireTight[E Elem](n int) []E { return acquire[E](n, true) }
+
+// TightShare is the part of a byte budget that a consumer of tight
+// acquisitions plans against: half, because AcquireTight can hand back
+// up to twice the requested length from a warm pool.
+func TightShare(budgetBytes int64) int64 { return budgetBytes / 2 }
 
 func acquire[E Elem](n int, tight bool) []E {
 	if n <= 0 {

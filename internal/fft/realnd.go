@@ -56,59 +56,6 @@ func halfDims(dims []int) []int {
 	return hd
 }
 
-// ForEachEmbeddedRow visits the contiguous last-dimension runs of a
-// srcDims-shaped field embedded in the leading corner of a
-// dstDims-shaped buffer, yielding (srcOff, dstOff, n) per run — the
-// zero-padding step of a linear (non-circular) correlation, feeding
-// ForwardRealND once the caller has cleared the buffer. Extents of
-// srcDims must not exceed dstDims, and the ranks must match.
-func ForEachEmbeddedRow(srcDims, dstDims []int, fn func(srcOff, dstOff, n int)) error {
-	if len(dstDims) != len(srcDims) {
-		return fmt.Errorf("fft: embed rank mismatch %v vs %v", srcDims, dstDims)
-	}
-	total := 1
-	for k, d := range dstDims {
-		if srcDims[k] > d {
-			return fmt.Errorf("fft: embed extent %d exceeds padded extent %d", srcDims[k], d)
-		}
-		total *= srcDims[k]
-	}
-	nd := len(srcDims)
-	if nd == 0 || total == 0 {
-		return nil
-	}
-	// Destination strides.
-	strides := make([]int, nd)
-	acc := 1
-	for k := nd - 1; k >= 0; k-- {
-		strides[k] = acc
-		acc *= dstDims[k]
-	}
-	inner := srcDims[nd-1]
-	outer := make([]int, nd-1)
-	srcOff := 0
-	for {
-		dstOff := 0
-		for k := 0; k < nd-1; k++ {
-			dstOff += outer[k] * strides[k]
-		}
-		fn(srcOff, dstOff, inner)
-		srcOff += inner
-		k := nd - 2
-		for ; k >= 0; k-- {
-			outer[k]++
-			if outer[k] < srcDims[k] {
-				break
-			}
-			outer[k] = 0
-		}
-		if k < 0 {
-			break
-		}
-	}
-	return nil
-}
-
 // checkReal validates a real<->half-spectrum transform's extents and
 // buffers and returns its last extent and line count.
 func checkReal(dims []int, realLen, halfLen int) (nx, lines int, err error) {

@@ -191,83 +191,6 @@ func TestMulConjCrossCorrelation(t *testing.T) {
 	}
 }
 
-// embedVia zero-fills dst and copies src into its leading corner
-// through ForEachEmbeddedRow, the way the variogram engine pads a field.
-func embedVia(dst []float64, dstDims []int, src []float64, srcDims []int) error {
-	clear(dst)
-	return ForEachEmbeddedRow(srcDims, dstDims, func(srcOff, dstOff, n int) {
-		copy(dst[dstOff:dstOff+n], src[srcOff:srcOff+n])
-	})
-}
-
-// TestForEachEmbeddedRow checks the corner layout of the runs it
-// yields — a 2×3 field lands in the leading corner of a 4×4 buffer,
-// every other cell stays cleared — and its extent and rank checks.
-func TestForEachEmbeddedRow(t *testing.T) {
-	src := []float64{1, 2, 3, 4, 5, 6} // 2×3
-	dst := make([]float64, 4*4)
-	for i := range dst {
-		dst[i] = 9
-	}
-	if err := embedVia(dst, []int{4, 4}, src, []int{2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			want := 0.0
-			if r < 2 && c < 3 {
-				want = src[r*3+c]
-			}
-			if dst[r*4+c] != want {
-				t.Fatalf("dst[%d,%d] = %v, want %v", r, c, dst[r*4+c], want)
-			}
-		}
-	}
-	if err := embedVia(dst, []int{4, 4}, src, []int{2, 5}); err == nil {
-		t.Fatal("expected extent error")
-	}
-	if err := embedVia(dst, []int{16}, src, []int{2, 3}); err == nil {
-		t.Fatal("expected rank error")
-	}
-}
-
-// TestForEachEmbeddedRow3D checks the same in 3-D: a 2×2×3 field lands in the leading corner of a 3×4×4 buffer,
-// every other cell (stale pooled data included) is cleared, and
-// mismatched extents or ranks are rejected.
-func TestForEachEmbeddedRow3D(t *testing.T) {
-	srcDims, dstDims := []int{2, 2, 3}, []int{3, 4, 4}
-	src := make([]float64, 2*2*3)
-	for i := range src {
-		src[i] = float64(i + 1)
-	}
-	dst := make([]float64, 3*4*4)
-	for i := range dst {
-		dst[i] = 9 // must be cleared
-	}
-	if err := embedVia(dst, dstDims, src, srcDims); err != nil {
-		t.Fatal(err)
-	}
-	for z := 0; z < 3; z++ {
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				var want float64
-				if z < 2 && y < 2 && x < 3 {
-					want = src[(z*2+y)*3+x]
-				}
-				if got := dst[(z*4+y)*4+x]; got != want {
-					t.Fatalf("dst[%d,%d,%d] = %v, want %v", z, y, x, got, want)
-				}
-			}
-		}
-	}
-	if err := embedVia(dst, dstDims, src, []int{2, 2, 5}); err == nil {
-		t.Fatal("expected extent error")
-	}
-	if err := embedVia(dst, []int{12, 4}, src, srcDims); err == nil {
-		t.Fatal("expected rank error")
-	}
-}
-
 // TestHalfLen pins the half-spectrum sizing.
 func TestHalfLen(t *testing.T) {
 	cases := []struct {

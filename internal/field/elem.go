@@ -1,7 +1,9 @@
 package field
 
 // The element lanes and the shape machinery beneath Of: extent
-// validation, stride computation, and the clipped-window odometer walk.
+// validation and EachRun, the one walk over a box of a row-major array
+// that window extraction, tile reads and the FFT zero-pad embed all
+// copy through.
 
 import (
 	"fmt"
@@ -51,17 +53,6 @@ func shapeProduct(shape []int) (int, error) {
 	return n, nil
 }
 
-// stridesOf fills st (length = rank) with the element stride of each
-// dimension, last dimension fastest, and returns it.
-func stridesOf(shape, st []int) []int {
-	acc := 1
-	for k := len(shape) - 1; k >= 0; k-- {
-		st[k] = acc
-		acc *= shape[k]
-	}
-	return st
-}
-
 // Stats summarizes a field.
 type Stats struct {
 	Min, Max   float64
@@ -73,12 +64,11 @@ type Stats struct {
 // windowIntoData is the clipped-window extraction both lanes (and the
 // widening cross-lane copy) share: it clips the h-edged hypercube at
 // origin to shape, reuses dstShape/dstData storage when capacities
-// allow, copies one contiguous last-dimension run at a time with a
-// stack-allocated odometer (ranks <= 8), and returns the (possibly
-// re-allocated) destination shape and data. S and D may differ —
-// WindowIntoWide instantiates the float32→float64 pair to widen each
-// window on the fly without materializing a full-size float64 copy of
-// the field.
+// allow, copies the window one EachRun run at a time, and returns the
+// (possibly re-allocated) destination shape and data. S and D may
+// differ — WindowIntoWide instantiates the float32→float64 pair to
+// widen each window on the fly without materializing a full-size
+// float64 copy of the field.
 func windowIntoData[S, D Elem](shape []int, data []S, dstShape []int, dstData []D, origin []int, h int) ([]int, []D) {
 	d := len(shape)
 	if len(origin) != d {
@@ -95,10 +85,7 @@ func windowIntoData[S, D Elem](shape []int, data []S, dstShape []int, dstData []
 		if origin[k] < 0 || origin[k] >= shape[k] {
 			panic(fmt.Sprintf("field: window origin %v outside shape %v", origin, shape))
 		}
-		ext[k] = h
-		if origin[k]+h > shape[k] {
-			ext[k] = shape[k] - origin[k]
-		}
+		ext[k] = min(h, shape[k]-origin[k])
 		n *= ext[k]
 	}
 	if cap(dstData) >= n {
@@ -106,51 +93,90 @@ func windowIntoData[S, D Elem](shape []int, data []S, dstShape []int, dstData []
 	} else {
 		dstData = make([]D, n)
 	}
+	EachRun(shape, origin, ext, nil, ext, func(src, dst, n int) bool {
+		for i, v := range data[src : src+n] {
+			dstData[dst+i] = D(v)
+		}
+		return true
+	})
+	return dstShape, dstData
+}
+
+// EachRun walks a box of extents ext placed at srcLo in a row-major
+// array of shape src and at dstLo in one of shape dst (a nil corner is
+// the origin), calling fn(srcOff, dstOff, n) once per run: n elements
+// contiguous in both arrays, at those flat offsets, in row-major order.
+// Every trailing axis the box covers whole in both arrays merges into
+// the run above it, so a box of whole trailing planes is one run per
+// index of the axes before them. fn returns false to stop the walk. A
+// box with a zero extent has no runs; one that does not fit inside
+// either array panics. Ranks up to 9 walk without allocating.
+func EachRun(src, srcLo, dst, dstLo, ext []int, fn func(srcOff, dstOff, n int) bool) {
+	d := len(ext)
+	if len(src) != d || len(dst) != d || (srcLo != nil && len(srcLo) != d) || (dstLo != nil && len(dstLo) != d) {
+		panic(fmt.Sprintf("field: box rank %d against arrays of rank %d and %d", d, len(src), len(dst)))
+	}
+	srcOff, dstOff, n := 0, 0, 1
+	for k, e := range ext {
+		s, t := 0, 0
+		if srcLo != nil {
+			s = srcLo[k]
+		}
+		if dstLo != nil {
+			t = dstLo[k]
+		}
+		if e < 0 || s < 0 || s > src[k]-e || t < 0 || t > dst[k]-e {
+			panic(fmt.Sprintf("field: box of extents %v outside array %v or %v", ext, src, dst))
+		}
+		srcOff = srcOff*src[k] + s
+		dstOff = dstOff*dst[k] + t
+		n *= e
+	}
 	if n == 0 {
-		return dstShape, dstData
+		return
 	}
-	var stBuf [8]int
-	var st []int
-	if d <= len(stBuf) {
-		st = stridesOf(shape, stBuf[:d])
-	} else {
-		st = stridesOf(shape, make([]int, d))
+	if d == 0 {
+		fn(0, 0, 1)
+		return
 	}
-	var odo [8]int
-	var outer []int
-	if d-1 <= len(odo) {
-		outer = odo[:d-1]
-		for k := range outer {
-			outer[k] = 0
-		}
-	} else {
-		outer = make([]int, d-1)
+	// Axes past r are covered whole in both arrays: a run is ext[r] of
+	// their blocks, inner elements each in either array.
+	r := d - 1
+	for r > 0 && ext[r] == src[r] && ext[r] == dst[r] {
+		r--
 	}
-	inner := ext[d-1]
+	inner := 1
+	for _, e := range ext[r+1:] {
+		inner *= e
+	}
+	run := inner * ext[r]
+	// An odometer over the axes before r places the runs; in each array
+	// the step of axis k is the product of that array's extents after it.
+	var idxBuf [8]int
+	idx := idxBuf[:]
+	if r > len(idxBuf) {
+		idx = make([]int, r)
+	}
 	for {
-		src := origin[d-1]
-		dstOff := 0
-		for k := 0; k < d-1; k++ {
-			src += (origin[k] + outer[k]) * st[k]
-			dstOff = dstOff*ext[k] + outer[k]
+		if !fn(srcOff, dstOff, run) {
+			return
 		}
-		dstOff *= inner
-		srcRow := data[src : src+inner]
-		dstRow := dstData[dstOff : dstOff+inner]
-		for i := range srcRow {
-			dstRow[i] = D(srcRow[i])
-		}
-		k := d - 2
+		sStep, dStep := inner, inner
+		k := r - 1
 		for ; k >= 0; k-- {
-			outer[k]++
-			if outer[k] < ext[k] {
+			sStep *= src[k+1]
+			dStep *= dst[k+1]
+			if idx[k]++; idx[k] < ext[k] {
+				srcOff += sStep
+				dstOff += dStep
 				break
 			}
-			outer[k] = 0
+			idx[k] = 0
+			srcOff -= (ext[k] - 1) * sStep
+			dstOff -= (ext[k] - 1) * dStep
 		}
 		if k < 0 {
-			break
+			return
 		}
 	}
-	return dstShape, dstData
 }

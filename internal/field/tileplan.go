@@ -20,9 +20,11 @@ type Tile struct {
 
 // StreamOptions parameterize the streaming windowed statistics.
 type StreamOptions struct {
-	// BudgetBytes caps the widened (8 bytes/element) tile block a
-	// streaming statistic holds at once. <= 0 means a single tile
-	// covering the whole field.
+	// BudgetBytes is the byte budget of an out-of-core statistic: it
+	// caps the widened (8 bytes/element) tile block of the window
+	// sweep, and the spans, chunks and slabs of the sampled and
+	// spectral global variograms. <= 0 means unbounded: one tile, span
+	// or slab covering the whole field.
 	BudgetBytes int64
 }
 

@@ -32,7 +32,6 @@ type TileReader struct {
 	r      io.ReaderAt
 	closer io.Closer
 	shape  []int
-	st     []int // element strides, last dimension fastest
 	f32    bool
 	off    int64 // payload byte offset
 	n      int   // total elements
@@ -62,7 +61,6 @@ func NewTileReader(r io.ReaderAt, size int64, maxElements int) (*TileReader, err
 	return &TileReader{
 		r:     r,
 		shape: shape,
-		st:    stridesOf(shape, make([]int, len(shape))),
 		f32:   f32,
 		off:   int64(hdrLen),
 		n:     n,
@@ -135,10 +133,9 @@ func (t *TileReader) PayloadBytes() int64 { return int64(t.n) * int64(t.ElemByte
 // ReadBlock reads the half-open box [lo, hi) into dst, reusing dst's
 // shape and data storage when capacities allow — callers pass a
 // budget-sized pooled buffer so the block bytes show up in the
-// transform-pool accounting. On-disk-contiguous runs are merged: the
-// largest fully covered suffix of axes (plus the first partial axis
-// above it) is read per pread, so an axis-0 slab of a 3D file is a
-// single sequential read.
+// transform-pool accounting. Each EachRun run of the box is one read,
+// so the whole trailing axes the box covers merge: an axis-0 slab of a
+// 3D file is a single sequential read.
 func (t *TileReader) ReadBlock(dst *Field, lo, hi []int) error {
 	d := len(t.shape)
 	if len(lo) != d || len(hi) != d {
@@ -163,53 +160,14 @@ func (t *TileReader) ReadBlock(dst *Field, lo, hi []int) error {
 	} else {
 		dst.Data = make([]float64, n)
 	}
-	// Largest suffix of axes the box fully covers: everything from
-	// runAxis down is one contiguous span per outer index.
-	sfull := d
-	for sfull > 0 && ext[sfull-1] == t.shape[sfull-1] {
-		sfull--
-	}
-	runAxis := sfull - 1
-	run := n
-	if runAxis >= 0 {
-		run = ext[runAxis]
-		for k := sfull; k < d; k++ {
-			run *= t.shape[k]
-		}
-	}
 	bp := acquireStaging()
 	defer releaseStaging(bp)
-	var odo [8]int
-	outer := odo[:0]
-	if runAxis > 0 {
-		outer = odo[:runAxis]
-	}
-	dstOff := 0
-	for {
-		src := 0
-		if runAxis >= 0 {
-			src = lo[runAxis] * t.st[runAxis]
-			for k := 0; k < runAxis; k++ {
-				src += (lo[k] + outer[k]) * t.st[k]
-			}
-		}
-		if err := t.readRange(dst.Data[dstOff:dstOff+run], src, *bp); err != nil {
-			return err
-		}
-		dstOff += run
-		k := len(outer) - 1
-		for ; k >= 0; k-- {
-			outer[k]++
-			if outer[k] < ext[k] {
-				break
-			}
-			outer[k] = 0
-		}
-		if k < 0 {
-			break
-		}
-	}
-	return nil
+	var err error
+	EachRun(t.shape, lo, ext, nil, ext, func(src, off, n int) bool {
+		err = t.readRange(dst.Data[off:off+n], src, *bp)
+		return err == nil
+	})
+	return err
 }
 
 // ReadRange fills dst with the len(dst) elements starting at flat

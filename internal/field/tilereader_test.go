@@ -3,6 +3,7 @@ package field
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -565,5 +566,74 @@ func BenchmarkTileRead(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// countingReaderAt counts the ReadAt calls made through it.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	reads int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.r.ReadAt(p, off)
+}
+
+// TestReadBlockOneReadPerRun pins ReadBlock at one ReadAt per EachRun
+// run, so whole trailing axes merge into one read: an axis-0 slab of a
+// 3D file is one read, a box that cuts the last axis one read per row.
+// The runs are far shorter than the staging buffer, so the float32
+// lane's widening reads split none of them.
+func TestReadBlockOneReadPerRun(t *testing.T) {
+	shape := []int{6, 5, 4}
+	f := randField(t, shape, 5)
+	for _, lane := range []string{"f64", "f32"} {
+		var buf bytes.Buffer
+		want := f
+		var err error
+		if lane == "f32" {
+			want = f.Narrow().Widen()
+			err = f.Narrow().WriteBinary(&buf)
+		} else {
+			err = f.WriteBinary(&buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr := &countingReaderAt{r: bytes.NewReader(buf.Bytes())}
+		tr, err := NewTileReader(cr, int64(buf.Len()), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var blk Field
+		for _, c := range []struct {
+			lo, hi []int
+			reads  int
+		}{
+			{[]int{2, 0, 0}, []int{4, 5, 4}, 1}, // axis-0 slab
+			{[]int{0, 0, 0}, []int{6, 5, 4}, 1}, // the whole field
+			{[]int{1, 1, 0}, []int{3, 4, 4}, 2}, // whole rows: one read per plane
+			{[]int{1, 1, 1}, []int{3, 4, 3}, 6}, // cuts the last axis: one read per row
+			{[]int{5, 4, 3}, []int{6, 5, 4}, 1}, // one element
+		} {
+			cr.reads = 0
+			if err := tr.ReadBlock(&blk, c.lo, c.hi); err != nil {
+				t.Fatal(err)
+			}
+			if cr.reads != c.reads {
+				t.Errorf("%s block [%v,%v): %d reads, want %d", lane, c.lo, c.hi, cr.reads, c.reads)
+			}
+			ext := make([]int, len(shape))
+			for k := range ext {
+				ext[k] = c.hi[k] - c.lo[k]
+			}
+			offs, _ := boxPairs(shape, c.lo, ext, nil, ext)
+			for i, o := range offs {
+				if blk.Data[i] != want.Data[o] {
+					t.Fatalf("%s block [%v,%v) element %d: %v, want %v", lane, c.lo, c.hi, i, blk.Data[i], want.Data[o])
+				}
+			}
+		}
 	}
 }

@@ -202,17 +202,18 @@ func (s *Sampler) sample(rng *xrand.Rand, pair bool) (*field.Field, *field.Field
 	if pair {
 		b = field.New(s.dims...)
 	}
-	err := fft.ForEachEmbeddedRow(s.dims, s.ext, func(src, dst, n int) {
-		for i, v := range buf[dst : dst+n] {
-			a.Data[src+i] = real(v) * scale
+	field.EachRun(s.ext, nil, s.dims, nil, s.dims, func(src, dst, n int) bool {
+		for i, v := range buf[src : src+n] {
+			a.Data[dst+i] = real(v) * scale
 		}
 		if b != nil {
-			for i, v := range buf[dst : dst+n] {
-				b.Data[src+i] = imag(v) * scale
+			for i, v := range buf[src : src+n] {
+				b.Data[dst+i] = imag(v) * scale
 			}
 		}
+		return true
 	})
-	return a, b, err
+	return a, b, nil
 }
 
 // Generate draws a single-range field in one call.

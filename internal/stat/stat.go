@@ -107,8 +107,10 @@ func ErrLabel(k Kernel) string {
 }
 
 // Source is the one value that names every input a statistic accepts:
-// exactly one of F64, F32, or Reader is set. Stream configures the
-// tile budget of a Reader source.
+// exactly one of F64, F32, or Reader is set. Stream carries the byte
+// budget of a Reader source: it caps the window sweep's tiles and the
+// sampled and spectral global variograms' spans, chunks and slabs
+// alike.
 type Source struct {
 	F64    *field.Field
 	F32    *field.Field32

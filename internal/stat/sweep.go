@@ -97,13 +97,11 @@ func sweep(ctx context.Context, src Source, h, workers int, sel []int, evals ...
 	extract := func(dst *field.Field, origin []int) { block.WindowIntoWide(dst, origin, h) }
 	switch {
 	case src.Reader != nil:
-		// Plan against half the byte budget: pooled buffers are
-		// accounted by capacity, and a tight acquisition can carry up to
-		// 2× slack from a warm pool. A positive budget under 16 bytes is
-		// one element, not "no budget".
+		// Plan float64 tiles against the tight share of the budget. A
+		// positive budget under 16 bytes is one element, not "no budget".
 		var budgetElems int64
 		if b := src.Stream.BudgetBytes; b > 0 {
-			budgetElems = max(1, b/16)
+			budgetElems = max(1, fft.TightShare(b)/8)
 		}
 		var err error
 		if tiles, err = field.PlanWindowTiles(shape, h, budgetElems); err != nil {

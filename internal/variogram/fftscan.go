@@ -180,19 +180,18 @@ func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, 
 	// nothing else of it is ever cleared or read.
 	r := fft.AcquireTight[float64](total)
 	defer fft.Release(r)
-	embed := func(rows int) ([]int, error) {
+	embed := func(rows int) []int {
 		corner := append([]int{rows}, dims[1:]...)
-		return corner, fft.ForEachEmbeddedRow(corner, pad, func(srcOff, dstOff, n int) {
+		field.EachRun(dims, nil, pad, nil, corner, func(srcOff, dstOff, n int) bool {
 			dst := r[dstOff : dstOff+n]
 			for i, v := range data[srcOff : srcOff+n] {
 				dst[i] = float64(v) - shift
 			}
+			return true
 		})
+		return corner
 	}
-	corner, err := embed(base)
-	if err != nil {
-		return err
-	}
+	corner := embed(base)
 	if err := stage(); err != nil {
 		return err
 	}
@@ -205,9 +204,7 @@ func fftSlab[T field.Elem](ctx context.Context, data []T, dims []int, base int, 
 	if base == dims[0] {
 		fft.AbsSq(spA)
 	} else {
-		if corner, err = embed(dims[0]); err != nil {
-			return err
-		}
+		corner = embed(dims[0])
 		if err := stage(); err != nil {
 			return err
 		}

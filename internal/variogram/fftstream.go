@@ -21,8 +21,7 @@ package variogram
 // Slabs run in a fixed serial order and each fold is one serial sweep,
 // so results are independent of the worker count. A slab's peak
 // is the block plus the kernel's working set (shardBytes); the shard
-// extent is the largest that fits half the budget (headroom for
-// transform-pool bucket slack, see fft pool accounting).
+// extent is the largest that fits the budget's fft.TightShare.
 
 import (
 	"context"
@@ -45,18 +44,18 @@ func shardBytes(b int, dims []int, nb int) int64 {
 }
 
 // fftShardSize picks the largest axis-0 base extent whose slab pass
-// fits half of budgetBytes (<= 0 means unbounded: one slab). One slab
-// needs one spectrum and a split needs two, so a single slab can fit
-// where a slightly smaller split does not: it is tried first. Below
-// n₀ the bound grows with the extent.
+// fits fft.TightShare of budgetBytes (<= 0 means unbounded: one slab).
+// One slab needs one spectrum and a split needs two, so a single slab
+// can fit where a slightly smaller split does not: it is tried first.
+// Below n₀ the bound grows with the extent.
 func fftShardSize(dims []int, nb int, budgetBytes int64) (int, error) {
 	n0 := dims[0]
-	half := budgetBytes / 2
-	if budgetBytes <= 0 || shardBytes(n0, dims, nb) <= half {
+	share := fft.TightShare(budgetBytes)
+	if budgetBytes <= 0 || shardBytes(n0, dims, nb) <= share {
 		return n0, nil
 	}
 	shard := 0
-	for shard+1 < n0 && shardBytes(shard+1, dims, nb) <= half {
+	for shard+1 < n0 && shardBytes(shard+1, dims, nb) <= share {
 		shard++
 	}
 	if shard == 0 {

@@ -11,18 +11,18 @@ package variogram
 //
 // The sampled estimator takes the in-RAM sampler's pairs — replayed
 // from the shared pair-plan cache (pairplan.go) when the key has a
-// plan, drawn otherwise — in draw order, in chunks sized from half the
-// budget. A chunk resolves its endpoints by flat payload span: a
-// counting sort buckets them by span, each span holding one is read
-// once through TileReader.ReadRange, and the pairs are folded into
-// their bins in draw order. Every bin keeps the direct scan's
-// left-to-right chain, so the result is bitwise the in-RAM sampler's,
-// and a call makes at most spans × chunks span reads instead of one
-// point read per endpoint. Span values, bucket cursors and chunk
-// scratch all come from the transform pool, planned against half the
-// budget like every streaming consumer; the plan is a process-wide
-// cache (≈1 MB at the default 400,000 draws, whatever the field size),
-// not request memory.
+// plan, drawn otherwise — in draw order, in chunks sized from the
+// budget's fft.TightShare. A chunk resolves its endpoints by flat
+// payload span: a counting sort buckets them by span, each span holding
+// one is read once through TileReader.ReadRange, and the pairs are
+// folded into their bins in draw order. Every bin keeps the direct
+// scan's left-to-right chain, so the result is bitwise the in-RAM
+// sampler's, and a call makes at most spans × chunks span reads instead
+// of one point read per endpoint. Span values, bucket cursors and chunk
+// scratch all come from the transform pool, planned against that share
+// like every streaming consumer; the plan is a process-wide cache
+// (≈1 MB at the default 400,000 draws, whatever the field size), not
+// request memory.
 
 import (
 	"context"
@@ -77,28 +77,28 @@ func spanFixedBytes(n int, shift uint) int64 {
 
 // spanShift picks the span size 1<<shift of a streamed sampled scan of
 // n elements under budgetBytes; <= 0 means unbounded: one span. Spans
-// and chunks are planned against half the budget, like every other
-// streaming consumer. The span and its cursors take the largest size
-// that fits a quarter of that half (fewer, longer reads), or failing
-// that the cheapest one; the rest holds chunk pairs. A half that cannot
-// hold that span, its cursors and one drawn pair of pairBytes is an
-// error.
+// and chunks are planned against fft.TightShare of the budget, like
+// every other streaming consumer. The span and its cursors take the
+// largest size that fits a quarter of that share (fewer, longer reads),
+// or failing that the cheapest one; the rest holds chunk pairs. A share
+// that cannot hold that span, its cursors and one drawn pair of
+// pairBytes is an error.
 func spanShift(n int, budgetBytes int64, pairBytes int) (uint, error) {
 	whole := uint(bits.Len(uint(n - 1)))
 	if budgetBytes <= 0 {
 		return whole, nil
 	}
-	half := budgetBytes / 2
+	share := fft.TightShare(budgetBytes)
 	best, fit := whole, false
 	for sh := uint(0); sh <= whole; sh++ {
 		b := spanFixedBytes(n, sh)
-		if b <= half/4 {
+		if b <= share/4 {
 			best, fit = sh, true
 		} else if !fit && b < spanFixedBytes(n, best) {
 			best = sh
 		}
 	}
-	if need := spanFixedBytes(n, best) + int64(pairBytes); need > half {
+	if need := spanFixedBytes(n, best) + int64(pairBytes); need > share {
 		return 0, fmt.Errorf("variogram: memory budget %d too small for a sampled scan of %d elements (needs %d)",
 			budgetBytes, n, 2*need)
 	}
@@ -114,7 +114,7 @@ func chunkPairs(n int, shift uint, budgetBytes int64, pairBytes, total int) int 
 	if budgetBytes <= 0 {
 		return min(total, maxPlanDraws)
 	}
-	free := budgetBytes/2 - spanFixedBytes(n, shift)
+	free := fft.TightShare(budgetBytes) - spanFixedBytes(n, shift)
 	return int(min(free/int64(pairBytes), int64(total)))
 }
 
