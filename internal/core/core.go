@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -118,10 +119,17 @@ func (s Statistics) MarshalJSON() ([]byte, error) {
 
 // AnalysisOptions configures statistic extraction.
 type AnalysisOptions struct {
-	Window           int               // local window H; 0 means DefaultWindow
-	VariogramOpts    variogram.Options // empirical variogram controls
-	VarianceFraction float64           // SVD threshold; 0 means 0.99
-	SkipLocal        bool              // global range only (cheaper)
+	// Window is the local window H; 0 means DefaultWindow. Every
+	// selected windowed kernel must accept it (local range needs H ≥ 4,
+	// local SVD H ≥ 2), else the analysis fails before any work.
+	Window        int
+	VariogramOpts variogram.Options // empirical variogram controls
+	// VarianceFraction is the SVD threshold; 0 means 0.99. It must lie
+	// in (0,1] whatever the selection: an out-of-range fraction fails
+	// the analysis even when "svd" is not selected, which earlier
+	// versions let pass.
+	VarianceFraction float64
+	SkipLocal        bool // global range only (cheaper)
 	// SVDGram is vestigial: struct{} has one value, so it selects
 	// nothing and the local SVD statistic has one level path. It
 	// stays only because bench/workloads.go still copies it into
@@ -167,6 +175,20 @@ type AnalysisOptions struct {
 	// in the Statistics map. Unknown names fail the analysis before any
 	// work starts.
 	Stats []string
+}
+
+// ErrInvalidOptions marks options that cannot start an analysis,
+// whatever the field; every error of CheckAnalysis wraps it.
+var ErrInvalidOptions = errors.New("invalid analysis options")
+
+// CheckAnalysis is the one statement of which options can start an
+// analysis: every selected statistic is registered and SkipLocal leaves
+// one, the variance fraction lies in (0,1], and every selected window
+// kernel accepts the window (stat.WindowKernel.CheckWindow). Every
+// analysis runs it before any kernel starts.
+func CheckAnalysis(opts AnalysisOptions) error {
+	_, err := selectKernels(opts.withDefaults())
+	return err
 }
 
 func (o AnalysisOptions) withDefaults() AnalysisOptions {
@@ -215,41 +237,48 @@ func AnalyzeField32Ctx(ctx context.Context, f *field.Field32, opts AnalysisOptio
 	return AnalyzeFieldCtx(ctx, f, opts)
 }
 
-// selectKernels resolves the options' statistic selection against the
-// registry, in registration order — which fixes run order and error
-// precedence regardless of how the selection is spelled. SkipLocal
-// drops windowed kernels from the selection (the historical
-// global-only cheap path).
+// selectKernels is CheckAnalysis on defaulted options, returning the
+// selection resolved against the registry in registration order —
+// which fixes run order and error precedence regardless of how the
+// selection is spelled. SkipLocal drops windowed kernels from the
+// selection (the historical global-only cheap path).
 func selectKernels(o AnalysisOptions) ([]stat.Kernel, error) {
+	invalid := func(format string, args ...any) ([]stat.Kernel, error) {
+		return nil, fmt.Errorf("core: %w: "+format, append([]any{ErrInvalidOptions}, args...)...)
+	}
 	var want map[string]bool
 	if len(o.Stats) > 0 {
 		want = make(map[string]bool, len(o.Stats))
 		for _, name := range o.Stats {
 			if _, ok := stat.Lookup(name); !ok {
-				return nil, fmt.Errorf("unknown statistic %q (registered: %s)",
-					name, strings.Join(stat.Names(), ", "))
+				return invalid("unknown statistic %q (registered: %s)", name, strings.Join(stat.Names(), ", "))
 			}
 			want[name] = true
 		}
 	}
+	if !(o.VarianceFraction > 0 && o.VarianceFraction <= 1) {
+		return invalid("variance fraction %v outside (0,1]", o.VarianceFraction)
+	}
 	var ks []stat.Kernel
 	for _, k := range stat.Kernels() {
-		if want != nil && !want[k.Name()] {
+		if want != nil && !want[k.Name()] || o.SkipLocal && k.Caps().Windowed {
 			continue
 		}
-		if o.SkipLocal && k.Caps().Windowed {
-			continue
+		if wk, ok := k.(stat.WindowKernel); ok {
+			if err := wk.CheckWindow(o.Window); err != nil {
+				return invalid("%w", err)
+			}
 		}
 		ks = append(ks, k)
 	}
 	if len(ks) == 0 {
-		return nil, fmt.Errorf("empty statistic selection")
+		return invalid("empty statistic selection")
 	}
 	return ks, nil
 }
 
 // analyzeSource is the one analysis call behind every Analyze*Ctx
-// entry point: it resolves the kernel selection, assembles per-kernel
+// entry point: it checks the options (CheckAnalysis), assembles per-kernel
 // options from AnalysisOptions, and hands the source to the stat
 // engine, which owns lane handling, streaming, cancellation, and
 // worker fan-out. Every (lane, source, ctx) combination of the old
@@ -258,7 +287,7 @@ func analyzeSource(ctx context.Context, src stat.Source, opts AnalysisOptions) (
 	o := opts.withDefaults()
 	kernels, err := selectKernels(o)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
 	vOpts := o.VariogramOpts
 	if vOpts.Workers == 0 {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"lossycorr/internal/compress"
+	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/mgardlike"
@@ -72,6 +74,55 @@ func TestAnalyzeSkipLocal(t *testing.T) {
 	}
 	if s.LocalRangeStd() != 0 || s.LocalSVDStd() != 0 {
 		t.Fatalf("local stats computed despite SkipLocal: %+v", s)
+	}
+}
+
+// TestInvalidOptionsFailBeforeCompute: options CheckAnalysis rejects
+// fail every entry point with ErrInvalidOptions before any kernel
+// starts. A spectral analysis whose window no local-range window could
+// use must not spend a transform byte on the global variogram first.
+func TestInvalidOptionsFailBeforeCompute(t *testing.T) {
+	f := smallField(t, 8, 5)
+	tr := tempReader(t, f.WriteBinary)
+	cases := []struct {
+		name string
+		o    AnalysisOptions
+	}{
+		{"window below local range's minimum", AnalysisOptions{VariogramFFT: true, Window: 3}},
+		{"window below local SVD's minimum", AnalysisOptions{VariogramFFT: true, Window: 1, Stats: []string{"svd"}}},
+		{"negative window", AnalysisOptions{VariogramFFT: true, Window: -4}},
+		{"fraction above 1, svd not selected", AnalysisOptions{VariogramFFT: true, VarianceFraction: 1.5, Stats: []string{"variogram"}}},
+		{"NaN fraction", AnalysisOptions{VariogramFFT: true, VarianceFraction: math.NaN()}},
+		{"unknown statistic", AnalysisOptions{VariogramFFT: true, Stats: []string{"variogram", "nope"}}},
+		{"SkipLocal empties the selection", AnalysisOptions{VariogramFFT: true, SkipLocal: true, Stats: []string{"svd"}}},
+	}
+	for _, c := range cases {
+		if err := CheckAnalysis(c.o); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("%s: CheckAnalysis = %v, want ErrInvalidOptions", c.name, err)
+		}
+		runs := map[string]func() error{
+			"AnalyzeFieldCtx":  func() error { _, err := AnalyzeFieldCtx(bg, f, c.o); return err },
+			"AnalyzeReaderCtx": func() error { _, err := AnalyzeReaderCtx(bg, tr, c.o); return err },
+			"MeasureFieldSetCtx": func() error {
+				_, err := MeasureFieldSetCtx(bg, "test", []*field.Field{f}, nil, DefaultRegistry(),
+					MeasureOptions{Analysis: c.o, ErrorBounds: []float64{1e-3}})
+				return err
+			},
+		}
+		for entry, run := range runs {
+			fft.ResetPeakBytes()
+			if err := run(); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s via %s: error %v, want ErrInvalidOptions", c.name, entry, err)
+			}
+			if peak := fft.PeakBytes(); peak != 0 {
+				t.Errorf("%s via %s: %d transform bytes spent before the options failed", c.name, entry, peak)
+			}
+		}
+	}
+	for _, o := range []AnalysisOptions{{}, {Window: 4}, {Window: 2, Stats: []string{"svd"}}, {Window: 1, SkipLocal: true}, {VarianceFraction: 1}} {
+		if err := CheckAnalysis(o); err != nil {
+			t.Errorf("CheckAnalysis(%+v) = %v, want nil", o, err)
+		}
 	}
 }
 

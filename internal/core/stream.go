@@ -24,14 +24,11 @@ import (
 // SpectralPeakBytes is the transform working set an in-RAM analysis of
 // a field of shape under o spends on the full-field spectral engine
 // (variogram.FFTPeakBytes, the same on either lane), or 0 when the
-// analysis runs no spectral global variogram: the FFT is off under both
-// spellings (VariogramFFT, VariogramOpts.FFT), or the selection o.Stats
-// (empty meaning every kernel) leaves out "variogram".
-func SpectralPeakBytes(shape []int, o AnalysisOptions) int64 {
-	if !o.VariogramFFT && !o.VariogramOpts.FFT {
-		return 0
-	}
-	if len(o.Stats) > 0 && !slices.Contains(o.Stats, "variogram") {
+// analysis runs no spectral global variogram: the FFT is off, or the
+// selection o.Stats (empty meaning every kernel) leaves out "variogram".
+func SpectralPeakBytes(shape []int, opts AnalysisOptions) int64 {
+	o := opts.withDefaults()
+	if !o.VariogramOpts.FFT || (len(o.Stats) > 0 && !slices.Contains(o.Stats, "variogram")) {
 		return 0
 	}
 	return variogram.FFTPeakBytes(shape, o.VariogramOpts.MaxLag)
@@ -50,9 +47,13 @@ func inRAMBytes(tr *field.TileReader, o AnalysisOptions) int64 {
 // files stream: the windowed statistics are bit-identical to in-RAM at
 // any tile size and worker count; the global variogram is
 // bit-identical on its sampled lane and exact-in-counts /
-// tolerance-equivalent-in-Gamma on its sharded spectral lane.
+// tolerance-equivalent-in-Gamma on its sharded spectral lane. Options
+// that CheckAnalysis rejects fail before the file is read.
 func AnalyzeReaderCtx(ctx context.Context, tr *field.TileReader, opts AnalysisOptions) (Statistics, error) {
 	o := opts.withDefaults()
+	if err := CheckAnalysis(o); err != nil {
+		return Statistics{}, err
+	}
 	if o.MemBudget <= 0 || inRAMBytes(tr, o) <= o.MemBudget {
 		f64, f32, err := tr.ReadAll()
 		if err != nil {

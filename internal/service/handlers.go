@@ -22,7 +22,6 @@ import (
 	"lossycorr/internal/core"
 	"lossycorr/internal/field"
 	"lossycorr/internal/linalg"
-	"lossycorr/internal/stat"
 	"lossycorr/internal/svdstat"
 )
 
@@ -355,98 +354,65 @@ func queryBool(q url.Values, name string, def bool) (bool, error) {
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// analysisParams is the service surface over core.AnalysisOptions.
-// Its canonical string is part of the cache key, so two requests that
-// spell the same options differently (e.g. ?vfft=1 vs ?vfft=true)
-// still address the same cache entry.
-type analysisParams struct {
-	window    int
-	maxLag    int
-	frac      float64
-	vfft      bool
-	skipLocal bool
-	// stats is the kernel selection (?stats=variogram,svd), validated
-	// against the registry at parse time and normalized (sorted,
-	// deduplicated) so spelling order never splits the cache. Empty
-	// means every registered kernel.
-	stats []string
-}
-
-// parseStatsSelection validates and normalizes a ?stats= value. The
-// run order is fixed by the registry regardless of spelling, so the
-// canonical form is the sorted, deduplicated name set.
+// parseStatsSelection normalizes a ?stats= value: the run order is
+// fixed by the registry regardless of spelling, so the sorted,
+// deduplicated name set keeps spelling order from splitting the cache.
+// Empty means every registered kernel; core.CheckAnalysis judges the
+// names.
 func parseStatsSelection(v string) ([]string, error) {
 	if v == "" {
 		return nil, nil
 	}
-	seen := map[string]bool{}
-	names := make([]string, 0, 4)
+	var names []string
 	for _, part := range strings.Split(v, ",") {
-		name := strings.TrimSpace(part)
-		if name == "" {
-			continue
-		}
-		if _, ok := stat.Lookup(name); !ok {
-			return nil, apiErrorf(http.StatusBadRequest,
-				"unknown statistic %q (registered: %s)", name, strings.Join(stat.Names(), ", "))
-		}
-		if !seen[name] {
-			seen[name] = true
+		if name := strings.TrimSpace(part); name != "" {
 			names = append(names, name)
 		}
 	}
 	if len(names) == 0 {
 		return nil, apiErrorf(http.StatusBadRequest, "empty stats selection")
 	}
-	sort.Strings(names)
-	return names, nil
+	slices.Sort(names)
+	return slices.Compact(names), nil
 }
 
-func parseAnalysisParams(q url.Values) (analysisParams, error) {
-	p := analysisParams{window: core.DefaultWindow, frac: svdstat.DefaultVarianceFraction}
+// parseAnalysisOptions reads the analysis query parameters straight
+// into core.AnalysisOptions, with the library's defaults spelled out so
+// the cache canon does not depend on whether a request named them. It
+// keeps only the rules the library does not have: query syntax, an
+// explicit zero window or fraction (which the library would read as
+// its default), and a negative maxlag. Every other rule on the options
+// is core.CheckAnalysis's.
+func parseAnalysisOptions(q url.Values) (core.AnalysisOptions, error) {
+	o := core.AnalysisOptions{Window: core.DefaultWindow, VarianceFraction: svdstat.DefaultVarianceFraction}
 	var err error
-	if p.window, err = queryInt(q, "window", p.window); err != nil {
-		return p, err
+	if o.Window, err = queryInt(q, "window", o.Window); err != nil {
+		return o, err
 	}
-	if p.stats, err = parseStatsSelection(q.Get("stats")); err != nil {
-		return p, err
+	if o.Stats, err = parseStatsSelection(q.Get("stats")); err != nil {
+		return o, err
 	}
-	if p.maxLag, err = queryInt(q, "maxlag", 0); err != nil {
-		return p, err
+	if o.VariogramOpts.MaxLag, err = queryInt(q, "maxlag", 0); err != nil {
+		return o, err
 	}
-	if p.frac, err = queryFloat(q, "frac", p.frac); err != nil {
-		return p, err
+	if o.VarianceFraction, err = queryFloat(q, "frac", o.VarianceFraction); err != nil {
+		return o, err
 	}
-	if p.vfft, err = queryBool(q, "vfft", false); err != nil {
-		return p, err
+	if o.VariogramFFT, err = queryBool(q, "vfft", false); err != nil {
+		return o, err
 	}
-	if p.skipLocal, err = queryBool(q, "skiplocal", false); err != nil {
-		return p, err
+	if o.SkipLocal, err = queryBool(q, "skiplocal", false); err != nil {
+		return o, err
 	}
-	if p.window < 2 {
-		return p, apiErrorf(http.StatusBadRequest, "window must be >= 2, got %d", p.window)
+	switch {
+	case o.Window == 0:
+		return o, apiErrorf(http.StatusBadRequest, "window must be nonzero; omit it for the default %d", core.DefaultWindow)
+	case o.VarianceFraction == 0:
+		return o, apiErrorf(http.StatusBadRequest, "frac must be nonzero; omit it for the default %v", svdstat.DefaultVarianceFraction)
+	case o.VariogramOpts.MaxLag < 0:
+		return o, apiErrorf(http.StatusBadRequest, "maxlag must be >= 0, got %d", o.VariogramOpts.MaxLag)
 	}
-	if p.maxLag < 0 {
-		return p, apiErrorf(http.StatusBadRequest, "maxlag must be >= 0, got %d", p.maxLag)
-	}
-	// Written so NaN fails too: it would otherwise pass the level
-	// check, answer 200 with garbage, and be cached.
-	if !(p.frac > 0 && p.frac <= 1) {
-		return p, apiErrorf(http.StatusBadRequest, "frac must be in (0,1], got %v", p.frac)
-	}
-	// skiplocal drops the windowed kernels; a selection it empties
-	// would fail inside the job, so it is the client's error.
-	if p.skipLocal {
-		names := p.stats
-		if len(names) == 0 {
-			names = stat.Names()
-		}
-		global := func(name string) bool { k, _ := stat.Lookup(name); return !k.Caps().Windowed }
-		if !slices.ContainsFunc(names, global) {
-			return p, apiErrorf(http.StatusBadRequest, "skiplocal leaves no statistic of the selection %s", strings.Join(names, ","))
-		}
-	}
-	return p, nil
+	return o, nil
 }
 
 // validateMaxLag bounds the lag cutoff by the field's own shape. The
@@ -476,37 +442,27 @@ func validateMaxLag(maxLag, minDim int) error {
 // complex128 half-spectrum and the float64 summed-area table. Otherwise
 // the working set is the windowed extraction's, bounded by the field
 // itself — which the body cap already limits — so the prediction
-// degenerates to the field bytes. p must carry the kind's final
+// degenerates to the field bytes. o must carry the kind's final
 // selection (predict overrides the client's).
-func predictedPeakBytes(tr *field.TileReader, p analysisParams) int64 {
-	if peak := core.SpectralPeakBytes(tr.Shape(), p.options(0)); peak > 0 {
+func predictedPeakBytes(tr *field.TileReader, o core.AnalysisOptions) int64 {
+	if peak := core.SpectralPeakBytes(tr.Shape(), o); peak > 0 {
 		return peak
 	}
 	return tr.PayloadBytes()
 }
 
-func (p analysisParams) canon() string {
+// optionsCanon is the canonical string of the parsed options, part of
+// the cache key, so two requests that spell the same options
+// differently (e.g. ?vfft=1 vs ?vfft=true) address the same entry.
+func optionsCanon(o core.AnalysisOptions) string {
 	c := fmt.Sprintf("w=%d|lag=%d|frac=%s|vfft=%t|skip=%t",
-		p.window, p.maxLag, fmtFloat(p.frac), p.vfft, p.skipLocal)
+		o.Window, o.VariogramOpts.MaxLag, fmtFloat(o.VarianceFraction), o.VariogramFFT, o.SkipLocal)
 	// The selection joins the canon only when present, so every cache
 	// key minted before the stats option existed stays valid.
-	if len(p.stats) > 0 {
-		c += "|stats=" + strings.Join(p.stats, ",")
+	if len(o.Stats) > 0 {
+		c += "|stats=" + strings.Join(o.Stats, ",")
 	}
 	return c
-}
-
-func (p analysisParams) options(workers int) core.AnalysisOptions {
-	o := core.AnalysisOptions{
-		Window:           p.window,
-		VarianceFraction: p.frac,
-		SkipLocal:        p.skipLocal,
-		VariogramFFT:     p.vfft,
-		Workers:          workers,
-	}
-	o.VariogramOpts.MaxLag = p.maxLag
-	o.Stats = p.stats
-	return o
 }
 
 func parseErrorBounds(s string) ([]float64, error) {
@@ -718,24 +674,27 @@ func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) 
 // the run starts, so a float32 upload keeps its half-bandwidth pipeline
 // end to end.
 func (s *Server) fieldSpec(kind string, src fieldSource, q url.Values) (runSpec, error) {
-	p, err := parseAnalysisParams(q)
+	o, err := parseAnalysisOptions(q)
 	if err != nil {
 		return runSpec{}, err
 	}
+	// The client's own options, before predict overrides the selection.
+	if err := core.CheckAnalysis(o); err != nil {
+		return runSpec{}, apiErrorf(http.StatusBadRequest, "%v", err)
+	}
 	tr := src.tr
-	if err := validateMaxLag(p.maxLag, tr.MinDim()); err != nil {
+	if err := validateMaxLag(o.VariogramOpts.MaxLag, tr.MinDim()); err != nil {
 		return runSpec{}, err
 	}
-	workers := s.cfg.Workers
+	o.Workers = s.cfg.Workers
 	shape := tr.Shape()
 
 	switch kind {
 	case "analyze":
-		aOpts := p.options(workers)
-		canon := p.canon()
-		peak := predictedPeakBytes(tr, p)
+		canon := optionsCanon(o)
+		peak := predictedPeakBytes(tr, o)
 		if src.stream {
-			aOpts.MemBudget = s.cfg.StreamBudget
+			o.MemBudget = s.cfg.StreamBudget
 			canon += "|stream=" + strconv.FormatInt(s.cfg.StreamBudget, 10)
 			peak = s.cfg.StreamBudget
 		}
@@ -744,7 +703,7 @@ func (s *Server) fieldSpec(kind string, src fieldSource, q url.Values) (runSpec,
 			key:       cacheKey(kind, canon, src.digest),
 			peakBytes: peak,
 			run: func(ctx context.Context) (any, error) {
-				stats, err := core.AnalyzeReaderCtx(ctx, tr, aOpts)
+				stats, err := core.AnalyzeReaderCtx(ctx, tr, o)
 				if err != nil {
 					return nil, err
 				}
@@ -770,12 +729,12 @@ func (s *Server) fieldSpec(kind string, src fieldSource, q url.Values) (runSpec,
 			}
 			reg = sub
 		}
-		canon := p.canon() + "|ebs=" + canonFloats(ebs) + "|codec=" + codec
-		mOpts := core.MeasureOptions{Analysis: p.options(workers), ErrorBounds: ebs, Workers: workers}
+		canon := optionsCanon(o) + "|ebs=" + canonFloats(ebs) + "|codec=" + codec
+		mOpts := core.MeasureOptions{Analysis: o, ErrorBounds: ebs, Workers: o.Workers}
 		return runSpec{
 			kind:      kind,
 			key:       cacheKey(kind, canon, src.digest),
-			peakBytes: predictedPeakBytes(tr, p),
+			peakBytes: predictedPeakBytes(tr, o),
 			run: func(ctx context.Context) (any, error) {
 				wide, narrow, err := tr.ReadAll()
 				if err != nil {
@@ -807,21 +766,20 @@ func (s *Server) fieldSpec(kind string, src fieldSource, q url.Values) (runSpec,
 		// The predictor regresses on the global range, so the target's
 		// local statistics are never needed — and any client-side stats
 		// selection is overridden; the model decides what it reads.
-		p.skipLocal = true
-		p.stats = nil
-		aOpts := p.options(workers)
+		o.SkipLocal = true
+		o.Stats = nil
 		canon := fmt.Sprintf("%s|eb=%s|codec=%s|interval=%t|%s",
-			p.canon(), fmtFloat(eb), codec, interval, s.modelCanon(rank, eb))
+			optionsCanon(o), fmtFloat(eb), codec, interval, s.modelCanon(rank, eb))
 		return runSpec{
 			kind:      kind,
 			key:       cacheKey(kind, canon, src.digest),
-			peakBytes: predictedPeakBytes(tr, p),
+			peakBytes: predictedPeakBytes(tr, o),
 			run: func(ctx context.Context) (any, error) {
 				pred, modelKey, err := s.predictor(ctx, rank, eb)
 				if err != nil {
 					return nil, err
 				}
-				stats, err := core.AnalyzeReaderCtx(ctx, tr, aOpts)
+				stats, err := core.AnalyzeReaderCtx(ctx, tr, o)
 				if err != nil {
 					return nil, err
 				}

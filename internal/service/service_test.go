@@ -343,6 +343,15 @@ func TestRejectsMalformedRequests(t *testing.T) {
 		{"tagged rank bomb", "/v1/analyze", append([]byte("LCF1"), legacyHeader(0xffffffff, 0)...), http.StatusBadRequest},
 		{"bad window", "/v1/analyze?window=banana", valid, http.StatusBadRequest},
 		{"window too small", "/v1/analyze?window=1", valid, http.StatusBadRequest},
+		{"window 2 under local range's minimum", "/v1/analyze?window=2", valid, http.StatusBadRequest},
+		{"window 3 under local range's minimum", "/v1/analyze?window=3", valid, http.StatusBadRequest},
+		{"window 2 under local range's minimum via measure", "/v1/measure?window=2", valid, http.StatusBadRequest},
+		{"window 3 under local range's minimum via measure", "/v1/measure?window=3", valid, http.StatusBadRequest},
+		{"window 2 under local range's minimum via async job", "/v1/jobs/analyze?window=2", valid, http.StatusBadRequest},
+		{"window 3 under local range's minimum via async job", "/v1/jobs/analyze?window=3", valid, http.StatusBadRequest},
+		{"window 2 under local range's minimum via predict", "/v1/predict?window=2", valid, http.StatusBadRequest},
+		{"window 1 under local SVD's minimum", "/v1/analyze?window=1&stats=svd", valid, http.StatusBadRequest},
+		{"zero window", "/v1/analyze?window=0", valid, http.StatusBadRequest},
 		{"negative maxlag", "/v1/analyze?maxlag=-1", valid, http.StatusBadRequest},
 		{"maxlag lattice bomb", "/v1/analyze?maxlag=100000", valid, http.StatusBadRequest},
 		{"maxlag fft padding bomb", "/v1/analyze?vfft=true&maxlag=100000", valid, http.StatusBadRequest},
