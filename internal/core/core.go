@@ -256,6 +256,7 @@ func selectKernels(o AnalysisOptions) ([]stat.Kernel, error) {
 			want[name] = true
 		}
 	}
+	// Written so NaN fails too.
 	if !(o.VarianceFraction > 0 && o.VarianceFraction <= 1) {
 		return invalid("variance fraction %v outside (0,1]", o.VarianceFraction)
 	}
