@@ -191,6 +191,20 @@ func CheckAnalysis(opts AnalysisOptions) error {
 	return err
 }
 
+// ReadsOptions reports which of the window and the variance fraction
+// an analysis with opts reads: the window when a selected kernel is
+// windowed, the fraction when the local SVD ("svd") is selected. A
+// result depends on no option the analysis does not read, so a cache
+// key need not hold it. opts must pass CheckAnalysis.
+func ReadsOptions(opts AnalysisOptions) (window, frac bool) {
+	ks, _ := selectKernels(opts.withDefaults())
+	for _, k := range ks {
+		window = window || k.Caps().Windowed
+		frac = frac || k.Name() == (svdstat.LevelKernel{}).Name()
+	}
+	return window, frac
+}
+
 func (o AnalysisOptions) withDefaults() AnalysisOptions {
 	// Either flag selects the spectral engine; later code reads only
 	// VariogramOpts.FFT.

@@ -170,17 +170,46 @@ func (t *TileReader) ReadBlock(dst *Field, lo, hi []int) error {
 	return err
 }
 
-// ReadRange fills dst with the len(dst) elements starting at flat
-// row-major offset start, widened to float64 on the float32 lane — the
-// span-access lane the streaming pair sampler reads its endpoints
-// through. Callers pass a pooled buffer, as with ReadBlock.
-func (t *TileReader) ReadRange(dst []float64, start int) error {
-	if start < 0 || start > t.n || len(dst) > t.n-start {
-		return fmt.Errorf("field: range [%d,%d) outside %d elements", start, start+len(dst), t.n)
+// Offset is the type of the element offsets Gather reads: uint16, or
+// the destination's own lane when it gathers in place.
+type Offset interface{ uint16 | float32 | float64 }
+
+// Gather reads the len(stage) elements starting at flat row-major
+// offset start once, as their stored bytes, into stage, and sets each
+// dst[x] to element start+offs[x] in dst's lane — the span-access lane
+// the streaming pair sampler reads its endpoints through. A float32
+// payload is widened exactly into a float64 dst; a float64 payload
+// cannot be gathered into float32. offs may be dst itself. Callers pass
+// a pooled stage, as with ReadBlock.
+func Gather[V Elem, O Offset](t *TileReader, dst []V, offs []O, start int, stage []float64) error {
+	n := len(stage)
+	if start < 0 || start > t.n || n > t.n-start {
+		return fmt.Errorf("field: range [%d,%d) outside %d elements", start, start+n, t.n)
 	}
-	bp := acquireStaging()
-	defer releaseStaging(bp)
-	return t.readRange(dst, start, *bp)
+	if ElemBytes[V]() < t.ElemBytes() {
+		return fmt.Errorf("field: cannot gather a float64 payload into float32")
+	}
+	buf := asBytes(stage)[:t.ElemBytes()*n]
+	if _, err := t.r.ReadAt(buf, t.off+int64(start)*int64(t.ElemBytes())); err != nil {
+		return fmt.Errorf("field: span read: %w", err)
+	}
+	if t.f32 {
+		gatherFrom(dst, offs, asElems[float32](buf), buf)
+	} else {
+		gatherFrom(dst, offs, asElems[float64](buf), buf)
+	}
+	return nil
+}
+
+// gatherFrom sets dst[x] to src[offs[x]], src being the little-endian
+// samples buf holds, decoded in place first on a big-endian host.
+func gatherFrom[V, S Elem, O Offset](dst []V, offs []O, src []S, buf []byte) {
+	if !nativeLittleEndian {
+		decode(src, buf, ElemBytes[S]() == 4)
+	}
+	for x, o := range offs[:len(dst)] {
+		dst[x] = V(src[int(o)])
+	}
 }
 
 // readRange fills dst with the run of elements starting at flat element

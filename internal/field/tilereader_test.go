@@ -422,8 +422,8 @@ func FuzzTileReaderMatchesReadAny(f *testing.F) {
 // (±0, subnormals, normals, ±Inf, quiet and signaling NaNs of several
 // payloads, for every sign and exponent) and random float64 bit
 // patterns (NaN payloads included), read whole (ReadBinaryLimit,
-// ReadAnyLimit), as tile blocks and as spans that cross the staging
-// buffer's chunk boundary, and narrowed into a float32 destination.
+// ReadAnyLimit), as tile blocks and as gathered spans longer than a
+// staging buffer, and narrowed into a float32 destination.
 func TestInPlaceDecodeMatchesBytePath(t *testing.T) {
 	rng := xrand.New(47)
 	var bits32 []uint32
@@ -515,11 +515,17 @@ func TestInPlaceDecodeMatchesBytePath(t *testing.T) {
 		}
 		same(tc.name+" ReadBlock", blk.Data, tc.want)
 		for _, span := range [][2]int{{0, 1}, {3, 5000}, {4095, 4098}, {1, n - 1}, {n - 1, 1}, {7, 0}} {
+			// every element of the span, gathered last first
 			dst := make([]float64, span[1])
-			if err := tr.ReadRange(dst, span[0]); err != nil {
+			offs := make([]uint16, span[1])
+			for x := range offs {
+				offs[x] = uint16(span[1] - 1 - x)
+			}
+			if err := Gather(tr, dst, offs, span[0], make([]float64, span[1])); err != nil {
 				t.Fatal(err)
 			}
-			same(tc.name+" ReadRange", dst, tc.want[span[0]:span[0]+span[1]])
+			slices.Reverse(dst)
+			same(tc.name+" Gather", dst, tc.want[span[0]:span[0]+span[1]])
 		}
 	}
 	// A float64 payload narrowed into a float32 destination.

@@ -453,10 +453,22 @@ func predictedPeakBytes(tr *field.TileReader, o core.AnalysisOptions) int64 {
 
 // optionsCanon is the canonical string of the parsed options, part of
 // the cache key, so two requests that spell the same options
-// differently (e.g. ?vfft=1 vs ?vfft=true) address the same entry.
+// differently (e.g. ?vfft=1 vs ?vfft=true) address the same entry. The
+// window and the variance fraction join it only when the analysis reads
+// them (core.ReadsOptions), so predict, skiplocal and variogram-only
+// requests that differ in them alone share an entry; a request that
+// runs the local SVD keeps the canon it always had.
 func optionsCanon(o core.AnalysisOptions) string {
-	c := fmt.Sprintf("w=%d|lag=%d|frac=%s|vfft=%t|skip=%t",
-		o.Window, o.VariogramOpts.MaxLag, fmtFloat(o.VarianceFraction), o.VariogramFFT, o.SkipLocal)
+	window, frac := core.ReadsOptions(o)
+	c := ""
+	if window {
+		c = fmt.Sprintf("w=%d|", o.Window)
+	}
+	c += fmt.Sprintf("lag=%d|", o.VariogramOpts.MaxLag)
+	if frac {
+		c += "frac=" + fmtFloat(o.VarianceFraction) + "|"
+	}
+	c += fmt.Sprintf("vfft=%t|skip=%t", o.VariogramFFT, o.SkipLocal)
 	// The selection joins the canon only when present, so every cache
 	// key minted before the stats option existed stays valid.
 	if len(o.Stats) > 0 {

@@ -99,3 +99,38 @@ func TestRandomOptionRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestUnreadOptionsShareCache: the window and the variance fraction key
+// the cache only when the analysis reads them. Predict runs the global
+// variogram alone, so three predicts that differ only in them are one
+// run; so are two variogram-only analyses that differ only in the
+// window. A default analysis still reads both, and a new window is a
+// new run.
+func TestUnreadOptionsShareCache(t *testing.T) {
+	s, hs := testServer(t, Config{TrainFields: 4, TrainEdge2D: 32, TrainEdge3D: 12})
+	body := gaussBody(t, 32, 4, 9)
+	post := func(route string) {
+		t.Helper()
+		if code, data := postBin(t, hs.URL+route, body); code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", route, code, data)
+		}
+	}
+	for _, q := range []string{"window=8", "window=16", "frac=0.5"} {
+		post("/v1/predict?eb=1e-3&" + q)
+	}
+	if runs := s.Stats().PredictRuns; runs != 1 {
+		t.Fatalf("predicts differing only in unread options ran %d times, want 1", runs)
+	}
+	for _, w := range []string{"8", "16"} {
+		post("/v1/analyze?stats=variogram&window=" + w)
+	}
+	if runs := s.Stats().AnalyzeRuns; runs != 1 {
+		t.Fatalf("variogram-only analyses differing only in the window ran %d times, want 1", runs)
+	}
+	for _, w := range []string{"8", "16"} {
+		post("/v1/analyze?window=" + w)
+	}
+	if runs := s.Stats().AnalyzeRuns; runs != 3 {
+		t.Fatalf("default analyses at two windows: %d analyze runs in all, want 3", runs)
+	}
+}

@@ -14,11 +14,14 @@ package variogram
 // direct scan and is only remembered, so a caller that varies Seed on
 // every call never pays for a build. In-RAM and Reader sources share
 // the one cache: the streamed sampler (stream.go) walks a plan's codes
-// chunk by chunk instead of gathering from memory. A plan is a
-// process-wide cache entry — at most planCacheSlots of them, ≈1 MB
-// each at the default 400,000 draws whatever the field size — not the
-// working memory of a request, so a Reader's tile budget does not
-// count it.
+// chunk by chunk instead of gathering from memory. Its chunks' span
+// layout — which span read each endpoint comes from, and where in it —
+// depends only on the plan, the span shift and the chunk size, so the
+// plan's entry keeps the last one built beside it (2 B an endpoint),
+// replacing it when a request needs another. A plan and its layout are
+// a process-wide cache entry — at most planCacheSlots of them, each
+// bounded there whatever the field size — not the working memory of a
+// request, so a Reader's tile budget does not count them.
 
 import (
 	"context"
@@ -34,9 +37,13 @@ const (
 	// planCacheSlots bounds the cache to this many built plans (and as
 	// many remembered first-request keys), evicted oldest first. A plan
 	// costs at most 8 B per draw — one uint32 code per kept pair plus
-	// at most one int32 delta per kept pair — so with maxPlanDraws the
-	// cache holds at most 4 × 8 MiB = 32 MiB; at the default 400,000
-	// draws a plan is about 1 MB.
+	// at most one int32 delta per kept pair — plus, once streamed, one
+	// span layout: 4 B per kept pair (a uint16 offset per endpoint) and
+	// bucket bounds of at most 1 B per kept pair (layOutPlan keeps no
+	// larger one). So with maxPlanDraws the cache holds at most
+	// 4 × 13 MiB = 52 MiB. At the default 400,000 draws a 48³ volume
+	// keeps about 104,000 pairs: its plan is about 0.6 MB and its
+	// layout 0.4 MB; a 512² field keeps 193,000, 1.3 MB and 0.8 MB.
 	planCacheSlots = 4
 	// maxPlanDraws is the largest MaxPairs a plan is built for.
 	maxPlanDraws = 1 << 20
@@ -62,6 +69,39 @@ type pairPlan struct {
 	shift  uint
 	bins   [][]uint32
 	deltas [][]int32
+}
+
+// planPos is a position in a plan's pairs: code k of bin b.
+type planPos struct{ b, k int }
+
+// walk calls fn once per bin with the codes of the m planned pairs from
+// pos on, in bin order, and returns the position after them.
+func (p *pairPlan) walk(pos planPos, m int, fn func(b int, codes []uint32)) planPos {
+	for m > 0 {
+		codes := p.bins[pos.b][pos.k:]
+		codes = codes[:min(len(codes), m)]
+		fn(pos.b, codes)
+		m -= len(codes)
+		if pos.k += len(codes); pos.k == len(p.bins[pos.b]) {
+			pos = planPos{pos.b + 1, 0}
+		}
+	}
+	return pos
+}
+
+// endpoints returns a walk over the (i, j) of the m planned pairs from
+// pos on, in draw order.
+func (p *pairPlan) endpoints(pos planPos, m int) func(func(i, j int)) {
+	return func(fn func(i, j int)) {
+		mask := uint32(1)<<p.shift - 1
+		p.walk(pos, m, func(b int, codes []uint32) {
+			ds := p.deltas[b]
+			for _, c := range codes {
+				i := int(c >> p.shift)
+				fn(i, i+int(ds[c&mask]))
+			}
+		})
+	}
 }
 
 // pairs returns the number of planned pairs.
@@ -203,8 +243,9 @@ type planCache struct {
 }
 
 type planEntry struct {
-	key  planKey
-	plan *pairPlan
+	key    planKey
+	plan   *pairPlan
+	layout *spanLayout // the streamed layout last built for plan, or nil
 }
 
 // sampledPlans is the process-wide pair-plan cache of the sampled
@@ -260,8 +301,36 @@ func (c *planCache) store(k planKey, p *pairPlan) *pairPlan {
 			return e.plan
 		}
 	}
-	c.built = pushBounded(c.built, planEntry{k, p}, c.slots)
+	c.built = pushBounded(c.built, planEntry{key: k, plan: p}, c.slots)
 	return p
+}
+
+// layout returns the streamed layout kept beside plan p if it has span
+// shift shift and size pairs a chunk. Otherwise it builds one and, while
+// p is cached, keeps it there in place of the one before, so an entry
+// holds one layout however many budgets share its key. build may
+// return nil: nothing is kept.
+func (c *planCache) layout(p *pairPlan, shift uint, size int, build func() *spanLayout) *spanLayout {
+	c.mu.Lock()
+	for _, e := range c.built {
+		if l := e.layout; e.plan == p && l != nil && l.shift == shift && l.size == size {
+			c.mu.Unlock()
+			return l
+		}
+	}
+	c.mu.Unlock()
+	l := build()
+	if l == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.built {
+		if c.built[i].plan == p {
+			c.built[i].layout = l
+		}
+	}
+	return l
 }
 
 // pushBounded appends e, first dropping the oldest element if s already

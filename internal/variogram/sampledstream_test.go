@@ -228,11 +228,14 @@ func TestSampledReaderBudgetTooSmall(t *testing.T) {
 	}
 }
 
-// TestSampledReaderReadRange: ReadRange equals the same flat range of
-// a whole-field ReadBlock, and of a ReadBlock over the axis-0 slab it
-// covers, on both lanes — ranges longer than one staging buffer and of
-// odd lengths included — and rejects ranges outside the field.
-func TestSampledReaderReadRange(t *testing.T) {
+// TestSampledReaderGather: field.Gather takes each listed offset of a
+// span from the same flat range of a whole-field ReadBlock, and of a
+// ReadBlock over the axis-0 slab it covers, on both lanes — spans
+// longer than one staging buffer and of odd lengths included, in
+// float64 slots, in float32 slots on the float32 lane, and in place
+// with the offsets in the slots themselves — and rejects ranges outside
+// the field and float64 payloads in float32 slots.
+func TestSampledReaderGather(t *testing.T) {
 	shape := []int{7, 61, 53}
 	f32, _ := randomField32(shape, 9)
 	rng := xrand.New(11)
@@ -244,13 +247,32 @@ func TestSampledReaderReadRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		check := func(start, size int, want []float64) {
-			got := make([]float64, size)
-			if err := tr.ReadRange(got, start); err != nil {
-				t.Fatalf("f32=%v ReadRange(%d, %d): %v", tr.Float32Lane(), start, size, err)
+			offs := make([]uint16, rng.Intn(2*size+1))
+			for x := range offs {
+				offs[x] = uint16(rng.Intn(size))
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("f32=%v ReadRange(%d, %d)[%d] = %v, want %v", tr.Float32Lane(), start, size, i, got[i], want[i])
+			stage := make([]float64, size)
+			label := fmt.Sprintf("f32=%v Gather(%d, %d)", tr.Float32Lane(), start, size)
+			got := make([]float64, len(offs))
+			if err := field.Gather(tr, got, offs, start, stage); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			inPlace := make([]float64, len(offs))
+			for x, o := range offs {
+				inPlace[x] = float64(o)
+			}
+			if err := field.Gather(tr, inPlace, inPlace, start, stage); err != nil {
+				t.Fatalf("%s in place: %v", label, err)
+			}
+			narrow := make([]float32, len(offs))
+			err := field.Gather(tr, narrow, offs, start, stage)
+			if tr.Float32Lane() != (err == nil) {
+				t.Fatalf("%s into float32: err %v", label, err)
+			}
+			for x, o := range offs {
+				w := want[o]
+				if got[x] != w || inPlace[x] != w || tr.Float32Lane() && float64(narrow[x]) != w {
+					t.Fatalf("%s[%d] = %v, in place %v, float32 %v; want element %d, %v", label, x, got[x], inPlace[x], narrow[x], o, w)
 				}
 			}
 		}
@@ -268,8 +290,8 @@ func TestSampledReaderReadRange(t *testing.T) {
 			check(z[0]*plane, (z[1]-z[0])*plane, slab.Data)
 		}
 		for _, bad := range [][2]int{{-1, 1}, {n + 1, 0}, {n - 3, 4}, {0, n + 1}} {
-			if err := tr.ReadRange(make([]float64, bad[1]), bad[0]); err == nil {
-				t.Fatalf("f32=%v ReadRange(%d, %d): no error", tr.Float32Lane(), bad[0], bad[1])
+			if err := field.Gather(tr, []float64{0}, []uint16{0}, bad[0], make([]float64, bad[1])); err == nil {
+				t.Fatalf("f32=%v Gather(%d, %d): no error", tr.Float32Lane(), bad[0], bad[1])
 			}
 		}
 	}
@@ -453,5 +475,127 @@ func TestSampledReaderCancel(t *testing.T) {
 	assertEmpiricalIdentical(t, got, sampledDirect(t, f.Data, shape, o), "after a cancelled build")
 	if built, seen := planState(k); built || !seen {
 		t.Fatalf("after a cancelled build: plan built %v, key remembered %v; want a first request", built, seen)
+	}
+}
+
+// keptLayout returns the number of built plans the process-wide cache
+// holds for k (0 or 1) and the span layout kept beside it.
+func keptLayout(k planKey) (plans int, l *spanLayout) {
+	sampledPlans.mu.Lock()
+	defer sampledPlans.mu.Unlock()
+	for _, e := range sampledPlans.built {
+		if e.key == k {
+			plans++
+			l = e.layout
+		}
+	}
+	return plans, l
+}
+
+// TestSampledReaderLayouts pins the span layout cached beside a plan:
+// one planned key, read from both stored lanes at budgets whose spans
+// do not divide the field (its short last span is read as the last full
+// span) and whose chunks end inside bins, is bitwise the in-RAM scan on
+// every request while the budgets alternate between two layouts, and
+// the plan's entry holds one layout — the last one built — not one per
+// budget. Two goroutines scanning the key at different budgets at once
+// stay bitwise too (run under -race by CI).
+func TestSampledReaderLayouts(t *testing.T) {
+	ownPlans(t)
+	shape := []int{37, 41, 29}
+	o := Options{Seed: 0x1a7e << 32, MaxPairs: 60_000}.withDefaults(shape)
+	k, _, ok := planKeyOf(shape, o)
+	if !ok {
+		t.Fatal("key not plannable")
+	}
+	f32, wide := randomField32(shape, 77)
+	want := sampledDirect(t, wide.Data, shape, o)
+	kept := keptPairs(want)
+	// Where each bin's pairs end in draw order: a chunk boundary strictly
+	// between two of them falls inside a bin.
+	ends := map[int]bool{}
+	for b, total := 0, 0; b < len(want.N); b++ {
+		total += int(want.N[b])
+		ends[total] = true
+	}
+	for _, lane := range []struct {
+		name string
+		tr   *field.TileReader
+	}{
+		{"f64", writeTempField(t, wide.WriteBinary)},
+		{"f32", writeTempField(t, f32.WriteBinary)},
+	} {
+		n, sb, payload := lane.tr.Len(), slotBytesOf(lane.tr), lane.tr.PayloadBytes()
+		budgets := []int64{payload / 2, payload / 3}
+		for _, budget := range budgets {
+			shift, err := spanShift(n, budget, 5*sb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans, size, chunks := sampledGeometry(t, lane.tr, budget, true, o, kept)
+			midBin := false
+			for c := 1; c < chunks; c++ {
+				midBin = midBin || !ends[c*size]
+			}
+			t.Logf("%s budget %d: %d spans of %d, %d chunks of %d pairs", lane.name, budget, spans, 1<<shift, chunks, size)
+			if n%(1<<shift) == 0 || spans < 3 || chunks < 3 || !midBin {
+				t.Fatalf("%s budget %d: %d spans of %d for %d elements, %d chunks (one ending mid-bin: %v); want a short last span and several chunks, one ending mid-bin",
+					lane.name, budget, spans, 1<<shift, n, chunks, midBin)
+			}
+		}
+		for call := range 6 {
+			budget := budgets[call%2]
+			so := field.StreamOptions{BudgetBytes: budget}
+			got, err := sampledScanReader(bg, lane.tr, o, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s call %d budget %d", lane.name, call, budget)
+			assertEmpiricalIdentical(t, got, want, label)
+			plans, l := keptLayout(k)
+			if call == 0 && lane.name == "f64" {
+				if plans != 0 {
+					t.Fatalf("%s: the key's first request built a plan", label)
+				}
+				continue
+			}
+			shift, _ := spanShift(n, budget, 5*sb)
+			_, size, _ := sampledGeometry(t, lane.tr, budget, true, o, kept)
+			if plans != 1 || l == nil || l.shift != shift || l.size != size {
+				t.Fatalf("%s: %d plans, layout %+v; want one plan keeping this budget's layout (shift %d, %d pairs a chunk)",
+					label, plans, l, shift, size)
+			}
+		}
+	}
+
+	tr := writeTempField(t, f32.WriteBinary)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for g, budget := range []int64{tr.PayloadBytes() / 2, tr.PayloadBytes() / 3} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			so := field.StreamOptions{BudgetBytes: budget}
+			for range 8 {
+				got, err := sampledScanReader(bg, tr, o, so)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if !slices.Equal(got.H, want.H) || !slices.Equal(got.Gamma, want.Gamma) || !slices.Equal(got.N, want.N) {
+					errs[g] = fmt.Errorf("budget %d: result differs from the in-RAM scan", budget)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plans, l := keptLayout(k); plans != 1 || l == nil {
+		t.Fatalf("after concurrent scans: %d plans, layout %v; want one plan keeping one layout", plans, l)
 	}
 }

@@ -12,16 +12,24 @@ package variogram
 // The sampled estimator takes the in-RAM sampler's pairs — replayed
 // from the shared pair-plan cache (pairplan.go) when the key has a
 // plan, drawn otherwise — in draw order, in chunks sized from the
-// budget's fft.TightShare. A chunk resolves its endpoints by flat
-// payload span: a counting sort buckets them by span, each span holding
-// one is read once through TileReader.ReadRange, and the pairs are
-// folded into their bins in draw order. Every bin keeps the direct
-// scan's left-to-right chain, so the result is bitwise the in-RAM
-// sampler's, and a call makes at most spans × chunks span reads instead
-// of one point read per endpoint. Span values, bucket cursors and chunk
-// scratch all come from the transform pool, planned against that share
-// like every streaming consumer; the plan is a process-wide cache
-// (≈1 MB at the default 400,000 draws, whatever the field size), not
+// budget's fft.TightShare. A chunk's layout buckets its endpoints by
+// the flat payload span (at most 1<<16 elements) that holds them: the
+// bucket bounds, and each endpoint's offset into its span read, bucket
+// by bucket. Every span holding an endpoint is read once through
+// field.Gather, which copies those offsets from the staged payload
+// bytes straight into the chunk's slots, in the slot lane; one fold
+// then replays the buckets in draw order with int32 cursors. A layout
+// depends only on the plan, the span shift and the chunk size, never
+// on the data, so a planned key keeps its last one beside the plan in
+// the cache (2 B an endpoint) and a warm request only reads and folds;
+// a drawn chunk (a key's first request, or a key planKeyOf rejects)
+// lays itself out in its own scratch. Every bin keeps the direct scan's
+// left-to-right chain, so the result is bitwise the in-RAM sampler's,
+// and a call makes at most spans × chunks span reads instead of one
+// point read per endpoint. The staged span and the chunk scratch come
+// from the transform pool, planned against that share like every
+// streaming consumer; the plan and its layout are a process-wide cache
+// entry (bounded at planCacheSlots, whatever the field size), not
 // request memory.
 
 import (
@@ -61,30 +69,36 @@ func exactScanReader(ctx context.Context, tr *field.TileReader, o Options) (*Emp
 }
 
 // slot is the type of a chunk's scratch: its endpoint slots, which
-// hold an endpoint's flat index and then its value, and its drawn
-// (bin, i, j) triples. float32 holds all of them exactly for a
-// float32-lane field of at most maxSlot32 elements.
+// hold an endpoint's offset into its span read and then its value, and
+// its drawn (bin, i, j) triples. float32 holds all of them exactly for
+// a float32-lane field of at most maxSlot32 elements.
 type slot interface{ float32 | float64 }
 
 const maxSlot32 = 1 << 24
 
+// maxSpanShift caps a span at 1<<16 elements, so an endpoint's offset
+// into its span read fits the uint16 a cached layout keeps.
+const maxSpanShift = 16
+
 // spanFixedBytes is the scratch a span of 1<<shift elements costs
-// whatever the chunk size: the span's values and one bucket cursor per
-// span, plus one.
+// whatever the chunk size, at 8 B each: the span's staged bytes (a
+// float64 buffer on either stored lane) and one bucket cursor per
+// span, plus one (an int32, so an upper bound).
 func spanFixedBytes(n int, shift uint) int64 {
 	return 8 * int64(min(1<<shift, n)+(n-1)>>shift+2)
 }
 
 // spanShift picks the span size 1<<shift of a streamed sampled scan of
-// n elements under budgetBytes; <= 0 means unbounded: one span. Spans
-// and chunks are planned against fft.TightShare of the budget, like
-// every other streaming consumer. The span and its cursors take the
-// largest size that fits a quarter of that share (fewer, longer reads),
-// or failing that the cheapest one; the rest holds chunk pairs. A share
+// n elements under budgetBytes; <= 0 means unbounded: the largest span,
+// one span for a field of at most 1<<maxSpanShift elements. Spans and
+// chunks are planned against fft.TightShare of the budget, like every
+// other streaming consumer. The span and its cursors take the largest
+// size that fits a quarter of that share (fewer, longer reads), or
+// failing that the cheapest one; the rest holds chunk pairs. A share
 // that cannot hold that span, its cursors and one drawn pair of
 // pairBytes is an error.
 func spanShift(n int, budgetBytes int64, pairBytes int) (uint, error) {
-	whole := uint(bits.Len(uint(n - 1)))
+	whole := min(uint(bits.Len(uint(n-1))), maxSpanShift)
 	if budgetBytes <= 0 {
 		return whole, nil
 	}
@@ -107,27 +121,28 @@ func spanShift(n int, budgetBytes int64, pairBytes int) (uint, error) {
 
 // chunkPairs is the number of pairs a chunk holds beside a span of
 // 1<<shift elements, at pairBytes of scratch each, capped at the total
-// the scan can keep. An unbounded budget holds them all in one chunk,
-// up to maxPlanDraws pairs (every pair of a default scan), so no pair
-// budget sizes an allocation on its own.
+// the scan can keep and at maxPlanDraws (every pair of a default
+// scan), so no pair budget sizes an allocation on its own and a slot
+// index fits an int32. An unbounded budget holds the capped total.
 func chunkPairs(n int, shift uint, budgetBytes int64, pairBytes, total int) int {
+	size := min(total, maxPlanDraws)
 	if budgetBytes <= 0 {
-		return min(total, maxPlanDraws)
+		return size
 	}
 	free := fft.TightShare(budgetBytes) - spanFixedBytes(n, shift)
-	return int(min(free/int64(pairBytes), int64(total)))
+	return int(min(free/int64(pairBytes), int64(size)))
 }
 
 // sampledScanReader is the seeded pair sampler over a reader, with no
 // point reads. Its pairs come from the process-wide plan cache
 // (pairplan.go), under the same key and second-request admission as
 // the in-RAM scan, or straight from drawPairs when there is no plan.
-// They are folded in budget-sized chunks: a chunk buckets its
-// endpoints by span, reads every span holding one once, then folds
-// each pair's squared difference into its bin. Every bin sums its
-// pairs in draw order in one left-to-right chain over float64 values
-// widened exactly as in RAM, so the result is bitwise the in-RAM
-// sampler's on either stored lane.
+// They are folded in budget-sized chunks: a chunk's layout buckets its
+// endpoints by span, every span holding one is read once into its
+// bucket, then each pair's squared difference is folded into its bin.
+// Every bin sums its pairs in draw order in one left-to-right chain
+// over float64 values widened exactly as in RAM, so the result is
+// bitwise the in-RAM sampler's on either stored lane.
 func sampledScanReader(ctx context.Context, tr *field.TileReader, o Options, so field.StreamOptions) (*Empirical, error) {
 	if tr.Float32Lane() && tr.Len() <= maxSlot32 {
 		return sampledSpans[float32](ctx, tr, o, so, 4)
@@ -152,14 +167,14 @@ func sampledSpans[V slot](ctx context.Context, tr *field.TileReader, o Options, 
 	}
 	s := &spanScan[V]{
 		tr:    tr,
+		n:     n,
 		shift: shift,
+		cur:   make([]int32, (n-1)>>shift+2),
 		sum:   make([]float64, o.MaxLag+1),
 		cnt:   make([]int64, o.MaxLag+1),
 	}
-	s.span = fft.AcquireTight[float64](min(1<<shift, n))
-	defer fft.Release(s.span)
-	s.cur = fft.AcquireTight[float64]((n-1)>>shift + 2)
-	defer fft.Release(s.cur)
+	s.stage = fft.AcquireTight[float64](min(1<<shift, n))
+	defer fft.Release(s.stage)
 	if p != nil {
 		err = s.planned(ctx, p, chunkPairs(n, shift, so.BudgetBytes, planned, p.pairs()))
 	} else {
@@ -171,214 +186,223 @@ func sampledSpans[V slot](ctx context.Context, tr *field.TileReader, o Options, 
 	return collect(s.sum, s.cnt), nil
 }
 
-// batchPairs is the number of pairs a chunk walk hands step at once.
-const batchPairs = 256
-
-// pairBatch is a run of up to batchPairs pairs of a chunk, in walk order.
-type pairBatch struct {
-	n         int
-	bin, i, j [batchPairs]int
-}
-
-// planChunk is the planned pairs from code k0 of bin b0 up to (not
-// including) code k1 of bin b1.
-type planChunk struct {
-	p              *pairPlan
-	b0, k0, b1, k1 int
-}
-
 // spanScan is the state of one streamed sampled scan. Span k holds the
 // flat elements [k<<shift, (k+1)<<shift) of the field.
 type spanScan[V slot] struct {
 	tr    *field.TileReader
+	n     int
 	shift uint
-	span  []float64 // one span read, min(1<<shift, n) elements
-	cur   []float64 // one bucket cursor per span, plus one
-	slots []V       // a chunk's endpoints bucketed by span: flat index, then value
-	pass  scanPass
+	stage []float64 // one span read's stored bytes, min(1<<shift, n) elements
+	cur   []int32   // one bucket cursor per span, plus one
+	slots []V       // a chunk's endpoints bucketed by span: span offset, then value
 	sum   []float64
 	cnt   []int64
 }
 
-// scanPass is the step a chunk walk takes for each of its pairs.
-type scanPass int
+// spanStart is where span k is read from: its first element, or for a
+// short last span the start of the field's last full span.
+func (s *spanScan[V]) spanStart(k int) int { return min(k<<s.shift, s.n-len(s.stage)) }
 
-const (
-	countPass scanPass = iota // count the endpoints of each span
-	placePass                 // bucket the endpoints' flat indices by span
-	foldPass                  // fold each pair's bucketed values into its bin
-)
+// spanLayout is the layout of every chunk of a plan at one span shift
+// and chunk size: what layOut computes, computed once. Chunk c's
+// bucket bounds are bounds[c·w:(c+1)·w], w being the spans plus one,
+// and the span offsets of its endpoints, bucket by bucket, start at
+// offs[2·c·size]. It depends on the plan, the shift and the size, never
+// on the data, and is immutable once built.
+type spanLayout struct {
+	shift  uint
+	size   int
+	bounds []int32
+	offs   []uint16
+}
+
+// layOutPlan lays out every chunk of plan p at size pairs a chunk, or
+// returns nil when the bucket bounds would cost more than 1 B per
+// planned pair (a tiny budget's many spans and chunks): such a scan
+// lays each chunk out in its own scratch instead.
+func layOutPlan[V slot](s *spanScan[V], p *pairPlan, size int) *spanLayout {
+	total, w := p.pairs(), len(s.cur)
+	chunks := (total + size - 1) / size
+	if 4*chunks*w > total {
+		return nil
+	}
+	l := &spanLayout{
+		shift:  s.shift,
+		size:   size,
+		bounds: make([]int32, chunks*w),
+		offs:   make([]uint16, 2*total),
+	}
+	var pos planPos
+	for c := range chunks {
+		m := min(size, total-c*size)
+		layOut(s, p.endpoints(pos, m), l.bounds[c*w:(c+1)*w], l.offs[2*c*size:])
+		pos = p.walk(pos, m, func(int, []uint32) {}) // on to the next chunk
+	}
+	return l
+}
+
+// layOut lays out one chunk, whose pairs' endpoints each walks in draw
+// order: a counting sort buckets them by span, bucket k taking the
+// chunk's slots [bounds[k], bounds[k+1]), and offs[x] is the offset
+// into its span read of the endpoint slot x receives — each bucket in
+// draw order, a pair's i before its j.
+func layOut[V slot, O field.Offset](s *spanScan[V], each func(func(i, j int)), bounds []int32, offs []O) {
+	sh := s.shift
+	clear(bounds)
+	each(func(i, j int) {
+		bounds[i>>sh+1]++
+		bounds[j>>sh+1]++
+	})
+	for k := 1; k < len(bounds); k++ {
+		bounds[k] += bounds[k-1]
+	}
+	// bounds[k] is where bucket k starts; placing moves it to where it ends.
+	place := func(e int) {
+		k := e >> sh
+		offs[bounds[k]] = O(e - s.spanStart(k))
+		bounds[k]++
+	}
+	each(func(i, j int) {
+		place(i)
+		place(j)
+	})
+	copy(bounds[1:], bounds) // back to where each bucket starts
+	bounds[0] = 0
+}
+
+// gather fills a laid-out chunk's slots: each span holding one of its
+// endpoints is read once, and its bucket takes their values. The
+// context is checked once per chunk.
+func gather[V slot, O field.Offset](ctx context.Context, s *spanScan[V], bounds []int32, offs []O) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	for k := range len(bounds) - 1 {
+		lo, hi := bounds[k], bounds[k+1]
+		if lo == hi {
+			continue
+		}
+		if err := field.Gather(s.tr, s.slots[lo:hi], offs[lo:hi], s.spanStart(k), s.stage); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // planned folds the pairs of plan p, size pairs at a time, walking its
-// bins in order.
+// bins in order. Each chunk's layout comes from the one cached beside
+// p, or is laid out in the chunk's own slots when none is kept.
 func (s *spanScan[V]) planned(ctx context.Context, p *pairPlan, size int) error {
 	if size == 0 {
 		return nil
 	}
 	s.slots = fft.AcquireTight[V](2 * size)
 	defer fft.Release(s.slots)
-	c := &planChunk{p: p}
-	walk := func() { s.walkPlan(c) }
-	for c.b0 < len(p.bins) {
-		c.b1, c.k1 = c.b0, c.k0
-		for left := size; c.b1 < len(p.bins); c.b1, c.k1 = c.b1+1, 0 {
-			take := min(len(p.bins[c.b1])-c.k1, left)
-			c.k1 += take
-			if left -= take; left == 0 {
-				break
-			}
+	lay := sampledPlans.layout(p, s.shift, size, func() *spanLayout { return layOutPlan(s, p, size) })
+	w := len(s.cur)
+	var pos planPos
+	for c, total := 0, p.pairs(); c*size < total; c++ {
+		m := min(size, total-c*size)
+		var err error
+		if lay != nil {
+			bounds := lay.bounds[c*w : (c+1)*w]
+			err = gather(ctx, s, bounds, lay.offs[2*c*size:])
+			copy(s.cur, bounds)
+		} else {
+			layOut(s, p.endpoints(pos, m), s.cur, s.slots)
+			err = gather(ctx, s, s.cur, s.slots)
 		}
-		if err := s.fold(ctx, walk); err != nil {
+		if err != nil {
 			return err
 		}
-		c.b0, c.k0 = c.b1, c.k1
+		pos = s.foldPlan(p, pos, m)
 	}
 	return nil
 }
 
+// foldPlan folds the m planned pairs of p from pos on into their bins,
+// replaying the bucket cursors in draw order, and returns where the
+// next chunk starts.
+func (s *spanScan[V]) foldPlan(p *pairPlan, pos planPos, m int) planPos {
+	return p.walk(pos, m, func(b int, codes []uint32) {
+		s.sum[b] = foldCodes(codes, p.deltas[b], p.shift, s.shift, s.cur, s.slots, s.sum[b])
+		s.cnt[b] += int64(len(codes))
+	})
+}
+
+// foldCodes adds the squared differences of one bin's planned pairs,
+// packed with code shift cs, to sum: each endpoint's value is the next
+// slot of its span's bucket (span shift sh).
+func foldCodes[V slot](codes []uint32, ds []int32, cs, sh uint, cur []int32, slots []V, sum float64) float64 {
+	cs, sh = cs&31, sh&63 // in range: no shift-overflow checks in the loop
+	mask := uint32(1)<<cs - 1
+	for _, c := range codes {
+		i := int(c >> cs)
+		j := i + int(ds[c&mask])
+		si, sj := i>>sh, j>>sh
+		vi := float64(slots[cur[si]])
+		cur[si]++
+		vj := float64(slots[cur[sj]])
+		cur[sj]++
+		d := vi - vj
+		sum += float64(d * d)
+	}
+	return sum
+}
+
 // drawn folds the pairs drawPairs draws, size pairs at a time, keeping
-// each as a (bin, i, j) triple until its chunk is full.
+// each as a (bin, i, j) triple until its chunk is full. A chunk is laid
+// out in its own slots, which hold each endpoint's span offset until
+// the gather replaces it with the value.
 func (s *spanScan[V]) drawn(ctx context.Context, shape []int, o Options, size int) error {
 	s.slots = fft.AcquireTight[V](2 * size)
 	defer fft.Release(s.slots)
 	trip := fft.AcquireTight[V](3 * size)
 	defer fft.Release(trip)
 	m := 0
-	walk := func() { s.walkDrawn(trip[:m]) }
+	chunk := func() error {
+		t := trip[:m]
+		m = 0
+		layOut(s, func(fn func(i, j int)) {
+			for x := 0; x < len(t); x += 3 {
+				fn(int(t[x+1]), int(t[x+2]))
+			}
+		}, s.cur, s.slots)
+		if err := gather(ctx, s, s.cur, s.slots); err != nil {
+			return err
+		}
+		s.foldDrawn(t)
+		return nil
+	}
 	if err := drawPairs(ctx, shape, o, func(bin, i, j int, _ []int) error {
 		trip[m], trip[m+1], trip[m+2] = V(bin), V(i), V(j)
 		if m += 3; m < len(trip) {
 			return nil
 		}
-		err := s.fold(ctx, walk)
-		m = 0
-		return err
+		return chunk()
 	}); err != nil {
 		return err
 	}
 	if m == 0 {
 		return nil
 	}
-	return s.fold(ctx, walk)
+	return chunk()
 }
 
-// walkPlan hands the pairs of c to step in batches, each bin's pairs
-// in draw order.
-func (s *spanScan[V]) walkPlan(c *planChunk) {
-	var pb pairBatch
-	p := c.p
-	mask := uint32(1)<<p.shift - 1
-	for b, k := c.b0, c.k0; b <= c.b1 && b < len(p.bins); b, k = b+1, 0 {
-		codes, ds := p.bins[b], p.deltas[b]
-		if b == c.b1 {
-			codes = codes[:c.k1]
-		}
-		for _, code := range codes[k:] {
-			i := int(code >> p.shift)
-			if pb.add(b, i, i+int(ds[code&mask])) {
-				s.step(&pb)
-			}
-		}
-	}
-	s.step(&pb)
-}
-
-// walkDrawn hands the (bin, i, j) triples of trip to step in batches.
-func (s *spanScan[V]) walkDrawn(trip []V) {
-	var pb pairBatch
-	for t := 0; t+2 < len(trip); t += 3 {
-		if pb.add(int(trip[t]), int(trip[t+1]), int(trip[t+2])) {
-			s.step(&pb)
-		}
-	}
-	s.step(&pb)
-}
-
-// add appends pair (i, j) of bin bin and reports whether pb is full.
-func (pb *pairBatch) add(bin, i, j int) bool {
-	pb.bin[pb.n], pb.i[pb.n], pb.j[pb.n] = bin, i, j
-	pb.n++
-	return pb.n == batchPairs
-}
-
-// fold adds one chunk's pairs, which walk hands to step, to the bins:
-// a counting sort buckets the chunk's endpoints by span, each span
-// holding one is read once and its values replace the bucketed indices,
-// and a last walk, replaying the bucket cursors, folds every pair. The
-// context is checked once per chunk.
-func (s *spanScan[V]) fold(ctx context.Context, walk func()) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	cur, slots, span := s.cur, s.slots, s.span
-	clear(cur)
-	s.pass = countPass
-	walk()
-	for k := 1; k < len(cur); k++ {
-		cur[k] += cur[k-1]
-	}
-	// cur[k] is where bucket k starts; placing moves it to where it ends.
-	s.pass = placePass
-	walk()
-	n := s.tr.Len()
-	lo := 0
-	for k, end := range cur[:len(cur)-1] {
-		hi := int(end)
-		if hi == lo {
-			continue
-		}
-		// A short last span is read as the field's last full span.
-		start := min(k<<s.shift, n-len(span))
-		if err := s.tr.ReadRange(span, start); err != nil {
-			return err
-		}
-		for x := lo; x < hi; x++ {
-			slots[x] = V(span[int(slots[x])-start])
-		}
-		lo = hi
-	}
-	copy(cur[1:], cur) // back to where each bucket starts
-	cur[0] = 0
-	s.pass = foldPass
-	walk()
-	return nil
-}
-
-// step takes the current pass's step for every pair of pb and empties
-// it. Every pass walks a chunk's pairs in the same order, and each
-// pair's i before its j, so the fold pass meets every endpoint at the
-// bucket slot the place pass gave it.
-func (s *spanScan[V]) step(pb *pairBatch) {
+// foldDrawn folds the (bin, i, j) triples of trip into their bins,
+// replaying the bucket cursors in draw order.
+func (s *spanScan[V]) foldDrawn(trip []V) {
 	sh, cur, slots := s.shift, s.cur, s.slots
-	bins, is, js := pb.bin[:pb.n], pb.i[:pb.n], pb.j[:pb.n]
-	pb.n = 0
-	switch s.pass {
-	case countPass:
-		for k, i := range is {
-			cur[i>>sh+1]++
-			cur[js[k]>>sh+1]++
-		}
-	case placePass:
-		for k, i := range is {
-			slots[int(cur[i>>sh])] = V(i)
-			cur[i>>sh]++
-			j := js[k]
-			slots[int(cur[j>>sh])] = V(j)
-			cur[j>>sh]++
-		}
-	default:
-		sum, cnt := s.sum, s.cnt
-		for k, i := range is {
-			vi := float64(slots[int(cur[i>>sh])])
-			cur[i>>sh]++
-			j := js[k]
-			vj := float64(slots[int(cur[j>>sh])])
-			cur[j>>sh]++
-			d := vi - vj
-			sum[bins[k]] += float64(d * d)
-			cnt[bins[k]]++
-		}
+	for x := 0; x+2 < len(trip); x += 3 {
+		b, si, sj := int(trip[x]), int(trip[x+1])>>sh, int(trip[x+2])>>sh
+		vi := float64(slots[cur[si]])
+		cur[si]++
+		vj := float64(slots[cur[sj]])
+		cur[sj]++
+		d := vi - vj
+		s.sum[b] += float64(d * d)
+		s.cnt[b]++
 	}
 }

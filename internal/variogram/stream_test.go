@@ -354,12 +354,14 @@ func BenchmarkVariogramFFTReader(b *testing.B) {
 // BenchmarkSampledScanReader times the streamed sampled scan of a 48³
 // float32 volume at a 221,184-byte budget (half the payload), over a
 // bytes.Reader (mem) and a temp file (file), with the in-RAM scan of
-// the same field as the reference (ram). cold draws a fresh seed every
-// iteration, so every call draws directly; warm repeats one key, so
-// every call after the first two walks its cached plan.
+// the same field as the reference (ram); file64 is the same volume
+// stored as float64, at half its 884,736-byte payload, read in float64
+// slots. cold draws a fresh seed every iteration, so every call draws
+// directly; warm repeats one key, so every call after the first two
+// walks its cached plan and span layout.
 func BenchmarkSampledScanReader(b *testing.B) {
 	shape := []int{48, 48, 48}
-	f32, _ := randomField32(shape, 21)
+	f32, wide := randomField32(shape, 21)
 	var raw bytes.Buffer
 	if err := f32.WriteBinary(&raw); err != nil {
 		b.Fatal(err)
@@ -376,6 +378,7 @@ func BenchmarkSampledScanReader(b *testing.B) {
 		{"ram", in32(f32)},
 		{"mem", onDisk(mem, so)},
 		{"file", onDisk(writeTempField(b, f32.WriteBinary), so)},
+		{"file64", onDisk(writeTempField(b, wide.WriteBinary), field.StreamOptions{BudgetBytes: 442_368})},
 	}
 	coldSeed := uint64(3) << 32 // never repeats across runs, so never planned
 	for _, s := range srcs {
