@@ -17,8 +17,8 @@ package variogram
 // chunk by chunk instead of gathering from memory. Its chunks' span
 // layout — which span read each endpoint comes from, and where in it —
 // depends only on the plan, the span shift and the chunk size, so the
-// plan's entry keeps the last one built beside it (2 B an endpoint),
-// replacing it when a request needs another. A plan and its layout are
+// cached plan keeps the last one built beside its pairs (2 B an
+// endpoint), replacing it when a request needs another. A plan and its layout are
 // a process-wide cache entry — at most planCacheSlots of them, each
 // bounded there whatever the field size — not the working memory of a
 // request, so a Reader's tile budget does not count them.
@@ -29,6 +29,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"lossycorr/internal/field"
 )
@@ -63,12 +64,16 @@ type planKey struct {
 // pairPlan is the sampled scan's draws replayed into per-bin pair
 // lists. Pair p of bin b is packed as bins[b][p] = i<<shift | k, its
 // other end being j = i + deltas[b][k]: each bin indexes its distinct
-// lag vectors, so a kept pair fits in 4 bytes. A plan is immutable
-// once built; any number of gathers may share it.
+// lag vectors, so a kept pair fits in 4 bytes. A plan's pairs are
+// immutable once built; any number of gathers may share it.
 type pairPlan struct {
 	shift  uint
 	bins   [][]uint32
 	deltas [][]int32
+	// layout is the streamed span layout last built for the plan
+	// (stream.go), replaced when a request needs another, so a cached
+	// plan keeps one however many budgets share its key.
+	layout atomic.Pointer[spanLayout]
 }
 
 // planPos is a position in a plan's pairs: code k of bin b.
@@ -243,9 +248,8 @@ type planCache struct {
 }
 
 type planEntry struct {
-	key    planKey
-	plan   *pairPlan
-	layout *spanLayout // the streamed layout last built for plan, or nil
+	key  planKey
+	plan *pairPlan
 }
 
 // sampledPlans is the process-wide pair-plan cache of the sampled
@@ -301,36 +305,8 @@ func (c *planCache) store(k planKey, p *pairPlan) *pairPlan {
 			return e.plan
 		}
 	}
-	c.built = pushBounded(c.built, planEntry{key: k, plan: p}, c.slots)
+	c.built = pushBounded(c.built, planEntry{k, p}, c.slots)
 	return p
-}
-
-// layout returns the streamed layout kept beside plan p if it has span
-// shift shift and size pairs a chunk. Otherwise it builds one and, while
-// p is cached, keeps it there in place of the one before, so an entry
-// holds one layout however many budgets share its key. build may
-// return nil: nothing is kept.
-func (c *planCache) layout(p *pairPlan, shift uint, size int, build func() *spanLayout) *spanLayout {
-	c.mu.Lock()
-	for _, e := range c.built {
-		if l := e.layout; e.plan == p && l != nil && l.shift == shift && l.size == size {
-			c.mu.Unlock()
-			return l
-		}
-	}
-	c.mu.Unlock()
-	l := build()
-	if l == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.built {
-		if c.built[i].plan == p {
-			c.built[i].layout = l
-		}
-	}
-	return l
 }
 
 // pushBounded appends e, first dropping the oldest element if s already

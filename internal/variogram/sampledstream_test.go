@@ -486,7 +486,7 @@ func keptLayout(k planKey) (plans int, l *spanLayout) {
 	for _, e := range sampledPlans.built {
 		if e.key == k {
 			plans++
-			l = e.layout
+			l = e.plan.layout.Load()
 		}
 	}
 	return plans, l
@@ -497,7 +497,7 @@ func keptLayout(k planKey) (plans int, l *spanLayout) {
 // do not divide the field (its short last span is read as the last full
 // span) and whose chunks end inside bins, is bitwise the in-RAM scan on
 // every request while the budgets alternate between two layouts, and
-// the plan's entry holds one layout — the last one built — not one per
+// the cached plan holds one layout — the last one built — not one per
 // budget. Two goroutines scanning the key at different budgets at once
 // stay bitwise too (run under -race by CI).
 func TestSampledReaderLayouts(t *testing.T) {

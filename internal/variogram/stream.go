@@ -20,13 +20,12 @@ package variogram
 // bytes straight into the chunk's slots, in the slot lane; one fold
 // then replays the buckets in draw order with int32 cursors. A layout
 // depends only on the plan, the span shift and the chunk size, never
-// on the data, so a planned key keeps its last one beside the plan in
-// the cache (2 B an endpoint) and a warm request only reads and folds;
-// a drawn chunk (a key's first request, or a key planKeyOf rejects)
-// lays itself out in its own scratch. Every bin keeps the direct scan's
-// left-to-right chain, so the result is bitwise the in-RAM sampler's,
-// and a call makes at most spans × chunks span reads instead of one
-// point read per endpoint. The staged span and the chunk scratch come
+// on the data, so a cached plan keeps its last one (2 B an endpoint)
+// and a warm request only reads and folds; a drawn chunk (a key's first
+// request, or a key planKeyOf rejects) lays itself out in its own
+// scratch. Every bin keeps the direct scan's left-to-right chain, so
+// the result is bitwise the in-RAM sampler's, and a call makes at most
+// spans × chunks span reads instead of one point read per endpoint. The staged span and the chunk scratch come
 // from the transform pool, planned against that share like every
 // streaming consumer; the plan and its layout are a process-wide cache
 // entry (bounded at planCacheSlots, whatever the field size), not
@@ -292,15 +291,21 @@ func gather[V slot, O field.Offset](ctx context.Context, s *spanScan[V], bounds 
 }
 
 // planned folds the pairs of plan p, size pairs at a time, walking its
-// bins in order. Each chunk's layout comes from the one cached beside
-// p, or is laid out in the chunk's own slots when none is kept.
+// bins in order. Each chunk's layout comes from the one p keeps, built
+// on a miss, or is laid out in the chunk's own slots when layOutPlan
+// keeps none.
 func (s *spanScan[V]) planned(ctx context.Context, p *pairPlan, size int) error {
 	if size == 0 {
 		return nil
 	}
 	s.slots = fft.AcquireTight[V](2 * size)
 	defer fft.Release(s.slots)
-	lay := sampledPlans.layout(p, s.shift, size, func() *spanLayout { return layOutPlan(s, p, size) })
+	lay := p.layout.Load()
+	if lay == nil || lay.shift != s.shift || lay.size != size {
+		if lay = layOutPlan(s, p, size); lay != nil {
+			p.layout.Store(lay)
+		}
+	}
 	w := len(s.cur)
 	var pos planPos
 	for c, total := 0, p.pairs(); c*size < total; c++ {
