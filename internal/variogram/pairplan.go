@@ -18,10 +18,10 @@ package variogram
 // layout — which span read each endpoint comes from, and where in it —
 // depends only on the plan, the span shift and the chunk size, so the
 // cached plan keeps the last one built beside its pairs (2 B an
-// endpoint), replacing it when a request needs another. A plan and its layout are
-// a process-wide cache entry — at most planCacheSlots of them, each
-// bounded there whatever the field size — not the working memory of a
-// request, so a Reader's tile budget does not count them.
+// endpoint), replacing it when a request needs another. A plan and its
+// layout are a process-wide cache entry — at most planCacheSlots of
+// them, each bounded there whatever the field size — not the working
+// memory of a request, so a Reader's tile budget does not count them.
 
 import (
 	"context"
