@@ -183,7 +183,7 @@ type Offset interface{ uint16 | float32 | float64 }
 // a pooled stage, as with ReadBlock.
 func Gather[V Elem, O Offset](t *TileReader, dst []V, offs []O, start int, stage []float64) error {
 	n := len(stage)
-	if start < 0 || start > t.n || n > t.n-start {
+	if start < 0 || n > t.n-start {
 		return fmt.Errorf("field: range [%d,%d) outside %d elements", start, start+n, t.n)
 	}
 	if ElemBytes[V]() < t.ElemBytes() {
