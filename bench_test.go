@@ -240,7 +240,7 @@ func BenchmarkExtPSNRvsRange(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		series = BuildMetricSeries(ms, XGlobalRange, YPSNR)
+		series = BuildSeries(ms, XGlobalRange, YPSNR)
 	}
 	for _, sr := range series {
 		if sr.FitOK {
@@ -290,7 +290,7 @@ func BenchmarkExtSampledStatistics(b *testing.B) {
 			var est float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				est, err = SampledLocalRangeStd(f, 32, SamplingOptions{Fraction: frac, Seed: uint64(i)})
+				est, err = SampledLocalRangeStd(b.Context(), f, 32, SamplingOptions{Fraction: frac, Seed: uint64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -310,7 +310,7 @@ func BenchmarkExt3DPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := EstimateVariogramRange(vol, VariogramOptions{MaxPairs: 200000})
+		m, err := EstimateVariogramRange(b.Context(), vol, VariogramOptions{MaxPairs: 200000})
 		if err != nil {
 			b.Fatal(err)
 		}

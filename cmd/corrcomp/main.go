@@ -122,7 +122,7 @@ func cmdSample(args []string) error {
 	if err != nil {
 		return err
 	}
-	points, err := lossycorr.SweepSamplingFractions(fld, *window, *stat, nil,
+	points, err := lossycorr.SweepSamplingFractions(context.Background(), fld, *window, *stat, nil,
 		lossycorr.SamplingOptions{Seed: *seed, Workers: *workers})
 	if err != nil {
 		return err
@@ -254,7 +254,7 @@ func readField(path string) (*lossycorr.Field, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return lossycorr.ReadField(f)
+	return lossycorr.ReadField(f, 0)
 }
 
 // readFieldAny reads a field on whichever lane the file declares:
@@ -424,16 +424,20 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	rank := 0
 	if n32 != nil {
-		rank = n32.NDim()
-	} else {
-		rank = fld.NDim()
+		return compressOne(n32, *codec, *eb)
 	}
-	name := *codec
+	return compressOne(fld, *codec, *eb)
+}
+
+// compressOne prints the measurement of f on its own lane under the
+// named codec; an empty name means sz-like for a 2D field (the
+// historical default) and the first codec of f's rank otherwise.
+func compressOne[T lossycorr.Elem](f *lossycorr.FieldOf[T], name string, eb float64) error {
 	if name == "" {
+		rank := f.NDim()
 		if rank == 2 {
-			name = "sz-like" // historical default
+			name = "sz-like"
 		} else {
 			names := lossycorr.CompressorsFor(rank)
 			if len(names) == 0 {
@@ -442,10 +446,7 @@ func cmdCompress(args []string) error {
 			name = names[0]
 		}
 	}
-	if n32 != nil {
-		return measureAll(n32, []string{name}, []float64{*eb})
-	}
-	return measureAll(fld, []string{name}, []float64{*eb})
+	return measureAll(f, []string{name}, []float64{eb})
 }
 
 func cmdSweep(args []string) error {
@@ -457,16 +458,10 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	rank := 0
 	if n32 != nil {
-		rank = n32.NDim()
-	} else {
-		rank = fld.NDim()
+		return measureAll(n32, lossycorr.CompressorsFor(n32.NDim()), lossycorr.PaperErrorBounds)
 	}
-	if n32 != nil {
-		return measureAll(n32, lossycorr.CompressorsFor(rank), lossycorr.PaperErrorBounds)
-	}
-	return measureAll(fld, lossycorr.CompressorsFor(rank), lossycorr.PaperErrorBounds)
+	return measureAll(fld, lossycorr.CompressorsFor(fld.NDim()), lossycorr.PaperErrorBounds)
 }
 
 // measureAll prints the measurement of f on its own lane under every
@@ -492,8 +487,9 @@ func printResult(res lossycorr.Result) {
 
 func cmdPredict(args []string) error {
 	fs := flag.NewFlagSet("predict", flag.ExitOnError)
-	size := fs.Int("size", 0, "training field edge (0 = 128 for 2D, 24 for 3D)")
-	train := fs.Int("train", 6, "number of training ranges")
+	size := fs.Int("size", 0, fmt.Sprintf("training field edge (0 = %d for 2D, %d for 3D)",
+		lossycorr.DefaultTrainEdge2D, lossycorr.DefaultTrainEdge3D))
+	train := fs.Int("train", lossycorr.DefaultTrainFields, "number of training ranges")
 	ndim := fs.Int("ndim", 0, "training rank: 2 or 3 (0 = follow -in, else 2)")
 	eb := fs.Float64("eb", 1e-3, "error bound for selection")
 	seed := fs.Uint64("seed", 1, "seed")
@@ -528,14 +524,6 @@ func cmdPredict(args []string) error {
 	if target != nil && target.NDim() != rank {
 		return fmt.Errorf("-in is rank %d but -ndim asked for %d", target.NDim(), rank)
 	}
-	edge := *size
-	if edge == 0 {
-		edge = 128
-		if rank == 3 {
-			edge = 24
-		}
-	}
-
 	var p *lossycorr.Predictor
 	var fields []*lossycorr.Field
 	if *load != "" {
@@ -555,7 +543,7 @@ func cmdPredict(args []string) error {
 		fmt.Printf("loaded model %s (source %s, %d measurements)\n", *load, prov.Source, prov.Measurements)
 	} else {
 		p, fields, err = lossycorr.TrainRangeLadder(context.Background(), lossycorr.TrainConfig{
-			Rank: rank, Fields: *train, Edge: edge, Seed: *seed,
+			Rank: rank, Fields: *train, Edge: *size, Seed: *seed,
 			ErrorBound: *eb, Folds: *folds, Workers: *workers,
 		})
 		if err != nil {

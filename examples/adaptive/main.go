@@ -39,11 +39,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("fitted models (CR = α + β·ln(range)):")
-	for _, s := range lossycorr.BuildSeries(ms, lossycorr.XGlobalRange) {
+	for _, s := range lossycorr.BuildSeries(ms, lossycorr.XGlobalRange, lossycorr.YRatio) {
 		fmt.Printf("  %-11s %s\n", s.Compressor, s.Fit)
 	}
 
-	predictor, err := lossycorr.TrainPredictor(ms, lossycorr.XGlobalRange)
+	predictor, err := lossycorr.TrainPredictor(ms, lossycorr.XGlobalRange, lossycorr.TrainOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

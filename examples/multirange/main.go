@@ -53,7 +53,7 @@ func main() {
 
 	fmt.Println("\nexplanatory power of each statistic (R² of CR = α + β·log x):")
 	for _, sel := range []lossycorr.StatSelector{lossycorr.XGlobalRange, lossycorr.XLocalRangeStd} {
-		for _, s := range lossycorr.BuildSeries(ms, sel) {
+		for _, s := range lossycorr.BuildSeries(ms, sel, lossycorr.YRatio) {
 			if s.Compressor != "sz-like" || !s.FitOK {
 				continue
 			}

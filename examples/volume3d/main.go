@@ -45,7 +45,7 @@ func main() {
 		// the paper's per-slice 2D view of the same volume: the mid-z
 		// slice, a rank-2 view over the volume's data
 		mid := &lossycorr.Field{Shape: []int{n, n}, Data: f.Data[n/2*n*n : (n/2+1)*n*n]}
-		m2, err := lossycorr.EstimateVariogramRange(mid, lossycorr.VariogramOptions{Exact: true})
+		m2, err := lossycorr.EstimateVariogramRange(ctx, mid, lossycorr.VariogramOptions{Exact: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := lossycorr.TrainPredictor(ms, lossycorr.XGlobalRange)
+	p, err := lossycorr.TrainPredictor(ms, lossycorr.XGlobalRange, lossycorr.TrainOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func (c roundingCompressor) CompressField(f *field.Field, absErr float64) ([]byt
 }
 
 func (c roundingCompressor) DecompressField(data []byte) (*field.Field, error) {
-	return field.ReadBinary(bytes.NewReader(data))
+	return field.ReadBinaryLimit(bytes.NewReader(data), 0)
 }
 
 // brokenCompressor violates its bound.

@@ -100,8 +100,8 @@ func errorStats[T field.Elem](f, out *field.Of[T]) (maxErr, mse, vr float64, err
 // bound: the absolute bound is relErr times the field's value range.
 // The paper notes the formal equivalence between the absolute mode and
 // this mode (used natively by SZ); constant fields fall back to relErr
-// itself.
-func RunRelativeField(c FieldCompressor, f *field.Field, relErr float64) (Result, error) {
+// itself. A float32 field runs on its own lane, as in RunField.
+func RunRelativeField[T field.Elem](c FieldCompressor, f *field.Of[T], relErr float64) (Result, error) {
 	if relErr <= 0 {
 		return Result{}, fmt.Errorf("compress: non-positive relative bound %v", relErr)
 	}

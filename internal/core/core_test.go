@@ -274,7 +274,7 @@ func TestBuildSeriesGrouping(t *testing.T) {
 			},
 		},
 	}
-	series := BuildSeries(ms, XGlobalRange)
+	series := BuildSeries(ms, XGlobalRange, YRatio)
 	if len(series) != 2 {
 		t.Fatalf("got %d series", len(series))
 	}

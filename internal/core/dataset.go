@@ -170,7 +170,7 @@ func GenerateMiranda(cfg MirandaConfig) (*Dataset, error) {
 	if cfg.Size <= 0 {
 		return nil, fmt.Errorf("core: non-positive size %d", cfg.Size)
 	}
-	set, err := hydro.GenerateSlicesWith(cfg.Size, cfg.Slices, cfg.TEnd, cfg.Seed, cfg.Workers)
+	set, err := hydro.GenerateSlices(cfg.Size, cfg.Slices, cfg.TEnd, cfg.Seed, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -109,14 +109,9 @@ type Figure struct {
 }
 
 // BuildSeries groups measurements by (compressor, error bound) and
-// fits the paper's logarithmic regression per group, with compression
-// ratio on the y axis.
-func BuildSeries(ms []Measurement, sel StatSelector) []Series {
-	return BuildMetricSeries(ms, sel, YRatio)
-}
-
-// BuildMetricSeries is BuildSeries with a selectable y metric.
-func BuildMetricSeries(ms []Measurement, sel StatSelector, metric Metric) []Series {
+// fits the paper's logarithmic regression per group, with metric (the
+// compression ratio, or PSNR) on the y axis.
+func BuildSeries(ms []Measurement, sel StatSelector, metric Metric) []Series {
 	type key struct {
 		comp string
 		eb   float64
@@ -164,7 +159,7 @@ func BuildMetricSeries(ms []Measurement, sel StatSelector, metric Metric) []Seri
 // maxEB < 0 keeps everything; otherwise series with ErrorBound >= maxEB
 // are dropped (the paper's "error bounds strictly below 1E-2" panels).
 func PanelsByCompressor(ms []Measurement, sel StatSelector, maxEB float64) []Panel {
-	series := BuildSeries(ms, sel)
+	series := BuildSeries(ms, sel, YRatio)
 	byComp := make(map[string][]Series)
 	var names []string
 	for _, s := range series {

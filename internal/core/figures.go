@@ -161,7 +161,7 @@ func (s *Suite) Figure1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	emp, err := variogram.Compute(context.Background(), stat.Source{F64: f}, variogram.Options{Seed: s.cfg.Seed})
+	emp, err := variogram.Compute(context.Background(), stat.SourceOf(f), variogram.Options{Seed: s.cfg.Seed})
 	if err != nil {
 		return err
 	}

@@ -100,7 +100,7 @@ func TestTrainPredictorCVDiagnostics(t *testing.T) {
 		t.Fatalf("out-of-sample R²=%v on noiseless data", cv.R2)
 	}
 	// Negative folds disable CV.
-	p2, err := TrainPredictorOpts(syntheticMeasurements(), XGlobalRange, TrainOptions{Folds: -1})
+	p2, err := Train(syntheticMeasurements(), XGlobalRange, TrainOptions{Folds: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestCVDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := TrainPredictorOpts(ms, XGlobalRange, TrainOptions{Folds: 3, Seed: 9})
+		p, err := Train(ms, XGlobalRange, TrainOptions{Folds: 3, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ type predKey struct {
 	eb   float64
 }
 
-// TrainOptions tunes TrainPredictorOpts.
+// TrainOptions tunes Train.
 type TrainOptions struct {
 	// Folds is the cross-validation fold count; 0 means 5 (clamped to
 	// each series' usable point count), negative disables CV entirely.
@@ -41,23 +41,23 @@ type TrainOptions struct {
 	Seed uint64
 }
 
-// TrainPredictor fits one log-regression per (compressor, error bound)
-// group present in the measurements, against the selected statistic,
-// with default 5-fold cross-validation diagnostics per model. Groups
-// whose fit fails (e.g. all-identical x) are skipped.
+// TrainPredictor is Train with the zero TrainOptions. It stays only
+// because the benchmark module calls it.
 func TrainPredictor(ms []Measurement, sel StatSelector) (*Predictor, error) {
-	return TrainPredictorOpts(ms, sel, TrainOptions{})
+	return Train(ms, sel, TrainOptions{})
 }
 
-// TrainPredictorOpts is TrainPredictor with explicit control over the
-// cross-validation fold count and fold-assignment seed. Series too
-// small to cross-validate (< 3 usable points) keep their fit but carry
-// no CV diagnostics.
-func TrainPredictorOpts(ms []Measurement, sel StatSelector, opts TrainOptions) (*Predictor, error) {
+// Train fits one log-regression per (compressor, error bound) group
+// present in the measurements, against the selected statistic, with
+// k-fold cross-validation diagnostics per model. Groups whose fit
+// fails (e.g. all-identical x) are skipped. Series too small to
+// cross-validate (< 3 usable points) keep their fit but carry no CV
+// diagnostics.
+func Train(ms []Measurement, sel StatSelector, opts TrainOptions) (*Predictor, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	series := BuildSeries(ms, sel)
+	series := BuildSeries(ms, sel, YRatio)
 	p := &Predictor{sel: sel,
 		fits: make(map[predKey]regression.LogFit),
 		cv:   make(map[predKey]regression.CVStats)}
@@ -80,13 +80,23 @@ func TrainPredictorOpts(ms []Measurement, sel StatSelector, opts TrainOptions) (
 	return p, nil
 }
 
+// The default training recipe, shared by corrcomp predict and
+// corrcompd's lazily trained models: DefaultTrainFields rungs of the
+// range ladder, on fields DefaultTrainEdge2D on a side at rank 2 and
+// DefaultTrainEdge3D at rank 3.
+const (
+	DefaultTrainFields = 6
+	DefaultTrainEdge2D = 128
+	DefaultTrainEdge3D = 24
+)
+
 // TrainConfig describes a synthetic training set: Gaussian fields of
 // one rank on a ladder of correlation ranges, measured at one error
 // bound.
 type TrainConfig struct {
 	Rank       int     // 2 or 3
 	Fields     int     // rungs of the range ladder, one field each
-	Edge       int     // extent of every axis
+	Edge       int     // extent of every axis; 0 means DefaultTrainEdge2D or DefaultTrainEdge3D
 	Seed       uint64  // field i draws with Seed+i; also the CV fold seed
 	ErrorBound float64 // the one bound every codec is measured at
 	Folds      int     // as TrainOptions.Folds
@@ -101,6 +111,12 @@ type TrainConfig struct {
 func TrainRangeLadder(ctx context.Context, cfg TrainConfig) (*Predictor, []*field.Field, error) {
 	if cfg.Rank != 2 && cfg.Rank != 3 {
 		return nil, nil, fmt.Errorf("core: training rank must be 2 or 3, got %d", cfg.Rank)
+	}
+	if cfg.Edge == 0 {
+		cfg.Edge = DefaultTrainEdge2D
+		if cfg.Rank == 3 {
+			cfg.Edge = DefaultTrainEdge3D
+		}
 	}
 	fields := make([]*field.Field, 0, cfg.Fields)
 	labels := make([]float64, 0, cfg.Fields)
@@ -136,7 +152,7 @@ func TrainRangeLadder(ctx context.Context, cfg TrainConfig) (*Predictor, []*fiel
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := TrainPredictorOpts(ms, XGlobalRange, TrainOptions{Folds: cfg.Folds, Seed: cfg.Seed})
+	p, err := Train(ms, XGlobalRange, TrainOptions{Folds: cfg.Folds, Seed: cfg.Seed})
 	if err != nil {
 		return nil, nil, err
 	}

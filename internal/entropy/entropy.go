@@ -11,7 +11,11 @@ package entropy
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+
+	"lossycorr/internal/compress"
 )
 
 // quantize maps a value to its 2·eb bin index, clamped into int32 so
@@ -30,9 +34,12 @@ func quantize(v, eb float64) int32 {
 // QuantizedEntropy returns the Shannon entropy (bits per value) of the
 // values quantized into 2·eb bins — the information content a lossy
 // compressor at bound eb must represent, up to its prediction skill.
+// The terms are summed in ascending code order, so the result is a
+// pure function of its inputs. An eb that is not finite and positive
+// is an error, as for the codecs.
 func QuantizedEntropy(data []float64, eb float64) (float64, error) {
-	if eb <= 0 {
-		return 0, fmt.Errorf("entropy: non-positive error bound %v", eb)
+	if err := compress.CheckBound(eb); err != nil {
+		return 0, fmt.Errorf("entropy: %w", err)
 	}
 	if len(data) == 0 {
 		return 0, nil
@@ -43,8 +50,8 @@ func QuantizedEntropy(data []float64, eb float64) (float64, error) {
 	}
 	n := float64(len(data))
 	var h float64
-	for _, c := range freq {
-		p := float64(c) / n
+	for _, code := range slices.Sorted(maps.Keys(freq)) {
+		p := float64(freq[code]) / n
 		h -= p * math.Log2(p)
 	}
 	return h, nil

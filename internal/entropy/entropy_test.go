@@ -110,3 +110,38 @@ func TestEntropyTracksCompressibility(t *testing.T) {
 		t.Fatalf("entropy strongly anti-ordered: %v", entropies)
 	}
 }
+
+// TestQuantizedEntropyDeterministic pins the entropy as a pure function
+// of its inputs: 200 calls on one field give one bit pattern. Summed in
+// map-iteration order, the same call gave dozens of patterns.
+func TestQuantizedEntropyDeterministic(t *testing.T) {
+	f, err := gaussian.Generate(gaussian.Params{Rows: 96, Cols: 96, Range: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := QuantizedEntropy(f.Data, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		h, err := QuantizedEntropy(f.Data, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(h) != math.Float64bits(want) {
+			t.Fatalf("call %d: entropy %#x, first call %#x", i, math.Float64bits(h), math.Float64bits(want))
+		}
+	}
+}
+
+// TestQuantizedEntropyRejectsNonFiniteBound pins that an error bound
+// the codecs reject (NaN, ±Inf, zero, negative) is an error here too,
+// not an entropy of 0.
+func TestQuantizedEntropyRejectsNonFiniteBound(t *testing.T) {
+	data := []float64{0, 1, 2, 3}
+	for _, eb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1e-3} {
+		if h, err := QuantizedEntropy(data, eb); err == nil {
+			t.Fatalf("eb %v: entropy %v, want an error", eb, h)
+		}
+	}
+}

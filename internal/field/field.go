@@ -310,7 +310,7 @@ func (f *Of[T]) TileOrigins(h int) [][]int {
 // uint32 dimensions + float64 payload, little endian), so files written
 // before the rank-generic format still read. Other ranks use a tagged
 // layout: the magic "LCF1", a uint32 rank word, the uint32 extents,
-// then the payload. ReadBinary sniffs the magic and accepts both.
+// then the payload. ReadBinaryLimit sniffs the magic and accepts both.
 //
 // The float32 lane sets f32LaneFlag in the rank word (rank stays in
 // the low bits) and stores a float32 payload; WriteBinary emits it on
@@ -325,7 +325,7 @@ var magic = [4]byte{'L', 'C', 'F', '1'}
 // older binary fails rank validation instead of decoding garbage.
 const f32LaneFlag = 0x00010000
 
-// maxElems is the absolute element-count ceiling of ReadBinary: even a
+// maxElems is the absolute element-count ceiling of every reader: even a
 // well-formed header may not ask for more than 2^30 elements (8 GiB of
 // float64), so a crafted 8-byte header can never drive a larger
 // allocation. Callers serving untrusted uploads pass a much smaller
@@ -435,21 +435,15 @@ func (f *Of[T]) WritePGM(w io.Writer) error {
 	return nil
 }
 
-// ReadBinary reads a field written by WriteBinary, detecting the layout
-// from the header, with the default 2^30-element allocation cap.
-func ReadBinary(r io.Reader) (*Field, error) {
-	return ReadBinaryLimit(r, 0)
-}
-
-// ReadBinaryLimit is ReadBinary with an explicit allocation budget:
-// the header's claimed element count must not exceed maxElements
-// (values <= 0 or above the 2^30 absolute ceiling fall back to that
-// ceiling). The shape is fully validated — positive extents, per-extent
-// and running-product caps, no int overflow — before a single payload
-// byte is allocated, so an untrusted upload whose 8-byte header claims
-// a multi-GB field costs nothing but the header read. This is the
-// entry point the corrcompd upload path uses, with its budget derived
-// from the configured request-body limit.
+// ReadBinaryLimit reads a field written by WriteBinary onto the
+// float64 lane, detecting the layout from the header, under an
+// allocation budget: the header's claimed element count must not
+// exceed maxElements (values <= 0 or above the 2^30 absolute ceiling
+// fall back to that ceiling). The shape is fully validated — positive
+// extents, per-extent and running-product caps, no int overflow —
+// before a single payload byte is allocated, so an untrusted stream
+// whose 8-byte header claims a multi-GB field costs nothing but the
+// header read.
 func ReadBinaryLimit(r io.Reader, maxElements int) (*Field, error) {
 	shape, f32, _, err := readHeaderFrom(r, maxElements)
 	if err != nil {
@@ -470,35 +464,14 @@ func ReadBinaryLimit(r io.Reader, maxElements int) (*Field, error) {
 // the returned fields is non-nil — *Field for legacy-2D and untagged
 // LCF1 (float64) layouts, *Field32 when the rank word carries
 // f32LaneFlag. Callers that only speak float64 use ReadBinaryLimit,
-// which widens transparently; lane-aware callers (the service upload
-// path, corrcomp -f32) dispatch on which pointer is set.
+// which widens transparently; lane-aware callers dispatch on which
+// pointer is set.
 func ReadAnyLimit(r io.Reader, maxElements int) (*Field, *Field32, error) {
 	shape, f32, _, err := readHeaderFrom(r, maxElements)
 	if err != nil {
 		return nil, nil, err
 	}
 	return readLane(r, shape, f32)
-}
-
-// ReadBinary32 reads a float32-lane field written by
-// (*Field32).WriteBinary, with the default allocation cap. Files in
-// either float64 layout are rejected — use ReadAnyLimit to accept any
-// lane.
-func ReadBinary32(r io.Reader) (*Field32, error) {
-	return ReadBinary32Limit(r, 0)
-}
-
-// ReadBinary32Limit is ReadBinary32 with an explicit element budget
-// (same semantics as ReadBinaryLimit).
-func ReadBinary32Limit(r io.Reader, maxElements int) (*Field32, error) {
-	f, f32, err := ReadAnyLimit(r, maxElements)
-	if err != nil {
-		return nil, err
-	}
-	if f != nil {
-		return nil, fmt.Errorf("field: float64-lane file where float32 expected")
-	}
-	return f32, nil
 }
 
 // readLane reads the payload of a validated header on the lane the

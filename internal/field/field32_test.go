@@ -31,9 +31,12 @@ func TestBinary32Roundtrip(t *testing.T) {
 		if err := f.WriteBinary(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadBinary32(bytes.NewReader(buf.Bytes()))
+		wide, got, err := ReadAnyLimit(bytes.NewReader(buf.Bytes()), 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if wide != nil {
+			t.Fatalf("shape %v read back on the float64 lane", shape)
 		}
 		if !got.SameShape(f) {
 			t.Fatalf("shape %v want %v", got.Shape, f.Shape)
@@ -97,7 +100,7 @@ func TestReadBinaryWidensFloat32(t *testing.T) {
 	if err := f32.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	wide, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	wide, err := ReadBinaryLimit(bytes.NewReader(buf.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,27 +114,14 @@ func TestReadBinaryWidensFloat32(t *testing.T) {
 	}
 }
 
-// TestReadBinary32RejectsF64Lane pins the lane mismatch error: a
-// float64 stream must not silently reinterpret as float32.
-func TestReadBinary32RejectsF64Lane(t *testing.T) {
-	f := New(4, 4)
-	var buf bytes.Buffer
-	if err := f.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBinary32(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("float64 stream accepted by float32 reader")
-	}
-}
-
-// TestReadBinary32LimitCaps pins that the element budget is enforced
+// TestReadAnyLimitCapsFloat32 pins that the element budget is enforced
 // from the header alone on the float32 lane too.
-func TestReadBinary32LimitCaps(t *testing.T) {
+func TestReadAnyLimitCapsFloat32(t *testing.T) {
 	hdr := []byte{'L', 'C', 'F', '1'}
 	hdr = binary.LittleEndian.AppendUint32(hdr, 2|f32LaneFlag)
 	hdr = binary.LittleEndian.AppendUint32(hdr, 2048)
 	hdr = binary.LittleEndian.AppendUint32(hdr, 2048)
-	if _, err := ReadBinary32Limit(bytes.NewReader(hdr), 1<<10); err == nil {
+	if _, _, err := ReadAnyLimit(bytes.NewReader(hdr), 1<<10); err == nil {
 		t.Fatal("expected cap error for 4M-element float32 claim under a 1K budget")
 	}
 }
@@ -218,7 +208,7 @@ func FuzzFieldBinaryRoundTrip(f *testing.F) {
 			if err := wide.WriteBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+			got, err := ReadBinaryLimit(bytes.NewReader(buf.Bytes()), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,9 +221,12 @@ func FuzzFieldBinaryRoundTrip(f *testing.F) {
 			if err := narrow.WriteBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadBinary32(bytes.NewReader(buf.Bytes()))
+			back, got, err := ReadAnyLimit(bytes.NewReader(buf.Bytes()), 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if back != nil {
+				t.Fatal("f32 stream read back on the float64 lane")
 			}
 			for i := range narrow.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(narrow.Data[i]) {

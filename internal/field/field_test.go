@@ -141,7 +141,7 @@ func TestBinaryRoundtripTagged(t *testing.T) {
 	if err := f.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadBinaryLimit(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestBinaryLegacyInterop(t *testing.T) {
 	if err := g.WriteBinary(&legacy); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadBinary(bytes.NewReader(legacy.Bytes()))
+	f, err := ReadBinaryLimit(bytes.NewReader(legacy.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +193,14 @@ func TestBinaryLegacyInterop(t *testing.T) {
 
 // TestReadBinaryErrors checks the short-header and short-body errors.
 func TestReadBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadBinaryLimit(bytes.NewReader(nil), 0); err == nil {
 		t.Fatal("expected short header error")
 	}
 	var buf bytes.Buffer
 	if err := New(2, 2).WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadBinary(bytes.NewReader(buf.Bytes()[:12])); err == nil {
+	if _, err := ReadBinaryLimit(bytes.NewReader(buf.Bytes()[:12]), 0); err == nil {
 		t.Fatal("expected short body error")
 	}
 }
@@ -292,11 +292,11 @@ func TestReadBinaryRejectsOverflowingHeaders(t *testing.T) {
 		// 3037000500² ≈ 2^63.09 wraps negative in int64.
 		legacy[i], legacy[i+1], legacy[i+2], legacy[i+3] = 0x34, 0x33, 0x05, 0xb5
 	}
-	if _, err := ReadBinary(bytes.NewReader(legacy)); err == nil {
+	if _, err := ReadBinaryLimit(bytes.NewReader(legacy), 0); err == nil {
 		t.Fatal("expected error for overflowing legacy dimensions")
 	}
 	tagged := append([]byte{'L', 'C', 'F', '1', 8, 0, 0, 0}, bytes.Repeat([]byte{0xff, 0xff, 0xff, 0x7f}, 8)...)
-	if _, err := ReadBinary(bytes.NewReader(tagged)); err == nil {
+	if _, err := ReadBinaryLimit(bytes.NewReader(tagged), 0); err == nil {
 		t.Fatal("expected error for overflowing tagged shape")
 	}
 }
@@ -308,14 +308,14 @@ func TestReadBinaryRejectsZeroExtents(t *testing.T) {
 	legacy := make([]byte, 8)
 	binary.LittleEndian.PutUint32(legacy[0:], 0)
 	binary.LittleEndian.PutUint32(legacy[4:], 16)
-	if _, err := ReadBinary(bytes.NewReader(legacy)); err == nil {
+	if _, err := ReadBinaryLimit(bytes.NewReader(legacy), 0); err == nil {
 		t.Fatal("expected error for zero legacy dimension")
 	}
 	tagged := []byte{'L', 'C', 'F', '1', 3, 0, 0, 0}
 	for _, d := range []uint32{4, 0, 4} {
 		tagged = binary.LittleEndian.AppendUint32(tagged, d)
 	}
-	if _, err := ReadBinary(bytes.NewReader(tagged)); err == nil {
+	if _, err := ReadBinaryLimit(bytes.NewReader(tagged), 0); err == nil {
 		t.Fatal("expected error for zero tagged extent")
 	}
 }
@@ -655,7 +655,7 @@ func TestBinaryRoundtrip(t *testing.T) {
 	if err := f.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := ReadBinary(&buf)
+	g, err := ReadBinaryLimit(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +676,7 @@ func TestBinaryRoundtripQuick(t *testing.T) {
 		if err := f.WriteBinary(&buf); err != nil {
 			return false
 		}
-		g, err := ReadBinary(&buf)
+		g, err := ReadBinaryLimit(&buf, 0)
 		if err != nil || !g.SameShape(f) {
 			return false
 		}

@@ -462,15 +462,12 @@ type SliceSet struct {
 // zero mean and unit variance so compressors see comparable dynamic
 // ranges across the set, as the paper's per-slice analysis does
 // implicitly through value-range-equivalent error bounds.
-func GenerateSlices(n, count int, tEnd float64, seed uint64) (*SliceSet, error) {
-	return GenerateSlicesWith(n, count, tEnd, seed, 0)
-}
-
-// GenerateSlicesWith is GenerateSlices with an explicit worker count.
+//
 // Every slice is an independent simulation with its own deterministic
-// seed, so the runs fan out over the shared worker pool and land in
-// their index slots — the set is bit-identical at any worker count.
-func GenerateSlicesWith(n, count int, tEnd float64, seed uint64, workers int) (*SliceSet, error) {
+// seed, so the runs fan out over workers goroutines of the shared pool
+// (0 means GOMAXPROCS) and land in their index slots — the set is
+// bit-identical at any worker count.
+func GenerateSlices(n, count int, tEnd float64, seed uint64, workers int) (*SliceSet, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("hydro: non-positive slice count %d", count)
 	}

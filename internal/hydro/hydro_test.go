@@ -141,7 +141,7 @@ func TestVelocityXShape(t *testing.T) {
 }
 
 func TestGenerateSlices(t *testing.T) {
-	set, err := GenerateSlices(32, 3, 0.9, 6)
+	set, err := GenerateSlices(32, 3, 0.9, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestGenerateSlices(t *testing.T) {
 }
 
 func TestGenerateSlicesValidation(t *testing.T) {
-	if _, err := GenerateSlices(16, 0, 1, 1); err == nil {
+	if _, err := GenerateSlices(16, 0, 1, 1, 0); err == nil {
 		t.Fatal("expected count error")
 	}
 }
@@ -197,7 +197,7 @@ func TestNormalize(t *testing.T) {
 // leave the hex below unchanged.
 func TestSliceSetDigest(t *testing.T) {
 	const want = "aeb781396b8a084d83eb7fa0a2558f3fd3d82ea7081bf3d9e0b9f11b08514bd5"
-	set, err := GenerateSlicesWith(32, 3, 0.4, 4, 1)
+	set, err := GenerateSlices(32, 3, 0.4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,8 @@ import (
 	"os"
 	"strconv"
 	"time"
+
+	"lossycorr/internal/core"
 )
 
 // Config is corrcompd's knob set. Every field has an environment
@@ -101,8 +103,9 @@ type Config struct {
 	// Gaussian training set behind /v1/predict (one predictor per
 	// (rank, error bound), trained lazily and cached). Envs
 	// CORRCOMPD_TRAIN_FIELDS, CORRCOMPD_TRAIN_EDGE2D,
-	// CORRCOMPD_TRAIN_EDGE3D; defaults 6, 128, 24 — the corrcomp
-	// predict subcommand's defaults.
+	// CORRCOMPD_TRAIN_EDGE3D; defaults core.DefaultTrainFields,
+	// DefaultTrainEdge2D and DefaultTrainEdge3D, the recipe corrcomp
+	// predict trains on too.
 	TrainFields int
 	TrainEdge2D int
 	TrainEdge3D int
@@ -131,13 +134,13 @@ func (c Config) withDefaults() Config {
 		c.StatsPeriod = 0
 	}
 	if c.TrainFields <= 0 {
-		c.TrainFields = 6
+		c.TrainFields = core.DefaultTrainFields
 	}
 	if c.TrainEdge2D <= 0 {
-		c.TrainEdge2D = 128
+		c.TrainEdge2D = core.DefaultTrainEdge2D
 	}
 	if c.TrainEdge3D <= 0 {
-		c.TrainEdge3D = 24
+		c.TrainEdge3D = core.DefaultTrainEdge3D
 	}
 	return c
 }

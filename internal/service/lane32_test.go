@@ -53,12 +53,12 @@ func TestAnalyzeFloat32Upload(t *testing.T) {
 	}
 
 	// The widened field through the float64 lane: bitwise-equal stats.
-	f32, err := field.ReadBinary32(bytes.NewReader(narrow))
+	wide, err := field.ReadBinaryLimit(bytes.NewReader(narrow), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := f32.Widen().WriteBinary(&buf); err != nil {
+	if err := wide.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	code, data = postBin(t, hs.URL+"/v1/analyze", buf.Bytes())

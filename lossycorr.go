@@ -17,8 +17,12 @@
 //
 // The headline API mirrors the paper's workflow (see
 // ExampleAnalyzeField): generate a field, AnalyzeField it, MeasureField
-// it with a codec. Every analysis and measurement entry takes a context
-// and a field on either lane, *Field (float64) or *Field32 (float32).
+// it with a codec. Every operation has one entry. Every statistic and
+// measurement entry takes a context, fails on a dead one before any
+// work, and takes a field on either lane, *Field (float64) or *Field32
+// (float32). The one exception is the entropy estimator
+// (QuantizedEntropy, EstimateEntropyRatio), whose ratio is stated
+// against 64-bit values and so takes a *Field only.
 // The full evaluation is regenerated by the Suite (Figures 1–7) or the
 // cmd/figures binary.
 package lossycorr
@@ -58,16 +62,12 @@ type FieldOf[T Elem] = field.Of[T]
 // NewField returns a zero-filled field with the given shape.
 func NewField(shape ...int) *Field { return field.New(shape...) }
 
-// ReadField reads a field of any rank: the tagged format written by
-// (*Field).WriteBinary, rank-2 fields in the legacy 2D layout,
-// auto-detected.
-func ReadField(r io.Reader) (*Field, error) { return field.ReadBinary(r) }
-
-// ReadFieldLimit is ReadField with an explicit element budget: headers
-// claiming more than maxElements are rejected before any payload
-// allocation — the entry point for untrusted uploads (corrcompd uses
-// it with a budget derived from its request-body limit).
-func ReadFieldLimit(r io.Reader, maxElements int) (*Field, error) {
+// ReadField reads a field of any rank onto the float64 lane: the
+// tagged format written by WriteBinary (a float32 payload is widened
+// exactly), or rank-2 fields in the legacy 2D layout, auto-detected.
+// Headers claiming more than maxElements are rejected before any
+// payload allocation; 0 means the 2^30-element ceiling.
+func ReadField(r io.Reader, maxElements int) (*Field, error) {
 	return field.ReadBinaryLimit(r, maxElements)
 }
 
@@ -81,11 +81,6 @@ type Field32 = field.Field32
 
 // NewField32 returns a zero-filled float32-lane field.
 func NewField32(shape ...int) *Field32 { return field.New32(shape...) }
-
-// ReadField32 reads a float32-lane field written by
-// (*Field32).WriteBinary. Float64-lane files are rejected rather than
-// silently narrowed; use ReadFieldAny to accept either.
-func ReadField32(r io.Reader) (*Field32, error) { return field.ReadBinary32(r) }
 
 // ReadFieldAny reads a field on whichever lane the stream's element
 // tag declares — exactly one of the two returns is non-nil. Legacy 2D
@@ -155,7 +150,7 @@ func GenerateMultiGaussian(p MultiGaussianParams) (*Field, error) {
 // built-in Kelvin–Helmholtz hydrodynamics solver (the Miranda
 // substitute).
 func TurbulenceSlices(n, count int, tEnd float64, seed uint64) ([]*Field, []float64, error) {
-	set, err := hydro.GenerateSlices(n, count, tEnd, seed)
+	set, err := hydro.GenerateSlices(n, count, tEnd, seed, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -170,30 +165,32 @@ type VariogramModel = variogram.Model
 
 // EstimateVariogramRange fits the global (isotropic) variogram range
 // of a field of any rank.
-func EstimateVariogramRange(f *Field, opts VariogramOptions) (VariogramModel, error) {
-	return variogram.GlobalRange(context.Background(), stat.Source{F64: f}, opts)
+func EstimateVariogramRange[T Elem](ctx context.Context, f *FieldOf[T], opts VariogramOptions) (VariogramModel, error) {
+	if err := ctx.Err(); err != nil {
+		return VariogramModel{}, err
+	}
+	return variogram.GlobalRange(ctx, stat.SourceOf(f), opts)
 }
 
 // LocalVariogramRangeStd is the std of per-window variogram ranges.
-func LocalVariogramRangeStd(f *Field, window int, opts VariogramOptions) (float64, error) {
-	return variogram.LocalRangeStd(context.Background(), stat.Source{F64: f}, window, opts)
+func LocalVariogramRangeStd[T Elem](ctx context.Context, f *FieldOf[T], window int, opts VariogramOptions) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return variogram.LocalRangeStd(ctx, stat.SourceOf(f), window, opts)
 }
 
-// LocalSVDStd is the std of per-window SVD truncation levels at the
-// given variance fraction (use 0.99 for the paper's statistic).
-func LocalSVDStd(f *Field, window int, frac float64) (float64, error) {
-	return svdstat.LocalStd(context.Background(), stat.Source{F64: f}, window, SVDOptions{Frac: frac})
-}
-
-// SVDOptions controls windowed SVD statistics (variance fraction and
-// worker count).
+// SVDOptions controls windowed SVD statistics: the variance fraction
+// (0 means 0.99, the paper's statistic) and the worker count.
 type SVDOptions = svdstat.Options
 
-// LocalSVDStdWith is LocalSVDStd with explicit control over the
-// variance fraction and the worker pool; results are bit-identical at
-// any worker count.
-func LocalSVDStdWith(f *Field, window int, opts SVDOptions) (float64, error) {
-	return svdstat.LocalStd(context.Background(), stat.Source{F64: f}, window, opts)
+// LocalSVDStd is the std of per-window SVD truncation levels; results
+// are bit-identical at any worker count.
+func LocalSVDStd[T Elem](ctx context.Context, f *FieldOf[T], window int, opts SVDOptions) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return svdstat.LocalStd(ctx, stat.SourceOf(f), window, opts)
 }
 
 // Gaussian3DParams configures a 3D single-range Gaussian field.
@@ -281,7 +278,10 @@ func MeasureField[T Elem](ctx context.Context, name string, f *FieldOf[T], absEr
 // bound (absolute bound = relErr × the field's value range), the error
 // mode SZ exposes natively; the paper relies on the formal equivalence
 // of the two modes.
-func MeasureRelative(name string, f *Field, relErr float64) (Result, error) {
+func MeasureRelative[T Elem](ctx context.Context, name string, f *FieldOf[T], relErr float64) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
 	c, err := core.DefaultRegistry().GetFor(name, f.NDim())
 	if err != nil {
 		return Result{}, err
@@ -324,8 +324,12 @@ const (
 type Series = core.Series
 
 // BuildSeries groups measurements per (compressor, bound) and fits the
-// logarithmic model per group.
-func BuildSeries(ms []Measurement, sel StatSelector) []Series { return core.BuildSeries(ms, sel) }
+// logarithmic model of metric against the selected statistic per
+// group. YPSNR explores the paper's future-work question of how
+// correlation structure affects reconstruction quality metrics.
+func BuildSeries(ms []Measurement, sel StatSelector, metric Metric) []Series {
+	return core.BuildSeries(ms, sel, metric)
+}
 
 // Metric selects the y quantity of a series (ratio or PSNR).
 type Metric = core.Metric
@@ -336,16 +340,11 @@ const (
 	YPSNR  = core.YPSNR
 )
 
-// BuildMetricSeries is BuildSeries with a selectable y metric — YPSNR
-// explores the paper's future-work question of how correlation
-// structure affects reconstruction quality metrics.
-func BuildMetricSeries(ms []Measurement, sel StatSelector, m Metric) []Series {
-	return core.BuildMetricSeries(ms, sel, m)
-}
-
 // QuantizedEntropy is the Shannon entropy (bits per value) of the field
 // quantized into 2·eb bins — the entropy-based compressibility
-// estimator of the paper's related work.
+// estimator of the paper's related work. It and EstimateEntropyRatio
+// take the float64 lane only: the ratio they give is stated against
+// 64-bit values. A non-finite or non-positive eb is an error.
 func QuantizedEntropy(f *Field, eb float64) (float64, error) {
 	return entropy.QuantizedEntropy(f.Data, eb)
 }
@@ -361,14 +360,20 @@ type SamplingOptions = sampling.Options
 
 // SampledLocalRangeStd estimates the local-variogram-range std from a
 // random fraction of windows (the paper's future-work fast proxy).
-func SampledLocalRangeStd(f *Field, window int, opts SamplingOptions) (float64, error) {
-	return sampling.LocalRangeStd(context.Background(), stat.Source{F64: f}, window, opts)
+func SampledLocalRangeStd[T Elem](ctx context.Context, f *FieldOf[T], window int, opts SamplingOptions) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return sampling.LocalRangeStd(ctx, stat.SourceOf(f), window, opts)
 }
 
 // SampledLocalSVDStd estimates the local-SVD-truncation std from a
 // random fraction of windows.
-func SampledLocalSVDStd(f *Field, window int, frac float64, opts SamplingOptions) (float64, error) {
-	return sampling.LocalSVDStd(context.Background(), stat.Source{F64: f}, window, frac, opts)
+func SampledLocalSVDStd[T Elem](ctx context.Context, f *FieldOf[T], window int, frac float64, opts SamplingOptions) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return sampling.LocalSVDStd(ctx, stat.SourceOf(f), window, frac, opts)
 }
 
 // SamplingSweepPoint is one accuracy point of the sampling sweep.
@@ -378,8 +383,11 @@ type SamplingSweepPoint = sampling.SweepPoint
 // sampling fraction for statName "range" or "svd". Seed and Workers come
 // from opts; its Fraction field is ignored (the sweep supplies its
 // own).
-func SweepSamplingFractions(f *Field, window int, statName string, fractions []float64, opts SamplingOptions) ([]SamplingSweepPoint, error) {
-	return sampling.SweepFractions(context.Background(), stat.Source{F64: f}, window, statName, fractions, opts)
+func SweepSamplingFractions[T Elem](ctx context.Context, f *FieldOf[T], window int, statName string, fractions []float64, opts SamplingOptions) ([]SamplingSweepPoint, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return sampling.SweepFractions(ctx, stat.SourceOf(f), window, statName, fractions, opts)
 }
 
 // Predictor estimates CR from correlation statistics.
@@ -404,20 +412,26 @@ const DefaultIntervalLevel = core.DefaultIntervalLevel
 // ModelSchema is the versioned identifier of persisted predictor files.
 const ModelSchema = core.ModelSchema
 
-// TrainPredictor fits prediction models from measurements, with default
-// 5-fold cross-validation diagnostics per model.
-func TrainPredictor(ms []Measurement, sel StatSelector) (*Predictor, error) {
-	return core.TrainPredictor(ms, sel)
+// TrainPredictor fits prediction models from measurements, with k-fold
+// cross-validation diagnostics per model; the zero TrainOptions give
+// 5 folds.
+func TrainPredictor(ms []Measurement, sel StatSelector, opts TrainOptions) (*Predictor, error) {
+	return core.Train(ms, sel, opts)
 }
 
-// TrainPredictorOpts is TrainPredictor with explicit control over the
-// cross-validation fold count and fold-assignment seed.
-func TrainPredictorOpts(ms []Measurement, sel StatSelector, opts TrainOptions) (*Predictor, error) {
-	return core.TrainPredictorOpts(ms, sel, opts)
-}
-
-// TrainConfig describes a synthetic training set for TrainRangeLadder.
+// TrainConfig describes a synthetic training set for TrainRangeLadder;
+// an Edge of 0 means DefaultTrainEdge2D or DefaultTrainEdge3D.
 type TrainConfig = core.TrainConfig
+
+// The default training recipe of corrcomp predict and of corrcompd's
+// lazily trained models: DefaultTrainFields fields on the range ladder,
+// DefaultTrainEdge2D on a side at rank 2 and DefaultTrainEdge3D at
+// rank 3.
+const (
+	DefaultTrainFields = core.DefaultTrainFields
+	DefaultTrainEdge2D = core.DefaultTrainEdge2D
+	DefaultTrainEdge3D = core.DefaultTrainEdge3D
+)
 
 // TrainRangeLadder trains a predictor on the global range of Gaussian
 // fields on a ladder of correlation ranges, the recipe of corrcomp

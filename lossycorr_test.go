@@ -57,7 +57,7 @@ func TestMeasureRelative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureRelative("zfp-like", field, 1e-3)
+	res, err := MeasureRelative(t.Context(), "zfp-like", field, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestMeasureRelative(t *testing.T) {
 	if math.Abs(res.ErrorBound-1e-3*vr) > 1e-15 {
 		t.Fatalf("bound %v want %v", res.ErrorBound, 1e-3*vr)
 	}
-	if _, err := MeasureRelative("nope", field, 1e-3); err == nil {
+	if _, err := MeasureRelative(t.Context(), "nope", field, 1e-3); err == nil {
 		t.Fatal("unknown compressor must error")
 	}
 }
@@ -83,7 +83,7 @@ func TestCompressorsRegistry(t *testing.T) {
 	}
 	// mgard-like is the rank-2 codec (its volume form is mgard-like-3d):
 	// a volume finds no codec of that name.
-	if _, err := MeasureRelative("mgard-like", NewField(4, 4, 4), 1e-3); err == nil {
+	if _, err := MeasureRelative(t.Context(), "mgard-like", NewField(4, 4, 4), 1e-3); err == nil {
 		t.Fatal("rank-2 codec must not accept a volume")
 	}
 }
@@ -105,18 +105,18 @@ func TestMultiGaussianAndLocalStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := EstimateVariogramRange(f, VariogramOptions{})
+	m, err := EstimateVariogramRange(t.Context(), f, VariogramOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Range <= 0 {
 		t.Fatalf("range %v", m.Range)
 	}
-	lrs, err := LocalVariogramRangeStd(f, 16, VariogramOptions{})
+	lrs, err := LocalVariogramRangeStd(t.Context(), f, 16, VariogramOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svd, err := LocalSVDStd(f, 16, 0.99)
+	svd, err := LocalSVDStd(t.Context(), f, 16, SVDOptions{Frac: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func Test3DFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := EstimateVariogramRange(vol, VariogramOptions{Exact: true})
+	m, err := EstimateVariogramRange(t.Context(), vol, VariogramOptions{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +171,13 @@ func TestSamplingAndEntropyFacade(t *testing.T) {
 	if h <= 0 || EstimateEntropyRatio(h) <= 1 {
 		t.Fatalf("entropy %v ratio %v", h, EstimateEntropyRatio(h))
 	}
-	if _, err := SampledLocalRangeStd(f, 32, SamplingOptions{Fraction: 0.5}); err != nil {
+	if _, err := SampledLocalRangeStd(t.Context(), f, 32, SamplingOptions{Fraction: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SampledLocalSVDStd(f, 32, 0.99, SamplingOptions{Fraction: 0.5}); err != nil {
+	if _, err := SampledLocalSVDStd(t.Context(), f, 32, 0.99, SamplingOptions{Fraction: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	points, err := SweepSamplingFractions(f, 32, "range", []float64{0.5, 1}, SamplingOptions{Seed: 3})
+	points, err := SweepSamplingFractions(t.Context(), f, 32, "range", []float64{0.5, 1}, SamplingOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestMeasureFieldsAndPredictorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := BuildSeries(ms, XGlobalRange)
+	series := BuildSeries(ms, XGlobalRange, YRatio)
 	if len(series) != 3 {
 		t.Fatalf("series count %d", len(series))
 	}
@@ -226,7 +226,7 @@ func TestMeasureFieldsAndPredictorFacade(t *testing.T) {
 			}
 		}
 	}
-	p, err := TrainPredictor(ms, XGlobalRange)
+	p, err := TrainPredictor(ms, XGlobalRange, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
