@@ -92,3 +92,36 @@ func TestEntropyAndSampleOnVolume(t *testing.T) {
 		t.Fatalf("sample on a volume: got %v, want sampling's rank error", err)
 	}
 }
+
+// TestSampleOnStoredLane runs the sample subcommand on a float32 file
+// and on its exact widening stored as float64: the sweep runs on the
+// lane each file stores, and both print the same bytes, for either
+// statistic.
+func TestSampleOnStoredLane(t *testing.T) {
+	in32 := genFile(t, "-rows", "64", "-cols", "64", "-range", "6", "-seed", "4", "-f32")
+	f, err := os.Open(in32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n32, err := lossycorr.ReadFieldAny(f, 0)
+	f.Close()
+	if err != nil || n32 == nil {
+		t.Fatalf("gen -f32 wrote no float32 field (err %v)", err)
+	}
+	in64 := filepath.Join(t.TempDir(), "wide.bin")
+	if err := os.WriteFile(in64, writeBytes(t, n32.Widen().WriteBinary), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, stat := range []string{"range", "svd"} {
+		run := func(in string) string {
+			var out bytes.Buffer
+			if err := runSample(&out, []string{"-in", in, "-window", "16", "-stat", stat, "-workers", "2"}); err != nil {
+				t.Fatalf("sample -stat %s on %s: %v", stat, in, err)
+			}
+			return out.String()
+		}
+		if got, want := run(in32), run(in64); got != want {
+			t.Errorf("-stat %s: float32 file prints\n%s\nits float64 widening\n%s", stat, got, want)
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -109,7 +110,12 @@ func cmdEntropy(args []string) error {
 	return nil
 }
 
-func cmdSample(args []string) error {
+func cmdSample(args []string) error { return runSample(os.Stdout, args) }
+
+// runSample is the sample subcommand, printing to w. The field is
+// sampled on the lane its file stores, so a float32 file is never
+// widened; both lanes give the same bits.
+func runSample(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("sample", flag.ExitOnError)
 	in := fs.String("in", "field.bin", "input field")
 	window := fs.Int("window", 32, "local window H")
@@ -118,19 +124,24 @@ func cmdSample(args []string) error {
 	workers := fs.Int("workers", 0, "worker goroutines (0 = all cores)")
 	fs.Parse(args)
 
-	fld, err := readField(*in)
+	fld, n32, err := readFieldAny(*in)
 	if err != nil {
 		return err
 	}
-	points, err := lossycorr.SweepSamplingFractions(context.Background(), fld, *window, *stat, nil,
-		lossycorr.SamplingOptions{Seed: *seed, Workers: *workers})
+	opts := lossycorr.SamplingOptions{Seed: *seed, Workers: *workers}
+	var points []lossycorr.SamplingSweepPoint
+	if n32 != nil {
+		points, err = lossycorr.SweepSamplingFractions(context.Background(), n32, *window, *stat, nil, opts)
+	} else {
+		points, err = lossycorr.SweepSamplingFractions(context.Background(), fld, *window, *stat, nil, opts)
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sampling sweep of local %q statistic (H=%d):\n", *stat, *window)
-	fmt.Printf("%10s %12s %12s %10s\n", "fraction", "estimate", "reference", "rel.err")
+	fmt.Fprintf(w, "sampling sweep of local %q statistic (H=%d):\n", *stat, *window)
+	fmt.Fprintf(w, "%10s %12s %12s %10s\n", "fraction", "estimate", "reference", "rel.err")
 	for _, p := range points {
-		fmt.Printf("%10.2f %12.4f %12.4f %9.1f%%\n",
+		fmt.Fprintf(w, "%10.2f %12.4f %12.4f %9.1f%%\n",
 			p.Fraction, p.Estimate, p.Reference, 100*p.RelError)
 	}
 	return nil

@@ -12,11 +12,16 @@ import (
 
 // TestAnalyzeFieldAllocs pins the windowed statistics' allocation
 // profile: with window extraction pooled, the exact scan's offset
-// enumeration cached, and scanOffset's odometer hoisted, a serial
-// 96×96 analysis sits under 1200 allocations. The pre-pooling pipeline
-// spent ~12000 on the same field (fresh window storage and offset
-// tables per tile), so the bound has wide headroom yet catches any
-// return to per-window allocation.
+// enumeration cached, scanOffset's odometer hoisted, and the local
+// fits' empirical variograms and the local SVD's Gram matrices and
+// eigensolver storage held in pooled per-worker scratch, a serial 96×96
+// analysis makes ~83 allocations, none of them per window. The
+// pre-pooling pipeline spent ~12000 on the same field (fresh window
+// storage and offset tables per tile), and a fresh Gram matrix and
+// empirical variogram per window put it at ~254, so the bound of 100
+// catches a return to either. The race detector makes sync.Pool drop a
+// random quarter of the values put back, each a scratch rebuilt on the
+// next batch, so under it the bound is 200.
 func TestAnalyzeFieldAllocs(t *testing.T) {
 	rng := xrand.New(3)
 	f := field.New(96, 96)
@@ -32,8 +37,12 @@ func TestAnalyzeFieldAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1200 {
-		t.Fatalf("AnalyzeField allocates %v per op, want <= 1200", allocs)
+	budget := 100.0
+	if raceEnabled {
+		budget = 200
+	}
+	if allocs > budget {
+		t.Fatalf("AnalyzeField allocates %v per op, want <= %v", allocs, budget)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestSymEigenDiagonal(t *testing.T) {
 	a.Set(0, 0, 3)
 	a.Set(1, 1, -1)
 	a.Set(2, 2, 7)
-	eig, err := SymEigen(a)
+	eig, err := symEigen(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSymEigenKnown2x2(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 2)
-	eig, err := SymEigen(a)
+	eig, err := symEigen(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSymEigenTraceInvariant(t *testing.T) {
 		}
 		trace += a.At(i, i)
 	}
-	eig, err := SymEigen(a)
+	eig, err := symEigen(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSymEigenTraceInvariant(t *testing.T) {
 }
 
 func TestSymEigenNonSquare(t *testing.T) {
-	if _, err := SymEigen(NewMatrix(2, 3)); err == nil {
+	if _, err := symEigen(NewMatrix(2, 3)); err == nil {
 		t.Fatal("expected shape error")
 	}
 }

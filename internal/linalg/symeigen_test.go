@@ -10,7 +10,7 @@ import (
 	"lossycorr/internal/xrand"
 )
 
-// jacobiRef is the cyclic Jacobi eigensolver SymEigen used before the
+// jacobiRef is the cyclic Jacobi eigensolver the library used before the
 // tridiagonal-QL rewrite, kept verbatim as the differential oracle: a
 // is destroyed and the eigenvalues come back in descending order.
 func jacobiRef(a *Matrix) []float64 {
@@ -61,7 +61,7 @@ func jacobiRef(a *Matrix) []float64 {
 	return eig
 }
 
-// energyLevel is the truncation rule of svdstat's levelGram applied to
+// energyLevel is the truncation rule of svdstat's windowLevels applied to
 // a descending spectrum: the smallest k whose leading k positive
 // eigenvalues reach frac of the positive total, 0 when that total is 0.
 func energyLevel(eig []float64, frac float64) int {
@@ -250,6 +250,21 @@ func maxAbs(m *Matrix) float64 {
 	return mx
 }
 
+// symEigen solves the square matrix m as a batch of one: m is
+// destroyed and the eigenvalues come back in descending order.
+func symEigen(m *Matrix) ([]float64, error) {
+	ps := []Eigenproblem{problemOf(m)}
+	if err := SymEigenBatch(ps); err != nil {
+		return nil, err
+	}
+	return ps[0].D, nil
+}
+
+// problemOf wraps m's storage as a batch entry with fresh D and E.
+func problemOf(m *Matrix) Eigenproblem {
+	return Eigenproblem{A: m.Data, D: make([]float64, m.Rows), E: make([]float64, m.Rows)}
+}
+
 // TestSymEigenMatchesJacobi is the solver's differential oracle: over a
 // seeded corpus of 10⁴ symmetric matrices (n = 0..64; dense, rank-
 // deficient, integer-valued, repeated-eigenvalue, diagonal, tridiagonal
@@ -258,45 +273,64 @@ func maxAbs(m *Matrix) float64 {
 // path derives from them must be identical at every paper fraction. A
 // differing level is tolerated only where the threshold sits within
 // that tolerance of a partial sum (a tie only exact eigenvalue
-// multiplicities produce), and such ties are counted and logged.
+// multiplicities produce), and such ties are counted and logged. The
+// corpus is solved in batches of one and, in order, of eight mixed
+// sizes, whose every value must carry the batch of one's bits.
 func TestSymEigenMatchesJacobi(t *testing.T) {
-	const cases = 10000
+	const cases, width = 10000, 8
 	fracs := []float64{0.5, 0.9, 0.95, 0.99, 0.999}
 	rng := xrand.New(2024)
 	var worst float64
 	var ties int
-	for idx := 0; idx < cases; idx++ {
-		kind, m := oracleCase(idx, rng)
-		n := m.Rows
-		norm := maxAbs(m)
-		got, err := SymEigen(clone(m))
-		if err != nil {
-			t.Fatalf("case %d (%s, n=%d): %v", idx, kind, n, err)
+	for base := 0; base < cases; base += width {
+		var kinds [width]string
+		var ms [width]*Matrix
+		batch := make([]Eigenproblem, 0, width)
+		for l := range width {
+			kinds[l], ms[l] = oracleCase(base+l, rng)
+			batch = append(batch, problemOf(clone(ms[l])))
 		}
-		want := jacobiRef(clone(m))
-		if len(got) != n {
-			t.Fatalf("case %d (%s): %d eigenvalues for n=%d", idx, kind, len(got), n)
+		if err := SymEigenBatch(batch); err != nil {
+			t.Fatalf("batch at case %d: %v", base, err)
 		}
-		tol := 16 * float64(n) * 0x1p-52 * norm
-		for i := range want {
-			d := math.Abs(got[i] - want[i])
-			if d > tol {
-				t.Fatalf("case %d (%s, n=%d): λ[%d] = %v, Jacobi %v (|Δ| %.3g > %.3g)",
-					idx, kind, n, i, got[i], want[i], d, tol)
+		for l, m := range ms {
+			idx, kind, n := base+l, kinds[l], m.Rows
+			norm := maxAbs(m)
+			got, err := symEigen(clone(m))
+			if err != nil {
+				t.Fatalf("case %d (%s, n=%d): %v", idx, kind, n, err)
 			}
-			if norm > 0 {
-				worst = math.Max(worst, d/(float64(n)*0x1p-52*norm))
+			for i, v := range batch[l].D {
+				if math.Float64bits(v) != math.Float64bits(got[i]) {
+					t.Fatalf("case %d (%s, n=%d): λ[%d] = %v in a batch of %d, %v alone",
+						idx, kind, n, i, v, width, got[i])
+				}
 			}
-		}
-		for _, frac := range fracs {
-			a, b := energyLevel(got, frac), energyLevel(want, frac)
-			if a == b {
-				continue
+			want := jacobiRef(clone(m))
+			if len(got) != n {
+				t.Fatalf("case %d (%s): %d eigenvalues for n=%d", idx, kind, len(got), n)
 			}
-			if !levelTied(want, frac, tol) {
-				t.Fatalf("case %d (%s, n=%d) frac=%v: level %d, Jacobi %d", idx, kind, n, frac, a, b)
+			tol := 16 * float64(n) * 0x1p-52 * norm
+			for i := range want {
+				d := math.Abs(got[i] - want[i])
+				if d > tol {
+					t.Fatalf("case %d (%s, n=%d): λ[%d] = %v, Jacobi %v (|Δ| %.3g > %.3g)",
+						idx, kind, n, i, got[i], want[i], d, tol)
+				}
+				if norm > 0 {
+					worst = math.Max(worst, d/(float64(n)*0x1p-52*norm))
+				}
 			}
-			ties++
+			for _, frac := range fracs {
+				a, b := energyLevel(got, frac), energyLevel(want, frac)
+				if a == b {
+					continue
+				}
+				if !levelTied(want, frac, tol) {
+					t.Fatalf("case %d (%s, n=%d) frac=%v: level %d, Jacobi %d", idx, kind, n, frac, a, b)
+				}
+				ties++
+			}
 		}
 	}
 	t.Logf("largest eigenvalue gap %.2f·n·ε·‖G‖max; levels differ, each at a tie, in %d of %d decisions",
@@ -311,7 +345,7 @@ func TestSymEigenNonFinite(t *testing.T) {
 				m.Set(i, i, float64(i+1))
 			}
 			m.Set(at[0], at[1], bad)
-			if _, err := SymEigen(m); !errors.Is(err, ErrNonFinite) {
+			if _, err := symEigen(m); !errors.Is(err, ErrNonFinite) {
 				t.Fatalf("%v at %v: err %v, want ErrNonFinite", bad, at, err)
 			}
 		}
@@ -319,34 +353,100 @@ func TestSymEigenNonFinite(t *testing.T) {
 }
 
 // TestTridiagonalQLIterationCap pins the bounded-cost contract of the
-// QL step behind SymEigen's finiteness check: a NaN coupling never
+// QL step behind SymEigenBatch's finiteness check: a NaN coupling never
 // deflates, so the step must give up with ErrNoConvergence after its
-// budget instead of spinning.
+// budget instead of spinning, and its batch companions still converge.
 func TestTridiagonalQLIterationCap(t *testing.T) {
-	d := []float64{1, 2, 3}
-	e := []float64{math.NaN(), 1, 0}
-	if err := tridiagonalQL(d, e); !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("err %v, want ErrNoConvergence", err)
+	ps := make([]Eigenproblem, 3)
+	for i := range ps {
+		ps[i].ql = qlState{d: []float64{1, 2, 3}, e: []float64{0.5, 1, 0}}
+	}
+	ps[1].ql.e[0] = math.NaN()
+	interleaveQL(ps)
+	for i, p := range ps {
+		if i == 1 {
+			if !errors.Is(p.ql.err, ErrNoConvergence) {
+				t.Fatalf("NaN coupling: err %v, want ErrNoConvergence", p.ql.err)
+			}
+			if p.ql.sweeps != qlMaxIter*3 {
+				t.Fatalf("NaN coupling gave up after %d sweeps, want %d", p.ql.sweeps, qlMaxIter*3)
+			}
+		} else if p.ql.err != nil {
+			t.Fatalf("companion %d: %v", i, p.ql.err)
+		}
+	}
+	// The batch answers with the lowest failing index's error: a
+	// non-finite matrix at index 1 outranks a malformed one at 2.
+	m := NewMatrix(2, 2)
+	m.Set(1, 0, math.NaN())
+	batch := []Eigenproblem{problemOf(NewMatrix(3, 3)), problemOf(m), {A: make([]float64, 3), D: make([]float64, 2), E: make([]float64, 2)}}
+	if err := SymEigenBatch(batch); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("batch err %v, want ErrNonFinite", err)
+	}
+}
+
+// TestHypotMatchesMathHypot pins hypot to math.Hypot bit for bit: 10⁶
+// seeded arguments (raw bit patterns, and Gaussians over ±300 decades
+// of scale), then every pair of ±0, subnormals, the normal range's
+// ends, ±Inf and NaNs with several payloads.
+func TestHypotMatchesMathHypot(t *testing.T) {
+	check := func(p, q float64) {
+		got, want := hypot(p, q), math.Hypot(p, q)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("hypot(%v, %v) = %v (%#x), math.Hypot %v (%#x)",
+				p, q, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := xrand.New(17)
+	for i := range 1000000 {
+		if i%2 == 0 {
+			check(math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64()))
+		} else {
+			check(rng.NormFloat64()*math.Pow(10, 600*rng.Float64()-300), rng.NormFloat64())
+		}
+	}
+	specials := []float64{
+		0, math.Copysign(0, -1), 1, -1, 3, 4,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1060, 0x1p-1023,
+		0x1p-1022, -0x1p-1022, math.MaxFloat64, -math.MaxFloat64, 0x1p1000,
+		math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000123),
+	}
+	for _, p := range specials {
+		for _, q := range specials {
+			check(p, q)
+		}
 	}
 }
 
 func BenchmarkSymEigen(b *testing.B) {
 	for _, n := range []int{12, 32, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := xrand.New(uint64(n))
+		rng := xrand.New(uint64(n))
+		var grams [8]*Matrix
+		for l := range grams {
 			w := NewMatrix(2*n, n)
 			for i := range w.Data {
 				w.Data[i] = rng.NormFloat64()
 			}
-			g := gramOf(w)
-			m := NewMatrix(n, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(m.Data, g.Data)
-				if _, err := SymEigen(m); err != nil {
-					b.Fatal(err)
+			grams[l] = gramOf(w)
+		}
+		for _, width := range []int{1, 8} {
+			b.Run(fmt.Sprintf("n=%d/width=%d", n, width), func(b *testing.B) {
+				ps := make([]Eigenproblem, width)
+				for l := range ps {
+					ps[l] = problemOf(NewMatrix(n, n))
 				}
-			}
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for l := range ps {
+						copy(ps[l].A, grams[l].Data)
+					}
+					if err := SymEigenBatch(ps); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/matrix")
+			})
+		}
 	}
 }

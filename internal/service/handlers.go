@@ -77,9 +77,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(append(buf, '\n'))
 }
 
-// writeError answers with the status an apiError carries; a non-finite
-// field value reaching the local-SVD eigensolve is the client's input,
-// so it is a 400, and anything else is a 500.
+// writeError answers with the status an apiError carries. The two
+// eigensolver failures come from the client's field, not the server: a
+// non-finite value reaching the local-SVD eigensolve is a malformed
+// input, so a 400, and a window whose eigenvalues did not converge
+// within the solver's sweep budget is a well-formed field the
+// statistic cannot be computed for, so a 422. Anything else is a 500.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var ae *apiError
@@ -88,6 +91,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status = ae.status
 	case errors.Is(err, linalg.ErrNonFinite):
 		status = http.StatusBadRequest
+	case errors.Is(err, linalg.ErrNoConvergence):
+		status = http.StatusUnprocessableEntity
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

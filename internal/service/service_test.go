@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"lossycorr/internal/gaussian"
+	"lossycorr/internal/linalg"
 )
 
 // testServer spins up a Server behind a real httptest listener so the
@@ -698,6 +700,28 @@ func TestWriteJSONMarshalFailure(t *testing.T) {
 	var e map[string]string
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
 		t.Fatalf("error payload %q not JSON", rec.Body.String())
+	}
+}
+
+// TestWriteErrorEigensolverStatuses pins the typed answers to the
+// local-SVD eigensolver's failures as they reach the handler, wrapped
+// by the statistic's error label: a non-finite value is a 400, an
+// eigenvalue iteration that did not converge a 422, never a 500.
+func TestWriteErrorEigensolverStatuses(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("local svd: %w", linalg.ErrNonFinite), http.StatusBadRequest},
+		{fmt.Errorf("local svd: %w", linalg.ErrNoConvergence), http.StatusUnprocessableEntity},
+		{errors.New("disk on fire"), http.StatusInternalServerError},
+	} {
+		rec := httptest.NewRecorder()
+		(&Server{}).writeError(rec, tc.err)
+		var e map[string]string
+		if rec.Code != tc.want || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e["error"] != tc.err.Error() {
+			t.Errorf("%v: %d %q, want %d with the error text", tc.err, rec.Code, rec.Body.String(), tc.want)
+		}
 	}
 }
 

@@ -22,7 +22,16 @@ func gramRandomGrid(rows, cols int, seed uint64) *field.Field {
 	return g
 }
 
-// levelFull is the differential oracle for levelGram: the truncation
+// levelOf is one window's truncation level: the batch path at width
+// one.
+func levelOf(w *field.Field, frac float64) (int, error) {
+	var vals [1]float64
+	var keep [1]bool
+	err := windowLevels([]*field.Field{w}, vals[:], keep[:], frac)
+	return int(vals[0]), err
+}
+
+// levelFull is the differential oracle for the Gram path: the truncation
 // level the long way, as the statistic was computed before the Gram
 // path. It centers a copy of the window, takes its singular values as
 // the square roots of the clamped eigenvalues of AᵀA (or AAᵀ, whichever
@@ -58,7 +67,8 @@ func levelFull(w *field.Field, frac float64) (int, error) {
 			g.Set(j, i, s)
 		}
 	}
-	eig, err := linalg.SymEigen(g)
+	eig := make([]float64, k)
+	err := linalg.SymEigenBatch([]linalg.Eigenproblem{{A: g.Data, D: eig, E: make([]float64, k)}})
 	if err != nil {
 		return 0, err
 	}
@@ -89,7 +99,7 @@ func gramSmoothGrid(rows, cols int) *field.Field {
 	})
 }
 
-// TestGramMatchesFullSVDLevels checks levelGram against its oracle:
+// TestGramMatchesFullSVDLevels checks the Gram path against its oracle:
 // over many windows (noisy, smooth, tall, wide, 3D-unfolded shapes)
 // the Gram-eigenvalue levels must match the full-SVD levels. Both
 // quantize the same spectrum, so any disagreement would mean an
@@ -108,7 +118,7 @@ func TestGramMatchesFullSVDLevels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fast, err := levelGram(g.Data, sh.rows, sh.cols, frac)
+				fast, err := levelOf(g, frac)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +139,7 @@ func TestGramMatchesFullSVDLevels(t *testing.T) {
 	for _, sh := range shapes[:4] {
 		g := gramSmoothGrid(sh.rows, sh.cols)
 		full, _ := levelFull(g, 0.99)
-		fast, _ := levelGram(g.Data, sh.rows, sh.cols, 0.99)
+		fast, _ := levelOf(g, 0.99)
 		if full != fast {
 			t.Fatalf("smooth %dx%d: gram level %d != full %d", sh.rows, sh.cols, fast, full)
 		}
@@ -138,7 +148,7 @@ func TestGramMatchesFullSVDLevels(t *testing.T) {
 	// orders of arithmetic do split, and by one level.
 	w, frac := tieWindow(t)
 	full, _ := levelFull(w, frac)
-	fast, _ := levelGram(w.Data, w.Shape[0], w.Shape[0], frac)
+	fast, _ := levelOf(w, frac)
 	if d := full - fast; d != 1 && d != -1 {
 		t.Fatalf("tie window: gram level %d vs full %d, want one apart", fast, full)
 	}
@@ -149,16 +159,16 @@ func TestGramConstantWindowZero(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = 3.25
 	}
-	k, err := levelGram(g.Data, 16, 16, 0.99)
+	k, err := levelOf(g, 0.99)
 	if err != nil || k != 0 {
 		t.Fatalf("constant window: level %d err %v, want 0", k, err)
 	}
-	if _, err := levelGram(g.Data, 16, 16, 1.5); err == nil {
+	if _, err := levelOf(g, 1.5); err == nil {
 		t.Fatal("expected fraction validation error")
 	}
 }
 
-// tieWindow searches seeded integer windows for one on which levelGram
+// tieWindow searches seeded integer windows for one on which the Gram path
 // and levelFull return different levels, and returns it with the
 // variance fraction that separates them. A candidate is an integer
 // offset plus two or three rank-one terms a·u·vᵀ, u and v distinct
@@ -205,7 +215,7 @@ func tieWindow(t *testing.T) (*field.Field, float64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gram, err := levelGram(w.Data, h, h, frac)
+			gram, err := levelOf(w, frac)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +272,7 @@ func benchLevel(b *testing.B, rows, cols int) {
 	g := gramRandomGrid(rows, cols, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := levelGram(g.Data, rows, cols, 0.99); err != nil {
+		if _, err := levelOf(g, 0.99); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,7 +282,7 @@ func BenchmarkTruncationLevelGram(b *testing.B)       { benchLevel(b, 32, 32) }
 func BenchmarkTruncationLevelGramUnfold(b *testing.B) { benchLevel(b, 32, 1024) }
 
 // BenchmarkLocalSVD is the kernel's cost inside one analyze-cold
-// request: levelGram over a 256² field at H=32 (64
+// request: the Gram path over a 256² field at H=32 (64
 // windows), serial so ns/op is the summed per-window cost.
 func BenchmarkLocalSVD(b *testing.B) {
 	f := in64(gramRandomGrid(256, 256, 13))

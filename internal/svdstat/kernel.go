@@ -2,8 +2,8 @@ package svdstat
 
 // The local SVD statistic as a stat.Kernel: a WindowKernel whose sweep
 // (tiling, lane widening, streaming, fan-out) the engine owns, leaving
-// this package with only the per-window level arithmetic (levelGram)
-// and the Std fold. Options arrive through the
+// this package with only the level arithmetic of a batch of windows
+// (windowLevels) and the Std fold. Options arrive through the
 // engine's Request.Opt under "svd" as an svdstat.Options value; a nil
 // opt means defaults.
 
@@ -43,22 +43,10 @@ func (LevelKernel) CheckWindow(h int) error {
 
 // EvalWindows implements stat.WindowKernel: each window's truncation
 // level through its mode-1 unfolding, skipping windows clipped below
-// 2 in any extent.
+// 2 in any extent; the batch's eigenproblems are solved together.
 func (LevelKernel) EvalWindows(ws []*field.Field, vals []float64, keep []bool, opt any) error {
 	o, _ := opt.(Options)
-	o = o.withDefaults()
-	for i, w := range ws {
-		vals[i], keep[i] = 0, false
-		if w.MinDim() < 2 {
-			continue
-		}
-		k, err := windowLevel(w, o)
-		if err != nil {
-			return err
-		}
-		vals[i], keep[i] = float64(k), true
-	}
-	return nil
+	return windowLevels(ws, vals, keep, o.withDefaults().Frac)
 }
 
 // Fold implements stat.WindowKernel: the std over kept window levels.

@@ -37,19 +37,12 @@ func gaussField(t *testing.T, p gaussian.Params) *field.Field {
 	return g
 }
 
-// truncationLevel is the truncation level of one 2D window: the
-// smallest k whose top-k singular values of the centered window
-// capture at least frac of its squared singular-value mass.
-func truncationLevel(w *field.Field, frac float64) (int, error) {
-	return windowLevel(w, Options{Frac: frac})
-}
-
 func TestTruncationLevelRankOne(t *testing.T) {
 	// outer product of zero-mean factors stays rank 1 after centering
 	w := fromFunc(8, 8, func(r, c int) float64 {
 		return (float64(r) - 3.5) * (float64(c) - 3.5)
 	})
-	k, err := truncationLevel(w, 0.99)
+	k, err := levelOf(w, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +61,7 @@ func TestTruncationLevelIdentityLike(t *testing.T) {
 		}
 		return 0
 	})
-	k, err := truncationLevel(w, 0.99)
+	k, err := levelOf(w, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +71,7 @@ func TestTruncationLevelIdentityLike(t *testing.T) {
 }
 
 func TestTruncationLevelConstantZero(t *testing.T) {
-	k, err := truncationLevel(field.New(6, 6), 0.99)
+	k, err := levelOf(field.New(6, 6), 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +81,10 @@ func TestTruncationLevelConstantZero(t *testing.T) {
 }
 
 func TestTruncationLevelFracValidation(t *testing.T) {
-	if _, err := truncationLevel(field.New(4, 4), 0); err == nil {
+	if _, err := levelOf(field.New(4, 4), 0); err == nil {
 		t.Fatal("expected frac error")
 	}
-	if _, err := truncationLevel(field.New(4, 4), 1.2); err == nil {
+	if _, err := levelOf(field.New(4, 4), 1.2); err == nil {
 		t.Fatal("expected frac error")
 	}
 }
@@ -102,7 +95,7 @@ func TestTruncationLevelFracValidation(t *testing.T) {
 func TestNaNFractionRejected(t *testing.T) {
 	w := fromFunc(8, 8, func(r, c int) float64 { return float64(r * c % 5) })
 	o := Options{Frac: math.NaN()}
-	if k, err := windowLevel(w, o); err == nil {
+	if k, err := levelOf(w, o.Frac); err == nil {
 		t.Errorf("level %d for a NaN fraction, want error", k)
 	}
 	if v, err := LocalStd(bg, in64(w), 4, o); err == nil {
@@ -113,11 +106,11 @@ func TestNaNFractionRejected(t *testing.T) {
 func TestTruncationLevelMonotoneInFraction(t *testing.T) {
 	rng := xrand.New(6)
 	w := fromFunc(12, 12, func(r, c int) float64 { return rng.NormFloat64() })
-	k50, err := truncationLevel(w, 0.5)
+	k50, err := levelOf(w, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k99, err := truncationLevel(w, 0.99)
+	k99, err := levelOf(w, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +126,11 @@ func TestSmoothNeedsFewerModesThanNoise(t *testing.T) {
 	smooth := gaussField(t, gaussian.Params{Rows: 32, Cols: 32, Range: 16, Seed: 2})
 	rng := xrand.New(2)
 	noise := fromFunc(32, 32, func(r, c int) float64 { return rng.NormFloat64() })
-	ks, err := truncationLevel(smooth, 0.99)
+	ks, err := levelOf(smooth, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kn, err := truncationLevel(noise, 0.99)
+	kn, err := levelOf(noise, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,13 +42,15 @@ const scanLanes = stat.BatchWidth
 
 // laneScratch is the reusable state of one lockstep scan: the odometer
 // of scanOffsetLanes, the interleaved plane of each lane group, each
-// lane's per-bin sums and the shared per-bin pair counts.
+// lane's per-bin sums, the shared per-bin pair counts, and the
+// empirical variogram each window's fit reads.
 type laneScratch struct {
 	sc      scanScratch
 	strides []int
 	il      [scanLanes / 4][][4]float64
 	sum     [scanLanes][]float64
 	cnt     []int64
+	emp     Empirical
 }
 
 var laneScratchPool = sync.Pool{New: func() any { return new(laneScratch) }}
@@ -300,7 +302,7 @@ func windowRanges(ws []*field.Field, vals []float64, keep []bool, opts Options) 
 		}
 		exactScanLanes(data[:n], shape, maxLag, ls)
 		for l, j := range idx[:n] {
-			m, err := Fit(collect(ls.sum[l], ls.cnt))
+			m, err := Fit(collectInto(&ls.emp, ls.sum[l], ls.cnt))
 			if err != nil {
 				if j < errAt {
 					errAt, firstErr = j, err

@@ -155,8 +155,15 @@ func Compute(ctx context.Context, src stat.Source, opts Options) (*Empirical, er
 	return scanData(ctx, f.Data, shape, func() float64 { return f.Summary().Mean }, est, o)
 }
 
+// collect turns per-bin pair sums and counts into an empirical
+// variogram: every bin from 1 up that holds a pair, γ = sum / 2·count.
 func collect(sum []float64, cnt []int64) *Empirical {
-	e := &Empirical{}
+	return collectInto(new(Empirical), sum, cnt)
+}
+
+// collectInto is collect into e, whose slices it empties and reuses.
+func collectInto(e *Empirical, sum []float64, cnt []int64) *Empirical {
+	e.H, e.Gamma, e.N = e.H[:0], e.Gamma[:0], e.N[:0]
 	for bin := 1; bin < len(sum); bin++ {
 		if cnt[bin] == 0 {
 			continue
