@@ -17,9 +17,11 @@ package field
 // read can ever over-allocate or index past the region.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
+	"unsafe"
 )
 
 // TileReader reads rectangular blocks of a field file through an
@@ -30,6 +32,7 @@ import (
 // underlying ReaderAt is (os.File and bytes.Reader are).
 type TileReader struct {
 	r      io.ReaderAt
+	mem    []byte // the whole file, when the reader was built over it in RAM
 	closer io.Closer
 	shape  []int
 	f32    bool
@@ -65,6 +68,26 @@ func NewTileReader(r io.ReaderAt, size int64, maxElements int) (*TileReader, err
 		off:   int64(hdrLen),
 		n:     n,
 	}, nil
+}
+
+// NewTileReaderBytes is NewTileReader over a field file held in RAM.
+// The reader keeps b, so ReadAll can lend its payload instead of
+// copying it: b must not be written while the reader or a field it
+// lent is in use.
+func NewTileReaderBytes(b []byte, maxElements int) (*TileReader, error) {
+	t, err := NewTileReader(bytes.NewReader(b), int64(len(b)), maxElements)
+	if err != nil {
+		return nil, err
+	}
+	t.mem = b
+	return t, nil
+}
+
+// AlignedBytes returns n zeroed bytes, with capacity n, aligned for
+// viewing as float64s, as a buffer NewTileReaderBytes can lend from
+// must be.
+func AlignedBytes(n int) []byte {
+	return asBytes(make([]float64, (n+7)/8))[:n:n]
 }
 
 // OpenTileReader opens path for pread-backed tile access. The returned
@@ -239,7 +262,34 @@ func (t *TileReader) readRange(dst []float64, src int, buf []byte) error {
 
 // ReadAll materializes the whole field in its stored lane — the slurp
 // path the analyzer takes when the file fits the memory budget after
-// all. Exactly one returned field is non-nil, as in ReadAnyLimit.
+// all. Exactly one returned field is non-nil, as in ReadAnyLimit. A
+// reader built by NewTileReaderBytes on a little-endian host lends its
+// payload when it is aligned to its element size: the field then shares
+// the reader's memory and must not be written. Any other payload is
+// copied into a new field.
 func (t *TileReader) ReadAll() (*Field, *Field32, error) {
+	if t.f32 {
+		if f := lend[float32](t); f != nil {
+			return nil, f, nil
+		}
+	} else if f := lend[float64](t); f != nil {
+		return f, nil, nil
+	}
 	return readLane(io.NewSectionReader(t.r, t.off, t.PayloadBytes()), t.shape, t.f32)
+}
+
+// lend views the payload of a reader over RAM as a field on its stored
+// lane T, or returns nil when the bytes are not T's values in memory
+// order: no bytes kept, a big-endian host, or a payload not aligned to
+// T (a rank-1 or rank-3 float64 header is 12 or 20 bytes).
+func lend[T Elem](t *TileReader) *Of[T] {
+	if !nativeLittleEndian || t.mem == nil {
+		return nil
+	}
+	end := t.off + t.PayloadBytes()
+	p := t.mem[t.off:end:end]
+	if uintptr(unsafe.Pointer(unsafe.SliceData(p)))%uintptr(ElemBytes[T]()) != 0 {
+		return nil
+	}
+	return &Of[T]{Shape: t.Shape(), Data: asElems[T](p)}
 }

@@ -643,3 +643,93 @@ func TestReadBlockOneReadPerRun(t *testing.T) {
 		}
 	}
 }
+
+// TestTileReaderBytesLends: ReadAll of a reader built over aligned
+// bytes on a little-endian host lends the payload — the field's data is
+// the buffer's own memory — on either lane; a float64 payload behind a
+// 20-byte rank-3 header, or any payload behind a buffer shifted off its
+// alignment, is copied instead; a reader over an io.ReaderAt always
+// copies. Every path reads the same values.
+func TestTileReaderBytesLends(t *testing.T) {
+	encode := func(f *Field, narrow bool) []byte {
+		var buf bytes.Buffer
+		var err error
+		if narrow {
+			err = f.Narrow().WriteBinary(&buf)
+		} else {
+			err = f.WriteBinary(&buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	aligned := func(b []byte, shift int) []byte {
+		out := AlignedBytes(len(b) + shift)[shift:]
+		copy(out, b)
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		shape  []int
+		narrow bool
+		shift  int
+		lends  bool
+	}{
+		{"rank-2 f64", []int{6, 5}, false, 0, true},
+		{"rank-2 f32", []int{6, 5}, true, 0, true},
+		{"rank-3 f32", []int{3, 4, 5}, true, 0, true},
+		{"rank-3 f64, 20-byte header", []int{3, 4, 5}, false, 0, false},
+		{"rank-2 f64, shifted buffer", []int{6, 5}, false, 4, false},
+		{"rank-2 f32, shifted buffer", []int{6, 5}, true, 1, false},
+	} {
+		f := randField(t, c.shape, 7)
+		raw := encode(f, c.narrow)
+		want64, want32, err := ReadAnyLimit(bytes.NewReader(raw), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := aligned(raw, c.shift)
+		tr, err := NewTileReaderBytes(buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got64, got32, err := tr.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var data []byte
+		if c.narrow {
+			if got32 == nil || got64 != nil || !slices.Equal(got32.Shape, c.shape) || !slices.Equal(got32.Data, want32.Data) {
+				t.Fatalf("%s: ReadAll lane or values differ", c.name)
+			}
+			data = asBytes(got32.Data)
+		} else {
+			if got64 == nil || got32 != nil || !slices.Equal(got64.Shape, c.shape) || !slices.Equal(got64.Data, want64.Data) {
+				t.Fatalf("%s: ReadAll lane or values differ", c.name)
+			}
+			data = asBytes(got64.Data)
+		}
+		payload := buf[len(buf)-len(data):]
+		if lent := &data[0] == &payload[0]; lent != (c.lends && nativeLittleEndian) {
+			t.Fatalf("%s: lent=%v, want %v", c.name, lent, c.lends && nativeLittleEndian)
+		}
+
+		ra, err := NewTileReader(bytes.NewReader(buf), int64(len(buf)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r64, r32, err := ra.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.narrow {
+			data = asBytes(r32.Data)
+		} else {
+			data = asBytes(r64.Data)
+		}
+		if &data[0] == &payload[0] {
+			t.Fatalf("%s: a reader over an io.ReaderAt lent its payload", c.name)
+		}
+	}
+}

@@ -11,16 +11,19 @@ import (
 )
 
 // jacobiRef is the cyclic Jacobi eigensolver the library used before the
-// tridiagonal-QL rewrite, kept verbatim as the differential oracle: a
-// is destroyed and the eigenvalues come back in descending order.
+// tridiagonal-QL rewrite, kept as the differential oracle with its
+// arithmetic verbatim; it indexes the square matrix's row-major data
+// directly, which the race detector instruments once per element rather
+// than once per field of every At and Set. a is destroyed and the
+// eigenvalues come back in descending order.
 func jacobiRef(a *Matrix) []float64 {
-	n := a.Rows
+	n, d := a.Rows, a.Data
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		var off float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
+				off += d[i*n+j] * d[i*n+j]
 			}
 		}
 		if off < 1e-24*float64(n*n) {
@@ -28,11 +31,11 @@ func jacobiRef(a *Matrix) []float64 {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
+				apq := d[p*n+q]
 				if apq == 0 {
 					continue
 				}
-				app, aqq := a.At(p, p), a.At(q, q)
+				app, aqq := d[p*n+p], d[q*n+q]
 				theta := (aqq - app) / (2 * apq)
 				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
 				if theta < 0 {
@@ -41,21 +44,21 @@ func jacobiRef(a *Matrix) []float64 {
 				c := 1 / math.Sqrt(t*t+1)
 				s := t * c
 				for k := 0; k < n; k++ {
-					akp, akq := a.At(k, p), a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
+					akp, akq := d[k*n+p], d[k*n+q]
+					d[k*n+p] = c*akp - s*akq
+					d[k*n+q] = s*akp + c*akq
 				}
 				for k := 0; k < n; k++ {
-					apk, aqk := a.At(p, k), a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
+					apk, aqk := d[p*n+k], d[q*n+k]
+					d[p*n+k] = c*apk - s*aqk
+					d[q*n+k] = s*apk + c*aqk
 				}
 			}
 		}
 	}
 	eig := make([]float64, n)
 	for i := range eig {
-		eig[i] = a.At(i, i)
+		eig[i] = d[i*n+i]
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
 	return eig

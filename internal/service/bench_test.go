@@ -50,6 +50,44 @@ func BenchmarkServiceAnalyzeCached(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceAnalyzeHit gauges the server-side cost of a cache
+// hit, which is intake alone: the body read and hashed, its header
+// validated, the cached result encoded. The subcases are vfft-cache's
+// two hot 512² bodies and analyze-cold's 256² float64 size; B/op shows
+// how many times the upload is held.
+func BenchmarkServiceAnalyzeHit(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		edge   int
+		narrow bool
+	}{
+		{"512x512/f64", 512, false},
+		{"512x512/f32", 512, true},
+		{"256x256/f64", 256, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := New(Config{})
+			defer s.Close()
+			h := s.Handler()
+			body := intakeBody(b, c.edge, c.edge, 7, c.narrow)
+			do := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze?vfft=true&stats=variogram", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("analyze: %d %s", rec.Code, rec.Body)
+				}
+			}
+			do() // the miss that fills the cache
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				do()
+			}
+		})
+	}
+}
+
 // BenchmarkPredictServe gauges the model-serving path: a server booted
 // with a model directory answers stats-only predictions by evaluating
 // the fitted log model — no field upload, no analysis, no training.

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net/http"
 	"net/url"
@@ -16,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"lossycorr/internal/compress"
@@ -123,16 +125,20 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) maxElements() int { return int(s.cfg.MaxBodyBytes / 8) }
 
-// spoolMemLimit is the largest upload kept wholly in memory while
-// spooling; bigger bodies spill to a temp file as they are hashed, and
-// a waiting job holds that file, not the parsed field.
+// spoolMemLimit bounds the RAM an upload takes before its bytes have
+// arrived. An async job's body spills to a temp file past it, so a
+// waiting job holds a file, not the payload. A sync body's buffer starts
+// at no more than this and grows only as bytes land, so a declared
+// Content-Length cannot make the server allocate ahead of what it has
+// received by more than this or twice those bytes.
 const spoolMemLimit = 1 << 20
 
 // fieldSource is a request's resolved field payload: every payload,
 // in RAM or on disk, on either lane, enters as a header-validated tile
-// reader. digest is the SHA-256 of the payload bytes, computed while
-// the body spools, so the content address never requires the parsed
-// field, and a cache hit never parses it.
+// reader. A reader over RAM holds the received bytes themselves, and
+// the analysis reads them in place. digest is the SHA-256 of the
+// payload bytes, computed as they arrive, so the content address never
+// requires the parsed field, and a cache hit never parses it.
 type fieldSource struct {
 	digest []byte
 	tr     *field.TileReader
@@ -150,25 +156,27 @@ func (src fieldSource) close() {
 
 // resolveField resolves the field of a request: the raw body (bounded
 // by MaxBodyBytes) or a ?dataset=name reference into the server's data
-// directory. With streamOK (an analyze request on a server with a
-// StreamBudget), payloads over the budget are analyzed out of core —
-// from the spooled temp file or the dataset file itself. Every header
-// is validated before anything is allocated, against the element budget
-// and against the bytes behind it, so a hostile request cannot make the
-// server reserve more memory than the configured caps. (The element
-// budget is derived from the float64 width for both lanes, so the
-// guarantee holds regardless of which lane the header claims.)
-func (s *Server) resolveField(w http.ResponseWriter, r *http.Request, streamOK bool) (fieldSource, error) {
+// directory. async marks a job that may wait in the queue. With
+// streamOK (an analyze request on a server with a StreamBudget),
+// payloads over the budget are analyzed out of core — from the spooled
+// temp file or the dataset file itself. Every header is validated
+// before the field is parsed, against the element budget and against
+// the bytes behind it, so a hostile request cannot make the server
+// reserve more memory than the configured caps. (The element budget is
+// derived from the float64 width for both lanes, so the guarantee holds
+// regardless of which lane the header claims.)
+func (s *Server) resolveField(w http.ResponseWriter, r *http.Request, async, streamOK bool) (fieldSource, error) {
 	if name := r.URL.Query().Get("dataset"); name != "" {
 		return s.datasetSource(name, streamOK)
 	}
-	return s.spoolBody(w, r, streamOK)
+	return s.spoolBody(w, r, async, streamOK)
 }
 
 // datasetSource resolves ?dataset=name. Streaming datasets are hashed
 // in place (one sequential read, no allocation) and may exceed
 // MaxBodyBytes — the whole point of out-of-core analysis; in-RAM use
-// keeps the cap and reads the very bytes it hashed.
+// keeps the cap and reads the file into one buffer of its size, hashed
+// in the same pass, which the analysis then reads in place.
 func (s *Server) datasetSource(name string, streamOK bool) (fieldSource, error) {
 	if s.cfg.DataDir == "" {
 		return fieldSource{}, apiErrorf(http.StatusNotFound, "no dataset directory configured")
@@ -198,63 +206,92 @@ func (s *Server) datasetSource(name string, streamOK bool) (fieldSource, error) 
 		}
 		return s.fileSource(h.Sum(nil), p, st.Size(), true)
 	}
-	raw, err := io.ReadAll(io.TeeReader(f, h))
-	if err != nil {
+	raw := field.AlignedBytes(int(st.Size()))
+	if _, err := io.ReadFull(io.TeeReader(f, h), raw); err != nil {
 		return fieldSource{}, apiErrorf(http.StatusInternalServerError, "reading dataset %q: %v", name, err)
 	}
 	return s.memSource(h.Sum(nil), raw)
 }
 
-// spoolBody drains the request body through the content hasher into a
-// memory buffer, spilling to a temp file past the spool limit (or past
-// the stream budget, so anything that will stream lands on disk). The
-// temp file lives until the spec's cleanup.
-func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request, streamOK bool) (fieldSource, error) {
+// spoolBody drains the request body through the content hasher. A body
+// stays in RAM unless it spills: past the stream budget, when it will
+// be analyzed out of core, or past spoolMemLimit for an async job. A
+// sync request does not wait, and on a miss it reads the whole payload
+// at once, so a temp file would save it nothing. A spilling body is
+// copied to a temp file that lives until the spec's cleanup: from its
+// first byte when Content-Length says it will spill, otherwise once the
+// bytes in RAM pass the limit. A body shorter or longer than its
+// Content-Length is rejected.
+func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request, async, streamOK bool) (fieldSource, error) {
+	tooLarge := func() error {
+		return apiErrorf(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.cfg.MaxBodyBytes)
+	}
 	badBody := func(err error) error {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return apiErrorf(http.StatusRequestEntityTooLarge,
-				"body exceeds %d bytes", s.cfg.MaxBodyBytes)
+			return tooLarge()
 		}
 		return apiErrorf(http.StatusBadRequest, "reading body: %v", err)
 	}
+	declared := r.ContentLength // -1 when unknown (a chunked body)
+	if declared > s.cfg.MaxBodyBytes {
+		return fieldSource{}, tooLarge()
+	}
+	mismatch := func() error {
+		return apiErrorf(http.StatusBadRequest, "body length does not match Content-Length %d", declared)
+	}
+	spillAt := s.cfg.MaxBodyBytes
+	if async {
+		spillAt = spoolMemLimit
+	}
+	if streamOK {
+		spillAt = min(spillAt, s.cfg.StreamBudget)
+	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	spillAt := int64(spoolMemLimit)
-	if streamOK && s.cfg.StreamBudget < spillAt {
-		spillAt = s.cfg.StreamBudget
-	}
 	h := sha256.New()
-	var buf bytes.Buffer
-	n, err := io.Copy(io.MultiWriter(&buf, h), io.LimitReader(body, spillAt))
-	if err != nil {
-		return fieldSource{}, badBody(err)
-	}
-	if n < spillAt {
-		if n == 0 {
+	var head, extra []byte
+	if declared <= spillAt {
+		limit := declared
+		if limit < 0 {
+			limit = spillAt
+		}
+		var err error
+		if head, extra, err = readHashed(body, h, limit); err != nil {
+			return fieldSource{}, badBody(err)
+		}
+		switch {
+		case declared >= 0 && (extra != nil || int64(len(head)) < declared):
+			return fieldSource{}, mismatch()
+		case len(head) == 0:
 			return fieldSource{}, apiErrorf(http.StatusBadRequest,
 				"empty field payload: POST a binary field or pass ?dataset=name")
+		case extra == nil:
+			return s.memSource(h.Sum(nil), head)
 		}
-		return s.memSource(h.Sum(nil), buf.Bytes())
 	}
 	tmp, err := os.CreateTemp("", "corrcompd-spool-*")
 	if err != nil {
 		return fieldSource{}, apiErrorf(http.StatusInternalServerError, "spooling body: %v", err)
 	}
 	drop := func() { tmp.Close(); os.Remove(tmp.Name()) }
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(head); err != nil {
 		drop()
 		return fieldSource{}, apiErrorf(http.StatusInternalServerError, "spooling body: %v", err)
 	}
-	m, err := io.Copy(io.MultiWriter(tmp, h), body)
+	m, err := io.Copy(io.MultiWriter(tmp, h), io.MultiReader(bytes.NewReader(extra), body))
 	if err != nil {
 		drop()
 		return fieldSource{}, badBody(err)
+	}
+	size := int64(len(head)) + m
+	if declared >= 0 && size != declared {
+		drop()
+		return fieldSource{}, mismatch()
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return fieldSource{}, apiErrorf(http.StatusInternalServerError, "spooling body: %v", err)
 	}
-	size := n + m
 	src, err := s.fileSource(h.Sum(nil), tmp.Name(), size, streamOK && size > s.cfg.StreamBudget)
 	if err != nil {
 		os.Remove(tmp.Name())
@@ -264,14 +301,71 @@ func (s *Server) spoolBody(w http.ResponseWriter, r *http.Request, streamOK bool
 	return src, nil
 }
 
+// stagePool holds the first-stage buffers of bodies that may outgrow
+// spoolMemLimit, so a large body's first MiB lands in reused memory
+// rather than in a buffer dropped once the body outgrows it.
+var stagePool = sync.Pool{New: func() any { return new([spoolMemLimit]byte) }}
+
+// readHashed reads r into one buffer, hashing each chunk as it lands,
+// until EOF or until limit bytes have arrived; extra is the byte that
+// then showed r holds more, nil at EOF. The buffer is aligned for a
+// tile reader to lend from. A limit of at most spoolMemLimit is read
+// into one buffer of that size. A larger one is read into a pooled
+// spoolMemLimit stage first; once that fills, the buffer triples each
+// time it fills, never past limit, and a body that ends on the stage is
+// copied into a buffer of its size. Allocation runs ahead of the bytes
+// received by at most max(spoolMemLimit, twice those bytes), and a
+// body's regrowths re-copy fewer bytes than it ends up with.
+func readHashed(r io.Reader, h hash.Hash, limit int64) (buf, extra []byte, err error) {
+	onStage := limit > spoolMemLimit
+	if onStage {
+		stage := stagePool.Get().(*[spoolMemLimit]byte)
+		defer stagePool.Put(stage)
+		buf = stage[:0]
+	} else {
+		buf = field.AlignedBytes(int(limit))[:0]
+	}
+	for {
+		if len(buf) == cap(buf) {
+			if int64(len(buf)) == limit {
+				var one [1]byte
+				n, err := io.ReadFull(r, one[:])
+				if n == 1 {
+					return buf, one[:], nil
+				}
+				if err != io.EOF {
+					return nil, nil, err
+				}
+				return buf, nil, nil
+			}
+			grown := field.AlignedBytes(int(min(limit, 3*int64(len(buf)))))
+			buf = grown[:copy(grown, buf)]
+			onStage = false
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		h.Write(buf[len(buf) : len(buf)+n])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			if onStage {
+				buf = append(field.AlignedBytes(len(buf))[:0], buf...)
+			}
+			return buf, nil, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+}
+
 func badPayload(err error) error {
 	return apiErrorf(http.StatusBadRequest, "bad field payload: %v", err)
 }
 
 // memSource reads an in-RAM payload in place: the reader serves the
-// hashed bytes themselves.
+// hashed bytes themselves, and lends them to an analysis that reads the
+// whole field.
 func (s *Server) memSource(digest, raw []byte) (fieldSource, error) {
-	tr, err := field.NewTileReader(bytes.NewReader(raw), int64(len(raw)), s.maxElements())
+	tr, err := field.NewTileReaderBytes(raw, s.maxElements())
 	if err != nil {
 		return fieldSource{}, badPayload(err)
 	}
@@ -657,16 +751,17 @@ func (s *Server) buildStatPredictSpec(q url.Values) (runSpec, error) {
 // buildSpec validates a request completely — options, field header,
 // codec names — before any pipeline work, so every 4xx happens at
 // submit time and an admitted job can only fail on compute errors.
-// The spec's cleanup owns the field source: it closes the reader and
+// async marks a job submission, whose body may wait in the queue. The
+// spec's cleanup owns the field source: it closes the reader and
 // removes any spooled temp file once the spec can never run again.
-func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request) (runSpec, error) {
+func (s *Server) buildSpec(kind string, w http.ResponseWriter, r *http.Request, async bool) (runSpec, error) {
 	q := r.URL.Query()
 	if kind == "predict" && q.Get("stat") != "" {
 		// Stats-only prediction: no field payload to resolve — the body,
 		// if any, is ignored.
 		return s.buildStatPredictSpec(q)
 	}
-	src, err := s.resolveField(w, r, kind == "analyze" && s.cfg.StreamBudget > 0)
+	src, err := s.resolveField(w, r, async, kind == "analyze" && s.cfg.StreamBudget > 0)
 	if err != nil {
 		return runSpec{}, err
 	}
@@ -884,7 +979,7 @@ type envelope struct {
 
 func (s *Server) syncHandler(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		spec, err := s.buildSpec(kind, w, r)
+		spec, err := s.buildSpec(kind, w, r, false)
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -909,7 +1004,7 @@ func (s *Server) syncHandler(kind string) http.HandlerFunc {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := s.buildSpec(r.PathValue("kind"), w, r)
+	spec, err := s.buildSpec(r.PathValue("kind"), w, r, true)
 	if err != nil {
 		s.writeError(w, err)
 		return

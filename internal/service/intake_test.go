@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -162,6 +163,62 @@ func TestIntakeMatchesLibrary(t *testing.T) {
 			}
 		}
 	}
+
+	// An async job's body over spoolMemLimit waits on disk: its answer
+	// is the library's too.
+	for _, narrow := range []bool{false, true} {
+		seed++
+		body := intakeBody(t, 16, 16400, seed, narrow)
+		if len(body) <= spoolMemLimit {
+			t.Fatalf("job body of %d bytes does not spill", len(body))
+		}
+		wide, thin, err := field.ReadAnyLimit(bytes.NewReader(body), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := jobResult(t, hs.URL, "analyze?"+queries["analyze"], body)
+		var want any
+		if narrow {
+			want = libraryResult(t, s, "analyze", thin)
+		} else {
+			want = libraryResult(t, s, "analyze", wide)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rawResult(t, data); !bytes.Equal(got, wantJSON) {
+			t.Fatalf("spooled job analyze (f32=%v):\n got %s\nwant %s", narrow, got, wantJSON)
+		}
+	}
+}
+
+// jobResult submits body as an async job of kind?query, waits for it
+// to finish, and returns the result envelope.
+func jobResult(t *testing.T, base, kindQuery string, body []byte) []byte {
+	t.Helper()
+	code, data := postBin(t, base+"/v1/jobs/"+kindQuery, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit %s: %d %s", kindQuery, code, data)
+	}
+	var info JobInfo
+	mustJSON(t, data, &info)
+	if done := waitJobTerminal(t, base, info.ID); done.State != JobDone {
+		t.Fatalf("job %s ended %s: %s", kindQuery, done.State, done.Error)
+	}
+	resp, err := http.Get(base + "/v1/jobs/" + info.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job result: %d %s", resp.StatusCode, data)
+	}
+	return data
 }
 
 // TestIntakeSpoolCleanup: a spooled body leaves no temp file behind on
