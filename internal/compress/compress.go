@@ -29,14 +29,19 @@ type FieldCompressor interface {
 	Ranks() []int
 	// CompressField encodes f under the absolute error bound absErr.
 	CompressField(f *field.Field, absErr float64) ([]byte, error)
-	// DecompressField reconstructs the field from CompressField's output.
-	DecompressField(data []byte) (*field.Field, error)
+	// DecompressField reconstructs the field from CompressField's
+	// output. Given a non-nil dst it decodes into dst and returns it:
+	// dst must have the stream's shape (else ErrDstShape), and its
+	// samples are unspecified after an error. Without one it allocates
+	// the field. dst is variadic only so that the one-argument call
+	// stays valid; more than one is an error.
+	DecompressField(data []byte, dst ...*field.Field) (*field.Field, error)
 	// CompressField32 encodes f under the absolute error bound absErr,
 	// quantizing directly from the float32 samples.
 	CompressField32(f *field.Field32, absErr float64) ([]byte, error)
 	// DecompressField32 reconstructs the float32 field from
-	// CompressField32's output.
-	DecompressField32(data []byte) (*field.Field32, error)
+	// CompressField32's output, into dst as DecompressField does.
+	DecompressField32(data []byte, dst ...*field.Field32) (*field.Field32, error)
 }
 
 // CheckBound rejects an absolute error bound that is not finite and

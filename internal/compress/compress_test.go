@@ -34,7 +34,7 @@ func (c roundingCompressor) CompressField(f *field.Field, absErr float64) ([]byt
 	return buf.Bytes(), nil
 }
 
-func (c roundingCompressor) DecompressField(data []byte) (*field.Field, error) {
+func (c roundingCompressor) DecompressField(data []byte, _ ...*field.Field) (*field.Field, error) {
 	return field.ReadBinaryLimit(bytes.NewReader(data), 0)
 }
 
@@ -231,8 +231,12 @@ func (failingCompressor) Ranks() []int { return []int{2} }
 func (failingCompressor) CompressField(*field.Field, float64) ([]byte, error) {
 	return nil, errBoom
 }
-func (failingCompressor) DecompressField([]byte) (*field.Field, error) { return nil, errBoom }
+func (failingCompressor) DecompressField([]byte, ...*field.Field) (*field.Field, error) {
+	return nil, errBoom
+}
 func (failingCompressor) CompressField32(*field.Field32, float64) ([]byte, error) {
 	return nil, errBoom
 }
-func (failingCompressor) DecompressField32([]byte) (*field.Field32, error) { return nil, errBoom }
+func (failingCompressor) DecompressField32([]byte, ...*field.Field32) (*field.Field32, error) {
+	return nil, errBoom
+}

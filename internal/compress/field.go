@@ -8,39 +8,76 @@ package compress
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lossycorr/internal/field"
+	"lossycorr/internal/scratch"
 )
 
 // RunField compresses, decompresses, and measures f with c at absErr
-// through the codec's lane for f's element type, with no widening.
+// through the codec's lane for f's element type, with no widening: it
+// is EncodeField followed by VerifyField.
 func RunField[T field.Elem](c FieldCompressor, f *field.Of[T], absErr float64) (Result, error) {
-	if f, ok := any(f).(*field.Field32); ok {
-		return run(c.Name(), f, absErr, c.CompressField32, c.DecompressField32)
+	data, err := EncodeField(c, f, absErr)
+	if err != nil {
+		return Result{}, err
 	}
-	return run(c.Name(), any(f).(*field.Field), absErr, c.CompressField, c.DecompressField)
+	return VerifyField(c, f, absErr, data)
 }
 
-// run round-trips f through one lane of the codec called name.
-func run[T field.Elem](name string, f *field.Of[T], absErr float64,
-	enc func(*field.Of[T], float64) ([]byte, error), dec func([]byte) (*field.Of[T], error)) (Result, error) {
+// EncodeField is the encode half of RunField: it checks absErr and
+// compresses f with c on f's lane.
+func EncodeField[T field.Elem](c FieldCompressor, f *field.Of[T], absErr float64) ([]byte, error) {
 	if err := CheckBound(absErr); err != nil {
-		return Result{}, fmt.Errorf("compress: %w", err)
+		return nil, fmt.Errorf("compress: %w", err)
 	}
-	data, err := enc(f, absErr)
-	if err != nil {
-		return Result{}, fmt.Errorf("compress: %s: %w", name, err)
+	var data []byte
+	var err error
+	if f32, ok := any(f).(*field.Field32); ok {
+		data, err = c.CompressField32(f32, absErr)
+	} else {
+		data, err = c.CompressField(any(f).(*field.Field), absErr)
 	}
-	out, err := dec(data)
 	if err != nil {
-		return Result{}, fmt.Errorf("compress: %s decode: %w", name, err)
+		return nil, fmt.Errorf("compress: %s: %w", c.Name(), err)
+	}
+	return data, nil
+}
+
+// recs64 and recs32 hold the reconstructions VerifyField decodes into,
+// one pool per lane.
+var (
+	recs64 = scratch.Pool[field.Field]{New: func() *field.Field { return new(field.Field) }}
+	recs32 = scratch.Pool[field.Field32]{New: func() *field.Field32 { return new(field.Field32) }}
+)
+
+// recPool returns the reconstruction pool of lane T.
+func recPool[T field.Elem]() *scratch.Pool[field.Of[T]] {
+	if p, ok := any(&recs32).(*scratch.Pool[field.Of[T]]); ok {
+		return p
+	}
+	return any(&recs64).(*scratch.Pool[field.Of[T]])
+}
+
+// VerifyField is the verify half of RunField: it decodes data, the
+// stream c made from f at absErr, into a pooled field of f's shape,
+// and measures the reconstruction against f.
+func VerifyField[T field.Elem](c FieldCompressor, f *field.Of[T], absErr float64, data []byte) (Result, error) {
+	pool := recPool[T]()
+	rec := pool.Get()
+	defer pool.Put(rec)
+	rec.Shape = append(rec.Shape[:0], f.Shape...)
+	rec.Data = slices.Grow(rec.Data[:0], len(f.Data))[:len(f.Data)]
+	out, err := decompress(c, data, rec)
+	if err != nil {
+		return Result{}, fmt.Errorf("compress: %s decode: %w", c.Name(), err)
 	}
 	maxErr, mse, vr, err := errorStats(f, out)
 	if err != nil {
-		return Result{}, fmt.Errorf("compress: %s: %w", name, err)
+		return Result{}, fmt.Errorf("compress: %s: %w", c.Name(), err)
 	}
 	res := Result{
-		Compressor:     name,
+		Compressor:     c.Name(),
 		ErrorBound:     absErr,
 		OriginalSize:   f.SizeBytes(),
 		CompressedSize: len(data),
@@ -53,6 +90,16 @@ func run[T field.Elem](name string, f *field.Of[T], absErr float64,
 		res.Ratio = float64(res.OriginalSize) / float64(len(data))
 	}
 	return res, nil
+}
+
+// decompress decodes data with c on dst's lane, into dst.
+func decompress[T field.Elem](c FieldCompressor, data []byte, dst *field.Of[T]) (*field.Of[T], error) {
+	if d, ok := any(dst).(*field.Field32); ok {
+		out, err := c.DecompressField32(data, d)
+		return any(out).(*field.Of[T]), err
+	}
+	out, err := c.DecompressField(data, any(dst).(*field.Field))
+	return any(out).(*field.Of[T]), err
 }
 
 // errorStats returns max|f−out|, the mean squared error and f's value

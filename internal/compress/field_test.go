@@ -23,7 +23,7 @@ func (s stub) CompressField(f *field.Field, absErr float64) ([]byte, error) {
 	}
 	return out, nil
 }
-func (s stub) DecompressField(data []byte) (*field.Field, error) {
+func (s stub) DecompressField(data []byte, _ ...*field.Field) (*field.Field, error) {
 	shape := make([]int, len(data))
 	for k, b := range data {
 		shape[k] = int(b)
@@ -86,7 +86,7 @@ func (boundedVol) CompressField(f *field.Field, absErr float64) ([]byte, error) 
 	}
 	return out, nil
 }
-func (boundedVol) DecompressField(data []byte) (*field.Field, error) {
+func (boundedVol) DecompressField(data []byte, _ ...*field.Field) (*field.Field, error) {
 	f := field.New(int(data[0]), int(data[1]), int(data[2]))
 	pos := 3
 	for i := range f.Data {
@@ -100,7 +100,7 @@ func (boundedVol) DecompressField(data []byte) (*field.Field, error) {
 func (b boundedVol) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
 	return b.CompressField(f.Widen(), absErr)
 }
-func (b boundedVol) DecompressField32(data []byte) (*field.Field32, error) {
+func (b boundedVol) DecompressField32(data []byte, _ ...*field.Field32) (*field.Field32, error) {
 	f, err := b.DecompressField(data)
 	if err != nil {
 		return nil, err

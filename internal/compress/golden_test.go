@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -162,4 +163,72 @@ func digestF32(h io.Writer, c compress.FieldCompressor, f *field.Field32, eb flo
 		h.Write(b[:])
 	}
 	return data, nil
+}
+
+// TestCodecDecodeIntoDst pins the caller's-buffer form of both decode
+// lanes against the allocating form the digests above hash: decoding
+// into a field of the stream's shape, which still holds the previous
+// stream's samples, returns that field with the allocating form's bits.
+// A field of another shape, or two, is ErrDstShape.
+func TestCodecDecodeIntoDst(t *testing.T) {
+	for _, rank := range []int{2, 3} {
+		for _, c := range goldenCodecs(rank) {
+			t.Run(c.Name(), func(t *testing.T) {
+				for i, shape := range goldenShapes[rank] {
+					f := goldenField(shape, i)
+					dst, dst32 := field.New(shape...), field.New(shape...).Narrow()
+					for _, eb := range goldenBounds {
+						data, err := c.CompressField(f, eb)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := c.DecompressField(data, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, err := c.DecompressField(data, dst); err != nil || got != dst || !sameBits(got.Data, want.Data) {
+							t.Fatalf("f64 %v at %g: into dst differs from allocating decode (err %v)", shape, eb, err)
+						}
+						data32, err := c.CompressField32(f.Narrow(), eb)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want32, err := c.DecompressField32(data32)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, err := c.DecompressField32(data32, dst32); err != nil || got != dst32 || !sameBits(got.Data, want32.Data) {
+							t.Fatalf("f32 %v at %g: into dst differs from allocating decode (err %v)", shape, eb, err)
+						}
+						wrong := field.New(append([]int{2}, shape[1:]...)...)
+						if shape[0] == 2 {
+							wrong = field.New(append([]int{3}, shape[1:]...)...)
+						}
+						if _, err := c.DecompressField(data, wrong); !errors.Is(err, compress.ErrDstShape) {
+							t.Fatalf("f64 %v: dst of shape %v gave %v, want ErrDstShape", shape, wrong.Shape, err)
+						}
+						if _, err := c.DecompressField32(data32, wrong.Narrow()); !errors.Is(err, compress.ErrDstShape) {
+							t.Fatalf("f32 %v: dst of shape %v gave %v, want ErrDstShape", shape, wrong.Shape, err)
+						}
+						if _, err := c.DecompressField(data, dst, dst); !errors.Is(err, compress.ErrDstShape) {
+							t.Fatalf("f64 %v: two dsts gave %v, want ErrDstShape", shape, err)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same samples bit for bit.
+func sameBits[T float32 | float64](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return false
+		}
+	}
+	return true
 }

@@ -191,9 +191,12 @@ func TestRejectNonFiniteBound(t *testing.T) {
 }
 
 // FuzzCodecDecode feeds arbitrary bytes to the decoder of every codec of
-// rank 2 and 3 on both lanes, seeded with a valid stream of each: no
-// input may panic, and a decoded field holds exactly as many samples as
-// its shape claims.
+// rank 2 and 3 on both lanes, seeded with a valid stream of each, in
+// both forms: allocating, and into a caller's field. No input may
+// panic; a decoded field holds exactly as many samples as its shape
+// claims; the caller's-field form accepts exactly what the allocating
+// form accepts, into a field of that shape holding other samples, and
+// gives the same bits.
 func FuzzCodecDecode(f *testing.F) {
 	reg := core.DefaultRegistry()
 	codecs := append(reg.AllFor(2), reg.AllFor(3)...)
@@ -212,14 +215,45 @@ func FuzzCodecDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range codecs {
-			if g, err := c.DecompressField(data); err == nil && len(g.Data) != g.Len() {
+			g, err := c.DecompressField(data)
+			if err == nil && len(g.Data) != g.Len() {
 				t.Fatalf("%s/f64: %d samples for shape %v", c.Name(), len(g.Data), g.Shape)
 			}
-			if g, err := c.DecompressField32(data); err == nil && len(g.Data) != g.Len() {
-				t.Fatalf("%s/f32: %d samples for shape %v", c.Name(), len(g.Data), g.Shape)
+			dst := decodeDst(g, c.Ranks()[0])
+			if h, errInto := c.DecompressField(data, dst); (err == nil) != (errInto == nil) ||
+				err == nil && (h != dst || !sameBits(h.Data, g.Data)) {
+				t.Fatalf("%s/f64: into a field: %v, allocating: %v", c.Name(), errInto, err)
+			}
+			g32, err := c.DecompressField32(data)
+			if err == nil && len(g32.Data) != g32.Len() {
+				t.Fatalf("%s/f32: %d samples for shape %v", c.Name(), len(g32.Data), g32.Shape)
+			}
+			var shape *field.Field
+			if err == nil {
+				shape = g32.Widen()
+			}
+			dst32 := decodeDst(shape, c.Ranks()[0]).Narrow()
+			if h, errInto := c.DecompressField32(data, dst32); (err == nil) != (errInto == nil) ||
+				err == nil && (h != dst32 || !sameBits(h.Data, g32.Data)) {
+				t.Fatalf("%s/f32: into a field: %v, allocating: %v", c.Name(), errInto, err)
 			}
 		}
 	})
+}
+
+// decodeDst returns a field of g's shape, or of a small one of the given
+// rank when g is nil, filled with NaN so that a decoder that skips a
+// sample shows.
+func decodeDst(g *field.Field, rank int) *field.Field {
+	shape := []int{3, 3, 3}[:rank]
+	if g != nil {
+		shape = g.Shape
+	}
+	dst := field.New(shape...)
+	for i := range dst.Data {
+		dst.Data[i] = math.NaN()
+	}
+	return dst
 }
 
 // inflate returns the codec header and payload under a stream's

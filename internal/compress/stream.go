@@ -8,8 +8,10 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"lossycorr/internal/field"
 	"lossycorr/internal/lossless"
@@ -119,6 +121,28 @@ func (p *Payload) Release() {
 		payloads.Put(p.buf)
 	}
 	p.buf, p.Body = nil, nil
+}
+
+// ErrDstShape reports a destination field whose shape is not the
+// decoded stream's.
+var ErrDstShape = errors.New("compress: destination shape differs from the stream's")
+
+// Dst returns the field a decoder writes the stream of header h into:
+// the caller's field when DecompressField or DecompressField32 got a
+// non-nil one, else a new field of h's shape. A caller's field of
+// another shape fails with ErrDstShape, as does more than one.
+func Dst[T field.Elem](h Header, dst []*field.Of[T]) (*field.Of[T], error) {
+	switch {
+	case len(dst) > 1:
+		return nil, fmt.Errorf("%w: %d destinations", ErrDstShape, len(dst))
+	case len(dst) == 0 || dst[0] == nil:
+		return &field.Of[T]{Shape: h.Shape, Data: make([]T, h.Len)}, nil
+	}
+	out := dst[0]
+	if !slices.Equal(out.Shape, h.Shape) || len(out.Data) != h.Len {
+		return nil, fmt.Errorf("%w: %v, stream %v", ErrDstShape, out.Shape, h.Shape)
+	}
+	return out, nil
 }
 
 // Lane is 0 on the float64 lane and 1 on the float32 lane, the index a

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"lossycorr/internal/compress"
 	"lossycorr/internal/field"
@@ -358,23 +359,27 @@ type Measurement struct {
 type MeasureOptions struct {
 	Analysis    AnalysisOptions
 	ErrorBounds []float64 // nil means compress.PaperErrorBounds
-	// Workers bounds the field-level fan-out (and, unless
-	// Analysis.Workers overrides it, the per-field statistic fan-out).
-	// 0 means GOMAXPROCS; 1 forces serial measurement.
+	// Workers bounds the field-level fan-out, each field's fan-out
+	// over its codec × bound cells, and (unless Analysis.Workers
+	// overrides it) the per-field statistic fan-out. 0 means
+	// GOMAXPROCS; 1 forces fully serial measurement. Results are
+	// bit-identical for every value.
 	Workers int
 }
 
 // MeasureFieldSetCtx analyzes and compresses every field with every
 // registered compressor accepting its rank, at every error bound,
-// fanning fields out over the shared worker pool. Grids and volumes
-// can be mixed in one set — each field sweeps the codecs of its own
-// rank. Float32 fields run every codec through its native float32 lane,
-// and the bound is checked on float32 values. Results keep the input
-// field order; on failure the error of the lowest-indexed failing field
-// is returned, independent of scheduling. The field fan-out, each
-// field's statistics, and the per-codec sweep all check ctx, so a dead
-// context abandons the batch within one codec run or statistic unit and
-// returns ctx.Err().
+// fanning fields out over the shared worker pool, and each field's
+// codec × bound cells out over a nested pool. Grids and volumes can be
+// mixed in one set — each field sweeps the codecs of its own rank.
+// Float32 fields run every codec through its native float32 lane, and
+// the bound is checked on float32 values. Results keep the input field
+// order, and each field's results are codec-major, bound-minor; on
+// failure the error of the lowest-indexed failing field is returned,
+// and within a field that of its lowest failing cell, independent of
+// scheduling. The field fan-out, each field's statistics, and the cell
+// fan-out all check ctx, so a dead context abandons the batch within
+// one codec run or statistic unit and returns ctx.Err().
 func MeasureFieldSetCtx[T field.Elem](ctx context.Context, name string, fields []*field.Of[T], labels []float64,
 	reg *compress.Registry, opts MeasureOptions) ([]Measurement, error) {
 	ebs := opts.ErrorBounds
@@ -388,7 +393,7 @@ func MeasureFieldSetCtx[T field.Elem](ctx context.Context, name string, fields [
 	out := make([]Measurement, len(fields))
 	err := parallel.ForErrCtx(ctx, len(fields), opts.Workers, func(i int) error {
 		var err error
-		out[i], err = measureOne(ctx, name, i, fields[i], labels, reg, ebs, aOpts)
+		out[i], err = measureOne(ctx, name, i, fields[i], labels, reg, ebs, aOpts, opts.Workers)
 		return err
 	})
 	if err != nil {
@@ -397,8 +402,15 @@ func MeasureFieldSetCtx[T field.Elem](ctx context.Context, name string, fields [
 	return out, nil
 }
 
+// measureOne measures field i: its statistics, then every codec × bound
+// cell on a pool of up to workers. At most one of its cells encodes at
+// a time, so the cells overlap only one encode with the others' decode
+// and bound checks: an encode is most of a cell's time and holds the
+// largest scratch (the lossless stage's level-9 flate writer, the
+// entropy stage's tables), and serializing it keeps one set of that
+// scratch in use per measurement.
 func measureOne[T field.Elem](ctx context.Context, name string, i int, f *field.Of[T], labels []float64,
-	reg *compress.Registry, ebs []float64, aOpts AnalysisOptions) (Measurement, error) {
+	reg *compress.Registry, ebs []float64, aOpts AnalysisOptions, workers int) (Measurement, error) {
 
 	m := Measurement{Dataset: name, Index: i}
 	if i < len(labels) {
@@ -413,23 +425,34 @@ func measureOne[T field.Elem](ctx context.Context, name string, i int, f *field.
 	if len(codecs) == 0 {
 		return m, fmt.Errorf("core: field %d: no compressors registered for rank %d", i, f.NDim())
 	}
-	for _, c := range codecs {
-		for _, eb := range ebs {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return m, err
-				}
-			}
-			res, err := compress.RunField(c, f, eb)
-			if err != nil {
-				return m, fmt.Errorf("core: field %d: %w", i, err)
-			}
-			if !res.BoundOK {
-				return m, fmt.Errorf("core: field %d: %s violated bound %g (max err %g)",
-					i, c.Name(), eb, res.MaxAbsError)
-			}
-			m.Results = append(m.Results, res)
-		}
+	cells := len(codecs) * len(ebs)
+	if cells == 0 {
+		return m, nil
 	}
+	results := make([]compress.Result, cells)
+	var encoding sync.Mutex
+	err = parallel.ForErrCtx(ctx, cells, workers, func(k int) error {
+		c, eb := codecs[k/len(ebs)], ebs[k%len(ebs)]
+		encoding.Lock()
+		data, err := compress.EncodeField(c, f, eb)
+		encoding.Unlock()
+		if err != nil {
+			return fmt.Errorf("core: field %d: %w", i, err)
+		}
+		res, err := compress.VerifyField(c, f, eb, data)
+		if err != nil {
+			return fmt.Errorf("core: field %d: %w", i, err)
+		}
+		if !res.BoundOK {
+			return fmt.Errorf("core: field %d: %s violated bound %g (max err %g)",
+				i, c.Name(), eb, res.MaxAbsError)
+		}
+		results[k] = res
+		return nil
+	})
+	if err != nil {
+		return m, err
+	}
+	m.Results = results
 	return m, nil
 }

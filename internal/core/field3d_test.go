@@ -127,7 +127,7 @@ func TestPredictorFromVolumes(t *testing.T) {
 	for i, rang := range []float64{1.5, 2.5, 4, 6} {
 		f := testVolume(t, 16, rang, uint64(20+i))
 		m, err := measureOne(context.Background(), "train3d", i, f, nil, DefaultRegistry(),
-			[]float64{1e-3}, AnalysisOptions{SkipLocal: true})
+			[]float64{1e-3}, AnalysisOptions{SkipLocal: true}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,7 +95,7 @@ func TestPredictFieldEndToEnd(t *testing.T) {
 	for i, rang := range []float64{4, 8, 16, 32} {
 		g := smallField(t, rang, uint64(30+i))
 		m, err := measureOne(context.Background(), "train", i, g, nil, DefaultRegistry(),
-			[]float64{1e-3}, AnalysisOptions{SkipLocal: true})
+			[]float64{1e-3}, AnalysisOptions{SkipLocal: true}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,20 @@
 // per P that has run a codec) and up to ~0.7 MB of Huffman tables.
 // Held strongly, they raised the measure-sweep benchmark's peak RSS by
 // about a quarter on a 2-vCPU host; held weakly, it stayed at its old
-// level while the stages still skip the allocation on every call
-// between collections.
+// level.
+//
+// Weak holding has a cost in bytes. A value is reused only until the
+// next collection, and, because sync.Pool keeps a value put back in
+// the putting P's private slot, only by calls on that P. Every other
+// call builds a new one, and a new level-9 writer is itself enough
+// garbage to bring the next collection closer. BenchmarkMeasureField
+// (internal/core; one 96×96 field, 3 codecs × 4 bounds) shows it: a
+// serial measurement allocates 1.16 MB per op at -cpu 1 and 5.82 MB
+// at -cpu 2, 38% of that in flate.NewWriter (about 1.5 writers built
+// per op); with the measurement's cells on two Ps, 14.06 MB, 58% of it
+// flate.NewWriter. A process with a larger live heap collects less
+// often and pays less: the measure-sweep benchmark allocates
+// 1.3–1.4 MB per op with the cells on two Ps.
 package scratch
 
 import (

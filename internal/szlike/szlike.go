@@ -109,8 +109,8 @@ func (c Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error
 }
 
 // DecompressField implements compress.FieldCompressor.
-func (c Compressor) DecompressField(data []byte) (*field.Field, error) {
-	return decode[float64](data, c.N())
+func (c Compressor) DecompressField(data []byte, dst ...*field.Field) (*field.Field, error) {
+	return decode(data, c.N(), dst)
 }
 
 // CompressField32 implements compress.FieldCompressor.
@@ -119,8 +119,8 @@ func (c Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, e
 }
 
 // DecompressField32 implements compress.FieldCompressor.
-func (c Compressor) DecompressField32(data []byte) (*field.Field32, error) {
-	return decode[float32](data, c.N())
+func (c Compressor) DecompressField32(data []byte, dst ...*field.Field32) (*field.Field32, error) {
+	return decode(data, c.N(), dst)
 }
 
 // geom is a field's shape seen as rank 3 — a 2D field gets a unit
@@ -404,11 +404,12 @@ func maxBody[T field.Elem](h compress.Header) int {
 	return g.numBlocks()*(1+4*(g.rank+1)) + 4 + field.ElemBytes[T]()*h.Len + huffman.MaxEncodedLen(h.Len)
 }
 
-// decode reconstructs a rank-`rank` field on lane T, rejecting streams
-// of another rank or lane. It replays encode's reconstruction mirror
+// decode reconstructs a rank-`rank` field on lane T, into dst when the
+// caller gave one (compress.Dst), rejecting streams of another rank or
+// lane. It replays encode's reconstruction mirror
 // exactly — same padded layout, same predictor arithmetic — so the
 // output equals the compressor's mirror bit for bit.
-func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
+func decode[T field.Elem](data []byte, rank int, dst []*field.Of[T]) (*field.Of[T], error) {
 	l := compress.Lane[T]()
 	p, err := compress.Inflate(data, magic[rank-2][l], rank, maxBody[T])
 	if err != nil {
@@ -496,7 +497,10 @@ func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
 	if ei != len(exact) {
 		return nil, ErrCorrupt
 	}
-	out := &field.Of[T]{Shape: h.Shape, Data: make([]T, h.Len)}
+	out, err := compress.Dst(h, dst)
+	if err != nil {
+		return nil, err
+	}
 	interior(&g, out.Data, rec, false)
 	return out, nil
 }

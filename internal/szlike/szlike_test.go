@@ -46,7 +46,7 @@ func laneOf[T field.Elem](name string) lane {
 			return encode(shape, convert[T](data), len(shape), mode, eb)
 		},
 		dec: func(stream []byte, rank int) ([]float64, error) {
-			f, err := decode[T](stream, rank)
+			f, err := decode[T](stream, rank, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -83,8 +83,8 @@ func (c Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error
 }
 
 // DecompressField implements compress.FieldCompressor.
-func (c Compressor) DecompressField(data []byte) (*field.Field, error) {
-	return decode[float64](data, c.N())
+func (c Compressor) DecompressField(data []byte, dst ...*field.Field) (*field.Field, error) {
+	return decode(data, c.N(), dst)
 }
 
 // CompressField32 implements compress.FieldCompressor.
@@ -93,8 +93,8 @@ func (c Compressor) CompressField32(f *field.Field32, absErr float64) ([]byte, e
 }
 
 // DecompressField32 implements compress.FieldCompressor.
-func (c Compressor) DecompressField32(data []byte) (*field.Field32, error) {
-	return decode[float32](data, c.N())
+func (c Compressor) DecompressField32(data []byte, dst ...*field.Field32) (*field.Field32, error) {
+	return decode(data, c.N(), dst)
 }
 
 // fwd4 applies the two-level integer Haar S-transform to a stride-s
@@ -373,9 +373,10 @@ func maxBody(h compress.Header) int {
 	return 8 + g.numBlocks()*(1+4+64*nv/8)
 }
 
-// decode reconstructs a rank-`rank` field on lane T, rejecting streams
-// of another rank or lane.
-func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
+// decode reconstructs a rank-`rank` field on lane T, into dst when the
+// caller gave one (compress.Dst), rejecting streams of another rank or
+// lane.
+func decode[T field.Elem](data []byte, rank int, dst []*field.Of[T]) (*field.Of[T], error) {
 	p, err := compress.Inflate(data, magic[rank-2][compress.Lane[T]()], rank, maxBody)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
@@ -403,7 +404,10 @@ func decode[T field.Elem](data []byte, rank int) (*field.Of[T], error) {
 	rawVals := body[:rawLen]
 	r := bitstream.NewReader(body[rawLen:])
 
-	out := &field.Of[T]{Shape: h.Shape, Data: make([]T, h.Len)}
+	out, err := compress.Dst(h, dst)
+	if err != nil {
+		return nil, err
+	}
 	nv := 1 << (2 * rank)
 	var valsBuf [64]float64
 	var qBuf [64]int64
